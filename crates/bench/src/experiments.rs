@@ -583,7 +583,7 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
 
     // Join order is a physical choice: the answers must agree as sets.
     let sorted_rows = |rel: &rex_relstore::Relation| {
-        let mut rows: Vec<_> = rel.rows().to_vec();
+        let mut rows: Vec<Vec<u64>> = rel.rows().map(<[u64]>::to_vec).collect();
         rows.sort();
         rows
     };

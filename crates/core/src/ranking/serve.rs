@@ -505,7 +505,9 @@ impl ServingState {
 
     /// The full admission-controlled, budgeted serving read: price the
     /// request, admit or shed it, then rank under `budget` against a
-    /// pinned snapshot. Shed requests ([`CoreError::Overloaded`],
+    /// pinned snapshot. A session without admission control admits
+    /// everything, so it skips the pricing walk over every shape's
+    /// postings. Shed requests ([`CoreError::Overloaded`],
     /// [`CoreError::is_retryable`]) never touched the evaluation stack —
     /// retrying after backoff is safe and expected. The admitted rows are
     /// held for exactly the duration of the ranking pass.
@@ -516,7 +518,7 @@ impl ServingState {
         budget: &Budget,
     ) -> Result<RankPairsOutcome> {
         self.fire(site::SERVE_ADMIT);
-        let cost = self.estimate_request_rows(pairs);
+        let cost = if self.admission.is_some() { self.estimate_request_rows(pairs) } else { 0 };
         let _permit = self.admit(cost)?;
         self.fire(site::SERVE_EVAL);
         Ok(self.snapshot().rank_budgeted(pairs, cfg, budget))

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use rex_kb::{DeltaSince, EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
 
 use crate::budget::Budget;
-use crate::ops::group_count_having_limit;
+use crate::ops::{group_count_having_limit, FIB_HASH};
 use crate::plan::{dir_code, PatternSpec, StartBinding};
 use crate::relation::{ColumnPosting, Relation, Schema};
 use crate::{RelError, Result};
@@ -137,19 +137,21 @@ pub enum Refresh {
 impl EdgeIndex {
     /// Builds the index from a knowledge base at the KB's current epoch.
     pub fn build(kb: &KnowledgeBase) -> EdgeIndex {
-        let full = oriented_edge_relation(kb);
-        let schema = full.schema().clone();
-        let label_col = schema.index_of("label").expect("oriented schema");
-        let dir_col = schema.index_of("dir").expect("oriented schema");
-        let total_rows = full.len();
-        let mut buckets: HashMap<(u64, u64), Vec<crate::Row>> = HashMap::new();
-        for row in full.into_rows() {
-            buckets.entry((row[label_col], row[dir_col])).or_default().push(row);
+        let schema = oriented_schema();
+        // Each partition's rows go straight into its own flat buffer, in
+        // KB edge order.
+        let mut buckets: HashMap<(u64, u64), Vec<u64>> = HashMap::new();
+        let mut total_rows = 0;
+        for eid in kb.edge_ids() {
+            for row in oriented_rows(kb.edge(eid)) {
+                buckets.entry((row[2], row[3])).or_default().extend_from_slice(&row);
+                total_rows += 1;
+            }
         }
         let groups: HashMap<(u64, u64), Arc<Relation>> = buckets
             .into_iter()
-            .map(|(k, rows)| {
-                (k, Arc::new(Relation::from_rows(schema.clone(), rows).expect("partition arity")))
+            .map(|(k, data)| {
+                (k, Arc::new(Relation::from_flat(schema.clone(), data).expect("partition arity")))
             })
             .collect();
         let from_col = schema.index_of("from").expect("oriented schema");
@@ -203,9 +205,7 @@ impl EdgeIndex {
                     .groups
                     .entry(key)
                     .or_insert_with(|| Arc::new(Relation::empty(self.schema.clone())));
-                Arc::make_mut(partition)
-                    .push(row.into_boxed_slice())
-                    .expect("oriented rows have arity 4");
+                Arc::make_mut(partition).push(&row).expect("oriented rows have arity 4");
                 self.total_rows += 1;
             }
         }
@@ -276,17 +276,18 @@ impl EdgeIndex {
         }
     }
 
-    /// The rows matching a `(label, dir)` pair; empty relation when
-    /// absent. A **full partition scan** — every materialized row is
-    /// recorded against [`crate::metrics`]' `rows_scanned` counter, the
-    /// access path the endpoint postings exist to avoid whenever a start
-    /// restriction can be pushed down ([`EdgeIndex::probe`]).
-    pub fn scan(&self, label: u64, dir: u64) -> Relation {
+    /// The rows matching a `(label, dir)` pair — the shared partition
+    /// itself, not a copy; an empty relation when absent. A **full
+    /// partition scan**: every row is recorded against
+    /// [`crate::metrics`]' `rows_scanned` counter, the access path the
+    /// endpoint postings exist to avoid whenever a start restriction can
+    /// be pushed down ([`EdgeIndex::probe`]).
+    pub fn scan(&self, label: u64, dir: u64) -> Arc<Relation> {
         let rel = self
             .groups
             .get(&(label, dir))
-            .map(|r| (**r).clone())
-            .unwrap_or_else(|| Relation::empty(self.schema.clone()));
+            .cloned()
+            .unwrap_or_else(|| Arc::new(Relation::empty(self.schema.clone())));
         crate::metrics::record_rows_scanned(rel.len());
         rel
     }
@@ -299,22 +300,42 @@ impl EdgeIndex {
     /// instead of the partition size. Recorded against the `rows_probed`
     /// counter.
     pub fn probe(&self, label: u64, dir: u64, src: bool, keys: &[u64]) -> Relation {
+        let mut data = Vec::new();
+        self.for_each_probed(label, dir, src, keys, |row| data.extend_from_slice(row));
+        Relation::from_flat(self.schema.clone(), data).expect("partition rows match the schema")
+    }
+
+    /// Visits the rows [`EdgeIndex::probe`] would materialize, in the
+    /// same order, without copying them — the evaluator filters and
+    /// projects them straight into its own buffer. Recorded against the
+    /// `rows_probed` counter.
+    pub(crate) fn for_each_probed<F: FnMut(&[u64])>(
+        &self,
+        label: u64,
+        dir: u64,
+        src: bool,
+        keys: &[u64],
+        mut visit: F,
+    ) {
         let key = (label, dir);
         let (Some(rel), Some(posting)) = (self.groups.get(&key), self.postings.get(&key)) else {
-            return Relation::empty(self.schema.clone());
+            return;
         };
         let posting = posting.endpoint(src);
-        let mut picked: Vec<u32> = Vec::new();
+        let mut probed = 0;
         let mut last = None;
         for &k in keys {
             if last == Some(k) {
                 continue;
             }
             last = Some(k);
-            picked.extend_from_slice(posting.rows_for(k));
+            let ids = posting.rows_for(k);
+            probed += ids.len();
+            for &i in ids {
+                visit(rel.row(i as usize));
+            }
         }
-        crate::metrics::record_rows_probed(picked.len());
-        rel.gather(&picked)
+        crate::metrics::record_rows_probed(probed);
     }
 
     /// Rows of the `(label, dir)` partition incident to `keys` on the
@@ -563,17 +584,17 @@ impl EdgeIndex {
         let mut groups: HashMap<(u64, u64), Arc<Relation>> = HashMap::new();
         let mut total_rows = 0usize;
         for (&key, rel) in &self.groups {
-            let rows: Vec<crate::Row> = rel
-                .rows()
-                .iter()
-                .filter(|r| spec.shard_of(r[from_col]) == k || spec.shard_of(r[to_col]) == k)
-                .cloned()
-                .collect();
-            if rows.is_empty() {
+            let mut data = Vec::new();
+            for row in rel.rows() {
+                if spec.shard_of(row[from_col]) == k || spec.shard_of(row[to_col]) == k {
+                    data.extend_from_slice(row);
+                }
+            }
+            if data.is_empty() {
                 continue;
             }
-            total_rows += rows.len();
-            let rel = Relation::from_rows(self.schema.clone(), rows).expect("partition arity");
+            let rel = Relation::from_flat(self.schema.clone(), data).expect("partition arity");
+            total_rows += rel.len();
             groups.insert(key, Arc::new(rel));
         }
         let postings = groups
@@ -828,30 +849,32 @@ impl ShardedEdgeIndex {
 ///
 /// This is the analogue of the paper's `R(eid1, eid2, rel)` table.
 pub fn oriented_edge_relation(kb: &KnowledgeBase) -> Relation {
-    let schema = Schema::new(["from", "to", "label", "dir"]);
-    let mut rel = Relation::empty(schema);
+    let mut data = Vec::with_capacity(kb.edge_count() * 4);
     for eid in kb.edge_ids() {
-        let e = kb.edge(eid);
-        for row in oriented_rows(e) {
-            rel.push(row.into_boxed_slice()).expect("arity 4");
+        for row in oriented_rows(kb.edge(eid)) {
+            data.extend_from_slice(&row);
         }
     }
-    rel
+    Relation::from_flat(oriented_schema(), data).expect("oriented rows have arity 4")
+}
+
+/// The schema of the oriented edge relation and of every index partition.
+pub(crate) fn oriented_schema() -> Schema {
+    Schema::new(["from", "to", "label", "dir"])
 }
 
 /// The oriented rows one KB edge contributes to the edge relation: one
 /// `FORWARD` row for a directed edge; both orientations (one for a
 /// self-loop) for an undirected edge. The single source of truth shared
 /// by bulk build and delta application, so they cannot diverge.
-fn oriented_rows(e: &EdgeRecord) -> Vec<Vec<u64>> {
+fn oriented_rows(e: &EdgeRecord) -> impl Iterator<Item = [u64; 4]> {
     let (s, d, l) = (e.src.0 as u64, e.dst.0 as u64, e.label.0 as u64);
-    if e.directed {
-        vec![vec![s, d, l, dir_code::FORWARD]]
-    } else if s == d {
-        vec![vec![s, d, l, dir_code::UNDIRECTED]]
-    } else {
-        vec![vec![s, d, l, dir_code::UNDIRECTED], vec![d, s, l, dir_code::UNDIRECTED]]
-    }
+    let (dir, count) = match (e.directed, s == d) {
+        (true, _) => (dir_code::FORWARD, 1),
+        (false, true) => (dir_code::UNDIRECTED, 1),
+        (false, false) => (dir_code::UNDIRECTED, 2),
+    };
+    [[s, d, l, dir], [d, s, l, dir]].into_iter().take(count)
 }
 
 /// The starts whose grouped `(start, end)` counts for `spec` **may**
@@ -968,7 +991,7 @@ pub fn local_count_distribution(
     let instances = spec.evaluate(edge_rel, Some(start))?;
     let end_col = spec.end;
     let grouped = group_count_having_limit(&instances, &[end_col], 0, usize::MAX)?;
-    Ok(grouped.rows().iter().map(|r| (r[0], r[1])).collect())
+    Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
 }
 
 /// Counts the end entities whose instance count strictly exceeds `c` —
@@ -996,7 +1019,7 @@ pub fn local_count_distribution_indexed(
 ) -> Result<HashMap<u64, u64>> {
     let instances = spec.evaluate_indexed(index, Some(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], 0, usize::MAX)?;
-    Ok(grouped.rows().iter().map(|r| (r[0], r[1])).collect())
+    Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
 }
 
 /// The batched all-starts distribution query (§5.3.2's amortization,
@@ -1053,8 +1076,6 @@ pub struct PairCounter {
     /// `64 - log2(table capacity)` — the Fibonacci-hash shift.
     shift: u32,
 }
-
-const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl PairCounter {
     /// Creates an accumulator sized for a KB of `domain_hint` entities.
@@ -1983,8 +2004,8 @@ mod tests {
         // never mentions scans identical rows from both versions.
         let untouched = kb.label_by_name("directed_by").unwrap().0 as u64;
         assert_eq!(
-            index.scan(untouched, dir_code::FORWARD).rows(),
-            next.scan(untouched, dir_code::FORWARD).rows()
+            index.scan(untouched, dir_code::FORWARD),
+            next.scan(untouched, dir_code::FORWARD)
         );
     }
 
@@ -2110,7 +2131,7 @@ mod tests {
         let starring = kb.label_by_name("starring").unwrap().0 as u64;
         let spouse = kb.label_by_name("spouse").unwrap().0 as u64;
         let sort = |rel: &Relation| {
-            let mut rows: Vec<Vec<u64>> = rel.rows().iter().map(|r| r.to_vec()).collect();
+            let mut rows: Vec<Vec<u64>> = rel.rows().map(<[u64]>::to_vec).collect();
             rows.sort_unstable();
             rows
         };
@@ -2125,7 +2146,6 @@ mod tests {
                 let expected: Vec<Vec<u64>> = {
                     let mut rows: Vec<Vec<u64>> = full
                         .rows()
-                        .iter()
                         .filter(|r| keys.binary_search(&r[col]).is_ok())
                         .map(|r| r.to_vec())
                         .collect();

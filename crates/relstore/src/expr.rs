@@ -4,8 +4,6 @@
 //! `col = col`) combined conjunctively — exactly the WHERE clauses of the
 //! paper's SQL formulation — so that is all this module provides.
 
-use crate::relation::Row;
-
 /// A predicate over a row, with columns resolved to indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
@@ -43,7 +41,7 @@ pub enum Predicate {
 
 impl Predicate {
     /// Evaluates the predicate against a row.
-    pub fn eval(&self, row: &Row) -> bool {
+    pub fn eval(&self, row: &[u64]) -> bool {
         match self {
             Predicate::ColEqConst { col, value } => row[*col] == *value,
             Predicate::ColEqCol { a, b } => row[*a] == row[*b],
@@ -63,25 +61,21 @@ impl Predicate {
 mod tests {
     use super::*;
 
-    fn row(vals: &[u64]) -> Row {
-        vals.to_vec().into_boxed_slice()
-    }
-
     #[test]
     fn eq_const() {
         let p = Predicate::ColEqConst { col: 1, value: 7 };
-        assert!(p.eval(&row(&[0, 7])));
-        assert!(!p.eval(&row(&[7, 0])));
+        assert!(p.eval(&[0, 7]));
+        assert!(!p.eval(&[7, 0]));
     }
 
     #[test]
     fn eq_col_and_ne() {
         let p = Predicate::ColEqCol { a: 0, b: 2 };
-        assert!(p.eval(&row(&[5, 1, 5])));
-        assert!(!p.eval(&row(&[5, 1, 6])));
+        assert!(p.eval(&[5, 1, 5]));
+        assert!(!p.eval(&[5, 1, 6]));
         let n = Predicate::ColNeConst { col: 0, value: 5 };
-        assert!(!n.eval(&row(&[5])));
-        assert!(n.eval(&row(&[4])));
+        assert!(!n.eval(&[5]));
+        assert!(n.eval(&[4]));
     }
 
     #[test]
@@ -90,15 +84,15 @@ mod tests {
             Predicate::ColEqConst { col: 0, value: 1 },
             Predicate::ColEqConst { col: 1, value: 2 },
         ]);
-        assert!(p.eval(&row(&[1, 2])));
-        assert!(!p.eval(&row(&[1, 3])));
-        assert!(Predicate::always().eval(&row(&[9, 9])));
+        assert!(p.eval(&[1, 2]));
+        assert!(!p.eval(&[1, 3]));
+        assert!(Predicate::always().eval(&[9, 9]));
     }
 
     #[test]
     fn in_set() {
         let p = Predicate::ColInSet { col: 0, values: vec![2, 4, 6] };
-        assert!(p.eval(&row(&[4])));
-        assert!(!p.eval(&row(&[5])));
+        assert!(p.eval(&[4]));
+        assert!(!p.eval(&[5]));
     }
 }

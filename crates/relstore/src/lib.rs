@@ -22,7 +22,8 @@
 //!
 //! This crate reproduces exactly that execution stack, built from scratch:
 //!
-//! * [`Relation`] — a schema'd, row-major table of `u64` values.
+//! * [`Relation`] — a schema'd table of `u64` values, stored flat and
+//!   row-major in one buffer.
 //! * [`expr`] — conjunctive predicates over rows.
 //! * [`ops`] — scan/filter, hash equi-join, group-count with
 //!   `HAVING`/`LIMIT`, distinct, projection.
@@ -32,10 +33,13 @@
 //!   counts, and `HAVING`/`LIMIT`-pruned position counts.
 //!
 //! The engine is deliberately *materialized* (operators consume and produce
-//! whole relations): explanation patterns are tiny (≤ 4 joins) and the
-//! intermediate results are small once the start entity is bound, so a
-//! vectorized volcano iterator would add complexity without measurable
-//! benefit at this scale.
+//! whole relations): explanation patterns are tiny (≤ 4 joins). The
+//! intermediates are not always small, though. A single bound start keeps
+//! them to the rows around one entity, but a batched `Among` tile over
+//! thousands of starts can reach millions of rows (2.6M in the cold
+//! serving benchmark). So the cost that matters is the cost per row: every
+//! relation is one flat `u64` buffer and every operator allocates per
+//! relation, never per row (see [`ops`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -49,7 +53,7 @@ pub mod persist;
 pub mod plan;
 mod relation;
 
-pub use relation::{ColumnPosting, Relation, Row, Schema};
+pub use relation::{ColumnPosting, Relation, Schema};
 
 /// Errors raised by relational evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]

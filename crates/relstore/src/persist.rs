@@ -27,8 +27,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::engine::{EdgeIndex, PartitionPosting, ShardSpec, ShardedEdgeIndex};
-use crate::relation::{ColumnPosting, Relation, Schema};
+use crate::engine::{oriented_schema, EdgeIndex, PartitionPosting, ShardSpec, ShardedEdgeIndex};
+use crate::relation::{ColumnPosting, Relation};
 use crate::{RelError, Result};
 
 /// `b"RXIX"` little-endian — REX IndeX snapshot.
@@ -166,10 +166,8 @@ pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
         put_u64(&mut out, label);
         put_u64(&mut out, dir);
         put_u32(&mut out, rel.len() as u32);
-        for row in rel.rows() {
-            for &v in row.iter() {
-                put_u64(&mut out, v);
-            }
+        for &v in rel.as_flat() {
+            put_u64(&mut out, v);
         }
         let (by_src, by_dst) = posting.parts();
         put_posting(&mut out, by_src);
@@ -206,7 +204,7 @@ pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
     let total_rows = r.get_u64("total rows")? as usize;
     let partition_count = r.get_u32("partition count")? as usize;
 
-    let schema = Schema::new(["from", "to", "label", "dir"]);
+    let schema = oriented_schema();
     let arity = schema.arity();
     let mut groups = std::collections::HashMap::new();
     let mut postings = std::collections::HashMap::new();
@@ -217,19 +215,16 @@ pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
         let key = (label, dir);
         let row_count = r.get_u32("partition row count")? as usize;
         let flat = r.get_u64s(row_count.saturating_mul(arity), "partition rows")?;
-        let rows: Vec<crate::Row> =
-            flat.chunks_exact(arity).map(|chunk| chunk.to_vec().into_boxed_slice()).collect();
-        for row in &rows {
-            if row[2] != label || row[3] != dir {
-                return Err(RelError::Corrupt(format!(
-                    "row ({}, {}) filed under partition ({label}, {dir})",
-                    row[2], row[3]
-                )));
-            }
+        // The flat buffer *is* the partition's row storage: adopted as-is.
+        let rel = Relation::from_flat(schema.clone(), flat)
+            .map_err(|e| RelError::Corrupt(format!("partition ({label}, {dir}): {e}")))?;
+        if let Some(row) = rel.rows().find(|row| row[2] != label || row[3] != dir) {
+            return Err(RelError::Corrupt(format!(
+                "row ({}, {}) filed under partition ({label}, {dir})",
+                row[2], row[3]
+            )));
         }
         rows_seen += row_count;
-        let rel = Relation::from_rows(schema.clone(), rows)
-            .map_err(|e| RelError::Corrupt(format!("partition ({label}, {dir}): {e}")))?;
         let by_src = get_posting(&mut r, row_count)?;
         let by_dst = get_posting(&mut r, row_count)?;
         if groups.insert(key, Arc::new(rel)).is_some() {
@@ -420,9 +415,62 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for ((ka, rel_a, post_a), (kb_, rel_b, post_b)) in a.iter().zip(&b) {
             assert_eq!(ka, kb_);
-            assert_eq!(rel_a.rows(), rel_b.rows());
+            assert_eq!(rel_a, rel_b);
             assert_eq!(post_a.parts(), post_b.parts());
         }
+    }
+
+    /// Saving a loaded snapshot reproduces every file byte for byte, for
+    /// the flat index and for a sharded layout.
+    #[test]
+    fn save_load_save_is_byte_identical() {
+        let kb = toy_kb();
+        let bytes = encode_index(&EdgeIndex::build(&kb));
+        assert_eq!(encode_index(&decode_index(&bytes).expect("decode")), bytes);
+
+        let root = std::env::temp_dir().join(format!(
+            "rex-persist-resave-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let (first, second) = (root.join("first"), root.join("second"));
+        save_sharded(&ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7)), &first).expect("save");
+        save_sharded(&load_sharded(&first).expect("load"), &second).expect("re-save");
+        let mut names: Vec<_> =
+            std::fs::read_dir(&first).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        assert_eq!(names.len(), 5, "manifest, base and three shards");
+        for name in names {
+            let a = std::fs::read(first.join(&name)).unwrap();
+            let b = std::fs::read(second.join(&name)).unwrap();
+            assert_eq!(a, b, "{name:?} changed across save → load → save");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The v1 byte format, pinned: the toy index's snapshot length and
+    /// FNV-1a fingerprint, for the flat index and each shard of a 3-way
+    /// layout. A change here is an on-disk format change and needs a
+    /// version bump.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let kb = toy_kb();
+        let fingerprint = |index: &EdgeIndex| {
+            let bytes = encode_index(index);
+            (bytes.len(), fnv1a(&bytes))
+        };
+        assert_eq!(fingerprint(&EdgeIndex::build(&kb)), (564, 0x8f99_4871_ca9d_b9fd));
+        let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7));
+        let shards: Vec<_> = (0..3).map(|k| fingerprint(sharded.shard(k))).collect();
+        assert_eq!(
+            shards,
+            [
+                (412, 0x893b_34b1_bd9a_e748),
+                (524, 0x04cd_d580_35bd_049a),
+                (44, 0x868b_019c_7fb5_d927)
+            ]
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! pattern variable.
 
 use crate::expr::Predicate;
-use crate::ops::{distinct, filter, hash_join, project};
+use crate::ops::{filter, join_rows, project, RowSet};
 use crate::relation::{Relation, Schema};
 use crate::{RelError, Result};
 
@@ -261,95 +261,76 @@ impl PatternSpec {
             .collect())
     }
 
-    /// Per-edge `(from, to)` scans over a prebuilt
+    /// Per-edge `(from, to)` rows over a prebuilt
     /// [`crate::engine::EdgeIndex`], with the start binding **pushed into
     /// the endpoint posting lists**: an edge incident to the start
     /// variable materializes only the rows whose start endpoint is bound
     /// ([`crate::engine::EdgeIndex::probe`]) — cost proportional to the
     /// rows incident to the start set — instead of walking its full
-    /// `(label, dir)` partition and filtering, which paid the partition's
-    /// size for every `Among` evaluation no matter how few starts
-    /// mattered (the scan floor). Edges not touching the start variable
-    /// still scan their partition; residual predicates (self-loops,
-    /// `Const` target-exclusion on the other endpoint) are applied here,
-    /// exactly as [`PatternSpec::filtered_scans`] would.
+    /// `(label, dir)` partition and filtering. Edges not touching the
+    /// start variable scan their partition. Each edge goes through
+    /// [`PatternSpec::edge_rows`], so the residual predicates match
+    /// [`PatternSpec::filtered_scans`].
     fn indexed_scans(
         &self,
         index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
     ) -> Result<Vec<Relation>> {
-        self.indexed_scans_split(index, index, binding)
+        let cols = endpoint_cols(index)?;
+        let start_keys = sorted_start_keys(binding);
+        Ok(self
+            .edges
+            .iter()
+            .map(|&e| {
+                let source = match &start_keys {
+                    Some(keys) if e.u == self.start || e.v == self.start => {
+                        EdgeSource::Probe { index, src: e.u == self.start, keys }
+                    }
+                    _ => EdgeSource::Scan(index),
+                };
+                self.edge_rows(e, binding, cols, source)
+            })
+            .collect())
     }
 
-    /// [`PatternSpec::indexed_scans`] over a **split** pair of indexes:
-    /// start-incident edges probe `probe`'s endpoint postings, while
-    /// edges not touching the start variable scan `scan`'s full
-    /// partitions. With `probe == scan` this is exactly the unsharded
-    /// path; the sharded `Among` fan-out passes a shard (which holds
-    /// every row incident to its resident starts, so resident probes are
-    /// complete) as `probe` and the full base index as `scan` (non-start
-    /// pattern edges range over the *whole* KB regardless of sharding).
-    fn indexed_scans_split(
+    /// Materializes one pattern edge's `(from, to)` rows from `source` in
+    /// a single pass into one 2-column buffer: each visited partition row
+    /// is checked against the edge's residual predicates — `from == to`
+    /// for a self-loop edge, and under a [`StartBinding::Const`] start the
+    /// target-exclusion of the pinned value from every non-start endpoint
+    /// — and its endpoints copied out. (`Among` exclusion is per-row and
+    /// left to the final injectivity filter.) `cols` are the index
+    /// schema's `(from, to)` column positions.
+    fn edge_rows(
         &self,
-        probe: &crate::engine::EdgeIndex,
-        scan: &crate::engine::EdgeIndex,
+        e: SpecEdge,
         binding: &StartBinding,
-    ) -> Result<Vec<Relation>> {
-        let index = scan;
-        let schema = index.schema();
-        let from = schema.index_of("from")?;
-        let to = schema.index_of("to")?;
-        self.edges
-            .iter()
-            .map(|e| {
-                let dir = e.dir();
-                let mut preds = Vec::new();
-                if e.u == e.v {
-                    preds.push(Predicate::ColEqCol { a: from, b: to });
-                }
-                let base = match binding {
-                    StartBinding::Unbound => index.scan(e.label, dir),
-                    StartBinding::Const(start_val) => {
-                        if e.u == self.start || e.v == self.start {
-                            // Probe the start endpoint (`from` when the
-                            // start variable is the tail; a self-loop at
-                            // the start is covered by the ColEqCol above).
-                            let base = probe.probe(
-                                e.label,
-                                dir,
-                                e.u == self.start,
-                                std::slice::from_ref(start_val),
-                            );
-                            // Target-exclusion on the non-start endpoint.
-                            if e.u != self.start {
-                                preds.push(Predicate::ColNeConst { col: from, value: *start_val });
-                            }
-                            if e.v != self.start {
-                                preds.push(Predicate::ColNeConst { col: to, value: *start_val });
-                            }
-                            base
-                        } else {
-                            preds.push(Predicate::ColNeConst { col: from, value: *start_val });
-                            preds.push(Predicate::ColNeConst { col: to, value: *start_val });
-                            index.scan(e.label, dir)
-                        }
-                    }
-                    StartBinding::Among(values) => {
-                        // Only the start variable's scans are restricted
-                        // (non-start target-exclusion is per-row and
-                        // enforced by the final injectivity filter).
-                        if e.u == self.start || e.v == self.start {
-                            probe.probe(e.label, dir, e.u == self.start, values)
-                        } else {
-                            index.scan(e.label, dir)
-                        }
-                    }
-                };
-                let filtered =
-                    if preds.is_empty() { base } else { filter(&base, &Predicate::And(preds)) };
-                Ok(project(&filtered, &[from, to]))
-            })
-            .collect()
+        (from, to): (usize, usize),
+        source: EdgeSource<'_>,
+    ) -> Relation {
+        let (exclude_from, exclude_to) = match binding {
+            StartBinding::Const(s) => {
+                ((e.u != self.start).then_some(*s), (e.v != self.start).then_some(*s))
+            }
+            _ => (None, None),
+        };
+        let self_loop = e.u == e.v;
+        let mut data = Vec::new();
+        let mut take = |r: &[u64]| {
+            let (f, t) = (r[from], r[to]);
+            if (!self_loop || f == t) && exclude_from != Some(f) && exclude_to != Some(t) {
+                data.push(f);
+                data.push(t);
+            }
+        };
+        let dir = e.dir();
+        match source {
+            EdgeSource::Scan(index) => index.scan(e.label, dir).rows().for_each(&mut take),
+            EdgeSource::Probe { index, src, keys } => {
+                index.for_each_probed(e.label, dir, src, keys, take)
+            }
+        }
+        Relation::from_flat(Schema::new(["from", "to"]), data).expect("pairs have arity 2")
     }
 
     /// A cost-based join order: the globally smallest scan first, then —
@@ -395,8 +376,12 @@ impl PatternSpec {
 
     /// [`PatternSpec::plan`] over a split probe/scan index pair: start
     /// probes are estimated (and later executed) against `probe`,
-    /// partition statistics come from `scan` — mirroring
-    /// [`PatternSpec::indexed_scans_split`]'s sharded contract.
+    /// partition statistics come from `scan`. With `probe == scan` this
+    /// is the unsharded path; the sharded `Among` fan-out passes a shard
+    /// (which holds every row incident to its resident starts, so
+    /// resident probes are complete) as `probe` and the full base index
+    /// as `scan` (non-start pattern edges range over the *whole* KB
+    /// regardless of sharding).
     pub fn plan_split(
         &self,
         probe: &crate::engine::EdgeIndex,
@@ -404,16 +389,7 @@ impl PatternSpec {
         binding: &StartBinding,
     ) -> JoinPlan {
         let m = self.edges.len();
-        // Sorted start keys, when the start variable is bound at all.
-        let start_keys: Option<Vec<u64>> = match binding {
-            StartBinding::Unbound => None,
-            StartBinding::Const(s) => Some(vec![*s]),
-            StartBinding::Among(values) => {
-                let mut sorted = values.clone();
-                sorted.sort_unstable();
-                Some(sorted)
-            }
-        };
+        let start_keys = sorted_start_keys(binding);
         let distinct = |e: &SpecEdge, src: bool| -> f64 {
             scan.posting(e.label, e.dir()).map_or(1, |p| p.endpoint(src).distinct_keys()).max(1)
                 as f64
@@ -514,10 +490,9 @@ impl PatternSpec {
     /// Executes a [`JoinPlan`] over a split probe/scan index pair,
     /// materializing each step's rows through its planned access path —
     /// start probes against `probe`, partition scans and bound-value
-    /// probes against `scan` — with the same residual predicates
-    /// (self-loops, `Const` target-exclusion) as
-    /// [`PatternSpec::indexed_scans_split`]. Returns the instance
-    /// relation and the peak intermediate row count.
+    /// probes against `scan` — each through [`PatternSpec::edge_rows`]'s
+    /// single probe/filter/project pass. Returns the instance relation
+    /// and the peak intermediate row count.
     fn join_planned_split(
         &self,
         probe: &crate::engine::EdgeIndex,
@@ -525,70 +500,26 @@ impl PatternSpec {
         binding: &StartBinding,
         plan: &JoinPlan,
     ) -> Result<(Relation, usize)> {
-        let schema = scan.schema();
-        let from = schema.index_of("from")?;
-        let to = schema.index_of("to")?;
-        let start_keys: Option<Vec<u64>> = match binding {
-            StartBinding::Unbound => None,
-            StartBinding::Const(s) => Some(vec![*s]),
-            StartBinding::Among(values) => {
-                let mut sorted = values.clone();
-                sorted.sort_unstable();
-                Some(sorted)
-            }
-        };
+        let cols = endpoint_cols(scan)?;
+        let start_keys = sorted_start_keys(binding);
         let mut state = JoinState::new(self.var_count);
         for step in &plan.steps {
             let e = self.edges[step.edge];
-            let dir = e.dir();
-            let mut preds = Vec::new();
-            if e.u == e.v {
-                preds.push(Predicate::ColEqCol { a: from, b: to });
-            }
-            let touches_start = e.u == self.start || e.v == self.start;
-            let base = match step.access {
+            let bound_keys;
+            let source = match step.access {
                 Access::StartProbe { src } => {
                     let keys = start_keys
                         .as_deref()
                         .expect("plans emit StartProbe only under a start binding");
-                    probe.probe(e.label, dir, src, keys)
+                    EdgeSource::Probe { index: probe, src, keys }
                 }
                 Access::BoundProbe { src, var } => {
-                    let col = state.var_col[var].expect("plans probe only already-bound variables");
-                    let mut keys: Vec<u64> = state
-                        .current
-                        .as_ref()
-                        .expect("bound probes never run on the first step")
-                        .rows()
-                        .iter()
-                        .map(|r| r[col])
-                        .collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    scan.probe(e.label, dir, src, &keys)
+                    bound_keys = state.bound_values(var);
+                    EdgeSource::Probe { index: scan, src, keys: &bound_keys }
                 }
-                Access::Scan => scan.scan(e.label, dir),
+                Access::Scan => EdgeSource::Scan(scan),
             };
-            // Const target-exclusion residuals, exactly as the scan-based
-            // pipeline applies them: the pinned start value is excluded
-            // from every non-start endpoint. (`Among` exclusion is
-            // per-row and handled by the final injectivity filter.)
-            if let StartBinding::Const(start_val) = binding {
-                if touches_start {
-                    if e.u != self.start {
-                        preds.push(Predicate::ColNeConst { col: from, value: *start_val });
-                    }
-                    if e.v != self.start {
-                        preds.push(Predicate::ColNeConst { col: to, value: *start_val });
-                    }
-                } else {
-                    preds.push(Predicate::ColNeConst { col: from, value: *start_val });
-                    preds.push(Predicate::ColNeConst { col: to, value: *start_val });
-                }
-            }
-            let filtered =
-                if preds.is_empty() { base } else { filter(&base, &Predicate::And(preds)) };
-            state.push(e, project(&filtered, &[from, to]));
+            state.push(e, self.edge_rows(e, binding, cols, source));
         }
         state.finish()
     }
@@ -654,7 +585,7 @@ impl PatternSpec {
     }
 
     /// [`PatternSpec::evaluate_indexed_tile_budgeted`] over a split
-    /// probe/scan index pair ([`PatternSpec::indexed_scans_split`]) — the
+    /// probe/scan index pair ([`PatternSpec::plan_split`]) — the
     /// tile boundary of the **sharded** batched evaluation: start probes
     /// hit the shard, non-start scans hit the full base index. Identical
     /// budget semantics (checked before the tile, rows charged after).
@@ -729,56 +660,22 @@ impl PatternSpec {
         let scans = self.indexed_scans(index, &StartBinding::Const(start))?;
         let order = self.join_order_by_cost(&scans);
         let (&last, head) = order.split_last().expect("validated patterns have edges");
+        let mut scans: Vec<Option<Relation>> = scans.into_iter().map(Some).collect();
+        let last_scan = scans[last].take().expect("each edge is joined once");
 
         // Join every edge except the last with the materialized pipeline.
-        let mut current: Option<Relation> = None;
-        let mut var_col: Vec<Option<usize>> = vec![None; self.var_count];
+        let mut state = JoinState::new(self.var_count);
         for &ei in head {
-            let e = self.edges[ei];
-            let scan = scans[ei].clone();
-            current = Some(match current.take() {
-                None => {
-                    let mut rel = scan;
-                    if e.u == e.v {
-                        rel = project(&rel, &[0]);
-                        var_col[e.u] = Some(0);
-                    } else {
-                        var_col[e.u] = Some(0);
-                        var_col[e.v] = Some(1);
-                    }
-                    rel
-                }
-                Some(cur) => {
-                    let mut cur_keys = Vec::new();
-                    let mut scan_keys = Vec::new();
-                    if let Some(col) = var_col[e.u] {
-                        cur_keys.push(col);
-                        scan_keys.push(0);
-                    }
-                    if e.u != e.v {
-                        if let Some(col) = var_col[e.v] {
-                            cur_keys.push(col);
-                            scan_keys.push(1);
-                        }
-                    }
-                    let joined = hash_join(&cur, &scan, &cur_keys, &scan_keys);
-                    let base = cur.schema().arity();
-                    if var_col[e.u].is_none() {
-                        var_col[e.u] = Some(base);
-                    }
-                    if e.u != e.v && var_col[e.v].is_none() {
-                        var_col[e.v] = Some(base + 1);
-                    }
-                    joined
-                }
-            });
+            state.push(self.edges[ei], scans[ei].take().expect("each edge is joined once"));
         }
 
         // Column positions of each variable in the streamed row space:
-        // `cur`'s columns first, then the last scan's (from, to).
+        // the joined head's columns first, then the last scan's
+        // (from, to).
         let last_edge = self.edges[last];
-        let cur_arity = current.as_ref().map_or(0, |r| r.schema().arity());
-        let mut stream_col: Vec<Option<usize>> = var_col.clone();
+        let (cur_keys, scan_keys) = state.join_keys(last_edge);
+        let cur_arity = state.current.as_ref().map_or(0, Relation::arity);
+        let mut stream_col = state.var_col.clone();
         if stream_col[last_edge.u].is_none() {
             stream_col[last_edge.u] = Some(cur_arity);
         }
@@ -790,22 +687,22 @@ impl PatternSpec {
             .collect();
 
         // Stream the final join, qualifying ends as their counts cross c.
-        let mut per_end: std::collections::HashMap<u64, std::collections::HashSet<Vec<u64>>> =
-            std::collections::HashMap::new();
+        // Distinct assignments are deduplicated globally — an assignment
+        // carries its end value, so this equals per-end deduplication.
+        let mut seen = RowSet::new(self.var_count);
+        let mut per_end: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut assignment = vec![0u64; self.var_count];
         let mut qualified = 0usize;
-        let mut emit = |combined: &dyn Fn(usize) -> u64| -> bool {
-            let assignment: Vec<u64> = cols.iter().map(|&i| combined(i)).collect();
-            // Injective instance semantics.
-            for i in 0..assignment.len() {
-                for j in i + 1..assignment.len() {
-                    if assignment[i] == assignment[j] {
-                        return true;
-                    }
-                }
+        let mut emit = |l: &[u64], r: &[u64]| -> bool {
+            for (slot, &i) in assignment.iter_mut().zip(&cols) {
+                *slot = if i < l.len() { l[i] } else { r[i - l.len()] };
             }
-            let end_val = assignment[self.end];
-            let set = per_end.entry(end_val).or_default();
-            if set.insert(assignment) && set.len() as u64 == c + 1 {
+            if !is_injective(&assignment) || !seen.insert(&assignment).1 {
+                return true;
+            }
+            let count = per_end.entry(assignment[self.end]).or_insert(0);
+            *count += 1;
+            if *count == c + 1 {
                 qualified += 1;
                 if qualified >= limit {
                     return false;
@@ -813,35 +710,17 @@ impl PatternSpec {
             }
             true
         };
-        match current {
+        match &state.current {
+            // Single-edge pattern: stream the lone scan.
             None => {
-                // Single-edge pattern: stream the lone scan.
-                for row in scans[last].rows() {
-                    if !emit(&|i: usize| row[i]) {
+                for row in last_scan.rows() {
+                    if !emit(&[], row) {
                         break;
                     }
                 }
             }
             Some(cur) => {
-                let mut cur_keys = Vec::new();
-                let mut scan_keys = Vec::new();
-                if let Some(col) = var_col[last_edge.u] {
-                    cur_keys.push(col);
-                    scan_keys.push(0);
-                }
-                if last_edge.u != last_edge.v {
-                    if let Some(col) = var_col[last_edge.v] {
-                        cur_keys.push(col);
-                        scan_keys.push(1);
-                    }
-                }
-                crate::ops::hash_join_streaming(
-                    &cur,
-                    &scans[last],
-                    &cur_keys,
-                    &scan_keys,
-                    |l, r| emit(&|i: usize| if i < l.len() { l[i] } else { r[i - l.len()] }),
-                );
+                crate::ops::hash_join_streaming(cur, &last_scan, &cur_keys, &scan_keys, emit)
             }
         }
         Ok(qualified)
@@ -925,11 +804,10 @@ impl PatternSpec {
         let mut state = JoinState::new(self.var_count);
         // Account every materialized scan against the peak up front, as
         // the all-scans-first pipeline always did.
-        for scan in &scans {
-            state.peak = state.peak.max(scan.len());
-        }
+        state.peak = scans.iter().map(Relation::len).max().unwrap_or(0);
+        let mut scans: Vec<Option<Relation>> = scans.into_iter().map(Some).collect();
         for &ei in order {
-            state.push(self.edges[ei], scans[ei].clone());
+            state.push(self.edges[ei], scans[ei].take().expect("each edge is joined once"));
         }
         state.finish()
     }
@@ -953,10 +831,49 @@ impl PatternSpec {
     }
 }
 
+/// Where [`PatternSpec::edge_rows`] reads an edge's partition rows from.
+enum EdgeSource<'a> {
+    /// The whole `(label, dir)` partition of this index.
+    Scan(&'a crate::engine::EdgeIndex),
+    /// The partition rows of `index` whose `from` (`src`) or `to`
+    /// endpoint is in `keys` (sorted).
+    Probe { index: &'a crate::engine::EdgeIndex, src: bool, keys: &'a [u64] },
+}
+
+/// The `(from, to)` column positions of an index's oriented schema.
+fn endpoint_cols(index: &crate::engine::EdgeIndex) -> Result<(usize, usize)> {
+    let schema = index.schema();
+    Ok((schema.index_of("from")?, schema.index_of("to")?))
+}
+
+/// The start binding's values as sorted probe keys; `None` when the start
+/// variable is unbound.
+fn sorted_start_keys(binding: &StartBinding) -> Option<Vec<u64>> {
+    match binding {
+        StartBinding::Unbound => None,
+        StartBinding::Const(s) => Some(vec![*s]),
+        StartBinding::Among(values) => {
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            Some(sorted)
+        }
+    }
+}
+
+/// Whether every value of an assignment is distinct — REX instance
+/// semantics are injective: distinct variables bind distinct entities.
+fn is_injective(assignment: &[u64]) -> bool {
+    assignment.iter().enumerate().all(|(i, v)| !assignment[i + 1..].contains(v))
+}
+
 /// Incremental left-deep join state shared by the materialize-everything
-/// pipeline ([`PatternSpec::join_scans`]) and the plan-driven executor
+/// pipeline ([`PatternSpec::join_scans`]), the plan-driven executor
 /// (which materializes each step's rows lazily so bound-value probes can
-/// read the intermediate).
+/// read the intermediate) and the streaming position query.
+///
+/// The intermediate holds **one column per bound variable**, in binding
+/// order: a join step copies the current row plus only the edge columns
+/// that bind a new variable, never the join-key columns it already has.
 struct JoinState {
     var_count: usize,
     current: Option<Relation>,
@@ -971,86 +888,117 @@ impl JoinState {
         JoinState { var_count, current: None, var_col: vec![None; var_count], peak: 0 }
     }
 
-    /// Joins one edge's prepared `(from, to)` relation into the state.
-    fn push(&mut self, e: SpecEdge, scan: Relation) {
-        self.peak = self.peak.max(scan.len());
-        match self.current.take() {
-            None => {
-                // First edge: initialize variable bindings.
-                let mut rel = scan;
-                if e.u == e.v {
-                    rel = project(&rel, &[0]);
-                    self.var_col[e.u] = Some(0);
-                } else {
-                    self.var_col[e.u] = Some(0);
-                    self.var_col[e.v] = Some(1);
-                }
-                self.current = Some(rel);
-            }
-            Some(cur) => {
-                // Join keys: shared variables between `cur` and the scan.
-                let mut cur_keys = Vec::new();
-                let mut scan_keys = Vec::new();
-                if let Some(c) = self.var_col[e.u] {
-                    cur_keys.push(c);
-                    scan_keys.push(0);
-                }
-                if e.u != e.v {
-                    if let Some(c) = self.var_col[e.v] {
-                        cur_keys.push(c);
-                        scan_keys.push(1);
-                    }
-                }
-                debug_assert!(!cur_keys.is_empty(), "join order keeps patterns connected");
-                let joined = hash_join(&cur, &scan, &cur_keys, &scan_keys);
-                self.peak = self.peak.max(joined.len());
-                // Record columns for newly bound variables; scan columns
-                // sit after cur's columns.
-                let base = cur.schema().arity();
-                if self.var_col[e.u].is_none() {
-                    self.var_col[e.u] = Some(base);
-                }
-                if e.u != e.v && self.var_col[e.v].is_none() {
-                    self.var_col[e.v] = Some(base + 1);
-                }
-                self.current = Some(joined);
+    /// Join keys of edge `e`'s `(from, to)` rows against the current
+    /// intermediate: `(current columns, edge columns)` of its already
+    /// bound endpoints.
+    fn join_keys(&self, e: SpecEdge) -> (Vec<usize>, Vec<usize>) {
+        let mut cur_keys = Vec::new();
+        let mut edge_keys = Vec::new();
+        if let Some(c) = self.var_col[e.u] {
+            cur_keys.push(c);
+            edge_keys.push(0);
+        }
+        if e.u != e.v {
+            if let Some(c) = self.var_col[e.v] {
+                cur_keys.push(c);
+                edge_keys.push(1);
             }
         }
+        (cur_keys, edge_keys)
     }
 
-    /// Projects one column per variable, filters non-injective rows, and
-    /// dedups — the shared tail of every evaluation pipeline.
+    /// The distinct values the intermediate binds for `var`, sorted — the
+    /// keys of a bound-value probe.
+    fn bound_values(&self, var: usize) -> Vec<u64> {
+        let col = self.var_col[var].expect("plans probe only already-bound variables");
+        let current = self.current.as_ref().expect("bound probes never run on the first step");
+        let mut keys: Vec<u64> = current.rows().map(|r| r[col]).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Binds `var` to column `*arity`, the next free one, and advances it.
+    fn bind(&mut self, var: usize, arity: &mut usize) {
+        self.var_col[var] = Some(*arity);
+        *arity += 1;
+    }
+
+    /// A schema naming each column after the variable it binds.
+    fn schema(&self, arity: usize) -> Schema {
+        let mut names = vec![String::new(); arity];
+        for (v, col) in self.var_col.iter().enumerate() {
+            if let Some(c) = col {
+                names[*c] = format!("v{v}");
+            }
+        }
+        Schema::new(names)
+    }
+
+    /// Joins one edge's prepared `(from, to)` relation into the state.
+    fn push(&mut self, e: SpecEdge, rows: Relation) {
+        self.peak = self.peak.max(rows.len());
+        let Some(cur) = self.current.take() else {
+            // First edge: initialize variable bindings.
+            let mut arity = 0;
+            self.bind(e.u, &mut arity);
+            let rel = if e.u == e.v {
+                project(&rows, &[0])
+            } else {
+                self.bind(e.v, &mut arity);
+                rows
+            };
+            self.current = Some(rel);
+            return;
+        };
+        let (cur_keys, edge_keys) = self.join_keys(e);
+        debug_assert!(!cur_keys.is_empty(), "join order keeps patterns connected");
+        // Edge columns binding a new variable, appended after cur's.
+        let mut arity = cur.arity();
+        let mut append: Vec<usize> = Vec::with_capacity(2);
+        if self.var_col[e.u].is_none() {
+            self.bind(e.u, &mut arity);
+            append.push(0);
+        }
+        if e.u != e.v && self.var_col[e.v].is_none() {
+            self.bind(e.v, &mut arity);
+            append.push(1);
+        }
+        let mut data = Vec::new();
+        join_rows(&cur, &rows, &cur_keys, &edge_keys, |l, r| {
+            data.extend_from_slice(l);
+            data.extend(append.iter().map(|&c| r[c]));
+        });
+        let joined = Relation::from_flat(self.schema(arity), data).expect("row width is arity");
+        self.peak = self.peak.max(joined.len());
+        self.current = Some(joined);
+    }
+
+    /// Reorders each row into one column per variable, drops
+    /// non-injective rows, and dedups (keeping first occurrences) — the
+    /// shared tail of every evaluation pipeline, in one pass into one
+    /// buffer. Dedup matters because parallel KB edges with the same
+    /// label would otherwise multiply join rows without adding distinct
+    /// instances.
     fn finish(mut self) -> Result<(Relation, usize)> {
-        let current = self.current.expect("at least one edge was joined");
-        // Project one column per variable, in variable order, then dedup:
-        // parallel KB edges with the same label would otherwise multiply
-        // join rows without adding distinct instances.
+        let current = self.current.take().expect("at least one edge was joined");
         let cols: Vec<usize> = (0..self.var_count)
             .map(|v| self.var_col[v].expect("connected pattern binds every variable"))
             .collect();
-        let projected = project(&current, &cols);
-        // REX instance semantics are injective (see DESIGN.md): distinct
-        // variables must bind distinct entities. Filter non-injective rows.
-        let rows = projected
-            .into_rows()
-            .into_iter()
-            .filter(|r| {
-                for i in 0..r.len() {
-                    for j in i + 1..r.len() {
-                        if r[i] == r[j] {
-                            return false;
-                        }
-                    }
-                }
-                true
-            })
-            .collect();
-        let renamed =
-            Relation::from_rows(Schema::new((0..self.var_count).map(|v| format!("v{v}"))), rows)?;
-        let out = distinct(&renamed);
-        self.peak = self.peak.max(out.len());
+        let mut instances = RowSet::new(self.var_count);
+        let mut assignment = vec![0u64; self.var_count];
+        for row in current.rows() {
+            for (slot, &c) in assignment.iter_mut().zip(&cols) {
+                *slot = row[c];
+            }
+            if is_injective(&assignment) {
+                instances.insert(&assignment);
+            }
+        }
+        self.peak = self.peak.max(instances.len());
         crate::metrics::record_peak_rows(self.peak);
-        Ok((out, self.peak))
+        let schema = Schema::new((0..self.var_count).map(|v| format!("v{v}")));
+        Ok((instances.into_relation(schema), self.peak))
     }
 }
 
@@ -1094,7 +1042,7 @@ mod tests {
         let out = spec.evaluate(&rel, Some(a)).unwrap();
         // One instance: start=a, end=c, v2=m.
         assert_eq!(out.len(), 1);
-        let row = &out.rows()[0];
+        let row = out.row(0);
         assert_eq!(row[0], a);
         assert_eq!(row[1], kb.require_node("c").unwrap().0 as u64);
         assert_eq!(row[2], kb.require_node("m").unwrap().0 as u64);
@@ -1126,10 +1074,10 @@ mod tests {
         let c = kb.require_node("c").unwrap().0 as u64;
         let out = spec.evaluate(&rel, Some(a)).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][1], c);
+        assert_eq!(out.row(0)[1], c);
         let out = spec.evaluate(&rel, Some(c)).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][1], a);
+        assert_eq!(out.row(0)[1], a);
     }
 
     #[test]
@@ -1250,11 +1198,8 @@ mod cost_order_tests {
         };
         let schema = Schema::new(["from", "to", "label", "dir"]);
         let sized = |n: usize| {
-            Relation::from_rows(
-                schema.clone(),
-                (0..n).map(|i| vec![i as u64, i as u64 + 1, 0, 0].into_boxed_slice()).collect(),
-            )
-            .unwrap()
+            Relation::from_rows(schema.clone(), (0..n).map(|i| [i as u64, i as u64 + 1, 0, 0]))
+                .unwrap()
         };
         // Edge sizes 10, 1, 5: the middle edge is smallest overall, then
         // its neighbors by size (5 before 10).

@@ -1,10 +1,21 @@
-//! Relations: schemas and row storage.
+//! Relations: schemas and flat row-major row storage.
+//!
+//! A [`Relation`] keeps all of its rows in **one** `Vec<u64>`, row after
+//! row, with the schema's arity as the stride: row `i` is
+//! `data[i * arity .. (i + 1) * arity]`. Everything REX stores
+//! relationally (node ids, label ids, orientation codes, counts) fits in
+//! a `u64`, so a relation of `n` rows costs exactly `8 · arity · n` bytes
+//! of row data and one heap allocation, however many rows it holds.
+//! Operators therefore allocate per relation, never per row:
+//! [`Relation::rows`] hands out `&[u64]` row slices from a
+//! `chunks_exact` walk, [`Relation::push`] copies a slice onto the end of
+//! the buffer, and [`Relation::gather`] is a strided copy into a buffer
+//! reserved once.
+//!
+//! Arity is at least 1 (a zero-width schema has no stride to walk by);
+//! constructors reject it loudly.
 
 use crate::{RelError, Result};
-
-/// A row of `u64` values (node ids, label ids, orientation codes, counts —
-/// everything REX stores relationally fits in `u64`).
-pub type Row = Box<[u64]>;
 
 /// Ordered, named columns of a relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,28 +62,63 @@ impl Schema {
     }
 }
 
-/// A materialized relation: a schema plus rows.
+/// A materialized relation: a schema plus its rows, stored flat and
+/// row-major (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Row>,
+    /// `len() * arity` values, row after row.
+    data: Vec<u64>,
 }
 
 impl Relation {
     /// Creates an empty relation with the given schema.
+    ///
+    /// # Panics
+    /// When the schema has no columns.
     pub fn empty(schema: Schema) -> Self {
-        Relation { schema, rows: Vec::new() }
+        Self::with_capacity(schema, 0)
     }
 
-    /// Creates a relation from rows, validating arity.
-    pub fn from_rows(schema: Schema, rows: Vec<Row>) -> Result<Self> {
+    /// Creates an empty relation with room for `rows` rows, so a writer
+    /// that knows its output size reserves the buffer exactly once.
+    ///
+    /// # Panics
+    /// When the schema has no columns.
+    fn with_capacity(schema: Schema, rows: usize) -> Self {
+        assert!(schema.arity() > 0, "relations need at least one column");
+        let data = Vec::with_capacity(rows.saturating_mul(schema.arity()));
+        Relation { schema, data }
+    }
+
+    /// Creates a relation from row-major values (`rows * arity` of them).
+    ///
+    /// # Panics
+    /// When the schema has no columns.
+    pub fn from_flat(schema: Schema, data: Vec<u64>) -> Result<Self> {
+        assert!(schema.arity() > 0, "relations need at least one column");
         let arity = schema.arity();
-        for r in &rows {
-            if r.len() != arity {
-                return Err(RelError::Arity { expected: arity, got: r.len() });
-            }
+        if !data.len().is_multiple_of(arity) {
+            return Err(RelError::Arity { expected: arity, got: data.len() % arity });
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation { schema, data })
+    }
+
+    /// Creates a relation from individual rows, validating each row's
+    /// arity (a convenience for tests and small fixtures; operators write
+    /// flat buffers directly).
+    ///
+    /// # Panics
+    /// When the schema has no columns.
+    pub fn from_rows<R: AsRef<[u64]>, I: IntoIterator<Item = R>>(
+        schema: Schema,
+        rows: I,
+    ) -> Result<Self> {
+        let mut rel = Relation::empty(schema);
+        for row in rows {
+            rel.push(row.as_ref())?;
+        }
+        Ok(rel)
     }
 
     /// The relation's schema.
@@ -80,27 +126,50 @@ impl Relation {
         &self.schema
     }
 
-    /// The rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// Number of columns (the row stride).
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.schema.arity()
+    }
+
+    /// The rows, in order, as `&[u64]` slices of the flat buffer.
+    #[inline]
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.data.chunks_exact(self.arity())
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    /// When `i >= len()`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u64] {
+        let arity = self.arity();
+        &self.data[i * arity..(i + 1) * arity]
+    }
+
+    /// The row-major values of every row — the relation's whole storage.
+    pub fn as_flat(&self) -> &[u64] {
+        &self.data
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.data.len() / self.arity()
     }
 
     /// Whether the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.data.is_empty()
     }
 
     /// Appends a row, validating arity.
-    pub fn push(&mut self, row: Row) -> Result<()> {
-        if row.len() != self.schema.arity() {
-            return Err(RelError::Arity { expected: self.schema.arity(), got: row.len() });
+    pub fn push(&mut self, row: &[u64]) -> Result<()> {
+        if row.len() != self.arity() {
+            return Err(RelError::Arity { expected: self.arity(), got: row.len() });
         }
-        self.rows.push(row);
+        self.data.extend_from_slice(row);
         Ok(())
     }
 
@@ -108,28 +177,28 @@ impl Relation {
     /// order is not preserved — relations are bags). Returns whether a
     /// match was found. Used by delta maintenance to retract edges.
     pub fn remove_row(&mut self, row: &[u64]) -> bool {
-        match self.rows.iter().position(|r| r.as_ref() == row) {
-            Some(at) => {
-                self.rows.swap_remove(at);
-                true
-            }
-            None => false,
+        let Some(at) = self.rows().position(|r| r == row) else {
+            return false;
+        };
+        let arity = self.arity();
+        let last = self.len() - 1;
+        if at != last {
+            self.data.copy_within(last * arity..(last + 1) * arity, at * arity);
         }
-    }
-
-    /// Consumes the relation, returning its rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+        self.data.truncate(last * arity);
+        true
     }
 
     /// Materializes the sub-relation holding exactly the rows at
-    /// `indices`, in that order. Used by posting-list probes to lift a
-    /// row-id range into a relation the join pipeline can consume.
+    /// `indices`, in that order: one strided copy into a buffer reserved
+    /// once. Used by posting-list probes to lift a row-id list into a
+    /// relation the join pipeline can consume.
     pub fn gather(&self, indices: &[u32]) -> Relation {
-        Relation {
-            schema: self.schema.clone(),
-            rows: indices.iter().map(|&i| self.rows[i as usize].clone()).collect(),
+        let mut out = Relation::with_capacity(self.schema.clone(), indices.len());
+        for &i in indices {
+            out.data.extend_from_slice(self.row(i as usize));
         }
+        out
     }
 }
 
@@ -157,13 +226,13 @@ impl ColumnPosting {
     /// Builds the posting over `rel`'s column `col`. One sort of the row
     /// permutation plus a linear pass — `O(rows log rows)`.
     pub fn build(rel: &Relation, col: usize) -> ColumnPosting {
-        let rows = rel.rows();
-        let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-        perm.sort_unstable_by_key(|&i| rows[i as usize][col]);
+        let value = |i: u32| rel.row(i as usize)[col];
+        let mut perm: Vec<u32> = (0..rel.len() as u32).collect();
+        perm.sort_unstable_by_key(|&i| value(i));
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
         for (at, &i) in perm.iter().enumerate() {
-            let v = rows[i as usize][col];
+            let v = value(i);
             if keys.last() != Some(&v) {
                 keys.push(v);
                 offsets.push(at as u32);
@@ -261,6 +330,10 @@ impl ColumnPosting {
 mod tests {
     use super::*;
 
+    fn collect(rel: &Relation) -> Vec<Vec<u64>> {
+        rel.rows().map(<[u64]>::to_vec).collect()
+    }
+
     #[test]
     fn schema_lookup() {
         let s = Schema::new(["a", "b", "c"]);
@@ -281,15 +354,19 @@ mod tests {
     fn remove_row_is_multiset_retraction() {
         let s = Schema::new(["a", "b"]);
         let mut r = Relation::empty(s);
-        r.push(vec![1, 2].into_boxed_slice()).unwrap();
-        r.push(vec![1, 2].into_boxed_slice()).unwrap();
-        r.push(vec![3, 4].into_boxed_slice()).unwrap();
+        r.push(&[1, 2]).unwrap();
+        r.push(&[1, 2]).unwrap();
+        r.push(&[3, 4]).unwrap();
         assert!(r.remove_row(&[1, 2]));
         assert_eq!(r.len(), 2);
+        // Swap-remove: the last row moved into the hole.
+        assert_eq!(collect(&r), vec![vec![3, 4], vec![1, 2]]);
         assert!(r.remove_row(&[1, 2]));
         assert!(!r.remove_row(&[1, 2]), "both copies already retracted");
         assert!(!r.remove_row(&[9, 9]));
         assert_eq!(r.len(), 1);
+        assert!(r.remove_row(&[3, 4]));
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -297,21 +374,34 @@ mod tests {
         let s = Schema::new(["a", "b"]);
         let mut r = Relation::empty(s);
         for i in 0..4u64 {
-            r.push(vec![i, 10 + i].into_boxed_slice()).unwrap();
+            r.push(&[i, 10 + i]).unwrap();
         }
         let g = r.gather(&[3, 1, 1]);
-        let got: Vec<Vec<u64>> = g.rows().iter().map(|row| row.to_vec()).collect();
-        assert_eq!(got, vec![vec![3, 13], vec![1, 11], vec![1, 11]]);
+        assert_eq!(collect(&g), vec![vec![3, 13], vec![1, 11], vec![1, 11]]);
         assert!(r.gather(&[]).is_empty());
+    }
+
+    #[test]
+    fn flat_layout_is_row_major() {
+        let r = Relation::from_rows(Schema::new(["a", "b"]), [[1u64, 2], [3, 4]]).unwrap();
+        assert_eq!(r.as_flat(), &[1, 2, 3, 4]);
+        assert_eq!(r.row(1), &[3, 4]);
+        assert_eq!(r.rows().len(), 2);
+        let same = Relation::from_flat(Schema::new(["a", "b"]), vec![1, 2, 3, 4]).unwrap();
+        assert_eq!(same, r);
+        assert!(Relation::from_flat(Schema::new(["a", "b"]), vec![1, 2, 3]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one column")]
+    fn zero_arity_is_rejected() {
+        let _ = Relation::empty(Schema::new(Vec::<String>::new()));
     }
 
     #[test]
     fn column_posting_ranges_cover_exactly_matching_rows() {
         let s = Schema::new(["a", "b"]);
-        let rows: Vec<Row> = [(5u64, 0u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 5)]
-            .iter()
-            .map(|&(a, b)| vec![a, b].into_boxed_slice())
-            .collect();
+        let rows = [(5u64, 0u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 5)].map(|(a, b)| [a, b]);
         let r = Relation::from_rows(s, rows).unwrap();
         let p = ColumnPosting::build(&r, 0);
         assert_eq!(p.len(), 6);
@@ -320,8 +410,7 @@ mod tests {
         assert!(p.heap_bytes() > 0);
         for (key, expect) in [(2u64, vec![1u64, 4]), (5, vec![0, 2, 5]), (9, vec![3])] {
             assert_eq!(p.count(key), expect.len());
-            let mut got: Vec<u64> =
-                p.rows_for(key).iter().map(|&i| r.rows()[i as usize][1]).collect();
+            let mut got: Vec<u64> = p.rows_for(key).iter().map(|&i| r.row(i as usize)[1]).collect();
             got.sort_unstable();
             assert_eq!(got, expect, "key {key}");
         }
@@ -338,9 +427,9 @@ mod tests {
     fn relation_arity_checked() {
         let s = Schema::new(["a", "b"]);
         let mut r = Relation::empty(s.clone());
-        assert!(r.push(vec![1, 2].into_boxed_slice()).is_ok());
-        assert!(r.push(vec![1].into_boxed_slice()).is_err());
+        assert!(r.push(&[1, 2]).is_ok());
+        assert!(r.push(&[1]).is_err());
         assert_eq!(r.len(), 1);
-        assert!(Relation::from_rows(s, vec![vec![1].into_boxed_slice()]).is_err());
+        assert!(Relation::from_rows(s, [vec![1u64]]).is_err());
     }
 }
