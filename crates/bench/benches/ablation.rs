@@ -19,6 +19,7 @@ use rex_core::ranking::distribution::Scope;
 use rex_core::ranking::parallel::rank_by_position_parallel;
 use rex_core::{EnumConfig, Explanation};
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
+use rex_relstore::budget::Budget;
 
 fn explanations_for_bench(
 ) -> (rex_kb::KnowledgeBase, rex_kb::NodeId, rex_kb::NodeId, Vec<Explanation>) {
@@ -103,7 +104,11 @@ fn bench_cache_and_parallel(c: &mut Criterion) {
             let index = ctx.edge_index();
             let starts = ctx.global_sample_starts();
             let cache = DistributionCache::new();
-            explanations.iter().map(|e| cache.global_position(index, e, &starts)).sum::<usize>()
+            explanations
+                .iter()
+                .map(|e| cache.global_position(index, e, &starts, None, &Budget::unlimited()))
+                .map(|pos| pos.expect("unlimited budget never aborts"))
+                .sum::<usize>()
         })
     });
     for threads in [1usize, 4] {

@@ -22,6 +22,7 @@ use rex_oracle::dcg::dcg_score;
 use rex_oracle::judge::{features, JudgePanel};
 use rex_oracle::study::paper_pairs;
 use rex_oracle::{StudyConfig, TrainedCombination};
+use rex_relstore::budget::Budget;
 
 fn main() {
     println!("# REX extension experiments\n");
@@ -94,7 +95,7 @@ fn main() {
         let starts = sctx.global_sample_starts();
         let index = sctx.edge_index();
         for e in &out.explanations {
-            let _ = cache.global_position(index, e, &starts);
+            let _ = cache.global_position(index, e, &starts, None, &Budget::unlimited());
         }
         let t_cached = t0.elapsed();
         let t0 = Instant::now();

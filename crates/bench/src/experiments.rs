@@ -16,13 +16,12 @@ use rex_core::measures::{DistributionCache, MeasureContext, MonocountMeasure, Sa
 use rex_core::ranking::distribution::{rank_by_position, Scope};
 use rex_core::ranking::rank;
 use rex_core::ranking::topk::rank_topk_pruned;
-use rex_core::ranking::{
-    rank_pairs_updated, rank_pairs_with, PairExplanations, RankPairsConfig, ServingState,
-};
+use rex_core::ranking::{rank_pairs_with, PairExplanations, RankPairsConfig, ServingState};
 use rex_datagen::ConnGroup;
 use rex_kb::{EdgeId, NodeId};
 use rex_oracle::study::{paper_pairs, run_study};
 use rex_oracle::{StudyConfig, StudyOutcome};
+use rex_relstore::budget::Budget;
 use rex_relstore::metrics;
 
 use crate::report::Table;
@@ -273,7 +272,7 @@ pub struct SharedFrameSide {
 /// The incremental-maintenance comparison: after a small KB delta, a
 /// full (cold-cache) re-rank of the workload versus the delta re-rank
 /// that keeps the session's index/frame/cache warm through
-/// [`rank_pairs_updated`].
+/// [`ServingState::maintain`].
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalBench {
     /// Edge churn applied (insertions + removals; ≤ 1% of the KB).
@@ -360,7 +359,10 @@ pub struct EndpointIndexBench {
 /// [`metrics::scoped`] region (the bench binaries hold one): the
 /// probed/scanned deltas are read from the process-global counters.
 pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointIndexBench {
-    use rex_relstore::engine::{delta_affected_starts, delta_count_distributions, EdgeIndex};
+    use rex_relstore::engine::{
+        count_distributions, delta_affected_starts, EvalKind, EvalRequest, ShardSpec,
+        ShardedEdgeIndex,
+    };
 
     let mut kb = w.kb.clone();
     let enumerator = GeneralEnumerator::new(w.enum_config.clone());
@@ -402,8 +404,8 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
     }
     let delta = kb.delta_since(epoch0).into_delta().expect("retained window");
 
-    let (mut index, index_build_wall) = time(|| EdgeIndex::build(&w.kb));
-    index.apply_delta(&delta).expect("delta applies to its own window");
+    let (index, index_build_wall) = time(|| ShardedEdgeIndex::build(&w.kb, ShardSpec::single()));
+    let index = index.next_epoch(&delta).expect("delta applies to its own window");
 
     // The cached domain being patched: the shared sample frame plus the
     // delta's endpoint entities (always inside the blast radius of a
@@ -428,12 +430,13 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
             if affected.is_empty() {
                 continue;
             }
-            delta_count_distributions(&index, spec, &affected, affected.len())
-                .expect("workload shapes are valid specs");
+            let req =
+                EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
+            count_distributions(&index, spec, &req).expect("workload shapes are valid specs");
             shapes_touched += 1;
             affected_starts += affected.len();
             scan_floor_rows +=
-                spec.edges.iter().map(|e| index.scan_len(e.label, e.dir())).sum::<usize>();
+                spec.edges.iter().map(|e| index.base().scan_len(e.label, e.dir())).sum::<usize>();
         }
     });
     let traffic = metrics::snapshot().since(&before);
@@ -576,7 +579,7 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
     let ((), cost_wall) = time(|| {
         for _ in 0..PLANNER_BENCH_REPS {
             cost_rel =
-                Some(spec.evaluate_indexed_with(&index, &binding).expect("planned path evaluates"));
+                Some(spec.evaluate_indexed(&index, &binding).expect("planned path evaluates"));
         }
     });
     let cost_traffic = metrics::snapshot().since(&before);
@@ -608,10 +611,13 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
 /// The snapshot-serving comparison: reader throughput over pinned
 /// [`rex_core::ranking::Snapshot`]s with **no** writer (quiet) versus
 /// with a writer continuously applying deltas through
-/// [`rex_core::ranking::ServingState::maintain`] (contended). With the
-/// epoch-versioned flip, readers never wait on maintenance, so contended
-/// throughput stays in the quiet ballpark instead of collapsing behind a
-/// maintenance-length write lock.
+/// [`rex_core::ranking::ServingState::maintain`] (contended). It records
+/// each phase's wall time (hence passes per second) and the maintenance
+/// passes that overlapped the readers; it sets no bound on the
+/// contended/quiet ratio. Readers never wait on a lock held across
+/// maintenance, yet contended throughput is far below quiet: the `small`
+/// scale run in `BENCH_ranking.json` records 0.805 vs 342.2 passes/s.
+/// The contended-serving collapse item in `ROADMAP.md` tracks the cause.
 #[derive(Debug, Clone, Copy)]
 pub struct ConcurrentBench {
     /// Reader threads per phase.
@@ -842,6 +848,8 @@ fn percentile(samples: &[Duration], q: f64) -> Duration {
 /// the writer applies a delta (tripping the panic, quarantining the
 /// epoch, recovering by scratch rebuild) and then a second, clean delta
 /// (incremental maintenance resumes after recovery).
+///
+/// [`FaultPlan`]: rex_core::ranking::FaultPlan
 pub fn robustness_bench(
     w: &Workload,
     pairs_per_group: usize,
@@ -849,7 +857,6 @@ pub fn robustness_bench(
     row_ceiling: usize,
 ) -> RobustnessBench {
     use rex_core::ranking::fault::{site, FaultAction, FaultPlan};
-    use rex_relstore::budget::Budget;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let enumerator = GeneralEnumerator::new(w.enum_config.clone());
@@ -895,8 +902,9 @@ pub fn robustness_bench(
     let state = ServingState::build(&w.kb, &cfg).expect("workload KB has edges");
     // Warm the shared cache (untimed): request latency should measure
     // the serving read path, not first-touch evaluation.
-    let _ = state.snapshot().rank(&tasks, &cfg);
-    let request_rows = state.estimate_request_rows(&tasks);
+    let snapshot = state.snapshot();
+    let _ = snapshot.rank(&tasks, &cfg, &Budget::unlimited());
+    let request_rows = snapshot.estimate_request_rows(&tasks);
     let state = state.with_admission_control(request_rows).with_fault_plan(plan);
     let unlimited = Budget::unlimited();
     let mut quiet = Vec::with_capacity(quiet_n);
@@ -1123,6 +1131,10 @@ impl IngestBench {
 /// appended to the WAL copy (a torn tail), and [`KnowledgeBase::open`]
 /// recovers it; parity holds when the recovered KB is byte-identical to
 /// a reference replay of the intact records over the checkpoint.
+///
+/// [`DurableKb`]: rex_kb::DurableKb
+/// [`IngestGovernor`]: rex_core::ranking::IngestGovernor
+/// [`KnowledgeBase::open`]: rex_kb::KnowledgeBase::open
 pub fn ingest_bench(
     w: &Workload,
     pairs_per_group: usize,
@@ -1844,8 +1856,8 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
 /// [`PairCounter`]: rex_relstore::engine::PairCounter
 pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -> ShardedBench {
     use rex_relstore::engine::{
-        group_pair_counts, group_pair_counts_generic, oriented_edge_relation,
-        sharded_count_distributions_ceiling, ShardSpec, ShardedEdgeIndex,
+        count_distributions, group_pair_counts, group_pair_counts_generic, oriented_edge_relation,
+        EvalRequest, ShardSpec, ShardedEdgeIndex,
     };
 
     let shards: usize =
@@ -1873,11 +1885,12 @@ pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -
     let (fanned, build_wall) =
         time(|| ShardedEdgeIndex::build(&w.kb, ShardSpec::new(shards, w.seed)));
 
+    let req = EvalRequest { starts: &starts, row_ceiling: Some(row_ceiling), ..Default::default() };
     let eval = |index: &ShardedEdgeIndex| -> Vec<HashMap<u64, Vec<u64>>> {
         specs
             .iter()
             .map(|spec| {
-                sharded_count_distributions_ceiling(index, spec, &starts, row_ceiling)
+                count_distributions(index, spec, &req)
                     .expect("unlimited budget never aborts")
                     .per_start
             })
@@ -1959,8 +1972,9 @@ pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -
 /// the workload KB is warmed through the shared-frame driver, mutated
 /// with a deterministic ≤ 1% edge churn, and the same workload is then
 /// re-ranked twice against the *updated* KB: once through
-/// [`rank_pairs_updated`] (index refreshed from the delta, frame redraw
-/// policy, cache delta-maintained) and once with a cold cache. Pair
+/// [`ServingState::maintain`] (index refreshed from the delta, frame
+/// redraw policy, cache delta-maintained) and a fresh snapshot, and once
+/// with a cold cache. Pair
 /// explanations are re-enumerated against the updated KB for both sides,
 /// so the comparison isolates distribution maintenance.
 pub fn incremental_bench(
@@ -1995,7 +2009,7 @@ pub fn incremental_bench(
         .collect();
     // Warm the session (untimed: this is the steady state a live system
     // is already in when updates arrive).
-    let _ = state.snapshot().rank(&tasks, &cfg);
+    let _ = state.snapshot().rank(&tasks, &cfg, &Budget::unlimited());
 
     // Deterministic churn: paired remove + rewired re-insert, so the
     // label distribution stays realistic. Sized like one streaming
@@ -2028,8 +2042,10 @@ pub fn incremental_bench(
     let evals_before = cache.batched_evals();
     let partial_before = cache.delta_evals();
     let (updated, delta_wall) = time(|| {
-        rank_pairs_updated(&kb, &tasks2, &cfg, &state)
-            .expect("delta applies to the session it was captured from")
+        let maintained =
+            state.maintain(&kb).expect("delta applies to the session it was captured from");
+        let _ = state.snapshot().rank(&tasks2, &cfg, &Budget::unlimited());
+        maintained
     });
     let delta_full_evals = cache.batched_evals() - evals_before;
     let delta_partial_evals = cache.delta_evals() - partial_before;

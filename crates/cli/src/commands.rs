@@ -12,8 +12,7 @@ use rex_core::measures::{
 };
 use rex_core::ranking::rank;
 use rex_core::ranking::{
-    rank_pairs, rank_pairs_updated, Backpressure, IngestConfig, IngestGovernor, IngestOp,
-    PairExplanations, RankPairsConfig,
+    Backpressure, IngestConfig, IngestGovernor, IngestOp, PairExplanations, RankPairsConfig,
 };
 use rex_core::EnumConfig;
 use rex_kb::{DurableKb, KnowledgeBase, SyncPolicy};
@@ -394,13 +393,9 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
         shards,
     };
     let t1 = std::time::Instant::now();
-    let outcome = if deadline_ms.is_some() || row_budget.is_some() || index_dir.is_some() {
-        let budget = build_budget(deadline_ms, row_budget);
-        let state = serving_state(&kb, &cfg, index_dir.as_deref(), args.has("quiet"))?;
-        state.snapshot().rank_budgeted(&tasks, &cfg, &budget)
-    } else {
-        rank_pairs(&kb, &tasks, &cfg).map_err(|e| e.to_string())?
-    };
+    let budget = build_budget(deadline_ms, row_budget);
+    let state = serving_state(&kb, &cfg, index_dir.as_deref(), args.has("quiet"))?;
+    let outcome = state.snapshot().rank(&tasks, &cfg, &budget);
     let rank_elapsed = t1.elapsed();
 
     let shed = report_shed(&outcome.shed, prepared.len());
@@ -555,7 +550,7 @@ pub fn update(argv: &[String]) -> Result<(), String> {
         .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
         .collect();
     let t0 = std::time::Instant::now();
-    let cold = state.snapshot().rank(&tasks, &cfg);
+    let cold = state.snapshot().rank(&tasks, &cfg, &rex_relstore::budget::Budget::unlimited());
     let cold_elapsed = t0.elapsed();
 
     // Apply the delta and re-rank against the warm session (maintenance
@@ -568,18 +563,14 @@ pub fn update(argv: &[String]) -> Result<(), String> {
         .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
         .collect();
     let t1 = std::time::Instant::now();
-    let updated = if deadline_ms.is_some() || row_budget.is_some() {
-        let budget = build_budget(deadline_ms, row_budget);
-        rex_core::ranking::rank_pairs_updated_budgeted(&kb, &tasks2, &cfg, &state, &budget)
-            .map_err(|e| e.to_string())?
-    } else {
-        rank_pairs_updated(&kb, &tasks2, &cfg, &state).map_err(|e| e.to_string())?
-    };
+    let budget = build_budget(deadline_ms, row_budget);
+    let maintained = state.maintain(&kb).map_err(|e| e.to_string())?;
+    let updated = state.snapshot().rank(&tasks2, &cfg, &budget);
     let delta_elapsed = t1.elapsed();
 
-    let shed = report_shed(&updated.outcome.shed, prepared2.len());
+    let shed = report_shed(&updated.shed, prepared2.len());
     for (idx, ((s, e, explanations), ranking)) in
-        prepared2.iter().zip(&updated.outcome.rankings).enumerate()
+        prepared2.iter().zip(&updated.rankings).enumerate()
     {
         println!(
             "{} ↔ {} ({} explanations):",
@@ -596,7 +587,7 @@ pub fn update(argv: &[String]) -> Result<(), String> {
         }
     }
     if !args.has("quiet") {
-        let m = updated.maintenance;
+        let m = maintained.maintenance;
         println!(
             "applied {delta_path}: +{added} -{removed} edges, +{new_nodes} nodes \
              (serving epoch flipped {epoch0} → {})",
@@ -609,10 +600,10 @@ pub fn update(argv: &[String]) -> Result<(), String> {
             cold.batched_evals,
             delta_elapsed.as_secs_f64() * 1e3,
             m.rebatched,
-            updated.outcome.batched_evals,
+            updated.batched_evals,
             state.cache().delta_evals(),
         );
-        if updated.compaction_fallback {
+        if maintained.compaction_fallback {
             println!(
                 "delta log compacted past the session's epoch: fell back to a \
                  full index rebuild + cold rebatch (no incremental maintenance)"
@@ -626,7 +617,7 @@ pub fn update(argv: &[String]) -> Result<(), String> {
                 m.rebatched,
                 m.untouched,
                 m.dropped,
-                if updated.frame_redrawn { "yes" } else { "no" },
+                if maintained.frame_redrawn { "yes" } else { "no" },
             );
         }
     }

@@ -11,11 +11,21 @@
 //! The cache is therefore keyed **per canonical pattern shape** and holds
 //! an [`AllStartsDistribution`]: one `Arc`'d map from start entity to its
 //! descending count multiset, produced by a *single* batched relational
-//! evaluation ([`rex_relstore::engine::global_count_distributions`]) whose
-//! start variable ranges over the whole requested sample at once. Any
-//! position query against a cached shape is then a hash lookup plus a
-//! binary search — the asymptotics drop from ~`starts` full evaluations
-//! per shape to 1.
+//! evaluation ([`rex_relstore::engine::count_distributions`]) whose start
+//! variable ranges over the whole requested sample at once. Any position
+//! query against a cached shape is then a hash lookup plus a binary
+//! search — the asymptotics drop from ~`starts` full evaluations per
+//! shape to 1.
+//!
+//! Every method takes a [`ShardedEdgeIndex`]: a cold shape's batch fans
+//! out across the index's shards, and the flat index is simply the
+//! 1-shard case ([`ShardSpec::single`]). Warm reads never care how many
+//! shards computed a batch. A read ([`DistributionCache::all_starts`])
+//! reports whether *it* evaluated ([`BatchRead`]), so a request can
+//! account its own evaluations apart from concurrent readers and
+//! maintenance that share the cache.
+//!
+//! [`ShardSpec::single`]: rex_relstore::engine::ShardSpec::single
 //!
 //! A secondary per-`(shape, start)` overlay serves single-start queries
 //! (local distributions, starts outside a cached batch's domain) with the
@@ -41,7 +51,7 @@
 //! entirely off to the side — the write lock is held only for the final
 //! pointer swap (plus an O(shapes) merge of entries installed by
 //! concurrent readers), never across an evaluation. Combined with the
-//! per-entry epoch guard, a reader that pinned an [`EdgeIndex`] at epoch
+//! per-entry epoch guard, a reader that pinned an index at epoch
 //! `E` either hits entries computed at `E` or recomputes at `E` — it can
 //! never observe a torn mix of epochs, and it never waits on an in-flight
 //! [`DistributionCache::apply_delta`] pass.
@@ -58,8 +68,7 @@ use parking_lot::RwLock;
 use rex_kb::{KbDelta, KnowledgeBase, NodeId};
 use rex_relstore::budget::Budget;
 use rex_relstore::engine::{
-    delta_affected_starts, delta_count_distributions, delta_count_distributions_ceiling, EdgeIndex,
-    ShardedEdgeIndex, TiledDistributions,
+    count_distributions, delta_affected_starts, EvalKind, EvalRequest, ShardedEdgeIndex,
 };
 use rex_relstore::plan::PatternSpec;
 
@@ -112,10 +121,12 @@ impl AllStartsDistribution {
     }
 
     /// Largest **estimated** input rows of any tile — the quantity a row
-    /// ceiling actually bounds (see
-    /// [`TiledDistributions::est_peak_rows`]). The measured
-    /// [`peak_rows`](Self::peak_rows) may legally exceed the ceiling on
-    /// estimate error or singleton hub tiles.
+    /// ceiling actually bounds (see [`TiledDistributions::est_peak_rows`]).
+    /// The measured [`peak_rows`](Self::peak_rows) may legally exceed the
+    /// ceiling on estimate error or singleton hub tiles.
+    ///
+    /// [`TiledDistributions::est_peak_rows`]:
+    ///     rex_relstore::engine::TiledDistributions::est_peak_rows
     pub fn est_peak_rows(&self) -> usize {
         self.est_peak_rows
     }
@@ -148,6 +159,17 @@ impl AllStartsDistribution {
             return None;
         }
         Some(self.counts.get(&start).map_or(0, |c| position_in(c, a)))
+    }
+
+    /// Sampled global position of aggregate value `a`: the sum of its
+    /// positions over `starts`, skipping `exclude` (the pair's own start)
+    /// at read time. Panics when a start is outside the evaluated domain.
+    pub fn position_sum(&self, starts: &[NodeId], exclude: Option<NodeId>, a: u64) -> usize {
+        starts
+            .iter()
+            .filter(|&&s| Some(s) != exclude)
+            .map(|s| self.position(s.0 as u64, a).expect("batch covers requested starts"))
+            .sum()
     }
 
     /// Number of starts covered by the evaluation.
@@ -183,100 +205,17 @@ fn spec_labels(spec: &PatternSpec) -> Arc<[u64]> {
     labels.into()
 }
 
-/// The cache's view of whichever index flavor a caller hands it: a flat
-/// [`EdgeIndex`] or a [`ShardedEdgeIndex`] whose `Among` batches fan out
-/// across shards in parallel. Every evaluation the cache performs goes
-/// through this one seam, so the flat and sharded public entry points
-/// share the entire caching/maintenance machinery — and a 1-shard
-/// sharded view evaluates on exactly the flat code path (the engine
-/// short-circuits it), keeping answers and accounting byte-identical.
-#[derive(Clone, Copy)]
-enum IndexView<'a> {
-    Flat(&'a EdgeIndex),
-    Sharded(&'a ShardedEdgeIndex),
-}
-
-impl IndexView<'_> {
-    fn epoch(&self) -> u64 {
-        match self {
-            IndexView::Flat(i) => i.epoch(),
-            IndexView::Sharded(s) => s.epoch(),
-        }
-    }
-
-    fn full_tiled(
-        &self,
-        spec: &PatternSpec,
-        starts: &[u64],
-        tile_size: usize,
-        budget: &Budget,
-    ) -> rex_relstore::Result<TiledDistributions> {
-        match self {
-            IndexView::Flat(i) => rex_relstore::engine::global_count_distributions_tiled_budgeted(
-                i, spec, starts, tile_size, budget,
-            ),
-            IndexView::Sharded(s) => {
-                rex_relstore::engine::sharded_count_distributions_tiled_budgeted(
-                    s, spec, starts, tile_size, budget,
-                )
-            }
-        }
-    }
-
-    fn full_ceiling(
-        &self,
-        spec: &PatternSpec,
-        starts: &[u64],
-        ceiling: usize,
-        budget: &Budget,
-    ) -> rex_relstore::Result<TiledDistributions> {
-        match self {
-            IndexView::Flat(i) => {
-                rex_relstore::engine::global_count_distributions_ceiling_budgeted(
-                    i, spec, starts, ceiling, budget,
-                )
-            }
-            IndexView::Sharded(s) => {
-                rex_relstore::engine::sharded_count_distributions_ceiling_budgeted(
-                    s, spec, starts, ceiling, budget,
-                )
-            }
-        }
-    }
-
-    fn delta_tiled(
-        &self,
-        spec: &PatternSpec,
-        starts: &[u64],
-        tile_size: usize,
-    ) -> rex_relstore::Result<TiledDistributions> {
-        match self {
-            IndexView::Flat(i) => delta_count_distributions(i, spec, starts, tile_size),
-            IndexView::Sharded(s) => {
-                rex_relstore::engine::sharded_delta_count_distributions(s, spec, starts, tile_size)
-            }
-        }
-    }
-
-    fn delta_ceiling(
-        &self,
-        spec: &PatternSpec,
-        starts: &[u64],
-        ceiling: usize,
-    ) -> rex_relstore::Result<TiledDistributions> {
-        match self {
-            IndexView::Flat(i) => delta_count_distributions_ceiling(i, spec, starts, ceiling),
-            IndexView::Sharded(s) => {
-                rex_relstore::engine::sharded_delta_count_distributions_ceiling_budgeted(
-                    s,
-                    spec,
-                    starts,
-                    ceiling,
-                    &Budget::unlimited(),
-                )
-            }
-        }
-    }
+/// One read of a shape's batch through [`DistributionCache::all_starts`]:
+/// the batch, plus what this call itself evaluated to produce it — so a
+/// request accounts only its own evaluations, never a concurrent
+/// reader's miss or a maintenance rebatch that shares the cache.
+#[derive(Debug)]
+pub struct BatchRead {
+    /// The batch covering the requested starts.
+    pub batch: Arc<AllStartsDistribution>,
+    /// Start tiles this call evaluated; `None` when a published batch
+    /// served the read.
+    pub evaluated_tiles: Option<usize>,
 }
 
 /// What [`DistributionCache::apply_delta`] did to each cached shape.
@@ -359,7 +298,8 @@ impl DistributionCache {
     /// `max_rows` — the memory-bounded evaluation mode of the shared
     /// workload driver. Tiles are packed per shape from the **exact**
     /// per-start incident-row counts of the edge index's endpoint
-    /// postings ([`EdgeIndex::tile_starts_for_ceiling`]).
+    /// postings
+    /// ([`EdgeIndex::tile_starts_for_ceiling`](rex_relstore::engine::EdgeIndex::tile_starts_for_ceiling)).
     pub fn with_row_ceiling(max_rows: usize) -> Self {
         DistributionCache { row_ceiling: Some(max_rows), ..Default::default() }
     }
@@ -422,36 +362,26 @@ impl DistributionCache {
     }
 
     /// Evaluates `spec` over `domain` (tiled under the row ceiling) and
-    /// wraps the result as a batch at `epoch`, updating the tiling
-    /// counters.
+    /// wraps the result as a batch at the index's epoch, updating the
+    /// tiling counters. The engine checks `budget` at every tile
+    /// boundary, and on abort this returns the typed error **without
+    /// touching a single counter** — the abort-leaves-no-trace half of
+    /// the robustness contract.
     fn eval_batch(
         &self,
-        index: IndexView<'_>,
-        spec: PatternSpec,
-        domain: HashSet<u64>,
-    ) -> Arc<AllStartsDistribution> {
-        self.eval_batch_budgeted(index, spec, domain, &Budget::unlimited())
-            .expect("explanation patterns are valid specs")
-    }
-
-    /// [`eval_batch`](Self::eval_batch) under a [`Budget`]: the engine
-    /// checks the budget at every tile boundary, and on abort this
-    /// returns the typed error **without touching a single counter** —
-    /// the abort-leaves-no-trace half of the robustness contract.
-    fn eval_batch_budgeted(
-        &self,
-        index: IndexView<'_>,
+        index: &ShardedEdgeIndex,
         spec: PatternSpec,
         domain: HashSet<u64>,
         budget: &Budget,
     ) -> rex_relstore::Result<Arc<AllStartsDistribution>> {
         let list: Vec<u64> = domain.iter().copied().collect();
-        let batch = match self.row_ceiling {
-            // Exact tiling: starts packed by their measured incident-row
-            // counts from the endpoint postings, not a uniform split.
-            Some(ceiling) => index.full_ceiling(&spec, &list, ceiling, budget),
-            None => index.full_tiled(&spec, &list, list.len().max(1), budget),
-        }?;
+        let req = EvalRequest {
+            starts: &list,
+            row_ceiling: self.row_ceiling,
+            kind: EvalKind::Full,
+            budget: budget.clone(),
+        };
+        let batch = count_distributions(index, &spec, &req)?;
         self.tiles.fetch_add(batch.tiles, Ordering::Relaxed);
         self.peak_rows.fetch_max(batch.peak_rows, Ordering::Relaxed);
         Ok(Arc::new(AllStartsDistribution {
@@ -517,75 +447,29 @@ impl DistributionCache {
     /// at an older KB epoch than `index`'s is **stale** and likewise
     /// recomputed — the refuse/refresh half of the epoch contract;
     /// [`DistributionCache::apply_delta`] is the cheap alternative.
+    ///
+    /// A cold shape evaluates under `budget`, checked at every tile
+    /// boundary. On abort (deadline, cancellation, row-budget exhaustion)
+    /// the cache is left **byte-identical** to its pre-call state:
+    /// nothing is installed, no counter moves, not even the observed-epoch
+    /// high-water mark — a retried or budget-relaxed call recomputes
+    /// exactly what this one would have. Accounting (epoch note,
+    /// hit/miss/eval counters) and publication happen only after the
+    /// evaluation completes. A warm hit never aborts.
     pub fn all_starts(
         &self,
-        index: &EdgeIndex,
-        e: &Explanation,
-        starts: &[NodeId],
-    ) -> Arc<AllStartsDistribution> {
-        self.all_starts_budgeted(index, e, starts, &Budget::unlimited())
-            .expect("explanation patterns are valid specs")
-    }
-
-    /// [`all_starts`](Self::all_starts) under a [`Budget`]. On abort
-    /// (deadline, cancellation, row-budget exhaustion) the cache is left
-    /// **byte-identical** to its pre-call state: nothing is installed, no
-    /// counter moves, not even the observed-epoch high-water mark — a
-    /// retried or budget-relaxed call recomputes exactly what this one
-    /// would have. Accounting (epoch note, hit/miss/eval counters) and
-    /// publication happen only after the evaluation completes.
-    pub fn all_starts_budgeted(
-        &self,
-        index: &EdgeIndex,
-        e: &Explanation,
-        starts: &[NodeId],
-        budget: &Budget,
-    ) -> rex_relstore::Result<Arc<AllStartsDistribution>> {
-        self.all_starts_view(IndexView::Flat(index), e, starts, budget)
-    }
-
-    /// [`all_starts`](Self::all_starts) over a [`ShardedEdgeIndex`]: the
-    /// batched evaluation (when the shape is cold) splits the start set
-    /// by shard residency and fans out in parallel; results, cache
-    /// contents, and accounting are byte-identical to the flat path (a
-    /// warm read doesn't care which flavor computed the batch).
-    pub fn all_starts_sharded(
-        &self,
-        index: &ShardedEdgeIndex,
-        e: &Explanation,
-        starts: &[NodeId],
-    ) -> Arc<AllStartsDistribution> {
-        self.all_starts_sharded_budgeted(index, e, starts, &Budget::unlimited())
-            .expect("explanation patterns are valid specs")
-    }
-
-    /// [`all_starts_sharded`](Self::all_starts_sharded) under a
-    /// [`Budget`], with the same abort-leaves-no-trace contract as
-    /// [`all_starts_budgeted`](Self::all_starts_budgeted).
-    pub fn all_starts_sharded_budgeted(
-        &self,
         index: &ShardedEdgeIndex,
         e: &Explanation,
         starts: &[NodeId],
         budget: &Budget,
-    ) -> rex_relstore::Result<Arc<AllStartsDistribution>> {
-        self.all_starts_view(IndexView::Sharded(index), e, starts, budget)
-    }
-
-    fn all_starts_view(
-        &self,
-        index: IndexView<'_>,
-        e: &Explanation,
-        starts: &[NodeId],
-        budget: &Budget,
-    ) -> rex_relstore::Result<Arc<AllStartsDistribution>> {
+    ) -> rex_relstore::Result<BatchRead> {
         let key = e.key();
         let generation = self.generation();
         if let Some(cached) = generation.get(key) {
             if Self::batch_serves(cached, index.epoch(), starts) {
                 self.note_epoch(index.epoch());
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(cached));
+                return Ok(BatchRead { batch: Arc::clone(cached), evaluated_tiles: None });
             }
         }
         let mut domain: HashSet<u64> = starts.iter().map(|s| s.0 as u64).collect();
@@ -596,19 +480,21 @@ impl DistributionCache {
         // Evaluation runs without any lock held; a racing thread may have
         // installed a batch meanwhile — install_batch arbitrates. An
         // abort propagates here, before any observable state changes.
-        let computed = self.eval_batch_budgeted(index, e.pattern.to_spec(), domain, budget)?;
+        let computed = self.eval_batch(index, e.pattern.to_spec(), domain, budget)?;
+        let evaluated_tiles = Some(computed.eval_tiles());
         self.note_epoch(index.epoch());
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.batched_evals.fetch_add(1, Ordering::Relaxed);
-        Ok(self.install_batch(key, computed, index.epoch(), starts))
+        let batch = self.install_batch(key, computed, index.epoch(), starts);
+        Ok(BatchRead { batch, evaluated_tiles })
     }
 
     /// The descending count multiset of `e`'s pattern for `start`. Served
     /// from a cached batch when a **current-epoch** one covers `start`;
     /// otherwise computed with a single bound per-start probe and cached
     /// in the overlay (also epoch-guarded) — the right cost model for
-    /// local (single-start) queries.
-    pub fn counts(&self, index: &EdgeIndex, e: &Explanation, start: u32) -> Arc<Vec<u64>> {
+    /// local (single-start) queries; the probe reads the index's base.
+    pub fn counts(&self, index: &ShardedEdgeIndex, e: &Explanation, start: u32) -> Arc<Vec<u64>> {
         self.note_epoch(index.epoch());
         let key = e.key();
         if let Some(batch) = self.generation().get(key) {
@@ -628,9 +514,12 @@ impl DistributionCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let spec = e.pattern.to_spec();
-        let dist =
-            rex_relstore::engine::local_count_distribution_indexed(index, &spec, start as u64)
-                .expect("explanation patterns are valid specs");
+        let dist = rex_relstore::engine::local_count_distribution_indexed(
+            index.base(),
+            &spec,
+            start as u64,
+        )
+        .expect("explanation patterns are valid specs");
         let mut counts: Vec<u64> = dist.into_values().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let counts = Arc::new(counts);
@@ -676,8 +565,9 @@ impl DistributionCache {
 
     /// Incrementally maintains every cached batch across `delta`,
     /// advancing the cache to `kb`'s epoch. `index` must already be
-    /// refreshed to the same epoch ([`EdgeIndex::apply_delta`]). Per
-    /// shape:
+    /// advanced to the delta's target epoch
+    /// ([`ShardedEdgeIndex::next_epoch`]); patch and rebatch evaluations
+    /// fan out across its shards. Per shape:
     ///
     /// * labels disjoint from the delta, or no affected start inside the
     ///   domain → re-published at the new epoch sharing the same counts
@@ -706,30 +596,7 @@ impl DistributionCache {
     pub fn apply_delta(
         &self,
         kb: &KnowledgeBase,
-        index: &EdgeIndex,
-        delta: &KbDelta,
-    ) -> DeltaMaintenance {
-        self.apply_delta_view(kb, IndexView::Flat(index), delta)
-    }
-
-    /// [`apply_delta`](Self::apply_delta) over a [`ShardedEdgeIndex`]:
-    /// identical maintenance decisions, with patch and rebatch
-    /// evaluations fanning out across shards. `index` must already be
-    /// advanced to the delta's target epoch
-    /// ([`ShardedEdgeIndex::next_epoch`]).
-    pub fn apply_delta_sharded(
-        &self,
-        kb: &KnowledgeBase,
         index: &ShardedEdgeIndex,
-        delta: &KbDelta,
-    ) -> DeltaMaintenance {
-        self.apply_delta_view(kb, IndexView::Sharded(index), delta)
-    }
-
-    fn apply_delta_view(
-        &self,
-        kb: &KnowledgeBase,
-        index: IndexView<'_>,
         delta: &KbDelta,
     ) -> DeltaMaintenance {
         assert_eq!(
@@ -787,7 +654,14 @@ impl DistributionCache {
             if affected_in_domain.len() as f64 > threshold {
                 // Blast radius too large: re-batch the whole domain.
                 self.batched_evals.fetch_add(1, Ordering::Relaxed);
-                let fresh = self.eval_batch(index, entry.spec.clone(), (*entry.domain).clone());
+                let fresh = self
+                    .eval_batch(
+                        index,
+                        entry.spec.clone(),
+                        (*entry.domain).clone(),
+                        &Budget::unlimited(),
+                    )
+                    .expect("cached batch specs are valid");
                 outcome.rebatched += 1;
                 next.insert(key.clone(), fresh);
                 continue;
@@ -796,15 +670,14 @@ impl DistributionCache {
             // postings make this touch only rows incident to them — and
             // overlay.
             self.delta_evals.fetch_add(1, Ordering::Relaxed);
-            let partial = match self.row_ceiling {
-                Some(ceiling) => index.delta_ceiling(&entry.spec, &affected_in_domain, ceiling),
-                None => index.delta_tiled(
-                    &entry.spec,
-                    &affected_in_domain,
-                    affected_in_domain.len().max(1),
-                ),
-            }
-            .expect("cached batch specs are valid");
+            let req = EvalRequest {
+                starts: &affected_in_domain,
+                row_ceiling: self.row_ceiling,
+                kind: EvalKind::Delta,
+                budget: Budget::unlimited(),
+            };
+            let partial = count_distributions(index, &entry.spec, &req)
+                .expect("cached batch specs are valid");
             self.tiles.fetch_add(partial.tiles, Ordering::Relaxed);
             self.peak_rows.fetch_max(partial.peak_rows, Ordering::Relaxed);
             let mut counts = (*entry.counts).clone();
@@ -893,55 +766,19 @@ impl DistributionCache {
     }
 
     /// Local position of `e` (count aggregate) via the cache.
-    pub fn local_position(&self, index: &EdgeIndex, e: &Explanation, start: u32) -> usize {
+    pub fn local_position(&self, index: &ShardedEdgeIndex, e: &Explanation, start: u32) -> usize {
         position_in(&self.counts(index, e, start), e.count() as u64)
     }
 
     /// Sampled global position of `e` via the cache: the sum of `e`'s
     /// positions in the local distributions of `starts`, answered from
-    /// one shared batched evaluation per pattern shape.
-    pub fn global_position(&self, index: &EdgeIndex, e: &Explanation, starts: &[NodeId]) -> usize {
-        self.global_position_excluding(index, e, starts, None)
-    }
-
-    /// [`DistributionCache::global_position`] with per-pair **read-time
-    /// exclusion**: the batched evaluation covers all of `starts` (the
-    /// shared sample frame, identical for every pair of a workload), and
-    /// `exclude` — the pair's own start entity — is simply skipped when
-    /// summing positions. This is what lets one cache serve every pair of
-    /// a workload with zero recomputation: exclusion no longer perturbs
-    /// the evaluated domain.
-    pub fn global_position_excluding(
-        &self,
-        index: &EdgeIndex,
-        e: &Explanation,
-        starts: &[NodeId],
-        exclude: Option<NodeId>,
-    ) -> usize {
-        self.global_position_excluding_budgeted(index, e, starts, exclude, &Budget::unlimited())
-            .expect("unlimited budget never aborts")
-    }
-
-    /// [`global_position_excluding`](Self::global_position_excluding)
-    /// under a [`Budget`]: the batched evaluation (if the shape is cold)
-    /// checks the budget at every tile boundary, and an abort leaves the
-    /// cache untouched. A warm hit never aborts — the position sum over
-    /// an already-published batch is pure reads.
-    pub fn global_position_excluding_budgeted(
-        &self,
-        index: &EdgeIndex,
-        e: &Explanation,
-        starts: &[NodeId],
-        exclude: Option<NodeId>,
-        budget: &Budget,
-    ) -> rex_relstore::Result<usize> {
-        self.global_position_view(IndexView::Flat(index), e, starts, exclude, budget)
-    }
-
-    /// [`global_position_excluding_budgeted`](Self::global_position_excluding_budgeted)
-    /// over a [`ShardedEdgeIndex`] — cold shapes evaluate with the
-    /// parallel per-shard fan-out; warm reads are identical either way.
-    pub fn global_position_excluding_sharded_budgeted(
+    /// one shared batched evaluation per pattern shape
+    /// ([`DistributionCache::all_starts`], under `budget`). `exclude` —
+    /// the pair's own start entity — is skipped at **read time**: the
+    /// batched evaluation covers all of `starts` (the shared sample
+    /// frame, identical for every pair of a workload), so one cache
+    /// serves every pair of a workload with zero recomputation.
+    pub fn global_position(
         &self,
         index: &ShardedEdgeIndex,
         e: &Explanation,
@@ -949,24 +786,8 @@ impl DistributionCache {
         exclude: Option<NodeId>,
         budget: &Budget,
     ) -> rex_relstore::Result<usize> {
-        self.global_position_view(IndexView::Sharded(index), e, starts, exclude, budget)
-    }
-
-    fn global_position_view(
-        &self,
-        index: IndexView<'_>,
-        e: &Explanation,
-        starts: &[NodeId],
-        exclude: Option<NodeId>,
-        budget: &Budget,
-    ) -> rex_relstore::Result<usize> {
-        let batch = self.all_starts_view(index, e, starts, budget)?;
-        let a = e.count() as u64;
-        Ok(starts
-            .iter()
-            .filter(|&&s| Some(s) != exclude)
-            .map(|s| batch.position(s.0 as u64, a).expect("batch covers requested starts"))
-            .sum())
+        let read = self.all_starts(index, e, starts, budget)?;
+        Ok(read.batch.position_sum(starts, exclude, e.count() as u64))
     }
 
     /// Number of cached entries (batched shapes + per-start overlays).
@@ -1011,6 +832,29 @@ mod tests {
     };
     use crate::measures::MeasureContext;
     use crate::EnumConfig;
+    use rex_relstore::engine::ShardSpec;
+
+    /// The unbudgeted batch read of `e` over `starts`.
+    fn read_batch(
+        cache: &DistributionCache,
+        index: &ShardedEdgeIndex,
+        e: &Explanation,
+        starts: &[NodeId],
+    ) -> Arc<AllStartsDistribution> {
+        cache.all_starts(index, e, starts, &Budget::unlimited()).unwrap().batch
+    }
+
+    /// The unbudgeted global position of `e` over `starts`, skipping
+    /// `exclude`.
+    fn global(
+        cache: &DistributionCache,
+        index: &ShardedEdgeIndex,
+        e: &Explanation,
+        starts: &[NodeId],
+        exclude: Option<NodeId>,
+    ) -> usize {
+        cache.global_position(index, e, starts, exclude, &Budget::unlimited()).unwrap()
+    }
 
     #[test]
     fn cached_positions_match_uncached() {
@@ -1030,13 +874,13 @@ mod tests {
                 e.describe(&kb)
             );
             assert_eq!(
-                cache.global_position(index, e, &starts),
+                global(&cache, index, e, &starts, None),
                 global_position(&ctx, e, usize::MAX),
                 "{}",
                 e.describe(&kb)
             );
             assert_eq!(
-                cache.global_position(index, e, &starts),
+                global(&cache, index, e, &starts, None),
                 global_position_per_start(&ctx, e, usize::MAX),
                 "per-start baseline disagrees for {}",
                 e.describe(&kb)
@@ -1083,7 +927,7 @@ mod tests {
         let mut starts = ctx.global_sample_starts();
         starts.push(a); // cover the pair's own start too
         for e in &out.explanations {
-            cache.global_position(index, e, &starts);
+            global(&cache, index, e, &starts, None);
         }
         assert_eq!(cache.batched_evals(), out.explanations.len());
         let (_, misses) = cache.stats();
@@ -1093,7 +937,7 @@ mod tests {
             for s in &starts {
                 cache.counts(index, e, s.0);
             }
-            cache.global_position(index, e, &starts);
+            global(&cache, index, e, &starts, None);
         }
         let (_, misses_after) = cache.stats();
         assert_eq!(misses_after, misses, "covered starts never miss");
@@ -1115,18 +959,18 @@ mod tests {
         let starts = ctx.global_sample_starts();
         let e = &out.explanations[0];
         let (small, grown) = (&starts[..3], &starts[..]);
-        cache.all_starts(index, e, small);
+        read_batch(&cache, index, e, small);
         assert_eq!(cache.batched_evals(), 1);
         // Outside the small domain: overlay probe, not covered by batch.
         let outside = starts[4];
         cache.counts(index, e, outside.0);
         // Growing the domain recomputes the batch once.
-        let batch = cache.all_starts(index, e, grown);
+        let batch = read_batch(&cache, index, e, grown);
         assert_eq!(cache.batched_evals(), 2);
         assert!(batch.covers(outside.0 as u64));
         // And the grown batch is reused thereafter.
-        cache.all_starts(index, e, grown);
-        cache.all_starts(index, e, small);
+        read_batch(&cache, index, e, grown);
+        read_batch(&cache, index, e, small);
         assert_eq!(cache.batched_evals(), 2);
     }
 
@@ -1152,11 +996,11 @@ mod tests {
         assert!(frame.contains(a));
         let filtered = frame.starts_excluding(a);
         for e in &out.explanations {
-            let excluded = cache.global_position_excluding(index, e, frame.starts(), Some(a));
+            let excluded = global(&cache, index, e, frame.starts(), Some(a));
             let evals = cache.batched_evals();
             // Same batch answers the pre-filtered sum: no new evaluation.
             let prefiltered: usize = {
-                let batch = cache.all_starts(index, e, frame.starts());
+                let batch = read_batch(&cache, index, e, frame.starts());
                 filtered.iter().map(|s| batch.position(s.0 as u64, e.count() as u64).unwrap()).sum()
             };
             assert_eq!(excluded, prefiltered, "{}", e.describe(&kb));
@@ -1181,8 +1025,8 @@ mod tests {
         assert_eq!(tiled.row_ceiling(), Some(1));
         for e in &out.explanations {
             assert_eq!(
-                plain.global_position(index, e, &starts),
-                tiled.global_position(index, e, &starts),
+                global(&plain, index, e, &starts, None),
+                global(&tiled, index, e, &starts, None),
                 "{}",
                 e.describe(&kb)
             );
@@ -1207,10 +1051,10 @@ mod tests {
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let e = &out.explanations[0];
         let starts: Vec<rex_kb::NodeId> = kb.node_ids().take(8).collect();
-        let mut index = rex_relstore::engine::EdgeIndex::build(&kb);
+        let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let cache = DistributionCache::new();
 
-        let batch0 = cache.all_starts(&index, e, &starts);
+        let batch0 = read_batch(&cache, &index, e, &starts);
         assert_eq!(cache.batched_evals(), 1);
         assert_eq!(batch0.epoch(), 0);
         cache.counts(&index, e, a.0);
@@ -1223,11 +1067,11 @@ mod tests {
         let starring = kb.label_by_name("starring").unwrap();
         kb.insert_edge(jr, fc, starring, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
-        index.apply_delta(&delta).unwrap();
+        index = index.next_epoch(&delta).unwrap();
 
         // Batched read: the epoch-N batch is refused; a fresh evaluation
         // replaces it.
-        let batch1 = cache.all_starts(&index, e, &starts);
+        let batch1 = read_batch(&cache, &index, e, &starts);
         assert_eq!(cache.batched_evals(), 2, "stale batch must re-evaluate");
         assert_eq!(batch1.epoch(), kb.epoch());
         // The stale batch also stops serving cached_local_position (the
@@ -1235,7 +1079,7 @@ mod tests {
         // serves again.
         assert!(cache.cached_local_position(e, a.0).is_some());
         // A second read is a warm hit — refresh happened exactly once.
-        cache.all_starts(&index, e, &starts);
+        read_batch(&cache, &index, e, &starts);
         assert_eq!(cache.batched_evals(), 2);
     }
 
@@ -1250,10 +1094,10 @@ mod tests {
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let starts: Vec<rex_kb::NodeId> = kb.node_ids().collect();
-        let mut index = rex_relstore::engine::EdgeIndex::build(&kb);
+        let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let cache = DistributionCache::new();
         for e in &out.explanations {
-            cache.all_starts(&index, e, &starts);
+            read_batch(&cache, &index, e, &starts);
         }
         let shapes = cache.batched_evals();
 
@@ -1262,7 +1106,7 @@ mod tests {
         let oscar = kb.insert_node("a_new_award", "Award");
         kb.insert_edge(a, oscar, award, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
-        index.apply_delta(&delta).unwrap();
+        index = index.next_epoch(&delta).unwrap();
 
         // The delta touches only a brand-new label: every cached shape is
         // label-disjoint → untouched, zero evaluations.
@@ -1271,7 +1115,7 @@ mod tests {
         assert_eq!(m.patched + m.rebatched + m.dropped, 0);
         let evals = cache.batched_evals();
         for e in &out.explanations {
-            cache.all_starts(&index, e, &starts);
+            read_batch(&cache, &index, e, &starts);
         }
         assert_eq!(cache.batched_evals(), evals, "maintained shapes serve warm");
 
@@ -1283,7 +1127,7 @@ mod tests {
         let starring = kb.label_by_name("starring").unwrap();
         kb.insert_edge(jr, fc, starring, true).unwrap();
         let delta2 = kb.delta_since(epoch1).into_delta().unwrap();
-        index.apply_delta(&delta2).unwrap();
+        index = index.next_epoch(&delta2).unwrap();
         let m2 = cache.apply_delta(&kb, &index, &delta2);
         assert_eq!(m2.patched + m2.rebatched + m2.untouched, shapes);
         assert!(m2.patched + m2.rebatched > 0, "starring shapes are touched");
@@ -1294,8 +1138,8 @@ mod tests {
         // Maintained counts equal a scratch evaluation at the new epoch.
         let scratch = DistributionCache::new();
         for e in &out.explanations {
-            let maintained = cache.all_starts(&index, e, &starts);
-            let fresh = scratch.all_starts(&index, e, &starts);
+            let maintained = read_batch(&cache, &index, e, &starts);
+            let fresh = read_batch(&scratch, &index, e, &starts);
             for s in &starts {
                 assert_eq!(
                     maintained.counts_for(s.0 as u64),
@@ -1347,7 +1191,7 @@ mod tests {
         let b = kb.require_node("angelina_jolie").unwrap();
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
-        let mut index = rex_relstore::engine::EdgeIndex::build(&kb);
+        let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let cache = DistributionCache::new();
         // Warm the per-start overlay only (no batched entries).
         for e in &out.explanations {
@@ -1361,7 +1205,7 @@ mod tests {
         let trophy = kb.insert_node("a_trophy", "Award");
         kb.insert_edge(a, trophy, award, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
-        index.apply_delta(&delta).unwrap();
+        index = index.next_epoch(&delta).unwrap();
         cache.apply_delta(&kb, &index, &delta);
         for e in &out.explanations {
             cache.counts(&index, e, a.0);
@@ -1380,7 +1224,7 @@ mod tests {
         let fc = kb.require_node("fight_club").unwrap();
         kb.insert_edge(jr, fc, starring, true).unwrap();
         let delta2 = kb.delta_since(epoch1).into_delta().unwrap();
-        index.apply_delta(&delta2).unwrap();
+        index = index.next_epoch(&delta2).unwrap();
         cache.apply_delta(&kb, &index, &delta2);
         for e in &out.explanations {
             cache.counts(&index, e, a.0);

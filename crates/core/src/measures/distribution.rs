@@ -17,6 +17,8 @@
 
 use std::sync::Arc;
 
+use rex_relstore::budget::Budget;
+
 use crate::explanation::Explanation;
 use crate::measures::{Measure, MeasureContext};
 
@@ -36,7 +38,7 @@ pub fn local_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limit
     let spec = explanation.pattern.to_spec();
     let a = explanation.count() as u64;
     rex_relstore::engine::local_position_indexed(
-        ctx.edge_index(),
+        ctx.edge_index().base(),
         &spec,
         ctx.vstart.0 as u64,
         a,
@@ -56,12 +58,16 @@ pub fn local_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limit
 /// aborting it).
 pub fn global_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limit: usize) -> usize {
     let frame = ctx.sample_frame();
-    let pos = ctx.distributions().global_position_excluding(
-        ctx.edge_index(),
-        explanation,
-        frame.starts(),
-        Some(ctx.vstart),
-    );
+    let pos = ctx
+        .distributions()
+        .global_position(
+            ctx.edge_index(),
+            explanation,
+            frame.starts(),
+            Some(ctx.vstart),
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget never aborts");
     pos.min(limit)
 }
 
@@ -84,7 +90,7 @@ pub fn global_position_per_start(
             break;
         }
         total += rex_relstore::engine::local_position_indexed(
-            ctx.edge_index(),
+            ctx.edge_index().base(),
             &spec,
             start.0 as u64,
             a,

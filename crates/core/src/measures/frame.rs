@@ -13,8 +13,8 @@
 //! time**: a batched all-starts distribution is evaluated once over the
 //! whole frame, and a pair's global position simply skips the excluded
 //! start's row when summing positions
-//! ([`DistributionCache::global_position_excluding`]). Every pair of a
-//! workload therefore shares one cache with zero recomputation: the
+//! ([`DistributionCache::global_position`]). Every pair of a workload
+//! therefore shares one cache with zero recomputation: the
 //! batched evaluation budget drops from Σ per-pair shapes to the number
 //! of *distinct* shapes across the whole workload.
 //!
@@ -28,8 +28,8 @@
 //!
 //! [`MeasureContext`]: crate::measures::MeasureContext
 //! [`DistributionCache`]: crate::measures::DistributionCache
-//! [`DistributionCache::global_position_excluding`]:
-//!     crate::measures::DistributionCache::global_position_excluding
+//! [`DistributionCache::global_position`]:
+//!     crate::measures::DistributionCache::global_position
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -174,7 +174,7 @@ impl Pattern {
     /// ```
     ///
     /// The shape is produced by the `rex-query` canned path template and
-    /// lowered through the same [`rex_query::compile`] pass as
+    /// lowered through the same [`rex_query::compile()`] pass as
     /// user-written MATCH queries — there is exactly one
     /// variable-numbering convention in the system.
     pub fn path(steps: &[(LabelId, EdgeDir)]) -> Result<Pattern> {

@@ -39,6 +39,7 @@ pub mod site {
     /// exists — the hook for exercising the rebuild path on demand.
     ///
     /// [`maintain`]: crate::ranking::ServingState::maintain
+    /// [`FaultAction::ForceCompaction`]: super::FaultAction::ForceCompaction
     pub const MAINTAIN_DELTA_SOURCE: &str = "maintain::delta_source";
     /// In the delta branch of maintenance, after the next index and frame
     /// are built but before the cache is delta-maintained.
@@ -64,10 +65,14 @@ pub mod site {
     /// [`FaultAction::TornWrite`] scripted here cuts the record mid-byte
     /// (translated to the WAL writer's scripted fault) and fails the
     /// commit like a crash would.
+    ///
+    /// [`FaultAction::TornWrite`]: super::FaultAction::TornWrite
     pub const WAL_APPEND: &str = "wal::append";
     /// In the ingestion governor's commit path, at the fsync that
     /// follows the append: a [`FaultAction::FailSync`] scripted here
     /// fails the sync after a fully written record.
+    ///
+    /// [`FaultAction::FailSync`]: super::FaultAction::FailSync
     pub const WAL_SYNC: &str = "wal::sync";
     /// In the governor's checkpoint path, before the checkpoint file is
     /// renamed into place (crash leaves old checkpoint + full WAL).

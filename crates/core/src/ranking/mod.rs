@@ -15,10 +15,11 @@
 //!   [`Snapshot`] (O(1)) and rank against it lock-free while maintenance
 //!   builds the next epoch off to the side and flips it in with one
 //!   atomic swap.
-//! * [`update`] — the incremental re-rank driver: after a batch of KB
-//!   updates, advance the serving session from the delta and re-rank
-//!   against the warm cache instead of rebuilding (with a full-rebuild
-//!   fallback once the KB's delta log has been compacted).
+//! * [`update`] — the incremental re-rank path: after a batch of KB
+//!   updates, [`ServingState::maintain`] advances the serving session from
+//!   the delta and [`Snapshot::rank`] re-ranks against the warm cache
+//!   instead of rebuilding (with a full-rebuild fallback once the KB's
+//!   delta log has been compacted).
 //! * [`fault`] — deterministic fault injection (scripted delays, panics,
 //!   forced compaction at named sites) driving the chaos suite; the
 //!   serving robustness layers (admission control, budgeted degradation,
@@ -38,8 +39,6 @@ pub use fault::{FaultAction, FaultPlan};
 pub use general::{rank, rank_with_scores, Ranked};
 pub use ingest::{Backpressure, IngestConfig, IngestGovernor, IngestOp, IngestStats};
 pub use pairs::{
-    rank_pairs, rank_pairs_with, rank_pairs_with_budget, PairExplanations, RankPairsConfig,
-    RankPairsOutcome, ShedPair,
+    rank_pairs, rank_pairs_with, PairExplanations, RankPairsConfig, RankPairsOutcome, ShedPair,
 };
 pub use serve::{AdmissionController, AdmissionPermit, MaintainOutcome, ServingState, Snapshot};
-pub use update::{rank_pairs_updated, rank_pairs_updated_budgeted, RankUpdateOutcome};

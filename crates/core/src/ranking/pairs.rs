@@ -25,6 +25,19 @@
 //!    peak join intermediates stay bounded regardless of frame size.
 //! 5. **Parallel position phase**: pairs fan out over rayon; every
 //!    position query is a cache hit by then.
+//!
+//! Every ranking request runs this one pass, under a [`Budget`] that the
+//! unbudgeted entry points leave unlimited: [`rank_pairs`] (a one-shot
+//! session), [`rank_pairs_with`] (caller-provided pieces),
+//! [`Snapshot::rank`](crate::ranking::Snapshot::rank) (a pinned serving
+//! epoch) and [`ServingState::try_serve`] (admission control first). The
+//! outcome's evaluation counts are the request's own: every cache read
+//! reports whether it evaluated ([`BatchRead`]), so concurrent readers
+//! and maintenance sharing the cache are never charged to it.
+//!
+//! [`EdgeIndex::estimate_eval_cost`]:
+//!     rex_relstore::engine::EdgeIndex::estimate_eval_cost
+//! [`ServingState::try_serve`]: crate::ranking::ServingState::try_serve
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,7 +50,7 @@ use rex_relstore::engine::ShardedEdgeIndex;
 use crate::canonical::CanonicalKey;
 use crate::error::Result;
 use crate::explanation::Explanation;
-use crate::measures::cache::DistributionCache;
+use crate::measures::cache::{BatchRead, DistributionCache};
 use crate::measures::frame::SampleFrame;
 use crate::ranking::general::{rank_with_scores, Ranked};
 
@@ -112,9 +125,12 @@ pub struct RankPairsOutcome {
     pub rankings: Vec<Vec<Ranked>>,
     /// Distinct canonical pattern shapes across the whole workload.
     pub distinct_shapes: usize,
-    /// Batched relational evaluations performed (≤ `distinct_shapes`).
+    /// Batched relational evaluations this run performed itself
+    /// (≤ `distinct_shapes` when no concurrent maintenance outdates its
+    /// batches); evaluations by other readers or by maintenance sharing
+    /// the cache are not counted.
     pub batched_evals: usize,
-    /// Start tiles evaluated by this run's batches.
+    /// Start tiles evaluated by this run's own batches.
     pub tiles: usize,
     /// Largest intermediate relation (rows) materialized by any batch
     /// *backing this workload's shapes* — carried on the batches
@@ -148,7 +164,7 @@ pub fn rank_pairs(
     cfg: &RankPairsConfig,
 ) -> Result<RankPairsOutcome> {
     let state = crate::ranking::serve::ServingState::build(kb, cfg)?;
-    Ok(state.snapshot().rank(pairs, cfg))
+    Ok(state.snapshot().rank(pairs, cfg, &Budget::unlimited()))
 }
 
 /// [`rank_pairs`] over caller-provided frame, edge index, and cache (the
@@ -164,19 +180,24 @@ pub fn rank_pairs_with(
     frame: &Arc<SampleFrame>,
     cache: &DistributionCache,
 ) -> RankPairsOutcome {
-    rank_pairs_with_budget(pairs, cfg, index, frame, cache, &Budget::unlimited())
+    rank_pass(pairs, cfg, index, frame, cache, &Budget::unlimited())
 }
 
-/// [`rank_pairs_with`] under a [`Budget`]: the deadline, cancellation
-/// token, and row budget are checked at every tile boundary of every
-/// batched evaluation, and the workload **degrades pair-by-pair** rather
-/// than all-or-nothing. A pair whose shapes were all evaluated (or warm)
-/// before the budget fired is ranked exactly; a pair that needed an
-/// aborted evaluation lands in [`RankPairsOutcome::shed`] with an empty
-/// ranking slot. Aborted evaluations leave the shared cache untouched, so
-/// a follow-up run (with a fresh budget) picks up exactly where the warm
-/// shapes left off.
-pub fn rank_pairs_with_budget(
+/// `(evaluations, tiles)` a cache read performed itself.
+fn own_work(read: &BatchRead) -> (usize, usize) {
+    read.evaluated_tiles.map_or((0, 0), |tiles| (1, tiles))
+}
+
+/// The ranking pass behind every entry point, under a [`Budget`]: the
+/// deadline, cancellation token, and row budget are checked at every tile
+/// boundary of every batched evaluation, and the workload **degrades
+/// pair-by-pair** rather than all-or-nothing. A pair whose shapes were
+/// all evaluated (or warm) before the budget fired is ranked exactly; a
+/// pair that needed an aborted evaluation lands in
+/// [`RankPairsOutcome::shed`] with an empty ranking slot. Aborted
+/// evaluations leave the shared cache untouched, so a follow-up run (with
+/// a fresh budget) picks up exactly where the warm shapes left off.
+pub(crate) fn rank_pass(
     pairs: &[PairExplanations<'_>],
     cfg: &RankPairsConfig,
     index: &ShardedEdgeIndex,
@@ -212,8 +233,6 @@ pub fn rank_pairs_with_budget(
         .num_threads(cfg.threads)
         .build()
         .expect("thread pool construction is infallible");
-    let evals_before = cache.batched_evals();
-    let (tiles_before, _) = cache.tiling_stats();
     pool.install(|| {
         // Deal the cost-sorted shapes round-robin into one lane per worker
         // and concatenate: a contiguous-chunk scheduler (the vendored
@@ -229,42 +248,52 @@ pub fn rank_pairs_with_budget(
         // cold (the cache is untouched) and is simply skipped here — the
         // position phase retries it per pair and sheds exactly the pairs
         // that still need it.
-        let batches: Vec<_> = dealt
+        let reads: Vec<Option<BatchRead>> = dealt
             .par_iter()
-            .map(|e| cache.all_starts_sharded_budgeted(index, e, frame.starts(), budget).ok())
+            .map(|e| cache.all_starts(index, e, frame.starts(), budget).ok())
             .collect();
-        let peak_rows = batches.iter().flatten().map(|b| b.peak_rows()).max().unwrap_or(0);
-        let est_peak_rows = batches.iter().flatten().map(|b| b.est_peak_rows()).max().unwrap_or(0);
-        let overflow_tiles: usize = batches.iter().flatten().map(|b| b.overflow_tiles()).sum();
+        let batches = || reads.iter().flatten().map(|r| &r.batch);
+        let peak_rows = batches().map(|b| b.peak_rows()).max().unwrap_or(0);
+        let est_peak_rows = batches().map(|b| b.est_peak_rows()).max().unwrap_or(0);
+        let overflow_tiles: usize = batches().map(|b| b.overflow_tiles()).sum();
+        let (mut batched_evals, mut tiles) = (0, 0);
+        for (evals, t) in reads.iter().flatten().map(own_work) {
+            batched_evals += evals;
+            tiles += t;
+        }
 
         // Position phase: warm shapes are cache hits; pairs fan out, each
         // applying its own read-time exclusion to the shared batches. A
         // pair that hits an aborted (still-cold) shape is shed whole —
         // partial scores would rank explanations against each other on
         // incomparable evidence.
-        let per_pair: Vec<std::result::Result<Vec<Ranked>, AbortReason>> = pairs
+        type PairResult = (std::result::Result<Vec<Ranked>, AbortReason>, (usize, usize));
+        let per_pair: Vec<PairResult> = pairs
             .par_iter()
             .map(|pair| {
+                let mut work = (0, 0);
                 let mut scores: Vec<f64> = Vec::with_capacity(pair.explanations.len());
                 for e in pair.explanations {
-                    match cache.global_position_excluding_sharded_budgeted(
-                        index,
-                        e,
-                        frame.starts(),
-                        Some(pair.start),
-                        budget,
-                    ) {
-                        Ok(pos) => scores.push(-(pos as f64)),
-                        Err(rex_relstore::RelError::Aborted(reason)) => return Err(reason),
+                    match cache.all_starts(index, e, frame.starts(), budget) {
+                        Ok(read) => {
+                            let (evals, t) = own_work(&read);
+                            work = (work.0 + evals, work.1 + t);
+                            let a = e.count() as u64;
+                            let pos = read.batch.position_sum(frame.starts(), Some(pair.start), a);
+                            scores.push(-(pos as f64));
+                        }
+                        Err(rex_relstore::RelError::Aborted(reason)) => return (Err(reason), work),
                         Err(err) => panic!("explanation patterns are valid specs: {err}"),
                     }
                 }
-                Ok(rank_with_scores(pair.explanations, &scores, cfg.k))
+                (Ok(rank_with_scores(pair.explanations, &scores, cfg.k)), work)
             })
             .collect();
         let mut rankings: Vec<Vec<Ranked>> = Vec::with_capacity(per_pair.len());
         let mut shed: Vec<ShedPair> = Vec::new();
-        for (i, outcome) in per_pair.into_iter().enumerate() {
+        for (i, (outcome, (evals, t))) in per_pair.into_iter().enumerate() {
+            batched_evals += evals;
+            tiles += t;
             match outcome {
                 Ok(ranked) => rankings.push(ranked),
                 Err(reason) => {
@@ -274,12 +303,11 @@ pub fn rank_pairs_with_budget(
             }
         }
 
-        let (tiles_after, _) = cache.tiling_stats();
         RankPairsOutcome {
             rankings,
             distinct_shapes,
-            batched_evals: cache.batched_evals() - evals_before,
-            tiles: tiles_after - tiles_before,
+            batched_evals,
+            tiles,
             peak_rows,
             est_peak_rows,
             overflow_tiles,

@@ -19,6 +19,7 @@ use std::collections::BinaryHeap;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use rex_kb::NodeId;
+use rex_relstore::budget::Budget;
 
 use crate::explanation::Explanation;
 use crate::measures::cache::DistributionCache;
@@ -69,7 +70,7 @@ impl SharedBound {
 /// sharing the cache.
 fn position(
     cache: &DistributionCache,
-    index: &rex_relstore::engine::EdgeIndex,
+    index: &rex_relstore::engine::ShardedEdgeIndex,
     e: &Explanation,
     vstart: NodeId,
     frame_starts: &[NodeId],
@@ -81,9 +82,10 @@ fn position(
             let counts = cache.counts(index, e, vstart.0);
             position_in(&counts, e.count() as u64).min(limit)
         }
-        Scope::Global => {
-            cache.global_position_excluding(index, e, frame_starts, Some(vstart)).min(limit)
-        }
+        Scope::Global => cache
+            .global_position(index, e, frame_starts, Some(vstart), &Budget::unlimited())
+            .expect("unlimited budget never aborts")
+            .min(limit),
     }
 }
 

@@ -6,20 +6,21 @@
 //! never stall behind knowledge-base maintenance. [`ServingState`] is the
 //! serving-side session that makes that hold:
 //!
-//! * the session's read state — a [`KbSnapshot`] pin, the [`EdgeIndex`],
-//!   and the [`SampleFrame`] — lives behind one `RwLock<Arc<…>>` slot;
+//! * the session's read state — a [`KbSnapshot`] pin, the
+//!   [`ShardedEdgeIndex`], and the [`SampleFrame`] — lives behind one
+//!   `RwLock<Arc<…>>` slot;
 //! * a reader calls [`ServingState::snapshot`], which clones the `Arc`
 //!   under a read lock held for O(1), and then ranks entirely against
 //!   that pinned [`Snapshot`] — no further synchronization, no lock held
 //!   while ranking;
 //! * maintenance ([`ServingState::maintain`]) builds the **next** epoch
-//!   off to the side: a copy-on-write [`EdgeIndex::next_epoch`] (only
-//!   delta-touched partitions are copied), the frame redraw policy, and
-//!   [`DistributionCache::apply_delta`] (which itself publishes a new
-//!   cache generation with an O(1) swap) — then **flips** the slot with a
-//!   single `Arc` swap. Readers that pinned before the flip keep ranking
-//!   against the old epoch; readers that pin after it observe the new
-//!   epoch — in full, never a torn mix.
+//!   off to the side: a copy-on-write [`ShardedEdgeIndex::next_epoch`]
+//!   (only shards and partitions a delta touches are copied), the frame
+//!   redraw policy, and [`DistributionCache::apply_delta`] (which itself
+//!   publishes a new cache generation with an O(1) swap) — then
+//!   **flips** the slot with a single `Arc` swap. Readers that pinned
+//!   before the flip keep ranking against the old epoch; readers that
+//!   pin after it observe the new epoch — in full, never a torn mix.
 //!
 //! The epoch attribution works because every piece a snapshot hands out
 //! is immutable once published: the index is never edited in place after
@@ -36,22 +37,25 @@
 //!
 //! Writers are serialized by an internal mutex that readers never touch,
 //! so "single writer, many readers" is enforced rather than assumed.
+//! Re-ranking after a KB update is [`ServingState::maintain`] followed by
+//! [`Snapshot::rank`] on a fresh snapshot (see
+//! [`update`](crate::ranking::update)).
 //!
 //! **Robustness.** Three degradation layers keep the session answering
 //! under stress instead of stalling or crashing:
 //!
 //! * **Admission control** ([`ServingState::with_admission_control`]): a
 //!   concurrent-request *row pool* sized in estimated intermediate rows.
-//!   [`ServingState::try_serve`] prices each request with the index's
-//!   exact per-start incident-row statistics
-//!   ([`EdgeIndex::estimate_starts_rows`] — the same cost model the row-
-//!   ceiling tiler packs tiles with) and sheds over-budget requests with
-//!   the retryable [`CoreError::Overloaded`] before they touch the
-//!   evaluation stack.
-//! * **Budgeted reads** ([`Snapshot::rank_budgeted`]): a per-request
-//!   [`Budget`] (deadline / cancellation / row cap) checked at every tile
-//!   boundary; the workload degrades pair-by-pair, and aborted
-//!   evaluations leave the cache untouched.
+//!   [`ServingState::try_serve`] pins one snapshot, prices the request
+//!   against it with the index's exact per-start incident-row statistics
+//!   ([`Snapshot::estimate_request_rows`] — the same cost model the row-
+//!   ceiling tiler packs tiles with), sheds over-budget requests with the
+//!   retryable [`CoreError::Overloaded`] before they touch the evaluation
+//!   stack, and ranks the admitted ones against that same snapshot.
+//! * **Budgeted reads** ([`Snapshot::rank`]): a per-request [`Budget`]
+//!   (deadline / cancellation / row cap) checked at every tile boundary;
+//!   the workload degrades pair-by-pair, and aborted evaluations leave
+//!   the cache untouched.
 //! * **Panic quarantine** ([`ServingState::maintain`]): the delta branch
 //!   runs under `catch_unwind`. A panic before the flip can never publish
 //!   torn state (the flip is the only publication point); the target
@@ -80,9 +84,7 @@ use crate::explanation::Explanation;
 use crate::measures::cache::{DeltaMaintenance, DistributionCache};
 use crate::measures::frame::SampleFrame;
 use crate::ranking::fault::{site, FaultPlan};
-use crate::ranking::pairs::{
-    rank_pairs_with, rank_pairs_with_budget, PairExplanations, RankPairsConfig, RankPairsOutcome,
-};
+use crate::ranking::pairs::{rank_pass, PairExplanations, RankPairsConfig, RankPairsOutcome};
 
 /// The atomically published read state: everything a reader needs,
 /// flipped together so a snapshot can never pair an old frame with a new
@@ -147,32 +149,22 @@ impl Snapshot {
         &self.cache
     }
 
-    /// Ranks a workload against the pinned epoch — the serving read path.
-    /// Equivalent to [`rank_pairs_with`] over the snapshot's index,
-    /// frame, and cache.
-    pub fn rank(&self, pairs: &[PairExplanations<'_>], cfg: &RankPairsConfig) -> RankPairsOutcome {
-        rank_pairs_with(pairs, cfg, &self.pinned.index, &self.pinned.frame, &self.cache)
-    }
-
-    /// [`Snapshot::rank`] under a [`Budget`]: the deadline, cancellation
-    /// token, and row budget are checked at every tile boundary, the
-    /// workload degrades pair-by-pair
+    /// Ranks a workload against the pinned epoch — the serving read path
+    /// — under `budget`: the deadline, cancellation token, and row budget
+    /// are checked at every tile boundary, the workload degrades
+    /// pair-by-pair
     /// ([`RankPairsOutcome::shed`](crate::ranking::pairs::ShedPair)), and
-    /// aborted evaluations leave the shared cache untouched.
-    pub fn rank_budgeted(
+    /// aborted evaluations leave the shared cache untouched. With an
+    /// unlimited budget this equals
+    /// [`rank_pairs_with`](crate::ranking::rank_pairs_with) over the
+    /// snapshot's index, frame, and cache.
+    pub fn rank(
         &self,
         pairs: &[PairExplanations<'_>],
         cfg: &RankPairsConfig,
         budget: &Budget,
     ) -> RankPairsOutcome {
-        rank_pairs_with_budget(
-            pairs,
-            cfg,
-            &self.pinned.index,
-            &self.pinned.frame,
-            &self.cache,
-            budget,
-        )
+        rank_pass(pairs, cfg, &self.pinned.index, &self.pinned.frame, &self.cache, budget)
     }
 
     /// Sampled global position of one explanation over the pinned frame,
@@ -180,7 +172,7 @@ impl Snapshot {
     /// single-explanation hot read, pinned to this snapshot's epoch.
     pub fn global_position_excluding(&self, e: &Explanation, exclude: Option<NodeId>) -> usize {
         self.cache
-            .global_position_excluding_sharded_budgeted(
+            .global_position(
                 &self.pinned.index,
                 e,
                 self.pinned.frame.starts(),
@@ -188,6 +180,29 @@ impl Snapshot {
                 &Budget::unlimited(),
             )
             .expect("unlimited budget never aborts")
+    }
+
+    /// Prices a request in estimated intermediate rows against this
+    /// snapshot: per distinct shape, the index's exact per-start
+    /// incident-row estimate over the pinned frame
+    /// ([`EdgeIndex::estimate_starts_rows`] — the same statistics the
+    /// row-ceiling tiler packs tiles with), summed. Floored at 1 so even
+    /// a trivial request draws *something* from an admission pool and
+    /// concurrency stays bounded.
+    pub fn estimate_request_rows(&self, pairs: &[PairExplanations<'_>]) -> usize {
+        let starts: Vec<u64> = self.frame().starts().iter().map(|s| s.0 as u64).collect();
+        let mut shapes: std::collections::HashMap<&CanonicalKey, &Explanation> =
+            std::collections::HashMap::new();
+        for pair in pairs {
+            for e in pair.explanations {
+                shapes.entry(e.key()).or_insert(e);
+            }
+        }
+        shapes
+            .into_values()
+            .map(|e| self.edge_index().estimate_starts_rows(&e.pattern.to_spec(), &starts))
+            .fold(0usize, |acc, rows| acc.saturating_add(rows))
+            .max(1)
     }
 }
 
@@ -352,38 +367,19 @@ impl ServingState {
     /// frame and cache from `cfg` (`global_samples`, `seed`,
     /// `row_ceiling`).
     pub fn build(kb: &KnowledgeBase, cfg: &RankPairsConfig) -> Result<ServingState> {
-        let cache = match cfg.row_ceiling {
-            Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
-            None => DistributionCache::new(),
-        };
-        Self::build_with_cache(kb, cfg, cache)
+        Self::assemble(kb, cfg, None, None)
     }
 
     /// [`ServingState::build`] with a caller-constructed cache (e.g. a
     /// custom rebatch fraction). The cache's row ceiling must agree with
-    /// `cfg.row_ceiling` — the same contract [`rank_pairs_with`]
-    /// enforces.
+    /// `cfg.row_ceiling` — the same contract
+    /// [`rank_pairs_with`](crate::ranking::rank_pairs_with) enforces.
     pub fn build_with_cache(
         kb: &KnowledgeBase,
         cfg: &RankPairsConfig,
         cache: DistributionCache,
     ) -> Result<ServingState> {
-        assert_eq!(
-            cache.row_ceiling(),
-            cfg.row_ceiling,
-            "ServingState: the cache's row ceiling disagrees with cfg.row_ceiling"
-        );
-        let frame = Arc::new(SampleFrame::sample(kb, cfg.global_samples, cfg.seed)?);
-        let index = Arc::new(ShardedEdgeIndex::build(kb, ShardSpec::new(cfg.shards, cfg.seed)));
-        Ok(ServingState {
-            current: RwLock::new(Arc::new(PinnedState { kb: kb.snapshot(), index, frame })),
-            cache: Arc::new(cache),
-            writer: Mutex::new(()),
-            admission: None,
-            faults: None,
-            quarantined_epochs: AtomicUsize::new(0),
-            recovery_rebuilds: AtomicUsize::new(0),
-        })
+        Self::assemble(kb, cfg, Some(cache), None)
     }
 
     /// [`ServingState::build`] around an index built elsewhere — the warm
@@ -404,11 +400,30 @@ impl ServingState {
                 kb.epoch()
             )));
         }
-        let cache = match cfg.row_ceiling {
+        Self::assemble(kb, cfg, None, Some(index))
+    }
+
+    /// The one constructor behind every `build*`: the cache defaults to
+    /// one with `cfg`'s row ceiling and the index to a fresh build with
+    /// `cfg`'s shard layout; the frame is always sampled from `kb`.
+    fn assemble(
+        kb: &KnowledgeBase,
+        cfg: &RankPairsConfig,
+        cache: Option<DistributionCache>,
+        index: Option<ShardedEdgeIndex>,
+    ) -> Result<ServingState> {
+        let cache = cache.unwrap_or_else(|| match cfg.row_ceiling {
             Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
             None => DistributionCache::new(),
-        };
+        });
+        assert_eq!(
+            cache.row_ceiling(),
+            cfg.row_ceiling,
+            "ServingState: the cache's row ceiling disagrees with cfg.row_ceiling"
+        );
         let frame = Arc::new(SampleFrame::sample(kb, cfg.global_samples, cfg.seed)?);
+        let index = index
+            .unwrap_or_else(|| ShardedEdgeIndex::build(kb, ShardSpec::new(cfg.shards, cfg.seed)));
         Ok(ServingState {
             current: RwLock::new(Arc::new(PinnedState {
                 kb: kb.snapshot(),
@@ -465,29 +480,6 @@ impl ServingState {
         self.faults.as_ref().is_some_and(|plan| plan.fire(site))
     }
 
-    /// Prices a request in estimated intermediate rows: per distinct
-    /// shape, the index's exact per-start incident-row estimate over the
-    /// serving frame ([`EdgeIndex::estimate_starts_rows`] — the same
-    /// statistics the row-ceiling tiler packs tiles with), summed.
-    /// Floored at 1 so even a trivial request draws *something* from the
-    /// pool and concurrency stays bounded.
-    pub fn estimate_request_rows(&self, pairs: &[PairExplanations<'_>]) -> usize {
-        let snapshot = self.snapshot();
-        let starts: Vec<u64> = snapshot.frame().starts().iter().map(|s| s.0 as u64).collect();
-        let mut shapes: std::collections::HashMap<&CanonicalKey, &Explanation> =
-            std::collections::HashMap::new();
-        for pair in pairs {
-            for e in pair.explanations {
-                shapes.entry(e.key()).or_insert(e);
-            }
-        }
-        shapes
-            .into_values()
-            .map(|e| snapshot.edge_index().estimate_starts_rows(&e.pattern.to_spec(), &starts))
-            .fold(0usize, |acc, rows| acc.saturating_add(rows))
-            .max(1)
-    }
-
     /// Draws `cost` rows from the admission pool, returning the RAII
     /// permit that releases them on drop — or the retryable
     /// [`CoreError::Overloaded`] when the pool cannot hold the request.
@@ -503,14 +495,16 @@ impl ServingState {
         }
     }
 
-    /// The full admission-controlled, budgeted serving read: price the
-    /// request, admit or shed it, then rank under `budget` against a
-    /// pinned snapshot. A session without admission control admits
-    /// everything, so it skips the pricing walk over every shape's
-    /// postings. Shed requests ([`CoreError::Overloaded`],
-    /// [`CoreError::is_retryable`]) never touched the evaluation stack —
-    /// retrying after backoff is safe and expected. The admitted rows are
-    /// held for exactly the duration of the ranking pass.
+    /// The full admission-controlled, budgeted serving read: pin one
+    /// snapshot, price the request against it, admit or shed it, then
+    /// rank under `budget` against **that same** snapshot — a flip in
+    /// between can never price one epoch and rank another. A session
+    /// without admission control admits everything, so it skips the
+    /// pricing walk over every shape's postings. Shed requests
+    /// ([`CoreError::Overloaded`], [`CoreError::is_retryable`]) never
+    /// touched the evaluation stack — retrying after backoff is safe and
+    /// expected. The admitted rows are held for exactly the duration of
+    /// the ranking pass.
     pub fn try_serve(
         &self,
         pairs: &[PairExplanations<'_>],
@@ -518,10 +512,11 @@ impl ServingState {
         budget: &Budget,
     ) -> Result<RankPairsOutcome> {
         self.fire(site::SERVE_ADMIT);
-        let cost = if self.admission.is_some() { self.estimate_request_rows(pairs) } else { 0 };
+        let snapshot = self.snapshot();
+        let cost = if self.admission.is_some() { snapshot.estimate_request_rows(pairs) } else { 0 };
         let _permit = self.admit(cost)?;
         self.fire(site::SERVE_EVAL);
-        Ok(self.snapshot().rank_budgeted(pairs, cfg, budget))
+        Ok(snapshot.rank(pairs, cfg, budget))
     }
 
     /// Pins the current epoch for a read pass: an O(1) `Arc` clone under
@@ -602,7 +597,7 @@ impl ServingState {
                         // recomputes *privately* at its pinned epoch (the
                         // install path never lets an old-epoch result
                         // clobber a maintained entry).
-                        let maintenance = self.cache.apply_delta_sharded(kb, &next_index, &delta);
+                        let maintenance = self.cache.apply_delta(kb, &next_index, &delta);
                         self.fire(site::MAINTAIN_BEFORE_FLIP);
                         let next = Arc::new(PinnedState {
                             kb: kb.snapshot(),
@@ -841,7 +836,7 @@ mod tests {
         let b = kb.require_node("angelina_jolie").unwrap();
         let tasks = [PairExplanations { start: a, end: b, explanations: &explanations }];
         let state = ServingState::build(&kb, &cfg).unwrap();
-        let served = state.snapshot().rank(&tasks, &cfg);
+        let served = state.snapshot().rank(&tasks, &cfg, &Budget::unlimited());
         let plain = crate::ranking::rank_pairs(&kb, &tasks, &cfg).unwrap();
         for (s, p) in served.rankings.iter().zip(&plain.rankings) {
             let sv: Vec<(usize, f64)> = s.iter().map(|r| (r.index, r.score)).collect();

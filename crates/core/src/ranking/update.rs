@@ -3,120 +3,60 @@
 //! [`rank_pairs`](crate::ranking::rank_pairs) builds a session — edge
 //! index, sample frame, distribution cache — and pays one batched
 //! evaluation per distinct shape. When the KB then changes, the naive
-//! answer is to rebuild all three and pay the whole budget again.
-//! [`rank_pairs_updated`] instead advances a [`ServingState`] through
-//! [`ServingState::maintain`]:
+//! answer is to rebuild all three and pay the whole budget again. The
+//! warm path keeps the session in a
+//! [`ServingState`](crate::ranking::ServingState) and re-ranks in two
+//! steps: [`ServingState::maintain`] advances it, then
+//! [`Snapshot::rank`] ranks against a fresh snapshot. `maintain`:
 //!
-//! 1. the next epoch's [`EdgeIndex`](rex_relstore::engine::EdgeIndex) is
-//!    built copy-on-write off to the side (only delta-touched partitions
-//!    are copied);
-//! 2. the [`SampleFrame`](crate::measures::SampleFrame) redraw policy
-//!    runs (keep the seeded sample while its starts stay eligible;
+//! 1. builds the next epoch's
+//!    [`ShardedEdgeIndex`](rex_relstore::engine::ShardedEdgeIndex)
+//!    copy-on-write off to the side (only delta-touched shards and
+//!    partitions are copied);
+//! 2. runs the [`SampleFrame`](crate::measures::SampleFrame) redraw
+//!    policy (keep the seeded sample while its starts stay eligible;
 //!    deterministic redraw otherwise);
-//! 3. the new `(kb, index, frame)` triple is **flipped** into the serving
-//!    slot with one O(1) `Arc` swap — concurrent readers pinned to the
-//!    old epoch never wait and never observe a torn mix;
-//! 4. the [`DistributionCache`](crate::measures::DistributionCache) is
-//!    delta-maintained ([`DistributionCache::apply_delta`]): label-
-//!    disjoint shapes are republished for free, lightly touched shapes
-//!    are patched with a partial evaluation over just their affected
-//!    starts, and only heavily touched shapes are re-batched;
-//! 5. the re-rank runs against a fresh snapshot, hitting the maintained
-//!    cache instead of re-evaluating every shape.
+//! 3. delta-maintains the
+//!    [`DistributionCache`](crate::measures::DistributionCache)
+//!    ([`DistributionCache::apply_delta`]): label-disjoint shapes are
+//!    republished for free, lightly touched shapes are patched with a
+//!    partial evaluation over just their affected starts, and only
+//!    heavily touched shapes are re-batched;
+//! 4. **flips** the new `(kb, index, frame)` triple into the serving slot
+//!    with one O(1) `Arc` swap — concurrent readers pinned to the old
+//!    epoch never wait and never observe a torn mix.
+//!
+//! The re-rank then hits the maintained cache instead of re-evaluating
+//! every shape; its [`MaintainOutcome`] reports what maintenance did.
 //!
 //! When the KB's mutation log has been **compacted** past the session's
 //! epoch ([`rex_kb::DeltaSince::Compacted`]), no faithful delta exists:
 //! the session falls back to a full index rebuild + cache purge, and the
 //! re-rank pays a cold evaluation per shape — correct, just not cheap,
-//! and reported through [`RankUpdateOutcome::compaction_fallback`].
+//! and reported through [`MaintainOutcome::compaction_fallback`].
 //!
 //! The caller re-enumerates its pairs against the updated KB first
 //! (updates can create or destroy explanations); enumeration is pair-local
 //! and cheap next to batched evaluation, and genuinely *new* shapes
-//! simply miss the cache and are evaluated once, as always.
+//! simply miss the cache and are evaluated once, as always. The tests
+//! below pin this path against cold evaluation of the updated KB.
 //!
+//! [`ServingState::maintain`]: crate::ranking::ServingState::maintain
+//! [`Snapshot::rank`]: crate::ranking::Snapshot::rank
+//! [`MaintainOutcome`]: crate::ranking::MaintainOutcome
+//! [`MaintainOutcome::compaction_fallback`]:
+//!     crate::ranking::MaintainOutcome::compaction_fallback
 //! [`DistributionCache::apply_delta`]:
 //!     crate::measures::DistributionCache::apply_delta
 
-use rex_kb::KnowledgeBase;
-
-use crate::error::Result;
-use crate::measures::cache::DeltaMaintenance;
-use crate::ranking::pairs::{PairExplanations, RankPairsConfig, RankPairsOutcome};
-use crate::ranking::serve::ServingState;
-
-/// The result of a delta re-rank: the rankings plus the maintenance
-/// accounting that makes the incremental path observable.
-#[derive(Debug)]
-pub struct RankUpdateOutcome {
-    /// The re-ranked workload (same shape as a cold
-    /// [`rank_pairs`](crate::ranking::rank_pairs) outcome).
-    pub outcome: RankPairsOutcome,
-    /// What the cache's delta maintenance did per cached shape.
-    pub maintenance: DeltaMaintenance,
-    /// Whether the redraw policy had to replace the sample frame (a
-    /// sampled start lost its last edge). A redrawn frame changes the
-    /// evaluation domain, so cached batches stop covering it and the
-    /// ranking pass re-evaluates like a cold run — correct, just not
-    /// cheap; the flag makes that visible.
-    pub frame_redrawn: bool,
-    /// Edge churn applied to the index (delta insertions + removals).
-    pub index_churn: usize,
-    /// Whether log compaction forced a full rebuild instead of
-    /// incremental maintenance (see the module docs).
-    pub compaction_fallback: bool,
-}
-
-/// Re-ranks `pairs` against the updated `kb`, advancing the warm serving
-/// `state` by delta maintenance instead of rebuilding — or by the full
-/// rebuild fallback when the KB's log was compacted past the session's
-/// epoch. Readers holding [`ServingState::snapshot`]s concurrently are
-/// never blocked and keep their pinned epoch throughout.
-pub fn rank_pairs_updated(
-    kb: &KnowledgeBase,
-    pairs: &[PairExplanations<'_>],
-    cfg: &RankPairsConfig,
-    state: &ServingState,
-) -> Result<RankUpdateOutcome> {
-    rank_pairs_updated_budgeted(kb, pairs, cfg, state, &rex_relstore::budget::Budget::unlimited())
-}
-
-/// [`rank_pairs_updated`] under a [`Budget`]: maintenance itself always
-/// runs to completion (an epoch advance must not be half-applied), but
-/// the re-rank after it checks the deadline, cancellation token, and row
-/// budget at every tile boundary and degrades pair-by-pair
-/// ([`RankPairsOutcome::shed`]). Aborted evaluations leave the maintained
-/// cache untouched, so a follow-up re-rank with a fresh budget picks up
-/// warm.
-///
-/// [`Budget`]: rex_relstore::budget::Budget
-/// [`RankPairsOutcome::shed`]: crate::ranking::pairs::RankPairsOutcome::shed
-pub fn rank_pairs_updated_budgeted(
-    kb: &KnowledgeBase,
-    pairs: &[PairExplanations<'_>],
-    cfg: &RankPairsConfig,
-    state: &ServingState,
-    budget: &rex_relstore::budget::Budget,
-) -> Result<RankUpdateOutcome> {
-    let maintained = state.maintain(kb)?;
-    let outcome = state.snapshot().rank_budgeted(pairs, cfg, budget);
-    Ok(RankUpdateOutcome {
-        outcome,
-        maintenance: maintained.maintenance,
-        frame_redrawn: maintained.frame_redrawn,
-        index_churn: maintained.index_churn,
-        compaction_fallback: maintained.compaction_fallback,
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::enumerate::GeneralEnumerator;
     use crate::measures::{DistributionCache, SampleFrame};
-    use crate::ranking::rank_pairs;
+    use crate::ranking::{rank_pairs, PairExplanations, RankPairsConfig, ServingState};
     use crate::EnumConfig;
     use rex_kb::NodeId;
+    use rex_relstore::budget::Budget;
     use std::sync::Arc;
 
     /// After a small delta, the warm path re-ranks with strictly fewer
@@ -157,7 +97,7 @@ mod tests {
             .iter()
             .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
             .collect();
-        let cold = state.snapshot().rank(&tasks, &cfg);
+        let cold = state.snapshot().rank(&tasks, &cfg, &Budget::unlimited());
         assert!(cold.batched_evals > 0);
 
         // A small delta: one new co-starring edge.
@@ -173,12 +113,13 @@ mod tests {
             .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
             .collect();
         let evals_before = state.cache().batched_evals();
-        let updated = rank_pairs_updated(&kb, &tasks2, &cfg, &state).unwrap();
+        let maintained = state.maintain(&kb).unwrap();
+        let updated = state.snapshot().rank(&tasks2, &cfg, &Budget::unlimited());
         let warm_full_evals = state.cache().batched_evals() - evals_before;
-        assert!(!updated.frame_redrawn, "no sampled start lost its edges");
-        assert!(!updated.compaction_fallback);
-        assert_eq!(updated.index_churn, 1);
-        let m = updated.maintenance;
+        assert!(!maintained.frame_redrawn, "no sampled start lost its edges");
+        assert!(!maintained.compaction_fallback);
+        assert_eq!(maintained.index_churn, 1);
+        let m = maintained.maintenance;
         assert_eq!(m.dropped, 0);
         assert!(m.untouched > 0, "label-disjoint shapes must ride for free");
         assert!(m.patched + m.rebatched + m.untouched >= cold.distinct_shapes);
@@ -196,7 +137,7 @@ mod tests {
         );
 
         // And identical rankings.
-        for (w, c) in updated.outcome.rankings.iter().zip(&recold.rankings) {
+        for (w, c) in updated.rankings.iter().zip(&recold.rankings) {
             let wv: Vec<(usize, f64)> = w.iter().map(|r| (r.index, r.score)).collect();
             let cv: Vec<(usize, f64)> = c.iter().map(|r| (r.index, r.score)).collect();
             assert_eq!(wv, cv);
@@ -228,8 +169,8 @@ mod tests {
             let eid = kb.neighbors(victim)[0].edge;
             kb.remove_edge(eid).unwrap();
         }
-        let updated = rank_pairs_updated(&kb, &[], &cfg, &state).unwrap();
-        assert!(updated.frame_redrawn);
+        let maintained = state.maintain(&kb).unwrap();
+        assert!(maintained.frame_redrawn);
         let snap = state.snapshot();
         assert!(!snap.frame().contains(victim));
         assert_eq!(snap.frame().epoch(), kb.epoch());
@@ -255,7 +196,7 @@ mod tests {
         let state = ServingState::build(&kb, &cfg).unwrap();
         let ex0 = enumerator.enumerate(&kb, a, b).explanations;
         let tasks0 = [PairExplanations { start: a, end: b, explanations: &ex0 }];
-        let _ = state.snapshot().rank(&tasks0, &cfg);
+        let _ = state.snapshot().rank(&tasks0, &cfg, &Budget::unlimited());
 
         let spouse = kb.label_by_name("spouse").unwrap();
         let old = kb.find_edge(a, b, spouse, false).unwrap();
@@ -263,13 +204,14 @@ mod tests {
 
         let ex1 = enumerator.enumerate(&kb, a, b).explanations;
         let tasks1 = [PairExplanations { start: a, end: b, explanations: &ex1 }];
-        let updated = rank_pairs_updated(&kb, &tasks1, &cfg, &state).unwrap();
+        let maintained = state.maintain(&kb).unwrap();
+        let updated = state.snapshot().rank(&tasks1, &cfg, &Budget::unlimited());
         // Scratch driver over the mutated KB (epoch carried by the KB, so
         // the lazily derived frame matches the refreshed one as long as
         // no redraw happened).
-        assert!(!updated.frame_redrawn);
+        assert!(!maintained.frame_redrawn);
         let scratch = rank_pairs(&kb, &tasks1, &cfg).unwrap();
-        for (u, s) in updated.outcome.rankings.iter().zip(&scratch.rankings) {
+        for (u, s) in updated.rankings.iter().zip(&scratch.rankings) {
             let uv: Vec<(usize, f64)> = u.iter().map(|r| (r.index, r.score)).collect();
             let sv: Vec<(usize, f64)> = s.iter().map(|r| (r.index, r.score)).collect();
             assert_eq!(uv, sv);
@@ -295,7 +237,7 @@ mod tests {
         let state = ServingState::build(&kb, &cfg).unwrap();
         let ex0 = enumerator.enumerate(&kb, a, b).explanations;
         let tasks0 = [PairExplanations { start: a, end: b, explanations: &ex0 }];
-        let warm = state.snapshot().rank(&tasks0, &cfg);
+        let warm = state.snapshot().rank(&tasks0, &cfg, &Budget::unlimited());
         assert!(warm.batched_evals > 0);
 
         // Retention-policy compaction destroys the session's window.
@@ -309,14 +251,15 @@ mod tests {
 
         let ex1 = enumerator.enumerate(&kb, a, b).explanations;
         let tasks1 = [PairExplanations { start: a, end: b, explanations: &ex1 }];
-        let updated = rank_pairs_updated(&kb, &tasks1, &cfg, &state).unwrap();
-        assert!(updated.compaction_fallback);
-        assert_eq!(updated.index_churn, 0);
+        let maintained = state.maintain(&kb).unwrap();
+        let updated = state.snapshot().rank(&tasks1, &cfg, &Budget::unlimited());
+        assert!(maintained.compaction_fallback);
+        assert_eq!(maintained.index_churn, 0);
         // The re-rank paid cold evaluations (full rebatch fallback).
-        assert!(updated.outcome.batched_evals > 0);
+        assert!(updated.batched_evals > 0);
         // And the rankings equal a from-scratch driver.
         let scratch = rank_pairs(&kb, &tasks1, &cfg).unwrap();
-        for (u, s) in updated.outcome.rankings.iter().zip(&scratch.rankings) {
+        for (u, s) in updated.rankings.iter().zip(&scratch.rankings) {
             let uv: Vec<(usize, f64)> = u.iter().map(|r| (r.index, r.score)).collect();
             let sv: Vec<(usize, f64)> = s.iter().map(|r| (r.index, r.score)).collect();
             assert_eq!(uv, sv);

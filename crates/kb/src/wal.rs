@@ -20,7 +20,7 @@
 //!   truncates a torn or corrupt tail at the *first* length/checksum
 //!   failure with a loud typed [`RecoveryReport`] — never a silently
 //!   partial replay, the same philosophy as
-//!   [`DeltaSince::Compacted`](crate::DeltaSince::Compacted).
+//!   [`DeltaSince::Compacted`].
 //! * **Group commit** — [`DurableKb`] wraps a [`KnowledgeBase`] plus a
 //!   [`WalWriter`]; arbitrary mutations accumulate in the commit window
 //!   and [`DurableKb::commit`] writes them as one batch under a

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! The pipeline is `parse` → [`PatternGraph`] (a logical pattern graph with
-//! byte-span diagnostics) → [`compile`] → [`CompiledPattern`] (dense
+//! byte-span diagnostics) → [`compile()`] → [`CompiledPattern`] (dense
 //! variable ids, resolved label ids — the shape `rex-core` turns into a
 //! `Pattern` and `rex-relstore` plans). The paper's enumerated path shapes
 //! are generated through the *same* lowering via [`templates`], so a

@@ -4,7 +4,7 @@
 //! its path and star shapes; these builders produce the equivalent
 //! [`PatternGraph`]s (labels pre-resolved, since the shapes are born from
 //! interned ids, not text) so the shapes flow through the *same*
-//! [`crate::compile`] lowering as user-written queries. [`path_text`] and
+//! [`crate::compile()`] lowering as user-written queries. [`path_text`] and
 //! [`star_text`] render the same templates as parseable MATCH text given
 //! label names — the form the differential tests and docs use.
 

@@ -4,12 +4,11 @@
 //! next to search results) means an expensive shape evaluation must be
 //! *stoppable*: a request that has blown its latency budget should give
 //! back its worker instead of finishing an answer nobody is waiting for.
-//! The engine's unit of preemption is the **tile** — the tiled batched
-//! paths ([`crate::engine::global_count_distributions_ceiling`] and
-//! friends) already split a batch into bounded chunks, so checking a
-//! [`Budget`] at every tile boundary bounds the overshoot past a deadline
-//! by one tile's worth of work without any locks, signals, or unwinding
-//! inside join code.
+//! The engine's unit of preemption is the **tile** — the batched path
+//! ([`crate::engine::count_distributions`]) already splits a batch into
+//! bounded chunks, so checking a [`Budget`] at every tile boundary bounds
+//! the overshoot past a deadline by one tile's worth of work without any
+//! locks, signals, or unwinding inside join code.
 //!
 //! A [`Budget`] combines three independent, all-optional limits:
 //!

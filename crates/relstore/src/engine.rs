@@ -1017,42 +1017,9 @@ pub fn local_count_distribution_indexed(
     spec: &PatternSpec,
     start: u64,
 ) -> Result<HashMap<u64, u64>> {
-    let instances = spec.evaluate_indexed(index, Some(start))?;
+    let instances = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], 0, usize::MAX)?;
     Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
-}
-
-/// The batched all-starts distribution query (§5.3.2's amortization,
-/// done literally): evaluates `spec` **once** — with the start variable
-/// unbound, or restricted to `starts` when provided — then groups the
-/// instance relation by `(start, end)` in a single pass, producing for
-/// every start entity the descending multiset of per-end instance counts.
-///
-/// For any start `s` covered by the evaluation, the returned multiset is
-/// exactly `local_count_distribution_indexed(index, spec, s).values()`
-/// sorted descending; starts with no instances are absent from the map
-/// (their distribution is empty). One call replaces one full relational
-/// evaluation *per start* — the hot path of the global-position estimate,
-/// which samples ~100 starts per pattern — with a single evaluation whose
-/// scan, join, and dedup work is shared across all of them.
-pub fn global_count_distributions(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    starts: Option<&[u64]>,
-) -> Result<HashMap<u64, Vec<u64>>> {
-    let binding = match starts {
-        Some(list) => StartBinding::among(list.iter().copied()),
-        None => StartBinding::Unbound,
-    };
-    let instances = spec.evaluate_indexed_with(index, &binding)?;
-    // GROUP BY v_start, v_end → count(*), in one pass over the (distinct,
-    // injective) instance rows — through the specialized two-level
-    // accumulator, then regrouped into descending count multisets.
-    let mut per_start = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
-    for counts in per_start.values_mut() {
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-    }
-    Ok(per_start)
 }
 
 /// Sort-free two-level accumulator for the hot `(start, end)` group-by:
@@ -1198,15 +1165,17 @@ pub fn group_pair_counts_generic(
     per_start
 }
 
-/// The result of a tiled batched evaluation: the per-start descending
-/// count multisets plus the tiling it actually performed.
+/// The result of a batched evaluation ([`count_distributions`]): the
+/// per-start descending count multisets plus the tiling it actually
+/// performed.
 #[derive(Debug, Clone)]
 pub struct TiledDistributions {
-    /// For every start with at least one instance, the descending multiset
-    /// of per-end instance counts (identical to
-    /// [`global_count_distributions`] over the same starts).
+    /// For every requested start with at least one instance, the
+    /// descending multiset of per-end instance counts (starts without
+    /// instances are absent: their distribution is empty).
     pub per_start: HashMap<u64, Vec<u64>>,
-    /// Number of start tiles evaluated (1 when `tile_size ≥ |starts|`).
+    /// Number of start tiles evaluated (one per non-empty shard bucket
+    /// when no row ceiling is set).
     pub tiles: usize,
     /// Largest intermediate relation (rows) any tile materialized.
     pub peak_rows: usize,
@@ -1218,161 +1187,12 @@ pub struct TiledDistributions {
     /// exceed the ceiling when the System-R estimate under-predicts join
     /// fan-out, or when a single hub start's own weight tops the ceiling
     /// (a singleton tile no split can shrink — counted in
-    /// [`TiledDistributions::overflow_tiles`]).
+    /// [`TiledDistributions::overflow_tiles`]). 0 without a ceiling.
     pub est_peak_rows: usize,
     /// Tiles whose estimated rows exceeded the requested ceiling —
-    /// necessarily singleton hub tiles under ceiling tiling (multi-start
-    /// tiles are packed under it by construction); always 0 for
-    /// fixed-size tiling, which requests no ceiling.
+    /// necessarily singleton hub tiles (multi-start tiles are packed
+    /// under it by construction); always 0 without a ceiling.
     pub overflow_tiles: usize,
-}
-
-/// Memory-bounded variant of [`global_count_distributions`]: the start set
-/// is split into fixed-size tiles of at most `tile_size` starts and the
-/// pattern is evaluated once per tile, so join-produced intermediates stay
-/// proportional to the tile instead of the whole sample. Because the
-/// start values partition across tiles and grouping is keyed by start, the
-/// union of per-tile results is exactly the untiled result — tiling trades
-/// repeated non-start scans for a bounded peak, it never changes the
-/// answer.
-///
-/// Accounting: the whole call records **one** full evaluation (it is one
-/// logical batch) and one [`crate::metrics::record_tile`] per tile.
-pub fn global_count_distributions_tiled(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    tile_size: usize,
-) -> Result<TiledDistributions> {
-    global_count_distributions_tiled_budgeted(index, spec, starts, tile_size, &Budget::unlimited())
-}
-
-/// [`global_count_distributions_tiled`] under a cooperative [`Budget`]:
-/// the budget is checked at **every tile boundary** and each completed
-/// tile's peak rows are charged against its row pool, so an expired
-/// deadline, a tripped cancellation token, or an exhausted pool stops the
-/// evaluation with [`RelError::Aborted`] after at most one more tile of
-/// work. An aborted evaluation returns no partial result and publishes no
-/// partial counter traffic (its staged metrics are drained).
-pub fn global_count_distributions_tiled_budgeted(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    tile_size: usize,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    grouped_among_tiled(
-        index,
-        spec,
-        starts,
-        Tiling::FixedSize(tile_size),
-        crate::metrics::record_full_eval,
-        budget,
-    )
-}
-
-/// [`global_count_distributions_tiled`] with **exact** ceiling-driven
-/// tiling: instead of a fixed start count per tile, starts are packed by
-/// their measured incident-row counts ([`EdgeIndex::tile_starts_for_ceiling`])
-/// so every tile's estimated join-produced rows stay under `max_rows`.
-pub fn global_count_distributions_ceiling(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    max_rows: usize,
-) -> Result<TiledDistributions> {
-    global_count_distributions_ceiling_budgeted(index, spec, starts, max_rows, &Budget::unlimited())
-}
-
-/// [`global_count_distributions_ceiling`] under a cooperative [`Budget`]
-/// (see [`global_count_distributions_tiled_budgeted`] for the abort
-/// semantics). Ceiling tiling is the natural partner of a budget: tiles
-/// are already sized so each one's work is bounded, which bounds the
-/// overshoot past a deadline by one tile.
-pub fn global_count_distributions_ceiling_budgeted(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    max_rows: usize,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    grouped_among_tiled(
-        index,
-        spec,
-        starts,
-        Tiling::RowCeiling(max_rows),
-        crate::metrics::record_full_eval,
-        budget,
-    )
-}
-
-/// The **delta-evaluation path**: identical grouped `(start, end)`
-/// counting restricted to the (few) starts a [`KbDelta`] may have
-/// affected — the caller passes the output of [`delta_affected_starts`]
-/// intersected with its cached domain. Accounted as one *partial*
-/// evaluation ([`crate::metrics::record_delta_eval`]), not a full one:
-/// the whole point of incremental maintenance is that these touch a
-/// fraction of the start domain — and, with the endpoint postings, only
-/// the rows *incident* to that fraction.
-pub fn delta_count_distributions(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    affected_starts: &[u64],
-    tile_size: usize,
-) -> Result<TiledDistributions> {
-    grouped_among_tiled(
-        index,
-        spec,
-        affected_starts,
-        Tiling::FixedSize(tile_size),
-        crate::metrics::record_delta_eval,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`delta_count_distributions`] under exact ceiling-driven tiling.
-pub fn delta_count_distributions_ceiling(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    affected_starts: &[u64],
-    max_rows: usize,
-) -> Result<TiledDistributions> {
-    delta_count_distributions_ceiling_budgeted(
-        index,
-        spec,
-        affected_starts,
-        max_rows,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`delta_count_distributions_ceiling`] under a cooperative [`Budget`]
-/// — the delta path checks the budget at the same tile boundaries the
-/// full path does, so maintenance work is preemptible too.
-pub fn delta_count_distributions_ceiling_budgeted(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    affected_starts: &[u64],
-    max_rows: usize,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    grouped_among_tiled(
-        index,
-        spec,
-        affected_starts,
-        Tiling::RowCeiling(max_rows),
-        crate::metrics::record_delta_eval,
-        budget,
-    )
-}
-
-/// How a grouped `Among` evaluation splits its start set.
-#[derive(Debug, Clone, Copy)]
-enum Tiling {
-    /// Fixed start count per tile (uniform per-start cost assumption).
-    FixedSize(usize),
-    /// Row ceiling per tile, packed by exact per-start incident rows.
-    RowCeiling(usize),
 }
 
 impl TiledDistributions {
@@ -1398,129 +1218,90 @@ impl TiledDistributions {
     }
 }
 
-/// The tile loop shared by the unsharded batch and every sharded worker:
-/// evaluates `values` (sorted, deduped, non-empty) tile by tile with
-/// probes against `probe` and non-start scans against `scan`
-/// ([`PatternSpec::evaluate_indexed_tile_budgeted_split`]), grouping each
-/// tile's instances through the specialized [`PairCounter`]. Tiling and
-/// per-start weights are derived from `probe` (a shard's postings count
-/// exactly its residents' incident rows). Records tiles but **not** the
-/// batch-level evaluation, and does no staging — the caller owns both.
-/// Returned count multisets are unsorted; the caller sorts once at the
-/// end of the whole batch.
-fn grouped_tiles(
-    probe: &EdgeIndex,
-    scan: &EdgeIndex,
-    spec: &PatternSpec,
-    values: &[u64],
-    tiling: Tiling,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    let chunks: Vec<Vec<u64>> = match tiling {
-        Tiling::FixedSize(tile_size) => {
-            values.chunks(tile_size.max(1)).map(<[u64]>::to_vec).collect()
-        }
-        Tiling::RowCeiling(max_rows) => probe.tile_starts_for_ceiling(spec, values, max_rows),
-    };
-    let ceiling = match tiling {
-        Tiling::FixedSize(_) => None,
-        Tiling::RowCeiling(max_rows) => Some(max_rows),
-    };
-    let mut out = TiledDistributions::empty();
-    for chunk in chunks {
-        if let Some(max_rows) = ceiling {
-            let est = probe.estimate_starts_rows(spec, &chunk);
-            out.est_peak_rows = out.est_peak_rows.max(est);
-            if est > max_rows {
-                out.overflow_tiles += 1;
-            }
-        }
-        let binding = StartBinding::Among(chunk);
-        let (instances, peak) =
-            spec.evaluate_indexed_tile_budgeted_split(probe, scan, &binding, budget)?;
-        crate::metrics::record_tile();
-        out.tiles += 1;
-        out.peak_rows = out.peak_rows.max(peak);
-        for (start, counts) in
-            group_pair_counts(&instances, spec.start, spec.end, scan.node_count())
-        {
-            out.per_start.entry(start).or_default().extend(counts);
-        }
-    }
-    Ok(out)
+/// How a [`count_distributions`] call is accounted in
+/// [`crate::metrics`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum EvalKind {
+    /// A whole batch: one full evaluation.
+    #[default]
+    Full,
+    /// A delta-maintenance patch over the starts a [`KbDelta`] may have
+    /// affected ([`delta_affected_starts`]): one *partial* evaluation.
+    /// The point of incremental maintenance is that these touch a
+    /// fraction of the start domain — and, with the endpoint postings,
+    /// only the rows *incident* to that fraction.
+    Delta,
 }
 
-/// Shared body of the tiled grouped evaluations; `record` is bumped once
-/// when at least one tile runs (full vs delta accounting). The `budget`
-/// is checked at every tile boundary
-/// ([`PatternSpec::evaluate_indexed_tile_budgeted`]); counter traffic is
-/// staged ([`crate::metrics::stage_evaluation`]) and committed only when
-/// the whole batch completes, so an abort publishes *no* partial counts —
-/// scoped metric snapshots see a whole batch or none of it.
-fn grouped_among_tiled(
-    index: &EdgeIndex,
+/// One batched distribution request: which starts to group, how to tile
+/// them, how to account the evaluation, and when to give up.
+#[derive(Debug, Default)]
+pub struct EvalRequest<'a> {
+    /// The start entities (any order; duplicates are ignored). Ids with
+    /// no incident rows — or outside the KB — simply produce no entry.
+    pub starts: &'a [u64],
+    /// Ceiling on each tile's **estimated** input rows: starts are packed
+    /// into tiles by their exact incident-row counts
+    /// ([`EdgeIndex::tile_starts_for_ceiling`]). `None` evaluates each
+    /// shard's starts as one tile; `Some(0)` gives every start with
+    /// incident rows its own tile.
+    pub row_ceiling: Option<usize>,
+    /// Full or delta accounting.
+    pub kind: EvalKind,
+    /// Checked before every tile; each completed tile's peak rows are
+    /// charged against its row pool. Unlimited by default.
+    pub budget: Budget,
+}
+
+/// The batched distribution query (§5.3.2's amortization, done
+/// literally): evaluates `spec` with the start variable restricted to
+/// `req.starts`, then groups the instance relation by `(start, end)`,
+/// producing for every start the descending multiset of per-end instance
+/// counts — exactly `local_count_distribution_indexed(s).values()` sorted
+/// descending. One call replaces one evaluation *per start* with one
+/// evaluation whose scan, join and dedup work is shared.
+///
+/// The start set is split by shard residency and the non-empty buckets
+/// fan out across rayon workers, each probing its shard's restricted
+/// postings and scanning the shared base index for non-start pattern
+/// edges; the per-shard grouped counts merge by disjoint union. A
+/// 1-shard index ([`ShardSpec::single`]) is one bucket, evaluated inline.
+/// A shard holds every row incident to its resident entities, so every
+/// bucket's probe returns exactly the base index's incident rows and the
+/// answer never depends on the shard count. Within a bucket the row
+/// ceiling tiles the starts; tiling trades repeated non-start scans for a
+/// bounded peak and never changes the answer either.
+///
+/// Budget: checked at **every tile boundary** on every worker, so an
+/// expired deadline, a tripped cancellation token or an exhausted row
+/// pool stops the evaluation with [`RelError::Aborted`] after at most one
+/// more tile per worker. An aborted evaluation returns no partial result.
+///
+/// Metrics: the call records one full or delta evaluation (per
+/// `req.kind`) and one [`crate::metrics::record_tile`] per tile. Counter
+/// traffic is staged per worker, harvested
+/// ([`crate::metrics::StageGuard::into_traffic`]) and replayed into the
+/// call's own stage, so scoped snapshots see one whole batch or, on
+/// abort, none of it. An empty start set is a no-op, not an evaluation.
+pub fn count_distributions(
+    index: &ShardedEdgeIndex,
     spec: &PatternSpec,
-    starts: &[u64],
-    tiling: Tiling,
-    record: fn(),
-    budget: &Budget,
+    req: &EvalRequest<'_>,
 ) -> Result<TiledDistributions> {
     spec.validate()?;
-    let mut values: Vec<u64> = starts.to_vec();
+    let mut values: Vec<u64> = req.starts.to_vec();
     values.sort_unstable();
     values.dedup();
-    // An empty start set is a no-op, not an evaluation: recording an
-    // eval here would break the "every batch is ≥ 1 tile" invariant.
     if values.is_empty() {
         return Ok(TiledDistributions::empty());
     }
     // Stage the batch's counter traffic: commit on success, drain on any
     // early exit (`?` below drops the guard, which drains).
     let stage = crate::metrics::stage_evaluation();
-    record();
-    let mut out = grouped_tiles(index, index, spec, &values, tiling, budget)?;
-    for counts in out.per_start.values_mut() {
-        counts.sort_unstable_by(|a, b| b.cmp(a));
+    match req.kind {
+        EvalKind::Full => crate::metrics::record_full_eval(),
+        EvalKind::Delta => crate::metrics::record_delta_eval(),
     }
-    stage.commit();
-    Ok(out)
-}
-
-/// The sharded analogue of [`grouped_among_tiled`]: splits the start set
-/// by shard residency, fans the non-empty buckets out across rayon
-/// workers — each probing its shard's restricted postings and scanning
-/// the shared base index for non-start pattern edges — and merges the
-/// per-shard grouped counts by disjoint union (start sets never overlap
-/// across shards). Byte-identical to the unsharded evaluation: every
-/// bucket's probe returns exactly the base index's incident rows
-/// ([`EdgeIndex::restrict_to_shard`]'s completeness invariant), and
-/// 1-shard indexes short-circuit onto the unsharded code path.
-///
-/// Metrics: counter traffic is staged per worker, harvested
-/// ([`crate::metrics::StageGuard::into_traffic`]) and replayed into the
-/// batch's outer stage, so scoped snapshots see one whole batch (one
-/// full/delta eval, all workers' tiles and row traffic) or, on abort,
-/// none of it — exactly the unsharded staging contract.
-fn sharded_grouped(
-    index: &ShardedEdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    tiling: Tiling,
-    record: fn(),
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    if index.shard_count() == 1 {
-        return grouped_among_tiled(index.base(), spec, starts, tiling, record, budget);
-    }
-    spec.validate()?;
-    let mut values: Vec<u64> = starts.to_vec();
-    values.sort_unstable();
-    values.dedup();
-    if values.is_empty() {
-        return Ok(TiledDistributions::empty());
-    }
-    let stage = crate::metrics::stage_evaluation();
-    record();
     let buckets: Vec<(usize, Vec<u64>)> = index
         .split_starts(&values)
         .into_iter()
@@ -1532,19 +1313,16 @@ fn sharded_grouped(
         .par_iter()
         .map(|(k, bucket)| {
             // Stage on the worker thread (staging is thread-local) and
-            // hand the harvested traffic back for replay on the batch
-            // thread.
+            // hand the harvested traffic back for replay here. Inline on
+            // the calling thread, the worker stage is a passive nested
+            // guard and the traffic lands in the outer stage directly.
             let wstage = crate::metrics::stage_evaluation();
-            match grouped_tiles(index.shard(*k), index.base(), spec, bucket, tiling, budget) {
-                Ok(part) => Ok((part, wstage.into_traffic())),
-                Err(e) => {
-                    // Harvest-and-discard so the worker's guard doesn't
-                    // count its own aborted evaluation — the batch's
-                    // outer stage drains (and counts the abort) once.
-                    let _ = wstage.into_traffic();
-                    Err(e)
-                }
-            }
+            let part = grouped_tiles(index.shard(*k), index.base(), spec, bucket, req);
+            // Harvest even on error, so the worker's guard doesn't count
+            // its own aborted evaluation: the outer stage drains (and
+            // counts the abort) once.
+            let traffic = wstage.into_traffic();
+            part.map(|part| (part, traffic))
         })
         .collect();
     let mut out = TiledDistributions::empty();
@@ -1562,111 +1340,47 @@ fn sharded_grouped(
     Ok(out)
 }
 
-/// [`global_count_distributions_tiled`] over a [`ShardedEdgeIndex`]:
-/// identical result, parallel per-shard fan-out (see [`sharded_grouped`]).
-pub fn sharded_count_distributions_tiled(
-    index: &ShardedEdgeIndex,
+/// One shard bucket of [`count_distributions`]: evaluates `values`
+/// (sorted, deduped, non-empty) tile by tile with probes against `probe`
+/// and non-start scans against `scan` ([`PatternSpec::evaluate_tile`]),
+/// grouping each tile's instances through the specialized
+/// [`PairCounter`]. Tiling and per-start weights are derived from `probe`
+/// (a shard's postings count exactly its residents' incident rows).
+/// Records tiles but **not** the batch-level evaluation, and does no
+/// staging — the caller owns both. Returned count multisets are
+/// unsorted; the caller sorts once at the end of the whole batch.
+fn grouped_tiles(
+    probe: &EdgeIndex,
+    scan: &EdgeIndex,
     spec: &PatternSpec,
-    starts: &[u64],
-    tile_size: usize,
+    values: &[u64],
+    req: &EvalRequest<'_>,
 ) -> Result<TiledDistributions> {
-    sharded_count_distributions_tiled_budgeted(index, spec, starts, tile_size, &Budget::unlimited())
-}
-
-/// [`global_count_distributions_tiled_budgeted`] over a
-/// [`ShardedEdgeIndex`] — the shared [`Budget`] is checked at every tile
-/// boundary on every worker, so deadline/cancel/row-pool aborts preempt
-/// the whole fan-out within one tile per worker.
-pub fn sharded_count_distributions_tiled_budgeted(
-    index: &ShardedEdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    tile_size: usize,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    sharded_grouped(
-        index,
-        spec,
-        starts,
-        Tiling::FixedSize(tile_size),
-        crate::metrics::record_full_eval,
-        budget,
-    )
-}
-
-/// [`global_count_distributions_ceiling`] over a [`ShardedEdgeIndex`].
-/// The row ceiling applies **per shard tile**: each worker packs its own
-/// starts under `max_rows` using its shard's exact incident weights.
-pub fn sharded_count_distributions_ceiling(
-    index: &ShardedEdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    max_rows: usize,
-) -> Result<TiledDistributions> {
-    sharded_count_distributions_ceiling_budgeted(
-        index,
-        spec,
-        starts,
-        max_rows,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`global_count_distributions_ceiling_budgeted`] over a
-/// [`ShardedEdgeIndex`] (per-shard row ceilings, shared budget).
-pub fn sharded_count_distributions_ceiling_budgeted(
-    index: &ShardedEdgeIndex,
-    spec: &PatternSpec,
-    starts: &[u64],
-    max_rows: usize,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    sharded_grouped(
-        index,
-        spec,
-        starts,
-        Tiling::RowCeiling(max_rows),
-        crate::metrics::record_full_eval,
-        budget,
-    )
-}
-
-/// [`delta_count_distributions`] over a [`ShardedEdgeIndex`] — the
-/// incremental-maintenance path fans out too (affected starts of a large
-/// delta can span many shards).
-pub fn sharded_delta_count_distributions(
-    index: &ShardedEdgeIndex,
-    spec: &PatternSpec,
-    affected_starts: &[u64],
-    tile_size: usize,
-) -> Result<TiledDistributions> {
-    sharded_grouped(
-        index,
-        spec,
-        affected_starts,
-        Tiling::FixedSize(tile_size),
-        crate::metrics::record_delta_eval,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`delta_count_distributions_ceiling_budgeted`] over a
-/// [`ShardedEdgeIndex`].
-pub fn sharded_delta_count_distributions_ceiling_budgeted(
-    index: &ShardedEdgeIndex,
-    spec: &PatternSpec,
-    affected_starts: &[u64],
-    max_rows: usize,
-    budget: &Budget,
-) -> Result<TiledDistributions> {
-    sharded_grouped(
-        index,
-        spec,
-        affected_starts,
-        Tiling::RowCeiling(max_rows),
-        crate::metrics::record_delta_eval,
-        budget,
-    )
+    let tiles = match req.row_ceiling {
+        None => vec![values.to_vec()],
+        Some(max_rows) => probe.tile_starts_for_ceiling(spec, values, max_rows),
+    };
+    let mut out = TiledDistributions::empty();
+    for tile in tiles {
+        if let Some(max_rows) = req.row_ceiling {
+            let est = probe.estimate_starts_rows(spec, &tile);
+            out.est_peak_rows = out.est_peak_rows.max(est);
+            if est > max_rows {
+                out.overflow_tiles += 1;
+            }
+        }
+        let binding = StartBinding::Among(tile);
+        let (instances, peak) = spec.evaluate_tile(probe, scan, &binding, &req.budget)?;
+        crate::metrics::record_tile();
+        out.tiles += 1;
+        out.peak_rows = out.peak_rows.max(peak);
+        for (start, counts) in
+            group_pair_counts(&instances, spec.start, spec.end, scan.node_count())
+        {
+            out.per_start.entry(start).or_default().extend(counts);
+        }
+    }
+    Ok(out)
 }
 
 /// [`local_position`] over a prebuilt [`EdgeIndex`]. Bounded queries
@@ -1683,7 +1397,7 @@ pub fn local_position_indexed(
     if limit < usize::MAX {
         return spec.streaming_end_position(index, start, c, limit);
     }
-    let instances = spec.evaluate_indexed(index, Some(start))?;
+    let instances = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], c, limit)?;
     Ok(grouped.len())
 }
@@ -1693,6 +1407,24 @@ mod tests {
     use super::*;
     use crate::plan::SpecEdge;
     use rex_kb::{toy, KbBuilder};
+
+    /// [`count_distributions`] over `index` as a 1-shard index.
+    fn grouped(
+        index: &EdgeIndex,
+        spec: &PatternSpec,
+        starts: &[u64],
+        row_ceiling: Option<usize>,
+    ) -> Result<TiledDistributions> {
+        let flat = ShardedEdgeIndex::from_base(Arc::new(index.clone()), ShardSpec::single());
+        count_distributions(&flat, spec, &EvalRequest { starts, row_ceiling, ..Default::default() })
+    }
+
+    /// Every entity's distribution: `spec` grouped over all of `index`'s
+    /// entities as starts.
+    fn all_distributions(index: &EdgeIndex, spec: &PatternSpec) -> HashMap<u64, Vec<u64>> {
+        let all: Vec<u64> = (0..index.node_count() as u64).collect();
+        grouped(index, spec, &all, None).unwrap().per_start
+    }
 
     #[test]
     fn oriented_relation_row_counts() {
@@ -1777,7 +1509,7 @@ mod tests {
             edges: vec![SpecEdge { u: 0, v: 1, label: spouse, directed: false }],
         };
         for spec in [&costar, &spousal] {
-            let batched = global_count_distributions(&index, spec, None).unwrap();
+            let batched = all_distributions(&index, spec);
             for node in 0..kb.node_count() as u64 {
                 let per_start = local_count_distribution_indexed(&index, spec, node).unwrap();
                 let mut expected: Vec<u64> = per_start.into_values().collect();
@@ -1806,9 +1538,9 @@ mod tests {
                 SpecEdge { u: 1, v: 2, label: starring, directed: true },
             ],
         };
-        let full = global_count_distributions(&index, &spec, None).unwrap();
+        let full = all_distributions(&index, &spec);
         let sample: Vec<u64> = (0..kb.node_count() as u64).step_by(2).collect();
-        let restricted = global_count_distributions(&index, &spec, Some(&sample)).unwrap();
+        let restricted = grouped(&index, &spec, &sample, None).unwrap().per_start;
         // No start outside the sample appears.
         assert!(restricted.keys().all(|s| sample.contains(s)));
         // Sampled starts agree with the unbound evaluation.
@@ -1817,8 +1549,8 @@ mod tests {
         }
     }
 
-    /// Tiled evaluation equals the untiled batch for every tile size, and
-    /// the accounting is one full eval per batch plus one tile per chunk.
+    /// Tiled evaluation equals the untiled batch for every row ceiling
+    /// (tile sizes from one start per tile to a single tile).
     #[test]
     fn tiled_batch_matches_untiled_for_all_tile_sizes() {
         let kb = toy::entertainment();
@@ -1834,12 +1566,22 @@ mod tests {
             ],
         };
         let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let untiled = global_count_distributions(&index, &spec, Some(&starts)).unwrap();
-        for tile_size in [1usize, 2, 3, 7, starts.len(), starts.len() + 5] {
-            let tiled =
-                global_count_distributions_tiled(&index, &spec, &starts, tile_size).unwrap();
-            assert_eq!(tiled.per_start, untiled, "tile_size {tile_size}");
-            assert_eq!(tiled.tiles, starts.len().div_ceil(tile_size.min(starts.len())));
+        let untiled = grouped(&index, &spec, &starts, None).unwrap();
+        assert_eq!(untiled.tiles, 1);
+        // Some(0) gives every start with incident rows its own tile.
+        let packing = index.tile_starts_for_ceiling(&spec, &starts, 0);
+        for tile in &packing {
+            if tile.iter().any(|&s| index.incident_len(starring, dir_code::FORWARD, true, &[s]) > 0)
+            {
+                assert_eq!(tile.len(), 1, "tile {tile:?}");
+            }
+        }
+        let singles = grouped(&index, &spec, &starts, Some(0)).unwrap();
+        assert_eq!(singles.tiles, packing.len());
+        for ceiling in [0usize, 1, 2, 3, 7, 1_000_000] {
+            let tiled = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
+            assert_eq!(tiled.per_start, untiled.per_start, "ceiling {ceiling}");
+            assert!((1..=packing.len()).contains(&tiled.tiles), "ceiling {ceiling}");
             assert!(tiled.peak_rows > 0);
         }
     }
@@ -1856,13 +1598,13 @@ mod tests {
             end: 1,
             edges: vec![SpecEdge { u: 0, v: 1, label: starring, directed: true }],
         };
-        let out = global_count_distributions_tiled(&index, &spec, &[], 8).unwrap();
+        let out = grouped(&index, &spec, &[], Some(8)).unwrap();
         assert!(out.per_start.is_empty());
         assert_eq!(out.tiles, 0);
         assert_eq!(out.peak_rows, 0);
         // Invalid specs still error, even with no starts.
         let bad = PatternSpec { var_count: 2, start: 0, end: 0, edges: vec![] };
-        assert!(global_count_distributions_tiled(&index, &bad, &[], 8).is_err());
+        assert!(grouped(&index, &bad, &[], Some(8)).is_err());
     }
 
     /// Smaller tiles can only lower (never raise) the peak intermediate
@@ -1882,9 +1624,8 @@ mod tests {
             ],
         };
         let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let one_tile =
-            global_count_distributions_tiled(&index, &spec, &starts, starts.len()).unwrap();
-        let many_tiles = global_count_distributions_tiled(&index, &spec, &starts, 2).unwrap();
+        let one_tile = grouped(&index, &spec, &starts, None).unwrap();
+        let many_tiles = grouped(&index, &spec, &starts, Some(0)).unwrap();
         assert!(many_tiles.peak_rows <= one_tile.peak_rows);
         for ceiling in [1usize, 10, 1_000_000] {
             let tiles = index.tile_starts_for_ceiling(&spec, &starts, ceiling);
@@ -1949,8 +1690,8 @@ mod tests {
                 SpecEdge { u: 1, v: 2, label: starring.0 as u64, directed: true },
             ],
         };
-        let a = global_count_distributions(&index, &spec, None).unwrap();
-        let b = global_count_distributions(&rebuilt, &spec, None).unwrap();
+        let a = all_distributions(&index, &spec);
+        let b = all_distributions(&rebuilt, &spec);
         assert_eq!(a, b);
 
         // refresh() is the delta_since + apply_delta composition.
@@ -2099,8 +1840,8 @@ mod tests {
         assert_eq!(delta_affected_starts(&kb, &spousal, &delta), None);
         // Costar shape: every changed start is covered.
         let affected = delta_affected_starts(&kb, &costar, &delta).unwrap();
-        let before = global_count_distributions(&index_before, &costar, None).unwrap();
-        let after = global_count_distributions(&index_after, &costar, None).unwrap();
+        let before = all_distributions(&index_before, &costar);
+        let after = all_distributions(&index_after, &costar);
         let mut changed = 0;
         for node in 0..kb.node_count() as u64 {
             if before.get(&node) != after.get(&node) {
@@ -2113,7 +1854,9 @@ mod tests {
         // The delta-evaluation path recomputes exactly the affected
         // starts, accounted as a partial (not full) evaluation.
         let scope = crate::metrics::scoped();
-        let partial = delta_count_distributions(&index_after, &costar, &affected, 8).unwrap();
+        let flat = ShardedEdgeIndex::from_base(Arc::new(index_after), ShardSpec::single());
+        let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
+        let partial = count_distributions(&flat, &costar, &req).unwrap();
         let counts = scope.counts();
         assert!(counts.delta >= 1);
         for s in &affected {
@@ -2259,13 +2002,11 @@ mod tests {
                 SpecEdge { u: 2, v: 1, label: flat, directed: true },
             ],
         };
-        let true_hub = global_count_distributions(&index, &hub_spec, None)
-            .unwrap()
+        let true_hub = all_distributions(&index, &hub_spec)
             .values()
             .map(|c| c.iter().sum::<u64>())
             .sum::<u64>();
-        let true_flat = global_count_distributions(&index, &flat_spec, None)
-            .unwrap()
+        let true_flat = all_distributions(&index, &flat_spec)
             .values()
             .map(|c| c.iter().sum::<u64>())
             .sum::<u64>();
@@ -2315,19 +2056,16 @@ mod tests {
             ],
         };
         let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let untiled = global_count_distributions(&index, &spec, Some(&starts)).unwrap();
-        let single =
-            global_count_distributions_tiled(&index, &spec, &starts, starts.len()).unwrap();
+        let single = grouped(&index, &spec, &starts, None).unwrap();
         for ceiling in [1usize, 8, 64, 1_000_000] {
-            let tiled =
-                global_count_distributions_ceiling(&index, &spec, &starts, ceiling).unwrap();
-            assert_eq!(tiled.per_start, untiled, "ceiling {ceiling}");
+            let tiled = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
+            assert_eq!(tiled.per_start, single.per_start, "ceiling {ceiling}");
             assert!(tiled.tiles >= 1);
             assert!(tiled.peak_rows <= single.peak_rows, "ceiling {ceiling}");
         }
         // A tight ceiling splits; a huge one does not.
-        let tight = global_count_distributions_ceiling(&index, &spec, &starts, 1).unwrap();
-        let loose = global_count_distributions_ceiling(&index, &spec, &starts, 1_000_000).unwrap();
+        let tight = grouped(&index, &spec, &starts, Some(1)).unwrap();
+        let loose = grouped(&index, &spec, &starts, Some(1_000_000)).unwrap();
         assert!(tight.tiles > loose.tiles);
         assert_eq!(loose.tiles, 1);
         // The packing covers every start exactly once.
@@ -2374,7 +2112,7 @@ mod tests {
                 SpecEdge { u: 1, v: 2, label: starring, directed: true },
             ],
         };
-        let instances = spec.evaluate_indexed_with(&index, &StartBinding::Unbound).unwrap();
+        let instances = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
         let fast = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
         let slow = group_pair_counts_generic(&instances, spec.start, spec.end);
         assert_eq!(fast.len(), slow.len());
@@ -2395,9 +2133,9 @@ mod tests {
 
     /// Entity-hash sharding never changes an answer: for shard counts
     /// 1, 2, 3, and 7 (including shards that own no start), the sharded
-    /// fan-out is byte-identical to the unsharded batch under fixed-size
-    /// *and* ceiling tiling, and the degenerate 1-shard index shares the
-    /// base outright.
+    /// fan-out is byte-identical to the unsharded batch with and without
+    /// a row ceiling, and the degenerate 1-shard index shares the base
+    /// outright.
     #[test]
     fn sharded_fanout_matches_unsharded() {
         let kb = toy::entertainment();
@@ -2430,19 +2168,18 @@ mod tests {
             }
             for spec in [&costar, &spousal] {
                 for starts in [&all, &tiny] {
-                    let expect = global_count_distributions_tiled(&base, spec, starts, 4).unwrap();
-                    let tiled =
-                        sharded_count_distributions_tiled(&sharded, spec, starts, 4).unwrap();
-                    assert_eq!(tiled.per_start, expect.per_start, "{shards} shards, tiled");
-                    let ceiling =
-                        sharded_count_distributions_ceiling(&sharded, spec, starts, 64).unwrap();
-                    assert_eq!(ceiling.per_start, expect.per_start, "{shards} shards, ceiling");
+                    let expect = grouped(&base, spec, starts, None).unwrap();
+                    for row_ceiling in [None, Some(0), Some(64)] {
+                        let req = EvalRequest { starts, row_ceiling, ..Default::default() };
+                        let got = count_distributions(&sharded, spec, &req).unwrap();
+                        assert_eq!(got.per_start, expect.per_start, "{shards} shards, {req:?}");
+                    }
                 }
             }
         }
         // The empty start set stays a no-op through the sharded path.
         let sharded = ShardedEdgeIndex::from_base(Arc::clone(&base), ShardSpec::new(3, 1));
-        let none = sharded_count_distributions_tiled(&sharded, &costar, &[], 4).unwrap();
+        let none = count_distributions(&sharded, &costar, &EvalRequest::default()).unwrap();
         assert!(none.per_start.is_empty());
         assert_eq!(none.tiles, 0);
     }
@@ -2523,8 +2260,9 @@ mod tests {
             ],
         };
         let all: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let a = sharded_count_distributions_tiled(&v1, &costar, &all, 4).unwrap();
-        let b = sharded_count_distributions_tiled(&fresh, &costar, &all, 4).unwrap();
+        let req = EvalRequest { starts: &all, ..Default::default() };
+        let a = count_distributions(&v1, &costar, &req).unwrap();
+        let b = count_distributions(&fresh, &costar, &req).unwrap();
         assert_eq!(a.per_start, b.per_start);
         // The source version is untouched (copy-on-write, not in-place).
         assert_eq!(v0.epoch(), epoch0);
@@ -2577,7 +2315,7 @@ mod tests {
                 tile.len()
             );
         }
-        let result = global_count_distributions_ceiling(&index, &spec, &starts, ceiling).unwrap();
+        let result = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
         // The estimate the ceiling governs stays bounded unless an
         // overweight singleton overflowed — and those are counted.
         assert!(
@@ -2594,12 +2332,10 @@ mod tests {
             result.peak_rows
         );
         // Answers unchanged by tiling.
-        let untiled = global_count_distributions(&index, &spec, Some(&starts)).unwrap();
-        assert_eq!(result.per_start, untiled);
-        // Fixed-size tiling requests no ceiling, so it never reports
-        // overflow.
-        let fixed = global_count_distributions_tiled(&index, &spec, &starts, 8).unwrap();
-        assert_eq!(fixed.overflow_tiles, 0);
+        let untiled = grouped(&index, &spec, &starts, None).unwrap();
+        assert_eq!(result.per_start, untiled.per_start);
+        // Without a ceiling nothing can overflow.
+        assert_eq!(untiled.overflow_tiles, 0);
     }
 
     /// A sharded batch stages and publishes exactly like an unsharded
@@ -2624,7 +2360,8 @@ mod tests {
         let buckets = sharded.split_starts(&all).into_iter().filter(|b| !b.is_empty()).count();
         let scope = crate::metrics::scoped();
         let before = scope.counts();
-        sharded_count_distributions_tiled(&sharded, &spec, &all, 4).unwrap();
+        let req = EvalRequest { starts: &all, row_ceiling: Some(0), ..Default::default() };
+        count_distributions(&sharded, &spec, &req).unwrap();
         let after = scope.counts().since(&before);
         // `>=` throughout: other tests run concurrently against the same
         // process-wide counters.

@@ -3,7 +3,7 @@
 //! All operators are materialized (consume a [`Relation`], produce a
 //! [`Relation`]) and allocate **per relation, not per row**: every
 //! operator writes its output rows into one flat row-major buffer (see
-//! [`crate::relation`]) and builds at most a couple of flat `u32` index
+//! [`Relation`]) and builds at most a couple of flat `u32` index
 //! arrays for its hash table. The group-count operator supports
 //! `HAVING count > c` and `LIMIT n` in one pass, which is what the
 //! paper's distributional-measure pruning needs (§5.3.2).

@@ -553,43 +553,39 @@ impl PatternSpec {
         })
     }
 
-    /// One tile of a memory-bounded batched evaluation: identical join
-    /// pipeline to [`PatternSpec::evaluate_indexed_with`], but does **not**
-    /// count as a full evaluation (the caller accounts once per batch, not
-    /// once per tile) and returns the peak intermediate-relation row count
-    /// alongside the instance relation, so tiled drivers can report the
-    /// memory bound they actually achieved.
-    pub fn evaluate_indexed_tile(
+    /// Like [`PatternSpec::evaluate`], but over a prebuilt
+    /// [`crate::engine::EdgeIndex`] through the cost-based
+    /// [`PatternSpec::plan`]: scans hit `(label, dir)` partitions instead
+    /// of filtering the full relation, and start restrictions
+    /// ([`StartBinding::Const`] / [`StartBinding::Among`]) are pushed into
+    /// the endpoint postings, so a bound or sampled start touches only
+    /// its incident rows — the workhorse for repeated distribution
+    /// queries. Counts as one full evaluation.
+    pub fn evaluate_indexed(
         &self,
         index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
-    ) -> Result<(Relation, usize)> {
-        self.evaluate_indexed_tracked(index, binding, false)
+    ) -> Result<Relation> {
+        self.validate()?;
+        crate::metrics::record_full_eval();
+        let (instances, _) =
+            self.evaluate_tile(index, index, binding, &crate::budget::Budget::unlimited())?;
+        Ok(instances)
     }
 
-    /// [`PatternSpec::evaluate_indexed_tile`] under a cooperative
-    /// [`crate::budget::Budget`] — the **tile boundary** of the budgeted
-    /// evaluation stack. The budget is checked *before* the tile runs
-    /// (an exhausted budget aborts with [`crate::RelError::Aborted`]
-    /// instead of evaluating) and the tile's peak intermediate rows are
-    /// charged against the row pool *after* it completes, so a tile
-    /// either runs to completion and is paid for, or does not run at all
-    /// — never a half-evaluated join tree.
-    pub fn evaluate_indexed_tile_budgeted(
-        &self,
-        index: &crate::engine::EdgeIndex,
-        binding: &StartBinding,
-        budget: &crate::budget::Budget,
-    ) -> Result<(Relation, usize)> {
-        self.evaluate_indexed_tile_budgeted_split(index, index, binding, budget)
-    }
-
-    /// [`PatternSpec::evaluate_indexed_tile_budgeted`] over a split
-    /// probe/scan index pair ([`PatternSpec::plan_split`]) — the
-    /// tile boundary of the **sharded** batched evaluation: start probes
-    /// hit the shard, non-start scans hit the full base index. Identical
-    /// budget semantics (checked before the tile, rows charged after).
-    pub fn evaluate_indexed_tile_budgeted_split(
+    /// One tile of a batched evaluation over a split probe/scan index
+    /// pair ([`PatternSpec::plan_split`]): start probes hit `probe` (a
+    /// shard, or the index itself), non-start scans hit `scan` (the full
+    /// base index). The **tile boundary** of the budgeted evaluation
+    /// stack: the budget is checked *before* the tile runs (an exhausted
+    /// budget aborts with [`crate::RelError::Aborted`] instead of
+    /// evaluating) and the tile's peak intermediate rows are charged
+    /// against the row pool *after* it completes, so a tile either runs
+    /// to completion and is paid for, or does not run at all — never a
+    /// half-evaluated join tree. Records no evaluation (the caller
+    /// accounts once per batch) and returns the peak intermediate row
+    /// count beside the instances.
+    pub(crate) fn evaluate_tile(
         &self,
         probe: &crate::engine::EdgeIndex,
         scan: &crate::engine::EdgeIndex,
@@ -602,36 +598,6 @@ impl PatternSpec {
         let (instances, peak) = self.join_planned_split(probe, scan, binding, &plan)?;
         budget.charge_rows(peak);
         Ok((instances, peak))
-    }
-
-    /// Like [`PatternSpec::evaluate`], but scans hit the `(label, dir)`
-    /// partitions of a prebuilt [`crate::engine::EdgeIndex`] instead of
-    /// filtering the full relation — the workhorse for repeated
-    /// distribution queries.
-    pub fn evaluate_indexed(
-        &self,
-        index: &crate::engine::EdgeIndex,
-        start_binding: Option<u64>,
-    ) -> Result<Relation> {
-        let binding = match start_binding {
-            Some(v) => StartBinding::Const(v),
-            None => StartBinding::Unbound,
-        };
-        self.evaluate_indexed_with(index, &binding)
-    }
-
-    /// [`PatternSpec::evaluate_indexed`] under an arbitrary
-    /// [`StartBinding`] — [`StartBinding::Among`] is the batched
-    /// all-starts evaluation the distribution engine builds on. Start
-    /// restrictions are pushed into the endpoint postings
-    /// ([`PatternSpec::indexed_scans`]), so a bound or sampled start
-    /// touches only its incident rows.
-    pub fn evaluate_indexed_with(
-        &self,
-        index: &crate::engine::EdgeIndex,
-        binding: &StartBinding,
-    ) -> Result<Relation> {
-        self.evaluate_indexed_tracked(index, binding, true).map(|(rel, _)| rel)
     }
 
     /// Streaming position query: counts end entities whose **distinct**
@@ -742,60 +708,19 @@ impl PatternSpec {
         binding: &StartBinding,
         scan_for: F,
     ) -> Result<Relation> {
-        self.evaluate_scanned_tracked(schema, binding, true, scan_for).map(|(rel, _)| rel)
-    }
-
-    /// [`PatternSpec::evaluate_scanned`] with explicit eval accounting
-    /// (`record_full_eval = false` for per-tile calls, which are accounted
-    /// once per batch) and the peak intermediate-relation row count in the
-    /// return value. The peak covers the materialized per-edge scans and
-    /// every join output; it is also published to the process-wide
-    /// [`crate::metrics::peak_rows`] gauge.
-    fn evaluate_scanned_tracked<F: Fn(&SpecEdge) -> Relation>(
-        &self,
-        schema: &Schema,
-        binding: &StartBinding,
-        record_full_eval: bool,
-        scan_for: F,
-    ) -> Result<(Relation, usize)> {
         self.validate()?;
-        if record_full_eval {
-            crate::metrics::record_full_eval();
-        }
+        crate::metrics::record_full_eval();
         let scans = self.filtered_scans(schema, binding, scan_for)?;
-        self.join_scans(scans)
-    }
-
-    /// [`PatternSpec::evaluate_scanned_tracked`] over a prebuilt
-    /// [`crate::engine::EdgeIndex`], with the start binding **pushed into
-    /// the endpoint postings** ([`PatternSpec::indexed_scans`]) instead of
-    /// filtered out of full partition scans.
-    fn evaluate_indexed_tracked(
-        &self,
-        index: &crate::engine::EdgeIndex,
-        binding: &StartBinding,
-        record_full_eval: bool,
-    ) -> Result<(Relation, usize)> {
-        self.validate()?;
-        if record_full_eval {
-            crate::metrics::record_full_eval();
-        }
-        let plan = self.plan(index, binding);
-        self.join_planned_split(index, index, binding, &plan)
+        let order = self.join_order_by_cost(&scans);
+        self.join_scans_in_order(scans, &order).map(|(rel, _)| rel)
     }
 
     /// Joins prepared per-edge `(from, to)` scans into the instance
-    /// relation: greedy smallest-connected-scan join order, projection to
-    /// one column per variable, injectivity filter, distinct — plus peak
-    /// intermediate-row tracking.
-    fn join_scans(&self, scans: Vec<Relation>) -> Result<(Relation, usize)> {
-        let order = self.join_order_by_cost(&scans);
-        self.join_scans_in_order(scans, &order)
-    }
-
-    /// [`PatternSpec::join_scans`] under an explicit edge order (which
-    /// must keep the pattern connected) — the baseline executor the
-    /// `planner` benchmark runs the fixed left-to-right order through.
+    /// relation in the given edge order (which must keep the pattern
+    /// connected): projection to one column per variable, injectivity
+    /// filter, distinct — plus peak intermediate-row tracking. Also the
+    /// baseline executor the `planner` benchmark runs the fixed
+    /// left-to-right order through.
     fn join_scans_in_order(
         &self,
         scans: Vec<Relation>,
@@ -813,9 +738,9 @@ impl PatternSpec {
     }
 
     /// Evaluates the pattern over `index` joining edges in the given
-    /// explicit order, with scans materialized through
-    /// [`PatternSpec::indexed_scans`] (start probes, full partition scans
-    /// otherwise) — no bound-value probes, no cost-based reordering. The
+    /// explicit order, with every edge's rows materialized up front
+    /// (start probes, full partition scans otherwise) — no bound-value
+    /// probes, no cost-based reordering. The
     /// benchmark baseline for [`PatternSpec::plan`]; counts as a full
     /// evaluation.
     pub fn evaluate_indexed_in_order(
@@ -867,7 +792,7 @@ fn is_injective(assignment: &[u64]) -> bool {
 }
 
 /// Incremental left-deep join state shared by the materialize-everything
-/// pipeline ([`PatternSpec::join_scans`]), the plan-driven executor
+/// pipeline ([`PatternSpec::evaluate_scanned`]), the plan-driven executor
 /// (which materializes each step's rows lazily so bound-value probes can
 /// read the intermediate) and the streaming position query.
 ///
@@ -1251,7 +1176,7 @@ mod cost_order_tests {
         // bound probes instead of scanning `big`/`mid` outright.
         assert!(plan.steps[1..].iter().all(|s| matches!(s.access, Access::BoundProbe { .. })));
         // And the planned execution agrees with the definitional path.
-        let planned = spec.evaluate_indexed(&index, None).unwrap();
+        let planned = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
         let naive = spec
             .evaluate_with(&crate::engine::oriented_edge_relation(&kb), &StartBinding::Unbound)
             .unwrap();

@@ -170,7 +170,7 @@ pub mod differential {
     use std::collections::HashMap;
 
     use rex_kb::KnowledgeBase;
-    use rex_relstore::engine::oriented_edge_relation;
+    use rex_relstore::engine::{group_pair_counts, oriented_edge_relation, EdgeIndex};
     use rex_relstore::plan::{PatternSpec, StartBinding};
 
     /// The per-start descending count multisets of `spec` over `kb`,
@@ -181,8 +181,8 @@ pub mod differential {
     /// rows — or not in the KB at all — simply produce no entry).
     ///
     /// This is exactly the result shape of
-    /// `rex_relstore::engine::global_count_distributions`, so the probe
-    /// path can be compared byte-for-byte.
+    /// `rex_relstore::engine::count_distributions`, so the probe path can
+    /// be compared byte-for-byte.
     pub fn reference_distributions(
         kb: &KnowledgeBase,
         spec: &PatternSpec,
@@ -203,6 +203,29 @@ pub mod differential {
         for ((start, _end), count) in pair_counts {
             per_start.entry(start).or_default().push(count);
         }
+        for counts in per_start.values_mut() {
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        per_start
+    }
+
+    /// The same grouping on the **indexed** probe path, untiled and
+    /// unsharded: one planned evaluation over `index` (the start variable
+    /// unbound when `starts` is `None`), grouped by `(start, end)`. The
+    /// baseline the tiled and sharded `count_distributions` paths must
+    /// reproduce, and the only way to group an unbound start variable.
+    pub fn indexed_distributions(
+        index: &EdgeIndex,
+        spec: &PatternSpec,
+        starts: Option<&[u64]>,
+    ) -> HashMap<u64, Vec<u64>> {
+        let binding = match starts {
+            Some(list) => StartBinding::among(list.iter().copied()),
+            None => StartBinding::Unbound,
+        };
+        let instances =
+            spec.evaluate_indexed(index, &binding).expect("indexed evaluation accepts valid specs");
+        let mut per_start = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
         for counts in per_start.values_mut() {
             counts.sort_unstable_by(|a, b| b.cmp(a));
         }

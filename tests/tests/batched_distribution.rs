@@ -17,7 +17,8 @@ use rex_core::EnumConfig;
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_kb::KnowledgeBase;
 use rex_relstore::engine::{
-    global_count_distributions, local_count_distribution_indexed, local_position_indexed, EdgeIndex,
+    count_distributions, local_count_distribution_indexed, local_position_indexed, EvalRequest,
+    ShardSpec, ShardedEdgeIndex,
 };
 
 /// Batched vs per-start parity for every enumerated pattern of `(a, b)`,
@@ -26,14 +27,16 @@ use rex_relstore::engine::{
 fn assert_parity(kb: &KnowledgeBase, a: rex_kb::NodeId, b: rex_kb::NodeId, starts: &[u64]) {
     let out = GeneralEnumerator::new(EnumConfig::default().with_max_nodes(4)).enumerate(kb, a, b);
     assert!(!out.explanations.is_empty(), "no explanations to test");
-    let index = EdgeIndex::build(kb);
+    let sharded = ShardedEdgeIndex::build(kb, ShardSpec::single());
+    let index = sharded.base();
     for e in &out.explanations {
         let spec = e.pattern.to_spec();
-        let batched = global_count_distributions(&index, &spec, Some(starts)).unwrap();
+        let req = EvalRequest { starts, ..Default::default() };
+        let batched = count_distributions(&sharded, &spec, &req).unwrap().per_start;
         let a_val = e.count() as u64;
         for &s in starts {
             // Multiset parity.
-            let per_start = local_count_distribution_indexed(&index, &spec, s).unwrap();
+            let per_start = local_count_distribution_indexed(index, &spec, s).unwrap();
             let mut expected: Vec<u64> = per_start.into_values().collect();
             expected.sort_unstable_by(|x, y| y.cmp(x));
             let got = batched.get(&s).cloned().unwrap_or_default();
@@ -43,7 +46,7 @@ fn assert_parity(kb: &KnowledgeBase, a: rex_kb::NodeId, b: rex_kb::NodeId, start
             // derived from the batched multiset, saturated at the limit.
             let exact = got.partition_point(|&c| c > a_val);
             for limit in [0usize, 1, 2, usize::MAX] {
-                let engine_pos = local_position_indexed(&index, &spec, s, a_val, limit).unwrap();
+                let engine_pos = local_position_indexed(index, &spec, s, a_val, limit).unwrap();
                 assert_eq!(
                     engine_pos,
                     exact.min(limit),

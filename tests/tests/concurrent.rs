@@ -8,7 +8,9 @@
 //!   keep completing while maintenance is in flight;
 //! * **proptest parity** — a snapshot pinned at epoch `E` keeps answering
 //!   byte-identically to a scratch build of the KB at `E`, even after the
-//!   serving state has flipped past it under further random mutations.
+//!   serving state has flipped past it under further random mutations;
+//! * **per-request accounting** — a ranking outcome counts only its own
+//!   evaluations, never a concurrent maintenance rebatch.
 //!
 //! [`Snapshot`]: rex_core::ranking::Snapshot
 //! [`ServingState::maintain`]: rex_core::ranking::ServingState
@@ -22,7 +24,8 @@ use rex_core::measures::{DistributionCache, SampleFrame};
 use rex_core::ranking::{rank_pairs_with, PairExplanations, RankPairsConfig, ServingState};
 use rex_core::{EnumConfig, Explanation};
 use rex_kb::{KnowledgeBase, LabelId, NodeId};
-use rex_relstore::engine::{EdgeIndex, ShardSpec, ShardedEdgeIndex};
+use rex_relstore::budget::Budget;
+use rex_relstore::engine::{count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex};
 use rex_tests::scaffold::{apply_ops, base_kb};
 
 /// The suite's deterministic base KB (distinct tail from the
@@ -45,11 +48,12 @@ fn positions_at(
     frame: &SampleFrame,
     explanations: &[Explanation],
 ) -> Vec<usize> {
-    let index = EdgeIndex::build(kb);
+    let index = ShardedEdgeIndex::build(kb, ShardSpec::single());
     let cache = DistributionCache::new();
     explanations
         .iter()
-        .map(|e| cache.global_position_excluding(&index, e, frame.starts(), None))
+        .map(|e| cache.global_position(&index, e, frame.starts(), None, &Budget::unlimited()))
+        .map(|pos| pos.expect("unlimited budget never aborts"))
         .collect()
 }
 
@@ -330,20 +334,17 @@ fn pinned_snapshot_probes_survive_concurrent_flip() {
 
     // The pinned snapshot's probe path answers at its own epoch: every
     // shape × every start equals a scratch build of the pre-flip KB.
-    let scratch = EdgeIndex::build(&kb_at_pin);
+    let scratch = ShardedEdgeIndex::build(&kb_at_pin, ShardSpec::single());
     let starts: Vec<u64> = (0..kb.node_count() as u64 + 4).collect();
+    let req = EvalRequest { starts: &starts, ..Default::default() };
     for idx in 0..rex_tests::scaffold::shape_count() {
         let spec = rex_tests::scaffold::shape(idx);
-        let via_pinned = rex_relstore::engine::global_count_distributions(
-            pinned.edge_index(),
-            &spec,
-            Some(&starts),
-        )
-        .unwrap();
-        let via_scratch =
-            rex_relstore::engine::global_count_distributions(&scratch, &spec, Some(&starts))
-                .unwrap();
-        assert_eq!(via_pinned, via_scratch, "shape {idx} probed at the pinned epoch");
+        let via_pinned = count_distributions(pinned.index(), &spec, &req).unwrap();
+        let via_scratch = count_distributions(&scratch, &spec, &req).unwrap();
+        assert_eq!(
+            via_pinned.per_start, via_scratch.per_start,
+            "shape {idx} probed at the pinned epoch"
+        );
     }
 }
 
@@ -395,9 +396,12 @@ proptest! {
         prop_assert_eq!(scratch_index.epoch(), pinned.epoch());
         let scratch_cache = DistributionCache::new();
         for e in &explanations {
-            let maintained = pinned.cache().all_starts(pinned.edge_index(), e, &starts);
+            let unlimited = Budget::unlimited();
+            let maintained = pinned.cache().all_starts(pinned.index(), e, &starts, &unlimited);
+            let maintained = maintained.unwrap().batch;
             prop_assert_eq!(maintained.epoch(), pinned.epoch());
-            let scratch = scratch_cache.all_starts(scratch_index.base(), e, &starts);
+            let scratch = scratch_cache.all_starts(&scratch_index, e, &starts, &unlimited);
+            let scratch = scratch.unwrap().batch;
             for s in &starts {
                 prop_assert_eq!(
                     maintained.counts_for(s.0 as u64),
@@ -411,7 +415,7 @@ proptest! {
         let a = kb_at_e1.require_node("n0").unwrap();
         let b = kb_at_e1.require_node("n1").unwrap();
         let tasks = [PairExplanations { start: a, end: b, explanations: &explanations }];
-        let served = pinned.rank(&tasks, &cfg);
+        let served = pinned.rank(&tasks, &cfg, &Budget::unlimited());
         let cold_cache = DistributionCache::new();
         let scratch_rank =
             rank_pairs_with(&tasks, &cfg, &scratch_index, pinned.frame(), &cold_cache);
@@ -425,11 +429,14 @@ proptest! {
         // build at the final state.
         let current = state.snapshot();
         prop_assert_eq!(current.epoch(), kb.epoch());
-        let final_index = EdgeIndex::build(&kb);
+        let final_index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let final_cache = DistributionCache::new();
         for e in &explanations {
-            let served = current.cache().all_starts(current.edge_index(), e, &starts);
-            let scratch = final_cache.all_starts(&final_index, e, &starts);
+            let unlimited = Budget::unlimited();
+            let served = current.cache().all_starts(current.index(), e, &starts, &unlimited);
+            let served = served.unwrap().batch;
+            let scratch = final_cache.all_starts(&final_index, e, &starts, &unlimited);
+            let scratch = scratch.unwrap().batch;
             for s in &starts {
                 prop_assert_eq!(
                     served.counts_for(s.0 as u64),
@@ -439,4 +446,80 @@ proptest! {
             }
         }
     }
+}
+
+/// Per-request accounting under a concurrent writer: a reader thread
+/// ranks warm pairs back to back while a writer maintains the session
+/// with a zero rebatch fraction, so every delta-touched shape is
+/// re-evaluated by maintenance while reader passes are in flight (the
+/// writer starts each round only once the reader has finished another
+/// pass, so the reader is mid-loop at every flip). Each ranking outcome
+/// counts only the evaluations its own request performed, so the
+/// readers' counts plus the writer's rebatches account for every batched
+/// evaluation the shared cache performed — no maintenance rebatch is
+/// charged to a reader, and no reader miss goes missing. The equality
+/// holds for every interleaving.
+#[test]
+fn ranking_outcomes_count_only_their_own_evaluations() {
+    let mut kb = suite_kb(3);
+    let explanations = enumerate_core(&kb);
+    assert!(!explanations.is_empty());
+    let a = kb.require_node("n0").unwrap();
+    let b = kb.require_node("n1").unwrap();
+    let cfg = RankPairsConfig {
+        k: 5,
+        global_samples: 12,
+        seed: 5,
+        threads: 1,
+        row_ceiling: None,
+        shards: 1,
+    };
+    let cache = DistributionCache::new().with_rebatch_fraction(0.0);
+    let state = ServingState::build_with_cache(&kb, &cfg, cache).unwrap();
+    let tasks = [PairExplanations { start: a, end: b, explanations: &explanations }];
+    let warm = state.snapshot().rank(&tasks, &cfg, &Budget::unlimited());
+    assert!(warm.batched_evals > 0, "the warm-up pass evaluates cold shapes");
+    let evals_before = state.cache().batched_evals();
+
+    let (pass_done, next_pass) = std::sync::mpsc::channel::<()>();
+    let done = AtomicBool::new(false);
+    let (reader_evals, passes, rebatched) = crossbeam::thread::scope(|scope| {
+        let (state, tasks, cfg, done) = (&state, &tasks, &cfg, &done);
+        let reader = scope.spawn(move |_| {
+            let (mut evals, mut passes) = (0, 0);
+            while !done.load(Ordering::Acquire) {
+                evals += state.snapshot().rank(tasks, cfg, &Budget::unlimited()).batched_evals;
+                passes += 1;
+                // The writer may have hung up already; it only waits for
+                // progress, never for the last pass.
+                let _ = pass_done.send(());
+            }
+            (evals, passes)
+        });
+        let kb = &mut kb;
+        let writer = scope.spawn(move |_| {
+            let mut rebatched = 0;
+            for round in 0..8usize {
+                next_pass.recv().expect("the reader loops until the writer is done");
+                // One insert per round, cycling the shape labels so every
+                // round touches some cached shape.
+                apply_ops(kb, &[(0, round * 7, round * 11 + 3, round % 5, round % 2 == 0)], "w");
+                rebatched += state.maintain(kb).unwrap().maintenance.rebatched;
+            }
+            done.store(true, Ordering::Release);
+            rebatched
+        });
+        let (evals, passes) = reader.join().unwrap();
+        (evals, passes, writer.join().unwrap())
+    })
+    .unwrap();
+
+    assert!(passes > 0, "the reader must make progress");
+    assert!(rebatched > 0, "the script must make maintenance rebatch");
+    assert_eq!(
+        reader_evals + rebatched,
+        state.cache().batched_evals() - evals_before,
+        "reader outcomes ({reader_evals}) + writer rebatches ({rebatched}) must account for \
+         every batched evaluation of the shared cache"
+    );
 }

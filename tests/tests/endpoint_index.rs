@@ -20,13 +20,13 @@
 use proptest::prelude::*;
 use rex_kb::EdgeId;
 use rex_relstore::engine::{
-    delta_affected_starts, delta_count_distributions, global_count_distributions,
-    global_count_distributions_ceiling, global_count_distributions_tiled, local_count_distribution,
-    local_count_distribution_indexed, oriented_edge_relation, EdgeIndex,
+    count_distributions, delta_affected_starts, local_count_distribution,
+    local_count_distribution_indexed, oriented_edge_relation, EdgeIndex, EvalKind, EvalRequest,
+    ShardSpec, ShardedEdgeIndex,
 };
 use rex_relstore::metrics;
 use rex_relstore::plan::dir_code;
-use rex_tests::differential::reference_distributions;
+use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold::{apply_ops, base_kb, shape, shape_count};
 
 /// The suite's deterministic base KB (distinct tail from the other
@@ -41,15 +41,16 @@ fn suite_kb(seed: u64) -> rex_kb::KnowledgeBase {
 #[test]
 fn every_shape_matches_reference_unbound_and_among() {
     let kb = suite_kb(3);
-    let index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     // Start ids past the KB's node space must behave like any other
     // zero-incident start: no entry, no panic.
     let starts: Vec<u64> = (0..kb.node_count() as u64 + 8).step_by(3).collect();
+    let req = EvalRequest { starts: &starts, ..Default::default() };
     for idx in 0..shape_count() {
         let spec = shape(idx);
-        let unbound = global_count_distributions(&index, &spec, None).unwrap();
+        let unbound = indexed_distributions(index.base(), &spec, None);
         assert_eq!(unbound, reference_distributions(&kb, &spec, None), "shape {idx} unbound");
-        let among = global_count_distributions(&index, &spec, Some(&starts)).unwrap();
+        let among = count_distributions(&index, &spec, &req).unwrap().per_start;
         assert_eq!(among, reference_distributions(&kb, &spec, Some(&starts)), "shape {idx} among");
     }
 }
@@ -77,8 +78,8 @@ proptest! {
 
     /// The differential invariant: for random KBs, shapes, and start
     /// sets, probe-path counts are byte-identical to full-scan reference
-    /// counts — unbound, `Among` (untiled, fixed-size tiled, and
-    /// ceiling-tiled), with start sets that include zero-incident and
+    /// counts — unbound, `Among` (untiled, one tile per incident start,
+    /// and ceiling-tiled), with start sets that include zero-incident and
     /// out-of-KB ids.
     #[test]
     fn probe_path_matches_full_scan_reference(
@@ -89,27 +90,23 @@ proptest! {
         ),
         shape_idx in 0usize..shape_count(),
         start_sel in proptest::collection::vec(0u64..64, 0..14),
-        tile_size in 1usize..9,
         ceiling in 1usize..300,
     ) {
         let mut kb = suite_kb(seed);
         apply_ops(&mut kb, &ops, "d");
         let spec = shape(shape_idx);
-        let index = EdgeIndex::build(&kb);
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
 
         let expected_all = reference_distributions(&kb, &spec, None);
-        let got_all = global_count_distributions(&index, &spec, None).unwrap();
+        let got_all = indexed_distributions(index.base(), &spec, None);
         prop_assert_eq!(&got_all, &expected_all, "unbound");
 
         let expected = reference_distributions(&kb, &spec, Some(&start_sel));
-        let got = global_count_distributions(&index, &spec, Some(&start_sel)).unwrap();
-        prop_assert_eq!(&got, &expected, "among");
-        let tiled =
-            global_count_distributions_tiled(&index, &spec, &start_sel, tile_size).unwrap();
-        prop_assert_eq!(&tiled.per_start, &expected, "fixed tiles");
-        let ceiled =
-            global_count_distributions_ceiling(&index, &spec, &start_sel, ceiling).unwrap();
-        prop_assert_eq!(&ceiled.per_start, &expected, "ceiling tiles");
+        for row_ceiling in [None, Some(0), Some(ceiling)] {
+            let req = EvalRequest { starts: &start_sel, row_ceiling, ..Default::default() };
+            let got = count_distributions(&index, &spec, &req).unwrap();
+            prop_assert_eq!(&got.per_start, &expected, "among, ceiling {:?}", row_ceiling);
+        }
     }
 
     /// The delta path: after random mutations, an incrementally
@@ -131,23 +128,23 @@ proptest! {
     ) {
         let mut kb = suite_kb(seed);
         apply_ops(&mut kb, &ops1, "a");
-        let mut index = EdgeIndex::build(&kb);
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let epoch0 = kb.epoch();
         apply_ops(&mut kb, &ops2, "b");
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
-        index.apply_delta(&delta).unwrap();
+        let index = index.next_epoch(&delta).unwrap();
 
         let spec = shape(shape_idx);
         if let Some(affected) = delta_affected_starts(&kb, &spec, &delta) {
             let expected = reference_distributions(&kb, &spec, Some(&affected));
-            let got = delta_count_distributions(&index, &spec, &affected, affected.len().max(1))
-                .unwrap();
+            let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
+            let got = count_distributions(&index, &spec, &req).unwrap();
             prop_assert_eq!(&got.per_start, &expected, "delta partial re-group");
         }
         // The maintained postings answer like a scratch build's.
         let scratch = EdgeIndex::build(&kb);
-        let got = global_count_distributions(&index, &spec, None).unwrap();
-        let fresh = global_count_distributions(&scratch, &spec, None).unwrap();
+        let got = indexed_distributions(index.base(), &spec, None);
+        let fresh = indexed_distributions(&scratch, &spec, None);
         prop_assert_eq!(&got, &fresh, "maintained vs scratch");
     }
 }
@@ -163,7 +160,7 @@ proptest! {
 fn patch_pass_rows_probed_bounded_by_incident_rows() {
     let kb0 = rex_datagen::generate(&rex_datagen::GeneratorConfig::tiny(0xE1DE));
     let mut kb = kb0.clone();
-    let mut index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let epoch0 = kb.epoch();
     // 16-edge delta: 8 remove + rewire pairs over the shapes' label
     // space (labels 0..5 are the KB's most common under the Zipf draw).
@@ -186,7 +183,8 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
     }
     let delta = kb.delta_since(epoch0).into_delta().unwrap();
     assert_eq!(delta.edge_churn(), 16);
-    index.apply_delta(&delta).unwrap();
+    let sharded = index.next_epoch(&delta).unwrap();
+    let index = sharded.base();
 
     let mut any_affected = 0usize;
     let mut total_probed = 0usize;
@@ -201,7 +199,8 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
         }
         any_affected += 1;
         let scope = metrics::scoped();
-        delta_count_distributions(&index, &spec, &affected, affected.len()).unwrap();
+        let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
+        count_distributions(&sharded, &spec, &req).unwrap();
         let counts = scope.counts();
         drop(scope);
         assert_eq!(counts.delta, 1);

@@ -138,12 +138,14 @@ proptest! {
     fn streaming_position_matches_materialized((kb, a, b) in arb_kb()) {
         use rex_relstore::engine::EdgeIndex;
         use rex_relstore::ops::group_count_having_limit;
+        use rex_relstore::plan::StartBinding;
         let config = EnumConfig::default().with_max_nodes(4);
         let out = GeneralEnumerator::new(config).enumerate(&kb, a, b);
         let index = EdgeIndex::build(&kb);
         for e in out.explanations.iter().take(8) {
             let spec = e.pattern.to_spec();
-            let instances = spec.evaluate_indexed(&index, Some(a.0 as u64)).expect("valid");
+            let binding = StartBinding::Const(a.0 as u64);
+            let instances = spec.evaluate_indexed(&index, &binding).expect("valid");
             for c in [0u64, 1, 2] {
                 let full = group_count_having_limit(&instances, &[spec.end], c, usize::MAX)
                     .expect("group")

@@ -18,7 +18,8 @@ use rex_core::enumerate::GeneralEnumerator;
 use rex_core::measures::{DistributionCache, MeasureContext, SampleFrame};
 use rex_core::{EnumConfig, Explanation};
 use rex_kb::{KbBuilder, KnowledgeBase, LabelId, NodeId};
-use rex_relstore::engine::EdgeIndex;
+use rex_relstore::budget::Budget;
+use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
 use rex_relstore::metrics;
 use rex_relstore::plan::dir_code;
 use rex_tests::scaffold::{apply_ops, base_kb};
@@ -71,7 +72,8 @@ proptest! {
         let scope = metrics::scoped();
         let mut kb = suite_kb(base_seed);
         let starts: Vec<NodeId> = kb.node_ids().collect();
-        let mut index = EdgeIndex::build(&kb);
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let unlimited = Budget::unlimited();
         let cache = if tight_ceiling {
             DistributionCache::with_row_ceiling(8)
         } else {
@@ -85,7 +87,7 @@ proptest! {
                 .explanations;
         prop_assert!(!explanations.is_empty(), "base core guarantees explanations");
         for e in &explanations {
-            cache.all_starts(&index, e, &starts);
+            cache.all_starts(&index, e, &starts, &unlimited).unwrap();
         }
         let warm_evals = cache.batched_evals();
 
@@ -95,7 +97,7 @@ proptest! {
         prop_assert!(kb.epoch() > epoch0);
         kb.check_invariants().unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
-        index.apply_delta(&delta).unwrap();
+        let index = index.next_epoch(&delta).unwrap();
         prop_assert_eq!(index.epoch(), kb.epoch());
         let maintenance = cache.apply_delta(&kb, &index, &delta);
         prop_assert_eq!(maintenance.dropped, 0);
@@ -111,27 +113,27 @@ proptest! {
         // Scratch rebuild at the final state.
         let kb2 = scratch_rebuild(&kb);
         prop_assert_eq!(kb2.edge_count(), kb.edge_count());
-        let index2 = EdgeIndex::build(&kb2);
+        let index2 = ShardedEdgeIndex::build(&kb2, ShardSpec::single());
         let cache2 = DistributionCache::new();
 
         // Index parity: every (label, dir) partition has the same size.
         for label in 0..kb.label_count() as u64 {
             for dir in [dir_code::FORWARD, dir_code::UNDIRECTED] {
                 prop_assert_eq!(
-                    index.scan_len(label, dir),
-                    index2.scan_len(label, dir),
+                    index.base().scan_len(label, dir),
+                    index2.base().scan_len(label, dir),
                     "partition ({}, {})", label, dir
                 );
             }
         }
-        prop_assert_eq!(index.total_rows(), index2.total_rows());
+        prop_assert_eq!(index.base().total_rows(), index2.base().total_rows());
 
         // Distribution parity, all shapes × all (original) starts; the
         // maintained cache must serve them warm.
         let evals_after_maintenance = cache.batched_evals();
         for e in &explanations {
-            let maintained = cache.all_starts(&index, e, &starts);
-            let scratch = cache2.all_starts(&index2, e, &starts);
+            let maintained = cache.all_starts(&index, e, &starts, &unlimited).unwrap().batch;
+            let scratch = cache2.all_starts(&index2, e, &starts, &unlimited).unwrap().batch;
             for s in &starts {
                 prop_assert_eq!(
                     maintained.counts_for(s.0 as u64),
@@ -161,10 +163,11 @@ fn stale_cache_refreshes_to_correct_values() {
         .enumerate(&kb, a, b)
         .explanations;
     let starts: Vec<NodeId> = kb.node_ids().collect();
-    let mut index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let unlimited = Budget::unlimited();
     let cache = DistributionCache::new();
     for e in &explanations {
-        cache.all_starts(&index, e, &starts);
+        cache.all_starts(&index, e, &starts, &unlimited).unwrap();
         cache.counts(&index, e, a.0);
     }
     let evals_warm = cache.batched_evals();
@@ -176,14 +179,14 @@ fn stale_cache_refreshes_to_correct_values() {
     let label = LabelId(spec.edges[0].label as u32);
     let directed = spec.edges[0].directed;
     kb.insert_edge(a, b, label, directed).unwrap();
-    index.apply_delta(&kb.delta_since(epoch0).into_delta().unwrap()).unwrap();
+    let index = index.next_epoch(&kb.delta_since(epoch0).into_delta().unwrap()).unwrap();
 
     // No apply_delta on the cache: reads must detect the skew themselves.
     let fresh = DistributionCache::new();
     for e in &explanations {
-        let refreshed = cache.all_starts(&index, e, &starts);
+        let refreshed = cache.all_starts(&index, e, &starts, &unlimited).unwrap().batch;
         assert_eq!(refreshed.epoch(), kb.epoch());
-        let cold = fresh.all_starts(&index, e, &starts);
+        let cold = fresh.all_starts(&index, e, &starts, &unlimited).unwrap().batch;
         for s in &starts {
             assert_eq!(
                 refreshed.counts_for(s.0 as u64),
@@ -219,7 +222,7 @@ fn measure_context_survives_kb_updates() {
             .with_distribution_cache(Arc::clone(&shared))
             .with_sample_frame(frame);
         for e in &explanations {
-            ctx.distributions().global_position(ctx.edge_index(), e, ctx.sample_frame().starts());
+            global(&ctx, e);
         }
     }
 
@@ -233,16 +236,20 @@ fn measure_context_survives_kb_updates() {
         .with_sample_frame(Arc::clone(&frame));
     let cold_ctx = MeasureContext::new(&kb, a, b).with_sample_frame(frame);
     for e in &explanations {
-        let warm = warm_ctx.distributions().global_position(
-            warm_ctx.edge_index(),
-            e,
-            warm_ctx.sample_frame().starts(),
-        );
-        let cold = cold_ctx.distributions().global_position(
-            cold_ctx.edge_index(),
-            e,
-            cold_ctx.sample_frame().starts(),
-        );
+        let (warm, cold) = (global(&warm_ctx, e), global(&cold_ctx, e));
         assert_eq!(warm, cold, "stale position served for {}", e.describe(&kb));
     }
+}
+
+/// The global position of `e` over `ctx`'s frame, through its cache.
+fn global(ctx: &MeasureContext<'_>, e: &Explanation) -> usize {
+    let starts = ctx.sample_frame().starts();
+    let pos = ctx.distributions().global_position(
+        ctx.edge_index(),
+        e,
+        starts,
+        None,
+        &Budget::unlimited(),
+    );
+    pos.expect("unlimited budget never aborts")
 }

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use rex_core::pattern::{EdgeDir, Pattern, PatternEdge, VarId, END_VAR, START_VAR};
 use rex_kb::LabelId;
 use rex_query::templates::StepDir;
-use rex_relstore::engine::{global_count_distributions, EdgeIndex};
-use rex_tests::differential::reference_distributions;
+use rex_relstore::engine::{EdgeIndex, ShardSpec, ShardedEdgeIndex};
+use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold;
 
 /// The pre-refactor hand-numbered path construction, kept verbatim as
@@ -102,7 +102,7 @@ fn match_spelled_scaffold_shapes_pin_distributions() {
                 "shape {idx} (salt {salt}): compiled vs legacy reference distributions"
             );
             assert_eq!(
-                global_count_distributions(&index, &compiled_spec, None).unwrap(),
+                indexed_distributions(&index, &compiled_spec, None),
                 reference,
                 "shape {idx} (salt {salt}): planned indexed path vs reference"
             );
@@ -159,7 +159,7 @@ proptest! {
         );
         let index = EdgeIndex::build(&kb);
         prop_assert_eq!(
-            &global_count_distributions(&index, &spec, None).unwrap(),
+            &indexed_distributions(&index, &spec, None),
             &reference,
             "planned indexed evaluation vs reference"
         );
@@ -172,7 +172,7 @@ proptest! {
 fn isomorphic_queries_share_cache_entries() {
     use std::sync::Arc;
     let kb = scaffold::base_kb(7, 7);
-    let index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let q1 = rex_core::query::compile_text(
         "MATCH (x)-[:l3]->(film)<-[:l3]-(y) WHERE x = $start AND y = $end",
         &kb,

@@ -15,13 +15,12 @@ use rex_core::enumerate::GeneralEnumerator;
 use rex_core::measures::DistributionCache;
 use rex_core::ranking::fault::site;
 use rex_core::ranking::{
-    rank_pairs_with, rank_pairs_with_budget, FaultAction, FaultPlan, PairExplanations,
-    RankPairsConfig, ServingState,
+    rank_pairs_with, FaultAction, FaultPlan, PairExplanations, RankPairsConfig, ServingState,
 };
 use rex_core::{CoreError, EnumConfig, Explanation};
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::budget::{AbortReason, Budget, CancelToken};
-use rex_relstore::engine::EdgeIndex;
+use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
 use rex_relstore::{metrics, RelError};
 use rex_tests::scaffold::{apply_ops, base_kb};
 
@@ -71,7 +70,7 @@ fn cancelled_evaluation_leaves_no_trace() {
     let kb = suite_kb(1);
     let explanations = enumerate_core(&kb);
     assert!(!explanations.is_empty());
-    let index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let starts: Vec<NodeId> = kb.node_ids().collect();
     let cache = DistributionCache::new();
 
@@ -79,11 +78,12 @@ fn cancelled_evaluation_leaves_no_trace() {
     token.cancel();
     let budget = Budget::unlimited().with_cancel(token);
     let before = fingerprint(&cache);
-    let err = cache.all_starts_budgeted(&index, &explanations[0], &starts, &budget).unwrap_err();
+    let err = cache.all_starts(&index, &explanations[0], &starts, &budget).unwrap_err();
     assert!(matches!(err, RelError::Aborted(AbortReason::Cancelled)), "{err}");
     assert_eq!(fingerprint(&cache), before, "aborted evaluation left a trace in the cache");
 
-    let entry = cache.all_starts(&index, &explanations[0], &starts);
+    let entry = cache.all_starts(&index, &explanations[0], &starts, &Budget::unlimited()).unwrap();
+    let entry = entry.batch;
     assert!(entry.domain_len() > 0);
     assert_ne!(fingerprint(&cache), before, "the successful evaluation must publish");
 }
@@ -97,13 +97,13 @@ fn deadline_and_row_budget_abort_with_typed_reasons() {
     let _scope = metrics::scoped();
     let kb = suite_kb(2);
     let explanations = enumerate_core(&kb);
-    let index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let starts: Vec<NodeId> = kb.node_ids().collect();
 
     let cache = DistributionCache::new();
     let before = fingerprint(&cache);
     let expired = Budget::unlimited().with_deadline(Duration::ZERO);
-    let err = cache.all_starts_budgeted(&index, &explanations[0], &starts, &expired).unwrap_err();
+    let err = cache.all_starts(&index, &explanations[0], &starts, &expired).unwrap_err();
     assert!(matches!(err, RelError::Aborted(AbortReason::DeadlineExpired)), "{err}");
     assert_eq!(fingerprint(&cache), before);
 
@@ -113,8 +113,7 @@ fn deadline_and_row_budget_abort_with_typed_reasons() {
     let tiny_tiles = DistributionCache::with_row_ceiling(1);
     let before = fingerprint(&tiny_tiles);
     let starved = Budget::unlimited().with_row_budget(1);
-    let err =
-        tiny_tiles.all_starts_budgeted(&index, &explanations[0], &starts, &starved).unwrap_err();
+    let err = tiny_tiles.all_starts(&index, &explanations[0], &starts, &starved).unwrap_err();
     assert!(matches!(err, RelError::Aborted(AbortReason::RowBudgetExhausted)), "{err}");
     assert_eq!(fingerprint(&tiny_tiles), before);
 }
@@ -128,14 +127,14 @@ fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
     let scope = metrics::scoped();
     let kb = suite_kb(3);
     let explanations = enumerate_core(&kb);
-    let index = EdgeIndex::build(&kb);
+    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let starts: Vec<NodeId> = kb.node_ids().collect();
 
     // Success: exactly one full evaluation, at least one tile, nothing
     // streamed.
     let cache = DistributionCache::new();
     let c0 = scope.counts();
-    cache.all_starts(&index, &explanations[0], &starts);
+    cache.all_starts(&index, &explanations[0], &starts, &Budget::unlimited()).unwrap();
     let committed = scope.counts().since(&c0);
     assert_eq!(committed.full, 1, "one batch commits one full evaluation");
     assert!(committed.tiles >= 1);
@@ -148,7 +147,7 @@ fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
     let cold = DistributionCache::new();
     let aborts_before = metrics::aborted_evals();
     let c1 = scope.counts();
-    cold.all_starts_budgeted(&index, &explanations[0], &starts, &budget).unwrap_err();
+    cold.all_starts(&index, &explanations[0], &starts, &budget).unwrap_err();
     assert_eq!(scope.counts(), c1, "aborted batch published partial counter traffic");
     assert_eq!(metrics::aborted_evals(), aborts_before + 1, "exactly one staged drain");
 }
@@ -172,14 +171,7 @@ fn budgeted_ranking_sheds_pairs_not_the_workload() {
     let baseline = rank_pairs_with(&tasks, &cfg, snap.index(), snap.frame(), snap.cache());
     assert!(baseline.shed.is_empty());
 
-    let unlimited = rank_pairs_with_budget(
-        &tasks,
-        &cfg,
-        snap.index(),
-        snap.frame(),
-        snap.cache(),
-        &Budget::unlimited(),
-    );
+    let unlimited = snap.rank(&tasks, &cfg, &Budget::unlimited());
     assert!(unlimited.shed.is_empty());
     for (u, v) in baseline.rankings.iter().zip(&unlimited.rankings) {
         let uv: Vec<(usize, f64)> = u.iter().map(|r| (r.index, r.score)).collect();
@@ -193,16 +185,15 @@ fn budgeted_ranking_sheds_pairs_not_the_workload() {
     let token = CancelToken::new();
     token.cancel();
     let cancelled = Budget::unlimited().with_cancel(token);
-    let cold = DistributionCache::new();
-    let before = fingerprint(&cold);
-    let outcome =
-        rank_pairs_with_budget(&tasks, &cfg, snap.index(), snap.frame(), &cold, &cancelled);
+    let cold = ServingState::build(&kb, &cfg).unwrap();
+    let before = fingerprint(cold.cache());
+    let outcome = cold.snapshot().rank(&tasks, &cfg, &cancelled);
     assert_eq!(outcome.shed.len(), tasks.len(), "every pair shed");
     for shed in &outcome.shed {
         assert_eq!(shed.reason, AbortReason::Cancelled);
         assert!(outcome.rankings[shed.pair].is_empty(), "shed pairs rank nothing");
     }
-    assert_eq!(fingerprint(&cold), before, "shed pairs left traces in the cache");
+    assert_eq!(fingerprint(cold.cache()), before, "shed pairs left traces in the cache");
 }
 
 /// Admission is a row pool with RAII release: one request's cost fills
@@ -221,7 +212,7 @@ fn admission_pool_sheds_overlap_and_releases_on_drop() {
     let cfg = cfg();
 
     let state = ServingState::build(&kb, &cfg).unwrap();
-    let cost = state.estimate_request_rows(&tasks);
+    let cost = state.snapshot().estimate_request_rows(&tasks);
     assert!(cost >= 1);
     let state = state.with_admission_control(cost);
     let pool = state.admission().expect("admission configured");
@@ -281,12 +272,19 @@ fn forced_compaction_rebuild_retries_once_and_recovers() {
 
     // Scratch parity at the new epoch.
     let snap = state.snapshot();
-    let scratch_index = EdgeIndex::build(&kb);
+    let scratch_index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let scratch_cache = DistributionCache::new();
     for e in &explanations {
         let got = snap.global_position_excluding(e, None);
-        let want =
-            scratch_cache.global_position_excluding(&scratch_index, e, snap.frame().starts(), None);
+        let unlimited = Budget::unlimited();
+        let want = scratch_cache.global_position(
+            &scratch_index,
+            e,
+            snap.frame().starts(),
+            None,
+            &unlimited,
+        );
+        let want = want.unwrap();
         assert_eq!(got, want, "shape {}", e.describe(&kb));
     }
 }
@@ -346,7 +344,7 @@ proptest! {
         apply_ops(&mut kb, &ops, "r");
         let explanations = enumerate_core(&kb);
         prop_assert!(!explanations.is_empty());
-        let index = EdgeIndex::build(&kb);
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let all: Vec<NodeId> = kb.node_ids().collect();
         let cache = DistributionCache::new();
 
@@ -354,7 +352,7 @@ proptest! {
         // below — full domain — is a guaranteed miss that must evaluate.
         let warm_domain = &all[..all.len() / 2];
         for e in explanations.iter().take(warm_shapes) {
-            cache.all_starts(&index, e, warm_domain);
+            cache.all_starts(&index, e, warm_domain, &Budget::unlimited()).unwrap();
         }
 
         let budget = if cancel {
@@ -366,13 +364,14 @@ proptest! {
         };
         let before = fingerprint(&cache);
         let err = cache
-            .all_starts_budgeted(&index, &explanations[0], &all, &budget)
+            .all_starts(&index, &explanations[0], &all, &budget)
             .unwrap_err();
         prop_assert!(matches!(err, RelError::Aborted(_)), "{}", err);
         prop_assert_eq!(fingerprint(&cache), before);
 
         // And the same call, unbudgeted, succeeds and covers the domain.
-        let entry = cache.all_starts(&index, &explanations[0], &all);
+        let entry = cache.all_starts(&index, &explanations[0], &all, &Budget::unlimited());
+        let entry = entry.unwrap().batch;
         for s in &all {
             prop_assert!(entry.covers(s.0 as u64));
         }

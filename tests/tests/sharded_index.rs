@@ -11,21 +11,23 @@
 //! observable in an answer.
 //!
 //! Alongside it: a save → load → evaluate round-trip property (a
-//! reloaded index answers exactly like the one that was saved) and the
+//! reloaded index answers exactly like the one that was saved), the
 //! corrupt-a-byte sweep from the durability suite applied to the index
 //! snapshot files (every single-byte corruption of any file in the
 //! snapshot directory is rejected by a checksum — never a panic, never
-//! a silently wrong index).
+//! a silently wrong index), and a behaviour pin of the evaluation path's
+//! answers, tiling and row accounting across shard counts and row
+//! ceilings.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
+use rex_datagen::{generate, GeneratorConfig};
 use rex_relstore::engine::{
-    global_count_distributions, sharded_count_distributions_ceiling,
-    sharded_count_distributions_tiled, ShardSpec, ShardedEdgeIndex,
+    count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex, TiledDistributions,
 };
-use rex_tests::differential::reference_distributions;
+use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold::{apply_ops, base_kb, shape, shape_count};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -58,9 +60,9 @@ fn select_starts(universe: &[u64], mask: u64) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Shard parity: random KBs × shapes × start sets × shard counts,
-    /// tiled and ceiling evaluation, against the unsharded probe path
-    /// AND the unindexed reference.
+    /// Shard parity: random KBs × shapes × start sets × shard counts ×
+    /// row ceilings, against the unsharded probe path AND the unindexed
+    /// reference.
     #[test]
     fn sharded_fanout_matches_reference_and_unsharded(
         seed in 0u64..1_000_000,
@@ -81,16 +83,16 @@ proptest! {
             let index = ShardedEdgeIndex::build(&kb, ShardSpec::new(shards, seed ^ 0x5EED));
             for starts in [&universe, &subset] {
                 let expected = reference_distributions(&kb, &spec, Some(starts));
-                let flat =
-                    global_count_distributions(index.base(), &spec, Some(starts)).unwrap();
+                let flat = indexed_distributions(index.base(), &spec, Some(starts));
                 prop_assert_eq!(&flat, &expected, "unsharded probe path, {shards} shards");
-                let tiled = sharded_count_distributions_tiled(
-                    &index, &spec, starts, starts.len().max(1) / 2 + 1,
-                ).unwrap();
-                prop_assert_eq!(&tiled.per_start, &expected, "tiled fan-out, {shards} shards");
-                let ceiled =
-                    sharded_count_distributions_ceiling(&index, &spec, starts, 64).unwrap();
-                prop_assert_eq!(&ceiled.per_start, &expected, "ceiling fan-out, {shards} shards");
+                for row_ceiling in [None, Some(0), Some(64)] {
+                    let req = EvalRequest { starts, row_ceiling, ..Default::default() };
+                    let got = count_distributions(&index, &spec, &req).unwrap();
+                    prop_assert_eq!(
+                        &got.per_start, &expected, "fan-out, {shards} shards, ceiling {:?}",
+                        row_ceiling
+                    );
+                }
             }
         }
     }
@@ -119,12 +121,11 @@ proptest! {
         prop_assert_eq!(loaded.shard_count(), index.shard_count());
 
         let starts = start_universe(kb.node_count());
+        let req = EvalRequest { starts: &starts, row_ceiling: Some(8), ..Default::default() };
         for idx in 0..shape_count() {
             let spec = shape(idx);
-            let before =
-                sharded_count_distributions_tiled(&index, &spec, &starts, 8).unwrap();
-            let after =
-                sharded_count_distributions_tiled(&loaded, &spec, &starts, 8).unwrap();
+            let before = count_distributions(&index, &spec, &req).unwrap();
+            let after = count_distributions(&loaded, &spec, &req).unwrap();
             prop_assert_eq!(&before.per_start, &after.per_start, "shape {}", idx);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -142,7 +143,8 @@ fn single_start_on_many_shards_matches_reference() {
         for idx in 0..shape_count() {
             let spec = shape(idx);
             let expected = reference_distributions(&kb, &spec, Some(&starts));
-            let got = sharded_count_distributions_tiled(&index, &spec, &starts, 1).unwrap();
+            let req = EvalRequest { starts: &starts, ..Default::default() };
+            let got = count_distributions(&index, &spec, &req).unwrap();
             assert_eq!(got.per_start, expected, "shape {idx} start {start}");
         }
     }
@@ -186,4 +188,126 @@ fn corrupt_a_byte_sweep_over_snapshot_directory() {
     }
     ShardedEdgeIndex::load(&dir).expect("restored snapshot loads again");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One pinned evaluation: `(shape, shards, row ceiling, per-start hash,
+/// tiles, peak_rows, est_peak_rows, overflow_tiles)`.
+type Pin = (usize, usize, Option<usize>, u64, usize, usize, usize, usize);
+
+/// Fingerprints of [`count_distributions`] over every scaffold shape ×
+/// shards {1, 3} × row ceiling {none, 0, 64}, on
+/// `GeneratorConfig::tiny(0xE1DE)` with every 7th entity (plus one id
+/// past the KB) as starts. The hash is FNV-1a over the per-start
+/// multisets in start order. Recorded from the per-variant entry points
+/// this single path replaced (sharded/flat × fixed-size/ceiling tiling),
+/// so a change in answers, tiling or row accounting shows up here.
+const PINS: [Pin; 54] = [
+    (0, 1, None, 0xc99491919640e92a, 1, 125, 0, 0),
+    (0, 1, Some(0), 0xc99491919640e92a, 43, 26, 26, 34),
+    (0, 1, Some(64), 0xc99491919640e92a, 2, 63, 63, 0),
+    (1, 1, None, 0xc97772ae50f9bf9c, 1, 50, 0, 0),
+    (1, 1, Some(0), 0xc97772ae50f9bf9c, 35, 12, 12, 22),
+    (1, 1, Some(64), 0xc97772ae50f9bf9c, 1, 50, 50, 0),
+    (2, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
+    (2, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
+    (2, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
+    (3, 1, None, 0xf0a6accba4f9b9f0, 1, 368, 0, 0),
+    (3, 1, Some(0), 0xf0a6accba4f9b9f0, 43, 81, 53, 34),
+    (3, 1, Some(64), 0xf0a6accba4f9b9f0, 5, 111, 63, 0),
+    (4, 1, None, 0x9b07211fe9cb19ba, 1, 109, 0, 0),
+    (4, 1, Some(0), 0x9b07211fe9cb19ba, 35, 34, 21, 22),
+    (4, 1, Some(64), 0x9b07211fe9cb19ba, 2, 65, 56, 0),
+    (5, 1, None, 0xb1af172f204562d8, 1, 102, 0, 0),
+    (5, 1, Some(0), 0xb1af172f204562d8, 32, 23, 18, 19),
+    (5, 1, Some(64), 0xb1af172f204562d8, 2, 82, 62, 0),
+    (6, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
+    (6, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
+    (6, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
+    (7, 1, None, 0xcbf29ce484222325, 1, 53, 0, 0),
+    (7, 1, Some(0), 0xcbf29ce484222325, 1, 53, 0, 0),
+    (7, 1, Some(64), 0xcbf29ce484222325, 1, 53, 0, 0),
+    (8, 1, None, 0xcbf29ce484222325, 1, 125, 0, 0),
+    (8, 1, Some(0), 0xcbf29ce484222325, 43, 26, 26, 34),
+    (8, 1, Some(64), 0xcbf29ce484222325, 2, 63, 63, 0),
+    (0, 3, None, 0xc99491919640e92a, 3, 65, 0, 0),
+    (0, 3, Some(0), 0xc99491919640e92a, 47, 26, 26, 34),
+    (0, 3, Some(64), 0xc99491919640e92a, 4, 62, 62, 0),
+    (1, 3, None, 0xc97772ae50f9bf9c, 3, 24, 0, 0),
+    (1, 3, Some(0), 0xc97772ae50f9bf9c, 39, 12, 12, 22),
+    (1, 3, Some(64), 0xc97772ae50f9bf9c, 3, 24, 24, 0),
+    (2, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
+    (2, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
+    (2, 3, Some(64), 0xcbf29ce484222325, 3, 0, 0, 0),
+    (3, 3, None, 0xf0a6accba4f9b9f0, 3, 205, 0, 0),
+    (3, 3, Some(0), 0xf0a6accba4f9b9f0, 47, 81, 39, 34),
+    (3, 3, Some(64), 0xf0a6accba4f9b9f0, 5, 115, 62, 0),
+    (4, 3, None, 0x9b07211fe9cb19ba, 3, 55, 0, 0),
+    (4, 3, Some(0), 0x9b07211fe9cb19ba, 39, 34, 19, 22),
+    (4, 3, Some(64), 0x9b07211fe9cb19ba, 3, 55, 38, 0),
+    (5, 3, None, 0xb1af172f204562d8, 3, 56, 0, 0),
+    (5, 3, Some(0), 0xb1af172f204562d8, 33, 23, 15, 19),
+    (5, 3, Some(64), 0xb1af172f204562d8, 3, 56, 33, 0),
+    (6, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
+    (6, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
+    (6, 3, Some(64), 0xcbf29ce484222325, 3, 0, 0, 0),
+    (7, 3, None, 0xcbf29ce484222325, 3, 24, 0, 0),
+    (7, 3, Some(0), 0xcbf29ce484222325, 3, 24, 0, 0),
+    (7, 3, Some(64), 0xcbf29ce484222325, 3, 24, 0, 0),
+    (8, 3, None, 0xcbf29ce484222325, 3, 65, 0, 0),
+    (8, 3, Some(0), 0xcbf29ce484222325, 47, 26, 26, 34),
+    (8, 3, Some(64), 0xcbf29ce484222325, 4, 62, 62, 0),
+];
+
+/// FNV-1a over the per-start multisets in start order.
+fn per_start_hash(d: &TiledDistributions) -> u64 {
+    let mut starts: Vec<_> = d.per_start.iter().collect();
+    starts.sort_unstable_by_key(|(s, _)| **s);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (s, counts) in starts {
+        mix(*s);
+        mix(counts.len() as u64);
+        for &c in counts {
+            mix(c);
+        }
+    }
+    h
+}
+
+/// The behaviour pin: one evaluation path reproduces every pinned
+/// fingerprint — the returned values, so the test is deterministic under
+/// the parallel runner.
+#[test]
+fn count_distributions_matches_pinned_fingerprints() {
+    let kb = generate(&GeneratorConfig::tiny(0xE1DE));
+    let mut starts: Vec<u64> = (0..kb.node_count() as u64).step_by(7).collect();
+    starts.push(kb.node_count() as u64 + 3);
+    let mut got: Vec<Pin> = Vec::new();
+    for shards in [1usize, 3] {
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::new(shards, 0xE1DE));
+        for idx in 0..shape_count() {
+            let spec = shape(idx);
+            for row_ceiling in [None, Some(0), Some(64)] {
+                let req = EvalRequest { starts: &starts, row_ceiling, ..Default::default() };
+                let d = count_distributions(&index, &spec, &req).unwrap();
+                let hash = per_start_hash(&d);
+                got.push((
+                    idx,
+                    shards,
+                    row_ceiling,
+                    hash,
+                    d.tiles,
+                    d.peak_rows,
+                    d.est_peak_rows,
+                    d.overflow_tiles,
+                ));
+            }
+        }
+    }
+    assert_eq!(got, PINS);
 }

@@ -24,8 +24,7 @@ use rex_core::{EnumConfig, Explanation};
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::engine::{
-    global_count_distributions, global_count_distributions_tiled, local_count_distribution_indexed,
-    EdgeIndex, ShardSpec, ShardedEdgeIndex,
+    count_distributions, local_count_distribution_indexed, EvalRequest, ShardSpec, ShardedEdgeIndex,
 };
 
 /// One pair's enumerated explanations in the shared workload.
@@ -111,7 +110,7 @@ fn read_time_exclusion_drops_own_start_rows() {
 
     let out = GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
     let ctx = MeasureContext::new(&kb, a, b).with_sample_frame(Arc::clone(&frame));
-    let index = EdgeIndex::build(&kb);
+    let index = rex_relstore::engine::EdgeIndex::build(&kb);
     for e in &out.explanations {
         let spec = e.pattern.to_spec();
         let a_val = e.count() as u64;
@@ -194,28 +193,31 @@ fn workload_budget_beats_per_pair_caches() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Tiled `Among` evaluation equals untiled for random tile sizes and
-    /// random shapes/starts of the synthetic workload, with the tile
-    /// count it promises and a peak no larger than the untiled peak.
+    /// Tiled `Among` evaluation equals untiled for random row ceilings
+    /// and random shapes/starts of the synthetic workload, with the tile
+    /// count the ceiling packing promises and a peak no larger than the
+    /// untiled peak.
     #[test]
     fn tiled_among_matches_untiled(
         pair_idx in 0usize..4,
         shape_idx in 0usize..16,
-        tile_size in 1usize..40,
+        ceiling in 0usize..400,
         stride in 1usize..13,
     ) {
         let (kb, prepared) = workload();
         let (_, _, explanations) = &prepared[pair_idx % prepared.len()];
         let e = &explanations[shape_idx % explanations.len()];
         let spec = e.pattern.to_spec();
-        static INDEX: OnceLock<EdgeIndex> = OnceLock::new();
-        let index = INDEX.get_or_init(|| EdgeIndex::build(kb));
+        static INDEX: OnceLock<ShardedEdgeIndex> = OnceLock::new();
+        let index = INDEX.get_or_init(|| ShardedEdgeIndex::build(kb, ShardSpec::single()));
         let starts: Vec<u64> = (0..kb.node_count() as u64).step_by(stride).collect();
-        let untiled = global_count_distributions(index, &spec, Some(&starts)).unwrap();
-        let tiled = global_count_distributions_tiled(index, &spec, &starts, tile_size).unwrap();
-        prop_assert_eq!(&tiled.per_start, &untiled);
-        prop_assert_eq!(tiled.tiles, starts.len().div_ceil(tile_size.min(starts.len())));
-        let single = global_count_distributions_tiled(index, &spec, &starts, starts.len()).unwrap();
-        prop_assert!(tiled.peak_rows <= single.peak_rows);
+        let untiled = EvalRequest { starts: &starts, ..Default::default() };
+        let untiled = count_distributions(index, &spec, &untiled).unwrap();
+        let tiled = EvalRequest { starts: &starts, row_ceiling: Some(ceiling), ..Default::default() };
+        let tiled = count_distributions(index, &spec, &tiled).unwrap();
+        prop_assert_eq!(&tiled.per_start, &untiled.per_start);
+        let packing = index.base().tile_starts_for_ceiling(&spec, &starts, ceiling);
+        prop_assert_eq!(tiled.tiles, packing.len());
+        prop_assert!(tiled.peak_rows <= untiled.peak_rows);
     }
 }
