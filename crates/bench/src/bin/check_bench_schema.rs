@@ -417,7 +417,7 @@ fn validate(text: &str) -> Result<(), String> {
     if in_wal_commits < in_batches {
         return Err(format!(
             "ingest: {in_wal_commits} WAL commits for {in_batches} batches — \
-             commits are not flowing through the durability metrics"
+             commits are not reaching the WAL"
         ));
     }
     if in_checkpoints < 1.0 {
@@ -680,7 +680,7 @@ mod tests {
             GOOD.replace("\"sustained_edges_per_s\": 3200.0", "\"sustained_edges_per_s\": 12.0");
         assert_ne!(broken, GOOD);
         assert!(validate(&broken).unwrap_err().contains("floor"));
-        // Fewer WAL commits than batches: durability metrics rot.
+        // Fewer WAL commits than batches: commits are not reaching the WAL.
         let broken = GOOD.replace("\"wal_commits\": 48", "\"wal_commits\": 3");
         assert!(validate(&broken).unwrap_err().contains("WAL commits"));
         // No interval checkpoint ever ran.

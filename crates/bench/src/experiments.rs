@@ -22,7 +22,7 @@ use rex_kb::{EdgeId, NodeId};
 use rex_oracle::study::{paper_pairs, run_study};
 use rex_oracle::{StudyConfig, StudyOutcome};
 use rex_relstore::budget::Budget;
-use rex_relstore::metrics;
+use rex_relstore::metrics::{self, EvalTrace};
 
 use crate::report::Table;
 use crate::timing::{fmt_duration, mean, time};
@@ -355,9 +355,8 @@ pub struct EndpointIndexBench {
 /// the delta's own endpoint entities, mirroring the warm-serving state
 /// `DistributionCache::apply_delta` patches (the endpoints ride along so
 /// a frame that happened to sample none of the blast radius still
-/// leaves the pass measurable). Must run inside the caller's
-/// [`metrics::scoped`] region (the bench binaries hold one): the
-/// probed/scanned deltas are read from the process-global counters.
+/// leaves the pass measurable). The probed/scanned rows are the sum of
+/// the traces the patch pass's evaluations return.
 pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointIndexBench {
     use rex_relstore::engine::{
         count_distributions, delta_affected_starts, EvalKind, EvalRequest, ShardSpec,
@@ -420,7 +419,7 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
     let mut shapes_touched = 0usize;
     let mut affected_starts = 0usize;
     let mut scan_floor_rows = 0usize;
-    let before = metrics::snapshot();
+    let mut traffic = EvalTrace::default();
     let ((), patch_wall) = time(|| {
         for spec in &specs {
             let Some(affected) = delta_affected_starts(&kb, spec, &delta) else {
@@ -432,14 +431,15 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
             }
             let req =
                 EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
-            count_distributions(&index, spec, &req).expect("workload shapes are valid specs");
+            let patch =
+                count_distributions(&index, spec, &req).expect("workload shapes are valid specs");
+            traffic.merge(&patch.trace);
             shapes_touched += 1;
             affected_starts += affected.len();
             scan_floor_rows +=
                 spec.edges.iter().map(|e| index.base().scan_len(e.label, e.dir())).sum::<usize>();
         }
     });
-    let traffic = metrics::snapshot().since(&before);
 
     EndpointIndexBench {
         kb_edges: kb.edge_count(),
@@ -512,9 +512,8 @@ const PLANNER_BENCH_REPS: usize = 8;
 /// label is a huge hub partition. The naive order must scan that
 /// partition outright; the planner defers it to a bound-value probe fed
 /// by the rare start edge, so its row traffic collapses to the probed
-/// neighborhoods. Must run inside the caller's [`metrics::scoped`]
-/// region: the per-side traffic deltas come from the process-global
-/// counters.
+/// neighborhoods. Each side's traffic is the sum of the traces its
+/// evaluations return.
 pub fn planner_bench(w: &Workload) -> PlannerBench {
     use rex_kb::KbBuilder;
     use rex_relstore::engine::EdgeIndex;
@@ -562,27 +561,27 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
     let _ = w.seed; // workload-independent: the skew is the experiment
 
     let mut naive_rel = None;
-    let before = metrics::snapshot();
+    let mut naive_traffic = EvalTrace::default();
     let ((), naive_wall) = time(|| {
         for _ in 0..PLANNER_BENCH_REPS {
-            naive_rel = Some(
-                spec.evaluate_indexed_in_order(&index, &binding, &order)
-                    .expect("naive order evaluates")
-                    .0,
-            );
+            let (rel, trace) = spec
+                .evaluate_indexed_in_order(&index, &binding, &order)
+                .expect("naive order evaluates");
+            naive_traffic.merge(&trace);
+            naive_rel = Some(rel);
         }
     });
-    let naive_traffic = metrics::snapshot().since(&before);
 
     let mut cost_rel = None;
-    let before = metrics::snapshot();
+    let mut cost_traffic = EvalTrace::default();
     let ((), cost_wall) = time(|| {
         for _ in 0..PLANNER_BENCH_REPS {
-            cost_rel =
-                Some(spec.evaluate_indexed(&index, &binding).expect("planned path evaluates"));
+            let (rel, trace) =
+                spec.evaluate_indexed(&index, &binding).expect("planned path evaluates");
+            cost_traffic.merge(&trace);
+            cost_rel = Some(rel);
         }
     });
-    let cost_traffic = metrics::snapshot().since(&before);
 
     // Join order is a physical choice: the answers must agree as sets.
     let sorted_rows = |rel: &rex_relstore::Relation| {
@@ -1064,7 +1063,7 @@ pub struct IngestBench {
     /// Wall time of the ingest path alone — submit/pump/drain, with the
     /// interleaved reader passes excluded.
     pub ingest_wall: Duration,
-    /// WAL commits recorded by the metrics surface (one per batch).
+    /// WAL commits the governor made (one per batch).
     pub wal_commits: usize,
     /// Bytes appended to the WAL across all commits.
     pub wal_bytes: usize,
@@ -1215,7 +1214,6 @@ pub fn ingest_bench(
     let mut governor = IngestGovernor::new(durable, Arc::clone(&serving), ingest_cfg);
 
     metrics::reset_ingest_queue_peak();
-    let wal_before = metrics::wal_snapshot();
     let mut ingest_wall = Duration::ZERO;
     let mut under: Vec<Duration> = Vec::new();
     for b in 0..batches {
@@ -1258,7 +1256,6 @@ pub fn ingest_bench(
     let quiet: Vec<Duration> = (0..quiet_passes).map(|_| reader_pass(governor.serving())).collect();
 
     let stats = governor.stats();
-    let wal_delta = metrics::wal_snapshot().since(&wal_before);
     let queue_peak = metrics::ingest_queue_peak();
     let mut durable = governor.into_durable();
     durable.sync().expect("bench wal sync");
@@ -1302,8 +1299,8 @@ pub fn ingest_bench(
         batch_size,
         edges_ingested: batches * batch_size,
         ingest_wall,
-        wal_commits: wal_delta.wal_commits,
-        wal_bytes: wal_delta.wal_bytes,
+        wal_commits: stats.committed_batches as usize,
+        wal_bytes: stats.wal_bytes as usize,
         flips: stats.flips,
         deferred_flips: stats.deferred_flips,
         checkpoints: stats.checkpoints,
@@ -1710,10 +1707,6 @@ impl RankingBench {
 /// pattern evaluation elsewhere in the process, which holds for the bench
 /// binaries.
 pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingBench {
-    // Scope the global evaluation counters: concurrent metric-reading
-    // regions (parallel tests, other bench sections) serialize against
-    // this one, so the per-side deltas below are deterministic.
-    let _scope = metrics::scoped();
     let enumerator = GeneralEnumerator::new(w.enum_config.clone());
     let prepared: Vec<(&rex_datagen::PairSample, Vec<rex_core::Explanation>)> = w
         .truncated(pairs_per_group)

@@ -1016,7 +1016,6 @@ pub fn ingest(argv: &[String]) -> Result<(), String> {
         (d, None)
     };
     if let Some(r) = &recovery {
-        rex_core::ranking::ingest::record_recovery(r);
         print_recovery_report(r);
     }
 
@@ -1119,7 +1118,6 @@ pub fn recover(argv: &[String]) -> Result<(), String> {
         KnowledgeBase::peek(&ckpt, &wal)
     }
     .map_err(|e| e.to_string())?;
-    rex_core::ranking::ingest::record_recovery(&report);
     print_recovery_report(&report);
     if report.truncated_reason.is_some() {
         if args.has("truncate") {

@@ -121,12 +121,11 @@ impl AllStartsDistribution {
     }
 
     /// Largest **estimated** input rows of any tile — the quantity a row
-    /// ceiling actually bounds (see [`TiledDistributions::est_peak_rows`]).
+    /// ceiling actually bounds (see [`EvalTrace::est_peak_rows`]).
     /// The measured [`peak_rows`](Self::peak_rows) may legally exceed the
     /// ceiling on estimate error or singleton hub tiles.
     ///
-    /// [`TiledDistributions::est_peak_rows`]:
-    ///     rex_relstore::engine::TiledDistributions::est_peak_rows
+    /// [`EvalTrace::est_peak_rows`]: rex_relstore::metrics::EvalTrace::est_peak_rows
     pub fn est_peak_rows(&self) -> usize {
         self.est_peak_rows
     }
@@ -382,15 +381,16 @@ impl DistributionCache {
             budget: budget.clone(),
         };
         let batch = count_distributions(index, &spec, &req)?;
-        self.tiles.fetch_add(batch.tiles, Ordering::Relaxed);
-        self.peak_rows.fetch_max(batch.peak_rows, Ordering::Relaxed);
+        let trace = batch.trace;
+        self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
+        self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
         Ok(Arc::new(AllStartsDistribution {
             counts: Arc::new(batch.per_start.into_iter().map(|(s, v)| (s, Arc::new(v))).collect()),
             domain: Arc::new(domain),
-            tiles: batch.tiles,
-            peak_rows: batch.peak_rows,
-            est_peak_rows: batch.est_peak_rows,
-            overflow_tiles: batch.overflow_tiles,
+            tiles: trace.tiles,
+            peak_rows: trace.peak_rows,
+            est_peak_rows: trace.est_peak_rows,
+            overflow_tiles: trace.overflow_tiles,
             epoch: index.epoch(),
             spec,
         }))
@@ -678,8 +678,9 @@ impl DistributionCache {
             };
             let partial = count_distributions(index, &entry.spec, &req)
                 .expect("cached batch specs are valid");
-            self.tiles.fetch_add(partial.tiles, Ordering::Relaxed);
-            self.peak_rows.fetch_max(partial.peak_rows, Ordering::Relaxed);
+            let trace = partial.trace;
+            self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
+            self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
             let mut counts = (*entry.counts).clone();
             for s in &affected_in_domain {
                 counts.remove(s);
@@ -695,9 +696,9 @@ impl DistributionCache {
                     counts: Arc::new(counts),
                     domain: Arc::clone(&entry.domain),
                     tiles: entry.tiles,
-                    peak_rows: entry.peak_rows.max(partial.peak_rows),
-                    est_peak_rows: entry.est_peak_rows.max(partial.est_peak_rows),
-                    overflow_tiles: entry.overflow_tiles.max(partial.overflow_tiles),
+                    peak_rows: entry.peak_rows.max(trace.peak_rows),
+                    est_peak_rows: entry.est_peak_rows.max(trace.est_peak_rows),
+                    overflow_tiles: entry.overflow_tiles.max(trace.overflow_tiles),
                     epoch: delta.to_epoch,
                     spec: entry.spec.clone(),
                 }),

@@ -12,8 +12,8 @@
 //! * **Durability** — queued delta batches are applied to a
 //!   [`DurableKb`], so every drained batch is group-committed to the
 //!   write-ahead log before it can ever reach a reader. Commit receipts
-//!   feed the `wal_commits` / `wal_bytes` counters in
-//!   [`rex_relstore::metrics`].
+//!   feed the `committed_batches` / `wal_bytes` counters of
+//!   [`IngestStats`].
 //! * **Backpressure** — the queue is bounded. A full queue either sheds
 //!   the submission with the retryable [`CoreError::Overloaded`] (the
 //!   same vocabulary the admission controller speaks) or, in
@@ -219,7 +219,6 @@ impl IngestGovernor {
             match mode {
                 Backpressure::Shed => {
                     self.stats.shed += 1;
-                    metrics::record_ingest_shed();
                     return Err(CoreError::Overloaded { needed: 1, available: 0 });
                 }
                 // Blocking producer, single-threaded: make room by doing
@@ -231,7 +230,7 @@ impl IngestGovernor {
         }
         self.queue.push_back(ops);
         self.stats.accepted += 1;
-        metrics::set_ingest_queue_depth(self.queue.len());
+        metrics::record_ingest_queue_depth(self.queue.len());
         Ok(())
     }
 
@@ -244,7 +243,6 @@ impl IngestGovernor {
             self.maybe_flip()?;
             return Ok(false);
         };
-        metrics::set_ingest_queue_depth(self.queue.len());
         for op in &ops {
             self.apply(op)?;
         }
@@ -279,7 +277,6 @@ impl IngestGovernor {
             Ok(Some(receipt)) => {
                 self.stats.committed_batches += 1;
                 self.stats.wal_bytes += receipt.bytes;
-                metrics::record_wal_commit(receipt.bytes as usize);
                 Ok(())
             }
             Ok(None) => Ok(()),
@@ -400,15 +397,6 @@ impl IngestGovernor {
         } else if let Some(FaultAction::CrashHere) = plan.fire_io(site::CHECKPOINT_AFTER) {
             self.durable.set_checkpoint_crash(Some(CheckpointCrash::After));
         }
-    }
-}
-
-/// Publishes a recovery report to the process-wide metrics (truncated
-/// batches counter) and returns it. Call after [`DurableKb::open`] so
-/// chaos suites and the CLI see recovery outcomes in one place.
-pub fn record_recovery(report: &rex_kb::RecoveryReport) {
-    if report.truncated_bytes > 0 {
-        metrics::record_recovery_truncated_batches(1);
     }
 }
 
@@ -617,18 +605,5 @@ mod tests {
         assert_eq!(report.replayed_batches, 1, "only the intact batch replays");
         assert!(report.truncated_bytes > 0, "the torn tail was truncated: {report:?}");
         assert_eq!(recovered.node_count(), committed_nodes, "{report:?}");
-    }
-
-    #[test]
-    fn recovery_metrics_record_truncation() {
-        let report = rex_kb::RecoveryReport {
-            truncated_bytes: 12,
-            truncated_reason: Some("torn record payload".into()),
-            ..Default::default()
-        };
-        let _scope = metrics::scoped();
-        let before = metrics::wal_snapshot();
-        record_recovery(&report);
-        assert_eq!(metrics::wal_snapshot().since(&before).recovery_truncated_batches, 1);
     }
 }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use rex_kb::{DeltaSince, EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
 
 use crate::budget::Budget;
+use crate::metrics::EvalTrace;
 use crate::ops::{group_count_having_limit, FIB_HASH};
 use crate::plan::{dir_code, PatternSpec, StartBinding};
 use crate::relation::{ColumnPosting, Relation, Schema};
@@ -278,18 +279,15 @@ impl EdgeIndex {
 
     /// The rows matching a `(label, dir)` pair — the shared partition
     /// itself, not a copy; an empty relation when absent. A **full
-    /// partition scan**: every row is recorded against
-    /// [`crate::metrics`]' `rows_scanned` counter, the access path the
-    /// endpoint postings exist to avoid whenever a start restriction can
-    /// be pushed down ([`EdgeIndex::probe`]).
+    /// partition scan**, the access path the endpoint postings exist to
+    /// avoid whenever a start restriction can be pushed down
+    /// ([`EdgeIndex::probe`]); the evaluator counts the rows it reads
+    /// this way as `rows_scanned` in its [`EvalTrace`].
     pub fn scan(&self, label: u64, dir: u64) -> Arc<Relation> {
-        let rel = self
-            .groups
+        self.groups
             .get(&(label, dir))
             .cloned()
-            .unwrap_or_else(|| Arc::new(Relation::empty(self.schema.clone())));
-        crate::metrics::record_rows_scanned(rel.len());
-        rel
+            .unwrap_or_else(|| Arc::new(Relation::empty(self.schema.clone())))
     }
 
     /// Materializes exactly the partition rows whose start endpoint —
@@ -297,8 +295,8 @@ impl EdgeIndex {
     /// duplicates are skipped), via the partition's endpoint posting
     /// lists: one binary search plus a contiguous row-range per key, so
     /// the cost is proportional to the rows *incident to the key set*
-    /// instead of the partition size. Recorded against the `rows_probed`
-    /// counter.
+    /// instead of the partition size. The evaluator counts the rows it
+    /// reads this way as `rows_probed` in its [`EvalTrace`].
     pub fn probe(&self, label: u64, dir: u64, src: bool, keys: &[u64]) -> Relation {
         let mut data = Vec::new();
         self.for_each_probed(label, dir, src, keys, |row| data.extend_from_slice(row));
@@ -307,8 +305,7 @@ impl EdgeIndex {
 
     /// Visits the rows [`EdgeIndex::probe`] would materialize, in the
     /// same order, without copying them — the evaluator filters and
-    /// projects them straight into its own buffer. Recorded against the
-    /// `rows_probed` counter.
+    /// projects them straight into its own buffer.
     pub(crate) fn for_each_probed<F: FnMut(&[u64])>(
         &self,
         label: u64,
@@ -322,20 +319,16 @@ impl EdgeIndex {
             return;
         };
         let posting = posting.endpoint(src);
-        let mut probed = 0;
         let mut last = None;
         for &k in keys {
             if last == Some(k) {
                 continue;
             }
             last = Some(k);
-            let ids = posting.rows_for(k);
-            probed += ids.len();
-            for &i in ids {
+            for &i in posting.rows_for(k) {
                 visit(rel.row(i as usize));
             }
         }
-        crate::metrics::record_rows_probed(probed);
     }
 
     /// Rows of the `(label, dir)` partition incident to `keys` on the
@@ -1017,7 +1010,7 @@ pub fn local_count_distribution_indexed(
     spec: &PatternSpec,
     start: u64,
 ) -> Result<HashMap<u64, u64>> {
-    let instances = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
+    let (instances, _) = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], 0, usize::MAX)?;
     Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
 }
@@ -1166,60 +1159,30 @@ pub fn group_pair_counts_generic(
 }
 
 /// The result of a batched evaluation ([`count_distributions`]): the
-/// per-start descending count multisets plus the tiling it actually
-/// performed.
-#[derive(Debug, Clone)]
+/// per-start descending count multisets plus the evaluation's trace —
+/// its tiling (tiles, peak and estimated peak rows, overflow tiles) and
+/// row traffic.
+#[derive(Debug, Clone, Default)]
 pub struct TiledDistributions {
     /// For every requested start with at least one instance, the
     /// descending multiset of per-end instance counts (starts without
     /// instances are absent: their distribution is empty).
     pub per_start: HashMap<u64, Vec<u64>>,
-    /// Number of start tiles evaluated (one per non-empty shard bucket
-    /// when no row ceiling is set).
-    pub tiles: usize,
-    /// Largest intermediate relation (rows) any tile materialized.
-    pub peak_rows: usize,
-    /// Largest **estimated** input rows of any tile — the quantity the
-    /// row ceiling actually bounds. Ceiling tiling packs starts by their
-    /// estimated incident rows ([`EdgeIndex::tile_starts_for_ceiling`]),
-    /// so `est_peak_rows ≤ ceiling` holds for every multi-start tile;
-    /// the **measured** [`TiledDistributions::peak_rows`] may legally
-    /// exceed the ceiling when the System-R estimate under-predicts join
-    /// fan-out, or when a single hub start's own weight tops the ceiling
-    /// (a singleton tile no split can shrink — counted in
-    /// [`TiledDistributions::overflow_tiles`]). 0 without a ceiling.
-    pub est_peak_rows: usize,
-    /// Tiles whose estimated rows exceeded the requested ceiling —
-    /// necessarily singleton hub tiles (multi-start tiles are packed
-    /// under it by construction); always 0 without a ceiling.
-    pub overflow_tiles: usize,
+    /// The traffic of this evaluation alone.
+    pub trace: EvalTrace,
 }
 
 impl TiledDistributions {
-    /// The no-op result of an empty start set.
-    fn empty() -> TiledDistributions {
-        TiledDistributions {
-            per_start: HashMap::new(),
-            tiles: 0,
-            peak_rows: 0,
-            est_peak_rows: 0,
-            overflow_tiles: 0,
-        }
-    }
-
     /// Merges a disjoint partial result (start sets never overlap across
     /// shards, so the per-start union has no key collisions).
     fn absorb(&mut self, other: TiledDistributions) {
         self.per_start.extend(other.per_start);
-        self.tiles += other.tiles;
-        self.peak_rows = self.peak_rows.max(other.peak_rows);
-        self.est_peak_rows = self.est_peak_rows.max(other.est_peak_rows);
-        self.overflow_tiles += other.overflow_tiles;
+        self.trace.merge(&other.trace);
     }
 }
 
-/// How a [`count_distributions`] call is accounted in
-/// [`crate::metrics`].
+/// How a [`count_distributions`] call is accounted in its
+/// [`EvalTrace`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvalKind {
     /// A whole batch: one full evaluation.
@@ -1277,12 +1240,12 @@ pub struct EvalRequest<'a> {
 /// pool stops the evaluation with [`RelError::Aborted`] after at most one
 /// more tile per worker. An aborted evaluation returns no partial result.
 ///
-/// Metrics: the call records one full or delta evaluation (per
-/// `req.kind`) and one [`crate::metrics::record_tile`] per tile. Counter
-/// traffic is staged per worker, harvested
-/// ([`crate::metrics::StageGuard::into_traffic`]) and replayed into the
-/// call's own stage, so scoped snapshots see one whole batch or, on
-/// abort, none of it. An empty start set is a no-op, not an evaluation.
+/// Trace: the returned [`EvalTrace`] counts one full or delta evaluation
+/// (per `req.kind`), one tile per tile, and the rows every tile read;
+/// each shard bucket returns its own trace and the merge sums them. A
+/// completed call folds the trace into [`crate::metrics::snapshot`]'s
+/// totals; an aborted one folds nothing. An empty start set is a no-op,
+/// not an evaluation.
 pub fn count_distributions(
     index: &ShardedEdgeIndex,
     spec: &PatternSpec,
@@ -1293,14 +1256,7 @@ pub fn count_distributions(
     values.sort_unstable();
     values.dedup();
     if values.is_empty() {
-        return Ok(TiledDistributions::empty());
-    }
-    // Stage the batch's counter traffic: commit on success, drain on any
-    // early exit (`?` below drops the guard, which drains).
-    let stage = crate::metrics::stage_evaluation();
-    match req.kind {
-        EvalKind::Full => crate::metrics::record_full_eval(),
-        EvalKind::Delta => crate::metrics::record_delta_eval(),
+        return Ok(TiledDistributions::default());
     }
     let buckets: Vec<(usize, Vec<u64>)> = index
         .split_starts(&values)
@@ -1309,34 +1265,22 @@ pub fn count_distributions(
         .filter(|(_, b)| !b.is_empty())
         .collect();
     use rayon::prelude::*;
-    let results: Vec<Result<(TiledDistributions, Option<crate::metrics::EvalTraffic>)>> = buckets
+    let results: Vec<Result<TiledDistributions>> = buckets
         .par_iter()
-        .map(|(k, bucket)| {
-            // Stage on the worker thread (staging is thread-local) and
-            // hand the harvested traffic back for replay here. Inline on
-            // the calling thread, the worker stage is a passive nested
-            // guard and the traffic lands in the outer stage directly.
-            let wstage = crate::metrics::stage_evaluation();
-            let part = grouped_tiles(index.shard(*k), index.base(), spec, bucket, req);
-            // Harvest even on error, so the worker's guard doesn't count
-            // its own aborted evaluation: the outer stage drains (and
-            // counts the abort) once.
-            let traffic = wstage.into_traffic();
-            part.map(|part| (part, traffic))
-        })
+        .map(|(k, bucket)| grouped_tiles(index.shard(*k), index.base(), spec, bucket, req))
         .collect();
-    let mut out = TiledDistributions::empty();
-    for r in results {
-        let (part, traffic) = r?;
-        if let Some(t) = &traffic {
-            crate::metrics::replay_traffic(t);
-        }
-        out.absorb(part);
+    let mut out = TiledDistributions::default();
+    match req.kind {
+        EvalKind::Full => out.trace.full = 1,
+        EvalKind::Delta => out.trace.delta = 1,
+    }
+    for part in results {
+        out.absorb(part?);
     }
     for counts in out.per_start.values_mut() {
         counts.sort_unstable_by(|a, b| b.cmp(a));
     }
-    stage.commit();
+    crate::metrics::fold(&out.trace);
     Ok(out)
 }
 
@@ -1346,8 +1290,8 @@ pub fn count_distributions(
 /// grouping each tile's instances through the specialized
 /// [`PairCounter`]. Tiling and per-start weights are derived from `probe`
 /// (a shard's postings count exactly its residents' incident rows).
-/// Records tiles but **not** the batch-level evaluation, and does no
-/// staging — the caller owns both. Returned count multisets are
+/// The returned trace counts tiles and rows but **not** the batch-level
+/// evaluation, which the caller owns. Returned count multisets are
 /// unsorted; the caller sorts once at the end of the whole batch.
 fn grouped_tiles(
     probe: &EdgeIndex,
@@ -1360,20 +1304,19 @@ fn grouped_tiles(
         None => vec![values.to_vec()],
         Some(max_rows) => probe.tile_starts_for_ceiling(spec, values, max_rows),
     };
-    let mut out = TiledDistributions::empty();
+    let mut out = TiledDistributions::default();
     for tile in tiles {
         if let Some(max_rows) = req.row_ceiling {
             let est = probe.estimate_starts_rows(spec, &tile);
-            out.est_peak_rows = out.est_peak_rows.max(est);
+            out.trace.est_peak_rows = out.trace.est_peak_rows.max(est);
             if est > max_rows {
-                out.overflow_tiles += 1;
+                out.trace.overflow_tiles += 1;
             }
         }
         let binding = StartBinding::Among(tile);
-        let (instances, peak) = spec.evaluate_tile(probe, scan, &binding, &req.budget)?;
-        crate::metrics::record_tile();
-        out.tiles += 1;
-        out.peak_rows = out.peak_rows.max(peak);
+        let (instances, trace) = spec.evaluate_tile(probe, scan, &binding, &req.budget)?;
+        out.trace.merge(&trace);
+        out.trace.tiles += 1;
         for (start, counts) in
             group_pair_counts(&instances, spec.start, spec.end, scan.node_count())
         {
@@ -1397,7 +1340,7 @@ pub fn local_position_indexed(
     if limit < usize::MAX {
         return spec.streaming_end_position(index, start, c, limit);
     }
-    let instances = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
+    let (instances, _) = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], c, limit)?;
     Ok(grouped.len())
 }
@@ -1567,7 +1510,7 @@ mod tests {
         };
         let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
         let untiled = grouped(&index, &spec, &starts, None).unwrap();
-        assert_eq!(untiled.tiles, 1);
+        assert_eq!(untiled.trace.tiles, 1);
         // Some(0) gives every start with incident rows its own tile.
         let packing = index.tile_starts_for_ceiling(&spec, &starts, 0);
         for tile in &packing {
@@ -1577,12 +1520,12 @@ mod tests {
             }
         }
         let singles = grouped(&index, &spec, &starts, Some(0)).unwrap();
-        assert_eq!(singles.tiles, packing.len());
+        assert_eq!(singles.trace.tiles, packing.len());
         for ceiling in [0usize, 1, 2, 3, 7, 1_000_000] {
             let tiled = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
             assert_eq!(tiled.per_start, untiled.per_start, "ceiling {ceiling}");
-            assert!((1..=packing.len()).contains(&tiled.tiles), "ceiling {ceiling}");
-            assert!(tiled.peak_rows > 0);
+            assert!((1..=packing.len()).contains(&tiled.trace.tiles), "ceiling {ceiling}");
+            assert!(tiled.trace.peak_rows > 0);
         }
     }
 
@@ -1600,8 +1543,8 @@ mod tests {
         };
         let out = grouped(&index, &spec, &[], Some(8)).unwrap();
         assert!(out.per_start.is_empty());
-        assert_eq!(out.tiles, 0);
-        assert_eq!(out.peak_rows, 0);
+        assert_eq!(out.trace.tiles, 0);
+        assert_eq!(out.trace.peak_rows, 0);
         // Invalid specs still error, even with no starts.
         let bad = PatternSpec { var_count: 2, start: 0, end: 0, edges: vec![] };
         assert!(grouped(&index, &bad, &[], Some(8)).is_err());
@@ -1626,7 +1569,7 @@ mod tests {
         let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
         let one_tile = grouped(&index, &spec, &starts, None).unwrap();
         let many_tiles = grouped(&index, &spec, &starts, Some(0)).unwrap();
-        assert!(many_tiles.peak_rows <= one_tile.peak_rows);
+        assert!(many_tiles.trace.peak_rows <= one_tile.trace.peak_rows);
         for ceiling in [1usize, 10, 1_000_000] {
             let tiles = index.tile_starts_for_ceiling(&spec, &starts, ceiling);
             assert!(
@@ -1853,12 +1796,10 @@ mod tests {
 
         // The delta-evaluation path recomputes exactly the affected
         // starts, accounted as a partial (not full) evaluation.
-        let scope = crate::metrics::scoped();
         let flat = ShardedEdgeIndex::from_base(Arc::new(index_after), ShardSpec::single());
         let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
         let partial = count_distributions(&flat, &costar, &req).unwrap();
-        let counts = scope.counts();
-        assert!(counts.delta >= 1);
+        assert_eq!((partial.trace.delta, partial.trace.full), (1, 0));
         for s in &affected {
             assert_eq!(partial.per_start.get(s), after.get(s), "start {s}");
         }
@@ -1909,13 +1850,6 @@ mod tests {
                 );
             }
         }
-        // Probe traffic lands on rows_probed, scans on rows_scanned.
-        let scope = crate::metrics::scoped();
-        let probed = index.probe(starring, dir_code::FORWARD, true, &[0, 1, 2]);
-        let scanned = index.scan(starring, dir_code::FORWARD);
-        let counts = scope.counts();
-        assert_eq!(counts.rows_probed, probed.len());
-        assert_eq!(counts.rows_scanned, scanned.len());
     }
 
     /// The COW contract extends to the postings: `next_epoch` rebuilds
@@ -2060,14 +1994,14 @@ mod tests {
         for ceiling in [1usize, 8, 64, 1_000_000] {
             let tiled = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
             assert_eq!(tiled.per_start, single.per_start, "ceiling {ceiling}");
-            assert!(tiled.tiles >= 1);
-            assert!(tiled.peak_rows <= single.peak_rows, "ceiling {ceiling}");
+            assert!(tiled.trace.tiles >= 1);
+            assert!(tiled.trace.peak_rows <= single.trace.peak_rows, "ceiling {ceiling}");
         }
         // A tight ceiling splits; a huge one does not.
         let tight = grouped(&index, &spec, &starts, Some(1)).unwrap();
         let loose = grouped(&index, &spec, &starts, Some(1_000_000)).unwrap();
-        assert!(tight.tiles > loose.tiles);
-        assert_eq!(loose.tiles, 1);
+        assert!(tight.trace.tiles > loose.trace.tiles);
+        assert_eq!(loose.trace.tiles, 1);
         // The packing covers every start exactly once.
         let tiles = index.tile_starts_for_ceiling(&spec, &starts, 8);
         let flat: Vec<u64> = tiles.iter().flatten().copied().collect();
@@ -2112,7 +2046,7 @@ mod tests {
                 SpecEdge { u: 1, v: 2, label: starring, directed: true },
             ],
         };
-        let instances = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
+        let (instances, _) = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
         let fast = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
         let slow = group_pair_counts_generic(&instances, spec.start, spec.end);
         assert_eq!(fast.len(), slow.len());
@@ -2181,7 +2115,7 @@ mod tests {
         let sharded = ShardedEdgeIndex::from_base(Arc::clone(&base), ShardSpec::new(3, 1));
         let none = count_distributions(&sharded, &costar, &EvalRequest::default()).unwrap();
         assert!(none.per_start.is_empty());
-        assert_eq!(none.tiles, 0);
+        assert_eq!(none.trace.tiles, 0);
     }
 
     /// Each shard holds **every** row incident to its resident entities,
@@ -2319,29 +2253,28 @@ mod tests {
         // The estimate the ceiling governs stays bounded unless an
         // overweight singleton overflowed — and those are counted.
         assert!(
-            result.est_peak_rows <= ceiling || result.overflow_tiles > 0,
+            result.trace.est_peak_rows <= ceiling || result.trace.overflow_tiles > 0,
             "est {} over ceiling {ceiling} with no overflow tile recorded",
-            result.est_peak_rows
+            result.trace.est_peak_rows
         );
         // The overweight singletons make the *measured* peak legally
         // exceed the ceiling (~120 joined rows from one spoke's tile).
-        assert!(result.overflow_tiles > 0, "expected overweight singleton tiles");
+        assert!(result.trace.overflow_tiles > 0, "expected overweight singleton tiles");
         assert!(
-            result.peak_rows > ceiling,
+            result.trace.peak_rows > ceiling,
             "expected a measured overshoot, got peak {}",
-            result.peak_rows
+            result.trace.peak_rows
         );
         // Answers unchanged by tiling.
         let untiled = grouped(&index, &spec, &starts, None).unwrap();
         assert_eq!(result.per_start, untiled.per_start);
         // Without a ceiling nothing can overflow.
-        assert_eq!(untiled.overflow_tiles, 0);
+        assert_eq!(untiled.trace.overflow_tiles, 0);
     }
 
-    /// A sharded batch stages and publishes exactly like an unsharded
-    /// one: scoped counters observe the full eval, every worker's tiles,
-    /// and the probe/scan row traffic (harvested from worker threads and
-    /// replayed on the batch thread).
+    /// A sharded batch traces exactly like an unsharded one: the returned
+    /// trace holds the one full evaluation, every worker's tiles, and the
+    /// probe row traffic the workers read on their own threads.
     #[test]
     fn sharded_fanout_publishes_worker_traffic() {
         let kb = toy::entertainment();
@@ -2357,16 +2290,24 @@ mod tests {
             ],
         };
         let all: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let buckets = sharded.split_starts(&all).into_iter().filter(|b| !b.is_empty()).count();
-        let scope = crate::metrics::scoped();
-        let before = scope.counts();
+        // Each shard bucket packs its own tiles against its shard.
+        let tiles: usize = sharded
+            .split_starts(&all)
+            .iter()
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(k, bucket)| sharded.shard(k).tile_starts_for_ceiling(&spec, bucket, 0).len())
+            .sum();
         let req = EvalRequest { starts: &all, row_ceiling: Some(0), ..Default::default() };
-        count_distributions(&sharded, &spec, &req).unwrap();
-        let after = scope.counts().since(&before);
-        // `>=` throughout: other tests run concurrently against the same
-        // process-wide counters.
-        assert!(after.full >= 1);
-        assert!(after.tiles >= buckets, "tiles {} < buckets {buckets}", after.tiles);
-        assert!(after.rows_probed >= 1, "worker probe traffic lost");
+        let trace = count_distributions(&sharded, &spec, &req).unwrap().trace;
+        assert_eq!((trace.full, trace.delta, trace.streaming), (1, 0, 0));
+        assert_eq!(trace.tiles, tiles);
+        // Every start-incident row, probed once per start across the
+        // workers' shards.
+        let incident: usize = all
+            .iter()
+            .map(|&s| sharded.base().incident_len(starring, dir_code::FORWARD, true, &[s]))
+            .sum();
+        assert!(trace.rows_probed >= incident, "worker probe traffic lost");
     }
 }

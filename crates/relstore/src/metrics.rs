@@ -1,65 +1,109 @@
-//! Process-wide evaluation counters.
+//! Evaluation traces, and the process-wide totals folded from them.
 //!
 //! The batched all-starts pipeline exists to change *how many* relational
-//! evaluations a ranking run performs (§5.3.2's amortization), so the
-//! engine counts them: every full pattern evaluation (materialized join
-//! tree), every streaming `LIMIT`-pruned position query, and every tile of
-//! a memory-bounded tiled batch bumps a global counter. A tiled batched
-//! evaluation counts as **one** full evaluation regardless of how many
-//! tiles it was split into — the tile counter records the splitting
-//! separately. The peak-rows gauge tracks the largest intermediate
-//! relation any evaluation materialized, which is what the tiling ceiling
-//! bounds. The row counters split scan traffic by access path: rows
-//! materialized through full `(label, dir)` partition scans versus rows
-//! materialized through endpoint-posting probes — the probed/scanned
-//! ratio is how the endpoint index's scan-floor claim stays measurable.
-//! The counters are cheap relaxed atomics, always on.
+//! evaluations a ranking run performs (§5.3.2's amortization), so every
+//! evaluation counts its own traffic in an [`EvalTrace`]: full pattern
+//! evaluations (materialized join tree), streaming `LIMIT`-pruned
+//! position queries, delta-maintenance re-groups, the tiles of a
+//! memory-bounded batch, and the rows it read — split by access path
+//! into full `(label, dir)` partition scans and endpoint-posting probes,
+//! the ratio that keeps the endpoint index's scan-floor claim
+//! measurable. A tiled batched evaluation counts as **one** full
+//! evaluation regardless of how many tiles it was split into; the tile
+//! count records the splitting separately.
 //!
-//! Because they are process-global, *differences* between two
-//! [`snapshot`]s taken around a region of interest are only meaningful
-//! when no other thread evaluates patterns concurrently. Regions that
-//! need per-test determinism under a parallel test runner wrap themselves
-//! in [`scoped`], which serializes metric-reading regions within the
-//! process and reads deltas against its own baseline; the bench binaries
-//! and the parity suites both use it.
-
+//! The trace is a plain value. An evaluation accumulates it on its own
+//! thread and returns it with its result ([`crate::engine::TiledDistributions`],
+//! [`crate::plan::PatternSpec::evaluate_indexed`]); a sharded batch sums
+//! the traces of its shard buckets. Callers that need the traffic of
+//! their own calls read those returned values, which no other thread can
+//! disturb.
 //!
-//! **Aborted evaluations.** A budgeted tiled evaluation can stop at a
-//! tile boundary ([`crate::budget::Budget`]). Were its per-tile traffic
-//! (`tiles`, `rows_probed`, `rows_scanned`, …) published as it ran, an
-//! abort would leave a scoped snapshot holding a *fraction* of a batch —
-//! a full-eval increment with only some of its tiles — and the
-//! differential harness's exact-count invariants would wobble with
-//! timing. Tiled evaluations therefore **stage** their counter traffic in
-//! a thread-local buffer ([`stage_evaluation`]): a batch that completes
-//! commits its counts atomically at the end, and a batch that aborts (or
-//! unwinds) drains them deterministically — zero traffic published, one
-//! [`aborted_evals`] increment. Scoped snapshots see either a whole batch
-//! or none of it.
+//! Each public evaluation entry point also folds its completed trace
+//! into process-wide totals, read with [`snapshot`]. The fold happens
+//! after the evaluation's last fallible step, so an aborted evaluation
+//! (a budget stop at a tile boundary, or any other error) folds nothing.
+//! Differences between two snapshots describe the whole process, so
+//! they are only a per-region figure when nothing else evaluates
+//! meanwhile — true for a benchmark run, not for a parallel test binary.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static FULL_EVALS: AtomicUsize = AtomicUsize::new(0);
 static STREAMING_EVALS: AtomicUsize = AtomicUsize::new(0);
 static DELTA_EVALS: AtomicUsize = AtomicUsize::new(0);
 static TILES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_ROWS: AtomicUsize = AtomicUsize::new(0);
 static ROWS_SCANNED: AtomicUsize = AtomicUsize::new(0);
 static ROWS_PROBED: AtomicUsize = AtomicUsize::new(0);
-static ABORTED_EVALS: AtomicUsize = AtomicUsize::new(0);
 
-// Durability & ingestion counters (the WAL lives below this crate in the
-// dependency graph, so the serving/CLI layers that drive it record here).
-static WAL_COMMITS: AtomicUsize = AtomicUsize::new(0);
-static WAL_BYTES: AtomicUsize = AtomicUsize::new(0);
-static RECOVERY_TRUNCATED_BATCHES: AtomicUsize = AtomicUsize::new(0);
-static INGEST_SHED: AtomicUsize = AtomicUsize::new(0);
-static INGEST_QUEUE_DEPTH: AtomicUsize = AtomicUsize::new(0);
+// The ingestion queue's peak depth (the WAL lives below this crate in the
+// dependency graph, so the ingest governor records here).
 static INGEST_QUEUE_PEAK: AtomicUsize = AtomicUsize::new(0);
 
-/// A point-in-time reading of the evaluation counters.
+/// The relational traffic of one evaluation (or of several, merged).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalTrace {
+    /// Full (materialized) pattern evaluations.
+    pub full: usize,
+    /// Streaming `LIMIT`-pruned position evaluations.
+    pub streaming: usize,
+    /// Partial (delta-maintenance) evaluations — grouped re-counts
+    /// restricted to the starts a KB delta affected.
+    pub delta: usize,
+    /// Evaluation tiles (an untiled batch is one tile per shard bucket;
+    /// a tiled batch contributes one per chunk).
+    pub tiles: usize,
+    /// Rows read by **full partition scans** — every row of a `(label,
+    /// dir)` partition walked because no restriction could be pushed
+    /// into it.
+    pub rows_scanned: usize,
+    /// Rows read by **endpoint-posting probes** — only the rows incident
+    /// to the probed keys, the quantity the endpoint index makes
+    /// proportional to the delta instead of the KB.
+    pub rows_probed: usize,
+    /// Largest intermediate relation (rows) any join materialized.
+    pub peak_rows: usize,
+    /// Largest **estimated** input rows of any tile — the quantity a row
+    /// ceiling bounds. Ceiling tiling packs starts by their estimated
+    /// incident rows ([`crate::engine::EdgeIndex::tile_starts_for_ceiling`]),
+    /// so `est_peak_rows ≤ ceiling` holds for every multi-start tile; the
+    /// measured `peak_rows` may legally exceed the ceiling when the
+    /// System-R estimate under-predicts join fan-out, or when a single
+    /// hub start's own weight tops it (a singleton tile no split can
+    /// shrink — counted in `overflow_tiles`). 0 without a ceiling.
+    pub est_peak_rows: usize,
+    /// Tiles whose estimated rows exceeded the requested ceiling —
+    /// necessarily singleton hub tiles (multi-start tiles are packed
+    /// under it by construction); always 0 without a ceiling.
+    pub overflow_tiles: usize,
+}
+
+impl EvalTrace {
+    /// Adds `other` into `self`: counts sum, peaks take the max.
+    pub fn merge(&mut self, other: &EvalTrace) {
+        self.full += other.full;
+        self.streaming += other.streaming;
+        self.delta += other.delta;
+        self.tiles += other.tiles;
+        self.rows_scanned += other.rows_scanned;
+        self.rows_probed += other.rows_probed;
+        self.peak_rows = self.peak_rows.max(other.peak_rows);
+        self.est_peak_rows = self.est_peak_rows.max(other.est_peak_rows);
+        self.overflow_tiles += other.overflow_tiles;
+    }
+}
+
+/// Adds a completed evaluation's counts to the process-wide totals.
+pub(crate) fn fold(trace: &EvalTrace) {
+    FULL_EVALS.fetch_add(trace.full, Ordering::Relaxed);
+    STREAMING_EVALS.fetch_add(trace.streaming, Ordering::Relaxed);
+    DELTA_EVALS.fetch_add(trace.delta, Ordering::Relaxed);
+    TILES.fetch_add(trace.tiles, Ordering::Relaxed);
+    ROWS_SCANNED.fetch_add(trace.rows_scanned, Ordering::Relaxed);
+    ROWS_PROBED.fetch_add(trace.rows_probed, Ordering::Relaxed);
+}
+
+/// A point-in-time reading of the process-wide evaluation totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalCounts {
     /// Full (materialized) pattern evaluations since process start.
@@ -72,14 +116,9 @@ pub struct EvalCounts {
     /// Evaluation tiles since process start (an untiled batch is one
     /// tile; a tiled batch contributes one per chunk).
     pub tiles: usize,
-    /// Rows materialized by **full partition scans** since process start
-    /// — every row of a `(label, dir)` partition walked because no start
-    /// restriction could be pushed into it.
+    /// Rows read by **full partition scans** since process start.
     pub rows_scanned: usize,
-    /// Rows materialized by **endpoint-posting probes** since process
-    /// start — only the rows incident to the requested start set, the
-    /// quantity the endpoint index makes proportional to the delta
-    /// instead of the KB ("the scan floor is gone" made countable).
+    /// Rows read by **endpoint-posting probes** since process start.
     pub rows_probed: usize,
 }
 
@@ -102,334 +141,7 @@ impl EvalCounts {
     }
 }
 
-/// A point-in-time reading of the durability/ingestion counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalCounts {
-    /// WAL commit batches made durable since process start.
-    pub wal_commits: usize,
-    /// Bytes appended to WAL files since process start.
-    pub wal_bytes: usize,
-    /// Torn/corrupt batches truncated by crash recovery since process
-    /// start (each recovery cuts at most one — the first bad record;
-    /// everything after it is discarded with that batch).
-    pub recovery_truncated_batches: usize,
-    /// Delta submissions shed with a retryable overload signal by the
-    /// ingestion governor since process start.
-    pub ingest_shed: usize,
-}
-
-impl WalCounts {
-    /// Counter increments between `earlier` and `self`.
-    pub fn since(&self, earlier: &WalCounts) -> WalCounts {
-        WalCounts {
-            wal_commits: self.wal_commits - earlier.wal_commits,
-            wal_bytes: self.wal_bytes - earlier.wal_bytes,
-            recovery_truncated_batches: self.recovery_truncated_batches
-                - earlier.recovery_truncated_batches,
-            ingest_shed: self.ingest_shed - earlier.ingest_shed,
-        }
-    }
-}
-
-/// Records one durable WAL commit of `bytes` bytes.
-#[inline]
-pub fn record_wal_commit(bytes: usize) {
-    WAL_COMMITS.fetch_add(1, Ordering::Relaxed);
-    WAL_BYTES.fetch_add(bytes, Ordering::Relaxed);
-}
-
-/// Records `batches` torn/corrupt batches truncated during recovery.
-#[inline]
-pub fn record_recovery_truncated_batches(batches: usize) {
-    RECOVERY_TRUNCATED_BATCHES.fetch_add(batches, Ordering::Relaxed);
-}
-
-/// Records one delta submission shed by the ingestion governor.
-#[inline]
-pub fn record_ingest_shed() {
-    INGEST_SHED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Publishes the ingestion queue's current depth (a gauge, not a
-/// counter) and folds it into the peak-depth watermark.
-#[inline]
-pub fn set_ingest_queue_depth(depth: usize) {
-    INGEST_QUEUE_DEPTH.store(depth, Ordering::Relaxed);
-    INGEST_QUEUE_PEAK.fetch_max(depth, Ordering::Relaxed);
-}
-
-/// The ingestion queue depth most recently published.
-pub fn ingest_queue_depth() -> usize {
-    INGEST_QUEUE_DEPTH.load(Ordering::Relaxed)
-}
-
-/// The highest queue depth published since process start (or the last
-/// [`reset_ingest_queue_peak`]).
-pub fn ingest_queue_peak() -> usize {
-    INGEST_QUEUE_PEAK.load(Ordering::Relaxed)
-}
-
-/// Resets the peak queue-depth watermark (a max has no meaningful
-/// delta; regions of interest reset it, like [`reset_peak_rows`]).
-pub fn reset_ingest_queue_peak() {
-    INGEST_QUEUE_PEAK.store(0, Ordering::Relaxed);
-}
-
-/// Reads the durability/ingestion counters.
-pub fn wal_snapshot() -> WalCounts {
-    WalCounts {
-        wal_commits: WAL_COMMITS.load(Ordering::Relaxed),
-        wal_bytes: WAL_BYTES.load(Ordering::Relaxed),
-        recovery_truncated_batches: RECOVERY_TRUNCATED_BATCHES.load(Ordering::Relaxed),
-        ingest_shed: INGEST_SHED.load(Ordering::Relaxed),
-    }
-}
-
-/// Counter traffic buffered by an in-flight staged evaluation (see the
-/// module docs): committed wholesale on success, drained on abort.
-#[derive(Debug, Default, Clone, Copy)]
-struct StagedCounts {
-    full: usize,
-    streaming: usize,
-    delta: usize,
-    tiles: usize,
-    rows_scanned: usize,
-    rows_probed: usize,
-    peak_rows: usize,
-}
-
-thread_local! {
-    /// The current thread's staging buffer, `None` outside a staged
-    /// evaluation. Evaluation is single-threaded per tile, so a
-    /// thread-local captures everything a batch records.
-    static STAGED: RefCell<Option<StagedCounts>> = const { RefCell::new(None) };
-}
-
-/// Adds to the staging buffer if one is active; `false` otherwise.
-#[inline]
-fn staged(apply: impl FnOnce(&mut StagedCounts)) -> bool {
-    STAGED.with(|slot| match slot.borrow_mut().as_mut() {
-        Some(stage) => {
-            apply(stage);
-            true
-        }
-        None => false,
-    })
-}
-
-/// An in-flight staged evaluation: counter traffic recorded by this
-/// thread lands in a buffer instead of the process-global counters.
-/// [`StageGuard::commit`] publishes the whole buffer at once; dropping
-/// the guard without committing (the abort and panic paths) **drains**
-/// the buffer — nothing is published, and [`aborted_evals`] is bumped —
-/// so an aborted evaluation contributes deterministically zero traffic
-/// to any scoped snapshot.
-#[derive(Debug)]
-#[must_use = "dropping a stage guard without commit() drains its counts as an abort"]
-pub struct StageGuard {
-    /// Whether this guard owns the thread's staging buffer (nested stages
-    /// are no-ops: the outermost guard decides commit vs drain).
-    owner: bool,
-    committed: bool,
-    /// Keeps the guard `!Send`: the buffer is thread-local.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Begins a staged evaluation on this thread. Nested calls return a
-/// passive guard — the outermost stage owns the buffer.
-pub fn stage_evaluation() -> StageGuard {
-    let owner = STAGED.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(StagedCounts::default());
-        true
-    });
-    StageGuard { owner, committed: false, _not_send: std::marker::PhantomData }
-}
-
-/// Counter traffic harvested from a completed worker-thread stage
-/// ([`StageGuard::into_traffic`]), to be replayed into the coordinating
-/// thread's stage ([`replay_traffic`]). Staging buffers are thread-local,
-/// so a parallel shard fan-out would otherwise split one logical batch
-/// across N workers' buffers: the coordinator harvests each worker's
-/// buffer and replays it into its own stage, preserving the whole-batch
-/// commit/drain atomicity scoped snapshots rely on.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EvalTraffic {
-    /// Full evaluations recorded while staged.
-    pub full: usize,
-    /// Streaming evaluations recorded while staged.
-    pub streaming: usize,
-    /// Partial (delta) evaluations recorded while staged.
-    pub delta: usize,
-    /// Evaluation tiles recorded while staged.
-    pub tiles: usize,
-    /// Rows materialized by partition scans while staged.
-    pub rows_scanned: usize,
-    /// Rows materialized by posting probes while staged.
-    pub rows_probed: usize,
-    /// Peak intermediate rows observed while staged.
-    pub peak_rows: usize,
-}
-
-impl StageGuard {
-    /// Takes the staged buffer **without publishing it and without the
-    /// abort bump** — the harvesting half of cross-thread staging. The
-    /// caller replays the returned traffic into its own stage
-    /// ([`replay_traffic`]); whether it is ultimately published or
-    /// drained is then that stage's decision, so a parallel fan-out
-    /// still commits or aborts as one batch. Returns `None` for passive
-    /// (nested) guards.
-    pub fn into_traffic(mut self) -> Option<EvalTraffic> {
-        self.committed = true; // suppress the drop-drain abort bump
-        if !self.owner {
-            return None;
-        }
-        STAGED.with(|slot| slot.borrow_mut().take()).map(|s| EvalTraffic {
-            full: s.full,
-            streaming: s.streaming,
-            delta: s.delta,
-            tiles: s.tiles,
-            rows_scanned: s.rows_scanned,
-            rows_probed: s.rows_probed,
-            peak_rows: s.peak_rows,
-        })
-    }
-
-    /// Publishes the staged traffic to the process-global counters.
-    pub fn commit(mut self) {
-        self.committed = true;
-        if !self.owner {
-            return;
-        }
-        let Some(stage) = STAGED.with(|slot| slot.borrow_mut().take()) else {
-            return;
-        };
-        FULL_EVALS.fetch_add(stage.full, Ordering::Relaxed);
-        STREAMING_EVALS.fetch_add(stage.streaming, Ordering::Relaxed);
-        DELTA_EVALS.fetch_add(stage.delta, Ordering::Relaxed);
-        TILES.fetch_add(stage.tiles, Ordering::Relaxed);
-        ROWS_SCANNED.fetch_add(stage.rows_scanned, Ordering::Relaxed);
-        ROWS_PROBED.fetch_add(stage.rows_probed, Ordering::Relaxed);
-        PEAK_ROWS.fetch_max(stage.peak_rows, Ordering::Relaxed);
-    }
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        if self.committed || !self.owner {
-            return;
-        }
-        // Abort (or unwind) path: drain the buffer, publish nothing.
-        let drained = STAGED.with(|slot| slot.borrow_mut().take());
-        if drained.is_some() {
-            ABORTED_EVALS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Replays harvested worker traffic ([`StageGuard::into_traffic`]) into
-/// the calling thread's active stage — or straight into the globals when
-/// no stage is active (the unstaged fallback every `record_*` has).
-pub fn replay_traffic(t: &EvalTraffic) {
-    let applied = staged(|s| {
-        s.full += t.full;
-        s.streaming += t.streaming;
-        s.delta += t.delta;
-        s.tiles += t.tiles;
-        s.rows_scanned += t.rows_scanned;
-        s.rows_probed += t.rows_probed;
-        s.peak_rows = s.peak_rows.max(t.peak_rows);
-    });
-    if !applied {
-        FULL_EVALS.fetch_add(t.full, Ordering::Relaxed);
-        STREAMING_EVALS.fetch_add(t.streaming, Ordering::Relaxed);
-        DELTA_EVALS.fetch_add(t.delta, Ordering::Relaxed);
-        TILES.fetch_add(t.tiles, Ordering::Relaxed);
-        ROWS_SCANNED.fetch_add(t.rows_scanned, Ordering::Relaxed);
-        ROWS_PROBED.fetch_add(t.rows_probed, Ordering::Relaxed);
-        PEAK_ROWS.fetch_max(t.peak_rows, Ordering::Relaxed);
-    }
-}
-
-/// Evaluations that aborted (budget or unwind) and had their staged
-/// counter traffic drained instead of published.
-pub fn aborted_evals() -> usize {
-    ABORTED_EVALS.load(Ordering::Relaxed)
-}
-
-/// Records one full (materialized) pattern evaluation.
-#[inline]
-pub fn record_full_eval() {
-    if !staged(|s| s.full += 1) {
-        FULL_EVALS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records one streaming position evaluation.
-#[inline]
-pub fn record_streaming_eval() {
-    if !staged(|s| s.streaming += 1) {
-        STREAMING_EVALS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records one partial (delta-maintenance) evaluation.
-#[inline]
-pub fn record_delta_eval() {
-    if !staged(|s| s.delta += 1) {
-        DELTA_EVALS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records one evaluation tile of a (possibly tiled) batched evaluation.
-#[inline]
-pub fn record_tile() {
-    if !staged(|s| s.tiles += 1) {
-        TILES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records `rows` materialized by a full partition scan.
-#[inline]
-pub fn record_rows_scanned(rows: usize) {
-    if !staged(|s| s.rows_scanned += rows) {
-        ROWS_SCANNED.fetch_add(rows, Ordering::Relaxed);
-    }
-}
-
-/// Records `rows` materialized by an endpoint-posting probe.
-#[inline]
-pub fn record_rows_probed(rows: usize) {
-    if !staged(|s| s.rows_probed += rows) {
-        ROWS_PROBED.fetch_add(rows, Ordering::Relaxed);
-    }
-}
-
-/// Raises the peak-intermediate-rows gauge to at least `rows`.
-#[inline]
-pub fn record_peak_rows(rows: usize) {
-    if !staged(|s| s.peak_rows = s.peak_rows.max(rows)) {
-        PEAK_ROWS.fetch_max(rows, Ordering::Relaxed);
-    }
-}
-
-/// The largest intermediate relation (rows) materialized by any pattern
-/// evaluation since process start (or the last [`reset_peak_rows`]).
-pub fn peak_rows() -> usize {
-    PEAK_ROWS.load(Ordering::Relaxed)
-}
-
-/// Resets the peak-rows gauge (a max has no meaningful delta, so regions
-/// of interest reset it instead). Only meaningful when no other thread
-/// evaluates patterns concurrently.
-pub fn reset_peak_rows() {
-    PEAK_ROWS.store(0, Ordering::Relaxed);
-}
-
-/// Reads the current counters.
+/// Reads the process-wide evaluation totals.
 pub fn snapshot() -> EvalCounts {
     EvalCounts {
         full: FULL_EVALS.load(Ordering::Relaxed),
@@ -441,44 +153,23 @@ pub fn snapshot() -> EvalCounts {
     }
 }
 
-/// Serializes [`scoped`] regions within the process.
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
-
-/// A scoped view of the process-global counters: holds the scope lock so
-/// concurrent scoped regions (parallel tests, the bench harness) cannot
-/// interleave their counter traffic, and reads **deltas** against the
-/// baseline captured at construction. The peak-rows gauge is reset on
-/// entry, so [`ScopedMetrics::peak_rows`] is the peak *of this scope*.
-///
-/// Only evaluations that happen inside some scope are isolated — code
-/// that evaluates patterns without taking a scope still bumps the global
-/// counters. The parity suites and bench regions therefore all go
-/// through [`scoped`].
-#[derive(Debug)]
-pub struct ScopedMetrics {
-    base: EvalCounts,
-    _guard: MutexGuard<'static, ()>,
+/// Folds the ingestion queue's current depth into the peak-depth
+/// watermark.
+#[inline]
+pub fn record_ingest_queue_depth(depth: usize) {
+    INGEST_QUEUE_PEAK.fetch_max(depth, Ordering::Relaxed);
 }
 
-/// Enters a scoped metrics region (blocking until any other scope ends)
-/// and captures the baseline. Dropping the returned guard ends the scope.
-pub fn scoped() -> ScopedMetrics {
-    let guard = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let scope = ScopedMetrics { base: snapshot(), _guard: guard };
-    reset_peak_rows();
-    scope
+/// The highest queue depth recorded since process start (or the last
+/// [`reset_ingest_queue_peak`]).
+pub fn ingest_queue_peak() -> usize {
+    INGEST_QUEUE_PEAK.load(Ordering::Relaxed)
 }
 
-impl ScopedMetrics {
-    /// Counter increments since the scope began.
-    pub fn counts(&self) -> EvalCounts {
-        snapshot().since(&self.base)
-    }
-
-    /// The peak-rows gauge of this scope (reset on entry).
-    pub fn peak_rows(&self) -> usize {
-        peak_rows()
-    }
+/// Resets the peak queue-depth watermark (a max has no meaningful
+/// difference, so regions of interest reset it instead).
+pub fn reset_ingest_queue_peak() {
+    INGEST_QUEUE_PEAK.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -488,16 +179,18 @@ mod tests {
     #[test]
     fn counters_are_monotonic() {
         let before = snapshot();
-        record_full_eval();
-        record_streaming_eval();
-        record_delta_eval();
-        record_tile();
-        record_rows_scanned(12);
-        record_rows_probed(5);
-        let after = snapshot();
-        let delta = after.since(&before);
-        // Other tests may run concurrently in this process, so the delta
-        // is at least ours.
+        fold(&EvalTrace {
+            full: 1,
+            streaming: 1,
+            delta: 1,
+            tiles: 1,
+            rows_scanned: 12,
+            rows_probed: 5,
+            ..EvalTrace::default()
+        });
+        let delta = snapshot().since(&before);
+        // Other tests in this binary evaluate concurrently, so the
+        // difference is at least the folded trace.
         assert!(delta.full >= 1);
         assert!(delta.streaming >= 1);
         assert!(delta.delta >= 1);
@@ -507,147 +200,30 @@ mod tests {
         assert!(delta.total() >= 3);
     }
 
+    /// Merging traces sums their counts and keeps the largest peaks.
     #[test]
     fn peak_rows_is_a_max_gauge() {
-        record_peak_rows(10);
-        record_peak_rows(3);
-        assert!(peak_rows() >= 10);
-    }
-
-    /// Scoped regions read deltas against their own baseline and see
-    /// their own peak gauge. (This binary's engine tests evaluate
-    /// patterns *unscoped*, so assertions here are lower bounds; the
-    /// cross-crate incremental suite — where every writer is scoped —
-    /// asserts exact counts.)
-    #[test]
-    fn scoped_reads_deltas_and_resets_peak() {
-        let scope = scoped();
-        record_full_eval();
-        record_delta_eval();
-        record_tile();
-        record_peak_rows(77);
-        let counts = scope.counts();
-        assert!(counts.full >= 1);
-        assert!(counts.delta >= 1);
-        assert!(counts.tiles >= 1);
-        assert!(scope.peak_rows() >= 77);
-        drop(scope);
-        // A fresh scope re-baselines: the 77-row peak of the previous
-        // scope is gone.
-        let scope2 = scoped();
-        assert!(scope2.peak_rows() < 77);
-    }
-
-    /// A committed stage publishes its whole buffer. (Other tests in this
-    /// binary evaluate unscoped and concurrently, so assertions against
-    /// the shared globals are lower bounds here — the *exact* "whole
-    /// batch or nothing" determinism is pinned by the fully scoped
-    /// integration robustness suite.)
-    #[test]
-    fn staged_commit_publishes_wholesale() {
-        let scope = scoped();
-        let stage = stage_evaluation();
-        record_full_eval();
-        record_tile();
-        record_rows_probed(9);
-        record_peak_rows(41);
-        stage.commit();
-        let counts = scope.counts();
-        assert!(counts.full >= 1);
-        assert!(counts.tiles >= 1);
-        assert!(counts.rows_probed >= 9);
-        assert!(scope.peak_rows() >= 41);
-    }
-
-    /// A dropped (uncommitted) stage drains: the abort counter moves, and
-    /// the thread's buffer is gone (later records reach the globals).
-    #[test]
-    fn aborted_stage_drains_instead_of_publishing() {
-        let aborted_before = aborted_evals();
-        let stage = stage_evaluation();
-        record_full_eval();
-        record_tile();
-        record_rows_probed(123);
-        drop(stage);
-        assert!(aborted_evals() > aborted_before);
-        // The buffer is gone: recording after the drain hits the globals.
-        let before = snapshot();
-        record_rows_probed(5);
-        assert!(snapshot().since(&before).rows_probed >= 5);
-    }
-
-    /// Nested stages are passive: the outermost guard owns commit/drain,
-    /// and an inner commit does not flush the outer buffer early.
-    #[test]
-    fn nested_stage_defers_to_outermost() {
-        let outer = stage_evaluation();
-        record_tile();
-        {
-            let inner = stage_evaluation();
-            record_tile();
-            inner.commit(); // no-op: outer still staging
-        }
-        let before = snapshot();
-        outer.commit();
-        assert!(snapshot().since(&before).tiles >= 2, "outer commit flushes both tiles");
-    }
-
-    /// Harvested worker traffic replays into the coordinator's stage as
-    /// if recorded there, and the outer commit publishes the combined
-    /// batch wholesale — the cross-thread staging contract the sharded
-    /// fan-out builds on.
-    #[test]
-    fn harvested_traffic_replays_into_outer_stage() {
-        let scope = scoped();
-        let traffic = std::thread::spawn(|| {
-            let stage = stage_evaluation();
-            record_tile();
-            record_rows_probed(7);
-            record_peak_rows(55);
-            stage.into_traffic().expect("worker owns its stage")
-        })
-        .join()
-        .expect("worker");
-        assert_eq!(traffic.tiles, 1);
-        assert_eq!(traffic.rows_probed, 7);
-        assert_eq!(traffic.peak_rows, 55);
-        let outer = stage_evaluation();
-        record_full_eval();
-        replay_traffic(&traffic);
-        outer.commit();
-        let counts = scope.counts();
-        assert!(counts.full >= 1);
-        assert!(counts.tiles >= 1);
-        assert!(counts.rows_probed >= 7);
-        assert!(scope.peak_rows() >= 55);
-    }
-
-    /// Replaying with no active stage falls through to the globals.
-    #[test]
-    fn replay_without_stage_hits_globals() {
-        let before = snapshot();
-        replay_traffic(&EvalTraffic { tiles: 2, rows_scanned: 11, ..EvalTraffic::default() });
-        let delta = snapshot().since(&before);
-        assert!(delta.tiles >= 2);
-        assert!(delta.rows_scanned >= 11);
-    }
-
-    /// Scopes serialize: each thread's scope sees at least its own
-    /// increments, and the lock survives contention (and poisoning).
-    #[test]
-    fn scopes_serialize_across_threads() {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let scope = scoped();
-                    record_full_eval();
-                    record_full_eval();
-                    scope.counts().full
-                })
-            })
-            .collect();
-        for h in handles {
-            assert!(h.join().expect("no panic") >= 2);
-        }
+        let mut trace =
+            EvalTrace { tiles: 1, rows_probed: 7, peak_rows: 10, ..EvalTrace::default() };
+        trace.merge(&EvalTrace {
+            tiles: 2,
+            rows_probed: 4,
+            peak_rows: 3,
+            est_peak_rows: 8,
+            overflow_tiles: 1,
+            ..EvalTrace::default()
+        });
+        trace.merge(&EvalTrace { est_peak_rows: 5, overflow_tiles: 1, ..EvalTrace::default() });
+        assert_eq!(
+            trace,
+            EvalTrace {
+                tiles: 3,
+                rows_probed: 11,
+                peak_rows: 10,
+                est_peak_rows: 8,
+                overflow_tiles: 2,
+                ..EvalTrace::default()
+            }
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! pattern variable.
 
 use crate::expr::Predicate;
+use crate::metrics::EvalTrace;
 use crate::ops::{filter, join_rows, project, RowSet};
 use crate::relation::{Relation, Schema};
 use crate::{RelError, Result};
@@ -270,11 +271,12 @@ impl PatternSpec {
     /// `(label, dir)` partition and filtering. Edges not touching the
     /// start variable scan their partition. Each edge goes through
     /// [`PatternSpec::edge_rows`], so the residual predicates match
-    /// [`PatternSpec::filtered_scans`].
+    /// [`PatternSpec::filtered_scans`] and the rows read land in `trace`.
     fn indexed_scans(
         &self,
         index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
+        trace: &mut EvalTrace,
     ) -> Result<Vec<Relation>> {
         let cols = endpoint_cols(index)?;
         let start_keys = sorted_start_keys(binding);
@@ -288,7 +290,7 @@ impl PatternSpec {
                     }
                     _ => EdgeSource::Scan(index),
                 };
-                self.edge_rows(e, binding, cols, source)
+                self.edge_rows(e, binding, cols, source, trace)
             })
             .collect())
     }
@@ -300,13 +302,15 @@ impl PatternSpec {
     /// target-exclusion of the pinned value from every non-start endpoint
     /// — and its endpoints copied out. (`Among` exclusion is per-row and
     /// left to the final injectivity filter.) `cols` are the index
-    /// schema's `(from, to)` column positions.
+    /// schema's `(from, to)` column positions. Every partition row read
+    /// counts in `trace`, as `rows_scanned` or `rows_probed` by `source`.
     fn edge_rows(
         &self,
         e: SpecEdge,
         binding: &StartBinding,
         (from, to): (usize, usize),
         source: EdgeSource<'_>,
+        trace: &mut EvalTrace,
     ) -> Relation {
         let (exclude_from, exclude_to) = match binding {
             StartBinding::Const(s) => {
@@ -316,7 +320,9 @@ impl PatternSpec {
         };
         let self_loop = e.u == e.v;
         let mut data = Vec::new();
+        let mut read = 0;
         let mut take = |r: &[u64]| {
+            read += 1;
             let (f, t) = (r[from], r[to]);
             if (!self_loop || f == t) && exclude_from != Some(f) && exclude_to != Some(t) {
                 data.push(f);
@@ -325,9 +331,13 @@ impl PatternSpec {
         };
         let dir = e.dir();
         match source {
-            EdgeSource::Scan(index) => index.scan(e.label, dir).rows().for_each(&mut take),
+            EdgeSource::Scan(index) => {
+                index.scan(e.label, dir).rows().for_each(&mut take);
+                trace.rows_scanned += read;
+            }
             EdgeSource::Probe { index, src, keys } => {
-                index.for_each_probed(e.label, dir, src, keys, take)
+                index.for_each_probed(e.label, dir, src, keys, &mut take);
+                trace.rows_probed += read;
             }
         }
         Relation::from_flat(Schema::new(["from", "to"]), data).expect("pairs have arity 2")
@@ -491,15 +501,16 @@ impl PatternSpec {
     /// materializing each step's rows through its planned access path —
     /// start probes against `probe`, partition scans and bound-value
     /// probes against `scan` — each through [`PatternSpec::edge_rows`]'s
-    /// single probe/filter/project pass. Returns the instance relation
-    /// and the peak intermediate row count.
+    /// single probe/filter/project pass. Returns the instance relation;
+    /// the rows read and the peak intermediate row count land in `trace`.
     fn join_planned_split(
         &self,
         probe: &crate::engine::EdgeIndex,
         scan: &crate::engine::EdgeIndex,
         binding: &StartBinding,
         plan: &JoinPlan,
-    ) -> Result<(Relation, usize)> {
+        trace: &mut EvalTrace,
+    ) -> Result<Relation> {
         let cols = endpoint_cols(scan)?;
         let start_keys = sorted_start_keys(binding);
         let mut state = JoinState::new(self.var_count);
@@ -519,9 +530,11 @@ impl PatternSpec {
                 }
                 Access::Scan => EdgeSource::Scan(scan),
             };
-            state.push(e, self.edge_rows(e, binding, cols, source));
+            state.push(e, self.edge_rows(e, binding, cols, source, trace));
         }
-        state.finish()
+        let (instances, peak) = state.finish()?;
+        trace.peak_rows = trace.peak_rows.max(peak);
+        Ok(instances)
     }
 
     /// Evaluates the pattern over the oriented edge relation, returning a
@@ -560,17 +573,18 @@ impl PatternSpec {
     /// ([`StartBinding::Const`] / [`StartBinding::Among`]) are pushed into
     /// the endpoint postings, so a bound or sampled start touches only
     /// its incident rows — the workhorse for repeated distribution
-    /// queries. Counts as one full evaluation.
+    /// queries. Returns the instances with the evaluation's trace: one
+    /// full evaluation, its rows read and its peak intermediate rows.
     pub fn evaluate_indexed(
         &self,
         index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
-    ) -> Result<Relation> {
-        self.validate()?;
-        crate::metrics::record_full_eval();
-        let (instances, _) =
+    ) -> Result<(Relation, EvalTrace)> {
+        let (instances, mut trace) =
             self.evaluate_tile(index, index, binding, &crate::budget::Budget::unlimited())?;
-        Ok(instances)
+        trace.full = 1;
+        crate::metrics::fold(&trace);
+        Ok((instances, trace))
     }
 
     /// One tile of a batched evaluation over a split probe/scan index
@@ -582,22 +596,23 @@ impl PatternSpec {
     /// evaluating) and the tile's peak intermediate rows are charged
     /// against the row pool *after* it completes, so a tile either runs
     /// to completion and is paid for, or does not run at all — never a
-    /// half-evaluated join tree. Records no evaluation (the caller
-    /// accounts once per batch) and returns the peak intermediate row
-    /// count beside the instances.
+    /// half-evaluated join tree. Returns the tile's trace beside the
+    /// instances: its rows read and peak intermediate rows, but no
+    /// evaluation or tile count (the caller accounts those).
     pub(crate) fn evaluate_tile(
         &self,
         probe: &crate::engine::EdgeIndex,
         scan: &crate::engine::EdgeIndex,
         binding: &StartBinding,
         budget: &crate::budget::Budget,
-    ) -> Result<(Relation, usize)> {
+    ) -> Result<(Relation, EvalTrace)> {
         budget.check().map_err(crate::RelError::Aborted)?;
         self.validate()?;
         let plan = self.plan_split(probe, scan, binding);
-        let (instances, peak) = self.join_planned_split(probe, scan, binding, &plan)?;
-        budget.charge_rows(peak);
-        Ok((instances, peak))
+        let mut trace = EvalTrace::default();
+        let instances = self.join_planned_split(probe, scan, binding, &plan, &mut trace)?;
+        budget.charge_rows(trace.peak_rows);
+        Ok((instances, trace))
     }
 
     /// Streaming position query: counts end entities whose **distinct**
@@ -622,8 +637,8 @@ impl PatternSpec {
         if limit == 0 {
             return Ok(0);
         }
-        crate::metrics::record_streaming_eval();
-        let scans = self.indexed_scans(index, &StartBinding::Const(start))?;
+        let mut trace = EvalTrace { streaming: 1, ..EvalTrace::default() };
+        let scans = self.indexed_scans(index, &StartBinding::Const(start), &mut trace)?;
         let order = self.join_order_by_cost(&scans);
         let (&last, head) = order.split_last().expect("validated patterns have edges");
         let mut scans: Vec<Option<Relation>> = scans.into_iter().map(Some).collect();
@@ -689,6 +704,7 @@ impl PatternSpec {
                 crate::ops::hash_join_streaming(cur, &last_scan, &cur_keys, &scan_keys, emit)
             }
         }
+        crate::metrics::fold(&trace);
         Ok(qualified)
     }
 
@@ -709,10 +725,11 @@ impl PatternSpec {
         scan_for: F,
     ) -> Result<Relation> {
         self.validate()?;
-        crate::metrics::record_full_eval();
         let scans = self.filtered_scans(schema, binding, scan_for)?;
         let order = self.join_order_by_cost(&scans);
-        self.join_scans_in_order(scans, &order).map(|(rel, _)| rel)
+        let (instances, peak_rows) = self.join_scans_in_order(scans, &order)?;
+        crate::metrics::fold(&EvalTrace { full: 1, peak_rows, ..EvalTrace::default() });
+        Ok(instances)
     }
 
     /// Joins prepared per-edge `(from, to)` scans into the instance
@@ -741,18 +758,21 @@ impl PatternSpec {
     /// explicit order, with every edge's rows materialized up front
     /// (start probes, full partition scans otherwise) — no bound-value
     /// probes, no cost-based reordering. The
-    /// benchmark baseline for [`PatternSpec::plan`]; counts as a full
-    /// evaluation.
+    /// benchmark baseline for [`PatternSpec::plan`]; returns the
+    /// instances with the trace of one full evaluation.
     pub fn evaluate_indexed_in_order(
         &self,
         index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
         order: &[usize],
-    ) -> Result<(Relation, usize)> {
+    ) -> Result<(Relation, EvalTrace)> {
         self.validate()?;
-        crate::metrics::record_full_eval();
-        let scans = self.indexed_scans(index, binding)?;
-        self.join_scans_in_order(scans, order)
+        let mut trace = EvalTrace { full: 1, ..EvalTrace::default() };
+        let scans = self.indexed_scans(index, binding, &mut trace)?;
+        let (instances, peak_rows) = self.join_scans_in_order(scans, order)?;
+        trace.peak_rows = peak_rows;
+        crate::metrics::fold(&trace);
+        Ok((instances, trace))
     }
 }
 
@@ -921,7 +941,6 @@ impl JoinState {
             }
         }
         self.peak = self.peak.max(instances.len());
-        crate::metrics::record_peak_rows(self.peak);
         let schema = Schema::new((0..self.var_count).map(|v| format!("v{v}")));
         Ok((instances.into_relation(schema), self.peak))
     }
@@ -1176,11 +1195,16 @@ mod cost_order_tests {
         // bound probes instead of scanning `big`/`mid` outright.
         assert!(plan.steps[1..].iter().all(|s| matches!(s.access, Access::BoundProbe { .. })));
         // And the planned execution agrees with the definitional path.
-        let planned = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
+        let (planned, trace) = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
         let naive = spec
             .evaluate_with(&crate::engine::oriented_edge_relation(&kb), &StartBinding::Unbound)
             .unwrap();
         assert_eq!(planned.len(), naive.len());
+        // Its trace puts the `tiny` scan on rows_scanned and everything
+        // else on rows_probed.
+        assert_eq!(trace.full, 1);
+        assert_eq!(trace.rows_scanned, 2);
+        assert!(trace.rows_probed > 0);
     }
 
     /// Plan metadata records the chosen order, access paths, and

@@ -223,7 +223,7 @@ pub mod differential {
             Some(list) => StartBinding::among(list.iter().copied()),
             None => StartBinding::Unbound,
         };
-        let instances =
+        let (instances, _) =
             spec.evaluate_indexed(index, &binding).expect("indexed evaluation accepts valid specs");
         let mut per_start = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
         for counts in per_start.values_mut() {

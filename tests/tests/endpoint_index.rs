@@ -24,7 +24,6 @@ use rex_relstore::engine::{
     local_count_distribution_indexed, oriented_edge_relation, EdgeIndex, EvalKind, EvalRequest,
     ShardSpec, ShardedEdgeIndex,
 };
-use rex_relstore::metrics;
 use rex_relstore::plan::dir_code;
 use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold::{apply_ops, base_kb, shape, shape_count};
@@ -198,12 +197,9 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
             continue;
         }
         any_affected += 1;
-        let scope = metrics::scoped();
         let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
-        count_distributions(&sharded, &spec, &req).unwrap();
-        let counts = scope.counts();
-        drop(scope);
-        assert_eq!(counts.delta, 1);
+        let counts = count_distributions(&sharded, &spec, &req).unwrap().trace;
+        assert_eq!((counts.delta, counts.full, counts.streaming), (1, 0, 0));
         assert_eq!(counts.tiles, 1);
         // Probe traffic includes at least the rows incident to the
         // affected starts (the planner may add *bound* probes of later

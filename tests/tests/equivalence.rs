@@ -145,7 +145,7 @@ proptest! {
         for e in out.explanations.iter().take(8) {
             let spec = e.pattern.to_spec();
             let binding = StartBinding::Const(a.0 as u64);
-            let instances = spec.evaluate_indexed(&index, &binding).expect("valid");
+            let (instances, _) = spec.evaluate_indexed(&index, &binding).expect("valid");
             for c in [0u64, 1, 2] {
                 let full = group_count_having_limit(&instances, &[spec.end], c, usize::MAX)
                     .expect("group")

@@ -2,11 +2,11 @@
 //! pair-by-pair degradation, admission control, and fault-injected
 //! maintenance recovery.
 //!
-//! Every test that evaluates patterns holds [`metrics::scoped`], so the
-//! process-global evaluation counters are deterministic within this
-//! binary — this is where the *exact* "a whole batch or nothing" staging
-//! promise (deferred by the relstore unit tests, which share their
-//! binary with unscoped evaluators) is pinned down.
+//! Every assertion reads what the calls return or the state of the cache
+//! they ran against, never the process-wide evaluation totals, so the
+//! suite is deterministic under the parallel test runner. That an
+//! aborted evaluation folds exactly zero into those totals is pinned by
+//! `tests/tests/metrics_fold.rs`, which runs in a process of its own.
 
 use std::time::Duration;
 
@@ -21,7 +21,7 @@ use rex_core::{CoreError, EnumConfig, Explanation};
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::budget::{AbortReason, Budget, CancelToken};
 use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
-use rex_relstore::{metrics, RelError};
+use rex_relstore::RelError;
 use rex_tests::scaffold::{apply_ops, base_kb};
 
 /// The suite's deterministic base KB (distinct tail from the other
@@ -66,7 +66,6 @@ fn fingerprint(
 /// no budget succeeds and *does* move the cache.
 #[test]
 fn cancelled_evaluation_leaves_no_trace() {
-    let _scope = metrics::scoped();
     let kb = suite_kb(1);
     let explanations = enumerate_core(&kb);
     assert!(!explanations.is_empty());
@@ -94,7 +93,6 @@ fn cancelled_evaluation_leaves_no_trace() {
 /// untouched.
 #[test]
 fn deadline_and_row_budget_abort_with_typed_reasons() {
-    let _scope = metrics::scoped();
     let kb = suite_kb(2);
     let explanations = enumerate_core(&kb);
     let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
@@ -118,38 +116,35 @@ fn deadline_and_row_budget_abort_with_typed_reasons() {
     assert_eq!(fingerprint(&tiny_tiles), before);
 }
 
-/// The exact staging determinism this binary exists to pin: with the
-/// metrics scope held, a successful batch publishes its whole counter
-/// traffic at once, and an aborted batch publishes **exactly zero** —
-/// with exactly one aborted-evaluation drain.
+/// A whole batch or nothing: a successful read reports its own batch —
+/// one evaluation, every tile — on the returned `BatchRead`, and an
+/// aborted one returns only the typed error, leaving every counter of
+/// its cache where it was.
 #[test]
 fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
-    let scope = metrics::scoped();
     let kb = suite_kb(3);
     let explanations = enumerate_core(&kb);
     let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
     let starts: Vec<NodeId> = kb.node_ids().collect();
 
-    // Success: exactly one full evaluation, at least one tile, nothing
-    // streamed.
+    // Success: exactly one batched evaluation, at least one tile.
     let cache = DistributionCache::new();
-    let c0 = scope.counts();
-    cache.all_starts(&index, &explanations[0], &starts, &Budget::unlimited()).unwrap();
-    let committed = scope.counts().since(&c0);
-    assert_eq!(committed.full, 1, "one batch commits one full evaluation");
-    assert!(committed.tiles >= 1);
-    assert_eq!(committed.streaming, 0);
+    let read = cache.all_starts(&index, &explanations[0], &starts, &Budget::unlimited()).unwrap();
+    let tiles = read.evaluated_tiles.expect("a cold cache evaluates");
+    assert!(tiles >= 1);
+    assert_eq!(tiles, read.batch.eval_tiles());
+    assert_eq!(cache.batched_evals(), 1, "one batch is one full evaluation");
+    assert_eq!(cache.tiling_stats().0, tiles);
 
-    // Abort: a bit-identical counter snapshot and one drain.
+    // Abort: the typed error, and a bit-identical cache.
     let token = CancelToken::new();
     token.cancel();
     let budget = Budget::unlimited().with_cancel(token);
     let cold = DistributionCache::new();
-    let aborts_before = metrics::aborted_evals();
-    let c1 = scope.counts();
-    cold.all_starts(&index, &explanations[0], &starts, &budget).unwrap_err();
-    assert_eq!(scope.counts(), c1, "aborted batch published partial counter traffic");
-    assert_eq!(metrics::aborted_evals(), aborts_before + 1, "exactly one staged drain");
+    let before = fingerprint(&cold);
+    let err = cold.all_starts(&index, &explanations[0], &starts, &budget).unwrap_err();
+    assert!(matches!(err, RelError::Aborted(AbortReason::Cancelled)), "{err}");
+    assert_eq!(fingerprint(&cold), before, "aborted batch published partial counter traffic");
 }
 
 /// Budgeted ranking degrades pair-by-pair: under an unlimited budget the
@@ -158,7 +153,6 @@ fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
 /// empty, and the shared cache is untouched.
 #[test]
 fn budgeted_ranking_sheds_pairs_not_the_workload() {
-    let _scope = metrics::scoped();
     let kb = suite_kb(4);
     let explanations = enumerate_core(&kb);
     let a = kb.require_node("n0").unwrap();
@@ -203,7 +197,6 @@ fn budgeted_ranking_sheds_pairs_not_the_workload() {
 /// admissible on an idle pool.
 #[test]
 fn admission_pool_sheds_overlap_and_releases_on_drop() {
-    let _scope = metrics::scoped();
     let kb = suite_kb(5);
     let explanations = enumerate_core(&kb);
     let a = kb.require_node("n0").unwrap();
@@ -250,7 +243,6 @@ fn admission_pool_sheds_overlap_and_releases_on_drop() {
 /// session ends up serving the new epoch with scratch-parity answers.
 #[test]
 fn forced_compaction_rebuild_retries_once_and_recovers() {
-    let _scope = metrics::scoped();
     let mut kb = suite_kb(6);
     let explanations = enumerate_core(&kb);
     let cfg = cfg();
@@ -295,7 +287,6 @@ fn forced_compaction_rebuild_retries_once_and_recovers() {
 /// faults exhausted — goes through normally.
 #[test]
 fn exhausted_rebuild_retries_fail_closed_and_keep_serving() {
-    let _scope = metrics::scoped();
     let mut kb = suite_kb(7);
     let cfg = cfg();
     let plan = FaultPlan::seeded(7)
@@ -339,7 +330,6 @@ proptest! {
         cancel in any::<bool>(),
         warm_shapes in 0usize..3,
     ) {
-        let _scope = metrics::scoped();
         let mut kb = suite_kb(seed);
         apply_ops(&mut kb, &ops, "r");
         let explanations = enumerate_core(&kb);

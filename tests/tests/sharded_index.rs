@@ -301,10 +301,10 @@ fn count_distributions_matches_pinned_fingerprints() {
                     shards,
                     row_ceiling,
                     hash,
-                    d.tiles,
-                    d.peak_rows,
-                    d.est_peak_rows,
-                    d.overflow_tiles,
+                    d.trace.tiles,
+                    d.trace.peak_rows,
+                    d.trace.est_peak_rows,
+                    d.trace.overflow_tiles,
                 ));
             }
         }

@@ -217,7 +217,7 @@ proptest! {
         let tiled = count_distributions(index, &spec, &tiled).unwrap();
         prop_assert_eq!(&tiled.per_start, &untiled.per_start);
         let packing = index.base().tile_starts_for_ceiling(&spec, &starts, ceiling);
-        prop_assert_eq!(tiled.tiles, packing.len());
-        prop_assert!(tiled.peak_rows <= untiled.peak_rows);
+        prop_assert_eq!(tiled.trace.tiles, packing.len());
+        prop_assert!(tiled.trace.peak_rows <= untiled.trace.peak_rows);
     }
 }
