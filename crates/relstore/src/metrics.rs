@@ -175,6 +175,44 @@ pub fn reset_ingest_queue_peak() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{AbortReason, Budget};
+    use crate::engine::{count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex};
+    use crate::plan::{PatternSpec, SpecEdge};
+    use crate::RelError;
+    use rex_kb::toy;
+
+    /// The toy KB sharded `shards` ways, the co-starring pattern
+    /// `start -starring-> m <-starring- end`, and every entity as a
+    /// start.
+    fn costar_batch(shards: usize) -> (ShardedEdgeIndex, PatternSpec, Vec<u64>) {
+        let kb = toy::entertainment();
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::new(shards, 5));
+        let starring = kb.label_by_name("starring").unwrap().0 as u64;
+        let spec = PatternSpec {
+            var_count: 3,
+            start: 0,
+            end: 1,
+            edges: vec![
+                SpecEdge { u: 0, v: 2, label: starring, directed: true },
+                SpecEdge { u: 1, v: 2, label: starring, directed: true },
+            ],
+        };
+        let starts = (0..kb.node_count() as u64).collect();
+        (index, spec, starts)
+    }
+
+    /// Asserts the totals moved by at least `trace`'s six counters.
+    /// (Other tests in this binary evaluate concurrently, so a snapshot
+    /// difference is a lower bound here; the one-test `metrics_fold`
+    /// binary pins it exactly.)
+    fn assert_folded_at_least(by: &EvalCounts, trace: &EvalTrace) {
+        assert!(by.full >= trace.full, "{by:?} < {trace:?}");
+        assert!(by.streaming >= trace.streaming, "{by:?} < {trace:?}");
+        assert!(by.delta >= trace.delta, "{by:?} < {trace:?}");
+        assert!(by.tiles >= trace.tiles, "{by:?} < {trace:?}");
+        assert!(by.rows_scanned >= trace.rows_scanned, "{by:?} < {trace:?}");
+        assert!(by.rows_probed >= trace.rows_probed, "{by:?} < {trace:?}");
+    }
 
     #[test]
     fn counters_are_monotonic() {
@@ -225,5 +263,76 @@ mod tests {
                 ..EvalTrace::default()
             }
         );
+    }
+
+    /// A completed evaluation publishes its whole returned trace: the
+    /// batch's full evaluation, every tile and every row it read.
+    #[test]
+    fn staged_commit_publishes_wholesale() {
+        let (index, spec, starts) = costar_batch(1);
+        let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+        let before = snapshot();
+        let trace = count_distributions(&index, &spec, &req).unwrap().trace;
+        let by = snapshot().since(&before);
+        assert_eq!((trace.full, trace.streaming, trace.delta), (1, 0, 0));
+        assert!(trace.tiles > 1, "Some(0) tiles every start with rows on its own");
+        assert!(trace.rows_probed > 0, "{trace:?}");
+        assert_folded_at_least(&by, &trace);
+    }
+
+    /// An aborted evaluation returns `Err` and drops the traffic of the
+    /// tiles it ran with it: nothing is left pending, so the next call
+    /// traces exactly what a fresh one does, and its completed trace
+    /// still reaches the totals.
+    #[test]
+    fn aborted_stage_drains_instead_of_publishing() {
+        let (index, spec, starts) = costar_batch(1);
+        let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+        let fresh = count_distributions(&index, &spec, &req).unwrap().trace;
+
+        let starved = EvalRequest { budget: Budget::unlimited().with_row_budget(1), ..req };
+        let err = count_distributions(&index, &spec, &starved).unwrap_err();
+        assert!(matches!(err, RelError::Aborted(AbortReason::RowBudgetExhausted)), "{err}");
+        assert_eq!(starved.budget.remaining_rows(), Some(0), "a tile ran and was charged");
+
+        let req = EvalRequest { budget: Budget::unlimited(), ..starved };
+        let before = snapshot();
+        let after_abort = count_distributions(&index, &spec, &req).unwrap().trace;
+        let by = snapshot().since(&before);
+        assert_eq!(after_abort, fresh, "the aborted tiles leaked into the next trace");
+        assert_folded_at_least(&by, &after_abort);
+    }
+
+    /// Worker traffic reaches the batch: each shard bucket evaluates on a
+    /// rayon worker and returns its own trace, the coordinator merges
+    /// them — every worker's tiles, the same rows the batch reads inline
+    /// on one shard, one full evaluation for the whole batch — and the
+    /// completed call publishes the merged trace.
+    #[test]
+    fn harvested_traffic_replays_into_outer_stage() {
+        let (inline, spec, starts) = costar_batch(1);
+        let (sharded, _, _) = costar_batch(3);
+        let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+        let buckets = sharded.split_starts(&starts);
+        let worker_tiles: Vec<usize> = buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(k, bucket)| sharded.shard(k).tile_starts_for_ceiling(&spec, bucket, 0).len())
+            .collect();
+        assert!(worker_tiles.len() > 1, "the batch must fan out across workers");
+
+        let one = count_distributions(&inline, &spec, &req).unwrap().trace;
+        let before = snapshot();
+        let merged = count_distributions(&sharded, &spec, &req).unwrap().trace;
+        let by = snapshot().since(&before);
+        assert_eq!((merged.full, merged.streaming, merged.delta), (1, 0, 0));
+        assert_eq!(merged.tiles, worker_tiles.iter().sum::<usize>());
+        assert_eq!(
+            (merged.rows_probed, merged.rows_scanned, merged.peak_rows),
+            (one.rows_probed, one.rows_scanned, one.peak_rows),
+            "worker row traffic lost or double-counted in the merge"
+        );
+        assert_folded_at_least(&by, &merged);
     }
 }
