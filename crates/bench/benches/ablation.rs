@@ -94,7 +94,7 @@ fn bench_cache_and_parallel(c: &mut Criterion) {
             let _ = ctx.edge_index();
             explanations
                 .iter()
-                .map(|e| global_position_per_start(&ctx, e, usize::MAX))
+                .map(|e| global_position_per_start(&ctx, e, usize::MAX).0)
                 .sum::<usize>()
         })
     });

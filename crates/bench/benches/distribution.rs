@@ -43,6 +43,7 @@ fn bench_distribution(c: &mut Criterion) {
         b.iter(|| {
             local_position_indexed(&index, &spec, pair.start.0 as u64, 1, usize::MAX)
                 .expect("valid spec")
+                .0
         })
     });
     group.finish();

@@ -344,7 +344,8 @@ impl DistributionCache {
     }
 
     /// Partial (delta-maintenance) evaluations performed by
-    /// [`DistributionCache::apply_delta`].
+    /// [`DistributionCache::apply_delta`], as the engine's returned
+    /// traces count them.
     pub fn delta_evals(&self) -> usize {
         self.delta_evals.load(Ordering::Relaxed)
     }
@@ -669,7 +670,6 @@ impl DistributionCache {
             // Patch: re-group only the affected starts — the endpoint
             // postings make this touch only rows incident to them — and
             // overlay.
-            self.delta_evals.fetch_add(1, Ordering::Relaxed);
             let req = EvalRequest {
                 starts: &affected_in_domain,
                 row_ceiling: self.row_ceiling,
@@ -679,6 +679,7 @@ impl DistributionCache {
             let partial = count_distributions(index, &entry.spec, &req)
                 .expect("cached batch specs are valid");
             let trace = partial.trace;
+            self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
             self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
             self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
             let mut counts = (*entry.counts).clone();
@@ -882,7 +883,7 @@ mod tests {
             );
             assert_eq!(
                 global(&cache, index, e, &starts, None),
-                global_position_per_start(&ctx, e, usize::MAX),
+                global_position_per_start(&ctx, e, usize::MAX).0,
                 "per-start baseline disagrees for {}",
                 e.describe(&kb)
             );

@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use rex_relstore::budget::Budget;
+use rex_relstore::metrics::EvalTrace;
 
 use crate::explanation::Explanation;
 use crate::measures::{Measure, MeasureContext};
@@ -37,14 +38,15 @@ pub fn local_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limit
     }
     let spec = explanation.pattern.to_spec();
     let a = explanation.count() as u64;
-    rex_relstore::engine::local_position_indexed(
+    let (pos, _) = rex_relstore::engine::local_position_indexed(
         ctx.edge_index().base(),
         &spec,
         ctx.vstart.0 as u64,
         a,
         limit,
     )
-    .expect("explanation patterns are valid specs")
+    .expect("explanation patterns are valid specs");
+    pos
 }
 
 /// Computes the sampled global position of `explanation` through the
@@ -75,21 +77,23 @@ pub fn global_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limi
 /// bounded relational evaluation **per sampled start** (`LIMIT`-pruned
 /// once the accumulated position reaches `limit`). Kept as the reference
 /// implementation for parity tests and as the "before" side of the
-/// ranking benchmark; production paths use [`global_position`].
+/// ranking benchmark; production paths use [`global_position`]. Returns
+/// the position with the merged trace of its per-start evaluations.
 pub fn global_position_per_start(
     ctx: &MeasureContext<'_>,
     explanation: &Explanation,
     limit: usize,
-) -> usize {
+) -> (usize, EvalTrace) {
     let spec = explanation.pattern.to_spec();
     let a = explanation.count() as u64;
     let mut total = 0usize;
+    let mut trace = EvalTrace::default();
     for start in ctx.sample_starts_excluding() {
         let remaining = limit.saturating_sub(total);
         if remaining == 0 {
             break;
         }
-        total += rex_relstore::engine::local_position_indexed(
+        let (pos, evaluated) = rex_relstore::engine::local_position_indexed(
             ctx.edge_index().base(),
             &spec,
             start.0 as u64,
@@ -97,8 +101,10 @@ pub fn global_position_per_start(
             remaining,
         )
         .expect("explanation patterns are valid specs");
+        total += pos;
+        trace.merge(&evaluated);
     }
-    total
+    (total, trace)
 }
 
 /// The full local count distribution of an explanation's pattern: the
@@ -276,7 +282,7 @@ mod tests {
         for e in &out.explanations {
             assert_eq!(
                 global_position(&ctx, e, usize::MAX),
-                global_position_per_start(&ctx, e, usize::MAX),
+                global_position_per_start(&ctx, e, usize::MAX).0,
                 "{}",
                 e.describe(&kb)
             );

@@ -1326,23 +1326,24 @@ fn grouped_tiles(
     Ok(out)
 }
 
-/// [`local_position`] over a prebuilt [`EdgeIndex`]. Bounded queries
-/// (`limit < usize::MAX`) run through the pipelined streaming plan, which
-/// aborts the final join as soon as `limit` qualifying end entities are
-/// known — the heart of the paper's `LIMIT p` pruning.
+/// [`local_position`] over a prebuilt [`EdgeIndex`], returned with the
+/// query's trace. Bounded queries (`limit < usize::MAX`) run through the
+/// pipelined streaming plan, which aborts the final join as soon as
+/// `limit` qualifying end entities are known — the heart of the paper's
+/// `LIMIT p` pruning.
 pub fn local_position_indexed(
     index: &EdgeIndex,
     spec: &PatternSpec,
     start: u64,
     c: u64,
     limit: usize,
-) -> Result<usize> {
+) -> Result<(usize, EvalTrace)> {
     if limit < usize::MAX {
         return spec.streaming_end_position(index, start, c, limit);
     }
-    let (instances, _) = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
+    let (instances, trace) = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], c, limit)?;
-    Ok(grouped.len())
+    Ok((grouped.len(), trace))
 }
 
 #[cfg(test)]
@@ -2274,7 +2275,8 @@ mod tests {
 
     /// A sharded batch traces exactly like an unsharded one: the returned
     /// trace holds the one full evaluation, every worker's tiles, and the
-    /// probe row traffic the workers read on their own threads.
+    /// row traffic the workers read on their own threads — the same rows
+    /// as the batch evaluated inline on one shard.
     #[test]
     fn sharded_fanout_publishes_worker_traffic() {
         let kb = toy::entertainment();
@@ -2309,5 +2311,12 @@ mod tests {
             .map(|&s| sharded.base().incident_len(starring, dir_code::FORWARD, true, &[s]))
             .sum();
         assert!(trace.rows_probed >= incident, "worker probe traffic lost");
+        let inline = ShardedEdgeIndex::build(&kb, ShardSpec::new(1, 5));
+        let one = count_distributions(&inline, &spec, &req).unwrap().trace;
+        assert_eq!(
+            (trace.rows_probed, trace.rows_scanned, trace.peak_rows),
+            (one.rows_probed, one.rows_scanned, one.peak_rows),
+            "worker row traffic lost or double-counted in the merge"
+        );
     }
 }

@@ -14,8 +14,9 @@
 //!
 //! The trace is a plain value. An evaluation accumulates it on its own
 //! thread and returns it with its result ([`crate::engine::TiledDistributions`],
-//! [`crate::plan::PatternSpec::evaluate_indexed`]); a sharded batch sums
-//! the traces of its shard buckets. Callers that need the traffic of
+//! [`crate::plan::PatternSpec::evaluate_indexed`],
+//! [`crate::engine::local_position_indexed`]); a sharded batch sums the
+//! traces of its shard buckets. Callers that need the traffic of
 //! their own calls read those returned values, which no other thread can
 //! disturb.
 //!
@@ -201,19 +202,6 @@ mod tests {
         (index, spec, starts)
     }
 
-    /// Asserts the totals moved by at least `trace`'s six counters.
-    /// (Other tests in this binary evaluate concurrently, so a snapshot
-    /// difference is a lower bound here; the one-test `metrics_fold`
-    /// binary pins it exactly.)
-    fn assert_folded_at_least(by: &EvalCounts, trace: &EvalTrace) {
-        assert!(by.full >= trace.full, "{by:?} < {trace:?}");
-        assert!(by.streaming >= trace.streaming, "{by:?} < {trace:?}");
-        assert!(by.delta >= trace.delta, "{by:?} < {trace:?}");
-        assert!(by.tiles >= trace.tiles, "{by:?} < {trace:?}");
-        assert!(by.rows_scanned >= trace.rows_scanned, "{by:?} < {trace:?}");
-        assert!(by.rows_probed >= trace.rows_probed, "{by:?} < {trace:?}");
-    }
-
     #[test]
     fn counters_are_monotonic() {
         let before = snapshot();
@@ -265,74 +253,65 @@ mod tests {
         );
     }
 
-    /// A completed evaluation publishes its whole returned trace: the
-    /// batch's full evaluation, every tile and every row it read.
+    /// A completed batch's trace carries every tile's traffic wholesale:
+    /// tiled one start per tile, it is the merge of the traces each tile
+    /// returns when evaluated as a batch of its own.
     #[test]
     fn staged_commit_publishes_wholesale() {
         let (index, spec, starts) = costar_batch(1);
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
-        let before = snapshot();
-        let trace = count_distributions(&index, &spec, &req).unwrap().trace;
-        let by = snapshot().since(&before);
-        assert_eq!((trace.full, trace.streaming, trace.delta), (1, 0, 0));
-        assert!(trace.tiles > 1, "Some(0) tiles every start with rows on its own");
-        assert!(trace.rows_probed > 0, "{trace:?}");
-        assert_folded_at_least(&by, &trace);
+        let whole = count_distributions(&index, &spec, &req).unwrap().trace;
+        let tiles = index.shard(0).tile_starts_for_ceiling(&spec, &starts, 0);
+        assert!(tiles.len() > 1, "Some(0) tiles every start with rows on its own");
+        let mut merged = EvalTrace { full: 1, ..EvalTrace::default() };
+        for tile in &tiles {
+            let alone = EvalRequest { starts: tile, row_ceiling: Some(0), ..Default::default() };
+            let trace = count_distributions(&index, &spec, &alone).unwrap().trace;
+            assert_eq!(trace.tiles, 1, "tile {tile:?}");
+            merged.merge(&EvalTrace { full: 0, ..trace });
+        }
+        assert!(whole.rows_probed > 0, "{whole:?}");
+        assert_eq!(whole, merged);
     }
 
-    /// An aborted evaluation returns `Err` and drops the traffic of the
-    /// tiles it ran with it: nothing is left pending, so the next call
-    /// traces exactly what a fresh one does, and its completed trace
-    /// still reaches the totals.
+    /// An aborted batch returns `Err` and takes the traffic of the tiles
+    /// it ran with it: nothing is left pending, so the next call traces
+    /// exactly what a fresh one does.
     #[test]
     fn aborted_stage_drains_instead_of_publishing() {
         let (index, spec, starts) = costar_batch(1);
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
         let fresh = count_distributions(&index, &spec, &req).unwrap().trace;
-
         let starved = EvalRequest { budget: Budget::unlimited().with_row_budget(1), ..req };
         let err = count_distributions(&index, &spec, &starved).unwrap_err();
         assert!(matches!(err, RelError::Aborted(AbortReason::RowBudgetExhausted)), "{err}");
         assert_eq!(starved.budget.remaining_rows(), Some(0), "a tile ran and was charged");
-
         let req = EvalRequest { budget: Budget::unlimited(), ..starved };
-        let before = snapshot();
-        let after_abort = count_distributions(&index, &spec, &req).unwrap().trace;
-        let by = snapshot().since(&before);
-        assert_eq!(after_abort, fresh, "the aborted tiles leaked into the next trace");
-        assert_folded_at_least(&by, &after_abort);
+        assert_eq!(count_distributions(&index, &spec, &req).unwrap().trace, fresh);
     }
 
-    /// Worker traffic reaches the batch: each shard bucket evaluates on a
-    /// rayon worker and returns its own trace, the coordinator merges
-    /// them — every worker's tiles, the same rows the batch reads inline
-    /// on one shard, one full evaluation for the whole batch — and the
-    /// completed call publishes the merged trace.
+    /// Worker traffic lands in its own caller's trace and nowhere else:
+    /// sharded batches fanned out from several threads at once each
+    /// return exactly the trace the same batch returns alone.
     #[test]
     fn harvested_traffic_replays_into_outer_stage() {
-        let (inline, spec, starts) = costar_batch(1);
-        let (sharded, _, _) = costar_batch(3);
+        let (index, spec, starts) = costar_batch(3);
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
-        let buckets = sharded.split_starts(&starts);
-        let worker_tiles: Vec<usize> = buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(k, bucket)| sharded.shard(k).tile_starts_for_ceiling(&spec, bucket, 0).len())
-            .collect();
-        assert!(worker_tiles.len() > 1, "the batch must fan out across workers");
-
-        let one = count_distributions(&inline, &spec, &req).unwrap().trace;
-        let before = snapshot();
-        let merged = count_distributions(&sharded, &spec, &req).unwrap().trace;
-        let by = snapshot().since(&before);
-        assert_eq!((merged.full, merged.streaming, merged.delta), (1, 0, 0));
-        assert_eq!(merged.tiles, worker_tiles.iter().sum::<usize>());
-        assert_eq!(
-            (merged.rows_probed, merged.rows_scanned, merged.peak_rows),
-            (one.rows_probed, one.rows_scanned, one.peak_rows),
-            "worker row traffic lost or double-counted in the merge"
-        );
-        assert_folded_at_least(&by, &merged);
+        let alone = count_distributions(&index, &spec, &req).unwrap().trace;
+        assert!(alone.tiles > 1, "{alone:?}");
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        count_distributions(&index, &spec, &req).unwrap().trace
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), alone);
+            }
+        });
     }
 }

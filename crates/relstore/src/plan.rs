@@ -625,17 +625,18 @@ impl PatternSpec {
     /// Counting per end entity is monotone (distinct assignments only
     /// accumulate), so an entity can be declared *qualifying* the moment
     /// its count crosses `c` — no grouping barrier is needed. Returns
-    /// `min(limit, true position)`.
+    /// `min(limit, true position)` with the query's trace: one streaming
+    /// evaluation and the rows its scans read.
     pub fn streaming_end_position(
         &self,
         index: &crate::engine::EdgeIndex,
         start: u64,
         c: u64,
         limit: usize,
-    ) -> Result<usize> {
+    ) -> Result<(usize, EvalTrace)> {
         self.validate()?;
         if limit == 0 {
-            return Ok(0);
+            return Ok((0, EvalTrace::default()));
         }
         let mut trace = EvalTrace { streaming: 1, ..EvalTrace::default() };
         let scans = self.indexed_scans(index, &StartBinding::Const(start), &mut trace)?;
@@ -705,7 +706,7 @@ impl PatternSpec {
             }
         }
         crate::metrics::fold(&trace);
-        Ok(qualified)
+        Ok((qualified, trace))
     }
 
     /// Shared join pipeline: `scan_for` must return the rows matching an
@@ -727,8 +728,8 @@ impl PatternSpec {
         self.validate()?;
         let scans = self.filtered_scans(schema, binding, scan_for)?;
         let order = self.join_order_by_cost(&scans);
-        let (instances, peak_rows) = self.join_scans_in_order(scans, &order)?;
-        crate::metrics::fold(&EvalTrace { full: 1, peak_rows, ..EvalTrace::default() });
+        let (instances, _) = self.join_scans_in_order(scans, &order)?;
+        crate::metrics::fold(&EvalTrace { full: 1, ..EvalTrace::default() });
         Ok(instances)
     }
 

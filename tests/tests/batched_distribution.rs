@@ -46,7 +46,8 @@ fn assert_parity(kb: &KnowledgeBase, a: rex_kb::NodeId, b: rex_kb::NodeId, start
             // derived from the batched multiset, saturated at the limit.
             let exact = got.partition_point(|&c| c > a_val);
             for limit in [0usize, 1, 2, usize::MAX] {
-                let engine_pos = local_position_indexed(index, &spec, s, a_val, limit).unwrap();
+                let (engine_pos, _) =
+                    local_position_indexed(index, &spec, s, a_val, limit).unwrap();
                 assert_eq!(
                     engine_pos,
                     exact.min(limit),
@@ -135,7 +136,7 @@ fn datagen_rankings_agree_across_engines() {
     for e in &out.explanations {
         assert_eq!(
             global_position(&ctx, e, usize::MAX),
-            global_position_per_start(&ctx, e, usize::MAX),
+            global_position_per_start(&ctx, e, usize::MAX).0,
             "batched vs per-start divergence"
         );
     }

@@ -151,7 +151,7 @@ proptest! {
                     .expect("group")
                     .len();
                 for limit in [0usize, 1, 2, 1000] {
-                    let streamed = spec
+                    let (streamed, _) = spec
                         .streaming_end_position(&index, a.0 as u64, c, limit)
                         .expect("stream");
                     prop_assert_eq!(streamed, full.min(limit), "c={} limit={}", c, limit);

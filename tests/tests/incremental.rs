@@ -105,8 +105,8 @@ proptest! {
             warm_evals,
             "every warmed shape is accounted for"
         );
-        // One partial evaluation per patched shape, as the maintenance
-        // report and the cache's own counter both say.
+        // One partial evaluation per patched shape: the cache counts the
+        // delta evaluations the engine's returned traces report.
         prop_assert_eq!(maintenance.patched, cache.delta_evals());
 
         // Scratch rebuild at the final state.

@@ -5,8 +5,15 @@
 //! [`metrics::snapshot`]s are exact: a completed evaluation moves the
 //! totals by precisely the trace it returned, and an aborted one — a
 //! budget stop before the first tile or after some tiles ran — moves
-//! them by nothing.
+//! them by nothing. The ingest queue's peak-depth gauge is exact here
+//! for the same reason.
 
+use std::sync::Arc;
+
+use rex_core::ranking::{
+    Backpressure, IngestConfig, IngestGovernor, IngestOp, RankPairsConfig, ServingState,
+};
+use rex_kb::{toy, DurableKb, SyncPolicy};
 use rex_relstore::budget::{AbortReason, Budget, CancelToken};
 use rex_relstore::engine::{
     count_distributions, local_position_indexed, EvalRequest, ShardSpec, ShardedEdgeIndex,
@@ -86,13 +93,41 @@ fn totals_move_by_exactly_the_completed_traces() {
             (p, s + base.scan_len(e.label, e.dir()))
         }
     });
-    let (_, by) = moved(|| local_position_indexed(base, &spec, start, 0, 1).unwrap());
+    let ((_, trace), by) = moved(|| local_position_indexed(base, &spec, start, 0, 1).unwrap());
     let streaming = EvalTrace {
         streaming: 1,
         rows_probed: probed,
         rows_scanned: scanned,
         ..EvalTrace::default()
     };
-    assert_eq!(by, folded(&streaming));
+    assert_eq!(folded(&trace), folded(&streaming));
+    assert_eq!(by, folded(&trace));
     assert!(scanned > 0);
+
+    // Submitting to a capacity-4 governor until it sheds peaks the
+    // ingest queue gauge at exactly the capacity.
+    let dir = std::env::temp_dir().join(format!("rex-metrics-fold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ckpt, wal) = (dir.join("checkpoint.rexc"), dir.join("delta.rexw"));
+    let durable =
+        DurableKb::create(toy::entertainment(), &ckpt, &wal, SyncPolicy::PerCommit).unwrap();
+    let serving = Arc::new(ServingState::build(durable.kb(), &RankPairsConfig::default()).unwrap());
+    let cfg = IngestConfig { queue_capacity: 4, ..Default::default() };
+    let mut g = IngestGovernor::new(durable, serving, cfg);
+    metrics::reset_ingest_queue_peak();
+    let mut accepted = 0;
+    while g
+        .submit(
+            vec![IngestOp::InsertNode { name: format!("fold-{accepted}"), ty: "Person".into() }],
+            Backpressure::Shed,
+        )
+        .is_ok()
+    {
+        accepted += 1;
+    }
+    assert_eq!(accepted, 4);
+    assert_eq!(metrics::ingest_queue_peak(), 4);
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
 }

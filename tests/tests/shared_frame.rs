@@ -83,7 +83,7 @@ fn shared_frame_positions_match_private_cache() {
         for expl in ex {
             assert_eq!(
                 global_position(&ctx, expl, usize::MAX),
-                global_position_per_start(&ctx, expl, usize::MAX),
+                global_position_per_start(&ctx, expl, usize::MAX).0,
                 "pair {s} → {e}: {}",
                 expl.describe(kb)
             );
