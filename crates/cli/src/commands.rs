@@ -860,9 +860,8 @@ pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
         if queries.len() > 1 {
             println!("-- statement {}", qi + 1);
         }
-        let canonical = rex_query::pretty(&q.canonical).map_err(|e| e.to_string())?;
         println!("query:     {}", rex_query::pretty(&q.graph).map_err(|e| e.to_string())?);
-        println!("canonical: {canonical}");
+        println!("canonical: {}", rex_core::query::canonical_text(&q.pattern, &kb));
         let names = &q.compiled.var_names;
         for (v, name) in names.iter().enumerate() {
             let kind = match (v, &binding) {

@@ -7,18 +7,31 @@
 //! compute a **canonical key** per pattern — the lexicographically smallest
 //! edge-list serialization over all permutations of the non-target
 //! variables — and dedupe with a hash set. Two patterns are isomorphic
-//! (targets fixed) iff their keys are equal, so the check is exact.
+//! (targets fixed) iff their keys are equal, so the check is exact for
+//! every pattern the search covers.
 //!
 //! Patterns are tiny (the paper caps them at 5 nodes = 3 non-target
 //! variables = 6 permutations), so brute-force permutation is both exact
 //! and fast. The permutation generator is in-crate (Heap's algorithm) and
-//! the cost is bounded by `(var_count - 2)!`; a debug assertion guards the
-//! practical limit.
+//! the cost is `(var_count - 2)!`. User queries can be larger, so the
+//! search runs only up to 8 non-target variables (8! = 40320 candidates).
+//! Above that the key keeps the pattern's own numbering: equal keys still
+//! mean isomorphic patterns, but isomorphic spellings that number their
+//! variables differently may get different keys.
+//!
+//! This is the only canonical-form search in the workspace: `rex plan`
+//! prints a query's canonical form from the same relabeling
+//! ([`crate::query::canonical_text`]).
 
 use crate::pattern::{Pattern, PatternEdge, VarId};
 
+/// Non-target variable count up to which [`canonical_form`] searches
+/// every relabeling; larger patterns keep the identity relabeling.
+const EXACT_SEARCH_VARS: usize = 8;
+
 /// A canonical pattern key: equal keys ⇔ isomorphic patterns (with targets
-/// pinned). Suitable for `HashSet`/`HashMap` deduplication.
+/// pinned; only ⇒ above 8 non-target variables). Suitable for
+/// `HashSet`/`HashMap` deduplication.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonicalKey(Vec<u64>);
 
@@ -65,13 +78,16 @@ fn serialize(pattern: &Pattern, relabel: &[u8]) -> Vec<u64> {
 /// lets callers express *instances* in canonical variable order, so that
 /// isomorphic patterns produced by different enumeration routes can be
 /// compared instance-by-instance.
+///
+/// Above 8 non-target variables the relabeling is the identity: the key
+/// stays sound (equal keys ⇒ isomorphic) but is no longer complete.
 pub fn canonical_form(pattern: &Pattern) -> (CanonicalKey, Vec<u8>) {
     let n = pattern.var_count();
     let k = n.saturating_sub(2);
-    debug_assert!(k <= 8, "canonicalization is factorial in non-target variables ({k})");
-    // Identity relabeling covers k <= 1 outright.
+    // Identity relabeling covers k <= 1 outright, and stands in for the
+    // factorial search above EXACT_SEARCH_VARS.
     let mut relabel: Vec<u8> = (0..n as u8).collect();
-    if k <= 1 {
+    if k <= 1 || k > EXACT_SEARCH_VARS {
         return (CanonicalKey(serialize(pattern, &relabel)), relabel);
     }
     let mut best = serialize(pattern, &relabel);

@@ -3,24 +3,27 @@
 //! `rex-query` is deliberately KB-agnostic (labels resolve through a
 //! closure); this module closes the loop against a concrete
 //! [`KnowledgeBase`]: parse, resolve labels, lower to a [`Pattern`], and
-//! keep the intermediate forms around for explain output and caching.
+//! keep the intermediate forms around for explain output. Canonical forms
+//! come from the pattern's [`crate::canonical`] key, the same key the
+//! distribution cache uses; [`canonical_text`] prints that form.
 
-use rex_kb::KnowledgeBase;
-use rex_query::{canonicalize, compile, parse, CompiledPattern, PatternGraph, QueryError};
+use rex_kb::{KnowledgeBase, LabelId};
+use rex_query::{
+    compile, parse, pretty_with, CompiledPattern, GraphEdge, GraphNode, LabelRef, PatternGraph,
+    QueryError, Span,
+};
 
-use crate::pattern::Pattern;
+use crate::canonical::canonical_form;
+use crate::pattern::{Pattern, PatternEdge, VarId};
 
 /// A user query carried through every compilation stage: the parsed
-/// graph (spans intact, for diagnostics), the canonical graph (the
-/// cache-key form), the compiled dense-variable pattern (variable names
-/// for explain output), and the core [`Pattern`] the enumeration and
-/// ranking stack consumes.
+/// graph (spans intact, for diagnostics), the compiled dense-variable
+/// pattern (variable names for explain output), and the core [`Pattern`]
+/// the enumeration and ranking stack consumes.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The parsed pattern graph, source spans intact.
     pub graph: PatternGraph,
-    /// The canonicalized graph — isomorphic queries agree on this form.
-    pub canonical: PatternGraph,
     /// The compiled dense-variable pattern (names per variable).
     pub compiled: CompiledPattern,
     /// The core pattern; flows through specs, tiling, budgets, caches.
@@ -31,16 +34,56 @@ pub struct CompiledQuery {
 /// spans into `text` — render them with [`QueryError::render`].
 pub fn compile_text(text: &str, kb: &KnowledgeBase) -> Result<CompiledQuery, QueryError> {
     let graph = parse(text)?;
-    let canonical = canonicalize(&graph)?;
     let compiled = compile(&graph, |name| kb.label_by_name(name).map(|l| l.0))?;
     let pattern = Pattern::from_compiled(&compiled).map_err(|e| QueryError::bare(e.to_string()))?;
-    Ok(CompiledQuery { graph, canonical, compiled, pattern })
+    Ok(CompiledQuery { graph, compiled, pattern })
+}
+
+/// Prints `pattern`'s canonical form as MATCH text: variables renumbered
+/// by [`canonical_form`]'s relabeling and named `a` (start), `b` (end),
+/// `v2`, `v3`, …, edges in sorted order, labels by their `kb` names.
+/// Patterns with equal canonical keys print identically, so this is the
+/// form the distribution cache keys on.
+pub fn canonical_text(pattern: &Pattern, kb: &KnowledgeBase) -> String {
+    let (_, relabel) = canonical_form(pattern);
+    let var = |v: VarId| VarId(relabel[v.index()]);
+    let mut edges: Vec<PatternEdge> = pattern
+        .edges()
+        .iter()
+        .map(|e| PatternEdge::new(var(e.u), var(e.v), e.label, e.directed))
+        .collect();
+    edges.sort_unstable();
+    let name = |i: usize| match i {
+        0 => "a".to_string(),
+        1 => "b".to_string(),
+        i => format!("v{i}"),
+    };
+    let graph = PatternGraph {
+        nodes: (0..pattern.var_count())
+            .map(|i| GraphNode { name: name(i), anonymous: false, span: Span::default() })
+            .collect(),
+        edges: edges
+            .iter()
+            .map(|e| GraphEdge {
+                u: e.u.index(),
+                v: e.v.index(),
+                label: LabelRef::Resolved(e.label.0),
+                directed: e.directed,
+                span: Span::default(),
+            })
+            .collect(),
+        start: Some(0),
+        end: Some(1),
+        returns: vec![0, 1],
+    };
+    pretty_with(&graph, &|id| Some(kb.label_name(LabelId(id)).to_string()))
+        .expect("both targets are bound and every label has a name")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canonical::canonical_form;
+    use crate::canonical::canonical_key;
 
     #[test]
     fn compile_text_builds_the_costar_pattern() {
@@ -83,7 +126,51 @@ mod tests {
             &kb,
         )
         .unwrap();
-        assert_eq!(q1.canonical, q2.canonical);
-        assert_eq!(canonical_form(&q1.pattern).0, canonical_form(&q2.pattern).0);
+        assert_eq!(canonical_key(&q1.pattern), canonical_key(&q2.pattern));
+        assert_eq!(canonical_text(&q1.pattern, &kb), canonical_text(&q2.pattern, &kb));
+    }
+
+    #[test]
+    fn canonical_text_of_the_costar_query() {
+        let kb = rex_kb::toy::entertainment();
+        let q = compile_text(
+            "MATCH (a)-[:starring]->(m)<-[:starring]-(b) WHERE a = $start AND b = $end",
+            &kb,
+        )
+        .unwrap();
+        assert_eq!(
+            canonical_text(&q.pattern, &kb),
+            "MATCH (a)-[:starring]->(v2), (b)-[:starring]->(v2) \
+             WHERE a = $start AND b = $end RETURN a, b"
+        );
+    }
+
+    #[test]
+    fn canonical_text_orders_by_label_id() {
+        // `starring` is interned before `genre`, so label-id order and
+        // label-name order disagree on which existential comes first.
+        // Every spelling prints the id-ordered form the cache keys on.
+        let kb = rex_kb::toy::entertainment();
+        let compiled = |edges: &str| {
+            compile_text(&format!("MATCH {edges} WHERE a = $start AND b = $end"), &kb)
+                .unwrap()
+                .pattern
+        };
+        let spelled = compiled(
+            "(a)-[:starring]->(x), (a)-[:genre]->(y), (x)-[:spouse]-(b), (y)-[:spouse]-(b)",
+        );
+        let swapped = compiled(
+            "(a)-[:starring]->(y), (a)-[:genre]->(x), (y)-[:spouse]-(b), (x)-[:spouse]-(b)",
+        );
+        let genre_first = compiled(
+            "(a)-[:genre]->(y), (a)-[:starring]->(x), (x)-[:spouse]-(b), (y)-[:spouse]-(b)",
+        );
+        assert_ne!(spelled, genre_first, "first-appearance numbering differs");
+        let expected = "MATCH (a)-[:starring]->(v2), (a)-[:genre]->(v3), \
+                        (b)-[:spouse]-(v2), (b)-[:spouse]-(v3) \
+                        WHERE a = $start AND b = $end RETURN a, b";
+        for p in [&spelled, &swapped, &genre_first] {
+            assert_eq!(canonical_text(p, &kb), expected);
+        }
     }
 }

@@ -36,18 +36,6 @@ pub enum LabelRef {
     Resolved(u32),
 }
 
-impl LabelRef {
-    /// Total order for canonicalization: named labels sort by name,
-    /// resolved labels by id, named before resolved (a graph normally
-    /// holds only one kind).
-    pub(crate) fn sort_key(&self) -> (u8, &str, u32) {
-        match self {
-            LabelRef::Named { name, .. } => (0, name.as_str(), 0),
-            LabelRef::Resolved(id) => (1, "", *id),
-        }
-    }
-}
-
 /// One pattern variable (a parenthesized node in the query).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphNode {
@@ -81,7 +69,7 @@ pub struct GraphEdge {
 pub struct PatternGraph {
     /// Pattern variables in declaration order.
     pub nodes: Vec<GraphNode>,
-    /// Pattern edges in source order (canonicalization sorts them).
+    /// Pattern edges in source order.
     pub edges: Vec<GraphEdge>,
     /// Node index bound to `$start`, once a WHERE clause names it.
     pub start: Option<usize>,

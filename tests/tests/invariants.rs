@@ -3,7 +3,7 @@
 //! anti-monotonicity, and the electrical-network solver.
 
 use proptest::prelude::*;
-use rex_core::canonical::{canonical_form, canonical_key};
+use rex_core::canonical::{are_isomorphic, canonical_form, canonical_key};
 use rex_core::pattern::{Pattern, PatternEdge, VarId};
 use rex_core::properties::{is_decomposable, is_essential};
 use rex_kb::LabelId;
@@ -60,6 +60,18 @@ fn permute(p: &Pattern, perm: &[u8]) -> Pattern {
     Pattern::new(p.var_count() as u8, edges).expect("permutation preserves validity")
 }
 
+/// A permutation of `0..k` derived from `seed` (Fisher–Yates).
+fn seeded_perm(k: usize, seed: u64) -> Vec<u8> {
+    let mut perm: Vec<u8> = (0..k as u8).collect();
+    let mut s = seed;
+    for i in (1..k).rev() {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let j = (s >> 33) as usize % (i + 1);
+        perm.swap(i, j);
+    }
+    perm
+}
+
 /// Brute-force decomposability: try every bipartition of the edges.
 fn decomposable_bruteforce(p: &Pattern) -> bool {
     let m = p.edge_count();
@@ -98,15 +110,7 @@ proptest! {
     fn canonical_key_permutation_invariant(p in arb_pattern(), seed in 0u64..1000) {
         let k = p.var_count().saturating_sub(2);
         if k >= 2 {
-            // Derive a permutation from the seed.
-            let mut perm: Vec<u8> = (0..k as u8).collect();
-            let mut s = seed;
-            for i in (1..k).rev() {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let j = (s >> 33) as usize % (i + 1);
-                perm.swap(i, j);
-            }
-            let q = permute(&p, &perm);
+            let q = permute(&p, &seeded_perm(k, seed));
             prop_assert_eq!(canonical_key(&p), canonical_key(&q));
         }
     }
@@ -169,6 +173,31 @@ proptest! {
         if p.is_connected() {
             prop_assert!(c > 1e-12, "connected pattern with zero conductance");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `are_isomorphic` is the differential oracle for the canonical
+    /// key: it searches relabelings of one pattern directly instead of
+    /// comparing keys. They must agree on relabeled copies (always
+    /// isomorphic) and on unrelated random patterns (mostly not).
+    #[test]
+    fn canonical_key_agrees_with_pairwise_isomorphism(
+        p in arb_pattern(),
+        other in arb_pattern(),
+        seed in 0u64..1000,
+        relabeled in any::<bool>(),
+    ) {
+        let x = if relabeled {
+            permute(&p, &seeded_perm(p.var_count() - 2, seed))
+        } else {
+            other
+        };
+        let iso = are_isomorphic(&p, &x);
+        prop_assert_eq!(iso, canonical_key(&p) == canonical_key(&x));
+        prop_assert!(iso || !relabeled, "a relabeled copy must be isomorphic");
     }
 }
 

@@ -1,9 +1,15 @@
-//! Property tests for the `rex-query` language layer: the canonical form
-//! is a `parse → canonicalize → pretty-print → parse` fixed point, and
-//! isomorphic spellings of a pattern agree on it.
+//! Property tests for canonical query text: `canonical_text` of a
+//! compiled query compiles back to the same canonical key and prints
+//! byte-identically, and isomorphic spellings of a pattern print the same
+//! text. Also pins that queries above the exact canonical search's
+//! 8-existential bound get a key without the factorial search.
 
 use proptest::prelude::*;
-use rex_query::{canonicalize, parse, pretty};
+use rex_core::canonical::canonical_key;
+use rex_core::query::{canonical_text, compile_text};
+use rex_core::Explanation;
+use rex_kb::KnowledgeBase;
+use rex_tests::scaffold;
 
 /// Raw edge tuples `(u, v, label, directed)` over a small variable and
 /// label universe.
@@ -37,44 +43,73 @@ fn render(edges: &[RawEdge], names: &[&str]) -> String {
 const BASE_NAMES: [&str; 6] = ["s", "t", "x2", "x3", "x4", "x5"];
 const RENAMED: [&str; 6] = ["u0", "u1", "zz", "q", "w3", "y9"];
 
+/// The canonical text of a query compiled against `kb`.
+fn canon(text: &str, kb: &KnowledgeBase) -> String {
+    canonical_text(&compile_text(text, kb).unwrap().pattern, kb)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// `canonicalize ∘ parse ∘ pretty` is the identity on canonical
-    /// graphs, and the pretty text itself is a byte fixed point.
+    /// The canonical text compiles back to the same canonical key, and
+    /// printing that result reproduces the text byte for byte.
     #[test]
     fn canonical_form_is_a_round_trip_fixed_point(edges in arb_edges()) {
-        let text = render(&edges, &BASE_NAMES);
-        let c1 = canonicalize(&parse(&text).unwrap()).unwrap();
-        let printed = pretty(&c1).unwrap();
-        let c2 = canonicalize(&parse(&printed).unwrap()).unwrap();
-        prop_assert_eq!(&c1, &c2, "canonicalize∘parse∘pretty must be a fixed point");
-        prop_assert_eq!(pretty(&c2).unwrap(), printed, "pretty text must be byte-stable");
+        let kb = scaffold::base_kb(0, 0);
+        let q = compile_text(&render(&edges, &BASE_NAMES), &kb).unwrap();
+        let printed = canonical_text(&q.pattern, &kb);
+        let again = compile_text(&printed, &kb).unwrap();
+        prop_assert_eq!(
+            canonical_key(&q.pattern),
+            canonical_key(&again.pattern),
+            "canonical text must compile back to the same key"
+        );
+        prop_assert_eq!(
+            canonical_text(&again.pattern, &kb),
+            printed,
+            "canonical text must be byte-stable"
+        );
     }
 
     /// Variable renaming and edge-order reversal never change the
-    /// canonical form — isomorphic spellings share one representative.
+    /// canonical text — isomorphic spellings share one representative.
     #[test]
     fn isomorphic_spellings_share_the_canonical_form(edges in arb_edges()) {
-        let base = canonicalize(&parse(&render(&edges, &BASE_NAMES)).unwrap()).unwrap();
-        let renamed = canonicalize(&parse(&render(&edges, &RENAMED)).unwrap()).unwrap();
+        let kb = scaffold::base_kb(0, 0);
+        let base = canon(&render(&edges, &BASE_NAMES), &kb);
+        let renamed = canon(&render(&edges, &RENAMED), &kb);
         prop_assert_eq!(&base, &renamed, "renaming variables must not change the canon");
         let mut reversed = edges.clone();
         reversed.reverse();
-        let rev = canonicalize(&parse(&render(&reversed, &BASE_NAMES)).unwrap()).unwrap();
+        let rev = canon(&render(&reversed, &BASE_NAMES), &kb);
         prop_assert_eq!(&base, &rev, "edge order must not change the canon");
     }
 
     /// Undirected edges are orientation-free: writing `(u)-[:l]-(v)` or
-    /// `(v)-[:l]-(u)` canonicalizes identically.
+    /// `(v)-[:l]-(u)` prints the same canonical text.
     #[test]
     fn undirected_edges_forget_their_spelling_order(edges in arb_edges()) {
         let flipped: Vec<RawEdge> = edges
             .iter()
             .map(|&(u, v, l, directed)| if directed { (u, v, l, directed) } else { (v, u, l, directed) })
             .collect();
-        let base = canonicalize(&parse(&render(&edges, &BASE_NAMES)).unwrap()).unwrap();
-        let flip = canonicalize(&parse(&render(&flipped, &BASE_NAMES)).unwrap()).unwrap();
-        prop_assert_eq!(base, flip);
+        let kb = scaffold::base_kb(0, 0);
+        let base = canon(&render(&edges, &BASE_NAMES), &kb);
+        prop_assert_eq!(base, canon(&render(&flipped, &BASE_NAMES), &kb));
     }
+}
+
+/// A star of 12 spokes has 12 existential variables, past the 8 the
+/// exact canonical search covers. Its key keeps the compiled numbering
+/// instead of trying 12! relabelings, so building it is immediate and
+/// deterministic.
+#[test]
+fn twelve_existential_query_gets_a_key() {
+    let kb = scaffold::base_kb(0, 0);
+    let spokes: Vec<String> = (0..12).map(|i| format!("(a)-[:l0]->(m{i})<-[:l1]-(b)")).collect();
+    let text = format!("MATCH {} WHERE a = $start AND b = $end", spokes.join(", "));
+    let build = || Explanation::new(compile_text(&text, &kb).unwrap().pattern, vec![]);
+    let (first, second) = (build(), build());
+    assert_eq!(first.pattern.var_count(), 14);
+    assert_eq!(first.key(), second.key());
 }
