@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod canon;
 pub mod canonical;
 mod config;
 pub mod decorate;

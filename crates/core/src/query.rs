@@ -7,14 +7,11 @@
 //! come from the pattern's [`crate::canonical`] key, the same key the
 //! distribution cache uses; [`canonical_text`] prints that form.
 
-use rex_kb::{KnowledgeBase, LabelId};
-use rex_query::{
-    compile, parse, pretty_with, CompiledPattern, GraphEdge, GraphNode, LabelRef, PatternGraph,
-    QueryError, Span,
-};
+use rex_kb::KnowledgeBase;
+use rex_query::{compile, parse, CompiledPattern, PatternGraph, QueryError};
 
-use crate::canonical::canonical_form;
-use crate::pattern::{Pattern, PatternEdge, VarId};
+pub use crate::canon::canonical_text;
+use crate::pattern::Pattern;
 
 /// A user query carried through every compilation stage: the parsed
 /// graph (spans intact, for diagnostics), the compiled dense-variable
@@ -37,47 +34,6 @@ pub fn compile_text(text: &str, kb: &KnowledgeBase) -> Result<CompiledQuery, Que
     let compiled = compile(&graph, |name| kb.label_by_name(name).map(|l| l.0))?;
     let pattern = Pattern::from_compiled(&compiled).map_err(|e| QueryError::bare(e.to_string()))?;
     Ok(CompiledQuery { graph, compiled, pattern })
-}
-
-/// Prints `pattern`'s canonical form as MATCH text: variables renumbered
-/// by [`canonical_form`]'s relabeling and named `a` (start), `b` (end),
-/// `v2`, `v3`, …, edges in sorted order, labels by their `kb` names.
-/// Patterns with equal canonical keys print identically, so this is the
-/// form the distribution cache keys on.
-pub fn canonical_text(pattern: &Pattern, kb: &KnowledgeBase) -> String {
-    let (_, relabel) = canonical_form(pattern);
-    let var = |v: VarId| VarId(relabel[v.index()]);
-    let mut edges: Vec<PatternEdge> = pattern
-        .edges()
-        .iter()
-        .map(|e| PatternEdge::new(var(e.u), var(e.v), e.label, e.directed))
-        .collect();
-    edges.sort_unstable();
-    let name = |i: usize| match i {
-        0 => "a".to_string(),
-        1 => "b".to_string(),
-        i => format!("v{i}"),
-    };
-    let graph = PatternGraph {
-        nodes: (0..pattern.var_count())
-            .map(|i| GraphNode { name: name(i), anonymous: false, span: Span::default() })
-            .collect(),
-        edges: edges
-            .iter()
-            .map(|e| GraphEdge {
-                u: e.u.index(),
-                v: e.v.index(),
-                label: LabelRef::Resolved(e.label.0),
-                directed: e.directed,
-                span: Span::default(),
-            })
-            .collect(),
-        start: Some(0),
-        end: Some(1),
-        returns: vec![0, 1],
-    };
-    pretty_with(&graph, &|id| Some(kb.label_name(LabelId(id)).to_string()))
-        .expect("both targets are bound and every label has a name")
 }
 
 #[cfg(test)]
@@ -127,50 +83,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(canonical_key(&q1.pattern), canonical_key(&q2.pattern));
-        assert_eq!(canonical_text(&q1.pattern, &kb), canonical_text(&q2.pattern, &kb));
-    }
-
-    #[test]
-    fn canonical_text_of_the_costar_query() {
-        let kb = rex_kb::toy::entertainment();
-        let q = compile_text(
-            "MATCH (a)-[:starring]->(m)<-[:starring]-(b) WHERE a = $start AND b = $end",
-            &kb,
-        )
-        .unwrap();
-        assert_eq!(
-            canonical_text(&q.pattern, &kb),
-            "MATCH (a)-[:starring]->(v2), (b)-[:starring]->(v2) \
-             WHERE a = $start AND b = $end RETURN a, b"
-        );
-    }
-
-    #[test]
-    fn canonical_text_orders_by_label_id() {
-        // `starring` is interned before `genre`, so label-id order and
-        // label-name order disagree on which existential comes first.
-        // Every spelling prints the id-ordered form the cache keys on.
-        let kb = rex_kb::toy::entertainment();
-        let compiled = |edges: &str| {
-            compile_text(&format!("MATCH {edges} WHERE a = $start AND b = $end"), &kb)
-                .unwrap()
-                .pattern
-        };
-        let spelled = compiled(
-            "(a)-[:starring]->(x), (a)-[:genre]->(y), (x)-[:spouse]-(b), (y)-[:spouse]-(b)",
-        );
-        let swapped = compiled(
-            "(a)-[:starring]->(y), (a)-[:genre]->(x), (y)-[:spouse]-(b), (x)-[:spouse]-(b)",
-        );
-        let genre_first = compiled(
-            "(a)-[:genre]->(y), (a)-[:starring]->(x), (x)-[:spouse]-(b), (y)-[:spouse]-(b)",
-        );
-        assert_ne!(spelled, genre_first, "first-appearance numbering differs");
-        let expected = "MATCH (a)-[:starring]->(v2), (a)-[:genre]->(v3), \
-                        (b)-[:spouse]-(v2), (b)-[:spouse]-(v3) \
-                        WHERE a = $start AND b = $end RETURN a, b";
-        for p in [&spelled, &swapped, &genre_first] {
-            assert_eq!(canonical_text(p, &kb), expected);
-        }
     }
 }
