@@ -1,5 +1,5 @@
-//! Ablation micro-benchmarks for the implementation choices DESIGN.md
-//! calls out:
+//! Ablation micro-benchmarks for the places where the implementation
+//! departs from the paper's literal algorithms, or adds to them:
 //!
 //! * duplicate detection: canonical-key hash set vs. the paper-literal
 //!   pairwise isomorphism scan;
@@ -58,14 +58,19 @@ fn bench_dedup(c: &mut Criterion) {
 
 fn bench_merge(c: &mut Criterion) {
     let (_, _, _, explanations) = explanations_for_bench();
-    // Pick the two path explanations with the most instances.
-    let mut paths: Vec<&Explanation> =
-        explanations.iter().filter(|e| e.pattern.is_path()).collect();
-    paths.sort_by_key(|e| std::cmp::Reverse(e.count()));
-    if paths.len() < 2 {
-        return;
-    }
-    let (a, b) = (paths[0], paths[1]);
+    // Time a merge that joins: of the pairs of distinct path explanations
+    // whose merge returns an explanation, the one with the most instance
+    // pairs. A merge that joins nothing would time only set-up.
+    let paths: Vec<&Explanation> = explanations.iter().filter(|e| e.pattern.is_path()).collect();
+    let joins = |a: &Explanation, b: &Explanation| {
+        !merge(a, b, 5, None, &mut EnumStats::default()).is_empty()
+    };
+    let (a, b) = paths
+        .iter()
+        .flat_map(|&a| paths.iter().map(move |&b| (a, b)))
+        .filter(|&(a, b)| !std::ptr::eq(a, b) && joins(a, b))
+        .max_by_key(|(a, b)| a.count() * b.count())
+        .expect("two path explanations of the bench pair join");
     let mut group = c.benchmark_group("ablation_merge");
     group.sample_size(10);
     group.bench_function("hash_join", |bch| {

@@ -1,6 +1,7 @@
 //! Enumeration configuration.
 
-/// Instance-mapping semantics (see DESIGN.md §2.1).
+/// Instance-mapping semantics: whether two variables of a pattern may bind
+/// the same entity (paper Definition 2).
 ///
 /// REX's operational semantics — instances assembled from covering
 /// *simple-path* instances — is the injective one; the homomorphism mode

@@ -36,7 +36,9 @@ pub enum PathAlgo {
     /// Bidirectional expansion whose per-side depths are chosen adaptively
     /// by activation scores — the side whose frontier is cheaper (higher
     /// activation = lower total degree) expands first (`PathEnumPrioritized`,
-    /// after BANKS2). See DESIGN.md for the granularity note.
+    /// after BANKS2). BANKS2 chooses node by node; here a whole frontier
+    /// level grows at once, which changes the work done but not the paths
+    /// found.
     #[default]
     Prioritized,
 }

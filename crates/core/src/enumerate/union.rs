@@ -9,6 +9,19 @@
 //!   variables. Instance combination is implemented as a hash join on the
 //!   matched-variable values rather than the paper's literal nested loop —
 //!   identical output, better complexity.
+//! * The *column pre-check* in [`merge`]. Almost every merge joins
+//!   nothing: on one generated-KB pair, 124,595 merges examine 234
+//!   instance pairs in total. So each queue entry carries its *columns*,
+//!   the sorted, distinct entities each non-target variable binds across
+//!   its stored instances, computed once when the entry enters the queue.
+//!   A joined instance pair agrees on every matched variable pair, and
+//!   every mapping matches at least one, so `merge` returns at once when
+//!   no column of `re1` shares an entity with a column of `re2`, and skips
+//!   a mapping whose matched pair has disjoint columns before it builds the
+//!   pattern or the hash table. Output and [`EnumStats`] are unchanged. On
+//!   the 100 `cold_explain` pairs of `rexbench` (2-vCPU Xeon, one thread,
+//!   median of three runs), enumeration took 5.0 s before and 0.39 s
+//!   after. [`merge_nested`] stays unfiltered, as the paper-literal oracle.
 //! * [`path_union_basic`] — Algorithm 3: breadth rounds, each new
 //!   explanation merged with every path explanation.
 //! * [`path_union_prune`] — Algorithm 4: composition-history pruning.
@@ -23,11 +36,13 @@
 
 use std::collections::{HashMap, HashSet};
 
+use rex_kb::NodeId;
+
 use crate::canonical::CanonicalKey;
 use crate::config::EnumConfig;
 use crate::enumerate::EnumStats;
 use crate::explanation::Explanation;
-use crate::instance::Instance;
+use crate::instance::{column, Instance};
 use crate::pattern::{Pattern, PatternEdge, VarId};
 
 /// Enumerates the partial one-to-one mappings from the non-target variables
@@ -72,9 +87,40 @@ fn mappings(left_vars: usize, right_vars: usize) -> Vec<Vec<Option<VarId>>> {
     out
 }
 
+/// An explanation's *columns*: for each non-target variable, from
+/// variable 2 in order, the sorted, distinct entities it binds across the
+/// explanation's stored instances.
+type Columns = Vec<Vec<NodeId>>;
+
+fn columns(e: &Explanation) -> Columns {
+    (2..e.pattern.var_count()).map(|v| column(&e.instances, VarId(v as u8))).collect()
+}
+
+/// Whether two sorted slices share an element.
+fn intersects(a: &[NodeId], b: &[NodeId]) -> bool {
+    let (small, mut large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    for x in small {
+        let i = large.partition_point(|y| y < x);
+        match large.get(i) {
+            Some(y) if y == x => return true,
+            Some(_) => large = &large[i..],
+            None => return false,
+        }
+    }
+    false
+}
+
+/// `joinable[r * cols1.len() + l]`: whether right variable `r + 2` and left
+/// variable `l + 2` bind a common entity.
+fn joinable(cols1: &[Vec<NodeId>], cols2: &[Vec<NodeId>]) -> Vec<bool> {
+    cols2.iter().flat_map(|c2| cols1.iter().map(move |c1| intersects(c1, c2))).collect()
+}
+
 /// Merges two explanations under all admissible variable mappings,
 /// returning every resulting explanation with ≥ 1 instance and pattern size
 /// ≤ `max_nodes`. The result patterns are minimal by construction (§3.3.1).
+/// Computes both explanations' columns for the pre-check (module docs); a
+/// union queue keeps them with its entries instead.
 pub fn merge(
     re1: &Explanation,
     re2: &Explanation,
@@ -82,7 +128,25 @@ pub fn merge(
     instance_cap: Option<usize>,
     stats: &mut EnumStats,
 ) -> Vec<Explanation> {
+    merge_columns(re1, &columns(re1), re2, &columns(re2), max_nodes, instance_cap, stats)
+}
+
+/// [`merge`] with both explanations' [`Columns`] given.
+fn merge_columns(
+    re1: &Explanation,
+    cols1: &[Vec<NodeId>],
+    re2: &Explanation,
+    cols2: &[Vec<NodeId>],
+    max_nodes: usize,
+    instance_cap: Option<usize>,
+    stats: &mut EnumStats,
+) -> Vec<Explanation> {
     stats.merge_calls += 1;
+    let joinable = joinable(cols1, cols2);
+    // Every mapping matches some pair, and no pair shares an entity.
+    if !joinable.contains(&true) {
+        return Vec::new();
+    }
     let p1 = &re1.pattern;
     let p2 = &re2.pattern;
     let mut out = Vec::new();
@@ -92,6 +156,13 @@ pub fn merge(
         let new_vars = (p2.var_count() - 2) - matched;
         let merged_var_count = p1.var_count() + new_vars;
         if merged_var_count > max_nodes {
+            continue;
+        }
+        // No instance pair agrees on a matched pair with disjoint columns.
+        let disjoint = |(r, m): (usize, &Option<VarId>)| {
+            m.is_some_and(|lv| !joinable[r * cols1.len() + lv.index() - 2])
+        };
+        if mapping.iter().enumerate().any(disjoint) {
             continue;
         }
         // Translate p2's variables: targets stay, matched map through
@@ -181,6 +252,52 @@ pub fn merge(
         out.push(expl);
     }
     out
+}
+
+/// A union queue: explanations in discovery order, each with its
+/// [`Columns`], computed once when it enters.
+#[derive(Default)]
+pub(crate) struct Queue {
+    explanations: Vec<Explanation>,
+    columns: Vec<Columns>,
+}
+
+impl Queue {
+    /// Appends `e` and returns its index.
+    pub(crate) fn push(&mut self, e: Explanation) -> usize {
+        self.columns.push(columns(&e));
+        self.explanations.push(e);
+        self.explanations.len() - 1
+    }
+
+    /// The explanations, in discovery order.
+    pub(crate) fn explanations(&self) -> &[Explanation] {
+        &self.explanations
+    }
+
+    pub(crate) fn into_explanations(self) -> Vec<Explanation> {
+        self.explanations
+    }
+
+    /// [`merge`] of entries `i1` and `i2` under `config`'s size limit and
+    /// instance cap.
+    pub(crate) fn merge(
+        &self,
+        i1: usize,
+        i2: usize,
+        config: &EnumConfig,
+        stats: &mut EnumStats,
+    ) -> Vec<Explanation> {
+        merge_columns(
+            &self.explanations[i1],
+            &self.columns[i1],
+            &self.explanations[i2],
+            &self.columns[i2],
+            config.max_pattern_nodes,
+            config.instance_cap,
+            stats,
+        )
+    }
 }
 
 /// The paper-literal variant of [`merge`]: instance combination by the
@@ -289,7 +406,7 @@ pub fn path_union_basic(
     config: &EnumConfig,
     stats: &mut EnumStats,
 ) -> Vec<Explanation> {
-    let mut q: Vec<Explanation> = Vec::new();
+    let mut q = Queue::default();
     let mut seen: HashSet<CanonicalKey> = HashSet::new();
     for p in paths {
         if seen.insert(p.key().clone()) {
@@ -298,20 +415,15 @@ pub fn path_union_basic(
             stats.duplicates += 1;
         }
     }
-    let path_count = q.len();
+    let path_count = q.explanations().len();
     let mut expand: Vec<usize> = (0..path_count).collect();
     while !expand.is_empty() {
         let mut fresh: Vec<usize> = Vec::new();
         for &i1 in &expand {
             for i2 in 0..path_count {
-                let merged = {
-                    let (re1, re2) = (&q[i1], &q[i2]);
-                    merge(re1, re2, config.max_pattern_nodes, config.instance_cap, stats)
-                };
-                for re in merged {
+                for re in q.merge(i1, i2, config, stats) {
                     if seen.insert(re.key().clone()) {
-                        fresh.push(q.len());
-                        q.push(re);
+                        fresh.push(q.push(re));
                     } else {
                         stats.duplicates += 1;
                     }
@@ -320,7 +432,7 @@ pub fn path_union_basic(
         }
         expand = fresh;
     }
-    q
+    q.into_explanations()
 }
 
 /// Algorithm 4 (`PathUnionPrune`): like [`path_union_basic`], but each
@@ -331,18 +443,18 @@ pub fn path_union_prune(
     config: &EnumConfig,
     stats: &mut EnumStats,
 ) -> Vec<Explanation> {
-    let mut q: Vec<Explanation> = Vec::new();
+    let mut q = Queue::default();
     // Canonical key → queue index, for O(1) duplicate resolution.
     let mut key_index: HashMap<CanonicalKey, usize> = HashMap::new();
     for p in paths {
         if key_index.contains_key(p.key()) {
             stats.duplicates += 1;
         } else {
-            key_index.insert(p.key().clone(), q.len());
-            q.push(p);
+            let key = p.key().clone();
+            key_index.insert(key, q.push(p));
         }
     }
-    let path_count = q.len();
+    let path_count = q.explanations().len();
     let mut expand: Vec<usize> = (0..path_count).collect();
     // Composition history of the current round: history[j] lists the
     // (parent queue index, path queue index) pairs that produced expand[j].
@@ -383,11 +495,7 @@ pub fn path_union_prune(
                 s
             };
             for i2 in candidates {
-                let merged = {
-                    let (re1, re2) = (&q[i1], &q[i2]);
-                    merge(re1, re2, config.max_pattern_nodes, config.instance_cap, stats)
-                };
-                for re in merged {
+                for re in q.merge(i1, i2, config, stats) {
                     if let Some(&pos) = key_index.get(re.key()) {
                         if let Some(&slot) = slot_of.get(&pos) {
                             // Rediscovered within this round: record the
@@ -399,9 +507,9 @@ pub fn path_union_prune(
                         }
                         continue;
                     }
-                    let qidx = q.len();
-                    key_index.insert(re.key().clone(), qidx);
-                    q.push(re);
+                    let key = re.key().clone();
+                    let qidx = q.push(re);
+                    key_index.insert(key, qidx);
                     fresh.push(qidx);
                     fresh_history.push(vec![(i1, i2)]);
                     slot_of.insert(qidx, fresh_history.len() - 1);
@@ -412,7 +520,7 @@ pub fn path_union_prune(
         history = fresh_history;
         first_round = false;
     }
-    q
+    q.into_explanations()
 }
 
 #[cfg(test)]
@@ -560,53 +668,94 @@ mod merge_nested_tests {
     use super::*;
     use crate::enumerate::paths::enumerate_paths;
     use crate::enumerate::PathAlgo;
+    use rex_datagen::{generate, sample_pairs, GeneratorConfig};
+    use rex_kb::KnowledgeBase;
 
-    /// The hash-join merge and the paper-literal nested-loop merge must
-    /// produce identical explanations (up to instance order) for every
-    /// pair of path explanations of the toy KB.
-    #[test]
-    fn nested_and_hash_join_merges_agree() {
-        let kb = rex_kb::toy::entertainment();
-        let config = EnumConfig::default();
-        for (a, b) in rex_kb::toy::STUDY_PAIRS.iter().take(3) {
+    /// What the merges of [`assert_merges_agree`] did.
+    #[derive(Default)]
+    struct Cases {
+        /// Merges whose columns share no entity, which `merge` returns
+        /// from before it enumerates a mapping.
+        rejected: usize,
+        /// Merges that returned at least one explanation.
+        joined: usize,
+        /// Saturated explanations among the merge results.
+        saturated: usize,
+    }
+
+    /// Merges every ordered pair of path explanations of each pair with
+    /// both [`merge`] and the paper-literal [`merge_nested`], and requires
+    /// identical results: the same explanations in the same order, each
+    /// with the same instances in the same order and the same saturation
+    /// flag, and the same `merge_calls`.
+    fn assert_merges_agree(
+        kb: &KnowledgeBase,
+        pairs: &[(NodeId, NodeId)],
+        config: &EnumConfig,
+    ) -> Cases {
+        let mut cases = Cases::default();
+        for &(a, b) in pairs {
             let mut stats = EnumStats::default();
-            let paths = enumerate_paths(
-                &kb,
-                kb.require_node(a).unwrap(),
-                kb.require_node(b).unwrap(),
-                &config,
-                PathAlgo::Prioritized,
-                &mut stats,
-            );
+            let paths = enumerate_paths(kb, a, b, config, PathAlgo::Prioritized, &mut stats);
             for re1 in &paths {
                 for re2 in &paths {
+                    let (n, cap) = (config.max_pattern_nodes, config.instance_cap);
                     let mut s1 = EnumStats::default();
                     let mut s2 = EnumStats::default();
-                    let fast = merge(re1, re2, 5, None, &mut s1);
-                    let slow = merge_nested(re1, re2, 5, None, &mut s2);
-                    assert_eq!(fast.len(), slow.len());
-                    let canon = |expls: &[Explanation]| {
-                        let mut v: Vec<(Vec<u64>, Vec<Vec<u32>>)> = expls
-                            .iter()
-                            .map(|e| {
-                                let mut insts: Vec<Vec<u32>> = e
-                                    .instances
-                                    .iter()
-                                    .map(|i| i.as_slice().iter().map(|n| n.0).collect())
-                                    .collect();
-                                insts.sort_unstable();
-                                (e.key().as_slice().to_vec(), insts)
-                            })
-                            .collect();
-                        v.sort_unstable();
-                        v
-                    };
-                    assert_eq!(canon(&fast), canon(&slow), "{a}-{b}");
+                    let fast = merge(re1, re2, n, cap, &mut s1);
+                    let slow = merge_nested(re1, re2, n, cap, &mut s2);
+                    assert_eq!(fast, slow, "{} + {}", re1.describe(kb), re2.describe(kb));
+                    assert_eq!(s1.merge_calls, s2.merge_calls);
                     // The hash join examines no more pairs than the
                     // nested loop.
                     assert!(s1.instance_pairs <= s2.instance_pairs);
+                    // The pre-check is exact: entry (r, l) is set iff some
+                    // instance pair agrees on right variable r + 2 and left
+                    // variable l + 2.
+                    let joinable = joinable(&columns(re1), &columns(re2));
+                    let free1 = re1.pattern.var_count() - 2;
+                    for (k, &shared) in joinable.iter().enumerate() {
+                        let (rv, lv) = (VarId((k / free1 + 2) as u8), VarId((k % free1 + 2) as u8));
+                        let agree = re1
+                            .instances
+                            .iter()
+                            .any(|i1| re2.instances.iter().any(|i2| i1.get(lv) == i2.get(rv)));
+                        assert_eq!(shared, agree);
+                    }
+                    if !joinable.contains(&true) {
+                        cases.rejected += 1;
+                    }
+                    cases.joined += usize::from(!fast.is_empty());
+                    cases.saturated += fast.iter().filter(|e| e.saturated).count();
                 }
             }
         }
+        cases
+    }
+
+    #[test]
+    fn nested_and_hash_join_merges_agree() {
+        let kb = rex_kb::toy::entertainment();
+        let pairs: Vec<(NodeId, NodeId)> = rex_kb::toy::STUDY_PAIRS
+            .iter()
+            .take(3)
+            .map(|(a, b)| (kb.require_node(a).unwrap(), kb.require_node(b).unwrap()))
+            .collect();
+        assert_merges_agree(&kb, &pairs, &EnumConfig::default());
+    }
+
+    /// The same agreement at the benchmark's pattern size on a generated
+    /// KB, with an instance cap low enough that some inputs and results
+    /// saturate. The cases reach both sides of the column pre-check.
+    #[test]
+    fn merge_matches_nested_on_generated_pairs() {
+        let kb = generate(&GeneratorConfig::tiny(2011));
+        let pairs: Vec<(NodeId, NodeId)> =
+            sample_pairs(&kb, 1, 4, 2011).iter().map(|p| (p.start, p.end)).collect();
+        let config = EnumConfig::default().with_max_nodes(5).with_instance_cap(5);
+        let cases = assert_merges_agree(&kb, &pairs, &config);
+        assert!(cases.rejected > 0, "no merge was rejected by the column pre-check");
+        assert!(cases.joined > 0, "no merge joined");
+        assert!(cases.saturated > 0, "no merge result hit the instance cap");
     }
 }

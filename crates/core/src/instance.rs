@@ -54,8 +54,8 @@ impl Instance {
         &self.assignment
     }
 
-    /// Whether all variables bind pairwise-distinct entities (the injective
-    /// instance semantics; see DESIGN.md).
+    /// Whether all variables bind pairwise-distinct entities, as
+    /// [`Semantics::Injective`](crate::Semantics::Injective) requires.
     pub fn is_injective(&self) -> bool {
         // Quadratic over ≤ ~8 variables beats allocating a set.
         for i in 0..self.assignment.len() {
@@ -69,24 +69,18 @@ impl Instance {
     }
 }
 
+/// The sorted, distinct entities `var` binds across `instances`.
+pub(crate) fn column(instances: &[Instance], var: VarId) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = instances.iter().map(|i| i.get(var)).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 /// Per-variable count of distinct bound entities across an instance set —
 /// the `uniq(v)` of the monocount measure (§4.2).
 pub fn uniq_counts(pattern: &Pattern, instances: &[Instance]) -> Vec<usize> {
-    let n = pattern.var_count();
-    let mut per_var: Vec<Vec<NodeId>> = vec![Vec::with_capacity(instances.len()); n];
-    for inst in instances {
-        for (v, bucket) in per_var.iter_mut().enumerate() {
-            bucket.push(inst.get(VarId(v as u8)));
-        }
-    }
-    per_var
-        .into_iter()
-        .map(|mut ids| {
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len()
-        })
-        .collect()
+    (0..pattern.var_count()).map(|v| column(instances, VarId(v as u8)).len()).collect()
 }
 
 /// Verifies that `instance` satisfies `pattern` against the knowledge base:

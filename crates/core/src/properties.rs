@@ -68,9 +68,11 @@ pub fn is_essential(pattern: &Pattern) -> bool {
 }
 
 /// Definition 4: the edge multiset can be split into two non-empty parts
-/// that share no *non-target* endpoint. Equivalently (see DESIGN.md): the
-/// graph whose vertices are pattern edges, adjacent when two edges share a
-/// non-target variable, has more than one connected component.
+/// that share no *non-target* endpoint. Equivalently: the graph whose
+/// vertices are pattern edges, adjacent when two edges share a non-target
+/// variable, has more than one connected component. Two adjacent edges
+/// must land in the same part, so every such split keeps whole components
+/// together, and any one component against the rest is such a split.
 pub fn is_decomposable(pattern: &Pattern) -> bool {
     let m = pattern.edge_count();
     if m < 2 {

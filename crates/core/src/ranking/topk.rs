@@ -8,14 +8,14 @@
 //! the three steps of the general framework: enumerate a little (one
 //! explanation's expansions), score, re-rank, repeat.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rex_kb::{KnowledgeBase, NodeId};
 
 use crate::canonical::CanonicalKey;
 use crate::config::EnumConfig;
 use crate::enumerate::paths::enumerate_paths;
-use crate::enumerate::union::merge;
+use crate::enumerate::union::Queue;
 use crate::enumerate::{EnumStats, PathAlgo};
 use crate::explanation::Explanation;
 use crate::measures::{Measure, MeasureContext};
@@ -56,41 +56,35 @@ pub fn rank_topk_pruned(
     let mut stats = EnumStats::default();
     let paths = enumerate_paths(kb, vstart, vend, config, PathAlgo::Prioritized, &mut stats);
 
-    let mut q: Vec<Explanation> = Vec::new();
+    let mut q = Queue::default();
     let mut scores: Vec<f64> = Vec::new();
-    let mut key_index: HashMap<CanonicalKey, usize> = HashMap::new();
+    let mut seen: HashSet<CanonicalKey> = HashSet::new();
     for p in paths {
-        if key_index.contains_key(p.key()) {
+        if !seen.insert(p.key().clone()) {
             stats.duplicates += 1;
             continue;
         }
-        key_index.insert(p.key().clone(), q.len());
         scores.push(measure.score(ctx, &p));
         q.push(p);
     }
-    let path_count = q.len();
+    let path_count = q.explanations().len();
     let mut expanded: HashSet<usize> = HashSet::new();
 
     loop {
         // Current top-k (Step 2): explanations not in it are pruned from
         // expansion (Step 3).
-        let top = rank_with_scores(&q, &scores, k);
+        let top = rank_with_scores(q.explanations(), &scores, k);
         let Some(next) = top.iter().map(|r| r.index).find(|i| !expanded.contains(i)) else {
-            stats.explanations = q.len();
-            return Ok(TopKResult { explanations: q, ranking: top, stats });
+            stats.explanations = q.explanations().len();
+            return Ok(TopKResult { explanations: q.into_explanations(), ranking: top, stats });
         };
         expanded.insert(next);
         for i2 in 0..path_count {
-            let merged = {
-                let (re1, re2) = (&q[next], &q[i2]);
-                merge(re1, re2, config.max_pattern_nodes, config.instance_cap, &mut stats)
-            };
-            for re in merged {
-                if key_index.contains_key(re.key()) {
+            for re in q.merge(next, i2, config, &mut stats) {
+                if !seen.insert(re.key().clone()) {
                     stats.duplicates += 1;
                     continue;
                 }
-                key_index.insert(re.key().clone(), q.len());
                 scores.push(measure.score(ctx, &re)); // Step 1
                 q.push(re);
             }

@@ -80,10 +80,11 @@ proptest! {
     }
 
     /// Instance sets produced by the union framework match the independent
-    /// backtracking matcher, pattern by pattern.
+    /// backtracking matcher, pattern by pattern, at the paper's pattern
+    /// size 5, where a path has up to three free variables.
     #[test]
     fn union_instances_match_matcher((kb, a, b) in arb_kb()) {
-        let config = EnumConfig::default().with_max_nodes(4);
+        let config = EnumConfig::default().with_max_nodes(5);
         let out = GeneralEnumerator::new(config).enumerate(&kb, a, b);
         for e in &out.explanations {
             let m = find_instances(&kb, &e.pattern, a, b, MatchOptions::default());
