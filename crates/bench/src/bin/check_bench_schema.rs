@@ -96,7 +96,6 @@ fn validate(text: &str) -> Result<(), String> {
             "delta_rerank_full_evals",
             "delta_partial_evals",
             "shapes_patched",
-            "shapes_rebatched",
             "shapes_untouched",
             "frame_redrawn",
         ],
@@ -531,7 +530,7 @@ mod tests {
   "per_start": {"wall_ms": 100.0, "full_evals": 320, "streaming_evals": 10},
   "batched": {"wall_ms": 10.0, "full_evals": 40, "streaming_evals": 0},
   "shared_frame": {"wall_ms": 8.0, "full_evals": 30, "streaming_evals": 0, "distinct_shapes": 30, "tiles": 30, "peak_rows": 2020477, "est_peak_rows": 1040000, "overflow_tiles": 0, "row_ceiling": 1048576},
-  "incremental": {"delta_edges": 4, "kb_edges": 600, "full_rerank_wall_ms": 9.0, "full_rerank_full_evals": 30, "delta_rerank_wall_ms": 3.0, "delta_rerank_full_evals": 5, "delta_partial_evals": 7, "shapes_patched": 7, "shapes_rebatched": 2, "shapes_untouched": 21, "frame_redrawn": 0},
+  "incremental": {"delta_edges": 4, "kb_edges": 600, "full_rerank_wall_ms": 9.0, "full_rerank_full_evals": 30, "delta_rerank_wall_ms": 3.0, "delta_rerank_full_evals": 5, "delta_partial_evals": 7, "shapes_patched": 7, "shapes_untouched": 21, "frame_redrawn": 0},
   "concurrent": {"reader_threads": 2, "passes_per_reader": 12, "quiet_wall_ms": 40.0, "contended_wall_ms": 55.0, "deltas_applied": 3, "quiet_passes_per_s": 600.0, "contended_passes_per_s": 436.0},
   "endpoint_index": {"kb_edges": 600, "delta_edges": 4, "shapes_touched": 7, "affected_starts": 19, "rows_probed": 40, "rows_scanned": 120, "scan_floor_rows": 900, "patch_wall_ms": 1.5, "index_build_ms": 2.0},
   "planner": {"kb_edges": 1536, "starts": 16, "naive_wall_ms": 4.0, "cost_wall_ms": 1.0, "naive_rows_scanned": 12000, "naive_rows_probed": 128, "cost_rows_scanned": 0, "cost_rows_probed": 400, "traffic_ratio": 30.3, "parity": 1},

@@ -287,15 +287,13 @@ pub struct IncrementalBench {
     /// Wall time of the delta re-rank: index refresh + frame policy +
     /// cache maintenance + ranking, all included.
     pub delta_wall: Duration,
-    /// Full (whole-domain) evaluations the delta re-rank issued:
-    /// rebatched shapes plus cache misses for genuinely new shapes.
+    /// Full evaluations the delta re-rank issued: cache misses for
+    /// genuinely new shapes (maintenance only patches).
     pub delta_full_evals: usize,
     /// Partial evaluations (affected-start re-groups) of the delta path.
     pub delta_partial_evals: usize,
     /// Shapes patched with a partial evaluation.
     pub shapes_patched: usize,
-    /// Shapes fully re-evaluated (blast radius over the rebatch fraction).
-    pub shapes_rebatched: usize,
     /// Shapes untouched by the delta (epoch bump only).
     pub shapes_untouched: usize,
     /// Whether the redraw policy replaced the sample frame.
@@ -1502,8 +1500,7 @@ impl RankingBench {
                 "\"full_rerank_wall_ms\": {:.3}, \"full_rerank_full_evals\": {}, ",
                 "\"delta_rerank_wall_ms\": {:.3}, \"delta_rerank_full_evals\": {}, ",
                 "\"delta_partial_evals\": {}, \"shapes_patched\": {}, ",
-                "\"shapes_rebatched\": {}, \"shapes_untouched\": {}, ",
-                "\"frame_redrawn\": {}}}"
+                "\"shapes_untouched\": {}, \"frame_redrawn\": {}}}"
             ),
             self.incremental.delta_edges,
             self.incremental.kb_edges,
@@ -1513,7 +1510,6 @@ impl RankingBench {
             self.incremental.delta_full_evals,
             self.incremental.delta_partial_evals,
             self.incremental.shapes_patched,
-            self.incremental.shapes_rebatched,
             self.incremental.shapes_untouched,
             usize::from(self.incremental.frame_redrawn),
         );
@@ -2067,7 +2063,6 @@ pub fn incremental_bench(
         delta_full_evals,
         delta_partial_evals,
         shapes_patched: updated.maintenance.patched,
-        shapes_rebatched: updated.maintenance.rebatched,
         shapes_untouched: updated.maintenance.untouched,
         frame_redrawn: updated.frame_redrawn,
     }

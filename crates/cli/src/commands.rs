@@ -1,7 +1,7 @@
 //! The `rex` subcommands.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use rex_core::decorate::decorate;
@@ -33,7 +33,7 @@ USAGE:
                [--query <file|MATCH string>] [--toy] [--quiet]
   rex plan     --kb <kb.tsv> | --toy <query string or file> [<start> [<end>]]
   rex update   --kb <kb.tsv> --delta <delta.tsv> [<start> <end>]...
-               [--per-group N] [--rebatch-fraction F] [--log-retention N]
+               [--per-group N] [--log-retention N]
                [... rank flags]
   rex generate --nodes N --edges M [--labels L] [--seed S] --out <kb.tsv>
   rex stats    --kb <kb.tsv> | --toy [--shards N] [--index-dir <dir>]
@@ -86,11 +86,11 @@ writes one explicitly and reports load-vs-build wall time).
 `rex update` ranks the same workload cold through a serving-session
 snapshot, applies an edge-list delta file to the KB, and re-ranks
 incrementally: the session builds the next epoch's edge index and
-distribution cache off to the side (per shape: patched, rebatched, or
-untouched) and flips them in with one atomic swap, so concurrent readers
-never stall. --log-retention bounds the KB's mutation log; when
-compaction outruns the session, the re-rank falls back to a full
-rebuild. Delta file lines:
+distribution cache off to the side (per shape: patched over just its
+delta-affected starts, or untouched) and flips them in with one atomic
+swap, so concurrent readers never stall. --log-retention bounds the
+KB's mutation log; when compaction outruns the session, the re-rank
+falls back to a full rebuild. Delta file lines:
   +<TAB>src<TAB>dst<TAB>label<TAB>d|u    insert edge
   -<TAB>src<TAB>dst<TAB>label<TAB>d|u    remove one matching edge
   N<TAB>name<TAB>type                    insert node
@@ -126,8 +126,7 @@ fn load_kb(args: &Args) -> Result<KnowledgeBase, String> {
 
 /// Parses and validates the `--deadline-ms` / `--row-budget` pair. Zero
 /// is rejected loudly for both — a zero budget sheds every pair before
-/// its first tile, which is an outage spelled as a flag, exactly the
-/// failure mode the rebatch-fraction validation guards against.
+/// its first tile, which is an outage spelled as a flag.
 fn budget_flags(args: &Args) -> Result<(Option<u64>, Option<usize>), String> {
     let deadline_ms = match args.get("deadline-ms") {
         None => None,
@@ -432,66 +431,12 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses and applies an edge-list delta file to `kb`. Returns
-/// `(edges_added, edges_removed, nodes_added)`.
-fn apply_delta_file(kb: &mut KnowledgeBase, path: &str) -> Result<(usize, usize, usize), String> {
-    use std::io::BufRead;
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let (mut added, mut removed, mut nodes) = (0usize, 0usize, 0usize);
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("{path}: I/O error: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let at = |msg: &str| format!("{path} line {}: {msg}", lineno + 1);
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
-            "N" => {
-                let [_, name, ty] = fields[..] else {
-                    return Err(at("node lines are N<TAB>name<TAB>type"));
-                };
-                let before = kb.node_count();
-                kb.insert_node(name, ty);
-                nodes += usize::from(kb.node_count() > before);
-            }
-            op @ ("+" | "-") => {
-                let [_, src, dst, label, dir] = fields[..] else {
-                    return Err(at("edge lines are +/-<TAB>src<TAB>dst<TAB>label<TAB>d|u"));
-                };
-                let directed = match dir {
-                    "d" => true,
-                    "u" => false,
-                    other => return Err(at(&format!("bad direction {other:?} (want d|u)"))),
-                };
-                let src = kb.node_by_name(src).ok_or_else(|| at(&format!("unknown {src:?}")))?;
-                let dst = kb.node_by_name(dst).ok_or_else(|| at(&format!("unknown {dst:?}")))?;
-                if op == "+" {
-                    kb.insert_edge_named(src, dst, label, directed).map_err(|e| e.to_string())?;
-                    added += 1;
-                } else {
-                    let label = kb
-                        .label_by_name(label)
-                        .ok_or_else(|| at(&format!("unknown label {label:?}")))?;
-                    let id = kb
-                        .find_edge(src, dst, label, directed)
-                        .ok_or_else(|| at("no matching edge to remove"))?;
-                    kb.remove_edge(id).map_err(|e| e.to_string())?;
-                    removed += 1;
-                }
-            }
-            other => return Err(at(&format!("unknown record tag {other:?}"))),
-        }
-    }
-    Ok((added, removed, nodes))
-}
-
 /// `rex update`: rank a workload cold through a serving-session snapshot,
 /// apply an edge-list delta to the KB, and re-rank incrementally — the
 /// session builds the next epoch's index/cache off to the side and flips
 /// it in with one atomic swap (concurrent readers would keep ranking
 /// against their pinned epoch meanwhile) — reporting which shapes were
-/// patched vs re-evaluated, and whether log compaction forced the full-
+/// patched vs untouched, and whether log compaction forced the full-
 /// rebuild fallback.
 pub fn update(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
@@ -505,13 +450,6 @@ pub fn update(argv: &[String]) -> Result<(), String> {
     let threads: usize = args.get_or("threads", 0)?;
     let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
     let (deadline_ms, row_budget) = budget_flags(&args)?;
-    let rebatch_fraction: f64 = args.get_or("rebatch-fraction", 0.25)?;
-    if !rebatch_fraction.is_finite() || rebatch_fraction < 0.0 {
-        return Err(format!(
-            "--rebatch-fraction must be a finite value >= 0 \
-             (0 always rebatches, >= 1 always patches); got {rebatch_fraction}"
-        ));
-    }
     if let Some(retention) = args.get("log-retention") {
         let max: usize = retention
             .parse()
@@ -540,10 +478,7 @@ pub fn update(argv: &[String]) -> Result<(), String> {
 
     // Cold serving session on the pre-delta KB; readers would pin
     // snapshots of it while the update below is maintained.
-    let cache = rex_core::measures::DistributionCache::with_row_ceiling(row_ceiling)
-        .with_rebatch_fraction(rebatch_fraction);
-    let state = rex_core::ranking::ServingState::build_with_cache(&kb, &cfg, cache)
-        .map_err(|e| e.to_string())?;
+    let state = rex_core::ranking::ServingState::build(&kb, &cfg).map_err(|e| e.to_string())?;
     let prepared = enumerate(&kb);
     let tasks: Vec<PairExplanations<'_>> = prepared
         .iter()
@@ -556,7 +491,20 @@ pub fn update(argv: &[String]) -> Result<(), String> {
     // Apply the delta and re-rank against the warm session (maintenance
     // builds the next epoch off to the side and flips it atomically).
     let epoch0 = kb.epoch();
-    let (added, removed, new_nodes) = apply_delta_file(&mut kb, &delta_path)?;
+    let (mut added, mut removed, mut new_nodes) = (0usize, 0usize, 0usize);
+    let file = File::open(&delta_path).map_err(|e| format!("cannot open {delta_path}: {e}"))?;
+    for (lineno, line) in BufReader::new(file).lines().enumerate() {
+        let line = line.map_err(|e| format!("{delta_path}: I/O error: {e}"))?;
+        let context = format!("{delta_path} line {}", lineno + 1);
+        let Some(op) = parse_delta_op(&line, &context)? else { continue };
+        let nodes_before = kb.node_count();
+        op.apply(&mut kb).map_err(|e| format!("{context}: {e}"))?;
+        match op {
+            IngestOp::InsertNode { .. } => new_nodes += kb.node_count() - nodes_before,
+            IngestOp::InsertEdge { .. } => added += 1,
+            IngestOp::RemoveEdge { .. } => removed += 1,
+        }
+    }
     let prepared2 = enumerate(&kb);
     let tasks2: Vec<PairExplanations<'_>> = prepared2
         .iter()
@@ -595,26 +543,24 @@ pub fn update(argv: &[String]) -> Result<(), String> {
         );
         println!(
             "cold rank {:.1} ms ({} full evaluations); delta re-rank {:.1} ms \
-             ({} rebatched + {} cache misses full, {} partial)",
+             ({} cache misses full, {} partial)",
             cold_elapsed.as_secs_f64() * 1e3,
             cold.batched_evals,
             delta_elapsed.as_secs_f64() * 1e3,
-            m.rebatched,
             updated.batched_evals,
             state.cache().delta_evals(),
         );
         if maintained.compaction_fallback {
             println!(
                 "delta log compacted past the session's epoch: fell back to a \
-                 full index rebuild + cold rebatch (no incremental maintenance)"
+                 full index rebuild + cold re-evaluation (no incremental maintenance)"
             );
         } else {
             println!(
-                "shapes: {} delta-patched ({} affected starts), {} re-evaluated, \
-                 {} untouched, {} dropped; frame redrawn: {}",
+                "shapes: {} delta-patched ({} affected starts), {} untouched, \
+                 {} dropped; frame redrawn: {}",
                 m.patched,
                 m.affected_starts,
-                m.rebatched,
                 m.untouched,
                 m.dropped,
                 if maintained.frame_redrawn { "yes" } else { "no" },
@@ -1027,7 +973,7 @@ pub fn ingest(argv: &[String]) -> Result<(), String> {
 
     // `--delta -` streams ops from stdin — the shape a pipeline producer
     // (or `tail -f`) feeds the governor.
-    let (reader, source_name): (Box<dyn std::io::BufRead>, &str) = if delta_path == "-" {
+    let (reader, source_name): (Box<dyn BufRead>, &str) = if delta_path == "-" {
         (Box::new(BufReader::new(std::io::stdin())), "<stdin>")
     } else {
         let file = File::open(delta_path).map_err(|e| format!("cannot open {delta_path}: {e}"))?;
@@ -1036,22 +982,14 @@ pub fn ingest(argv: &[String]) -> Result<(), String> {
     let mut batch: Vec<IngestOp> = Vec::with_capacity(batch_lines);
     let mut shed_retries = 0u64;
     let mut lines = 0usize;
-    {
-        use std::io::BufRead;
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("{source_name}: I/O error: {e}"))?;
-            let context = format!("{source_name} line {}", lineno + 1);
-            let Some(op) = parse_delta_op(&line, &context)? else { continue };
-            lines += 1;
-            batch.push(op);
-            if batch.len() >= batch_lines {
-                submit_batch(
-                    &mut governor,
-                    std::mem::take(&mut batch),
-                    shed_mode,
-                    &mut shed_retries,
-                )?;
-            }
+    for (lineno, line) in reader.lines().enumerate() {
+        let line = line.map_err(|e| format!("{source_name}: I/O error: {e}"))?;
+        let context = format!("{source_name} line {}", lineno + 1);
+        let Some(op) = parse_delta_op(&line, &context)? else { continue };
+        lines += 1;
+        batch.push(op);
+        if batch.len() >= batch_lines {
+            submit_batch(&mut governor, std::mem::take(&mut batch), shed_mode, &mut shed_retries)?;
         }
     }
     if !batch.is_empty() {
@@ -1386,21 +1324,6 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("must be positive"));
-        // Invalid rebatch fractions are rejected up front (NaN would
-        // silently disable the patch/rebatch threshold).
-        for bad_fraction in ["NaN", "-0.5", "inf"] {
-            assert!(update(&argv(&[
-                "--toy",
-                "--delta",
-                &delta_path,
-                "--rebatch-fraction",
-                bad_fraction,
-                "brad_pitt",
-                "angelina_jolie",
-                "--quiet",
-            ]))
-            .is_err());
-        }
         // Missing --delta and malformed files are reported.
         assert!(update(&argv(&["--toy", "brad_pitt", "angelina_jolie"])).is_err());
         let bad = dir.join("bad.tsv");

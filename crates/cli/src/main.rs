@@ -8,8 +8,7 @@
 //!              [--shards 4] [--index-dir snapshots/] [--query <file|MATCH ...>]
 //! rex plan     --kb kb.tsv "MATCH (a)-[:starring]->(m)<-[:starring]-(b)
 //!              WHERE a = $start AND b = $end" [start [end]]
-//! rex update   --kb kb.tsv --delta delta.tsv [start end]... [--rebatch-fraction 0.25]
-//!              [--log-retention 10000]
+//! rex update   --kb kb.tsv --delta delta.tsv [start end]... [--log-retention 10000]
 //! rex generate --nodes 10000 --edges 65000 --seed 42 --out kb.tsv
 //! rex stats    --kb kb.tsv [--shards 4] [--index-dir snapshots/]
 //! rex pairs    --kb kb.tsv --per-group 10 [--seed 2011]

@@ -9,13 +9,12 @@
 //! global-position estimate needs it for ~100 sampled starts per pattern.
 //!
 //! The cache is therefore keyed **per canonical pattern shape** and holds
-//! an [`AllStartsDistribution`]: one `Arc`'d map from start entity to its
-//! descending count multiset, produced by a *single* batched relational
-//! evaluation ([`rex_relstore::engine::count_distributions`]) whose start
-//! variable ranges over the whole requested sample at once. Any position
-//! query against a cached shape is then a hash lookup plus a binary
-//! search — the asymptotics drop from ~`starts` full evaluations per
-//! shape to 1.
+//! an [`AllStartsDistribution`]: a map from start entity to its
+//! descending count multiset, produced by batched relational evaluation
+//! ([`count_distributions`]) whose start variable ranges over a whole set
+//! of starts at once. Any position query against a cached shape is then a
+//! hash lookup plus a binary search — the asymptotics drop from
+//! ~`starts` full evaluations per shape to 1.
 //!
 //! Every method takes a [`ShardedEdgeIndex`]: a cold shape's batch fans
 //! out across the index's shards, and the flat index is simply the
@@ -27,42 +26,49 @@
 //!
 //! [`ShardSpec::single`]: rex_relstore::engine::ShardSpec::single
 //!
-//! A secondary per-`(shape, start)` overlay serves single-start queries
-//! (local distributions, starts outside a cached batch's domain) with the
-//! cheap bound per-start probe, so a purely local workload never pays for
-//! a batched evaluation it does not need.
+//! **One map, extended by reads.** The cache is a single
+//! `RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>`. A read
+//! clones one entry's `Arc` under the read lock, then evaluates — with no
+//! lock held — only the requested starts the entry lacks, in one
+//! [`count_distributions`] call, and publishes the merged entry in place.
+//! A one-start read ([`DistributionCache::counts`]) is simply a read of
+//! `[start]`, so local and global queries of a shape share one entry, and
+//! a grown sample pays only for its new starts.
 //!
-//! **KB updates.** Every cached batch carries the KB *epoch* it was
-//! computed at; a read against an index at a newer epoch treats the entry
-//! as stale and re-evaluates (the refuse/refresh guarantee). The cheap
-//! path is [`DistributionCache::apply_delta`]: given the [`KbDelta`]
-//! between the cache's epoch and the KB's, each cached shape is either
-//! **untouched** (label set disjoint from the delta — re-published at the
-//! new epoch sharing the same multisets), **patched** (the delta-affected
-//! starts inside its domain are re-grouped with a partial evaluation and
-//! overlaid onto the old multisets), or **rebatched** (the affected
-//! fraction exceeded the configurable threshold, so the whole domain is
-//! re-evaluated). Either way, the next read is a warm hit.
+//! **KB updates.** Every entry carries the KB *epoch* it was computed at;
+//! a read against an index at another epoch ignores it and evaluates
+//! afresh (the refuse/refresh guarantee). The cheap path is
+//! [`DistributionCache::apply_delta`]: given the [`KbDelta`] between the
+//! entries' epoch and the KB's, each cached shape is either **untouched**
+//! (label set disjoint from the delta, or no affected start inside its
+//! domain — republished at the new epoch sharing the same multisets) or
+//! **patched** (the affected starts inside its domain are re-evaluated
+//! with one partial evaluation and merged over the old multisets, the
+//! same merge a read uses to extend an entry). Either way, the next read
+//! is a warm hit.
 //!
-//! **Snapshot-keyed publication.** The batched map is an immutable
-//! *generation* behind `RwLock<Arc<…>>`: readers pin the current
-//! generation with one O(1) `Arc` clone, every cached entry is immutable
-//! once published, and maintenance builds the **next** generation
-//! entirely off to the side — the write lock is held only for the final
-//! pointer swap (plus an O(shapes) merge of entries installed by
-//! concurrent readers), never across an evaluation. Combined with the
-//! per-entry epoch guard, a reader that pinned an index at epoch
-//! `E` either hits entries computed at `E` or recomputes at `E` — it can
-//! never observe a torn mix of epochs, and it never waits on an in-flight
-//! [`DistributionCache::apply_delta`] pass.
+//! **Publication.** Entries are immutable once published; a write lock is
+//! held only to insert entries, never across an evaluation:
 //!
-//! Thread-safe (`parking_lot::RwLock`, O(1) critical sections on the hot
-//! read path) so the parallel ranker can share it; hit/miss counters make
-//! the sharing observable in tests and benches.
+//! * a reader whose shape gained an entry at a **newer** epoch meanwhile
+//!   keeps its result private; a live entry that already serves the read
+//!   wins; a same-epoch live entry that does not is merged with the new
+//!   one (same-epoch multisets agree on shared starts);
+//! * maintenance reads a snapshot of the entries, builds the maintained
+//!   ones with no lock held, and publishes them together in one
+//!   write-lock section. Maintained entries win over concurrent installs,
+//!   and an entry dropped as skewed is removed only if it is still the one
+//!   maintenance saw.
+//!
+//! Combined with the per-entry epoch guard, a reader that pinned an index
+//! at epoch `E` either hits entries computed at `E` or computes at `E` —
+//! it can never observe a torn mix of epochs, and it never waits on an
+//! in-flight [`DistributionCache::apply_delta`] pass. Hit/miss counters
+//! make the sharing observable in tests and benches.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use rex_kb::{KbDelta, KnowledgeBase, NodeId};
@@ -70,6 +76,7 @@ use rex_relstore::budget::Budget;
 use rex_relstore::engine::{
     count_distributions, delta_affected_starts, EvalKind, EvalRequest, ShardedEdgeIndex,
 };
+use rex_relstore::metrics::EvalTrace;
 use rex_relstore::plan::PatternSpec;
 
 use crate::canonical::CanonicalKey;
@@ -83,17 +90,15 @@ use crate::measures::distribution::position_in;
 ///
 /// **Immutable once published**: the epoch is fixed at construction and
 /// the multisets never change, so a reader holding the `Arc` can trust
-/// every field for as long as it likes — maintenance publishes *new*
-/// entries (sharing the `Arc`'d counts and domain when untouched) instead
-/// of editing live ones.
+/// every field for as long as it likes — reads and maintenance publish
+/// *new* entries (sharing the `Arc`'d counts and domain when untouched)
+/// instead of editing live ones.
 #[derive(Debug)]
 pub struct AllStartsDistribution {
     counts: Arc<HashMap<u64, Arc<Vec<u64>>>>,
     domain: Arc<HashSet<u64>>,
-    tiles: usize,
-    peak_rows: usize,
-    est_peak_rows: usize,
-    overflow_tiles: usize,
+    /// The merged traffic of every evaluation the entry was built from.
+    trace: EvalTrace,
     /// The KB epoch the multisets reflect (fixed at publication).
     epoch: u64,
     /// The shape's relational spec, retained so delta maintenance can
@@ -107,48 +112,30 @@ impl AllStartsDistribution {
         self.epoch
     }
 
-    /// Start tiles the batched evaluation was split into (1 when the
-    /// domain fit under the row ceiling, or no ceiling was set).
-    pub fn eval_tiles(&self) -> usize {
-        self.tiles
+    /// The merged traffic of the evaluations this entry was built from
+    /// (its cold batch, plus every extension and patch since): tiles,
+    /// rows, and the largest measured and estimated per-tile rows (see
+    /// [`EvalTrace::est_peak_rows`] for what a row ceiling bounds).
+    pub fn trace(&self) -> &EvalTrace {
+        &self.trace
     }
 
-    /// Largest intermediate relation (rows) the evaluation materialized —
-    /// carried on the batch so consumers can attribute peaks to the
-    /// shapes they actually use, independent of cache lifetime.
-    pub fn peak_rows(&self) -> usize {
-        self.peak_rows
-    }
-
-    /// Largest **estimated** input rows of any tile — the quantity a row
-    /// ceiling actually bounds (see [`EvalTrace::est_peak_rows`]).
-    /// The measured [`peak_rows`](Self::peak_rows) may legally exceed the
-    /// ceiling on estimate error or singleton hub tiles.
-    ///
-    /// [`EvalTrace::est_peak_rows`]: rex_relstore::metrics::EvalTrace::est_peak_rows
-    pub fn est_peak_rows(&self) -> usize {
-        self.est_peak_rows
-    }
-
-    /// Tiles whose estimated rows exceeded the requested ceiling —
-    /// necessarily singleton hub starts no split could shrink.
-    pub fn overflow_tiles(&self) -> usize {
-        self.overflow_tiles
-    }
-
-    /// Whether `start` was covered by the batched evaluation (queries
-    /// outside the domain must fall back to a per-start probe).
+    /// Whether `start` was covered by the batched evaluation.
     pub fn covers(&self, start: u64) -> bool {
         self.domain.contains(&start)
     }
 
     /// The descending count multiset of `start`, `None` when `start` is
-    /// outside the evaluated domain.
+    /// outside the evaluated domain. Every covered start without
+    /// instances shares one empty multiset, so repeated reads of a start
+    /// return the same `Arc`.
     pub fn counts_for(&self, start: u64) -> Option<Arc<Vec<u64>>> {
+        static EMPTY: OnceLock<Arc<Vec<u64>>> = OnceLock::new();
         if !self.covers(start) {
             return None;
         }
-        Some(self.counts.get(&start).cloned().unwrap_or_default())
+        let counts = self.counts.get(&start).unwrap_or_else(|| EMPTY.get_or_init(Arc::default));
+        Some(Arc::clone(counts))
     }
 
     /// Position of aggregate value `a` in `start`'s distribution, `None`
@@ -176,114 +163,92 @@ impl AllStartsDistribution {
         self.domain.len()
     }
 
-    /// Number of covered starts with at least one instance.
-    pub fn nonempty_starts(&self) -> usize {
-        self.counts.len()
+    /// Whether this entry can serve a read against an index at `epoch`
+    /// for `starts`: same epoch and a covering domain.
+    fn serves(&self, epoch: u64, starts: &[NodeId]) -> bool {
+        self.epoch == epoch && starts.iter().all(|s| self.covers(s.0 as u64))
     }
-}
 
-/// The per-`(shape, start)` overlay's key.
-type PerStartKey = (CanonicalKey, u32);
-
-/// The per-`(shape, start)` overlay's value: the KB epoch it was probed
-/// at (stale entries are recomputed on read), the multiset, and the
-/// shape's sorted distinct label set — retained so
-/// [`DistributionCache::apply_delta`] can keep label-disjoint overlays
-/// alive across a delta instead of discarding them.
-type PerStartEntry = (u64, Arc<Vec<u64>>, Arc<[u64]>);
-
-/// One published generation of the batched map: immutable once behind the
-/// `Arc`, replaced wholesale by an O(1) pointer swap.
-type BatchedGeneration = HashMap<CanonicalKey, Arc<AllStartsDistribution>>;
-
-/// The sorted distinct labels of a spec (the overlay's disjointness key).
-fn spec_labels(spec: &PatternSpec) -> Arc<[u64]> {
-    let mut labels: Vec<u64> = spec.edges.iter().map(|e| e.label).collect();
-    labels.sort_unstable();
-    labels.dedup();
-    labels.into()
+    /// This entry with `newer` merged over it: `newer`'s multisets
+    /// replace this entry's on `newer`'s domain, the domains unite, the
+    /// traces merge, and the result takes `newer`'s epoch. One merge
+    /// serves both a read that extends an entry with starts it lacked and
+    /// delta maintenance that patches the affected starts; a patch lies
+    /// inside the domain, so it shares the domain `Arc` instead of
+    /// copying it.
+    fn merged(&self, newer: &AllStartsDistribution) -> AllStartsDistribution {
+        let mut counts = (*self.counts).clone();
+        for s in newer.domain.iter() {
+            counts.remove(s);
+        }
+        for (&s, c) in newer.counts.iter() {
+            counts.insert(s, Arc::clone(c));
+        }
+        let domain = if newer.domain.is_subset(&self.domain) {
+            Arc::clone(&self.domain)
+        } else {
+            Arc::new(self.domain.union(&newer.domain).copied().collect())
+        };
+        let mut trace = self.trace;
+        trace.merge(&newer.trace);
+        AllStartsDistribution {
+            counts: Arc::new(counts),
+            domain,
+            trace,
+            epoch: newer.epoch,
+            spec: self.spec.clone(),
+        }
+    }
 }
 
 /// One read of a shape's batch through [`DistributionCache::all_starts`]:
 /// the batch, plus what this call itself evaluated to produce it — so a
 /// request accounts only its own evaluations, never a concurrent
-/// reader's miss or a maintenance rebatch that shares the cache.
+/// reader's miss or a maintenance patch that shares the cache.
 #[derive(Debug)]
 pub struct BatchRead {
     /// The batch covering the requested starts.
     pub batch: Arc<AllStartsDistribution>,
-    /// Start tiles this call evaluated; `None` when a published batch
-    /// served the read.
+    /// Start tiles this call evaluated (only the starts the entry
+    /// lacked); `None` when a published batch served the read.
     pub evaluated_tiles: Option<usize>,
 }
 
 /// What [`DistributionCache::apply_delta`] did to each cached shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaMaintenance {
-    /// Shapes whose affected starts were re-grouped with a partial
-    /// evaluation and overlaid onto the cached multisets.
+    /// Shapes whose affected starts were re-evaluated with a partial
+    /// evaluation and merged over the cached multisets.
     pub patched: usize,
-    /// Shapes fully re-evaluated because the delta's blast radius
-    /// exceeded the rebatch fraction of their domain.
-    pub rebatched: usize,
-    /// Shapes untouched by the delta (label-disjoint, or no affected
-    /// start inside the domain): republished at the new epoch with the
-    /// multisets shared, not recomputed.
+    /// Shapes untouched by the delta (label-disjoint, no affected start
+    /// inside the domain, or already current): republished at the new
+    /// epoch with the multisets shared, not recomputed.
     pub untouched: usize,
     /// Shapes dropped because their epoch did not match the delta's
     /// window (skewed bookkeeping); the next read re-evaluates them.
     pub dropped: usize,
-    /// Total affected starts re-grouped across all patched shapes.
+    /// Total affected starts re-evaluated across all patched shapes.
     pub affected_starts: usize,
 }
 
-/// Thread-safe cache of distribution multisets, keyed per canonical
-/// pattern shape (batched) with a per-`(shape, start)` fallback overlay.
-/// Epoch-aware: see the module docs for the staleness and
-/// delta-maintenance contract.
-#[derive(Debug)]
+/// Thread-safe cache of distribution multisets, one entry per canonical
+/// pattern shape. Epoch-aware: see the module docs for the staleness,
+/// publication and delta-maintenance contract.
+#[derive(Debug, Default)]
 pub struct DistributionCache {
-    /// The published batched generation. Readers pin it with one O(1)
-    /// `Arc` clone; writers (miss installs, delta maintenance) build a
-    /// new map off to the side and swap the pointer.
-    batched: RwLock<Arc<BatchedGeneration>>,
-    per_start: RwLock<HashMap<PerStartKey, PerStartEntry>>,
+    entries: RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>,
+    /// Write-lock sections that published something; backs
+    /// [`DistributionCache::generation_fingerprint`].
+    publications: AtomicUsize,
     hits: AtomicUsize,
     misses: AtomicUsize,
     batched_evals: AtomicUsize,
     /// Best-effort ceiling on join-produced intermediate rows per batched
     /// evaluation; `None` evaluates each batch as a single tile.
     row_ceiling: Option<usize>,
-    /// When a delta affects more than this fraction of a cached domain,
-    /// patching degrades to a full re-batch of the shape.
-    rebatch_fraction: f64,
     tiles: AtomicUsize,
     peak_rows: AtomicUsize,
     delta_evals: AtomicUsize,
-    /// Highest KB epoch observed through any index handed to this cache.
-    epoch: AtomicU64,
-}
-
-/// The default share of a domain a delta may touch before patching a
-/// shape costs more than re-batching it.
-const DEFAULT_REBATCH_FRACTION: f64 = 0.25;
-
-impl Default for DistributionCache {
-    fn default() -> Self {
-        DistributionCache {
-            batched: RwLock::default(),
-            per_start: RwLock::default(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            batched_evals: AtomicUsize::new(0),
-            row_ceiling: None,
-            rebatch_fraction: DEFAULT_REBATCH_FRACTION,
-            tiles: AtomicUsize::new(0),
-            peak_rows: AtomicUsize::new(0),
-            delta_evals: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
 }
 
 impl DistributionCache {
@@ -308,41 +273,6 @@ impl DistributionCache {
         self.row_ceiling
     }
 
-    /// Overrides the delta-maintenance rebatch threshold: when a delta
-    /// affects more than `fraction` of a cached shape's domain,
-    /// [`DistributionCache::apply_delta`] re-evaluates the whole shape
-    /// instead of patching. Accepted range: any **finite** value `>= 0.0`
-    /// — `0.0` always rebatches touched shapes, `1.0` (or more) always
-    /// patches. `NaN` and infinities are rejected loudly (a `NaN` would
-    /// silently disable every threshold comparison downstream), as are
-    /// negative values. Chainable at construction.
-    pub fn with_rebatch_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction.is_finite(),
-            "rebatch fraction must be a finite value >= 0.0 \
-             (0.0 always rebatches, >= 1.0 always patches); got {fraction}"
-        );
-        assert!(
-            fraction >= 0.0,
-            "rebatch fraction must be non-negative \
-             (0.0 always rebatches, >= 1.0 always patches); got {fraction}"
-        );
-        self.rebatch_fraction = fraction;
-        self
-    }
-
-    /// The delta-maintenance rebatch threshold.
-    pub fn rebatch_fraction(&self) -> f64 {
-        self.rebatch_fraction
-    }
-
-    /// The highest KB epoch this cache has observed (through indexes or
-    /// deltas). Entries computed at older epochs are stale: reads refresh
-    /// them, [`DistributionCache::apply_delta`] patches them.
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Partial (delta-maintenance) evaluations performed by
     /// [`DistributionCache::apply_delta`], as the engine's returned
     /// traces count them.
@@ -350,113 +280,96 @@ impl DistributionCache {
         self.delta_evals.load(Ordering::Relaxed)
     }
 
-    fn note_epoch(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// `(tiles, peak_rows)` across this cache's batched evaluations: how
-    /// many start tiles were evaluated, and the largest intermediate
-    /// relation any of them materialized.
+    /// `(tiles, peak_rows)` across this cache's evaluations: how many
+    /// start tiles were evaluated, and the largest intermediate relation
+    /// any of them materialized.
     pub fn tiling_stats(&self) -> (usize, usize) {
         (self.tiles.load(Ordering::Relaxed), self.peak_rows.load(Ordering::Relaxed))
     }
 
-    /// Evaluates `spec` over `domain` (tiled under the row ceiling) and
-    /// wraps the result as a batch at the index's epoch, updating the
-    /// tiling counters. The engine checks `budget` at every tile
+    /// Evaluates `spec` over `starts` (tiled under the row ceiling) and
+    /// wraps the result as an entry at the index's epoch, updating the
+    /// tile and delta counters. The engine checks `budget` at every tile
     /// boundary, and on abort this returns the typed error **without
     /// touching a single counter** — the abort-leaves-no-trace half of
     /// the robustness contract.
-    fn eval_batch(
+    fn evaluate(
         &self,
         index: &ShardedEdgeIndex,
         spec: PatternSpec,
-        domain: HashSet<u64>,
+        starts: &[u64],
+        kind: EvalKind,
         budget: &Budget,
-    ) -> rex_relstore::Result<Arc<AllStartsDistribution>> {
-        let list: Vec<u64> = domain.iter().copied().collect();
-        let req = EvalRequest {
-            starts: &list,
-            row_ceiling: self.row_ceiling,
-            kind: EvalKind::Full,
-            budget: budget.clone(),
-        };
+    ) -> rex_relstore::Result<AllStartsDistribution> {
+        let req =
+            EvalRequest { starts, row_ceiling: self.row_ceiling, kind, budget: budget.clone() };
         let batch = count_distributions(index, &spec, &req)?;
         let trace = batch.trace;
         self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
         self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
-        Ok(Arc::new(AllStartsDistribution {
+        self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
+        Ok(AllStartsDistribution {
             counts: Arc::new(batch.per_start.into_iter().map(|(s, v)| (s, Arc::new(v))).collect()),
-            domain: Arc::new(domain),
-            tiles: trace.tiles,
-            peak_rows: trace.peak_rows,
-            est_peak_rows: trace.est_peak_rows,
-            overflow_tiles: trace.overflow_tiles,
+            domain: Arc::new(starts.iter().copied().collect()),
+            trace,
             epoch: index.epoch(),
             spec,
-        }))
+        })
     }
 
-    /// Whether a cached batch can serve a read against an index at
-    /// `epoch` for the given starts: current epoch and covering domain.
-    fn batch_serves(batch: &AllStartsDistribution, epoch: u64, starts: &[NodeId]) -> bool {
-        batch.epoch() == epoch && starts.iter().all(|s| batch.covers(s.0 as u64))
+    /// The published entry of `key`: one `Arc` clone under a read lock
+    /// that is released before this returns.
+    fn entry(&self, key: &CanonicalKey) -> Option<Arc<AllStartsDistribution>> {
+        self.entries.read().get(key).cloned()
     }
 
-    /// Pins the current batched generation: one O(1) `Arc` clone under a
-    /// read lock that is released before this returns, so no reader ever
-    /// holds a lock while evaluating or while maintenance runs.
-    fn generation(&self) -> Arc<BatchedGeneration> {
-        Arc::clone(&self.batched.read())
-    }
-
-    /// Installs `computed` for `key` unless the live generation already
-    /// holds an entry that is as good or better: an entry that serves the
-    /// requested `(index, starts)` read wins outright, and an entry at a
-    /// *newer* epoch is never clobbered by a reader still pinned to an
-    /// older index (its result stays private to that reader). Returns the
-    /// batch the caller should use. The write lock covers an O(shapes)
-    /// map clone — never an evaluation.
-    fn install_batch(
+    /// Installs `computed` — `base`, the entry the reader extended, merged
+    /// with its fresh starts — for a read of `starts`, under the rules in
+    /// the module docs: a live entry that serves the read wins, a live
+    /// entry at a newer epoch keeps `computed` private, and a same-epoch
+    /// live entry other than `base` is merged with it. Returns the batch
+    /// the caller should use. The write lock never covers an evaluation.
+    fn install(
         &self,
         key: &CanonicalKey,
-        computed: Arc<AllStartsDistribution>,
-        epoch: u64,
+        base: Option<&Arc<AllStartsDistribution>>,
+        mut computed: AllStartsDistribution,
         starts: &[NodeId],
     ) -> Arc<AllStartsDistribution> {
-        let mut guard = self.batched.write();
-        if let Some(live) = guard.get(key) {
-            if Self::batch_serves(live, epoch, starts) {
+        let mut entries = self.entries.write();
+        if let Some(live) = entries.get(key) {
+            if live.serves(computed.epoch, starts) {
                 return Arc::clone(live);
             }
-            if live.epoch() > computed.epoch() {
-                return computed;
+            if live.epoch > computed.epoch {
+                return Arc::new(computed);
+            }
+            if live.epoch == computed.epoch && !base.is_some_and(|b| Arc::ptr_eq(b, live)) {
+                computed = live.merged(&computed);
             }
         }
-        let mut next: BatchedGeneration = (**guard).clone();
-        next.insert(key.clone(), Arc::clone(&computed));
-        *guard = Arc::new(next);
+        let computed = Arc::new(computed);
+        entries.insert(key.clone(), Arc::clone(&computed));
+        self.publications.fetch_add(1, Ordering::Relaxed);
         computed
     }
 
     /// The all-starts distribution of `e`'s pattern shape covering (at
-    /// least) `starts`: **one** batched relational evaluation per shape,
-    /// shared by every start in the sample, every explanation with an
-    /// isomorphic pattern, and every thread. If a previously cached batch
-    /// misses some of `starts`, the batch is recomputed over the union of
-    /// domains (rare: the sample is fixed per context). A batch computed
-    /// at an older KB epoch than `index`'s is **stale** and likewise
-    /// recomputed — the refuse/refresh half of the epoch contract;
+    /// least) `starts`: batched relational evaluation shared by every
+    /// start in the sample, every explanation with an isomorphic pattern,
+    /// and every thread. When the shape's current-epoch entry lacks some
+    /// of `starts`, **only those** are evaluated, in one call, and merged
+    /// into the entry. An entry at another epoch than `index`'s is stale
+    /// and ignored — the refuse/refresh half of the epoch contract;
     /// [`DistributionCache::apply_delta`] is the cheap alternative.
     ///
-    /// A cold shape evaluates under `budget`, checked at every tile
+    /// The evaluation runs under `budget`, checked at every tile
     /// boundary. On abort (deadline, cancellation, row-budget exhaustion)
     /// the cache is left **byte-identical** to its pre-call state:
-    /// nothing is installed, no counter moves, not even the observed-epoch
-    /// high-water mark — a retried or budget-relaxed call recomputes
-    /// exactly what this one would have. Accounting (epoch note,
-    /// hit/miss/eval counters) and publication happen only after the
-    /// evaluation completes. A warm hit never aborts.
+    /// nothing is installed and no counter moves — a retried or
+    /// budget-relaxed call recomputes exactly what this one would have.
+    /// Accounting and publication happen only after the evaluation
+    /// completes. A warm hit never aborts.
     pub fn all_starts(
         &self,
         index: &ShardedEdgeIndex,
@@ -465,135 +378,74 @@ impl DistributionCache {
         budget: &Budget,
     ) -> rex_relstore::Result<BatchRead> {
         let key = e.key();
-        let generation = self.generation();
-        if let Some(cached) = generation.get(key) {
-            if Self::batch_serves(cached, index.epoch(), starts) {
-                self.note_epoch(index.epoch());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(BatchRead { batch: Arc::clone(cached), evaluated_tiles: None });
-            }
+        let base = self.entry(key).filter(|b| b.epoch == index.epoch());
+        if let Some(batch) = base.as_ref().filter(|b| b.serves(index.epoch(), starts)) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(BatchRead { batch: Arc::clone(batch), evaluated_tiles: None });
         }
-        let mut domain: HashSet<u64> = starts.iter().map(|s| s.0 as u64).collect();
-        if let Some(cached) = generation.get(key) {
-            domain.extend(cached.domain.iter().copied());
-        }
-        drop(generation);
-        // Evaluation runs without any lock held; a racing thread may have
-        // installed a batch meanwhile — install_batch arbitrates. An
-        // abort propagates here, before any observable state changes.
-        let computed = self.eval_batch(index, e.pattern.to_spec(), domain, budget)?;
-        let evaluated_tiles = Some(computed.eval_tiles());
-        self.note_epoch(index.epoch());
+        let missing: Vec<u64> = starts
+            .iter()
+            .map(|s| s.0 as u64)
+            .filter(|&s| !base.as_ref().is_some_and(|b| b.covers(s)))
+            .collect();
+        // No lock is held while evaluating; an abort propagates here,
+        // before any observable state changes.
+        let fresh = self.evaluate(index, e.pattern.to_spec(), &missing, EvalKind::Full, budget)?;
+        let evaluated_tiles = Some(fresh.trace.tiles);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.batched_evals.fetch_add(1, Ordering::Relaxed);
-        let batch = self.install_batch(key, computed, index.epoch(), starts);
+        let computed = match &base {
+            Some(b) => b.merged(&fresh),
+            None => fresh,
+        };
+        let batch = self.install(key, base.as_ref(), computed, starts);
         Ok(BatchRead { batch, evaluated_tiles })
     }
 
-    /// The descending count multiset of `e`'s pattern for `start`. Served
-    /// from a cached batch when a **current-epoch** one covers `start`;
-    /// otherwise computed with a single bound per-start probe and cached
-    /// in the overlay (also epoch-guarded) — the right cost model for
-    /// local (single-start) queries; the probe reads the index's base.
+    /// The descending count multiset of `e`'s pattern for `start`: a
+    /// read of `[start]` through [`DistributionCache::all_starts`], so a
+    /// start outside the shape's entry extends that entry.
     pub fn counts(&self, index: &ShardedEdgeIndex, e: &Explanation, start: u32) -> Arc<Vec<u64>> {
-        self.note_epoch(index.epoch());
-        let key = e.key();
-        if let Some(batch) = self.generation().get(key) {
-            if batch.epoch() == index.epoch() {
-                if let Some(counts) = batch.counts_for(start as u64) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return counts;
-                }
-            }
-        }
-        let overlay_key = (key.clone(), start);
-        if let Some((epoch, hit, _)) = self.per_start.read().get(&overlay_key) {
-            if *epoch == index.epoch() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(hit);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let spec = e.pattern.to_spec();
-        let dist = rex_relstore::engine::local_count_distribution_indexed(
-            index.base(),
-            &spec,
-            start as u64,
-        )
-        .expect("explanation patterns are valid specs");
-        let mut counts: Vec<u64> = dist.into_values().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let counts = Arc::new(counts);
-        let labels = spec_labels(&spec);
-        // A racing thread may have inserted meanwhile: an entry at the
-        // same epoch is identical (keep it), and an entry at a *newer*
-        // epoch must not be clobbered by a reader pinned to an older
-        // index — its probe stays private.
-        let mut guard = self.per_start.write();
-        let entry = guard.entry(overlay_key).or_insert((
-            index.epoch(),
-            Arc::clone(&counts),
-            labels.clone(),
-        ));
-        if entry.0 < index.epoch() {
-            *entry = (index.epoch(), Arc::clone(&counts), labels);
-        } else if entry.0 > index.epoch() {
-            return counts;
-        }
-        Arc::clone(&entry.1)
+        let read = self
+            .all_starts(index, e, &[NodeId(start)], &Budget::unlimited())
+            .expect("unlimited budget never aborts");
+        read.batch.counts_for(start as u64).expect("the read covers its start")
     }
 
-    /// Local position of `e` (count aggregate) for `start`, if the answer
-    /// is already cached at the cache's current epoch — never computes,
-    /// never counts a hit or miss. The pruned rankers use this for free
+    /// Local position of `e` (count aggregate) for `start`, if an entry
+    /// at `index`'s epoch already covers it — never computes, never
+    /// counts a hit or miss. The pruned rankers use this for free
     /// exactness before falling back to a bounded streaming probe.
-    pub fn cached_local_position(&self, e: &Explanation, start: u32) -> Option<usize> {
-        let a = e.count() as u64;
-        let epoch = self.current_epoch();
-        if let Some(batch) = self.generation().get(e.key()) {
-            if batch.epoch() == epoch {
-                if let Some(pos) = batch.position(start as u64, a) {
-                    return Some(pos);
-                }
-            }
-        }
-        self.per_start
-            .read()
-            .get(&(e.key().clone(), start))
-            .filter(|(e, _, _)| *e == epoch)
-            .map(|(_, counts, _)| position_in(counts, a))
+    pub fn cached_local_position(
+        &self,
+        index: &ShardedEdgeIndex,
+        e: &Explanation,
+        start: u32,
+    ) -> Option<usize> {
+        let entry = self.entry(e.key()).filter(|b| b.epoch == index.epoch())?;
+        entry.position(start as u64, e.count() as u64)
     }
 
-    /// Incrementally maintains every cached batch across `delta`,
-    /// advancing the cache to `kb`'s epoch. `index` must already be
-    /// advanced to the delta's target epoch
-    /// ([`ShardedEdgeIndex::next_epoch`]); patch and rebatch evaluations
-    /// fan out across its shards. Per shape:
+    /// Incrementally maintains every cached entry across `delta`.
+    /// `index` must already be advanced to the delta's target epoch
+    /// ([`ShardedEdgeIndex::next_epoch`]); patch evaluations fan out
+    /// across its shards. Per shape:
     ///
     /// * labels disjoint from the delta, or no affected start inside the
-    ///   domain → re-published at the new epoch sharing the same counts
+    ///   domain → republished at the new epoch sharing the same counts
     ///   and domain (**untouched**, O(1));
-    /// * affected starts ≤ [`rebatch_fraction`] of the domain → one
-    ///   partial evaluation over just those starts, overlaid onto the old
-    ///   multisets (**patched**);
-    /// * otherwise → full re-evaluation of the domain (**rebatched**).
+    /// * otherwise → one partial evaluation over just the affected starts
+    ///   inside the domain, merged over the old multisets (**patched**).
     ///
-    /// The entire pass builds the **next generation off to the side**
-    /// while readers keep hitting the published one: no lock is held
-    /// across any evaluation, and publication is an O(1) `Arc` swap (plus
-    /// a merge of entries concurrent readers installed meanwhile). A
-    /// reader pinned to the pre-delta index keeps reading old-epoch
-    /// values; a reader that picks up the post-delta index sees the new
-    /// generation — never a mix.
-    ///
-    /// Per-start overlay entries whose shape labels are **disjoint** from
-    /// the delta are still exact, so they ride along with their epoch
-    /// bumped; the rest are dropped (they are single-start probes —
-    /// re-probing on demand is their cost model). Patched and rebatched
-    /// shapes produce multisets byte-identical to a scratch rebuild at
-    /// the new epoch — the parity the incremental test suite pins down.
-    ///
-    /// [`rebatch_fraction`]: DistributionCache::rebatch_fraction
+    /// The pass reads a snapshot of the entries and builds every
+    /// maintained entry with no lock held, while readers keep hitting the
+    /// published ones; one write-lock section then publishes them
+    /// together. A reader pinned to the pre-delta index keeps reading
+    /// old-epoch values (or computes them privately); a reader that picks
+    /// up the post-delta index sees the maintained entries — never a mix.
+    /// Patched shapes hold multisets byte-identical to a scratch rebuild
+    /// at the new epoch — the parity the incremental test suite pins
+    /// down.
     pub fn apply_delta(
         &self,
         kb: &KnowledgeBase,
@@ -605,166 +457,78 @@ impl DistributionCache {
             delta.to_epoch,
             "apply_delta: refresh the index to the delta's target epoch first"
         );
-        self.note_epoch(delta.to_epoch);
         let mut outcome = DeltaMaintenance::default();
-        // Pin the generation being maintained; every evaluation below
-        // runs against this immutable map with no lock held.
-        let current = self.generation();
-        let mut next: BatchedGeneration = HashMap::with_capacity(current.len());
-        for (key, entry) in current.iter() {
-            if entry.epoch() == delta.to_epoch {
-                // Already current — a reader racing a publication of this
-                // same window evaluated it fresh; keep it.
+        let snapshot: Vec<(CanonicalKey, Arc<AllStartsDistribution>)> =
+            self.entries.read().iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect();
+        let mut maintained = Vec::with_capacity(snapshot.len());
+        let mut dropped = Vec::new();
+        for (key, entry) in snapshot {
+            if entry.epoch == delta.to_epoch {
+                // Already current: a reader of the new index evaluated it.
                 outcome.untouched += 1;
-                next.insert(key.clone(), Arc::clone(entry));
                 continue;
             }
-            if entry.epoch() != delta.from_epoch {
-                // Skewed entry (behind the window): drop it and let the
+            if entry.epoch != delta.from_epoch {
+                // Skewed entry (outside the window): drop it and let the
                 // next read re-evaluate.
                 outcome.dropped += 1;
+                dropped.push((key, entry));
                 continue;
             }
-            let affected_in_domain: Vec<u64> = match delta_affected_starts(kb, &entry.spec, delta) {
-                None => Vec::new(),
-                Some(affected) => {
-                    affected.into_iter().filter(|s| entry.domain.contains(s)).collect()
-                }
-            };
-            if affected_in_domain.is_empty() {
-                // Untouched: republish at the new epoch, sharing the
-                // multisets and domain (O(1) — entries are immutable, so
-                // the old generation's copy stays valid for its readers).
+            let affected: Vec<u64> = delta_affected_starts(kb, &entry.spec, delta)
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|s| entry.covers(*s))
+                .collect();
+            let next = if affected.is_empty() {
                 outcome.untouched += 1;
-                next.insert(
-                    key.clone(),
-                    Arc::new(AllStartsDistribution {
-                        counts: Arc::clone(&entry.counts),
-                        domain: Arc::clone(&entry.domain),
-                        tiles: entry.tiles,
-                        peak_rows: entry.peak_rows,
-                        est_peak_rows: entry.est_peak_rows,
-                        overflow_tiles: entry.overflow_tiles,
-                        epoch: delta.to_epoch,
-                        spec: entry.spec.clone(),
-                    }),
-                );
-                continue;
-            }
-            let threshold = self.rebatch_fraction * entry.domain.len() as f64;
-            if affected_in_domain.len() as f64 > threshold {
-                // Blast radius too large: re-batch the whole domain.
-                self.batched_evals.fetch_add(1, Ordering::Relaxed);
-                let fresh = self
-                    .eval_batch(
+                AllStartsDistribution {
+                    counts: Arc::clone(&entry.counts),
+                    domain: Arc::clone(&entry.domain),
+                    trace: entry.trace,
+                    epoch: delta.to_epoch,
+                    spec: entry.spec.clone(),
+                }
+            } else {
+                // The endpoint postings make the partial evaluation touch
+                // only rows incident to the affected starts.
+                let partial = self
+                    .evaluate(
                         index,
                         entry.spec.clone(),
-                        (*entry.domain).clone(),
+                        &affected,
+                        EvalKind::Delta,
                         &Budget::unlimited(),
                     )
                     .expect("cached batch specs are valid");
-                outcome.rebatched += 1;
-                next.insert(key.clone(), fresh);
-                continue;
-            }
-            // Patch: re-group only the affected starts — the endpoint
-            // postings make this touch only rows incident to them — and
-            // overlay.
-            let req = EvalRequest {
-                starts: &affected_in_domain,
-                row_ceiling: self.row_ceiling,
-                kind: EvalKind::Delta,
-                budget: Budget::unlimited(),
+                outcome.patched += 1;
+                outcome.affected_starts += affected.len();
+                entry.merged(&partial)
             };
-            let partial = count_distributions(index, &entry.spec, &req)
-                .expect("cached batch specs are valid");
-            let trace = partial.trace;
-            self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
-            self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
-            self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
-            let mut counts = (*entry.counts).clone();
-            for s in &affected_in_domain {
-                counts.remove(s);
-            }
-            for (s, multiset) in partial.per_start {
-                counts.insert(s, Arc::new(multiset));
-            }
-            outcome.patched += 1;
-            outcome.affected_starts += affected_in_domain.len();
-            next.insert(
-                key.clone(),
-                Arc::new(AllStartsDistribution {
-                    counts: Arc::new(counts),
-                    domain: Arc::clone(&entry.domain),
-                    tiles: entry.tiles,
-                    peak_rows: entry.peak_rows.max(trace.peak_rows),
-                    est_peak_rows: entry.est_peak_rows.max(trace.est_peak_rows),
-                    overflow_tiles: entry.overflow_tiles.max(trace.overflow_tiles),
-                    epoch: delta.to_epoch,
-                    spec: entry.spec.clone(),
-                }),
-            );
+            maintained.push((key, Arc::new(next)));
         }
-        // Publish: O(1) pointer swap. Readers may have installed entries
-        // while we built the next generation — keep any key we did not
-        // maintain ourselves (ours, already at to_epoch, win on overlap).
-        let mut guard = self.batched.write();
-        if !Arc::ptr_eq(&guard, &current) {
-            for (key, entry) in guard.iter() {
-                next.entry(key.clone()).or_insert_with(|| Arc::clone(entry));
+        let mut entries = self.entries.write();
+        for (key, seen) in dropped {
+            if entries.get(&key).is_some_and(|live| Arc::ptr_eq(live, &seen)) {
+                entries.remove(&key);
             }
         }
-        *guard = Arc::new(next);
-        drop(guard);
-        // Overlay: label-disjoint entries are provably unaffected — bump
-        // their epoch in place (counts unchanged, so readers pinned to
-        // either epoch get identical values); everything else is dropped.
-        let touched: HashSet<u64> = delta.touched_labels().iter().map(|l| l.0 as u64).collect();
-        self.per_start.write().retain(|_, entry| {
-            if entry.0 == delta.to_epoch {
-                return true;
-            }
-            if entry.0 == delta.from_epoch && entry.2.iter().all(|l| !touched.contains(l)) {
-                entry.0 = delta.to_epoch;
-                return true;
-            }
-            false
-        });
+        entries.extend(maintained);
+        self.publications.fetch_add(1, Ordering::Relaxed);
         outcome
     }
 
-    /// Drops every cached entry (batched and overlay) computed before
-    /// `epoch` — the **compaction fallback**: when the KB's delta log no
-    /// longer reaches back to the cache's epoch, stale entries can never
-    /// be patched, so they are purged wholesale and the next read
-    /// re-evaluates cold. Returns the number of entries dropped. Like
-    /// maintenance, the new generation is built off to the side and
-    /// published with an O(1) swap.
+    /// Drops every cached entry computed before `epoch` — the
+    /// **compaction fallback**: when the KB's delta log no longer reaches
+    /// back to the cache's epoch, stale entries can never be patched, so
+    /// they are purged wholesale and the next read re-evaluates cold.
+    /// Returns the number of entries dropped.
     pub fn purge_older_than(&self, epoch: u64) -> usize {
-        self.note_epoch(epoch);
-        let current = self.generation();
-        let mut next: BatchedGeneration = HashMap::new();
-        for (key, entry) in current.iter() {
-            if entry.epoch() >= epoch {
-                next.insert(key.clone(), Arc::clone(entry));
-            }
-        }
-        let mut dropped = current.len() - next.len();
-        let mut guard = self.batched.write();
-        if !Arc::ptr_eq(&guard, &current) {
-            for (key, entry) in guard.iter() {
-                if entry.epoch() >= epoch {
-                    next.entry(key.clone()).or_insert_with(|| Arc::clone(entry));
-                }
-            }
-        }
-        *guard = Arc::new(next);
-        drop(guard);
-        let mut overlay = self.per_start.write();
-        let before = overlay.len();
-        overlay.retain(|_, (e, _, _)| *e >= epoch);
-        dropped += before - overlay.len();
-        dropped
+        let mut entries = self.entries.write();
+        let before = entries.len();
+        entries.retain(|_, entry| entry.epoch >= epoch);
+        self.publications.fetch_add(1, Ordering::Relaxed);
+        before - entries.len()
     }
 
     /// Local position of `e` (count aggregate) via the cache.
@@ -792,9 +556,9 @@ impl DistributionCache {
         Ok(read.batch.position_sum(starts, exclude, e.count() as u64))
     }
 
-    /// Number of cached entries (batched shapes + per-start overlays).
+    /// Number of cached shapes.
     pub fn len(&self) -> usize {
-        self.batched.read().len() + self.per_start.read().len()
+        self.entries.read().len()
     }
 
     /// Whether the cache is empty.
@@ -807,21 +571,21 @@ impl DistributionCache {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
-    /// Number of batched (all-starts) relational evaluations performed —
-    /// the count the tentpole optimization bounds by the number of
-    /// distinct canonical pattern shapes.
+    /// Number of batched (full) relational evaluations performed by
+    /// reads — the count the tentpole optimization bounds by the number
+    /// of distinct canonical pattern shapes.
     pub fn batched_evals(&self) -> usize {
         self.batched_evals.load(Ordering::Relaxed)
     }
 
-    /// An opaque fingerprint of the published batched generation: changes
-    /// on every publication (miss install, delta maintenance, purge) and
-    /// only then. Generations are immutable once behind the `Arc`, so an
-    /// unchanged fingerprint proves no entry was added, dropped, or
-    /// replaced — the abort-leaves-no-trace property the robustness
-    /// proptests pin down without hashing the whole map.
+    /// An opaque fingerprint of the published entries: changes on every
+    /// publication (read install, delta maintenance, purge) and only
+    /// then. Entries are immutable once published, so an unchanged
+    /// fingerprint proves no entry was added, dropped, or replaced — the
+    /// abort-leaves-no-trace property the robustness proptests pin down
+    /// without hashing the whole map.
     pub fn generation_fingerprint(&self) -> usize {
-        Arc::as_ptr(&*self.batched.read()) as usize
+        self.publications.load(Ordering::Relaxed)
     }
 }
 
@@ -945,9 +709,11 @@ mod tests {
         assert_eq!(misses_after, misses, "covered starts never miss");
     }
 
-    /// A start outside the batch's domain falls back to the per-start
-    /// overlay; re-requesting the batch with a larger sample recomputes
-    /// it once and then covers the union.
+    /// Growing a shape's domain evaluates only the starts it adds: under
+    /// a zero row ceiling every start with incident rows is a tile of its
+    /// own, so the growing read's tiles count exactly its new starts, not
+    /// the union. A one-start read outside the domain extends the same
+    /// entry, and covered reads are hits thereafter.
     #[test]
     fn domain_growth_recomputes_once() {
         let kb = rex_kb::toy::entertainment();
@@ -955,25 +721,36 @@ mod tests {
         let b = kb.require_node("angelina_jolie").unwrap();
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
-        let ctx = MeasureContext::new(&kb, a, b).with_global_samples(6, 5);
-        let cache = DistributionCache::new();
-        let index = ctx.edge_index();
-        let starts = ctx.global_sample_starts();
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let cache = DistributionCache::with_row_ceiling(0);
         let e = &out.explanations[0];
-        let (small, grown) = (&starts[..3], &starts[..]);
-        read_batch(&cache, index, e, small);
-        assert_eq!(cache.batched_evals(), 1);
-        // Outside the small domain: overlay probe, not covered by batch.
-        let outside = starts[4];
-        cache.counts(index, e, outside.0);
-        // Growing the domain recomputes the batch once.
-        let batch = read_batch(&cache, index, e, grown);
+        let spec = e.pattern.to_spec();
+        let starts: Vec<NodeId> = kb
+            .node_ids()
+            .filter(|s| index.base().estimate_starts_rows(&spec, &[s.0 as u64]) > 0)
+            .collect();
+        assert!(starts.len() >= 4, "the toy shape has starts with incident rows");
+        let (small, grown) = (&starts[..2], &starts[..starts.len() - 1]);
+        let unlimited = Budget::unlimited();
+        let first = cache.all_starts(&index, e, small, &unlimited).unwrap();
+        assert_eq!(first.evaluated_tiles, Some(small.len()));
+        let growing = cache.all_starts(&index, e, grown, &unlimited).unwrap();
+        assert_eq!(
+            growing.evaluated_tiles,
+            Some(grown.len() - small.len()),
+            "a grown read evaluates its new starts only"
+        );
         assert_eq!(cache.batched_evals(), 2);
-        assert!(batch.covers(outside.0 as u64));
-        // And the grown batch is reused thereafter.
-        read_batch(&cache, index, e, grown);
-        read_batch(&cache, index, e, small);
-        assert_eq!(cache.batched_evals(), 2);
+        // A one-start read outside the domain extends the same entry.
+        let outside = starts[starts.len() - 1];
+        assert!(!growing.batch.covers(outside.0 as u64));
+        cache.counts(&index, e, outside.0);
+        assert_eq!(cache.batched_evals(), 3);
+        assert_eq!(cache.len(), 1, "one entry per shape");
+        let all = cache.all_starts(&index, e, &starts, &unlimited).unwrap();
+        assert_eq!(all.evaluated_tiles, None, "the entry covers every start read so far");
+        read_batch(&cache, &index, e, small);
+        assert_eq!(cache.batched_evals(), 3);
     }
 
     /// Read-time exclusion over one shared batch equals a position sum
@@ -1052,7 +829,7 @@ mod tests {
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let e = &out.explanations[0];
-        let starts: Vec<rex_kb::NodeId> = kb.node_ids().take(8).collect();
+        let starts: Vec<rex_kb::NodeId> = kb.node_ids().take(8).chain([a]).collect();
         let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let cache = DistributionCache::new();
 
@@ -1060,7 +837,7 @@ mod tests {
         assert_eq!(cache.batched_evals(), 1);
         assert_eq!(batch0.epoch(), 0);
         cache.counts(&index, e, a.0);
-        assert!(cache.cached_local_position(e, a.0).is_some());
+        assert!(cache.cached_local_position(&index, e, a.0).is_some());
 
         // Mutate the KB; the refreshed index moves to epoch N+1.
         let epoch0 = kb.epoch();
@@ -1070,24 +847,23 @@ mod tests {
         kb.insert_edge(jr, fc, starring, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
         index = index.next_epoch(&delta).unwrap();
+        // The epoch-N entry no longer answers for the new index.
+        assert!(cache.cached_local_position(&index, e, a.0).is_none());
 
         // Batched read: the epoch-N batch is refused; a fresh evaluation
-        // replaces it.
+        // replaces it, and it serves cached_local_position again.
         let batch1 = read_batch(&cache, &index, e, &starts);
         assert_eq!(cache.batched_evals(), 2, "stale batch must re-evaluate");
         assert_eq!(batch1.epoch(), kb.epoch());
-        // The stale batch also stops serving cached_local_position (the
-        // cache-level epoch moved past it)... and the refreshed one
-        // serves again.
-        assert!(cache.cached_local_position(e, a.0).is_some());
+        assert!(cache.cached_local_position(&index, e, a.0).is_some());
         // A second read is a warm hit — refresh happened exactly once.
         read_batch(&cache, &index, e, &starts);
         assert_eq!(cache.batched_evals(), 2);
     }
 
     /// apply_delta accounting: label-disjoint shapes ride for free,
-    /// touched shapes are patched (or rebatched under a zero fraction),
-    /// and every maintained shape serves warm reads at the new epoch.
+    /// touched shapes are patched with one partial evaluation each, and
+    /// every maintained shape serves warm reads at the new epoch.
     #[test]
     fn apply_delta_maintains_batches() {
         let mut kb = rex_kb::toy::entertainment();
@@ -1114,15 +890,15 @@ mod tests {
         // label-disjoint → untouched, zero evaluations.
         let m = cache.apply_delta(&kb, &index, &delta);
         assert_eq!(m.untouched, shapes);
-        assert_eq!(m.patched + m.rebatched + m.dropped, 0);
+        assert_eq!(m.patched + m.dropped, 0);
         let evals = cache.batched_evals();
         for e in &out.explanations {
             read_batch(&cache, &index, e, &starts);
         }
         assert_eq!(cache.batched_evals(), evals, "maintained shapes serve warm");
 
-        // Now touch 'starring': shapes over it are patched; with a zero
-        // rebatch fraction they would all rebatch instead.
+        // Now touch 'starring': shapes over it are patched, never
+        // re-evaluated whole.
         let epoch1 = kb.epoch();
         let jr = kb.require_node("julia_roberts").unwrap();
         let fc = kb.require_node("fight_club").unwrap();
@@ -1131,12 +907,11 @@ mod tests {
         let delta2 = kb.delta_since(epoch1).into_delta().unwrap();
         index = index.next_epoch(&delta2).unwrap();
         let m2 = cache.apply_delta(&kb, &index, &delta2);
-        assert_eq!(m2.patched + m2.rebatched + m2.untouched, shapes);
-        assert!(m2.patched + m2.rebatched > 0, "starring shapes are touched");
-        if m2.patched > 0 {
-            assert!(cache.delta_evals() > 0);
-            assert!(m2.affected_starts > 0);
-        }
+        assert_eq!(m2.patched + m2.untouched, shapes);
+        assert!(m2.patched > 0, "starring shapes are touched");
+        assert_eq!(cache.delta_evals(), m2.patched, "one partial evaluation per patched shape");
+        assert!(m2.affected_starts > 0);
+        assert_eq!(cache.batched_evals(), evals, "maintenance runs no full batch");
         // Maintained counts equal a scratch evaluation at the new epoch.
         let scratch = DistributionCache::new();
         for e in &out.explanations {
@@ -1153,39 +928,10 @@ mod tests {
         }
     }
 
-    /// The rebatch-fraction validation: NaN and negatives are rejected
-    /// with messages naming the accepted range (a NaN would otherwise
-    /// compare false against every threshold and silently disable
-    /// rebatching); the documented range is accepted verbatim.
-    #[test]
-    fn rebatch_fraction_accepts_documented_range() {
-        assert_eq!(DistributionCache::new().with_rebatch_fraction(0.0).rebatch_fraction(), 0.0);
-        assert_eq!(DistributionCache::new().with_rebatch_fraction(1.0).rebatch_fraction(), 1.0);
-        assert_eq!(DistributionCache::new().with_rebatch_fraction(2.5).rebatch_fraction(), 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn nan_rebatch_fraction_panics_clearly() {
-        let _ = DistributionCache::new().with_rebatch_fraction(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn infinite_rebatch_fraction_panics_clearly() {
-        let _ = DistributionCache::new().with_rebatch_fraction(f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_rebatch_fraction_panics_clearly() {
-        let _ = DistributionCache::new().with_rebatch_fraction(-0.25);
-    }
-
-    /// The overlay-retention bugfix: per-start overlays whose shape labels
-    /// are disjoint from a delta survive `apply_delta` with their epoch
-    /// bumped (no recomputation on the next read), while overlays whose
-    /// shapes touch a delta label are dropped and re-probed.
+    /// One-start entries ride `apply_delta` like any other: entries whose
+    /// shape labels are disjoint from a delta are republished unchanged,
+    /// touched ones are patched — and either way the next read is a hit
+    /// that equals a scratch rebuild at the new epoch.
     #[test]
     fn label_disjoint_overlays_survive_apply_delta() {
         let mut kb = rex_kb::toy::entertainment();
@@ -1195,10 +941,10 @@ mod tests {
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let cache = DistributionCache::new();
-        // Warm the per-start overlay only (no batched entries).
-        for e in &out.explanations {
-            cache.counts(&index, e, a.0);
-        }
+        // Warm one-start entries only.
+        let warm: Vec<Arc<Vec<u64>>> =
+            out.explanations.iter().map(|e| cache.counts(&index, e, a.0)).collect();
+        let shapes = cache.len();
         let (_, misses_warm) = cache.stats();
 
         // Delta on a brand-new label: disjoint from every cached shape.
@@ -1208,18 +954,16 @@ mod tests {
         kb.insert_edge(a, trophy, award, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
         index = index.next_epoch(&delta).unwrap();
-        cache.apply_delta(&kb, &index, &delta);
-        for e in &out.explanations {
-            cache.counts(&index, e, a.0);
+        let m = cache.apply_delta(&kb, &index, &delta);
+        assert_eq!((m.untouched, m.patched), (shapes, 0));
+        for (e, before) in out.explanations.iter().zip(&warm) {
+            assert_eq!(&cache.counts(&index, e, a.0), before, "{}", e.describe(&kb));
         }
-        let (_, misses_disjoint) = cache.stats();
-        assert_eq!(
-            misses_disjoint, misses_warm,
-            "label-disjoint overlays must ride the delta for free"
-        );
+        assert_eq!(cache.stats().1, misses_warm, "label-disjoint entries ride the delta for free");
 
-        // Delta on 'starring': overlays of starring shapes re-probe, the
-        // rest stay warm.
+        // Delta on 'starring': entries of starring shapes around the pair
+        // are patched, the rest ride along; no read misses, and every
+        // answer equals a scratch rebuild.
         let starring = kb.label_by_name("starring").unwrap();
         let epoch1 = kb.epoch();
         let jr = kb.require_node("julia_roberts").unwrap();
@@ -1227,26 +971,19 @@ mod tests {
         kb.insert_edge(jr, fc, starring, true).unwrap();
         let delta2 = kb.delta_since(epoch1).into_delta().unwrap();
         index = index.next_epoch(&delta2).unwrap();
-        cache.apply_delta(&kb, &index, &delta2);
-        for e in &out.explanations {
-            cache.counts(&index, e, a.0);
+        let m2 = cache.apply_delta(&kb, &index, &delta2);
+        assert!(m2.patched > 0, "brad_pitt's starring shapes are touched");
+        assert_eq!(m2.patched + m2.untouched, shapes);
+        let scratch_index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let scratch = DistributionCache::new();
+        for (e, before) in out.explanations.iter().zip(&warm) {
+            let maintained = cache.counts(&index, e, a.0);
+            assert_eq!(maintained, scratch.counts(&scratch_index, e, a.0), "{}", e.describe(&kb));
+            if e.pattern.to_spec().edges.iter().all(|se| se.label != starring.0 as u64) {
+                assert_eq!(&maintained, before, "{}", e.describe(&kb));
+            }
         }
-        let (_, misses_touched) = cache.stats();
-        let starring_shapes = out
-            .explanations
-            .iter()
-            .filter(|e| e.pattern.to_spec().edges.iter().any(|se| se.label == starring.0 as u64))
-            .count();
-        assert!(starring_shapes > 0, "the toy pair has starring-shaped explanations");
-        assert!(
-            starring_shapes < out.explanations.len(),
-            "the toy pair also has spouse-only shapes"
-        );
-        assert_eq!(
-            misses_touched - misses_disjoint,
-            starring_shapes,
-            "exactly the touched shapes re-probe; disjoint overlays stay warm"
-        );
+        assert_eq!(cache.stats().1, misses_warm, "maintained entries serve without a miss");
     }
 
     #[test]
@@ -1282,5 +1019,24 @@ mod tests {
         })
         .expect("scope");
         assert_eq!(serial, parallel);
+
+        // Two threads extending one entry with disjoint start sets both
+        // end up covered, whichever installs first.
+        let e = &out.explanations[0];
+        let starts: Vec<NodeId> = kb.node_ids().collect();
+        let (left, right) = starts.split_at(starts.len() / 2);
+        let barrier = std::sync::Barrier::new(2);
+        crossbeam::thread::scope(|scope| {
+            for half in [left, right] {
+                let (cache, barrier) = (&cache, &barrier);
+                scope.spawn(move |_| {
+                    barrier.wait();
+                    read_batch(cache, index, e, half);
+                });
+            }
+        })
+        .expect("scope");
+        let read = cache.all_starts(index, e, &starts, &Budget::unlimited()).unwrap();
+        assert_eq!(read.evaluated_tiles, None, "both extensions must survive");
     }
 }

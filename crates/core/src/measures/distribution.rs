@@ -33,7 +33,9 @@ pub fn local_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limit
         return ctx.distributions().local_position(ctx.edge_index(), explanation, ctx.vstart.0);
     }
     // Free exactness: a cached distribution answers any bounded query.
-    if let Some(pos) = ctx.distributions().cached_local_position(explanation, ctx.vstart.0) {
+    if let Some(pos) =
+        ctx.distributions().cached_local_position(ctx.edge_index(), explanation, ctx.vstart.0)
+    {
         return pos.min(limit);
     }
     let spec = explanation.pattern.to_spec();

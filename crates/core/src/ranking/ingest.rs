@@ -79,6 +79,46 @@ pub enum IngestOp {
     },
 }
 
+impl IngestOp {
+    /// Applies the op to `kb`, resolving names: an edge op needs both
+    /// endpoints to exist, and a removal needs a matching edge.
+    pub fn apply(&self, kb: &mut KnowledgeBase) -> Result<()> {
+        match self {
+            IngestOp::InsertNode { name, ty } => {
+                kb.insert_node(name, ty);
+                Ok(())
+            }
+            IngestOp::InsertEdge { src, dst, label, directed } => {
+                let s = kb
+                    .node_by_name(src)
+                    .ok_or_else(|| CoreError::Durability(format!("unknown node {src:?}")))?;
+                let d = kb
+                    .node_by_name(dst)
+                    .ok_or_else(|| CoreError::Durability(format!("unknown node {dst:?}")))?;
+                kb.insert_edge_named(s, d, label, *directed)
+                    .map_err(|e| CoreError::Durability(e.to_string()))?;
+                Ok(())
+            }
+            IngestOp::RemoveEdge { src, dst, label, directed } => {
+                let s = kb
+                    .node_by_name(src)
+                    .ok_or_else(|| CoreError::Durability(format!("unknown node {src:?}")))?;
+                let d = kb
+                    .node_by_name(dst)
+                    .ok_or_else(|| CoreError::Durability(format!("unknown node {dst:?}")))?;
+                let l = kb
+                    .label_by_name(label)
+                    .ok_or_else(|| CoreError::Durability(format!("unknown label {label:?}")))?;
+                let id = kb.find_edge(s, d, l, *directed).ok_or_else(|| {
+                    CoreError::Durability(format!("no edge {src:?} -[{label}]-> {dst:?} to remove"))
+                })?;
+                kb.remove_edge(id).map_err(|e| CoreError::Durability(e.to_string()))?;
+                Ok(())
+            }
+        }
+    }
+}
+
 /// What a full queue does to a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
@@ -244,7 +284,7 @@ impl IngestGovernor {
             return Ok(false);
         };
         for op in &ops {
-            self.apply(op)?;
+            op.apply(self.durable.kb_mut())?;
         }
         self.stats.applied_ops += ops.len() as u64;
         self.commit()?;
@@ -298,44 +338,6 @@ impl IngestGovernor {
             self.durable.checkpoint().map_err(|e| CoreError::Durability(e.to_string()))?;
         self.stats.checkpoints += 1;
         Ok(receipt)
-    }
-
-    /// Applies one op to the durable KB (not yet committed or served).
-    fn apply(&mut self, op: &IngestOp) -> Result<()> {
-        let kb = self.durable.kb_mut();
-        match op {
-            IngestOp::InsertNode { name, ty } => {
-                kb.insert_node(name, ty);
-                Ok(())
-            }
-            IngestOp::InsertEdge { src, dst, label, directed } => {
-                let s = kb
-                    .node_by_name(src)
-                    .ok_or_else(|| CoreError::Durability(format!("unknown node {src:?}")))?;
-                let d = kb
-                    .node_by_name(dst)
-                    .ok_or_else(|| CoreError::Durability(format!("unknown node {dst:?}")))?;
-                kb.insert_edge_named(s, d, label, *directed)
-                    .map_err(|e| CoreError::Durability(e.to_string()))?;
-                Ok(())
-            }
-            IngestOp::RemoveEdge { src, dst, label, directed } => {
-                let s = kb
-                    .node_by_name(src)
-                    .ok_or_else(|| CoreError::Durability(format!("unknown node {src:?}")))?;
-                let d = kb
-                    .node_by_name(dst)
-                    .ok_or_else(|| CoreError::Durability(format!("unknown node {dst:?}")))?;
-                let l = kb
-                    .label_by_name(label)
-                    .ok_or_else(|| CoreError::Durability(format!("unknown label {label:?}")))?;
-                let id = kb.find_edge(s, d, l, *directed).ok_or_else(|| {
-                    CoreError::Durability(format!("no edge {src:?} -[{label}]-> {dst:?} to remove"))
-                })?;
-                kb.remove_edge(id).map_err(|e| CoreError::Durability(e.to_string()))?;
-                Ok(())
-            }
-        }
     }
 
     /// The pacing policy. Flip when the hard lag bound is hit; defer

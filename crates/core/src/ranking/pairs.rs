@@ -253,9 +253,9 @@ pub(crate) fn rank_pass(
             .map(|e| cache.all_starts(index, e, frame.starts(), budget).ok())
             .collect();
         let batches = || reads.iter().flatten().map(|r| &r.batch);
-        let peak_rows = batches().map(|b| b.peak_rows()).max().unwrap_or(0);
-        let est_peak_rows = batches().map(|b| b.est_peak_rows()).max().unwrap_or(0);
-        let overflow_tiles: usize = batches().map(|b| b.overflow_tiles()).sum();
+        let peak_rows = batches().map(|b| b.trace().peak_rows).max().unwrap_or(0);
+        let est_peak_rows = batches().map(|b| b.trace().est_peak_rows).max().unwrap_or(0);
+        let overflow_tiles: usize = batches().map(|b| b.trace().overflow_tiles).sum();
         let (mut batched_evals, mut tiles) = (0, 0);
         for (evals, t) in reads.iter().flatten().map(own_work) {
             batched_evals += evals;

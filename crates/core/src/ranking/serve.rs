@@ -16,16 +16,17 @@
 //! * maintenance ([`ServingState::maintain`]) builds the **next** epoch
 //!   off to the side: a copy-on-write [`ShardedEdgeIndex::next_epoch`]
 //!   (only shards and partitions a delta touches are copied), the frame
-//!   redraw policy, and [`DistributionCache::apply_delta`] (which itself
-//!   publishes a new cache generation with an O(1) swap) — then
-//!   **flips** the slot with a single `Arc` swap. Readers that pinned
-//!   before the flip keep ranking against the old epoch; readers that
-//!   pin after it observe the new epoch — in full, never a torn mix.
+//!   redraw policy, and [`DistributionCache::apply_delta`] (which patches
+//!   the touched cache entries with no lock held and publishes every
+//!   maintained entry in one write-lock section) — then **flips** the
+//!   slot with a single `Arc` swap. Readers that pinned before the flip
+//!   keep ranking against the old epoch; readers that pin after it
+//!   observe the new epoch — in full, never a torn mix.
 //!
 //! The epoch attribution works because every piece a snapshot hands out
 //! is immutable once published: the index is never edited in place after
-//! publication, cache entries carry a fixed epoch and are refused (and
-//! transparently recomputed *at the pinned epoch*) whenever they do not
+//! publication, cache entries carry a fixed epoch and are ignored (the
+//! read evaluates *at the pinned epoch* instead) whenever they do not
 //! match the snapshot's index, and the frame is a plain immutable sample.
 //!
 //! When the KB's mutation log has been compacted past the session's epoch
@@ -100,7 +101,7 @@ struct PinnedState {
 /// and sample frame published together at that epoch, plus the shared
 /// distribution cache (whose per-entry epoch guard keeps reads consistent
 /// with the pinned index even while maintenance publishes newer
-/// generations). Cheap to clone; hold it for the duration of one read
+/// entries). Cheap to clone; hold it for the duration of one read
 /// pass and every value observed belongs to [`Snapshot::epoch`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -367,19 +368,7 @@ impl ServingState {
     /// frame and cache from `cfg` (`global_samples`, `seed`,
     /// `row_ceiling`).
     pub fn build(kb: &KnowledgeBase, cfg: &RankPairsConfig) -> Result<ServingState> {
-        Self::assemble(kb, cfg, None, None)
-    }
-
-    /// [`ServingState::build`] with a caller-constructed cache (e.g. a
-    /// custom rebatch fraction). The cache's row ceiling must agree with
-    /// `cfg.row_ceiling` — the same contract
-    /// [`rank_pairs_with`](crate::ranking::rank_pairs_with) enforces.
-    pub fn build_with_cache(
-        kb: &KnowledgeBase,
-        cfg: &RankPairsConfig,
-        cache: DistributionCache,
-    ) -> Result<ServingState> {
-        Self::assemble(kb, cfg, Some(cache), None)
+        Self::assemble(kb, cfg, None)
     }
 
     /// [`ServingState::build`] around an index built elsewhere — the warm
@@ -400,27 +389,21 @@ impl ServingState {
                 kb.epoch()
             )));
         }
-        Self::assemble(kb, cfg, None, Some(index))
+        Self::assemble(kb, cfg, Some(index))
     }
 
-    /// The one constructor behind every `build*`: the cache defaults to
-    /// one with `cfg`'s row ceiling and the index to a fresh build with
-    /// `cfg`'s shard layout; the frame is always sampled from `kb`.
+    /// The one constructor behind every `build*`: the cache gets `cfg`'s
+    /// row ceiling and the index defaults to a fresh build with `cfg`'s
+    /// shard layout; the frame is always sampled from `kb`.
     fn assemble(
         kb: &KnowledgeBase,
         cfg: &RankPairsConfig,
-        cache: Option<DistributionCache>,
         index: Option<ShardedEdgeIndex>,
     ) -> Result<ServingState> {
-        let cache = cache.unwrap_or_else(|| match cfg.row_ceiling {
+        let cache = match cfg.row_ceiling {
             Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
             None => DistributionCache::new(),
-        });
-        assert_eq!(
-            cache.row_ceiling(),
-            cfg.row_ceiling,
-            "ServingState: the cache's row ceiling disagrees with cfg.row_ceiling"
-        );
+        };
         let frame = Arc::new(SampleFrame::sample(kb, cfg.global_samples, cfg.seed)?);
         let index = index
             .unwrap_or_else(|| ShardedEdgeIndex::build(kb, ShardSpec::new(cfg.shards, cfg.seed)));
@@ -570,8 +553,8 @@ impl ServingState {
                 // anywhere before it — index COW, frame refresh, cache
                 // maintenance, an injected fault — abandons next-epoch
                 // state that no reader ever saw. (apply_delta publishes
-                // cache generations internally, but entries carry their
-                // epoch and are refused by readers pinned to the old
+                // cache entries internally, but entries carry their
+                // epoch and are ignored by readers pinned to the old
                 // index, so even a post-apply_delta panic leaves reads
                 // consistent.)
                 let attempt = catch_unwind(AssertUnwindSafe(
@@ -585,18 +568,18 @@ impl ServingState {
                         let (next_frame, frame_redrawn) = pinned.frame.refresh(kb)?;
                         self.fire(site::MAINTAIN_APPLY_DELTA);
                         // Maintain the cache BEFORE the flip: while
-                        // apply_delta builds the next generation (the
-                        // expensive part of the pass), readers still pin
-                        // the old index and keep warm-hitting the old
-                        // generation — reader throughput stays flat for
-                        // the whole maintenance window. Readers are never
-                        // blocked either way (no lock is held across any
-                        // evaluation); the cold window is only the
-                        // instants between the generation swap and the
-                        // flip below, and a reader caught there
-                        // recomputes *privately* at its pinned epoch (the
-                        // install path never lets an old-epoch result
-                        // clobber a maintained entry).
+                        // apply_delta patches entries (the expensive part
+                        // of the pass), readers still pin the old index
+                        // and keep warm-hitting the old entries — reader
+                        // throughput stays flat for the whole maintenance
+                        // window. Readers are never blocked either way
+                        // (no lock is held across any evaluation); the
+                        // cold window is only the instants between
+                        // apply_delta's publication and the flip below,
+                        // and a reader caught there recomputes
+                        // *privately* at its pinned epoch (the install
+                        // path never lets an old-epoch result clobber a
+                        // maintained entry).
                         let maintenance = self.cache.apply_delta(kb, &next_index, &delta);
                         self.fire(site::MAINTAIN_BEFORE_FLIP);
                         let next = Arc::new(PinnedState {

@@ -19,9 +19,8 @@
 //! 3. delta-maintains the
 //!    [`DistributionCache`](crate::measures::DistributionCache)
 //!    ([`DistributionCache::apply_delta`]): label-disjoint shapes are
-//!    republished for free, lightly touched shapes are patched with a
-//!    partial evaluation over just their affected starts, and only
-//!    heavily touched shapes are re-batched;
+//!    republished for free, and every touched shape is patched with one
+//!    partial evaluation over just its affected starts;
 //! 4. **flips** the new `(kb, index, frame)` triple into the serving slot
 //!    with one O(1) `Arc` swap — concurrent readers pinned to the old
 //!    epoch never wait and never observe a torn mix.
@@ -122,7 +121,7 @@ mod tests {
         let m = maintained.maintenance;
         assert_eq!(m.dropped, 0);
         assert!(m.untouched > 0, "label-disjoint shapes must ride for free");
-        assert!(m.patched + m.rebatched + m.untouched >= cold.distinct_shapes);
+        assert!(m.patched + m.untouched >= cold.distinct_shapes);
 
         // Cold re-rank on the updated KB: fresh cache, same index/frame.
         let snap = state.snapshot();
@@ -219,7 +218,7 @@ mod tests {
     }
 
     /// When compaction destroys the session's delta window, the update
-    /// path falls back to a full rebatch and still ranks correctly.
+    /// path falls back to a cold re-evaluation and still ranks correctly.
     #[test]
     fn compaction_forces_full_rebatch_fallback() {
         let mut kb = rex_kb::toy::entertainment();
@@ -255,7 +254,7 @@ mod tests {
         let updated = state.snapshot().rank(&tasks1, &cfg, &Budget::unlimited());
         assert!(maintained.compaction_fallback);
         assert_eq!(maintained.index_churn, 0);
-        // The re-rank paid cold evaluations (full rebatch fallback).
+        // The re-rank paid cold evaluations (the purged cache refills).
         assert!(updated.batched_evals > 0);
         // And the rankings equal a from-scratch driver.
         let scratch = rank_pairs(&kb, &tasks1, &cfg).unwrap();
@@ -266,14 +265,15 @@ mod tests {
         }
     }
 
-    /// Sessions built with a caller-provided cache enforce the ceiling
-    /// contract, and frame/cache accessors expose the session pieces.
+    /// A session's cache takes the build config's row ceiling, so ranking
+    /// a snapshot under a config with another ceiling fails loudly.
     #[test]
     #[should_panic(expected = "row ceiling disagrees")]
     fn mismatched_cache_ceiling_panics() {
         let kb = rex_kb::toy::entertainment();
         let cfg = RankPairsConfig { row_ceiling: Some(128), ..RankPairsConfig::default() };
-        let _ = ServingState::build_with_cache(&kb, &cfg, DistributionCache::new());
+        let state = ServingState::build(&kb, &cfg).unwrap();
+        let _ = state.snapshot().rank(&[], &RankPairsConfig::default(), &Budget::unlimited());
     }
 
     /// The serving frame equals a directly sampled frame for the same

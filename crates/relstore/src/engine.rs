@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use rex_kb::{DeltaSince, EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
+use rex_kb::{EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
 
 use crate::budget::Budget;
 use crate::metrics::EvalTrace;
@@ -100,7 +100,7 @@ pub(crate) type PartitionEntry<'a> = ((u64, u64), &'a Arc<Relation>, &'a Arc<Par
 ///
 /// The index carries the KB [`epoch`](EdgeIndex::epoch) it reflects and
 /// refreshes **incrementally** from a [`KbDelta`]
-/// ([`EdgeIndex::apply_delta`] / [`EdgeIndex::refresh`]): only the touched
+/// ([`EdgeIndex::apply_delta`]): only the touched
 /// `(label, dir)` partitions are edited, instead of rebuilding every
 /// partition from scratch on each KB update.
 ///
@@ -121,18 +121,6 @@ pub struct EdgeIndex {
     total_rows: usize,
     node_count: usize,
     epoch: u64,
-}
-
-/// What [`EdgeIndex::refresh`] had to do to catch up with the KB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Refresh {
-    /// Already at the KB's epoch — nothing to do.
-    Current,
-    /// A retained delta was applied in place; carries the edge churn.
-    Applied(usize),
-    /// The KB's log was compacted past this index's epoch: the index was
-    /// rebuilt from scratch (the graceful-degradation path).
-    Rebuilt,
 }
 
 impl EdgeIndex {
@@ -252,29 +240,6 @@ impl EdgeIndex {
         let mut next = self.clone();
         next.apply_delta(delta)?;
         Ok(next)
-    }
-
-    /// Refreshes the index to `kb`'s current epoch by applying
-    /// [`KnowledgeBase::delta_since`] this index's epoch — or rebuilding
-    /// from scratch when log compaction has discarded that window
-    /// ([`DeltaSince::Compacted`]), the graceful degradation long-lived
-    /// processes rely on. A no-op when already current; returns what
-    /// happened.
-    pub fn refresh(&mut self, kb: &KnowledgeBase) -> Result<Refresh> {
-        if kb.epoch() == self.epoch {
-            return Ok(Refresh::Current);
-        }
-        match kb.delta_since(self.epoch) {
-            DeltaSince::Delta(delta) => {
-                let churn = delta.edge_churn();
-                self.apply_delta(&delta)?;
-                Ok(Refresh::Applied(churn))
-            }
-            DeltaSince::Compacted { .. } => {
-                *self = EdgeIndex::build(kb);
-                Ok(Refresh::Rebuilt)
-            }
-        }
     }
 
     /// The rows matching a `(label, dir)` pair — the shared partition
@@ -1004,7 +969,9 @@ pub fn local_position(
     Ok(grouped.len())
 }
 
-/// [`local_count_distribution`] over a prebuilt [`EdgeIndex`].
+/// [`local_count_distribution`] over a prebuilt [`EdgeIndex`]: one
+/// start-bound evaluation, kept as the per-start reference the batched
+/// [`count_distributions`] is checked against.
 pub fn local_count_distribution_indexed(
     index: &EdgeIndex,
     spec: &PatternSpec,
@@ -1637,16 +1604,6 @@ mod tests {
         let a = all_distributions(&index, &spec);
         let b = all_distributions(&rebuilt, &spec);
         assert_eq!(a, b);
-
-        // refresh() is the delta_since + apply_delta composition.
-        let e2 = kb.insert_edge(bp, m, starring, true).unwrap();
-        let mut refreshed = index.clone();
-        assert_eq!(refreshed.refresh(&kb).unwrap(), Refresh::Applied(1));
-        assert_eq!(refreshed.epoch(), kb.epoch());
-        assert_eq!(refreshed.refresh(&kb).unwrap(), Refresh::Current, "already current");
-        kb.remove_edge(e2).unwrap();
-        assert_eq!(refreshed.refresh(&kb).unwrap(), Refresh::Applied(1));
-        assert_eq!(refreshed.total_rows(), index.total_rows());
     }
 
     /// `next_epoch` builds the updated index off to the side: the source
@@ -1692,29 +1649,6 @@ mod tests {
             index.scan(untouched, dir_code::FORWARD),
             next.scan(untouched, dir_code::FORWARD)
         );
-    }
-
-    /// When the KB's log is compacted past the index's epoch, `refresh`
-    /// degrades gracefully to a full rebuild instead of applying a
-    /// partial (wrong) delta.
-    #[test]
-    fn refresh_rebuilds_after_log_compaction() {
-        let mut kb = toy::entertainment();
-        let mut index = EdgeIndex::build(&kb);
-        let bp = kb.require_node("brad_pitt").unwrap();
-        let m = kb.require_node("oceans_eleven").unwrap();
-        let starring = kb.label_by_name("starring").unwrap();
-        for _ in 0..3 {
-            let e = kb.insert_edge(bp, m, starring, true).unwrap();
-            kb.remove_edge(e).unwrap();
-        }
-        kb.insert_edge(bp, m, starring, true).unwrap();
-        kb.compact_log(kb.epoch());
-        assert!(kb.delta_since(index.epoch()).is_compacted());
-        assert_eq!(index.refresh(&kb).unwrap(), Refresh::Rebuilt);
-        assert_eq!(index.epoch(), kb.epoch());
-        let rebuilt = EdgeIndex::build(&kb);
-        assert_eq!(index.total_rows(), rebuilt.total_rows());
     }
 
     /// Skewed deltas fail loudly instead of corrupting the index.

@@ -10,7 +10,7 @@
 //!   byte-identically to a scratch build of the KB at `E`, even after the
 //!   serving state has flipped past it under further random mutations;
 //! * **per-request accounting** — a ranking outcome counts only its own
-//!   evaluations, never a concurrent maintenance rebatch.
+//!   evaluations, never a concurrent maintenance patch.
 //!
 //! [`Snapshot`]: rex_core::ranking::Snapshot
 //! [`ServingState::maintain`]: rex_core::ranking::ServingState
@@ -449,16 +449,16 @@ proptest! {
 }
 
 /// Per-request accounting under a concurrent writer: a reader thread
-/// ranks warm pairs back to back while a writer maintains the session
-/// with a zero rebatch fraction, so every delta-touched shape is
-/// re-evaluated by maintenance while reader passes are in flight (the
-/// writer starts each round only once the reader has finished another
-/// pass, so the reader is mid-loop at every flip). Each ranking outcome
+/// ranks warm pairs back to back while a writer maintains the session,
+/// so delta-touched shapes are patched by maintenance while reader
+/// passes are in flight (the writer starts each round only once the
+/// reader has finished another pass, so the reader is mid-loop at every
+/// flip). Maintenance runs no full batch, and each ranking outcome
 /// counts only the evaluations its own request performed, so the
-/// readers' counts plus the writer's rebatches account for every batched
-/// evaluation the shared cache performed — no maintenance rebatch is
-/// charged to a reader, and no reader miss goes missing. The equality
-/// holds for every interleaving.
+/// readers' counts account for every batched evaluation of the shared
+/// cache and the writer's patches for every delta evaluation — no
+/// maintenance work is charged to a reader, and no reader miss goes
+/// missing. The equalities hold for every interleaving.
 #[test]
 fn ranking_outcomes_count_only_their_own_evaluations() {
     let mut kb = suite_kb(3);
@@ -474,16 +474,16 @@ fn ranking_outcomes_count_only_their_own_evaluations() {
         row_ceiling: None,
         shards: 1,
     };
-    let cache = DistributionCache::new().with_rebatch_fraction(0.0);
-    let state = ServingState::build_with_cache(&kb, &cfg, cache).unwrap();
+    let state = ServingState::build(&kb, &cfg).unwrap();
     let tasks = [PairExplanations { start: a, end: b, explanations: &explanations }];
     let warm = state.snapshot().rank(&tasks, &cfg, &Budget::unlimited());
     assert!(warm.batched_evals > 0, "the warm-up pass evaluates cold shapes");
     let evals_before = state.cache().batched_evals();
+    let delta_evals_before = state.cache().delta_evals();
 
     let (pass_done, next_pass) = std::sync::mpsc::channel::<()>();
     let done = AtomicBool::new(false);
-    let (reader_evals, passes, rebatched) = crossbeam::thread::scope(|scope| {
+    let (reader_evals, passes, patched) = crossbeam::thread::scope(|scope| {
         let (state, tasks, cfg, done) = (&state, &tasks, &cfg, &done);
         let reader = scope.spawn(move |_| {
             let (mut evals, mut passes) = (0, 0);
@@ -498,16 +498,16 @@ fn ranking_outcomes_count_only_their_own_evaluations() {
         });
         let kb = &mut kb;
         let writer = scope.spawn(move |_| {
-            let mut rebatched = 0;
+            let mut patched = 0;
             for round in 0..8usize {
                 next_pass.recv().expect("the reader loops until the writer is done");
                 // One insert per round, cycling the shape labels so every
                 // round touches some cached shape.
                 apply_ops(kb, &[(0, round * 7, round * 11 + 3, round % 5, round % 2 == 0)], "w");
-                rebatched += state.maintain(kb).unwrap().maintenance.rebatched;
+                patched += state.maintain(kb).unwrap().maintenance.patched;
             }
             done.store(true, Ordering::Release);
-            rebatched
+            patched
         });
         let (evals, passes) = reader.join().unwrap();
         (evals, passes, writer.join().unwrap())
@@ -515,11 +515,16 @@ fn ranking_outcomes_count_only_their_own_evaluations() {
     .unwrap();
 
     assert!(passes > 0, "the reader must make progress");
-    assert!(rebatched > 0, "the script must make maintenance rebatch");
+    assert!(patched > 0, "the script must make maintenance patch");
     assert_eq!(
-        reader_evals + rebatched,
+        reader_evals,
         state.cache().batched_evals() - evals_before,
-        "reader outcomes ({reader_evals}) + writer rebatches ({rebatched}) must account for \
-         every batched evaluation of the shared cache"
+        "reader outcomes ({reader_evals}) must account for every batched evaluation of the \
+         shared cache"
+    );
+    assert_eq!(
+        patched,
+        state.cache().delta_evals() - delta_evals_before,
+        "writer patches ({patched}) must account for every delta evaluation"
     );
 }

@@ -101,9 +101,9 @@ proptest! {
         let maintenance = cache.apply_delta(&kb, &index, &delta);
         prop_assert_eq!(maintenance.dropped, 0);
         prop_assert_eq!(
-            maintenance.patched + maintenance.rebatched + maintenance.untouched,
+            maintenance.patched + maintenance.untouched,
             warm_evals,
-            "every warmed shape is accounted for"
+            "every warmed shape is patched or untouched"
         );
         // One partial evaluation per patched shape: the cache counts the
         // delta evaluations the engine's returned traces report.
@@ -193,7 +193,7 @@ fn stale_cache_refreshes_to_correct_values() {
                 e.describe(&kb)
             );
         }
-        // The per-start overlay is epoch-guarded too.
+        // One-start reads are epoch-guarded too.
         assert_eq!(cache.counts(&index, e, a.0), fresh.counts(&index, e, a.0));
     }
     assert!(cache.batched_evals() > evals_warm, "stale batches must re-evaluate");

@@ -41,15 +41,15 @@ fn cfg() -> RankPairsConfig {
 }
 
 /// Everything observable about a [`DistributionCache`] short of walking
-/// its entries: the published-generation pointer (generations are
-/// immutable once published, so an unchanged pointer proves nothing was
-/// published), entry count, hit/miss counters, evaluation counters,
-/// tiling stats, and epoch. A budgeted call that aborts must leave this
-/// tuple bit-identical.
+/// its entries: the publication fingerprint (entries are immutable once
+/// published, so an unchanged fingerprint proves nothing was published),
+/// entry count, hit/miss counters, evaluation counters, and tiling
+/// stats. A budgeted call that aborts must leave this tuple
+/// bit-identical.
 #[allow(clippy::type_complexity)]
 fn fingerprint(
     cache: &DistributionCache,
-) -> (usize, usize, (usize, usize), usize, usize, (usize, usize), u64) {
+) -> (usize, usize, (usize, usize), usize, usize, (usize, usize)) {
     (
         cache.generation_fingerprint(),
         cache.len(),
@@ -57,7 +57,6 @@ fn fingerprint(
         cache.batched_evals(),
         cache.delta_evals(),
         cache.tiling_stats(),
-        cache.current_epoch(),
     )
 }
 
@@ -132,7 +131,7 @@ fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
     let read = cache.all_starts(&index, &explanations[0], &starts, &Budget::unlimited()).unwrap();
     let tiles = read.evaluated_tiles.expect("a cold cache evaluates");
     assert!(tiles >= 1);
-    assert_eq!(tiles, read.batch.eval_tiles());
+    assert_eq!(tiles, read.batch.trace().tiles);
     assert_eq!(cache.batched_evals(), 1, "one batch is one full evaluation");
     assert_eq!(cache.tiling_stats().0, tiles);
 
