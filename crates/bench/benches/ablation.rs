@@ -6,7 +6,8 @@
 //! * merge instance combination: hash join vs. the paper-literal nested
 //!   loop;
 //! * distribution queries: shared cache vs. recomputation;
-//! * parallel distribution ranking: 1 vs. 4 worker threads.
+//! * the shared ranking pass ([`rank_pairs_with`] on a one-pair workload
+//!   over the context's index, frame and cache): 1 vs. 4 worker threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rex_core::canonical::{are_isomorphic, canonical_key};
@@ -15,8 +16,7 @@ use rex_core::enumerate::{EnumStats, GeneralEnumerator};
 use rex_core::measures::cache::DistributionCache;
 use rex_core::measures::distribution::global_position_per_start;
 use rex_core::measures::MeasureContext;
-use rex_core::ranking::distribution::Scope;
-use rex_core::ranking::parallel::rank_by_position_parallel;
+use rex_core::ranking::{rank_pairs_with, PairExplanations, RankPairsConfig};
 use rex_core::{EnumConfig, Explanation};
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_relstore::budget::Budget;
@@ -116,12 +116,21 @@ fn bench_cache_and_parallel(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    let pair = PairExplanations { start, end, explanations };
     for threads in [1usize, 4] {
+        let cfg = RankPairsConfig {
+            k: 10,
+            global_samples: 10,
+            seed: 7,
+            threads,
+            row_ceiling: None,
+            shards: 1,
+        };
         group.bench_function(format!("global_parallel_t{threads}"), |b| {
             b.iter(|| {
                 let ctx = MeasureContext::new(&kb, start, end).with_global_samples(10, 7);
-                let _ = ctx.edge_index();
-                rank_by_position_parallel(explanations, &ctx, 10, Scope::Global, false, threads)
+                let index = ctx.edge_index();
+                rank_pairs_with(&[pair], &cfg, index, ctx.sample_frame(), ctx.distributions())
             })
         });
     }

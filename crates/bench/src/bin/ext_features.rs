@@ -5,8 +5,10 @@
 //!    hand-tuned combinations of Table 1;
 //! 2. the **deviation-based distributional measure** (§4.3's alternative);
 //! 3. **explanation decoration** (§2.3's deferred stage);
-//! 4. the **shared distribution cache** and **parallel ranking**
+//! 4. the **shared distribution cache** and the **shared ranking pass**
 //!    (§5.3.2's amortization/parallelism remarks) — wall-clock effect.
+//!    The pass ([`rank_pairs_with`] with 4 threads over the context's
+//!    index, frame and cache) must rank exactly as the sequential ranker.
 
 use std::time::Instant;
 
@@ -16,8 +18,7 @@ use rex_core::enumerate::GeneralEnumerator;
 use rex_core::measures::cache::DistributionCache;
 use rex_core::measures::{table1_measures, LocalDeviationMeasure, Measure, MeasureContext};
 use rex_core::ranking::distribution::{rank_by_position, Scope};
-use rex_core::ranking::parallel::rank_by_position_parallel;
-use rex_core::ranking::rank;
+use rex_core::ranking::{rank, rank_pairs_with, PairExplanations, RankPairsConfig};
 use rex_oracle::dcg::dcg_score;
 use rex_oracle::judge::{features, JudgePanel};
 use rex_oracle::study::paper_pairs;
@@ -99,8 +100,18 @@ fn main() {
         }
         let t_cached = t0.elapsed();
         let t0 = Instant::now();
-        let par = rank_by_position_parallel(&out.explanations, &sctx, 10, Scope::Global, false, 4);
-        let t_par = t0.elapsed();
+        let pair = PairExplanations { start: p.start, end: p.end, explanations: &out.explanations };
+        let pass_cfg = RankPairsConfig {
+            k: 10,
+            global_samples: 20,
+            seed: 7,
+            threads: 4,
+            row_ceiling: sctx.distributions().row_ceiling(),
+            shards: 1,
+        };
+        let pass =
+            rank_pairs_with(&[pair], &pass_cfg, index, sctx.sample_frame(), sctx.distributions());
+        let t_pass = t0.elapsed();
         let (hits, misses) = cache.stats();
         let mut t = Table::new(["variant", "time", "notes"]);
         t.row([
@@ -114,15 +125,15 @@ fn main() {
             format!("{hits} hits / {misses} misses"),
         ]);
         t.row([
-            "parallel ×4 (cached)".to_string(),
-            format!("{:.1} ms", t_par.as_secs_f64() * 1e3),
+            "shared pass ×4 (cached)".to_string(),
+            format!("{:.1} ms", t_pass.as_secs_f64() * 1e3),
             "same top-k as sequential".to_string(),
         ]);
         section("Distribution-computation amortization (§5.3.2 remarks)", &t.render());
         assert_eq!(
             seq.iter().map(|r| r.score).collect::<Vec<_>>(),
-            par.iter().map(|r| r.score).collect::<Vec<_>>(),
-            "parallel ranking diverged"
+            pass.rankings[0].iter().map(|r| r.score).collect::<Vec<_>>(),
+            "shared ranking pass diverged"
         );
     }
 }

@@ -244,7 +244,7 @@ pub struct RankingBenchSide {
 /// all pairs, shapes evaluated cheapest-first under a row ceiling.
 #[derive(Debug, Clone, Copy)]
 pub struct SharedFrameSide {
-    /// Wall time of prewarm + position phases across all pairs.
+    /// Wall time of the shared pass (prewarm reads + scoring) across all pairs.
     pub wall: Duration,
     /// Full (batched) relational evaluations — bounded by the distinct
     /// shapes across the *whole workload*, not Σ per-pair shapes.

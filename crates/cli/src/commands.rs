@@ -738,7 +738,7 @@ fn query_explanations(
             let explanations = queries
                 .iter()
                 .filter_map(|q| {
-                    let opts = MatchOptions { cap: Some(cap), ..Default::default() };
+                    let opts = MatchOptions { cap: Some(cap) };
                     let res = find_instances(kb, &q.pattern, s, e, opts);
                     if res.instances.is_empty() {
                         return None;

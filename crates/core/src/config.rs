@@ -1,21 +1,5 @@
 //! Enumeration configuration.
 
-/// Instance-mapping semantics: whether two variables of a pattern may bind
-/// the same entity (paper Definition 2).
-///
-/// REX's operational semantics — instances assembled from covering
-/// *simple-path* instances — is the injective one; the homomorphism mode
-/// exists to explore Definition 2 read literally, and is supported by the
-/// matcher only (the path-union framework is inherently injective).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Semantics {
-    /// Distinct variables bind distinct entities (default).
-    #[default]
-    Injective,
-    /// Distinct variables may share an entity (Definition 2 literally).
-    Homomorphism,
-}
-
 /// Configuration shared by all enumeration algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnumConfig {
@@ -26,14 +10,12 @@ pub struct EnumConfig {
     /// `None` stores all instances (exact counts); benchmarks set a cap to
     /// bound memory on hub-heavy pairs, and runs report saturation.
     pub instance_cap: Option<usize>,
-    /// Instance-mapping semantics for the matcher-based algorithms.
-    pub semantics: Semantics,
 }
 
 impl EnumConfig {
     /// The paper's configuration: pattern size ≤ 5, exact instances.
     pub fn paper() -> Self {
-        EnumConfig { max_pattern_nodes: 5, instance_cap: None, semantics: Semantics::Injective }
+        EnumConfig { max_pattern_nodes: 5, instance_cap: None }
     }
 
     /// Configuration with a different size limit.
@@ -70,7 +52,6 @@ mod tests {
         assert_eq!(c.max_pattern_nodes, 5);
         assert_eq!(c.path_len_limit(), 4);
         assert_eq!(c.instance_cap, None);
-        assert_eq!(c.semantics, Semantics::Injective);
     }
 
     #[test]

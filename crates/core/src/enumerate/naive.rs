@@ -205,7 +205,7 @@ impl NaiveEnumerator {
                             if nb.other == vstart || nb.other == vend {
                                 continue;
                             }
-                            if self.injective() && inst.as_slice().contains(&nb.other) {
+                            if inst.as_slice().contains(&nb.other) {
                                 continue;
                             }
                             let mut assignment = inst.as_slice().to_vec();
@@ -223,10 +223,6 @@ impl NaiveEnumerator {
             }
         }
         children
-    }
-
-    fn injective(&self) -> bool {
-        matches!(self.config.semantics, crate::config::Semantics::Injective)
     }
 }
 

@@ -54,8 +54,8 @@ impl Instance {
         &self.assignment
     }
 
-    /// Whether all variables bind pairwise-distinct entities, as
-    /// [`Semantics::Injective`](crate::Semantics::Injective) requires.
+    /// Whether all variables bind pairwise-distinct entities, as REX's
+    /// injective instance semantics requires.
     pub fn is_injective(&self) -> bool {
         // Quadratic over ≤ ~8 variables beats allocating a set.
         for i in 0..self.assignment.len() {

@@ -73,7 +73,7 @@ pub mod properties;
 pub mod query;
 pub mod ranking;
 
-pub use config::{EnumConfig, Semantics};
+pub use config::EnumConfig;
 pub use error::{CoreError, Result};
 pub use explanation::Explanation;
 pub use instance::Instance;

@@ -14,15 +14,12 @@
 
 use rex_kb::{KnowledgeBase, NodeId, Orientation};
 
-use crate::config::Semantics;
 use crate::instance::Instance;
 use crate::pattern::{Pattern, PatternEdge, VarId, END_VAR, START_VAR};
 
 /// Matching options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatchOptions {
-    /// Injective (default) or homomorphism semantics.
-    pub semantics: Semantics,
     /// Stop after this many instances (`None` = exhaustive).
     pub cap: Option<usize>,
 }
@@ -94,10 +91,7 @@ impl Search<'_> {
         if node == self.vstart || node == self.vend {
             return false; // Definition 2: targets are excluded
         }
-        match self.opts.semantics {
-            Semantics::Homomorphism => true,
-            Semantics::Injective => !self.bound_nodes.contains(&node),
-        }
+        !self.bound_nodes.contains(&node)
     }
 
     /// Binds `var := node` for the duration of the recursion below it.
@@ -324,7 +318,7 @@ mod tests {
             &p,
             node(&kb, "brad_pitt"),
             node(&kb, "julia_roberts"),
-            MatchOptions { cap: Some(1), ..Default::default() },
+            MatchOptions { cap: Some(1) },
         );
         assert_eq!(r.instances.len(), 1);
         assert!(r.saturated);
@@ -382,11 +376,11 @@ mod tests {
 
     #[test]
     fn injective_vs_homomorphism() {
-        // Build a KB with a diamond that admits a non-injective mapping:
-        // start->m (r), end->m (r), start->m2 (r), end->m2 (r); pattern
-        // start->v2<-end, start->v3<-end (two co-star squares). Under
-        // homomorphism v2 == v3 allowed (4 combinations); injective
-        // requires v2 != v3 (2 combinations).
+        // A diamond that admits a non-injective mapping: start->m1<-end
+        // and start->m2<-end over label r; pattern start->v2<-end,
+        // start->v3<-end (two co-star squares). A homomorphism could map
+        // v2 and v3 to the same movie (4 combinations); the matcher is
+        // injective, so v2 != v3 leaves 2.
         let mut b = rex_kb::KbBuilder::new();
         let s = b.add_node("s", "P");
         let e = b.add_node("e", "P");
@@ -408,16 +402,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let inj = find_instances(&kb, &p, s, e, MatchOptions::default());
-        assert_eq!(inj.instances.len(), 2);
-        let hom = find_instances(
-            &kb,
-            &p,
-            s,
-            e,
-            MatchOptions { semantics: Semantics::Homomorphism, ..Default::default() },
-        );
-        assert_eq!(hom.instances.len(), 4);
+        let found = find_instances(&kb, &p, s, e, MatchOptions::default());
+        assert_eq!(found.instances.len(), 2);
+        assert!(found.instances.iter().all(|i| i.get(VarId(2)) != i.get(VarId(3))));
     }
 
     #[test]

@@ -241,8 +241,9 @@ pub struct DistributionCache {
     /// [`DistributionCache::generation_fingerprint`].
     publications: AtomicUsize,
     hits: AtomicUsize,
+    /// Reads that evaluated; every miss is one batched evaluation, so
+    /// this also backs [`DistributionCache::batched_evals`].
     misses: AtomicUsize,
-    batched_evals: AtomicUsize,
     /// Best-effort ceiling on join-produced intermediate rows per batched
     /// evaluation; `None` evaluates each batch as a single tile.
     row_ceiling: Option<usize>,
@@ -393,7 +394,6 @@ impl DistributionCache {
         let fresh = self.evaluate(index, e.pattern.to_spec(), &missing, EvalKind::Full, budget)?;
         let evaluated_tiles = Some(fresh.trace.tiles);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.batched_evals.fetch_add(1, Ordering::Relaxed);
         let computed = match &base {
             Some(b) => b.merged(&fresh),
             None => fresh,
@@ -572,10 +572,11 @@ impl DistributionCache {
     }
 
     /// Number of batched (full) relational evaluations performed by
-    /// reads — the count the tentpole optimization bounds by the number
-    /// of distinct canonical pattern shapes.
+    /// reads — one per miss, so always the miss count of
+    /// [`DistributionCache::stats`]. A ranking pass performs at most one
+    /// per distinct canonical pattern shape.
     pub fn batched_evals(&self) -> usize {
-        self.batched_evals.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// An opaque fingerprint of the published entries: changes on every

@@ -30,7 +30,6 @@ pub mod fault;
 mod general;
 pub mod ingest;
 pub mod pairs;
-pub mod parallel;
 pub mod serve;
 pub mod topk;
 pub mod update;

@@ -23,8 +23,9 @@
 //! 4. **Memory-bounded evaluation**: an intermediate-row ceiling tiles
 //!    each batch's start set ([`DistributionCache::with_row_ceiling`]) so
 //!    peak join intermediates stay bounded regardless of frame size.
-//! 5. **Parallel position phase**: pairs fan out over rayon; every
-//!    position query is a cache hit by then.
+//! 5. **One read per shape**: the prewarm's reads are the pass's only
+//!    cache accesses. Every pair is then scored from those reads in a
+//!    plain loop, so a request reads each distinct shape exactly once.
 //!
 //! Every ranking request runs this one pass, under a [`Budget`] that the
 //! unbudgeted entry points leave unlimited: [`rank_pairs`] (a one-shot
@@ -46,6 +47,7 @@ use rayon::prelude::*;
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::budget::{AbortReason, Budget};
 use rex_relstore::engine::ShardedEdgeIndex;
+use rex_relstore::RelError;
 
 use crate::canonical::CanonicalKey;
 use crate::error::Result;
@@ -75,8 +77,8 @@ pub struct RankPairsConfig {
     pub global_samples: usize,
     /// Sample-frame seed.
     pub seed: u64,
-    /// Worker threads for the prewarm and position phases (0 = rayon's
-    /// default width).
+    /// Worker threads for the prewarm's cache reads (0 = rayon's default
+    /// width).
     pub threads: usize,
     /// Best-effort ceiling on join-produced intermediate rows per batched
     /// evaluation; `None` disables tiling.
@@ -125,10 +127,9 @@ pub struct RankPairsOutcome {
     pub rankings: Vec<Vec<Ranked>>,
     /// Distinct canonical pattern shapes across the whole workload.
     pub distinct_shapes: usize,
-    /// Batched relational evaluations this run performed itself
-    /// (≤ `distinct_shapes` when no concurrent maintenance outdates its
-    /// batches); evaluations by other readers or by maintenance sharing
-    /// the cache are not counted.
+    /// Batched relational evaluations this run performed itself, at most
+    /// one per shape (≤ `distinct_shapes`); evaluations by other readers
+    /// or by maintenance sharing the cache are not counted.
     pub batched_evals: usize,
     /// Start tiles evaluated by this run's own batches.
     pub tiles: usize,
@@ -183,20 +184,17 @@ pub fn rank_pairs_with(
     rank_pass(pairs, cfg, index, frame, cache, &Budget::unlimited())
 }
 
-/// `(evaluations, tiles)` a cache read performed itself.
-fn own_work(read: &BatchRead) -> (usize, usize) {
-    read.evaluated_tiles.map_or((0, 0), |tiles| (1, tiles))
-}
-
 /// The ranking pass behind every entry point, under a [`Budget`]: the
 /// deadline, cancellation token, and row budget are checked at every tile
 /// boundary of every batched evaluation, and the workload **degrades
-/// pair-by-pair** rather than all-or-nothing. A pair whose shapes were
-/// all evaluated (or warm) before the budget fired is ranked exactly; a
-/// pair that needed an aborted evaluation lands in
-/// [`RankPairsOutcome::shed`] with an empty ranking slot. Aborted
-/// evaluations leave the shared cache untouched, so a follow-up run (with
-/// a fresh budget) picks up exactly where the warm shapes left off.
+/// pair-by-pair** rather than all-or-nothing. The pass reads each
+/// distinct shape from the cache exactly once, then scores every pair
+/// from those reads with no further cache access. A pair whose shapes
+/// were all read is ranked exactly; a pair that needs a shape whose read
+/// aborted lands in [`RankPairsOutcome::shed`] with an empty ranking
+/// slot. Aborted evaluations leave the shared cache untouched, so a
+/// follow-up run (with a fresh budget) picks up exactly where the warm
+/// shapes left off.
 pub(crate) fn rank_pass(
     pairs: &[PairExplanations<'_>],
     cfg: &RankPairsConfig,
@@ -233,87 +231,81 @@ pub(crate) fn rank_pass(
         .num_threads(cfg.threads)
         .build()
         .expect("thread pool construction is infallible");
-    pool.install(|| {
-        // Deal the cost-sorted shapes round-robin into one lane per worker
-        // and concatenate: a contiguous-chunk scheduler (the vendored
-        // rayon) then gives every worker a similar cost mix instead of
-        // handing the entire heavy tail to the last chunk; a
-        // work-stealing scheduler is indifferent to the permutation.
-        let workers = rayon::current_num_threads().max(1);
-        let mut dealt: Vec<&Explanation> = Vec::with_capacity(ordered.len());
-        for lane in 0..workers {
-            dealt.extend(ordered.iter().skip(lane).step_by(workers).map(|(_, e)| *e));
-        }
-        // Prewarm under the budget: a shape whose evaluation aborts stays
-        // cold (the cache is untouched) and is simply skipped here — the
-        // position phase retries it per pair and sheds exactly the pairs
-        // that still need it.
-        let reads: Vec<Option<BatchRead>> = dealt
-            .par_iter()
-            .map(|e| cache.all_starts(index, e, frame.starts(), budget).ok())
-            .collect();
-        let batches = || reads.iter().flatten().map(|r| &r.batch);
-        let peak_rows = batches().map(|b| b.trace().peak_rows).max().unwrap_or(0);
-        let est_peak_rows = batches().map(|b| b.trace().est_peak_rows).max().unwrap_or(0);
-        let overflow_tiles: usize = batches().map(|b| b.trace().overflow_tiles).sum();
-        let (mut batched_evals, mut tiles) = (0, 0);
-        for (evals, t) in reads.iter().flatten().map(own_work) {
-            batched_evals += evals;
-            tiles += t;
-        }
-
-        // Position phase: warm shapes are cache hits; pairs fan out, each
-        // applying its own read-time exclusion to the shared batches. A
-        // pair that hits an aborted (still-cold) shape is shed whole —
-        // partial scores would rank explanations against each other on
-        // incomparable evidence.
-        type PairResult = (std::result::Result<Vec<Ranked>, AbortReason>, (usize, usize));
-        let per_pair: Vec<PairResult> = pairs
-            .par_iter()
-            .map(|pair| {
-                let mut work = (0, 0);
-                let mut scores: Vec<f64> = Vec::with_capacity(pair.explanations.len());
-                for e in pair.explanations {
-                    match cache.all_starts(index, e, frame.starts(), budget) {
-                        Ok(read) => {
-                            let (evals, t) = own_work(&read);
-                            work = (work.0 + evals, work.1 + t);
-                            let a = e.count() as u64;
-                            let pos = read.batch.position_sum(frame.starts(), Some(pair.start), a);
-                            scores.push(-(pos as f64));
-                        }
-                        Err(rex_relstore::RelError::Aborted(reason)) => return (Err(reason), work),
+    let reads: HashMap<&CanonicalKey, std::result::Result<BatchRead, AbortReason>> = pool
+        .install(|| {
+            // Deal the cost-sorted shapes round-robin into one lane per
+            // worker and concatenate: a contiguous-chunk scheduler (the
+            // vendored rayon) then gives every worker a similar cost mix
+            // instead of handing the entire heavy tail to the last chunk;
+            // a work-stealing scheduler is indifferent to the permutation.
+            let workers = rayon::current_num_threads().max(1);
+            let mut dealt: Vec<&Explanation> = Vec::with_capacity(ordered.len());
+            for lane in 0..workers {
+                dealt.extend(ordered.iter().skip(lane).step_by(workers).map(|(_, e)| *e));
+            }
+            // The pass's only cache reads, one per shape, under the
+            // budget. An aborted read leaves its shape cold and the cache
+            // untouched; scoring sheds exactly the pairs that need it.
+            dealt
+                .par_iter()
+                .map(|&e| {
+                    let read = match cache.all_starts(index, e, frame.starts(), budget) {
+                        Ok(read) => Ok(read),
+                        Err(RelError::Aborted(reason)) => Err(reason),
                         Err(err) => panic!("explanation patterns are valid specs: {err}"),
-                    }
-                }
-                (Ok(rank_with_scores(pair.explanations, &scores, cfg.k)), work)
+                    };
+                    (e.key(), read)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .collect();
+
+    let mut outcome = RankPairsOutcome {
+        rankings: Vec::with_capacity(pairs.len()),
+        distinct_shapes,
+        batched_evals: 0,
+        tiles: 0,
+        peak_rows: 0,
+        est_peak_rows: 0,
+        overflow_tiles: 0,
+        shed: Vec::new(),
+    };
+    for read in reads.values().flatten() {
+        let trace = read.batch.trace();
+        outcome.peak_rows = outcome.peak_rows.max(trace.peak_rows);
+        outcome.est_peak_rows = outcome.est_peak_rows.max(trace.est_peak_rows);
+        outcome.overflow_tiles += trace.overflow_tiles;
+        if let Some(tiles) = read.evaluated_tiles {
+            outcome.batched_evals += 1;
+            outcome.tiles += tiles;
+        }
+    }
+
+    // Scoring: each pair applies its own read-time exclusion to the shared
+    // batches. A pair that needs an aborted shape is shed whole, with the
+    // reason of its first such explanation — partial scores would rank
+    // explanations against each other on incomparable evidence.
+    for (i, pair) in pairs.iter().enumerate() {
+        let scores: std::result::Result<Vec<f64>, AbortReason> = pair
+            .explanations
+            .iter()
+            .map(|e| {
+                let read = reads[e.key()].as_ref().map_err(|reason| *reason)?;
+                let pos =
+                    read.batch.position_sum(frame.starts(), Some(pair.start), e.count() as u64);
+                Ok(-(pos as f64))
             })
             .collect();
-        let mut rankings: Vec<Vec<Ranked>> = Vec::with_capacity(per_pair.len());
-        let mut shed: Vec<ShedPair> = Vec::new();
-        for (i, (outcome, (evals, t))) in per_pair.into_iter().enumerate() {
-            batched_evals += evals;
-            tiles += t;
-            match outcome {
-                Ok(ranked) => rankings.push(ranked),
-                Err(reason) => {
-                    shed.push(ShedPair { pair: i, reason });
-                    rankings.push(Vec::new());
-                }
+        outcome.rankings.push(match scores {
+            Ok(scores) => rank_with_scores(pair.explanations, &scores, cfg.k),
+            Err(reason) => {
+                outcome.shed.push(ShedPair { pair: i, reason });
+                Vec::new()
             }
-        }
-
-        RankPairsOutcome {
-            rankings,
-            distinct_shapes,
-            batched_evals,
-            tiles,
-            peak_rows,
-            est_peak_rows,
-            overflow_tiles,
-            shed,
-        }
-    })
+        });
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -378,7 +370,8 @@ mod tests {
 
     /// The workload-wide evaluation budget is the number of distinct
     /// shapes across all pairs — strictly fewer than Σ per-pair shapes
-    /// when shapes recur (they do on the toy KB).
+    /// when shapes recur (they do on the toy KB) — and a pass reads the
+    /// cache exactly once per distinct shape, cold or warm.
     #[test]
     fn workload_evaluates_once_per_distinct_shape() {
         let (kb, prepared) = toy_workload();
@@ -395,16 +388,44 @@ mod tests {
             row_ceiling: None,
             shards: 1,
         };
+        let index = ShardedEdgeIndex::build(&kb, rex_relstore::engine::ShardSpec::single());
+        let frame = Arc::new(SampleFrame::sample(&kb, cfg.global_samples, cfg.seed).unwrap());
+        let cache = DistributionCache::new();
+        let reads = || {
+            let (hits, misses) = cache.stats();
+            hits + misses
+        };
+        for pass in ["cold", "warm"] {
+            let before = reads();
+            let outcome = rank_pairs_with(&tasks, &cfg, &index, &frame, &cache);
+            assert_eq!(reads() - before, outcome.distinct_shapes, "{pass} pass cache reads");
+            assert!(outcome.distinct_shapes > 0);
+            assert!(outcome.batched_evals <= outcome.distinct_shapes);
+            assert!(
+                outcome.distinct_shapes < per_pair_shapes,
+                "toy pairs share shapes ({} vs {per_pair_shapes})",
+                outcome.distinct_shapes
+            );
+            // Untiled: exactly one tile per batch.
+            assert_eq!(outcome.tiles, outcome.batched_evals);
+        }
+    }
+
+    /// `k = 0` ranks nothing for any pair, and sheds none.
+    #[test]
+    fn zero_depth_ranks_nothing() {
+        let (kb, prepared) = toy_workload();
+        let tasks: Vec<PairExplanations<'_>> = prepared
+            .iter()
+            .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
+            .collect();
+        let cfg =
+            RankPairsConfig { k: 0, global_samples: 8, seed: 5, ..RankPairsConfig::default() };
         let outcome = rank_pairs(&kb, &tasks, &cfg).unwrap();
         assert!(outcome.distinct_shapes > 0);
-        assert!(outcome.batched_evals <= outcome.distinct_shapes);
-        assert!(
-            outcome.distinct_shapes < per_pair_shapes,
-            "toy pairs share shapes ({} vs {per_pair_shapes})",
-            outcome.distinct_shapes
-        );
-        // Untiled: exactly one tile per batch.
-        assert_eq!(outcome.tiles, outcome.batched_evals);
+        assert_eq!(outcome.rankings.len(), tasks.len());
+        assert!(outcome.rankings.iter().all(Vec::is_empty));
+        assert!(outcome.shed.is_empty());
     }
 
     /// A tight row ceiling tiles the batches without changing rankings.

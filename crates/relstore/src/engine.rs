@@ -14,7 +14,7 @@ use rex_kb::{EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
 use crate::budget::Budget;
 use crate::metrics::EvalTrace;
 use crate::ops::{group_count_having_limit, FIB_HASH};
-use crate::plan::{dir_code, PatternSpec, StartBinding};
+use crate::plan::{dir_code, PatternSpec, SpecEdge, StartBinding};
 use crate::relation::{ColumnPosting, Relation, Schema};
 use crate::{RelError, Result};
 
@@ -362,14 +362,46 @@ impl EdgeIndex {
         self.node_count
     }
 
+    /// Distinct values of `e`'s `from` (`src`) or `to` column in its
+    /// partition, at least 1: the `V(edge, col)` of a join selectivity.
+    pub(crate) fn endpoint_distinct(&self, e: &SpecEdge, src: bool) -> f64 {
+        let posting = self.postings.get(&(e.label, e.dir()));
+        posting.map_or(1, |p| p.endpoint(src).distinct_keys()).max(1) as f64
+    }
+
+    /// The factor by which joining `e` multiplies an intermediate whose
+    /// bound variables are `bound`: the edge's rows divided by `V(edge,
+    /// col)` for every already-bound endpoint column, under the
+    /// containment assumption (a self-loop edge divides once, by its
+    /// larger column). The one join-selectivity formula of the row
+    /// estimate and the planner.
+    pub(crate) fn join_multiplier(&self, e: &SpecEdge, bound: &[bool]) -> f64 {
+        let mut mult = self.scan_len(e.label, e.dir()) as f64;
+        if e.u == e.v {
+            if bound[e.u] {
+                mult /= self.endpoint_distinct(e, true).max(self.endpoint_distinct(e, false));
+            }
+        } else {
+            if bound[e.u] {
+                mult /= self.endpoint_distinct(e, true);
+            }
+            if bound[e.v] {
+                mult /= self.endpoint_distinct(e, false);
+            }
+        }
+        mult
+    }
+
     /// System-R estimate of the **unbound** instance relation's row count
     /// for `spec`, with join selectivities read from the endpoint
     /// postings' real distinct-value counts instead of the entity-domain
-    /// size. The estimate walks the same greedy join order the evaluator
-    /// uses (smallest scan first, then the smallest connected scan); each
-    /// join multiplies by the edge's rows divided by `V(edge, col)` — the
-    /// distinct values of every already-bound endpoint column, under the
-    /// containment assumption.
+    /// size. The estimate walks a greedy join order of its own (smallest
+    /// partition first, then the smallest connected partition), not the
+    /// evaluator's plan, which [`PatternSpec::plan_split`] orders by
+    /// estimated output; each join multiplies by the planner's factor,
+    /// the edge's rows divided by `V(edge, col)` — the distinct values of
+    /// every already-bound endpoint column, under the containment
+    /// assumption.
     ///
     /// The old formula multiplied raw `scan_len` per edge and divided by
     /// the node count once per join, which assumed every join column
@@ -383,11 +415,7 @@ impl EdgeIndex {
         let m = spec.edges.len();
         let mut used = vec![false; m];
         let mut bound = vec![false; spec.var_count];
-        let edge_rows = |i: usize| {
-            let e = &spec.edges[i];
-            let dir = e.dir();
-            self.scan_len(e.label, dir)
-        };
+        let edge_rows = |i: usize| self.scan_len(spec.edges[i].label, spec.edges[i].dir());
         let mut est = 0.0f64;
         for step in 0..m {
             let pick = (0..m)
@@ -399,30 +427,11 @@ impl EdgeIndex {
                 .unwrap_or_else(|| (0..m).find(|&i| !used[i]).expect("step < m"));
             used[pick] = true;
             let e = spec.edges[pick];
-            let dir = e.dir();
-            let rows = self.scan_len(e.label, dir) as f64;
-            if step == 0 {
-                est = rows;
+            est = if step == 0 {
+                edge_rows(pick) as f64
             } else {
-                let posting = self.postings.get(&(e.label, dir));
-                let distinct = |src: bool| {
-                    posting.map_or(1, |p| p.endpoint(src).distinct_keys()).max(1) as f64
-                };
-                let mut mult = rows;
-                if e.u == e.v {
-                    if bound[e.u] {
-                        mult /= distinct(true).max(distinct(false));
-                    }
-                } else {
-                    if bound[e.u] {
-                        mult /= distinct(true);
-                    }
-                    if bound[e.v] {
-                        mult /= distinct(false);
-                    }
-                }
-                est *= mult;
-            }
+                est * self.join_multiplier(&e, &bound)
+            };
             bound[e.u] = true;
             bound[e.v] = true;
         }
@@ -444,16 +453,25 @@ impl EdgeIndex {
         (scans + self.estimate_instance_rows(spec)).min(u64::MAX as f64) as u64
     }
 
-    /// Packs `starts` (sorted, deduped) into variable-size tiles whose
-    /// estimated join-produced rows stay under `max_rows`, weighting each
-    /// start by its **exact** incident-row count from the endpoint
-    /// postings of the start variable's anchor edge (its smallest
-    /// start-incident partition). The pre-posting tiling assumed every
-    /// start contributes the same `1/n` share of the shape's rows; the
-    /// posting counts replace that uniformity with the measured
-    /// per-start selectivity, so hub starts get small tiles and leaf
-    /// starts pack densely — exact tile sizing instead of estimated.
-    ///
+    /// Estimated join-produced rows of `spec` over a sorted start set:
+    /// the starts' **exact** incident rows on the start variable's anchor
+    /// edge (its smallest start-incident partition), read from the
+    /// endpoint postings, times the estimated instances per anchor row —
+    /// at least 1.0, so the incident rows themselves count even for
+    /// highly selective shapes. `None` when no edge touches the start
+    /// variable. The one per-start weight of admission and tiling.
+    fn start_rows(&self, spec: &PatternSpec) -> Option<impl Fn(&[u64]) -> f64 + '_> {
+        let anchor = spec
+            .edges
+            .iter()
+            .filter(|e| e.u == spec.start || e.v == spec.start)
+            .min_by_key(|e| self.scan_len(e.label, e.dir()))?;
+        let (label, dir, src) = (anchor.label, anchor.dir(), anchor.u == spec.start);
+        let anchor_rows = self.scan_len(label, dir).max(1) as f64;
+        let per_row = (self.estimate_instance_rows(spec) / anchor_rows).max(1.0);
+        Some(move |starts: &[u64]| self.incident_len(label, dir, src, starts) as f64 * per_row)
+    }
+
     /// Estimated join-produced rows of one batched evaluation of `spec`
     /// restricted to `starts` — the same exact per-start incident-row
     /// statistic [`EdgeIndex::tile_starts_for_ceiling`] packs tiles with,
@@ -462,26 +480,22 @@ impl EdgeIndex {
     /// the rows actually incident to its starts (measured from the
     /// endpoint postings), not to the KB.
     pub fn estimate_starts_rows(&self, spec: &PatternSpec, starts: &[u64]) -> usize {
-        let mut sorted: Vec<u64> = starts.to_vec();
-        sorted.sort_unstable();
-        let anchor =
-            spec.edges.iter().filter(|e| e.u == spec.start || e.v == spec.start).min_by_key(|e| {
-                let dir = e.dir();
-                self.scan_len(e.label, dir)
-            });
-        let Some(anchor) = anchor else {
+        let Some(start_rows) = self.start_rows(spec) else {
             // No start-incident edge: the start variable is unconstrained,
             // so the whole estimated instance relation is the cost.
             return self.estimate_instance_rows(spec).min(usize::MAX as f64) as usize;
         };
-        let src = anchor.u == spec.start;
-        let dir = anchor.dir();
-        let anchor_rows = self.scan_len(anchor.label, dir).max(1) as f64;
-        let per_row = (self.estimate_instance_rows(spec) / anchor_rows).max(1.0);
-        let incident = self.incident_len(anchor.label, dir, src, &sorted) as f64;
-        (incident * per_row).min(usize::MAX as f64) as usize
+        let mut sorted: Vec<u64> = starts.to_vec();
+        sorted.sort_unstable();
+        start_rows(&sorted).min(usize::MAX as f64) as usize
     }
 
+    /// Packs `starts` (sorted, deduped) into variable-size tiles whose
+    /// estimated join-produced rows stay under `max_rows`, weighting each
+    /// start by its **exact** incident-row count from the endpoint
+    /// postings of the start variable's anchor edge, so hub starts get
+    /// small tiles and leaf starts pack densely.
+    ///
     /// Every tile holds at least one start; a start whose own weight
     /// exceeds the ceiling gets a singleton tile (the per-edge scans are
     /// a floor no tiling can lower).
@@ -494,26 +508,14 @@ impl EdgeIndex {
         if starts.is_empty() {
             return Vec::new();
         }
-        let anchor =
-            spec.edges.iter().filter(|e| e.u == spec.start || e.v == spec.start).min_by_key(|e| {
-                let dir = e.dir();
-                self.scan_len(e.label, dir)
-            });
-        let Some(anchor) = anchor else {
+        let Some(start_rows) = self.start_rows(spec) else {
             return vec![starts.to_vec()];
         };
-        let src = anchor.u == spec.start;
-        let dir = anchor.dir();
-        let anchor_rows = self.scan_len(anchor.label, dir).max(1) as f64;
-        // Estimated instances per incident row of the anchor edge; at
-        // least 1.0 so the incident rows themselves count against the
-        // ceiling even for highly selective shapes.
-        let per_row = (self.estimate_instance_rows(spec) / anchor_rows).max(1.0);
         let mut tiles: Vec<Vec<u64>> = Vec::new();
         let mut tile: Vec<u64> = Vec::new();
         let mut tile_cost = 0.0f64;
         for &s in starts {
-            let weight = self.incident_len(anchor.label, dir, src, &[s]) as f64 * per_row;
+            let weight = start_rows(&[s]);
             if !tile.is_empty() && tile_cost + weight > max_rows as f64 {
                 tiles.push(std::mem::take(&mut tile));
                 tile_cost = 0.0;
@@ -952,23 +954,6 @@ pub fn local_count_distribution(
     Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
 }
 
-/// Counts the end entities whose instance count strictly exceeds `c` —
-/// the pattern's *position* in the local distribution (`HAVING count > c`).
-/// `limit` bounds the answer: scanning stops once `limit` qualifying
-/// entities are found (the paper's `LIMIT p` pruning), so the return value
-/// saturates at `limit`.
-pub fn local_position(
-    edge_rel: &Relation,
-    spec: &PatternSpec,
-    start: u64,
-    c: u64,
-    limit: usize,
-) -> Result<usize> {
-    let instances = spec.evaluate(edge_rel, Some(start))?;
-    let grouped = group_count_having_limit(&instances, &[spec.end], c, limit)?;
-    Ok(grouped.len())
-}
-
 /// [`local_count_distribution`] over a prebuilt [`EdgeIndex`]: one
 /// start-bound evaluation, kept as the per-start reference the batched
 /// [`count_distributions`] is checked against.
@@ -1293,11 +1278,13 @@ fn grouped_tiles(
     Ok(out)
 }
 
-/// [`local_position`] over a prebuilt [`EdgeIndex`], returned with the
-/// query's trace. Bounded queries (`limit < usize::MAX`) run through the
-/// pipelined streaming plan, which aborts the final join as soon as
-/// `limit` qualifying end entities are known — the heart of the paper's
-/// `LIMIT p` pruning.
+/// Counts the end entities whose instance count strictly exceeds `c` —
+/// the pattern's *position* in `start`'s local distribution (`HAVING
+/// count > c`) — over a prebuilt [`EdgeIndex`], returned with the query's
+/// trace. `limit` bounds the answer, which saturates at `limit`: bounded
+/// queries (`limit < usize::MAX`) run through the pipelined streaming
+/// plan, which aborts the final join as soon as `limit` qualifying end
+/// entities are known — the heart of the paper's `LIMIT p` pruning.
 pub fn local_position_indexed(
     index: &EdgeIndex,
     spec: &PatternSpec,
@@ -1385,15 +1372,14 @@ mod tests {
         assert_eq!(dist.get(&aj), Some(&1));
         assert_eq!(dist.get(&jr), Some(&2));
         assert_eq!(dist.get(&tc), Some(&1));
+        let index = EdgeIndex::build(&kb);
+        let position = |c, limit| local_position_indexed(&index, &spec, bp, c, limit).unwrap().0;
         // Position of count=1: entities with count > 1 — only Julia (2).
-        let pos = local_position(&rel, &spec, bp, 1, usize::MAX).unwrap();
-        assert_eq!(pos, 1);
+        assert_eq!(position(1, usize::MAX), 1);
         // Position of Julia's count=2: nobody beats it.
-        let pos = local_position(&rel, &spec, bp, 2, usize::MAX).unwrap();
-        assert_eq!(pos, 0);
+        assert_eq!(position(2, usize::MAX), 0);
         // LIMIT saturates.
-        let pos = local_position(&rel, &spec, bp, 0, 2).unwrap();
-        assert_eq!(pos, 2);
+        assert_eq!(position(0, 2), 2);
     }
 
     /// Batched all-starts distributions must agree with per-start grouped
@@ -1962,7 +1948,8 @@ mod tests {
         // Example 7's punchline: spousal explanation with count 1 has
         // position 0 (nothing beats it), so it outranks co-starring with
         // count 1.
-        assert_eq!(local_position(&rel, &spec, bp, 1, usize::MAX).unwrap(), 0);
+        let index = EdgeIndex::build(&kb);
+        assert_eq!(local_position_indexed(&index, &spec, bp, 1, usize::MAX).unwrap().0, 0);
     }
 
     /// The specialized two-level `(start, end)` accumulator must agree

@@ -400,10 +400,6 @@ impl PatternSpec {
     ) -> JoinPlan {
         let m = self.edges.len();
         let start_keys = sorted_start_keys(binding);
-        let distinct = |e: &SpecEdge, src: bool| -> f64 {
-            scan.posting(e.label, e.dir()).map_or(1, |p| p.endpoint(src).distinct_keys()).max(1)
-                as f64
-        };
         let mut used = vec![false; m];
         let mut bound = vec![false; self.var_count];
         let mut steps: Vec<JoinStep> = Vec::with_capacity(m);
@@ -438,7 +434,7 @@ impl PatternSpec {
                         if !side_bound {
                             continue;
                         }
-                        let d = distinct(e, src);
+                        let d = scan.endpoint_distinct(e, src);
                         let est_keys = est_cur.min(d);
                         let est_incident = est_keys * rows / d;
                         if est_incident < choice.1 {
@@ -451,24 +447,8 @@ impl PatternSpec {
                     // partition scan is the only honest first step.
                     (Access::Scan, rows)
                 };
-                let est_out = if step_no == 0 {
-                    est_rows
-                } else {
-                    let mut mult = rows;
-                    if e.u == e.v {
-                        if bound[e.u] {
-                            mult /= distinct(e, true).max(distinct(e, false));
-                        }
-                    } else {
-                        if bound[e.u] {
-                            mult /= distinct(e, true);
-                        }
-                        if bound[e.v] {
-                            mult /= distinct(e, false);
-                        }
-                    }
-                    est_cur * mult
-                };
+                let est_out =
+                    if step_no == 0 { est_rows } else { est_cur * scan.join_multiplier(e, &bound) };
                 let better = match &best {
                     None => true,
                     Some((b_out, b_rows, b_i, _)) => {

@@ -12,7 +12,7 @@ use rex_core::enumerate::GeneralEnumerator;
 use rex_core::measures::distribution::{global_position, global_position_per_start};
 use rex_core::measures::MeasureContext;
 use rex_core::ranking::distribution::{rank_by_position, Scope};
-use rex_core::ranking::parallel::rank_by_position_parallel;
+use rex_core::ranking::{rank_pairs_with, PairExplanations, RankPairsConfig};
 use rex_core::EnumConfig;
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_kb::KnowledgeBase;
@@ -85,7 +85,8 @@ fn seeded_datagen_kb_batched_parity() {
 /// The acceptance bar of the batching tentpole: ranking a workload under
 /// the global distribution measure performs at most one full (batched)
 /// relational evaluation per **distinct canonical pattern shape**, pruned
-/// or not — observable through the shared cache's counters.
+/// or not, sequential or through the shared ranking pass — observable
+/// through the shared cache's counters.
 #[test]
 fn global_ranking_evaluates_once_per_shape() {
     let kb = generate(&GeneratorConfig::tiny(2011));
@@ -103,8 +104,18 @@ fn global_ranking_evaluates_once_per_shape() {
         for prune in [false, true] {
             let _ = rank_by_position(&out.explanations, &ctx, 5, Scope::Global, prune);
         }
-        let _ = rank_by_position_parallel(&out.explanations, &ctx, 5, Scope::Global, true, 4);
         let cache = ctx.distributions();
+        let _ = rank_pairs_with(
+            &[PairExplanations {
+                start: pair.start,
+                end: pair.end,
+                explanations: &out.explanations,
+            }],
+            &RankPairsConfig { k: 5, threads: 4, row_ceiling: None, ..RankPairsConfig::default() },
+            ctx.edge_index(),
+            ctx.sample_frame(),
+            cache,
+        );
         assert!(
             cache.batched_evals() <= distinct_shapes.len(),
             "{} batched evaluations for {} distinct shapes",
@@ -119,8 +130,9 @@ fn global_ranking_evaluates_once_per_shape() {
     }
 }
 
-/// Pruned, unpruned, sequential, and parallel global rankings agree on a
-/// synthetic KB; the batched path agrees with the per-start baseline.
+/// Pruned and unpruned rankings agree on a synthetic KB, and so does the
+/// shared ranking pass on the global scope; the batched path agrees with
+/// the per-start baseline.
 #[test]
 fn datagen_rankings_agree_across_engines() {
     let kb = generate(&GeneratorConfig::tiny(42));
@@ -143,11 +155,28 @@ fn datagen_rankings_agree_across_engines() {
     for scope in [Scope::Local, Scope::Global] {
         let exact = rank_by_position(&out.explanations, &ctx, 5, scope, false);
         let pruned = rank_by_position(&out.explanations, &ctx, 5, scope, true);
-        let par = rank_by_position_parallel(&out.explanations, &ctx, 5, scope, true, 3);
         let es: Vec<f64> = exact.iter().map(|r| r.score).collect();
         let ps: Vec<f64> = pruned.iter().map(|r| r.score).collect();
-        let rs: Vec<f64> = par.iter().map(|r| r.score).collect();
         assert_eq!(es, ps, "pruned ranking diverged ({scope:?})");
-        assert_eq!(es, rs, "parallel ranking diverged ({scope:?})");
+        if scope == Scope::Global {
+            let pass = rank_pairs_with(
+                &[PairExplanations {
+                    start: pair.start,
+                    end: pair.end,
+                    explanations: &out.explanations,
+                }],
+                &RankPairsConfig {
+                    k: 5,
+                    threads: 3,
+                    row_ceiling: None,
+                    ..RankPairsConfig::default()
+                },
+                ctx.edge_index(),
+                ctx.sample_frame(),
+                ctx.distributions(),
+            );
+            let rs: Vec<f64> = pass.rankings[0].iter().map(|r| r.score).collect();
+            assert_eq!(es, rs, "shared ranking pass diverged");
+        }
     }
 }

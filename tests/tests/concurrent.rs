@@ -458,7 +458,9 @@ proptest! {
 /// readers' counts account for every batched evaluation of the shared
 /// cache and the writer's patches for every delta evaluation — no
 /// maintenance work is charged to a reader, and no reader miss goes
-/// missing. The equalities hold for every interleaving.
+/// missing. A pass reads each shape once, so no pass evaluates more
+/// batches than the workload has distinct shapes, however the writer's
+/// flips land. The equalities and the bound hold for every interleaving.
 #[test]
 fn ranking_outcomes_count_only_their_own_evaluations() {
     let mut kb = suite_kb(3);
@@ -488,7 +490,14 @@ fn ranking_outcomes_count_only_their_own_evaluations() {
         let reader = scope.spawn(move |_| {
             let (mut evals, mut passes) = (0, 0);
             while !done.load(Ordering::Acquire) {
-                evals += state.snapshot().rank(tasks, cfg, &Budget::unlimited()).batched_evals;
+                let outcome = state.snapshot().rank(tasks, cfg, &Budget::unlimited());
+                assert!(
+                    outcome.batched_evals <= outcome.distinct_shapes,
+                    "pass {passes}: {} batched evaluations for {} distinct shapes",
+                    outcome.batched_evals,
+                    outcome.distinct_shapes
+                );
+                evals += outcome.batched_evals;
                 passes += 1;
                 // The writer may have hung up already; it only waits for
                 // progress, never for the last pass.

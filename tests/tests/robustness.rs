@@ -16,6 +16,7 @@ use rex_core::measures::DistributionCache;
 use rex_core::ranking::fault::site;
 use rex_core::ranking::{
     rank_pairs_with, FaultAction, FaultPlan, PairExplanations, RankPairsConfig, ServingState,
+    ShedPair,
 };
 use rex_core::{CoreError, EnumConfig, Explanation};
 use rex_kb::{KnowledgeBase, NodeId};
@@ -148,8 +149,10 @@ fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
 
 /// Budgeted ranking degrades pair-by-pair: under an unlimited budget the
 /// outcome matches the unbudgeted driver exactly; under a cancelled
-/// budget every pair is shed with the typed reason, the rankings are
-/// empty, and the shared cache is untouched.
+/// budget a cold workload sheds every pair with the typed reason, the
+/// rankings are empty, and the shared cache is untouched; and when only
+/// one pair's shapes are warm, that pair still ranks exactly while the
+/// pair needing a cold shape is shed.
 #[test]
 fn budgeted_ranking_sheds_pairs_not_the_workload() {
     let kb = suite_kb(4);
@@ -187,6 +190,31 @@ fn budgeted_ranking_sheds_pairs_not_the_workload() {
         assert!(outcome.rankings[shed.pair].is_empty(), "shed pairs rank nothing");
     }
     assert_eq!(fingerprint(cold.cache()), before, "shed pairs left traces in the cache");
+
+    // Partial: warm every shape but one, then ask for a pair that needs
+    // the cold one next to a pair served entirely by warm shapes.
+    let lacking = explanations.last().expect("non-empty enumeration").key();
+    let warm_only: Vec<Explanation> =
+        explanations.iter().filter(|e| e.key() != lacking).cloned().collect();
+    assert!(!warm_only.is_empty(), "the suite KB has more than one shape");
+    let warm_pair = PairExplanations { start: a, end: b, explanations: &warm_only };
+    let partial = ServingState::build(&kb, &cfg).unwrap();
+    let expected = partial.snapshot().rank(&[warm_pair], &cfg, &Budget::unlimited());
+    assert!(expected.shed.is_empty());
+    let published = partial.cache().generation_fingerprint();
+    let (hits, misses) = partial.cache().stats();
+    let outcome = partial.snapshot().rank(&[warm_pair, tasks[0]], &cfg, &cancelled);
+    assert_eq!(outcome.shed, vec![ShedPair { pair: 1, reason: AbortReason::Cancelled }]);
+    assert!(outcome.rankings[1].is_empty(), "the shed pair ranks nothing");
+    let served: Vec<(usize, f64)> =
+        outcome.rankings[0].iter().map(|r| (r.index, r.score)).collect();
+    let unbudgeted: Vec<(usize, f64)> =
+        expected.rankings[0].iter().map(|r| (r.index, r.score)).collect();
+    assert!(!served.is_empty());
+    assert_eq!(served, unbudgeted, "the warm pair ranks exactly as unbudgeted");
+    assert_eq!(outcome.batched_evals, 0, "the aborted read evaluated nothing");
+    assert_eq!(partial.cache().generation_fingerprint(), published, "the abort published");
+    assert_eq!(partial.cache().stats(), (hits + warm_only.len(), misses), "one hit per warm shape");
 }
 
 /// Admission is a row pool with RAII release: one request's cost fills
