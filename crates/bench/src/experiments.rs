@@ -241,7 +241,8 @@ pub struct RankingBenchSide {
 }
 
 /// The shared-frame workload side: one sample frame + one cache across
-/// all pairs, shapes evaluated cheapest-first under a row ceiling.
+/// all pairs, shapes handed to the workers heaviest-first under a row
+/// ceiling.
 #[derive(Debug, Clone, Copy)]
 pub struct SharedFrameSide {
     /// Wall time of the shared pass (prewarm reads + scoring) across all pairs.

@@ -11,15 +11,15 @@
 //! 2. **One shared [`DistributionCache`]**: the batched evaluation budget
 //!    for the workload is the number of *distinct canonical shapes across
 //!    all pairs*, not Σ per-pair shapes.
-//! 3. **Cost-ordered prewarm**: distinct shapes are evaluated
-//!    cheapest-first, the cost estimated from the per-label edge-relation
-//!    sizes ([`EdgeIndex::estimate_eval_cost`], the same label-cardinality
-//!    statistics `rex_kb::stats::label_cardinalities` exposes) — the
-//!    Discover-style "small relations first" lesson the enumerator
-//!    already applies to join ordering, lifted to whole shapes. The
-//!    sorted shapes are dealt round-robin across workers so
-//!    contiguous-chunk schedulers don't hand the whole heavy tail to one
-//!    worker.
+//! 3. **Cost-ordered prewarm**: distinct shapes are handed to the
+//!    workers heaviest-first, the cost estimated from the per-label
+//!    edge-relation sizes ([`EdgeIndex::estimate_eval_cost`], the same
+//!    label-cardinality statistics `rex_kb::stats::label_cardinalities`
+//!    exposes). Workers claim the next shape as they free up, so this is
+//!    longest-processing-time-first scheduling (Graham 1969): the heavy
+//!    shapes start at once and the light ones fill in behind them,
+//!    instead of one worker finishing the pass alone on a heavy shape it
+//!    reached last.
 //! 4. **Memory-bounded evaluation**: an intermediate-row ceiling tiles
 //!    each batch's start set ([`DistributionCache::with_row_ceiling`]) so
 //!    peak join intermediates stay bounded regardless of frame size.
@@ -218,14 +218,14 @@ pub(crate) fn rank_pass(
     }
     let distinct_shapes = shapes.len();
 
-    // Cost-ordered prewarm: cheapest shapes first (deterministic ties),
+    // Cost-ordered prewarm: heaviest shapes first, ties by canonical key,
     // cost read from the edge index's per-(label, orientation) relation
     // sizes — one cost model shared with the tiling estimator.
     let mut ordered: Vec<(u64, &Explanation)> = shapes
         .into_values()
         .map(|e| (index.base().estimate_eval_cost(&e.pattern.to_spec()), e))
         .collect();
-    ordered.sort_by(|(ca, a), (cb, b)| ca.cmp(cb).then_with(|| a.key().cmp(b.key())));
+    ordered.sort_by(|(ca, a), (cb, b)| cb.cmp(ca).then_with(|| a.key().cmp(b.key())));
 
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(cfg.threads)
@@ -233,22 +233,12 @@ pub(crate) fn rank_pass(
         .expect("thread pool construction is infallible");
     let reads: HashMap<&CanonicalKey, std::result::Result<BatchRead, AbortReason>> = pool
         .install(|| {
-            // Deal the cost-sorted shapes round-robin into one lane per
-            // worker and concatenate: a contiguous-chunk scheduler (the
-            // vendored rayon) then gives every worker a similar cost mix
-            // instead of handing the entire heavy tail to the last chunk;
-            // a work-stealing scheduler is indifferent to the permutation.
-            let workers = rayon::current_num_threads().max(1);
-            let mut dealt: Vec<&Explanation> = Vec::with_capacity(ordered.len());
-            for lane in 0..workers {
-                dealt.extend(ordered.iter().skip(lane).step_by(workers).map(|(_, e)| *e));
-            }
             // The pass's only cache reads, one per shape, under the
             // budget. An aborted read leaves its shape cold and the cache
             // untouched; scoring sheds exactly the pairs that need it.
-            dealt
+            ordered
                 .par_iter()
-                .map(|&e| {
+                .map(|&(_, e)| {
                     let read = match cache.all_starts(index, e, frame.starts(), budget) {
                         Ok(read) => Ok(read),
                         Err(RelError::Aborted(reason)) => Err(reason),

@@ -25,10 +25,16 @@ use crate::{RelError, Result};
 /// proportional to those rows, not to the partition (the `Among` scan
 /// floor, removed).
 ///
+/// Each key's rows are ordered by the other endpoint (`by_src` by `to`,
+/// `by_dst` by `from`), so rows equal on `(from, to)` — parallel KB edges
+/// — are adjacent and a probe or scan reads the partition as a set of
+/// `(from, to)` pairs by skipping a row equal to the one before it.
+///
 /// Postings are immutable snapshots of their partition's rows: delta
 /// maintenance rebuilds the posting of every partition it edits and
 /// leaves the rest shared behind their `Arc` (copy-on-write, mirroring
-/// the partitions themselves across [`EdgeIndex::next_epoch`]).
+/// the partitions themselves across [`EdgeIndex::next_epoch`]), so the
+/// order holds across epochs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPosting {
     by_src: ColumnPosting,
@@ -37,11 +43,12 @@ pub struct PartitionPosting {
 
 impl PartitionPosting {
     /// Builds both endpoint postings over a partition (`from` = column 0,
-    /// `to` = column 1 of the oriented schema).
+    /// `to` = column 1 of the oriented schema), each key's rows ordered
+    /// by the other endpoint.
     fn build(rel: &Relation, from_col: usize, to_col: usize) -> PartitionPosting {
         PartitionPosting {
-            by_src: ColumnPosting::build(rel, from_col),
-            by_dst: ColumnPosting::build(rel, to_col),
+            by_src: ColumnPosting::build(rel, from_col, to_col),
+            by_dst: ColumnPosting::build(rel, to_col, from_col),
         }
     }
 
@@ -243,16 +250,30 @@ impl EdgeIndex {
     }
 
     /// The rows matching a `(label, dir)` pair — the shared partition
-    /// itself, not a copy; an empty relation when absent. A **full
-    /// partition scan**, the access path the endpoint postings exist to
-    /// avoid whenever a start restriction can be pushed down
-    /// ([`EdgeIndex::probe`]); the evaluator counts the rows it reads
-    /// this way as `rows_scanned` in its [`EvalTrace`].
+    /// itself, not a copy, in KB edge order; an empty relation when
+    /// absent. A **full partition scan**, the access path the endpoint
+    /// postings exist to avoid whenever a start restriction can be pushed
+    /// down ([`EdgeIndex::probe`]); the evaluator walks the same rows in
+    /// `by_src` posting order and counts them as `rows_scanned` in its
+    /// [`EvalTrace`].
     pub fn scan(&self, label: u64, dir: u64) -> Arc<Relation> {
         self.groups
             .get(&(label, dir))
             .cloned()
             .unwrap_or_else(|| Arc::new(Relation::empty(self.schema.clone())))
+    }
+
+    /// Visits every row of the `(label, dir)` partition in `by_src`
+    /// posting order — by `from`, then by `to` — so rows equal on
+    /// `(from, to)` arrive next to each other.
+    pub(crate) fn for_each_scanned<F: FnMut(&[u64])>(&self, label: u64, dir: u64, mut visit: F) {
+        let key = (label, dir);
+        let (Some(rel), Some(posting)) = (self.groups.get(&key), self.postings.get(&key)) else {
+            return;
+        };
+        for &i in posting.endpoint(true).rows_in_order() {
+            visit(rel.row(i as usize));
+        }
     }
 
     /// Materializes exactly the partition rows whose start endpoint —
@@ -269,7 +290,8 @@ impl EdgeIndex {
     }
 
     /// Visits the rows [`EdgeIndex::probe`] would materialize, in the
-    /// same order, without copying them — the evaluator filters and
+    /// same order — key by key, each key's rows ordered by the other
+    /// endpoint — without copying them; the evaluator filters and
     /// projects them straight into its own buffer.
     pub(crate) fn for_each_probed<F: FnMut(&[u64])>(
         &self,
@@ -439,8 +461,8 @@ impl EdgeIndex {
     }
 
     /// Estimated evaluation cost of one batched evaluation of `spec`:
-    /// scan rows touched plus estimated join output. Used to order a
-    /// workload's shapes cheapest-first.
+    /// scan rows touched plus estimated join output. Used to hand a
+    /// workload's shapes to the ranking pass's workers heaviest-first.
     pub fn estimate_eval_cost(&self, spec: &PatternSpec) -> u64 {
         let scans: f64 = spec
             .edges
@@ -1174,7 +1196,7 @@ pub struct EvalRequest<'a> {
 /// producing for every start the descending multiset of per-end instance
 /// counts — exactly `local_count_distribution_indexed(s).values()` sorted
 /// descending. One call replaces one evaluation *per start* with one
-/// evaluation whose scan, join and dedup work is shared.
+/// evaluation whose scan and join work is shared.
 ///
 /// The start set is split by shard residency and the non-empty buckets
 /// fan out across rayon workers, each probing its shard's restricted
@@ -1238,9 +1260,10 @@ pub fn count_distributions(
 
 /// One shard bucket of [`count_distributions`]: evaluates `values`
 /// (sorted, deduped, non-empty) tile by tile with probes against `probe`
-/// and non-start scans against `scan` ([`PatternSpec::evaluate_tile`]),
-/// grouping each tile's instances through the specialized
-/// [`PairCounter`]. Tiling and per-start weights are derived from `probe`
+/// and non-start scans against `scan` ([`PatternSpec::evaluate_tile`]).
+/// Each tile's final join streams its instances' `(start, end)` straight
+/// into the tile's [`PairCounter`]; no instance relation is built.
+/// Tiling and per-start weights are derived from `probe`
 /// (a shard's postings count exactly its residents' incident rows).
 /// The returned trace counts tiles and rows but **not** the batch-level
 /// evaluation, which the caller owns. Returned count multisets are
@@ -1266,12 +1289,13 @@ fn grouped_tiles(
             }
         }
         let binding = StartBinding::Among(tile);
-        let (instances, trace) = spec.evaluate_tile(probe, scan, &binding, &req.budget)?;
+        let mut counter = PairCounter::new(scan.node_count());
+        let trace = spec.evaluate_tile(probe, scan, &binding, &req.budget, |instance| {
+            counter.record(instance[spec.start], instance[spec.end]);
+        })?;
         out.trace.merge(&trace);
         out.trace.tiles += 1;
-        for (start, counts) in
-            group_pair_counts(&instances, spec.start, spec.end, scan.node_count())
-        {
+        for (start, counts) in counter.finish() {
             out.per_start.entry(start).or_default().extend(counts);
         }
     }

@@ -33,7 +33,9 @@
 //!   counts, and `HAVING`/`LIMIT`-pruned position counts.
 //!
 //! The engine is deliberately *materialized* (operators consume and produce
-//! whole relations): explanation patterns are tiny (≤ 4 joins). The
+//! whole relations), up to an evaluation's last join, which streams its
+//! rows into the `(start, end)` group-by or the `LIMIT` counter:
+//! explanation patterns are tiny (≤ 4 joins). The
 //! intermediates are not always small, though. A single bound start keeps
 //! them to the rows around one entity, but a batched `Among` tile over
 //! thousands of starts can reach millions of rows (2.6M in the cold

@@ -142,12 +142,14 @@ impl<'a> JoinTable<'a> {
     }
 }
 
-/// The equi-join driver behind [`hash_join`]: builds on the smaller input
-/// (left on ties) and calls `emit(left_row, right_row)` for every match,
-/// in the module's order contract. Callers decide what each output row
-/// holds, so a join that needs only some right-hand columns copies just
-/// those.
-pub(crate) fn join_rows<F: FnMut(&[u64], &[u64])>(
+/// The equi-join driver behind [`hash_join`] and the evaluator's join
+/// steps: builds on the smaller input (left on ties) and calls
+/// `emit(left_row, right_row)` for every match, in the module's order
+/// contract, until `emit` returns `false` — the pipelined execution that
+/// lets a `LIMIT` stop a join early (§5.3.2's pruning). Callers decide
+/// what each output row holds, so a join that needs only some right-hand
+/// columns copies just those.
+pub(crate) fn join_rows<F: FnMut(&[u64], &[u64]) -> bool>(
     left: &Relation,
     right: &Relation,
     left_keys: &[usize],
@@ -159,14 +161,18 @@ pub(crate) fn join_rows<F: FnMut(&[u64], &[u64])>(
         let table = JoinTable::build(left, left_keys);
         for r in right.rows() {
             for l in table.matches(r, right_keys) {
-                emit(l, r);
+                if !emit(l, r) {
+                    return;
+                }
             }
         }
     } else {
         let table = JoinTable::build(right, right_keys);
         for l in left.rows() {
             for r in table.matches(l, left_keys) {
-                emit(l, r);
+                if !emit(l, r) {
+                    return;
+                }
             }
         }
     }
@@ -188,6 +194,7 @@ pub fn hash_join(
     join_rows(left, right, left_keys, right_keys, |l, r| {
         data.extend_from_slice(l);
         data.extend_from_slice(r);
+        true
     });
     Relation::from_flat(schema, data).expect("join arity matches schema")
 }
@@ -195,8 +202,8 @@ pub fn hash_join(
 /// An open-addressed set of distinct rows that owns the rows themselves:
 /// a flat row-major buffer in first-insertion order plus a table of
 /// `row id + 1` slots (0 = empty), grown at half load. The shared kernel
-/// of [`distinct`], [`group_count_having_limit`] and the evaluator's
-/// final dedup.
+/// of [`distinct`], [`group_count_having_limit`] and the final dedup of
+/// the definitional and fixed-order join pipelines.
 pub(crate) struct RowSet {
     arity: usize,
     data: Vec<u64>,
@@ -323,33 +330,6 @@ pub fn group_count_having_limit(
 /// Convenience: unrestricted `GROUP BY … count(*)`.
 pub fn group_count(rel: &Relation, key_cols: &[usize]) -> Result<Relation> {
     group_count_having_limit(rel, key_cols, 0, usize::MAX)
-}
-
-/// Streaming hash equi-join: like [`hash_join`], but instead of
-/// materializing the output, invokes `on_row(left_row, right_row)` for
-/// every match and stops as soon as the callback returns `false`.
-///
-/// This is the pipelined execution a SQL engine uses to make `LIMIT`
-/// clauses abort upstream work early (§5.3.2's pruning); the materialized
-/// operators above cannot stop mid-join. The table is always built on the
-/// left (assumed smaller by the caller), so matches stream in right-row
-/// order, then left insertion order.
-pub fn hash_join_streaming<F: FnMut(&[u64], &[u64]) -> bool>(
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    mut on_row: F,
-) {
-    assert_eq!(left_keys.len(), right_keys.len(), "key arity mismatch");
-    let table = JoinTable::build(left, left_keys);
-    for r in right.rows() {
-        for l in table.matches(r, right_keys) {
-            if !on_row(l, r) {
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,19 @@
 //! A snapshot stores, per `(label, dir)` partition, the flat row array
 //! plus both [`ColumnPosting`] CSR triples (`keys`, `offsets`, `perm`)
 //! **as-is**: loading validates the arrays (monotone offsets, strictly
-//! increasing keys, in-range permutations, trailing checksum) and adopts
-//! them without re-bucketing or re-sorting, so a cold start is I/O-bound
-//! — strictly cheaper than [`EdgeIndex::build`], which must bucket the
-//! oriented relation and sort every posting. The layout is plain
+//! increasing keys, in-range permutations, trailing checksum) and the
+//! posting row order, then adopts them without re-bucketing or
+//! re-sorting, so a cold start is I/O-bound — strictly cheaper than
+//! [`EdgeIndex::build`], which must bucket the oriented relation and sort
+//! every posting.
+//!
+//! Format version 2 orders each posting key's rows by the other endpoint
+//! (`by_src` by `to`, `by_dst` by `from`), which the evaluator's set
+//! reads rely on: it skips a row equal on `(from, to)` to the row before
+//! it. The loader checks in one pass over each posting that every row
+//! listed under a key carries it and that the key's rows are in order,
+//! and rejects a version-1 snapshot (key order only) or an out-of-order
+//! posting with [`RelError::Corrupt`]. The layout is plain
 //! little-endian arrays at fixed offsets, so a future reader can map the
 //! file and point into it directly (hence *mmap-ready*); this
 //! implementation copies into owned `Vec`s, which keeps the index type
@@ -35,7 +44,7 @@ use crate::{RelError, Result};
 const MAGIC: u32 = 0x5849_5852;
 /// `b"RXSM"` little-endian — REX Sharded Manifest.
 const MANIFEST_MAGIC: u32 = 0x4d53_5852;
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// File name of the sharded-layout manifest inside its directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -100,22 +109,16 @@ impl<'a> Reader<'a> {
     /// corrupt length can't balloon memory.
     fn get_u64s(&mut self, count: usize, what: &str) -> Result<Vec<u64>> {
         self.need(count.saturating_mul(8), what)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap()));
-            self.pos += 8;
-        }
-        Ok(out)
+        let bytes = &self.buf[self.pos..self.pos + count * 8];
+        self.pos += count * 8;
+        Ok(bytes.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect())
     }
 
     fn get_u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>> {
         self.need(count.saturating_mul(4), what)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()));
-            self.pos += 4;
-        }
-        Ok(out)
+        let bytes = &self.buf[self.pos..self.pos + count * 4];
+        self.pos += count * 4;
+        Ok(bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect())
     }
 }
 
@@ -143,15 +146,17 @@ fn put_posting(out: &mut Vec<u8>, posting: &ColumnPosting) {
     }
 }
 
-fn get_posting(r: &mut Reader<'_>, row_count: usize) -> Result<ColumnPosting> {
+/// Reads one posting over `rel`'s column `cols.0`, each key's rows
+/// ordered by column `cols.1`.
+fn get_posting(r: &mut Reader<'_>, rel: &Relation, cols: (usize, usize)) -> Result<ColumnPosting> {
     let keys_len = r.get_u32("posting key count")? as usize;
     let keys = r.get_u64s(keys_len, "posting keys")?;
     let offsets = r.get_u32s(keys_len + 1, "posting offsets")?;
-    let perm = r.get_u32s(row_count, "posting permutation")?;
-    ColumnPosting::from_parts(keys, offsets, perm, row_count)
+    let perm = r.get_u32s(rel.len(), "posting permutation")?;
+    ColumnPosting::from_parts(keys, offsets, perm, rel, cols)
 }
 
-/// Serializes an index into the v1 snapshot byte format (checksummed,
+/// Serializes an index into the v2 snapshot byte format (checksummed,
 /// deterministic: partitions in sorted `(label, dir)` order).
 pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     let mut out = Vec::new();
@@ -178,9 +183,9 @@ pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     out
 }
 
-/// Deserializes a v1 snapshot, validating magic, version, checksum, and
+/// Deserializes a v2 snapshot, validating magic, version, checksum, and
 /// every structural invariant (partition row totals, CSR monotonicity,
-/// in-range permutations) before any part is adopted.
+/// in-range permutations, posting row order) before any part is adopted.
 pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
     if bytes.len() < 8 {
         return Err(RelError::Corrupt("snapshot shorter than its checksum".into()));
@@ -225,8 +230,9 @@ pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
             )));
         }
         rows_seen += row_count;
-        let by_src = get_posting(&mut r, row_count)?;
-        let by_dst = get_posting(&mut r, row_count)?;
+        // Oriented schema columns: `from` = 0, `to` = 1.
+        let by_src = get_posting(&mut r, &rel, (0, 1))?;
+        let by_dst = get_posting(&mut r, &rel, (1, 0))?;
         if groups.insert(key, Arc::new(rel)).is_some() {
             return Err(RelError::Corrupt(format!("duplicate partition ({label}, {dir})")));
         }
@@ -449,7 +455,7 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// The v1 byte format, pinned: the toy index's snapshot length and
+    /// The v2 byte format, pinned: the toy index's snapshot length and
     /// FNV-1a fingerprint, for the flat index and each shard of a 3-way
     /// layout. A change here is an on-disk format change and needs a
     /// version bump.
@@ -460,17 +466,55 @@ mod tests {
             let bytes = encode_index(index);
             (bytes.len(), fnv1a(&bytes))
         };
-        assert_eq!(fingerprint(&EdgeIndex::build(&kb)), (564, 0x8f99_4871_ca9d_b9fd));
+        assert_eq!(fingerprint(&EdgeIndex::build(&kb)), (564, 0x2c43_fcfa_ba5d_c092));
         let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7));
         let shards: Vec<_> = (0..3).map(|k| fingerprint(sharded.shard(k))).collect();
         assert_eq!(
             shards,
             [
-                (412, 0x893b_34b1_bd9a_e748),
-                (524, 0x04cd_d580_35bd_049a),
-                (44, 0x868b_019c_7fb5_d927)
+                (412, 0x3994_b849_ea66_77fc),
+                (524, 0xc754_27a7_ff81_016c),
+                (44, 0xb34b_5f4f_bfcb_4122)
             ]
         );
+    }
+
+    /// Replaces a snapshot's checksum trailer with its payload's, so a
+    /// test edit reaches the structural checks.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let at = bytes.len() - 8;
+        let checksum = fnv1a(&bytes[..at]);
+        bytes[at..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    /// A `by_src` posting whose two rows of one key are swapped out of
+    /// `to` order is rejected even under a valid checksum — set reads
+    /// would otherwise keep a repeated row — and so is a version-1
+    /// snapshot, whose postings are ordered by key only.
+    #[test]
+    fn out_of_order_posting_and_v1_snapshot_are_rejected() {
+        let bytes = encode_index(&EdgeIndex::build(&toy_kb()));
+        assert!(decode_index(&resealed(bytes.clone())).is_ok());
+
+        // The first partition is `starring`: its first `by_src` key, `a`,
+        // lists a → m1, then a → m2.
+        let mut r = Reader::new(&bytes);
+        r.pos = 32 + 4 + 16; // header, partition count, (label, dir)
+        let rows = r.get_u32("rows").unwrap() as usize;
+        r.pos += rows * 4 * 8;
+        let keys = r.get_u32("keys").unwrap() as usize;
+        let perm = r.pos + keys * 8 + (keys + 1) * 4;
+        let mut swapped = bytes.clone();
+        swapped[perm..perm + 8].rotate_left(4);
+        match decode_index(&resealed(swapped)) {
+            Err(RelError::Corrupt(msg)) => assert!(msg.contains("out of order"), "{msg}"),
+            other => panic!("swapped posting rows accepted: {other:?}"),
+        }
+
+        let mut v1 = bytes;
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(decode_index(&resealed(v1)), Err(RelError::Corrupt(_))));
     }
 
     #[test]

@@ -304,6 +304,12 @@ impl PatternSpec {
     /// left to the final injectivity filter.) `cols` are the index
     /// schema's `(from, to)` column positions. Every partition row read
     /// counts in `trace`, as `rows_scanned` or `rows_probed` by `source`.
+    ///
+    /// The result is a **set**: probes walk sorted distinct keys and
+    /// scans walk the `by_src` posting, and either way rows equal on
+    /// `(from, to)` — parallel KB edges — arrive next to each other, so a
+    /// row equal to the previous one read is skipped (it still counts as
+    /// read).
     fn edge_rows(
         &self,
         e: SpecEdge,
@@ -321,9 +327,13 @@ impl PatternSpec {
         let self_loop = e.u == e.v;
         let mut data = Vec::new();
         let mut read = 0;
+        let mut previous = None;
         let mut take = |r: &[u64]| {
             read += 1;
             let (f, t) = (r[from], r[to]);
+            if previous.replace((f, t)) == Some((f, t)) {
+                return;
+            }
             if (!self_loop || f == t) && exclude_from != Some(f) && exclude_to != Some(t) {
                 data.push(f);
                 data.push(t);
@@ -332,7 +342,7 @@ impl PatternSpec {
         let dir = e.dir();
         match source {
             EdgeSource::Scan(index) => {
-                index.scan(e.label, dir).rows().for_each(&mut take);
+                index.for_each_scanned(e.label, dir, &mut take);
                 trace.rows_scanned += read;
             }
             EdgeSource::Probe { index, src, keys } => {
@@ -481,8 +491,12 @@ impl PatternSpec {
     /// materializing each step's rows through its planned access path —
     /// start probes against `probe`, partition scans and bound-value
     /// probes against `scan` — each through [`PatternSpec::edge_rows`]'s
-    /// single probe/filter/project pass. Returns the instance relation;
-    /// the rows read and the peak intermediate row count land in `trace`.
+    /// single probe/filter/project pass. The last step streams: each
+    /// injective row it joins goes to `emit` as one value per variable,
+    /// in variable order, and no instance relation is built. Edge reads
+    /// are sets and every join keeps its inputs' columns, so the emitted
+    /// instances are distinct without a dedup. The rows read and the peak
+    /// intermediate row count land in `trace`.
     fn join_planned_split(
         &self,
         probe: &crate::engine::EdgeIndex,
@@ -490,11 +504,12 @@ impl PatternSpec {
         binding: &StartBinding,
         plan: &JoinPlan,
         trace: &mut EvalTrace,
-    ) -> Result<Relation> {
+        mut emit: impl FnMut(&[u64]),
+    ) -> Result<()> {
         let cols = endpoint_cols(scan)?;
         let start_keys = sorted_start_keys(binding);
         let mut state = JoinState::new(self.var_count);
-        for step in &plan.steps {
+        for (at, step) in plan.steps.iter().enumerate() {
             let e = self.edges[step.edge];
             let bound_keys;
             let source = match step.access {
@@ -510,11 +525,18 @@ impl PatternSpec {
                 }
                 Access::Scan => EdgeSource::Scan(scan),
             };
-            state.push(e, self.edge_rows(e, binding, cols, source, trace));
+            let rows = self.edge_rows(e, binding, cols, source, trace);
+            if at + 1 < plan.steps.len() {
+                state.push(e, rows);
+            } else {
+                state.stream(e, &rows, |instance| {
+                    emit(instance);
+                    true
+                });
+            }
         }
-        let (instances, peak) = state.finish()?;
-        trace.peak_rows = trace.peak_rows.max(peak);
-        Ok(instances)
+        trace.peak_rows = trace.peak_rows.max(state.peak);
+        Ok(())
     }
 
     /// Evaluates the pattern over the oriented edge relation, returning a
@@ -560,11 +582,21 @@ impl PatternSpec {
         index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
     ) -> Result<(Relation, EvalTrace)> {
-        let (instances, mut trace) =
-            self.evaluate_tile(index, index, binding, &crate::budget::Budget::unlimited())?;
+        let mut data = Vec::new();
+        let mut trace = self.evaluate_tile(
+            index,
+            index,
+            binding,
+            &crate::budget::Budget::unlimited(),
+            |instance| data.extend_from_slice(instance),
+        )?;
         trace.full = 1;
         crate::metrics::fold(&trace);
-        Ok((instances, trace))
+        let schema = Schema::new((0..self.var_count).map(|v| format!("v{v}")));
+        Ok((
+            Relation::from_flat(schema, data).expect("instances have one value per variable"),
+            trace,
+        ))
     }
 
     /// One tile of a batched evaluation over a split probe/scan index
@@ -576,23 +608,25 @@ impl PatternSpec {
     /// evaluating) and the tile's peak intermediate rows are charged
     /// against the row pool *after* it completes, so a tile either runs
     /// to completion and is paid for, or does not run at all — never a
-    /// half-evaluated join tree. Returns the tile's trace beside the
-    /// instances: its rows read and peak intermediate rows, but no
-    /// evaluation or tile count (the caller accounts those).
+    /// half-evaluated join tree. Each distinct instance goes to `emit`,
+    /// one value per variable in variable order. Returns the tile's
+    /// trace: its rows read and peak intermediate rows, but no evaluation
+    /// or tile count (the caller accounts those).
     pub(crate) fn evaluate_tile(
         &self,
         probe: &crate::engine::EdgeIndex,
         scan: &crate::engine::EdgeIndex,
         binding: &StartBinding,
         budget: &crate::budget::Budget,
-    ) -> Result<(Relation, EvalTrace)> {
+        emit: impl FnMut(&[u64]),
+    ) -> Result<EvalTrace> {
         budget.check().map_err(crate::RelError::Aborted)?;
         self.validate()?;
         let plan = self.plan_split(probe, scan, binding);
         let mut trace = EvalTrace::default();
-        let instances = self.join_planned_split(probe, scan, binding, &plan, &mut trace)?;
+        self.join_planned_split(probe, scan, binding, &plan, &mut trace, emit)?;
         budget.charge_rows(trace.peak_rows);
-        Ok((instances, trace))
+        Ok(trace)
     }
 
     /// Streaming position query: counts end entities whose **distinct**
@@ -600,13 +634,14 @@ impl PatternSpec {
     /// soon as `limit` qualifying entities are known — the pipelined
     /// `LIMIT` execution a SQL engine performs (§5.3.2). All but the last
     /// (largest) scan are joined as usual; the last join streams through
-    /// [`crate::ops::hash_join_streaming`] with an early-abort callback.
+    /// the same early-abort step the planned executor ends with.
     ///
     /// Counting per end entity is monotone (distinct assignments only
     /// accumulate), so an entity can be declared *qualifying* the moment
-    /// its count crosses `c` — no grouping barrier is needed. Returns
-    /// `min(limit, true position)` with the query's trace: one streaming
-    /// evaluation and the rows its scans read.
+    /// its count crosses `c` — no grouping barrier is needed. The scans
+    /// are sets, so every streamed injective assignment is distinct.
+    /// Returns `min(limit, true position)` with the query's trace: one
+    /// streaming evaluation and the rows its scans read.
     pub fn streaming_end_position(
         &self,
         index: &crate::engine::EdgeIndex,
@@ -631,60 +666,17 @@ impl PatternSpec {
             state.push(self.edges[ei], scans[ei].take().expect("each edge is joined once"));
         }
 
-        // Column positions of each variable in the streamed row space:
-        // the joined head's columns first, then the last scan's
-        // (from, to).
-        let last_edge = self.edges[last];
-        let (cur_keys, scan_keys) = state.join_keys(last_edge);
-        let cur_arity = state.current.as_ref().map_or(0, Relation::arity);
-        let mut stream_col = state.var_col.clone();
-        if stream_col[last_edge.u].is_none() {
-            stream_col[last_edge.u] = Some(cur_arity);
-        }
-        if last_edge.u != last_edge.v && stream_col[last_edge.v].is_none() {
-            stream_col[last_edge.v] = Some(cur_arity + 1);
-        }
-        let cols: Vec<usize> = (0..self.var_count)
-            .map(|v| stream_col[v].expect("connected pattern binds every variable"))
-            .collect();
-
         // Stream the final join, qualifying ends as their counts cross c.
-        // Distinct assignments are deduplicated globally — an assignment
-        // carries its end value, so this equals per-end deduplication.
-        let mut seen = RowSet::new(self.var_count);
         let mut per_end: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        let mut assignment = vec![0u64; self.var_count];
         let mut qualified = 0usize;
-        let mut emit = |l: &[u64], r: &[u64]| -> bool {
-            for (slot, &i) in assignment.iter_mut().zip(&cols) {
-                *slot = if i < l.len() { l[i] } else { r[i - l.len()] };
-            }
-            if !is_injective(&assignment) || !seen.insert(&assignment).1 {
-                return true;
-            }
+        state.stream(self.edges[last], &last_scan, |assignment| {
             let count = per_end.entry(assignment[self.end]).or_insert(0);
             *count += 1;
             if *count == c + 1 {
                 qualified += 1;
-                if qualified >= limit {
-                    return false;
-                }
             }
-            true
-        };
-        match &state.current {
-            // Single-edge pattern: stream the lone scan.
-            None => {
-                for row in last_scan.rows() {
-                    if !emit(&[], row) {
-                        break;
-                    }
-                }
-            }
-            Some(cur) => {
-                crate::ops::hash_join_streaming(cur, &last_scan, &cur_keys, &scan_keys, emit)
-            }
-        }
+            qualified < limit
+        });
         crate::metrics::fold(&trace);
         Ok((qualified, trace))
     }
@@ -795,7 +787,8 @@ fn is_injective(assignment: &[u64]) -> bool {
 /// Incremental left-deep join state shared by the materialize-everything
 /// pipeline ([`PatternSpec::evaluate_scanned`]), the plan-driven executor
 /// (which materializes each step's rows lazily so bound-value probes can
-/// read the intermediate) and the streaming position query.
+/// read the intermediate) and the streaming position query; the last two
+/// end with [`JoinState::stream`].
 ///
 /// The intermediate holds **one column per bound variable**, in binding
 /// order: a join step copies the current row plus only the edge columns
@@ -894,18 +887,62 @@ impl JoinState {
         join_rows(&cur, &rows, &cur_keys, &edge_keys, |l, r| {
             data.extend_from_slice(l);
             data.extend(append.iter().map(|&c| r[c]));
+            true
         });
         let joined = Relation::from_flat(self.schema(arity), data).expect("row width is arity");
         self.peak = self.peak.max(joined.len());
         self.current = Some(joined);
     }
 
+    /// Joins edge `e`'s rows like [`JoinState::push`], but streams the
+    /// result instead of materializing it: each joined row is reordered
+    /// into one value per variable and, if injective, handed to `emit`,
+    /// until `emit` returns `false`. The rows the step joins count
+    /// toward the peak, as a materialized step's output would.
+    fn stream(&mut self, e: SpecEdge, rows: &Relation, mut emit: impl FnMut(&[u64]) -> bool) {
+        self.peak = self.peak.max(rows.len());
+        // Columns of each variable in the (intermediate row, edge row)
+        // pair: the intermediate's first, then the edge's (from, to).
+        let arity = self.current.as_ref().map_or(0, Relation::arity);
+        let mut var_col = self.var_col.clone();
+        var_col[e.u].get_or_insert(arity);
+        if e.u != e.v {
+            var_col[e.v].get_or_insert(arity + 1);
+        }
+        let cols: Vec<usize> =
+            var_col.iter().map(|c| c.expect("connected pattern binds every variable")).collect();
+        let mut assignment = vec![0u64; self.var_count];
+        let mut produced = 0usize;
+        let mut visit = |l: &[u64], r: &[u64]| -> bool {
+            produced += 1;
+            for (slot, &i) in assignment.iter_mut().zip(&cols) {
+                *slot = if i < l.len() { l[i] } else { r[i - l.len()] };
+            }
+            !is_injective(&assignment) || emit(&assignment)
+        };
+        match &self.current {
+            // Single-edge pattern: the edge's rows are the join.
+            None => {
+                for row in rows.rows() {
+                    if !visit(&[], row) {
+                        break;
+                    }
+                }
+            }
+            Some(cur) => {
+                let (cur_keys, edge_keys) = self.join_keys(e);
+                join_rows(cur, rows, &cur_keys, &edge_keys, visit);
+            }
+        }
+        self.peak = self.peak.max(produced);
+    }
+
     /// Reorders each row into one column per variable, drops
     /// non-injective rows, and dedups (keeping first occurrences) — the
-    /// shared tail of every evaluation pipeline, in one pass into one
-    /// buffer. Dedup matters because parallel KB edges with the same
-    /// label would otherwise multiply join rows without adding distinct
-    /// instances.
+    /// tail of [`PatternSpec::join_scans_in_order`]. Dedup matters for
+    /// the definitional pipeline, whose filter-based scans are multisets:
+    /// parallel KB edges with the same label would otherwise multiply
+    /// join rows without adding distinct instances.
     fn finish(mut self) -> Result<(Relation, usize)> {
         let current = self.current.take().expect("at least one edge was joined");
         let cols: Vec<usize> = (0..self.var_count)

@@ -209,6 +209,11 @@ impl Relation {
 /// use to make a selection on the column cost O(log keys + matching
 /// rows) instead of a full scan.
 ///
+/// Each key's rows are ordered by a second column (`then`), so rows equal
+/// on both columns sit next to each other: the evaluator reads an edge
+/// partition as a *set* of `(from, to)` pairs by skipping a row equal to
+/// the one before it.
+///
 /// The posting is a *snapshot* of the relation it was built from: it
 /// holds row indices, so it must be rebuilt whenever the relation's rows
 /// change (partitions rebuild only their delta-touched postings).
@@ -223,16 +228,21 @@ pub struct ColumnPosting {
 }
 
 impl ColumnPosting {
-    /// Builds the posting over `rel`'s column `col`. One sort of the row
-    /// permutation plus a linear pass — `O(rows log rows)`.
-    pub fn build(rel: &Relation, col: usize) -> ColumnPosting {
-        let value = |i: u32| rel.row(i as usize)[col];
+    /// Builds the posting over `rel`'s column `col`, each key's rows
+    /// ordered by column `then`: one sort of the row permutation on the
+    /// packed `(col << 32) | then` word, computed once per row, plus a
+    /// linear pass — `O(rows log rows)`. Both columns must hold
+    /// `u32`-range values, as entity ids do.
+    pub fn build(rel: &Relation, col: usize, then: usize) -> ColumnPosting {
+        let half = |v: u64| u64::from(u32::try_from(v).expect("posting columns hold u32 ids"));
+        let packed: Vec<u64> =
+            rel.rows().map(|row| (half(row[col]) << 32) | half(row[then])).collect();
         let mut perm: Vec<u32> = (0..rel.len() as u32).collect();
-        perm.sort_unstable_by_key(|&i| value(i));
+        perm.sort_unstable_by_key(|&i| packed[i as usize]);
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
         for (at, &i) in perm.iter().enumerate() {
-            let v = value(i);
+            let v = packed[i as usize] >> 32;
             if keys.last() != Some(&v) {
                 keys.push(v);
                 offsets.push(at as u32);
@@ -249,6 +259,12 @@ impl ColumnPosting {
             Ok(k) => &self.perm[self.offsets[k] as usize..self.offsets[k + 1] as usize],
             Err(_) => &[],
         }
+    }
+
+    /// Every row index, grouped by key in key order and ordered by the
+    /// `then` column within a key.
+    pub(crate) fn rows_in_order(&self) -> &[u32] {
+        &self.perm
     }
 
     /// Number of rows whose column value equals `key`, without touching
@@ -286,26 +302,29 @@ impl ColumnPosting {
         (&self.keys, &self.offsets, &self.perm)
     }
 
-    /// Reassembles a posting from flat arrays (the deserialization path
-    /// of the index snapshot format), validating the CSR invariants
-    /// against `row_count` — sorted strictly-increasing keys, monotone
-    /// offsets starting at 0 and ending at `perm.len()`, and every
-    /// permutation entry in `0..row_count` — so a corrupted snapshot is
-    /// rejected instead of producing out-of-bounds probes. Crucially this
-    /// performs **no sorting**: loading a posting is `O(n)` array
-    /// validation, which is what makes an index load strictly cheaper
-    /// than a rebuild.
+    /// Reassembles the posting [`ColumnPosting::build`] made over `rel`'s
+    /// column `col` from flat arrays (the deserialization path of the
+    /// index snapshot format), validating the CSR invariants — sorted
+    /// strictly-increasing keys, monotone offsets starting at 0 and ending
+    /// at `perm.len() == rel.len()`, every permutation entry in range —
+    /// and the row order: every row listed under a key carries that key
+    /// in `col`, and each key's rows are ordered by `then`. A corrupted
+    /// snapshot is rejected instead of producing out-of-bounds probes or
+    /// set reads that keep a repeated row. Crucially this performs **no
+    /// sorting**: loading a posting is `O(rows)` array validation, which
+    /// is what makes an index load strictly cheaper than a rebuild.
     pub(crate) fn from_parts(
         keys: Vec<u64>,
         offsets: Vec<u32>,
         perm: Vec<u32>,
-        row_count: usize,
+        rel: &Relation,
+        (col, then): (usize, usize),
     ) -> Result<ColumnPosting> {
         let corrupt = |msg: &str| RelError::Corrupt(format!("posting: {msg}"));
         if offsets.len() != keys.len() + 1 {
             return Err(corrupt("offsets length must be keys + 1"));
         }
-        if perm.len() != row_count {
+        if perm.len() != rel.len() {
             return Err(corrupt("permutation length must equal row count"));
         }
         if let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) {
@@ -319,8 +338,23 @@ impl ColumnPosting {
         if keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err(corrupt("keys must be strictly increasing"));
         }
-        if perm.iter().any(|&i| i as usize >= row_count) {
+        if perm.iter().any(|&i| i as usize >= rel.len()) {
             return Err(corrupt("permutation entry out of range"));
+        }
+        for (k, &key) in keys.iter().enumerate() {
+            let rows = perm[offsets[k] as usize..offsets[k + 1] as usize]
+                .iter()
+                .map(|&i| rel.row(i as usize));
+            let mut prev = 0;
+            for row in rows {
+                if row[col] != key {
+                    return Err(corrupt("row listed under a key it does not carry"));
+                }
+                if row[then] < prev {
+                    return Err(corrupt("a key's rows are out of order"));
+                }
+                prev = row[then];
+            }
         }
         Ok(ColumnPosting { keys, offsets, perm })
     }
@@ -403,21 +437,21 @@ mod tests {
         let s = Schema::new(["a", "b"]);
         let rows = [(5u64, 0u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 5)].map(|(a, b)| [a, b]);
         let r = Relation::from_rows(s, rows).unwrap();
-        let p = ColumnPosting::build(&r, 0);
+        let p = ColumnPosting::build(&r, 0, 1);
         assert_eq!(p.len(), 6);
         assert_eq!(p.distinct_keys(), 3);
         assert!(!p.is_empty());
         assert!(p.heap_bytes() > 0);
         for (key, expect) in [(2u64, vec![1u64, 4]), (5, vec![0, 2, 5]), (9, vec![3])] {
             assert_eq!(p.count(key), expect.len());
-            let mut got: Vec<u64> = p.rows_for(key).iter().map(|&i| r.row(i as usize)[1]).collect();
-            got.sort_unstable();
+            // A key's rows come ordered by the second column.
+            let got: Vec<u64> = p.rows_for(key).iter().map(|&i| r.row(i as usize)[1]).collect();
             assert_eq!(got, expect, "key {key}");
         }
         assert_eq!(p.count(7), 0);
         assert!(p.rows_for(7).is_empty());
         // Empty relation → empty posting.
-        let empty = ColumnPosting::build(&Relation::empty(Schema::new(["a"])), 0);
+        let empty = ColumnPosting::build(&Relation::empty(Schema::new(["a"])), 0, 0);
         assert!(empty.is_empty());
         assert_eq!(empty.distinct_keys(), 0);
         assert!(empty.rows_for(0).is_empty());

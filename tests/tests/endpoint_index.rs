@@ -16,13 +16,19 @@
 //!   "scan floor is gone" claim as an executable invariant);
 //! * **COW postings** — `next_epoch` rebuilds posting lists only for
 //!   delta-touched partitions (`Arc` pointer equality for the rest).
+//!
+//! The differential tests also run on multigraphs ([`with_copies`]): the
+//! indexed evaluator reads each partition as a *set* of `(from, to)`
+//! rows, relying on the posting order to put repeated rows next to each
+//! other, and a KB holding every edge two or three times must answer
+//! exactly like the KB holding it once.
 
 use proptest::prelude::*;
-use rex_kb::EdgeId;
+use rex_kb::{EdgeId, EdgeRecord, KnowledgeBase};
 use rex_relstore::engine::{
     count_distributions, delta_affected_starts, local_count_distribution,
-    local_count_distribution_indexed, oriented_edge_relation, EdgeIndex, EvalKind, EvalRequest,
-    ShardSpec, ShardedEdgeIndex,
+    local_count_distribution_indexed, local_position_indexed, oriented_edge_relation, EdgeIndex,
+    EvalKind, EvalRequest, ShardSpec, ShardedEdgeIndex,
 };
 use rex_relstore::plan::dir_code;
 use rex_tests::differential::{indexed_distributions, reference_distributions};
@@ -32,6 +38,22 @@ use rex_tests::scaffold::{apply_ops, base_kb, shape, shape_count};
 /// suites via the salt).
 fn suite_kb(seed: u64) -> rex_kb::KnowledgeBase {
     base_kb(seed, 0xE1DE)
+}
+
+/// `kb` with every edge re-added until it holds `copies` of each: a
+/// directed edge as itself, an undirected edge alternately as `(b, a)`
+/// and `(a, b)`, so two copies hold it once each way. Every partition
+/// then repeats its `(from, to)` rows.
+fn with_copies(mut kb: KnowledgeBase, copies: usize) -> KnowledgeBase {
+    let edges: Vec<EdgeRecord> = kb.edge_ids().map(|id| *kb.edge(id)).collect();
+    for copy in 1..copies {
+        for e in &edges {
+            let flip = !e.directed && copy % 2 == 1;
+            let (src, dst) = if flip { (e.dst, e.src) } else { (e.src, e.dst) };
+            kb.insert_edge(src, dst, e.label, e.directed).unwrap();
+        }
+    }
+    kb
 }
 
 /// Every scaffold shape, evaluated unbound over the deterministic KB:
@@ -56,18 +78,31 @@ fn every_shape_matches_reference_unbound_and_among() {
 
 /// The `Const` probe path (single bound start, target-exclusion
 /// predicates) matches the unindexed definitional evaluation for every
-/// entity — and for ids outside the KB.
+/// entity — and for ids outside the KB — and so does the streaming
+/// position query, on the suite KB and on its 2- and 3-copy multigraphs.
 #[test]
 fn const_probe_matches_unindexed_local_distributions() {
-    let kb = suite_kb(5);
-    let index = EdgeIndex::build(&kb);
-    let rel = oriented_edge_relation(&kb);
-    for idx in 0..shape_count() {
-        let spec = shape(idx);
-        for start in (0..kb.node_count() as u64 + 4).step_by(2) {
-            let probed = local_count_distribution_indexed(&index, &spec, start).unwrap();
-            let scanned = local_count_distribution(&rel, &spec, start).unwrap();
-            assert_eq!(probed, scanned, "shape {idx} start {start}");
+    for copies in 1..=3 {
+        let kb = with_copies(suite_kb(5), copies);
+        let index = EdgeIndex::build(&kb);
+        let rel = oriented_edge_relation(&kb);
+        for idx in 0..shape_count() {
+            let spec = shape(idx);
+            for start in (0..kb.node_count() as u64 + 4).step_by(2) {
+                let probed = local_count_distribution_indexed(&index, &spec, start).unwrap();
+                let scanned = local_count_distribution(&rel, &spec, start).unwrap();
+                assert_eq!(probed, scanned, "shape {idx} start {start} copies {copies}");
+                for (c, limit) in [(0, 1), (0, 3), (1, 2), (0, usize::MAX - 1), (1, usize::MAX - 1)]
+                {
+                    let position = scanned.values().filter(|&&n| n > c).count().min(limit);
+                    let (streamed, _) =
+                        local_position_indexed(&index, &spec, start, c, limit).unwrap();
+                    assert_eq!(
+                        streamed, position,
+                        "shape {idx} start {start} copies {copies}: c {c}, limit {limit}"
+                    );
+                }
+            }
         }
     }
 }
@@ -79,7 +114,8 @@ proptest! {
     /// sets, probe-path counts are byte-identical to full-scan reference
     /// counts — unbound, `Among` (untiled, one tile per incident start,
     /// and ceiling-tiled), with start sets that include zero-incident and
-    /// out-of-KB ids.
+    /// out-of-KB ids — and, on a multigraph holding every edge `copies`
+    /// times, to the counts of the KB holding it once.
     #[test]
     fn probe_path_matches_full_scan_reference(
         seed in 0u64..6,
@@ -90,9 +126,11 @@ proptest! {
         shape_idx in 0usize..shape_count(),
         start_sel in proptest::collection::vec(0u64..64, 0..14),
         ceiling in 1usize..300,
+        copies in 1usize..=3,
     ) {
-        let mut kb = suite_kb(seed);
-        apply_ops(&mut kb, &ops, "d");
+        let mut once = suite_kb(seed);
+        apply_ops(&mut once, &ops, "d");
+        let kb = with_copies(once.clone(), copies);
         let spec = shape(shape_idx);
         let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
 
@@ -101,6 +139,10 @@ proptest! {
         prop_assert_eq!(&got_all, &expected_all, "unbound");
 
         let expected = reference_distributions(&kb, &spec, Some(&start_sel));
+        let once_index = ShardedEdgeIndex::build(&once, ShardSpec::single());
+        let once_req = EvalRequest { starts: &start_sel, ..Default::default() };
+        let once_got = count_distributions(&once_index, &spec, &once_req).unwrap();
+        prop_assert_eq!(&once_got.per_start, &expected, "{} copies vs one", copies);
         for row_ceiling in [None, Some(0), Some(ceiling)] {
             let req = EvalRequest { starts: &start_sel, row_ceiling, ..Default::default() };
             let got = count_distributions(&index, &spec, &req).unwrap();
@@ -111,7 +153,11 @@ proptest! {
     /// The delta path: after random mutations, an incrementally
     /// maintained index's partial re-group over the affected starts is
     /// byte-identical to the full-scan reference at the new KB state —
-    /// and the maintained index's probes equal a scratch rebuild's.
+    /// and the maintained index's probes equal a scratch rebuild's. The
+    /// delta also re-adds every edge until the KB holds `copies` of each,
+    /// so maintenance rebuilds postings over repeated rows, and the
+    /// maintained multigraph must answer like the KB holding each edge
+    /// once.
     #[test]
     fn delta_probe_path_matches_reference_after_delta(
         seed in 0u64..6,
@@ -124,12 +170,15 @@ proptest! {
             1..10,
         ),
         shape_idx in 0usize..shape_count(),
+        copies in 1usize..=3,
     ) {
         let mut kb = suite_kb(seed);
         apply_ops(&mut kb, &ops1, "a");
         let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
         let epoch0 = kb.epoch();
         apply_ops(&mut kb, &ops2, "b");
+        let once = kb.clone();
+        let kb = with_copies(kb, copies);
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
         let index = index.next_epoch(&delta).unwrap();
 
@@ -140,11 +189,14 @@ proptest! {
             let got = count_distributions(&index, &spec, &req).unwrap();
             prop_assert_eq!(&got.per_start, &expected, "delta partial re-group");
         }
-        // The maintained postings answer like a scratch build's.
+        // The maintained postings answer like a scratch build's, and like
+        // the KB holding every edge once.
         let scratch = EdgeIndex::build(&kb);
         let got = indexed_distributions(index.base(), &spec, None);
         let fresh = indexed_distributions(&scratch, &spec, None);
         prop_assert_eq!(&got, &fresh, "maintained vs scratch");
+        let single = indexed_distributions(&EdgeIndex::build(&once), &spec, None);
+        prop_assert_eq!(&got, &single, "{} copies vs one", copies);
     }
 }
 

@@ -202,50 +202,50 @@ type Pin = (usize, usize, Option<usize>, u64, usize, usize, usize, usize);
 /// this single path replaced (sharded/flat × fixed-size/ceiling tiling),
 /// so a change in answers, tiling or row accounting shows up here.
 const PINS: [Pin; 54] = [
-    (0, 1, None, 0xc99491919640e92a, 1, 125, 0, 0),
-    (0, 1, Some(0), 0xc99491919640e92a, 43, 26, 26, 34),
-    (0, 1, Some(64), 0xc99491919640e92a, 2, 63, 63, 0),
-    (1, 1, None, 0xc97772ae50f9bf9c, 1, 50, 0, 0),
-    (1, 1, Some(0), 0xc97772ae50f9bf9c, 35, 12, 12, 22),
-    (1, 1, Some(64), 0xc97772ae50f9bf9c, 1, 50, 50, 0),
+    (0, 1, None, 0xc99491919640e92a, 1, 118, 0, 0),
+    (0, 1, Some(0), 0xc99491919640e92a, 43, 21, 26, 34),
+    (0, 1, Some(64), 0xc99491919640e92a, 2, 60, 63, 0),
+    (1, 1, None, 0xc97772ae50f9bf9c, 1, 48, 0, 0),
+    (1, 1, Some(0), 0xc97772ae50f9bf9c, 35, 11, 12, 22),
+    (1, 1, Some(64), 0xc97772ae50f9bf9c, 1, 48, 50, 0),
     (2, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
     (2, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
     (2, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
-    (3, 1, None, 0xf0a6accba4f9b9f0, 1, 368, 0, 0),
-    (3, 1, Some(0), 0xf0a6accba4f9b9f0, 43, 81, 53, 34),
-    (3, 1, Some(64), 0xf0a6accba4f9b9f0, 5, 111, 63, 0),
-    (4, 1, None, 0x9b07211fe9cb19ba, 1, 109, 0, 0),
-    (4, 1, Some(0), 0x9b07211fe9cb19ba, 35, 34, 21, 22),
-    (4, 1, Some(64), 0x9b07211fe9cb19ba, 2, 65, 56, 0),
-    (5, 1, None, 0xb1af172f204562d8, 1, 102, 0, 0),
-    (5, 1, Some(0), 0xb1af172f204562d8, 32, 23, 18, 19),
-    (5, 1, Some(64), 0xb1af172f204562d8, 2, 82, 62, 0),
+    (3, 1, None, 0xf0a6accba4f9b9f0, 1, 322, 0, 0),
+    (3, 1, Some(0), 0xf0a6accba4f9b9f0, 43, 55, 53, 34),
+    (3, 1, Some(64), 0xf0a6accba4f9b9f0, 5, 93, 63, 0),
+    (4, 1, None, 0x9b07211fe9cb19ba, 1, 105, 0, 0),
+    (4, 1, Some(0), 0x9b07211fe9cb19ba, 35, 32, 21, 22),
+    (4, 1, Some(64), 0x9b07211fe9cb19ba, 2, 63, 56, 0),
+    (5, 1, None, 0xb1af172f204562d8, 1, 101, 0, 0),
+    (5, 1, Some(0), 0xb1af172f204562d8, 32, 22, 18, 19),
+    (5, 1, Some(64), 0xb1af172f204562d8, 2, 81, 62, 0),
     (6, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
     (6, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
     (6, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
     (7, 1, None, 0xcbf29ce484222325, 1, 53, 0, 0),
     (7, 1, Some(0), 0xcbf29ce484222325, 1, 53, 0, 0),
     (7, 1, Some(64), 0xcbf29ce484222325, 1, 53, 0, 0),
-    (8, 1, None, 0xcbf29ce484222325, 1, 125, 0, 0),
-    (8, 1, Some(0), 0xcbf29ce484222325, 43, 26, 26, 34),
-    (8, 1, Some(64), 0xcbf29ce484222325, 2, 63, 63, 0),
-    (0, 3, None, 0xc99491919640e92a, 3, 65, 0, 0),
-    (0, 3, Some(0), 0xc99491919640e92a, 47, 26, 26, 34),
-    (0, 3, Some(64), 0xc99491919640e92a, 4, 62, 62, 0),
-    (1, 3, None, 0xc97772ae50f9bf9c, 3, 24, 0, 0),
-    (1, 3, Some(0), 0xc97772ae50f9bf9c, 39, 12, 12, 22),
-    (1, 3, Some(64), 0xc97772ae50f9bf9c, 3, 24, 24, 0),
+    (8, 1, None, 0xcbf29ce484222325, 1, 118, 0, 0),
+    (8, 1, Some(0), 0xcbf29ce484222325, 43, 21, 26, 34),
+    (8, 1, Some(64), 0xcbf29ce484222325, 2, 60, 63, 0),
+    (0, 3, None, 0xc99491919640e92a, 3, 59, 0, 0),
+    (0, 3, Some(0), 0xc99491919640e92a, 47, 21, 26, 34),
+    (0, 3, Some(64), 0xc99491919640e92a, 4, 56, 62, 0),
+    (1, 3, None, 0xc97772ae50f9bf9c, 3, 23, 0, 0),
+    (1, 3, Some(0), 0xc97772ae50f9bf9c, 39, 11, 12, 22),
+    (1, 3, Some(64), 0xc97772ae50f9bf9c, 3, 23, 24, 0),
     (2, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
     (2, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
     (2, 3, Some(64), 0xcbf29ce484222325, 3, 0, 0, 0),
-    (3, 3, None, 0xf0a6accba4f9b9f0, 3, 205, 0, 0),
-    (3, 3, Some(0), 0xf0a6accba4f9b9f0, 47, 81, 39, 34),
-    (3, 3, Some(64), 0xf0a6accba4f9b9f0, 5, 115, 62, 0),
-    (4, 3, None, 0x9b07211fe9cb19ba, 3, 55, 0, 0),
-    (4, 3, Some(0), 0x9b07211fe9cb19ba, 39, 34, 19, 22),
-    (4, 3, Some(64), 0x9b07211fe9cb19ba, 3, 55, 38, 0),
+    (3, 3, None, 0xf0a6accba4f9b9f0, 3, 170, 0, 0),
+    (3, 3, Some(0), 0xf0a6accba4f9b9f0, 47, 55, 39, 34),
+    (3, 3, Some(64), 0xf0a6accba4f9b9f0, 5, 106, 62, 0),
+    (4, 3, None, 0x9b07211fe9cb19ba, 3, 53, 0, 0),
+    (4, 3, Some(0), 0x9b07211fe9cb19ba, 39, 32, 19, 22),
+    (4, 3, Some(64), 0x9b07211fe9cb19ba, 3, 53, 38, 0),
     (5, 3, None, 0xb1af172f204562d8, 3, 56, 0, 0),
-    (5, 3, Some(0), 0xb1af172f204562d8, 33, 23, 15, 19),
+    (5, 3, Some(0), 0xb1af172f204562d8, 33, 22, 15, 19),
     (5, 3, Some(64), 0xb1af172f204562d8, 3, 56, 33, 0),
     (6, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
     (6, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
@@ -253,9 +253,9 @@ const PINS: [Pin; 54] = [
     (7, 3, None, 0xcbf29ce484222325, 3, 24, 0, 0),
     (7, 3, Some(0), 0xcbf29ce484222325, 3, 24, 0, 0),
     (7, 3, Some(64), 0xcbf29ce484222325, 3, 24, 0, 0),
-    (8, 3, None, 0xcbf29ce484222325, 3, 65, 0, 0),
-    (8, 3, Some(0), 0xcbf29ce484222325, 47, 26, 26, 34),
-    (8, 3, Some(64), 0xcbf29ce484222325, 4, 62, 62, 0),
+    (8, 3, None, 0xcbf29ce484222325, 3, 59, 0, 0),
+    (8, 3, Some(0), 0xcbf29ce484222325, 47, 21, 26, 34),
+    (8, 3, Some(64), 0xcbf29ce484222325, 4, 56, 62, 0),
 ];
 
 /// FNV-1a over the per-start multisets in start order.
