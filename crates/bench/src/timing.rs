@@ -20,8 +20,14 @@ pub fn median_of<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
         durations.push(d);
         last = Some(out);
     }
+    (last.expect("n >= 1"), median(durations))
+}
+
+/// The median of a non-empty set of durations (the upper middle one for
+/// an even count).
+pub fn median(mut durations: Vec<Duration>) -> Duration {
     durations.sort_unstable();
-    (last.expect("n >= 1"), durations[durations.len() / 2])
+    durations[durations.len() / 2]
 }
 
 /// Formats a duration in adaptive units (µs / ms / s).

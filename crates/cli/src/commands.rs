@@ -76,12 +76,12 @@ with the abort reason — instead of silently ranked on partial evidence.
 Zero is rejected for both (it would shed everything before the first
 tile); omit the flag for no bound.
 
---shards N hash-partitions start entities across N independent index
-shards and fans batched evaluations out in parallel; answers are
+--shards N hash-partitions each batched evaluation's start entities
+into N buckets evaluated in parallel over one index; answers are
 byte-identical to --shards 1. --index-dir <dir> warm-starts from an
-on-disk index snapshot when one matches the KB's epoch and shard count,
-and saves a fresh snapshot there otherwise ('rex stats --index-dir'
-writes one explicitly and reports load-vs-build wall time).
+on-disk index snapshot when one matches the KB's epoch, and saves a
+fresh snapshot there otherwise ('rex stats --index-dir' writes one
+explicitly and reports load-vs-build wall time).
 
 `rex update` ranks the same workload cold through a serving-session
 snapshot, applies an edge-list delta file to the KB, and re-ranks
@@ -279,9 +279,11 @@ fn resolve_pairs(
 
 /// Builds the serving session for `rex rank`, warm-starting from an
 /// on-disk index snapshot when `--index-dir` holds one at the KB's
-/// current epoch and shard spec. Any mismatch (stale epoch, different
-/// shard count, missing or corrupt snapshot) falls back to a cold build,
-/// and the freshly built index is saved back so the next run is warm.
+/// current epoch. A saved layout holds no data beyond its base index, so
+/// the loaded base takes this run's shard spec (`--shards`, `--seed`).
+/// Any other outcome (stale epoch, missing or corrupt snapshot) falls
+/// back to a cold build, and the freshly built index is saved back so
+/// the next run is warm.
 fn serving_state(
     kb: &KnowledgeBase,
     cfg: &RankPairsConfig,
@@ -289,13 +291,16 @@ fn serving_state(
     quiet: bool,
 ) -> Result<rex_core::ranking::ServingState, String> {
     use rex_core::ranking::ServingState;
+    use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
     let Some(dir) = index_dir else {
         return ServingState::build(kb, cfg).map_err(|e| e.to_string());
     };
     let dir = Path::new(dir);
     let t0 = std::time::Instant::now();
-    match rex_relstore::engine::ShardedEdgeIndex::load(dir) {
-        Ok(index) if index.epoch() == kb.epoch() && index.spec().shards == cfg.shards => {
+    match ShardedEdgeIndex::load(dir) {
+        Ok(saved) if saved.epoch() == kb.epoch() => {
+            let spec = ShardSpec::new(cfg.shards, cfg.seed);
+            let index = ShardedEdgeIndex::from_base(std::sync::Arc::clone(saved.base()), spec);
             let load_ms = t0.elapsed().as_secs_f64() * 1e3;
             let state =
                 ServingState::build_with_index(kb, cfg, index).map_err(|e| e.to_string())?;
@@ -303,7 +308,7 @@ fn serving_state(
                 println!(
                     "index: warm start from {} ({} shards, epoch {}) in {load_ms:.1} ms",
                     dir.display(),
-                    cfg.shards,
+                    spec.shards,
                     kb.epoch()
                 );
             }
@@ -313,12 +318,9 @@ fn serving_state(
             if !quiet {
                 match outcome {
                     Ok(index) => println!(
-                        "index: snapshot at {} is stale ({} shards at epoch {}, want {} at {}); \
-                         rebuilding",
+                        "index: snapshot at {} is stale (epoch {}, want {}); rebuilding",
                         dir.display(),
-                        index.spec().shards,
                         index.epoch(),
-                        cfg.shards,
                         kb.epoch()
                     ),
                     Err(err) => {
@@ -335,7 +337,7 @@ fn serving_state(
                 .save(dir)
                 .map_err(|e| format!("cannot save index: {e}"))?;
             if !quiet {
-                println!("index: saved {} shard snapshot bytes to {}", bytes, dir.display());
+                println!("index: saved {} snapshot bytes to {}", bytes, dir.display());
             }
             Ok(state)
         }
@@ -626,19 +628,6 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
         posting.dst_keys,
         posting.heap_bytes as f64 / 1024.0
     );
-    if shards > 1 {
-        println!("index shards ({} by entity hash, seed {}):", sharded.shard_count(), seed);
-        for k in 0..sharded.shard_count() {
-            let shard = sharded.shard(k);
-            let sp = shard.posting_stats();
-            println!(
-                "  shard {k}: {} rows, {} partitions, {:.1} KiB postings",
-                shard.total_rows(),
-                sp.partitions,
-                sp.heap_bytes as f64 / 1024.0
-            );
-        }
-    }
     if let Some(dir) = args.get("index-dir") {
         let dir = Path::new(dir);
         std::fs::create_dir_all(dir)
@@ -1195,6 +1184,46 @@ mod tests {
         // Odd positional count and unknown entities are reported.
         assert!(rank_pairs_cmd(&argv(&["--toy", "brad_pitt"])).is_err());
         assert!(rank_pairs_cmd(&argv(&["--toy", "brad_pitt", "nobody"])).is_err());
+    }
+
+    /// `rex rank --index-dir` warm-starts from any snapshot at the KB's
+    /// epoch, whatever `--shards` the run asks for — including `0`,
+    /// which builds as one shard. A warm start leaves the snapshot files
+    /// alone; a rebuild rewrites them, resetting their mtime.
+    #[test]
+    fn rank_index_dir_warm_starts_across_shard_counts() {
+        use rex_relstore::persist::{BASE_NAME, MANIFEST_NAME};
+        let dir = std::env::temp_dir().join(format!("rex-cli-index-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rank = |shards: &str| {
+            rank_pairs_cmd(&argv(&[
+                "--toy",
+                "brad_pitt",
+                "angelina_jolie",
+                "--samples",
+                "10",
+                "--shards",
+                shards,
+                "--index-dir",
+                dir.to_str().unwrap(),
+                "--quiet",
+            ]))
+            .expect("rank --index-dir");
+        };
+        rank("0");
+        let stamp = std::time::UNIX_EPOCH + std::time::Duration::from_secs(86_400);
+        let files = [MANIFEST_NAME, BASE_NAME].map(|name| dir.join(name));
+        for path in &files {
+            File::options().write(true).open(path).unwrap().set_modified(stamp).unwrap();
+        }
+        for shards in ["0", "3"] {
+            rank(shards);
+            for path in &files {
+                let modified = std::fs::metadata(path).unwrap().modified().unwrap();
+                assert_eq!(modified, stamp, "--shards {shards} rewrote {}", path.display());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! hash lookup plus a binary search — the asymptotics drop from
 //! ~`starts` full evaluations per shape to 1.
 //!
-//! Every method takes a [`ShardedEdgeIndex`]: a cold shape's batch fans
-//! out across the index's shards, and the flat index is simply the
+//! Every method takes a [`ShardedEdgeIndex`]: a cold shape's batch splits
+//! its starts by the index's shard spec and evaluates the buckets in
+//! parallel over the one base index, and the flat index is simply the
 //! 1-shard case ([`ShardSpec::single`]). Warm reads never care how many
 //! shards computed a batch. A read ([`DistributionCache::all_starts`])
 //! reports whether *it* evaluated ([`BatchRead`]), so a request can

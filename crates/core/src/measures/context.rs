@@ -161,7 +161,7 @@ mod tests {
         let r1 = ctx.edge_index() as *const ShardedEdgeIndex;
         let r2 = ctx.edge_index() as *const ShardedEdgeIndex;
         assert_eq!(r1, r2);
-        assert_eq!(ctx.edge_index().shard_count(), 1);
+        assert_eq!(ctx.edge_index().spec().shards, 1);
         assert!(ctx.edge_index().base().total_rows() >= kb.edge_count());
     }
 

@@ -15,7 +15,7 @@
 //!   while ranking;
 //! * maintenance ([`ServingState::maintain`]) builds the **next** epoch
 //!   off to the side: a copy-on-write [`ShardedEdgeIndex::next_epoch`]
-//!   (only shards and partitions a delta touches are copied), the frame
+//!   (only partitions a delta touches are copied), the frame
 //!   redraw policy, and [`DistributionCache::apply_delta`] (which patches
 //!   the touched cache entries with no lock held and publishes every
 //!   maintained entry in one write-lock section) — then **flips** the
@@ -129,9 +129,8 @@ impl Snapshot {
         &self.pinned.index
     }
 
-    /// The pinned flat edge index — the sharded index's base, which
-    /// always holds every partition in full. Flat callers (plan probes,
-    /// cost estimation) read through this.
+    /// The pinned flat edge index — the sharded index's base. Flat
+    /// callers (plan probes, cost estimation) read through this.
     #[inline]
     pub fn edge_index(&self) -> &Arc<EdgeIndex> {
         self.pinned.index.base()
@@ -333,11 +332,6 @@ pub struct MaintainOutcome {
     /// Scratch-rebuild attempts that panicked before one succeeded (0
     /// when the first attempt went through).
     pub rebuild_retries: usize,
-    /// Index shards rebuilt by this pass. On the incremental path only
-    /// shards owning a delta-touched start are rebuilt (the rest share
-    /// their `Arc` with the previous epoch, copy-on-write); scratch
-    /// rebuilds count every shard.
-    pub shards_rebuilt: usize,
 }
 
 /// The shared serving session: one epoch-versioned `(kb, index, frame)`
@@ -540,7 +534,6 @@ impl ServingState {
             purged_entries: 0,
             recovered_from_panic: false,
             rebuild_retries: 0,
-            shards_rebuilt: 0,
         };
         if kb.epoch() == from_epoch {
             return Ok(outcome);
@@ -558,13 +551,11 @@ impl ServingState {
                 // index, so even a post-apply_delta panic leaves reads
                 // consistent.)
                 let attempt = catch_unwind(AssertUnwindSafe(
-                    || -> Result<(DeltaMaintenance, bool, usize, Arc<PinnedState>)> {
+                    || -> Result<(DeltaMaintenance, bool, Arc<PinnedState>)> {
                         // Build the next epoch off to the side: COW index
-                        // (only shards owning a delta-touched start are
-                        // rebuilt; the rest share their Arc), frame
-                        // redraw policy.
+                        // (only delta-touched partitions are copied),
+                        // frame redraw policy.
                         let next_index = Arc::new(pinned.index.next_epoch(&delta)?);
-                        let shards_rebuilt = next_index.shards_rebuilt_from(&pinned.index);
                         let (next_frame, frame_redrawn) = pinned.frame.refresh(kb)?;
                         self.fire(site::MAINTAIN_APPLY_DELTA);
                         // Maintain the cache BEFORE the flip: while
@@ -587,18 +578,17 @@ impl ServingState {
                             index: next_index,
                             frame: Arc::new(next_frame),
                         });
-                        Ok((maintenance, frame_redrawn, shards_rebuilt, next))
+                        Ok((maintenance, frame_redrawn, next))
                     },
                 ));
                 match attempt {
-                    Ok(Ok((maintenance, frame_redrawn, shards_rebuilt, next))) => {
+                    Ok(Ok((maintenance, frame_redrawn, next))) => {
                         // The flip: one swap publishes kb/index/frame
                         // together.
                         *self.current.write() = next;
                         outcome.maintenance = maintenance;
                         outcome.frame_redrawn = frame_redrawn;
                         outcome.index_churn = delta.edge_churn();
-                        outcome.shards_rebuilt = shards_rebuilt;
                     }
                     Ok(Err(err)) => return Err(err),
                     Err(_panic) => {
@@ -617,7 +607,6 @@ impl ServingState {
                         outcome.recovered_from_panic = true;
                         outcome.rebuild_retries = retries;
                         outcome.frame_redrawn = frame_redrawn;
-                        outcome.shards_rebuilt = pinned.index.shard_count();
                     }
                 }
             }
@@ -631,7 +620,6 @@ impl ServingState {
                 outcome.frame_redrawn = frame_redrawn;
                 outcome.compaction_fallback = true;
                 outcome.rebuild_retries = retries;
-                outcome.shards_rebuilt = pinned.index.shard_count();
             }
         }
         Ok(outcome)
@@ -740,12 +728,6 @@ mod tests {
         assert_eq!(m.to_epoch, kb.epoch());
         assert!(!m.compaction_fallback);
         assert_eq!(m.index_churn, 1);
-        // One edge touches at most two shards (and at least one).
-        assert!(
-            (1..=2).contains(&m.shards_rebuilt),
-            "expected 1..=2 shards rebuilt, got {}",
-            m.shards_rebuilt
-        );
 
         // The old snapshot still answers at its pinned epoch.
         assert_eq!(old.epoch(), 0);

@@ -11,8 +11,8 @@
 //!
 //! 1. builds the next epoch's
 //!    [`ShardedEdgeIndex`](rex_relstore::engine::ShardedEdgeIndex)
-//!    copy-on-write off to the side (only delta-touched shards and
-//!    partitions are copied);
+//!    copy-on-write off to the side (only delta-touched partitions are
+//!    copied);
 //! 2. runs the [`SampleFrame`](crate::measures::SampleFrame) redraw
 //!    policy (keep the seeded sample while its starts stay eligible;
 //!    deterministic redraw otherwise);

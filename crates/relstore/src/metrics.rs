@@ -261,7 +261,7 @@ mod tests {
         let (index, spec, starts) = costar_batch(1);
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
         let whole = count_distributions(&index, &spec, &req).unwrap().trace;
-        let tiles = index.shard(0).tile_starts_for_ceiling(&spec, &starts, 0);
+        let tiles = index.base().tile_starts_for_ceiling(&spec, &starts, 0);
         assert!(tiles.len() > 1, "Some(0) tiles every start with rows on its own");
         let mut merged = EvalTrace { full: 1, ..EvalTrace::default() };
         for tile in &tiles {

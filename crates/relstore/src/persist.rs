@@ -29,9 +29,10 @@
 //! fall back to a rebuild, never to a half-loaded index.
 //!
 //! Sharded layout ([`save_sharded`] / [`load_sharded`]): a directory with
-//! a checksummed `MANIFEST` (spec + epoch), `base.idx`, and one
-//! `shard-<k>.idx` per shard (omitted when `shards == 1`, where the base
-//! *is* the single shard).
+//! a checksummed `MANIFEST` (shard spec + epoch) and `base.idx`. A shard
+//! spec only partitions a batch's starts, so the base snapshot is the
+//! whole index. Layouts that also hold one `shard-<k>.idx` per shard
+//! load the same way; the loader never reads those files.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -50,11 +51,6 @@ const VERSION: u32 = 2;
 pub const MANIFEST_NAME: &str = "MANIFEST";
 /// File name of the base index snapshot inside a sharded layout.
 pub const BASE_NAME: &str = "base.idx";
-
-/// File name of shard `k`'s snapshot inside a sharded layout.
-pub fn shard_name(k: usize) -> String {
-    format!("shard-{k}.idx")
-}
 
 // ---------------------------------------------------------------------
 // Little-endian put/get with truncation checks — same idiom as the KB
@@ -274,7 +270,7 @@ fn encode_manifest(index: &ShardedEdgeIndex) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, MANIFEST_MAGIC);
     put_u32(&mut out, VERSION);
-    put_u32(&mut out, index.shard_count() as u32);
+    put_u32(&mut out, index.spec().shards as u32);
     put_u64(&mut out, index.spec().seed);
     put_u64(&mut out, index.epoch());
     let checksum = fnv1a(&out);
@@ -312,30 +308,23 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardSpec, u64)> {
     Ok((ShardSpec { shards, seed }, epoch))
 }
 
-/// Saves a sharded index layout into `dir` (created if absent): manifest,
-/// base snapshot, and one snapshot per shard when `shards > 1`. Returns
-/// total bytes written. Each file is written atomically; the manifest is
-/// written **last**, so a crash mid-save leaves either the previous
-/// complete layout (same epoch manifest) or a manifest whose epoch the
-/// loader cross-checks against every file.
+/// Saves a sharded index layout into `dir` (created if absent): the base
+/// snapshot, then the manifest. Returns total bytes written. Each file is
+/// written atomically; the manifest is written **last**, so a crash
+/// mid-save leaves either the previous complete layout (same epoch
+/// manifest) or a manifest whose epoch the loader cross-checks against
+/// the base.
 pub fn save_sharded(index: &ShardedEdgeIndex, dir: &Path) -> Result<u64> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let mut total = save_index(index.base(), &dir.join(BASE_NAME))?;
-    if index.shard_count() > 1 {
-        for k in 0..index.shard_count() {
-            total += save_index(index.shard(k), &dir.join(shard_name(k)))?;
-        }
-    }
+    let total = save_index(index.base(), &dir.join(BASE_NAME))?;
     let manifest = encode_manifest(index);
     rex_kb::io::atomic_write(&dir.join(MANIFEST_NAME), &manifest)
         .map_err(|e| io_err(&dir.join(MANIFEST_NAME), e))?;
     Ok(total + manifest.len() as u64)
 }
 
-/// Loads a sharded index layout written by [`save_sharded`]. Shard
-/// snapshots may **lag** the manifest epoch (copy-on-write shards are
-/// shared, not rewritten, across untouched epochs), but the base must
-/// match it exactly.
+/// Loads a sharded index layout written by [`save_sharded`]; the base
+/// snapshot must sit at the manifest's epoch.
 pub fn load_sharded(dir: &Path) -> Result<ShardedEdgeIndex> {
     let manifest =
         std::fs::read(dir.join(MANIFEST_NAME)).map_err(|e| io_err(&dir.join(MANIFEST_NAME), e))?;
@@ -347,28 +336,7 @@ pub fn load_sharded(dir: &Path) -> Result<ShardedEdgeIndex> {
             base.epoch()
         )));
     }
-    if spec.shards == 1 {
-        return Ok(ShardedEdgeIndex::from_shards(spec, Arc::clone(&base), vec![base]));
-    }
-    let mut shards = Vec::with_capacity(spec.shards);
-    for k in 0..spec.shards {
-        let shard = load_index(&dir.join(shard_name(k)))?;
-        if shard.epoch() > epoch {
-            return Err(RelError::Corrupt(format!(
-                "shard {k} at epoch {} is ahead of manifest epoch {epoch}",
-                shard.epoch()
-            )));
-        }
-        if shard.node_count() != base.node_count() {
-            return Err(RelError::Corrupt(format!(
-                "shard {k} node count {} differs from base {}",
-                shard.node_count(),
-                base.node_count()
-            )));
-        }
-        shards.push(Arc::new(shard));
-    }
-    Ok(ShardedEdgeIndex::from_shards(spec, base, shards))
+    Ok(ShardedEdgeIndex::from_base(base, spec))
 }
 
 /// Convenience: [`ShardedEdgeIndex::save`]/[`load`](ShardedEdgeIndex::load)
@@ -446,7 +414,7 @@ mod tests {
         let mut names: Vec<_> =
             std::fs::read_dir(&first).unwrap().map(|e| e.unwrap().file_name()).collect();
         names.sort();
-        assert_eq!(names.len(), 5, "manifest, base and three shards");
+        assert_eq!(names.len(), 2, "manifest and base");
         for name in names {
             let a = std::fs::read(first.join(&name)).unwrap();
             let b = std::fs::read(second.join(&name)).unwrap();
@@ -456,27 +424,12 @@ mod tests {
     }
 
     /// The v2 byte format, pinned: the toy index's snapshot length and
-    /// FNV-1a fingerprint, for the flat index and each shard of a 3-way
-    /// layout. A change here is an on-disk format change and needs a
-    /// version bump.
+    /// FNV-1a fingerprint. A change here is an on-disk format change and
+    /// needs a version bump.
     #[test]
     fn snapshot_bytes_are_pinned() {
-        let kb = toy_kb();
-        let fingerprint = |index: &EdgeIndex| {
-            let bytes = encode_index(index);
-            (bytes.len(), fnv1a(&bytes))
-        };
-        assert_eq!(fingerprint(&EdgeIndex::build(&kb)), (564, 0x2c43_fcfa_ba5d_c092));
-        let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7));
-        let shards: Vec<_> = (0..3).map(|k| fingerprint(sharded.shard(k))).collect();
-        assert_eq!(
-            shards,
-            [
-                (412, 0x3994_b849_ea66_77fc),
-                (524, 0xc754_27a7_ff81_016c),
-                (44, 0xb34b_5f4f_bfcb_4122)
-            ]
-        );
+        let bytes = encode_index(&EdgeIndex::build(&toy_kb()));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (564, 0x2c43_fcfa_ba5d_c092));
     }
 
     /// Replaces a snapshot's checksum trailer with its payload's, so a
@@ -552,32 +505,13 @@ mod tests {
         let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7));
         let bytes = save_sharded(&sharded, &dir).expect("save");
         assert!(bytes > 0);
+        // Layouts that also hold per-shard files load the same way: the
+        // loader reads only the manifest and the base.
+        std::fs::write(dir.join("shard-0.idx"), b"not a snapshot").unwrap();
         let loaded = load_sharded(&dir).expect("load");
         assert_eq!(loaded.spec(), sharded.spec());
-        assert_eq!(loaded.shard_count(), 3);
         assert_eq!(loaded.epoch(), sharded.epoch());
-        for k in 0..3 {
-            assert_eq!(loaded.shard(k).total_rows(), sharded.shard(k).total_rows());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn single_shard_layout_shares_base() {
-        let kb = toy_kb();
-        let dir = std::env::temp_dir().join(format!(
-            "rex-persist-single-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::single());
-        save_sharded(&sharded, &dir).expect("save");
-        // No shard files for the degenerate layout.
-        assert!(!dir.join(shard_name(0)).exists());
-        let loaded = load_sharded(&dir).expect("load");
-        assert_eq!(loaded.shard_count(), 1);
-        assert!(Arc::ptr_eq(loaded.base(), loaded.shard(0)));
+        assert_eq!(encode_index(loaded.base()), encode_index(sharded.base()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -286,11 +286,11 @@ impl PatternSpec {
             .map(|&e| {
                 let source = match &start_keys {
                     Some(keys) if e.u == self.start || e.v == self.start => {
-                        EdgeSource::Probe { index, src: e.u == self.start, keys }
+                        EdgeSource::Probe { src: e.u == self.start, keys }
                     }
-                    _ => EdgeSource::Scan(index),
+                    _ => EdgeSource::Scan,
                 };
-                self.edge_rows(e, binding, cols, source, trace)
+                self.edge_rows(index, e, binding, cols, source, trace)
             })
             .collect())
     }
@@ -312,6 +312,7 @@ impl PatternSpec {
     /// read).
     fn edge_rows(
         &self,
+        index: &crate::engine::EdgeIndex,
         e: SpecEdge,
         binding: &StartBinding,
         (from, to): (usize, usize),
@@ -341,11 +342,11 @@ impl PatternSpec {
         };
         let dir = e.dir();
         match source {
-            EdgeSource::Scan(index) => {
+            EdgeSource::Scan => {
                 index.for_each_scanned(e.label, dir, &mut take);
                 trace.rows_scanned += read;
             }
-            EdgeSource::Probe { index, src, keys } => {
+            EdgeSource::Probe { src, keys } => {
                 index.for_each_probed(e.label, dir, src, keys, &mut take);
                 trace.rows_probed += read;
             }
@@ -391,23 +392,6 @@ impl PatternSpec {
     /// estimated incident traffic undercuts their partition size get a
     /// [`Access::BoundProbe`] access path.
     pub fn plan(&self, index: &crate::engine::EdgeIndex, binding: &StartBinding) -> JoinPlan {
-        self.plan_split(index, index, binding)
-    }
-
-    /// [`PatternSpec::plan`] over a split probe/scan index pair: start
-    /// probes are estimated (and later executed) against `probe`,
-    /// partition statistics come from `scan`. With `probe == scan` this
-    /// is the unsharded path; the sharded `Among` fan-out passes a shard
-    /// (which holds every row incident to its resident starts, so
-    /// resident probes are complete) as `probe` and the full base index
-    /// as `scan` (non-start pattern edges range over the *whole* KB
-    /// regardless of sharding).
-    pub fn plan_split(
-        &self,
-        probe: &crate::engine::EdgeIndex,
-        scan: &crate::engine::EdgeIndex,
-        binding: &StartBinding,
-    ) -> JoinPlan {
         let m = self.edges.len();
         let start_keys = sorted_start_keys(binding);
         let mut used = vec![false; m];
@@ -424,13 +408,13 @@ impl PatternSpec {
                     continue;
                 }
                 let dir = e.dir();
-                let rows = scan.scan_len(e.label, dir) as f64;
+                let rows = index.scan_len(e.label, dir) as f64;
                 let touches_start = e.u == self.start || e.v == self.start;
                 let (access, est_rows) = if touches_start && start_keys.is_some() {
                     // Exact incident count from the endpoint postings.
                     let src = e.u == self.start;
                     let keys = start_keys.as_deref().expect("checked is_some");
-                    let incident = probe.incident_len(e.label, dir, src, keys) as f64;
+                    let incident = index.incident_len(e.label, dir, src, keys) as f64;
                     (Access::StartProbe { src }, incident)
                 } else if step_no > 0 && connected {
                     // Index-nested-loop candidate: probe with the values
@@ -444,7 +428,7 @@ impl PatternSpec {
                         if !side_bound {
                             continue;
                         }
-                        let d = scan.endpoint_distinct(e, src);
+                        let d = index.endpoint_distinct(e, src);
                         let est_keys = est_cur.min(d);
                         let est_incident = est_keys * rows / d;
                         if est_incident < choice.1 {
@@ -457,8 +441,11 @@ impl PatternSpec {
                     // partition scan is the only honest first step.
                     (Access::Scan, rows)
                 };
-                let est_out =
-                    if step_no == 0 { est_rows } else { est_cur * scan.join_multiplier(e, &bound) };
+                let est_out = if step_no == 0 {
+                    est_rows
+                } else {
+                    est_cur * index.join_multiplier(e, &bound)
+                };
                 let better = match &best {
                     None => true,
                     Some((b_out, b_rows, b_i, _)) => {
@@ -474,7 +461,7 @@ impl PatternSpec {
             let (est_out, est_rows, pick, access) = best.unwrap_or_else(|| {
                 let i = (0..m).find(|&i| !used[i]).expect("step_no < m");
                 let e = &self.edges[i];
-                let rows = scan.scan_len(e.label, e.dir()) as f64;
+                let rows = index.scan_len(e.label, e.dir()) as f64;
                 (est_cur.max(rows), rows, i, Access::Scan)
             });
             used[pick] = true;
@@ -487,26 +474,24 @@ impl PatternSpec {
         JoinPlan { steps, est_cost }
     }
 
-    /// Executes a [`JoinPlan`] over a split probe/scan index pair,
-    /// materializing each step's rows through its planned access path —
-    /// start probes against `probe`, partition scans and bound-value
-    /// probes against `scan` — each through [`PatternSpec::edge_rows`]'s
+    /// Executes a [`JoinPlan`] over `index`, materializing each step's
+    /// rows through its planned access path — start probe, bound-value
+    /// probe or partition scan — each through [`PatternSpec::edge_rows`]'s
     /// single probe/filter/project pass. The last step streams: each
     /// injective row it joins goes to `emit` as one value per variable,
     /// in variable order, and no instance relation is built. Edge reads
     /// are sets and every join keeps its inputs' columns, so the emitted
     /// instances are distinct without a dedup. The rows read and the peak
     /// intermediate row count land in `trace`.
-    fn join_planned_split(
+    fn join_planned(
         &self,
-        probe: &crate::engine::EdgeIndex,
-        scan: &crate::engine::EdgeIndex,
+        index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
         plan: &JoinPlan,
         trace: &mut EvalTrace,
         mut emit: impl FnMut(&[u64]),
     ) -> Result<()> {
-        let cols = endpoint_cols(scan)?;
+        let cols = endpoint_cols(index)?;
         let start_keys = sorted_start_keys(binding);
         let mut state = JoinState::new(self.var_count);
         for (at, step) in plan.steps.iter().enumerate() {
@@ -517,15 +502,15 @@ impl PatternSpec {
                     let keys = start_keys
                         .as_deref()
                         .expect("plans emit StartProbe only under a start binding");
-                    EdgeSource::Probe { index: probe, src, keys }
+                    EdgeSource::Probe { src, keys }
                 }
                 Access::BoundProbe { src, var } => {
                     bound_keys = state.bound_values(var);
-                    EdgeSource::Probe { index: scan, src, keys: &bound_keys }
+                    EdgeSource::Probe { src, keys: &bound_keys }
                 }
-                Access::Scan => EdgeSource::Scan(scan),
+                Access::Scan => EdgeSource::Scan,
             };
-            let rows = self.edge_rows(e, binding, cols, source, trace);
+            let rows = self.edge_rows(index, e, binding, cols, source, trace);
             if at + 1 < plan.steps.len() {
                 state.push(e, rows);
             } else {
@@ -583,13 +568,10 @@ impl PatternSpec {
         binding: &StartBinding,
     ) -> Result<(Relation, EvalTrace)> {
         let mut data = Vec::new();
-        let mut trace = self.evaluate_tile(
-            index,
-            index,
-            binding,
-            &crate::budget::Budget::unlimited(),
-            |instance| data.extend_from_slice(instance),
-        )?;
+        let mut trace =
+            self.evaluate_tile(index, binding, &crate::budget::Budget::unlimited(), |instance| {
+                data.extend_from_slice(instance)
+            })?;
         trace.full = 1;
         crate::metrics::fold(&trace);
         let schema = Schema::new((0..self.var_count).map(|v| format!("v{v}")));
@@ -599,32 +581,29 @@ impl PatternSpec {
         ))
     }
 
-    /// One tile of a batched evaluation over a split probe/scan index
-    /// pair ([`PatternSpec::plan_split`]): start probes hit `probe` (a
-    /// shard, or the index itself), non-start scans hit `scan` (the full
-    /// base index). The **tile boundary** of the budgeted evaluation
-    /// stack: the budget is checked *before* the tile runs (an exhausted
-    /// budget aborts with [`crate::RelError::Aborted`] instead of
-    /// evaluating) and the tile's peak intermediate rows are charged
-    /// against the row pool *after* it completes, so a tile either runs
-    /// to completion and is paid for, or does not run at all — never a
-    /// half-evaluated join tree. Each distinct instance goes to `emit`,
-    /// one value per variable in variable order. Returns the tile's
-    /// trace: its rows read and peak intermediate rows, but no evaluation
-    /// or tile count (the caller accounts those).
+    /// One tile of a batched evaluation over `index`, through the
+    /// cost-based [`PatternSpec::plan`]. The **tile boundary** of the
+    /// budgeted evaluation stack: the budget is checked *before* the tile
+    /// runs (an exhausted budget aborts with [`crate::RelError::Aborted`]
+    /// instead of evaluating) and the tile's peak intermediate rows are
+    /// charged against the row pool *after* it completes, so a tile
+    /// either runs to completion and is paid for, or does not run at all
+    /// — never a half-evaluated join tree. Each distinct instance goes to
+    /// `emit`, one value per variable in variable order. Returns the
+    /// tile's trace: its rows read and peak intermediate rows, but no
+    /// evaluation or tile count (the caller accounts those).
     pub(crate) fn evaluate_tile(
         &self,
-        probe: &crate::engine::EdgeIndex,
-        scan: &crate::engine::EdgeIndex,
+        index: &crate::engine::EdgeIndex,
         binding: &StartBinding,
         budget: &crate::budget::Budget,
         emit: impl FnMut(&[u64]),
     ) -> Result<EvalTrace> {
         budget.check().map_err(crate::RelError::Aborted)?;
         self.validate()?;
-        let plan = self.plan_split(probe, scan, binding);
+        let plan = self.plan(index, binding);
         let mut trace = EvalTrace::default();
-        self.join_planned_split(probe, scan, binding, &plan, &mut trace, emit)?;
+        self.join_planned(index, binding, &plan, &mut trace, emit)?;
         budget.charge_rows(trace.peak_rows);
         Ok(trace)
     }
@@ -749,13 +728,13 @@ impl PatternSpec {
     }
 }
 
-/// Where [`PatternSpec::edge_rows`] reads an edge's partition rows from.
+/// Which of an edge's partition rows [`PatternSpec::edge_rows`] reads.
 enum EdgeSource<'a> {
-    /// The whole `(label, dir)` partition of this index.
-    Scan(&'a crate::engine::EdgeIndex),
-    /// The partition rows of `index` whose `from` (`src`) or `to`
-    /// endpoint is in `keys` (sorted).
-    Probe { index: &'a crate::engine::EdgeIndex, src: bool, keys: &'a [u64] },
+    /// The whole `(label, dir)` partition.
+    Scan,
+    /// The partition rows whose `from` (`src`) or `to` endpoint is in
+    /// `keys` (sorted).
+    Probe { src: bool, keys: &'a [u64] },
 }
 
 /// The `(from, to)` column positions of an index's oriented schema.
