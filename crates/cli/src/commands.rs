@@ -36,7 +36,7 @@ USAGE:
                [--per-group N] [--log-retention N]
                [... rank flags]
   rex generate --nodes N --edges M [--labels L] [--seed S] --out <kb.tsv>
-  rex stats    --kb <kb.tsv> | --toy [--shards N] [--index-dir <dir>]
+  rex stats    --kb <kb.tsv> | --toy [--index-dir <dir>]
   rex pairs    --kb <kb.tsv> [--per-group N] [--seed S] [--toy]
   rex ingest   --wal <dir> --delta <delta.tsv|-> [--kb <kb.tsv> | --toy]
                [--sync commit|interval[:N]|off] [--batch N] [--queue N]
@@ -606,12 +606,12 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 pub fn stats(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let kb = load_kb(&args)?;
-    let shards: usize = args.get_or("shards", 1)?;
-    let seed: u64 = args.get_or("seed", 2011)?;
     println!("{}", rex_kb::stats::summary(&kb));
-    let spec = rex_relstore::engine::ShardSpec::new(shards, seed);
     let t0 = std::time::Instant::now();
-    let sharded = rex_relstore::engine::ShardedEdgeIndex::build(&kb, spec);
+    let sharded = rex_relstore::engine::ShardedEdgeIndex::build(
+        &kb,
+        rex_relstore::engine::ShardSpec::single(),
+    );
     let build = t0.elapsed();
     let index = sharded.base();
     let posting = index.posting_stats();

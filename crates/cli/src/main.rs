@@ -10,7 +10,7 @@
 //!              WHERE a = $start AND b = $end" [start [end]]
 //! rex update   --kb kb.tsv --delta delta.tsv [start end]... [--log-retention 10000]
 //! rex generate --nodes 10000 --edges 65000 --seed 42 --out kb.tsv
-//! rex stats    --kb kb.tsv [--shards 4] [--index-dir snapshots/]
+//! rex stats    --kb kb.tsv [--index-dir snapshots/]
 //! rex pairs    --kb kb.tsv --per-group 10 [--seed 2011]
 //! rex ingest   --wal state/ --delta delta.tsv --toy [--sync commit] [--batch 32]
 //! rex recover  state/ [--truncate]

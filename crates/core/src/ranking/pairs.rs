@@ -83,9 +83,11 @@ pub struct RankPairsConfig {
     /// Best-effort ceiling on join-produced intermediate rows per batched
     /// evaluation; `None` disables tiling.
     pub row_ceiling: Option<usize>,
-    /// Entity-hash shards of the edge index (≥ 1): cold batched
-    /// evaluations split their start set by shard residency and fan out
-    /// in parallel ([`ShardedEdgeIndex`]). `1` is the unsharded path.
+    /// Start-hash buckets per cold batched evaluation (0 is taken as 1):
+    /// each evaluation splits its start set into this many buckets and
+    /// evaluates them in parallel over the one edge index
+    /// ([`ShardedEdgeIndex`]). Answers do not depend on it; `1` evaluates
+    /// every start in one bucket.
     pub shards: usize,
 }
 

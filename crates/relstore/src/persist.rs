@@ -32,7 +32,10 @@
 //! a checksummed `MANIFEST` (shard spec + epoch) and `base.idx`. A shard
 //! spec only partitions a batch's starts, so the base snapshot is the
 //! whole index. Layouts that also hold one `shard-<k>.idx` per shard
-//! load the same way; the loader never reads those files.
+//! load the same way; the loader never reads those files, and a save
+//! deletes them before it writes, so a reader that does expect them
+//! finds none and rebuilds rather than pairing stale shard rows with a
+//! newer base.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -308,7 +311,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardSpec, u64)> {
     Ok((ShardSpec { shards, seed }, epoch))
 }
 
-/// Saves a sharded index layout into `dir` (created if absent): the base
+/// Saves a sharded index layout into `dir` (created if absent): deletes
+/// any `shard-<k>.idx` files an older layout left, then writes the base
 /// snapshot, then the manifest. Returns total bytes written. Each file is
 /// written atomically; the manifest is written **last**, so a crash
 /// mid-save leaves either the previous complete layout (same epoch
@@ -316,6 +320,13 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardSpec, u64)> {
 /// the base.
 pub fn save_sharded(index: &ShardedEdgeIndex, dir: &Path) -> Result<u64> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    for entry in std::fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
+        let path = entry.map_err(|e| io_err(dir, e))?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.starts_with("shard-") && name.ends_with(".idx") {
+            std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+        }
+    }
     let total = save_index(index.base(), &dir.join(BASE_NAME))?;
     let manifest = encode_manifest(index);
     rex_kb::io::atomic_write(&dir.join(MANIFEST_NAME), &manifest)
@@ -507,11 +518,16 @@ mod tests {
         assert!(bytes > 0);
         // Layouts that also hold per-shard files load the same way: the
         // loader reads only the manifest and the base.
-        std::fs::write(dir.join("shard-0.idx"), b"not a snapshot").unwrap();
+        let stray = dir.join("shard-0.idx");
+        std::fs::write(&stray, b"not a snapshot").unwrap();
         let loaded = load_sharded(&dir).expect("load");
         assert_eq!(loaded.spec(), sharded.spec());
         assert_eq!(loaded.epoch(), sharded.epoch());
         assert_eq!(encode_index(loaded.base()), encode_index(sharded.base()));
+        // A save deletes them, so no reader pairs them with a newer base.
+        save_sharded(&loaded, &dir).expect("re-save");
+        assert!(!stray.exists(), "save left a stale shard file");
+        assert_eq!(load_sharded(&dir).expect("reload").epoch(), sharded.epoch());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
