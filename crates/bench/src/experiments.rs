@@ -453,9 +453,11 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
     }
 }
 
-/// The join-order comparison behind the cost-based planner: the same
-/// skewed-label pattern evaluated with the naive left-to-right edge
-/// order versus the production selectivity-driven plan.
+/// The planner comparison: the same skewed-label pattern evaluated as a
+/// hash-join tree in the naive left-to-right edge order versus the
+/// production depth-first walk of [`PatternSpec::plan`]'s variable order.
+///
+/// [`PatternSpec::plan`]: rex_relstore::plan::PatternSpec::plan
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerBench {
     /// Edges in the synthetic skewed KB.
@@ -471,10 +473,12 @@ pub struct PlannerBench {
     /// Endpoint-posting rows the naive order probed (start edges only —
     /// the naive executor has no bound-value probes).
     pub naive_rows_probed: usize,
-    /// Full-partition rows the planned execution walked.
+    /// Full-partition rows the planned execution walked (none: the walk
+    /// never scans).
     pub cost_rows_scanned: usize,
-    /// Endpoint-posting rows the planned execution probed (start probes
-    /// plus the bound-value probes that replace hub scans).
+    /// Endpoint-posting rows the planned execution read: the start's
+    /// lists plus the lists of the values bound after it, which replace
+    /// the hub scan.
     pub cost_rows_probed: usize,
     /// Both orders produced identical relations.
     pub parity: bool,
@@ -506,12 +510,12 @@ impl PlannerBench {
 /// numbers are above scheduler noise on small hosts.
 const PLANNER_BENCH_REPS: usize = 8;
 
-/// Measures the cost-based join orderer against the naive left-to-right
-/// edge order on a deliberately skewed KB: a 3-step path whose middle
-/// label is a huge hub partition. The naive order must scan that
-/// partition outright; the planner defers it to a bound-value probe fed
-/// by the rare start edge, so its row traffic collapses to the probed
-/// neighborhoods. Each side's traffic is the sum of the traces its
+/// Measures the depth-first walk against the naive left-to-right
+/// hash-join order on a deliberately skewed KB: a 3-step path whose
+/// middle label is a huge hub partition. The naive order must scan that
+/// partition outright; the walk reads only the hub lists of the values
+/// the rare start edge bound, so its row traffic collapses to those
+/// neighbourhoods. Each side's traffic is the sum of the traces its
 /// evaluations return.
 pub fn planner_bench(w: &Workload) -> PlannerBench {
     use rex_kb::KbBuilder;
@@ -535,8 +539,8 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
         b.add_directed_edge(*h, e, "sel");
     }
     // Hub noise with distinct endpoints on both sides: the naive order
-    // scans every one of these rows, while a bound-value probe of the 4
-    // hub keys (or the 16 bound mids) never touches them.
+    // scans every one of these rows, while the walk's hub lists, keyed
+    // by the 16 bound mids, never touch them.
     for i in 0..1500 {
         let x = b.add_node(&format!("x{i}"), "T");
         let y = b.add_node(&format!("y{i}"), "T");
@@ -582,7 +586,8 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
         }
     });
 
-    // Join order is a physical choice: the answers must agree as sets.
+    // The evaluation strategy is a physical choice: the answers must
+    // agree as sets.
     let sorted_rows = |rel: &rex_relstore::Relation| {
         let mut rows: Vec<Vec<u64>> = rel.rows().map(<[u64]>::to_vec).collect();
         rows.sort();

@@ -58,20 +58,23 @@ dropped for that pair) and the patterns flow through the same shared
 frame, distribution cache, budgets, shards, and serving machinery as
 enumerated shapes. Parse errors point at the offending bytes.
 
-`rex plan` compiles a MATCH query and prints the cost-based physical
-plan — canonical form, binding kinds per variable, the join order chosen
-by the selectivity estimates vs the naive left-to-right order, and the
-access path per step (partition scan, start-binding probe, or bound-key
-probe) — without evaluating anything. An optional <start> entity makes
-the start binding Const; otherwise the plan is explained unbound, where
-the orderer anchors on the smallest partition scan.
+`rex plan` compiles a MATCH query and prints the depth-first plan —
+canonical form, binding kinds per variable, the order in which the
+executor binds the variables (chosen from the posting statistics), and
+for each level the neighbour lists its candidates are intersected from
+and the bindings the planner expects — without evaluating anything. A
+trailing existential marked `counted` is counted, not enumerated, when
+distributions are grouped. An optional <start> entity makes the start
+binding Const; otherwise the plan is explained unbound, where the start
+ranges over the keys of its smallest start-incident posting.
 
 `rex ingest --delta -` streams the delta grammar from stdin instead of a
 file, for pipeline producers.
 
 --deadline-ms / --row-budget bound the ranking pass (both commands): the
-deadline and intermediate-row budget are checked at every evaluation tile
-boundary, and pairs the budget cannot cover are SHED — reported per pair
+deadline and row budget (each tile is charged its widest level's
+bindings) are checked at every evaluation tile boundary, and pairs the
+budget cannot cover are SHED — reported per pair
 with the abort reason — instead of silently ranked on partial evidence.
 Zero is rejected for both (it would shed everything before the first
 tile); omit the flag for no bound.
@@ -419,7 +422,7 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     if !args.has("quiet") {
         println!(
             "ranked {} pairs in {:.1} ms (enumeration {:.1} ms): {} distinct shapes, \
-             {} batched evaluations, {} tiles, peak {} intermediate rows (ceiling {})",
+             {} batched evaluations, {} tiles, peak {} bindings per level (ceiling {})",
             prepared.len() - outcome.shed.len(),
             rank_elapsed.as_secs_f64() * 1e3,
             enum_elapsed.as_secs_f64() * 1e3,
@@ -744,40 +747,53 @@ fn query_explanations(
         .collect()
 }
 
-/// One human line per plan step: the edge, the access path, and the
-/// cardinality estimates that chose it.
-fn describe_plan_step(
-    step: &rex_relstore::plan::JoinStep,
+/// One human line per plan level: the variable, where its candidates
+/// come from, and the bindings the planner expects.
+fn describe_plan_level(
+    plan: &rex_relstore::plan::BindingPlan,
+    at: usize,
     spec: &rex_relstore::plan::PatternSpec,
     var_names: &[String],
     kb: &KnowledgeBase,
 ) -> String {
-    use rex_relstore::plan::Access;
-    let e = &spec.edges[step.edge];
-    let label = kb.label_name(rex_kb::LabelId(e.label as u32));
+    let level = &plan.levels[at];
     let name = |v: usize| var_names.get(v).cloned().unwrap_or_else(|| format!("v{v}"));
-    let arrow = if e.directed { "->" } else { "-" };
-    let edge = format!("({})-[:{label}]{arrow}({})", name(e.u), name(e.v));
-    let access = match step.access {
-        Access::Scan => "scan (full partition)".to_string(),
-        Access::StartProbe { src } => {
-            format!("probe start binding on the {} posting", if src { "from" } else { "to" })
-        }
-        Access::BoundProbe { src, var } => format!(
-            "probe keys of `{}` on the {} posting",
-            name(var),
-            if src { "from" } else { "to" }
-        ),
+    let edge = |i: usize| {
+        let e = &spec.edges[i];
+        let label = kb.label_name(rex_kb::LabelId(e.label as u32));
+        let arrow = if e.directed { "->" } else { "-" };
+        format!("edge {i} ({})-[:{label}]{arrow}({})", name(e.u), name(e.v))
     };
+    let side = |src: bool| if src { "from" } else { "to" };
+    let mut source = if at == 0 {
+        match plan.start_posting {
+            Some(r) => format!("the keys of {}'s {} posting", edge(r.edge), side(r.src)),
+            None => "the start binding".to_string(),
+        }
+    } else {
+        let reads: Vec<String> = level
+            .reads
+            .iter()
+            .map(|r| {
+                format!("{} keyed by `{}` ({} posting)", edge(r.edge), name(r.key_var), side(r.src))
+            })
+            .collect();
+        reads.join(" ∩ ")
+    };
+    for &l in &level.loops {
+        source.push_str(&format!(", self-loop {}", edge(l)));
+    }
+    let counted = if plan.counted_tail && at + 1 == plan.levels.len() { ", counted" } else { "" };
     format!(
-        "edge {} {edge}: {access} — est {:.1} rows, est {:.1} out",
-        step.edge, step.est_rows, step.est_out
+        "level {at} `{}`: {source}{counted} — est {:.1} bindings",
+        name(level.var),
+        level.est_bindings
     )
 }
 
-/// `rex plan`: compile a MATCH query and explain the cost-based physical
-/// plan — canonical form, binding kinds, join order, access path and
-/// selectivity estimate per step — without evaluating anything.
+/// `rex plan`: compile a MATCH query and explain the depth-first plan —
+/// canonical form, binding kinds, variable order, each level's neighbour
+/// lists and estimated bindings — without evaluating anything.
 pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let kb = load_kb(&args)?;
@@ -807,19 +823,17 @@ pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
                     format!("Among({} starts)", vs.len())
                 }
                 (0, rex_relstore::plan::StartBinding::Unbound) => "Unbound (start)".into(),
-                (1, _) => "Unbound (end; filtered post-join)".into(),
+                (1, _) => "Unbound (end)".into(),
                 _ => "Unbound (existential)".into(),
             };
             println!("  var {v} `{name}`: {kind}");
         }
         let spec = q.pattern.to_spec();
         let plan = spec.plan(&index, &binding);
-        let naive = spec.naive_join_order().unwrap_or_default();
-        println!("naive order: {naive:?}; cost order: {:?}", plan.order());
-        for (i, step) in plan.steps.iter().enumerate() {
-            println!("  step {i}: {}", describe_plan_step(step, &spec, names, &kb));
+        println!("variable order: {:?}", plan.order());
+        for at in 0..plan.levels.len() {
+            println!("  {}", describe_plan_level(&plan, at, &spec, names, &kb));
         }
-        println!("estimated cost: {:.1} rows", plan.est_cost);
     }
     Ok(())
 }
@@ -1391,7 +1405,7 @@ mod tests {
 
     #[test]
     fn plan_explains_queries_and_rank_accepts_them() {
-        // Plan with a bound start: start probe first, bound probes after.
+        // Plan with a bound start: the start first, then its neighbours.
         plan_cmd(&argv(&[
             "--toy",
             "MATCH (a)-[:starring]->(m)<-[:starring]-(b) WHERE a = $start AND b = $end",

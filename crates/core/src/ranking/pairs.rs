@@ -20,9 +20,11 @@
 //!    shapes start at once and the light ones fill in behind them,
 //!    instead of one worker finishing the pass alone on a heavy shape it
 //!    reached last.
-//! 4. **Memory-bounded evaluation**: an intermediate-row ceiling tiles
-//!    each batch's start set ([`DistributionCache::with_row_ceiling`]) so
-//!    peak join intermediates stay bounded regardless of frame size.
+//! 4. **Work-bounded evaluation**: a row ceiling tiles each batch's start
+//!    set by estimated instance rows
+//!    ([`DistributionCache::with_row_ceiling`]), so each tile's work — and
+//!    the row budget charged per tile — stays bounded regardless of frame
+//!    size.
 //! 5. **One read per shape**: the prewarm's reads are the pass's only
 //!    cache accesses. Every pair is then scored from those reads in a
 //!    plain loop, so a request reads each distinct shape exactly once.
@@ -80,8 +82,8 @@ pub struct RankPairsConfig {
     /// Worker threads for the prewarm's cache reads (0 = rayon's default
     /// width).
     pub threads: usize,
-    /// Best-effort ceiling on join-produced intermediate rows per batched
-    /// evaluation; `None` disables tiling.
+    /// Best-effort ceiling on the estimated instance rows of each tile of
+    /// a batched evaluation; `None` disables tiling.
     pub row_ceiling: Option<usize>,
     /// Start-hash buckets per cold batched evaluation (0 is taken as 1):
     /// each evaluation splits its start set into this many buckets and
@@ -98,9 +100,11 @@ impl Default for RankPairsConfig {
             global_samples: 100,
             seed: 0xDB9,
             threads: 0,
-            // Generous default: roughly the intermediate size at which
-            // materialized joins start to dominate memory on commodity
-            // hardware; small enough to split genuinely hub-heavy shapes.
+            // Generous default: large enough that most batches run as one
+            // tile, small enough to split genuinely hub-heavy shapes so
+            // that no single tile's walk (and row-budget charge) grows
+            // without bound. The depth-first walk holds no intermediate
+            // relation, so this bounds work per tile, not memory.
             row_ceiling: Some(1 << 20),
             shards: 1,
         }
@@ -135,7 +139,7 @@ pub struct RankPairsOutcome {
     pub batched_evals: usize,
     /// Start tiles evaluated by this run's own batches.
     pub tiles: usize,
-    /// Largest intermediate relation (rows) materialized by any batch
+    /// Largest number of bindings one level of one tile made in any batch
     /// *backing this workload's shapes* — carried on the batches
     /// themselves, so it is attributed correctly even when a reused cache
     /// answers some shapes without re-evaluating them.

@@ -15,9 +15,10 @@
 //! * a **deadline** (absolute [`Instant`]) — wall-clock latency;
 //! * a **cancellation token** ([`CancelToken`]) — caller-driven teardown
 //!   (a disconnected client, a superseded request);
-//! * a **row budget** (shared atomic pool) — total join-produced
-//!   intermediate rows a request may materialize, the same currency the
-//!   tiling ceiling and the admission controller use.
+//! * a **row budget** (shared atomic pool) — the rows of work a request
+//!   may spend, each tile charged the bindings of its widest level, in
+//!   the currency of the tiling ceiling and the admission controller's
+//!   estimated instance rows.
 //!
 //! All three are checked *cooperatively*: evaluation only stops at a tile
 //! boundary, and stopping is a typed error ([`crate::RelError::Aborted`])
@@ -110,9 +111,9 @@ impl Budget {
         self
     }
 
-    /// Adds a row budget: a shared pool of `rows` join-produced
-    /// intermediate rows; every completed tile drains its peak rows from
-    /// the pool and an empty pool aborts the next tile. Rejects `0`
+    /// Adds a row budget: a shared pool of `rows` rows of work; every
+    /// completed tile drains its peak rows (its widest level's bindings)
+    /// from the pool and an empty pool aborts the next tile. Rejects `0`
     /// loudly — a zero pool can never evaluate anything, which is a
     /// configuration bug, not a request to degrade.
     pub fn with_row_budget(mut self, rows: usize) -> Budget {

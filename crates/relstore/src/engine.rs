@@ -12,6 +12,7 @@ use std::sync::Arc;
 use rex_kb::{EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
 
 use crate::budget::Budget;
+use crate::exec::Sink;
 use crate::metrics::EvalTrace;
 use crate::ops::{group_count_having_limit, FIB_HASH};
 use crate::plan::{dir_code, PatternSpec, SpecEdge, StartBinding};
@@ -19,22 +20,20 @@ use crate::relation::{ColumnPosting, Relation, Schema};
 use crate::{RelError, Result};
 
 /// The endpoint posting lists of one `(label, dir)` partition: a
-/// [`ColumnPosting`] over each endpoint column (`from` and `to`), so a
-/// pattern edge whose start variable sits at either endpoint can
-/// materialize exactly the rows incident to a start set — cost
-/// proportional to those rows, not to the partition (the `Among` scan
-/// floor, removed).
-///
-/// Each key's rows are ordered by the other endpoint (`by_src` by `to`,
-/// `by_dst` by `from`), so rows equal on `(from, to)` — parallel KB edges
-/// — are adjacent and a probe or scan reads the partition as a set of
-/// `(from, to)` pairs by skipping a row equal to the one before it.
+/// [`ColumnPosting`] over each endpoint column, so every row incident to
+/// an entity on either side is one lookup away. `by_src` maps each `from`
+/// id to its `to` ids and `by_dst` each `to` id to its `from` ids —
+/// the partition's out- and in-adjacency lists, each ascending, a
+/// parallel KB edge repeated once per row. Binding a pattern variable
+/// next to a bound one reads exactly one such list, and a variable with
+/// several bound neighbours intersects theirs; a scan walks `by_src`
+/// key by key, so rows equal on `(from, to)` arrive next to each other.
 ///
 /// Postings are immutable snapshots of their partition's rows: delta
 /// maintenance rebuilds the posting of every partition it edits and
 /// leaves the rest shared behind their `Arc` (copy-on-write, mirroring
 /// the partitions themselves across [`EdgeIndex::next_epoch`]), so the
-/// order holds across epochs.
+/// lists always match the rows of their epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPosting {
     by_src: ColumnPosting,
@@ -43,8 +42,8 @@ pub struct PartitionPosting {
 
 impl PartitionPosting {
     /// Builds both endpoint postings over a partition (`from` = column 0,
-    /// `to` = column 1 of the oriented schema), each key's rows ordered
-    /// by the other endpoint.
+    /// `to` = column 1 of the oriented schema), each key listing the
+    /// other endpoint's ids.
     fn build(rel: &Relation, from_col: usize, to_col: usize) -> PartitionPosting {
         PartitionPosting {
             by_src: ColumnPosting::build(rel, from_col, to_col),
@@ -252,10 +251,10 @@ impl EdgeIndex {
     /// The rows matching a `(label, dir)` pair — the shared partition
     /// itself, not a copy, in KB edge order; an empty relation when
     /// absent. A **full partition scan**, the access path the endpoint
-    /// postings exist to avoid whenever a start restriction can be pushed
-    /// down ([`EdgeIndex::probe`]); the evaluator walks the same rows in
-    /// `by_src` posting order and counts them as `rows_scanned` in its
-    /// [`EvalTrace`].
+    /// postings exist to avoid; only the fixed-order baseline
+    /// ([`PatternSpec::evaluate_indexed_in_order`]) still scans, walking
+    /// the same rows in `by_src` posting order and counting them as
+    /// `rows_scanned` in its [`EvalTrace`].
     pub fn scan(&self, label: u64, dir: u64) -> Arc<Relation> {
         self.groups
             .get(&(label, dir))
@@ -263,37 +262,38 @@ impl EdgeIndex {
             .unwrap_or_else(|| Arc::new(Relation::empty(self.schema.clone())))
     }
 
-    /// Visits every row of the `(label, dir)` partition in `by_src`
-    /// posting order — by `from`, then by `to` — so rows equal on
-    /// `(from, to)` arrive next to each other.
-    pub(crate) fn for_each_scanned<F: FnMut(&[u64])>(&self, label: u64, dir: u64, mut visit: F) {
-        let key = (label, dir);
-        let (Some(rel), Some(posting)) = (self.groups.get(&key), self.postings.get(&key)) else {
+    /// Visits every `(from, to)` row of the `(label, dir)` partition in
+    /// `by_src` posting order — by `from`, then by `to` — so rows equal
+    /// on `(from, to)` arrive next to each other.
+    pub(crate) fn for_each_scanned<F: FnMut(u64, u64)>(&self, label: u64, dir: u64, mut visit: F) {
+        let Some(posting) = self.endpoint_posting(label, dir, true) else {
             return;
         };
-        for &i in posting.endpoint(true).rows_in_order() {
-            visit(rel.row(i as usize));
+        for (from, tos) in posting.lists() {
+            for &to in tos {
+                visit(from, u64::from(to));
+            }
         }
     }
 
     /// Materializes exactly the partition rows whose start endpoint —
     /// `from` when `src`, `to` otherwise — is in `keys` (sorted; adjacent
     /// duplicates are skipped), via the partition's endpoint posting
-    /// lists: one binary search plus a contiguous row-range per key, so
+    /// lists: one binary search plus a contiguous id list per key, so
     /// the cost is proportional to the rows *incident to the key set*
-    /// instead of the partition size. The evaluator counts the rows it
-    /// reads this way as `rows_probed` in its [`EvalTrace`].
+    /// instead of the partition size.
     pub fn probe(&self, label: u64, dir: u64, src: bool, keys: &[u64]) -> Relation {
         let mut data = Vec::new();
-        self.for_each_probed(label, dir, src, keys, |row| data.extend_from_slice(row));
+        self.for_each_probed(label, dir, src, keys, |from, to| {
+            data.extend_from_slice(&[from, to, label, dir]);
+        });
         Relation::from_flat(self.schema.clone(), data).expect("partition rows match the schema")
     }
 
-    /// Visits the rows [`EdgeIndex::probe`] would materialize, in the
-    /// same order — key by key, each key's rows ordered by the other
-    /// endpoint — without copying them; the evaluator filters and
-    /// projects them straight into its own buffer.
-    pub(crate) fn for_each_probed<F: FnMut(&[u64])>(
+    /// Visits the `(from, to)` rows [`EdgeIndex::probe`] would
+    /// materialize, in the same order — key by key, each key's rows
+    /// ordered by the other endpoint — without copying them.
+    pub(crate) fn for_each_probed<F: FnMut(u64, u64)>(
         &self,
         label: u64,
         dir: u64,
@@ -301,21 +301,35 @@ impl EdgeIndex {
         keys: &[u64],
         mut visit: F,
     ) {
-        let key = (label, dir);
-        let (Some(rel), Some(posting)) = (self.groups.get(&key), self.postings.get(&key)) else {
+        let Some(posting) = self.endpoint_posting(label, dir, src) else {
             return;
         };
-        let posting = posting.endpoint(src);
         let mut last = None;
         for &k in keys {
             if last == Some(k) {
                 continue;
             }
             last = Some(k);
-            for &i in posting.rows_for(k) {
-                visit(rel.row(i as usize));
+            for &other in posting.neighbours(k) {
+                let other = u64::from(other);
+                if src {
+                    visit(k, other);
+                } else {
+                    visit(other, k);
+                }
             }
         }
+    }
+
+    /// The `from` (`src`) or `to` posting of the `(label, dir)`
+    /// partition, borrowed; `None` when the partition does not exist.
+    pub(crate) fn endpoint_posting(
+        &self,
+        label: u64,
+        dir: u64,
+        src: bool,
+    ) -> Option<&ColumnPosting> {
+        self.postings.get(&(label, dir)).map(|p| p.endpoint(src))
     }
 
     /// Rows of the `(label, dir)` partition incident to `keys` on the
@@ -519,8 +533,8 @@ impl EdgeIndex {
     /// small tiles and leaf starts pack densely.
     ///
     /// Every tile holds at least one start; a start whose own weight
-    /// exceeds the ceiling gets a singleton tile (the per-edge scans are
-    /// a floor no tiling can lower).
+    /// exceeds the ceiling gets a singleton tile (its own instances are a
+    /// floor no tiling can lower).
     pub fn tile_starts_for_ceiling(
         &self,
         spec: &PatternSpec,
@@ -865,7 +879,8 @@ pub fn local_count_distribution_indexed(
     Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
 }
 
-/// Sort-free two-level accumulator for the hot `(start, end)` group-by:
+/// Sort-free two-level accumulator for a `(start, end)` group-by over an
+/// instance relation:
 /// level 1 maps the start entity through a **dense** slot table over the
 /// interned id domain (entity ids are small consecutive integers — a
 /// `Vec` lookup, no hashing); level 2 is an open-addressed table keyed by
@@ -973,9 +988,10 @@ impl PairCounter {
 
 /// The specialized `(start, end)` group-by over an instance relation: the
 /// per-start **unsorted** count multisets, computed with [`PairCounter`].
-/// This is the hot-path replacement for [`group_pair_counts_generic`];
-/// the two are answer-identical (pinned by test and measured against each
-/// other in the `sharded` bench section).
+/// It replaces [`group_pair_counts_generic`] wherever an instance
+/// relation is grouped; the two are answer-identical (pinned by test and
+/// measured against each other in the `sharded` bench section). Batched evaluation does not group an
+/// instance relation at all: its walk counts each start's ends in place.
 pub fn group_pair_counts(
     instances: &Relation,
     start_col: usize,
@@ -1066,23 +1082,24 @@ pub struct EvalRequest<'a> {
     pub budget: Budget,
 }
 
-/// The batched distribution query (§5.3.2's amortization, done
-/// literally): evaluates `spec` with the start variable restricted to
-/// `req.starts`, then groups the instance relation by `(start, end)`,
-/// producing for every start the descending multiset of per-end instance
-/// counts — exactly `local_count_distribution_indexed(s).values()` sorted
-/// descending. One call replaces one evaluation *per start* with one
-/// evaluation whose scan and join work is shared.
+/// The batched distribution query (§5.3.2's amortization): evaluates
+/// `spec` with the start variable restricted to `req.starts`, grouped by
+/// `(start, end)`, producing for every start the descending multiset of
+/// per-end instance counts — exactly
+/// `local_count_distribution_indexed(s).values()` sorted descending. One
+/// call plans once per tile for all its starts, and the depth-first walk
+/// counts each start's instances per end in place instead of
+/// materializing them.
 ///
 /// The start set is split by shard residency and the non-empty buckets
-/// fan out across rayon workers, each planning, probing, scanning and
-/// tiling against the one base index; the per-bucket grouped counts
-/// merge by disjoint union. A 1-shard index ([`ShardSpec::single`]) is
-/// one bucket, evaluated inline. Every bucket reads the same index, so
-/// the answer never depends on the shard count, and neither does any
-/// start's tile weight. Within a bucket the row ceiling tiles the
-/// starts; tiling trades repeated non-start scans for a bounded peak and
-/// never changes the answer either.
+/// fan out across rayon workers, each planning, reading and tiling
+/// against the one base index; the per-bucket grouped counts merge by
+/// disjoint union. A 1-shard index ([`ShardSpec::single`]) is one
+/// bucket, evaluated inline. Every bucket reads the same index, so the
+/// answer never depends on the shard count, and neither does any start's
+/// tile weight. Within a bucket the row ceiling tiles the starts; tiling
+/// bounds each tile's work and row-budget charge and never changes the
+/// answer either.
 ///
 /// Budget: checked at **every tile boundary** on every worker, so an
 /// expired deadline, a tripped cancellation token or an exhausted row
@@ -1130,12 +1147,12 @@ pub fn count_distributions(
 /// One shard bucket of [`count_distributions`]: evaluates `values`
 /// (sorted, deduped, non-empty) tile by tile against `index`
 /// ([`PatternSpec::evaluate_tile`]), packing the tiles by `index`'s
-/// per-start weights. Each tile's final join streams its instances'
-/// `(start, end)` straight into the tile's [`PairCounter`]; no instance
-/// relation is built. The returned trace counts tiles and rows but
-/// **not** the batch-level evaluation, which the caller owns. Returned
-/// count multisets are unsorted; the caller sorts once at the end of the
-/// whole batch.
+/// per-start weights. The depth-first walk counts a trailing existential
+/// instead of enumerating it, and each start's ends accumulate in one
+/// dense per-end array ([`EndCounts`]); no instance is materialized. The
+/// returned trace counts tiles and rows but **not** the batch-level
+/// evaluation, which the caller owns. Returned count multisets are
+/// unsorted; the caller sorts once at the end of the whole batch.
 fn grouped_tiles(
     index: &EdgeIndex,
     spec: &PatternSpec,
@@ -1147,6 +1164,7 @@ fn grouped_tiles(
         Some(max_rows) => index.tile_starts_for_ceiling(spec, values, max_rows),
     };
     let mut out = TiledDistributions::default();
+    let mut ends = EndCounts::new(index.node_count(), spec.end);
     for tile in tiles {
         if let Some(max_rows) = req.row_ceiling {
             let est = index.estimate_starts_rows(spec, &tile);
@@ -1156,26 +1174,65 @@ fn grouped_tiles(
             }
         }
         let binding = StartBinding::Among(tile);
-        let mut counter = PairCounter::new(index.node_count());
-        let trace = spec.evaluate_tile(index, &binding, &req.budget, |instance| {
-            counter.record(instance[spec.start], instance[spec.end]);
-        })?;
+        let trace = spec.evaluate_tile(index, &binding, &req.budget, true, &mut ends)?;
         out.trace.merge(&trace);
         out.trace.tiles += 1;
-        for (start, counts) in counter.finish() {
-            out.per_start.entry(start).or_default().extend(counts);
+    }
+    out.per_start = ends.per_start;
+    Ok(out)
+}
+
+/// The `(start, end)` group-by of a walk: the current start's instance
+/// count per end entity in a dense array over the entity ids, reused for
+/// every start — only the ends a start touched are read back and reset.
+struct EndCounts {
+    end: usize,
+    counts: Vec<u64>,
+    touched: Vec<usize>,
+    per_start: HashMap<u64, Vec<u64>>,
+}
+
+impl EndCounts {
+    fn new(node_count: usize, end: usize) -> EndCounts {
+        EndCounts {
+            end,
+            counts: vec![0; node_count],
+            touched: Vec::new(),
+            per_start: HashMap::new(),
         }
     }
-    Ok(out)
+}
+
+impl Sink for EndCounts {
+    fn emit(&mut self, assignment: &[u64], n: u64) -> bool {
+        let end = assignment[self.end] as usize;
+        if end >= self.counts.len() {
+            self.counts.resize(end + 1, 0);
+        }
+        if self.counts[end] == 0 {
+            self.touched.push(end);
+        }
+        self.counts[end] += n;
+        true
+    }
+
+    fn start_done(&mut self, start: u64) {
+        if self.touched.is_empty() {
+            return;
+        }
+        // Sized exactly: the cache holds these vectors as they are.
+        let counts = self.touched.drain(..).map(|end| std::mem::take(&mut self.counts[end]));
+        self.per_start.insert(start, counts.collect());
+    }
 }
 
 /// Counts the end entities whose instance count strictly exceeds `c` —
 /// the pattern's *position* in `start`'s local distribution (`HAVING
 /// count > c`) — over a prebuilt [`EdgeIndex`], returned with the query's
 /// trace. `limit` bounds the answer, which saturates at `limit`: bounded
-/// queries (`limit < usize::MAX`) run through the pipelined streaming
-/// plan, which aborts the final join as soon as `limit` qualifying end
-/// entities are known — the heart of the paper's `LIMIT p` pruning.
+/// queries (`limit < usize::MAX`) run through the streaming walk, which
+/// stops as soon as `limit` qualifying end entities are known — the heart
+/// of the paper's `LIMIT p` pruning.
 pub fn local_position_indexed(
     index: &EdgeIndex,
     spec: &PatternSpec,

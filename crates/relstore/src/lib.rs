@@ -28,26 +28,30 @@
 //! * [`ops`] — scan/filter, hash equi-join, group-count with
 //!   `HAVING`/`LIMIT`, distinct, projection.
 //! * [`plan`] — compiling a *pattern spec* (the relational shape of an
-//!   explanation pattern) into a join tree over the edge relation.
+//!   explanation pattern) into a depth-first binding plan over the
+//!   indexed edge relation.
 //! * [`engine`] — the distribution queries REX needs: per-end-node instance
 //!   counts, and `HAVING`/`LIMIT`-pruned position counts.
 //!
-//! The engine is deliberately *materialized* (operators consume and produce
-//! whole relations), up to an evaluation's last join, which streams its
-//! rows into the `(start, end)` group-by or the `LIMIT` counter:
-//! explanation patterns are tiny (≤ 4 joins). The
-//! intermediates are not always small, though. A single bound start keeps
-//! them to the rows around one entity, but a batched `Among` tile over
-//! thousands of starts can reach millions of rows (2.6M in the cold
-//! serving benchmark). So the cost that matters is the cost per row: every
+//! Evaluation over the index does not join relations: one depth-first
+//! executor binds the pattern's variables one at a time per start, each
+//! variable's candidates the intersection of the sorted neighbour lists
+//! of its edges to variables already bound, and counts each start's
+//! instances per end entity in place. A batched `Among` tile over
+//! thousands of starts once materialized millions of join rows (2.4M in
+//! the cold serving benchmark) to count a fraction as many instances; the
+//! walk holds one value per variable instead. The materializing operators
+//! of [`ops`] remain for the definitional evaluation over the unindexed
+//! relation, the oracle the indexed path is tested against; every
 //! relation is one flat `u64` buffer and every operator allocates per
-//! relation, never per row (see [`ops`]).
+//! relation, never per row.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod budget;
 pub mod engine;
+mod exec;
 pub mod expr;
 pub mod metrics;
 pub mod ops;

@@ -3,12 +3,12 @@
 //! The batched all-starts pipeline exists to change *how many* relational
 //! evaluations a ranking run performs (§5.3.2's amortization), so every
 //! evaluation counts its own traffic in an [`EvalTrace`]: full pattern
-//! evaluations (materialized join tree), streaming `LIMIT`-pruned
-//! position queries, delta-maintenance re-groups, the tiles of a
-//! memory-bounded batch, and the rows it read — split by access path
-//! into full `(label, dir)` partition scans and endpoint-posting probes,
-//! the ratio that keeps the endpoint index's scan-floor claim
-//! measurable. A tiled batched evaluation counts as **one** full
+//! evaluations, streaming `LIMIT`-pruned position queries,
+//! delta-maintenance re-groups, the tiles of a work-bounded batch, and
+//! the rows it read — split by access path into full `(label, dir)`
+//! partition scans (only the materializing baselines scan) and
+//! endpoint-posting neighbour lists, the ratio that keeps the endpoint
+//! index's scan-floor claim measurable. A tiled batched evaluation counts as **one** full
 //! evaluation regardless of how many tiles it was split into; the tile
 //! count records the splitting separately.
 //!
@@ -44,7 +44,7 @@ static INGEST_QUEUE_PEAK: AtomicUsize = AtomicUsize::new(0);
 /// The relational traffic of one evaluation (or of several, merged).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalTrace {
-    /// Full (materialized) pattern evaluations.
+    /// Full pattern evaluations.
     pub full: usize,
     /// Streaming `LIMIT`-pruned position evaluations.
     pub streaming: usize,
@@ -58,11 +58,15 @@ pub struct EvalTrace {
     /// dir)` partition walked because no restriction could be pushed
     /// into it.
     pub rows_scanned: usize,
-    /// Rows read by **endpoint-posting probes** — only the rows incident
-    /// to the probed keys, the quantity the endpoint index makes
-    /// proportional to the delta instead of the KB.
+    /// Rows read from **endpoint-posting lists** — only the rows incident
+    /// to the keys read, the quantity the endpoint index makes
+    /// proportional to the delta instead of the KB. A depth-first walk
+    /// counts each distinct `(edge, key)` list it reads once per tile.
     pub rows_probed: usize,
-    /// Largest intermediate relation (rows) any join materialized.
+    /// Largest number of bindings one level of a depth-first walk made
+    /// in one tile (past the start; a counted tail's counted instances
+    /// included) — for the materializing baselines, the largest
+    /// intermediate relation any join built.
     pub peak_rows: usize,
     /// Largest **estimated** input rows of any tile — the quantity a row
     /// ceiling bounds. Ceiling tiling packs starts by their estimated
@@ -107,7 +111,7 @@ pub(crate) fn fold(trace: &EvalTrace) {
 /// A point-in-time reading of the process-wide evaluation totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalCounts {
-    /// Full (materialized) pattern evaluations since process start.
+    /// Full pattern evaluations since process start.
     pub full: usize,
     /// Streaming `LIMIT`-pruned position evaluations since process start.
     pub streaming: usize,
@@ -119,7 +123,7 @@ pub struct EvalCounts {
     pub tiles: usize,
     /// Rows read by **full partition scans** since process start.
     pub rows_scanned: usize,
-    /// Rows read by **endpoint-posting probes** since process start.
+    /// Rows read from **endpoint-posting lists** since process start.
     pub rows_probed: usize,
 }
 

@@ -2,29 +2,32 @@
 //! [`EdgeIndex`]'s partitions and endpoint postings.
 //!
 //! A snapshot stores, per `(label, dir)` partition, the flat row array
-//! plus both [`ColumnPosting`] CSR triples (`keys`, `offsets`, `perm`)
-//! **as-is**: loading validates the arrays (monotone offsets, strictly
-//! increasing keys, in-range permutations, trailing checksum) and the
-//! posting row order, then adopts them without re-bucketing or
-//! re-sorting, so a cold start is I/O-bound — strictly cheaper than
-//! [`EdgeIndex::build`], which must bucket the oriented relation and sort
-//! every posting.
+//! plus both [`ColumnPosting`] CSR triples (`keys`, `offsets`, `others`)
+//! **as-is**: loading validates the arrays (strictly increasing keys and
+//! offsets, lists spanning exactly the rows, trailing checksum), each
+//! list's order and the lists' agreement with the rows, then adopts them
+//! without re-bucketing or re-sorting, so a cold start is I/O-bound —
+//! cheaper than [`EdgeIndex::build`], which must bucket the oriented
+//! relation and sort every posting.
 //!
-//! Format version 2 orders each posting key's rows by the other endpoint
-//! (`by_src` by `to`, `by_dst` by `from`), which the evaluator's set
-//! reads rely on: it skips a row equal on `(from, to)` to the row before
-//! it. The loader checks in one pass over each posting that every row
-//! listed under a key carries it and that the key's rows are in order,
-//! and rejects a version-1 snapshot (key order only) or an out-of-order
-//! posting with [`RelError::Corrupt`]. The layout is plain
-//! little-endian arrays at fixed offsets, so a future reader can map the
-//! file and point into it directly (hence *mmap-ready*); this
-//! implementation copies into owned `Vec`s, which keeps the index type
-//! unchanged.
+//! Format version 3 stores, for each posting key, the other endpoint's
+//! id of every row carrying it (`u32`, ascending, a parallel edge
+//! repeated once per row): `by_src` lists each `from` key's `to` ids,
+//! `by_dst` each `to` key's `from` ids. These are the adjacency lists the
+//! depth-first executor intersects. The loader checks in one pass over
+//! each posting that every list is ascending and that the lists hold
+//! exactly the partition's rows (an order-independent 64-bit fingerprint
+//! of the listed pairs must equal the rows'), and rejects a version-1 or
+//! version-2 snapshot (whose postings hold row indices) or an
+//! out-of-order or disagreeing list with [`RelError::Corrupt`]. The
+//! layout is plain little-endian arrays at fixed offsets, so a future
+//! reader can map the file and point into it directly (hence
+//! *mmap-ready*); this implementation copies into owned `Vec`s, which
+//! keeps the index type unchanged.
 //!
 //! Writes go through [`rex_kb::io::atomic_write`] (temp + fsync +
 //! rename), so a torn write leaves the previous snapshot intact; any
-//! in-place corruption is caught by the FNV-1a checksum or the structural
+//! in-place corruption is caught by the word-wise FNV-1a checksum or the structural
 //! validation and rejected wholesale with [`RelError::Corrupt`] — callers
 //! fall back to a rebuild, never to a half-loaded index.
 //!
@@ -48,7 +51,7 @@ use crate::{RelError, Result};
 const MAGIC: u32 = 0x5849_5852;
 /// `b"RXSM"` little-endian — REX Sharded Manifest.
 const MANIFEST_MAGIC: u32 = 0x4d53_5852;
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// File name of the sharded-layout manifest inside its directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -121,18 +124,29 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over the payload — cheap, dependency-free whole-file integrity.
+/// FNV-1a over the payload's little-endian 64-bit words (the last one
+/// zero-padded), then its length — cheap, dependency-free whole-file
+/// integrity at one multiply per eight bytes. Each step is a bijection of
+/// the running hash, so a change to any one word always changes the
+/// result.
 fn fnv1a(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
     }
-    h
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = (h ^ u64::from_le_bytes(last)).wrapping_mul(PRIME);
+    }
+    (h ^ bytes.len() as u64).wrapping_mul(PRIME)
 }
 
 fn put_posting(out: &mut Vec<u8>, posting: &ColumnPosting) {
-    let (keys, offsets, perm) = posting.parts();
+    let (keys, offsets, others) = posting.parts();
     put_u32(out, keys.len() as u32);
     for &k in keys {
         put_u64(out, k);
@@ -140,22 +154,22 @@ fn put_posting(out: &mut Vec<u8>, posting: &ColumnPosting) {
     for &o in offsets {
         put_u32(out, o);
     }
-    for &p in perm {
-        put_u32(out, p);
+    for &o in others {
+        put_u32(out, o);
     }
 }
 
-/// Reads one posting over `rel`'s column `cols.0`, each key's rows
-/// ordered by column `cols.1`.
+/// Reads one posting over `rel`'s column `cols.0`, each key's list
+/// holding column `cols.1`.
 fn get_posting(r: &mut Reader<'_>, rel: &Relation, cols: (usize, usize)) -> Result<ColumnPosting> {
     let keys_len = r.get_u32("posting key count")? as usize;
     let keys = r.get_u64s(keys_len, "posting keys")?;
     let offsets = r.get_u32s(keys_len + 1, "posting offsets")?;
-    let perm = r.get_u32s(rel.len(), "posting permutation")?;
-    ColumnPosting::from_parts(keys, offsets, perm, rel, cols)
+    let others = r.get_u32s(rel.len(), "posting lists")?;
+    ColumnPosting::from_parts(keys, offsets, others, rel, cols)
 }
 
-/// Serializes an index into the v2 snapshot byte format (checksummed,
+/// Serializes an index into the v3 snapshot byte format (checksummed,
 /// deterministic: partitions in sorted `(label, dir)` order).
 pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     let mut out = Vec::new();
@@ -182,9 +196,9 @@ pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     out
 }
 
-/// Deserializes a v2 snapshot, validating magic, version, checksum, and
+/// Deserializes a v3 snapshot, validating magic, version, checksum, and
 /// every structural invariant (partition row totals, CSR monotonicity,
-/// in-range permutations, posting row order) before any part is adopted.
+/// list order, lists agreeing with the rows) before any part is adopted.
 pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
     if bytes.len() < 8 {
         return Err(RelError::Corrupt("snapshot shorter than its checksum".into()));
@@ -434,13 +448,13 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// The v2 byte format, pinned: the toy index's snapshot length and
+    /// The v3 byte format, pinned: the toy index's snapshot length and
     /// FNV-1a fingerprint. A change here is an on-disk format change and
     /// needs a version bump.
     #[test]
     fn snapshot_bytes_are_pinned() {
         let bytes = encode_index(&EdgeIndex::build(&toy_kb()));
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (564, 0x2c43_fcfa_ba5d_c092));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (564, 0xf1dd_5b74_66e4_dfce));
     }
 
     /// Replaces a snapshot's checksum trailer with its payload's, so a
@@ -452,33 +466,44 @@ mod tests {
         bytes
     }
 
-    /// A `by_src` posting whose two rows of one key are swapped out of
-    /// `to` order is rejected even under a valid checksum — set reads
-    /// would otherwise keep a repeated row — and so is a version-1
-    /// snapshot, whose postings are ordered by key only.
+    /// Under a valid checksum, a `by_src` list whose two ids are swapped
+    /// out of order is rejected — the executor's intersections would
+    /// otherwise miss entries — and so is a list naming an id the rows
+    /// do not, and a version-1 or version-2 snapshot, whose postings
+    /// hold row indices.
     #[test]
     fn out_of_order_posting_and_v1_snapshot_are_rejected() {
         let bytes = encode_index(&EdgeIndex::build(&toy_kb()));
         assert!(decode_index(&resealed(bytes.clone())).is_ok());
 
-        // The first partition is `starring`: its first `by_src` key, `a`,
-        // lists a → m1, then a → m2.
+        // The first partition is `starring`: its first `by_src` key, `a`
+        // (id 0), lists `m1` (id 3), then `m2` (id 4).
         let mut r = Reader::new(&bytes);
         r.pos = 32 + 4 + 16; // header, partition count, (label, dir)
         let rows = r.get_u32("rows").unwrap() as usize;
         r.pos += rows * 4 * 8;
         let keys = r.get_u32("keys").unwrap() as usize;
-        let perm = r.pos + keys * 8 + (keys + 1) * 4;
+        let lists = r.pos + keys * 8 + (keys + 1) * 4;
+        assert_eq!(bytes[lists..lists + 8], [3, 0, 0, 0, 4, 0, 0, 0]);
         let mut swapped = bytes.clone();
-        swapped[perm..perm + 8].rotate_left(4);
+        swapped[lists..lists + 8].rotate_left(4);
         match decode_index(&resealed(swapped)) {
             Err(RelError::Corrupt(msg)) => assert!(msg.contains("out of order"), "{msg}"),
-            other => panic!("swapped posting rows accepted: {other:?}"),
+            other => panic!("swapped list entries accepted: {other:?}"),
+        }
+        // `a → c` instead of `a → m1`: still ascending, but no such row.
+        let mut foreign = bytes.clone();
+        foreign[lists] = 2;
+        match decode_index(&resealed(foreign)) {
+            Err(RelError::Corrupt(msg)) => assert!(msg.contains("disagree"), "{msg}"),
+            other => panic!("a list naming a foreign id accepted: {other:?}"),
         }
 
-        let mut v1 = bytes;
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(decode_index(&resealed(v1)), Err(RelError::Corrupt(_))));
+        for old in [1u32, 2] {
+            let mut v = bytes.clone();
+            v[4..8].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(decode_index(&resealed(v)), Err(RelError::Corrupt(_))), "v{old}");
+        }
     }
 
     #[test]

@@ -1,17 +1,30 @@
-//! Compiling explanation-pattern shapes into relational join plans.
+//! Compiling explanation-pattern shapes into evaluation plans.
 //!
 //! A [`PatternSpec`] is the relational shadow of an explanation pattern: a
 //! set of variables (two of which are the start and end targets) and a
 //! multiset of labeled, optionally-directed edges between them. The paper
 //! encodes each pattern edge as one occurrence of the edge table in the
-//! `FROM` clause and the connectivity as `WHERE` equalities; we do the same,
-//! producing a left-deep hash-join tree whose output has one column per
-//! pattern variable.
+//! `FROM` clause and the connectivity as `WHERE` equalities. Over an
+//! [`EdgeIndex`], a pattern is evaluated depth-first instead
+//! ([`PatternSpec::plan`], [`BindingPlan`]): one variable at a time per
+//! start, each variable's candidates the intersection of the sorted
+//! neighbour lists of its edges to variables already bound — a
+//! worst-case-optimal join that builds no intermediate relation. The
+//! definitional evaluation over the unindexed edge relation
+//! ([`PatternSpec::evaluate`]) and the fixed-order baseline
+//! ([`PatternSpec::evaluate_indexed_in_order`]) still materialize a
+//! left-deep hash-join tree, one column per pattern variable; they are
+//! the oracle and the benchmark baseline.
 
+use std::borrow::Cow;
+
+use crate::budget::Budget;
+use crate::engine::EdgeIndex;
+use crate::exec::{Sink, Walk};
 use crate::expr::Predicate;
 use crate::metrics::EvalTrace;
 use crate::ops::{filter, join_rows, project, RowSet};
-use crate::relation::{Relation, Schema};
+use crate::relation::{ColumnPosting, Relation, Schema};
 use crate::{RelError, Result};
 
 /// Orientation code of rows in the oriented edge relation (see
@@ -28,9 +41,9 @@ pub mod dir_code {
 /// Per-start distribution queries pin it to one entity ([`Const`]); the
 /// batched all-starts pipeline evaluates the pattern once for a whole
 /// sample of start entities ([`Among`]) or for every entity ([`Unbound`]),
-/// sharing the scan and join work that per-start probes would repeat —
-/// §5.3.2's "amortizing the computation over different pairs by sharing
-/// the computation involved".
+/// sharing the planning, neighbour lists and grouping that per-start
+/// queries would repeat — §5.3.2's "amortizing the computation over
+/// different pairs by sharing the computation involved".
 ///
 /// [`Const`]: StartBinding::Const
 /// [`Among`]: StartBinding::Among
@@ -87,63 +100,58 @@ impl SpecEdge {
     }
 }
 
-/// How one join step materializes its edge's rows — the physical access
-/// path chosen by [`PatternSpec::plan`].
+/// One neighbour-list read of a [`Level`]: the pattern edge joining the
+/// level's variable to a variable bound at an earlier level, read from
+/// the endpoint posting keyed by that variable's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    /// Materialize the whole `(label, dir)` partition
-    /// ([`crate::engine::EdgeIndex::scan`]). The fallback when no binding
-    /// restricts either endpoint — in particular the *first* step of an
-    /// all-free pattern, where assuming an indexed probe would be wrong
-    /// (there is nothing to probe with yet).
-    Scan,
-    /// Probe the endpoint posting with the start binding's keys
-    /// ([`crate::engine::EdgeIndex::probe`]); `src` picks the `from`
-    /// column when the start variable is the edge's tail.
-    StartProbe {
-        /// Probe the `from` (true) or `to` (false) posting.
-        src: bool,
-    },
-    /// Probe with the distinct values an earlier join step already bound
-    /// for `var` — the index-nested-loop path that turns a huge partition
-    /// scan into traffic proportional to the intermediate result.
-    BoundProbe {
-        /// Probe the `from` (true) or `to` (false) posting.
-        src: bool,
-        /// The pattern variable whose bound values key the probe.
-        var: usize,
-    },
-}
-
-/// One step of a [`JoinPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct JoinStep {
-    /// Index of the pattern edge this step joins.
+pub struct ListRead {
+    /// Index of the pattern edge.
     pub edge: usize,
-    /// The access path materializing the edge's rows.
-    pub access: Access,
-    /// Estimated rows materialized by the access path.
-    pub est_rows: f64,
-    /// Estimated intermediate rows after joining this step.
-    pub est_out: f64,
+    /// The variable whose value keys the read.
+    pub key_var: usize,
+    /// Read the `from` posting (`key_var` is the edge's tail) or the
+    /// `to` posting.
+    pub src: bool,
 }
 
-/// A cost-based physical join plan: the edge order, the access path per
-/// step, and the selectivity estimates that chose them — recorded so
-/// `rex plan` can explain the ordering without evaluating anything.
+/// One level of a [`BindingPlan`]: the variable it binds, where its
+/// candidates come from, and how many bindings the planner expects.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinPlan {
-    /// The join steps, in execution order.
-    pub steps: Vec<JoinStep>,
-    /// Total estimated cost: rows materialized plus join output, summed
-    /// over the steps.
-    pub est_cost: f64,
+pub struct Level {
+    /// The variable this level binds.
+    pub var: usize,
+    /// The reads whose lists the variable's candidates are intersected
+    /// from, one per edge to an earlier level's variable (none at the
+    /// start level, whose candidates are the start binding's).
+    pub reads: Vec<ListRead>,
+    /// Self-loop edges on the variable: a candidate `c` needs a `(c, c)`
+    /// row in each.
+    pub loops: Vec<usize>,
+    /// Estimated bindings of this level over the whole start binding.
+    pub est_bindings: f64,
 }
 
-impl JoinPlan {
-    /// The edge order the steps follow.
+/// A depth-first evaluation plan ([`PatternSpec::plan`]): the order in
+/// which the executor binds the pattern's variables, the start first,
+/// with the posting statistics' estimate of each level's bindings —
+/// recorded so `rex plan` can explain the order without evaluating
+/// anything.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BindingPlan {
+    /// The levels, in binding order; `levels[0]` binds the start.
+    pub levels: Vec<Level>,
+    /// Whether the last level binds an existential, which a counting
+    /// evaluation counts instead of enumerating.
+    pub counted_tail: bool,
+    /// Under an unbound start, the start-incident posting whose keys the
+    /// start ranges over (its `key_var` is the start).
+    pub start_posting: Option<ListRead>,
+}
+
+impl BindingPlan {
+    /// The variables in binding order.
     pub fn order(&self) -> Vec<usize> {
-        self.steps.iter().map(|s| s.edge).collect()
+        self.levels.iter().map(|l| l.var).collect()
     }
 }
 
@@ -177,19 +185,40 @@ impl PatternSpec {
                 return Err(RelError::BadPattern("edge endpoint out of range".into()));
             }
         }
-        if self.naive_join_order().is_none() {
+        if !self.reaches_all_but(None) {
             return Err(RelError::BadPattern("pattern is not connected".into()));
         }
         Ok(())
     }
 
+    /// Whether every variable but `skip` is reachable from the start over
+    /// edges that do not touch `skip`.
+    fn reaches_all_but(&self, skip: Option<usize>) -> bool {
+        let mut seen = vec![false; self.var_count];
+        seen[self.start] = true;
+        let mut frontier = vec![self.start];
+        while let Some(v) = frontier.pop() {
+            for e in &self.edges {
+                if Some(e.u) == skip || Some(e.v) == skip {
+                    continue;
+                }
+                for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                    if a == v && !seen[b] {
+                        seen[b] = true;
+                        frontier.push(b);
+                    }
+                }
+            }
+        }
+        (0..self.var_count).all(|v| seen[v] || Some(v) == skip)
+    }
+
     /// The fixed left-to-right join order: every edge (after the first)
     /// shares a variable with the part already joined, starting from an
     /// edge incident to the start variable, ties broken by edge-list
-    /// position. `None` when the pattern is disconnected. This is the
-    /// pre-planner order — kept as the connectivity check and as the
-    /// baseline the `planner` benchmark compares [`PatternSpec::plan`]
-    /// against.
+    /// position. `None` when the pattern is disconnected. The order the
+    /// `planner` benchmark runs [`PatternSpec::evaluate_indexed_in_order`]
+    /// through, as the baseline of [`PatternSpec::evaluate_indexed`].
     pub fn naive_join_order(&self) -> Option<Vec<usize>> {
         let n = self.edges.len();
         let mut order = Vec::with_capacity(n);
@@ -262,11 +291,10 @@ impl PatternSpec {
             .collect())
     }
 
-    /// Per-edge `(from, to)` rows over a prebuilt
-    /// [`crate::engine::EdgeIndex`], with the start binding **pushed into
-    /// the endpoint posting lists**: an edge incident to the start
-    /// variable materializes only the rows whose start endpoint is bound
-    /// ([`crate::engine::EdgeIndex::probe`]) — cost proportional to the
+    /// Per-edge `(from, to)` rows over a prebuilt [`EdgeIndex`], with the
+    /// start binding **pushed into the endpoint posting lists**: an edge
+    /// incident to the start variable materializes only the rows whose
+    /// start endpoint is bound ([`EdgeIndex::probe`]) — cost proportional to the
     /// rows incident to the start set — instead of walking its full
     /// `(label, dir)` partition and filtering. Edges not touching the
     /// start variable scan their partition. Each edge goes through
@@ -274,14 +302,12 @@ impl PatternSpec {
     /// [`PatternSpec::filtered_scans`] and the rows read land in `trace`.
     fn indexed_scans(
         &self,
-        index: &crate::engine::EdgeIndex,
+        index: &EdgeIndex,
         binding: &StartBinding,
         trace: &mut EvalTrace,
-    ) -> Result<Vec<Relation>> {
-        let cols = endpoint_cols(index)?;
+    ) -> Vec<Relation> {
         let start_keys = sorted_start_keys(binding);
-        Ok(self
-            .edges
+        self.edges
             .iter()
             .map(|&e| {
                 let source = match &start_keys {
@@ -290,9 +316,9 @@ impl PatternSpec {
                     }
                     _ => EdgeSource::Scan,
                 };
-                self.edge_rows(index, e, binding, cols, source, trace)
+                self.edge_rows(index, e, binding, source, trace)
             })
-            .collect())
+            .collect()
     }
 
     /// Materializes one pattern edge's `(from, to)` rows from `source` in
@@ -301,8 +327,7 @@ impl PatternSpec {
     /// for a self-loop edge, and under a [`StartBinding::Const`] start the
     /// target-exclusion of the pinned value from every non-start endpoint
     /// — and its endpoints copied out. (`Among` exclusion is per-row and
-    /// left to the final injectivity filter.) `cols` are the index
-    /// schema's `(from, to)` column positions. Every partition row read
+    /// left to the final injectivity filter.) Every partition row read
     /// counts in `trace`, as `rows_scanned` or `rows_probed` by `source`.
     ///
     /// The result is a **set**: probes walk sorted distinct keys and
@@ -312,10 +337,9 @@ impl PatternSpec {
     /// read).
     fn edge_rows(
         &self,
-        index: &crate::engine::EdgeIndex,
+        index: &EdgeIndex,
         e: SpecEdge,
         binding: &StartBinding,
-        (from, to): (usize, usize),
         source: EdgeSource<'_>,
         trace: &mut EvalTrace,
     ) -> Relation {
@@ -329,9 +353,8 @@ impl PatternSpec {
         let mut data = Vec::new();
         let mut read = 0;
         let mut previous = None;
-        let mut take = |r: &[u64]| {
+        let mut take = |f: u64, t: u64| {
             read += 1;
-            let (f, t) = (r[from], r[to]);
             if previous.replace((f, t)) == Some((f, t)) {
                 return;
             }
@@ -377,151 +400,137 @@ impl PatternSpec {
         order
     }
 
-    /// Builds the cost-based physical join plan for evaluating this
-    /// pattern over `index` under `binding` — the selectivity-driven
-    /// replacement for the fixed [`PatternSpec::naive_join_order`].
+    /// The depth-first evaluation plan for this pattern over `index`
+    /// under `binding`: a start-rooted variable order chosen from the
+    /// endpoint postings' statistics.
     ///
-    /// Greedy System-R ordering: the first step is the edge with the
-    /// fewest estimated *materialized* rows (exact posting counts for
-    /// start-bound edges, exact partition sizes otherwise — never an
-    /// assumed probe when nothing binds an endpoint), and each later step
-    /// is the connected edge minimizing the estimated intermediate after
-    /// the join, with join selectivities read from the endpoint postings'
-    /// distinct-key counts (the statistics behind
-    /// [`crate::engine::EdgeIndex::estimate_instance_rows`]). Steps whose
-    /// estimated incident traffic undercuts their partition size get a
-    /// [`Access::BoundProbe`] access path.
-    pub fn plan(&self, index: &crate::engine::EdgeIndex, binding: &StartBinding) -> JoinPlan {
-        let m = self.edges.len();
-        let start_keys = sorted_start_keys(binding);
-        let mut used = vec![false; m];
-        let mut bound = vec![false; self.var_count];
-        let mut steps: Vec<JoinStep> = Vec::with_capacity(m);
-        let mut est_cur = 0.0f64;
-        let mut est_cost = 0.0f64;
-        for step_no in 0..m {
-            let mut best: Option<(f64, f64, usize, Access)> = None;
-            for i in (0..m).filter(|&i| !used[i]) {
-                let e = &self.edges[i];
-                let connected = bound[e.u] || bound[e.v];
-                if step_no > 0 && !connected {
-                    continue;
-                }
-                let dir = e.dir();
-                let rows = index.scan_len(e.label, dir) as f64;
-                let touches_start = e.u == self.start || e.v == self.start;
-                let (access, est_rows) = if touches_start && start_keys.is_some() {
-                    // Exact incident count from the endpoint postings.
-                    let src = e.u == self.start;
-                    let keys = start_keys.as_deref().expect("checked is_some");
-                    let incident = index.incident_len(e.label, dir, src, keys) as f64;
-                    (Access::StartProbe { src }, incident)
-                } else if step_no > 0 && connected {
-                    // Index-nested-loop candidate: probe with the values
-                    // already bound for one endpoint. Estimated keys are
-                    // capped by both the intermediate size and the
-                    // posting's distinct keys (containment).
-                    let mut choice = (Access::Scan, rows);
-                    for (side_bound, src, var) in
-                        [(bound[e.u], true, e.u), (bound[e.v] && e.u != e.v, false, e.v)]
-                    {
-                        if !side_bound {
-                            continue;
-                        }
-                        let d = index.endpoint_distinct(e, src);
-                        let est_keys = est_cur.min(d);
-                        let est_incident = est_keys * rows / d;
-                        if est_incident < choice.1 {
-                            choice = (Access::BoundProbe { src, var }, est_incident);
-                        }
-                    }
-                    choice
-                } else {
-                    // No binding restricts any endpoint: the smallest
-                    // partition scan is the only honest first step.
-                    (Access::Scan, rows)
-                };
-                let est_out = if step_no == 0 {
-                    est_rows
-                } else {
-                    est_cur * index.join_multiplier(e, &bound)
-                };
-                let better = match &best {
-                    None => true,
-                    Some((b_out, b_rows, b_i, _)) => {
-                        (est_out, est_rows, i) < (*b_out, *b_rows, *b_i)
-                    }
-                };
-                if better {
-                    best = Some((est_out, est_rows, i, access));
-                }
+    /// Each level after the start binds the unbound variable, adjacent to
+    /// a bound one, with the fewest estimated bindings after it: the
+    /// previous level's estimate times, for every edge the variable
+    /// closes, the edge's rows over the distinct keys of its bound
+    /// endpoint columns — the System-R selectivity of
+    /// [`EdgeIndex::estimate_instance_rows`] — ties to the lower
+    /// variable. Where an existential can go last and leave the rest of
+    /// the pattern connected, one does, so a counting evaluation counts
+    /// it instead of enumerating it; of several, the one whose order
+    /// needs the fewest estimated bindings. An unbound start ranges over
+    /// the keys of its smallest start-incident posting.
+    pub fn plan(&self, index: &EdgeIndex, binding: &StartBinding) -> BindingPlan {
+        let (start_posting, starts) = match binding {
+            StartBinding::Const(_) => (None, 1),
+            StartBinding::Among(values) => (None, values.len()),
+            StartBinding::Unbound => {
+                let r = self.smallest_start_posting(index);
+                (Some(r), self.read_posting(index, r).map_or(0, ColumnPosting::distinct_keys))
             }
-            // Disconnected specs never validate; stay total anyway by
-            // falling back to any remaining edge as a fresh scan.
-            let (est_out, est_rows, pick, access) = best.unwrap_or_else(|| {
-                let i = (0..m).find(|&i| !used[i]).expect("step_no < m");
-                let e = &self.edges[i];
-                let rows = index.scan_len(e.label, e.dir()) as f64;
-                (est_cur.max(rows), rows, i, Access::Scan)
-            });
-            used[pick] = true;
-            bound[self.edges[pick].u] = true;
-            bound[self.edges[pick].v] = true;
-            est_cur = est_out;
-            est_cost += est_rows + est_out;
-            steps.push(JoinStep { edge: pick, access, est_rows, est_out });
-        }
-        JoinPlan { steps, est_cost }
+        };
+        let starts = starts as f64;
+        let tails: Vec<usize> = (0..self.var_count)
+            .filter(|&x| x != self.start && x != self.end && self.reaches_all_but(Some(x)))
+            .collect();
+        let options: Vec<Option<usize>> =
+            if tails.is_empty() { vec![None] } else { tails.into_iter().map(Some).collect() };
+        let (levels, tail) = options
+            .into_iter()
+            .map(|tail| (self.order_levels(index, starts, tail), tail))
+            .min_by(|(a, ta), (b, tb)| {
+                walk_cost(a, ta.is_some()).total_cmp(&walk_cost(b, tb.is_some()))
+            })
+            .expect("at least one option");
+        BindingPlan { levels, counted_tail: tail.is_some(), start_posting }
     }
 
-    /// Executes a [`JoinPlan`] over `index`, materializing each step's
-    /// rows through its planned access path — start probe, bound-value
-    /// probe or partition scan — each through [`PatternSpec::edge_rows`]'s
-    /// single probe/filter/project pass. The last step streams: each
-    /// injective row it joins goes to `emit` as one value per variable,
-    /// in variable order, and no instance relation is built. Edge reads
-    /// are sets and every join keeps its inputs' columns, so the emitted
-    /// instances are distinct without a dedup. The rows read and the peak
-    /// intermediate row count land in `trace`.
-    fn join_planned(
-        &self,
-        index: &crate::engine::EdgeIndex,
-        binding: &StartBinding,
-        plan: &JoinPlan,
-        trace: &mut EvalTrace,
-        mut emit: impl FnMut(&[u64]),
-    ) -> Result<()> {
-        let cols = endpoint_cols(index)?;
-        let start_keys = sorted_start_keys(binding);
-        let mut state = JoinState::new(self.var_count);
-        for (at, step) in plan.steps.iter().enumerate() {
-            let e = self.edges[step.edge];
-            let bound_keys;
-            let source = match step.access {
-                Access::StartProbe { src } => {
-                    let keys = start_keys
-                        .as_deref()
-                        .expect("plans emit StartProbe only under a start binding");
-                    EdgeSource::Probe { src, keys }
+    /// The greedy level order behind [`PatternSpec::plan`], keeping
+    /// `tail` (if any) for last.
+    fn order_levels(&self, index: &EdgeIndex, starts: f64, tail: Option<usize>) -> Vec<Level> {
+        let n = self.var_count;
+        let mut bound = vec![false; n];
+        let mut est = starts * self.closing_multiplier(index, self.start, &bound);
+        bound[self.start] = true;
+        let mut levels = vec![Level {
+            var: self.start,
+            reads: Vec::new(),
+            loops: self.loops_of(self.start),
+            est_bindings: est,
+        }];
+        while levels.len() < n {
+            let last = levels.len() + 1 == n;
+            let mut best: Option<(f64, usize)> = None;
+            for x in (0..n).filter(|&x| !bound[x] && (last || Some(x) != tail)) {
+                if self.reads_of(x, &bound).next().is_none() {
+                    continue;
                 }
-                Access::BoundProbe { src, var } => {
-                    bound_keys = state.bound_values(var);
-                    EdgeSource::Probe { src, keys: &bound_keys }
+                let out = est * self.closing_multiplier(index, x, &bound);
+                if best.is_none_or(|(b, _)| out < b) {
+                    best = Some((out, x));
                 }
-                Access::Scan => EdgeSource::Scan,
-            };
-            let rows = self.edge_rows(index, e, binding, cols, source, trace);
-            if at + 1 < plan.steps.len() {
-                state.push(e, rows);
-            } else {
-                state.stream(e, &rows, |instance| {
-                    emit(instance);
-                    true
-                });
             }
+            let (out, x) = best.expect("validated patterns are connected");
+            let reads = self.reads_of(x, &bound).collect();
+            bound[x] = true;
+            est = out;
+            levels.push(Level { var: x, reads, loops: self.loops_of(x), est_bindings: est });
         }
-        trace.peak_rows = trace.peak_rows.max(state.peak);
-        Ok(())
+        levels
+    }
+
+    /// The reads binding `x` next to the `bound` variables: one per
+    /// non-loop edge between `x` and a bound variable.
+    fn reads_of<'s>(&'s self, x: usize, bound: &'s [bool]) -> impl Iterator<Item = ListRead> + 's {
+        self.edges.iter().enumerate().filter_map(move |(edge, e)| {
+            let key_var = match (e.u == x, e.v == x) {
+                (true, false) => e.v,
+                (false, true) => e.u,
+                _ => return None,
+            };
+            bound[key_var].then_some(ListRead { edge, key_var, src: key_var == e.u })
+        })
+    }
+
+    /// The self-loop edges on `x`.
+    fn loops_of(&self, x: usize) -> Vec<usize> {
+        (0..self.edges.len()).filter(|&i| self.edges[i].u == x && self.edges[i].v == x).collect()
+    }
+
+    /// The factor by which binding `x` next to the `bound` variables
+    /// multiplies the bindings: the join multiplier of every edge `x`
+    /// closes, in edge order, then of its self-loops.
+    fn closing_multiplier(&self, index: &EdgeIndex, x: usize, bound: &[bool]) -> f64 {
+        let mut closed = bound.to_vec();
+        let mut mult = 1.0;
+        for r in self.reads_of(x, bound) {
+            mult *= index.join_multiplier(&self.edges[r.edge], &closed);
+            closed[x] = true;
+        }
+        closed[x] = true;
+        for e in self.loops_of(x) {
+            mult *= index.join_multiplier(&self.edges[e], &closed);
+        }
+        mult
+    }
+
+    /// The start-incident posting with the fewest keys, ties to the
+    /// lower edge: what an unbound start ranges over.
+    fn smallest_start_posting(&self, index: &EdgeIndex) -> ListRead {
+        self.edges
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.u == self.start || e.v == self.start)
+            .map(|(edge, e)| ListRead { edge, key_var: self.start, src: e.u == self.start })
+            .min_by_key(|&r| {
+                (self.read_posting(index, r).map_or(0, ColumnPosting::distinct_keys), r.edge)
+            })
+            .expect("validated patterns have a start-incident edge")
+    }
+
+    /// The posting `r` reads, if its partition exists.
+    pub(crate) fn read_posting<'i>(
+        &self,
+        index: &'i EdgeIndex,
+        r: ListRead,
+    ) -> Option<&'i ColumnPosting> {
+        let e = &self.edges[r.edge];
+        index.endpoint_posting(e.label, e.dir(), r.src)
     }
 
     /// Evaluates the pattern over the oriented edge relation, returning a
@@ -553,25 +562,27 @@ impl PatternSpec {
         })
     }
 
-    /// Like [`PatternSpec::evaluate`], but over a prebuilt
-    /// [`crate::engine::EdgeIndex`] through the cost-based
-    /// [`PatternSpec::plan`]: scans hit `(label, dir)` partitions instead
-    /// of filtering the full relation, and start restrictions
-    /// ([`StartBinding::Const`] / [`StartBinding::Among`]) are pushed into
-    /// the endpoint postings, so a bound or sampled start touches only
-    /// its incident rows — the workhorse for repeated distribution
-    /// queries. Returns the instances with the evaluation's trace: one
-    /// full evaluation, its rows read and its peak intermediate rows.
+    /// Like [`PatternSpec::evaluate`], but over a prebuilt [`EdgeIndex`]
+    /// through the depth-first executor and [`PatternSpec::plan`]: each
+    /// variable's candidates come from the endpoint postings' neighbour
+    /// lists, and start restrictions ([`StartBinding::Const`] /
+    /// [`StartBinding::Among`]) pick the start values the walk tries, so
+    /// a bound or sampled start touches only the lists around it. Returns
+    /// the instances, in start order, with the evaluation's trace: one
+    /// full evaluation, the neighbour-list rows it read and its widest
+    /// level's bindings.
     pub fn evaluate_indexed(
         &self,
-        index: &crate::engine::EdgeIndex,
+        index: &EdgeIndex,
         binding: &StartBinding,
     ) -> Result<(Relation, EvalTrace)> {
         let mut data = Vec::new();
+        let mut collect = |instance: &[u64], _: u64| {
+            data.extend_from_slice(instance);
+            true
+        };
         let mut trace =
-            self.evaluate_tile(index, binding, &crate::budget::Budget::unlimited(), |instance| {
-                data.extend_from_slice(instance)
-            })?;
+            self.evaluate_tile(index, binding, &Budget::unlimited(), false, &mut collect)?;
         trace.full = 1;
         crate::metrics::fold(&trace);
         let schema = Schema::new((0..self.var_count).map(|v| format!("v{v}")));
@@ -581,49 +592,68 @@ impl PatternSpec {
         ))
     }
 
-    /// One tile of a batched evaluation over `index`, through the
-    /// cost-based [`PatternSpec::plan`]. The **tile boundary** of the
-    /// budgeted evaluation stack: the budget is checked *before* the tile
-    /// runs (an exhausted budget aborts with [`crate::RelError::Aborted`]
-    /// instead of evaluating) and the tile's peak intermediate rows are
-    /// charged against the row pool *after* it completes, so a tile
-    /// either runs to completion and is paid for, or does not run at all
-    /// — never a half-evaluated join tree. Each distinct instance goes to
-    /// `emit`, one value per variable in variable order. Returns the
-    /// tile's trace: its rows read and peak intermediate rows, but no
-    /// evaluation or tile count (the caller accounts those).
+    /// One tile of a batched evaluation over `index`: the depth-first
+    /// executor walks [`PatternSpec::plan`] from each start value of
+    /// `binding`, in ascending order, calling `sink.start_done` after
+    /// each start's last instance. The **tile boundary** of the budgeted
+    /// evaluation stack: the budget is checked *before* the tile runs (an
+    /// exhausted budget aborts with [`crate::RelError::Aborted`] instead
+    /// of evaluating) and the tile's widest level is charged against the
+    /// row pool *after* it completes, so a tile either runs to completion
+    /// and is paid for, or does not run at all. With `count_tail`, a
+    /// trailing existential is counted rather than enumerated (see
+    /// [`BindingPlan::counted_tail`]). Returns the tile's trace: its
+    /// neighbour-list rows read and peak bindings, but no evaluation or
+    /// tile count (the caller accounts those).
     pub(crate) fn evaluate_tile(
         &self,
-        index: &crate::engine::EdgeIndex,
+        index: &EdgeIndex,
         binding: &StartBinding,
-        budget: &crate::budget::Budget,
-        emit: impl FnMut(&[u64]),
+        budget: &Budget,
+        count_tail: bool,
+        sink: &mut impl Sink,
     ) -> Result<EvalTrace> {
-        budget.check().map_err(crate::RelError::Aborted)?;
+        budget.check().map_err(RelError::Aborted)?;
         self.validate()?;
         let plan = self.plan(index, binding);
-        let mut trace = EvalTrace::default();
-        self.join_planned(index, binding, &plan, &mut trace, emit)?;
+        let starts: Cow<'_, [u64]> = match binding {
+            StartBinding::Const(s) => Cow::Borrowed(std::slice::from_ref(s)),
+            StartBinding::Among(values) if values.windows(2).all(|w| w[0] < w[1]) => {
+                Cow::Borrowed(values)
+            }
+            StartBinding::Among(_) => Cow::Owned(sorted_start_keys(binding).expect("bound start")),
+            StartBinding::Unbound => {
+                let r = plan.start_posting.expect("an unbound start ranges over a posting");
+                Cow::Borrowed(self.read_posting(index, r).map_or(&[], ColumnPosting::keys))
+            }
+        };
+        let mut walk = Walk::new(index, self, &plan, count_tail);
+        for &s in starts.iter() {
+            if !walk.start(s, sink) {
+                break;
+            }
+            sink.start_done(s);
+        }
+        let trace = walk.trace();
         budget.charge_rows(trace.peak_rows);
         Ok(trace)
     }
 
     /// Streaming position query: counts end entities whose **distinct**
-    /// instance count strictly exceeds `c`, stopping the final join as
-    /// soon as `limit` qualifying entities are known — the pipelined
-    /// `LIMIT` execution a SQL engine performs (§5.3.2). All but the last
-    /// (largest) scan are joined as usual; the last join streams through
-    /// the same early-abort step the planned executor ends with.
+    /// instance count strictly exceeds `c`, stopping the walk as soon as
+    /// `limit` qualifying entities are known — the pipelined `LIMIT`
+    /// execution a SQL engine performs (§5.3.2). The walk counts a
+    /// trailing existential instead of enumerating it, and hands each
+    /// end its instances as they are found.
     ///
     /// Counting per end entity is monotone (distinct assignments only
     /// accumulate), so an entity can be declared *qualifying* the moment
-    /// its count crosses `c` — no grouping barrier is needed. The scans
-    /// are sets, so every streamed injective assignment is distinct.
-    /// Returns `min(limit, true position)` with the query's trace: one
-    /// streaming evaluation and the rows its scans read.
+    /// its count crosses `c` — no grouping barrier is needed. Returns
+    /// `min(limit, true position)` with the query's trace: one streaming
+    /// evaluation and the neighbour-list rows it read.
     pub fn streaming_end_position(
         &self,
-        index: &crate::engine::EdgeIndex,
+        index: &EdgeIndex,
         start: u64,
         c: u64,
         limit: usize,
@@ -632,30 +662,19 @@ impl PatternSpec {
         if limit == 0 {
             return Ok((0, EvalTrace::default()));
         }
-        let mut trace = EvalTrace { streaming: 1, ..EvalTrace::default() };
-        let scans = self.indexed_scans(index, &StartBinding::Const(start), &mut trace)?;
-        let order = self.join_order_by_cost(&scans);
-        let (&last, head) = order.split_last().expect("validated patterns have edges");
-        let mut scans: Vec<Option<Relation>> = scans.into_iter().map(Some).collect();
-        let last_scan = scans[last].take().expect("each edge is joined once");
-
-        // Join every edge except the last with the materialized pipeline.
-        let mut state = JoinState::new(self.var_count);
-        for &ei in head {
-            state.push(self.edges[ei], scans[ei].take().expect("each edge is joined once"));
-        }
-
-        // Stream the final join, qualifying ends as their counts cross c.
         let mut per_end: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         let mut qualified = 0usize;
-        state.stream(self.edges[last], &last_scan, |assignment| {
+        let mut count = |assignment: &[u64], n: u64| {
             let count = per_end.entry(assignment[self.end]).or_insert(0);
-            *count += 1;
-            if *count == c + 1 {
+            if *count <= c && *count + n > c {
                 qualified += 1;
             }
+            *count += n;
             qualified < limit
-        });
+        };
+        let binding = StartBinding::Const(start);
+        let walked = self.evaluate_tile(index, &binding, &Budget::unlimited(), true, &mut count)?;
+        let trace = EvalTrace { streaming: 1, ..walked };
         crate::metrics::fold(&trace);
         Ok((qualified, trace))
     }
@@ -706,21 +725,21 @@ impl PatternSpec {
         state.finish()
     }
 
-    /// Evaluates the pattern over `index` joining edges in the given
-    /// explicit order, with every edge's rows materialized up front
-    /// (start probes, full partition scans otherwise) — no bound-value
-    /// probes, no cost-based reordering. The
-    /// benchmark baseline for [`PatternSpec::plan`]; returns the
+    /// Evaluates the pattern over `index` as a left-deep hash-join tree,
+    /// joining edges in the given explicit order with every edge's rows
+    /// materialized up front (start probes, full partition scans
+    /// otherwise) — no neighbour-list walk, no reordering. The benchmark
+    /// baseline for [`PatternSpec::evaluate_indexed`]; returns the
     /// instances with the trace of one full evaluation.
     pub fn evaluate_indexed_in_order(
         &self,
-        index: &crate::engine::EdgeIndex,
+        index: &EdgeIndex,
         binding: &StartBinding,
         order: &[usize],
     ) -> Result<(Relation, EvalTrace)> {
         self.validate()?;
         let mut trace = EvalTrace { full: 1, ..EvalTrace::default() };
-        let scans = self.indexed_scans(index, binding, &mut trace)?;
+        let scans = self.indexed_scans(index, binding, &mut trace);
         let (instances, peak_rows) = self.join_scans_in_order(scans, order)?;
         trace.peak_rows = peak_rows;
         crate::metrics::fold(&trace);
@@ -737,13 +756,7 @@ enum EdgeSource<'a> {
     Probe { src: bool, keys: &'a [u64] },
 }
 
-/// The `(from, to)` column positions of an index's oriented schema.
-fn endpoint_cols(index: &crate::engine::EdgeIndex) -> Result<(usize, usize)> {
-    let schema = index.schema();
-    Ok((schema.index_of("from")?, schema.index_of("to")?))
-}
-
-/// The start binding's values as sorted probe keys; `None` when the start
+/// The start binding's values, sorted and deduped; `None` when the start
 /// variable is unbound.
 fn sorted_start_keys(binding: &StartBinding) -> Option<Vec<u64>> {
     match binding {
@@ -752,9 +765,19 @@ fn sorted_start_keys(binding: &StartBinding) -> Option<Vec<u64>> {
         StartBinding::Among(values) => {
             let mut sorted = values.clone();
             sorted.sort_unstable();
+            sorted.dedup();
             Some(sorted)
         }
     }
+}
+
+/// Estimated work of a walk over `levels`: the bindings of every level
+/// past the start, except that a counted tail costs one intersection per
+/// binding of the level before it.
+fn walk_cost(levels: &[Level], counted_tail: bool) -> f64 {
+    let enumerated = if counted_tail { levels.len() - 1 } else { levels.len() };
+    let tail = if counted_tail { levels[enumerated - 1].est_bindings } else { 0.0 };
+    levels[1..enumerated].iter().map(|l| l.est_bindings).sum::<f64>() + tail
 }
 
 /// Whether every value of an assignment is distinct — REX instance
@@ -763,11 +786,9 @@ fn is_injective(assignment: &[u64]) -> bool {
     assignment.iter().enumerate().all(|(i, v)| !assignment[i + 1..].contains(v))
 }
 
-/// Incremental left-deep join state shared by the materialize-everything
-/// pipeline ([`PatternSpec::evaluate_scanned`]), the plan-driven executor
-/// (which materializes each step's rows lazily so bound-value probes can
-/// read the intermediate) and the streaming position query; the last two
-/// end with [`JoinState::stream`].
+/// Incremental left-deep join state of the materializing pipelines: the
+/// definitional evaluation ([`PatternSpec::evaluate_scanned`]) and the
+/// fixed-order baseline ([`PatternSpec::evaluate_indexed_in_order`]).
 ///
 /// The intermediate holds **one column per bound variable**, in binding
 /// order: a join step copies the current row plus only the edge columns
@@ -803,17 +824,6 @@ impl JoinState {
             }
         }
         (cur_keys, edge_keys)
-    }
-
-    /// The distinct values the intermediate binds for `var`, sorted — the
-    /// keys of a bound-value probe.
-    fn bound_values(&self, var: usize) -> Vec<u64> {
-        let col = self.var_col[var].expect("plans probe only already-bound variables");
-        let current = self.current.as_ref().expect("bound probes never run on the first step");
-        let mut keys: Vec<u64> = current.rows().map(|r| r[col]).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
     }
 
     /// Binds `var` to column `*arity`, the next free one, and advances it.
@@ -871,49 +881,6 @@ impl JoinState {
         let joined = Relation::from_flat(self.schema(arity), data).expect("row width is arity");
         self.peak = self.peak.max(joined.len());
         self.current = Some(joined);
-    }
-
-    /// Joins edge `e`'s rows like [`JoinState::push`], but streams the
-    /// result instead of materializing it: each joined row is reordered
-    /// into one value per variable and, if injective, handed to `emit`,
-    /// until `emit` returns `false`. The rows the step joins count
-    /// toward the peak, as a materialized step's output would.
-    fn stream(&mut self, e: SpecEdge, rows: &Relation, mut emit: impl FnMut(&[u64]) -> bool) {
-        self.peak = self.peak.max(rows.len());
-        // Columns of each variable in the (intermediate row, edge row)
-        // pair: the intermediate's first, then the edge's (from, to).
-        let arity = self.current.as_ref().map_or(0, Relation::arity);
-        let mut var_col = self.var_col.clone();
-        var_col[e.u].get_or_insert(arity);
-        if e.u != e.v {
-            var_col[e.v].get_or_insert(arity + 1);
-        }
-        let cols: Vec<usize> =
-            var_col.iter().map(|c| c.expect("connected pattern binds every variable")).collect();
-        let mut assignment = vec![0u64; self.var_count];
-        let mut produced = 0usize;
-        let mut visit = |l: &[u64], r: &[u64]| -> bool {
-            produced += 1;
-            for (slot, &i) in assignment.iter_mut().zip(&cols) {
-                *slot = if i < l.len() { l[i] } else { r[i - l.len()] };
-            }
-            !is_injective(&assignment) || emit(&assignment)
-        };
-        match &self.current {
-            // Single-edge pattern: the edge's rows are the join.
-            None => {
-                for row in rows.rows() {
-                    if !visit(&[], row) {
-                        break;
-                    }
-                }
-            }
-            Some(cur) => {
-                let (cur_keys, edge_keys) = self.join_keys(e);
-                join_rows(cur, rows, &cur_keys, &edge_keys, visit);
-            }
-        }
-        self.peak = self.peak.max(produced);
     }
 
     /// Reorders each row into one column per variable, drops
@@ -1149,11 +1116,12 @@ mod cost_order_tests {
         assert_eq!(order, vec![1, 2, 0]);
     }
 
-    /// With an all-free pattern (no bound endpoint anywhere) the planner
-    /// must *not* assume an indexed probe exists for its first step: it
-    /// falls back to a full scan, anchored on the smallest partition.
+    /// With an all-free pattern (no bound endpoint anywhere) nothing
+    /// restricts the start: it ranges over the keys of its smallest
+    /// start-incident posting, and every later level reads the neighbour
+    /// lists of the values bound before it — no partition is scanned.
     #[test]
-    fn all_free_triangle_falls_back_to_smallest_partition_scan() {
+    fn all_free_triangle_ranges_start_over_smallest_posting() {
         let mut b = KbBuilder::new();
         let nodes: Vec<_> = (0..12).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
         // Three partitions with very different sizes: `big` (30 rows),
@@ -1183,29 +1151,24 @@ mod cost_order_tests {
         };
         let index = EdgeIndex::build(&kb);
         let plan = spec.plan(&index, &StartBinding::Unbound);
-        // First step: a Scan (nothing is bound — a probe would have no
-        // keys), and specifically of the smallest partition (`tiny`).
-        assert_eq!(plan.steps[0].access, Access::Scan);
-        assert_eq!(plan.steps[0].edge, 2);
-        assert_eq!(plan.steps[0].est_rows, 2.0);
-        // Later steps have a bound endpoint available and upgrade to
-        // bound probes instead of scanning `big`/`mid` outright.
-        assert!(plan.steps[1..].iter().all(|s| matches!(s.access, Access::BoundProbe { .. })));
-        // And the planned execution agrees with the definitional path.
+        // The start ranges over the 2 `to` keys of `tiny`, not the 10
+        // `from` keys of `big`.
+        assert_eq!(plan.start_posting, Some(ListRead { edge: 2, key_var: 0, src: false }));
+        assert_eq!(plan.levels[0].est_bindings, 2.0);
+        assert!(plan.levels[1..].iter().all(|l| !l.reads.is_empty()));
+        // The walk agrees with the definitional path, reading lists only.
         let (planned, trace) = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
         let naive = spec
             .evaluate_with(&crate::engine::oriented_edge_relation(&kb), &StartBinding::Unbound)
             .unwrap();
         assert_eq!(planned.len(), naive.len());
-        // Its trace puts the `tiny` scan on rows_scanned and everything
-        // else on rows_probed.
         assert_eq!(trace.full, 1);
-        assert_eq!(trace.rows_scanned, 2);
+        assert_eq!(trace.rows_scanned, 0);
         assert!(trace.rows_probed > 0);
     }
 
-    /// Plan metadata records the chosen order, access paths, and
-    /// estimates — the contract `rex plan` explains to users.
+    /// Plan metadata records the variable order, each level's reads and
+    /// the estimates — the contract `rex plan` explains to users.
     #[test]
     fn plan_metadata_exposes_order_access_and_estimates() {
         let mut b = KbBuilder::new();
@@ -1231,12 +1194,46 @@ mod cost_order_tests {
         };
         let index = EdgeIndex::build(&kb);
         let plan = spec.plan(&index, &StartBinding::Const(start.0 as u64));
-        assert_eq!(plan.order(), vec![0, 1]);
-        // Step 0 probes the start binding on the edge's `from` side;
-        // step 1 avoids the 201-row `common` scan via a bound probe.
-        assert_eq!(plan.steps[0].access, Access::StartProbe { src: true });
-        assert_eq!(plan.steps[1].access, Access::BoundProbe { src: true, var: 2 });
-        assert!(plan.steps[1].est_rows < 201.0);
-        assert!(plan.est_cost > 0.0);
+        assert_eq!(plan.order(), vec![0, 2, 1]);
+        assert_eq!(plan.start_posting, None);
+        // A path has no existential that can go last.
+        assert!(!plan.counted_tail);
+        // Level 1 reads the start's `rare` list; level 2 reads `mid`'s
+        // `common` list instead of the 201-row partition.
+        assert_eq!(plan.levels[1].reads, vec![ListRead { edge: 0, key_var: 0, src: true }]);
+        assert_eq!(plan.levels[2].reads, vec![ListRead { edge: 1, key_var: 2, src: true }]);
+        assert_eq!(plan.levels[0].est_bindings, 1.0);
+        assert!(plan.levels[2].est_bindings < 201.0);
+    }
+
+    /// An existential that can go last does, so a counting walk counts
+    /// it; of the fork pair `start -r-> v2 <-r- end`, `start -s-> v3 <-s-
+    /// end`, either existential can, and the order keeps one for last.
+    #[test]
+    fn existential_goes_last_where_the_pattern_allows() {
+        let spec = PatternSpec {
+            var_count: 4,
+            start: 0,
+            end: 1,
+            edges: vec![
+                SpecEdge { u: 0, v: 2, label: 0, directed: true },
+                SpecEdge { u: 1, v: 2, label: 0, directed: true },
+                SpecEdge { u: 0, v: 3, label: 1, directed: true },
+                SpecEdge { u: 1, v: 3, label: 1, directed: true },
+            ],
+        };
+        let mut b = KbBuilder::new();
+        let n: Vec<_> = (0..4).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
+        b.add_directed_edge(n[0], n[2], "r");
+        b.add_directed_edge(n[1], n[2], "r");
+        b.add_directed_edge(n[0], n[3], "s");
+        b.add_directed_edge(n[1], n[3], "s");
+        let kb = b.build();
+        let index = EdgeIndex::build(&kb);
+        let plan = spec.plan(&index, &StartBinding::Unbound);
+        assert!(plan.counted_tail);
+        let tail = plan.levels.last().unwrap();
+        assert!(tail.var == 2 || tail.var == 3, "{plan:?}");
+        assert_eq!(tail.reads.len(), 2, "the tail intersects its start and end lists");
     }
 }

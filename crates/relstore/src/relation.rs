@@ -191,8 +191,7 @@ impl Relation {
 
     /// Materializes the sub-relation holding exactly the rows at
     /// `indices`, in that order: one strided copy into a buffer reserved
-    /// once. Used by posting-list probes to lift a row-id list into a
-    /// relation the join pipeline can consume.
+    /// once.
     pub fn gather(&self, indices: &[u32]) -> Relation {
         let mut out = Relation::with_capacity(self.schema.clone(), indices.len());
         for &i in indices {
@@ -202,75 +201,83 @@ impl Relation {
     }
 }
 
-/// A sorted posting structure over one column of a relation: a row
-/// permutation grouped by the column's value, with CSR offsets so the
-/// rows carrying value `keys[i]` are exactly `perm[offsets[i] ..
-/// offsets[i + 1]]` — the classic adjacency-indexed layout graph engines
-/// use to make a selection on the column cost O(log keys + matching
-/// rows) instead of a full scan.
-///
-/// Each key's rows are ordered by a second column (`then`), so rows equal
-/// on both columns sit next to each other: the evaluator reads an edge
-/// partition as a *set* of `(from, to)` pairs by skipping a row equal to
-/// the one before it.
+/// A sorted posting structure over one column of a relation, in CSR
+/// form: the column's sorted distinct values (`keys`), and for each key
+/// `keys[i]` the values the relation's second column (`then`) holds in
+/// the rows carrying it, ascending, at `others[offsets[i] .. offsets[i +
+/// 1]]` — one entry per row, so a value repeats once per row carrying the
+/// same pair. Over an edge partition's `from` column this is the
+/// partition's out-adjacency lists; over `to`, its in-adjacency lists.
+/// A selection on the column costs O(log keys) and hands back the
+/// matching rows' other endpoints as one contiguous sorted slice, which
+/// the depth-first executor intersects directly.
 ///
 /// The posting is a *snapshot* of the relation it was built from: it
-/// holds row indices, so it must be rebuilt whenever the relation's rows
-/// change (partitions rebuild only their delta-touched postings).
+/// copies the endpoint ids, so it must be rebuilt whenever the relation's
+/// rows change (partitions rebuild only their delta-touched postings).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnPosting {
     /// Sorted distinct values of the indexed column.
     keys: Vec<u64>,
-    /// CSR offsets into `perm`; `len == keys.len() + 1`.
+    /// CSR offsets into `others`; `len == keys.len() + 1`.
     offsets: Vec<u32>,
-    /// Row indices grouped by key.
-    perm: Vec<u32>,
+    /// Each key's `then` values, ascending, grouped by key.
+    others: Vec<u32>,
 }
 
 impl ColumnPosting {
-    /// Builds the posting over `rel`'s column `col`, each key's rows
-    /// ordered by column `then`: one sort of the row permutation on the
-    /// packed `(col << 32) | then` word, computed once per row, plus a
-    /// linear pass — `O(rows log rows)`. Both columns must hold
-    /// `u32`-range values, as entity ids do.
+    /// Builds the posting over `rel`'s column `col`, each key's list
+    /// holding column `then`: one sort of the packed `(col << 32) | then`
+    /// words, one per row, plus a linear pass — `O(rows log rows)`. Both
+    /// columns must hold `u32`-range values, as entity ids do.
     pub fn build(rel: &Relation, col: usize, then: usize) -> ColumnPosting {
-        let half = |v: u64| u64::from(u32::try_from(v).expect("posting columns hold u32 ids"));
-        let packed: Vec<u64> =
-            rel.rows().map(|row| (half(row[col]) << 32) | half(row[then])).collect();
-        let mut perm: Vec<u32> = (0..rel.len() as u32).collect();
-        perm.sort_unstable_by_key(|&i| packed[i as usize]);
+        let mut packed: Vec<u64> =
+            rel.rows().map(|row| (u32_id(row[col]) << 32) | u32_id(row[then])).collect();
+        packed.sort_unstable();
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
-        for (at, &i) in perm.iter().enumerate() {
-            let v = packed[i as usize] >> 32;
-            if keys.last() != Some(&v) {
-                keys.push(v);
+        let mut others = Vec::with_capacity(packed.len());
+        for (at, &p) in packed.iter().enumerate() {
+            if keys.last() != Some(&(p >> 32)) {
+                keys.push(p >> 32);
                 offsets.push(at as u32);
             }
+            others.push(p as u32);
         }
-        offsets.push(perm.len() as u32);
-        ColumnPosting { keys, offsets, perm }
+        offsets.push(packed.len() as u32);
+        ColumnPosting { keys, offsets, others }
     }
 
-    /// The row indices whose column value equals `key` (empty when the
-    /// value is absent).
-    pub fn rows_for(&self, key: u64) -> &[u32] {
-        match self.keys.binary_search(&key) {
-            Ok(k) => &self.perm[self.offsets[k] as usize..self.offsets[k + 1] as usize],
-            Err(_) => &[],
-        }
+    /// The `then` values of the rows whose column value equals `key`,
+    /// ascending (empty when the value is absent).
+    pub fn neighbours(&self, key: u64) -> &[u32] {
+        self.position(key).map_or(&[], |k| self.list(k))
     }
 
-    /// Every row index, grouped by key in key order and ordered by the
-    /// `then` column within a key.
-    pub(crate) fn rows_in_order(&self) -> &[u32] {
-        &self.perm
+    /// The position of `key` among the sorted keys, if present.
+    pub(crate) fn position(&self, key: u64) -> Option<usize> {
+        self.keys.binary_search(&key).ok()
+    }
+
+    /// The list of the key at position `k`.
+    pub(crate) fn list(&self, k: usize) -> &[u32] {
+        &self.others[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+
+    /// The sorted distinct values of the indexed column.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// Every `(key, list)` pair, in key order.
+    pub(crate) fn lists(&self) -> impl Iterator<Item = (u64, &[u32])> + '_ {
+        self.keys.iter().enumerate().map(|(k, &key)| (key, self.list(k)))
     }
 
     /// Number of rows whose column value equals `key`, without touching
     /// the rows — the exact per-start cardinality statistic.
     pub fn count(&self, key: u64) -> usize {
-        self.rows_for(key).len()
+        self.neighbours(key).len()
     }
 
     /// Number of distinct values in the indexed column — the `V(R, a)`
@@ -281,42 +288,45 @@ impl ColumnPosting {
 
     /// Total rows indexed.
     pub fn len(&self) -> usize {
-        self.perm.len()
+        self.others.len()
     }
 
     /// Whether the posting indexes no rows.
     pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
+        self.others.is_empty()
     }
 
     /// Heap bytes held by the posting's three arrays.
     pub fn heap_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<u64>()
-            + (self.offsets.len() + self.perm.len()) * std::mem::size_of::<u32>()
+            + (self.offsets.len() + self.others.len()) * std::mem::size_of::<u32>()
     }
 
-    /// The posting's flat arrays `(keys, offsets, perm)` — the exact
+    /// The posting's flat arrays `(keys, offsets, others)` — the exact
     /// on-disk layout of the index snapshot format (`persist`), exposed
     /// so serialization is a plain memcpy of three arrays.
     pub(crate) fn parts(&self) -> (&[u64], &[u32], &[u32]) {
-        (&self.keys, &self.offsets, &self.perm)
+        (&self.keys, &self.offsets, &self.others)
     }
 
     /// Reassembles the posting [`ColumnPosting::build`] made over `rel`'s
     /// column `col` from flat arrays (the deserialization path of the
-    /// index snapshot format), validating the CSR invariants — sorted
-    /// strictly-increasing keys, monotone offsets starting at 0 and ending
-    /// at `perm.len() == rel.len()`, every permutation entry in range —
-    /// and the row order: every row listed under a key carries that key
-    /// in `col`, and each key's rows are ordered by `then`. A corrupted
-    /// snapshot is rejected instead of producing out-of-bounds probes or
-    /// set reads that keep a repeated row. Crucially this performs **no
-    /// sorting**: loading a posting is `O(rows)` array validation, which
-    /// is what makes an index load strictly cheaper than a rebuild.
+    /// index snapshot format), validating the CSR invariants — strictly
+    /// increasing `u32`-range keys, offsets starting at 0, strictly
+    /// increasing (no key without a row) and ending at `others.len() ==
+    /// rel.len()`, every key's list ascending — and that the lists agree
+    /// with the rows: the sum of a bijective 64-bit mix over every `(key,
+    /// other)` pair must equal the same sum over the rows' `(col, then)`
+    /// pairs, so a list entry moved, changed or dropped is rejected
+    /// unless two 64-bit sums collide. A corrupted snapshot is rejected
+    /// instead of answering from lists that are not the partition's.
+    /// Crucially this performs **no sorting**: loading a posting is
+    /// `O(rows)` sequential validation, which is what makes an index load
+    /// cheaper than a rebuild.
     pub(crate) fn from_parts(
         keys: Vec<u64>,
         offsets: Vec<u32>,
-        perm: Vec<u32>,
+        others: Vec<u32>,
         rel: &Relation,
         (col, then): (usize, usize),
     ) -> Result<ColumnPosting> {
@@ -324,40 +334,58 @@ impl ColumnPosting {
         if offsets.len() != keys.len() + 1 {
             return Err(corrupt("offsets length must be keys + 1"));
         }
-        if perm.len() != rel.len() {
-            return Err(corrupt("permutation length must equal row count"));
+        if others.len() != rel.len() {
+            return Err(corrupt("list entries must equal the row count"));
         }
-        if let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) {
-            if first != 0 || last as usize != perm.len() {
-                return Err(corrupt("offsets must span exactly the permutation"));
-            }
+        if offsets[0] != 0 || offsets[keys.len()] as usize != others.len() {
+            return Err(corrupt("offsets must span exactly the lists"));
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(corrupt("offsets must be monotone"));
+        if offsets.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt("offsets must be strictly increasing"));
         }
         if keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err(corrupt("keys must be strictly increasing"));
         }
-        if perm.iter().any(|&i| i as usize >= rel.len()) {
-            return Err(corrupt("permutation entry out of range"));
+        if keys.last().is_some_and(|&k| k > u64::from(u32::MAX)) {
+            return Err(corrupt("key outside the u32 id range"));
         }
-        for (k, &key) in keys.iter().enumerate() {
-            let rows = perm[offsets[k] as usize..offsets[k + 1] as usize]
-                .iter()
-                .map(|&i| rel.row(i as usize));
-            let mut prev = 0;
-            for row in rows {
-                if row[col] != key {
-                    return Err(corrupt("row listed under a key it does not carry"));
-                }
-                if row[then] < prev {
-                    return Err(corrupt("a key's rows are out of order"));
-                }
-                prev = row[then];
+        let posting = ColumnPosting { keys, offsets, others };
+        let mut listed = 0u64;
+        for (key, list) in posting.lists() {
+            if list.windows(2).any(|w| w[0] > w[1]) {
+                return Err(corrupt("a key's list is out of order"));
+            }
+            for &other in list {
+                listed = listed.wrapping_add(pair_mix(key, u64::from(other)));
             }
         }
-        Ok(ColumnPosting { keys, offsets, perm })
+        let mut stored = 0u64;
+        for row in rel.rows() {
+            if row[col] > u64::from(u32::MAX) || row[then] > u64::from(u32::MAX) {
+                return Err(corrupt("row value outside the u32 id range"));
+            }
+            stored = stored.wrapping_add(pair_mix(row[col], row[then]));
+        }
+        if listed != stored {
+            return Err(corrupt("lists disagree with the partition's rows"));
+        }
+        Ok(posting)
     }
+}
+
+/// `v` as a `u32`-range id, widened back; panics outside that range.
+fn u32_id(v: u64) -> u64 {
+    u64::from(u32::try_from(v).expect("posting columns hold u32 ids"))
+}
+
+/// The splitmix64 finalizer of the packed pair `(a << 32) | b`: a
+/// bijection on `u32`-range pairs, summed over a posting's entries as an
+/// order-independent fingerprint of the pairs it lists.
+fn pair_mix(a: u64, b: u64) -> u64 {
+    let mut x = (a << 32) | b;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -435,26 +463,27 @@ mod tests {
     #[test]
     fn column_posting_ranges_cover_exactly_matching_rows() {
         let s = Schema::new(["a", "b"]);
-        let rows = [(5u64, 0u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 5)].map(|(a, b)| [a, b]);
+        let rows = [(5u64, 7u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 2)].map(|(a, b)| [a, b]);
         let r = Relation::from_rows(s, rows).unwrap();
         let p = ColumnPosting::build(&r, 0, 1);
         assert_eq!(p.len(), 6);
         assert_eq!(p.distinct_keys(), 3);
+        assert_eq!(p.keys(), &[2, 5, 9]);
         assert!(!p.is_empty());
         assert!(p.heap_bytes() > 0);
-        for (key, expect) in [(2u64, vec![1u64, 4]), (5, vec![0, 2, 5]), (9, vec![3])] {
+        // A key's list holds the second column ascending, a repeated pair
+        // once per row.
+        for (key, expect) in [(2u64, vec![1u32, 4]), (5, vec![2, 2, 7]), (9, vec![3])] {
             assert_eq!(p.count(key), expect.len());
-            // A key's rows come ordered by the second column.
-            let got: Vec<u64> = p.rows_for(key).iter().map(|&i| r.row(i as usize)[1]).collect();
-            assert_eq!(got, expect, "key {key}");
+            assert_eq!(p.neighbours(key), &expect[..], "key {key}");
         }
         assert_eq!(p.count(7), 0);
-        assert!(p.rows_for(7).is_empty());
+        assert!(p.neighbours(7).is_empty());
         // Empty relation → empty posting.
         let empty = ColumnPosting::build(&Relation::empty(Schema::new(["a"])), 0, 0);
         assert!(empty.is_empty());
         assert_eq!(empty.distinct_keys(), 0);
-        assert!(empty.rows_for(0).is_empty());
+        assert!(empty.neighbours(0).is_empty());
     }
 
     #[test]

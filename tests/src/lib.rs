@@ -50,9 +50,13 @@ pub mod scaffold {
 
     /// A small universe of connected pattern shapes over the scaffold's
     /// label space — paths of both orientations, a fork, an inverse fork,
-    /// a self-loop-at-start shape, and a three-edge mixed path — indexed
-    /// so property tests can draw a shape with one integer. Every shape
-    /// passes `PatternSpec::validate` (checked once at first use).
+    /// a self-loop-at-start shape, a three-edge mixed path, and three
+    /// shapes whose last bound variable can be an existential the
+    /// depth-first walk counts instead of enumerating (two forks sharing
+    /// start and end, the same with a self-loop on the counted
+    /// candidate, and a five-variable cycle) — indexed so property tests
+    /// can draw a shape with one integer. Every shape passes
+    /// `PatternSpec::validate` (checked once at first use).
     pub fn shape(idx: usize) -> rex_relstore::plan::PatternSpec {
         let shapes = shapes();
         shapes[idx % shapes.len()].clone()
@@ -118,6 +122,48 @@ pub mod scaffold {
                     start: 0,
                     end: 1,
                     edges: vec![e(0, 2, 0, true), e(2, 3, 1, false), e(3, 1, 2, true)],
+                },
+                // two forks sharing start and end: start -l0-> v2 <-l1-
+                // end, start -l3-> v3 <-l3- end (either existential can
+                // go last, and the walk counts it)
+                PatternSpec {
+                    var_count: 4,
+                    start: 0,
+                    end: 1,
+                    edges: vec![
+                        e(0, 2, 0, true),
+                        e(1, 2, 1, true),
+                        e(0, 3, 3, true),
+                        e(1, 3, 3, true),
+                    ],
+                },
+                // the same with a self-loop v3 -l4- v3 on a counted
+                // candidate
+                PatternSpec {
+                    var_count: 4,
+                    start: 0,
+                    end: 1,
+                    edges: vec![
+                        e(0, 2, 0, true),
+                        e(1, 2, 1, true),
+                        e(0, 3, 3, true),
+                        e(1, 3, 3, true),
+                        e(3, 3, 4, false),
+                    ],
+                },
+                // a 5-variable cycle with one repeated label: start -l0->
+                // v2 <-l0- end -l1-> v4 <-l3- v3 -l2-> v2
+                PatternSpec {
+                    var_count: 5,
+                    start: 0,
+                    end: 1,
+                    edges: vec![
+                        e(0, 2, 0, true),
+                        e(1, 2, 0, true),
+                        e(1, 4, 1, true),
+                        e(3, 2, 2, true),
+                        e(3, 4, 3, true),
+                    ],
                 },
             ];
             for spec in &shapes {

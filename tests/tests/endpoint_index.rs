@@ -30,7 +30,7 @@ use rex_relstore::engine::{
     local_count_distribution_indexed, local_position_indexed, oriented_edge_relation, EdgeIndex,
     EvalKind, EvalRequest, ShardSpec, ShardedEdgeIndex,
 };
-use rex_relstore::plan::dir_code;
+use rex_relstore::plan::{dir_code, StartBinding};
 use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold::{apply_ops, base_kb, shape, shape_count};
 
@@ -102,6 +102,58 @@ fn const_probe_matches_unindexed_local_distributions() {
                         "shape {idx} start {start} copies {copies}: c {c}, limit {limit}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A dense KB over the scaffold's labels: six nodes, each ordered pair
+/// (self-loops included) joined by a directed edge of a label when a
+/// fixed hash of `(a, b, label)` says so, and each unordered pair likewise
+/// by an undirected edge. Unlike the sparse scaffold KBs, every shape has
+/// instances here, and the counted shapes' intersections routinely hold
+/// values bound earlier in the walk and candidates a self-loop rejects.
+fn dense_kb() -> KnowledgeBase {
+    let mut b = rex_kb::KbBuilder::new();
+    let nodes: Vec<_> = (0..6).map(|i| b.add_node(&format!("d{i}"), "T")).collect();
+    let keep = |a: usize, c: usize, label: usize, salt: usize| {
+        !(a * 7 + c * 3 + a * c + label * 5 + salt * 2).is_multiple_of(3)
+    };
+    for (a, &na) in nodes.iter().enumerate() {
+        for (c, &nc) in nodes.iter().enumerate() {
+            for (label, name) in rex_tests::scaffold::LABELS.iter().enumerate() {
+                if keep(a, c, label, 0) {
+                    b.add_directed_edge(na, nc, name);
+                }
+                if a <= c && keep(a, c, label, 1) {
+                    b.add_undirected_edge(na, nc, name);
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// Every scaffold shape over [`dense_kb`] and its 2-copy multigraph: the
+/// batched walk — which counts a trailing existential instead of
+/// enumerating it — and the enumerating walk both match the full-scan
+/// reference, untiled and one start per tile.
+#[test]
+fn every_shape_matches_reference_on_a_dense_kb() {
+    for copies in 1..=2 {
+        let kb = with_copies(dense_kb(), copies);
+        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
+        for idx in 0..shape_count() {
+            let spec = shape(idx);
+            let expected = reference_distributions(&kb, &spec, None);
+            assert!(!expected.is_empty(), "shape {idx} has no instances");
+            let unbound = indexed_distributions(index.base(), &spec, None);
+            assert_eq!(unbound, expected, "shape {idx} unbound, {copies} copies");
+            for row_ceiling in [None, Some(0)] {
+                let req = EvalRequest { starts: &starts, row_ceiling, ..Default::default() };
+                let got = count_distributions(&index, &spec, &req).unwrap().per_start;
+                assert_eq!(got, expected, "shape {idx} among, {copies} copies, {row_ceiling:?}");
             }
         }
     }
@@ -254,8 +306,36 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
         assert_eq!((counts.delta, counts.full, counts.streaming), (1, 0, 0));
         assert_eq!(counts.tiles, 1);
         // Probe traffic includes at least the rows incident to the
-        // affected starts (the planner may add *bound* probes of later
-        // edges, keyed by intermediate results, on top).
+        // affected starts on the plan's first level — the edges binding
+        // the variable after the start, each read keyed by the start —
+        // for every start the walk extends past its self-loop edges (the
+        // walk adds the lists of later levels, keyed by bound values, on
+        // top).
+        let plan = spec.plan(index, &StartBinding::among(affected.iter().copied()));
+        let extended: Vec<u64> = affected
+            .iter()
+            .copied()
+            .filter(|&s| {
+                plan.levels[0].loops.iter().all(|&l| {
+                    let e = spec.edges[l];
+                    index.probe(e.label, e.dir(), true, &[s]).rows().any(|r| r[1] == s)
+                })
+            })
+            .collect();
+        let first_level: usize = plan.levels[1]
+            .reads
+            .iter()
+            .map(|r| {
+                let e = spec.edges[r.edge];
+                index.incident_len(e.label, e.dir(), r.src, &extended)
+            })
+            .sum();
+        assert!(
+            counts.rows_probed >= first_level,
+            "shape {idx}: probe traffic must cover the first level's rows \
+             incident to affected starts ({} < {first_level})",
+            counts.rows_probed
+        );
         let incident: usize = spec
             .edges
             .iter()
@@ -265,12 +345,6 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
                 index.incident_len(e.label, dir, e.u == spec.start, &affected)
             })
             .sum();
-        assert!(
-            counts.rows_probed >= incident,
-            "shape {idx}: probe traffic must cover the rows incident to \
-             affected starts ({} < {incident})",
-            counts.rows_probed
-        );
         // Full scans can cover at most the non-start edges — the
         // cost-based planner turns any of them it can into bound probes,
         // so scanned + probed never exceeds the pre-planner patch-pass

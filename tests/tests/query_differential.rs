@@ -77,7 +77,16 @@ fn shape_text(idx: usize) -> String {
         // The self-loop shape has no template; it is plain MATCH text.
         7 => "MATCH (a)-[:l0]-(a), (a)-[:l1]->(b) WHERE a = $start AND b = $end".into(),
         8 => path_text(&[("l0", f), ("l1", u), ("l2", f)]),
-        _ => unreachable!("scaffold has 9 shapes"),
+        9 => "MATCH (a)-[:l0]->(m), (b)-[:l1]->(m), (a)-[:l3]->(n), (b)-[:l3]->(n) \
+              WHERE a = $start AND b = $end"
+            .into(),
+        10 => "MATCH (a)-[:l0]->(m), (b)-[:l1]->(m), (a)-[:l3]->(n), (b)-[:l3]->(n), \
+               (n)-[:l4]-(n) WHERE a = $start AND b = $end"
+            .into(),
+        11 => "MATCH (a)-[:l0]->(g), (b)-[:l0]->(g), (b)-[:l1]->(w), (v)-[:l2]->(g), \
+               (v)-[:l3]->(w) WHERE a = $start AND b = $end"
+            .into(),
+        _ => unreachable!("scaffold has 12 shapes"),
     }
 }
 

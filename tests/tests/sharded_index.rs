@@ -211,8 +211,12 @@ type Pin = (usize, usize, Option<usize>, u64, usize, usize, usize, usize);
 /// this single path replaced (sharded/flat × fixed-size/ceiling tiling),
 /// so a change in answers, tiling or row accounting shows up here. The
 /// 3-shard ceiling rows of shapes 3–5 were re-recorded once every shard
-/// bucket tiled on the base index's statistics (answers unchanged).
-const PINS: [Pin; 54] = [
+/// bucket tiled on the base index's statistics (answers unchanged), and
+/// every `peak_rows` once evaluation became a depth-first walk, where it
+/// is the widest level's bindings rather than the largest materialized
+/// join (answers, tiles and estimates unchanged); shapes 9–11 were
+/// recorded under the walk.
+const PINS: [Pin; 72] = [
     (0, 1, None, 0xc99491919640e92a, 1, 118, 0, 0),
     (0, 1, Some(0), 0xc99491919640e92a, 43, 21, 26, 34),
     (0, 1, Some(64), 0xc99491919640e92a, 2, 60, 63, 0),
@@ -222,24 +226,33 @@ const PINS: [Pin; 54] = [
     (2, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
     (2, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
     (2, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
-    (3, 1, None, 0xf0a6accba4f9b9f0, 1, 322, 0, 0),
-    (3, 1, Some(0), 0xf0a6accba4f9b9f0, 43, 55, 53, 34),
+    (3, 1, None, 0xf0a6accba4f9b9f0, 1, 318, 0, 0),
+    (3, 1, Some(0), 0xf0a6accba4f9b9f0, 43, 53, 53, 34),
     (3, 1, Some(64), 0xf0a6accba4f9b9f0, 5, 93, 63, 0),
-    (4, 1, None, 0x9b07211fe9cb19ba, 1, 105, 0, 0),
-    (4, 1, Some(0), 0x9b07211fe9cb19ba, 35, 32, 21, 22),
-    (4, 1, Some(64), 0x9b07211fe9cb19ba, 2, 63, 56, 0),
-    (5, 1, None, 0xb1af172f204562d8, 1, 101, 0, 0),
-    (5, 1, Some(0), 0xb1af172f204562d8, 32, 22, 18, 19),
-    (5, 1, Some(64), 0xb1af172f204562d8, 2, 81, 62, 0),
+    (4, 1, None, 0x9b07211fe9cb19ba, 1, 104, 0, 0),
+    (4, 1, Some(0), 0x9b07211fe9cb19ba, 35, 31, 21, 22),
+    (4, 1, Some(64), 0x9b07211fe9cb19ba, 2, 62, 56, 0),
+    (5, 1, None, 0xb1af172f204562d8, 1, 62, 0, 0),
+    (5, 1, Some(0), 0xb1af172f204562d8, 32, 13, 18, 19),
+    (5, 1, Some(64), 0xb1af172f204562d8, 2, 50, 62, 0),
     (6, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
     (6, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
     (6, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
-    (7, 1, None, 0xcbf29ce484222325, 1, 53, 0, 0),
-    (7, 1, Some(0), 0xcbf29ce484222325, 1, 53, 0, 0),
-    (7, 1, Some(64), 0xcbf29ce484222325, 1, 53, 0, 0),
+    (7, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
+    (7, 1, Some(0), 0xcbf29ce484222325, 1, 0, 0, 0),
+    (7, 1, Some(64), 0xcbf29ce484222325, 1, 0, 0, 0),
     (8, 1, None, 0xcbf29ce484222325, 1, 118, 0, 0),
     (8, 1, Some(0), 0xcbf29ce484222325, 43, 21, 26, 34),
     (8, 1, Some(64), 0xcbf29ce484222325, 2, 60, 63, 0),
+    (9, 1, None, 0xcbf29ce484222325, 1, 62, 0, 0),
+    (9, 1, Some(0), 0xcbf29ce484222325, 32, 13, 9, 19),
+    (9, 1, Some(64), 0xcbf29ce484222325, 1, 62, 39, 0),
+    (10, 1, None, 0xcbf29ce484222325, 1, 0, 0, 0),
+    (10, 1, Some(0), 0xcbf29ce484222325, 32, 0, 9, 19),
+    (10, 1, Some(64), 0xcbf29ce484222325, 1, 0, 39, 0),
+    (11, 1, None, 0xcbf29ce484222325, 1, 3431, 0, 0),
+    (11, 1, Some(0), 0xcbf29ce484222325, 43, 586, 26, 34),
+    (11, 1, Some(64), 0xcbf29ce484222325, 2, 2330, 63, 0),
     (0, 3, None, 0xc99491919640e92a, 3, 59, 0, 0),
     (0, 3, Some(0), 0xc99491919640e92a, 47, 21, 26, 34),
     (0, 3, Some(64), 0xc99491919640e92a, 4, 56, 62, 0),
@@ -249,24 +262,33 @@ const PINS: [Pin; 54] = [
     (2, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
     (2, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
     (2, 3, Some(64), 0xcbf29ce484222325, 3, 0, 0, 0),
-    (3, 3, None, 0xf0a6accba4f9b9f0, 3, 170, 0, 0),
-    (3, 3, Some(0), 0xf0a6accba4f9b9f0, 47, 55, 53, 34),
-    (3, 3, Some(64), 0xf0a6accba4f9b9f0, 6, 85, 63, 0),
-    (4, 3, None, 0x9b07211fe9cb19ba, 3, 53, 0, 0),
-    (4, 3, Some(0), 0x9b07211fe9cb19ba, 39, 32, 21, 22),
-    (4, 3, Some(64), 0x9b07211fe9cb19ba, 3, 53, 42, 0),
-    (5, 3, None, 0xb1af172f204562d8, 3, 56, 0, 0),
-    (5, 3, Some(0), 0xb1af172f204562d8, 33, 22, 18, 19),
-    (5, 3, Some(64), 0xb1af172f204562d8, 3, 56, 40, 0),
+    (3, 3, None, 0xf0a6accba4f9b9f0, 3, 166, 0, 0),
+    (3, 3, Some(0), 0xf0a6accba4f9b9f0, 47, 53, 53, 34),
+    (3, 3, Some(64), 0xf0a6accba4f9b9f0, 6, 83, 63, 0),
+    (4, 3, None, 0x9b07211fe9cb19ba, 3, 52, 0, 0),
+    (4, 3, Some(0), 0x9b07211fe9cb19ba, 39, 31, 21, 22),
+    (4, 3, Some(64), 0x9b07211fe9cb19ba, 3, 52, 42, 0),
+    (5, 3, None, 0xb1af172f204562d8, 3, 36, 0, 0),
+    (5, 3, Some(0), 0xb1af172f204562d8, 33, 13, 18, 19),
+    (5, 3, Some(64), 0xb1af172f204562d8, 3, 36, 40, 0),
     (6, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
     (6, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
     (6, 3, Some(64), 0xcbf29ce484222325, 3, 0, 0, 0),
-    (7, 3, None, 0xcbf29ce484222325, 3, 24, 0, 0),
-    (7, 3, Some(0), 0xcbf29ce484222325, 3, 24, 0, 0),
-    (7, 3, Some(64), 0xcbf29ce484222325, 3, 24, 0, 0),
+    (7, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
+    (7, 3, Some(0), 0xcbf29ce484222325, 3, 0, 0, 0),
+    (7, 3, Some(64), 0xcbf29ce484222325, 3, 0, 0, 0),
     (8, 3, None, 0xcbf29ce484222325, 3, 59, 0, 0),
     (8, 3, Some(0), 0xcbf29ce484222325, 47, 21, 26, 34),
     (8, 3, Some(64), 0xcbf29ce484222325, 4, 56, 62, 0),
+    (9, 3, None, 0xcbf29ce484222325, 3, 36, 0, 0),
+    (9, 3, Some(0), 0xcbf29ce484222325, 33, 13, 9, 19),
+    (9, 3, Some(64), 0xcbf29ce484222325, 3, 36, 20, 0),
+    (10, 3, None, 0xcbf29ce484222325, 3, 0, 0, 0),
+    (10, 3, Some(0), 0xcbf29ce484222325, 33, 0, 9, 19),
+    (10, 3, Some(64), 0xcbf29ce484222325, 3, 0, 20, 0),
+    (11, 3, None, 0xcbf29ce484222325, 3, 2135, 0, 0),
+    (11, 3, Some(0), 0xcbf29ce484222325, 47, 586, 26, 34),
+    (11, 3, Some(64), 0xcbf29ce484222325, 4, 2097, 62, 0),
 ];
 
 /// FNV-1a over the per-start multisets in start order.
