@@ -1331,9 +1331,8 @@ pub fn ingest_bench(
 
 /// The sharded-index section: parallel `Among` fan-out over an
 /// entity-hash [`ShardedEdgeIndex`](rex_relstore::engine::ShardedEdgeIndex)
-/// versus the single-shard path, the on-disk snapshot round trip
-/// (load must beat a cold build), and the specialized `(start, end)`
-/// group-by against the generic `HashMap` baseline it replaced.
+/// versus the single-shard path, and the on-disk snapshot round trip
+/// (load must beat a cold build).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedBench {
     /// KB edge count the index was built over.
@@ -1360,16 +1359,6 @@ pub struct ShardedBench {
     pub load_wall: Duration,
     /// Snapshot size on disk.
     pub snapshot_bytes: u64,
-    /// Rows fed to the group-by microbenchmark.
-    pub groupby_rows: usize,
-    /// Wall of the generic-`HashMap` `(start, end)` group-by baseline.
-    pub groupby_generic_wall: Duration,
-    /// Wall of the specialized [`PairCounter`] group-by replacing it.
-    ///
-    /// [`PairCounter`]: rex_relstore::engine::PairCounter
-    pub groupby_specialized_wall: Duration,
-    /// Whether both group-bys produced identical per-start multisets.
-    pub groupby_parity: bool,
 }
 
 impl ShardedBench {
@@ -1379,16 +1368,6 @@ impl ShardedBench {
         let f = self.fanout_wall.as_secs_f64();
         if f > 0.0 {
             self.single_wall.as_secs_f64() / f
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Wall-time speedup of the specialized group-by over the generic one.
-    pub fn groupby_speedup(&self) -> f64 {
-        let s = self.groupby_specialized_wall.as_secs_f64();
-        if s > 0.0 {
-            self.groupby_generic_wall.as_secs_f64() / s
         } else {
             f64::INFINITY
         }
@@ -1630,10 +1609,7 @@ impl RankingBench {
                 "\"shapes\": {}, \"single_wall_ms\": {:.3}, ",
                 "\"fanout_wall_ms\": {:.3}, \"fanout_speedup\": {:.3}, ",
                 "\"parity\": {}, \"build_ms\": {:.3}, \"save_ms\": {:.3}, ",
-                "\"load_ms\": {:.3}, \"snapshot_bytes\": {}, ",
-                "\"groupby_rows\": {}, \"groupby_generic_ms\": {:.3}, ",
-                "\"groupby_specialized_ms\": {:.3}, ",
-                "\"groupby_speedup\": {:.3}, \"groupby_parity\": {}}}"
+                "\"load_ms\": {:.3}, \"snapshot_bytes\": {}}}"
             ),
             self.sharded.kb_edges,
             self.sharded.shards,
@@ -1647,11 +1623,6 @@ impl RankingBench {
             self.sharded.save_wall.as_secs_f64() * 1e3,
             self.sharded.load_wall.as_secs_f64() * 1e3,
             self.sharded.snapshot_bytes,
-            self.sharded.groupby_rows,
-            self.sharded.groupby_generic_wall.as_secs_f64() * 1e3,
-            self.sharded.groupby_specialized_wall.as_secs_f64() * 1e3,
-            self.sharded.groupby_speedup(),
-            usize::from(self.sharded.groupby_parity),
         );
         format!(
             concat!(
@@ -1845,20 +1816,15 @@ const LOAD_REPEATS: usize = 9;
 /// over the full start universe on a 1-shard versus an N-shard
 /// [`ShardedEdgeIndex`] (parity-checked answer by answer), the on-disk
 /// snapshot round trip (save, then a load that must beat the cold build
-/// it replaces), and the `(start, end)` group-by micro — specialized
-/// [`PairCounter`] versus the generic-`HashMap` baseline it replaced.
+/// it replaces).
 ///
 /// Shard count comes from `REX_BENCH_SHARDS` (default 4). On a
 /// single-core host the fan-out speedup is honestly ≈ 1; the schema
 /// checker gates only that it is recorded, not a threshold.
 ///
 /// [`ShardedEdgeIndex`]: rex_relstore::engine::ShardedEdgeIndex
-/// [`PairCounter`]: rex_relstore::engine::PairCounter
 pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -> ShardedBench {
-    use rex_relstore::engine::{
-        count_distributions, group_pair_counts, group_pair_counts_generic, oriented_edge_relation,
-        EvalRequest, ShardSpec, ShardedEdgeIndex,
-    };
+    use rex_relstore::engine::{count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex};
 
     let shards: usize =
         std::env::var("REX_BENCH_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
@@ -1919,21 +1885,6 @@ pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -
     let parity = parity && loaded.epoch() == fanned.epoch() && eval(&loaded) == fanout_answers;
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Group-by micro over the full oriented edge relation: the
-    // specialized PairCounter versus the generic HashMap it replaced,
-    // parity-checked on the per-start multisets.
-    let rel = oriented_edge_relation(&w.kb);
-    let groupby_rows = rel.len();
-    let (mut generic, groupby_generic_wall) = time(|| group_pair_counts_generic(&rel, 0, 1));
-    let (mut specialized, groupby_specialized_wall) =
-        time(|| group_pair_counts(&rel, 0, 1, w.kb.node_count()));
-    for m in [&mut generic, &mut specialized] {
-        for counts in m.values_mut() {
-            counts.sort_unstable();
-        }
-    }
-    let groupby_parity = generic == specialized;
-
     ShardedBench {
         kb_edges: w.kb.edge_count(),
         shards,
@@ -1946,10 +1897,6 @@ pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -
         save_wall,
         load_wall: median(load_walls),
         snapshot_bytes,
-        groupby_rows,
-        groupby_generic_wall,
-        groupby_specialized_wall,
-        groupby_parity,
     }
 }
 
@@ -2237,8 +2184,6 @@ mod tests {
         assert!(sh.shards >= 2);
         assert!(sh.shapes >= 1);
         assert!(sh.snapshot_bytes > 0);
-        assert!(sh.groupby_parity, "specialized group-by diverged from the generic one");
-        assert!(sh.groupby_rows > 0);
         let json = b.to_json();
         for key in [
             "\"benchmark\"",
@@ -2279,8 +2224,6 @@ mod tests {
             "\"build_ms\"",
             "\"load_ms\"",
             "\"snapshot_bytes\"",
-            "\"groupby_generic_ms\"",
-            "\"groupby_specialized_ms\"",
             "\"speedup\"",
             "\"shared_frame_speedup\"",
             "\"incremental_speedup\"",

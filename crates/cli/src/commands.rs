@@ -603,9 +603,10 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 }
 
 /// `rex stats`: print knowledge-base statistics, including what the
-/// evaluation engine's edge index costs to build on this KB (partition
-/// build + endpoint posting lists) — the price paid once per epoch and
-/// amortized over every probe-instead-of-scan evaluation after it.
+/// evaluation engine's edge index costs to build on this KB (each
+/// partition's endpoint posting lists, its only storage) — the price paid
+/// once per epoch and amortized over every probe-instead-of-scan
+/// evaluation after it.
 pub fn stats(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let kb = load_kb(&args)?;
@@ -625,8 +626,8 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
         build.as_secs_f64() * 1e3
     );
     println!(
-        "endpoint postings: {} src keys, {} dst keys, {:.1} KiB \
-         (rebuilt per epoch only for delta-touched partitions)",
+        "endpoint postings: {} src keys, {} dst keys, {:.1} KiB, all of the index's \
+         row storage (rebuilt per epoch only for delta-touched partitions)",
         posting.src_keys,
         posting.dst_keys,
         posting.heap_bytes as f64 / 1024.0

@@ -14,26 +14,24 @@ use rex_kb::{EdgeRecord, KbDelta, KnowledgeBase, LabelId, NodeId};
 use crate::budget::Budget;
 use crate::exec::Sink;
 use crate::metrics::EvalTrace;
-use crate::ops::{group_count_having_limit, FIB_HASH};
+use crate::ops::group_count_having_limit;
 use crate::plan::{dir_code, PatternSpec, SpecEdge, StartBinding};
 use crate::relation::{ColumnPosting, Relation, Schema};
 use crate::{RelError, Result};
 
-/// The endpoint posting lists of one `(label, dir)` partition: a
-/// [`ColumnPosting`] over each endpoint column, so every row incident to
-/// an entity on either side is one lookup away. `by_src` maps each `from`
-/// id to its `to` ids and `by_dst` each `to` id to its `from` ids —
-/// the partition's out- and in-adjacency lists, each ascending, a
-/// parallel KB edge repeated once per row. Binding a pattern variable
-/// next to a bound one reads exactly one such list, and a variable with
-/// several bound neighbours intersects theirs; a scan walks `by_src`
-/// key by key, so rows equal on `(from, to)` arrive next to each other.
+/// One `(label, dir)` partition of the oriented edge relation, stored
+/// once, as its adjacency lists: a [`ColumnPosting`] over each endpoint.
+/// `by_src` maps each `from` id to its `to` ids and `by_dst` each `to` id
+/// to its `from` ids, each list ascending, a parallel KB edge repeated
+/// once per row; `by_dst` is the transpose of `by_src`, and the partition
+/// keeps no other copy of its rows. Binding a pattern variable next to a
+/// bound one reads exactly one such list, and a variable with several
+/// bound neighbours intersects theirs; a scan walks `by_src` key by key,
+/// so rows equal on `(from, to)` arrive next to each other.
 ///
-/// Postings are immutable snapshots of their partition's rows: delta
-/// maintenance rebuilds the posting of every partition it edits and
-/// leaves the rest shared behind their `Arc` (copy-on-write, mirroring
-/// the partitions themselves across [`EdgeIndex::next_epoch`]), so the
-/// lists always match the rows of their epoch.
+/// A partition is immutable: delta maintenance rebuilds every partition
+/// it edits and leaves the rest shared behind their `Arc` across
+/// [`EdgeIndex::next_epoch`] (copy-on-write).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPosting {
     by_src: ColumnPosting,
@@ -41,17 +39,16 @@ pub struct PartitionPosting {
 }
 
 impl PartitionPosting {
-    /// Builds both endpoint postings over a partition (`from` = column 0,
-    /// `to` = column 1 of the oriented schema), each key listing the
-    /// other endpoint's ids.
-    fn build(rel: &Relation, from_col: usize, to_col: usize) -> PartitionPosting {
+    /// Builds both adjacency lists of a partition from its oriented
+    /// `(from, to)` rows, given in any order.
+    fn build(rows: &[(u64, u64)]) -> PartitionPosting {
         PartitionPosting {
-            by_src: ColumnPosting::build(rel, from_col, to_col),
-            by_dst: ColumnPosting::build(rel, to_col, from_col),
+            by_src: ColumnPosting::build(rows.iter().copied()),
+            by_dst: ColumnPosting::build(rows.iter().map(|&(from, to)| (to, from))),
         }
     }
 
-    /// The posting over the requested endpoint column.
+    /// The posting over the requested endpoint.
     pub fn endpoint(&self, src: bool) -> &ColumnPosting {
         if src {
             &self.by_src
@@ -60,7 +57,13 @@ impl PartitionPosting {
         }
     }
 
-    /// Heap bytes held by both postings.
+    /// The partition's `(from, to)` rows in `by_src` order: by `from`,
+    /// then by `to`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.by_src.lists().flat_map(|(from, tos)| tos.iter().map(move |&to| (from, u64::from(to))))
+    }
+
+    /// Heap bytes held by both postings — the partition's whole storage.
     pub fn heap_bytes(&self) -> usize {
         self.by_src.heap_bytes() + self.by_dst.heap_bytes()
     }
@@ -71,17 +74,23 @@ impl PartitionPosting {
         (&self.by_src, &self.by_dst)
     }
 
-    /// Reassembles a posting pair from deserialized parts.
-    pub(crate) fn from_parts(by_src: ColumnPosting, by_dst: ColumnPosting) -> PartitionPosting {
-        PartitionPosting { by_src, by_dst }
+    /// Reassembles a partition from deserialized postings; `None` when
+    /// `by_dst` is not the transpose of `by_src` (their pair fingerprints
+    /// differ).
+    pub(crate) fn from_parts(
+        by_src: ColumnPosting,
+        by_dst: ColumnPosting,
+    ) -> Option<PartitionPosting> {
+        let transposed = by_src.fingerprint(false) == by_dst.fingerprint(true);
+        transposed.then_some(PartitionPosting { by_src, by_dst })
     }
 }
 
-/// Aggregate endpoint-posting statistics of an [`EdgeIndex`] — what
-/// `rex stats` reports as the index's build cost.
+/// Aggregate posting statistics of an [`EdgeIndex`] — what `rex stats`
+/// reports as the index's build cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PostingStats {
-    /// `(label, dir)` partitions carrying a posting.
+    /// `(label, dir)` partitions.
     pub partitions: usize,
     /// Total rows indexed across all postings (equals the index's rows).
     pub rows: usize,
@@ -89,80 +98,57 @@ pub struct PostingStats {
     pub src_keys: usize,
     /// Distinct `to` values summed over partitions.
     pub dst_keys: usize,
-    /// Heap bytes held by all posting arrays.
+    /// Heap bytes held by all posting arrays — the index's whole row
+    /// storage.
     pub heap_bytes: usize,
 }
 
-/// One `(label, dir)` partition of an [`EdgeIndex`] with its rows and
-/// posting, as yielded by the snapshot serializer's partition walk.
-pub(crate) type PartitionEntry<'a> = ((u64, u64), &'a Arc<Relation>, &'a Arc<PartitionPosting>);
-
 /// The oriented edge relation pre-partitioned by `(label, dir)` — the
-/// relational analogue of a composite index on `R(rel)`. Pattern-edge
-/// scans hit exactly their label's partition instead of the full relation,
-/// which is what makes repeated distribution queries (Figure 11) viable.
-/// Every partition additionally carries a [`PartitionPosting`], so
-/// start-restricted evaluations probe incident rows instead of scanning.
+/// relational analogue of a composite index on `R(rel)` — with each
+/// partition stored once, as its [`PartitionPosting`] adjacency lists.
+/// Every evaluation reads those lists: a pattern edge touches only its
+/// label's partition, and only the lists around the values already
+/// bound, which is what makes repeated distribution queries (Figure 11)
+/// viable.
 ///
 /// The index carries the KB [`epoch`](EdgeIndex::epoch) it reflects and
 /// refreshes **incrementally** from a [`KbDelta`]
-/// ([`EdgeIndex::apply_delta`]): only the touched
-/// `(label, dir)` partitions are edited, instead of rebuilding every
-/// partition from scratch on each KB update.
+/// ([`EdgeIndex::apply_delta`]): only the touched `(label, dir)`
+/// partitions are rebuilt, instead of rebuilding every partition from
+/// scratch on each KB update.
 ///
 /// Partitions are held behind `Arc` (copy-on-write): cloning an index is
-/// O(labels), sharing every partition's rows, and a delta application
-/// deep-copies only the partitions it touches. This is what makes
-/// **versioned index publication** cheap — [`EdgeIndex::next_epoch`]
-/// builds the next epoch's index off to the side while readers keep
-/// scanning the current one, and the publisher swaps an `Arc<EdgeIndex>`
-/// in O(1).
+/// O(labels), sharing every partition, and a delta application rebuilds
+/// only the partitions it touches. This is what makes **versioned index
+/// publication** cheap — [`EdgeIndex::next_epoch`] builds the next
+/// epoch's index off to the side while readers keep reading the current
+/// one, and the publisher swaps an `Arc<EdgeIndex>` in O(1).
 #[derive(Debug, Clone)]
 pub struct EdgeIndex {
-    groups: HashMap<(u64, u64), Arc<Relation>>,
-    /// Endpoint posting lists, one per partition, `Arc`-shared across
-    /// index versions and rebuilt only for delta-touched partitions.
-    postings: HashMap<(u64, u64), Arc<PartitionPosting>>,
-    schema: Schema,
+    partitions: HashMap<(u64, u64), Arc<PartitionPosting>>,
     total_rows: usize,
     node_count: usize,
     epoch: u64,
 }
 
 impl EdgeIndex {
-    /// Builds the index from a knowledge base at the KB's current epoch.
+    /// Builds the index from a knowledge base at the KB's current epoch:
+    /// each partition's oriented `(from, to)` rows go straight into its
+    /// two postings.
     pub fn build(kb: &KnowledgeBase) -> EdgeIndex {
-        let schema = oriented_schema();
-        // Each partition's rows go straight into its own flat buffer, in
-        // KB edge order.
-        let mut buckets: HashMap<(u64, u64), Vec<u64>> = HashMap::new();
+        let mut rows: HashMap<(u64, u64), Vec<(u64, u64)>> = HashMap::new();
         let mut total_rows = 0;
         for eid in kb.edge_ids() {
-            for row in oriented_rows(kb.edge(eid)) {
-                buckets.entry((row[2], row[3])).or_default().extend_from_slice(&row);
+            for [from, to, label, dir] in oriented_rows(kb.edge(eid)) {
+                rows.entry((label, dir)).or_default().push((from, to));
                 total_rows += 1;
             }
         }
-        let groups: HashMap<(u64, u64), Arc<Relation>> = buckets
+        let partitions = rows
             .into_iter()
-            .map(|(k, data)| {
-                (k, Arc::new(Relation::from_flat(schema.clone(), data).expect("partition arity")))
-            })
+            .map(|(key, rows)| (key, Arc::new(PartitionPosting::build(&rows))))
             .collect();
-        let from_col = schema.index_of("from").expect("oriented schema");
-        let to_col = schema.index_of("to").expect("oriented schema");
-        let postings = groups
-            .iter()
-            .map(|(&k, rel)| (k, Arc::new(PartitionPosting::build(rel, from_col, to_col))))
-            .collect();
-        EdgeIndex {
-            groups,
-            postings,
-            schema,
-            total_rows,
-            node_count: kb.node_count(),
-            epoch: kb.epoch(),
-        }
+        EdgeIndex { partitions, total_rows, node_count: kb.node_count(), epoch: kb.epoch() }
     }
 
     /// The KB epoch this index reflects.
@@ -171,13 +157,15 @@ impl EdgeIndex {
         self.epoch
     }
 
-    /// Applies a [`KbDelta`] in place: added edges are appended to their
-    /// `(label, dir)` partitions, removed edges retracted from theirs,
-    /// and the index's epoch advanced to `delta.to_epoch`. Errors when
-    /// the delta does not start at this index's epoch or retracts a row
-    /// the index does not hold — both mean the caller's delta bookkeeping
-    /// diverged; the index contents are then unspecified (the epoch is
-    /// not advanced) and a full [`EdgeIndex::build`] is required.
+    /// Applies a [`KbDelta`] in place: every `(label, dir)` partition the
+    /// delta touches is rebuilt from its own `by_src` rows plus the
+    /// delta's additions, less its retractions, and the index's epoch
+    /// advanced to `delta.to_epoch`. A partition left without rows is
+    /// removed, so the result equals a fresh [`EdgeIndex::build`] of the
+    /// updated KB. Errors when the delta does not start at this index's
+    /// epoch or retracts a row the index does not hold — both mean the
+    /// caller's delta bookkeeping diverged; the index is then left as it
+    /// was and a full [`EdgeIndex::build`] is required.
     pub fn apply_delta(&mut self, delta: &KbDelta) -> Result<()> {
         if delta.from_epoch != self.epoch {
             return Err(RelError::DeltaSkew(format!(
@@ -185,51 +173,48 @@ impl EdgeIndex {
                 self.epoch, delta.from_epoch
             )));
         }
-        // Additions first: a retraction may target an edge inserted
-        // within the same window (rows are a multiset, so which copy is
-        // retracted never matters — only that one exists by then).
-        // `Arc::make_mut` deep-copies a partition only when another index
-        // version still shares it (the copy-on-write half of versioned
-        // publication).
-        let mut touched: HashSet<(u64, u64)> = HashSet::new();
-        for record in &delta.added {
-            for row in oriented_rows(record) {
-                let key = (row[2], row[3]);
-                touched.insert(key);
-                let partition = self
-                    .groups
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(Relation::empty(self.schema.clone())));
-                Arc::make_mut(partition).push(&row).expect("oriented rows have arity 4");
-                self.total_rows += 1;
-            }
-        }
-        for record in &delta.removed {
-            for row in oriented_rows(record) {
-                let key = (row[2], row[3]);
-                touched.insert(key);
-                let found = self
-                    .groups
-                    .get_mut(&key)
-                    .is_some_and(|partition| Arc::make_mut(partition).remove_row(&row));
-                if !found {
-                    return Err(RelError::DeltaSkew(format!(
-                        "delta retracts edge ({}, {}, label {}) the index does not hold",
-                        row[0], row[1], row[2]
-                    )));
+        // Each touched partition's added and retracted `(from, to)` rows.
+        type Rows = Vec<(u64, u64)>;
+        let mut edits: HashMap<(u64, u64), [Rows; 2]> = HashMap::new();
+        for (side, records) in [&delta.added, &delta.removed].into_iter().enumerate() {
+            for record in records {
+                for [from, to, label, dir] in oriented_rows(record) {
+                    edits.entry((label, dir)).or_default()[side].push((from, to));
                 }
-                self.total_rows -= 1;
             }
         }
-        // Rebuild endpoint postings for exactly the partitions this delta
-        // edited; every untouched partition keeps sharing its posting
-        // `Arc` with older index versions (the COW half of versioned
-        // publication, extended to the postings).
-        let from_col = self.schema.index_of("from").expect("oriented schema");
-        let to_col = self.schema.index_of("to").expect("oriented schema");
-        for key in touched {
-            let rel = self.groups.get(&key).expect("touched partitions exist");
-            self.postings.insert(key, Arc::new(PartitionPosting::build(rel, from_col, to_col)));
+        // Additions go in before retractions come out: a retraction may
+        // target an edge inserted within the same window (rows are a
+        // multiset, so which copy is retracted never matters — only that
+        // one exists by then). Both sides sorted, one merge pass drops one
+        // row per retraction; a retraction it cannot match is left over.
+        let mut rebuilt = Vec::with_capacity(edits.len());
+        for (key, [added, mut retracted]) in edits {
+            let mut rows: Vec<(u64, u64)> =
+                self.partitions.get(&key).map(|p| p.rows().collect()).unwrap_or_default();
+            rows.extend(added);
+            rows.sort_unstable();
+            retracted.sort_unstable();
+            let mut retract = retracted.into_iter().peekable();
+            rows.retain(|row| retract.next_if_eq(row).is_none());
+            if let Some((from, to)) = retract.next() {
+                return Err(RelError::DeltaSkew(format!(
+                    "delta retracts edge ({from}, {to}, label {}) the index does not hold",
+                    key.0
+                )));
+            }
+            rebuilt.push((key, PartitionPosting::build(&rows)));
+        }
+        // Every untouched partition keeps sharing its `Arc` with older
+        // index versions (the copy-on-write half of versioned
+        // publication).
+        for ((label, dir), posting) in rebuilt {
+            self.total_rows = self.total_rows - self.scan_len(label, dir) + posting.by_src.len();
+            if posting.by_src.is_empty() {
+                self.partitions.remove(&(label, dir));
+            } else {
+                self.partitions.insert((label, dir), Arc::new(posting));
+            }
         }
         self.node_count = delta.node_count;
         self.epoch = delta.to_epoch;
@@ -248,51 +233,26 @@ impl EdgeIndex {
         Ok(next)
     }
 
-    /// The rows matching a `(label, dir)` pair — the shared partition
-    /// itself, not a copy, in KB edge order; an empty relation when
-    /// absent. A **full partition scan**, the access path the endpoint
-    /// postings exist to avoid; only the fixed-order baseline
-    /// ([`PatternSpec::evaluate_indexed_in_order`]) still scans, walking
-    /// the same rows in `by_src` posting order and counting them as
-    /// `rows_scanned` in its [`EvalTrace`].
-    pub fn scan(&self, label: u64, dir: u64) -> Arc<Relation> {
-        self.groups
-            .get(&(label, dir))
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Relation::empty(self.schema.clone())))
-    }
-
     /// Visits every `(from, to)` row of the `(label, dir)` partition in
     /// `by_src` posting order — by `from`, then by `to` — so rows equal
-    /// on `(from, to)` arrive next to each other.
+    /// on `(from, to)` arrive next to each other. A **full partition
+    /// scan**, the access path the depth-first walk never takes; only the
+    /// fixed-order baseline ([`PatternSpec::evaluate_indexed_in_order`])
+    /// still scans, counting the rows as `rows_scanned` in its
+    /// [`EvalTrace`].
     pub(crate) fn for_each_scanned<F: FnMut(u64, u64)>(&self, label: u64, dir: u64, mut visit: F) {
-        let Some(posting) = self.endpoint_posting(label, dir, true) else {
-            return;
-        };
-        for (from, tos) in posting.lists() {
-            for &to in tos {
-                visit(from, u64::from(to));
-            }
+        if let Some(partition) = self.partitions.get(&(label, dir)) {
+            partition.rows().for_each(|(from, to)| visit(from, to));
         }
     }
 
-    /// Materializes exactly the partition rows whose start endpoint —
-    /// `from` when `src`, `to` otherwise — is in `keys` (sorted; adjacent
-    /// duplicates are skipped), via the partition's endpoint posting
-    /// lists: one binary search plus a contiguous id list per key, so
-    /// the cost is proportional to the rows *incident to the key set*
-    /// instead of the partition size.
-    pub fn probe(&self, label: u64, dir: u64, src: bool, keys: &[u64]) -> Relation {
-        let mut data = Vec::new();
-        self.for_each_probed(label, dir, src, keys, |from, to| {
-            data.extend_from_slice(&[from, to, label, dir]);
-        });
-        Relation::from_flat(self.schema.clone(), data).expect("partition rows match the schema")
-    }
-
-    /// Visits the `(from, to)` rows [`EdgeIndex::probe`] would
-    /// materialize, in the same order — key by key, each key's rows
-    /// ordered by the other endpoint — without copying them.
+    /// Visits exactly the `(from, to)` rows of the `(label, dir)`
+    /// partition whose start endpoint — `from` when `src`, `to` otherwise
+    /// — is in `keys` (sorted; adjacent duplicates are skipped), via the
+    /// partition's endpoint posting: one binary search plus a contiguous
+    /// id list per key, so the cost is proportional to the rows *incident
+    /// to the key set* instead of the partition size. Rows arrive key by
+    /// key, each key's rows ordered by the other endpoint.
     pub(crate) fn for_each_probed<F: FnMut(u64, u64)>(
         &self,
         label: u64,
@@ -329,7 +289,7 @@ impl EdgeIndex {
         dir: u64,
         src: bool,
     ) -> Option<&ColumnPosting> {
-        self.postings.get(&(label, dir)).map(|p| p.endpoint(src))
+        self.partitions.get(&(label, dir)).map(|p| p.endpoint(src))
     }
 
     /// Rows of the `(label, dir)` partition incident to `keys` on the
@@ -338,10 +298,9 @@ impl EdgeIndex {
     /// tile sizing and cost ordering. `keys` must be sorted (adjacent
     /// duplicates are skipped).
     pub fn incident_len(&self, label: u64, dir: u64, src: bool, keys: &[u64]) -> usize {
-        let Some(posting) = self.postings.get(&(label, dir)) else {
+        let Some(posting) = self.endpoint_posting(label, dir, src) else {
             return 0;
         };
-        let posting = posting.endpoint(src);
         let mut total = 0;
         let mut last = None;
         for &k in keys {
@@ -354,20 +313,20 @@ impl EdgeIndex {
         total
     }
 
-    /// The endpoint posting of a `(label, dir)` partition, `Arc`-cloned —
-    /// `None` when the partition does not exist. Exposed so the COW
-    /// contract (untouched partitions share their posting across
-    /// [`EdgeIndex::next_epoch`], touched ones rebuild) is testable with
-    /// `Arc::ptr_eq`.
+    /// The `(label, dir)` partition, `Arc`-cloned — `None` when the
+    /// partition does not exist. Exposed so the COW contract (untouched
+    /// partitions are shared across [`EdgeIndex::next_epoch`], touched
+    /// ones rebuild) is testable with `Arc::ptr_eq`, and a maintained
+    /// partition comparable by value with a fresh build's.
     pub fn posting(&self, label: u64, dir: u64) -> Option<Arc<PartitionPosting>> {
-        self.postings.get(&(label, dir)).cloned()
+        self.partitions.get(&(label, dir)).cloned()
     }
 
     /// Aggregate posting statistics (partitions, rows, distinct keys,
     /// heap bytes) — the index build cost `rex stats` reports.
     pub fn posting_stats(&self) -> PostingStats {
         let mut stats = PostingStats::default();
-        for posting in self.postings.values() {
+        for posting in self.partitions.values() {
             stats.partitions += 1;
             stats.rows += posting.endpoint(true).len();
             stats.src_keys += posting.endpoint(true).distinct_keys();
@@ -377,15 +336,10 @@ impl EdgeIndex {
         stats
     }
 
-    /// Rows in the `(label, dir)` partition without materializing it —
+    /// Rows in the `(label, dir)` partition — its `by_src` list entries —
     /// the label-cardinality statistic cost-based ordering reads.
     pub fn scan_len(&self, label: u64, dir: u64) -> usize {
-        self.groups.get(&(label, dir)).map_or(0, |r| r.len())
-    }
-
-    /// The schema shared by all partitions.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.endpoint_posting(label, dir, true).map_or(0, ColumnPosting::len)
     }
 
     /// Total indexed rows (equals the oriented relation's row count).
@@ -401,8 +355,8 @@ impl EdgeIndex {
     /// Distinct values of `e`'s `from` (`src`) or `to` column in its
     /// partition, at least 1: the `V(edge, col)` of a join selectivity.
     pub(crate) fn endpoint_distinct(&self, e: &SpecEdge, src: bool) -> f64 {
-        let posting = self.postings.get(&(e.label, e.dir()));
-        posting.map_or(1, |p| p.endpoint(src).distinct_keys()).max(1) as f64
+        let posting = self.endpoint_posting(e.label, e.dir(), src);
+        posting.map_or(1, ColumnPosting::distinct_keys).max(1) as f64
     }
 
     /// The factor by which joining `e` multiplies an intermediate whose
@@ -568,24 +522,20 @@ impl EdgeIndex {
     /// Reassembles an index from its parts — the deserialization path of
     /// the on-disk snapshot format (`crate::persist`).
     pub(crate) fn from_parts(
-        groups: HashMap<(u64, u64), Arc<Relation>>,
-        postings: HashMap<(u64, u64), Arc<PartitionPosting>>,
-        schema: Schema,
+        partitions: HashMap<(u64, u64), Arc<PartitionPosting>>,
         total_rows: usize,
         node_count: usize,
         epoch: u64,
     ) -> EdgeIndex {
-        EdgeIndex { groups, postings, schema, total_rows, node_count, epoch }
+        EdgeIndex { partitions, total_rows, node_count, epoch }
     }
 
-    /// The index's `(label, dir)` partitions with their postings, in
-    /// **sorted key order** (deterministic snapshot bytes).
-    pub(crate) fn partitions(&self) -> Vec<PartitionEntry<'_>> {
-        let mut keys: Vec<(u64, u64)> = self.groups.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|k| (k, &self.groups[&k], self.postings.get(&k).expect("posting per partition")))
-            .collect()
+    /// The index's `(label, dir)` partitions in **sorted key order**
+    /// (deterministic snapshot bytes).
+    pub(crate) fn partitions(&self) -> Vec<((u64, u64), &PartitionPosting)> {
+        let mut partitions: Vec<_> = self.partitions.iter().map(|(&k, p)| (k, &**p)).collect();
+        partitions.sort_unstable_by_key(|&(k, _)| k);
+        partitions
     }
 
     /// Saves this index as a checksummed on-disk snapshot (see
@@ -596,9 +546,9 @@ impl EdgeIndex {
 
     /// Loads an index from an on-disk snapshot written by
     /// [`EdgeIndex::save`]. Cold start becomes I/O-bound: the flat CSR
-    /// and posting arrays are validated and adopted as-is — no
-    /// re-bucketing, no posting sorts — so a load is strictly cheaper
-    /// than [`EdgeIndex::build`] at any scale.
+    /// posting arrays are validated and adopted as-is — no re-bucketing,
+    /// no sorts — so a load is strictly cheaper than [`EdgeIndex::build`]
+    /// at any scale.
     pub fn load(path: &std::path::Path) -> Result<EdgeIndex> {
         crate::persist::load_index(path)
     }
@@ -727,12 +677,8 @@ pub fn oriented_edge_relation(kb: &KnowledgeBase) -> Relation {
             data.extend_from_slice(&row);
         }
     }
-    Relation::from_flat(oriented_schema(), data).expect("oriented rows have arity 4")
-}
-
-/// The schema of the oriented edge relation and of every index partition.
-pub(crate) fn oriented_schema() -> Schema {
-    Schema::new(["from", "to", "label", "dir"])
+    let schema = Schema::new(["from", "to", "label", "dir"]);
+    Relation::from_flat(schema, data).expect("oriented rows have arity 4")
 }
 
 /// The oriented rows one KB edge contributes to the edge relation: one
@@ -877,151 +823,6 @@ pub fn local_count_distribution_indexed(
     let (instances, _) = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
     let grouped = group_count_having_limit(&instances, &[spec.end], 0, usize::MAX)?;
     Ok(grouped.rows().map(|r| (r[0], r[1])).collect())
-}
-
-/// Sort-free two-level accumulator for a `(start, end)` group-by over an
-/// instance relation:
-/// level 1 maps the start entity through a **dense** slot table over the
-/// interned id domain (entity ids are small consecutive integers — a
-/// `Vec` lookup, no hashing); level 2 is an open-addressed table keyed by
-/// the packed `(slot << 32) | end` word with Fibonacci hashing — one
-/// multiply and a masked probe per instance row, against the generic
-/// `HashMap<(u64, u64), u64>`'s SipHash of a 16-byte tuple key. Entity
-/// ids are `u32`-backed in the KB, so the packed key is exact.
-#[derive(Debug)]
-pub struct PairCounter {
-    /// Dense start → slot + 1 (0 = unassigned), indexed by entity id.
-    start_slot: Vec<u32>,
-    /// Slot → start entity id, in first-seen order.
-    starts: Vec<u64>,
-    /// Open-addressed `(packed_key + 1, count)` entries; 0-key = empty.
-    table: Vec<(u64, u64)>,
-    /// Occupied table entries.
-    len: usize,
-    /// `64 - log2(table capacity)` — the Fibonacci-hash shift.
-    shift: u32,
-}
-
-impl PairCounter {
-    /// Creates an accumulator sized for a KB of `domain_hint` entities.
-    pub fn new(domain_hint: usize) -> PairCounter {
-        let cap = 16usize;
-        PairCounter {
-            start_slot: vec![0; domain_hint],
-            starts: Vec::new(),
-            table: vec![(0, 0); cap],
-            len: 0,
-            shift: 64 - cap.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn slot_of(&mut self, start: u64) -> u64 {
-        let idx = start as usize;
-        if idx >= self.start_slot.len() {
-            self.start_slot.resize(idx + 1, 0);
-        }
-        let assigned = self.start_slot[idx];
-        if assigned != 0 {
-            return u64::from(assigned - 1);
-        }
-        let slot = self.starts.len() as u32;
-        self.starts.push(start);
-        self.start_slot[idx] = slot + 1;
-        u64::from(slot)
-    }
-
-    #[inline]
-    fn insert_raw(&mut self, key: u64, count: u64) -> bool {
-        let mask = self.table.len() - 1;
-        let mut i = (key.wrapping_mul(FIB_HASH) >> self.shift) as usize;
-        loop {
-            let (stored, _) = self.table[i];
-            if stored == 0 {
-                self.table[i] = (key + 1, count);
-                return true;
-            }
-            if stored == key + 1 {
-                self.table[i].1 += count;
-                return false;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Counts one `(start, end)` instance row.
-    #[inline]
-    pub fn record(&mut self, start: u64, end: u64) {
-        debug_assert!(end < (1 << 32), "entity ids are u32-backed");
-        // Grow at ~70% load so probe chains stay short.
-        if (self.len + 1) * 10 >= self.table.len() * 7 {
-            let doubled = self.table.len() * 2;
-            let old = std::mem::replace(&mut self.table, vec![(0, 0); doubled]);
-            self.shift = 64 - doubled.trailing_zeros();
-            for (stored, count) in old {
-                if stored != 0 {
-                    self.insert_raw(stored - 1, count);
-                }
-            }
-        }
-        let key = (self.slot_of(start) << 32) | end;
-        if self.insert_raw(key, 1) {
-            self.len += 1;
-        }
-    }
-
-    /// Regroups the pair counts per start — the **unsorted** per-end count
-    /// multiset of every start seen (callers sort descending once, after
-    /// all tiles merged).
-    pub fn finish(self) -> HashMap<u64, Vec<u64>> {
-        let mut per_start: HashMap<u64, Vec<u64>> = HashMap::with_capacity(self.starts.len());
-        for (stored, count) in self.table {
-            if stored == 0 {
-                continue;
-            }
-            let slot = ((stored - 1) >> 32) as usize;
-            per_start.entry(self.starts[slot]).or_default().push(count);
-        }
-        per_start
-    }
-}
-
-/// The specialized `(start, end)` group-by over an instance relation: the
-/// per-start **unsorted** count multisets, computed with [`PairCounter`].
-/// It replaces [`group_pair_counts_generic`] wherever an instance
-/// relation is grouped; the two are answer-identical (pinned by test and
-/// measured against each other in the `sharded` bench section). Batched evaluation does not group an
-/// instance relation at all: its walk counts each start's ends in place.
-pub fn group_pair_counts(
-    instances: &Relation,
-    start_col: usize,
-    end_col: usize,
-    domain_hint: usize,
-) -> HashMap<u64, Vec<u64>> {
-    let mut counter = PairCounter::new(domain_hint);
-    for row in instances.rows() {
-        counter.record(row[start_col], row[end_col]);
-    }
-    counter.finish()
-}
-
-/// The generic-`HashMap` `(start, end)` group-by the batched pipeline
-/// shipped with before [`PairCounter`] — kept as the reference
-/// implementation (parity tests, bench baseline).
-pub fn group_pair_counts_generic(
-    instances: &Relation,
-    start_col: usize,
-    end_col: usize,
-) -> HashMap<u64, Vec<u64>> {
-    let mut pair_counts: HashMap<(u64, u64), u64> = HashMap::with_capacity(instances.len());
-    for row in instances.rows() {
-        *pair_counts.entry((row[start_col], row[end_col])).or_insert(0) += 1;
-    }
-    let mut per_start: HashMap<u64, Vec<u64>> = HashMap::new();
-    for ((start, _end), count) in pair_counts {
-        per_start.entry(start).or_default().push(count);
-    }
-    per_start
 }
 
 /// The result of a batched evaluation ([`count_distributions`]): the
@@ -1251,6 +1052,7 @@ pub fn local_position_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::encode_index;
     use crate::plan::SpecEdge;
     use rex_kb::{toy, KbBuilder};
 
@@ -1482,16 +1284,16 @@ mod tests {
         }
         assert!(index.estimate_eval_cost(&spec) > 0);
         assert!(index.estimate_instance_rows(&spec) > 0.0);
-        assert_eq!(
-            index.scan_len(starring, dir_code::FORWARD),
-            index.scan(starring, dir_code::FORWARD).len()
-        );
+        let rows = oriented_edge_relation(&kb);
+        let starring_rows = rows.rows().filter(|r| r[2..] == [starring, dir_code::FORWARD]);
+        assert_eq!(index.scan_len(starring, dir_code::FORWARD), starring_rows.count());
     }
 
     /// A delta-refreshed index is indistinguishable from one rebuilt from
-    /// scratch: same partitions, same distribution answers — including
-    /// undirected edges (two oriented rows), self-loops (one), parallel
-    /// edges, and the add-then-remove no-op.
+    /// scratch: the same snapshot bytes, the same distribution answers —
+    /// including undirected edges (two oriented rows), self-loops (one),
+    /// parallel edges, the add-then-remove no-op, and a partition whose
+    /// last row is retracted (`won`, which then no longer exists).
     #[test]
     fn apply_delta_matches_rebuild() {
         let mut kb = toy::entertainment();
@@ -1505,7 +1307,8 @@ mod tests {
         let starring = kb.label_by_name("starring").unwrap();
         let spouse = kb.label_by_name("spouse").unwrap();
         // Mixed churn: directed insert (parallel to nothing), undirected
-        // insert, undirected remove, and an add-then-remove wash.
+        // insert, undirected remove, an add-then-remove wash, and every
+        // `won` edge removed.
         let m = kb.require_node("oceans_eleven").unwrap();
         kb.insert_edge(aj, m, starring, true).unwrap();
         kb.insert_edge(bp, jr, spouse, false).unwrap();
@@ -1513,19 +1316,20 @@ mod tests {
         kb.remove_edge(old_spouse).unwrap();
         let wash = kb.insert_edge(jr, m, starring, true).unwrap();
         kb.remove_edge(wash).unwrap();
+        let won = kb.label_by_name("won").unwrap();
+        let won_edges: Vec<_> = kb.edge_ids().filter(|&e| kb.edge(e).label == won).collect();
+        // Highest id first: a removal renumbers only the last edge.
+        for e in won_edges.into_iter().rev() {
+            kb.remove_edge(e).unwrap();
+        }
 
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
         index.apply_delta(&delta).unwrap();
         assert_eq!(index.epoch(), kb.epoch());
 
         let rebuilt = EdgeIndex::build(&kb);
-        assert_eq!(index.total_rows(), rebuilt.total_rows());
-        assert_eq!(index.node_count(), rebuilt.node_count());
-        for label in [starring.0 as u64, spouse.0 as u64] {
-            for dir in [dir_code::FORWARD, dir_code::UNDIRECTED] {
-                assert_eq!(index.scan_len(label, dir), rebuilt.scan_len(label, dir));
-            }
-        }
+        assert_eq!(index.posting(won.0 as u64, dir_code::FORWARD), None);
+        assert_eq!(encode_index(&index), encode_index(&rebuilt));
         let spec = PatternSpec {
             var_count: 3,
             start: 0,
@@ -1565,27 +1369,17 @@ mod tests {
         // The old version is bitwise-unchanged: same epoch, same rows.
         assert_eq!(index.epoch(), epoch0);
         assert_eq!(index.total_rows(), rows_before);
-        // The new version equals an in-place application / fresh build.
+        // The new version equals a fresh build, byte for byte.
         assert_eq!(next.epoch(), kb.epoch());
-        let rebuilt = EdgeIndex::build(&kb);
-        assert_eq!(next.total_rows(), rebuilt.total_rows());
-        let spouse = kb.label_by_name("spouse").unwrap().0 as u64;
-        let starring = starring.0 as u64;
-        for label in [starring, spouse] {
-            for dir in [dir_code::FORWARD, dir_code::UNDIRECTED] {
-                assert_eq!(next.scan_len(label, dir), rebuilt.scan_len(label, dir));
-            }
-        }
+        assert_eq!(encode_index(&next), encode_index(&EdgeIndex::build(&kb)));
         // Untouched partitions are shared, not copied: a label the delta
-        // never mentions scans identical rows from both versions.
+        // never mentions is the same partition in both versions.
         let untouched = kb.label_by_name("directed_by").unwrap().0 as u64;
-        assert_eq!(
-            index.scan(untouched, dir_code::FORWARD),
-            next.scan(untouched, dir_code::FORWARD)
-        );
+        let old = index.posting(untouched, dir_code::FORWARD).unwrap();
+        assert!(Arc::ptr_eq(&old, &next.posting(untouched, dir_code::FORWARD).unwrap()));
     }
 
-    /// Skewed deltas fail loudly instead of corrupting the index.
+    /// Skewed deltas fail loudly and leave the index as it was.
     #[test]
     fn apply_delta_rejects_skew() {
         let mut kb = toy::entertainment();
@@ -1609,6 +1403,13 @@ mod tests {
         };
         let mut fresh = EdgeIndex::build(&rex_kb::KbBuilder::new().build());
         assert!(matches!(fresh.apply_delta(&bogus), Err(crate::RelError::DeltaSkew(_))));
+        // A retraction the index cannot match fails the whole delta, its
+        // additions included.
+        let before = encode_index(&index);
+        let phantom_edge = EdgeRecord { src: aj, dst: aj, label: spouse, directed: true };
+        let half = rex_kb::KbDelta { removed: vec![phantom_edge], ..phantom.clone() };
+        assert!(matches!(index.apply_delta(&half), Err(crate::RelError::DeltaSkew(_))));
+        assert_eq!(encode_index(&index), before);
         // The good delta applies cleanly.
         index.apply_delta(&phantom).unwrap();
         assert_eq!(index.epoch(), kb.epoch());
@@ -1674,51 +1475,74 @@ mod tests {
         }
     }
 
-    /// A posting probe materializes exactly the rows a scan-and-filter
-    /// would, for both endpoints, including absent keys and keys outside
-    /// the KB's id space.
+    /// A posting probe visits exactly the rows a filter of the oriented
+    /// edge relation keeps, for both endpoints, including absent keys and
+    /// keys outside the KB's id space.
     #[test]
     fn probe_matches_filtered_scan() {
         let kb = toy::entertainment();
         let index = EdgeIndex::build(&kb);
+        let rel = oriented_edge_relation(&kb);
         let starring = kb.label_by_name("starring").unwrap().0 as u64;
         let spouse = kb.label_by_name("spouse").unwrap().0 as u64;
-        let sort = |rel: &Relation| {
-            let mut rows: Vec<Vec<u64>> = rel.rows().map(<[u64]>::to_vec).collect();
+        let probed = |label, dir, src, keys: &[u64]| {
+            let mut rows = Vec::new();
+            index.for_each_probed(label, dir, src, keys, |from, to| rows.push(vec![from, to]));
             rows.sort_unstable();
             rows
         };
         for (label, dir) in
             [(starring, dir_code::FORWARD), (spouse, dir_code::UNDIRECTED), (starring, 99)]
         {
-            let full = index.scan(label, dir);
             for src in [true, false] {
                 let col = usize::from(!src); // from = 0, to = 1
                 let keys: Vec<u64> = vec![0, 2, 5, 500];
-                let probed = index.probe(label, dir, src, &keys);
-                let expected: Vec<Vec<u64>> = {
-                    let mut rows: Vec<Vec<u64>> = full
-                        .rows()
-                        .filter(|r| keys.binary_search(&r[col]).is_ok())
-                        .map(|r| r.to_vec())
-                        .collect();
-                    rows.sort_unstable();
-                    rows
-                };
-                assert_eq!(sort(&probed), expected, "label {label} dir {dir} src {src}");
+                let mut expected: Vec<Vec<u64>> = rel
+                    .rows()
+                    .filter(|r| r[2..] == [label, dir] && keys.binary_search(&r[col]).is_ok())
+                    .map(|r| r[..2].to_vec())
+                    .collect();
+                expected.sort_unstable();
+                let got = probed(label, dir, src, &keys);
+                assert_eq!(got, expected, "label {label} dir {dir} src {src}");
                 assert_eq!(
                     index.incident_len(label, dir, src, &keys),
-                    probed.len(),
+                    got.len(),
                     "incident_len must equal the probed row count"
                 );
                 // Duplicate keys must not duplicate rows.
-                let dup: Vec<u64> = vec![2, 2, 2];
                 assert_eq!(
-                    index.probe(label, dir, src, &dup).len(),
+                    probed(label, dir, src, &[2, 2, 2]).len(),
                     index.incident_len(label, dir, src, &[2])
                 );
             }
         }
+    }
+
+    /// Partitions are multisets: retracting one of two parallel copies of
+    /// an edge leaves the other in both adjacency lists.
+    #[test]
+    fn retraction_removes_one_parallel_copy() {
+        let mut kb = toy::entertainment();
+        let bp = kb.require_node("brad_pitt").unwrap();
+        let aj = kb.require_node("angelina_jolie").unwrap();
+        let starring = kb.label_by_name("starring").unwrap();
+        let copies = [(); 2].map(|_| kb.insert_edge(bp, aj, starring, true).unwrap());
+        let mut index = EdgeIndex::build(&kb);
+        let copies_of = |index: &EdgeIndex| {
+            let partition = index.posting(starring.0 as u64, dir_code::FORWARD).unwrap();
+            let count = |src: bool, key: NodeId, other: NodeId| {
+                let list = partition.endpoint(src).neighbours(key.0 as u64);
+                list.iter().filter(|&&id| id == other.0).count()
+            };
+            (count(true, bp, aj), count(false, aj, bp))
+        };
+        assert_eq!(copies_of(&index), (2, 2));
+        let epoch0 = kb.epoch();
+        kb.remove_edge(copies[0]).unwrap();
+        index.apply_delta(&kb.delta_since(epoch0).into_delta().unwrap()).unwrap();
+        assert_eq!(copies_of(&index), (1, 1));
+        assert_eq!(encode_index(&index), encode_index(&EdgeIndex::build(&kb)));
     }
 
     /// The COW contract extends to the postings: `next_epoch` rebuilds
@@ -1898,41 +1722,6 @@ mod tests {
         // count 1.
         let index = EdgeIndex::build(&kb);
         assert_eq!(local_position_indexed(&index, &spec, bp, 1, usize::MAX).unwrap().0, 0);
-    }
-
-    /// The specialized two-level `(start, end)` accumulator must agree
-    /// with the generic `HashMap` group-by on every instance relation.
-    #[test]
-    fn pair_counter_matches_generic_group_by() {
-        let kb = toy::entertainment();
-        let index = EdgeIndex::build(&kb);
-        let starring = kb.label_by_name("starring").unwrap().0 as u64;
-        let spec = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring, directed: true },
-            ],
-        };
-        let (instances, _) = spec.evaluate_indexed(&index, &StartBinding::Unbound).unwrap();
-        let fast = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
-        let slow = group_pair_counts_generic(&instances, spec.start, spec.end);
-        assert_eq!(fast.len(), slow.len());
-        for (start, counts) in &slow {
-            let mut a = counts.clone();
-            let mut b = fast.get(start).cloned().unwrap_or_default();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "start {start}");
-        }
-        // Degenerate inputs: empty relation, zero domain hint (the
-        // dense slot table grows on demand past the hint).
-        let empty = Relation::empty(instances.schema().clone());
-        assert!(group_pair_counts(&empty, spec.start, spec.end, 0).is_empty());
-        let hinted_zero = group_pair_counts(&instances, spec.start, spec.end, 0);
-        assert_eq!(hinted_zero.len(), slow.len());
     }
 
     /// Entity-hash sharding never changes an answer: for shard counts

@@ -27,6 +27,9 @@
 //! * [`expr`] — conjunctive predicates over rows.
 //! * [`ops`] — scan/filter, hash equi-join, group-count with
 //!   `HAVING`/`LIMIT`, distinct, projection.
+//! * [`engine::EdgeIndex`] — the edge relation partitioned by `(label,
+//!   dir)`, each partition stored once, as its out- and in-adjacency
+//!   lists (two [`ColumnPosting`]s) with no row copy beside them.
 //! * [`plan`] — compiling a *pattern spec* (the relational shape of an
 //!   explanation pattern) into a depth-first binding plan over the
 //!   indexed edge relation.

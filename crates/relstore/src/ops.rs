@@ -12,10 +12,9 @@
 //!
 //! Join keys and whole rows are hashed with an in-tree multiplicative
 //! (Fibonacci) hash — per key value one xor, one rotate and one multiply
-//! by 2⁶⁴/φ, and the table index is the product's top bits, the same
-//! scheme as the engine's `(start, end)` `PairCounter`. Keys are entity
-//! ids and codes, not attacker-chosen strings, so a keyed SipHash buys
-//! nothing here and costs a full hash round per row.
+//! by 2⁶⁴/φ, and the table index is the product's top bits. Keys are
+//! entity ids and codes, not attacker-chosen strings, so a keyed SipHash
+//! buys nothing here and costs a full hash round per row.
 //!
 //! # Order contract
 //!

@@ -1,26 +1,27 @@
 //! On-disk index snapshots — mmap-ready serialization of an
-//! [`EdgeIndex`]'s partitions and endpoint postings.
+//! [`EdgeIndex`]'s partitions.
 //!
-//! A snapshot stores, per `(label, dir)` partition, the flat row array
-//! plus both [`ColumnPosting`] CSR triples (`keys`, `offsets`, `others`)
-//! **as-is**: loading validates the arrays (strictly increasing keys and
-//! offsets, lists spanning exactly the rows, trailing checksum), each
-//! list's order and the lists' agreement with the rows, then adopts them
-//! without re-bucketing or re-sorting, so a cold start is I/O-bound —
-//! cheaper than [`EdgeIndex::build`], which must bucket the oriented
-//! relation and sort every posting.
+//! A snapshot stores, per `(label, dir)` partition, its row count and its
+//! two [`ColumnPosting`] CSR triples (`keys`, `offsets`, `others`)
+//! **as-is** — the partition's whole storage, with no row array beside
+//! them: loading validates the arrays (strictly increasing keys and
+//! offsets, lists spanning exactly the partition's rows, trailing
+//! checksum), each list's order and that one posting is the transpose of
+//! the other, then adopts them without re-bucketing or re-sorting, so a
+//! cold start is I/O-bound — cheaper than [`EdgeIndex::build`], which
+//! must bucket the oriented relation and sort every posting.
 //!
-//! Format version 3 stores, for each posting key, the other endpoint's
+//! Format version 4 stores, for each posting key, the other endpoint's
 //! id of every row carrying it (`u32`, ascending, a parallel edge
 //! repeated once per row): `by_src` lists each `from` key's `to` ids,
 //! `by_dst` each `to` key's `from` ids. These are the adjacency lists the
-//! depth-first executor intersects. The loader checks in one pass over
-//! each posting that every list is ascending and that the lists hold
-//! exactly the partition's rows (an order-independent 64-bit fingerprint
-//! of the listed pairs must equal the rows'), and rejects a version-1 or
-//! version-2 snapshot (whose postings hold row indices) or an
-//! out-of-order or disagreeing list with [`RelError::Corrupt`]. The
-//! layout is plain little-endian arrays at fixed offsets, so a future
+//! depth-first executor intersects. The loader checks that every list is
+//! ascending and that `by_dst` is the transpose of `by_src` (an
+//! order-independent 64-bit fingerprint of the `(from, to)` pairs each
+//! lists must agree), and rejects an out-of-order list, a `by_dst` that
+//! disagrees, or a snapshot of an older version (1 and 2 hold row-index
+//! postings, 3 a row array beside the lists) with [`RelError::Corrupt`].
+//! The layout is plain little-endian arrays at fixed offsets, so a future
 //! reader can map the file and point into it directly (hence
 //! *mmap-ready*); this implementation copies into owned `Vec`s, which
 //! keeps the index type unchanged.
@@ -43,15 +44,15 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::engine::{oriented_schema, EdgeIndex, PartitionPosting, ShardSpec, ShardedEdgeIndex};
-use crate::relation::{ColumnPosting, Relation};
+use crate::engine::{EdgeIndex, PartitionPosting, ShardSpec, ShardedEdgeIndex};
+use crate::relation::ColumnPosting;
 use crate::{RelError, Result};
 
 /// `b"RXIX"` little-endian — REX IndeX snapshot.
 const MAGIC: u32 = 0x5849_5852;
 /// `b"RXSM"` little-endian — REX Sharded Manifest.
 const MANIFEST_MAGIC: u32 = 0x4d53_5852;
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// File name of the sharded-layout manifest inside its directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -159,17 +160,16 @@ fn put_posting(out: &mut Vec<u8>, posting: &ColumnPosting) {
     }
 }
 
-/// Reads one posting over `rel`'s column `cols.0`, each key's list
-/// holding column `cols.1`.
-fn get_posting(r: &mut Reader<'_>, rel: &Relation, cols: (usize, usize)) -> Result<ColumnPosting> {
+/// Reads one posting listing `rows` pairs.
+fn get_posting(r: &mut Reader<'_>, rows: usize) -> Result<ColumnPosting> {
     let keys_len = r.get_u32("posting key count")? as usize;
     let keys = r.get_u64s(keys_len, "posting keys")?;
     let offsets = r.get_u32s(keys_len + 1, "posting offsets")?;
-    let others = r.get_u32s(rel.len(), "posting lists")?;
-    ColumnPosting::from_parts(keys, offsets, others, rel, cols)
+    let others = r.get_u32s(rows, "posting lists")?;
+    ColumnPosting::from_parts(keys, offsets, others)
 }
 
-/// Serializes an index into the v3 snapshot byte format (checksummed,
+/// Serializes an index into the v4 snapshot byte format (checksummed,
 /// deterministic: partitions in sorted `(label, dir)` order).
 pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     let mut out = Vec::new();
@@ -180,14 +180,11 @@ pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     put_u64(&mut out, index.total_rows() as u64);
     let partitions = index.partitions();
     put_u32(&mut out, partitions.len() as u32);
-    for ((label, dir), rel, posting) in partitions {
+    for ((label, dir), posting) in partitions {
+        let (by_src, by_dst) = posting.parts();
         put_u64(&mut out, label);
         put_u64(&mut out, dir);
-        put_u32(&mut out, rel.len() as u32);
-        for &v in rel.as_flat() {
-            put_u64(&mut out, v);
-        }
-        let (by_src, by_dst) = posting.parts();
+        put_u32(&mut out, by_src.len() as u32);
         put_posting(&mut out, by_src);
         put_posting(&mut out, by_dst);
     }
@@ -196,9 +193,10 @@ pub fn encode_index(index: &EdgeIndex) -> Vec<u8> {
     out
 }
 
-/// Deserializes a v3 snapshot, validating magic, version, checksum, and
+/// Deserializes a v4 snapshot, validating magic, version, checksum, and
 /// every structural invariant (partition row totals, CSR monotonicity,
-/// list order, lists agreeing with the rows) before any part is adopted.
+/// list order, `by_dst` the transpose of `by_src`) before any part is
+/// adopted.
 pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
     if bytes.len() < 8 {
         return Err(RelError::Corrupt("snapshot shorter than its checksum".into()));
@@ -222,34 +220,23 @@ pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
     let total_rows = r.get_u64("total rows")? as usize;
     let partition_count = r.get_u32("partition count")? as usize;
 
-    let schema = oriented_schema();
-    let arity = schema.arity();
-    let mut groups = std::collections::HashMap::new();
-    let mut postings = std::collections::HashMap::new();
+    let mut partitions = std::collections::HashMap::new();
     let mut rows_seen = 0usize;
     for _ in 0..partition_count {
         let label = r.get_u64("partition label")?;
         let dir = r.get_u64("partition dir")?;
-        let key = (label, dir);
-        let row_count = r.get_u32("partition row count")? as usize;
-        let flat = r.get_u64s(row_count.saturating_mul(arity), "partition rows")?;
-        // The flat buffer *is* the partition's row storage: adopted as-is.
-        let rel = Relation::from_flat(schema.clone(), flat)
-            .map_err(|e| RelError::Corrupt(format!("partition ({label}, {dir}): {e}")))?;
-        if let Some(row) = rel.rows().find(|row| row[2] != label || row[3] != dir) {
-            return Err(RelError::Corrupt(format!(
-                "row ({}, {}) filed under partition ({label}, {dir})",
-                row[2], row[3]
-            )));
-        }
-        rows_seen += row_count;
-        // Oriented schema columns: `from` = 0, `to` = 1.
-        let by_src = get_posting(&mut r, &rel, (0, 1))?;
-        let by_dst = get_posting(&mut r, &rel, (1, 0))?;
-        if groups.insert(key, Arc::new(rel)).is_some() {
+        let rows = r.get_u32("partition row count")? as usize;
+        rows_seen += rows;
+        let by_src = get_posting(&mut r, rows)?;
+        let by_dst = get_posting(&mut r, rows)?;
+        let posting = PartitionPosting::from_parts(by_src, by_dst).ok_or_else(|| {
+            RelError::Corrupt(format!(
+                "partition ({label}, {dir}): by_dst is not the transpose of by_src"
+            ))
+        })?;
+        if partitions.insert((label, dir), Arc::new(posting)).is_some() {
             return Err(RelError::Corrupt(format!("duplicate partition ({label}, {dir})")));
         }
-        postings.insert(key, Arc::new(PartitionPosting::from_parts(by_src, by_dst)));
     }
     if rows_seen != total_rows {
         return Err(RelError::Corrupt(format!(
@@ -262,7 +249,7 @@ pub fn decode_index(bytes: &[u8]) -> Result<EdgeIndex> {
             payload.len() - r.pos
         )));
     }
-    Ok(EdgeIndex::from_parts(groups, postings, schema, total_rows, node_count, epoch))
+    Ok(EdgeIndex::from_parts(partitions, total_rows, node_count, epoch))
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> RelError {
@@ -408,15 +395,8 @@ mod tests {
         assert_eq!(loaded.epoch(), index.epoch());
         assert_eq!(loaded.node_count(), index.node_count());
         assert_eq!(loaded.total_rows(), index.total_rows());
-        // Same partitions, same rows, same postings.
-        let a = index.partitions();
-        let b = loaded.partitions();
-        assert_eq!(a.len(), b.len());
-        for ((ka, rel_a, post_a), (kb_, rel_b, post_b)) in a.iter().zip(&b) {
-            assert_eq!(ka, kb_);
-            assert_eq!(rel_a, rel_b);
-            assert_eq!(post_a.parts(), post_b.parts());
-        }
+        // Same partitions, same postings.
+        assert_eq!(index.partitions(), loaded.partitions());
     }
 
     /// Saving a loaded snapshot reproduces every file byte for byte, for
@@ -448,13 +428,13 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// The v3 byte format, pinned: the toy index's snapshot length and
+    /// The v4 byte format, pinned: the toy index's snapshot length and
     /// FNV-1a fingerprint. A change here is an on-disk format change and
     /// needs a version bump.
     #[test]
     fn snapshot_bytes_are_pinned() {
         let bytes = encode_index(&EdgeIndex::build(&toy_kb()));
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (564, 0xf1dd_5b74_66e4_dfce));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (340, 0x62a8_8f9b_1614_5cb9));
     }
 
     /// Replaces a snapshot's checksum trailer with its payload's, so a
@@ -468,9 +448,9 @@ mod tests {
 
     /// Under a valid checksum, a `by_src` list whose two ids are swapped
     /// out of order is rejected — the executor's intersections would
-    /// otherwise miss entries — and so is a list naming an id the rows
-    /// do not, and a version-1 or version-2 snapshot, whose postings
-    /// hold row indices.
+    /// otherwise miss entries — and so is a list naming an id `by_dst`
+    /// does not, and a snapshot of versions 1–3 (row-index postings, or a
+    /// row array beside the lists).
     #[test]
     fn out_of_order_posting_and_v1_snapshot_are_rejected() {
         let bytes = encode_index(&EdgeIndex::build(&toy_kb()));
@@ -479,9 +459,7 @@ mod tests {
         // The first partition is `starring`: its first `by_src` key, `a`
         // (id 0), lists `m1` (id 3), then `m2` (id 4).
         let mut r = Reader::new(&bytes);
-        r.pos = 32 + 4 + 16; // header, partition count, (label, dir)
-        let rows = r.get_u32("rows").unwrap() as usize;
-        r.pos += rows * 4 * 8;
+        r.pos = 32 + 4 + 16 + 4; // header, partition count, (label, dir), rows
         let keys = r.get_u32("keys").unwrap() as usize;
         let lists = r.pos + keys * 8 + (keys + 1) * 4;
         assert_eq!(bytes[lists..lists + 8], [3, 0, 0, 0, 4, 0, 0, 0]);
@@ -491,15 +469,16 @@ mod tests {
             Err(RelError::Corrupt(msg)) => assert!(msg.contains("out of order"), "{msg}"),
             other => panic!("swapped list entries accepted: {other:?}"),
         }
-        // `a → c` instead of `a → m1`: still ascending, but no such row.
+        // `a → c` instead of `a → m1`: still ascending, but `by_dst` lists
+        // no such pair.
         let mut foreign = bytes.clone();
         foreign[lists] = 2;
         match decode_index(&resealed(foreign)) {
-            Err(RelError::Corrupt(msg)) => assert!(msg.contains("disagree"), "{msg}"),
+            Err(RelError::Corrupt(msg)) => assert!(msg.contains("transpose"), "{msg}"),
             other => panic!("a list naming a foreign id accepted: {other:?}"),
         }
 
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             let mut v = bytes.clone();
             v[4..8].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(decode_index(&resealed(v)), Err(RelError::Corrupt(_))), "v{old}");

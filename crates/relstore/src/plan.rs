@@ -294,8 +294,8 @@ impl PatternSpec {
     /// Per-edge `(from, to)` rows over a prebuilt [`EdgeIndex`], with the
     /// start binding **pushed into the endpoint posting lists**: an edge
     /// incident to the start variable materializes only the rows whose
-    /// start endpoint is bound ([`EdgeIndex::probe`]) — cost proportional to the
-    /// rows incident to the start set — instead of walking its full
+    /// start endpoint is bound, read from that endpoint's lists — cost
+    /// proportional to the rows incident to the start set — instead of walking its full
     /// `(label, dir)` partition and filtering. Edges not touching the
     /// start variable scan their partition. Each edge goes through
     /// [`PatternSpec::edge_rows`], so the residual predicates match

@@ -1,4 +1,6 @@
-//! Relations: schemas and flat row-major row storage.
+//! Relations: schemas and flat row-major row storage, and the
+//! [`ColumnPosting`] adjacency lists the edge index stores instead of
+//! relations.
 //!
 //! A [`Relation`] keeps all of its rows in **one** `Vec<u64>`, row after
 //! row, with the schema's arity as the stride: row `i` is
@@ -8,9 +10,8 @@
 //! of row data and one heap allocation, however many rows it holds.
 //! Operators therefore allocate per relation, never per row:
 //! [`Relation::rows`] hands out `&[u64]` row slices from a
-//! `chunks_exact` walk, [`Relation::push`] copies a slice onto the end of
-//! the buffer, and [`Relation::gather`] is a strided copy into a buffer
-//! reserved once.
+//! `chunks_exact` walk, and [`Relation::push`] copies a slice onto the
+//! end of the buffer.
 //!
 //! Arity is at least 1 (a zero-width schema has no stride to walk by);
 //! constructors reject it loudly.
@@ -77,18 +78,7 @@ impl Relation {
     /// # Panics
     /// When the schema has no columns.
     pub fn empty(schema: Schema) -> Self {
-        Self::with_capacity(schema, 0)
-    }
-
-    /// Creates an empty relation with room for `rows` rows, so a writer
-    /// that knows its output size reserves the buffer exactly once.
-    ///
-    /// # Panics
-    /// When the schema has no columns.
-    fn with_capacity(schema: Schema, rows: usize) -> Self {
-        assert!(schema.arity() > 0, "relations need at least one column");
-        let data = Vec::with_capacity(rows.saturating_mul(schema.arity()));
-        Relation { schema, data }
+        Self::from_flat(schema, Vec::new()).expect("an empty buffer holds no partial row")
     }
 
     /// Creates a relation from row-major values (`rows * arity` of them).
@@ -148,11 +138,6 @@ impl Relation {
         &self.data[i * arity..(i + 1) * arity]
     }
 
-    /// The row-major values of every row — the relation's whole storage.
-    pub fn as_flat(&self) -> &[u64] {
-        &self.data
-    }
-
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
@@ -172,67 +157,38 @@ impl Relation {
         self.data.extend_from_slice(row);
         Ok(())
     }
-
-    /// Removes one row equal to `row` (first match; swap-remove, so row
-    /// order is not preserved — relations are bags). Returns whether a
-    /// match was found. Used by delta maintenance to retract edges.
-    pub fn remove_row(&mut self, row: &[u64]) -> bool {
-        let Some(at) = self.rows().position(|r| r == row) else {
-            return false;
-        };
-        let arity = self.arity();
-        let last = self.len() - 1;
-        if at != last {
-            self.data.copy_within(last * arity..(last + 1) * arity, at * arity);
-        }
-        self.data.truncate(last * arity);
-        true
-    }
-
-    /// Materializes the sub-relation holding exactly the rows at
-    /// `indices`, in that order: one strided copy into a buffer reserved
-    /// once.
-    pub fn gather(&self, indices: &[u32]) -> Relation {
-        let mut out = Relation::with_capacity(self.schema.clone(), indices.len());
-        for &i in indices {
-            out.data.extend_from_slice(self.row(i as usize));
-        }
-        out
-    }
 }
 
-/// A sorted posting structure over one column of a relation, in CSR
-/// form: the column's sorted distinct values (`keys`), and for each key
-/// `keys[i]` the values the relation's second column (`then`) holds in
-/// the rows carrying it, ascending, at `others[offsets[i] .. offsets[i +
-/// 1]]` — one entry per row, so a value repeats once per row carrying the
-/// same pair. Over an edge partition's `from` column this is the
-/// partition's out-adjacency lists; over `to`, its in-adjacency lists.
-/// A selection on the column costs O(log keys) and hands back the
-/// matching rows' other endpoints as one contiguous sorted slice, which
-/// the depth-first executor intersects directly.
+/// A sorted posting structure over a list of `(key, other)` id pairs,
+/// in CSR form: the sorted distinct keys (`keys`), and for each key
+/// `keys[i]` the other ids paired with it, ascending, at
+/// `others[offsets[i] .. offsets[i + 1]]` — one entry per pair, so a pair
+/// listed twice repeats its other id. Over an edge partition's `(from,
+/// to)` rows these are the partition's out-adjacency lists; over its
+/// `(to, from)` rows, its in-adjacency lists. A selection on a key costs
+/// O(log keys) and hands back the key's other ids as one contiguous
+/// sorted slice, which the depth-first executor intersects directly.
 ///
-/// The posting is a *snapshot* of the relation it was built from: it
-/// copies the endpoint ids, so it must be rebuilt whenever the relation's
-/// rows change (partitions rebuild only their delta-touched postings).
+/// A posting is immutable: an edited partition builds new ones
+/// (partitions rebuild only their delta-touched postings).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnPosting {
-    /// Sorted distinct values of the indexed column.
+    /// Sorted distinct keys.
     keys: Vec<u64>,
     /// CSR offsets into `others`; `len == keys.len() + 1`.
     offsets: Vec<u32>,
-    /// Each key's `then` values, ascending, grouped by key.
+    /// Each key's other ids, ascending, grouped by key.
     others: Vec<u32>,
 }
 
 impl ColumnPosting {
-    /// Builds the posting over `rel`'s column `col`, each key's list
-    /// holding column `then`: one sort of the packed `(col << 32) | then`
-    /// words, one per row, plus a linear pass — `O(rows log rows)`. Both
-    /// columns must hold `u32`-range values, as entity ids do.
-    pub fn build(rel: &Relation, col: usize, then: usize) -> ColumnPosting {
+    /// Builds the posting of `(key, other)` pairs given in any order: one
+    /// sort of the packed `(key << 32) | other` words plus a linear pass —
+    /// `O(pairs log pairs)`. Both ids must be `u32`-range values, as
+    /// entity ids are.
+    pub fn build(pairs: impl IntoIterator<Item = (u64, u64)>) -> ColumnPosting {
         let mut packed: Vec<u64> =
-            rel.rows().map(|row| (u32_id(row[col]) << 32) | u32_id(row[then])).collect();
+            pairs.into_iter().map(|(key, other)| (u32_id(key) << 32) | u32_id(other)).collect();
         packed.sort_unstable();
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
@@ -248,8 +204,8 @@ impl ColumnPosting {
         ColumnPosting { keys, offsets, others }
     }
 
-    /// The `then` values of the rows whose column value equals `key`,
-    /// ascending (empty when the value is absent).
+    /// The other ids paired with `key`, ascending (empty when the key is
+    /// absent).
     pub fn neighbours(&self, key: u64) -> &[u32] {
         self.position(key).map_or(&[], |k| self.list(k))
     }
@@ -264,7 +220,7 @@ impl ColumnPosting {
         &self.others[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
-    /// The sorted distinct values of the indexed column.
+    /// The sorted distinct keys.
     pub fn keys(&self) -> &[u64] {
         &self.keys
     }
@@ -274,24 +230,24 @@ impl ColumnPosting {
         self.keys.iter().enumerate().map(|(k, &key)| (key, self.list(k)))
     }
 
-    /// Number of rows whose column value equals `key`, without touching
-    /// the rows — the exact per-start cardinality statistic.
+    /// Number of pairs carrying `key` — the exact per-start cardinality
+    /// statistic.
     pub fn count(&self, key: u64) -> usize {
         self.neighbours(key).len()
     }
 
-    /// Number of distinct values in the indexed column — the `V(R, a)`
-    /// statistic of System-R join-selectivity estimation.
+    /// Number of distinct keys — the `V(R, a)` statistic of System-R
+    /// join-selectivity estimation.
     pub fn distinct_keys(&self) -> usize {
         self.keys.len()
     }
 
-    /// Total rows indexed.
+    /// Total pairs indexed.
     pub fn len(&self) -> usize {
         self.others.len()
     }
 
-    /// Whether the posting indexes no rows.
+    /// Whether the posting indexes no pairs.
     pub fn is_empty(&self) -> bool {
         self.others.is_empty()
     }
@@ -309,33 +265,23 @@ impl ColumnPosting {
         (&self.keys, &self.offsets, &self.others)
     }
 
-    /// Reassembles the posting [`ColumnPosting::build`] made over `rel`'s
-    /// column `col` from flat arrays (the deserialization path of the
-    /// index snapshot format), validating the CSR invariants — strictly
-    /// increasing `u32`-range keys, offsets starting at 0, strictly
-    /// increasing (no key without a row) and ending at `others.len() ==
-    /// rel.len()`, every key's list ascending — and that the lists agree
-    /// with the rows: the sum of a bijective 64-bit mix over every `(key,
-    /// other)` pair must equal the same sum over the rows' `(col, then)`
-    /// pairs, so a list entry moved, changed or dropped is rejected
-    /// unless two 64-bit sums collide. A corrupted snapshot is rejected
-    /// instead of answering from lists that are not the partition's.
+    /// Reassembles a posting from flat arrays (the deserialization path
+    /// of the index snapshot format), validating the CSR invariants —
+    /// strictly increasing `u32`-range keys, offsets starting at 0,
+    /// strictly increasing (no key without a pair) and ending at
+    /// `others.len()`, every key's list ascending — so a corrupted
+    /// snapshot is rejected instead of answering from malformed lists.
     /// Crucially this performs **no sorting**: loading a posting is
-    /// `O(rows)` sequential validation, which is what makes an index load
-    /// cheaper than a rebuild.
+    /// `O(pairs)` sequential validation, which is what makes an index
+    /// load cheaper than a rebuild.
     pub(crate) fn from_parts(
         keys: Vec<u64>,
         offsets: Vec<u32>,
         others: Vec<u32>,
-        rel: &Relation,
-        (col, then): (usize, usize),
     ) -> Result<ColumnPosting> {
         let corrupt = |msg: &str| RelError::Corrupt(format!("posting: {msg}"));
         if offsets.len() != keys.len() + 1 {
             return Err(corrupt("offsets length must be keys + 1"));
-        }
-        if others.len() != rel.len() {
-            return Err(corrupt("list entries must equal the row count"));
         }
         if offsets[0] != 0 || offsets[keys.len()] as usize != others.len() {
             return Err(corrupt("offsets must span exactly the lists"));
@@ -350,37 +296,38 @@ impl ColumnPosting {
             return Err(corrupt("key outside the u32 id range"));
         }
         let posting = ColumnPosting { keys, offsets, others };
-        let mut listed = 0u64;
-        for (key, list) in posting.lists() {
-            if list.windows(2).any(|w| w[0] > w[1]) {
-                return Err(corrupt("a key's list is out of order"));
-            }
-            for &other in list {
-                listed = listed.wrapping_add(pair_mix(key, u64::from(other)));
-            }
-        }
-        let mut stored = 0u64;
-        for row in rel.rows() {
-            if row[col] > u64::from(u32::MAX) || row[then] > u64::from(u32::MAX) {
-                return Err(corrupt("row value outside the u32 id range"));
-            }
-            stored = stored.wrapping_add(pair_mix(row[col], row[then]));
-        }
-        if listed != stored {
-            return Err(corrupt("lists disagree with the partition's rows"));
+        if posting.lists().any(|(_, list)| list.windows(2).any(|w| w[0] > w[1])) {
+            return Err(corrupt("a key's list is out of order"));
         }
         Ok(posting)
+    }
+
+    /// An order-independent fingerprint of the pairs the posting lists:
+    /// the wrapping sum of a bijective 64-bit mix of every `(key, other)`
+    /// pair, or of every `(other, key)` pair when `transposed`. A posting
+    /// and its transpose have equal fingerprints; an entry moved, changed
+    /// or dropped on one side breaks the equality unless two 64-bit sums
+    /// collide.
+    pub(crate) fn fingerprint(&self, transposed: bool) -> u64 {
+        let mut sum = 0u64;
+        for (key, list) in self.lists() {
+            for &other in list {
+                let (a, b) =
+                    if transposed { (u64::from(other), key) } else { (key, u64::from(other)) };
+                sum = sum.wrapping_add(pair_mix(a, b));
+            }
+        }
+        sum
     }
 }
 
 /// `v` as a `u32`-range id, widened back; panics outside that range.
 fn u32_id(v: u64) -> u64 {
-    u64::from(u32::try_from(v).expect("posting columns hold u32 ids"))
+    u64::from(u32::try_from(v).expect("posting pairs hold u32 ids"))
 }
 
 /// The splitmix64 finalizer of the packed pair `(a << 32) | b`: a
-/// bijection on `u32`-range pairs, summed over a posting's entries as an
-/// order-independent fingerprint of the pairs it lists.
+/// bijection on `u32`-range pairs, summed by [`ColumnPosting::fingerprint`].
 fn pair_mix(a: u64, b: u64) -> u64 {
     let mut x = (a << 32) | b;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -391,10 +338,6 @@ fn pair_mix(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn collect(rel: &Relation) -> Vec<Vec<u64>> {
-        rel.rows().map(<[u64]>::to_vec).collect()
-    }
 
     #[test]
     fn schema_lookup() {
@@ -413,40 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn remove_row_is_multiset_retraction() {
-        let s = Schema::new(["a", "b"]);
-        let mut r = Relation::empty(s);
-        r.push(&[1, 2]).unwrap();
-        r.push(&[1, 2]).unwrap();
-        r.push(&[3, 4]).unwrap();
-        assert!(r.remove_row(&[1, 2]));
-        assert_eq!(r.len(), 2);
-        // Swap-remove: the last row moved into the hole.
-        assert_eq!(collect(&r), vec![vec![3, 4], vec![1, 2]]);
-        assert!(r.remove_row(&[1, 2]));
-        assert!(!r.remove_row(&[1, 2]), "both copies already retracted");
-        assert!(!r.remove_row(&[9, 9]));
-        assert_eq!(r.len(), 1);
-        assert!(r.remove_row(&[3, 4]));
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn gather_materializes_selected_rows_in_order() {
-        let s = Schema::new(["a", "b"]);
-        let mut r = Relation::empty(s);
-        for i in 0..4u64 {
-            r.push(&[i, 10 + i]).unwrap();
-        }
-        let g = r.gather(&[3, 1, 1]);
-        assert_eq!(collect(&g), vec![vec![3, 13], vec![1, 11], vec![1, 11]]);
-        assert!(r.gather(&[]).is_empty());
-    }
-
-    #[test]
     fn flat_layout_is_row_major() {
         let r = Relation::from_rows(Schema::new(["a", "b"]), [[1u64, 2], [3, 4]]).unwrap();
-        assert_eq!(r.as_flat(), &[1, 2, 3, 4]);
         assert_eq!(r.row(1), &[3, 4]);
         assert_eq!(r.rows().len(), 2);
         let same = Relation::from_flat(Schema::new(["a", "b"]), vec![1, 2, 3, 4]).unwrap();
@@ -462,28 +373,35 @@ mod tests {
 
     #[test]
     fn column_posting_ranges_cover_exactly_matching_rows() {
-        let s = Schema::new(["a", "b"]);
-        let rows = [(5u64, 7u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 2)].map(|(a, b)| [a, b]);
-        let r = Relation::from_rows(s, rows).unwrap();
-        let p = ColumnPosting::build(&r, 0, 1);
+        let p = ColumnPosting::build([(5u64, 7u64), (2, 1), (5, 2), (9, 3), (2, 4), (5, 2)]);
         assert_eq!(p.len(), 6);
         assert_eq!(p.distinct_keys(), 3);
         assert_eq!(p.keys(), &[2, 5, 9]);
         assert!(!p.is_empty());
         assert!(p.heap_bytes() > 0);
-        // A key's list holds the second column ascending, a repeated pair
-        // once per row.
+        // A key's list holds its other ids ascending, a repeated pair once
+        // per listing.
         for (key, expect) in [(2u64, vec![1u32, 4]), (5, vec![2, 2, 7]), (9, vec![3])] {
             assert_eq!(p.count(key), expect.len());
             assert_eq!(p.neighbours(key), &expect[..], "key {key}");
         }
         assert_eq!(p.count(7), 0);
         assert!(p.neighbours(7).is_empty());
-        // Empty relation → empty posting.
-        let empty = ColumnPosting::build(&Relation::empty(Schema::new(["a"])), 0, 0);
+        // The transpose lists the same pairs, so the fingerprints agree;
+        // dropping one copy of the repeated pair breaks the agreement.
+        let transpose =
+            ColumnPosting::build([(7u64, 5u64), (1, 2), (2, 5), (3, 9), (4, 2), (2, 5)]);
+        assert_eq!(p.fingerprint(false), transpose.fingerprint(true));
+        let dropped = ColumnPosting::build([(7u64, 5u64), (1, 2), (2, 5), (3, 9), (4, 2)]);
+        assert_ne!(p.fingerprint(false), dropped.fingerprint(true));
+        // No pairs → empty posting.
+        let empty = ColumnPosting::build([]);
         assert!(empty.is_empty());
         assert_eq!(empty.distinct_keys(), 0);
         assert!(empty.neighbours(0).is_empty());
+        let (keys, offsets, others) = p.parts();
+        let rebuilt = ColumnPosting::from_parts(keys.to_vec(), offsets.to_vec(), others.to_vec());
+        assert_eq!(rebuilt.unwrap(), p);
     }
 
     #[test]

@@ -216,8 +216,9 @@ pub mod differential {
     use std::collections::HashMap;
 
     use rex_kb::KnowledgeBase;
-    use rex_relstore::engine::{group_pair_counts, oriented_edge_relation, EdgeIndex};
+    use rex_relstore::engine::{oriented_edge_relation, EdgeIndex};
     use rex_relstore::plan::{PatternSpec, StartBinding};
+    use rex_relstore::Relation;
 
     /// The per-start descending count multisets of `spec` over `kb`,
     /// evaluated the slow definitional way: one filter-based evaluation
@@ -241,18 +242,7 @@ pub mod differential {
         };
         let instances =
             spec.evaluate_with(&rel, &binding).expect("reference evaluation accepts valid specs");
-        let mut pair_counts: HashMap<(u64, u64), u64> = HashMap::new();
-        for row in instances.rows() {
-            *pair_counts.entry((row[spec.start], row[spec.end])).or_insert(0) += 1;
-        }
-        let mut per_start: HashMap<u64, Vec<u64>> = HashMap::new();
-        for ((start, _end), count) in pair_counts {
-            per_start.entry(start).or_default().push(count);
-        }
-        for counts in per_start.values_mut() {
-            counts.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        per_start
+        group_by_start(&instances, spec)
     }
 
     /// The same grouping on the **indexed** probe path, untiled and
@@ -271,7 +261,20 @@ pub mod differential {
         };
         let (instances, _) =
             spec.evaluate_indexed(index, &binding).expect("indexed evaluation accepts valid specs");
-        let mut per_start = group_pair_counts(&instances, spec.start, spec.end, index.node_count());
+        group_by_start(&instances, spec)
+    }
+
+    /// Groups an instance relation of `spec` by `(start, end)`: per start,
+    /// the descending multiset of its per-end instance counts.
+    fn group_by_start(instances: &Relation, spec: &PatternSpec) -> HashMap<u64, Vec<u64>> {
+        let mut pair_counts: HashMap<(u64, u64), u64> = HashMap::new();
+        for row in instances.rows() {
+            *pair_counts.entry((row[spec.start], row[spec.end])).or_insert(0) += 1;
+        }
+        let mut per_start: HashMap<u64, Vec<u64>> = HashMap::new();
+        for ((start, _end), count) in pair_counts {
+            per_start.entry(start).or_default().push(count);
+        }
         for counts in per_start.values_mut() {
             counts.sort_unstable_by(|a, b| b.cmp(a));
         }

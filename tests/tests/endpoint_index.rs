@@ -318,7 +318,8 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
             .filter(|&s| {
                 plan.levels[0].loops.iter().all(|&l| {
                     let e = spec.edges[l];
-                    index.probe(e.label, e.dir(), true, &[s]).rows().any(|r| r[1] == s)
+                    let loops = index.posting(e.label, e.dir());
+                    loops.is_some_and(|p| p.endpoint(true).neighbours(s).contains(&(s as u32)))
                 })
             })
             .collect();

@@ -115,12 +115,12 @@ proptest! {
         let index2 = ShardedEdgeIndex::build(&kb2, ShardSpec::single());
         let cache2 = DistributionCache::new();
 
-        // Index parity: every (label, dir) partition has the same size.
+        // Index parity: every (label, dir) partition holds the same lists.
         for label in 0..kb.label_count() as u64 {
             for dir in [dir_code::FORWARD, dir_code::UNDIRECTED] {
                 prop_assert_eq!(
-                    index.base().scan_len(label, dir),
-                    index2.base().scan_len(label, dir),
+                    index.base().posting(label, dir),
+                    index2.base().posting(label, dir),
                     "partition ({}, {})", label, dir
                 );
             }

@@ -120,7 +120,6 @@ proptest! {
         prop_assert_eq!(out.len(), 0);
         prop_assert_eq!(out.rows().count(), 0);
         prop_assert!(group_count(&empty, &[0]).expect("valid columns").is_empty());
-        prop_assert!(empty.gather(&[]).is_empty());
     }
 
     /// `distinct` keeps the first occurrence of every row, in input order.
@@ -140,25 +139,6 @@ proptest! {
             rows.iter().filter(|r| r[0] == r[1]).map(|r| vec![r[0]]).collect();
         prop_assert_eq!(loops.schema().names(), &["c0"]);
         prop_assert_eq!(rows_of(&loops), expected);
-    }
-
-    /// `gather` copies exactly the listed rows, repeats and all, in list
-    /// order; an empty list gives an empty relation of the same schema.
-    #[test]
-    fn gather_matches_reference(
-        rows in arb_rows(3, 16),
-        picks in proptest::collection::vec(0usize..1000, 0..24),
-    ) {
-        let rel = relation_of(3, &rows);
-        let indices: Vec<u32> = if rows.is_empty() {
-            Vec::new()
-        } else {
-            picks.iter().map(|p| (p % rows.len()) as u32).collect()
-        };
-        let got = rel.gather(&indices);
-        let expected: Vec<Vec<u64>> = indices.iter().map(|&i| rows[i as usize].clone()).collect();
-        prop_assert_eq!(got.schema(), rel.schema());
-        prop_assert_eq!(rows_of(&got), expected);
     }
 
     /// Filter + project compose like their definitional counterparts.
