@@ -124,7 +124,7 @@ fn bench_cache_and_parallel(c: &mut Criterion) {
             seed: 7,
             threads,
             row_ceiling: None,
-            shards: 1,
+            ..RankPairsConfig::default()
         };
         group.bench_function(format!("global_parallel_t{threads}"), |b| {
             b.iter(|| {

@@ -107,7 +107,7 @@ fn main() {
             seed: 7,
             threads: 4,
             row_ceiling: sctx.distributions().row_ceiling(),
-            shards: 1,
+            ..RankPairsConfig::default()
         };
         let pass =
             rank_pairs_with(&[pair], &pass_cfg, index, sctx.sample_frame(), sctx.distributions());

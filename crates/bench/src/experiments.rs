@@ -358,8 +358,7 @@ pub struct EndpointIndexBench {
 /// the traces the patch pass's evaluations return.
 pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointIndexBench {
     use rex_relstore::engine::{
-        count_distributions, delta_affected_starts, EvalKind, EvalRequest, ShardSpec,
-        ShardedEdgeIndex,
+        count_distributions, delta_affected_starts, EdgeIndex, EvalKind, EvalRequest,
     };
 
     let mut kb = w.kb.clone();
@@ -402,7 +401,7 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
     }
     let delta = kb.delta_since(epoch0).into_delta().expect("retained window");
 
-    let (index, index_build_wall) = time(|| ShardedEdgeIndex::build(&w.kb, ShardSpec::single()));
+    let (index, index_build_wall) = time(|| EdgeIndex::build(&w.kb));
     let index = index.next_epoch(&delta).expect("delta applies to its own window");
 
     // The cached domain being patched: the shared sample frame plus the
@@ -436,7 +435,7 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
             shapes_touched += 1;
             affected_starts += affected.len();
             scan_floor_rows +=
-                spec.edges.iter().map(|e| index.base().scan_len(e.label, e.dir())).sum::<usize>();
+                spec.edges.iter().map(|e| index.scan_len(e.label, e.dir())).sum::<usize>();
         }
     });
 
@@ -682,7 +681,7 @@ pub fn concurrent_bench(
         seed: w.seed,
         threads: 1,
         row_ceiling: Some(row_ceiling),
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).expect("workload KB has edges");
     let reader_threads: usize =
@@ -885,7 +884,7 @@ pub fn robustness_bench(
         seed: w.seed,
         threads: 1,
         row_ceiling: Some(row_ceiling),
-        shards: 1,
+        ..RankPairsConfig::default()
     };
 
     // ---- Overload scenario ------------------------------------------
@@ -1181,7 +1180,7 @@ pub fn ingest_bench(
         seed: w.seed,
         threads: 1,
         row_ceiling: Some(row_ceiling),
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let serving = Arc::new(ServingState::build(durable.kb(), &cfg).expect("workload KB has edges"));
 
@@ -1329,26 +1328,12 @@ pub fn ingest_bench(
     }
 }
 
-/// The sharded-index section: parallel `Among` fan-out over an
-/// entity-hash [`ShardedEdgeIndex`](rex_relstore::engine::ShardedEdgeIndex)
-/// versus the single-shard path, and the on-disk snapshot round trip
-/// (load must beat a cold build).
+/// The index snapshot section: the on-disk snapshot round trip (a load
+/// must beat the cold build it replaces).
 #[derive(Debug, Clone, Copy)]
-pub struct ShardedBench {
+pub struct SnapshotBench {
     /// KB edge count the index was built over.
     pub kb_edges: usize,
-    /// Shard count of the fan-out side (`REX_BENCH_SHARDS`, default 4).
-    pub shards: usize,
-    /// Starts evaluated per shape (the full node universe).
-    pub starts: usize,
-    /// Distinct workload shapes evaluated.
-    pub shapes: usize,
-    /// Wall time of the 1-shard evaluation across all shapes.
-    pub single_wall: Duration,
-    /// Wall time of the N-shard parallel fan-out across the same shapes.
-    pub fanout_wall: Duration,
-    /// Whether every fan-out answer was byte-identical to the 1-shard one.
-    pub parity: bool,
     /// Median cold index build wall over `LOAD_REPEATS` runs interleaved
     /// with the loads (the `load_wall` comparison baseline).
     pub build_wall: Duration,
@@ -1359,19 +1344,6 @@ pub struct ShardedBench {
     pub load_wall: Duration,
     /// Snapshot size on disk.
     pub snapshot_bytes: u64,
-}
-
-impl ShardedBench {
-    /// Wall-time speedup of the N-shard fan-out over the 1-shard path
-    /// (>1 = fan-out faster; ~1 on a single-core host).
-    pub fn fanout_speedup(&self) -> f64 {
-        let f = self.fanout_wall.as_secs_f64();
-        if f > 0.0 {
-            self.single_wall.as_secs_f64() / f
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// The machine-readable ranking baseline behind `BENCH_ranking.json`:
@@ -1421,9 +1393,8 @@ pub struct RankingBench {
     /// WAL-backed ingestion under backpressure with a torn-tail
     /// recovery parity check (the durability layers).
     pub ingest: IngestBench,
-    /// Sharded fan-out, snapshot round trip, COW rebuild accounting, and
-    /// the group-by micro (the sharded-index engine).
-    pub sharded: ShardedBench,
+    /// Index snapshot save, load and cold build.
+    pub snapshot: SnapshotBench,
 }
 
 impl RankingBench {
@@ -1603,26 +1574,16 @@ impl RankingBench {
             self.ingest.recovery_replayed_batches,
             self.ingest.recovery_truncated_bytes,
         );
-        let sharded = format!(
+        let snapshot = format!(
             concat!(
-                "{{\"kb_edges\": {}, \"shards\": {}, \"starts\": {}, ",
-                "\"shapes\": {}, \"single_wall_ms\": {:.3}, ",
-                "\"fanout_wall_ms\": {:.3}, \"fanout_speedup\": {:.3}, ",
-                "\"parity\": {}, \"build_ms\": {:.3}, \"save_ms\": {:.3}, ",
+                "{{\"kb_edges\": {}, \"build_ms\": {:.3}, \"save_ms\": {:.3}, ",
                 "\"load_ms\": {:.3}, \"snapshot_bytes\": {}}}"
             ),
-            self.sharded.kb_edges,
-            self.sharded.shards,
-            self.sharded.starts,
-            self.sharded.shapes,
-            self.sharded.single_wall.as_secs_f64() * 1e3,
-            self.sharded.fanout_wall.as_secs_f64() * 1e3,
-            self.sharded.fanout_speedup(),
-            usize::from(self.sharded.parity),
-            self.sharded.build_wall.as_secs_f64() * 1e3,
-            self.sharded.save_wall.as_secs_f64() * 1e3,
-            self.sharded.load_wall.as_secs_f64() * 1e3,
-            self.sharded.snapshot_bytes,
+            self.snapshot.kb_edges,
+            self.snapshot.build_wall.as_secs_f64() * 1e3,
+            self.snapshot.save_wall.as_secs_f64() * 1e3,
+            self.snapshot.load_wall.as_secs_f64() * 1e3,
+            self.snapshot.snapshot_bytes,
         );
         format!(
             concat!(
@@ -1643,7 +1604,7 @@ impl RankingBench {
                 "  \"planner\": {},\n",
                 "  \"robustness\": {},\n",
                 "  \"ingest\": {},\n",
-                "  \"sharded\": {},\n",
+                "  \"snapshot\": {},\n",
                 "  \"speedup\": {:.3},\n",
                 "  \"shared_frame_speedup\": {:.3},\n",
                 "  \"incremental_speedup\": {:.3}\n",
@@ -1664,7 +1625,7 @@ impl RankingBench {
             planner,
             robust,
             ingest,
-            sharded,
+            snapshot,
             self.speedup(),
             self.shared_frame_speedup(),
             self.incremental.speedup()
@@ -1755,15 +1716,12 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
         // sharing effect instead of conflating it with core count.
         threads: 1,
         row_ceiling: Some(row_ceiling),
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let frame = std::sync::Arc::new(
         SampleFrame::sample(&w.kb, w.global_samples, w.seed).expect("workload KB has edges"),
     );
-    let index = rex_relstore::engine::ShardedEdgeIndex::build(
-        &w.kb,
-        rex_relstore::engine::ShardSpec::single(),
-    );
+    let index = rex_relstore::engine::EdgeIndex::build(&w.kb);
     let cache = DistributionCache::with_row_ceiling(row_ceiling);
     let before = metrics::snapshot();
     let (outcome, wall) = time(|| rank_pairs_with(&tasks, &cfg, &index, &frame, &cache));
@@ -1786,7 +1744,7 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
     let planner = planner_bench(w);
     let robustness = robustness_bench(w, pairs_per_group, k, row_ceiling);
     let ingest = ingest_bench(w, pairs_per_group, k, row_ceiling);
-    let sharded = sharded_bench(w, pairs_per_group, row_ceiling);
+    let snapshot = snapshot_bench(w);
 
     RankingBench {
         scale: std::env::var("REX_BENCH_SCALE").unwrap_or_else(|_| "small".into()),
@@ -1804,95 +1762,40 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
         planner,
         robustness,
         ingest,
-        sharded,
+        snapshot,
     }
 }
 
-/// How many cold builds and snapshot loads the sharded section times,
+/// How many cold builds and snapshot loads the snapshot section times,
 /// interleaved; each side reports its median.
 const LOAD_REPEATS: usize = 9;
 
-/// Measures the sharded-index engine: the same workload shapes evaluated
-/// over the full start universe on a 1-shard versus an N-shard
-/// [`ShardedEdgeIndex`] (parity-checked answer by answer), the on-disk
-/// snapshot round trip (save, then a load that must beat the cold build
-/// it replaces).
-///
-/// Shard count comes from `REX_BENCH_SHARDS` (default 4). On a
-/// single-core host the fan-out speedup is honestly ≈ 1; the schema
-/// checker gates only that it is recorded, not a threshold.
-///
-/// [`ShardedEdgeIndex`]: rex_relstore::engine::ShardedEdgeIndex
-pub fn sharded_bench(w: &Workload, pairs_per_group: usize, row_ceiling: usize) -> ShardedBench {
-    use rex_relstore::engine::{count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex};
+/// Measures the on-disk index snapshot round trip: save, then a load that
+/// must beat the cold build it replaces. The load reconstructs flat CSR
+/// arrays from the checksummed file. Both sides are medians of
+/// interleaved runs, so the gate compares the two paths rather than two
+/// single ~1 ms samples of host noise.
+pub fn snapshot_bench(w: &Workload) -> SnapshotBench {
+    use rex_relstore::engine::EdgeIndex;
 
-    let shards: usize =
-        std::env::var("REX_BENCH_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
-    let shards = shards.max(2);
-
-    // Distinct workload shapes, a handful: the fan-out cost is per shape
-    // and the parity check is what matters, not shape count.
-    let enumerator = GeneralEnumerator::new(w.enum_config.clone());
-    let mut seen = HashSet::new();
-    let mut specs: Vec<rex_relstore::plan::PatternSpec> = Vec::new();
-    for p in w.truncated(pairs_per_group) {
-        for e in enumerator.enumerate(&w.kb, p.start, p.end).explanations {
-            if seen.insert(e.key().clone()) {
-                specs.push(e.pattern.to_spec());
-            }
-        }
-        if specs.len() >= 4 {
-            break;
-        }
-    }
-    let starts: Vec<u64> = (0..w.kb.node_count() as u64).collect();
-
-    let single = ShardedEdgeIndex::build(&w.kb, ShardSpec::single());
-    let spec = ShardSpec::new(shards, w.seed);
-    let fanned = ShardedEdgeIndex::build(&w.kb, spec);
-
-    let req = EvalRequest { starts: &starts, row_ceiling: Some(row_ceiling), ..Default::default() };
-    let eval = |index: &ShardedEdgeIndex| -> Vec<HashMap<u64, Vec<u64>>> {
-        specs
-            .iter()
-            .map(|spec| {
-                count_distributions(index, spec, &req)
-                    .expect("unlimited budget never aborts")
-                    .per_start
-            })
-            .collect()
-    };
-    let (single_answers, single_wall) = time(|| eval(&single));
-    let (fanout_answers, fanout_wall) = time(|| eval(&fanned));
-    let parity = single_answers == fanout_answers;
-
-    // Snapshot round trip. The load reconstructs flat CSR arrays from the
-    // checksummed file — it must beat the cold build it replaces. Both
-    // sides are medians of interleaved runs, so the gate compares the
-    // two paths rather than two single ~1 ms samples of host noise.
     let dir = std::env::temp_dir().join(format!("rex-bench-snapshot-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp snapshot dir");
-    let (snapshot_bytes, save_wall) =
-        time(|| fanned.save(&dir).expect("snapshot save to temp dir"));
+    let path = dir.join(rex_relstore::persist::BASE_NAME);
+    let index = EdgeIndex::build(&w.kb);
+    let (snapshot_bytes, save_wall) = time(|| index.save(&path).expect("snapshot save"));
     let (build_walls, load_walls): (Vec<Duration>, Vec<Duration>) = (0..LOAD_REPEATS)
         .map(|_| {
-            let build = time(|| ShardedEdgeIndex::build(&w.kb, spec)).1;
-            (build, time(|| ShardedEdgeIndex::load(&dir).expect("snapshot reloads")).1)
+            let build = time(|| EdgeIndex::build(&w.kb)).1;
+            (build, time(|| EdgeIndex::load(&path).expect("snapshot reloads")).1)
         })
         .unzip();
-    let loaded = ShardedEdgeIndex::load(&dir).expect("snapshot reloads");
-    let parity = parity && loaded.epoch() == fanned.epoch() && eval(&loaded) == fanout_answers;
+    let loaded = EdgeIndex::load(&path).expect("snapshot reloads");
+    assert!(loaded.holds_rows_of(&w.kb), "the reloaded snapshot lost rows");
     let _ = std::fs::remove_dir_all(&dir);
 
-    ShardedBench {
+    SnapshotBench {
         kb_edges: w.kb.edge_count(),
-        shards,
-        starts: starts.len(),
-        shapes: specs.len(),
-        single_wall,
-        fanout_wall,
-        parity,
         build_wall: median(build_walls),
         save_wall,
         load_wall: median(load_walls),
@@ -1931,7 +1834,7 @@ pub fn incremental_bench(
         seed: w.seed,
         threads: 1,
         row_ceiling: Some(row_ceiling),
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).expect("workload KB has edges");
     let prepared = enumerate(&kb);
@@ -2175,15 +2078,10 @@ mod tests {
             b.shared_frame.est_peak_rows,
             b.shared_frame.row_ceiling
         );
-        // Sharded side: answers are layout-independent and the snapshot
-        // round-tripped. Wall-clock relations (load < build, fan-out
-        // speedup) are NOT asserted here — check_bench_schema gates them
-        // on the emitted document.
-        let sh = &b.sharded;
-        assert!(sh.parity, "sharded fan-out diverged from the single-shard path");
-        assert!(sh.shards >= 2);
-        assert!(sh.shapes >= 1);
-        assert!(sh.snapshot_bytes > 0);
+        // Snapshot side: the snapshot round-tripped. The wall-clock
+        // relation (load < build) is NOT asserted here —
+        // check_bench_schema gates it on the emitted document.
+        assert!(b.snapshot.snapshot_bytes > 0);
         let json = b.to_json();
         for key in [
             "\"benchmark\"",
@@ -2218,9 +2116,7 @@ mod tests {
             "\"recovery_rebuilds\"",
             "\"est_peak_rows\"",
             "\"overflow_tiles\"",
-            "\"sharded\"",
-            "\"fanout_speedup\"",
-            "\"parity\"",
+            "\"snapshot\"",
             "\"build_ms\"",
             "\"load_ms\"",
             "\"snapshot_bytes\"",

@@ -29,7 +29,7 @@ USAGE:
   rex rank     --kb <kb.tsv> [<start> <end>]... [--per-group N] [--top K]
                [--samples S] [--seed S] [--max-nodes N] [--instance-cap C]
                [--threads T] [--row-ceiling R] [--deadline-ms D]
-               [--row-budget B] [--shards N] [--index-dir <dir>]
+               [--row-budget B] [--index-dir <dir>]
                [--query <file|MATCH string>] [--toy] [--quiet]
   rex plan     --kb <kb.tsv> | --toy <query string or file> [<start> [<end>]]
   rex update   --kb <kb.tsv> --delta <delta.tsv> [<start> <end>]...
@@ -55,7 +55,7 @@ connectedness group (--per-group) when none are given.
   WHERE a = $start AND b = $end RETURN a, b
 Each pattern's instances are matched per pair (patterns with none are
 dropped for that pair) and the patterns flow through the same shared
-frame, distribution cache, budgets, shards, and serving machinery as
+frame, distribution cache, budgets, and serving machinery as
 enumerated shapes. Parse errors point at the offending bytes.
 
 `rex plan` compiles a MATCH query and prints the depth-first plan —
@@ -79,12 +79,10 @@ with the abort reason — instead of silently ranked on partial evidence.
 Zero is rejected for both (it would shed everything before the first
 tile); omit the flag for no bound.
 
---shards N hash-partitions each batched evaluation's start entities
-into N buckets evaluated in parallel over one index; answers are
-byte-identical to --shards 1. --index-dir <dir> warm-starts from an
-on-disk index snapshot when one matches the KB's epoch, and saves a
-fresh snapshot there otherwise ('rex stats --index-dir' writes one
-explicitly and reports load-vs-build wall time).
+--index-dir <dir> warm-starts from the on-disk index snapshot
+<dir>/base.idx when it holds exactly the KB's edges at the KB's epoch,
+and saves a fresh snapshot there otherwise ('rex stats --index-dir'
+writes one explicitly and reports load-vs-build wall time).
 
 `rex update` ranks the same workload cold through a serving-session
 snapshot, applies an edge-list delta file to the KB, and re-ranks
@@ -280,13 +278,13 @@ fn resolve_pairs(
         .collect()
 }
 
-/// Builds the serving session for `rex rank`, warm-starting from an
-/// on-disk index snapshot when `--index-dir` holds one at the KB's
-/// current epoch. A saved layout holds no data beyond its base index, so
-/// the loaded base takes this run's shard spec (`--shards`, `--seed`).
-/// Any other outcome (stale epoch, missing or corrupt snapshot) falls
-/// back to a cold build, and the freshly built index is saved back so
-/// the next run is warm.
+/// Builds the serving session for `rex rank`, warm-starting from the
+/// on-disk index snapshot in `--index-dir` when it holds exactly the
+/// KB's rows at the KB's current epoch
+/// ([`EdgeIndex::holds_rows_of`](rex_relstore::engine::EdgeIndex::holds_rows_of)).
+/// Any other outcome (a snapshot of another KB or epoch, a missing or
+/// corrupt one) says why, falls back to a cold build, and saves the
+/// freshly built index back so the next run is warm.
 fn serving_state(
     kb: &KnowledgeBase,
     cfg: &RankPairsConfig,
@@ -294,57 +292,43 @@ fn serving_state(
     quiet: bool,
 ) -> Result<rex_core::ranking::ServingState, String> {
     use rex_core::ranking::ServingState;
-    use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
+    use rex_relstore::engine::EdgeIndex;
     let Some(dir) = index_dir else {
         return ServingState::build(kb, cfg).map_err(|e| e.to_string());
     };
     let dir = Path::new(dir);
+    let path = dir.join(rex_relstore::persist::BASE_NAME);
     let t0 = std::time::Instant::now();
-    match ShardedEdgeIndex::load(dir) {
-        Ok(saved) if saved.epoch() == kb.epoch() => {
-            let spec = ShardSpec::new(cfg.shards, cfg.seed);
-            let index = ShardedEdgeIndex::from_base(std::sync::Arc::clone(saved.base()), spec);
+    let why_cold = match EdgeIndex::load(&path) {
+        Ok(saved) => {
             let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let state =
-                ServingState::build_with_index(kb, cfg, index).map_err(|e| e.to_string())?;
-            if !quiet {
-                println!(
-                    "index: warm start from {} ({} shards, epoch {}) in {load_ms:.1} ms",
-                    dir.display(),
-                    spec.shards,
-                    kb.epoch()
-                );
-            }
-            Ok(state)
-        }
-        outcome => {
-            if !quiet {
-                match outcome {
-                    Ok(index) => println!(
-                        "index: snapshot at {} is stale (epoch {}, want {}); rebuilding",
-                        dir.display(),
-                        index.epoch(),
-                        kb.epoch()
-                    ),
-                    Err(err) => {
-                        println!("index: no usable snapshot at {} ({err}); building", dir.display())
+            match ServingState::build_with_index(kb, cfg, saved) {
+                Ok(state) => {
+                    if !quiet {
+                        println!(
+                            "index: warm start from {} (epoch {}) in {load_ms:.1} ms",
+                            path.display(),
+                            kb.epoch()
+                        );
                     }
+                    return Ok(state);
                 }
+                Err(err) => err.to_string(),
             }
-            let state = ServingState::build(kb, cfg).map_err(|e| e.to_string())?;
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            let bytes = state
-                .snapshot()
-                .index()
-                .save(dir)
-                .map_err(|e| format!("cannot save index: {e}"))?;
-            if !quiet {
-                println!("index: saved {} snapshot bytes to {}", bytes, dir.display());
-            }
-            Ok(state)
         }
+        Err(err) => err.to_string(),
+    };
+    if !quiet {
+        println!("index: no usable snapshot at {} ({why_cold}); building", path.display());
     }
+    let state = ServingState::build(kb, cfg).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let bytes =
+        state.snapshot().index().save(&path).map_err(|e| format!("cannot save index: {e}"))?;
+    if !quiet {
+        println!("index: saved {} snapshot bytes to {}", bytes, path.display());
+    }
+    Ok(state)
 }
 
 /// `rex rank`: rank explanations for many pairs through one shared
@@ -360,7 +344,6 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let cap: usize = args.get_or("instance-cap", 5_000)?;
     let threads: usize = args.get_or("threads", 0)?;
     let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
-    let shards: usize = args.get_or("shards", 1)?;
     let index_dir = args.get("index-dir").map(str::to_string);
     let (deadline_ms, row_budget) = budget_flags(&args)?;
     let pairs = resolve_pairs(&args, &kb, seed)?;
@@ -394,7 +377,7 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
         seed,
         threads,
         row_ceiling: Some(row_ceiling),
-        shards,
+        ..RankPairsConfig::default()
     };
     let t1 = std::time::Instant::now();
     let budget = build_budget(deadline_ms, row_budget);
@@ -471,7 +454,7 @@ pub fn update(argv: &[String]) -> Result<(), String> {
         seed,
         threads,
         row_ceiling: Some(row_ceiling),
-        shards: args.get_or("shards", 1)?,
+        ..RankPairsConfig::default()
     };
     let enumerate =
         |kb: &KnowledgeBase| -> Vec<(rex_kb::NodeId, rex_kb::NodeId, Vec<rex_core::Explanation>)> {
@@ -612,12 +595,8 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
     let kb = load_kb(&args)?;
     println!("{}", rex_kb::stats::summary(&kb));
     let t0 = std::time::Instant::now();
-    let sharded = rex_relstore::engine::ShardedEdgeIndex::build(
-        &kb,
-        rex_relstore::engine::ShardSpec::single(),
-    );
+    let index = rex_relstore::engine::EdgeIndex::build(&kb);
     let build = t0.elapsed();
-    let index = sharded.base();
     let posting = index.posting_stats();
     println!(
         "edge index: {} (label, dir) partitions, {} oriented rows, built in {:.1} ms",
@@ -636,19 +615,20 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
         let dir = Path::new(dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        let path = dir.join(rex_relstore::persist::BASE_NAME);
         let t0 = std::time::Instant::now();
-        let bytes = sharded.save(dir).map_err(|e| format!("cannot save index: {e}"))?;
+        let bytes = index.save(&path).map_err(|e| format!("cannot save index: {e}"))?;
         let save = t0.elapsed();
         let t0 = std::time::Instant::now();
-        let loaded = rex_relstore::engine::ShardedEdgeIndex::load(dir)
+        let loaded = rex_relstore::engine::EdgeIndex::load(&path)
             .map_err(|e| format!("cannot reload index: {e}"))?;
         let load = t0.elapsed();
-        assert_eq!(loaded.epoch(), sharded.epoch(), "round-trip must preserve the epoch");
+        assert_eq!(loaded.epoch(), index.epoch(), "round-trip must preserve the epoch");
         println!(
             "index snapshot: {} bytes at {} — saved in {:.1} ms, reloaded in {:.1} ms \
              (cold build was {:.1} ms)",
             bytes,
-            dir.display(),
+            path.display(),
             save.as_secs_f64() * 1e3,
             load.as_secs_f64() * 1e3,
             build.as_secs_f64() * 1e3
@@ -1201,42 +1181,37 @@ mod tests {
         assert!(rank_pairs_cmd(&argv(&["--toy", "brad_pitt", "nobody"])).is_err());
     }
 
-    /// `rex rank --index-dir` warm-starts from any snapshot at the KB's
-    /// epoch, whatever `--shards` the run asks for — including `0`,
-    /// which builds as one shard. A warm start leaves the snapshot files
-    /// alone; a rebuild rewrites them, resetting their mtime.
+    /// `rex rank --index-dir` saves `base.idx` on its first run and
+    /// warm-starts from it on later runs over the same KB, leaving the
+    /// file alone; a rebuild would rewrite it, resetting its mtime. A
+    /// `MANIFEST` an older release left beside it is ignored.
     #[test]
-    fn rank_index_dir_warm_starts_across_shard_counts() {
-        use rex_relstore::persist::{BASE_NAME, MANIFEST_NAME};
+    fn rank_index_dir_warm_starts() {
+        use rex_relstore::persist::BASE_NAME;
         let dir = std::env::temp_dir().join(format!("rex-cli-index-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let rank = |shards: &str| {
+        let rank = || {
             rank_pairs_cmd(&argv(&[
                 "--toy",
                 "brad_pitt",
                 "angelina_jolie",
                 "--samples",
                 "10",
-                "--shards",
-                shards,
                 "--index-dir",
                 dir.to_str().unwrap(),
                 "--quiet",
             ]))
             .expect("rank --index-dir");
         };
-        rank("0");
+        rank();
+        std::fs::write(dir.join("MANIFEST"), b"an older release's shard manifest").unwrap();
         let stamp = std::time::UNIX_EPOCH + std::time::Duration::from_secs(86_400);
-        let files = [MANIFEST_NAME, BASE_NAME].map(|name| dir.join(name));
-        for path in &files {
-            File::options().write(true).open(path).unwrap().set_modified(stamp).unwrap();
-        }
-        for shards in ["0", "3"] {
-            rank(shards);
-            for path in &files {
-                let modified = std::fs::metadata(path).unwrap().modified().unwrap();
-                assert_eq!(modified, stamp, "--shards {shards} rewrote {}", path.display());
-            }
+        let base = dir.join(BASE_NAME);
+        File::options().write(true).open(&base).unwrap().set_modified(stamp).unwrap();
+        for run in 0..2 {
+            rank();
+            let modified = std::fs::metadata(&base).unwrap().modified().unwrap();
+            assert_eq!(modified, stamp, "run {run} rewrote {}", base.display());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1429,7 +1404,7 @@ mod tests {
             "--quiet",
         ]))
         .expect("rank --query");
-        // ... and under a budget + shards (the serving-state path).
+        // ... and under a budget (the serving-state path).
         rank_pairs_cmd(&argv(&[
             "--toy",
             "brad_pitt",
@@ -1440,11 +1415,9 @@ mod tests {
             "10",
             "--deadline-ms",
             "60000",
-            "--shards",
-            "2",
             "--quiet",
         ]))
-        .expect("rank --query budgeted + sharded");
+        .expect("rank --query budgeted");
         // Query files work too.
         let dir = std::env::temp_dir().join(format!("rex-cli-query-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

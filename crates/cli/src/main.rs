@@ -5,7 +5,7 @@
 //! rex explain  --kb kb.tsv tom_cruise brad_pitt [--top 5] [--measure size+local-dist]
 //!              [--max-nodes 5] [--decorate] [--toy]
 //! rex rank     --kb kb.tsv [start end]... [--per-group 2] [--top 5] [--samples 100]
-//!              [--shards 4] [--index-dir snapshots/] [--query <file|MATCH ...>]
+//!              [--index-dir snapshots/] [--query <file|MATCH ...>]
 //! rex plan     --kb kb.tsv "MATCH (a)-[:starring]->(m)<-[:starring]-(b)
 //!              WHERE a = $start AND b = $end" [start [end]]
 //! rex update   --kb kb.tsv --delta delta.tsv [start end]... [--log-retention 10000]

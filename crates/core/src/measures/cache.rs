@@ -16,16 +16,10 @@
 //! hash lookup plus a binary search — the asymptotics drop from
 //! ~`starts` full evaluations per shape to 1.
 //!
-//! Every method takes a [`ShardedEdgeIndex`]: a cold shape's batch splits
-//! its starts by the index's shard spec and evaluates the buckets in
-//! parallel over the one base index, and the flat index is simply the
-//! 1-shard case ([`ShardSpec::single`]). Warm reads never care how many
-//! shards computed a batch. A read ([`DistributionCache::all_starts`])
-//! reports whether *it* evaluated ([`BatchRead`]), so a request can
-//! account its own evaluations apart from concurrent readers and
-//! maintenance that share the cache.
-//!
-//! [`ShardSpec::single`]: rex_relstore::engine::ShardSpec::single
+//! A read ([`DistributionCache::all_starts`]) reports whether *it*
+//! evaluated ([`BatchRead`]), so a request can account its own
+//! evaluations apart from concurrent readers and maintenance that share
+//! the cache.
 //!
 //! **One map, extended by reads.** The cache is a single
 //! `RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>`. A read
@@ -75,7 +69,7 @@ use parking_lot::RwLock;
 use rex_kb::{KbDelta, KnowledgeBase, NodeId};
 use rex_relstore::budget::Budget;
 use rex_relstore::engine::{
-    count_distributions, delta_affected_starts, EvalKind, EvalRequest, ShardedEdgeIndex,
+    count_distributions, delta_affected_starts, EdgeIndex, EvalKind, EvalRequest,
 };
 use rex_relstore::metrics::EvalTrace;
 use rex_relstore::plan::PatternSpec;
@@ -245,7 +239,7 @@ pub struct DistributionCache {
     /// Reads that evaluated; every miss is one batched evaluation, so
     /// this also backs [`DistributionCache::batched_evals`].
     misses: AtomicUsize,
-    /// Best-effort ceiling on join-produced intermediate rows per batched
+    /// Ceiling on each tile's estimated instance rows per batched
     /// evaluation; `None` evaluates each batch as a single tile.
     row_ceiling: Option<usize>,
     tiles: AtomicUsize,
@@ -259,18 +253,17 @@ impl DistributionCache {
         Self::default()
     }
 
-    /// Creates an empty cache whose batched evaluations are tiled so
-    /// join-produced intermediate rows stay (best-effort) under
-    /// `max_rows` — the memory-bounded evaluation mode of the shared
-    /// workload driver. Tiles are packed per shape from the **exact**
-    /// per-start incident-row counts of the edge index's endpoint
-    /// postings
-    /// ([`EdgeIndex::tile_starts_for_ceiling`](rex_relstore::engine::EdgeIndex::tile_starts_for_ceiling)).
+    /// Creates an empty cache whose batched evaluations are tiled so each
+    /// tile's estimated instance rows stay under `max_rows`, which bounds
+    /// the work of one tile between budget checks (a walk's memory does
+    /// not grow with its tile). Tiles are packed per shape from the
+    /// **exact** per-start incident-row counts of the edge index's
+    /// endpoint postings ([`EdgeIndex::tile_starts_for_ceiling`]).
     pub fn with_row_ceiling(max_rows: usize) -> Self {
         DistributionCache { row_ceiling: Some(max_rows), ..Default::default() }
     }
 
-    /// The configured intermediate-row ceiling, if any.
+    /// The configured per-tile row ceiling, if any.
     pub fn row_ceiling(&self) -> Option<usize> {
         self.row_ceiling
     }
@@ -283,8 +276,8 @@ impl DistributionCache {
     }
 
     /// `(tiles, peak_rows)` across this cache's evaluations: how many
-    /// start tiles were evaluated, and the largest intermediate relation
-    /// any of them materialized.
+    /// start tiles were evaluated, and the most bindings one level of any
+    /// tile's depth-first walk made ([`EvalTrace::peak_rows`]).
     pub fn tiling_stats(&self) -> (usize, usize) {
         (self.tiles.load(Ordering::Relaxed), self.peak_rows.load(Ordering::Relaxed))
     }
@@ -297,7 +290,7 @@ impl DistributionCache {
     /// the robustness contract.
     fn evaluate(
         &self,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         spec: PatternSpec,
         starts: &[u64],
         kind: EvalKind,
@@ -374,7 +367,7 @@ impl DistributionCache {
     /// completes. A warm hit never aborts.
     pub fn all_starts(
         &self,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         e: &Explanation,
         starts: &[NodeId],
         budget: &Budget,
@@ -406,7 +399,7 @@ impl DistributionCache {
     /// The descending count multiset of `e`'s pattern for `start`: a
     /// read of `[start]` through [`DistributionCache::all_starts`], so a
     /// start outside the shape's entry extends that entry.
-    pub fn counts(&self, index: &ShardedEdgeIndex, e: &Explanation, start: u32) -> Arc<Vec<u64>> {
+    pub fn counts(&self, index: &EdgeIndex, e: &Explanation, start: u32) -> Arc<Vec<u64>> {
         let read = self
             .all_starts(index, e, &[NodeId(start)], &Budget::unlimited())
             .expect("unlimited budget never aborts");
@@ -419,7 +412,7 @@ impl DistributionCache {
     /// exactness before falling back to a bounded streaming probe.
     pub fn cached_local_position(
         &self,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         e: &Explanation,
         start: u32,
     ) -> Option<usize> {
@@ -429,8 +422,7 @@ impl DistributionCache {
 
     /// Incrementally maintains every cached entry across `delta`.
     /// `index` must already be advanced to the delta's target epoch
-    /// ([`ShardedEdgeIndex::next_epoch`]); patch evaluations fan out
-    /// across its shards. Per shape:
+    /// ([`EdgeIndex::next_epoch`]). Per shape:
     ///
     /// * labels disjoint from the delta, or no affected start inside the
     ///   domain → republished at the new epoch sharing the same counts
@@ -450,7 +442,7 @@ impl DistributionCache {
     pub fn apply_delta(
         &self,
         kb: &KnowledgeBase,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         delta: &KbDelta,
     ) -> DeltaMaintenance {
         assert_eq!(
@@ -533,7 +525,7 @@ impl DistributionCache {
     }
 
     /// Local position of `e` (count aggregate) via the cache.
-    pub fn local_position(&self, index: &ShardedEdgeIndex, e: &Explanation, start: u32) -> usize {
+    pub fn local_position(&self, index: &EdgeIndex, e: &Explanation, start: u32) -> usize {
         position_in(&self.counts(index, e, start), e.count() as u64)
     }
 
@@ -547,7 +539,7 @@ impl DistributionCache {
     /// serves every pair of a workload with zero recomputation.
     pub fn global_position(
         &self,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         e: &Explanation,
         starts: &[NodeId],
         exclude: Option<NodeId>,
@@ -600,12 +592,11 @@ mod tests {
     };
     use crate::measures::MeasureContext;
     use crate::EnumConfig;
-    use rex_relstore::engine::ShardSpec;
 
     /// The unbudgeted batch read of `e` over `starts`.
     fn read_batch(
         cache: &DistributionCache,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         e: &Explanation,
         starts: &[NodeId],
     ) -> Arc<AllStartsDistribution> {
@@ -616,7 +607,7 @@ mod tests {
     /// `exclude`.
     fn global(
         cache: &DistributionCache,
-        index: &ShardedEdgeIndex,
+        index: &EdgeIndex,
         e: &Explanation,
         starts: &[NodeId],
         exclude: Option<NodeId>,
@@ -723,13 +714,13 @@ mod tests {
         let b = kb.require_node("angelina_jolie").unwrap();
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let cache = DistributionCache::with_row_ceiling(0);
         let e = &out.explanations[0];
         let spec = e.pattern.to_spec();
         let starts: Vec<NodeId> = kb
             .node_ids()
-            .filter(|s| index.base().estimate_starts_rows(&spec, &[s.0 as u64]) > 0)
+            .filter(|s| index.estimate_starts_rows(&spec, &[s.0 as u64]) > 0)
             .collect();
         assert!(starts.len() >= 4, "the toy shape has starts with incident rows");
         let (small, grown) = (&starts[..2], &starts[..starts.len() - 1]);
@@ -832,7 +823,7 @@ mod tests {
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let e = &out.explanations[0];
         let starts: Vec<rex_kb::NodeId> = kb.node_ids().take(8).chain([a]).collect();
-        let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let mut index = EdgeIndex::build(&kb);
         let cache = DistributionCache::new();
 
         let batch0 = read_batch(&cache, &index, e, &starts);
@@ -874,7 +865,7 @@ mod tests {
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let starts: Vec<rex_kb::NodeId> = kb.node_ids().collect();
-        let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let mut index = EdgeIndex::build(&kb);
         let cache = DistributionCache::new();
         for e in &out.explanations {
             read_batch(&cache, &index, e, &starts);
@@ -941,7 +932,7 @@ mod tests {
         let b = kb.require_node("angelina_jolie").unwrap();
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
-        let mut index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let mut index = EdgeIndex::build(&kb);
         let cache = DistributionCache::new();
         // Warm one-start entries only.
         let warm: Vec<Arc<Vec<u64>>> =
@@ -976,7 +967,7 @@ mod tests {
         let m2 = cache.apply_delta(&kb, &index, &delta2);
         assert!(m2.patched > 0, "brad_pitt's starring shapes are touched");
         assert_eq!(m2.patched + m2.untouched, shapes);
-        let scratch_index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let scratch_index = EdgeIndex::build(&kb);
         let scratch = DistributionCache::new();
         for (e, before) in out.explanations.iter().zip(&warm) {
             let maintained = cache.counts(&index, e, a.0);

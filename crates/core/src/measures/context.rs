@@ -4,7 +4,7 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 
 use rex_kb::{KnowledgeBase, NodeId};
-use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
+use rex_relstore::engine::EdgeIndex;
 
 use crate::measures::cache::DistributionCache;
 use crate::measures::frame::SampleFrame;
@@ -35,7 +35,7 @@ pub struct MeasureContext<'a> {
     pub global_samples: usize,
     /// Seed for the global sample.
     pub sample_seed: u64,
-    edge_index: OnceCell<ShardedEdgeIndex>,
+    edge_index: OnceCell<EdgeIndex>,
     distributions: OnceCell<Arc<DistributionCache>>,
     frame: OnceCell<Arc<SampleFrame>>,
 }
@@ -99,12 +99,10 @@ impl<'a> MeasureContext<'a> {
         self
     }
 
-    /// The label-partitioned edge index — one shard
-    /// ([`ShardSpec::single`]), so its base is the flat index — built on
-    /// first use and shared by all distribution-measure evaluations in
-    /// this context.
-    pub fn edge_index(&self) -> &ShardedEdgeIndex {
-        self.edge_index.get_or_init(|| ShardedEdgeIndex::build(self.kb, ShardSpec::single()))
+    /// The label-partitioned edge index, built on first use and shared by
+    /// all distribution-measure evaluations in this context.
+    pub fn edge_index(&self) -> &EdgeIndex {
+        self.edge_index.get_or_init(|| EdgeIndex::build(self.kb))
     }
 
     /// The shared distribution cache, created on first use. All
@@ -158,11 +156,10 @@ mod tests {
         let a = kb.require_node("brad_pitt").unwrap();
         let b = kb.require_node("angelina_jolie").unwrap();
         let ctx = MeasureContext::new(&kb, a, b);
-        let r1 = ctx.edge_index() as *const ShardedEdgeIndex;
-        let r2 = ctx.edge_index() as *const ShardedEdgeIndex;
+        let r1 = ctx.edge_index() as *const EdgeIndex;
+        let r2 = ctx.edge_index() as *const EdgeIndex;
         assert_eq!(r1, r2);
-        assert_eq!(ctx.edge_index().spec().shards, 1);
-        assert!(ctx.edge_index().base().total_rows() >= kb.edge_count());
+        assert!(ctx.edge_index().total_rows() >= kb.edge_count());
     }
 
     #[test]

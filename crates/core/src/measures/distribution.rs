@@ -41,7 +41,7 @@ pub fn local_position(ctx: &MeasureContext<'_>, explanation: &Explanation, limit
     let spec = explanation.pattern.to_spec();
     let a = explanation.count() as u64;
     let (pos, _) = rex_relstore::engine::local_position_indexed(
-        ctx.edge_index().base(),
+        ctx.edge_index(),
         &spec,
         ctx.vstart.0 as u64,
         a,
@@ -96,7 +96,7 @@ pub fn global_position_per_start(
             break;
         }
         let (pos, evaluated) = rex_relstore::engine::local_position_indexed(
-            ctx.edge_index().base(),
+            ctx.edge_index(),
             &spec,
             start.0 as u64,
             a,

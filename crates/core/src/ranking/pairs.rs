@@ -38,8 +38,6 @@
 //! reports whether it evaluated ([`BatchRead`]), so concurrent readers
 //! and maintenance sharing the cache are never charged to it.
 //!
-//! [`EdgeIndex::estimate_eval_cost`]:
-//!     rex_relstore::engine::EdgeIndex::estimate_eval_cost
 //! [`ServingState::try_serve`]: crate::ranking::ServingState::try_serve
 
 use std::collections::HashMap;
@@ -48,7 +46,7 @@ use std::sync::Arc;
 use rayon::prelude::*;
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::budget::{AbortReason, Budget};
-use rex_relstore::engine::ShardedEdgeIndex;
+use rex_relstore::engine::EdgeIndex;
 use rex_relstore::RelError;
 
 use crate::canonical::CanonicalKey;
@@ -85,11 +83,9 @@ pub struct RankPairsConfig {
     /// Best-effort ceiling on the estimated instance rows of each tile of
     /// a batched evaluation; `None` disables tiling.
     pub row_ceiling: Option<usize>,
-    /// Start-hash buckets per cold batched evaluation (0 is taken as 1):
-    /// each evaluation splits its start set into this many buckets and
-    /// evaluates them in parallel over the one edge index
-    /// ([`ShardedEdgeIndex`]). Answers do not depend on it; `1` evaluates
-    /// every start in one bucket.
+    /// Ignored: start-hash buckets are retired, and `threads` is the one
+    /// parallelism setting. Kept so configs written against the sharded
+    /// API still compile.
     pub shards: usize,
 }
 
@@ -183,7 +179,7 @@ pub fn rank_pairs(
 pub fn rank_pairs_with(
     pairs: &[PairExplanations<'_>],
     cfg: &RankPairsConfig,
-    index: &ShardedEdgeIndex,
+    index: &EdgeIndex,
     frame: &Arc<SampleFrame>,
     cache: &DistributionCache,
 ) -> RankPairsOutcome {
@@ -204,7 +200,7 @@ pub fn rank_pairs_with(
 pub(crate) fn rank_pass(
     pairs: &[PairExplanations<'_>],
     cfg: &RankPairsConfig,
-    index: &ShardedEdgeIndex,
+    index: &EdgeIndex,
     frame: &Arc<SampleFrame>,
     cache: &DistributionCache,
     budget: &Budget,
@@ -227,10 +223,8 @@ pub(crate) fn rank_pass(
     // Cost-ordered prewarm: heaviest shapes first, ties by canonical key,
     // cost read from the edge index's per-(label, orientation) relation
     // sizes — one cost model shared with the tiling estimator.
-    let mut ordered: Vec<(u64, &Explanation)> = shapes
-        .into_values()
-        .map(|e| (index.base().estimate_eval_cost(&e.pattern.to_spec()), e))
-        .collect();
+    let mut ordered: Vec<(u64, &Explanation)> =
+        shapes.into_values().map(|e| (index.estimate_eval_cost(&e.pattern.to_spec()), e)).collect();
     ordered.sort_by(|(ca, a), (cb, b)| cb.cmp(ca).then_with(|| a.key().cmp(b.key())));
 
     let pool = rayon::ThreadPoolBuilder::new()
@@ -348,7 +342,7 @@ mod tests {
             seed: 11,
             threads: 2,
             row_ceiling: Some(64),
-            shards: 3,
+            ..RankPairsConfig::default()
         };
         let outcome = rank_pairs(&kb, &tasks, &cfg).unwrap();
         assert_eq!(outcome.rankings.len(), tasks.len());
@@ -382,9 +376,9 @@ mod tests {
             seed: 3,
             threads: 1,
             row_ceiling: None,
-            shards: 1,
+            ..RankPairsConfig::default()
         };
-        let index = ShardedEdgeIndex::build(&kb, rex_relstore::engine::ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let frame = Arc::new(SampleFrame::sample(&kb, cfg.global_samples, cfg.seed).unwrap());
         let cache = DistributionCache::new();
         let reads = || {
@@ -438,7 +432,7 @@ mod tests {
             seed: 6,
             threads: 2,
             row_ceiling: None,
-            shards: 2,
+            ..RankPairsConfig::default()
         };
         let tight = RankPairsConfig { row_ceiling: Some(1), ..base.clone() };
         let untiled = rank_pairs(&kb, &tasks, &base).unwrap();
@@ -469,7 +463,7 @@ mod tests {
         let kb = rex_kb::toy::entertainment();
         let cfg = RankPairsConfig { row_ceiling: Some(4096), ..RankPairsConfig::default() };
         let frame = Arc::new(SampleFrame::sample(&kb, 4, 1).unwrap());
-        let index = ShardedEdgeIndex::build(&kb, rex_relstore::engine::ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let unbounded = DistributionCache::new();
         let _ = rank_pairs_with(&[], &cfg, &index, &frame, &unbounded);
     }

@@ -7,14 +7,14 @@
 //! serving-side session that makes that hold:
 //!
 //! * the session's read state — a [`KbSnapshot`] pin, the
-//!   [`ShardedEdgeIndex`], and the [`SampleFrame`] — lives behind one
+//!   [`EdgeIndex`], and the [`SampleFrame`] — lives behind one
 //!   `RwLock<Arc<…>>` slot;
 //! * a reader calls [`ServingState::snapshot`], which clones the `Arc`
 //!   under a read lock held for O(1), and then ranks entirely against
 //!   that pinned [`Snapshot`] — no further synchronization, no lock held
 //!   while ranking;
 //! * maintenance ([`ServingState::maintain`]) builds the **next** epoch
-//!   off to the side: a copy-on-write [`ShardedEdgeIndex::next_epoch`]
+//!   off to the side: a copy-on-write [`EdgeIndex::next_epoch`]
 //!   (only partitions a delta touches are copied), the frame
 //!   redraw policy, and [`DistributionCache::apply_delta`] (which patches
 //!   the touched cache entries with no lock held and publishes every
@@ -77,7 +77,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 use rex_kb::{DeltaSince, KbSnapshot, KnowledgeBase, NodeId};
 use rex_relstore::budget::Budget;
-use rex_relstore::engine::{EdgeIndex, ShardSpec, ShardedEdgeIndex};
+use rex_relstore::engine::EdgeIndex;
 
 use crate::canonical::CanonicalKey;
 use crate::error::{CoreError, Result};
@@ -93,7 +93,7 @@ use crate::ranking::pairs::{rank_pass, PairExplanations, RankPairsConfig, RankPa
 #[derive(Debug)]
 struct PinnedState {
     kb: KbSnapshot,
-    index: Arc<ShardedEdgeIndex>,
+    index: Arc<EdgeIndex>,
     frame: Arc<SampleFrame>,
 }
 
@@ -123,17 +123,10 @@ impl Snapshot {
         self.pinned.kb
     }
 
-    /// The pinned (sharded) edge index.
+    /// The pinned edge index.
     #[inline]
-    pub fn index(&self) -> &Arc<ShardedEdgeIndex> {
+    pub fn index(&self) -> &Arc<EdgeIndex> {
         &self.pinned.index
-    }
-
-    /// The pinned flat edge index — the sharded index's base. Flat
-    /// callers (plan probes, cost estimation) read through this.
-    #[inline]
-    pub fn edge_index(&self) -> &Arc<EdgeIndex> {
-        self.pinned.index.base()
     }
 
     /// The pinned sample frame.
@@ -200,7 +193,7 @@ impl Snapshot {
         }
         shapes
             .into_values()
-            .map(|e| self.edge_index().estimate_starts_rows(&e.pattern.to_spec(), &starts))
+            .map(|e| self.index().estimate_starts_rows(&e.pattern.to_spec(), &starts))
             .fold(0usize, |acc, rows| acc.saturating_add(rows))
             .max(1)
     }
@@ -366,15 +359,14 @@ impl ServingState {
     }
 
     /// [`ServingState::build`] around an index built elsewhere — the warm
-    /// start for an on-disk snapshot loaded via
-    /// [`ShardedEdgeIndex::load`](rex_relstore::engine::ShardedEdgeIndex).
-    /// The loaded index must already sit at `kb`'s current epoch;
-    /// otherwise the caller should fall back to a cold
-    /// [`ServingState::build`].
+    /// start for an on-disk snapshot loaded via [`EdgeIndex::load`]. The
+    /// loaded index must hold exactly `kb`'s rows at `kb`'s current epoch
+    /// ([`EdgeIndex::holds_rows_of`]); otherwise this errors and the
+    /// caller should fall back to a cold [`ServingState::build`].
     pub fn build_with_index(
         kb: &KnowledgeBase,
         cfg: &RankPairsConfig,
-        index: ShardedEdgeIndex,
+        index: EdgeIndex,
     ) -> Result<ServingState> {
         if index.epoch() != kb.epoch() {
             return Err(CoreError::Durability(format!(
@@ -383,24 +375,28 @@ impl ServingState {
                 kb.epoch()
             )));
         }
+        if !index.holds_rows_of(kb) {
+            return Err(CoreError::Durability(
+                "index snapshot holds other edges than the KB; rebuild instead".into(),
+            ));
+        }
         Self::assemble(kb, cfg, Some(index))
     }
 
     /// The one constructor behind every `build*`: the cache gets `cfg`'s
-    /// row ceiling and the index defaults to a fresh build with `cfg`'s
-    /// shard layout; the frame is always sampled from `kb`.
+    /// row ceiling and the index defaults to a fresh build; the frame is
+    /// always sampled from `kb`.
     fn assemble(
         kb: &KnowledgeBase,
         cfg: &RankPairsConfig,
-        index: Option<ShardedEdgeIndex>,
+        index: Option<EdgeIndex>,
     ) -> Result<ServingState> {
         let cache = match cfg.row_ceiling {
             Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
             None => DistributionCache::new(),
         };
         let frame = Arc::new(SampleFrame::sample(kb, cfg.global_samples, cfg.seed)?);
-        let index = index
-            .unwrap_or_else(|| ShardedEdgeIndex::build(kb, ShardSpec::new(cfg.shards, cfg.seed)));
+        let index = index.unwrap_or_else(|| EdgeIndex::build(kb));
         Ok(ServingState {
             current: RwLock::new(Arc::new(PinnedState {
                 kb: kb.snapshot(),
@@ -644,7 +640,7 @@ impl ServingState {
             }
             let result = catch_unwind(AssertUnwindSafe(|| -> Result<(Arc<PinnedState>, bool)> {
                 self.fire(site::MAINTAIN_REBUILD_ATTEMPT);
-                let next_index = Arc::new(ShardedEdgeIndex::build(kb, pinned.index.spec()));
+                let next_index = Arc::new(EdgeIndex::build(kb));
                 let (next_frame, frame_redrawn) = pinned.frame.refresh(kb)?;
                 let next = Arc::new(PinnedState {
                     kb: kb.snapshot(),
@@ -701,7 +697,7 @@ mod tests {
             seed: 3,
             threads: 1,
             row_ceiling: None,
-            shards: 2,
+            ..RankPairsConfig::default()
         };
         (kb, explanations.explanations, cfg)
     }

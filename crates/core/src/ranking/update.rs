@@ -10,9 +10,8 @@
 //! [`Snapshot::rank`] ranks against a fresh snapshot. `maintain`:
 //!
 //! 1. builds the next epoch's
-//!    [`ShardedEdgeIndex`](rex_relstore::engine::ShardedEdgeIndex)
-//!    copy-on-write off to the side (only delta-touched partitions are
-//!    copied);
+//!    [`EdgeIndex`](rex_relstore::engine::EdgeIndex) copy-on-write off
+//!    to the side (only delta-touched partitions are copied);
 //! 2. runs the [`SampleFrame`](crate::measures::SampleFrame) redraw
 //!    policy (keep the seeded sample while its starts stay eligible;
 //!    deterministic redraw otherwise);
@@ -86,7 +85,7 @@ mod tests {
             seed: 11,
             threads: 1,
             row_ceiling: None,
-            shards: 1,
+            ..RankPairsConfig::default()
         };
 
         // Cold session on the pre-update KB.
@@ -159,7 +158,7 @@ mod tests {
             seed: 2,
             threads: 1,
             row_ceiling: None,
-            shards: 1,
+            ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
         // Strip a sampled start bare.
@@ -190,7 +189,7 @@ mod tests {
             seed: 7,
             threads: 1,
             row_ceiling: Some(64),
-            shards: 1,
+            ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
         let ex0 = enumerator.enumerate(&kb, a, b).explanations;
@@ -231,7 +230,7 @@ mod tests {
             seed: 7,
             threads: 1,
             row_ceiling: None,
-            shards: 1,
+            ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
         let ex0 = enumerator.enumerate(&kb, a, b).explanations;
@@ -287,7 +286,7 @@ mod tests {
             seed: 9,
             threads: 1,
             row_ceiling: None,
-            shards: 1,
+            ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
         let direct = Arc::new(SampleFrame::sample(&kb, 12, 9).unwrap());

@@ -16,7 +16,7 @@ use crate::exec::Sink;
 use crate::metrics::EvalTrace;
 use crate::ops::group_count_having_limit;
 use crate::plan::{dir_code, PatternSpec, SpecEdge, StartBinding};
-use crate::relation::{ColumnPosting, Relation, Schema};
+use crate::relation::{pair_mix, ColumnPosting, Relation, Schema};
 use crate::{RelError, Result};
 
 /// One `(label, dir)` partition of the oriented edge relation, stored
@@ -428,9 +428,12 @@ impl EdgeIndex {
         est
     }
 
-    /// Estimated evaluation cost of one batched evaluation of `spec`:
-    /// scan rows touched plus estimated join output. Used to hand a
-    /// workload's shapes to the ranking pass's workers heaviest-first.
+    /// Estimated evaluation cost of one batched evaluation of `spec`: the
+    /// rows of every partition its edges read from plus the estimated
+    /// instance rows — a relative weight, not a count of rows any walk
+    /// reads (a walk reads only the lists around values already bound).
+    /// Used to hand a workload's shapes to the ranking pass's workers
+    /// heaviest-first.
     pub fn estimate_eval_cost(&self, spec: &PatternSpec) -> u64 {
         let scans: f64 = spec
             .edges
@@ -552,110 +555,60 @@ impl EdgeIndex {
     pub fn load(path: &std::path::Path) -> Result<EdgeIndex> {
         crate::persist::load_index(path)
     }
+
+    /// Whether this index holds exactly `kb`'s oriented rows: the same
+    /// epoch and node count, the same `(label, dir)` partitions, and per
+    /// partition the same row count and order-independent pair
+    /// fingerprint (the sum the snapshot loader's transpose check
+    /// compares) as the KB's rows. A loaded snapshot must pass this
+    /// before it serves `kb`: an epoch alone does not name a KB (every
+    /// KB read from a file starts at epoch 0). One pass over the KB's
+    /// edges and one over the postings, no sort, so checking a loaded
+    /// snapshot stays cheaper than a build.
+    pub fn holds_rows_of(&self, kb: &KnowledgeBase) -> bool {
+        if self.epoch != kb.epoch() || self.node_count != kb.node_count() {
+            return false;
+        }
+        let mut sums: HashMap<(u64, u64), (usize, u64)> = HashMap::new();
+        for eid in kb.edge_ids() {
+            for [from, to, label, dir] in oriented_rows(kb.edge(eid)) {
+                let (rows, sum) = sums.entry((label, dir)).or_default();
+                *rows += 1;
+                *sum = sum.wrapping_add(pair_mix(from, to));
+            }
+        }
+        sums.len() == self.partitions.len()
+            && self.partitions.iter().all(|(key, partition)| {
+                let by_src = &partition.by_src;
+                sums.get(key) == Some(&(by_src.len(), by_src.fingerprint(false)))
+            })
+    }
 }
 
-/// How a batch's start entities are hash-partitioned across shards:
-/// entity `e` resides on shard `shard_of(e)`, computed with a seeded
-/// splitmix64 finalizer so residency is uniform, deterministic, and
-/// independent of insertion order. `shards == 1` is the degenerate spec
-/// every unsharded path uses.
+/// Compatibility shim: start-hash shard specs are retired. Every
+/// [`count_distributions`] call runs its tiles inline over one
+/// [`EdgeIndex`], so a spec carries nothing; it remains only so code
+/// written against the sharded API still compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Number of shards (≥ 1).
-    pub shards: usize,
-    /// Hash seed, so disjoint deployments can de-correlate residency.
-    pub seed: u64,
-}
+pub struct ShardSpec;
 
 impl ShardSpec {
-    /// The degenerate single-shard spec (the unsharded fast path).
-    pub fn single() -> ShardSpec {
-        ShardSpec { shards: 1, seed: 0 }
-    }
-
-    /// A spec with `shards` shards (clamped to ≥ 1) and the given seed.
-    pub fn new(shards: usize, seed: u64) -> ShardSpec {
-        ShardSpec { shards: shards.max(1), seed }
-    }
-
-    /// The shard entity `e` resides on.
-    #[inline]
-    pub fn shard_of(&self, entity: u64) -> usize {
-        if self.shards <= 1 {
-            return 0;
-        }
-        let mut x = entity.wrapping_add(self.seed).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x % self.shards as u64) as usize
+    /// Ignores both arguments.
+    pub fn new(_shards: usize, _seed: u64) -> ShardSpec {
+        ShardSpec
     }
 }
 
-/// One [`EdgeIndex`] with the [`ShardSpec`] that partitions a batch's
-/// start set. [`count_distributions`] splits its starts by residency
-/// ([`ShardSpec::shard_of`]) and evaluates the non-empty buckets in
-/// parallel; every bucket plans, probes, scans and tiles against the
-/// same base index, and the `(start, end)`-keyed grouped counts merge by
-/// disjoint union. The flat index is the 1-shard case
-/// ([`ShardSpec::single`]): one bucket, evaluated inline.
-///
-/// Shards hold no rows of their own, so advancing an epoch
-/// ([`ShardedEdgeIndex::next_epoch`]) is the base index's copy-on-write
-/// [`EdgeIndex::next_epoch`] under the same spec.
-#[derive(Debug, Clone)]
-pub struct ShardedEdgeIndex {
-    spec: ShardSpec,
-    base: Arc<EdgeIndex>,
-}
+/// Compatibility shim for the retired sharded index: only its
+/// [`ShardedEdgeIndex::build`] remains, and it builds the one
+/// [`EdgeIndex`].
+#[derive(Debug)]
+pub enum ShardedEdgeIndex {}
 
 impl ShardedEdgeIndex {
-    /// Builds the base index from a knowledge base under `spec`.
-    pub fn build(kb: &KnowledgeBase, spec: ShardSpec) -> ShardedEdgeIndex {
-        ShardedEdgeIndex::from_base(Arc::new(EdgeIndex::build(kb)), spec)
-    }
-
-    /// Pairs an existing base index with a shard layout (`spec.shards`
-    /// clamped to ≥ 1). The base is shared, not copied.
-    pub fn from_base(base: Arc<EdgeIndex>, spec: ShardSpec) -> ShardedEdgeIndex {
-        ShardedEdgeIndex { spec: ShardSpec::new(spec.shards, spec.seed), base }
-    }
-
-    /// The shard layout.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The index every evaluation reads.
-    pub fn base(&self) -> &Arc<EdgeIndex> {
-        &self.base
-    }
-
-    /// The KB epoch of the base index.
-    pub fn epoch(&self) -> u64 {
-        self.base.epoch()
-    }
-
-    /// Entities in the indexed KB.
-    pub fn node_count(&self) -> usize {
-        self.base.node_count()
-    }
-
-    /// Splits sorted, deduped start values into per-shard buckets
-    /// (`buckets[k]` sorted; empty for shards with no start).
-    pub fn split_starts(&self, values: &[u64]) -> Vec<Vec<u64>> {
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); self.spec.shards];
-        for &v in values {
-            buckets[self.spec.shard_of(v)].push(v);
-        }
-        buckets
-    }
-
-    /// The next epoch's index under the same spec: the base advanced
-    /// copy-on-write by `delta` ([`EdgeIndex::next_epoch`]), `self` left
-    /// untouched for in-flight readers.
-    pub fn next_epoch(&self, delta: &KbDelta) -> Result<ShardedEdgeIndex> {
-        Ok(ShardedEdgeIndex { spec: self.spec, base: Arc::new(self.base.next_epoch(delta)?) })
+    /// [`EdgeIndex::build`]; the spec is ignored.
+    pub fn build(kb: &KnowledgeBase, _spec: ShardSpec) -> EdgeIndex {
+        EdgeIndex::build(kb)
     }
 }
 
@@ -839,15 +792,6 @@ pub struct TiledDistributions {
     pub trace: EvalTrace,
 }
 
-impl TiledDistributions {
-    /// Merges a disjoint partial result (start sets never overlap across
-    /// shards, so the per-start union has no key collisions).
-    fn absorb(&mut self, other: TiledDistributions) {
-        self.per_start.extend(other.per_start);
-        self.trace.merge(&other.trace);
-    }
-}
-
 /// How a [`count_distributions`] call is accounted in its
 /// [`EvalTrace`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -872,9 +816,9 @@ pub struct EvalRequest<'a> {
     pub starts: &'a [u64],
     /// Ceiling on each tile's **estimated** input rows: starts are packed
     /// into tiles by their exact incident-row counts
-    /// ([`EdgeIndex::tile_starts_for_ceiling`]). `None` evaluates each
-    /// shard's starts as one tile; `Some(0)` gives every start with
-    /// incident rows its own tile.
+    /// ([`EdgeIndex::tile_starts_for_ceiling`]). `None` evaluates all the
+    /// starts as one tile; `Some(0)` gives every start with incident rows
+    /// its own tile.
     pub row_ceiling: Option<usize>,
     /// Full or delta accounting.
     pub kind: EvalKind,
@@ -890,31 +834,26 @@ pub struct EvalRequest<'a> {
 /// `local_count_distribution_indexed(s).values()` sorted descending. One
 /// call plans once per tile for all its starts, and the depth-first walk
 /// counts each start's instances per end in place instead of
-/// materializing them.
+/// materializing them; each start's ends accumulate in one dense per-end
+/// array.
 ///
-/// The start set is split by shard residency and the non-empty buckets
-/// fan out across rayon workers, each planning, reading and tiling
-/// against the one base index; the per-bucket grouped counts merge by
-/// disjoint union. A 1-shard index ([`ShardSpec::single`]) is one
-/// bucket, evaluated inline. Every bucket reads the same index, so the
-/// answer never depends on the shard count, and neither does any start's
-/// tile weight. Within a bucket the row ceiling tiles the starts; tiling
+/// The row ceiling packs the starts into tiles by `index`'s per-start
+/// weights, evaluated one after another on the calling thread; tiling
 /// bounds each tile's work and row-budget charge and never changes the
-/// answer either.
+/// answer.
 ///
-/// Budget: checked at **every tile boundary** on every worker, so an
-/// expired deadline, a tripped cancellation token or an exhausted row
-/// pool stops the evaluation with [`RelError::Aborted`] after at most one
-/// more tile per worker. An aborted evaluation returns no partial result.
+/// Budget: checked at **every tile boundary**, so an expired deadline, a
+/// tripped cancellation token or an exhausted row pool stops the
+/// evaluation with [`RelError::Aborted`] after at most one more tile. An
+/// aborted evaluation returns no partial result.
 ///
 /// Trace: the returned [`EvalTrace`] counts one full or delta evaluation
-/// (per `req.kind`), one tile per tile, and the rows every tile read;
-/// each shard bucket returns its own trace and the merge sums them. A
+/// (per `req.kind`), one tile per tile, and the rows every tile read. A
 /// completed call folds the trace into [`crate::metrics::snapshot`]'s
 /// totals; an aborted one folds nothing. An empty start set is a no-op,
 /// not an evaluation.
 pub fn count_distributions(
-    index: &ShardedEdgeIndex,
+    index: &EdgeIndex,
     spec: &PatternSpec,
     req: &EvalRequest<'_>,
 ) -> Result<TiledDistributions> {
@@ -925,62 +864,34 @@ pub fn count_distributions(
     if values.is_empty() {
         return Ok(TiledDistributions::default());
     }
-    let buckets: Vec<Vec<u64>> =
-        index.split_starts(&values).into_iter().filter(|b| !b.is_empty()).collect();
-    use rayon::prelude::*;
-    let results: Vec<Result<TiledDistributions>> =
-        buckets.par_iter().map(|bucket| grouped_tiles(index.base(), spec, bucket, req)).collect();
-    let mut out = TiledDistributions::default();
-    match req.kind {
-        EvalKind::Full => out.trace.full = 1,
-        EvalKind::Delta => out.trace.delta = 1,
-    }
-    for part in results {
-        out.absorb(part?);
-    }
-    for counts in out.per_start.values_mut() {
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-    }
-    crate::metrics::fold(&out.trace);
-    Ok(out)
-}
-
-/// One shard bucket of [`count_distributions`]: evaluates `values`
-/// (sorted, deduped, non-empty) tile by tile against `index`
-/// ([`PatternSpec::evaluate_tile`]), packing the tiles by `index`'s
-/// per-start weights. The depth-first walk counts a trailing existential
-/// instead of enumerating it, and each start's ends accumulate in one
-/// dense per-end array ([`EndCounts`]); no instance is materialized. The
-/// returned trace counts tiles and rows but **not** the batch-level
-/// evaluation, which the caller owns. Returned count multisets are
-/// unsorted; the caller sorts once at the end of the whole batch.
-fn grouped_tiles(
-    index: &EdgeIndex,
-    spec: &PatternSpec,
-    values: &[u64],
-    req: &EvalRequest<'_>,
-) -> Result<TiledDistributions> {
     let tiles = match req.row_ceiling {
-        None => vec![values.to_vec()],
-        Some(max_rows) => index.tile_starts_for_ceiling(spec, values, max_rows),
+        None => vec![values],
+        Some(max_rows) => index.tile_starts_for_ceiling(spec, &values, max_rows),
     };
-    let mut out = TiledDistributions::default();
+    let mut trace = EvalTrace::default();
+    match req.kind {
+        EvalKind::Full => trace.full = 1,
+        EvalKind::Delta => trace.delta = 1,
+    }
     let mut ends = EndCounts::new(index.node_count(), spec.end);
     for tile in tiles {
         if let Some(max_rows) = req.row_ceiling {
             let est = index.estimate_starts_rows(spec, &tile);
-            out.trace.est_peak_rows = out.trace.est_peak_rows.max(est);
+            trace.est_peak_rows = trace.est_peak_rows.max(est);
             if est > max_rows {
-                out.trace.overflow_tiles += 1;
+                trace.overflow_tiles += 1;
             }
         }
         let binding = StartBinding::Among(tile);
-        let trace = spec.evaluate_tile(index, &binding, &req.budget, true, &mut ends)?;
-        out.trace.merge(&trace);
-        out.trace.tiles += 1;
+        trace.merge(&spec.evaluate_tile(index, &binding, &req.budget, true, &mut ends)?);
+        trace.tiles += 1;
     }
-    out.per_start = ends.per_start;
-    Ok(out)
+    let mut per_start = ends.per_start;
+    for counts in per_start.values_mut() {
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    crate::metrics::fold(&trace);
+    Ok(TiledDistributions { per_start, trace })
 }
 
 /// The `(start, end)` group-by of a walk: the current start's instance
@@ -1056,15 +967,14 @@ mod tests {
     use crate::plan::SpecEdge;
     use rex_kb::{toy, KbBuilder};
 
-    /// [`count_distributions`] over `index` as a 1-shard index.
+    /// [`count_distributions`] of `starts` under `row_ceiling`.
     fn grouped(
         index: &EdgeIndex,
         spec: &PatternSpec,
         starts: &[u64],
         row_ceiling: Option<usize>,
     ) -> Result<TiledDistributions> {
-        let flat = ShardedEdgeIndex::from_base(Arc::new(index.clone()), ShardSpec::single());
-        count_distributions(&flat, spec, &EvalRequest { starts, row_ceiling, ..Default::default() })
+        count_distributions(index, spec, &EvalRequest { starts, row_ceiling, ..Default::default() })
     }
 
     /// Every entity's distribution: `spec` grouped over all of `index`'s
@@ -1466,9 +1376,8 @@ mod tests {
 
         // The delta-evaluation path recomputes exactly the affected
         // starts, accounted as a partial (not full) evaluation.
-        let flat = ShardedEdgeIndex::from_base(Arc::new(index_after), ShardSpec::single());
         let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
-        let partial = count_distributions(&flat, &costar, &req).unwrap();
+        let partial = count_distributions(&index_after, &costar, &req).unwrap();
         assert_eq!((partial.trace.delta, partial.trace.full), (1, 0));
         for s in &affected {
             assert_eq!(partial.per_start.get(s), after.get(s), "start {s}");
@@ -1724,94 +1633,6 @@ mod tests {
         assert_eq!(local_position_indexed(&index, &spec, bp, 1, usize::MAX).unwrap().0, 0);
     }
 
-    /// Entity-hash sharding never changes an answer: for shard counts
-    /// 1, 2, 3, and 7 (including shards that own no start), the sharded
-    /// fan-out is byte-identical to the unsharded batch with and without
-    /// a row ceiling, and every layout shares the base index outright.
-    #[test]
-    fn sharded_fanout_matches_unsharded() {
-        let kb = toy::entertainment();
-        let base = Arc::new(EdgeIndex::build(&kb));
-        let starring = kb.label_by_name("starring").unwrap().0 as u64;
-        let spouse = kb.label_by_name("spouse").unwrap().0 as u64;
-        let costar = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring, directed: true },
-            ],
-        };
-        let spousal = PatternSpec {
-            var_count: 2,
-            start: 0,
-            end: 1,
-            edges: vec![SpecEdge { u: 0, v: 1, label: spouse, directed: false }],
-        };
-        let all: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let tiny: Vec<u64> = all.iter().copied().take(2).collect();
-        for shards in [1usize, 2, 3, 7] {
-            let sharded =
-                ShardedEdgeIndex::from_base(Arc::clone(&base), ShardSpec::new(shards, 0xD1CE));
-            assert!(Arc::ptr_eq(sharded.base(), &base));
-            for spec in [&costar, &spousal] {
-                for starts in [&all, &tiny] {
-                    let expect = grouped(&base, spec, starts, None).unwrap();
-                    for row_ceiling in [None, Some(0), Some(64)] {
-                        let req = EvalRequest { starts, row_ceiling, ..Default::default() };
-                        let got = count_distributions(&sharded, spec, &req).unwrap();
-                        assert_eq!(got.per_start, expect.per_start, "{shards} shards, {req:?}");
-                    }
-                }
-            }
-        }
-        // The empty start set stays a no-op through the sharded path.
-        let sharded = ShardedEdgeIndex::from_base(Arc::clone(&base), ShardSpec::new(3, 1));
-        let none = count_distributions(&sharded, &costar, &EvalRequest::default()).unwrap();
-        assert!(none.per_start.is_empty());
-        assert_eq!(none.trace.tiles, 0);
-    }
-
-    /// A sharded index advanced by a delta answers like a fresh build,
-    /// and the source version keeps its epoch (copy-on-write, not
-    /// in-place).
-    #[test]
-    fn sharded_next_epoch_matches_fresh_build() {
-        let mut kb = toy::entertainment();
-        let spec = ShardSpec::new(4, 7);
-        let v0 = ShardedEdgeIndex::build(&kb, spec);
-        let epoch0 = kb.epoch();
-
-        let bp = kb.require_node("brad_pitt").unwrap();
-        let m = kb.require_node("oceans_eleven").unwrap();
-        let starring = kb.label_by_name("starring").unwrap();
-        kb.insert_edge(bp, m, starring, true).unwrap();
-        let delta = kb.delta_since(epoch0).into_delta().unwrap();
-
-        let v1 = v0.next_epoch(&delta).unwrap();
-        assert_eq!(v1.epoch(), kb.epoch());
-        assert_eq!(v1.spec(), spec);
-        // Parity with a fresh build after the delta.
-        let fresh = ShardedEdgeIndex::build(&kb, spec);
-        let costar = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring.0 as u64, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring.0 as u64, directed: true },
-            ],
-        };
-        let all: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let req = EvalRequest { starts: &all, ..Default::default() };
-        let a = count_distributions(&v1, &costar, &req).unwrap();
-        let b = count_distributions(&fresh, &costar, &req).unwrap();
-        assert_eq!(a.per_start, b.per_start);
-        // The source version is untouched (copy-on-write, not in-place).
-        assert_eq!(v0.epoch(), epoch0);
-    }
-
     /// Regression for the BENCH row-ceiling reading: the ceiling bounds
     /// each tile's **estimated input rows** — `est_peak_rows ≤ ceiling`
     /// for every multi-start tile by construction — while the measured
@@ -1882,49 +1703,31 @@ mod tests {
         assert_eq!(untiled.trace.overflow_tiles, 0);
     }
 
-    /// A sharded batch traces exactly like an unsharded one: the returned
-    /// trace holds the one full evaluation, every worker's tiles, and the
-    /// row traffic the workers read on their own threads — the same rows
-    /// as the batch evaluated inline on one shard.
+    /// `holds_rows_of` accepts exactly the KB an index was built from,
+    /// reloaded or not; a KB at the same epoch with the same nodes,
+    /// labels and row counts but one edge moved is rejected, and so are
+    /// one with a partition missing and the same KB at a later epoch.
     #[test]
-    fn sharded_fanout_publishes_worker_traffic() {
-        let kb = toy::entertainment();
-        let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 5));
-        let starring = kb.label_by_name("starring").unwrap().0 as u64;
-        let spec = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring, directed: true },
-            ],
+    fn holds_rows_of_names_one_kb() {
+        let kb_with = |spouse: Option<&str>| {
+            let mut b = KbBuilder::new();
+            let [a, c, d] = ["a", "c", "d"].map(|n| b.add_node(n, "P"));
+            b.add_directed_edge(a, c, "r");
+            if let Some(other) = spouse {
+                b.add_undirected_edge(a, if other == "c" { c } else { d }, "s");
+            }
+            b.build()
         };
-        let all: Vec<u64> = (0..kb.node_count() as u64).collect();
-        // Each shard bucket packs its own tiles against the base index.
-        let tiles: usize = sharded
-            .split_starts(&all)
-            .iter()
-            .filter(|bucket| !bucket.is_empty())
-            .map(|bucket| sharded.base().tile_starts_for_ceiling(&spec, bucket, 0).len())
-            .sum();
-        let req = EvalRequest { starts: &all, row_ceiling: Some(0), ..Default::default() };
-        let trace = count_distributions(&sharded, &spec, &req).unwrap().trace;
-        assert_eq!((trace.full, trace.delta, trace.streaming), (1, 0, 0));
-        assert_eq!(trace.tiles, tiles);
-        // Every start-incident row, probed once per start across the
-        // workers' buckets.
-        let incident: usize = all
-            .iter()
-            .map(|&s| sharded.base().incident_len(starring, dir_code::FORWARD, true, &[s]))
-            .sum();
-        assert!(trace.rows_probed >= incident, "worker probe traffic lost");
-        let inline = ShardedEdgeIndex::build(&kb, ShardSpec::new(1, 5));
-        let one = count_distributions(&inline, &spec, &req).unwrap().trace;
-        assert_eq!(
-            (trace.rows_probed, trace.rows_scanned, trace.peak_rows),
-            (one.rows_probed, one.rows_scanned, one.peak_rows),
-            "worker row traffic lost or double-counted in the merge"
-        );
+        let mut kb = kb_with(Some("c"));
+        let index = EdgeIndex::build(&kb);
+        assert!(index.holds_rows_of(&kb));
+        assert!(crate::persist::decode_index(&encode_index(&index)).unwrap().holds_rows_of(&kb));
+        for other in [kb_with(Some("d")), kb_with(None)] {
+            assert_eq!((other.epoch(), other.node_count()), (kb.epoch(), kb.node_count()));
+            assert!(!index.holds_rows_of(&other));
+        }
+        let (a, r) = (kb.require_node("a").unwrap(), kb.label_by_name("r").unwrap());
+        kb.insert_edge(a, a, r, true).unwrap();
+        assert!(!index.holds_rows_of(&kb), "a later epoch");
     }
 }

@@ -15,10 +15,9 @@
 //! The trace is a plain value. An evaluation accumulates it on its own
 //! thread and returns it with its result ([`crate::engine::TiledDistributions`],
 //! [`crate::plan::PatternSpec::evaluate_indexed`],
-//! [`crate::engine::local_position_indexed`]); a sharded batch sums the
-//! traces of its shard buckets. Callers that need the traffic of
-//! their own calls read those returned values, which no other thread can
-//! disturb.
+//! [`crate::engine::local_position_indexed`]); a tiled batch sums the
+//! traces of its tiles. Callers that need the traffic of their own calls
+//! read those returned values, which no other thread can disturb.
 //!
 //! Each public evaluation entry point also folds its completed trace
 //! into process-wide totals, read with [`snapshot`]. The fold happens
@@ -51,8 +50,8 @@ pub struct EvalTrace {
     /// Partial (delta-maintenance) evaluations — grouped re-counts
     /// restricted to the starts a KB delta affected.
     pub delta: usize,
-    /// Evaluation tiles (an untiled batch is one tile per shard bucket;
-    /// a tiled batch contributes one per chunk).
+    /// Evaluation tiles (an untiled batch is one tile; a tiled batch
+    /// contributes one per chunk).
     pub tiles: usize,
     /// Rows read by **full partition scans** — every row of a `(label,
     /// dir)` partition walked because no restriction could be pushed
@@ -181,17 +180,16 @@ pub fn reset_ingest_queue_peak() {
 mod tests {
     use super::*;
     use crate::budget::{AbortReason, Budget};
-    use crate::engine::{count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex};
-    use crate::plan::{PatternSpec, SpecEdge};
+    use crate::engine::{count_distributions, EdgeIndex, EvalRequest};
+    use crate::plan::{dir_code, PatternSpec, SpecEdge};
     use crate::RelError;
     use rex_kb::toy;
 
-    /// The toy KB sharded `shards` ways, the co-starring pattern
-    /// `start -starring-> m <-starring- end`, and every entity as a
-    /// start.
-    fn costar_batch(shards: usize) -> (ShardedEdgeIndex, PatternSpec, Vec<u64>) {
+    /// The toy KB's index, the co-starring pattern `start -starring-> m
+    /// <-starring- end`, and every entity as a start.
+    fn costar_batch() -> (EdgeIndex, PatternSpec, Vec<u64>) {
         let kb = toy::entertainment();
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::new(shards, 5));
+        let index = EdgeIndex::build(&kb);
         let starring = kb.label_by_name("starring").unwrap().0 as u64;
         let spec = PatternSpec {
             var_count: 3,
@@ -259,13 +257,14 @@ mod tests {
 
     /// A completed batch's trace carries every tile's traffic wholesale:
     /// tiled one start per tile, it is the merge of the traces each tile
-    /// returns when evaluated as a batch of its own.
+    /// returns when evaluated as a batch of its own, and it counts every
+    /// start-incident row it read.
     #[test]
     fn staged_commit_publishes_wholesale() {
-        let (index, spec, starts) = costar_batch(1);
+        let (index, spec, starts) = costar_batch();
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
         let whole = count_distributions(&index, &spec, &req).unwrap().trace;
-        let tiles = index.base().tile_starts_for_ceiling(&spec, &starts, 0);
+        let tiles = index.tile_starts_for_ceiling(&spec, &starts, 0);
         assert!(tiles.len() > 1, "Some(0) tiles every start with rows on its own");
         let mut merged = EvalTrace { full: 1, ..EvalTrace::default() };
         for tile in &tiles {
@@ -274,7 +273,12 @@ mod tests {
             assert_eq!(trace.tiles, 1, "tile {tile:?}");
             merged.merge(&EvalTrace { full: 0, ..trace });
         }
-        assert!(whole.rows_probed > 0, "{whole:?}");
+        let starring = spec.edges[0].label;
+        let incident: usize = starts
+            .iter()
+            .map(|&s| index.incident_len(starring, dir_code::FORWARD, true, &[s]))
+            .sum();
+        assert!(whole.rows_probed >= incident && incident > 0, "{whole:?}");
         assert_eq!(whole, merged);
     }
 
@@ -283,7 +287,7 @@ mod tests {
     /// exactly what a fresh one does.
     #[test]
     fn aborted_stage_drains_instead_of_publishing() {
-        let (index, spec, starts) = costar_batch(1);
+        let (index, spec, starts) = costar_batch();
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
         let fresh = count_distributions(&index, &spec, &req).unwrap().trace;
         let starved = EvalRequest { budget: Budget::unlimited().with_row_budget(1), ..req };
@@ -294,12 +298,12 @@ mod tests {
         assert_eq!(count_distributions(&index, &spec, &req).unwrap().trace, fresh);
     }
 
-    /// Worker traffic lands in its own caller's trace and nowhere else:
-    /// sharded batches fanned out from several threads at once each
-    /// return exactly the trace the same batch returns alone.
+    /// Traffic lands in its own caller's trace and nowhere else: batches
+    /// evaluated from several threads at once each return exactly the
+    /// trace the same batch returns alone.
     #[test]
     fn harvested_traffic_replays_into_outer_stage() {
-        let (index, spec, starts) = costar_batch(3);
+        let (index, spec, starts) = costar_batch();
         let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
         let alone = count_distributions(&index, &spec, &req).unwrap().trace;
         assert!(alone.tiles > 1, "{alone:?}");

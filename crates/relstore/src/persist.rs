@@ -32,31 +32,25 @@
 //! validation and rejected wholesale with [`RelError::Corrupt`] — callers
 //! fall back to a rebuild, never to a half-loaded index.
 //!
-//! Sharded layout ([`save_sharded`] / [`load_sharded`]): a directory with
-//! a checksummed `MANIFEST` (shard spec + epoch) and `base.idx`. A shard
-//! spec only partitions a batch's starts, so the base snapshot is the
-//! whole index. Layouts that also hold one `shard-<k>.idx` per shard
-//! load the same way; the loader never reads those files, and a save
-//! deletes them before it writes, so a reader that does expect them
-//! finds none and rebuilds rather than pairing stale shard rows with a
-//! newer base.
+//! A snapshot directory (`rex rank --index-dir`) holds the one file
+//! [`BASE_NAME`]. A directory an older release wrote may also hold a
+//! `MANIFEST` and `shard-<k>.idx` files; nothing here reads them. No
+//! older reader can pair them with a newer `base.idx`: the last release
+//! to write a manifest checks its epoch against the base, and releases
+//! that read shard files predate format version 4 and reject this one.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::engine::{EdgeIndex, PartitionPosting, ShardSpec, ShardedEdgeIndex};
+use crate::engine::{EdgeIndex, PartitionPosting};
 use crate::relation::ColumnPosting;
 use crate::{RelError, Result};
 
 /// `b"RXIX"` little-endian — REX IndeX snapshot.
 const MAGIC: u32 = 0x5849_5852;
-/// `b"RXSM"` little-endian — REX Sharded Manifest.
-const MANIFEST_MAGIC: u32 = 0x4d53_5852;
 const VERSION: u32 = 4;
 
-/// File name of the sharded-layout manifest inside its directory.
-pub const MANIFEST_NAME: &str = "MANIFEST";
-/// File name of the base index snapshot inside a sharded layout.
+/// File name of the index snapshot inside a snapshot directory.
 pub const BASE_NAME: &str = "base.idx";
 
 // ---------------------------------------------------------------------
@@ -270,101 +264,6 @@ pub fn load_index(path: &Path) -> Result<EdgeIndex> {
     decode_index(&bytes)
 }
 
-fn encode_manifest(index: &ShardedEdgeIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, MANIFEST_MAGIC);
-    put_u32(&mut out, VERSION);
-    put_u32(&mut out, index.spec().shards as u32);
-    put_u64(&mut out, index.spec().seed);
-    put_u64(&mut out, index.epoch());
-    let checksum = fnv1a(&out);
-    put_u64(&mut out, checksum);
-    out
-}
-
-fn decode_manifest(bytes: &[u8]) -> Result<(ShardSpec, u64)> {
-    if bytes.len() < 8 {
-        return Err(RelError::Corrupt("manifest shorter than its checksum".into()));
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(RelError::Corrupt("manifest checksum mismatch".into()));
-    }
-    let mut r = Reader::new(payload);
-    let magic = r.get_u32("manifest magic")?;
-    if magic != MANIFEST_MAGIC {
-        return Err(RelError::Corrupt(format!("bad manifest magic 0x{magic:08x}")));
-    }
-    let version = r.get_u32("manifest version")?;
-    if version != VERSION {
-        return Err(RelError::Corrupt(format!("unsupported manifest version {version}")));
-    }
-    let shards = r.get_u32("shard count")? as usize;
-    if shards == 0 {
-        return Err(RelError::Corrupt("manifest declares zero shards".into()));
-    }
-    let seed = r.get_u64("shard seed")?;
-    let epoch = r.get_u64("manifest epoch")?;
-    if r.pos != payload.len() {
-        return Err(RelError::Corrupt("trailing bytes in manifest".into()));
-    }
-    Ok((ShardSpec { shards, seed }, epoch))
-}
-
-/// Saves a sharded index layout into `dir` (created if absent): deletes
-/// any `shard-<k>.idx` files an older layout left, then writes the base
-/// snapshot, then the manifest. Returns total bytes written. Each file is
-/// written atomically; the manifest is written **last**, so a crash
-/// mid-save leaves either the previous complete layout (same epoch
-/// manifest) or a manifest whose epoch the loader cross-checks against
-/// the base.
-pub fn save_sharded(index: &ShardedEdgeIndex, dir: &Path) -> Result<u64> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    for entry in std::fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
-        let path = entry.map_err(|e| io_err(dir, e))?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-        if name.starts_with("shard-") && name.ends_with(".idx") {
-            std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-        }
-    }
-    let total = save_index(index.base(), &dir.join(BASE_NAME))?;
-    let manifest = encode_manifest(index);
-    rex_kb::io::atomic_write(&dir.join(MANIFEST_NAME), &manifest)
-        .map_err(|e| io_err(&dir.join(MANIFEST_NAME), e))?;
-    Ok(total + manifest.len() as u64)
-}
-
-/// Loads a sharded index layout written by [`save_sharded`]; the base
-/// snapshot must sit at the manifest's epoch.
-pub fn load_sharded(dir: &Path) -> Result<ShardedEdgeIndex> {
-    let manifest =
-        std::fs::read(dir.join(MANIFEST_NAME)).map_err(|e| io_err(&dir.join(MANIFEST_NAME), e))?;
-    let (spec, epoch) = decode_manifest(&manifest)?;
-    let base = Arc::new(load_index(&dir.join(BASE_NAME))?);
-    if base.epoch() != epoch {
-        return Err(RelError::Corrupt(format!(
-            "base snapshot at epoch {}, manifest says {epoch}",
-            base.epoch()
-        )));
-    }
-    Ok(ShardedEdgeIndex::from_base(base, spec))
-}
-
-/// Convenience: [`ShardedEdgeIndex::save`]/[`load`](ShardedEdgeIndex::load)
-/// inherent forms live here to keep `engine` free of I/O concerns.
-impl ShardedEdgeIndex {
-    /// Saves this sharded index layout into `dir` ([`save_sharded`]).
-    pub fn save(&self, dir: &Path) -> Result<u64> {
-        save_sharded(self, dir)
-    }
-
-    /// Loads a sharded index layout from `dir` ([`load_sharded`]).
-    pub fn load(dir: &Path) -> Result<ShardedEdgeIndex> {
-        load_sharded(dir)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,8 +298,7 @@ mod tests {
         assert_eq!(index.partitions(), loaded.partitions());
     }
 
-    /// Saving a loaded snapshot reproduces every file byte for byte, for
-    /// the flat index and for a sharded layout.
+    /// Saving a loaded snapshot reproduces its file byte for byte.
     #[test]
     fn save_load_save_is_byte_identical() {
         let kb = toy_kb();
@@ -412,19 +310,11 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let _ = std::fs::remove_dir_all(&root);
-        let (first, second) = (root.join("first"), root.join("second"));
-        save_sharded(&ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7)), &first).expect("save");
-        save_sharded(&load_sharded(&first).expect("load"), &second).expect("re-save");
-        let mut names: Vec<_> =
-            std::fs::read_dir(&first).unwrap().map(|e| e.unwrap().file_name()).collect();
-        names.sort();
-        assert_eq!(names.len(), 2, "manifest and base");
-        for name in names {
-            let a = std::fs::read(first.join(&name)).unwrap();
-            let b = std::fs::read(second.join(&name)).unwrap();
-            assert_eq!(a, b, "{name:?} changed across save → load → save");
-        }
+        std::fs::create_dir_all(&root).unwrap();
+        let (first, second) = (root.join("first.idx"), root.join("second.idx"));
+        save_index(&EdgeIndex::build(&kb), &first).expect("save");
+        save_index(&load_index(&first).expect("load"), &second).expect("re-save");
+        assert_eq!(std::fs::read(&first).unwrap(), std::fs::read(&second).unwrap());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -508,30 +398,27 @@ mod tests {
         }
     }
 
+    /// A snapshot directory an older release wrote — a `MANIFEST` and a
+    /// `shard-0.idx` beside `base.idx` — still loads, and saving over it
+    /// round-trips: only `base.idx` is read or written.
     #[test]
     fn sharded_layout_round_trips() {
-        let kb = toy_kb();
         let dir = std::env::temp_dir().join(format!(
             "rex-persist-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let sharded = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 7));
-        let bytes = save_sharded(&sharded, &dir).expect("save");
-        assert!(bytes > 0);
-        // Layouts that also hold per-shard files load the same way: the
-        // loader reads only the manifest and the base.
-        let stray = dir.join("shard-0.idx");
-        std::fs::write(&stray, b"not a snapshot").unwrap();
-        let loaded = load_sharded(&dir).expect("load");
-        assert_eq!(loaded.spec(), sharded.spec());
-        assert_eq!(loaded.epoch(), sharded.epoch());
-        assert_eq!(encode_index(loaded.base()), encode_index(sharded.base()));
-        // A save deletes them, so no reader pairs them with a newer base.
-        save_sharded(&loaded, &dir).expect("re-save");
-        assert!(!stray.exists(), "save left a stale shard file");
-        assert_eq!(load_sharded(&dir).expect("reload").epoch(), sharded.epoch());
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join(BASE_NAME);
+        let index = EdgeIndex::build(&toy_kb());
+        save_index(&index, &base).expect("save");
+        std::fs::write(dir.join("MANIFEST"), b"an older release's shard manifest").unwrap();
+        std::fs::write(dir.join("shard-0.idx"), b"an older release's shard rows").unwrap();
+        let loaded = load_index(&base).expect("base.idx loads beside the older files");
+        assert_eq!(encode_index(&loaded), encode_index(&index));
+        save_index(&loaded, &base).expect("re-save");
+        assert_eq!(encode_index(&load_index(&base).expect("reload")), encode_index(&index));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

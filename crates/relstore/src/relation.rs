@@ -328,7 +328,7 @@ fn u32_id(v: u64) -> u64 {
 
 /// The splitmix64 finalizer of the packed pair `(a << 32) | b`: a
 /// bijection on `u32`-range pairs, summed by [`ColumnPosting::fingerprint`].
-fn pair_mix(a: u64, b: u64) -> u64 {
+pub(crate) fn pair_mix(a: u64, b: u64) -> u64 {
     let mut x = (a << 32) | b;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -17,8 +17,8 @@ use rex_core::EnumConfig;
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_kb::KnowledgeBase;
 use rex_relstore::engine::{
-    count_distributions, local_count_distribution_indexed, local_position_indexed, EvalRequest,
-    ShardSpec, ShardedEdgeIndex,
+    count_distributions, local_count_distribution_indexed, local_position_indexed, EdgeIndex,
+    EvalRequest,
 };
 
 /// Batched vs per-start parity for every enumerated pattern of `(a, b)`,
@@ -27,12 +27,11 @@ use rex_relstore::engine::{
 fn assert_parity(kb: &KnowledgeBase, a: rex_kb::NodeId, b: rex_kb::NodeId, starts: &[u64]) {
     let out = GeneralEnumerator::new(EnumConfig::default().with_max_nodes(4)).enumerate(kb, a, b);
     assert!(!out.explanations.is_empty(), "no explanations to test");
-    let sharded = ShardedEdgeIndex::build(kb, ShardSpec::single());
-    let index = sharded.base();
+    let index = &EdgeIndex::build(kb);
     for e in &out.explanations {
         let spec = e.pattern.to_spec();
         let req = EvalRequest { starts, ..Default::default() };
-        let batched = count_distributions(&sharded, &spec, &req).unwrap().per_start;
+        let batched = count_distributions(index, &spec, &req).unwrap().per_start;
         let a_val = e.count() as u64;
         for &s in starts {
             // Multiset parity.

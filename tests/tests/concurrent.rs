@@ -25,7 +25,7 @@ use rex_core::ranking::{rank_pairs_with, PairExplanations, RankPairsConfig, Serv
 use rex_core::{EnumConfig, Explanation};
 use rex_kb::{KnowledgeBase, LabelId, NodeId};
 use rex_relstore::budget::Budget;
-use rex_relstore::engine::{count_distributions, EvalRequest, ShardSpec, ShardedEdgeIndex};
+use rex_relstore::engine::{count_distributions, EdgeIndex, EvalRequest};
 use rex_tests::scaffold::{apply_ops, base_kb};
 
 /// The suite's deterministic base KB (distinct tail from the
@@ -48,7 +48,7 @@ fn positions_at(
     frame: &SampleFrame,
     explanations: &[Explanation],
 ) -> Vec<usize> {
-    let index = ShardedEdgeIndex::build(kb, ShardSpec::single());
+    let index = EdgeIndex::build(kb);
     let cache = DistributionCache::new();
     explanations
         .iter()
@@ -74,7 +74,7 @@ fn concurrent_readers_never_observe_torn_epochs() {
         seed: 5,
         threads: 1,
         row_ceiling: None,
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).unwrap();
     let frame = state.snapshot().frame().clone();
@@ -186,7 +186,7 @@ fn injected_maintain_panic_quarantines_and_recovers_without_torn_reads() {
         seed: 5,
         threads: 1,
         row_ceiling: None,
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let plan = FaultPlan::seeded(11)
         .one_shot(site::MAINTAIN_BEFORE_FLIP, FaultAction::Panic)
@@ -304,7 +304,7 @@ fn pinned_snapshot_probes_survive_concurrent_flip() {
         seed: 3,
         threads: 1,
         row_ceiling: None,
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).unwrap();
     let pinned = state.snapshot();
@@ -323,7 +323,7 @@ fn pinned_snapshot_probes_survive_concurrent_flip() {
     for label in 0u64..5 {
         for dir in [dir_code::FORWARD, dir_code::UNDIRECTED] {
             let (Some(old), Some(new)) =
-                (pinned.edge_index().posting(label, dir), current.edge_index().posting(label, dir))
+                (pinned.index().posting(label, dir), current.index().posting(label, dir))
             else {
                 continue;
             };
@@ -334,7 +334,7 @@ fn pinned_snapshot_probes_survive_concurrent_flip() {
 
     // The pinned snapshot's probe path answers at its own epoch: every
     // shape × every start equals a scratch build of the pre-flip KB.
-    let scratch = ShardedEdgeIndex::build(&kb_at_pin, ShardSpec::single());
+    let scratch = EdgeIndex::build(&kb_at_pin);
     let starts: Vec<u64> = (0..kb.node_count() as u64 + 4).collect();
     let req = EvalRequest { starts: &starts, ..Default::default() };
     for idx in 0..rex_tests::scaffold::shape_count() {
@@ -371,7 +371,8 @@ proptest! {
         prop_assert!(!explanations.is_empty());
         let starts: Vec<NodeId> = kb.node_ids().collect();
         let cfg = RankPairsConfig {
-            k: 5, global_samples: 8, seed: 2, threads: 1, row_ceiling: None, shards: 1,
+            k: 5, global_samples: 8, seed: 2, threads: 1, row_ceiling: None,
+            ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
         // Warm epoch 0, advance to epoch E1, pin it.
@@ -392,7 +393,7 @@ proptest! {
 
         // Byte-identical multisets: reads through the pinned snapshot vs
         // a scratch build at E1 (fresh index, cold cache).
-        let scratch_index = ShardedEdgeIndex::build(&kb_at_e1, ShardSpec::single());
+        let scratch_index = EdgeIndex::build(&kb_at_e1);
         prop_assert_eq!(scratch_index.epoch(), pinned.epoch());
         let scratch_cache = DistributionCache::new();
         for e in &explanations {
@@ -429,7 +430,7 @@ proptest! {
         // build at the final state.
         let current = state.snapshot();
         prop_assert_eq!(current.epoch(), kb.epoch());
-        let final_index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let final_index = EdgeIndex::build(&kb);
         let final_cache = DistributionCache::new();
         for e in &explanations {
             let unlimited = Budget::unlimited();
@@ -474,7 +475,7 @@ fn ranking_outcomes_count_only_their_own_evaluations() {
         seed: 5,
         threads: 1,
         row_ceiling: None,
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).unwrap();
     let tasks = [PairExplanations { start: a, end: b, explanations: &explanations }];

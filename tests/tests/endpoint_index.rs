@@ -28,7 +28,7 @@ use rex_kb::{EdgeId, EdgeRecord, KnowledgeBase};
 use rex_relstore::engine::{
     count_distributions, delta_affected_starts, local_count_distribution,
     local_count_distribution_indexed, local_position_indexed, oriented_edge_relation, EdgeIndex,
-    EvalKind, EvalRequest, ShardSpec, ShardedEdgeIndex,
+    EvalKind, EvalRequest,
 };
 use rex_relstore::plan::{dir_code, StartBinding};
 use rex_tests::differential::{indexed_distributions, reference_distributions};
@@ -62,14 +62,14 @@ fn with_copies(mut kb: KnowledgeBase, copies: usize) -> KnowledgeBase {
 #[test]
 fn every_shape_matches_reference_unbound_and_among() {
     let kb = suite_kb(3);
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     // Start ids past the KB's node space must behave like any other
     // zero-incident start: no entry, no panic.
     let starts: Vec<u64> = (0..kb.node_count() as u64 + 8).step_by(3).collect();
     let req = EvalRequest { starts: &starts, ..Default::default() };
     for idx in 0..shape_count() {
         let spec = shape(idx);
-        let unbound = indexed_distributions(index.base(), &spec, None);
+        let unbound = indexed_distributions(&index, &spec, None);
         assert_eq!(unbound, reference_distributions(&kb, &spec, None), "shape {idx} unbound");
         let among = count_distributions(&index, &spec, &req).unwrap().per_start;
         assert_eq!(among, reference_distributions(&kb, &spec, Some(&starts)), "shape {idx} among");
@@ -142,13 +142,13 @@ fn dense_kb() -> KnowledgeBase {
 fn every_shape_matches_reference_on_a_dense_kb() {
     for copies in 1..=2 {
         let kb = with_copies(dense_kb(), copies);
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
         for idx in 0..shape_count() {
             let spec = shape(idx);
             let expected = reference_distributions(&kb, &spec, None);
             assert!(!expected.is_empty(), "shape {idx} has no instances");
-            let unbound = indexed_distributions(index.base(), &spec, None);
+            let unbound = indexed_distributions(&index, &spec, None);
             assert_eq!(unbound, expected, "shape {idx} unbound, {copies} copies");
             for row_ceiling in [None, Some(0)] {
                 let req = EvalRequest { starts: &starts, row_ceiling, ..Default::default() };
@@ -184,14 +184,14 @@ proptest! {
         apply_ops(&mut once, &ops, "d");
         let kb = with_copies(once.clone(), copies);
         let spec = shape(shape_idx);
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
 
         let expected_all = reference_distributions(&kb, &spec, None);
-        let got_all = indexed_distributions(index.base(), &spec, None);
+        let got_all = indexed_distributions(&index, &spec, None);
         prop_assert_eq!(&got_all, &expected_all, "unbound");
 
         let expected = reference_distributions(&kb, &spec, Some(&start_sel));
-        let once_index = ShardedEdgeIndex::build(&once, ShardSpec::single());
+        let once_index = EdgeIndex::build(&once);
         let once_req = EvalRequest { starts: &start_sel, ..Default::default() };
         let once_got = count_distributions(&once_index, &spec, &once_req).unwrap();
         prop_assert_eq!(&once_got.per_start, &expected, "{} copies vs one", copies);
@@ -226,7 +226,7 @@ proptest! {
     ) {
         let mut kb = suite_kb(seed);
         apply_ops(&mut kb, &ops1, "a");
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let epoch0 = kb.epoch();
         apply_ops(&mut kb, &ops2, "b");
         let once = kb.clone();
@@ -244,7 +244,7 @@ proptest! {
         // The maintained postings answer like a scratch build's, and like
         // the KB holding every edge once.
         let scratch = EdgeIndex::build(&kb);
-        let got = indexed_distributions(index.base(), &spec, None);
+        let got = indexed_distributions(&index, &spec, None);
         let fresh = indexed_distributions(&scratch, &spec, None);
         prop_assert_eq!(&got, &fresh, "maintained vs scratch");
         let single = indexed_distributions(&EdgeIndex::build(&once), &spec, None);
@@ -263,7 +263,7 @@ proptest! {
 fn patch_pass_rows_probed_bounded_by_incident_rows() {
     let kb0 = rex_datagen::generate(&rex_datagen::GeneratorConfig::tiny(0xE1DE));
     let mut kb = kb0.clone();
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     let epoch0 = kb.epoch();
     // 16-edge delta: 8 remove + rewire pairs over the shapes' label
     // space (labels 0..5 are the KB's most common under the Zipf draw).
@@ -286,8 +286,7 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
     }
     let delta = kb.delta_since(epoch0).into_delta().unwrap();
     assert_eq!(delta.edge_churn(), 16);
-    let sharded = index.next_epoch(&delta).unwrap();
-    let index = sharded.base();
+    let index = &index.next_epoch(&delta).unwrap();
 
     let mut any_affected = 0usize;
     let mut total_probed = 0usize;
@@ -302,7 +301,7 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
         }
         any_affected += 1;
         let req = EvalRequest { starts: &affected, kind: EvalKind::Delta, ..Default::default() };
-        let counts = count_distributions(&sharded, &spec, &req).unwrap().trace;
+        let counts = count_distributions(index, &spec, &req).unwrap().trace;
         assert_eq!((counts.delta, counts.full, counts.streaming), (1, 0, 0));
         assert_eq!(counts.tiles, 1);
         // Probe traffic includes at least the rows incident to the

@@ -20,7 +20,7 @@ use rex_core::measures::{DistributionCache, MeasureContext, SampleFrame};
 use rex_core::{EnumConfig, Explanation};
 use rex_kb::{KbBuilder, KnowledgeBase, LabelId, NodeId};
 use rex_relstore::budget::Budget;
-use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
+use rex_relstore::engine::EdgeIndex;
 use rex_relstore::plan::dir_code;
 use rex_tests::scaffold::{apply_ops, base_kb};
 
@@ -71,7 +71,7 @@ proptest! {
     ) {
         let mut kb = suite_kb(base_seed);
         let starts: Vec<NodeId> = kb.node_ids().collect();
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let unlimited = Budget::unlimited();
         let cache = if tight_ceiling {
             DistributionCache::with_row_ceiling(8)
@@ -112,20 +112,20 @@ proptest! {
         // Scratch rebuild at the final state.
         let kb2 = scratch_rebuild(&kb);
         prop_assert_eq!(kb2.edge_count(), kb.edge_count());
-        let index2 = ShardedEdgeIndex::build(&kb2, ShardSpec::single());
+        let index2 = EdgeIndex::build(&kb2);
         let cache2 = DistributionCache::new();
 
         // Index parity: every (label, dir) partition holds the same lists.
         for label in 0..kb.label_count() as u64 {
             for dir in [dir_code::FORWARD, dir_code::UNDIRECTED] {
                 prop_assert_eq!(
-                    index.base().posting(label, dir),
-                    index2.base().posting(label, dir),
+                    index.posting(label, dir),
+                    index2.posting(label, dir),
                     "partition ({}, {})", label, dir
                 );
             }
         }
-        prop_assert_eq!(index.base().total_rows(), index2.base().total_rows());
+        prop_assert_eq!(index.total_rows(), index2.total_rows());
 
         // Distribution parity, all shapes × all (original) starts; the
         // maintained cache must serve them warm.
@@ -161,7 +161,7 @@ fn stale_cache_refreshes_to_correct_values() {
         .enumerate(&kb, a, b)
         .explanations;
     let starts: Vec<NodeId> = kb.node_ids().collect();
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     let unlimited = Budget::unlimited();
     let cache = DistributionCache::new();
     for e in &explanations {

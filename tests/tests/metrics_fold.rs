@@ -15,9 +15,7 @@ use rex_core::ranking::{
 };
 use rex_kb::{toy, DurableKb, SyncPolicy};
 use rex_relstore::budget::{AbortReason, Budget, CancelToken};
-use rex_relstore::engine::{
-    count_distributions, local_position_indexed, EvalRequest, ShardSpec, ShardedEdgeIndex,
-};
+use rex_relstore::engine::{count_distributions, local_position_indexed, EdgeIndex, EvalRequest};
 use rex_relstore::metrics::{self, EvalCounts, EvalTrace};
 use rex_relstore::plan::StartBinding;
 use rex_relstore::RelError;
@@ -46,7 +44,7 @@ fn moved<T>(f: impl FnOnce() -> T) -> (T, EvalCounts) {
 #[test]
 fn totals_move_by_exactly_the_completed_traces() {
     let kb = base_kb(7, 0xF01D);
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::new(3, 0xF01D));
+    let index = EdgeIndex::build(&kb);
     // start -l0-> v2 -l1- v3 -l2-> end: the start's list plus lists
     // keyed by the values bound after it.
     let spec = shape(8);
@@ -78,21 +76,20 @@ fn totals_move_by_exactly_the_completed_traces() {
 
     // A single indexed evaluation moves the totals by its trace.
     let binding = StartBinding::among(starts.iter().copied());
-    let ((_, trace), by) = moved(|| spec.evaluate_indexed(index.base(), &binding).unwrap());
+    let ((_, trace), by) = moved(|| spec.evaluate_indexed(&index, &binding).unwrap());
     assert_eq!(trace.full, 1);
     assert_eq!(by, folded(&trace));
 
     // A bounded position query is one streaming evaluation that reads
     // at least the start's own list and scans no partition.
     let start = kb.require_node("n0").unwrap().0 as u64;
-    let base = index.base();
     let probed: usize = spec
         .edges
         .iter()
         .filter(|e| e.u == spec.start || e.v == spec.start)
-        .map(|e| base.incident_len(e.label, e.dir(), e.u == spec.start, &[start]))
+        .map(|e| index.incident_len(e.label, e.dir(), e.u == spec.start, &[start]))
         .sum();
-    let ((_, trace), by) = moved(|| local_position_indexed(base, &spec, start, 0, 1).unwrap());
+    let ((_, trace), by) = moved(|| local_position_indexed(&index, &spec, start, 0, 1).unwrap());
     assert_eq!((trace.streaming, trace.full, trace.tiles, trace.rows_scanned), (1, 0, 0, 0));
     assert!(trace.rows_probed >= probed, "{trace:?}");
     assert_eq!(by, folded(&trace));

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rex_core::pattern::{EdgeDir, Pattern, PatternEdge, VarId, END_VAR, START_VAR};
 use rex_kb::LabelId;
 use rex_query::templates::StepDir;
-use rex_relstore::engine::{EdgeIndex, ShardSpec, ShardedEdgeIndex};
+use rex_relstore::engine::EdgeIndex;
 use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold;
 
@@ -181,7 +181,7 @@ proptest! {
 fn isomorphic_queries_share_cache_entries() {
     use std::sync::Arc;
     let kb = scaffold::base_kb(7, 7);
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     let q1 = rex_core::query::compile_text(
         "MATCH (x)-[:l3]->(film)<-[:l3]-(y) WHERE x = $start AND y = $end",
         &kb,

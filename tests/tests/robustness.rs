@@ -21,7 +21,7 @@ use rex_core::ranking::{
 use rex_core::{CoreError, EnumConfig, Explanation};
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::budget::{AbortReason, Budget, CancelToken};
-use rex_relstore::engine::{ShardSpec, ShardedEdgeIndex};
+use rex_relstore::engine::EdgeIndex;
 use rex_relstore::RelError;
 use rex_tests::scaffold::{apply_ops, base_kb};
 
@@ -38,7 +38,14 @@ fn enumerate_core(kb: &KnowledgeBase) -> Vec<Explanation> {
 }
 
 fn cfg() -> RankPairsConfig {
-    RankPairsConfig { k: 5, global_samples: 10, seed: 3, threads: 1, row_ceiling: None, shards: 1 }
+    RankPairsConfig {
+        k: 5,
+        global_samples: 10,
+        seed: 3,
+        threads: 1,
+        row_ceiling: None,
+        ..RankPairsConfig::default()
+    }
 }
 
 /// Everything observable about a [`DistributionCache`] short of walking
@@ -69,7 +76,7 @@ fn cancelled_evaluation_leaves_no_trace() {
     let kb = suite_kb(1);
     let explanations = enumerate_core(&kb);
     assert!(!explanations.is_empty());
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     let starts: Vec<NodeId> = kb.node_ids().collect();
     let cache = DistributionCache::new();
 
@@ -95,7 +102,7 @@ fn cancelled_evaluation_leaves_no_trace() {
 fn deadline_and_row_budget_abort_with_typed_reasons() {
     let kb = suite_kb(2);
     let explanations = enumerate_core(&kb);
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     let starts: Vec<NodeId> = kb.node_ids().collect();
 
     let cache = DistributionCache::new();
@@ -124,7 +131,7 @@ fn deadline_and_row_budget_abort_with_typed_reasons() {
 fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
     let kb = suite_kb(3);
     let explanations = enumerate_core(&kb);
-    let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let index = EdgeIndex::build(&kb);
     let starts: Vec<NodeId> = kb.node_ids().collect();
 
     // Success: exactly one batched evaluation, at least one tile.
@@ -291,7 +298,7 @@ fn forced_compaction_rebuild_retries_once_and_recovers() {
 
     // Scratch parity at the new epoch.
     let snap = state.snapshot();
-    let scratch_index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+    let scratch_index = EdgeIndex::build(&kb);
     let scratch_cache = DistributionCache::new();
     for e in &explanations {
         let got = snap.global_position_excluding(e, None);
@@ -361,7 +368,7 @@ proptest! {
         apply_ops(&mut kb, &ops, "r");
         let explanations = enumerate_core(&kb);
         prop_assert!(!explanations.is_empty());
-        let index = ShardedEdgeIndex::build(&kb, ShardSpec::single());
+        let index = EdgeIndex::build(&kb);
         let all: Vec<NodeId> = kb.node_ids().collect();
         let cache = DistributionCache::new();
 

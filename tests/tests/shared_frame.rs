@@ -24,7 +24,7 @@ use rex_core::{EnumConfig, Explanation};
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::engine::{
-    count_distributions, local_count_distribution_indexed, EvalRequest, ShardSpec, ShardedEdgeIndex,
+    count_distributions, local_count_distribution_indexed, EdgeIndex, EvalRequest,
 };
 
 /// One pair's enumerated explanations in the shared workload.
@@ -68,7 +68,7 @@ fn shared_frame_positions_match_private_cache() {
         seed: 5,
         threads: 2,
         row_ceiling: Some(256),
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let outcome = rank_pairs(kb, &tasks, &cfg).unwrap();
     for ((s, e, ex), shared) in prepared.iter().zip(&outcome.rankings) {
@@ -155,7 +155,7 @@ fn workload_budget_beats_per_pair_caches() {
         seed: 9,
         threads: 2,
         row_ceiling: None,
-        shards: 1,
+        ..RankPairsConfig::default()
     };
     let outcome = rank_pairs(kb, &tasks, &cfg).unwrap();
     assert_eq!(outcome.distinct_shapes, distinct.len());
@@ -178,7 +178,7 @@ fn workload_budget_beats_per_pair_caches() {
 
     // Re-ranking through the same shared session is eval-free.
     let frame = Arc::new(SampleFrame::sample(kb, 12, 9).unwrap());
-    let index = ShardedEdgeIndex::build(kb, ShardSpec::single());
+    let index = EdgeIndex::build(kb);
     let cache = DistributionCache::new();
     let first = rank_pairs_with(&tasks, &cfg, &index, &frame, &cache);
     let second = rank_pairs_with(&tasks, &cfg, &index, &frame, &cache);
@@ -208,15 +208,15 @@ proptest! {
         let (_, _, explanations) = &prepared[pair_idx % prepared.len()];
         let e = &explanations[shape_idx % explanations.len()];
         let spec = e.pattern.to_spec();
-        static INDEX: OnceLock<ShardedEdgeIndex> = OnceLock::new();
-        let index = INDEX.get_or_init(|| ShardedEdgeIndex::build(kb, ShardSpec::single()));
+        static INDEX: OnceLock<EdgeIndex> = OnceLock::new();
+        let index = INDEX.get_or_init(|| EdgeIndex::build(kb));
         let starts: Vec<u64> = (0..kb.node_count() as u64).step_by(stride).collect();
         let untiled = EvalRequest { starts: &starts, ..Default::default() };
         let untiled = count_distributions(index, &spec, &untiled).unwrap();
         let tiled = EvalRequest { starts: &starts, row_ceiling: Some(ceiling), ..Default::default() };
         let tiled = count_distributions(index, &spec, &tiled).unwrap();
         prop_assert_eq!(&tiled.per_start, &untiled.per_start);
-        let packing = index.base().tile_starts_for_ceiling(&spec, &starts, ceiling);
+        let packing = index.tile_starts_for_ceiling(&spec, &starts, ceiling);
         prop_assert_eq!(tiled.trace.tiles, packing.len());
         prop_assert!(tiled.trace.peak_rows <= untiled.trace.peak_rows);
     }
