@@ -116,8 +116,8 @@ proptest! {
 }
 
 /// Every single-byte corruption of the snapshot file fails the load with
-/// a typed error, and so does every truncation to half. The FNV checksum
-/// trailer covers every byte, so nothing flips silently.
+/// a typed error, and so does cutting the file to half its length. The
+/// FNV checksum trailer covers every byte, so nothing flips silently.
 #[test]
 fn corrupt_a_byte_sweep_over_snapshot_directory() {
     let kb = base_kb(3, 0xBAD);
