@@ -17,7 +17,7 @@ use rex_core::ranking::{
 use rex_core::EnumConfig;
 use rex_kb::{DurableKb, KnowledgeBase, SyncPolicy};
 
-use crate::args::Args;
+use crate::args::{Args, Spec};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -26,6 +26,7 @@ rex — explain why two entities are related (REX, PVLDB 5(3), 2011)
 USAGE:
   rex explain  --kb <kb.tsv> <start> <end> [--top K] [--measure M]
                [--max-nodes N] [--instance-cap C] [--decorate] [--toy]
+               [--quiet]
   rex rank     --kb <kb.tsv> [<start> <end>]... [--per-group N] [--top K]
                [--samples S] [--seed S] [--max-nodes N] [--instance-cap C]
                [--threads T] [--row-ceiling R] [--deadline-ms D]
@@ -33,15 +34,17 @@ USAGE:
                [--query <file|MATCH string>] [--toy] [--quiet]
   rex plan     --kb <kb.tsv> | --toy <query string or file> [<start> [<end>]]
   rex update   --kb <kb.tsv> --delta <delta.tsv> [<start> <end>]...
-               [--per-group N] [--log-retention N]
-               [... rank flags]
+               [--per-group N] [--log-retention N] [--top K] [--samples S]
+               [--seed S] [--max-nodes N] [--instance-cap C] [--threads T]
+               [--row-ceiling R] [--deadline-ms D] [--row-budget B]
+               [--toy] [--quiet]
   rex generate --nodes N --edges M [--labels L] [--seed S] --out <kb.tsv>
   rex stats    --kb <kb.tsv> | --toy [--index-dir <dir>]
   rex pairs    --kb <kb.tsv> [--per-group N] [--seed S] [--toy]
   rex ingest   --wal <dir> --delta <delta.tsv|-> [--kb <kb.tsv> | --toy]
                [--sync commit|interval[:N]|off] [--batch N] [--queue N]
                [--checkpoint-every N] [--shed]
-  rex recover  <dir> [--truncate]
+  rex recover  <dir> | --wal <dir> [--truncate]
 
 `rex rank` ranks many pairs at once by global distributional position,
 sharing one sample frame and one distribution cache across all of them
@@ -115,6 +118,66 @@ repair.
 MEASURES (for --measure):
   size, random-walk, count, monocount, local-dist, local-deviation,
   size+monocount, size+local-dist (default)";
+
+// The flags each command reads; `Args::parse` rejects any other.
+static EXPLAIN: Spec = Spec {
+    command: "explain",
+    flags: &["kb", "top", "measure", "max-nodes", "instance-cap"],
+    switches: &["toy", "decorate", "quiet"],
+};
+static RANK: Spec = Spec {
+    command: "rank",
+    flags: &[
+        "kb",
+        "per-group",
+        "top",
+        "samples",
+        "seed",
+        "max-nodes",
+        "instance-cap",
+        "threads",
+        "row-ceiling",
+        "deadline-ms",
+        "row-budget",
+        "index-dir",
+        "query",
+    ],
+    switches: &["toy", "quiet"],
+};
+static PLAN: Spec = Spec { command: "plan", flags: &["kb"], switches: &["toy"] };
+static UPDATE: Spec = Spec {
+    command: "update",
+    flags: &[
+        "kb",
+        "delta",
+        "per-group",
+        "log-retention",
+        "top",
+        "samples",
+        "seed",
+        "max-nodes",
+        "instance-cap",
+        "threads",
+        "row-ceiling",
+        "deadline-ms",
+        "row-budget",
+    ],
+    switches: &["toy", "quiet"],
+};
+static GENERATE: Spec = Spec {
+    command: "generate",
+    flags: &["nodes", "edges", "labels", "seed", "out"],
+    switches: &[],
+};
+static STATS: Spec = Spec { command: "stats", flags: &["kb", "index-dir"], switches: &["toy"] };
+static PAIRS: Spec =
+    Spec { command: "pairs", flags: &["kb", "per-group", "seed"], switches: &["toy"] };
+static INGEST: Spec = Spec {
+    command: "ingest",
+    flags: &["wal", "delta", "kb", "sync", "batch", "queue", "checkpoint-every"],
+    switches: &["toy", "shed"],
+};
+static RECOVER: Spec = Spec { command: "recover", flags: &["wal"], switches: &["truncate"] };
 
 fn load_kb(args: &Args) -> Result<KnowledgeBase, String> {
     if args.has("toy") {
@@ -210,7 +273,7 @@ fn measure_by_name(name: &str) -> Result<Box<dyn Measure>, String> {
 
 /// `rex explain`: enumerate and rank explanations for a pair.
 pub fn explain(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &EXPLAIN)?;
     let kb = load_kb(&args)?;
     let start_name = args.positional(0).ok_or("need <start> entity name")?;
     let end_name = args.positional(1).ok_or("need <end> entity name")?;
@@ -335,7 +398,7 @@ fn serving_state(
 /// sample frame and distribution cache (global distributional position),
 /// evaluating each distinct pattern shape of the workload exactly once.
 pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &RANK)?;
     let kb = load_kb(&args)?;
     let k: usize = args.get_or("top", 5)?;
     let samples: usize = args.get_or("samples", 100)?;
@@ -427,7 +490,7 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
 /// patched vs untouched, and whether log compaction forced the full-
 /// rebuild fallback.
 pub fn update(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &UPDATE)?;
     let mut kb = load_kb(&args)?;
     let delta_path = args.get("delta").ok_or("need --delta <delta.tsv>")?.to_string();
     let k: usize = args.get_or("top", 5)?;
@@ -560,7 +623,7 @@ pub fn update(argv: &[String]) -> Result<(), String> {
 
 /// `rex generate`: write a synthetic entertainment KB as TSV.
 pub fn generate(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &GENERATE)?;
     let nodes: usize = args.get_or("nodes", 10_000)?;
     let edges: usize = args.get_or("edges", nodes * 6)?;
     let labels: usize = args.get_or("labels", 280)?;
@@ -591,7 +654,7 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 /// once per epoch and amortized over every probe-instead-of-scan
 /// evaluation after it.
 pub fn stats(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &STATS)?;
     let kb = load_kb(&args)?;
     println!("{}", rex_kb::stats::summary(&kb));
     let t0 = std::time::Instant::now();
@@ -776,7 +839,7 @@ fn describe_plan_level(
 /// canonical form, binding kinds, variable order, each level's neighbour
 /// lists and estimated bindings — without evaluating anything.
 pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &PLAN)?;
     let kb = load_kb(&args)?;
     let query_arg = args.positional(0).ok_or("need a MATCH query (string or file path)")?;
     let source = read_query_source(query_arg)?;
@@ -821,7 +884,7 @@ pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
 
 /// `rex pairs`: sample related pairs stratified by connectedness (§5.1).
 pub fn pairs(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &PAIRS)?;
     let kb = load_kb(&args)?;
     let per_group: usize = args.get_or("per-group", 10)?;
     let seed: u64 = args.get_or("seed", 2011)?;
@@ -918,7 +981,12 @@ fn submit_batch(
 /// first recovers: the WAL is replayed over the checkpoint and any torn
 /// tail is truncated with a report.
 pub fn ingest(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    ingest_from(argv, std::io::stdin().lock())
+}
+
+/// [`ingest`], streaming `stdin` when `--delta` is `-`.
+fn ingest_from(argv: &[String], stdin: impl BufRead + 'static) -> Result<(), String> {
+    let args = Args::parse(argv, &INGEST)?;
     let wal_dir = args.get("wal").ok_or("need --wal <dir> (durable state directory)")?;
     let delta_path = args.get("delta").ok_or("need --delta <delta.tsv>")?;
     let sync = SyncPolicy::parse(args.get("sync").unwrap_or("commit"))
@@ -958,7 +1026,7 @@ pub fn ingest(argv: &[String]) -> Result<(), String> {
     // `--delta -` streams ops from stdin — the shape a pipeline producer
     // (or `tail -f`) feeds the governor.
     let (reader, source_name): (Box<dyn BufRead>, &str) = if delta_path == "-" {
-        (Box::new(BufReader::new(std::io::stdin())), "<stdin>")
+        (Box::new(stdin), "<stdin>")
     } else {
         let file = File::open(delta_path).map_err(|e| format!("cannot open {delta_path}: {e}"))?;
         (Box::new(BufReader::new(file)), delta_path)
@@ -1024,7 +1092,7 @@ fn print_recovery_report(r: &rex_kb::RecoveryReport) {
 /// torn tail with its byte count and reason. `--truncate` performs the
 /// repair — the torn tail is physically cut from the WAL.
 pub fn recover(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &RECOVER)?;
     let dir = args
         .positional(0)
         .or_else(|| args.get("wal"))
@@ -1455,27 +1523,74 @@ mod tests {
         assert!(plan_cmd(&argv(&["--toy", " ; "])).is_err());
     }
 
+    /// `--delta -` streams the reader `ingest` is handed in place of the
+    /// process's stdin: the op it carries reaches the durable KB.
     #[test]
     fn ingest_accepts_stdin_sentinel_name() {
-        // `-` must not be treated as a file path; full stdin streaming is
-        // exercised by the integration suite — here we check the sentinel
-        // reaches the reader (empty stdin in tests ⇒ zero ops, which the
-        // governor handles as an empty ingest run).
         let dir = std::env::temp_dir().join(format!("rex-cli-stdin-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let wal_dir = dir.join("state");
-        ingest(&argv(&[
-            "--toy",
-            "--wal",
-            wal_dir.to_str().unwrap(),
-            "--delta",
-            "-",
-            "--sync",
-            "off",
-        ]))
-        .expect("ingest from (empty) stdin");
+        let stdin = std::io::Cursor::new("+\tjulia_roberts\tfight_club\tstarring\td\n");
+        ingest_from(
+            &argv(&["--toy", "--wal", wal_dir.to_str().unwrap(), "--delta", "-", "--sync", "off"]),
+            stdin,
+        )
+        .expect("ingest from the given reader");
+        let (ckpt, wal) = durable_paths(wal_dir.to_str().unwrap());
+        let (kb, _) = KnowledgeBase::open(&ckpt, &wal).unwrap();
+        let node = |name| kb.require_node(name).unwrap();
+        let starring = kb.label_by_name("starring").unwrap();
+        assert!(kb.find_edge(node("julia_roberts"), node("fight_club"), starring, true).is_some());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every command names a flag it does not read instead of ignoring
+    /// it — a typo, a retired flag, or another command's switch.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = rank_pairs_cmd(&argv(&[
+            "--toy",
+            "brad_pitt",
+            "angelina_jolie",
+            "--shards",
+            "2",
+            "--sample",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--shards") && err.contains("rex rank"), "{err}");
+        assert!(explain(&argv(&["--toy", "a", "b", "--shed"])).unwrap_err().contains("--shed"));
+        assert!(update(&argv(&["--toy", "--query", "q"])).unwrap_err().contains("--query"));
+        assert!(recover(&argv(&["dir", "--truncat"])).unwrap_err().contains("--truncat"));
+    }
+
+    /// Every flag the usage text shows for a command is one it accepts.
+    #[test]
+    fn usage_flags_are_accepted() {
+        let specs = [&EXPLAIN, &RANK, &PLAN, &UPDATE, &GENERATE, &STATS, &PAIRS, &INGEST, &RECOVER];
+        let usage = USAGE.split("USAGE:\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut spec = None;
+        let mut seen = 0;
+        for line in usage.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("rex ") {
+                let command = rest.split_whitespace().next().unwrap();
+                spec = specs.iter().find(|s| s.command == command);
+                assert!(spec.is_some(), "usage shows unknown command {command}");
+                seen += 1;
+            }
+            let spec = spec.unwrap();
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    assert!(
+                        spec.flags.contains(&flag) || spec.switches.contains(&flag),
+                        "rex {} usage shows --{flag}",
+                        spec.command
+                    );
+                }
+            }
+        }
+        assert_eq!(seen, specs.len(), "usage shows every command");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! global-position estimate needs it for ~100 sampled starts per pattern.
 //!
 //! The cache is therefore keyed **per canonical pattern shape** and holds
-//! an [`AllStartsDistribution`]: a map from start entity to its
+//! an [`AllStartsDistribution`]: every covered start entity with its
 //! descending count multiset, produced by batched relational evaluation
 //! ([`count_distributions`]) whose start variable ranges over a whole set
-//! of starts at once. Any position query against a cached shape is then a
-//! hash lookup plus a binary search — the asymptotics drop from
-//! ~`starts` full evaluations per shape to 1.
+//! of starts at once. Any position query against a cached shape is then
+//! two binary searches — the asymptotics drop from ~`starts` full
+//! evaluations per shape to 1.
 //!
 //! A read ([`DistributionCache::all_starts`]) reports whether *it*
 //! evaluated ([`BatchRead`]), so a request can account its own
@@ -22,13 +22,19 @@
 //! the cache.
 //!
 //! **One map, extended by reads.** The cache is a single
-//! `RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>`. A read
-//! clones one entry's `Arc` under the read lock, then evaluates — with no
-//! lock held — only the requested starts the entry lacks, in one
-//! [`count_distributions`] call, and publishes the merged entry in place.
-//! A one-start read ([`DistributionCache::counts`]) is simply a read of
-//! `[start]`, so local and global queries of a shape share one entry, and
-//! a grown sample pays only for its new starts.
+//! `RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>`. An entry
+//! holds its covered starts in one ascending array and, parallel to it,
+//! each start's multiset as runs of equal counts, so a warm hit — the
+//! covering check and every position of a position sum — is binary
+//! searches with no hashing past the one map lookup. A read clones one
+//! entry's `Arc` under the read lock, then evaluates — with no lock held
+//! — only the requested starts the entry lacks, in one
+//! [`count_distributions`] call, converts the evaluation's per-start
+//! multisets to runs once, and publishes the sorted merge of the two
+//! start arrays in place. A one-start read
+//! ([`DistributionCache::counts`]) is simply a read of `[start]`, so
+//! local and global queries of a shape share one entry, and a grown
+//! sample pays only for its new starts.
 //!
 //! **KB updates.** Every entry carries the KB *epoch* it was computed at;
 //! a read against an index at another epoch ignores it and evaluates
@@ -61,9 +67,9 @@
 //! in-flight [`DistributionCache::apply_delta`] pass. Hit/miss counters
 //! make the sharing observable in tests and benches.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use rex_kb::{KbDelta, KnowledgeBase, NodeId};
@@ -76,22 +82,142 @@ use rex_relstore::plan::PatternSpec;
 
 use crate::canonical::CanonicalKey;
 use crate::explanation::Explanation;
-use crate::measures::distribution::position_in;
+
+/// One run of equal counts in a descending count multiset: the count, and
+/// how many ends have a count of at least that much — the multiset's
+/// length through the end of the run, so a position is one binary search
+/// over a start's runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    count: u64,
+    through: u32,
+}
+
+/// Appends the runs of the descending multiset `counts` to `runs`.
+fn push_runs(runs: &mut Vec<Run>, counts: &[u64]) {
+    let mut through = 0;
+    for equal in counts.chunk_by(|a, b| a == b) {
+        through += equal.len();
+        let through = u32::try_from(through).expect("a multiset holds one count per end entity");
+        runs.push(Run { count: equal[0], through });
+    }
+}
+
+/// Position of `a` in the multiset `runs` encode: the number of ends
+/// whose count exceeds `a`, as
+/// [`position_in`](crate::measures::distribution::position_in) counts
+/// them on the expanded multiset.
+fn runs_position(runs: &[Run], a: u64) -> usize {
+    let above = runs.partition_point(|r| r.count > a);
+    above.checked_sub(1).map_or(0, |last| runs[last].through as usize)
+}
+
+/// The descending multiset `runs` encode, expanded.
+fn expand(runs: &[Run]) -> Vec<u64> {
+    let mut counts = Vec::with_capacity(runs.last().map_or(0, |r| r.through as usize));
+    for r in runs {
+        counts.resize(r.through as usize, r.count);
+    }
+    counts
+}
+
+/// An entry's covered starts in one ascending array and, parallel to it,
+/// each start's runs, stored back to back.
+#[derive(Debug)]
+struct StartRuns {
+    starts: Vec<u64>,
+    /// `runs[bounds[i]..bounds[i + 1]]` are `starts[i]`'s runs.
+    bounds: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+impl StartRuns {
+    fn with_capacity(starts: usize) -> Self {
+        let mut bounds = Vec::with_capacity(starts + 1);
+        bounds.push(0);
+        StartRuns { starts: Vec::with_capacity(starts), bounds, runs: Vec::new() }
+    }
+
+    /// Converts one evaluation's output: `starts` (any order, repeats
+    /// allowed), each with its multiset in `per_start` or none.
+    fn from_batch(starts: &[u64], per_start: &HashMap<u64, Vec<u64>>) -> Self {
+        let mut sorted = starts.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut table = StartRuns::with_capacity(sorted.len());
+        for s in sorted {
+            push_runs(&mut table.runs, per_start.get(&s).map_or(&[], Vec::as_slice));
+            table.seal(s);
+        }
+        table
+    }
+
+    /// Closes the runs pushed since the last seal as `start`'s, which
+    /// must exceed every start already sealed.
+    fn seal(&mut self, start: u64) {
+        debug_assert!(self.starts.last().is_none_or(|&s| s < start), "starts ascend");
+        self.starts.push(start);
+        self.bounds.push(u32::try_from(self.runs.len()).expect("an entry's runs fit u32"));
+    }
+
+    /// The runs of `starts[i]`.
+    fn runs(&self, i: usize) -> &[Run] {
+        &self.runs[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// The runs of `start`, `None` when it is not covered.
+    fn runs_of(&self, start: u64) -> Option<&[Run]> {
+        self.starts.binary_search(&start).ok().map(|i| self.runs(i))
+    }
+
+    /// This table with `newer` merged over it, in one pass over both
+    /// ascending start arrays: a start of `newer` takes `newer`'s runs.
+    fn merged(&self, newer: &StartRuns) -> StartRuns {
+        let mut out = StartRuns::with_capacity(self.starts.len() + newer.starts.len());
+        out.runs.reserve(self.runs.len() + newer.runs.len());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let from_newer = match (self.starts.get(i), newer.starts.get(j)) {
+                (None, None) => break,
+                (Some(_), None) => false,
+                (None, Some(_)) => true,
+                (Some(old), Some(new)) => {
+                    if old == new {
+                        i += 1;
+                    }
+                    new <= old
+                }
+            };
+            let (table, at) = if from_newer { (newer, &mut j) } else { (self, &mut i) };
+            out.runs.extend_from_slice(table.runs(*at));
+            out.seal(table.starts[*at]);
+            *at += 1;
+        }
+        out
+    }
+}
 
 /// The batched all-starts distribution of one canonical pattern shape:
-/// for every start entity in `domain`, the descending multiset of per-end
-/// instance counts. Starts in the domain without instances simply have no
-/// entry (empty distribution, position always 0).
+/// for every start entity in its domain, the descending multiset of
+/// per-end instance counts.
+///
+/// **Layout.** The covered starts sit in one ascending array and, parallel
+/// to it, each start's multiset is stored as runs of equal counts (most
+/// ends of a start share a few small counts, so a multiset of hundreds
+/// of counts is a few runs). A start without instances has no runs.
+/// Covering, positions and position sums are binary searches over the
+/// two arrays, with no hashing, and merging two entries is one sorted
+/// merge of their start arrays. [`AllStartsDistribution::counts_for`]
+/// expands a start's runs back into its multiset.
 ///
 /// **Immutable once published**: the epoch is fixed at construction and
 /// the multisets never change, so a reader holding the `Arc` can trust
 /// every field for as long as it likes — reads and maintenance publish
-/// *new* entries (sharing the `Arc`'d counts and domain when untouched)
-/// instead of editing live ones.
+/// *new* entries (sharing the `Arc`'d runs when untouched) instead of
+/// editing live ones.
 #[derive(Debug)]
 pub struct AllStartsDistribution {
-    counts: Arc<HashMap<u64, Arc<Vec<u64>>>>,
-    domain: Arc<HashSet<u64>>,
+    table: Arc<StartRuns>,
     /// The merged traffic of every evaluation the entry was built from.
     trace: EvalTrace,
     /// The KB epoch the multisets reflect (fixed at publication).
@@ -117,29 +243,20 @@ impl AllStartsDistribution {
 
     /// Whether `start` was covered by the batched evaluation.
     pub fn covers(&self, start: u64) -> bool {
-        self.domain.contains(&start)
+        self.table.starts.binary_search(&start).is_ok()
     }
 
-    /// The descending count multiset of `start`, `None` when `start` is
-    /// outside the evaluated domain. Every covered start without
-    /// instances shares one empty multiset, so repeated reads of a start
-    /// return the same `Arc`.
+    /// The descending count multiset of `start` (empty when it has no
+    /// instances), `None` when `start` is outside the evaluated domain.
+    /// Each call expands the start's runs into a new multiset.
     pub fn counts_for(&self, start: u64) -> Option<Arc<Vec<u64>>> {
-        static EMPTY: OnceLock<Arc<Vec<u64>>> = OnceLock::new();
-        if !self.covers(start) {
-            return None;
-        }
-        let counts = self.counts.get(&start).unwrap_or_else(|| EMPTY.get_or_init(Arc::default));
-        Some(Arc::clone(counts))
+        self.table.runs_of(start).map(|runs| Arc::new(expand(runs)))
     }
 
     /// Position of aggregate value `a` in `start`'s distribution, `None`
     /// when `start` is outside the evaluated domain.
     pub fn position(&self, start: u64, a: u64) -> Option<usize> {
-        if !self.covers(start) {
-            return None;
-        }
-        Some(self.counts.get(&start).map_or(0, |c| position_in(c, a)))
+        self.table.runs_of(start).map(|runs| runs_position(runs, a))
     }
 
     /// Sampled global position of aggregate value `a`: the sum of its
@@ -155,7 +272,7 @@ impl AllStartsDistribution {
 
     /// Number of starts covered by the evaluation.
     pub fn domain_len(&self) -> usize {
-        self.domain.len()
+        self.table.starts.len()
     }
 
     /// Whether this entry can serve a read against an index at `epoch`
@@ -168,27 +285,12 @@ impl AllStartsDistribution {
     /// replace this entry's on `newer`'s domain, the domains unite, the
     /// traces merge, and the result takes `newer`'s epoch. One merge
     /// serves both a read that extends an entry with starts it lacked and
-    /// delta maintenance that patches the affected starts; a patch lies
-    /// inside the domain, so it shares the domain `Arc` instead of
-    /// copying it.
+    /// delta maintenance that patches the affected starts.
     fn merged(&self, newer: &AllStartsDistribution) -> AllStartsDistribution {
-        let mut counts = (*self.counts).clone();
-        for s in newer.domain.iter() {
-            counts.remove(s);
-        }
-        for (&s, c) in newer.counts.iter() {
-            counts.insert(s, Arc::clone(c));
-        }
-        let domain = if newer.domain.is_subset(&self.domain) {
-            Arc::clone(&self.domain)
-        } else {
-            Arc::new(self.domain.union(&newer.domain).copied().collect())
-        };
         let mut trace = self.trace;
         trace.merge(&newer.trace);
         AllStartsDistribution {
-            counts: Arc::new(counts),
-            domain,
+            table: Arc::new(self.table.merged(&newer.table)),
             trace,
             epoch: newer.epoch,
             spec: self.spec.clone(),
@@ -304,8 +406,7 @@ impl DistributionCache {
         self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
         self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
         Ok(AllStartsDistribution {
-            counts: Arc::new(batch.per_start.into_iter().map(|(s, v)| (s, Arc::new(v))).collect()),
-            domain: Arc::new(starts.iter().copied().collect()),
+            table: Arc::new(StartRuns::from_batch(starts, &batch.per_start)),
             trace,
             epoch: index.epoch(),
             spec,
@@ -349,6 +450,25 @@ impl DistributionCache {
         computed
     }
 
+    /// The warm half of [`DistributionCache::all_starts`]: the published
+    /// entry of `e`'s shape when it serves `starts` at `index`'s epoch,
+    /// counted as a hit. Otherwise nothing is counted, and the error
+    /// carries the current-epoch entry a miss extends, if any.
+    pub(crate) fn lookup(
+        &self,
+        index: &EdgeIndex,
+        e: &Explanation,
+        starts: &[NodeId],
+    ) -> std::result::Result<BatchRead, Option<Arc<AllStartsDistribution>>> {
+        match self.entry(e.key()).filter(|b| b.epoch == index.epoch()) {
+            Some(batch) if batch.serves(index.epoch(), starts) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Ok(BatchRead { batch, evaluated_tiles: None })
+            }
+            base => Err(base),
+        }
+    }
+
     /// The all-starts distribution of `e`'s pattern shape covering (at
     /// least) `starts`: batched relational evaluation shared by every
     /// start in the sample, every explanation with an isomorphic pattern,
@@ -372,12 +492,11 @@ impl DistributionCache {
         starts: &[NodeId],
         budget: &Budget,
     ) -> rex_relstore::Result<BatchRead> {
+        let base = match self.lookup(index, e, starts) {
+            Ok(hit) => return Ok(hit),
+            Err(base) => base,
+        };
         let key = e.key();
-        let base = self.entry(key).filter(|b| b.epoch == index.epoch());
-        if let Some(batch) = base.as_ref().filter(|b| b.serves(index.epoch(), starts)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(BatchRead { batch: Arc::clone(batch), evaluated_tiles: None });
-        }
         let missing: Vec<u64> = starts
             .iter()
             .map(|s| s.0 as u64)
@@ -425,8 +544,8 @@ impl DistributionCache {
     /// ([`EdgeIndex::next_epoch`]). Per shape:
     ///
     /// * labels disjoint from the delta, or no affected start inside the
-    ///   domain → republished at the new epoch sharing the same counts
-    ///   and domain (**untouched**, O(1));
+    ///   domain → republished at the new epoch sharing the same starts
+    ///   and runs (**untouched**, O(1));
     /// * otherwise → one partial evaluation over just the affected starts
     ///   inside the domain, merged over the old multisets (**patched**).
     ///
@@ -476,8 +595,7 @@ impl DistributionCache {
             let next = if affected.is_empty() {
                 outcome.untouched += 1;
                 AllStartsDistribution {
-                    counts: Arc::clone(&entry.counts),
-                    domain: Arc::clone(&entry.domain),
+                    table: Arc::clone(&entry.table),
                     trace: entry.trace,
                     epoch: delta.to_epoch,
                     spec: entry.spec.clone(),
@@ -526,7 +644,10 @@ impl DistributionCache {
 
     /// Local position of `e` (count aggregate) via the cache.
     pub fn local_position(&self, index: &EdgeIndex, e: &Explanation, start: u32) -> usize {
-        position_in(&self.counts(index, e, start), e.count() as u64)
+        let read = self
+            .all_starts(index, e, &[NodeId(start)], &Budget::unlimited())
+            .expect("unlimited budget never aborts");
+        read.batch.position(start as u64, e.count() as u64).expect("the read covers its start")
     }
 
     /// Sampled global position of `e` via the cache: the sum of `e`'s
@@ -592,6 +713,76 @@ mod tests {
     };
     use crate::measures::MeasureContext;
     use crate::EnumConfig;
+    use proptest::prelude::*;
+
+    /// `counts` sorted into a descending multiset.
+    fn descending(mut counts: Vec<u64>) -> Vec<u64> {
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        counts
+    }
+
+    /// The runs of `counts` answer every position from 0 to max + 1 as
+    /// [`position_in`] does on `counts`, and expand back to `counts`.
+    fn assert_runs_match(counts: &[u64]) {
+        use crate::measures::distribution::position_in;
+        let mut runs = Vec::new();
+        push_runs(&mut runs, counts);
+        assert_eq!(expand(&runs), counts);
+        let max = counts.first().copied().unwrap_or(0);
+        for a in 0..=max + 1 {
+            assert_eq!(runs_position(&runs, a), position_in(counts, a), "a = {a} in {counts:?}");
+        }
+    }
+
+    #[test]
+    fn run_length_multiset_edge_cases() {
+        for counts in [vec![], vec![1], vec![4, 4, 4], vec![0, 0], vec![9, 3, 3, 1, 1, 1, 0]] {
+            assert_runs_match(&counts);
+        }
+    }
+
+    proptest! {
+        /// Random descending multisets — the values come from a range of
+        /// `width`, so width 1 makes a single run and wider ones many.
+        #[test]
+        fn run_length_multiset_matches_expanded(
+            (width, raw) in (1u64..12, proptest::collection::vec(0u64..1000, 0..80))
+        ) {
+            assert_runs_match(&descending(raw.iter().map(|v| 1 + v % width).collect()));
+        }
+
+        /// Merging two run tables keeps every start of either, with the
+        /// newer table's multiset wherever both cover a start.
+        #[test]
+        fn run_tables_merge_like_maps(
+            old in proptest::collection::vec((0u64..40, proptest::collection::vec(1u64..5, 0..6)), 0..30),
+            new in proptest::collection::vec((0u64..40, proptest::collection::vec(1u64..5, 0..6)), 0..30)
+        ) {
+            let table = |entries: &[(u64, Vec<u64>)]| {
+                let starts: Vec<u64> = entries.iter().map(|(s, _)| *s).collect();
+                let per_start: HashMap<u64, Vec<u64>> = entries
+                    .iter()
+                    .filter(|(_, c)| !c.is_empty())
+                    .map(|(s, c)| (*s, descending(c.clone())))
+                    .collect();
+                (StartRuns::from_batch(&starts, &per_start), per_start)
+            };
+            let ((older, mut expected), (newer, newest)) = (table(&old), table(&new));
+            for (s, _) in &new {
+                expected.remove(s);
+            }
+            expected.extend(newest);
+            let merged = older.merged(&newer);
+            let mut covered: Vec<u64> = old.iter().chain(&new).map(|(s, _)| *s).collect();
+            covered.sort_unstable();
+            covered.dedup();
+            prop_assert_eq!(&merged.starts, &covered);
+            for &s in &covered {
+                let runs = merged.runs_of(s).expect("merged table covers its starts");
+                prop_assert_eq!(expand(runs), expected.get(&s).cloned().unwrap_or_default());
+            }
+        }
+    }
 
     /// The unbudgeted batch read of `e` over `starts`.
     fn read_batch(

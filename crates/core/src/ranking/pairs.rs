@@ -11,23 +11,27 @@
 //! 2. **One shared [`DistributionCache`]**: the batched evaluation budget
 //!    for the workload is the number of *distinct canonical shapes across
 //!    all pairs*, not Σ per-pair shapes.
-//! 3. **Cost-ordered prewarm**: distinct shapes are handed to the
-//!    workers heaviest-first, the cost estimated from the per-label
-//!    edge-relation sizes ([`EdgeIndex::estimate_eval_cost`], the same
-//!    label-cardinality statistics `rex_kb::stats::label_cardinalities`
-//!    exposes). Workers claim the next shape as they free up, so this is
-//!    longest-processing-time-first scheduling (Graham 1969): the heavy
-//!    shapes start at once and the light ones fill in behind them,
-//!    instead of one worker finishing the pass alone on a heavy shape it
-//!    reached last.
+//! 3. **Hits first, then a cost-ordered prewarm of the misses**: every
+//!    distinct shape whose published entry already serves the frame is
+//!    read first, on the calling thread, with nothing priced. Only the
+//!    shapes that miss are priced from the per-label edge-relation sizes
+//!    ([`EdgeIndex::estimate_eval_cost`], the same label-cardinality
+//!    statistics `rex_kb::stats::label_cardinalities` exposes) and handed
+//!    to the workers heaviest-first, so an all-hit request prices nothing
+//!    and builds no pool. Workers claim the next shape as they free up,
+//!    so this is longest-processing-time-first scheduling (Graham 1969):
+//!    the heavy shapes start at once and the light ones fill in behind
+//!    them, instead of one worker finishing the pass alone on a heavy
+//!    shape it reached last.
 //! 4. **Work-bounded evaluation**: a row ceiling tiles each batch's start
 //!    set by estimated instance rows
 //!    ([`DistributionCache::with_row_ceiling`]), so each tile's work — and
 //!    the row budget charged per tile — stays bounded regardless of frame
 //!    size.
-//! 5. **One read per shape**: the prewarm's reads are the pass's only
-//!    cache accesses. Every pair is then scored from those reads in a
-//!    plain loop, so a request reads each distinct shape exactly once.
+//! 5. **One read per shape**: the hit reads and the prewarm's reads are
+//!    the pass's only cache accesses. Every pair is then scored from
+//!    those reads in a plain loop, so a request reads each distinct shape
+//!    exactly once.
 //!
 //! Every ranking request runs this one pass, under a [`Budget`] that the
 //! unbudgeted entry points leave unlimited: [`rank_pairs`] (a one-shot
@@ -77,8 +81,8 @@ pub struct RankPairsConfig {
     pub global_samples: usize,
     /// Sample-frame seed.
     pub seed: u64,
-    /// Worker threads for the prewarm's cache reads (0 = rayon's default
-    /// width).
+    /// Worker threads for the prewarm's reads of the shapes that miss the
+    /// cache (0 = rayon's default width).
     pub threads: usize,
     /// Best-effort ceiling on the estimated instance rows of each tile of
     /// a batched evaluation; `None` disables tiling.
@@ -220,22 +224,36 @@ pub(crate) fn rank_pass(
     }
     let distinct_shapes = shapes.len();
 
-    // Cost-ordered prewarm: heaviest shapes first, ties by canonical key,
-    // cost read from the edge index's per-(label, orientation) relation
-    // sizes — one cost model shared with the tiling estimator.
-    let mut ordered: Vec<(u64, &Explanation)> =
-        shapes.into_values().map(|e| (index.estimate_eval_cost(&e.pattern.to_spec()), e)).collect();
-    ordered.sort_by(|(ca, a), (cb, b)| cb.cmp(ca).then_with(|| a.key().cmp(b.key())));
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(cfg.threads)
-        .build()
-        .expect("thread pool construction is infallible");
-    let reads: HashMap<&CanonicalKey, std::result::Result<BatchRead, AbortReason>> = pool
-        .install(|| {
-            // The pass's only cache reads, one per shape, under the
-            // budget. An aborted read leaves its shape cold and the cache
-            // untouched; scoring sheds exactly the pairs that need it.
+    // The pass's only cache reads, one per shape, under the budget. The
+    // shapes a published entry serves are read first, on this thread.
+    let mut reads: HashMap<&CanonicalKey, std::result::Result<BatchRead, AbortReason>> =
+        HashMap::with_capacity(distinct_shapes);
+    let mut missed = Vec::new();
+    for (key, e) in shapes {
+        match cache.lookup(index, e, frame.starts()) {
+            Ok(read) => {
+                reads.insert(key, Ok(read));
+            }
+            Err(_) => missed.push(e),
+        }
+    }
+    if !missed.is_empty() {
+        // Cost-ordered evaluation of the misses: heaviest shapes first,
+        // ties by canonical key, cost read from the edge index's
+        // per-(label, orientation) relation sizes — one cost model shared
+        // with the tiling estimator.
+        let mut ordered: Vec<(u64, &Explanation)> = missed
+            .into_iter()
+            .map(|e| (index.estimate_eval_cost(&e.pattern.to_spec()), e))
+            .collect();
+        ordered.sort_by(|(ca, a), (cb, b)| cb.cmp(ca).then_with(|| a.key().cmp(b.key())));
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(cfg.threads)
+            .build()
+            .expect("thread pool construction is infallible");
+        // An aborted read leaves its shape cold and the cache untouched;
+        // scoring sheds exactly the pairs that need it.
+        reads.extend(pool.install(|| {
             ordered
                 .par_iter()
                 .map(|&(_, e)| {
@@ -247,9 +265,8 @@ pub(crate) fn rank_pass(
                     (e.key(), read)
                 })
                 .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .collect();
+        }));
+    }
 
     let mut outcome = RankPairsOutcome {
         rankings: Vec::with_capacity(pairs.len()),

@@ -179,7 +179,6 @@ proptest! {
 /// keys on the canonical compiled form, so the second spelling is a hit.
 #[test]
 fn isomorphic_queries_share_cache_entries() {
-    use std::sync::Arc;
     let kb = scaffold::base_kb(7, 7);
     let index = EdgeIndex::build(&kb);
     let q1 = rex_core::query::compile_text(
@@ -203,6 +202,8 @@ fn isomorphic_queries_share_cache_entries() {
     let e2 = rex_core::Explanation::new(q2.pattern.clone(), vec![]);
     assert_eq!(e1.key(), e2.key(), "canonical pattern keys agree");
     let c1 = cache.counts(&index, &e1, 0);
+    assert_eq!(cache.stats(), (0, 1), "the first spelling misses once");
     let c2 = cache.counts(&index, &e2, 0);
-    assert!(Arc::ptr_eq(&c1, &c2), "second spelling must hit the first's cache entry");
+    assert_eq!(cache.stats(), (1, 1), "second spelling must hit the first's cache entry");
+    assert_eq!(c1, c2, "both spellings read the same multiset");
 }
