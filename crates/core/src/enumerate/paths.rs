@@ -22,8 +22,18 @@
 //! prefix has length `min(d_fwd, L)` — so no full path is produced twice.
 //! Parallel knowledge-base edges with the same label are collapsed while
 //! scanning adjacency (they yield the same instance).
+//!
+//! The bidirectional algorithms keep each side's partial paths in one
+//! parent-pointer arena: an entry holds its terminal node, its last step
+//! and the index of the entry it extends, and each length is one index
+//! range. Extending a partial path pushes those three values instead of
+//! copying its node and step vectors, which matters because almost none
+//! of them join: one backward level of a `cold_explain` pair holds 7,183
+//! partial paths, and 74 full paths come out of the whole search. Node
+//! and step sequences are rebuilt only for the full paths the join emits.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use rex_kb::{KnowledgeBase, Neighbor, NodeId, Orientation};
 
@@ -39,41 +49,85 @@ use super::PathAlgo;
 /// to the traversal.
 type Step = (rex_kb::LabelId, EdgeDir);
 
-/// A partial path from one of the two targets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Partial {
-    /// Visited nodes, origin first.
-    nodes: Vec<NodeId>,
-    /// Steps, origin outward.
-    steps: Vec<Step>,
+/// One side's partial paths, every level in one parent-pointer arena:
+/// entry `i` is the partial path that extends entry `parent[i]` by
+/// `step[i]` to `node[i]`. Entry 0 is the seed, the side's target, with a
+/// placeholder step. The paths of length `d` are the entries
+/// `levels[d]..levels[d + 1]`. Node and step sequences are rebuilt only for
+/// the full paths a join emits.
+struct Arena {
+    node: Vec<NodeId>,
+    step: Vec<Step>,
+    parent: Vec<usize>,
+    levels: Vec<usize>,
 }
 
-impl Partial {
-    fn seed(origin: NodeId) -> Partial {
-        Partial { nodes: vec![origin], steps: Vec::new() }
+impl Arena {
+    fn seed(origin: NodeId) -> Arena {
+        let placeholder = (rex_kb::LabelId(0), EdgeDir::Forward);
+        Arena { node: vec![origin], step: vec![placeholder], parent: vec![0], levels: vec![0, 1] }
     }
 
-    fn terminal(&self) -> NodeId {
-        *self.nodes.last().expect("partial paths are never empty")
+    /// Length of the longest partial paths.
+    fn depth(&self) -> usize {
+        self.levels.len() - 2
     }
 
-    #[allow(dead_code)]
-    fn len(&self) -> usize {
-        self.steps.len()
+    /// The entries of the partial paths of length `d`.
+    fn level(&self, d: usize) -> Range<usize> {
+        self.levels[d]..self.levels[d + 1]
     }
 
-    fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
+    /// Entry `i` and the entries it extends, back to the seed.
+    fn chain(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(i), |&j| (j != 0).then(|| self.parent[j]))
     }
 
-    fn extended(&self, n: &Neighbor) -> Partial {
-        let mut nodes = Vec::with_capacity(self.nodes.len() + 1);
-        nodes.extend_from_slice(&self.nodes);
-        nodes.push(n.other);
-        let mut steps = Vec::with_capacity(self.steps.len() + 1);
-        steps.extend_from_slice(&self.steps);
-        steps.push((n.label, orientation_to_dir(n.orientation)));
-        Partial { nodes, steps }
+    /// Whether partial path `i` visits `node`.
+    fn contains(&self, i: usize, node: NodeId) -> bool {
+        self.chain(i).any(|j| self.node[j] == node)
+    }
+
+    /// Partial path `i`'s steps and nodes, origin first.
+    fn sequence(&self, i: usize) -> FullPath {
+        let mut steps: Vec<Step> =
+            self.chain(i).filter(|&j| j != 0).map(|j| self.step[j]).collect();
+        let mut nodes: Vec<NodeId> = self.chain(i).map(|j| self.node[j]).collect();
+        steps.reverse();
+        nodes.reverse();
+        (steps, nodes)
+    }
+
+    /// Extends every partial path of the deepest level by one step, as a
+    /// new level, honoring the simple-path constraints: never revisit a
+    /// node on the same partial path (its origin included), never extend
+    /// beyond `stop` (a partial path that reached the opposite target is
+    /// terminal).
+    fn expand(&mut self, kb: &KnowledgeBase, stop: NodeId, stats: &mut EnumStats) {
+        for i in self.level(self.depth()) {
+            let t = self.node[i];
+            if t == stop {
+                continue; // reached the opposite target: terminal
+            }
+            stats.partial_paths += 1;
+            for n in dedup_neighbors(kb, t) {
+                if self.contains(i, n.other) {
+                    continue;
+                }
+                self.node.push(n.other);
+                self.step.push((n.label, orientation_to_dir(n.orientation)));
+                self.parent.push(i);
+            }
+        }
+        self.levels.push(self.node.len());
+    }
+
+    /// Total degree of the deepest level's terminal nodes; the BANKS2-style
+    /// activation is its inverse (cheaper frontiers have higher
+    /// activation).
+    fn frontier_cost(&self, kb: &KnowledgeBase, stop: NodeId) -> usize {
+        let terminals = self.level(self.depth()).map(|i| self.node[i]);
+        terminals.filter(|&t| t != stop).map(|t| kb.degree(t)).sum()
     }
 }
 
@@ -210,97 +264,38 @@ fn enumerate_naive(
     out
 }
 
-/// Expands every partial path in `frontier` by one step, honoring the
-/// simple-path constraints: never revisit a node on the same partial path,
-/// never step into `forbidden` (the opposite target, handled at join time),
-/// never extend beyond `stop` (a partial path that reached the opposite
-/// target is terminal).
-fn expand_level(
-    kb: &KnowledgeBase,
-    frontier: &[Partial],
-    forbidden: NodeId,
-    stop: NodeId,
-    stats: &mut EnumStats,
-) -> Vec<Partial> {
-    let mut next = Vec::new();
-    for p in frontier {
-        let t = p.terminal();
-        if t == stop {
-            continue; // reached the opposite target: terminal
-        }
-        stats.partial_paths += 1;
-        for n in dedup_neighbors(kb, t) {
-            if n.other == forbidden || p.contains(n.other) {
-                continue;
-            }
-            next.push(p.extended(n));
-        }
-    }
-    next
-}
-
-/// Total degree of a frontier's terminal nodes; the BANKS2-style activation
-/// is its inverse (cheaper frontiers have higher activation).
-fn frontier_cost(kb: &KnowledgeBase, frontier: &[Partial], stop: NodeId) -> usize {
-    frontier.iter().filter(|p| p.terminal() != stop).map(|p| kb.degree(p.terminal())).sum()
-}
-
-/// Joins forward and backward partial-path sets into full paths using the
+/// Joins the forward and backward partial paths into full paths using the
 /// unique-split rule: a full path of length `L` is assembled only from the
-/// forward prefix of length `min(d_fwd, L)`.
-fn join_bidirectional(
-    fwd: &[Vec<Partial>],
-    bwd: &[Vec<Partial>],
-    d_fwd: usize,
-    vend: NodeId,
-    l: usize,
-) -> Vec<FullPath> {
-    // Index backward partials by terminal node, per length.
-    let mut bwd_by_node: Vec<HashMap<NodeId, Vec<&Partial>>> = Vec::with_capacity(bwd.len());
-    for level in bwd {
-        let mut map: HashMap<NodeId, Vec<&Partial>> = HashMap::new();
-        for p in level {
-            map.entry(p.terminal()).or_default().push(p);
-        }
-        bwd_by_node.push(map);
-    }
-    let mut out = Vec::new();
-    for (a, level) in fwd.iter().enumerate() {
-        if a == 0 {
-            continue; // forward prefix length ≥ 1 (see unique-split rule)
-        }
-        for f in level {
-            let meet = f.terminal();
-            // Case b = 0: the forward path itself reaches the end target.
-            // Unique split requires a == L, i.e. a == min(d_fwd, a): always
-            // true since a ≤ d_fwd.
-            if meet == vend {
-                out.push((f.steps.clone(), f.nodes.clone()));
-                continue;
-            }
-            // Case b ≥ 1: unique split requires a == d_fwd.
-            if a != d_fwd {
-                continue;
-            }
-            for (b, map) in bwd_by_node.iter().enumerate() {
-                if b == 0 || a + b > l {
+/// forward prefix of length `min(d_fwd, L)`, where `d_fwd` is the forward
+/// depth. So a forward path that reaches the end target is a full path at
+/// any length, and any other joins only from the deepest forward level,
+/// whose entries are looked up by terminal node.
+fn join_bidirectional(fwd: &Arena, bwd: &Arena, vend: NodeId, l: usize) -> Vec<FullPath> {
+    let d_fwd = fwd.depth();
+    let mut out: Vec<FullPath> = (1..=d_fwd)
+        .flat_map(|a| fwd.level(a))
+        .filter(|&f| fwd.node[f] == vend)
+        .map(|f| fwd.sequence(f))
+        .collect();
+    let mut meets: Vec<(NodeId, usize)> =
+        fwd.level(d_fwd).map(|f| (fwd.node[f], f)).filter(|&(meet, _)| meet != vend).collect();
+    meets.sort_unstable();
+    for b in 1..=bwd.depth().min(l - d_fwd) {
+        for back in bwd.level(b) {
+            let meet = bwd.node[back];
+            let first = meets.partition_point(|&(n, _)| n < meet);
+            for &(_, f) in meets[first..].iter().take_while(|&&(n, _)| n == meet) {
+                // Interior disjointness: share only the meet node.
+                if bwd.chain(back).skip(1).any(|j| fwd.contains(f, bwd.node[j])) {
                     continue;
                 }
-                let Some(candidates) = map.get(&meet) else { continue };
-                'cand: for back in candidates {
-                    // Interior disjointness: share only the meet node.
-                    for node in &back.nodes[..back.nodes.len() - 1] {
-                        if f.contains(*node) {
-                            continue 'cand;
-                        }
-                    }
-                    // Assemble: forward nodes + reversed backward interior.
-                    let mut nodes = f.nodes.clone();
-                    nodes.extend(back.nodes[..back.nodes.len() - 1].iter().rev());
-                    let mut steps = f.steps.clone();
-                    steps.extend(back.steps.iter().rev().map(|&(lab, dir)| (lab, flip(dir))));
-                    out.push((steps, nodes));
-                }
+                // Assemble: forward nodes + the backward interior toward
+                // the end target, its steps reversed.
+                let (mut steps, mut nodes) = fwd.sequence(f);
+                nodes.extend(bwd.chain(back).skip(1).map(|j| bwd.node[j]));
+                let back_steps = bwd.chain(back).filter(|&j| j != 0).map(|j| bwd.step[j]);
+                steps.extend(back_steps.map(|(lab, dir)| (lab, flip(dir))));
+                out.push((steps, nodes));
             }
         }
     }
@@ -320,36 +315,27 @@ fn enumerate_bidirectional(
     if vstart == vend || l == 0 {
         return Vec::new();
     }
-    // fwd[a] = forward partial paths of length a; likewise bwd[b].
-    let mut fwd: Vec<Vec<Partial>> = vec![vec![Partial::seed(vstart)]];
-    let mut bwd: Vec<Vec<Partial>> = vec![vec![Partial::seed(vend)]];
+    let mut fwd = Arena::seed(vstart);
+    let mut bwd = Arena::seed(vend);
     // The first expansion is always the forward side so that d_fwd ≥ 1 and
     // the unique-split rule needs no special case at the start target.
-    let mut d_fwd = 0usize;
-    let mut d_bwd = 0usize;
-    while d_fwd + d_bwd < l {
-        let expand_fwd = if d_fwd == 0 {
+    while fwd.depth() + bwd.depth() < l {
+        let expand_fwd = if fwd.depth() == 0 {
             true
         } else if !adaptive {
             // Fixed split: grow the forward side to ⌈l/2⌉ first.
-            d_fwd < l.div_ceil(2)
+            fwd.depth() < l.div_ceil(2)
         } else {
             // Adaptive split: grow the cheaper frontier (higher activation).
-            let fc = frontier_cost(kb, &fwd[d_fwd], vend);
-            let bc = frontier_cost(kb, &bwd[d_bwd], vstart);
-            fc <= bc
+            fwd.frontier_cost(kb, vend) <= bwd.frontier_cost(kb, vstart)
         };
         if expand_fwd {
-            let next = expand_level(kb, &fwd[d_fwd], vstart, vend, stats);
-            fwd.push(next);
-            d_fwd += 1;
+            fwd.expand(kb, vend, stats);
         } else {
-            let next = expand_level(kb, &bwd[d_bwd], vend, vstart, stats);
-            bwd.push(next);
-            d_bwd += 1;
+            bwd.expand(kb, vstart, stats);
         }
     }
-    join_bidirectional(&fwd, &bwd, d_fwd, vend, l)
+    join_bidirectional(&fwd, &bwd, vend, l)
 }
 
 /// Enumerates all simple-path explanations between the targets with length

@@ -6,22 +6,41 @@
 //!   of two patterns (at least one pair matched — requirement (4), which
 //!   guarantees non-decomposability of the result), union the patterns
 //!   under each mapping, and combine instance pairs that agree on matched
-//!   variables. Instance combination is implemented as a hash join on the
-//!   matched-variable values rather than the paper's literal nested loop —
-//!   identical output, better complexity.
-//! * The *column pre-check* in [`merge`]. Almost every merge joins
-//!   nothing: on one generated-KB pair, 124,595 merges examine 234
-//!   instance pairs in total. So each queue entry carries its *columns*,
-//!   the sorted, distinct entities each non-target variable binds across
-//!   its stored instances, computed once when the entry enters the queue.
-//!   A joined instance pair agrees on every matched variable pair, and
-//!   every mapping matches at least one, so `merge` returns at once when
-//!   no column of `re1` shares an entity with a column of `re2`, and skips
-//!   a mapping whose matched pair has disjoint columns before it builds the
-//!   pattern or the hash table. Output and [`EnumStats`] are unchanged. On
-//!   the 100 `cold_explain` pairs of `rexbench` (2-vCPU Xeon, one thread,
-//!   median of three runs), enumeration took 5.0 s before and 0.39 s
-//!   after. [`merge_nested`] stays unfiltered, as the paper-literal oracle.
+//!   variables. Instance combination is a join on the matched-variable
+//!   values rather than the paper's literal nested loop: `re2`'s instances
+//!   are ordered by their values at the matched variables, ties in
+//!   instance order, and each `re1` instance finds its partners as one run
+//!   by binary search. The output is identical, the join makes
+//!   O((|I1| + |I2|) log |I2|) comparisons instead of |I1|·|I2|, and it
+//!   allocates nothing per instance.
+//! * *Only what can join is built.* Almost every merge joins nothing: on
+//!   one generated-KB pair, 124,595 merges examine 234 instance pairs in
+//!   total. A joined instance pair agrees on every matched variable pair,
+//!   and every mapping matches at least one, so the union checks
+//!   agreement before it builds anything:
+//!   - Each queue entry carries its *columns*: per non-target variable,
+//!     the sorted, distinct entities it binds across the entry's stored
+//!     instances, computed once when the entry enters the queue.
+//!   - The queue indexes which path entries' columns hold each entity. A
+//!     candidate path whose columns share no entity with the
+//!     explanation's is skipped without calling `merge`, and still counts
+//!     as a merge call. `merge` itself returns at once on the same
+//!     condition.
+//!   - Within a merge, a mapping is skipped when one of its matched pairs
+//!     has disjoint columns, or when no instance pair agrees on all its
+//!     matched variables. Only a mapping that passes builds and validates
+//!     its merged pattern, joins instances and canonicalizes.
+//!   - A mapping's translation table depends only on the two variable
+//!     counts, so a queue prepares each table once.
+//!
+//!   Output and [`EnumStats`] are unchanged. On the 100 `cold_explain`
+//!   pairs of `rexbench`, one thread on a 2-vCPU Xeon, the column
+//!   pre-check took enumeration from 5.0 s to 0.39 s (median of three
+//!   runs). The candidate index, the agreement check, the prepared
+//!   mapping tables and the path arena of [`super::paths`] then took it
+//!   from 390 ms to 99 ms (medians of five alternating runs; the union
+//!   itself from 342 ms to 66 ms). [`merge_nested`] stays unfiltered, as
+//!   the paper-literal oracle.
 //! * [`path_union_basic`] — Algorithm 3: breadth rounds, each new
 //!   explanation merged with every path explanation.
 //! * [`path_union_prune`] — Algorithm 4: composition-history pruning.
@@ -34,6 +53,7 @@
 //! set: exact isomorphism dedup at O(1) amortized per candidate instead of
 //! the paper's linear scan of pairwise isomorphism checks.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use rex_kb::NodeId;
@@ -43,7 +63,7 @@ use crate::config::EnumConfig;
 use crate::enumerate::EnumStats;
 use crate::explanation::Explanation;
 use crate::instance::{column, Instance};
-use crate::pattern::{Pattern, PatternEdge, VarId};
+use crate::pattern::{Pattern, PatternEdge, VarId, END_VAR, START_VAR};
 
 /// Enumerates the partial one-to-one mappings from the non-target variables
 /// of `right` into the non-target variables of `left` with at least one
@@ -87,6 +107,48 @@ fn mappings(left_vars: usize, right_vars: usize) -> Vec<Vec<Option<VarId>>> {
     out
 }
 
+/// One mapping of [`mappings`], prepared for merging a pattern with
+/// `left_vars` variables and one with `right_vars`. It depends only on the
+/// two variable counts, so a union queue prepares each table once.
+struct Mapping {
+    /// `(right variable, left variable)` for each matched pair.
+    matched: Vec<(VarId, VarId)>,
+    /// The unmatched right variables, in order; they become the merged
+    /// pattern's variables after the left ones.
+    unmatched: Vec<VarId>,
+    /// Each right variable's variable in the merged pattern: targets stay,
+    /// matched ones map to their left variable, unmatched ones get fresh
+    /// ids.
+    translate: Vec<VarId>,
+    /// Variables of the merged pattern.
+    var_count: usize,
+}
+
+fn prepared_mappings(left_vars: usize, right_vars: usize) -> Vec<Mapping> {
+    let right_free: Vec<VarId> = (2..right_vars as u8).map(VarId).collect();
+    mappings(left_vars, right_vars)
+        .into_iter()
+        .map(|mapping| {
+            let mut matched = Vec::new();
+            let mut unmatched = Vec::new();
+            let mut translate = vec![START_VAR, END_VAR];
+            for (&rv, m) in right_free.iter().zip(mapping) {
+                match m {
+                    Some(lv) => {
+                        matched.push((rv, lv));
+                        translate.push(lv);
+                    }
+                    None => {
+                        translate.push(VarId((left_vars + unmatched.len()) as u8));
+                        unmatched.push(rv);
+                    }
+                }
+            }
+            Mapping { var_count: left_vars + unmatched.len(), matched, unmatched, translate }
+        })
+        .collect()
+}
+
 /// An explanation's *columns*: for each non-target variable, from
 /// variable 2 in order, the sorted, distinct entities it binds across the
 /// explanation's stored instances.
@@ -96,31 +158,49 @@ fn columns(e: &Explanation) -> Columns {
     (2..e.pattern.var_count()).map(|v| column(&e.instances, VarId(v as u8))).collect()
 }
 
-/// Whether two sorted slices share an element.
-fn intersects(a: &[NodeId], b: &[NodeId]) -> bool {
-    let (small, mut large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    for x in small {
-        let i = large.partition_point(|y| y < x);
-        match large.get(i) {
-            Some(y) if y == x => return true,
-            Some(_) => large = &large[i..],
-            None => return false,
-        }
-    }
-    false
+/// The positions in `b` of the entities `a` and `b` share, ascending; both
+/// sorted and distinct. Walks the shorter slice and binary-searches the
+/// longer one from where the previous search ended.
+fn shared<'a>(a: &'a [NodeId], b: &'a [NodeId]) -> impl Iterator<Item = usize> + 'a {
+    let a_shorter = a.len() <= b.len();
+    let (short, long) = if a_shorter { (a, b) } else { (b, a) };
+    let mut lo = 0;
+    short
+        .iter()
+        .enumerate()
+        .map_while(move |(i, x)| {
+            lo += long[lo..].partition_point(|y| y < x);
+            let y = long.get(lo)?;
+            Some((y == x).then_some(if a_shorter { lo } else { i }))
+        })
+        .flatten()
 }
 
 /// `joinable[r * cols1.len() + l]`: whether right variable `r + 2` and left
 /// variable `l + 2` bind a common entity.
 fn joinable(cols1: &[Vec<NodeId>], cols2: &[Vec<NodeId>]) -> Vec<bool> {
-    cols2.iter().flat_map(|c2| cols1.iter().map(move |c1| intersects(c1, c2))).collect()
+    cols2
+        .iter()
+        .flat_map(|c2| cols1.iter().map(move |c1| shared(c1, c2).next().is_some()))
+        .collect()
+}
+
+/// Compares `i2`'s values at the matched right variables, in order, with
+/// `other`'s value for each matched pair.
+fn compare(
+    matched: &[(VarId, VarId)],
+    i2: &Instance,
+    other: impl Fn((VarId, VarId)) -> NodeId,
+) -> Ordering {
+    let mut orders = matched.iter().map(|&pair| i2.get(pair.0).cmp(&other(pair)));
+    orders.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
 }
 
 /// Merges two explanations under all admissible variable mappings,
 /// returning every resulting explanation with ≥ 1 instance and pattern size
 /// ≤ `max_nodes`. The result patterns are minimal by construction (§3.3.1).
-/// Computes both explanations' columns for the pre-check (module docs); a
-/// union queue keeps them with its entries instead.
+/// Computes both explanations' columns for the pre-check and the mapping
+/// table (module docs); a union queue keeps them instead.
 pub fn merge(
     re1: &Explanation,
     re2: &Explanation,
@@ -128,17 +208,21 @@ pub fn merge(
     instance_cap: Option<usize>,
     stats: &mut EnumStats,
 ) -> Vec<Explanation> {
-    merge_columns(re1, &columns(re1), re2, &columns(re2), max_nodes, instance_cap, stats)
+    let table = prepared_mappings(re1.pattern.var_count(), re2.pattern.var_count());
+    let config = EnumConfig { max_pattern_nodes: max_nodes, instance_cap };
+    merge_columns(re1, &columns(re1), re2, &columns(re2), &table, &config, stats)
 }
 
-/// [`merge`] with both explanations' [`Columns`] given.
+/// [`merge`] under `config`'s size limit and instance cap, with both
+/// explanations' [`Columns`] and the mapping table for their variable
+/// counts given.
 fn merge_columns(
     re1: &Explanation,
     cols1: &[Vec<NodeId>],
     re2: &Explanation,
     cols2: &[Vec<NodeId>],
-    max_nodes: usize,
-    instance_cap: Option<usize>,
+    table: &[Mapping],
+    config: &EnumConfig,
     stats: &mut EnumStats,
 ) -> Vec<Explanation> {
     stats.merge_calls += 1;
@@ -150,44 +234,44 @@ fn merge_columns(
     let p1 = &re1.pattern;
     let p2 = &re2.pattern;
     let mut out = Vec::new();
-    for mapping in mappings(p1.var_count(), p2.var_count()) {
-        // ---- merged pattern ---------------------------------------------
-        let matched = mapping.iter().filter(|m| m.is_some()).count();
-        let new_vars = (p2.var_count() - 2) - matched;
-        let merged_var_count = p1.var_count() + new_vars;
-        if merged_var_count > max_nodes {
+    for m in table {
+        if m.var_count > config.max_pattern_nodes {
             continue;
         }
         // No instance pair agrees on a matched pair with disjoint columns.
-        let disjoint = |(r, m): (usize, &Option<VarId>)| {
-            m.is_some_and(|lv| !joinable[r * cols1.len() + lv.index() - 2])
-        };
-        if mapping.iter().enumerate().any(disjoint) {
+        let disjoint =
+            |&(rv, lv): &(VarId, VarId)| !joinable[(rv.index() - 2) * cols1.len() + lv.index() - 2];
+        if m.matched.iter().any(disjoint) {
             continue;
         }
-        // Translate p2's variables: targets stay, matched map through
-        // `mapping`, unmatched get fresh ids after p1's.
-        let mut translate: Vec<VarId> = Vec::with_capacity(p2.var_count());
-        let mut next_fresh = p1.var_count() as u8;
-        for v in 0..p2.var_count() as u8 {
-            let var = VarId(v);
-            if var.is_target() {
-                translate.push(var);
-            } else {
-                match mapping[(v - 2) as usize] {
-                    Some(lv) => translate.push(lv),
-                    None => {
-                        translate.push(VarId(next_fresh));
-                        next_fresh += 1;
-                    }
-                }
-            }
-        }
+        // The join's build side: re2's instances ordered by their values
+        // at the matched variables, ties in instance order, so an
+        // instance's partners are one run found by binary search.
+        let i2 = |k: usize| &re2.instances[k];
+        let mut order: Vec<usize> = (0..re2.instances.len()).collect();
+        order.sort_by(|&a, &b| compare(&m.matched, i2(a), |(rv, _)| i2(b).get(rv)));
+        let partners = |i1: &Instance| {
+            let vs_i1 = |k: usize| compare(&m.matched, i2(k), |(_, lv)| i1.get(lv));
+            let lo = order.partition_point(|&k| vs_i1(k).is_lt());
+            let len = order[lo..].partition_point(|&k| vs_i1(k).is_eq());
+            &order[lo..lo + len]
+        };
+        // Only a mapping under which some instance pair agrees can join.
+        let Some(first) = re1.instances.iter().position(|i1| !partners(i1).is_empty()) else {
+            continue;
+        };
+
+        // ---- merged pattern ---------------------------------------------
         let mut edges: Vec<PatternEdge> = p1.edges().to_vec();
         edges.extend(p2.edges().iter().map(|e| {
-            PatternEdge::new(translate[e.u.index()], translate[e.v.index()], e.label, e.directed)
+            PatternEdge::new(
+                m.translate[e.u.index()],
+                m.translate[e.v.index()],
+                e.label,
+                e.directed,
+            )
         }));
-        let Ok(pattern) = Pattern::new(merged_var_count as u8, edges) else {
+        let Ok(pattern) = Pattern::new(m.var_count as u8, edges) else {
             continue;
         };
         // A mapping can merge p2 entirely *into* p1 (all edges collapse
@@ -196,43 +280,23 @@ fn merge_columns(
             continue;
         }
 
-        // ---- merged instances (hash join on matched variables) ----------
-        // Probe side: re2 instances grouped by their matched-variable
-        // values; build side: iterate re1 instances.
-        let matched_pairs: Vec<(usize, usize)> = mapping
-            .iter()
-            .enumerate()
-            .filter_map(|(rv, m)| m.map(|lv| (rv + 2, lv.index())))
-            .collect();
-        let mut by_key: HashMap<Vec<rex_kb::NodeId>, Vec<&Instance>> = HashMap::new();
-        for i2 in &re2.instances {
-            let key: Vec<rex_kb::NodeId> =
-                matched_pairs.iter().map(|&(rv, _)| i2.get(VarId(rv as u8))).collect();
-            by_key.entry(key).or_default().push(i2);
-        }
-        let cap = instance_cap.unwrap_or(usize::MAX);
+        // ---- merged instances (join on matched variables) ---------------
+        let cap = config.instance_cap.unwrap_or(usize::MAX);
         let mut instances = Vec::new();
         let mut saturated = re1.saturated || re2.saturated;
-        'outer: for i1 in &re1.instances {
-            let key: Vec<rex_kb::NodeId> =
-                matched_pairs.iter().map(|&(_, lv)| i1.get(VarId(lv as u8))).collect();
-            let Some(partners) = by_key.get(&key) else { continue };
-            'pair: for i2 in partners {
+        'outer: for i1 in &re1.instances[first..] {
+            'pair: for &k in partners(i1) {
                 stats.instance_pairs += 1;
                 // Injective semantics: unmatched right values must not
                 // collide with any left value.
-                let mut assignment: Vec<rex_kb::NodeId> = Vec::with_capacity(merged_var_count);
+                let mut assignment: Vec<NodeId> = Vec::with_capacity(m.var_count);
                 assignment.extend_from_slice(i1.as_slice());
-                for rv in 2..p2.var_count() as u8 {
-                    if mapping[(rv - 2) as usize].is_none() {
-                        let val = i2.get(VarId(rv));
-                        if i1.as_slice().contains(&val)
-                            || assignment[p1.var_count()..].contains(&val)
-                        {
-                            continue 'pair;
-                        }
-                        assignment.push(val);
+                for &rv in &m.unmatched {
+                    let val = i2(k).get(rv);
+                    if assignment.contains(&val) {
+                        continue 'pair;
                     }
+                    assignment.push(val);
                 }
                 instances.push(Instance::new(assignment));
                 if instances.len() >= cap {
@@ -255,11 +319,26 @@ fn merge_columns(
 }
 
 /// A union queue: explanations in discovery order, each with its
-/// [`Columns`], computed once when it enters.
+/// [`Columns`], computed once when it enters. The entries pushed before
+/// [`Queue::index_paths`] are the path explanations, the only entries
+/// merged into others; the queue indexes which of them hold each entity.
 #[derive(Default)]
 pub(crate) struct Queue {
     explanations: Vec<Explanation>,
     columns: Vec<Columns>,
+    /// Number of path entries.
+    paths: usize,
+    /// The entities the path entries' columns bind, sorted and distinct.
+    entities: Vec<NodeId>,
+    /// `holders[starts[k]..starts[k + 1]]`: the path entries whose columns
+    /// hold `entities[k]`.
+    starts: Vec<usize>,
+    holders: Vec<usize>,
+    /// For the entry merged last, which path entries' columns share an
+    /// entity with its columns.
+    sharing: Option<(usize, Vec<bool>)>,
+    /// The prepared mappings per pair of variable counts.
+    tables: HashMap<(usize, usize), Vec<Mapping>>,
 }
 
 impl Queue {
@@ -268,6 +347,39 @@ impl Queue {
         self.columns.push(columns(&e));
         self.explanations.push(e);
         self.explanations.len() - 1
+    }
+
+    /// Marks the entries pushed so far as the path entries and indexes
+    /// their columns by entity.
+    pub(crate) fn index_paths(&mut self) {
+        self.paths = self.explanations.len();
+        let mut held: Vec<(NodeId, usize)> = Vec::new();
+        for (p, cols) in self.columns.iter().enumerate() {
+            held.extend(cols.iter().flatten().map(|&x| (x, p)));
+        }
+        held.sort_unstable();
+        held.dedup();
+        for (k, &(x, p)) in held.iter().enumerate() {
+            if self.entities.last() != Some(&x) {
+                self.entities.push(x);
+                self.starts.push(k);
+            }
+            self.holders.push(p);
+        }
+        self.starts.push(held.len());
+    }
+
+    /// Which path entries' columns share an entity with entry `i1`'s.
+    fn sharing_paths(&self, i1: usize) -> Vec<bool> {
+        let mut sharing = vec![false; self.paths];
+        for col in &self.columns[i1] {
+            for k in shared(col, &self.entities) {
+                for &p in &self.holders[self.starts[k]..self.starts[k + 1]] {
+                    sharing[p] = true;
+                }
+            }
+        }
+        sharing
     }
 
     /// The explanations, in discovery order.
@@ -279,29 +391,34 @@ impl Queue {
         self.explanations
     }
 
-    /// [`merge`] of entries `i1` and `i2` under `config`'s size limit and
-    /// instance cap.
+    /// [`merge`] of entry `i1` and path entry `i2` under `config`'s size
+    /// limit and instance cap. A path whose columns share no entity with
+    /// `i1`'s is counted as a merge call and skipped: `merge` would return
+    /// nothing from its pre-check.
     pub(crate) fn merge(
-        &self,
+        &mut self,
         i1: usize,
         i2: usize,
         config: &EnumConfig,
         stats: &mut EnumStats,
     ) -> Vec<Explanation> {
-        merge_columns(
-            &self.explanations[i1],
-            &self.columns[i1],
-            &self.explanations[i2],
-            &self.columns[i2],
-            config.max_pattern_nodes,
-            config.instance_cap,
-            stats,
-        )
+        debug_assert!(i2 < self.paths, "merge candidates are indexed path entries");
+        if self.sharing.as_ref().is_none_or(|(i, _)| *i != i1) {
+            self.sharing = Some((i1, self.sharing_paths(i1)));
+        }
+        if self.sharing.as_ref().is_some_and(|(_, sharing)| !sharing[i2]) {
+            stats.merge_calls += 1;
+            return Vec::new();
+        }
+        let (re1, re2) = (&self.explanations[i1], &self.explanations[i2]);
+        let vars = (re1.pattern.var_count(), re2.pattern.var_count());
+        let table = self.tables.entry(vars).or_insert_with(|| prepared_mappings(vars.0, vars.1));
+        merge_columns(re1, &self.columns[i1], re2, &self.columns[i2], table, config, stats)
     }
 }
 
 /// The paper-literal variant of [`merge`]: instance combination by the
-/// nested loop of Algorithm 3 lines 31–35 instead of a hash join on the
+/// nested loop of Algorithm 3 lines 31–35 instead of a join on the
 /// matched-variable values. Output is identical (asserted by tests); kept
 /// for the merge-strategy ablation benchmark.
 pub fn merge_nested(
@@ -415,6 +532,7 @@ pub fn path_union_basic(
             stats.duplicates += 1;
         }
     }
+    q.index_paths();
     let path_count = q.explanations().len();
     let mut expand: Vec<usize> = (0..path_count).collect();
     while !expand.is_empty() {
@@ -454,6 +572,7 @@ pub fn path_union_prune(
             key_index.insert(key, q.push(p));
         }
     }
+    q.index_paths();
     let path_count = q.explanations().len();
     let mut expand: Vec<usize> = (0..path_count).collect();
     // Composition history of the current round: history[j] lists the
@@ -706,8 +825,8 @@ mod merge_nested_tests {
                     let slow = merge_nested(re1, re2, n, cap, &mut s2);
                     assert_eq!(fast, slow, "{} + {}", re1.describe(kb), re2.describe(kb));
                     assert_eq!(s1.merge_calls, s2.merge_calls);
-                    // The hash join examines no more pairs than the
-                    // nested loop.
+                    // The join examines no more pairs than the nested
+                    // loop.
                     assert!(s1.instance_pairs <= s2.instance_pairs);
                     // The pre-check is exact: entry (r, l) is set iff some
                     // instance pair agrees on right variable r + 2 and left
@@ -757,5 +876,44 @@ mod merge_nested_tests {
         assert!(cases.rejected > 0, "no merge was rejected by the column pre-check");
         assert!(cases.joined > 0, "no merge joined");
         assert!(cases.saturated > 0, "no merge result hit the instance cap");
+    }
+
+    /// The union queue's candidate index is exact: over every (queue
+    /// entry, path) pair of generated pairs' union queues, it admits the
+    /// path exactly when `joinable` has a true entry, the pre-check `merge`
+    /// returns from.
+    #[test]
+    fn candidate_index_admits_exactly_the_joinable_paths() {
+        let kb = generate(&GeneratorConfig::tiny(2011));
+        let config = EnumConfig::default().with_max_nodes(5).with_instance_cap(5);
+        let (mut admitted, mut skipped) = (0, 0);
+        for pair in sample_pairs(&kb, 2, 4, 2011) {
+            let mut stats = EnumStats::default();
+            let algo = PathAlgo::Prioritized;
+            let paths = enumerate_paths(&kb, pair.start, pair.end, &config, algo, &mut stats);
+            let entries = path_union_prune(paths.clone(), &config, &mut stats);
+            assert_eq!(entries[..paths.len()], paths[..], "the queue starts with the paths");
+            let mut q = Queue::default();
+            let (path_entries, merged) = entries.split_at(paths.len());
+            for e in path_entries {
+                q.push(e.clone());
+            }
+            q.index_paths();
+            for e in merged {
+                q.push(e.clone());
+            }
+            for i1 in 0..entries.len() {
+                let sharing = q.sharing_paths(i1);
+                assert_eq!(sharing.len(), paths.len());
+                for (i2, &admits) in sharing.iter().enumerate() {
+                    let joins = joinable(&q.columns[i1], &q.columns[i2]).contains(&true);
+                    assert_eq!(admits, joins, "entry {i1}, path {i2}");
+                    admitted += usize::from(joins);
+                    skipped += usize::from(!joins);
+                }
+            }
+        }
+        assert!(admitted > 0, "the index admitted no path");
+        assert!(skipped > 0, "the index skipped no path");
     }
 }

@@ -67,6 +67,7 @@ pub fn rank_topk_pruned(
         scores.push(measure.score(ctx, &p));
         q.push(p);
     }
+    q.index_paths();
     let path_count = q.explanations().len();
     let mut expanded: HashSet<usize> = HashSet::new();
 

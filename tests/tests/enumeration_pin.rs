@@ -17,8 +17,10 @@ fn config() -> EnumConfig {
     EnumConfig::default().with_max_nodes(5).with_instance_cap(20)
 }
 
-/// The generated KBs and their sampled pairs: `(name, kb, pairs)`.
-fn cases() -> Vec<(&'static str, KnowledgeBase, Vec<(NodeId, NodeId)>)> {
+/// A generated KB and its sampled pairs: `(name, kb, pairs)`.
+type Case = (&'static str, KnowledgeBase, Vec<(NodeId, NodeId)>);
+
+fn cases() -> Vec<Case> {
     [("tiny", GeneratorConfig::tiny(2011), 3), ("small", GeneratorConfig::small(2011), 3)]
         .into_iter()
         .map(|(name, cfg, per_group)| {
