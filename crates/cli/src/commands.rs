@@ -248,7 +248,7 @@ fn report_shed(
     total: usize,
 ) -> std::collections::HashMap<usize, rex_relstore::budget::AbortReason> {
     if !shed.is_empty() {
-        println!(
+        outln!(
             "SHED {} of {total} pairs (budget exhausted mid-workload; re-run with a \
              larger --deadline-ms/--row-budget or fewer pairs):",
             shed.len()
@@ -289,7 +289,7 @@ pub fn explain(argv: &[String]) -> Result<(), String> {
     let out = GeneralEnumerator::new(config).enumerate(&kb, start, end);
     let elapsed = t0.elapsed();
     if !args.has("quiet") {
-        println!(
+        outln!(
             "{} minimal explanations for {start_name} ↔ {end_name} in {:.1} ms \
              ({} path patterns, {} merges)",
             out.explanations.len(),
@@ -301,10 +301,10 @@ pub fn explain(argv: &[String]) -> Result<(), String> {
     let ctx = MeasureContext::new(&kb, start, end);
     for (i, r) in rank(&out.explanations, measure.as_ref(), &ctx, k).iter().enumerate() {
         let e = &out.explanations[r.index];
-        println!("{}. {}", i + 1, e.describe(&kb));
+        outln!("{}. {}", i + 1, e.describe(&kb));
         if args.has("decorate") {
             for d in decorate(&kb, e, 2) {
-                println!("     + {}", d.describe(&kb));
+                outln!("     + {}", d.describe(&kb));
             }
         }
     }
@@ -368,7 +368,7 @@ fn serving_state(
             match ServingState::build_with_index(kb, cfg, saved) {
                 Ok(state) => {
                     if !quiet {
-                        println!(
+                        outln!(
                             "index: warm start from {} (epoch {}) in {load_ms:.1} ms",
                             path.display(),
                             kb.epoch()
@@ -382,14 +382,14 @@ fn serving_state(
         Err(err) => err.to_string(),
     };
     if !quiet {
-        println!("index: no usable snapshot at {} ({why_cold}); building", path.display());
+        outln!("index: no usable snapshot at {} ({why_cold}); building", path.display());
     }
     let state = ServingState::build(kb, cfg).map_err(|e| e.to_string())?;
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let bytes =
         state.snapshot().index().save(&path).map_err(|e| format!("cannot save index: {e}"))?;
     if !quiet {
-        println!("index: saved {} snapshot bytes to {}", bytes, path.display());
+        outln!("index: saved {} snapshot bytes to {}", bytes, path.display());
     }
     Ok(state)
 }
@@ -451,22 +451,22 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let shed = report_shed(&outcome.shed, prepared.len());
     for (idx, ((s, e, explanations), ranking)) in prepared.iter().zip(&outcome.rankings).enumerate()
     {
-        println!(
+        outln!(
             "{} ↔ {} ({} explanations):",
             kb.node_name(*s),
             kb.node_name(*e),
             explanations.len()
         );
         if let Some(reason) = shed.get(&idx) {
-            println!("  SHED: {reason} (no ranking computed for this pair)");
+            outln!("  SHED: {reason} (no ranking computed for this pair)");
             continue;
         }
         for (i, r) in ranking.iter().enumerate() {
-            println!("  {}. {}", i + 1, explanations[r.index].describe(&kb));
+            outln!("  {}. {}", i + 1, explanations[r.index].describe(&kb));
         }
     }
     if !args.has("quiet") {
-        println!(
+        outln!(
             "ranked {} pairs in {:.1} ms (enumeration {:.1} ms): {} distinct shapes, \
              {} batched evaluations, {} tiles, peak {} bindings per level (ceiling {})",
             prepared.len() - outcome.shed.len(),
@@ -571,28 +571,28 @@ pub fn update(argv: &[String]) -> Result<(), String> {
     for (idx, ((s, e, explanations), ranking)) in
         prepared2.iter().zip(&updated.rankings).enumerate()
     {
-        println!(
+        outln!(
             "{} ↔ {} ({} explanations):",
             kb.node_name(*s),
             kb.node_name(*e),
             explanations.len()
         );
         if let Some(reason) = shed.get(&idx) {
-            println!("  SHED: {reason} (no ranking computed for this pair)");
+            outln!("  SHED: {reason} (no ranking computed for this pair)");
             continue;
         }
         for (i, r) in ranking.iter().enumerate() {
-            println!("  {}. {}", i + 1, explanations[r.index].describe(&kb));
+            outln!("  {}. {}", i + 1, explanations[r.index].describe(&kb));
         }
     }
     if !args.has("quiet") {
         let m = maintained.maintenance;
-        println!(
+        outln!(
             "applied {delta_path}: +{added} -{removed} edges, +{new_nodes} nodes \
              (serving epoch flipped {epoch0} → {})",
             state.epoch()
         );
-        println!(
+        outln!(
             "cold rank {:.1} ms ({} full evaluations); delta re-rank {:.1} ms \
              ({} cache misses full, {} partial)",
             cold_elapsed.as_secs_f64() * 1e3,
@@ -602,12 +602,12 @@ pub fn update(argv: &[String]) -> Result<(), String> {
             state.cache().delta_evals(),
         );
         if maintained.compaction_fallback {
-            println!(
+            outln!(
                 "delta log compacted past the session's epoch: fell back to a \
                  full index rebuild + cold re-evaluation (no incremental maintenance)"
             );
         } else {
-            println!(
+            outln!(
                 "shapes: {} delta-patched ({} affected starts), {} untouched, \
                  {} dropped; frame redrawn: {}",
                 m.patched,
@@ -644,7 +644,7 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
     // half-written KB at the destination path.
     rex_kb::io::atomic_write(std::path::Path::new(out_path), &buf)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {}: {}", out_path, rex_kb::stats::summary(&kb));
+    outln!("wrote {}: {}", out_path, rex_kb::stats::summary(&kb));
     Ok(())
 }
 
@@ -656,18 +656,18 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 pub fn stats(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &STATS)?;
     let kb = load_kb(&args)?;
-    println!("{}", rex_kb::stats::summary(&kb));
+    outln!("{}", rex_kb::stats::summary(&kb));
     let t0 = std::time::Instant::now();
     let index = rex_relstore::engine::EdgeIndex::build(&kb);
     let build = t0.elapsed();
     let posting = index.posting_stats();
-    println!(
+    outln!(
         "edge index: {} (label, dir) partitions, {} oriented rows, built in {:.1} ms",
         posting.partitions,
         index.total_rows(),
         build.as_secs_f64() * 1e3
     );
-    println!(
+    outln!(
         "endpoint postings: {} src keys, {} dst keys, {:.1} KiB, all of the index's \
          row storage (rebuilt per epoch only for delta-touched partitions)",
         posting.src_keys,
@@ -687,7 +687,7 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot reload index: {e}"))?;
         let load = t0.elapsed();
         assert_eq!(loaded.epoch(), index.epoch(), "round-trip must preserve the epoch");
-        println!(
+        outln!(
             "index snapshot: {} bytes at {} — saved in {:.1} ms, reloaded in {:.1} ms \
              (cold build was {:.1} ms)",
             bytes,
@@ -701,18 +701,18 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
     let mut labels: Vec<(usize, String)> =
         kb.labels().map(|(id, name)| (cards[id.index()], name.to_string())).collect();
     labels.sort_unstable_by(|a, b| b.cmp(a));
-    println!("top relationship labels:");
+    outln!("top relationship labels:");
     for (count, label) in labels.into_iter().take(10) {
-        println!("  {count:>8}  {label}");
+        outln!("  {count:>8}  {label}");
     }
     let mut types: Vec<(usize, String)> = rex_kb::stats::type_histogram(&kb)
         .into_iter()
         .map(|(t, c)| (c, kb.type_name(t).to_string()))
         .collect();
     types.sort_unstable_by(|a, b| b.cmp(a));
-    println!("entity types:");
+    outln!("entity types:");
     for (count, ty) in types.into_iter().take(10) {
-        println!("  {count:>8}  {ty}");
+        outln!("  {count:>8}  {ty}");
     }
     Ok(())
 }
@@ -853,10 +853,10 @@ pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
     let index = rex_relstore::engine::EdgeIndex::build(&kb);
     for (qi, q) in queries.iter().enumerate() {
         if queries.len() > 1 {
-            println!("-- statement {}", qi + 1);
+            outln!("-- statement {}", qi + 1);
         }
-        println!("query:     {}", rex_query::pretty(&q.graph).map_err(|e| e.to_string())?);
-        println!("canonical: {}", rex_core::query::canonical_text(&q.pattern, &kb));
+        outln!("query:     {}", rex_query::pretty(&q.graph).map_err(|e| e.to_string())?);
+        outln!("canonical: {}", rex_core::query::canonical_text(&q.pattern, &kb));
         let names = &q.compiled.var_names;
         for (v, name) in names.iter().enumerate() {
             let kind = match (v, &binding) {
@@ -870,13 +870,13 @@ pub fn plan_cmd(argv: &[String]) -> Result<(), String> {
                 (1, _) => "Unbound (end)".into(),
                 _ => "Unbound (existential)".into(),
             };
-            println!("  var {v} `{name}`: {kind}");
+            outln!("  var {v} `{name}`: {kind}");
         }
         let spec = q.pattern.to_spec();
         let plan = spec.plan(&index, &binding);
-        println!("variable order: {:?}", plan.order());
+        outln!("variable order: {:?}", plan.order());
         for at in 0..plan.levels.len() {
-            println!("  {}", describe_plan_level(&plan, at, &spec, names, &kb));
+            outln!("  {}", describe_plan_level(&plan, at, &spec, names, &kb));
         }
     }
     Ok(())
@@ -892,9 +892,9 @@ pub fn pairs(argv: &[String]) -> Result<(), String> {
     if sampled.is_empty() {
         return Err("no related pairs found (KB too sparse?)".into());
     }
-    println!("{:<28} {:<28} {:>12} {:>8}", "start", "end", "connectedness", "group");
+    outln!("{:<28} {:<28} {:>12} {:>8}", "start", "end", "connectedness", "group");
     for p in sampled {
-        println!(
+        outln!(
             "{:<28} {:<28} {:>12} {:>8}",
             kb.node_name(p.start),
             kb.node_name(p.end),
@@ -1051,7 +1051,7 @@ fn ingest_from(argv: &[String], stdin: impl BufRead + 'static) -> Result<(), Str
     let receipt = governor.checkpoint().map_err(|e| e.to_string())?;
     let stats = governor.stats();
     let kb = governor.kb();
-    println!(
+    outln!(
         "ingested {lines} ops in {} batches: {} WAL commits ({} bytes), \
          {} flips ({} deferred by pacing), {} checkpoints, {} shed retries",
         stats.accepted,
@@ -1062,7 +1062,7 @@ fn ingest_from(argv: &[String], stdin: impl BufRead + 'static) -> Result<(), Str
         stats.checkpoints,
         shed_retries,
     );
-    println!(
+    outln!(
         "durable through seq {} ({} snapshot bytes); serving epoch {}; {}",
         receipt.last_seq,
         receipt.snapshot_bytes,
@@ -1073,7 +1073,7 @@ fn ingest_from(argv: &[String], stdin: impl BufRead + 'static) -> Result<(), Str
 }
 
 fn print_recovery_report(r: &rex_kb::RecoveryReport) {
-    println!(
+    outln!(
         "recovered: checkpoint {} (seq {}), {} WAL batches replayed ({} ops), {} skipped",
         if r.checkpoint_loaded { "loaded" } else { "absent" },
         r.checkpoint_seq,
@@ -1082,7 +1082,7 @@ fn print_recovery_report(r: &rex_kb::RecoveryReport) {
         r.skipped_batches,
     );
     if let Some(reason) = &r.truncated_reason {
-        println!("TORN TAIL: truncated {} trailing bytes — {reason}", r.truncated_bytes);
+        outln!("TORN TAIL: truncated {} trailing bytes — {reason}", r.truncated_bytes);
     }
 }
 
@@ -1110,12 +1110,12 @@ pub fn recover(argv: &[String]) -> Result<(), String> {
     print_recovery_report(&report);
     if report.truncated_reason.is_some() {
         if args.has("truncate") {
-            println!("WAL repaired: valid prefix is {} bytes", report.wal_valid_bytes);
+            outln!("WAL repaired: valid prefix is {} bytes", report.wal_valid_bytes);
         } else {
-            println!("(read-only inspection; rerun with --truncate to repair the WAL)");
+            outln!("(read-only inspection; rerun with --truncate to repair the WAL)");
         }
     }
-    println!("recovered KB through seq {}: {}", report.last_seq, rex_kb::stats::summary(&kb));
+    outln!("recovered KB through seq {}: {}", report.last_seq, rex_kb::stats::summary(&kb));
     Ok(())
 }
 

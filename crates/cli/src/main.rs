@@ -19,7 +19,11 @@
 //! The knowledge base is the TSV interchange format of `rex_kb::io`
 //! (`N<TAB>name<TAB>type` node lines, `E<TAB>src<TAB>dst<TAB>label<TAB>d|u`
 //! edge lines). `--toy` substitutes the built-in entertainment example.
+//! Output piped into a reader that exits early (`rex explain … | head -3`)
+//! ends quietly; the command still finishes and exits 0.
 
+#[macro_use]
+mod out;
 mod args;
 mod commands;
 
@@ -42,12 +46,12 @@ fn main() -> ExitCode {
         "ingest" => commands::ingest(rest),
         "recover" => commands::recover(rest),
         "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
+            outln!("{}", commands::USAGE);
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{}", commands::USAGE)),
     };
-    match result {
+    match result.and_then(|()| out::finish()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");

@@ -12,8 +12,8 @@
 //! an [`AllStartsDistribution`]: every covered start entity with its
 //! descending count multiset, produced by batched relational evaluation
 //! ([`count_distributions`]) whose start variable ranges over a whole set
-//! of starts at once. Any position query against a cached shape is then
-//! two binary searches — the asymptotics drop from ~`starts` full
+//! of starts at once. A position query against a cached shape is then a
+//! lookup in its runs — the asymptotics drop from ~`starts` full
 //! evaluations per shape to 1.
 //!
 //! A read ([`DistributionCache::all_starts`]) reports whether *it*
@@ -24,14 +24,18 @@
 //! **One map, extended by reads.** The cache is a single
 //! `RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>`. An entry
 //! holds its covered starts in one ascending array and, parallel to it,
-//! each start's multiset as runs of equal counts, so a warm hit — the
-//! covering check and every position of a position sum — is binary
-//! searches with no hashing past the one map lookup. A read clones one
-//! entry's `Arc` under the read lock, then evaluates — with no lock held
-//! — only the requested starts the entry lacks, in one
-//! [`count_distributions`] call, converts the evaluation's per-start
-//! multisets to runs once, and publishes the sorted merge of the two
-//! start arrays in place. A one-start read
+//! each start's multiset as runs of equal counts. A read names its starts
+//! as a [`DrawTable`]: the distinct starts, ascending, each with its
+//! number of draws (a [`SampleFrame`](crate::measures::SampleFrame) keeps
+//! its own). Every read of an entry over those starts is then one merge
+//! walk of the two ascending arrays, with no hashing past the one map
+//! lookup: the covering check of a warm hit, the list of starts a miss
+//! lacks, and the position sum, which counts each distinct start's
+//! position once per draw. A read clones one entry's `Arc` under the
+//! read lock, then evaluates — with no lock held — only the requested
+//! starts the entry lacks, in one [`count_distributions`] call, converts
+//! the evaluation's per-start multisets to runs once, and publishes the
+//! sorted merge of the two start arrays in place. A one-start read
 //! ([`DistributionCache::counts`]) is simply a read of `[start]`, so
 //! local and global queries of a shape share one entry, and a grown
 //! sample pays only for its new starts.
@@ -82,6 +86,7 @@ use rex_relstore::plan::PatternSpec;
 
 use crate::canonical::CanonicalKey;
 use crate::explanation::Explanation;
+use crate::measures::frame::DrawTable;
 
 /// One run of equal counts in a descending count multiset: the count, and
 /// how many ends have a count of at least that much — the multiset's
@@ -170,6 +175,40 @@ impl StartRuns {
         self.starts.binary_search(&start).ok().map(|i| self.runs(i))
     }
 
+    /// Walks `draws` against the ascending start array in one pass:
+    /// yields each distinct drawn start with its number of draws and its
+    /// index in the array, `None` when this table does not cover it.
+    fn align<'a>(
+        &'a self,
+        draws: &'a DrawTable,
+    ) -> impl Iterator<Item = (u64, usize, Option<usize>)> + 'a {
+        let mut at = 0;
+        draws.iter().map(move |(start, times)| {
+            while self.starts.get(at).is_some_and(|&s| s < start) {
+                at += 1;
+            }
+            (start, times, (self.starts.get(at) == Some(&start)).then_some(at))
+        })
+    }
+
+    /// The drawn starts this table does not cover, ascending and
+    /// distinct.
+    fn missing(&self, draws: &DrawTable) -> Vec<u64> {
+        self.align(draws).filter(|(.., at)| at.is_none()).map(|(start, ..)| start).collect()
+    }
+
+    /// The sum of `a`'s positions over every draw whose start is not
+    /// `exclude`. Panics when a counted start is not covered.
+    fn position_sum(&self, draws: &DrawTable, exclude: Option<u64>, a: u64) -> usize {
+        self.align(draws)
+            .filter(|&(start, ..)| Some(start) != exclude)
+            .map(|(_, times, at)| {
+                let i = at.expect("batch covers requested starts");
+                times * runs_position(self.runs(i), a)
+            })
+            .sum()
+    }
+
     /// This table with `newer` merged over it, in one pass over both
     /// ascending start arrays: a start of `newer` takes `newer`'s runs.
     fn merged(&self, newer: &StartRuns) -> StartRuns {
@@ -205,10 +244,13 @@ impl StartRuns {
 /// to it, each start's multiset is stored as runs of equal counts (most
 /// ends of a start share a few small counts, so a multiset of hundreds
 /// of counts is a few runs). A start without instances has no runs.
-/// Covering, positions and position sums are binary searches over the
-/// two arrays, with no hashing, and merging two entries is one sorted
-/// merge of their start arrays. [`AllStartsDistribution::counts_for`]
-/// expands a start's runs back into its multiset.
+/// A read over a [`DrawTable`] — whether the entry covers it, and the
+/// position sum — is one merge walk of the table against the start
+/// array, and a position within a start's runs is one binary search over
+/// them, with no hashing. A single start is found by binary search, and
+/// merging two entries is one sorted merge of their start arrays.
+/// [`AllStartsDistribution::counts_for`] expands a start's runs back
+/// into its multiset.
 ///
 /// **Immutable once published**: the epoch is fixed at construction and
 /// the multisets never change, so a reader holding the `Arc` can trust
@@ -260,14 +302,12 @@ impl AllStartsDistribution {
     }
 
     /// Sampled global position of aggregate value `a`: the sum of its
-    /// positions over `starts`, skipping `exclude` (the pair's own start)
-    /// at read time. Panics when a start is outside the evaluated domain.
-    pub fn position_sum(&self, starts: &[NodeId], exclude: Option<NodeId>, a: u64) -> usize {
-        starts
-            .iter()
-            .filter(|&&s| Some(s) != exclude)
-            .map(|s| self.position(s.0 as u64, a).expect("batch covers requested starts"))
-            .sum()
+    /// positions over every draw of `draws`, skipping each draw of
+    /// `exclude` (the pair's own start) at read time — one merge walk of
+    /// the table against the entry's starts. Panics when a counted start
+    /// is outside the evaluated domain.
+    pub fn position_sum(&self, draws: &DrawTable, exclude: Option<NodeId>, a: u64) -> usize {
+        self.table.position_sum(draws, exclude.map(|s| s.0 as u64), a)
     }
 
     /// Number of starts covered by the evaluation.
@@ -276,9 +316,9 @@ impl AllStartsDistribution {
     }
 
     /// Whether this entry can serve a read against an index at `epoch`
-    /// for `starts`: same epoch and a covering domain.
-    fn serves(&self, epoch: u64, starts: &[NodeId]) -> bool {
-        self.epoch == epoch && starts.iter().all(|s| self.covers(s.0 as u64))
+    /// of `draws`: same epoch and a domain covering every drawn start.
+    fn serves(&self, epoch: u64, draws: &DrawTable) -> bool {
+        self.epoch == epoch && self.table.align(draws).all(|(.., at)| at.is_some())
     }
 
     /// This entry with `newer` merged over it: `newer`'s multisets
@@ -420,7 +460,7 @@ impl DistributionCache {
     }
 
     /// Installs `computed` — `base`, the entry the reader extended, merged
-    /// with its fresh starts — for a read of `starts`, under the rules in
+    /// with its fresh starts — for a read of `draws`, under the rules in
     /// the module docs: a live entry that serves the read wins, a live
     /// entry at a newer epoch keeps `computed` private, and a same-epoch
     /// live entry other than `base` is merged with it. Returns the batch
@@ -430,11 +470,11 @@ impl DistributionCache {
         key: &CanonicalKey,
         base: Option<&Arc<AllStartsDistribution>>,
         mut computed: AllStartsDistribution,
-        starts: &[NodeId],
+        draws: &DrawTable,
     ) -> Arc<AllStartsDistribution> {
         let mut entries = self.entries.write();
         if let Some(live) = entries.get(key) {
-            if live.serves(computed.epoch, starts) {
+            if live.serves(computed.epoch, draws) {
                 return Arc::clone(live);
             }
             if live.epoch > computed.epoch {
@@ -451,17 +491,17 @@ impl DistributionCache {
     }
 
     /// The warm half of [`DistributionCache::all_starts`]: the published
-    /// entry of `e`'s shape when it serves `starts` at `index`'s epoch,
+    /// entry of `e`'s shape when it serves `draws` at `index`'s epoch,
     /// counted as a hit. Otherwise nothing is counted, and the error
     /// carries the current-epoch entry a miss extends, if any.
     pub(crate) fn lookup(
         &self,
         index: &EdgeIndex,
         e: &Explanation,
-        starts: &[NodeId],
+        draws: &DrawTable,
     ) -> std::result::Result<BatchRead, Option<Arc<AllStartsDistribution>>> {
         match self.entry(e.key()).filter(|b| b.epoch == index.epoch()) {
-            Some(batch) if batch.serves(index.epoch(), starts) => {
+            Some(batch) if batch.serves(index.epoch(), draws) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Ok(BatchRead { batch, evaluated_tiles: None })
             }
@@ -492,16 +532,26 @@ impl DistributionCache {
         starts: &[NodeId],
         budget: &Budget,
     ) -> rex_relstore::Result<BatchRead> {
-        let base = match self.lookup(index, e, starts) {
+        self.read(index, e, &DrawTable::from_starts(starts), budget)
+    }
+
+    /// [`DistributionCache::all_starts`] of the starts `draws` holds.
+    pub(crate) fn read(
+        &self,
+        index: &EdgeIndex,
+        e: &Explanation,
+        draws: &DrawTable,
+        budget: &Budget,
+    ) -> rex_relstore::Result<BatchRead> {
+        let base = match self.lookup(index, e, draws) {
             Ok(hit) => return Ok(hit),
             Err(base) => base,
         };
         let key = e.key();
-        let missing: Vec<u64> = starts
-            .iter()
-            .map(|s| s.0 as u64)
-            .filter(|&s| !base.as_ref().is_some_and(|b| b.covers(s)))
-            .collect();
+        let missing = match &base {
+            Some(b) => b.table.missing(draws),
+            None => draws.iter().map(|(start, _)| start).collect(),
+        };
         // No lock is held while evaluating; an abort propagates here,
         // before any observable state changes.
         let fresh = self.evaluate(index, e.pattern.to_spec(), &missing, EvalKind::Full, budget)?;
@@ -511,7 +561,7 @@ impl DistributionCache {
             Some(b) => b.merged(&fresh),
             None => fresh,
         };
-        let batch = self.install(key, base.as_ref(), computed, starts);
+        let batch = self.install(key, base.as_ref(), computed, draws);
         Ok(BatchRead { batch, evaluated_tiles })
     }
 
@@ -657,7 +707,8 @@ impl DistributionCache {
     /// the pair's own start entity — is skipped at **read time**: the
     /// batched evaluation covers all of `starts` (the shared sample
     /// frame, identical for every pair of a workload), so one cache
-    /// serves every pair of a workload with zero recomputation.
+    /// serves every pair of a workload with zero recomputation. The
+    /// starts are read as their [`DrawTable`], built from the slice.
     pub fn global_position(
         &self,
         index: &EdgeIndex,
@@ -666,8 +717,9 @@ impl DistributionCache {
         exclude: Option<NodeId>,
         budget: &Budget,
     ) -> rex_relstore::Result<usize> {
-        let read = self.all_starts(index, e, starts, budget)?;
-        Ok(read.batch.position_sum(starts, exclude, e.count() as u64))
+        let draws = DrawTable::from_starts(starts);
+        let read = self.read(index, e, &draws, budget)?;
+        Ok(read.batch.position_sum(&draws, exclude, e.count() as u64))
     }
 
     /// Number of cached shapes.
@@ -781,6 +833,60 @@ mod tests {
                 let runs = merged.runs_of(s).expect("merged table covers its starts");
                 prop_assert_eq!(expand(runs), expected.get(&s).cloned().unwrap_or_default());
             }
+        }
+
+        /// An entry's merge walks over a multiset of draws answer what one
+        /// read per draw would: the entry serves the draws exactly when it
+        /// covers every drawn start; the missing list is the uncovered
+        /// distinct starts, ascending; and the position sum over covered
+        /// draws is the per-draw sum of `position_in` on the start's
+        /// multiset, less every draw of the excluded start. Draws repeat
+        /// (60 draws from 48 ids), include ids the entry lacks (the entry
+        /// holds ids below 40), and the excluded start is drawn or not.
+        #[test]
+        fn merge_reads_match_per_draw_reads(
+            entries in proptest::collection::vec((0u64..40, proptest::collection::vec(1u64..5, 0..6)), 0..30),
+            drawn in proptest::collection::vec(0u64..48, 0..60),
+            (a, pick, drawn_exclude) in (0u64..6, 0usize..100, any::<bool>())
+        ) {
+            use crate::measures::distribution::position_in;
+            let starts: Vec<u64> = entries.iter().map(|(s, _)| *s).collect();
+            let per_start: HashMap<u64, Vec<u64>> = entries
+                .iter()
+                .filter(|(_, c)| !c.is_empty())
+                .map(|(s, c)| (*s, descending(c.clone())))
+                .collect();
+            let entry = AllStartsDistribution {
+                table: Arc::new(StartRuns::from_batch(&starts, &per_start)),
+                trace: EvalTrace::default(),
+                epoch: 0,
+                spec: PatternSpec { var_count: 2, start: 0, end: 1, edges: Vec::new() },
+            };
+            let table = |ids: &[u64]| {
+                DrawTable::from_starts(&ids.iter().map(|&s| NodeId(s as u32)).collect::<Vec<_>>())
+            };
+            let covered = |s: &u64| starts.contains(s);
+
+            let draws = table(&drawn);
+            prop_assert_eq!(entry.serves(0, &draws), drawn.iter().all(covered));
+            prop_assert!(!entry.serves(1, &draws), "another epoch is never served");
+            let mut lacking: Vec<u64> = drawn.iter().copied().filter(|s| !covered(s)).collect();
+            lacking.sort_unstable();
+            lacking.dedup();
+            prop_assert_eq!(entry.table.missing(&draws), lacking);
+
+            let kept: Vec<u64> = drawn.iter().copied().filter(covered).collect();
+            let exclude = match kept.len() {
+                n if drawn_exclude && n > 0 => kept[pick % n],
+                _ => pick as u64 % 50,
+            };
+            let expected: usize = kept
+                .iter()
+                .filter(|&&s| s != exclude)
+                .map(|&s| position_in(&entry.counts_for(s).expect("a covered start"), a))
+                .sum();
+            let sum = entry.position_sum(&table(&kept), Some(NodeId(exclude as u32)), a);
+            prop_assert_eq!(sum, expected);
         }
     }
 

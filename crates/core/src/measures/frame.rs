@@ -26,6 +26,14 @@
 //! old estimator's with-replacement semantics — and errors loudly when
 //! the KB has no eligible start entity at all.
 //!
+//! Alongside its draws in draw order, a frame keeps a [`DrawTable`]: its
+//! distinct starts in ascending order, each with the number of times it
+//! was drawn, built once when the frame is drawn or refreshed. Cache
+//! entries keep their starts in ascending order too, so every read of
+//! an entry over the frame — does it cover the frame, which starts does
+//! it lack, what is the position sum — is one merge walk of the two
+//! arrays.
+//!
 //! [`MeasureContext`]: crate::measures::MeasureContext
 //! [`DistributionCache`]: crate::measures::DistributionCache
 //! [`DistributionCache::global_position`]:
@@ -50,11 +58,45 @@ use crate::error::{CoreError, Result};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleFrame {
     starts: Vec<NodeId>,
+    draws: DrawTable,
     seed: u64,
     epoch: u64,
 }
 
+/// A multiset of start draws as an ascending table of its distinct
+/// starts, each with the number of times it was drawn — the form in
+/// which a cache entry reads a frame, in one merge walk against its own
+/// ascending start array.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DrawTable {
+    /// `(start, times)`, strictly ascending by start, every `times ≥ 1`.
+    draws: Vec<(u64, usize)>,
+}
+
+impl DrawTable {
+    /// The table of `starts`, in any order, a repeated start counted once
+    /// per occurrence.
+    pub fn from_starts(starts: &[NodeId]) -> DrawTable {
+        let mut sorted: Vec<u64> = starts.iter().map(|s| s.0 as u64).collect();
+        sorted.sort_unstable();
+        let draws = sorted.chunk_by(|a, b| a == b).map(|same| (same[0], same.len())).collect();
+        DrawTable { draws }
+    }
+
+    /// The distinct starts in ascending order, each with its number of
+    /// draws.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.draws.iter().copied()
+    }
+}
+
 impl SampleFrame {
+    /// A frame of `starts`, in draw order, with its draw table.
+    fn new(starts: Vec<NodeId>, seed: u64, epoch: u64) -> SampleFrame {
+        let draws = DrawTable::from_starts(&starts);
+        SampleFrame { starts, draws, seed, epoch }
+    }
+
     /// Draws `size` start entities uniformly (with replacement) from the
     /// entities with at least one incident edge, deterministically for a
     /// fixed `(kb, size, seed)`. Errors when `size > 0` but the KB has no
@@ -68,7 +110,7 @@ impl SampleFrame {
     /// the epoch into it; the initial draw uses `seed` itself).
     fn draw(kb: &KnowledgeBase, size: usize, seed: u64, stream: u64) -> Result<SampleFrame> {
         if size == 0 {
-            return Ok(SampleFrame { starts: Vec::new(), seed, epoch: kb.epoch() });
+            return Ok(SampleFrame::new(Vec::new(), seed, kb.epoch()));
         }
         let eligible: Vec<NodeId> = kb.node_ids().filter(|&n| kb.degree(n) > 0).collect();
         if eligible.is_empty() {
@@ -76,7 +118,7 @@ impl SampleFrame {
         }
         let mut rng = StdRng::seed_from_u64(stream);
         let starts = (0..size).map(|_| eligible[rng.gen_range(0..eligible.len())]).collect();
-        Ok(SampleFrame { starts, seed, epoch: kb.epoch() })
+        Ok(SampleFrame::new(starts, seed, kb.epoch()))
     }
 
     /// Applies the redraw policy against the current state of `kb` and
@@ -93,9 +135,7 @@ impl SampleFrame {
             return Ok((self.clone(), false));
         }
         if self.starts.iter().all(|&s| kb.degree(s) > 0) {
-            let kept =
-                SampleFrame { starts: self.starts.clone(), seed: self.seed, epoch: kb.epoch() };
-            return Ok((kept, false));
+            return Ok((SampleFrame::new(self.starts.clone(), self.seed, kb.epoch()), false));
         }
         let stream = self.seed ^ kb.epoch().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let redrawn = Self::draw(kb, self.starts.len(), self.seed, stream)?;
@@ -113,13 +153,19 @@ impl SampleFrame {
         &self.starts
     }
 
+    /// The distinct drawn starts, ascending, with their multiplicities.
+    pub fn draws(&self) -> &DrawTable {
+        &self.draws
+    }
+
     /// Allocation-free view of the starts with every occurrence of
     /// `exclude` dropped — the read-time exclusion a pair applies so its
-    /// own start's local distribution is not double counted. The hot call
-    /// sites (position sums inside `DistributionCache`, the context's
-    /// sampled-start walk) iterate this directly; collect with
-    /// [`SampleFrame::starts_excluding`] only when a `Vec` is genuinely
-    /// needed.
+    /// own start's local distribution is not double counted. The
+    /// per-start baseline (the context's sampled-start walk) iterates
+    /// this directly; collect with [`SampleFrame::starts_excluding`] only
+    /// when a `Vec` is genuinely needed. Position sums over cache entries
+    /// read [`SampleFrame::draws`] instead, skipping the excluded start's
+    /// draws in one step.
     pub fn iter_excluding(&self, exclude: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.starts.iter().copied().filter(move |&s| s != exclude)
     }
@@ -268,6 +314,49 @@ mod tests {
             kb.remove_edge(rex_kb::EdgeId(0)).unwrap();
         }
         assert!(frame.refresh(&kb).is_err());
+    }
+
+    /// The draws of `frame` sorted, with the number of times each start
+    /// occurs.
+    fn counted_draws(frame: &SampleFrame) -> Vec<(u64, usize)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for s in frame.starts() {
+            *counts.entry(s.0 as u64).or_insert(0) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    /// The draw table of a sampled frame, of a frame kept by `refresh`,
+    /// and of a redrawn one each equal the frame's draws sorted and
+    /// counted — 30 draws from 8 nodes repeat most starts.
+    #[test]
+    fn draw_table_counts_every_draw() {
+        let mut b = rex_kb::KbBuilder::new();
+        let nodes: Vec<_> = (0..8).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
+        for w in nodes.windows(2) {
+            b.add_directed_edge(w[0], w[1], "r");
+        }
+        let mut kb = b.build();
+        let frame = SampleFrame::sample(&kb, 30, 4).unwrap();
+        let table: Vec<(u64, usize)> = frame.draws().iter().collect();
+        assert_eq!(table, counted_draws(&frame));
+        assert!(table.iter().any(|&(_, times)| times > 1), "30 draws from 8 nodes repeat");
+
+        let r = kb.label_by_name("r").unwrap();
+        kb.insert_edge(nodes[0], nodes[7], r, true).unwrap();
+        let (kept, redrawn) = frame.refresh(&kb).unwrap();
+        assert!(!redrawn);
+        assert_eq!(kept.draws().iter().collect::<Vec<_>>(), counted_draws(&kept));
+
+        let victim = frame.starts()[0];
+        while kb.degree(victim) > 0 {
+            let eid = kb.neighbors(victim)[0].edge;
+            kb.remove_edge(eid).unwrap();
+        }
+        let (fresh, redrawn) = frame.refresh(&kb).unwrap();
+        assert!(redrawn);
+        assert_ne!(fresh.starts(), frame.starts());
+        assert_eq!(fresh.draws().iter().collect::<Vec<_>>(), counted_draws(&fresh));
     }
 
     #[test]

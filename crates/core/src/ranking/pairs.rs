@@ -32,6 +32,13 @@
 //!    the pass's only cache accesses. Every pair is then scored from
 //!    those reads in a plain loop, so a request reads each distinct shape
 //!    exactly once.
+//! 6. **Merge walks over the frame**: the frame keeps its draws as a
+//!    [`DrawTable`](crate::measures::frame::DrawTable), its distinct
+//!    starts ascending with their multiplicities, and a cache entry keeps
+//!    its starts ascending. A hit's covering check and each
+//!    explanation's position sum are therefore one merge walk of the two
+//!    arrays. The sum skips every draw of the pair's own start at once
+//!    and counts each other start's position once per draw.
 //!
 //! Every ranking request runs this one pass, under a [`Budget`] that the
 //! unbudgeted entry points leave unlimited: [`rank_pairs`] (a one-shot
@@ -226,11 +233,12 @@ pub(crate) fn rank_pass(
 
     // The pass's only cache reads, one per shape, under the budget. The
     // shapes a published entry serves are read first, on this thread.
+    let draws = frame.draws();
     let mut reads: HashMap<&CanonicalKey, std::result::Result<BatchRead, AbortReason>> =
         HashMap::with_capacity(distinct_shapes);
     let mut missed = Vec::new();
     for (key, e) in shapes {
-        match cache.lookup(index, e, frame.starts()) {
+        match cache.lookup(index, e, draws) {
             Ok(read) => {
                 reads.insert(key, Ok(read));
             }
@@ -257,7 +265,7 @@ pub(crate) fn rank_pass(
             ordered
                 .par_iter()
                 .map(|&(_, e)| {
-                    let read = match cache.all_starts(index, e, frame.starts(), budget) {
+                    let read = match cache.read(index, e, draws, budget) {
                         Ok(read) => Ok(read),
                         Err(RelError::Aborted(reason)) => Err(reason),
                         Err(err) => panic!("explanation patterns are valid specs: {err}"),
@@ -299,8 +307,7 @@ pub(crate) fn rank_pass(
             .iter()
             .map(|e| {
                 let read = reads[e.key()].as_ref().map_err(|reason| *reason)?;
-                let pos =
-                    read.batch.position_sum(frame.starts(), Some(pair.start), e.count() as u64);
+                let pos = read.batch.position_sum(draws, Some(pair.start), e.count() as u64);
                 Ok(-(pos as f64))
             })
             .collect();

@@ -162,17 +162,16 @@ impl Snapshot {
 
     /// Sampled global position of one explanation over the pinned frame,
     /// skipping `exclude` (the pair's own start) at read time — the
-    /// single-explanation hot read, pinned to this snapshot's epoch.
+    /// single-explanation hot read, pinned to this snapshot's epoch. It
+    /// reads the frame's draw table, so a warm hit is two merge walks of
+    /// the table against the cache entry's starts.
     pub fn global_position_excluding(&self, e: &Explanation, exclude: Option<NodeId>) -> usize {
-        self.cache
-            .global_position(
-                &self.pinned.index,
-                e,
-                self.pinned.frame.starts(),
-                exclude,
-                &Budget::unlimited(),
-            )
-            .expect("unlimited budget never aborts")
+        let draws = self.pinned.frame.draws();
+        let read = self
+            .cache
+            .read(&self.pinned.index, e, draws, &Budget::unlimited())
+            .expect("unlimited budget never aborts");
+        read.batch.position_sum(draws, exclude, e.count() as u64)
     }
 
     /// Prices a request in estimated intermediate rows against this

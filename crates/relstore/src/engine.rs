@@ -446,14 +446,15 @@ impl EdgeIndex {
         (scans + self.estimate_instance_rows(spec)).min(u64::MAX as f64) as u64
     }
 
-    /// Estimated join-produced rows of `spec` over a sorted start set:
-    /// the starts' **exact** incident rows on the start variable's anchor
-    /// edge (its smallest start-incident partition), read from the
-    /// endpoint postings, times the estimated instances per anchor row —
-    /// at least 1.0, so the incident rows themselves count even for
-    /// highly selective shapes. `None` when no edge touches the start
-    /// variable. The one per-start weight of admission and tiling.
-    fn start_rows(&self, spec: &PatternSpec) -> Option<impl Fn(&[u64]) -> f64 + '_> {
+    /// The per-start weight of `spec`'s evaluations: the posting of the
+    /// start variable's anchor edge (its smallest start-incident
+    /// partition), whose list lengths are each start's **exact** incident
+    /// rows, and the estimated instances per anchor row — at least 1.0,
+    /// so the incident rows themselves count even for highly selective
+    /// shapes. A start set's estimated join-produced rows are its
+    /// incident rows times that factor. `None` when no edge touches the
+    /// start variable. The one per-start weight of admission and tiling.
+    fn start_weight(&self, spec: &PatternSpec) -> Option<StartWeight<'_>> {
         let anchor = spec
             .edges
             .iter()
@@ -462,7 +463,7 @@ impl EdgeIndex {
         let (label, dir, src) = (anchor.label, anchor.dir(), anchor.u == spec.start);
         let anchor_rows = self.scan_len(label, dir).max(1) as f64;
         let per_row = (self.estimate_instance_rows(spec) / anchor_rows).max(1.0);
-        Some(move |starts: &[u64]| self.incident_len(label, dir, src, starts) as f64 * per_row)
+        Some(StartWeight { posting: self.endpoint_posting(label, dir, src), per_row })
     }
 
     /// Estimated join-produced rows of one batched evaluation of `spec`
@@ -473,14 +474,15 @@ impl EdgeIndex {
     /// the rows actually incident to its starts (measured from the
     /// endpoint postings), not to the KB.
     pub fn estimate_starts_rows(&self, spec: &PatternSpec, starts: &[u64]) -> usize {
-        let Some(start_rows) = self.start_rows(spec) else {
+        let Some(weight) = self.start_weight(spec) else {
             // No start-incident edge: the start variable is unconstrained,
             // so the whole estimated instance relation is the cost.
             return self.estimate_instance_rows(spec).min(usize::MAX as f64) as usize;
         };
         let mut sorted: Vec<u64> = starts.to_vec();
         sorted.sort_unstable();
-        start_rows(&sorted).min(usize::MAX as f64) as usize
+        sorted.dedup();
+        weight.estimate(sorted.iter().map(|&s| weight.rows(s)).sum())
     }
 
     /// Packs `starts` (sorted, deduped) into variable-size tiles whose
@@ -498,26 +500,42 @@ impl EdgeIndex {
         starts: &[u64],
         max_rows: usize,
     ) -> Vec<Vec<u64>> {
+        self.pack_tiles(spec, starts, max_rows).into_iter().map(|(tile, _)| tile).collect()
+    }
+
+    /// [`EdgeIndex::tile_starts_for_ceiling`], each tile with its
+    /// estimated rows ([`EdgeIndex::estimate_starts_rows`] of the tile).
+    /// The anchor posting is looked up once and each start's incident
+    /// rows are counted once; the packing and every tile's estimate are
+    /// derived from those counts.
+    fn pack_tiles(
+        &self,
+        spec: &PatternSpec,
+        starts: &[u64],
+        max_rows: usize,
+    ) -> Vec<(Vec<u64>, usize)> {
         if starts.is_empty() {
             return Vec::new();
         }
-        let Some(start_rows) = self.start_rows(spec) else {
-            return vec![starts.to_vec()];
+        let Some(weight) = self.start_weight(spec) else {
+            return vec![(starts.to_vec(), self.estimate_starts_rows(spec, starts))];
         };
-        let mut tiles: Vec<Vec<u64>> = Vec::new();
+        let mut tiles = Vec::new();
         let mut tile: Vec<u64> = Vec::new();
-        let mut tile_cost = 0.0f64;
+        let (mut tile_rows, mut tile_cost) = (0usize, 0.0f64);
         for &s in starts {
-            let weight = start_rows(&[s]);
-            if !tile.is_empty() && tile_cost + weight > max_rows as f64 {
-                tiles.push(std::mem::take(&mut tile));
-                tile_cost = 0.0;
+            let rows = weight.rows(s);
+            let cost = rows as f64 * weight.per_row;
+            if !tile.is_empty() && tile_cost + cost > max_rows as f64 {
+                tiles.push((std::mem::take(&mut tile), weight.estimate(tile_rows)));
+                (tile_rows, tile_cost) = (0, 0.0);
             }
             tile.push(s);
-            tile_cost += weight;
+            tile_rows += rows;
+            tile_cost += cost;
         }
         if !tile.is_empty() {
-            tiles.push(tile);
+            tiles.push((tile, weight.estimate(tile_rows)));
         }
         tiles
     }
@@ -582,6 +600,28 @@ impl EdgeIndex {
                 let by_src = &partition.by_src;
                 sums.get(key) == Some(&(by_src.len(), by_src.fingerprint(false)))
             })
+    }
+}
+
+/// [`EdgeIndex::start_weight`]: the anchor posting and the estimated
+/// instances per anchor row.
+struct StartWeight<'a> {
+    /// `None` when the anchor partition is absent (every start has 0
+    /// incident rows).
+    posting: Option<&'a ColumnPosting>,
+    per_row: f64,
+}
+
+impl StartWeight<'_> {
+    /// The exact incident rows of `start` on the anchor edge.
+    fn rows(&self, start: u64) -> usize {
+        self.posting.map_or(0, |p| p.count(start))
+    }
+
+    /// Estimated join-produced rows of starts with `rows` incident rows
+    /// in all.
+    fn estimate(&self, rows: usize) -> usize {
+        (rows as f64 * self.per_row).min(usize::MAX as f64) as usize
     }
 }
 
@@ -864,24 +904,26 @@ pub fn count_distributions(
     if values.is_empty() {
         return Ok(TiledDistributions::default());
     }
-    let tiles = match req.row_ceiling {
-        None => vec![values],
-        Some(max_rows) => index.tile_starts_for_ceiling(spec, &values, max_rows),
-    };
     let mut trace = EvalTrace::default();
     match req.kind {
         EvalKind::Full => trace.full = 1,
         EvalKind::Delta => trace.delta = 1,
     }
+    let tiles = match req.row_ceiling {
+        None => vec![values],
+        Some(max_rows) => {
+            let packed = index.pack_tiles(spec, &values, max_rows);
+            for &(_, est) in &packed {
+                trace.est_peak_rows = trace.est_peak_rows.max(est);
+                if est > max_rows {
+                    trace.overflow_tiles += 1;
+                }
+            }
+            packed.into_iter().map(|(tile, _)| tile).collect()
+        }
+    };
     let mut ends = EndCounts::new(index.node_count(), spec.end);
     for tile in tiles {
-        if let Some(max_rows) = req.row_ceiling {
-            let est = index.estimate_starts_rows(spec, &tile);
-            trace.est_peak_rows = trace.est_peak_rows.max(est);
-            if est > max_rows {
-                trace.overflow_tiles += 1;
-            }
-        }
         let binding = StartBinding::Among(tile);
         trace.merge(&spec.evaluate_tile(index, &binding, &req.budget, true, &mut ends)?);
         trace.tiles += 1;
