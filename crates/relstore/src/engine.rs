@@ -98,8 +98,8 @@ pub struct PostingStats {
     pub src_keys: usize,
     /// Distinct `to` values summed over partitions.
     pub dst_keys: usize,
-    /// Heap bytes held by all posting arrays — the index's whole row
-    /// storage.
+    /// Heap bytes held by all postings, key directories included — the
+    /// index's whole row storage.
     pub heap_bytes: usize,
 }
 
@@ -249,10 +249,10 @@ impl EdgeIndex {
     /// Visits exactly the `(from, to)` rows of the `(label, dir)`
     /// partition whose start endpoint — `from` when `src`, `to` otherwise
     /// — is in `keys` (sorted; adjacent duplicates are skipped), via the
-    /// partition's endpoint posting: one binary search plus a contiguous
-    /// id list per key, so the cost is proportional to the rows *incident
-    /// to the key set* instead of the partition size. Rows arrive key by
-    /// key, each key's rows ordered by the other endpoint.
+    /// partition's endpoint posting: one key-directory lookup plus a
+    /// contiguous id list per key, so the cost is proportional to the
+    /// rows *incident to the key set* instead of the partition size. Rows
+    /// arrive key by key, each key's rows ordered by the other endpoint.
     pub(crate) fn for_each_probed<F: FnMut(u64, u64)>(
         &self,
         label: u64,

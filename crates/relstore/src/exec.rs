@@ -6,13 +6,20 @@
 //! A walk follows a [`BindingPlan`] one level at a time per start value.
 //! A level's candidates are the ids in the shortest of its neighbour
 //! lists — the posting lists of its edges to variables already bound,
-//! keyed by their values — that every other list holds too (a binary
-//! search from a cursor that only moves forward), that differ from every
-//! bound value (REX instances are injective) and that pass the
-//! variable's self-loop edges. Binding one variable at a time by
-//! intersecting sorted adjacency lists needs no intermediate relation
-//! (Ngo et al., "Worst-case Optimal Join Algorithms", PODS 2012): a
-//! walk's state is one value per variable and one list per read.
+//! keyed by their values and found through each posting's key directory
+//! ([`ColumnPosting`]) — that every other list holds too (a binary search
+//! from a cursor that only moves forward), that differ from every bound
+//! value (REX instances are injective) and that pass the variable's
+//! self-loop edges. Binding one variable at a time by intersecting
+//! sorted adjacency lists needs no intermediate relation (Ngo et al.,
+//! "Worst-case Optimal Join Algorithms", PODS 2012): a walk's state is
+//! one value per variable and one list per read.
+//!
+//! A *one-list end* — an enumerated last level that reads one list and
+//! has no self-loop edges, as the end of a path does — skips the
+//! intersection: one loop over the list passes repeated ids and the
+//! values bound at earlier levels, emits every other id in ascending
+//! order until the sink says stop, and adds the level's bindings once.
 //!
 //! A *counted tail* — the plan's last level when it binds an existential
 //! and the caller only counts — is not enumerated: its instances number
@@ -89,6 +96,9 @@ pub(crate) struct Walk<'a> {
     loops: Vec<Vec<(usize, Option<&'a ColumnPosting>)>>,
     /// Whether the last level is counted instead of enumerated.
     count_tail: bool,
+    /// Whether the last level is enumerated from one list with no
+    /// self-loops, in [`Walk::bind_end`]'s single loop.
+    one_list_end: bool,
     /// The counted tail's distinct key variables, when there are at most
     /// two: their values, packed, key `memo`.
     memo_vars: Option<Vec<usize>>,
@@ -145,6 +155,8 @@ impl<'a> Walk<'a> {
             loops.push(level_loops);
         }
         let count_tail = count_tail && plan.counted_tail;
+        let one_list_end = !count_tail
+            && plan.levels.last().is_some_and(|end| end.reads.len() == 1 && end.loops.is_empty());
         let memo_vars = plan.levels.last().filter(|_| count_tail).and_then(|tail| {
             let mut vars: Vec<usize> = tail.reads.iter().map(|r| r.key_var).collect();
             vars.sort_unstable();
@@ -156,6 +168,7 @@ impl<'a> Walk<'a> {
             reads,
             loops,
             count_tail,
+            one_list_end,
             memo_vars,
             memo: HashMap::default(),
             counted,
@@ -186,12 +199,17 @@ impl<'a> Walk<'a> {
 
     /// Binds level `i` and everything below it.
     fn descend(&mut self, i: usize, sink: &mut impl Sink) -> bool {
+        let last = i + 1 == self.plan.levels.len();
+        if last && self.one_list_end {
+            let list = self.fetch(i, 0);
+            return self.bind_end(i, list, sink);
+        }
         let mut lists = std::mem::take(&mut self.lists[i]);
         lists.clear();
         for r in 0..self.reads[i].len() {
             lists.push(self.fetch(i, r));
         }
-        let go = if i + 1 == self.plan.levels.len() && self.count_tail {
+        let go = if last && self.count_tail {
             self.count(i, &lists, sink)
         } else {
             self.enumerate(i, &lists, sink)
@@ -311,6 +329,33 @@ impl<'a> Walk<'a> {
         })
     }
 
+    /// Binds the last level `i` from its one list, which has no self-loop
+    /// edges to check: each distinct id of `list`, ascending, that no
+    /// earlier level bound is emitted once, until the sink says stop.
+    /// Equivalent to [`Walk::enumerate`] on one list, in one loop with no
+    /// cursors or self-loop checks that adds the level's bindings once.
+    fn bind_end(&mut self, i: usize, list: &[u32], sink: &mut impl Sink) -> bool {
+        let var = self.plan.levels[i].var;
+        let (mut previous, mut made, mut go) = (None, 0, true);
+        for &c in list {
+            if previous.replace(c) == Some(c) {
+                continue;
+            }
+            let c = u64::from(c);
+            if self.is_bound(i, c) {
+                continue;
+            }
+            self.assignment[var] = c;
+            made += 1;
+            if !sink.emit(&self.assignment, 1) {
+                go = false;
+                break;
+            }
+        }
+        self.bindings[i] += made;
+        go
+    }
+
     /// Counts the counted tail at level `i`: the intersection's size
     /// minus the bound values inside it, emitted as one multiplicity.
     fn count(&mut self, i: usize, lists: &[&'a [u32]], sink: &mut impl Sink) -> bool {
@@ -348,5 +393,116 @@ impl<'a> Walk<'a> {
         }
         self.bindings[i] += n as usize;
         n == 0 || sink.emit(&self.assignment, n)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{SpecEdge, StartBinding};
+    use rex_kb::{KbBuilder, KnowledgeBase};
+
+    /// Eight nodes; each ordered pair, self-loops included, joined by up
+    /// to two parallel directed `r` edges, and each unordered pair by an
+    /// undirected `s` edge, as a seeded generator says. Lists then repeat
+    /// ids, hold values bound earlier in a walk, and are sometimes empty.
+    fn multigraph(seed: u64) -> KnowledgeBase {
+        let mut b = KbBuilder::new();
+        let nodes: Vec<_> = (0..8).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for (i, &x) in nodes.iter().enumerate() {
+            for (j, &y) in nodes.iter().enumerate() {
+                for _ in 0..next() % 3 {
+                    b.add_directed_edge(x, y, "r");
+                }
+                if i <= j && next() % 3 == 0 {
+                    b.add_undirected_edge(x, y, "s");
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Shapes whose plans end in one list (a direct edge, a five-variable
+    /// path, and an existential after the end) or do not (a self-loop on
+    /// the end).
+    fn shapes(kb: &KnowledgeBase) -> Vec<PatternSpec> {
+        let r = u64::from(kb.label_by_name("r").unwrap().0);
+        let s = u64::from(kb.label_by_name("s").unwrap().0);
+        let e = |u: usize, v: usize, label: u64, directed: bool| SpecEdge { u, v, label, directed };
+        let spec = |var_count: usize, edges: Vec<SpecEdge>| PatternSpec {
+            var_count,
+            start: 0,
+            end: 1,
+            edges,
+        };
+        vec![
+            spec(2, vec![e(0, 1, r, true)]),
+            spec(5, vec![e(0, 2, r, true), e(2, 3, s, false), e(3, 4, r, true), e(4, 1, r, true)]),
+            spec(3, vec![e(0, 1, r, true), e(1, 2, s, false)]),
+            spec(3, vec![e(0, 2, r, true), e(2, 1, r, true), e(1, 1, s, false)]),
+        ]
+    }
+
+    /// What a walk did: each emission's assignment and multiplicity,
+    /// what each start returned, and the trace.
+    type Walked = (Vec<(Vec<u64>, u64)>, Vec<bool>, EvalTrace);
+
+    /// Walks every node and one id past the KB as a start, into a sink
+    /// that says stop from its `stop`-th emission on; returns what the
+    /// walk did and whether it bound its last level in the one-list
+    /// loop.
+    fn walk(
+        index: &EdgeIndex,
+        spec: &PatternSpec,
+        count_tail: bool,
+        one_list_end: bool,
+        stop: usize,
+    ) -> (Walked, bool) {
+        let starts: Vec<u64> = (0..=index.node_count() as u64).collect();
+        let plan = spec.plan(index, &StartBinding::among(starts.iter().copied()));
+        let mut walk = Walk::new(index, spec, &plan, count_tail);
+        walk.one_list_end &= one_list_end;
+        let mut seen = Vec::new();
+        let mut sink = |assignment: &[u64], n: u64| {
+            seen.push((assignment.to_vec(), n));
+            seen.len() < stop
+        };
+        let went = starts.iter().map(|&s| walk.start(s, &mut sink)).collect();
+        ((seen, went, walk.trace()), walk.one_list_end)
+    }
+
+    /// The one-list end loop against the general intersection it stands
+    /// in for: the same instances in the same order, the same stops and
+    /// the same trace, counting and enumerating, run to the end and
+    /// stopped early.
+    #[test]
+    fn one_list_end_matches_the_general_intersection() {
+        let mut tight_walks = 0;
+        for seed in 0..4 {
+            let kb = multigraph(seed);
+            let index = EdgeIndex::build(&kb);
+            for (idx, spec) in shapes(&kb).iter().enumerate() {
+                for count_tail in [false, true] {
+                    for stop in [1, 7, usize::MAX] {
+                        let (walked, tight) = walk(&index, spec, count_tail, true, stop);
+                        let (general, off) = walk(&index, spec, count_tail, false, stop);
+                        assert!(!off);
+                        assert_eq!(
+                            walked, general,
+                            "seed {seed} shape {idx} count_tail {count_tail} stop {stop}"
+                        );
+                        tight_walks += usize::from(tight);
+                    }
+                }
+            }
+        }
+        // Shapes 0 and 1 end in one list either way; shape 2 only when
+        // its existential is enumerated.
+        assert_eq!(tight_walks, 4 * 3 * (2 + 2 + 1));
     }
 }

@@ -165,12 +165,23 @@ impl Relation {
 /// `others[offsets[i] .. offsets[i + 1]]` — one entry per pair, so a pair
 /// listed twice repeats its other id. Over an edge partition's `(from,
 /// to)` rows these are the partition's out-adjacency lists; over its
-/// `(to, from)` rows, its in-adjacency lists. A selection on a key costs
-/// O(log keys) and hands back the key's other ids as one contiguous
-/// sorted slice, which the depth-first executor intersects directly.
+/// `(to, from)` rows, its in-adjacency lists.
+///
+/// A *key directory* finds a key's position. It splits the range from
+/// the first key to the last into buckets of one power-of-two width, the
+/// widest that still leaves a bucket per four keys (so a bucket holds two
+/// to four keys on average), and records the position of each bucket's
+/// first key. A selection on a key shifts its distance from the first
+/// key to a bucket and binary-searches that bucket's few keys, then
+/// hands back the key's other ids as one contiguous sorted slice, which
+/// the depth-first executor intersects directly. The directory is
+/// derived from the keys, by [`build`] and by the snapshot load path
+/// alike, so snapshots do not store it.
 ///
 /// A posting is immutable: an edited partition builds new ones
 /// (partitions rebuild only their delta-touched postings).
+///
+/// [`build`]: ColumnPosting::build
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnPosting {
     /// Sorted distinct keys.
@@ -179,7 +190,18 @@ pub struct ColumnPosting {
     offsets: Vec<u32>,
     /// Each key's other ids, ascending, grouped by key.
     others: Vec<u32>,
+    /// The key directory: bucket `b` holds the keys `k` with
+    /// `(k - base) >> shift == b`, at positions `directory[b] ..
+    /// directory[b + 1]`; the last entry is `keys.len()`.
+    directory: Vec<u32>,
+    /// The first key (0 when there are none).
+    base: u64,
+    /// Log2 of the directory's bucket width.
+    shift: u32,
 }
+
+/// The most keys a key directory's buckets hold on average.
+const KEYS_PER_BUCKET: usize = 4;
 
 impl ColumnPosting {
     /// Builds the posting of `(key, other)` pairs given in any order: one
@@ -201,7 +223,27 @@ impl ColumnPosting {
             others.push(p as u32);
         }
         offsets.push(packed.len() as u32);
-        ColumnPosting { keys, offsets, others }
+        ColumnPosting::assemble(keys, offsets, others)
+    }
+
+    /// A posting over CSR arrays that satisfy its invariants, with the
+    /// key directory derived from the keys in one pass.
+    fn assemble(keys: Vec<u64>, offsets: Vec<u32>, others: Vec<u32>) -> ColumnPosting {
+        let base = keys.first().copied().unwrap_or(0);
+        let span = keys.last().map_or(0, |&last| last - base);
+        // The widest power-of-two bucket that still leaves at least
+        // `keys / KEYS_PER_BUCKET` buckets over the key range.
+        let target = (keys.len() / KEYS_PER_BUCKET).max(1) as u64;
+        let mut shift = 0;
+        while shift < 32 && (span >> (shift + 1)) + 1 >= target {
+            shift += 1;
+        }
+        let mut directory = Vec::with_capacity((span >> shift) as usize + 2);
+        for (at, &key) in keys.iter().enumerate() {
+            directory.resize(((key - base) >> shift) as usize + 1, at as u32);
+        }
+        directory.push(keys.len() as u32);
+        ColumnPosting { keys, offsets, others, directory, base, shift }
     }
 
     /// The other ids paired with `key`, ascending (empty when the key is
@@ -210,9 +252,16 @@ impl ColumnPosting {
         self.position(key).map_or(&[], |k| self.list(k))
     }
 
-    /// The position of `key` among the sorted keys, if present.
+    /// The position of `key` among the sorted keys, if present: a binary
+    /// search of the one directory bucket that can hold it.
     pub(crate) fn position(&self, key: u64) -> Option<usize> {
-        self.keys.binary_search(&key).ok()
+        // A key below `base` wraps to a bucket past the directory's end.
+        let bucket = usize::try_from(key.wrapping_sub(self.base) >> self.shift).ok()?;
+        let &[lo, hi] = self.directory.get(bucket..bucket.checked_add(2)?)? else {
+            return None;
+        };
+        let (lo, hi) = (lo as usize, hi as usize);
+        self.keys.get(lo..hi)?.binary_search(&key).ok().map(|at| lo + at)
     }
 
     /// The list of the key at position `k`.
@@ -252,15 +301,19 @@ impl ColumnPosting {
         self.others.is_empty()
     }
 
-    /// Heap bytes held by the posting's three arrays.
+    /// Heap bytes held by the posting: its keys, offsets and other ids,
+    /// and its key directory.
     pub fn heap_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<u64>()
-            + (self.offsets.len() + self.others.len()) * std::mem::size_of::<u32>()
+            + (self.offsets.len() + self.others.len() + self.directory.len())
+                * std::mem::size_of::<u32>()
     }
 
     /// The posting's flat arrays `(keys, offsets, others)` — the exact
     /// on-disk layout of the index snapshot format (`persist`), exposed
-    /// so serialization is a plain memcpy of three arrays.
+    /// so serialization is a plain memcpy of three arrays. The key
+    /// directory is not among them: [`ColumnPosting::from_parts`] derives
+    /// it again.
     pub(crate) fn parts(&self) -> (&[u64], &[u32], &[u32]) {
         (&self.keys, &self.offsets, &self.others)
     }
@@ -272,8 +325,9 @@ impl ColumnPosting {
     /// `others.len()`, every key's list ascending — so a corrupted
     /// snapshot is rejected instead of answering from malformed lists.
     /// Crucially this performs **no sorting**: loading a posting is
-    /// `O(pairs)` sequential validation, which is what makes an index
-    /// load cheaper than a rebuild.
+    /// `O(pairs)` sequential validation plus one pass over the keys for
+    /// the key directory, which is what makes an index load cheaper than
+    /// a rebuild.
     pub(crate) fn from_parts(
         keys: Vec<u64>,
         offsets: Vec<u32>,
@@ -295,7 +349,7 @@ impl ColumnPosting {
         if keys.last().is_some_and(|&k| k > u64::from(u32::MAX)) {
             return Err(corrupt("key outside the u32 id range"));
         }
-        let posting = ColumnPosting { keys, offsets, others };
+        let posting = ColumnPosting::assemble(keys, offsets, others);
         if posting.lists().any(|(_, list)| list.windows(2).any(|w| w[0] > w[1])) {
             return Err(corrupt("a key's list is out of order"));
         }
@@ -338,6 +392,7 @@ pub(crate) fn pair_mix(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn schema_lookup() {
@@ -402,6 +457,100 @@ mod tests {
         let (keys, offsets, others) = p.parts();
         let rebuilt = ColumnPosting::from_parts(keys.to_vec(), offsets.to_vec(), others.to_vec());
         assert_eq!(rebuilt.unwrap(), p);
+    }
+
+    /// A key set of one kind, ascending and distinct, in the `u32` range:
+    /// empty, one key, a dense run, clusters of nearby keys separated by
+    /// wide gaps, or keys spread over the whole range. `base` anchors
+    /// the set; `len` sizes it; each `(gap, run, step)` of `clusters` is
+    /// a cluster `gap` past the previous one, `run` keys `step` apart.
+    /// Every kind can reach `u32::MAX`, which the key space ends at.
+    fn key_set(kind: u8, base: u32, len: usize, clusters: &[(u32, usize, u32)]) -> Vec<u64> {
+        let top = u64::from(u32::MAX);
+        let base = u64::from(base);
+        let mut keys: Vec<u64> = match kind {
+            0 => Vec::new(),
+            1 => vec![if len.is_multiple_of(2) { top } else { base }],
+            2 => (0..len as u64).map(|i| (base + i).min(top)).collect(),
+            3 => {
+                let mut at = base;
+                let mut keys = Vec::new();
+                for &(gap, run, step) in clusters {
+                    at = (at + u64::from(gap)).min(top);
+                    for _ in 0..run {
+                        keys.push(at);
+                        at = (at + u64::from(step)).min(top);
+                    }
+                }
+                keys
+            }
+            _ => (0..len as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9).wrapping_add(base) % (top + 1))
+                .chain([top])
+                .collect(),
+        };
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    proptest! {
+        /// The key directory against a whole-array binary search: every
+        /// key, every value inside a gap between keys, below the first key
+        /// and past the last (ids beyond `u32::MAX` included), on a
+        /// posting from `build` and on the same posting rebuilt from its
+        /// snapshot parts; `heap_bytes` counts every array, directory
+        /// included, and the directory's buckets hold two to four keys on
+        /// average.
+        #[test]
+        fn key_directory_matches_binary_search(
+            kind in 0u8..5,
+            base in 0u32..=u32::MAX,
+            len in 1usize..300,
+            clusters in proptest::collection::vec(
+                (0u32..=u32::MAX, 1usize..40, 1u32..4),
+                0..6,
+            ),
+            fanout in 1u64..4,
+        ) {
+            let keys = key_set(kind, base, len, &clusters);
+            let pairs = keys.iter().flat_map(|&k| (0..fanout).map(move |o| (k, (k + o) % 7)));
+            let posting = ColumnPosting::build(pairs);
+            prop_assert_eq!(posting.keys(), &keys[..]);
+            let (k, o, n) = posting.parts();
+            let rebuilt = ColumnPosting::from_parts(k.to_vec(), o.to_vec(), n.to_vec()).unwrap();
+            prop_assert_eq!(&rebuilt, &posting);
+
+            let top = u64::from(u32::MAX);
+            let mut probes = vec![0, 1, top - 1, top, top + 1, top << 1, u64::MAX];
+            for &key in &keys {
+                probes.extend([key.saturating_sub(1), key, key + 1, key + 2]);
+            }
+            for w in keys.windows(2) {
+                probes.push(w[0] + (w[1] - w[0]) / 2);
+            }
+            for p in [&posting, &rebuilt] {
+                for &probe in &probes {
+                    prop_assert_eq!(
+                        p.position(probe),
+                        keys.binary_search(&probe).ok(),
+                        "probe {} over {} keys", probe, keys.len()
+                    );
+                }
+                let word = std::mem::size_of::<u32>();
+                prop_assert_eq!(
+                    p.heap_bytes(),
+                    keys.len() * std::mem::size_of::<u64>()
+                        + (o.len() + n.len() + p.directory.len()) * word
+                );
+            }
+            let buckets = posting.directory.len() - 1;
+            let target = (keys.len() / KEYS_PER_BUCKET).max(1);
+            prop_assert!(
+                keys.is_empty() || (target..2 * target).contains(&buckets),
+                "{} buckets for {} keys", buckets, keys.len()
+            );
+        }
     }
 
     #[test]

@@ -50,12 +50,14 @@ pub mod scaffold {
 
     /// A small universe of connected pattern shapes over the scaffold's
     /// label space — paths of both orientations, a fork, an inverse fork,
-    /// a self-loop-at-start shape, a three-edge mixed path, and three
+    /// a self-loop-at-start shape, a three-edge mixed path, three
     /// shapes whose last bound variable can be an existential the
     /// depth-first walk counts instead of enumerating (two forks sharing
     /// start and end, the same with a self-loop on the counted
-    /// candidate, and a five-variable cycle) — indexed so property tests
-    /// can draw a shape with one integer. Every shape passes
+    /// candidate, and a five-variable cycle), and a five-variable path
+    /// whose end level reads one list, alone and with a doubled last hop
+    /// whose end level intersects two — indexed so property tests can
+    /// draw a shape with one integer. Every shape passes
     /// `PatternSpec::validate` (checked once at first use).
     pub fn shape(idx: usize) -> rex_relstore::plan::PatternSpec {
         let shapes = shapes();
@@ -163,6 +165,33 @@ pub mod scaffold {
                         e(1, 4, 1, true),
                         e(3, 2, 2, true),
                         e(3, 4, 3, true),
+                    ],
+                },
+                // a 5-variable path: start -l0-> v2 -l1-> v3 -l2-> v4
+                // -l3-> end (the end goes last and reads one list)
+                PatternSpec {
+                    var_count: 5,
+                    start: 0,
+                    end: 1,
+                    edges: vec![
+                        e(0, 2, 0, true),
+                        e(2, 3, 1, true),
+                        e(3, 4, 2, true),
+                        e(4, 1, 3, true),
+                    ],
+                },
+                // the same path with a doubled last hop v4 -l4-> end (the
+                // end intersects two lists keyed by v4)
+                PatternSpec {
+                    var_count: 5,
+                    start: 0,
+                    end: 1,
+                    edges: vec![
+                        e(0, 2, 0, true),
+                        e(2, 3, 1, true),
+                        e(3, 4, 2, true),
+                        e(4, 1, 3, true),
+                        e(4, 1, 4, true),
                     ],
                 },
             ];

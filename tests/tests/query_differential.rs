@@ -86,7 +86,11 @@ fn shape_text(idx: usize) -> String {
         11 => "MATCH (a)-[:l0]->(g), (b)-[:l0]->(g), (b)-[:l1]->(w), (v)-[:l2]->(g), \
                (v)-[:l3]->(w) WHERE a = $start AND b = $end"
             .into(),
-        _ => unreachable!("scaffold has 12 shapes"),
+        12 => path_text(&[("l0", f), ("l1", f), ("l2", f), ("l3", f)]),
+        13 => "MATCH (a)-[:l0]->(x), (x)-[:l1]->(y), (y)-[:l2]->(z), (z)-[:l3]->(b), \
+               (z)-[:l4]->(b) WHERE a = $start AND b = $end"
+            .into(),
+        _ => unreachable!("scaffold has 14 shapes"),
     }
 }
 

@@ -154,8 +154,12 @@ type Pin = (usize, usize, Option<usize>, u64, usize, usize, usize, usize);
 /// shows up here. Every `peak_rows` was re-recorded once evaluation
 /// became a depth-first walk, where it is the widest level's bindings
 /// rather than the largest materialized join (answers, tiles and
-/// estimates unchanged); shapes 9–11 were recorded under the walk.
-const PINS: [Pin; 36] = [
+/// estimates unchanged); shapes 9–11 were recorded under the walk, and
+/// shapes 12–13 (the five-variable path, alone and with a doubled last
+/// hop) under the walk before its end level read a single list in one
+/// loop. Shapes 2, 6–13 have no instance on this KB, so their hash is the
+/// FNV-1a offset basis and their rows pin walk counts, not answers.
+const PINS: [Pin; 42] = [
     (0, 1, None, 0xc99491919640e92a, 1, 118, 0, 0),
     (0, 1, Some(0), 0xc99491919640e92a, 43, 21, 26, 34),
     (0, 1, Some(64), 0xc99491919640e92a, 2, 60, 63, 0),
@@ -192,6 +196,12 @@ const PINS: [Pin; 36] = [
     (11, 1, None, 0xcbf29ce484222325, 1, 3431, 0, 0),
     (11, 1, Some(0), 0xcbf29ce484222325, 43, 586, 26, 34),
     (11, 1, Some(64), 0xcbf29ce484222325, 2, 2330, 63, 0),
+    (12, 1, None, 0xcbf29ce484222325, 1, 529, 0, 0),
+    (12, 1, Some(0), 0xcbf29ce484222325, 43, 84, 129, 34),
+    (12, 1, Some(64), 0xcbf29ce484222325, 11, 84, 129, 1),
+    (13, 1, None, 0xcbf29ce484222325, 1, 529, 0, 0),
+    (13, 1, Some(0), 0xcbf29ce484222325, 43, 84, 26, 34),
+    (13, 1, Some(64), 0xcbf29ce484222325, 2, 268, 63, 0),
 ];
 
 /// FNV-1a over the per-start multisets in start order.
