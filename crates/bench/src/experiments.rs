@@ -241,8 +241,8 @@ pub struct RankingBenchSide {
 }
 
 /// The shared-frame workload side: one sample frame + one cache across
-/// all pairs, shapes handed to the workers heaviest-first under a row
-/// ceiling.
+/// all pairs, missed shapes handed to the workers cheapest-first under a
+/// row ceiling.
 #[derive(Debug, Clone, Copy)]
 pub struct SharedFrameSide {
     /// Wall time of the shared pass (prewarm reads + scoring) across all pairs.
@@ -1698,7 +1698,7 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
     };
 
     // Shared-frame workload driver: one frame + cache for every pair,
-    // cost-ordered prewarm under a row ceiling. Frame and index are built
+    // cost-ordered misses under a row ceiling. Frame and index are built
     // outside the timed region (the index is identical to the contexts'
     // warmed ones; the frame is a few hundred draws).
     let row_ceiling: usize =

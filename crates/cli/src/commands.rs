@@ -395,8 +395,10 @@ fn serving_state(
 }
 
 /// `rex rank`: rank explanations for many pairs through one shared
-/// sample frame and distribution cache (global distributional position),
-/// evaluating each distinct pattern shape of the workload exactly once.
+/// sample frame and distribution cache (global distributional position).
+/// Each distinct pattern shape of the workload is read once, and its
+/// evaluation stops once every explanation waiting on it is ranked out
+/// of its pair's top-k; the summary line counts those explanations.
 pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &RANK)?;
     let kb = load_kb(&args)?;
@@ -468,12 +470,14 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     if !args.has("quiet") {
         outln!(
             "ranked {} pairs in {:.1} ms (enumeration {:.1} ms): {} distinct shapes, \
-             {} batched evaluations, {} tiles, peak {} bindings per level (ceiling {})",
+             {} batched evaluations, {} explanations ranked out by the bound, {} tiles, \
+             peak {} bindings per level (ceiling {})",
             prepared.len() - outcome.shed.len(),
             rank_elapsed.as_secs_f64() * 1e3,
             enum_elapsed.as_secs_f64() * 1e3,
             outcome.distinct_shapes,
             outcome.batched_evals,
+            outcome.ranked_out,
             outcome.tiles,
             outcome.peak_rows,
             row_ceiling,
@@ -593,13 +597,15 @@ pub fn update(argv: &[String]) -> Result<(), String> {
             state.epoch()
         );
         outln!(
-            "cold rank {:.1} ms ({} full evaluations); delta re-rank {:.1} ms \
-             ({} cache misses full, {} partial)",
+            "cold rank {:.1} ms ({} full evaluations, {} explanations ranked out by the \
+             bound); delta re-rank {:.1} ms ({} cache misses full, {} partial, {} ranked out)",
             cold_elapsed.as_secs_f64() * 1e3,
             cold.batched_evals,
+            cold.ranked_out,
             delta_elapsed.as_secs_f64() * 1e3,
             updated.batched_evals,
             state.cache().delta_evals(),
+            updated.ranked_out,
         );
         if maintained.compaction_fallback {
             outln!(

@@ -40,6 +40,25 @@
 //! local and global queries of a shape share one entry, and a grown
 //! sample pays only for its new starts.
 //!
+//! **Partial entries.** An entry need not cover the whole frame. The
+//! ranking pass reads a shape *bounded*: for each explanation waiting on
+//! it, the entry's position sum over the draws it covers is a lower
+//! bound on the full sum (positions are never negative), and once that
+//! bound exceeds the explanation's pair's k-th best the explanation
+//! cannot enter the top-k. A bounded read is a hit when the published
+//! starts already rank out (or answer exactly) every waiter; otherwise
+//! it evaluates the missing starts in ascending order and stops at the
+//! first start after which every waiter is out — §5.3.2's `LIMIT p`
+//! pruning, applied to the shared batch. The starts a stopped read
+//! evaluated are published like any others, so a later read, bounded
+//! or not, evaluates only what the entry still lacks. A stop is not an
+//! abort; an aborted read still publishes nothing. The unbounded reads
+//! ([`DistributionCache::all_starts`], [`DistributionCache::counts`],
+//! [`DistributionCache::global_position`]) always return an entry
+//! covering every start they asked for. A read counts one hit, or one
+//! miss when it evaluated at least one start — a read of no start, or
+//! one served entirely from published starts, is a hit.
+//!
 //! **KB updates.** Every entry carries the KB *epoch* it was computed at;
 //! a read against an index at another epoch ignores it and evaluates
 //! afresh (the refuse/refresh guarantee). The cheap path is
@@ -75,17 +94,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rex_kb::{KbDelta, KnowledgeBase, NodeId};
 use rex_relstore::budget::Budget;
 use rex_relstore::engine::{
-    count_distributions, delta_affected_starts, EdgeIndex, EvalKind, EvalRequest,
+    count_distributions, delta_affected_starts, AfterStart, EdgeIndex, EvalKind, EvalRequest,
 };
 use rex_relstore::metrics::EvalTrace;
 use rex_relstore::plan::PatternSpec;
 
 use crate::canonical::CanonicalKey;
 use crate::explanation::Explanation;
+use crate::measures::distribution::position_in;
 use crate::measures::frame::DrawTable;
 
 /// One run of equal counts in a descending count multiset: the count, and
@@ -197,16 +217,21 @@ impl StartRuns {
         self.align(draws).filter(|(.., at)| at.is_none()).map(|(start, ..)| start).collect()
     }
 
-    /// The sum of `a`'s positions over every draw whose start is not
-    /// `exclude`. Panics when a counted start is not covered.
-    fn position_sum(&self, draws: &DrawTable, exclude: Option<u64>, a: u64) -> usize {
-        self.align(draws)
-            .filter(|&(start, ..)| Some(start) != exclude)
-            .map(|(_, times, at)| {
-                let i = at.expect("batch covers requested starts");
-                times * runs_position(self.runs(i), a)
-            })
-            .sum()
+    /// The sum of `a`'s positions over every covered draw whose start is
+    /// not `exclude`, and whether every such draw is covered (the sum is
+    /// then exact, otherwise a lower bound: positions are never negative).
+    fn covered_sum(&self, draws: &DrawTable, exclude: Option<u64>, a: u64) -> (usize, bool) {
+        let (mut sum, mut exact) = (0, true);
+        for (start, times, at) in self.align(draws) {
+            if Some(start) == exclude {
+                continue;
+            }
+            match at {
+                Some(i) => sum += times * runs_position(self.runs(i), a),
+                None => exact = false,
+            }
+        }
+        (sum, exact)
     }
 
     /// This table with `newer` merged over it, in one pass over both
@@ -239,6 +264,14 @@ impl StartRuns {
 /// The batched all-starts distribution of one canonical pattern shape:
 /// for every start entity in its domain, the descending multiset of
 /// per-end instance counts.
+///
+/// **Domain.** The covered starts are whatever the reads and patches of
+/// the shape evaluated. An entry may be **partial** with respect to a
+/// frame: a bounded read that stopped once its explanations were ranked
+/// out covers a prefix of the starts it lacked. Over a partial entry,
+/// [`AllStartsDistribution::covered_position_sum`] gives a lower bound
+/// on a position sum; [`AllStartsDistribution::position_sum`] needs
+/// every counted draw covered.
 ///
 /// **Layout.** The covered starts sit in one ascending array and, parallel
 /// to it, each start's multiset is stored as runs of equal counts (most
@@ -307,7 +340,22 @@ impl AllStartsDistribution {
     /// the table against the entry's starts. Panics when a counted start
     /// is outside the evaluated domain.
     pub fn position_sum(&self, draws: &DrawTable, exclude: Option<NodeId>, a: u64) -> usize {
-        self.table.position_sum(draws, exclude.map(|s| s.0 as u64), a)
+        let (sum, exact) = self.covered_position_sum(draws, exclude, a);
+        assert!(exact, "batch covers requested starts");
+        sum
+    }
+
+    /// [`AllStartsDistribution::position_sum`] over the counted draws
+    /// this entry covers, with whether it covers all of them. A partial
+    /// entry's sum is a **lower bound** on the full one, since positions
+    /// are never negative; a covering entry's is exact.
+    pub fn covered_position_sum(
+        &self,
+        draws: &DrawTable,
+        exclude: Option<NodeId>,
+        a: u64,
+    ) -> (usize, bool) {
+        self.table.covered_sum(draws, exclude.map(|s| s.0 as u64), a)
     }
 
     /// Number of starts covered by the evaluation.
@@ -319,6 +367,16 @@ impl AllStartsDistribution {
     /// of `draws`: same epoch and a domain covering every drawn start.
     fn serves(&self, epoch: u64, draws: &DrawTable) -> bool {
         self.epoch == epoch && self.table.align(draws).all(|(.., at)| at.is_some())
+    }
+
+    /// An entry covering no start, at `epoch`.
+    fn empty(epoch: u64, spec: PatternSpec) -> AllStartsDistribution {
+        AllStartsDistribution {
+            table: Arc::new(StartRuns::with_capacity(0)),
+            trace: EvalTrace::default(),
+            epoch,
+            spec,
+        }
     }
 
     /// This entry with `newer` merged over it: `newer`'s multisets
@@ -344,11 +402,120 @@ impl AllStartsDistribution {
 /// reader's miss or a maintenance patch that shares the cache.
 #[derive(Debug)]
 pub struct BatchRead {
-    /// The batch covering the requested starts.
+    /// The batch covering the requested starts — for a bounded read, at
+    /// least the starts its waiters' answers needed.
     pub batch: Arc<AllStartsDistribution>,
     /// Start tiles this call evaluated (only the starts the entry
-    /// lacked); `None` when a published batch served the read.
+    /// lacked); `None` when published starts served the read.
     pub evaluated_tiles: Option<usize>,
+}
+
+/// One explanation a bounded read answers for
+/// ([`DistributionCache::read`]): its pair's own start, skipped in its
+/// position sum, its aggregate value, its pair's cutoff, and the answer
+/// the read leaves.
+#[derive(Debug)]
+pub(crate) struct Waiter<'a> {
+    exclude: Option<NodeId>,
+    count: u64,
+    /// The smallest position sum that ranks the explanation out of its
+    /// pair's top-k — one more than the k-th smallest exact sum the pass
+    /// knows, `usize::MAX` while it knows fewer. Other readers of the
+    /// pass lower it as their shapes complete; it never rises.
+    cutoff: &'a AtomicUsize,
+    /// The exact position sum, or [`RANKED_OUT`]. Relaxed: the pass
+    /// reads an answer on the thread that stored it, or after joining it.
+    answer: AtomicUsize,
+}
+
+/// A [`Waiter`]'s answer when the bound ranked it out.
+const RANKED_OUT: usize = usize::MAX;
+
+impl<'a> Waiter<'a> {
+    pub(crate) fn new(exclude: Option<NodeId>, count: u64, cutoff: &'a AtomicUsize) -> Self {
+        Waiter { exclude, count, cutoff, answer: AtomicUsize::new(RANKED_OUT) }
+    }
+
+    /// The answer of the last read that answered this waiter: its exact
+    /// position sum, `None` when the bound ranked it out.
+    pub(crate) fn answer(&self) -> Option<usize> {
+        Some(self.answer.load(Ordering::Relaxed)).filter(|&sum| sum != RANKED_OUT)
+    }
+
+    /// Whether a lower bound of `sum` ranks the explanation out.
+    fn out(&self, sum: usize) -> bool {
+        sum >= self.cutoff.load(Ordering::Relaxed)
+    }
+
+    /// The waiter's position sum over the draws `entry` covers (none when
+    /// there is no entry) and whether it is exact.
+    fn covered_sum(
+        &self,
+        entry: Option<&AllStartsDistribution>,
+        draws: &DrawTable,
+    ) -> (usize, bool) {
+        match entry {
+            Some(entry) => entry.covered_position_sum(draws, self.exclude, self.count),
+            None => {
+                (0, draws.iter().all(|(start, _)| Some(start) == self.exclude.map(|s| s.0 as u64)))
+            }
+        }
+    }
+}
+
+/// Answers every waiter from `entry`: its exact position sum when `entry`
+/// covers every draw it counts, ranked out when the sum over the covered
+/// draws already reaches its cutoff. Returns `false` at the first waiter
+/// that is neither — the entry cannot answer the read.
+fn answer_all(
+    entry: Option<&AllStartsDistribution>,
+    draws: &DrawTable,
+    waiting: &[Waiter<'_>],
+) -> bool {
+    waiting.iter().all(|w| {
+        let answer = match w.covered_sum(entry, draws) {
+            (sum, true) => sum,
+            (sum, false) if w.out(sum) => RANKED_OUT,
+            _ => return false,
+        };
+        w.answer.store(answer, Ordering::Relaxed);
+        true
+    })
+}
+
+/// A bounded read's lower bounds while it evaluates: each waiter's
+/// position sum over the draws covered so far, raised start by start.
+struct LowerBounds<'w> {
+    waiting: &'w [Waiter<'w>],
+    draws: &'w DrawTable,
+    sums: Mutex<Vec<usize>>,
+}
+
+impl<'w> LowerBounds<'w> {
+    fn new(
+        entry: Option<&AllStartsDistribution>,
+        draws: &'w DrawTable,
+        waiting: &'w [Waiter<'w>],
+    ) -> Self {
+        let sums = waiting.iter().map(|w| w.covered_sum(entry, draws).0).collect();
+        LowerBounds { waiting, draws, sums: Mutex::new(sums) }
+    }
+
+    /// Adds the draws of `start`, just evaluated with the descending
+    /// multiset `counts`; returns whether some waiter is not ranked out
+    /// yet, so the evaluation goes on.
+    fn go_on(&self, start: u64, counts: &[u64]) -> bool {
+        let times = self.draws.times(start);
+        let mut sums = self.sums.lock();
+        let mut out = true;
+        for (w, sum) in self.waiting.iter().zip(sums.iter_mut()) {
+            if w.exclude.map(|s| s.0 as u64) != Some(start) {
+                *sum += times * position_in(counts, w.count);
+            }
+            out &= w.out(*sum);
+        }
+        !out
+    }
 }
 
 /// What [`DistributionCache::apply_delta`] did to each cached shape.
@@ -377,9 +544,11 @@ pub struct DistributionCache {
     /// Write-lock sections that published something; backs
     /// [`DistributionCache::generation_fingerprint`].
     publications: AtomicUsize,
+    /// Reads that published starts answered, evaluating nothing.
     hits: AtomicUsize,
-    /// Reads that evaluated; every miss is one batched evaluation, so
-    /// this also backs [`DistributionCache::batched_evals`].
+    /// Reads that evaluated at least one start; every miss is one
+    /// batched evaluation, so this also backs
+    /// [`DistributionCache::batched_evals`].
     misses: AtomicUsize,
     /// Ceiling on each tile's estimated instance rows per batched
     /// evaluation; `None` evaluates each batch as a single tile.
@@ -426,10 +595,11 @@ impl DistributionCache {
 
     /// Evaluates `spec` over `starts` (tiled under the row ceiling) and
     /// wraps the result as an entry at the index's epoch, updating the
-    /// tile and delta counters. The engine checks `budget` at every tile
-    /// boundary, and on abort this returns the typed error **without
-    /// touching a single counter** — the abort-leaves-no-trace half of
-    /// the robustness contract.
+    /// tile and delta counters. The entry covers the starts the engine
+    /// evaluated: all of them, unless `after_start` stopped it. The
+    /// engine checks `budget` at every tile boundary, and on abort this
+    /// returns the typed error **without touching a single counter** —
+    /// the abort-leaves-no-trace half of the robustness contract.
     fn evaluate(
         &self,
         index: &EdgeIndex,
@@ -437,16 +607,22 @@ impl DistributionCache {
         starts: &[u64],
         kind: EvalKind,
         budget: &Budget,
+        after_start: Option<AfterStart<'_>>,
     ) -> rex_relstore::Result<AllStartsDistribution> {
-        let req =
-            EvalRequest { starts, row_ceiling: self.row_ceiling, kind, budget: budget.clone() };
+        let req = EvalRequest {
+            starts,
+            row_ceiling: self.row_ceiling,
+            kind,
+            budget: budget.clone(),
+            after_start,
+        };
         let batch = count_distributions(index, &spec, &req)?;
         let trace = batch.trace;
         self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
         self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
         self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
         Ok(AllStartsDistribution {
-            table: Arc::new(StartRuns::from_batch(starts, &batch.per_start)),
+            table: Arc::new(StartRuns::from_batch(&batch.evaluated, &batch.per_start)),
             trace,
             epoch: index.epoch(),
             spec,
@@ -490,23 +666,35 @@ impl DistributionCache {
         computed
     }
 
-    /// The warm half of [`DistributionCache::all_starts`]: the published
-    /// entry of `e`'s shape when it serves `draws` at `index`'s epoch,
-    /// counted as a hit. Otherwise nothing is counted, and the error
-    /// carries the current-epoch entry a miss extends, if any.
+    /// The warm half of a read: `e`'s published entry at `index`'s
+    /// epoch answers it from its starts alone, counted as a hit. An
+    /// unbounded read (`waiting` is `None`) needs every drawn start
+    /// covered; with no start drawn it is a hit even with no entry. A
+    /// bounded read needs each waiter's position sum over the covered
+    /// draws to be exact or to rank it out already. Otherwise nothing is
+    /// counted, and the error carries the current-epoch entry a miss
+    /// extends, if any.
     pub(crate) fn lookup(
         &self,
         index: &EdgeIndex,
         e: &Explanation,
         draws: &DrawTable,
+        waiting: Option<&[Waiter<'_>]>,
     ) -> std::result::Result<BatchRead, Option<Arc<AllStartsDistribution>>> {
-        match self.entry(e.key()).filter(|b| b.epoch == index.epoch()) {
-            Some(batch) if batch.serves(index.epoch(), draws) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(BatchRead { batch, evaluated_tiles: None })
-            }
-            base => Err(base),
+        let entry = self.entry(e.key()).filter(|b| b.epoch == index.epoch());
+        let served = match (waiting, &entry) {
+            (Some(waiting), _) => answer_all(entry.as_deref(), draws, waiting),
+            (None, Some(batch)) => batch.serves(index.epoch(), draws),
+            (None, None) => draws.iter().next().is_none(),
+        };
+        if !served {
+            return Err(entry);
         }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        let batch = entry.unwrap_or_else(|| {
+            Arc::new(AllStartsDistribution::empty(index.epoch(), e.pattern.to_spec()))
+        });
+        Ok(BatchRead { batch, evaluated_tiles: None })
     }
 
     /// The all-starts distribution of `e`'s pattern shape covering (at
@@ -532,18 +720,31 @@ impl DistributionCache {
         starts: &[NodeId],
         budget: &Budget,
     ) -> rex_relstore::Result<BatchRead> {
-        self.read(index, e, &DrawTable::from_starts(starts), budget)
+        self.read(index, e, &DrawTable::from_starts(starts), budget, None)
     }
 
-    /// [`DistributionCache::all_starts`] of the starts `draws` holds.
+    /// [`DistributionCache::all_starts`] of the starts `draws` holds —
+    /// or, for a **bounded** read (`waiting` is `Some`), of only as many
+    /// as its waiters need. A bounded read is a hit when the published
+    /// starts already answer every waiter ([`DistributionCache::lookup`]).
+    /// Otherwise it evaluates the missing starts in ascending order,
+    /// adding each one's positions to every waiter's lower bound, and
+    /// stops at the first start after which every waiter is ranked out.
+    /// Such a stop is not an abort: the starts it evaluated are merged
+    /// into the entry and published like any other, so a later read
+    /// resumes where it stopped. A bounded read leaves each waiter's
+    /// answer in the waiter ([`Waiter::answer`]). A read counts one hit,
+    /// or one miss (a batched evaluation) when it evaluated at least one
+    /// start.
     pub(crate) fn read(
         &self,
         index: &EdgeIndex,
         e: &Explanation,
         draws: &DrawTable,
         budget: &Budget,
+        waiting: Option<&[Waiter<'_>]>,
     ) -> rex_relstore::Result<BatchRead> {
-        let base = match self.lookup(index, e, draws) {
+        let base = match self.lookup(index, e, draws, waiting) {
             Ok(hit) => return Ok(hit),
             Err(base) => base,
         };
@@ -552,9 +753,14 @@ impl DistributionCache {
             Some(b) => b.table.missing(draws),
             None => draws.iter().map(|(start, _)| start).collect(),
         };
+        let bounds = waiting.map(|waiting| LowerBounds::new(base.as_deref(), draws, waiting));
+        let go_on =
+            |start: u64, counts: &[u64]| bounds.as_ref().is_none_or(|b| b.go_on(start, counts));
+        let after_start = bounds.is_some().then_some(&go_on as AfterStart<'_>);
         // No lock is held while evaluating; an abort propagates here,
         // before any observable state changes.
-        let fresh = self.evaluate(index, e.pattern.to_spec(), &missing, EvalKind::Full, budget)?;
+        let spec = e.pattern.to_spec();
+        let fresh = self.evaluate(index, spec, &missing, EvalKind::Full, budget, after_start)?;
         let evaluated_tiles = Some(fresh.trace.tiles);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let computed = match &base {
@@ -562,6 +768,9 @@ impl DistributionCache {
             None => fresh,
         };
         let batch = self.install(key, base.as_ref(), computed, draws);
+        // The returned batch holds every start the walk's bounds counted.
+        let answered = waiting.is_none_or(|waiting| answer_all(Some(&batch), draws, waiting));
+        assert!(answered, "a bounded read stops only once its waiters are out");
         Ok(BatchRead { batch, evaluated_tiles })
     }
 
@@ -660,6 +869,7 @@ impl DistributionCache {
                         &affected,
                         EvalKind::Delta,
                         &Budget::unlimited(),
+                        None,
                     )
                     .expect("cached batch specs are valid");
                 outcome.patched += 1;
@@ -718,7 +928,7 @@ impl DistributionCache {
         budget: &Budget,
     ) -> rex_relstore::Result<usize> {
         let draws = DrawTable::from_starts(starts);
-        let read = self.read(index, e, &draws, budget)?;
+        let read = self.read(index, e, &draws, budget, None)?;
         Ok(read.batch.position_sum(&draws, exclude, e.count() as u64))
     }
 
@@ -732,15 +942,16 @@ impl DistributionCache {
         self.len() == 0
     }
 
-    /// `(hits, misses)` counters.
+    /// `(hits, misses)` counters: every read counts one of them, a miss
+    /// when it evaluated at least one start.
     pub fn stats(&self) -> (usize, usize) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
     /// Number of batched (full) relational evaluations performed by
-    /// reads — one per miss, so always the miss count of
-    /// [`DistributionCache::stats`]. A ranking pass performs at most one
-    /// per distinct canonical pattern shape.
+    /// reads — one per miss, a bounded read's stopped walk included, so
+    /// always the miss count of [`DistributionCache::stats`]. A ranking
+    /// pass performs at most one per distinct canonical pattern shape.
     pub fn batched_evals(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -888,6 +1099,151 @@ mod tests {
             let sum = entry.position_sum(&table(&kept), Some(NodeId(exclude as u32)), a);
             prop_assert_eq!(sum, expected);
         }
+
+        /// A bounded read evaluates the starts its entry lacks in
+        /// ascending order and stops at the first after which its
+        /// waiter's position sum over the covered draws reaches the
+        /// cutoff; when the published starts already answer the waiter
+        /// (exactly, or ranked out) it is a hit and evaluates nothing.
+        /// Either way the entry afterwards covers exactly what it covered
+        /// before plus the starts the read evaluated, the read is a miss
+        /// exactly when it evaluated one, the covered sum never exceeds
+        /// the full position sum, and a full read extending it gives the
+        /// multisets and sum of a one-shot read. Draws repeat (30 draws
+        /// over 40 ids), the entry may start out covering a few starts,
+        /// the cutoffs are the lower bounds the walk passes (so the read
+        /// stops after any number of starts), and the excluded start is
+        /// drawn or not, so it falls inside or outside the covered prefix.
+        #[test]
+        fn bounded_reads_publish_what_they_evaluate(
+            (shape, a, seeded) in (0usize..64, 0u64..4, proptest::collection::vec(0u32..40, 0..6)),
+            drawn in proptest::collection::vec(0u32..40, 0..30),
+            (pick, drawn_exclude, cut, bump, ceiling) in
+                (0usize..1000, any::<bool>(), 0usize..1000, 0usize..2, 0usize..3)
+        ) {
+            let (index, explanations) = toy_shapes();
+            let e = &explanations[shape % explanations.len()];
+            let ids = |v: &[u32]| v.iter().map(|&s| NodeId(s)).collect::<Vec<_>>();
+            let draws = DrawTable::from_starts(&ids(&drawn));
+            let cache = || match [None, Some(0), Some(4)][ceiling] {
+                Some(max_rows) => DistributionCache::with_row_ceiling(max_rows),
+                None => DistributionCache::new(),
+            };
+            let exclude = match drawn.len() {
+                n if drawn_exclude && n > 0 => drawn[pick % n],
+                _ => 40 + pick as u32,
+            };
+            let exclude = Some(NodeId(exclude));
+            let reference = read_batch(&cache(), index, e, &ids(&drawn));
+            let full = reference.position_sum(&draws, exclude, a);
+
+            let bounded = cache();
+            if !seeded.is_empty() {
+                read_batch(&bounded, index, e, &ids(&seeded));
+            }
+            let covered = |c: &DistributionCache| c.entry(e.key()).map_or(Vec::new(), |b| b.table.starts.clone());
+            let before = covered(&bounded);
+            let counted = |s: u64| Some(NodeId(s as u32)) != exclude;
+            let position = |s: u64| {
+                let at = reference.position(s, a).expect("the reference covers every draw");
+                let times = drawn.iter().filter(|&&d| u64::from(d) == s).count();
+                if counted(s) { times * at } else { 0 }
+            };
+            let missing: Vec<u64> =
+                draws.iter().map(|(s, _)| s).filter(|s| !before.contains(s)).collect();
+            let mut along =
+                vec![draws.iter().filter(|(s, _)| before.contains(s)).map(|(s, _)| position(s)).sum::<usize>()];
+            for &s in &missing {
+                along.push(along[along.len() - 1] + position(s));
+            }
+            let cutoff = match cut % 10 {
+                9 => usize::MAX,
+                _ => along[cut % along.len()] + bump,
+            };
+            let evaluated = if missing.iter().all(|&s| !counted(s)) || along[0] >= cutoff {
+                &missing[..0]
+            } else {
+                let stop = (1..=missing.len()).find(|&n| along[n] >= cutoff);
+                &missing[..stop.unwrap_or(missing.len())]
+            };
+
+            let cutoff_cell = AtomicUsize::new(cutoff);
+            let waiting = [Waiter::new(exclude, a, &cutoff_cell)];
+            let (hits, misses) = bounded.stats();
+            let read = bounded.read(index, e, &draws, &Budget::unlimited(), Some(&waiting)).unwrap();
+            prop_assert_eq!(read.evaluated_tiles.is_some(), !evaluated.is_empty());
+            let stats = if evaluated.is_empty() { (hits + 1, misses) } else { (hits, misses + 1) };
+            prop_assert_eq!(bounded.stats(), stats);
+            let mut published: Vec<u64> = before.iter().chain(evaluated).copied().collect();
+            published.sort_unstable();
+            prop_assert_eq!(covered(&bounded), published);
+
+            let (sum, exact) = read.batch.covered_position_sum(&draws, exclude, a);
+            prop_assert!(sum <= full);
+            match waiting[0].answer() {
+                Some(answer) => prop_assert!(exact && answer == full),
+                None => prop_assert!(!exact && sum >= cutoff),
+            }
+
+            let extended = read_batch(&bounded, index, e, &ids(&drawn));
+            for (s, _) in draws.iter() {
+                prop_assert_eq!(extended.counts_for(s), reference.counts_for(s));
+            }
+            prop_assert_eq!(extended.position_sum(&draws, exclude, a), full);
+        }
+    }
+
+    /// The toy KB's edge index and one pair's explanations, shared by the
+    /// cases of the bounded-read proptest.
+    fn toy_shapes() -> &'static (EdgeIndex, Vec<Explanation>) {
+        static SHAPES: std::sync::OnceLock<(EdgeIndex, Vec<Explanation>)> =
+            std::sync::OnceLock::new();
+        SHAPES.get_or_init(|| {
+            let kb = rex_kb::toy::entertainment();
+            let a = kb.require_node("brad_pitt").unwrap();
+            let b = kb.require_node("angelina_jolie").unwrap();
+            let out = GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3))
+                .enumerate(&kb, a, b);
+            (EdgeIndex::build(&kb), out.explanations)
+        })
+    }
+
+    /// A read of no start evaluates nothing and is a hit, on a cold cache
+    /// as on a warm one, and publishes nothing; a ranking pass over an
+    /// empty frame reads every shape once, as a hit.
+    #[test]
+    fn empty_frame_reads_are_hits() {
+        let kb = rex_kb::toy::entertainment();
+        let a = kb.require_node("brad_pitt").unwrap();
+        let b = kb.require_node("angelina_jolie").unwrap();
+        let out =
+            GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
+        let shapes = out.explanations.len();
+        let index = EdgeIndex::build(&kb);
+        let cache = DistributionCache::new();
+        let unlimited = Budget::unlimited();
+        for e in &out.explanations {
+            let read = cache.all_starts(&index, e, &[], &unlimited).unwrap();
+            assert_eq!(read.evaluated_tiles, None);
+            assert_eq!(read.batch.domain_len(), 0);
+            assert_eq!(cache.global_position(&index, e, &[], Some(a), &unlimited).unwrap(), 0);
+        }
+        assert_eq!(cache.stats(), (2 * shapes, 0));
+        assert!(cache.is_empty(), "a read of no start publishes nothing");
+
+        let frame = Arc::new(crate::measures::SampleFrame::sample(&kb, 0, 1).unwrap());
+        let cfg = crate::ranking::RankPairsConfig {
+            k: 3,
+            row_ceiling: None,
+            ..crate::ranking::RankPairsConfig::default()
+        };
+        let task =
+            crate::ranking::PairExplanations { start: a, end: b, explanations: &out.explanations };
+        let outcome = crate::ranking::rank_pairs_with(&[task], &cfg, &index, &frame, &cache);
+        assert_eq!((outcome.distinct_shapes, outcome.batched_evals, outcome.tiles), (shapes, 0, 0));
+        assert_eq!(cache.stats(), (3 * shapes, 0));
+        assert_eq!(outcome.rankings[0].len(), 3.min(shapes));
+        assert!(outcome.rankings[0].iter().all(|r| r.score == 0.0));
     }
 
     /// The unbudgeted batch read of `e` over `starts`.

@@ -88,6 +88,11 @@ impl DrawTable {
     pub fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         self.draws.iter().copied()
     }
+
+    /// The number of draws of `start` (0 when it was not drawn).
+    pub fn times(&self, start: u64) -> usize {
+        self.draws.binary_search_by_key(&start, |&(s, _)| s).map_or(0, |i| self.draws[i].1)
+    }
 }
 
 impl SampleFrame {
@@ -328,7 +333,8 @@ mod tests {
 
     /// The draw table of a sampled frame, of a frame kept by `refresh`,
     /// and of a redrawn one each equal the frame's draws sorted and
-    /// counted — 30 draws from 8 nodes repeat most starts.
+    /// counted — 30 draws from 8 nodes repeat most starts — and
+    /// `DrawTable::times` counts each id's draws, 0 for ids not drawn.
     #[test]
     fn draw_table_counts_every_draw() {
         let mut b = rex_kb::KbBuilder::new();
@@ -341,6 +347,10 @@ mod tests {
         let table: Vec<(u64, usize)> = frame.draws().iter().collect();
         assert_eq!(table, counted_draws(&frame));
         assert!(table.iter().any(|&(_, times)| times > 1), "30 draws from 8 nodes repeat");
+        for id in 0..10 {
+            let drawn = frame.starts().iter().filter(|s| s.0 as u64 == id).count();
+            assert_eq!(frame.draws().times(id), drawn, "draws of {id}");
+        }
 
         let r = kb.label_by_name("r").unwrap();
         kb.insert_edge(nodes[0], nodes[7], r, true).unwrap();

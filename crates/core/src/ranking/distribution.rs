@@ -11,10 +11,15 @@
 //! [`DistributionCache`](crate::measures::DistributionCache): local
 //! positions are cached per `(shape, start)`, and **global** positions are
 //! answered from one batched all-starts evaluation per pattern shape —
-//! §5.3.2's amortization — which subsumes per-start `LIMIT` pruning for
-//! the global scope (sharing the evaluation beats aborting it). Bounded
-//! *local* queries still use the streaming `LIMIT p` plan when the
-//! distribution is not already cached.
+//! §5.3.2's amortization. This sequential ranker reads each global
+//! position whole, so here the `LIMIT` bound only caps the reported
+//! position; bounded *local* queries use the streaming `LIMIT p` plan
+//! when the distribution is not already cached. The shared ranking pass
+//! ([`rank_pairs`](crate::ranking::rank_pairs) and the serving paths)
+//! applies the bound to global positions too: it stops a shape's batched
+//! walk once every explanation waiting on it has a position sum, over
+//! the starts evaluated so far, beyond its pair's k-th best, so pruning
+//! and sharing combine rather than compete.
 
 use crate::explanation::Explanation;
 use crate::measures::distribution::{global_position, local_position};
@@ -67,8 +72,8 @@ pub fn rank_by_position(
         best_so_far.push(pos);
         best_so_far.sort_unstable();
         best_so_far.truncate(k);
-        if best_so_far.len() == k {
-            kth_best = *best_so_far.last().expect("k > 0 entries");
+        if let Some(&kth) = k.checked_sub(1).and_then(|last| best_so_far.get(last)) {
+            kth_best = kth;
         }
     }
     let scores: Vec<f64> = positions.iter().map(|&p| -(p as f64)).collect();
@@ -113,6 +118,20 @@ mod tests {
         let es: Vec<f64> = exact.iter().map(|r| r.score).collect();
         let ps: Vec<f64> = pruned.iter().map(|r| r.score).collect();
         assert_eq!(es, ps);
+    }
+
+    /// `k = 0` ranks nothing, pruned or not, in either scope.
+    #[test]
+    fn zero_depth_ranks_nothing() {
+        let (kb, a, b) = setup();
+        let out =
+            GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
+        let ctx = MeasureContext::new(&kb, a, b).with_global_samples(10, 5);
+        for scope in [Scope::Local, Scope::Global] {
+            for prune in [false, true] {
+                assert!(rank_by_position(&out.explanations, &ctx, 0, scope, prune).is_empty());
+            }
+        }
     }
 
     #[test]

@@ -11,34 +11,48 @@
 //! 2. **One shared [`DistributionCache`]**: the batched evaluation budget
 //!    for the workload is the number of *distinct canonical shapes across
 //!    all pairs*, not Σ per-pair shapes.
-//! 3. **Hits first, then a cost-ordered prewarm of the misses**: every
-//!    distinct shape whose published entry already serves the frame is
-//!    read first, on the calling thread, with nothing priced. Only the
-//!    shapes that miss are priced from the per-label edge-relation sizes
+//! 3. **Hits first, then the misses cheapest-first**: every distinct
+//!    shape whose published entry already answers its explanations is
+//!    read first, on the calling thread, with nothing priced — a covering
+//!    entry answers exactly; a partial one answers when its explanations
+//!    are already ranked out (item 5). Only the shapes that miss are
+//!    priced from the per-label edge-relation sizes
 //!    ([`EdgeIndex::estimate_eval_cost`], the same label-cardinality
 //!    statistics `rex_kb::stats::label_cardinalities` exposes) and handed
-//!    to the workers heaviest-first, so an all-hit request prices nothing
-//!    and builds no pool. Workers claim the next shape as they free up,
-//!    so this is longest-processing-time-first scheduling (Graham 1969):
-//!    the heavy shapes start at once and the light ones fill in behind
-//!    them, instead of one worker finishing the pass alone on a heavy
-//!    shape it reached last.
+//!    to the workers cheapest-first, so an all-hit request prices nothing
+//!    and builds no pool, and the cheap shapes complete first and tighten
+//!    the bounds the heavy ones are read under. Workers claim the next
+//!    shape as they free up.
 //! 4. **Work-bounded evaluation**: a row ceiling tiles each batch's start
 //!    set by estimated instance rows
 //!    ([`DistributionCache::with_row_ceiling`]), so each tile's work — and
 //!    the row budget charged per tile — stays bounded regardless of frame
 //!    size.
-//! 5. **One read per shape**: the hit reads and the prewarm's reads are
-//!    the pass's only cache accesses. Every pair is then scored from
-//!    those reads in a plain loop, so a request reads each distinct shape
-//!    exactly once.
+//! 5. **One bounded read per shape** (§5.3.2's `LIMIT p` pruning, as a
+//!    threshold stop in the manner of Fagin, Lotem and Naor's threshold
+//!    algorithm): each pair keeps the k-th smallest exact position sum
+//!    known so far, seeded from the hits before anything is evaluated and
+//!    tightened as each miss completes. An explanation's position sum
+//!    over the starts evaluated so far, its pair's own start excluded, is
+//!    a lower bound on its full sum; once it exceeds the pair's bound the
+//!    explanation cannot enter the top-k and is ranked out without an
+//!    exact score. A miss's walk stops at the first start after which
+//!    this holds for every explanation waiting on the shape, and the
+//!    cache keeps the starts it evaluated
+//!    ([`DistributionCache`]'s partial entries). The hit reads and the
+//!    misses' reads are the pass's only cache accesses, one per shape;
+//!    every pair is then scored from their answers in a plain loop.
+//!    Rankings and scores equal the unpruned pass's: a ranked-out
+//!    explanation's true sum exceeds the final k-th best, which only
+//!    falls as the pass goes on.
 //! 6. **Merge walks over the frame**: the frame keeps its draws as a
 //!    [`DrawTable`](crate::measures::frame::DrawTable), its distinct
 //!    starts ascending with their multiplicities, and a cache entry keeps
-//!    its starts ascending. A hit's covering check and each
-//!    explanation's position sum are therefore one merge walk of the two
-//!    arrays. The sum skips every draw of the pair's own start at once
-//!    and counts each other start's position once per draw.
+//!    its starts ascending. An explanation's position sum over what an
+//!    entry covers, and whether it covers every draw the sum counts, are
+//!    therefore one merge walk of the two arrays. The sum skips every
+//!    draw of the pair's own start at once and counts each other start's
+//!    position once per draw.
 //!
 //! Every ranking request runs this one pass, under a [`Budget`] that the
 //! unbudgeted entry points leave unlimited: [`rank_pairs`] (a one-shot
@@ -51,9 +65,11 @@
 //!
 //! [`ServingState::try_serve`]: crate::ranking::ServingState::try_serve
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use rex_kb::{KnowledgeBase, NodeId};
 use rex_relstore::budget::{AbortReason, Budget};
@@ -63,7 +79,7 @@ use rex_relstore::RelError;
 use crate::canonical::CanonicalKey;
 use crate::error::Result;
 use crate::explanation::Explanation;
-use crate::measures::cache::{BatchRead, DistributionCache};
+use crate::measures::cache::{BatchRead, DistributionCache, Waiter};
 use crate::measures::frame::SampleFrame;
 use crate::ranking::general::{rank_with_scores, Ranked};
 
@@ -88,8 +104,8 @@ pub struct RankPairsConfig {
     pub global_samples: usize,
     /// Sample-frame seed.
     pub seed: u64,
-    /// Worker threads for the prewarm's reads of the shapes that miss the
-    /// cache (0 = rayon's default width).
+    /// Worker threads for the ranking pass's reads of the shapes that
+    /// miss the cache (0 = rayon's default width).
     pub threads: usize,
     /// Best-effort ceiling on the estimated instance rows of each tile of
     /// a batched evaluation; `None` disables tiling.
@@ -160,6 +176,10 @@ pub struct RankPairsOutcome {
     /// Tiles whose estimated rows exceeded the ceiling — singleton hub
     /// starts no split could shrink (0 without a ceiling).
     pub overflow_tiles: usize,
+    /// Explanations of the ranked pairs that the pruning bound ranked out
+    /// without an exact score: their position sum over the starts read
+    /// so far already exceeded their pair's k-th best.
+    pub ranked_out: usize,
     /// Pairs a budgeted run shed instead of finishing, in input order —
     /// the graceful-degradation ledger. Always empty for unbudgeted runs.
     pub shed: Vec<ShedPair>,
@@ -197,17 +217,48 @@ pub fn rank_pairs_with(
     rank_pass(pairs, cfg, index, frame, cache, &Budget::unlimited())
 }
 
+/// Takes one exact position sum of a pair's explanation into the pair's
+/// pruning bound: `smallest`, a max-heap of the k smallest exact sums
+/// known, and `cutoff`, one more than the k-th smallest once k are known
+/// — an explanation whose lower bound reaches the cutoff is strictly
+/// worse than k others and cannot enter the top-k.
+fn admit(smallest: &mut BinaryHeap<usize>, k: usize, cutoff: &AtomicUsize, sum: usize) {
+    if smallest.len() == k {
+        match smallest.peek() {
+            Some(&kth) if sum < kth => {
+                smallest.pop();
+            }
+            _ => return,
+        }
+    }
+    smallest.push(sum);
+    if smallest.len() == k {
+        let kth = *smallest.peek().expect("k > 0 sums");
+        cutoff.store(kth.saturating_add(1), Ordering::Relaxed);
+    }
+}
+
 /// The ranking pass behind every entry point, under a [`Budget`]: the
 /// deadline, cancellation token, and row budget are checked at every tile
 /// boundary of every batched evaluation, and the workload **degrades
 /// pair-by-pair** rather than all-or-nothing. The pass reads each
-/// distinct shape from the cache exactly once, then scores every pair
-/// from those reads with no further cache access. A pair whose shapes
-/// were all read is ranked exactly; a pair that needs a shape whose read
-/// aborted lands in [`RankPairsOutcome::shed`] with an empty ranking
-/// slot. Aborted evaluations leave the shared cache untouched, so a
-/// follow-up run (with a fresh budget) picks up exactly where the warm
-/// shapes left off.
+/// distinct shape from the cache exactly once, as a bounded read for the
+/// explanations waiting on it, and scores every pair from those reads
+/// with no further cache access.
+///
+/// Each pair keeps a bound: the k-th smallest exact position sum known
+/// so far. Published entries seed it before anything is evaluated, and
+/// every shape that completes tightens it. A read stops evaluating once
+/// each of its explanations' position sums over the starts evaluated so
+/// far, the pair's own start excluded, exceeds its pair's bound: such an
+/// explanation is ranked out without an exact score, which cannot change
+/// the top-k, since its true sum exceeds the final k-th best. Rankings
+/// and scores are therefore those of the unpruned pass.
+///
+/// A pair that needs a shape whose read aborted lands in
+/// [`RankPairsOutcome::shed`] with an empty ranking slot. Aborted
+/// evaluations leave the shared cache untouched, so a follow-up run (with
+/// a fresh budget) picks up exactly where the warm shapes left off.
 pub(crate) fn rank_pass(
     pairs: &[PairExplanations<'_>],
     cfg: &RankPairsConfig,
@@ -222,59 +273,133 @@ pub(crate) fn rank_pass(
         "rank_pairs_with: the cache's row ceiling disagrees with cfg.row_ceiling; \
          construct the cache with DistributionCache::with_row_ceiling to match"
     );
-    // Distinct shapes across the whole workload, one representative each.
-    let mut shapes: HashMap<&CanonicalKey, &Explanation> = HashMap::new();
-    for pair in pairs {
-        for e in pair.explanations {
-            shapes.entry(e.key()).or_insert(e);
-        }
+    let k = cfg.k;
+    // Each pair's bound: its cutoff (0 when k is 0: every explanation is
+    // out; `usize::MAX` until k exact sums are known; it only falls) and
+    // the max-heap of the k smallest exact sums it derives from. A cutoff
+    // publishes no other data, and a reader that misses a store sees a
+    // larger one and only prunes less, so its loads and stores are
+    // relaxed.
+    let cutoffs: Vec<AtomicUsize> =
+        pairs.iter().map(|_| AtomicUsize::new(if k == 0 { 0 } else { usize::MAX })).collect();
+    let mut smallest: Vec<Mutex<BinaryHeap<usize>>> = pairs
+        .iter()
+        .map(|pair| Mutex::new(BinaryHeap::with_capacity(k.min(pair.explanations.len()))))
+        .collect();
+
+    // Every explanation of the workload is a slot, in pair order, and
+    // slots with one canonical key share a shape. The waiters are the
+    // slots ordered by shape, so each shape's waiters are one range.
+    let slots: Vec<(usize, &Explanation)> = pairs
+        .iter()
+        .enumerate()
+        .flat_map(|(p, pair)| pair.explanations.iter().map(move |e| (p, e)))
+        .collect();
+    let mut by_key: HashMap<&CanonicalKey, usize> = HashMap::with_capacity(slots.len());
+    let mut reps: Vec<&Explanation> = Vec::new();
+    let shape_of: Vec<usize> = slots
+        .iter()
+        .map(|&(_, e)| {
+            *by_key.entry(e.key()).or_insert_with(|| {
+                reps.push(e);
+                reps.len() - 1
+            })
+        })
+        .collect();
+    let distinct_shapes = reps.len();
+    let mut order: Vec<usize> = (0..slots.len()).collect();
+    order.sort_unstable_by_key(|&t| (shape_of[t], t));
+    let mut waiter_of = vec![0; slots.len()];
+    for (w, &t) in order.iter().enumerate() {
+        waiter_of[t] = w;
     }
-    let distinct_shapes = shapes.len();
+    let waiting: Vec<Waiter<'_>> = order
+        .iter()
+        .map(|&t| {
+            let (p, e) = slots[t];
+            Waiter::new(Some(pairs[p].start), e.count() as u64, &cutoffs[p])
+        })
+        .collect();
+    // `ranges[s]..ranges[s + 1]` are shape `s`'s waiters.
+    let mut ranges = vec![0; distinct_shapes + 1];
+    for &s in &shape_of {
+        ranges[s + 1] += 1;
+    }
+    for s in 0..distinct_shapes {
+        ranges[s + 1] += ranges[s];
+    }
+    let waiters_of = |s: usize| &waiting[ranges[s]..ranges[s + 1]];
+    // The exact answers of shape `s`'s waiters, with their pairs.
+    let exact = |s: usize| {
+        (ranges[s]..ranges[s + 1])
+            .filter_map(|w| waiting[w].answer().map(|sum| (slots[order[w]].0, sum)))
+    };
 
     // The pass's only cache reads, one per shape, under the budget. The
-    // shapes a published entry serves are read first, on this thread.
+    // shapes whose published starts answer them are read first, on this
+    // thread, in two looks: the second, once the first has seeded the
+    // bounds, finds the partial entries whose explanations are out.
     let draws = frame.draws();
-    let mut reads: HashMap<&CanonicalKey, std::result::Result<BatchRead, AbortReason>> =
-        HashMap::with_capacity(distinct_shapes);
-    let mut missed = Vec::new();
-    for (key, e) in shapes {
-        match cache.lookup(index, e, draws) {
+    let mut reads: Vec<Option<std::result::Result<BatchRead, AbortReason>>> =
+        (0..distinct_shapes).map(|_| None).collect();
+    let mut missed: Vec<usize> = (0..distinct_shapes).collect();
+    for _ in 0..2 {
+        missed.retain(|&s| match cache.lookup(index, reps[s], draws, Some(waiters_of(s))) {
             Ok(read) => {
-                reads.insert(key, Ok(read));
+                for (p, sum) in exact(s) {
+                    admit(smallest[p].get_mut(), k, &cutoffs[p], sum);
+                }
+                reads[s] = Some(Ok(read));
+                false
             }
-            Err(_) => missed.push(e),
-        }
+            Err(_) => true,
+        });
     }
     if !missed.is_empty() {
-        // Cost-ordered evaluation of the misses: heaviest shapes first,
+        // Cost-ordered evaluation of the misses: cheapest shapes first,
         // ties by canonical key, cost read from the edge index's
         // per-(label, orientation) relation sizes — one cost model shared
-        // with the tiling estimator.
-        let mut ordered: Vec<(u64, &Explanation)> = missed
+        // with the tiling estimator. The cheap shapes complete first and
+        // tighten the bounds the heavy ones are read under.
+        let mut ordered: Vec<(u64, usize)> = missed
             .into_iter()
-            .map(|e| (index.estimate_eval_cost(&e.pattern.to_spec()), e))
+            .map(|s| (index.estimate_eval_cost(&reps[s].pattern.to_spec()), s))
             .collect();
-        ordered.sort_by(|(ca, a), (cb, b)| cb.cmp(ca).then_with(|| a.key().cmp(b.key())));
+        ordered.sort_by(|&(ca, a), &(cb, b)| {
+            ca.cmp(&cb).then_with(|| reps[a].key().cmp(reps[b].key()))
+        });
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(cfg.threads)
             .build()
             .expect("thread pool construction is infallible");
+        let smallest = &smallest;
         // An aborted read leaves its shape cold and the cache untouched;
         // scoring sheds exactly the pairs that need it.
-        reads.extend(pool.install(|| {
+        let done = pool.install(|| {
             ordered
                 .par_iter()
-                .map(|&(_, e)| {
-                    let read = match cache.read(index, e, draws, budget) {
-                        Ok(read) => Ok(read),
+                .map(|&(_, s)| {
+                    let read = match cache.read(index, reps[s], draws, budget, Some(waiters_of(s)))
+                    {
+                        Ok(read) => {
+                            for (p, sum) in exact(s) {
+                                admit(&mut smallest[p].lock(), k, &cutoffs[p], sum);
+                            }
+                            Ok(read)
+                        }
                         Err(RelError::Aborted(reason)) => Err(reason),
                         Err(err) => panic!("explanation patterns are valid specs: {err}"),
                     };
-                    (e.key(), read)
+                    (s, read)
                 })
                 .collect::<Vec<_>>()
-        }));
+        });
+        for (s, read) in done {
+            reads[s] = Some(read);
+        }
     }
+    let reads: Vec<std::result::Result<BatchRead, AbortReason>> =
+        reads.into_iter().map(|read| read.expect("the pass reads every shape")).collect();
 
     let mut outcome = RankPairsOutcome {
         rankings: Vec::with_capacity(pairs.len()),
@@ -284,9 +409,10 @@ pub(crate) fn rank_pass(
         peak_rows: 0,
         est_peak_rows: 0,
         overflow_tiles: 0,
+        ranked_out: 0,
         shed: Vec::new(),
     };
-    for read in reads.values().flatten() {
+    for read in reads.iter().flatten() {
         let trace = read.batch.trace();
         outcome.peak_rows = outcome.peak_rows.max(trace.peak_rows);
         outcome.est_peak_rows = outcome.est_peak_rows.max(trace.est_peak_rows);
@@ -297,22 +423,32 @@ pub(crate) fn rank_pass(
         }
     }
 
-    // Scoring: each pair applies its own read-time exclusion to the shared
-    // batches. A pair that needs an aborted shape is shed whole, with the
-    // reason of its first such explanation — partial scores would rank
-    // explanations against each other on incomparable evidence.
+    // Scoring: each explanation's answer — its exact position sum, or
+    // ranked out — from its shape's read. A pair that needs an aborted
+    // shape is shed whole, with the reason of its first such explanation
+    // — partial scores would rank explanations against each other on
+    // incomparable evidence. A ranked-out explanation scores below every
+    // exact one: at least k exact sums of its pair are smaller than its
+    // own.
+    let mut next = 0;
     for (i, pair) in pairs.iter().enumerate() {
-        let scores: std::result::Result<Vec<f64>, AbortReason> = pair
-            .explanations
-            .iter()
-            .map(|e| {
-                let read = reads[e.key()].as_ref().map_err(|reason| *reason)?;
-                let pos = read.batch.position_sum(draws, Some(pair.start), e.count() as u64);
-                Ok(-(pos as f64))
+        let own = next..next + pair.explanations.len();
+        next = own.end;
+        let answers: std::result::Result<Vec<Option<usize>>, AbortReason> = own
+            .map(|t| match &reads[shape_of[t]] {
+                Ok(_) => Ok(waiting[waiter_of[t]].answer()),
+                Err(reason) => Err(*reason),
             })
             .collect();
-        outcome.rankings.push(match scores {
-            Ok(scores) => rank_with_scores(pair.explanations, &scores, cfg.k),
+        outcome.rankings.push(match answers {
+            Ok(answers) => {
+                outcome.ranked_out += answers.iter().filter(|a| a.is_none()).count();
+                let scores: Vec<f64> = answers
+                    .iter()
+                    .map(|a| a.map_or(f64::NEG_INFINITY, |sum| -(sum as f64)))
+                    .collect();
+                rank_with_scores(pair.explanations, &scores, k)
+            }
             Err(reason) => {
                 outcome.shed.push(ShedPair { pair: i, reason });
                 Vec::new()

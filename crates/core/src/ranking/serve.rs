@@ -169,7 +169,7 @@ impl Snapshot {
         let draws = self.pinned.frame.draws();
         let read = self
             .cache
-            .read(&self.pinned.index, e, draws, &Budget::unlimited())
+            .read(&self.pinned.index, e, draws, &Budget::unlimited(), None)
             .expect("unlimited budget never aborts");
         read.batch.position_sum(draws, exclude, e.count() as u64)
     }

@@ -432,8 +432,8 @@ impl EdgeIndex {
     /// rows of every partition its edges read from plus the estimated
     /// instance rows — a relative weight, not a count of rows any walk
     /// reads (a walk reads only the lists around values already bound).
-    /// Used to hand a workload's shapes to the ranking pass's workers
-    /// heaviest-first.
+    /// Used to hand a workload's missed shapes to the ranking pass's
+    /// workers cheapest-first.
     pub fn estimate_eval_cost(&self, spec: &PatternSpec) -> u64 {
         let scans: f64 = spec
             .edges
@@ -819,15 +819,18 @@ pub fn local_count_distribution_indexed(
 }
 
 /// The result of a batched evaluation ([`count_distributions`]): the
-/// per-start descending count multisets plus the evaluation's trace —
-/// its tiling (tiles, peak and estimated peak rows, overflow tiles) and
-/// row traffic.
+/// per-start descending count multisets, the starts evaluated, and the
+/// evaluation's trace — its tiling (tiles, peak and estimated peak rows,
+/// overflow tiles) and row traffic.
 #[derive(Debug, Clone, Default)]
 pub struct TiledDistributions {
-    /// For every requested start with at least one instance, the
+    /// For every evaluated start with at least one instance, the
     /// descending multiset of per-end instance counts (starts without
     /// instances are absent: their distribution is empty).
     pub per_start: HashMap<u64, Vec<u64>>,
+    /// The distinct requested starts the evaluation covered, ascending:
+    /// every one of them, unless [`EvalRequest::after_start`] stopped it.
+    pub evaluated: Vec<u64>,
     /// The traffic of this evaluation alone.
     pub trace: EvalTrace,
 }
@@ -847,9 +850,14 @@ pub enum EvalKind {
     Delta,
 }
 
+/// Decides after each start of a [`count_distributions`] call whether
+/// the evaluation goes on: it gets the start and its descending multiset
+/// (empty when the start has no instances) and returns `false` to stop.
+pub type AfterStart<'a> = &'a (dyn Fn(u64, &[u64]) -> bool + Sync);
+
 /// One batched distribution request: which starts to group, how to tile
-/// them, how to account the evaluation, and when to give up.
-#[derive(Debug, Default)]
+/// them, how to account the evaluation, and when to give up or stop.
+#[derive(Default)]
 pub struct EvalRequest<'a> {
     /// The start entities (any order; duplicates are ignored). Ids with
     /// no incident rows — or outside the KB — simply produce no entry.
@@ -865,6 +873,24 @@ pub struct EvalRequest<'a> {
     /// Checked before every tile; each completed tile's peak rows are
     /// charged against its row pool. Unlimited by default.
     pub budget: Budget,
+    /// Called after each start, in ascending start order; once it
+    /// returns `false` no further start is evaluated, and the result
+    /// holds the starts evaluated so far. A stop is not an abort: the
+    /// result is returned and folded like any other. `None` evaluates
+    /// every start.
+    pub after_start: Option<AfterStart<'a>>,
+}
+
+impl std::fmt::Debug for EvalRequest<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EvalRequest")
+            .field("starts", &self.starts)
+            .field("row_ceiling", &self.row_ceiling)
+            .field("kind", &self.kind)
+            .field("budget", &self.budget)
+            .field("after_start", &self.after_start.is_some())
+            .finish()
+    }
 }
 
 /// The batched distribution query (§5.3.2's amortization): evaluates
@@ -887,11 +913,17 @@ pub struct EvalRequest<'a> {
 /// evaluation with [`RelError::Aborted`] after at most one more tile. An
 /// aborted evaluation returns no partial result.
 ///
+/// Stopping: the starts are evaluated in ascending order, and
+/// [`EvalRequest::after_start`] sees each one as it completes. Once it
+/// returns `false` the walk stops, no later tile runs, and the result
+/// holds exactly the starts evaluated so far
+/// ([`TiledDistributions::evaluated`]).
+///
 /// Trace: the returned [`EvalTrace`] counts one full or delta evaluation
-/// (per `req.kind`), one tile per tile, and the rows every tile read. A
-/// completed call folds the trace into [`crate::metrics::snapshot`]'s
-/// totals; an aborted one folds nothing. An empty start set is a no-op,
-/// not an evaluation.
+/// (per `req.kind`), one tile per tile that ran, the estimated rows of
+/// those tiles, and the rows every tile read. A completed or stopped call
+/// folds the trace into [`crate::metrics::snapshot`]'s totals; an aborted
+/// one folds nothing. An empty start set is a no-op, not an evaluation.
 pub fn count_distributions(
     index: &EdgeIndex,
     spec: &PatternSpec,
@@ -910,54 +942,56 @@ pub fn count_distributions(
         EvalKind::Delta => trace.delta = 1,
     }
     let tiles = match req.row_ceiling {
-        None => vec![values],
-        Some(max_rows) => {
-            let packed = index.pack_tiles(spec, &values, max_rows);
-            for &(_, est) in &packed {
-                trace.est_peak_rows = trace.est_peak_rows.max(est);
-                if est > max_rows {
-                    trace.overflow_tiles += 1;
-                }
-            }
-            packed.into_iter().map(|(tile, _)| tile).collect()
-        }
+        None => vec![(values, 0)],
+        Some(max_rows) => index.pack_tiles(spec, &values, max_rows),
     };
-    let mut ends = EndCounts::new(index.node_count(), spec.end);
-    for tile in tiles {
+    let mut ends = EndCounts::new(index.node_count(), spec.end, req.after_start);
+    for (tile, est) in tiles {
+        trace.est_peak_rows = trace.est_peak_rows.max(est);
+        if req.row_ceiling.is_some_and(|max_rows| est > max_rows) {
+            trace.overflow_tiles += 1;
+        }
         let binding = StartBinding::Among(tile);
         trace.merge(&spec.evaluate_tile(index, &binding, &req.budget, true, &mut ends)?);
         trace.tiles += 1;
-    }
-    let mut per_start = ends.per_start;
-    for counts in per_start.values_mut() {
-        counts.sort_unstable_by(|a, b| b.cmp(a));
+        if ends.stopped {
+            break;
+        }
     }
     crate::metrics::fold(&trace);
-    Ok(TiledDistributions { per_start, trace })
+    Ok(TiledDistributions { per_start: ends.per_start, evaluated: ends.evaluated, trace })
 }
 
 /// The `(start, end)` group-by of a walk: the current start's instance
 /// count per end entity in a dense array over the entity ids, reused for
 /// every start — only the ends a start touched are read back and reset.
-struct EndCounts {
+/// Each finished start's multiset is sorted descending and shown to the
+/// request's [`EvalRequest::after_start`], which may stop the walk.
+struct EndCounts<'a> {
     end: usize,
     counts: Vec<u64>,
     touched: Vec<usize>,
     per_start: HashMap<u64, Vec<u64>>,
+    evaluated: Vec<u64>,
+    after_start: Option<AfterStart<'a>>,
+    stopped: bool,
 }
 
-impl EndCounts {
-    fn new(node_count: usize, end: usize) -> EndCounts {
+impl<'a> EndCounts<'a> {
+    fn new(node_count: usize, end: usize, after_start: Option<AfterStart<'a>>) -> EndCounts<'a> {
         EndCounts {
             end,
             counts: vec![0; node_count],
             touched: Vec::new(),
             per_start: HashMap::new(),
+            evaluated: Vec::new(),
+            after_start,
+            stopped: false,
         }
     }
 }
 
-impl Sink for EndCounts {
+impl Sink for EndCounts<'_> {
     fn emit(&mut self, assignment: &[u64], n: u64) -> bool {
         let end = assignment[self.end] as usize;
         if end >= self.counts.len() {
@@ -970,13 +1004,17 @@ impl Sink for EndCounts {
         true
     }
 
-    fn start_done(&mut self, start: u64) {
-        if self.touched.is_empty() {
-            return;
-        }
+    fn start_done(&mut self, start: u64) -> bool {
+        self.evaluated.push(start);
         // Sized exactly: the cache holds these vectors as they are.
-        let counts = self.touched.drain(..).map(|end| std::mem::take(&mut self.counts[end]));
-        self.per_start.insert(start, counts.collect());
+        let mut counts: Vec<u64> =
+            self.touched.drain(..).map(|end| std::mem::take(&mut self.counts[end])).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        self.stopped = self.after_start.is_some_and(|go_on| !go_on(start, &counts));
+        if !counts.is_empty() {
+            self.per_start.insert(start, counts);
+        }
+        !self.stopped
     }
 }
 
@@ -1182,6 +1220,72 @@ mod tests {
             assert_eq!(tiled.per_start, untiled.per_start, "ceiling {ceiling}");
             assert!((1..=packing.len()).contains(&tiled.trace.tiles), "ceiling {ceiling}");
             assert!(tiled.trace.peak_rows > 0);
+        }
+    }
+
+    /// A check that stops after the `n`-th start leaves exactly the first
+    /// `n` distinct starts evaluated, in ascending order, each with the
+    /// multiset a whole evaluation gives it, and runs no tile past the
+    /// stop — tiled or not. The check sees every start it lets pass, with
+    /// its multiset.
+    #[test]
+    fn after_start_stops_after_any_start() {
+        let kb = toy::entertainment();
+        let index = EdgeIndex::build(&kb);
+        let starring = kb.label_by_name("starring").unwrap().0 as u64;
+        let spec = PatternSpec {
+            var_count: 3,
+            start: 0,
+            end: 1,
+            edges: vec![
+                SpecEdge { u: 0, v: 2, label: starring, directed: true },
+                SpecEdge { u: 1, v: 2, label: starring, directed: true },
+            ],
+        };
+        // Descending and repeated, so the evaluation sorts and dedups.
+        let starts: Vec<u64> = (0..kb.node_count() as u64).rev().chain([3, 3]).collect();
+        let mut distinct = starts.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for row_ceiling in [None, Some(0), Some(3)] {
+            let whole = grouped(&index, &spec, &starts, row_ceiling).unwrap();
+            assert_eq!(whole.evaluated, distinct);
+            for n in 1..=distinct.len() {
+                let seen = std::sync::Mutex::new(Vec::new());
+                let check = |start: u64, counts: &[u64]| {
+                    let expected = whole.per_start.get(&start).map_or(&[][..], Vec::as_slice);
+                    assert_eq!(counts, expected, "start {start}");
+                    let mut seen = seen.lock().unwrap();
+                    seen.push(start);
+                    seen.len() < n
+                };
+                let req = EvalRequest {
+                    starts: &starts,
+                    row_ceiling,
+                    after_start: Some(&check),
+                    ..Default::default()
+                };
+                let stopped = count_distributions(&index, &spec, &req).unwrap();
+                assert_eq!(stopped.evaluated, &distinct[..n], "{row_ceiling:?}, n = {n}");
+                assert_eq!(*seen.lock().unwrap(), stopped.evaluated);
+                let kept: HashMap<u64, Vec<u64>> = whole
+                    .per_start
+                    .iter()
+                    .filter(|(s, _)| distinct[..n].contains(s))
+                    .map(|(&s, c)| (s, c.clone()))
+                    .collect();
+                assert_eq!(stopped.per_start, kept, "{row_ceiling:?}, n = {n}");
+                assert_eq!(stopped.trace.full, 1);
+                assert!(stopped.trace.tiles <= whole.trace.tiles);
+                if let Some(max_rows) = row_ceiling {
+                    let tiles = index.tile_starts_for_ceiling(&spec, &distinct, max_rows);
+                    let ran = tiles
+                        .iter()
+                        .position(|tile| tile.contains(&distinct[n - 1]))
+                        .expect("every start is in a tile");
+                    assert_eq!(stopped.trace.tiles, ran + 1, "{row_ceiling:?}, n = {n}");
+                }
+            }
         }
     }
 

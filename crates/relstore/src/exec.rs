@@ -46,8 +46,11 @@ pub(crate) trait Sink {
     /// counted tail's slot is stale); returns `false` to stop the walk.
     fn emit(&mut self, assignment: &[u64], n: u64) -> bool;
 
-    /// Every instance of start value `start` has been emitted.
-    fn start_done(&mut self, _start: u64) {}
+    /// Every instance of start value `start` has been emitted; returns
+    /// `false` to stop the walk before the next start.
+    fn start_done(&mut self, _start: u64) -> bool {
+        true
+    }
 }
 
 impl<F: FnMut(&[u64], u64) -> bool> Sink for F {

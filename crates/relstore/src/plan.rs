@@ -595,12 +595,13 @@ impl PatternSpec {
     /// One tile of a batched evaluation over `index`: the depth-first
     /// executor walks [`PatternSpec::plan`] from each start value of
     /// `binding`, in ascending order, calling `sink.start_done` after
-    /// each start's last instance. The **tile boundary** of the budgeted
-    /// evaluation stack: the budget is checked *before* the tile runs (an
-    /// exhausted budget aborts with [`crate::RelError::Aborted`] instead
-    /// of evaluating) and the tile's widest level is charged against the
-    /// row pool *after* it completes, so a tile either runs to completion
-    /// and is paid for, or does not run at all. With `count_tail`, a
+    /// each start's last instance; either call can stop the walk. The
+    /// **tile boundary** of the budgeted evaluation stack: the budget is
+    /// checked *before* the tile runs (an exhausted budget aborts with
+    /// [`crate::RelError::Aborted`] instead of evaluating) and the tile's
+    /// widest level is charged against the row pool *after* it ends, so a
+    /// tile either runs until it is done or its sink stops it, and is
+    /// paid for, or does not run at all. With `count_tail`, a
     /// trailing existential is counted rather than enumerated (see
     /// [`BindingPlan::counted_tail`]). Returns the tile's trace: its
     /// neighbour-list rows read and peak bindings, but no evaluation or
@@ -629,10 +630,9 @@ impl PatternSpec {
         };
         let mut walk = Walk::new(index, self, &plan, count_tail);
         for &s in starts.iter() {
-            if !walk.start(s, sink) {
+            if !walk.start(s, sink) || !sink.start_done(s) {
                 break;
             }
-            sink.start_done(s);
         }
         let trace = walk.trace();
         budget.charge_rows(trace.peak_rows);

@@ -9,7 +9,10 @@
 //!   distinct canonical shapes across all pairs — strictly fewer than the
 //!   per-pair-cache baseline's Σ per-pair shapes whenever shapes recur;
 //! * tiled `Among` evaluation matches untiled for random tile sizes
-//!   (property test) and bounds peak intermediate rows.
+//!   (property test) and bounds peak intermediate rows;
+//! * the bound-pruned pass ranks every pair exactly as the per-pair
+//!   sequential ranker does, for any k, worker count and row ceiling,
+//!   and leaves partial entries that later passes answer or extend.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -220,4 +223,155 @@ proptest! {
         prop_assert_eq!(tiled.trace.tiles, packing.len());
         prop_assert!(tiled.trace.peak_rows <= untiled.trace.peak_rows);
     }
+}
+
+/// A generated KB with the explanations of its sampled pairs, for the
+/// pruned-pass differential.
+struct PrunedWorkload {
+    kb: KnowledgeBase,
+    index: EdgeIndex,
+    frame: Arc<SampleFrame>,
+    pairs: Vec<PreparedPair>,
+}
+
+/// The sample frame of the pruned-pass differential: its size and seed.
+const PRUNED_FRAME: (usize, u64) = (40, 17);
+
+/// `keep` sampled pairs with more than one explanation, and one pair
+/// whose start the frame drew, so that the read-time exclusion of a drawn
+/// start shapes a bound too.
+fn pruned_workload(config: GeneratorConfig, max_nodes: usize, keep: usize) -> PrunedWorkload {
+    let kb = generate(&config);
+    let enumerator = GeneralEnumerator::new(EnumConfig::default().with_max_nodes(max_nodes));
+    let prepare = |start: NodeId, end: NodeId| {
+        let explanations = enumerator.enumerate(&kb, start, end).explanations;
+        (explanations.len() > 1).then_some((start, end, explanations))
+    };
+    let mut pairs: Vec<PreparedPair> = sample_pairs(&kb, 2, 4, config.seed)
+        .iter()
+        .filter_map(|p| prepare(p.start, p.end))
+        .take(keep)
+        .collect();
+    assert!(pairs.len() >= 2, "need at least two pairs with a choice to rank");
+    let (size, seed) = PRUNED_FRAME;
+    let frame = Arc::new(SampleFrame::sample(&kb, size, seed).unwrap());
+    let drawn = frame.starts().iter().find_map(|&start| {
+        kb.neighbors(start)
+            .iter()
+            .flat_map(|hop| kb.neighbors(hop.other))
+            .filter(|hop| hop.other != start)
+            .find_map(|hop| prepare(start, hop.other))
+    });
+    pairs.push(drawn.expect("a drawn start has a pair with a choice to rank"));
+    let index = EdgeIndex::build(&kb);
+    PrunedWorkload { kb, index, frame, pairs }
+}
+
+fn tiny_pruned() -> &'static PrunedWorkload {
+    static WORKLOAD: OnceLock<PrunedWorkload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| pruned_workload(GeneratorConfig::tiny(2029), 4, 4))
+}
+
+fn small_pruned() -> &'static PrunedWorkload {
+    static WORKLOAD: OnceLock<PrunedWorkload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| pruned_workload(GeneratorConfig::small(2029), 4, 4))
+}
+
+/// `(index, score bits)` of a ranking, so equal scores compare bit for bit.
+fn bits(ranking: &[rex_core::ranking::Ranked]) -> Vec<(usize, u64)> {
+    ranking.iter().map(|r| (r.index, r.score.to_bits())).collect()
+}
+
+/// The pruned shared pass against the per-pair sequential ranker. For
+/// every k in {0, 1, 3, 10} and row ceiling in {none, 0, the default},
+/// over a workload whose first pair is listed twice, three passes share
+/// one cache: a cold pass, a second pass at the same k, which must be all
+/// hits, and a third at `k = usize::MAX`, which ranks nothing out and
+/// must extend exactly the partial entries the first pass left. Every
+/// pair's top-k equals `rank_by_position(.., Scope::Global, false)` on a
+/// private cache, indices and score bits. Returns how many explanations
+/// the cold passes with `k > 0` ranked out (at `k = 0` every explanation
+/// is out before anything is read).
+fn pruned_pass_matches_per_pair_ranking(w: &PrunedWorkload, threads: usize) -> usize {
+    let mut tasks: Vec<PairExplanations<'_>> = w
+        .pairs
+        .iter()
+        .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
+        .collect();
+    tasks.push(tasks[0]);
+    let (size, seed) = PRUNED_FRAME;
+    let contexts: Vec<MeasureContext<'_>> = tasks
+        .iter()
+        .map(|t| MeasureContext::new(&w.kb, t.start, t.end).with_global_samples(size, seed))
+        .collect();
+    let expected = |k: usize| -> Vec<Vec<(usize, u64)>> {
+        tasks
+            .iter()
+            .zip(&contexts)
+            .map(|(t, ctx)| bits(&rank_by_position(t.explanations, ctx, k, Scope::Global, false)))
+            .collect()
+    };
+    let default_ceiling = RankPairsConfig::default().row_ceiling;
+    let mut ranked_out = 0;
+    for k in [0, 1, 3, 10] {
+        for row_ceiling in [None, Some(0), default_ceiling] {
+            let cfg = RankPairsConfig {
+                k,
+                global_samples: size,
+                seed,
+                threads,
+                row_ceiling,
+                ..RankPairsConfig::default()
+            };
+            let cache = match row_ceiling {
+                Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
+                None => DistributionCache::new(),
+            };
+            let case = format!("k {k}, ceiling {row_ceiling:?}, threads {threads}");
+            let check = |outcome: &rex_core::ranking::RankPairsOutcome, k: usize, pass: &str| {
+                let got: Vec<Vec<(usize, u64)>> =
+                    outcome.rankings.iter().map(|r| bits(r)).collect();
+                assert_eq!(got, expected(k), "{case}: {pass} pass");
+                assert!(outcome.shed.is_empty(), "{case}: {pass} pass");
+            };
+            let first = rank_pairs_with(&tasks, &cfg, &w.index, &w.frame, &cache);
+            check(&first, k, "cold");
+            if k > 0 {
+                ranked_out += first.ranked_out;
+            }
+            // The same bounds again: every partial entry is already out.
+            let second = rank_pairs_with(&tasks, &cfg, &w.index, &w.frame, &cache);
+            check(&second, k, "second");
+            assert_eq!(second.batched_evals, 0, "{case}: the second pass must be all hits");
+            assert_eq!(second.ranked_out, first.ranked_out, "{case}: second pass");
+            // No bound: the partial entries, and only they, are extended.
+            let all = RankPairsConfig { k: usize::MAX, ..cfg.clone() };
+            let third = rank_pairs_with(&tasks, &all, &w.index, &w.frame, &cache);
+            check(&third, usize::MAX, "unbounded");
+            assert_eq!(third.ranked_out, 0, "{case}: unbounded pass");
+            assert_eq!(
+                third.batched_evals > 0,
+                first.ranked_out > 0,
+                "{case}: the unbounded pass extends exactly the partial entries"
+            );
+        }
+    }
+    ranked_out
+}
+
+#[test]
+fn pruned_pass_matches_per_pair_ranking_threads_1() {
+    pruned_pass_matches_per_pair_ranking(tiny_pruned(), 1);
+    let ranked_out = pruned_pass_matches_per_pair_ranking(small_pruned(), 1);
+    assert!(ranked_out > 0, "the bound must rank explanations out on the small KB");
+}
+
+/// Two workers share the pairs' bounds: how much of the frame a
+/// ranked-out shape covers may vary from run to run, the rankings may
+/// not.
+#[test]
+fn pruned_pass_matches_per_pair_ranking_threads_2() {
+    pruned_pass_matches_per_pair_ranking(tiny_pruned(), 2);
+    let ranked_out = pruned_pass_matches_per_pair_ranking(small_pruned(), 2);
+    assert!(ranked_out > 0, "the bound must rank explanations out on the small KB");
 }
