@@ -1339,8 +1339,8 @@ pub struct SnapshotBench {
     pub build_wall: Duration,
     /// Snapshot serialization wall.
     pub save_wall: Duration,
-    /// Median snapshot load wall over `LOAD_REPEATS` runs — flat-array
-    /// reconstruction, I/O-bound.
+    /// Median snapshot load wall over `LOAD_REPEATS` runs: reading the
+    /// file and validating and adopting its flat arrays.
     pub load_wall: Duration,
     /// Snapshot size on disk.
     pub snapshot_bytes: u64,

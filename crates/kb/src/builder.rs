@@ -1,7 +1,5 @@
 //! Mutable construction API for [`KnowledgeBase`].
 
-use std::collections::HashMap;
-
 use crate::graph::{build_adjacency, EdgeRecord, KnowledgeBase, NodeRecord};
 use crate::ids::{LabelId, NodeId, TypeId};
 use crate::interner::Interner;
@@ -11,7 +9,10 @@ use crate::interner::Interner;
 ///
 /// Node names are unique: adding an existing name returns the existing id
 /// (idempotent upsert), which makes TSV loading and incremental generators
-/// straightforward. Edges may reference any previously added node.
+/// straightforward. The names interner holds node names only and each new
+/// name makes exactly one node, so a node's id is its name's interned id
+/// and a lookup by name is one interner probe. Edges may reference any
+/// previously added node.
 ///
 /// ```
 /// use rex_kb::KbBuilder;
@@ -31,7 +32,6 @@ pub struct KbBuilder {
     names: Interner,
     types: Interner,
     labels: Interner,
-    name_to_node: HashMap<u32, NodeId>,
 }
 
 impl KbBuilder {
@@ -45,7 +45,6 @@ impl KbBuilder {
         Self {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            name_to_node: HashMap::with_capacity(nodes),
             ..Self::default()
         }
     }
@@ -55,20 +54,17 @@ impl KbBuilder {
     /// unchanged.
     pub fn add_node(&mut self, name: &str, ty: &str) -> NodeId {
         let name_id = self.names.intern(name);
-        if let Some(&id) = self.name_to_node.get(&name_id) {
-            return id;
+        if (name_id as usize) < self.nodes.len() {
+            return NodeId(name_id);
         }
         let ty = TypeId(self.types.intern(ty));
-        let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeRecord { name: name_id, ty });
-        self.name_to_node.insert(name_id, id);
-        id
+        NodeId(name_id)
     }
 
     /// Looks a node up by name without inserting.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        let id = self.names.get(name)?;
-        self.name_to_node.get(&id).copied()
+        self.names.get(name).map(NodeId)
     }
 
     /// Adds a directed edge `src --label--> dst`.
@@ -111,7 +107,6 @@ impl KbBuilder {
             names: self.names,
             types: self.types,
             labels: self.labels,
-            name_to_node: self.name_to_node,
             adj_offsets,
             adj,
             epoch: 0,

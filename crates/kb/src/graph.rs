@@ -22,8 +22,6 @@
 //! mutations shift the CSR arrays (`O(V + E)` worst case) — the right
 //! trade for a read-dominated store whose readers must stay branch-free.
 
-use std::collections::HashMap;
-
 use crate::delta::{DeltaOp, DeltaSince, KbDelta, LogEntry};
 use crate::ids::{EdgeId, LabelId, NodeId, Orientation, TypeId};
 use crate::interner::Interner;
@@ -100,6 +98,10 @@ pub struct Neighbor {
 
 /// The knowledge base. Bulk-construct with [`crate::KbBuilder`]; mutate
 /// in place with the epoch-bumping update API.
+///
+/// A node's id is its name's interned id: the names interner holds node
+/// names only, and every new name makes exactly one node, so
+/// [`KnowledgeBase::node_by_name`] is one interner lookup.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     pub(crate) nodes: Vec<NodeRecord>,
@@ -107,7 +109,6 @@ pub struct KnowledgeBase {
     pub(crate) names: Interner,
     pub(crate) types: Interner,
     pub(crate) labels: Interner,
-    pub(crate) name_to_node: HashMap<u32, NodeId>,
     /// CSR offsets into `adj`; length is `nodes.len() + 1`.
     pub(crate) adj_offsets: Vec<u32>,
     /// Per-node adjacency, sorted by `(label, orientation, other)`.
@@ -190,8 +191,7 @@ impl KnowledgeBase {
 
     /// Looks an entity up by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        let nid = self.names.get(name)?;
-        self.name_to_node.get(&nid).copied()
+        self.names.get(name).map(NodeId)
     }
 
     /// Looks an entity up by name, erroring when absent.
@@ -356,13 +356,12 @@ impl KnowledgeBase {
     /// epoch; re-adding an existing name is a read.
     pub fn insert_node(&mut self, name: &str, ty: &str) -> NodeId {
         let name_id = self.names.intern(name);
-        if let Some(&id) = self.name_to_node.get(&name_id) {
-            return id;
+        if (name_id as usize) < self.nodes.len() {
+            return NodeId(name_id);
         }
         let ty = TypeId(self.types.intern(ty));
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(name_id);
         self.nodes.push(NodeRecord { name: name_id, ty });
-        self.name_to_node.insert(name_id, id);
         // A fresh node has an empty adjacency slice.
         let end = *self.adj_offsets.last().expect("offsets are never empty");
         self.adj_offsets.push(end);
@@ -638,10 +637,17 @@ impl KnowledgeBase {
         }
     }
 
-    /// Debug check: per-node adjacency sorted and consistent with the
-    /// edge table. Used by tests; not on any hot path.
+    /// Debug check: every node's name id is its own id, and per-node
+    /// adjacency is sorted and consistent with the edge table. Used by
+    /// tests; not on any hot path.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<()> {
+        if self.names.len() != self.nodes.len() {
+            return Err(KbError::Parse("names table length".into()));
+        }
+        if let Some((v, n)) = self.nodes.iter().enumerate().find(|&(v, n)| n.name as usize != v) {
+            return Err(KbError::Parse(format!("node {v} carries name id {}", n.name)));
+        }
         if self.adj_offsets.len() != self.nodes.len() + 1 {
             return Err(KbError::Parse("offset table length".into()));
         }

@@ -10,9 +10,20 @@
 //! E<TAB>src_name<TAB>dst_name<TAB>label<TAB>dir
 //! ```
 //!
+//! [`read_tsv`] reads each line into one reused byte buffer and checks it
+//! for UTF-8 on its own, trims trailing whitespace (so CRLF files read like
+//! LF ones), and skips blank and `#` lines, which still count toward the
+//! line numbers its errors name. A node line without a type gets `Entity`;
+//! a repeated node line keeps the first line's id and type. An edge
+//! endpoint costs one names-interner lookup, since a node's id is its
+//! name's interned id.
+//!
 //! The binary snapshot is a straightforward length-prefixed encoding used to
 //! cache generated benchmark KBs between runs; it is not a stability
-//! guarantee (a magic/version header guards against skew).
+//! guarantee (a magic/version header guards against skew). Its names table
+//! lists exactly one name per node, in node order: [`decode_binary`]
+//! rejects a node record whose name id is not its own index and a names
+//! table longer than the node list.
 
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -49,11 +60,24 @@ pub fn write_tsv<W: Write>(kb: &KnowledgeBase, out: &mut W) -> std::io::Result<(
 
 /// Reads a knowledge base from TSV interchange form. Blank lines and lines
 /// starting with `#` are ignored. Node lines must precede the edges that
-/// reference them.
-pub fn read_tsv<R: BufRead>(input: R) -> Result<KnowledgeBase> {
+/// reference them. A line that is not UTF-8 fails with the error
+/// `BufRead::lines` reports, and trailing whitespace (a CRLF's `\r`
+/// included) is trimmed.
+pub fn read_tsv<R: BufRead>(mut input: R) -> Result<KnowledgeBase> {
     let mut builder = KbBuilder::new();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.map_err(|e| KbError::Parse(format!("I/O error: {e}")))?;
+    let mut buf = Vec::new();
+    let mut lineno = 0usize;
+    loop {
+        buf.clear();
+        let read = input
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| KbError::Parse(format!("I/O error: {e}")))?;
+        if read == 0 {
+            break;
+        }
+        lineno += 1;
+        let line = std::str::from_utf8(&buf)
+            .map_err(|_| KbError::Parse("I/O error: stream did not contain valid UTF-8".into()))?;
         let line = line.trim_end();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -62,22 +86,22 @@ pub fn read_tsv<R: BufRead>(input: R) -> Result<KnowledgeBase> {
         let tag = fields.next().unwrap_or("");
         match tag {
             "N" => {
-                let name = fields.next().ok_or_else(|| {
-                    KbError::Parse(format!("line {}: missing node name", lineno + 1))
-                })?;
+                let name = fields
+                    .next()
+                    .ok_or_else(|| KbError::Parse(format!("line {lineno}: missing node name")))?;
                 let ty = fields.next().unwrap_or("Entity");
                 builder.add_node(name, ty);
             }
             "E" => {
                 let src = fields
                     .next()
-                    .ok_or_else(|| KbError::Parse(format!("line {}: missing src", lineno + 1)))?;
+                    .ok_or_else(|| KbError::Parse(format!("line {lineno}: missing src")))?;
                 let dst = fields
                     .next()
-                    .ok_or_else(|| KbError::Parse(format!("line {}: missing dst", lineno + 1)))?;
+                    .ok_or_else(|| KbError::Parse(format!("line {lineno}: missing dst")))?;
                 let label = fields
                     .next()
-                    .ok_or_else(|| KbError::Parse(format!("line {}: missing label", lineno + 1)))?;
+                    .ok_or_else(|| KbError::Parse(format!("line {lineno}: missing label")))?;
                 let dir = fields.next().unwrap_or("d");
                 let src = builder
                     .node_by_name(src)
@@ -90,17 +114,13 @@ pub fn read_tsv<R: BufRead>(input: R) -> Result<KnowledgeBase> {
                     "u" => builder.add_undirected_edge(src, dst, label),
                     other => {
                         return Err(KbError::Parse(format!(
-                            "line {}: bad direction flag {other:?} (want \"d\" or \"u\")",
-                            lineno + 1
+                            "line {lineno}: bad direction flag {other:?} (want \"d\" or \"u\")"
                         )))
                     }
                 }
             }
             other => {
-                return Err(KbError::Parse(format!(
-                    "line {}: unknown record tag {other:?}",
-                    lineno + 1
-                )))
+                return Err(KbError::Parse(format!("line {lineno}: unknown record tag {other:?}")))
             }
         }
     }
@@ -226,8 +246,12 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
     if (buf.remaining() as u64) < (node_count as u64).saturating_mul(8) {
         return Err(KbError::Parse("node count exceeds input".into()));
     }
+    // A node's id is its name's id: every name belongs to exactly one
+    // node, the one at the name's own index.
+    if names.len() > node_count {
+        return Err(KbError::Parse("more names than nodes".into()));
+    }
     let mut nodes = Vec::with_capacity(node_count);
-    let mut name_to_node = std::collections::HashMap::with_capacity(node_count);
     for i in 0..node_count {
         if buf.remaining() < 8 {
             return Err(KbError::Parse("truncated node record".into()));
@@ -237,8 +261,10 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
         if ty.index() >= types.len() || (name as usize) >= names.len() {
             return Err(KbError::Parse("node record out of range".into()));
         }
+        if name as usize != i {
+            return Err(KbError::Parse(format!("node {i} carries name id {name}")));
+        }
         nodes.push(NodeRecord { name, ty });
-        name_to_node.insert(name, NodeId(i as u32));
     }
     if buf.remaining() < 4 {
         return Err(KbError::Parse("truncated edge count".into()));
@@ -271,7 +297,6 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
         names,
         types,
         labels,
-        name_to_node,
         adj_offsets,
         adj,
         epoch: 0,
@@ -284,6 +309,7 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::EdgeId;
     use crate::toy;
 
     #[test]
@@ -327,6 +353,84 @@ mod tests {
         assert_eq!(kb.node_count(), 1);
     }
 
+    fn tsv_error(src: &[u8]) -> KbError {
+        read_tsv(std::io::Cursor::new(src)).unwrap_err()
+    }
+
+    /// CRLF endings and a last line without `\n` read like LF lines.
+    #[test]
+    fn tsv_reads_crlf_and_an_unterminated_last_line() {
+        let kb = read_tsv(std::io::Cursor::new("N\ta\tT\r\nN\tb\tU\r\nE\ta\tb\tr\td\r\n")).unwrap();
+        let (a, b) = (kb.require_node("a").unwrap(), kb.require_node("b").unwrap());
+        assert_eq!(kb.node_type_name(a), "T");
+        assert_eq!(kb.node_type_name(b), "U");
+        assert_eq!(kb.label_name(kb.edge(EdgeId(0)).label), "r");
+        assert!(kb.edge(EdgeId(0)).directed);
+        let kb = read_tsv(std::io::Cursor::new("N\ta\tT\nN\tb\tT\nE\tb\ta\ts\tu")).unwrap();
+        assert_eq!(kb.edge_count(), 1);
+        let e = kb.edge(EdgeId(0));
+        assert_eq!((kb.node_name(e.src), kb.node_name(e.dst)), ("b", "a"));
+        assert!(!e.directed);
+        let kb = read_tsv(std::io::Cursor::new("N\tlast\tT")).unwrap();
+        assert_eq!(kb.node_type_name(kb.require_node("last").unwrap()), "T");
+    }
+
+    /// A line that is not UTF-8 fails the read with the I/O error
+    /// `BufRead::lines` reports, after any number of valid lines.
+    #[test]
+    fn tsv_rejects_invalid_utf8() {
+        let err = tsv_error(b"N\ta\tT\nN\tb\tT\nE\ta\tb\t\xff\xfe\td\nN\tc\tT\n");
+        assert_eq!(err, KbError::Parse("I/O error: stream did not contain valid UTF-8".into()));
+        let err = tsv_error(b"N\t\xc3\n");
+        assert_eq!(err, KbError::Parse("I/O error: stream did not contain valid UTF-8".into()));
+    }
+
+    /// Error line numbers count every line, blank and comment lines too.
+    #[test]
+    fn tsv_error_lines_count_blank_and_comment_lines() {
+        let cases: [(&[u8], &str); 6] = [
+            (b"# c\n\nN\ta\tT\n\nX\tfoo\n", "line 5: unknown record tag \"X\""),
+            (b"#\r\n\r\nN\n", "line 3: missing node name"),
+            (b"\n\n\nE\n", "line 4: missing src"),
+            (b"#\nE\ta\n", "line 2: missing dst"),
+            (b"E\ta\tb\n", "line 1: missing label"),
+            (
+                b"N\ta\tT\nN\tb\tT\n# e\n\nE\ta\tb\tr\tx\n",
+                "line 5: bad direction flag \"x\" (want \"d\" or \"u\")",
+            ),
+        ];
+        for (src, message) in cases {
+            assert_eq!(tsv_error(src), KbError::Parse(message.into()));
+        }
+        assert_eq!(tsv_error(b"N\ta\tT\nE\ta\tb\tr\n"), KbError::NameNotFound("b".into()));
+    }
+
+    /// An `N` line without a type (trailing whitespace trimmed) gets
+    /// `Entity`; an `E` line without a direction is directed.
+    #[test]
+    fn tsv_defaults_type_and_direction() {
+        let kb = read_tsv(std::io::Cursor::new("N\ta\nN\tb\t \t\nE\ta\tb\tr\n")).unwrap();
+        for name in ["a", "b"] {
+            assert_eq!(kb.node_type_name(kb.require_node(name).unwrap()), "Entity");
+        }
+        assert_eq!(kb.type_count(), 1);
+        assert!(kb.edge(EdgeId(0)).directed);
+    }
+
+    /// A repeated `N` line keeps the first line's id and type and interns
+    /// nothing new.
+    #[test]
+    fn tsv_repeated_node_keeps_first_id_and_type() {
+        let kb =
+            read_tsv(std::io::Cursor::new("N\ta\tT\nN\tb\tU\nN\ta\tV\nE\ta\tb\tr\td\n")).unwrap();
+        assert_eq!(kb.node_count(), 2);
+        let a = kb.require_node("a").unwrap();
+        assert_eq!(a, NodeId(0));
+        assert_eq!(kb.node_type_name(a), "T");
+        assert_eq!(kb.type_by_name("V"), None);
+        assert_eq!(kb.edge(EdgeId(0)).src, a);
+    }
+
     #[test]
     fn binary_round_trip() {
         let kb = toy::entertainment();
@@ -349,6 +453,33 @@ mod tests {
         buf.put_u32_le(0xdead_beef);
         buf.put_u32_le(1);
         assert!(decode_binary(buf.freeze()).is_err());
+    }
+
+    /// A node's id is its name's id: a node record naming another node's
+    /// name, names swapped between records, or a names table longer than
+    /// the node list is rejected (each would let `node_by_name` and
+    /// `node_name` disagree).
+    #[test]
+    fn binary_rejects_node_records_that_repeat_or_skip_names() {
+        let mut b = KbBuilder::new();
+        b.add_node("a", "T");
+        b.add_node("b", "T");
+        let bytes = encode_binary(&b.build()).to_vec();
+        // No edges: the two 8-byte node records sit between the 4-byte
+        // node count and the 4-byte edge count that ends the snapshot.
+        let records = bytes.len() - 4 - 16;
+        let name_at = |record: usize| records + 8 * record..records + 8 * record + 4;
+        let mut repeat = bytes.clone();
+        repeat[name_at(1)].copy_from_slice(&0u32.to_le_bytes());
+        let mut swap = bytes.clone();
+        swap[name_at(0)].copy_from_slice(&1u32.to_le_bytes());
+        swap[name_at(1)].copy_from_slice(&0u32.to_le_bytes());
+        let mut skip = bytes[..records + 8].to_vec();
+        skip[records - 4..records].copy_from_slice(&1u32.to_le_bytes());
+        skip.extend_from_slice(&0u32.to_le_bytes());
+        for patched in [repeat, swap, skip] {
+            assert!(matches!(decode_binary(patched.into()), Err(KbError::Parse(_))));
+        }
     }
 
     #[test]

@@ -73,27 +73,42 @@ pub const CKPT_VERSION: u32 = 1;
 pub const WAL_HEADER_LEN: u64 = 8;
 const RECORD_HEADER_LEN: usize = 8;
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+/// The slice-by-8 CRC-32 tables: `[0]` is the bytewise table, and
+/// `[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so eight
+/// lookups fold in eight bytes at once.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *slot = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
         t
     })
 }
 
-/// CRC-32 (IEEE) of `data`; guards every WAL record payload.
+/// CRC-32 (IEEE) of `data`; guards every WAL record payload and the
+/// checkpoint body. Eight bytes per step (slice-by-8), the tail bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = crc_table();
+    let t = crc_tables();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ u64::from(c);
+        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(word >> (8 * k)) as u8 as usize]);
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -955,6 +970,7 @@ impl DurableKb {
 mod tests {
     use super::*;
     use crate::toy;
+    use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rex-wal-{tag}-{}", std::process::id()));
@@ -973,11 +989,37 @@ mod tests {
         encode_binary(kb).to_vec()
     }
 
+    /// The one-lookup-per-byte CRC-32 the slice-by-8 loop must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let t = &crc_tables()[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = t[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
+    }
+
+    proptest! {
+        /// Slice-by-8 equals the bytewise loop at every length and
+        /// alignment: the slice starts at a random offset into the
+        /// buffer and its length leaves any tail of 0 to 7 bytes.
+        #[test]
+        fn crc32_matches_bytewise(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+            offset in 0usize..16,
+        ) {
+            let data = &bytes[offset.min(bytes.len())..];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data));
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! them: loading validates the arrays (strictly increasing keys and
 //! offsets, lists spanning exactly the partition's rows, trailing
 //! checksum), each list's order and that one posting is the transpose of
-//! the other, then adopts them without re-bucketing or re-sorting, so a
-//! cold start is I/O-bound — cheaper than [`EdgeIndex::build`], which
-//! must bucket the oriented relation and sort every posting.
+//! the other, then adopts them without re-bucketing or re-sorting. That
+//! saves little: [`EdgeIndex::build`] reads every list straight off the
+//! KB's sorted adjacency, and on generated KBs (seed 2011, a 2-vCPU AMD
+//! EPYC) a load took 0.088, 1.05 and 5.50 ms at `tiny`, `small` and
+//! `bench` scale against a build's 0.095, 1.19 and 6.48 ms.
 //!
 //! Format version 4 stores, for each posting key, the other endpoint's
 //! id of every row carrying it (`u32`, ascending, a parallel edge

@@ -212,18 +212,13 @@ impl ColumnPosting {
         let mut packed: Vec<u64> =
             pairs.into_iter().map(|(key, other)| (u32_id(key) << 32) | u32_id(other)).collect();
         packed.sort_unstable();
-        let mut keys = Vec::new();
-        let mut offsets = Vec::new();
-        let mut others = Vec::with_capacity(packed.len());
-        for (at, &p) in packed.iter().enumerate() {
-            if keys.last() != Some(&(p >> 32)) {
-                keys.push(p >> 32);
-                offsets.push(at as u32);
-            }
-            others.push(p as u32);
+        let lists = || packed.chunk_by(|a, b| a >> 32 == b >> 32);
+        let mut writer = PostingWriter::with_capacity(lists().count(), packed.len());
+        for list in lists() {
+            writer.open(list[0] >> 32);
+            writer.extend(list.iter().map(|&p| p as u32));
         }
-        offsets.push(packed.len() as u32);
-        ColumnPosting::assemble(keys, offsets, others)
+        writer.finish()
     }
 
     /// A posting over CSR arrays that satisfy its invariants, with the
@@ -372,6 +367,51 @@ impl ColumnPosting {
             }
         }
         sum
+    }
+}
+
+/// A [`ColumnPosting`] written list by list in ascending key order into
+/// arrays allocated once, at their final size: the build path for lists
+/// that arrive sorted, as a knowledge base's adjacency holds them.
+#[derive(Debug)]
+pub(crate) struct PostingWriter {
+    keys: Vec<u64>,
+    offsets: Vec<u32>,
+    others: Vec<u32>,
+}
+
+impl PostingWriter {
+    /// A writer for `keys` lists holding `pairs` pairs in all.
+    pub(crate) fn with_capacity(keys: usize, pairs: usize) -> PostingWriter {
+        PostingWriter {
+            keys: Vec::with_capacity(keys),
+            offsets: Vec::with_capacity(keys + 1),
+            others: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Starts `key`'s list; `key` must exceed every key opened before.
+    pub(crate) fn open(&mut self, key: u64) {
+        debug_assert!(self.keys.last().is_none_or(|&last| last < key), "keys ascend");
+        self.keys.push(u32_id(key));
+        self.offsets.push(u32::try_from(self.others.len()).expect("posting pairs fit u32"));
+    }
+
+    /// Appends `others` to the open list; a list's ids must not descend.
+    pub(crate) fn extend(&mut self, others: impl IntoIterator<Item = u32>) {
+        self.others.extend(others);
+    }
+
+    /// Whether no list has been opened.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The posting written, with its key directory. Every list opened
+    /// must hold at least one id.
+    pub(crate) fn finish(mut self) -> ColumnPosting {
+        self.offsets.push(u32::try_from(self.others.len()).expect("posting pairs fit u32"));
+        ColumnPosting::assemble(self.keys, self.offsets, self.others)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property tests for the substrate crates: relational operators against
-//! naive reference implementations, and knowledge-base adjacency
-//! invariants.
+//! naive reference implementations, knowledge-base adjacency invariants,
+//! and the edge index's bulk build against postings built from the
+//! oriented edge relation's rows.
 
 use proptest::prelude::*;
 use rex_kb::{KbBuilder, Orientation};
@@ -183,7 +184,7 @@ proptest! {
 mod kb_invariants {
     use super::*;
 
-    fn arb_kb() -> impl Strategy<Value = rex_kb::KnowledgeBase> {
+    pub(super) fn arb_kb() -> impl Strategy<Value = rex_kb::KnowledgeBase> {
         (2u32..=8, proptest::collection::vec((0u32..8, 0u32..8, 0u32..4, any::<bool>()), 1..24))
             .prop_map(|(n, edges)| {
                 let mut b = KbBuilder::new();
@@ -266,6 +267,120 @@ mod kb_invariants {
                 .filter(|&e| kb.edge(e).src == kb.edge(e).dst)
                 .count();
             prop_assert_eq!(degree_sum, 2 * (kb.edge_count() - loops) + loops);
+        }
+    }
+}
+
+/// `EdgeIndex::build` reads its postings off the KB's sorted adjacency.
+/// The reference builds each posting with `ColumnPosting::build` from the
+/// partition's `oriented_edge_relation` rows, and a second reference
+/// builds the whole index through delta application, which does the same
+/// per partition. The build must match the first posting for posting and
+/// the second byte for byte (`encode_index`), on KBs with directed and
+/// undirected self-loops and parallel edges, and after `insert_edge` and
+/// `remove_edge` reordered adjacency (a removal re-threads the last
+/// edge's id).
+mod index_build {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+    use rex_datagen::{generate, GeneratorConfig};
+    use rex_kb::{EdgeId, KbBuilder, KbDelta, KnowledgeBase, LabelId, NodeId};
+    use rex_relstore::engine::{oriented_edge_relation, EdgeIndex};
+    use rex_relstore::persist::encode_index;
+    use rex_relstore::ColumnPosting;
+
+    fn assert_build_matches_reference(kb: &KnowledgeBase, what: &str) {
+        let index = EdgeIndex::build(kb);
+        let mut rows: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
+        for row in oriented_edge_relation(kb).rows() {
+            rows.entry((row[2], row[3])).or_default().push((row[0], row[1]));
+        }
+        let stats = index.posting_stats();
+        let total: usize = rows.values().map(Vec::len).sum();
+        assert_eq!((stats.partitions, stats.rows, index.total_rows()), (rows.len(), total, total));
+        for (&(label, dir), rows) in &rows {
+            let partition = index.posting(label, dir).expect("every row's partition is built");
+            let by_src = ColumnPosting::build(rows.iter().copied());
+            let by_dst = ColumnPosting::build(rows.iter().map(|&(from, to)| (to, from)));
+            assert_eq!(partition.endpoint(true), &by_src, "{what}: ({label}, {dir}) by_src");
+            assert_eq!(partition.endpoint(false), &by_dst, "{what}: ({label}, {dir}) by_dst");
+        }
+        let mut reference = EdgeIndex::build(&KbBuilder::new().build());
+        let every_edge = KbDelta {
+            from_epoch: 0,
+            to_epoch: kb.epoch(),
+            added: kb.edge_ids().map(|e| *kb.edge(e)).collect(),
+            removed: Vec::new(),
+            node_count: kb.node_count(),
+        };
+        reference.apply_delta(&every_edge).unwrap();
+        assert!(encode_index(&index) == encode_index(&reference), "{what}: snapshot bytes differ");
+    }
+
+    /// Applies `(kind, a, b, label, directed)` ops: kind 0 removes an
+    /// edge, any other kind inserts one (a self-loop when `a == b` modulo
+    /// the node count).
+    fn mutate(kb: &mut KnowledgeBase, ops: &[(u8, u32, u32, u32, bool)]) {
+        let (nodes, labels) = (kb.node_count() as u32, kb.label_count() as u32);
+        for &(kind, a, b, label, directed) in ops {
+            if kind == 0 && kb.edge_count() > 0 {
+                kb.remove_edge(EdgeId(a % kb.edge_count() as u32)).unwrap();
+            } else {
+                let (src, dst) = (NodeId(a % nodes), NodeId(b % nodes));
+                kb.insert_edge(src, dst, LabelId(label % labels), directed).unwrap();
+            }
+        }
+    }
+
+    /// Deterministic ops over the whole node and label range, self-loops
+    /// and removals included.
+    fn scripted_ops(count: usize, seed: u64) -> Vec<(u8, u32, u32, u32, bool)> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        (0..count)
+            .map(|i| {
+                let a = next();
+                let b = if i % 7 == 0 { a } else { next() };
+                ((next() % 3) as u8, a, b, next(), next() % 2 == 0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_matches_reference_on_toy_and_generated_kbs() {
+        let kbs = [
+            ("toy", rex_kb::toy::entertainment()),
+            ("tiny", generate(&GeneratorConfig::tiny(2030))),
+            ("small", generate(&GeneratorConfig::small(2030))),
+        ];
+        for (what, mut kb) in kbs {
+            assert_build_matches_reference(&kb, what);
+            let ops = scripted_ops(300, kb.edge_count() as u64);
+            mutate(&mut kb, &ops);
+            kb.check_invariants().unwrap();
+            assert_build_matches_reference(&kb, &format!("{what} mutated"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn build_matches_reference_on_multigraphs(
+            kb in super::kb_invariants::arb_kb(),
+            ops in proptest::collection::vec(
+                (0u8..3, 0u32..64, 0u32..64, 0u32..8, any::<bool>()),
+                0..24,
+            ),
+        ) {
+            assert_build_matches_reference(&kb, "arb_kb");
+            let mut kb = kb;
+            mutate(&mut kb, &ops);
+            assert_build_matches_reference(&kb, "arb_kb mutated");
         }
     }
 }
