@@ -25,7 +25,7 @@ use rex_relstore::budget::Budget;
 use rex_relstore::metrics::{self, EvalTrace};
 
 use crate::report::Table;
-use crate::timing::{fmt_duration, mean, median, time};
+use crate::timing::{fmt_duration, mean, time};
 use crate::workloads::Workload;
 
 /// The five algorithm combinations of Figure 7, in the paper's order.
@@ -1328,24 +1328,6 @@ pub fn ingest_bench(
     }
 }
 
-/// The index snapshot section: the on-disk snapshot round trip (a load
-/// must beat the cold build it replaces).
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotBench {
-    /// KB edge count the index was built over.
-    pub kb_edges: usize,
-    /// Median cold index build wall over `LOAD_REPEATS` runs interleaved
-    /// with the loads (the `load_wall` comparison baseline).
-    pub build_wall: Duration,
-    /// Snapshot serialization wall.
-    pub save_wall: Duration,
-    /// Median snapshot load wall over `LOAD_REPEATS` runs: reading the
-    /// file and validating and adopting its flat arrays.
-    pub load_wall: Duration,
-    /// Snapshot size on disk.
-    pub snapshot_bytes: u64,
-}
-
 /// The machine-readable ranking baseline behind `BENCH_ranking.json`:
 /// global-distribution top-k ranking measured with the pre-batching
 /// per-start engine versus the batched all-starts engine.
@@ -1393,8 +1375,6 @@ pub struct RankingBench {
     /// WAL-backed ingestion under backpressure with a torn-tail
     /// recovery parity check (the durability layers).
     pub ingest: IngestBench,
-    /// Index snapshot save, load and cold build.
-    pub snapshot: SnapshotBench,
 }
 
 impl RankingBench {
@@ -1574,17 +1554,6 @@ impl RankingBench {
             self.ingest.recovery_replayed_batches,
             self.ingest.recovery_truncated_bytes,
         );
-        let snapshot = format!(
-            concat!(
-                "{{\"kb_edges\": {}, \"build_ms\": {:.3}, \"save_ms\": {:.3}, ",
-                "\"load_ms\": {:.3}, \"snapshot_bytes\": {}}}"
-            ),
-            self.snapshot.kb_edges,
-            self.snapshot.build_wall.as_secs_f64() * 1e3,
-            self.snapshot.save_wall.as_secs_f64() * 1e3,
-            self.snapshot.load_wall.as_secs_f64() * 1e3,
-            self.snapshot.snapshot_bytes,
-        );
         format!(
             concat!(
                 "{{\n",
@@ -1604,7 +1573,6 @@ impl RankingBench {
                 "  \"planner\": {},\n",
                 "  \"robustness\": {},\n",
                 "  \"ingest\": {},\n",
-                "  \"snapshot\": {},\n",
                 "  \"speedup\": {:.3},\n",
                 "  \"shared_frame_speedup\": {:.3},\n",
                 "  \"incremental_speedup\": {:.3}\n",
@@ -1625,7 +1593,6 @@ impl RankingBench {
             planner,
             robust,
             ingest,
-            snapshot,
             self.speedup(),
             self.shared_frame_speedup(),
             self.incremental.speedup()
@@ -1744,7 +1711,6 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
     let planner = planner_bench(w);
     let robustness = robustness_bench(w, pairs_per_group, k, row_ceiling);
     let ingest = ingest_bench(w, pairs_per_group, k, row_ceiling);
-    let snapshot = snapshot_bench(w);
 
     RankingBench {
         scale: std::env::var("REX_BENCH_SCALE").unwrap_or_else(|_| "small".into()),
@@ -1762,44 +1728,6 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
         planner,
         robustness,
         ingest,
-        snapshot,
-    }
-}
-
-/// How many cold builds and snapshot loads the snapshot section times,
-/// interleaved; each side reports its median.
-const LOAD_REPEATS: usize = 9;
-
-/// Measures the on-disk index snapshot round trip: save, then a load that
-/// must beat the cold build it replaces. The load reconstructs flat CSR
-/// arrays from the checksummed file. Both sides are medians of
-/// interleaved runs, so the gate compares the two paths rather than two
-/// single ~1 ms samples of host noise.
-pub fn snapshot_bench(w: &Workload) -> SnapshotBench {
-    use rex_relstore::engine::EdgeIndex;
-
-    let dir = std::env::temp_dir().join(format!("rex-bench-snapshot-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp snapshot dir");
-    let path = dir.join(rex_relstore::persist::BASE_NAME);
-    let index = EdgeIndex::build(&w.kb);
-    let (snapshot_bytes, save_wall) = time(|| index.save(&path).expect("snapshot save"));
-    let (build_walls, load_walls): (Vec<Duration>, Vec<Duration>) = (0..LOAD_REPEATS)
-        .map(|_| {
-            let build = time(|| EdgeIndex::build(&w.kb)).1;
-            (build, time(|| EdgeIndex::load(&path).expect("snapshot reloads")).1)
-        })
-        .unzip();
-    let loaded = EdgeIndex::load(&path).expect("snapshot reloads");
-    assert!(loaded.holds_rows_of(&w.kb), "the reloaded snapshot lost rows");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    SnapshotBench {
-        kb_edges: w.kb.edge_count(),
-        build_wall: median(build_walls),
-        save_wall,
-        load_wall: median(load_walls),
-        snapshot_bytes,
     }
 }
 
@@ -2078,10 +2006,6 @@ mod tests {
             b.shared_frame.est_peak_rows,
             b.shared_frame.row_ceiling
         );
-        // Snapshot side: the snapshot round-tripped. The wall-clock
-        // relation (load < build) is NOT asserted here —
-        // check_bench_schema gates it on the emitted document.
-        assert!(b.snapshot.snapshot_bytes > 0);
         let json = b.to_json();
         for key in [
             "\"benchmark\"",
@@ -2116,10 +2040,6 @@ mod tests {
             "\"recovery_rebuilds\"",
             "\"est_peak_rows\"",
             "\"overflow_tiles\"",
-            "\"snapshot\"",
-            "\"build_ms\"",
-            "\"load_ms\"",
-            "\"snapshot_bytes\"",
             "\"speedup\"",
             "\"shared_frame_speedup\"",
             "\"incremental_speedup\"",

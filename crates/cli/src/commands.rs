@@ -30,8 +30,8 @@ USAGE:
   rex rank     --kb <kb.tsv> [<start> <end>]... [--per-group N] [--top K]
                [--samples S] [--seed S] [--max-nodes N] [--instance-cap C]
                [--threads T] [--row-ceiling R] [--deadline-ms D]
-               [--row-budget B] [--index-dir <dir>]
-               [--query <file|MATCH string>] [--toy] [--quiet]
+               [--row-budget B] [--query <file|MATCH string>] [--toy]
+               [--quiet]
   rex plan     --kb <kb.tsv> | --toy <query string or file> [<start> [<end>]]
   rex update   --kb <kb.tsv> --delta <delta.tsv> [<start> <end>]...
                [--per-group N] [--log-retention N] [--top K] [--samples S]
@@ -39,7 +39,7 @@ USAGE:
                [--row-ceiling R] [--deadline-ms D] [--row-budget B]
                [--toy] [--quiet]
   rex generate --nodes N --edges M [--labels L] [--seed S] --out <kb.tsv>
-  rex stats    --kb <kb.tsv> | --toy [--index-dir <dir>]
+  rex stats    --kb <kb.tsv> | --toy
   rex pairs    --kb <kb.tsv> [--per-group N] [--seed S] [--toy]
   rex ingest   --wal <dir> --delta <delta.tsv|-> [--kb <kb.tsv> | --toy]
                [--sync commit|interval[:N]|off] [--batch N] [--queue N]
@@ -81,11 +81,6 @@ budget cannot cover are SHED — reported per pair
 with the abort reason — instead of silently ranked on partial evidence.
 Zero is rejected for both (it would shed everything before the first
 tile); omit the flag for no bound.
-
---index-dir <dir> warm-starts from the on-disk index snapshot
-<dir>/base.idx when it holds exactly the KB's edges at the KB's epoch,
-and saves a fresh snapshot there otherwise ('rex stats --index-dir'
-writes one explicitly and reports load-vs-build wall time).
 
 `rex update` ranks the same workload cold through a serving-session
 snapshot, applies an edge-list delta file to the KB, and re-ranks
@@ -139,7 +134,6 @@ static RANK: Spec = Spec {
         "row-ceiling",
         "deadline-ms",
         "row-budget",
-        "index-dir",
         "query",
     ],
     switches: &["toy", "quiet"],
@@ -169,7 +163,7 @@ static GENERATE: Spec = Spec {
     flags: &["nodes", "edges", "labels", "seed", "out"],
     switches: &[],
 };
-static STATS: Spec = Spec { command: "stats", flags: &["kb", "index-dir"], switches: &["toy"] };
+static STATS: Spec = Spec { command: "stats", flags: &["kb"], switches: &["toy"] };
 static PAIRS: Spec =
     Spec { command: "pairs", flags: &["kb", "per-group", "seed"], switches: &["toy"] };
 static INGEST: Spec = Spec {
@@ -341,59 +335,6 @@ fn resolve_pairs(
         .collect()
 }
 
-/// Builds the serving session for `rex rank`, warm-starting from the
-/// on-disk index snapshot in `--index-dir` when it holds exactly the
-/// KB's rows at the KB's current epoch
-/// ([`EdgeIndex::holds_rows_of`](rex_relstore::engine::EdgeIndex::holds_rows_of)).
-/// Any other outcome (a snapshot of another KB or epoch, a missing or
-/// corrupt one) says why, falls back to a cold build, and saves the
-/// freshly built index back so the next run is warm.
-fn serving_state(
-    kb: &KnowledgeBase,
-    cfg: &RankPairsConfig,
-    index_dir: Option<&str>,
-    quiet: bool,
-) -> Result<rex_core::ranking::ServingState, String> {
-    use rex_core::ranking::ServingState;
-    use rex_relstore::engine::EdgeIndex;
-    let Some(dir) = index_dir else {
-        return ServingState::build(kb, cfg).map_err(|e| e.to_string());
-    };
-    let dir = Path::new(dir);
-    let path = dir.join(rex_relstore::persist::BASE_NAME);
-    let t0 = std::time::Instant::now();
-    let why_cold = match EdgeIndex::load(&path) {
-        Ok(saved) => {
-            let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-            match ServingState::build_with_index(kb, cfg, saved) {
-                Ok(state) => {
-                    if !quiet {
-                        outln!(
-                            "index: warm start from {} (epoch {}) in {load_ms:.1} ms",
-                            path.display(),
-                            kb.epoch()
-                        );
-                    }
-                    return Ok(state);
-                }
-                Err(err) => err.to_string(),
-            }
-        }
-        Err(err) => err.to_string(),
-    };
-    if !quiet {
-        outln!("index: no usable snapshot at {} ({why_cold}); building", path.display());
-    }
-    let state = ServingState::build(kb, cfg).map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let bytes =
-        state.snapshot().index().save(&path).map_err(|e| format!("cannot save index: {e}"))?;
-    if !quiet {
-        outln!("index: saved {} snapshot bytes to {}", bytes, path.display());
-    }
-    Ok(state)
-}
-
 /// `rex rank`: rank explanations for many pairs through one shared
 /// sample frame and distribution cache (global distributional position).
 /// Each distinct pattern shape of the workload is read once, and its
@@ -409,7 +350,6 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let cap: usize = args.get_or("instance-cap", 5_000)?;
     let threads: usize = args.get_or("threads", 0)?;
     let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
-    let index_dir = args.get("index-dir").map(str::to_string);
     let (deadline_ms, row_budget) = budget_flags(&args)?;
     let pairs = resolve_pairs(&args, &kb, seed)?;
 
@@ -446,7 +386,7 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     };
     let t1 = std::time::Instant::now();
     let budget = build_budget(deadline_ms, row_budget);
-    let state = serving_state(&kb, &cfg, index_dir.as_deref(), args.has("quiet"))?;
+    let state = rex_core::ranking::ServingState::build(&kb, &cfg).map_err(|e| e.to_string())?;
     let outcome = state.snapshot().rank(&tasks, &cfg, &budget);
     let rank_elapsed = t1.elapsed();
 
@@ -680,29 +620,6 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
         posting.dst_keys,
         posting.heap_bytes as f64 / 1024.0
     );
-    if let Some(dir) = args.get("index-dir") {
-        let dir = Path::new(dir);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = dir.join(rex_relstore::persist::BASE_NAME);
-        let t0 = std::time::Instant::now();
-        let bytes = index.save(&path).map_err(|e| format!("cannot save index: {e}"))?;
-        let save = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        let loaded = rex_relstore::engine::EdgeIndex::load(&path)
-            .map_err(|e| format!("cannot reload index: {e}"))?;
-        let load = t0.elapsed();
-        assert_eq!(loaded.epoch(), index.epoch(), "round-trip must preserve the epoch");
-        outln!(
-            "index snapshot: {} bytes at {} — saved in {:.1} ms, reloaded in {:.1} ms \
-             (cold build was {:.1} ms)",
-            bytes,
-            path.display(),
-            save.as_secs_f64() * 1e3,
-            load.as_secs_f64() * 1e3,
-            build.as_secs_f64() * 1e3
-        );
-    }
     let cards = rex_kb::stats::label_cardinalities(&kb);
     let mut labels: Vec<(usize, String)> =
         kb.labels().map(|(id, name)| (cards[id.index()], name.to_string())).collect();
@@ -1255,41 +1172,6 @@ mod tests {
         assert!(rank_pairs_cmd(&argv(&["--toy", "brad_pitt", "nobody"])).is_err());
     }
 
-    /// `rex rank --index-dir` saves `base.idx` on its first run and
-    /// warm-starts from it on later runs over the same KB, leaving the
-    /// file alone; a rebuild would rewrite it, resetting its mtime. A
-    /// `MANIFEST` an older release left beside it is ignored.
-    #[test]
-    fn rank_index_dir_warm_starts() {
-        use rex_relstore::persist::BASE_NAME;
-        let dir = std::env::temp_dir().join(format!("rex-cli-index-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let rank = || {
-            rank_pairs_cmd(&argv(&[
-                "--toy",
-                "brad_pitt",
-                "angelina_jolie",
-                "--samples",
-                "10",
-                "--index-dir",
-                dir.to_str().unwrap(),
-                "--quiet",
-            ]))
-            .expect("rank --index-dir");
-        };
-        rank();
-        std::fs::write(dir.join("MANIFEST"), b"an older release's shard manifest").unwrap();
-        let stamp = std::time::UNIX_EPOCH + std::time::Duration::from_secs(86_400);
-        let base = dir.join(BASE_NAME);
-        File::options().write(true).open(&base).unwrap().set_modified(stamp).unwrap();
-        for run in 0..2 {
-            rank();
-            let modified = std::fs::metadata(&base).unwrap().modified().unwrap();
-            assert_eq!(modified, stamp, "run {run} rewrote {}", base.display());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn budgeted_rank_flags_work_and_reject_zero() {
         // Generous budgets rank everything (toy workload is tiny).
@@ -1566,6 +1448,13 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--shards") && err.contains("rex rank"), "{err}");
+        // The retired on-disk index snapshot's flag is named, not ignored.
+        let err =
+            rank_pairs_cmd(&argv(&["--toy", "brad_pitt", "angelina_jolie", "--index-dir", "D"]))
+                .unwrap_err();
+        assert!(err.contains("--index-dir") && err.contains("rex rank"), "{err}");
+        let err = stats(&argv(&["--toy", "--index-dir", "D"])).unwrap_err();
+        assert!(err.contains("--index-dir") && err.contains("rex stats"), "{err}");
         assert!(explain(&argv(&["--toy", "a", "b", "--shed"])).unwrap_err().contains("--shed"));
         assert!(update(&argv(&["--toy", "--query", "q"])).unwrap_err().contains("--query"));
         assert!(recover(&argv(&["dir", "--truncat"])).unwrap_err().contains("--truncat"));

@@ -5,12 +5,12 @@
 //! rex explain  --kb kb.tsv tom_cruise brad_pitt [--top 5] [--measure size+local-dist]
 //!              [--max-nodes 5] [--decorate] [--toy]
 //! rex rank     --kb kb.tsv [start end]... [--per-group 2] [--top 5] [--samples 100]
-//!              [--index-dir snapshots/] [--query <file|MATCH ...>]
+//!              [--query <file|MATCH ...>]
 //! rex plan     --kb kb.tsv "MATCH (a)-[:starring]->(m)<-[:starring]-(b)
 //!              WHERE a = $start AND b = $end" [start [end]]
 //! rex update   --kb kb.tsv --delta delta.tsv [start end]... [--log-retention 10000]
 //! rex generate --nodes 10000 --edges 65000 --seed 42 --out kb.tsv
-//! rex stats    --kb kb.tsv [--index-dir snapshots/]
+//! rex stats    --kb kb.tsv
 //! rex pairs    --kb kb.tsv --per-group 10 [--seed 2011]
 //! rex ingest   --wal state/ --delta delta.tsv --toy [--sync commit] [--batch 32]
 //! rex recover  state/ [--truncate]

@@ -4,7 +4,7 @@
 //! A closed stdout — the reader of a pipe exited, as `head` does after
 //! its lines — is a normal end of output: the writer drops every later
 //! line, the command finishes its work (a WAL it writes is committed, a
-//! snapshot it saves is saved), and `rex` exits 0. Any other failed
+//! checkpoint it takes is saved), and `rex` exits 0. Any other failed
 //! write ends the output the same way and makes [`finish`] report it.
 
 use std::fmt;

@@ -350,56 +350,20 @@ pub struct ServingState {
 }
 
 impl ServingState {
-    /// Builds a serving session at `kb`'s current epoch, deriving the
-    /// frame and cache from `cfg` (`global_samples`, `seed`,
-    /// `row_ceiling`).
+    /// Builds a serving session at `kb`'s current epoch: a fresh
+    /// [`EdgeIndex::build`], the frame sampled with `cfg`'s
+    /// `global_samples` and `seed`, and a cache with `cfg`'s
+    /// `row_ceiling`.
     pub fn build(kb: &KnowledgeBase, cfg: &RankPairsConfig) -> Result<ServingState> {
-        Self::assemble(kb, cfg, None)
-    }
-
-    /// [`ServingState::build`] around an index built elsewhere — the warm
-    /// start for an on-disk snapshot loaded via [`EdgeIndex::load`]. The
-    /// loaded index must hold exactly `kb`'s rows at `kb`'s current epoch
-    /// ([`EdgeIndex::holds_rows_of`]); otherwise this errors and the
-    /// caller should fall back to a cold [`ServingState::build`].
-    pub fn build_with_index(
-        kb: &KnowledgeBase,
-        cfg: &RankPairsConfig,
-        index: EdgeIndex,
-    ) -> Result<ServingState> {
-        if index.epoch() != kb.epoch() {
-            return Err(CoreError::Durability(format!(
-                "index snapshot is at epoch {} but the KB is at epoch {}; rebuild instead",
-                index.epoch(),
-                kb.epoch()
-            )));
-        }
-        if !index.holds_rows_of(kb) {
-            return Err(CoreError::Durability(
-                "index snapshot holds other edges than the KB; rebuild instead".into(),
-            ));
-        }
-        Self::assemble(kb, cfg, Some(index))
-    }
-
-    /// The one constructor behind every `build*`: the cache gets `cfg`'s
-    /// row ceiling and the index defaults to a fresh build; the frame is
-    /// always sampled from `kb`.
-    fn assemble(
-        kb: &KnowledgeBase,
-        cfg: &RankPairsConfig,
-        index: Option<EdgeIndex>,
-    ) -> Result<ServingState> {
         let cache = match cfg.row_ceiling {
             Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
             None => DistributionCache::new(),
         };
         let frame = Arc::new(SampleFrame::sample(kb, cfg.global_samples, cfg.seed)?);
-        let index = index.unwrap_or_else(|| EdgeIndex::build(kb));
         Ok(ServingState {
             current: RwLock::new(Arc::new(PinnedState {
                 kb: kb.snapshot(),
-                index: Arc::new(index),
+                index: Arc::new(EdgeIndex::build(kb)),
                 frame,
             })),
             cache: Arc::new(cache),

@@ -16,7 +16,7 @@ use crate::exec::Sink;
 use crate::metrics::EvalTrace;
 use crate::ops::group_count_having_limit;
 use crate::plan::{dir_code, PatternSpec, SpecEdge, StartBinding};
-use crate::relation::{pair_mix, ColumnPosting, PostingWriter, Relation, Schema};
+use crate::relation::{ColumnPosting, PostingWriter, Relation, Schema};
 use crate::{RelError, Result};
 
 /// One `(label, dir)` partition of the oriented edge relation, stored
@@ -67,23 +67,6 @@ impl PartitionPosting {
     pub fn heap_bytes(&self) -> usize {
         self.by_src.heap_bytes() + self.by_dst.heap_bytes()
     }
-
-    /// Both postings, `from` first — the serialization order of the
-    /// on-disk snapshot format (`crate::persist`).
-    pub(crate) fn parts(&self) -> (&ColumnPosting, &ColumnPosting) {
-        (&self.by_src, &self.by_dst)
-    }
-
-    /// Reassembles a partition from deserialized postings; `None` when
-    /// `by_dst` is not the transpose of `by_src` (their pair fingerprints
-    /// differ).
-    pub(crate) fn from_parts(
-        by_src: ColumnPosting,
-        by_dst: ColumnPosting,
-    ) -> Option<PartitionPosting> {
-        let transposed = by_src.fingerprint(false) == by_dst.fingerprint(true);
-        transposed.then_some(PartitionPosting { by_src, by_dst })
-    }
 }
 
 /// Aggregate posting statistics of an [`EdgeIndex`] — what `rex stats`
@@ -123,7 +106,7 @@ pub struct PostingStats {
 /// publication** cheap — [`EdgeIndex::next_epoch`] builds the next
 /// epoch's index off to the side while readers keep reading the current
 /// one, and the publisher swaps an `Arc<EdgeIndex>` in O(1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeIndex {
     partitions: HashMap<(u64, u64), Arc<PartitionPosting>>,
     total_rows: usize,
@@ -586,73 +569,6 @@ impl EdgeIndex {
         }
         tiles
     }
-
-    /// Reassembles an index from its parts — the deserialization path of
-    /// the on-disk snapshot format (`crate::persist`).
-    pub(crate) fn from_parts(
-        partitions: HashMap<(u64, u64), Arc<PartitionPosting>>,
-        total_rows: usize,
-        node_count: usize,
-        epoch: u64,
-    ) -> EdgeIndex {
-        EdgeIndex { partitions, total_rows, node_count, epoch }
-    }
-
-    /// The index's `(label, dir)` partitions in **sorted key order**
-    /// (deterministic snapshot bytes).
-    pub(crate) fn partitions(&self) -> Vec<((u64, u64), &PartitionPosting)> {
-        let mut partitions: Vec<_> = self.partitions.iter().map(|(&k, p)| (k, &**p)).collect();
-        partitions.sort_unstable_by_key(|&(k, _)| k);
-        partitions
-    }
-
-    /// Saves this index as a checksummed on-disk snapshot (see
-    /// [`crate::persist`]); returns the snapshot size in bytes.
-    pub fn save(&self, path: &std::path::Path) -> Result<u64> {
-        crate::persist::save_index(self, path)
-    }
-
-    /// Loads an index from an on-disk snapshot written by
-    /// [`EdgeIndex::save`]: the flat CSR posting arrays are checksummed,
-    /// validated and adopted as-is, with no sort. Since
-    /// [`EdgeIndex::build`] reads the KB's sorted adjacency, a load saves
-    /// little of a build: on generated KBs (seed 2011, a 2-vCPU AMD EPYC,
-    /// medians of 15) a load took 0.088, 1.05 and 5.50 ms at `tiny`,
-    /// `small` and `bench` scale against a build's 0.095, 1.19 and 6.48
-    /// ms.
-    pub fn load(path: &std::path::Path) -> Result<EdgeIndex> {
-        crate::persist::load_index(path)
-    }
-
-    /// Whether this index holds exactly `kb`'s oriented rows: the same
-    /// epoch and node count, the same `(label, dir)` partitions, and per
-    /// partition the same row count and order-independent pair
-    /// fingerprint (the sum the snapshot loader's transpose check
-    /// compares) as the KB's rows. A loaded snapshot must pass this
-    /// before it serves `kb`: an epoch alone does not name a KB (every
-    /// KB read from a file starts at epoch 0). One pass over the KB's
-    /// edges and one over the postings, no sort; it still costs most of
-    /// a build (4.7 ms against 6.5 ms on the `bench` KB, measured as in
-    /// [`EdgeIndex::load`]), so a load plus this check costs more than a
-    /// build.
-    pub fn holds_rows_of(&self, kb: &KnowledgeBase) -> bool {
-        if self.epoch != kb.epoch() || self.node_count != kb.node_count() {
-            return false;
-        }
-        let mut sums: HashMap<(u64, u64), (usize, u64)> = HashMap::new();
-        for eid in kb.edge_ids() {
-            for [from, to, label, dir] in oriented_rows(kb.edge(eid)) {
-                let (rows, sum) = sums.entry((label, dir)).or_default();
-                *rows += 1;
-                *sum = sum.wrapping_add(pair_mix(from, to));
-            }
-        }
-        sums.len() == self.partitions.len()
-            && self.partitions.iter().all(|(key, partition)| {
-                let by_src = &partition.by_src;
-                sums.get(key) == Some(&(by_src.len(), by_src.fingerprint(false)))
-            })
-    }
 }
 
 /// Calls `visit(node, run)` for every node in id order and each run of
@@ -741,10 +657,9 @@ pub fn oriented_edge_relation(kb: &KnowledgeBase) -> Relation {
 /// The oriented rows one KB edge contributes to the edge relation: one
 /// `FORWARD` row for a directed edge; both orientations (one for a
 /// self-loop) for an undirected edge. Shared by
-/// [`oriented_edge_relation`], delta application and
-/// [`EdgeIndex::holds_rows_of`]; [`EdgeIndex::build`] reads the KB's
-/// adjacency instead, and a differential test holds its postings equal
-/// to ones built from these rows.
+/// [`oriented_edge_relation`] and delta application; [`EdgeIndex::build`]
+/// reads the KB's adjacency instead, and a differential test holds its
+/// postings equal to ones built from these rows.
 fn oriented_rows(e: &EdgeRecord) -> impl Iterator<Item = [u64; 4]> {
     let (s, d, l) = (e.src.0 as u64, e.dst.0 as u64, e.label.0 as u64);
     let (dir, count) = match (e.directed, s == d) {
@@ -1110,7 +1025,6 @@ pub fn local_position_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::encode_index;
     use crate::plan::SpecEdge;
     use rex_kb::{toy, KbBuilder};
 
@@ -1413,7 +1327,7 @@ mod tests {
     }
 
     /// A delta-refreshed index is indistinguishable from one rebuilt from
-    /// scratch: the same snapshot bytes, the same distribution answers —
+    /// scratch: an equal index, the same distribution answers —
     /// including undirected edges (two oriented rows), self-loops (one),
     /// parallel edges, the add-then-remove no-op, and a partition whose
     /// last row is retracted (`won`, which then no longer exists).
@@ -1452,7 +1366,7 @@ mod tests {
 
         let rebuilt = EdgeIndex::build(&kb);
         assert_eq!(index.posting(won.0 as u64, dir_code::FORWARD), None);
-        assert_eq!(encode_index(&index), encode_index(&rebuilt));
+        assert_eq!(index, rebuilt);
         let spec = PatternSpec {
             var_count: 3,
             start: 0,
@@ -1492,9 +1406,9 @@ mod tests {
         // The old version is bitwise-unchanged: same epoch, same rows.
         assert_eq!(index.epoch(), epoch0);
         assert_eq!(index.total_rows(), rows_before);
-        // The new version equals a fresh build, byte for byte.
+        // The new version equals a fresh build.
         assert_eq!(next.epoch(), kb.epoch());
-        assert_eq!(encode_index(&next), encode_index(&EdgeIndex::build(&kb)));
+        assert_eq!(next, EdgeIndex::build(&kb));
         // Untouched partitions are shared, not copied: a label the delta
         // never mentions is the same partition in both versions.
         let untouched = kb.label_by_name("directed_by").unwrap().0 as u64;
@@ -1528,11 +1442,11 @@ mod tests {
         assert!(matches!(fresh.apply_delta(&bogus), Err(crate::RelError::DeltaSkew(_))));
         // A retraction the index cannot match fails the whole delta, its
         // additions included.
-        let before = encode_index(&index);
+        let before = index.clone();
         let phantom_edge = EdgeRecord { src: aj, dst: aj, label: spouse, directed: true };
         let half = rex_kb::KbDelta { removed: vec![phantom_edge], ..phantom.clone() };
         assert!(matches!(index.apply_delta(&half), Err(crate::RelError::DeltaSkew(_))));
-        assert_eq!(encode_index(&index), before);
+        assert_eq!(index, before);
         // The good delta applies cleanly.
         index.apply_delta(&phantom).unwrap();
         assert_eq!(index.epoch(), kb.epoch());
@@ -1664,7 +1578,7 @@ mod tests {
         kb.remove_edge(copies[0]).unwrap();
         index.apply_delta(&kb.delta_since(epoch0).into_delta().unwrap()).unwrap();
         assert_eq!(copies_of(&index), (1, 1));
-        assert_eq!(encode_index(&index), encode_index(&EdgeIndex::build(&kb)));
+        assert_eq!(index, EdgeIndex::build(&kb));
     }
 
     /// The COW contract extends to the postings: `next_epoch` rebuilds
@@ -1914,33 +1828,5 @@ mod tests {
         assert_eq!(result.per_start, untiled.per_start);
         // Without a ceiling nothing can overflow.
         assert_eq!(untiled.trace.overflow_tiles, 0);
-    }
-
-    /// `holds_rows_of` accepts exactly the KB an index was built from,
-    /// reloaded or not; a KB at the same epoch with the same nodes,
-    /// labels and row counts but one edge moved is rejected, and so are
-    /// one with a partition missing and the same KB at a later epoch.
-    #[test]
-    fn holds_rows_of_names_one_kb() {
-        let kb_with = |spouse: Option<&str>| {
-            let mut b = KbBuilder::new();
-            let [a, c, d] = ["a", "c", "d"].map(|n| b.add_node(n, "P"));
-            b.add_directed_edge(a, c, "r");
-            if let Some(other) = spouse {
-                b.add_undirected_edge(a, if other == "c" { c } else { d }, "s");
-            }
-            b.build()
-        };
-        let mut kb = kb_with(Some("c"));
-        let index = EdgeIndex::build(&kb);
-        assert!(index.holds_rows_of(&kb));
-        assert!(crate::persist::decode_index(&encode_index(&index)).unwrap().holds_rows_of(&kb));
-        for other in [kb_with(Some("d")), kb_with(None)] {
-            assert_eq!((other.epoch(), other.node_count()), (kb.epoch(), kb.node_count()));
-            assert!(!index.holds_rows_of(&other));
-        }
-        let (a, r) = (kb.require_node("a").unwrap(), kb.label_by_name("r").unwrap());
-        kb.insert_edge(a, a, r, true).unwrap();
-        assert!(!index.holds_rows_of(&kb), "a later epoch");
     }
 }

@@ -58,7 +58,6 @@ mod exec;
 pub mod expr;
 pub mod metrics;
 pub mod ops;
-pub mod persist;
 pub mod plan;
 mod relation;
 
@@ -87,12 +86,6 @@ pub enum RelError {
     /// — the evaluation simply did not happen as far as callers'
     /// observable state is concerned.
     Aborted(budget::AbortReason),
-    /// An I/O failure while reading or writing an on-disk index snapshot.
-    Io(String),
-    /// An on-disk index snapshot failed validation (bad magic/version,
-    /// truncation, checksum mismatch, or a CSR invariant violation) —
-    /// the load is rejected wholesale; callers fall back to a rebuild.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for RelError {
@@ -105,8 +98,6 @@ impl std::fmt::Display for RelError {
             RelError::BadPattern(msg) => write!(f, "bad pattern spec: {msg}"),
             RelError::DeltaSkew(msg) => write!(f, "delta skew: {msg}"),
             RelError::Aborted(reason) => write!(f, "evaluation aborted: {reason}"),
-            RelError::Io(msg) => write!(f, "index snapshot I/O error: {msg}"),
-            RelError::Corrupt(msg) => write!(f, "corrupt index snapshot: {msg}"),
         }
     }
 }

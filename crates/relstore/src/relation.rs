@@ -175,8 +175,7 @@ impl Relation {
 /// key to a bucket and binary-searches that bucket's few keys, then
 /// hands back the key's other ids as one contiguous sorted slice, which
 /// the depth-first executor intersects directly. The directory is
-/// derived from the keys, by [`build`] and by the snapshot load path
-/// alike, so snapshots do not store it.
+/// derived from the keys when the posting is built.
 ///
 /// A posting is immutable: an edited partition builds new ones
 /// (partitions rebuild only their delta-touched postings).
@@ -303,71 +302,6 @@ impl ColumnPosting {
             + (self.offsets.len() + self.others.len() + self.directory.len())
                 * std::mem::size_of::<u32>()
     }
-
-    /// The posting's flat arrays `(keys, offsets, others)` — the exact
-    /// on-disk layout of the index snapshot format (`persist`), exposed
-    /// so serialization is a plain memcpy of three arrays. The key
-    /// directory is not among them: [`ColumnPosting::from_parts`] derives
-    /// it again.
-    pub(crate) fn parts(&self) -> (&[u64], &[u32], &[u32]) {
-        (&self.keys, &self.offsets, &self.others)
-    }
-
-    /// Reassembles a posting from flat arrays (the deserialization path
-    /// of the index snapshot format), validating the CSR invariants —
-    /// strictly increasing `u32`-range keys, offsets starting at 0,
-    /// strictly increasing (no key without a pair) and ending at
-    /// `others.len()`, every key's list ascending — so a corrupted
-    /// snapshot is rejected instead of answering from malformed lists.
-    /// Crucially this performs **no sorting**: loading a posting is
-    /// `O(pairs)` sequential validation plus one pass over the keys for
-    /// the key directory, which is what makes an index load cheaper than
-    /// a rebuild.
-    pub(crate) fn from_parts(
-        keys: Vec<u64>,
-        offsets: Vec<u32>,
-        others: Vec<u32>,
-    ) -> Result<ColumnPosting> {
-        let corrupt = |msg: &str| RelError::Corrupt(format!("posting: {msg}"));
-        if offsets.len() != keys.len() + 1 {
-            return Err(corrupt("offsets length must be keys + 1"));
-        }
-        if offsets[0] != 0 || offsets[keys.len()] as usize != others.len() {
-            return Err(corrupt("offsets must span exactly the lists"));
-        }
-        if offsets.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(corrupt("offsets must be strictly increasing"));
-        }
-        if keys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(corrupt("keys must be strictly increasing"));
-        }
-        if keys.last().is_some_and(|&k| k > u64::from(u32::MAX)) {
-            return Err(corrupt("key outside the u32 id range"));
-        }
-        let posting = ColumnPosting::assemble(keys, offsets, others);
-        if posting.lists().any(|(_, list)| list.windows(2).any(|w| w[0] > w[1])) {
-            return Err(corrupt("a key's list is out of order"));
-        }
-        Ok(posting)
-    }
-
-    /// An order-independent fingerprint of the pairs the posting lists:
-    /// the wrapping sum of a bijective 64-bit mix of every `(key, other)`
-    /// pair, or of every `(other, key)` pair when `transposed`. A posting
-    /// and its transpose have equal fingerprints; an entry moved, changed
-    /// or dropped on one side breaks the equality unless two 64-bit sums
-    /// collide.
-    pub(crate) fn fingerprint(&self, transposed: bool) -> u64 {
-        let mut sum = 0u64;
-        for (key, list) in self.lists() {
-            for &other in list {
-                let (a, b) =
-                    if transposed { (u64::from(other), key) } else { (key, u64::from(other)) };
-                sum = sum.wrapping_add(pair_mix(a, b));
-            }
-        }
-        sum
-    }
 }
 
 /// A [`ColumnPosting`] written list by list in ascending key order into
@@ -418,15 +352,6 @@ impl PostingWriter {
 /// `v` as a `u32`-range id, widened back; panics outside that range.
 fn u32_id(v: u64) -> u64 {
     u64::from(u32::try_from(v).expect("posting pairs hold u32 ids"))
-}
-
-/// The splitmix64 finalizer of the packed pair `(a << 32) | b`: a
-/// bijection on `u32`-range pairs, summed by [`ColumnPosting::fingerprint`].
-pub(crate) fn pair_mix(a: u64, b: u64) -> u64 {
-    let mut x = (a << 32) | b;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -482,21 +407,11 @@ mod tests {
         }
         assert_eq!(p.count(7), 0);
         assert!(p.neighbours(7).is_empty());
-        // The transpose lists the same pairs, so the fingerprints agree;
-        // dropping one copy of the repeated pair breaks the agreement.
-        let transpose =
-            ColumnPosting::build([(7u64, 5u64), (1, 2), (2, 5), (3, 9), (4, 2), (2, 5)]);
-        assert_eq!(p.fingerprint(false), transpose.fingerprint(true));
-        let dropped = ColumnPosting::build([(7u64, 5u64), (1, 2), (2, 5), (3, 9), (4, 2)]);
-        assert_ne!(p.fingerprint(false), dropped.fingerprint(true));
         // No pairs → empty posting.
         let empty = ColumnPosting::build([]);
         assert!(empty.is_empty());
         assert_eq!(empty.distinct_keys(), 0);
         assert!(empty.neighbours(0).is_empty());
-        let (keys, offsets, others) = p.parts();
-        let rebuilt = ColumnPosting::from_parts(keys.to_vec(), offsets.to_vec(), others.to_vec());
-        assert_eq!(rebuilt.unwrap(), p);
     }
 
     /// A key set of one kind, ascending and distinct, in the `u32` range:
@@ -538,8 +453,7 @@ mod tests {
         /// The key directory against a whole-array binary search: every
         /// key, every value inside a gap between keys, below the first key
         /// and past the last (ids beyond `u32::MAX` included), on a
-        /// posting from `build` and on the same posting rebuilt from its
-        /// snapshot parts; `heap_bytes` counts every array, directory
+        /// posting from `build`; `heap_bytes` counts every array, directory
         /// included, and the directory's buckets hold two to four keys on
         /// average.
         #[test]
@@ -557,9 +471,6 @@ mod tests {
             let pairs = keys.iter().flat_map(|&k| (0..fanout).map(move |o| (k, (k + o) % 7)));
             let posting = ColumnPosting::build(pairs);
             prop_assert_eq!(posting.keys(), &keys[..]);
-            let (k, o, n) = posting.parts();
-            let rebuilt = ColumnPosting::from_parts(k.to_vec(), o.to_vec(), n.to_vec()).unwrap();
-            prop_assert_eq!(&rebuilt, &posting);
 
             let top = u64::from(u32::MAX);
             let mut probes = vec![0, 1, top - 1, top, top + 1, top << 1, u64::MAX];
@@ -569,21 +480,19 @@ mod tests {
             for w in keys.windows(2) {
                 probes.push(w[0] + (w[1] - w[0]) / 2);
             }
-            for p in [&posting, &rebuilt] {
-                for &probe in &probes {
-                    prop_assert_eq!(
-                        p.position(probe),
-                        keys.binary_search(&probe).ok(),
-                        "probe {} over {} keys", probe, keys.len()
-                    );
-                }
-                let word = std::mem::size_of::<u32>();
+            for &probe in &probes {
                 prop_assert_eq!(
-                    p.heap_bytes(),
-                    keys.len() * std::mem::size_of::<u64>()
-                        + (o.len() + n.len() + p.directory.len()) * word
+                    posting.position(probe),
+                    keys.binary_search(&probe).ok(),
+                    "probe {} over {} keys", probe, keys.len()
                 );
             }
+            let word = std::mem::size_of::<u32>();
+            prop_assert_eq!(
+                posting.heap_bytes(),
+                keys.len() * std::mem::size_of::<u64>()
+                    + (posting.offsets.len() + posting.others.len() + posting.directory.len()) * word
+            );
             let buckets = posting.directory.len() - 1;
             let target = (keys.len() / KEYS_PER_BUCKET).max(1);
             prop_assert!(

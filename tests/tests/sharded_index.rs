@@ -1,40 +1,19 @@
-//! `count_distributions` and index snapshots over one `EdgeIndex`,
-//! pinned against the naive reference evaluator.
+//! `count_distributions` over one `EdgeIndex`, pinned against the naive
+//! reference evaluator.
 //!
 //! The central property: for ANY knowledge base, pattern shape, start
 //! set and row ceiling, the tiled `Among` evaluation returns per-start
 //! count multisets **byte-identical** to both the untiled probe path and
 //! the unindexed full-scan reference — including starts outside the KB.
 //!
-//! Alongside it: a save → load → evaluate round-trip property (a
-//! reloaded index answers exactly like the one that was saved), the
-//! corrupt-a-byte sweep from the durability suite applied to the
-//! snapshot file (every single-byte corruption is rejected by a checksum
-//! — never a panic, never a silently wrong index), and a behaviour pin
-//! of the evaluation path's answers, tiling and row accounting across
-//! row ceilings.
-
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Alongside it: a behaviour pin of the evaluation path's answers,
+//! tiling and row accounting across row ceilings.
 
 use proptest::prelude::*;
 use rex_datagen::{generate, GeneratorConfig};
 use rex_relstore::engine::{count_distributions, EdgeIndex, EvalRequest, TiledDistributions};
-use rex_relstore::persist::BASE_NAME;
 use rex_tests::differential::{indexed_distributions, reference_distributions};
 use rex_tests::scaffold::{apply_ops, base_kb, shape, shape_count};
-
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-/// A fresh snapshot directory; returns it with its `base.idx` path.
-fn case_dir(tag: &str) -> (PathBuf, PathBuf) {
-    let n = CASE.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("rex-index-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join(BASE_NAME);
-    (dir, base)
-}
 
 /// Start-value universe for a KB: every node id plus a few ids beyond
 /// the KB (no incident rows by definition — they must simply produce no
@@ -82,61 +61,6 @@ proptest! {
             }
         }
     }
-
-    /// Save → load → evaluate: a reloaded snapshot answers exactly like
-    /// the index that was saved, for every shape over every start.
-    #[test]
-    fn snapshot_round_trip_preserves_every_answer(
-        seed in 0u64..1_000_000,
-        ops in proptest::collection::vec(
-            (0u8..3, 0usize..1000, 0usize..1000, 0usize..5, any::<bool>()),
-            0..8,
-        ),
-    ) {
-        let mut kb = base_kb(seed, 0xD15C);
-        apply_ops(&mut kb, &ops, "p");
-        let index = EdgeIndex::build(&kb);
-
-        let (dir, base) = case_dir("roundtrip");
-        index.save(&base).unwrap();
-        let loaded = EdgeIndex::load(&base).unwrap();
-        prop_assert_eq!(loaded.epoch(), index.epoch());
-        prop_assert!(loaded.holds_rows_of(&kb));
-
-        let starts = start_universe(kb.node_count());
-        let req = EvalRequest { starts: &starts, row_ceiling: Some(8), ..Default::default() };
-        for idx in 0..shape_count() {
-            let spec = shape(idx);
-            let before = count_distributions(&index, &spec, &req).unwrap();
-            let after = count_distributions(&loaded, &spec, &req).unwrap();
-            prop_assert_eq!(&before.per_start, &after.per_start, "shape {}", idx);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Every single-byte corruption of the snapshot file fails the load with
-/// a typed error, and so does cutting the file to half its length. The
-/// FNV checksum trailer covers every byte, so nothing flips silently.
-#[test]
-fn corrupt_a_byte_sweep_over_snapshot_directory() {
-    let kb = base_kb(3, 0xBAD);
-    let (dir, base) = case_dir("corrupt");
-    EdgeIndex::build(&kb).save(&base).unwrap();
-    EdgeIndex::load(&base).expect("pristine snapshot loads");
-
-    let pristine = std::fs::read(&base).unwrap();
-    for i in 0..pristine.len() {
-        let mut corrupt = pristine.clone();
-        corrupt[i] ^= 0xFF;
-        std::fs::write(&base, &corrupt).unwrap();
-        assert!(EdgeIndex::load(&base).is_err(), "byte {i}: corruption must be rejected");
-    }
-    std::fs::write(&base, &pristine[..pristine.len() / 2]).unwrap();
-    assert!(EdgeIndex::load(&base).is_err(), "truncated snapshot");
-    std::fs::write(&base, &pristine).unwrap();
-    EdgeIndex::load(&base).expect("restored snapshot loads again");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One pinned evaluation: `(shape, buckets, row ceiling, per-start
