@@ -74,6 +74,10 @@ ranges over the keys of its smallest start-incident posting.
 `rex ingest --delta -` streams the delta grammar from stdin instead of a
 file, for pipeline producers.
 
+--threads T sets the worker count of `rex rank` and `rex update` (0, the
+default: the machine's width): the KB load and the ranking pass both run
+on that many workers. Other commands load on the machine's width.
+
 --deadline-ms / --row-budget bound the ranking pass (both commands): the
 deadline and row budget (each tile is charged its widest level's
 bindings) are checked at every evaluation tile boundary, and pairs the
@@ -180,6 +184,17 @@ fn load_kb(args: &Args) -> Result<KnowledgeBase, String> {
     let path = args.get("kb").ok_or("need --kb <file.tsv> (or --toy)")?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     rex_kb::io::read_tsv(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// [`load_kb`] on `threads` workers (0: the machine's width), the width
+/// the command's ranking pass runs at too, so `--threads 1` puts the
+/// whole command on one worker.
+fn load_kb_on(threads: usize, args: &Args) -> Result<KnowledgeBase, String> {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool construction is infallible")
+        .install(|| load_kb(args))
 }
 
 /// Parses and validates the `--deadline-ms` / `--row-budget` pair. Zero
@@ -342,13 +357,13 @@ fn resolve_pairs(
 /// of its pair's top-k; the summary line counts those explanations.
 pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &RANK)?;
-    let kb = load_kb(&args)?;
+    let threads: usize = args.get_or("threads", 0)?;
+    let kb = load_kb_on(threads, &args)?;
     let k: usize = args.get_or("top", 5)?;
     let samples: usize = args.get_or("samples", 100)?;
     let seed: u64 = args.get_or("seed", 2011)?;
     let max_nodes: usize = args.get_or("max-nodes", 4)?;
     let cap: usize = args.get_or("instance-cap", 5_000)?;
-    let threads: usize = args.get_or("threads", 0)?;
     let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
     let (deadline_ms, row_budget) = budget_flags(&args)?;
     let pairs = resolve_pairs(&args, &kb, seed)?;
@@ -435,14 +450,14 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
 /// rebuild fallback.
 pub fn update(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &UPDATE)?;
-    let mut kb = load_kb(&args)?;
+    let threads: usize = args.get_or("threads", 0)?;
+    let mut kb = load_kb_on(threads, &args)?;
     let delta_path = args.get("delta").ok_or("need --delta <delta.tsv>")?.to_string();
     let k: usize = args.get_or("top", 5)?;
     let samples: usize = args.get_or("samples", 100)?;
     let seed: u64 = args.get_or("seed", 2011)?;
     let max_nodes: usize = args.get_or("max-nodes", 4)?;
     let cap: usize = args.get_or("instance-cap", 5_000)?;
-    let threads: usize = args.get_or("threads", 0)?;
     let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
     let (deadline_ms, row_budget) = budget_flags(&args)?;
     if let Some(retention) = args.get("log-retention") {

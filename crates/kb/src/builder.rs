@@ -1,6 +1,6 @@
 //! Mutable construction API for [`KnowledgeBase`].
 
-use crate::graph::{build_adjacency, EdgeRecord, KnowledgeBase, NodeRecord};
+use crate::graph::{EdgeRecord, KnowledgeBase, NodeRecord};
 use crate::ids::{LabelId, NodeId, TypeId};
 use crate::interner::Interner;
 
@@ -98,22 +98,10 @@ impl KbBuilder {
     /// Builds the index-backed knowledge base at epoch 0. Further changes
     /// go through the KB's own mutation API
     /// ([`KnowledgeBase::insert_edge`] and friends), which maintains the
-    /// indexes in place and bumps the epoch.
+    /// indexes in place and bumps the epoch. The node and edge tables and
+    /// the interners' string tables are sized to their lengths.
     pub fn build(self) -> KnowledgeBase {
-        let (adj_offsets, adj) = build_adjacency(self.nodes.len(), &self.edges);
-        KnowledgeBase {
-            nodes: self.nodes,
-            edges: self.edges,
-            names: self.names,
-            types: self.types,
-            labels: self.labels,
-            adj_offsets,
-            adj,
-            epoch: 0,
-            log: Vec::new(),
-            compacted_through: 0,
-            log_retention: None,
-        }
+        KnowledgeBase::assemble(self.nodes, self.edges, self.names, self.types, self.labels)
     }
 }
 

@@ -22,6 +22,8 @@
 //! mutations shift the CSR arrays (`O(V + E)` worst case) — the right
 //! trade for a read-dominated store whose readers must stay branch-free.
 
+use rayon::prelude::*;
+
 use crate::delta::{DeltaOp, DeltaSince, KbDelta, LogEntry};
 use crate::ids::{EdgeId, LabelId, NodeId, Orientation, TypeId};
 use crate::interner::Interner;
@@ -129,6 +131,37 @@ pub struct KnowledgeBase {
 }
 
 impl KnowledgeBase {
+    /// A KB at epoch 0 over these tables, with its adjacency built. The
+    /// node and edge tables and the interners' string tables are sized to
+    /// their lengths.
+    pub(crate) fn assemble(
+        mut nodes: Vec<NodeRecord>,
+        mut edges: Vec<EdgeRecord>,
+        mut names: Interner,
+        mut types: Interner,
+        mut labels: Interner,
+    ) -> KnowledgeBase {
+        nodes.shrink_to_fit();
+        edges.shrink_to_fit();
+        for interner in [&mut names, &mut types, &mut labels] {
+            interner.shrink_to_fit();
+        }
+        let (adj_offsets, adj) = build_adjacency(nodes.len(), &edges);
+        KnowledgeBase {
+            nodes,
+            edges,
+            names,
+            types,
+            labels,
+            adj_offsets,
+            adj,
+            epoch: 0,
+            log: Vec::new(),
+            compacted_through: 0,
+            log_retention: None,
+        }
+    }
+
     /// Number of entities.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -680,26 +713,31 @@ impl KnowledgeBase {
 }
 
 /// Builds the CSR adjacency for a frozen node/edge set. Shared by the
-/// builder and the binary decoder.
+/// builder and the binary decoder (through [`KnowledgeBase::assemble`]).
+///
+/// One pass over the edges counts each node's entries; the offsets are
+/// their running sums. The nodes are then cut into one range per worker
+/// of the current rayon width, each holding about the same number of
+/// entries, and each worker fills and sorts its own range: it walks all
+/// edges, keeps the entries whose owning node is in its range, and sorts
+/// each of its nodes' slices by `(label, orientation, other, edge)`, so
+/// label scans are contiguous and `has_edge` can binary-search. Every
+/// width builds the same arrays.
 pub(crate) fn build_adjacency(
     node_count: usize,
     edges: &[EdgeRecord],
 ) -> (Vec<u32>, Vec<Neighbor>) {
-    let mut degrees = vec![0u32; node_count];
+    let mut offsets = vec![0u32; node_count + 1];
     for e in edges {
-        degrees[e.src.index()] += 1;
+        offsets[e.src.index() + 1] += 1;
         if e.src != e.dst {
-            degrees[e.dst.index()] += 1;
+            offsets[e.dst.index() + 1] += 1;
         }
     }
-    let mut offsets = Vec::with_capacity(node_count + 1);
-    let mut acc = 0u32;
-    offsets.push(0);
-    for d in &degrees {
-        acc += d;
-        offsets.push(acc);
+    for v in 0..node_count {
+        offsets[v + 1] += offsets[v];
     }
-    let mut cursor: Vec<u32> = offsets[..node_count].to_vec();
+    let total = offsets[node_count] as usize;
     let mut adj = vec![
         Neighbor {
             label: LabelId(0),
@@ -707,32 +745,69 @@ pub(crate) fn build_adjacency(
             other: NodeId(0),
             edge: EdgeId(0),
         };
-        acc as usize
+        total
     ];
+    let width = rayon::current_num_threads().clamp(1, node_count.max(1));
+    let mut ranges = Vec::with_capacity(width);
+    let (mut rest, mut first) = (adj.as_mut_slice(), 0);
+    for part in 1..=width {
+        let end = if part == width {
+            node_count
+        } else {
+            offsets
+                .partition_point(|&o| (o as usize) * width < total * part)
+                .clamp(first, node_count)
+        };
+        let len = (offsets[end] - offsets[first]) as usize;
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        ranges.push((first..end, slice));
+        (rest, first) = (tail, end);
+    }
+    ranges
+        .par_iter_mut()
+        .for_each(|(nodes, slice)| fill_range(nodes.clone(), slice, &offsets, edges));
+    (offsets, adj)
+}
+
+/// Fills and sorts the adjacency of the nodes in `nodes`, whose entries
+/// are `slice` (see [`build_adjacency`]).
+fn fill_range(
+    nodes: std::ops::Range<usize>,
+    slice: &mut [Neighbor],
+    offsets: &[u32],
+    edges: &[EdgeRecord],
+) {
+    let base = offsets[nodes.start];
+    let mut cursor: Vec<u32> = offsets[nodes.clone()].iter().map(|&o| o - base).collect();
+    let mut put = |node: NodeId, n: Neighbor| {
+        if let Some(at) = node.index().checked_sub(nodes.start).filter(|&i| i < cursor.len()) {
+            slice[cursor[at] as usize] = n;
+            cursor[at] += 1;
+        }
+    };
     for (i, e) in edges.iter().enumerate() {
-        let eid = EdgeId(i as u32);
+        let edge = EdgeId(i as u32);
         let (fwd, bwd) = if e.directed {
             (Orientation::Out, Orientation::In)
         } else {
             (Orientation::Undirected, Orientation::Undirected)
         };
-        let slot = cursor[e.src.index()] as usize;
-        adj[slot] = Neighbor { label: e.label, orientation: fwd, other: e.dst, edge: eid };
-        cursor[e.src.index()] += 1;
+        put(e.src, Neighbor { label: e.label, orientation: fwd, other: e.dst, edge });
         if e.src != e.dst {
-            let slot = cursor[e.dst.index()] as usize;
-            adj[slot] = Neighbor { label: e.label, orientation: bwd, other: e.src, edge: eid };
-            cursor[e.dst.index()] += 1;
+            put(e.dst, Neighbor { label: e.label, orientation: bwd, other: e.src, edge });
         }
     }
-    // Sort each node's slice by (label, orientation, other, edge) so that
-    // label scans are contiguous and `has_edge` can binary-search.
-    for v in 0..node_count {
-        let lo = offsets[v] as usize;
-        let hi = offsets[v + 1] as usize;
-        adj[lo..hi].sort_unstable_by_key(|n| (n.label, n.orientation, n.other, n.edge));
+    // One 128-bit key compares faster than the four fields one by one.
+    let key = |n: &Neighbor| {
+        (n.label.0 as u128) << 96
+            | (n.orientation.code() as u128) << 64
+            | (n.other.0 as u128) << 32
+            | n.edge.0 as u128
+    };
+    for v in nodes {
+        let (lo, hi) = ((offsets[v] - base) as usize, (offsets[v + 1] - base) as usize);
+        slice[lo..hi].sort_unstable_by_key(key);
     }
-    (offsets, adj)
 }
 
 #[cfg(test)]
@@ -1137,5 +1212,36 @@ mod tests {
         let knows = kb.label_by_name("knows").unwrap();
         assert_eq!(kb.neighbors_labeled(a, knows).len(), 2);
         assert!(kb.has_edge(a, c, knows, Orientation::Out));
+    }
+
+    /// Every width builds the adjacency that one worker builds, on a
+    /// multigraph with self-loops, parallel edges, both directions and
+    /// nodes without edges, and that adjacency passes the invariant
+    /// check.
+    #[test]
+    fn adjacency_is_the_same_at_every_width() {
+        let mut b = KbBuilder::new();
+        let nodes: Vec<NodeId> = (0..40).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
+        let mut x = 7u64;
+        for _ in 0..400 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (src, dst) = (nodes[(x >> 33) as usize % 30], nodes[(x >> 17) as usize % 30]);
+            let label = ["a", "b", "c"][(x >> 8) as usize % 3];
+            if x & 1 == 0 {
+                b.add_directed_edge(src, dst, label);
+            } else {
+                b.add_undirected_edge(src, dst, label);
+            }
+        }
+        let kb = b.build();
+        kb.check_invariants().unwrap();
+        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let expected = one.install(|| build_adjacency(kb.node_count(), &kb.edges));
+        for width in 2..=5 {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let built = pool.install(|| build_adjacency(kb.node_count(), &kb.edges));
+            assert_eq!(built, expected, "width {width}");
+        }
+        assert_eq!((kb.adj_offsets, kb.adj), expected);
     }
 }

@@ -57,7 +57,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::graph::EdgeRecord;
 use crate::ids::{LabelId, NodeId};
-use crate::io::{atomic_write, decode_binary, encode_binary, get_str, put_str};
+use crate::io::{atomic_write, decode_binary, encode_binary, get_str, put_str, sync_parent_dir};
 use crate::{DeltaSince, KbBuilder, KbError, KnowledgeBase, Result};
 
 /// Magic number opening every WAL file (`"REXW"`).
@@ -410,7 +410,8 @@ fn io_err(context: &str, e: std::io::Error) -> KbError {
 }
 
 impl WalWriter {
-    /// Creates (truncating) a WAL file with a fresh header.
+    /// Creates (truncating) a WAL file with a fresh header, and fsyncs
+    /// its directory so the new file's entry survives a crash.
     pub fn create(path: &Path, policy: SyncPolicy) -> Result<WalWriter> {
         let mut file = File::create(path).map_err(|e| io_err("create WAL", e))?;
         let mut header = [0u8; WAL_HEADER_LEN as usize];
@@ -418,6 +419,7 @@ impl WalWriter {
         header[4..].copy_from_slice(&WAL_VERSION.to_le_bytes());
         file.write_all(&header).map_err(|e| io_err("write WAL header", e))?;
         file.sync_all().map_err(|e| io_err("sync WAL header", e))?;
+        sync_parent_dir(path).map_err(|e| io_err("sync WAL directory", e))?;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
