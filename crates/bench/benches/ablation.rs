@@ -123,7 +123,6 @@ fn bench_cache_and_parallel(c: &mut Criterion) {
             global_samples: 10,
             seed: 7,
             threads,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
         group.bench_function(format!("global_parallel_t{threads}"), |b| {

@@ -73,17 +73,7 @@ fn validate(text: &str) -> Result<(), String> {
     let batched = side("batched", &["wall_ms", "full_evals", "streaming_evals"])?;
     let shared = side(
         "shared_frame",
-        &[
-            "wall_ms",
-            "full_evals",
-            "streaming_evals",
-            "distinct_shapes",
-            "tiles",
-            "peak_rows",
-            "est_peak_rows",
-            "overflow_tiles",
-            "row_ceiling",
-        ],
+        &["wall_ms", "full_evals", "streaming_evals", "distinct_shapes", "tiles", "peak_rows"],
     )?;
     let incremental = side(
         "incremental",
@@ -214,23 +204,6 @@ fn validate(text: &str) -> Result<(), String> {
     }
     if per_start[1] + per_start[2] < batched[1] + batched[2] {
         return Err("per-start baseline reports less work than the batched engine".into());
-    }
-    // The row ceiling bounds the *estimated* per-tile input rows, not the
-    // measured peak: ceiling tiling packs starts by estimate, so a tile's
-    // materialized rows may legally overshoot (estimation error) and a
-    // singleton hub start above the ceiling still gets its own tile
-    // (counted in overflow_tiles). The gate is on what the planner
-    // controls: the estimate, whenever no overflow tile was needed.
-    let (est_peak, overflow, ceiling) = (shared[6], shared[7], shared[8]);
-    if ceiling <= 0.0 {
-        return Err("shared_frame.row_ceiling must be positive".into());
-    }
-    if overflow == 0.0 && est_peak > ceiling {
-        return Err(format!(
-            "shared_frame: estimated per-tile input {est_peak} rows exceeds the \
-             ceiling {ceiling} without an overflow tile — the tiler stopped \
-             honoring its budget"
-        ));
     }
 
     // Structural invariants of the incremental engine.
@@ -464,7 +437,7 @@ mod tests {
   "k": 10,
   "per_start": {"wall_ms": 100.0, "full_evals": 320, "streaming_evals": 10},
   "batched": {"wall_ms": 10.0, "full_evals": 40, "streaming_evals": 0},
-  "shared_frame": {"wall_ms": 8.0, "full_evals": 30, "streaming_evals": 0, "distinct_shapes": 30, "tiles": 30, "peak_rows": 2020477, "est_peak_rows": 1040000, "overflow_tiles": 0, "row_ceiling": 1048576},
+  "shared_frame": {"wall_ms": 8.0, "full_evals": 30, "streaming_evals": 0, "distinct_shapes": 30, "tiles": 30, "peak_rows": 2020477},
   "incremental": {"delta_edges": 4, "kb_edges": 600, "full_rerank_wall_ms": 9.0, "full_rerank_full_evals": 30, "delta_rerank_wall_ms": 3.0, "delta_rerank_full_evals": 5, "delta_partial_evals": 7, "shapes_patched": 7, "shapes_untouched": 21, "frame_redrawn": 0},
   "concurrent": {"reader_threads": 2, "passes_per_reader": 12, "quiet_wall_ms": 40.0, "contended_wall_ms": 55.0, "deltas_applied": 3, "quiet_passes_per_s": 600.0, "contended_passes_per_s": 436.0},
   "endpoint_index": {"kb_edges": 600, "delta_edges": 4, "shapes_touched": 7, "affected_starts": 19, "rows_probed": 40, "rows_scanned": 120, "scan_floor_rows": 900, "patch_wall_ms": 1.5, "index_build_ms": 2.0},
@@ -632,23 +605,6 @@ mod tests {
         let broken =
             GOOD.replace("\"recovery_truncated_bytes\": 7", "\"recovery_truncated_bytes\": 0");
         assert!(validate(&broken).unwrap_err().contains("torn tail"));
-    }
-
-    /// The regression this guard was born from: a committed document with
-    /// measured `peak_rows` above the ceiling is LEGAL (the ceiling bounds
-    /// estimates, not measurements) — but an *estimate* above the ceiling
-    /// with no overflow tile is the tiler breaking its own budget.
-    #[test]
-    fn ceiling_bounds_estimates_not_measured_peak() {
-        // GOOD already carries peak_rows 2020477 > row_ceiling 1048576 and
-        // must validate (asserted by good_document_validates).
-        let broken = GOOD.replace("\"est_peak_rows\": 1040000", "\"est_peak_rows\": 2020477");
-        assert_ne!(broken, GOOD);
-        assert!(validate(&broken).unwrap_err().contains("honoring its budget"));
-        // The same estimate WITH an overflow (singleton hub) tile is legal.
-        let hub = broken.replace("\"overflow_tiles\": 0", "\"overflow_tiles\": 1");
-        assert_ne!(hub, broken);
-        validate(&hub).unwrap();
     }
 
     #[test]

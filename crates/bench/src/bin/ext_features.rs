@@ -106,7 +106,6 @@ fn main() {
             global_samples: 20,
             seed: 7,
             threads: 4,
-            row_ceiling: sctx.distributions().row_ceiling(),
             ..RankPairsConfig::default()
         };
         let pass =

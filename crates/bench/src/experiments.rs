@@ -241,8 +241,7 @@ pub struct RankingBenchSide {
 }
 
 /// The shared-frame workload side: one sample frame + one cache across
-/// all pairs, missed shapes handed to the workers cheapest-first under a
-/// row ceiling.
+/// all pairs, missed shapes handed to the workers cheapest-first.
 #[derive(Debug, Clone, Copy)]
 pub struct SharedFrameSide {
     /// Wall time of the shared pass (prewarm reads + scoring) across all pairs.
@@ -254,20 +253,10 @@ pub struct SharedFrameSide {
     pub streaming_evals: usize,
     /// Distinct canonical shapes across all pairs.
     pub distinct_shapes: usize,
-    /// Start tiles evaluated across all batches.
+    /// Walks evaluated across all batches: one per batch.
     pub tiles: usize,
-    /// Largest intermediate relation (rows) any batch materialized.
+    /// Most bindings one level of any batch's walk made.
     pub peak_rows: usize,
-    /// Largest **estimated** per-tile input rows any batch planned — the
-    /// quantity the row ceiling actually bounds. Measured `peak_rows` may
-    /// legally exceed the ceiling (estimation error, singleton hub tiles);
-    /// `est_peak_rows` may not, unless `overflow_tiles > 0`.
-    pub est_peak_rows: usize,
-    /// Singleton tiles whose lone start's estimate already exceeded the
-    /// ceiling (evaluated anyway: a tile cannot shrink below one start).
-    pub overflow_tiles: usize,
-    /// The configured intermediate-row ceiling.
-    pub row_ceiling: usize,
 }
 
 /// The incremental-maintenance comparison: after a small KB delta, a
@@ -663,11 +652,7 @@ impl ConcurrentBench {
 /// The contended-phase writer loops deterministic remove+reinsert deltas
 /// through `maintain` (build next epoch off to the side + O(1) flip)
 /// until every reader finishes its pass quota.
-pub fn concurrent_bench(
-    w: &Workload,
-    pairs_per_group: usize,
-    row_ceiling: usize,
-) -> ConcurrentBench {
+pub fn concurrent_bench(w: &Workload, pairs_per_group: usize) -> ConcurrentBench {
     let mut kb = w.kb.clone();
     let enumerator = GeneralEnumerator::new(w.enum_config.clone());
     let prepared: Vec<(NodeId, Vec<rex_core::Explanation>)> = w
@@ -680,7 +665,6 @@ pub fn concurrent_bench(
         global_samples: w.global_samples,
         seed: w.seed,
         threads: 1,
-        row_ceiling: Some(row_ceiling),
         ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).expect("workload KB has edges");
@@ -859,12 +843,7 @@ fn percentile(samples: &[Duration], q: f64) -> Duration {
 /// (incremental maintenance resumes after recovery).
 ///
 /// [`FaultPlan`]: rex_core::ranking::FaultPlan
-pub fn robustness_bench(
-    w: &Workload,
-    pairs_per_group: usize,
-    k: usize,
-    row_ceiling: usize,
-) -> RobustnessBench {
+pub fn robustness_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RobustnessBench {
     use rex_core::ranking::fault::{site, FaultAction, FaultPlan};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -883,7 +862,6 @@ pub fn robustness_bench(
         global_samples: w.global_samples,
         seed: w.seed,
         threads: 1,
-        row_ceiling: Some(row_ceiling),
         ..RankPairsConfig::default()
     };
 
@@ -1144,12 +1122,7 @@ impl IngestBench {
 /// [`DurableKb`]: rex_kb::DurableKb
 /// [`IngestGovernor`]: rex_core::ranking::IngestGovernor
 /// [`KnowledgeBase::open`]: rex_kb::KnowledgeBase::open
-pub fn ingest_bench(
-    w: &Workload,
-    pairs_per_group: usize,
-    k: usize,
-    row_ceiling: usize,
-) -> IngestBench {
+pub fn ingest_bench(w: &Workload, pairs_per_group: usize, k: usize) -> IngestBench {
     use rex_core::ranking::{Backpressure, IngestConfig, IngestGovernor, IngestOp};
     use rex_kb::io::encode_binary;
     use rex_kb::wal::{apply_batch, decode_batch, read_checkpoint, WAL_HEADER_LEN};
@@ -1179,7 +1152,6 @@ pub fn ingest_bench(
         global_samples: w.global_samples,
         seed: w.seed,
         threads: 1,
-        row_ceiling: Some(row_ceiling),
         ..RankPairsConfig::default()
     };
     let serving = Arc::new(ServingState::build(durable.kb(), &cfg).expect("workload KB has edges"));
@@ -1412,9 +1384,7 @@ impl RankingBench {
         let shared = format!(
             concat!(
                 "{{\"wall_ms\": {:.3}, \"full_evals\": {}, \"streaming_evals\": {}, ",
-                "\"distinct_shapes\": {}, \"tiles\": {}, \"peak_rows\": {}, ",
-                "\"est_peak_rows\": {}, \"overflow_tiles\": {}, ",
-                "\"row_ceiling\": {}}}"
+                "\"distinct_shapes\": {}, \"tiles\": {}, \"peak_rows\": {}}}"
             ),
             self.shared_frame.wall.as_secs_f64() * 1e3,
             self.shared_frame.full_evals,
@@ -1422,9 +1392,6 @@ impl RankingBench {
             self.shared_frame.distinct_shapes,
             self.shared_frame.tiles,
             self.shared_frame.peak_rows,
-            self.shared_frame.est_peak_rows,
-            self.shared_frame.overflow_tiles,
-            self.shared_frame.row_ceiling,
         );
         let inc = format!(
             concat!(
@@ -1665,11 +1632,9 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
     };
 
     // Shared-frame workload driver: one frame + cache for every pair,
-    // cost-ordered misses under a row ceiling. Frame and index are built
-    // outside the timed region (the index is identical to the contexts'
-    // warmed ones; the frame is a few hundred draws).
-    let row_ceiling: usize =
-        std::env::var("REX_BENCH_ROW_CEILING").ok().and_then(|v| v.parse().ok()).unwrap_or(1 << 20);
+    // cost-ordered misses. Frame and index are built outside the timed
+    // region (the index is identical to the contexts' warmed ones; the
+    // frame is a few hundred draws).
     let tasks: Vec<PairExplanations<'_>> = prepared
         .iter()
         .map(|(p, explanations)| PairExplanations { start: p.start, end: p.end, explanations })
@@ -1682,14 +1647,13 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
         // so a single-threaded shared side isolates the cross-pair
         // sharing effect instead of conflating it with core count.
         threads: 1,
-        row_ceiling: Some(row_ceiling),
         ..RankPairsConfig::default()
     };
     let frame = std::sync::Arc::new(
         SampleFrame::sample(&w.kb, w.global_samples, w.seed).expect("workload KB has edges"),
     );
     let index = rex_relstore::engine::EdgeIndex::build(&w.kb);
-    let cache = DistributionCache::with_row_ceiling(row_ceiling);
+    let cache = DistributionCache::new();
     let before = metrics::snapshot();
     let (outcome, wall) = time(|| rank_pairs_with(&tasks, &cfg, &index, &frame, &cache));
     let delta = metrics::snapshot().since(&before);
@@ -1700,17 +1664,14 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
         distinct_shapes: outcome.distinct_shapes,
         tiles: outcome.tiles,
         peak_rows: outcome.peak_rows,
-        est_peak_rows: outcome.est_peak_rows,
-        overflow_tiles: outcome.overflow_tiles,
-        row_ceiling,
     };
 
-    let incremental = incremental_bench(w, pairs_per_group, k, row_ceiling);
-    let concurrent = concurrent_bench(w, pairs_per_group, row_ceiling);
+    let incremental = incremental_bench(w, pairs_per_group, k);
+    let concurrent = concurrent_bench(w, pairs_per_group);
     let endpoint_index = endpoint_index_bench(w, pairs_per_group);
     let planner = planner_bench(w);
-    let robustness = robustness_bench(w, pairs_per_group, k, row_ceiling);
-    let ingest = ingest_bench(w, pairs_per_group, k, row_ceiling);
+    let robustness = robustness_bench(w, pairs_per_group, k);
+    let ingest = ingest_bench(w, pairs_per_group, k);
 
     RankingBench {
         scale: std::env::var("REX_BENCH_SCALE").unwrap_or_else(|_| "small".into()),
@@ -1740,12 +1701,7 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
 /// with a cold cache. Pair
 /// explanations are re-enumerated against the updated KB for both sides,
 /// so the comparison isolates distribution maintenance.
-pub fn incremental_bench(
-    w: &Workload,
-    pairs_per_group: usize,
-    k: usize,
-    row_ceiling: usize,
-) -> IncrementalBench {
+pub fn incremental_bench(w: &Workload, pairs_per_group: usize, k: usize) -> IncrementalBench {
     let mut kb = w.kb.clone();
     let enumerator = GeneralEnumerator::new(w.enum_config.clone());
     let workload_pairs = w.truncated(pairs_per_group);
@@ -1761,7 +1717,6 @@ pub fn incremental_bench(
         global_samples: w.global_samples,
         seed: w.seed,
         threads: 1,
-        row_ceiling: Some(row_ceiling),
         ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).expect("workload KB has edges");
@@ -1815,7 +1770,7 @@ pub fn incremental_bench(
 
     // Full re-rank: cold cache over the same flipped index and frame.
     let snap = state.snapshot();
-    let cold_cache = DistributionCache::with_row_ceiling(row_ceiling);
+    let cold_cache = DistributionCache::new();
     let (cold, full_wall) =
         time(|| rank_pairs_with(&tasks2, &cfg, snap.index(), snap.frame(), &cold_cache));
 
@@ -1932,8 +1887,7 @@ mod tests {
             b.distinct_shapes
         );
         assert!(b.shared_frame.full_evals <= b.batched.full_evals);
-        assert!(b.shared_frame.tiles >= b.shared_frame.full_evals);
-        assert!(b.shared_frame.row_ceiling > 0);
+        assert_eq!(b.shared_frame.tiles, b.shared_frame.full_evals, "one walk per batch");
         // Incremental side: the delta re-rank must beat the cold re-rank
         // on full evaluations — the acceptance bar of the incremental
         // engine — and the delta must stay within its 1% budget.
@@ -1996,16 +1950,6 @@ mod tests {
         assert_eq!(rb.quarantined_epochs, 1, "the scripted panic quarantines one epoch");
         assert_eq!(rb.recovery_rebuilds, 1, "one scratch rebuild recovers it");
         assert!(rb.request_rows >= 1);
-        // Shared-frame ceiling invariant: what the ceiling bounds is the
-        // *estimated* per-tile input; measured peak may exceed it, the
-        // estimate may not unless an overflow (singleton hub) tile did.
-        assert!(
-            b.shared_frame.overflow_tiles > 0
-                || b.shared_frame.est_peak_rows <= b.shared_frame.row_ceiling,
-            "estimated tile input {} above ceiling {} without an overflow tile",
-            b.shared_frame.est_peak_rows,
-            b.shared_frame.row_ceiling
-        );
         let json = b.to_json();
         for key in [
             "\"benchmark\"",
@@ -2018,7 +1962,6 @@ mod tests {
             "\"distinct_shapes\"",
             "\"tiles\"",
             "\"peak_rows\"",
-            "\"row_ceiling\"",
             "\"delta_edges\"",
             "\"delta_rerank_full_evals\"",
             "\"shapes_patched\"",
@@ -2038,8 +1981,6 @@ mod tests {
             "\"torn_reads\"",
             "\"quarantined_epochs\"",
             "\"recovery_rebuilds\"",
-            "\"est_peak_rows\"",
-            "\"overflow_tiles\"",
             "\"speedup\"",
             "\"shared_frame_speedup\"",
             "\"incremental_speedup\"",

@@ -29,15 +29,13 @@ USAGE:
                [--quiet]
   rex rank     --kb <kb.tsv> [<start> <end>]... [--per-group N] [--top K]
                [--samples S] [--seed S] [--max-nodes N] [--instance-cap C]
-               [--threads T] [--row-ceiling R] [--deadline-ms D]
-               [--row-budget B] [--query <file|MATCH string>] [--toy]
-               [--quiet]
+               [--threads T] [--deadline-ms D] [--row-budget B]
+               [--query <file|MATCH string>] [--toy] [--quiet]
   rex plan     --kb <kb.tsv> | --toy <query string or file> [<start> [<end>]]
   rex update   --kb <kb.tsv> --delta <delta.tsv> [<start> <end>]...
                [--per-group N] [--log-retention N] [--top K] [--samples S]
                [--seed S] [--max-nodes N] [--instance-cap C] [--threads T]
-               [--row-ceiling R] [--deadline-ms D] [--row-budget B]
-               [--toy] [--quiet]
+               [--deadline-ms D] [--row-budget B] [--toy] [--quiet]
   rex generate --nodes N --edges M [--labels L] [--seed S] --out <kb.tsv>
   rex stats    --kb <kb.tsv> | --toy
   rex pairs    --kb <kb.tsv> [--per-group N] [--seed S] [--toy]
@@ -79,12 +77,12 @@ default: the machine's width): the KB load and the ranking pass both run
 on that many workers. Other commands load on the machine's width.
 
 --deadline-ms / --row-budget bound the ranking pass (both commands): the
-deadline and row budget (each tile is charged its widest level's
-bindings) are checked at every evaluation tile boundary, and pairs the
-budget cannot cover are SHED — reported per pair
+deadline and row budget (each evaluation is charged its widest level's
+bindings as it grows) are checked before every start an evaluation
+walks, and pairs the budget cannot cover are SHED — reported per pair
 with the abort reason — instead of silently ranked on partial evidence.
 Zero is rejected for both (it would shed everything before the first
-tile); omit the flag for no bound.
+start); omit the flag for no bound.
 
 `rex update` ranks the same workload cold through a serving-session
 snapshot, applies an edge-list delta file to the KB, and re-ranks
@@ -135,7 +133,6 @@ static RANK: Spec = Spec {
         "max-nodes",
         "instance-cap",
         "threads",
-        "row-ceiling",
         "deadline-ms",
         "row-budget",
         "query",
@@ -156,7 +153,6 @@ static UPDATE: Spec = Spec {
         "max-nodes",
         "instance-cap",
         "threads",
-        "row-ceiling",
         "deadline-ms",
         "row-budget",
     ],
@@ -199,7 +195,7 @@ fn load_kb_on(threads: usize, args: &Args) -> Result<KnowledgeBase, String> {
 
 /// Parses and validates the `--deadline-ms` / `--row-budget` pair. Zero
 /// is rejected loudly for both — a zero budget sheds every pair before
-/// its first tile, which is an outage spelled as a flag.
+/// its first evaluation, which is an outage spelled as a flag.
 fn budget_flags(args: &Args) -> Result<(Option<u64>, Option<usize>), String> {
     let deadline_ms = match args.get("deadline-ms") {
         None => None,
@@ -208,8 +204,8 @@ fn budget_flags(args: &Args) -> Result<(Option<u64>, Option<usize>), String> {
                 v.parse().map_err(|_| format!("--deadline-ms wants milliseconds, got {v:?}"))?;
             if ms == 0 {
                 return Err("--deadline-ms must be positive: a zero-millisecond deadline \
-                            sheds every pair before its first evaluation tile; omit the \
-                            flag for no deadline"
+                            sheds every pair before its first evaluation; omit the flag \
+                            for no deadline"
                     .into());
             }
             Some(ms)
@@ -222,7 +218,7 @@ fn budget_flags(args: &Args) -> Result<(Option<u64>, Option<usize>), String> {
                 v.parse().map_err(|_| format!("--row-budget wants a row count, got {v:?}"))?;
             if rows == 0 {
                 return Err("--row-budget must be positive: a zero-row pool aborts every \
-                            evaluation before its first tile; omit the flag for no row \
+                            evaluation before its first start; omit the flag for no row \
                             budget"
                     .into());
             }
@@ -364,7 +360,6 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 2011)?;
     let max_nodes: usize = args.get_or("max-nodes", 4)?;
     let cap: usize = args.get_or("instance-cap", 5_000)?;
-    let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
     let (deadline_ms, row_budget) = budget_flags(&args)?;
     let pairs = resolve_pairs(&args, &kb, seed)?;
 
@@ -391,14 +386,8 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
         .iter()
         .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
         .collect();
-    let cfg = RankPairsConfig {
-        k,
-        global_samples: samples,
-        seed,
-        threads,
-        row_ceiling: Some(row_ceiling),
-        ..RankPairsConfig::default()
-    };
+    let cfg =
+        RankPairsConfig { k, global_samples: samples, seed, threads, ..RankPairsConfig::default() };
     let t1 = std::time::Instant::now();
     let budget = build_budget(deadline_ms, row_budget);
     let state = rex_core::ranking::ServingState::build(&kb, &cfg).map_err(|e| e.to_string())?;
@@ -426,7 +415,7 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
         outln!(
             "ranked {} pairs in {:.1} ms (enumeration {:.1} ms): {} distinct shapes, \
              {} batched evaluations, {} explanations ranked out by the bound, {} tiles, \
-             peak {} bindings per level (ceiling {})",
+             peak {} bindings per level",
             prepared.len() - outcome.shed.len(),
             rank_elapsed.as_secs_f64() * 1e3,
             enum_elapsed.as_secs_f64() * 1e3,
@@ -435,7 +424,6 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
             outcome.ranked_out,
             outcome.tiles,
             outcome.peak_rows,
-            row_ceiling,
         );
     }
     Ok(())
@@ -458,7 +446,6 @@ pub fn update(argv: &[String]) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 2011)?;
     let max_nodes: usize = args.get_or("max-nodes", 4)?;
     let cap: usize = args.get_or("instance-cap", 5_000)?;
-    let row_ceiling: usize = args.get_or("row-ceiling", 1usize << 20)?;
     let (deadline_ms, row_budget) = budget_flags(&args)?;
     if let Some(retention) = args.get("log-retention") {
         let max: usize = retention
@@ -470,14 +457,8 @@ pub fn update(argv: &[String]) -> Result<(), String> {
 
     let config = EnumConfig::default().with_max_nodes(max_nodes).with_instance_cap(cap);
     let enumerator = GeneralEnumerator::new(config);
-    let cfg = RankPairsConfig {
-        k,
-        global_samples: samples,
-        seed,
-        threads,
-        row_ceiling: Some(row_ceiling),
-        ..RankPairsConfig::default()
-    };
+    let cfg =
+        RankPairsConfig { k, global_samples: samples, seed, threads, ..RankPairsConfig::default() };
     let enumerate =
         |kb: &KnowledgeBase| -> Vec<(rex_kb::NodeId, rex_kb::NodeId, Vec<rex_core::Explanation>)> {
             pairs
@@ -1170,18 +1151,9 @@ mod tests {
             "--quiet",
         ]))
         .expect("rank with explicit pairs");
-        // Sampled pairs with a tight tiling ceiling.
-        rank_pairs_cmd(&argv(&[
-            "--toy",
-            "--per-group",
-            "1",
-            "--samples",
-            "8",
-            "--row-ceiling",
-            "4",
-            "--quiet",
-        ]))
-        .expect("rank with sampled pairs");
+        // Sampled pairs.
+        rank_pairs_cmd(&argv(&["--toy", "--per-group", "1", "--samples", "8", "--quiet"]))
+            .expect("rank with sampled pairs");
         // Odd positional count and unknown entities are reported.
         assert!(rank_pairs_cmd(&argv(&["--toy", "brad_pitt"])).is_err());
         assert!(rank_pairs_cmd(&argv(&["--toy", "brad_pitt", "nobody"])).is_err());
@@ -1470,6 +1442,13 @@ mod tests {
         assert!(err.contains("--index-dir") && err.contains("rex rank"), "{err}");
         let err = stats(&argv(&["--toy", "--index-dir", "D"])).unwrap_err();
         assert!(err.contains("--index-dir") && err.contains("rex stats"), "{err}");
+        // So is the retired row ceiling's, on both ranking commands.
+        let err =
+            rank_pairs_cmd(&argv(&["--toy", "brad_pitt", "angelina_jolie", "--row-ceiling", "4"]))
+                .unwrap_err();
+        assert!(err.contains("--row-ceiling") && err.contains("rex rank"), "{err}");
+        let err = update(&argv(&["--toy", "--delta", "d.tsv", "--row-ceiling", "4"])).unwrap_err();
+        assert!(err.contains("--row-ceiling") && err.contains("rex update"), "{err}");
         assert!(explain(&argv(&["--toy", "a", "b", "--shed"])).unwrap_err().contains("--shed"));
         assert!(update(&argv(&["--toy", "--query", "q"])).unwrap_err().contains("--query"));
         assert!(recover(&argv(&["dir", "--truncat"])).unwrap_err().contains("--truncat"));

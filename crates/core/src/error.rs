@@ -19,8 +19,9 @@ pub enum CoreError {
         /// Entities in the knowledge base.
         nodes: usize,
     },
-    /// A budgeted evaluation stopped cooperatively at a tile boundary —
-    /// the request's deadline, cancellation token, or row budget fired.
+    /// A budgeted evaluation stopped cooperatively before one of its
+    /// starts — the request's deadline, cancellation token, or row budget
+    /// fired.
     /// Nothing partial was published; retrying with a larger budget (or
     /// none) recomputes from the cache's intact state.
     Aborted(rex_relstore::budget::AbortReason),

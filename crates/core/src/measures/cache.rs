@@ -309,9 +309,8 @@ impl AllStartsDistribution {
     }
 
     /// The merged traffic of the evaluations this entry was built from
-    /// (its cold batch, plus every extension and patch since): tiles,
-    /// rows, and the largest measured and estimated per-tile rows (see
-    /// [`EvalTrace::est_peak_rows`] for what a row ceiling bounds).
+    /// (its cold batch, plus every extension and patch since): walks,
+    /// rows read, and the largest peak rows of any of them.
     pub fn trace(&self) -> &EvalTrace {
         &self.trace
     }
@@ -405,8 +404,9 @@ pub struct BatchRead {
     /// The batch covering the requested starts — for a bounded read, at
     /// least the starts its waiters' answers needed.
     pub batch: Arc<AllStartsDistribution>,
-    /// Start tiles this call evaluated (only the starts the entry
-    /// lacked); `None` when published starts served the read.
+    /// Walks this call evaluated — one, over only the starts the entry
+    /// lacked ([`EvalTrace::tiles`]); `None` when published starts served
+    /// the read.
     pub evaluated_tiles: Option<usize>,
 }
 
@@ -550,11 +550,6 @@ pub struct DistributionCache {
     /// batched evaluation, so this also backs
     /// [`DistributionCache::batched_evals`].
     misses: AtomicUsize,
-    /// Ceiling on each tile's estimated instance rows per batched
-    /// evaluation; `None` evaluates each batch as a single tile.
-    row_ceiling: Option<usize>,
-    tiles: AtomicUsize,
-    peak_rows: AtomicUsize,
     delta_evals: AtomicUsize,
 }
 
@@ -564,19 +559,12 @@ impl DistributionCache {
         Self::default()
     }
 
-    /// Creates an empty cache whose batched evaluations are tiled so each
-    /// tile's estimated instance rows stay under `max_rows`, which bounds
-    /// the work of one tile between budget checks (a walk's memory does
-    /// not grow with its tile). Tiles are packed per shape from the
-    /// **exact** per-start incident-row counts of the edge index's
-    /// endpoint postings ([`EdgeIndex::tile_starts_for_ceiling`]).
-    pub fn with_row_ceiling(max_rows: usize) -> Self {
-        DistributionCache { row_ceiling: Some(max_rows), ..Default::default() }
-    }
-
-    /// The configured per-tile row ceiling, if any.
-    pub fn row_ceiling(&self) -> Option<usize> {
-        self.row_ceiling
+    /// Compatibility shim: the row ceiling is retired, and every batched
+    /// evaluation walks its starts in one walk with the budget checked
+    /// before each start. Returns an empty cache; the argument is ignored.
+    /// Kept so code written against the tiled API still compiles.
+    pub fn with_row_ceiling(_max_rows: usize) -> Self {
+        Self::default()
     }
 
     /// Partial (delta-maintenance) evaluations performed by
@@ -586,20 +574,13 @@ impl DistributionCache {
         self.delta_evals.load(Ordering::Relaxed)
     }
 
-    /// `(tiles, peak_rows)` across this cache's evaluations: how many
-    /// start tiles were evaluated, and the most bindings one level of any
-    /// tile's depth-first walk made ([`EvalTrace::peak_rows`]).
-    pub fn tiling_stats(&self) -> (usize, usize) {
-        (self.tiles.load(Ordering::Relaxed), self.peak_rows.load(Ordering::Relaxed))
-    }
-
-    /// Evaluates `spec` over `starts` (tiled under the row ceiling) and
-    /// wraps the result as an entry at the index's epoch, updating the
-    /// tile and delta counters. The entry covers the starts the engine
-    /// evaluated: all of them, unless `after_start` stopped it. The
-    /// engine checks `budget` at every tile boundary, and on abort this
-    /// returns the typed error **without touching a single counter** —
-    /// the abort-leaves-no-trace half of the robustness contract.
+    /// Evaluates `spec` over `starts` and wraps the result as an entry at
+    /// the index's epoch, updating the delta counter. The entry covers
+    /// the starts the engine evaluated: all of them, unless `after_start`
+    /// stopped it. The engine checks `budget` before every start, and on
+    /// abort this returns the typed error **without touching a single
+    /// counter** — the abort-leaves-no-trace half of the robustness
+    /// contract.
     fn evaluate(
         &self,
         index: &EdgeIndex,
@@ -609,17 +590,9 @@ impl DistributionCache {
         budget: &Budget,
         after_start: Option<AfterStart<'_>>,
     ) -> rex_relstore::Result<AllStartsDistribution> {
-        let req = EvalRequest {
-            starts,
-            row_ceiling: self.row_ceiling,
-            kind,
-            budget: budget.clone(),
-            after_start,
-        };
+        let req = EvalRequest { starts, kind, budget: budget.clone(), after_start };
         let batch = count_distributions(index, &spec, &req)?;
         let trace = batch.trace;
-        self.tiles.fetch_add(trace.tiles, Ordering::Relaxed);
-        self.peak_rows.fetch_max(trace.peak_rows, Ordering::Relaxed);
         self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
         Ok(AllStartsDistribution {
             table: Arc::new(StartRuns::from_batch(&batch.evaluated, &batch.per_start)),
@@ -706,8 +679,8 @@ impl DistributionCache {
     /// and ignored — the refuse/refresh half of the epoch contract;
     /// [`DistributionCache::apply_delta`] is the cheap alternative.
     ///
-    /// The evaluation runs under `budget`, checked at every tile
-    /// boundary. On abort (deadline, cancellation, row-budget exhaustion)
+    /// The evaluation runs under `budget`, checked before every start. On
+    /// abort (deadline, cancellation, row-budget exhaustion)
     /// the cache is left **byte-identical** to its pre-call state:
     /// nothing is installed and no counter moves — a retried or
     /// budget-relaxed call recomputes exactly what this one would have.
@@ -1118,26 +1091,22 @@ mod tests {
         fn bounded_reads_publish_what_they_evaluate(
             (shape, a, seeded) in (0usize..64, 0u64..4, proptest::collection::vec(0u32..40, 0..6)),
             drawn in proptest::collection::vec(0u32..40, 0..30),
-            (pick, drawn_exclude, cut, bump, ceiling) in
-                (0usize..1000, any::<bool>(), 0usize..1000, 0usize..2, 0usize..3)
+            (pick, drawn_exclude, cut, bump) in
+                (0usize..1000, any::<bool>(), 0usize..1000, 0usize..2)
         ) {
             let (index, explanations) = toy_shapes();
             let e = &explanations[shape % explanations.len()];
             let ids = |v: &[u32]| v.iter().map(|&s| NodeId(s)).collect::<Vec<_>>();
             let draws = DrawTable::from_starts(&ids(&drawn));
-            let cache = || match [None, Some(0), Some(4)][ceiling] {
-                Some(max_rows) => DistributionCache::with_row_ceiling(max_rows),
-                None => DistributionCache::new(),
-            };
             let exclude = match drawn.len() {
                 n if drawn_exclude && n > 0 => drawn[pick % n],
                 _ => 40 + pick as u32,
             };
             let exclude = Some(NodeId(exclude));
-            let reference = read_batch(&cache(), index, e, &ids(&drawn));
+            let reference = read_batch(&DistributionCache::new(), index, e, &ids(&drawn));
             let full = reference.position_sum(&draws, exclude, a);
 
-            let bounded = cache();
+            let bounded = DistributionCache::new();
             if !seeded.is_empty() {
                 read_batch(&bounded, index, e, &ids(&seeded));
             }
@@ -1232,11 +1201,8 @@ mod tests {
         assert!(cache.is_empty(), "a read of no start publishes nothing");
 
         let frame = Arc::new(crate::measures::SampleFrame::sample(&kb, 0, 1).unwrap());
-        let cfg = crate::ranking::RankPairsConfig {
-            k: 3,
-            row_ceiling: None,
-            ..crate::ranking::RankPairsConfig::default()
-        };
+        let cfg =
+            crate::ranking::RankPairsConfig { k: 3, ..crate::ranking::RankPairsConfig::default() };
         let task =
             crate::ranking::PairExplanations { start: a, end: b, explanations: &out.explanations };
         let outcome = crate::ranking::rank_pairs_with(&[task], &cfg, &index, &frame, &cache);
@@ -1355,11 +1321,11 @@ mod tests {
         assert_eq!(misses_after, misses, "covered starts never miss");
     }
 
-    /// Growing a shape's domain evaluates only the starts it adds: under
-    /// a zero row ceiling every start with incident rows is a tile of its
-    /// own, so the growing read's tiles count exactly its new starts, not
-    /// the union. A one-start read outside the domain extends the same
-    /// entry, and covered reads are hits thereafter.
+    /// Growing a shape's domain evaluates only the starts it adds: the
+    /// growing read's one walk traces exactly what a walk over its new
+    /// starts alone does, not the union. A one-start read outside the
+    /// domain extends the same entry, and covered reads are hits
+    /// thereafter.
     #[test]
     fn domain_growth_recomputes_once() {
         let kb = rex_kb::toy::entertainment();
@@ -1368,7 +1334,7 @@ mod tests {
         let out =
             GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
         let index = EdgeIndex::build(&kb);
-        let cache = DistributionCache::with_row_ceiling(0);
+        let cache = DistributionCache::new();
         let e = &out.explanations[0];
         let spec = e.pattern.to_spec();
         let starts: Vec<NodeId> = kb
@@ -1379,13 +1345,14 @@ mod tests {
         let (small, grown) = (&starts[..2], &starts[..starts.len() - 1]);
         let unlimited = Budget::unlimited();
         let first = cache.all_starts(&index, e, small, &unlimited).unwrap();
-        assert_eq!(first.evaluated_tiles, Some(small.len()));
+        assert_eq!(first.evaluated_tiles, Some(1));
         let growing = cache.all_starts(&index, e, grown, &unlimited).unwrap();
-        assert_eq!(
-            growing.evaluated_tiles,
-            Some(grown.len() - small.len()),
-            "a grown read evaluates its new starts only"
-        );
+        assert_eq!(growing.evaluated_tiles, Some(1));
+        let added = read_batch(&DistributionCache::new(), &index, e, &grown[small.len()..]);
+        let mut expected = *first.batch.trace();
+        expected.merge(added.trace());
+        assert!(added.trace().rows_probed > 0);
+        assert_eq!(*growing.batch.trace(), expected, "a grown read evaluates its new starts only");
         assert_eq!(cache.batched_evals(), 2);
         // A one-start read outside the domain extends the same entry.
         let outside = starts[starts.len() - 1];
@@ -1433,35 +1400,35 @@ mod tests {
         }
     }
 
-    /// A row ceiling makes batched evaluations tile without changing any
-    /// answer, and the per-cache tiling counters observe it.
+    /// A cancel tripped between two starts of a walk aborts it before the
+    /// next start, and the aborted evaluation moves nothing the cache
+    /// shows: no entry, no read, no batched or delta evaluation.
     #[test]
-    fn row_ceiling_tiles_without_changing_positions() {
-        let kb = rex_kb::toy::entertainment();
-        let a = kb.require_node("brad_pitt").unwrap();
-        let b = kb.require_node("angelina_jolie").unwrap();
-        let out =
-            GeneralEnumerator::new(EnumConfig::default().with_max_nodes(3)).enumerate(&kb, a, b);
-        let ctx = MeasureContext::new(&kb, a, b).with_global_samples(15, 4);
-        let index = ctx.edge_index();
-        let starts = ctx.sample_frame().starts().to_vec();
-        let plain = DistributionCache::new();
-        let tiled = DistributionCache::with_row_ceiling(1); // degenerate: 1-start tiles
-        assert_eq!(tiled.row_ceiling(), Some(1));
-        for e in &out.explanations {
-            assert_eq!(
-                global(&plain, index, e, &starts, None),
-                global(&tiled, index, e, &starts, None),
-                "{}",
-                e.describe(&kb)
-            );
-        }
-        let (plain_tiles, _) = plain.tiling_stats();
-        let (tiled_tiles, tiled_peak) = tiled.tiling_stats();
-        assert_eq!(plain_tiles, out.explanations.len(), "untiled: one tile per shape");
-        assert!(tiled_tiles > plain_tiles, "ceiling must split the batches");
-        let (_, plain_peak) = plain.tiling_stats();
-        assert!(tiled_peak <= plain_peak, "tiling must not raise the peak");
+    fn cancel_between_starts_leaves_the_cache_unchanged() {
+        let (index, explanations) = toy_shapes();
+        let e = &explanations[0];
+        let starts: Vec<u64> = (0..index.node_count() as u64).collect();
+        let cache = DistributionCache::new();
+        let shown = |c: &DistributionCache| {
+            (c.generation_fingerprint(), c.len(), c.stats(), c.batched_evals(), c.delta_evals())
+        };
+        let before = shown(&cache);
+        let token = rex_relstore::budget::CancelToken::new();
+        let budget = Budget::unlimited().with_cancel(token.clone());
+        let walked = AtomicUsize::new(0);
+        let trip = |_: u64, _: &[u64]| {
+            walked.fetch_add(1, Ordering::Relaxed);
+            token.cancel();
+            true
+        };
+        let spec = e.pattern.to_spec();
+        let err = cache
+            .evaluate(index, spec, &starts, EvalKind::Delta, &budget, Some(&trip))
+            .unwrap_err();
+        let cancelled = rex_relstore::budget::AbortReason::Cancelled;
+        assert!(matches!(err, rex_relstore::RelError::Aborted(r) if r == cancelled), "{err}");
+        assert_eq!(walked.into_inner(), 1, "the walk stops before the second start");
+        assert_eq!(shown(&cache), before);
     }
 
     /// The epoch contract: a batch computed at epoch N refuses to serve

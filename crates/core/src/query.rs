@@ -23,7 +23,7 @@ pub struct CompiledQuery {
     pub graph: PatternGraph,
     /// The compiled dense-variable pattern (names per variable).
     pub compiled: CompiledPattern,
-    /// The core pattern; flows through specs, tiling, budgets, caches.
+    /// The core pattern; flows through specs, budgets, caches.
     pub pattern: Pattern,
 }
 

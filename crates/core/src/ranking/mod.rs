@@ -10,8 +10,9 @@
 //!   distribution-based measures (§5.3.2).
 //! * [`pairs`] — the multi-pair workload driver: one shared sample frame
 //!   and distribution cache across all pairs, missed shapes handed to
-//!   the workers cheapest-first and evaluated under a memory ceiling,
-//!   each stopped once its explanations cannot reach their pair's top-k.
+//!   the workers cheapest-first and evaluated in one walk each under the
+//!   request's budget, each stopped once its explanations cannot reach
+//!   their pair's top-k.
 //! * [`serve`] — epoch-versioned snapshot serving: readers pin a
 //!   [`Snapshot`] (O(1)) and rank against it lock-free while maintenance
 //!   builds the next epoch off to the side and flips it in with one

@@ -23,11 +23,12 @@
 //!    and builds no pool, and the cheap shapes complete first and tighten
 //!    the bounds the heavy ones are read under. Workers claim the next
 //!    shape as they free up.
-//! 4. **Work-bounded evaluation**: a row ceiling tiles each batch's start
-//!    set by estimated instance rows
-//!    ([`DistributionCache::with_row_ceiling`]), so each tile's work — and
-//!    the row budget charged per tile — stays bounded regardless of frame
-//!    size.
+//! 4. **One walk per batch, preemptible at every start**: a miss
+//!    evaluates all the starts it lacks in one depth-first walk, which
+//!    holds one value per variable however many starts it covers, and
+//!    the request's [`Budget`] is checked before each start, so a
+//!    deadline or cancellation stops a batch after at most one more
+//!    start, whatever the frame size.
 //! 5. **One bounded read per shape** (§5.3.2's `LIMIT p` pruning, as a
 //!    threshold stop in the manner of Fagin, Lotem and Naor's threshold
 //!    algorithm): each pair keeps the k-th smallest exact position sum
@@ -107,8 +108,9 @@ pub struct RankPairsConfig {
     /// Worker threads for the ranking pass's reads of the shapes that
     /// miss the cache (0 = rayon's default width).
     pub threads: usize,
-    /// Best-effort ceiling on the estimated instance rows of each tile of
-    /// a batched evaluation; `None` disables tiling.
+    /// Ignored: the row ceiling is retired, every batch is one walk, and
+    /// the budget is checked before each start. Kept so configs written
+    /// against the tiled API still compile.
     pub row_ceiling: Option<usize>,
     /// Ignored: start-hash buckets are retired, and `threads` is the one
     /// parallelism setting. Kept so configs written against the sharded
@@ -123,12 +125,7 @@ impl Default for RankPairsConfig {
             global_samples: 100,
             seed: 0xDB9,
             threads: 0,
-            // Generous default: large enough that most batches run as one
-            // tile, small enough to split genuinely hub-heavy shapes so
-            // that no single tile's walk (and row-budget charge) grows
-            // without bound. The depth-first walk holds no intermediate
-            // relation, so this bounds work per tile, not memory.
-            row_ceiling: Some(1 << 20),
+            row_ceiling: None,
             shards: 1,
         }
     }
@@ -160,21 +157,19 @@ pub struct RankPairsOutcome {
     /// one per shape (≤ `distinct_shapes`); evaluations by other readers
     /// or by maintenance sharing the cache are not counted.
     pub batched_evals: usize,
-    /// Start tiles evaluated by this run's own batches.
+    /// Walks evaluated by this run's own batches: one per batched
+    /// evaluation ([`EvalTrace::tiles`](rex_relstore::metrics::EvalTrace::tiles)).
     pub tiles: usize,
-    /// Largest number of bindings one level of one tile made in any batch
+    /// Largest number of bindings one level of one walk made in any batch
     /// *backing this workload's shapes* — carried on the batches
     /// themselves, so it is attributed correctly even when a reused cache
     /// answers some shapes without re-evaluating them.
     pub peak_rows: usize,
-    /// Largest **estimated** per-tile input rows of any batch — the
-    /// quantity the row ceiling actually bounds. The measured
-    /// [`peak_rows`](Self::peak_rows) may legally exceed the ceiling on
-    /// estimate error or singleton hub tiles; this one may not, unless
-    /// [`overflow_tiles`](Self::overflow_tiles) is non-zero.
+    /// Always 0: the row ceiling whose estimates this reported is
+    /// retired. Kept so code written against the tiled API still
+    /// compiles.
     pub est_peak_rows: usize,
-    /// Tiles whose estimated rows exceeded the ceiling — singleton hub
-    /// starts no split could shrink (0 without a ceiling).
+    /// Always 0, like [`est_peak_rows`](Self::est_peak_rows).
     pub overflow_tiles: usize,
     /// Explanations of the ranked pairs that the pruning bound ranked out
     /// without an exact score: their position sum over the starts read
@@ -203,10 +198,7 @@ pub fn rank_pairs(
 
 /// [`rank_pairs`] over caller-provided frame, edge index, and cache (the
 /// KB itself is not needed: its statistics reach the driver through the
-/// edge index). Tiling is governed by the **cache's** row ceiling — set
-/// at construction via [`DistributionCache::with_row_ceiling`] — so the
-/// config's `row_ceiling` must agree with it; a mismatch panics rather
-/// than silently running with a ceiling the caller didn't ask for.
+/// edge index).
 pub fn rank_pairs_with(
     pairs: &[PairExplanations<'_>],
     cfg: &RankPairsConfig,
@@ -239,8 +231,8 @@ fn admit(smallest: &mut BinaryHeap<usize>, k: usize, cutoff: &AtomicUsize, sum: 
 }
 
 /// The ranking pass behind every entry point, under a [`Budget`]: the
-/// deadline, cancellation token, and row budget are checked at every tile
-/// boundary of every batched evaluation, and the workload **degrades
+/// deadline, cancellation token, and row budget are checked before every
+/// start of every batched evaluation, and the workload **degrades
 /// pair-by-pair** rather than all-or-nothing. The pass reads each
 /// distinct shape from the cache exactly once, as a bounded read for the
 /// explanations waiting on it, and scores every pair from those reads
@@ -267,12 +259,6 @@ pub(crate) fn rank_pass(
     cache: &DistributionCache,
     budget: &Budget,
 ) -> RankPairsOutcome {
-    assert_eq!(
-        cache.row_ceiling(),
-        cfg.row_ceiling,
-        "rank_pairs_with: the cache's row ceiling disagrees with cfg.row_ceiling; \
-         construct the cache with DistributionCache::with_row_ceiling to match"
-    );
     let k = cfg.k;
     // Each pair's bound: its cutoff (0 when k is 0: every explanation is
     // out; `usize::MAX` until k exact sums are known; it only falls) and
@@ -359,7 +345,7 @@ pub(crate) fn rank_pass(
         // Cost-ordered evaluation of the misses: cheapest shapes first,
         // ties by canonical key, cost read from the edge index's
         // per-(label, orientation) relation sizes — one cost model shared
-        // with the tiling estimator. The cheap shapes complete first and
+        // with admission pricing. The cheap shapes complete first and
         // tighten the bounds the heavy ones are read under.
         let mut ordered: Vec<(u64, usize)> = missed
             .into_iter()
@@ -415,8 +401,6 @@ pub(crate) fn rank_pass(
     for read in reads.iter().flatten() {
         let trace = read.batch.trace();
         outcome.peak_rows = outcome.peak_rows.max(trace.peak_rows);
-        outcome.est_peak_rows = outcome.est_peak_rows.max(trace.est_peak_rows);
-        outcome.overflow_tiles += trace.overflow_tiles;
         if let Some(tiles) = read.evaluated_tiles {
             outcome.batched_evals += 1;
             outcome.tiles += tiles;
@@ -501,7 +485,6 @@ mod tests {
             global_samples: 20,
             seed: 11,
             threads: 2,
-            row_ceiling: Some(64),
             ..RankPairsConfig::default()
         };
         let outcome = rank_pairs(&kb, &tasks, &cfg).unwrap();
@@ -535,7 +518,6 @@ mod tests {
             global_samples: 12,
             seed: 3,
             threads: 1,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
         let index = EdgeIndex::build(&kb);
@@ -556,7 +538,7 @@ mod tests {
                 "toy pairs share shapes ({} vs {per_pair_shapes})",
                 outcome.distinct_shapes
             );
-            // Untiled: exactly one tile per batch.
+            // One walk per batch.
             assert_eq!(outcome.tiles, outcome.batched_evals);
         }
     }
@@ -578,34 +560,6 @@ mod tests {
         assert!(outcome.shed.is_empty());
     }
 
-    /// A tight row ceiling tiles the batches without changing rankings.
-    #[test]
-    fn row_ceiling_changes_tiling_not_results() {
-        let (kb, prepared) = toy_workload();
-        let tasks: Vec<PairExplanations<'_>> = prepared
-            .iter()
-            .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
-            .collect();
-        let base = RankPairsConfig {
-            k: 4,
-            global_samples: 16,
-            seed: 6,
-            threads: 2,
-            row_ceiling: None,
-            ..RankPairsConfig::default()
-        };
-        let tight = RankPairsConfig { row_ceiling: Some(1), ..base.clone() };
-        let untiled = rank_pairs(&kb, &tasks, &base).unwrap();
-        let tiled = rank_pairs(&kb, &tasks, &tight).unwrap();
-        for (u, t) in untiled.rankings.iter().zip(&tiled.rankings) {
-            let us: Vec<(usize, f64)> = u.iter().map(|r| (r.index, r.score)).collect();
-            let ts: Vec<(usize, f64)> = t.iter().map(|r| (r.index, r.score)).collect();
-            assert_eq!(us, ts);
-        }
-        assert!(tiled.tiles > untiled.tiles);
-        assert!(tiled.peak_rows <= untiled.peak_rows.max(1));
-    }
-
     #[test]
     fn empty_workload_is_fine() {
         let kb = rex_kb::toy::entertainment();
@@ -615,16 +569,28 @@ mod tests {
         assert_eq!(outcome.batched_evals, 0);
     }
 
-    /// A cache whose ceiling disagrees with the config is a configuration
-    /// bug; it must fail loudly, not silently run with the wrong bound.
+    /// The default config ranks over a default cache exactly as the
+    /// one-shot driver does: a caller-built cache needs no setting to
+    /// agree with the config.
     #[test]
-    #[should_panic(expected = "row ceiling disagrees")]
-    fn mismatched_row_ceiling_panics() {
-        let kb = rex_kb::toy::entertainment();
-        let cfg = RankPairsConfig { row_ceiling: Some(4096), ..RankPairsConfig::default() };
-        let frame = Arc::new(SampleFrame::sample(&kb, 4, 1).unwrap());
+    fn default_config_ranks_with_a_default_cache() {
+        let (kb, prepared) = toy_workload();
+        let tasks: Vec<PairExplanations<'_>> = prepared
+            .iter()
+            .map(|(s, e, ex)| PairExplanations { start: *s, end: *e, explanations: ex })
+            .collect();
+        let cfg = RankPairsConfig::default();
         let index = EdgeIndex::build(&kb);
-        let unbounded = DistributionCache::new();
-        let _ = rank_pairs_with(&[], &cfg, &index, &frame, &unbounded);
+        let frame = Arc::new(SampleFrame::sample(&kb, cfg.global_samples, cfg.seed).unwrap());
+        let with = rank_pairs_with(&tasks, &cfg, &index, &frame, &DistributionCache::new());
+        let one_shot = rank_pairs(&kb, &tasks, &cfg).unwrap();
+        let scored = |rankings: &[Vec<Ranked>]| -> Vec<Vec<(usize, u64)>> {
+            rankings
+                .iter()
+                .map(|r| r.iter().map(|r| (r.index, r.score.to_bits())).collect())
+                .collect()
+        };
+        assert!(with.rankings.iter().any(|r| !r.is_empty()));
+        assert_eq!(scored(&with.rankings), scored(&one_shot.rankings));
     }
 }

@@ -49,12 +49,11 @@
 //!   concurrent-request *row pool* sized in estimated intermediate rows.
 //!   [`ServingState::try_serve`] pins one snapshot, prices the request
 //!   against it with the index's exact per-start incident-row statistics
-//!   ([`Snapshot::estimate_request_rows`] — the same cost model the row-
-//!   ceiling tiler packs tiles with), sheds over-budget requests with the
+//!   ([`Snapshot::estimate_request_rows`]), sheds over-budget requests with the
 //!   retryable [`CoreError::Overloaded`] before they touch the evaluation
 //!   stack, and ranks the admitted ones against that same snapshot.
 //! * **Budgeted reads** ([`Snapshot::rank`]): a per-request [`Budget`]
-//!   (deadline / cancellation / row cap) checked at every tile boundary;
+//!   (deadline / cancellation / row cap) checked before every start;
 //!   the workload degrades pair-by-pair, and aborted evaluations leave
 //!   the cache untouched.
 //! * **Panic quarantine** ([`ServingState::maintain`]): the delta branch
@@ -144,7 +143,7 @@ impl Snapshot {
 
     /// Ranks a workload against the pinned epoch — the serving read path
     /// — under `budget`: the deadline, cancellation token, and row budget
-    /// are checked at every tile boundary, the workload degrades
+    /// are checked before every start, the workload degrades
     /// pair-by-pair
     /// ([`RankPairsOutcome::shed`](crate::ranking::pairs::ShedPair)), and
     /// aborted evaluations leave the shared cache untouched. With an
@@ -177,8 +176,7 @@ impl Snapshot {
     /// Prices a request in estimated intermediate rows against this
     /// snapshot: per distinct shape, the index's exact per-start
     /// incident-row estimate over the pinned frame
-    /// ([`EdgeIndex::estimate_starts_rows`] — the same statistics the
-    /// row-ceiling tiler packs tiles with), summed. Floored at 1 so even
+    /// ([`EdgeIndex::estimate_starts_rows`]), summed. Floored at 1 so even
     /// a trivial request draws *something* from an admission pool and
     /// concurrency stays bounded.
     pub fn estimate_request_rows(&self, pairs: &[PairExplanations<'_>]) -> usize {
@@ -352,13 +350,8 @@ pub struct ServingState {
 impl ServingState {
     /// Builds a serving session at `kb`'s current epoch: a fresh
     /// [`EdgeIndex::build`], the frame sampled with `cfg`'s
-    /// `global_samples` and `seed`, and a cache with `cfg`'s
-    /// `row_ceiling`.
+    /// `global_samples` and `seed`, and an empty cache.
     pub fn build(kb: &KnowledgeBase, cfg: &RankPairsConfig) -> Result<ServingState> {
-        let cache = match cfg.row_ceiling {
-            Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
-            None => DistributionCache::new(),
-        };
         let frame = Arc::new(SampleFrame::sample(kb, cfg.global_samples, cfg.seed)?);
         Ok(ServingState {
             current: RwLock::new(Arc::new(PinnedState {
@@ -366,7 +359,7 @@ impl ServingState {
                 index: Arc::new(EdgeIndex::build(kb)),
                 frame,
             })),
-            cache: Arc::new(cache),
+            cache: Arc::new(DistributionCache::new()),
             writer: Mutex::new(()),
             admission: None,
             faults: None,
@@ -659,7 +652,6 @@ mod tests {
             global_samples: 10,
             seed: 3,
             threads: 1,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
         (kb, explanations.explanations, cfg)

@@ -84,7 +84,6 @@ mod tests {
             global_samples: 16,
             seed: 11,
             threads: 1,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
 
@@ -157,7 +156,6 @@ mod tests {
             global_samples: 8,
             seed: 2,
             threads: 1,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
@@ -188,7 +186,6 @@ mod tests {
             global_samples: 10,
             seed: 7,
             threads: 1,
-            row_ceiling: Some(64),
             ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
@@ -229,7 +226,6 @@ mod tests {
             global_samples: 10,
             seed: 7,
             threads: 1,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
@@ -264,17 +260,6 @@ mod tests {
         }
     }
 
-    /// A session's cache takes the build config's row ceiling, so ranking
-    /// a snapshot under a config with another ceiling fails loudly.
-    #[test]
-    #[should_panic(expected = "row ceiling disagrees")]
-    fn mismatched_cache_ceiling_panics() {
-        let kb = rex_kb::toy::entertainment();
-        let cfg = RankPairsConfig { row_ceiling: Some(128), ..RankPairsConfig::default() };
-        let state = ServingState::build(&kb, &cfg).unwrap();
-        let _ = state.snapshot().rank(&[], &RankPairsConfig::default(), &Budget::unlimited());
-    }
-
     /// The serving frame equals a directly sampled frame for the same
     /// (kb, samples, seed) — the session introduces no sampling drift.
     #[test]
@@ -285,7 +270,6 @@ mod tests {
             global_samples: 12,
             seed: 9,
             threads: 1,
-            row_ceiling: None,
             ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();

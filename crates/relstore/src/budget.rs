@@ -4,11 +4,11 @@
 //! next to search results) means an expensive shape evaluation must be
 //! *stoppable*: a request that has blown its latency budget should give
 //! back its worker instead of finishing an answer nobody is waiting for.
-//! The engine's unit of preemption is the **tile** — the batched path
-//! ([`crate::engine::count_distributions`]) already splits a batch into
-//! bounded chunks, so checking a [`Budget`] at every tile boundary bounds
-//! the overshoot past a deadline by one tile's worth of work without any
-//! locks, signals, or unwinding inside join code.
+//! The engine's unit of preemption is the **start** — a batched
+//! evaluation ([`crate::engine::count_distributions`]) walks its starts
+//! one after another, so checking a [`Budget`] before every start bounds
+//! the overshoot past a deadline by one start's walk without any locks,
+//! signals, or unwinding inside join code.
 //!
 //! A [`Budget`] combines three independent, all-optional limits:
 //!
@@ -16,28 +16,29 @@
 //! * a **cancellation token** ([`CancelToken`]) — caller-driven teardown
 //!   (a disconnected client, a superseded request);
 //! * a **row budget** (shared atomic pool) — the rows of work a request
-//!   may spend, each tile charged the bindings of its widest level, in
-//!   the currency of the tiling ceiling and the admission controller's
-//!   estimated instance rows.
+//!   may spend: after each start, the walk's growth in the bindings of
+//!   its widest level, so a whole evaluation is charged its peak rows, in
+//!   the currency of the admission controller's estimated instance rows.
 //!
-//! All three are checked *cooperatively*: evaluation only stops at a tile
-//! boundary, and stopping is a typed error ([`crate::RelError::Aborted`])
+//! All three are checked *cooperatively*: evaluation only stops between
+//! two starts, and stopping is a typed error ([`crate::RelError::Aborted`])
 //! carrying the [`AbortReason`], never a panic. The default budget is
-//! unlimited, so every pre-existing call path keeps its semantics.
+//! unlimited and costs a walk no per-start work, so every pre-existing
+//! call path keeps its semantics.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why a budgeted evaluation stopped at a tile boundary instead of
-/// finishing.
+/// Why a budgeted evaluation stopped before one of its starts instead
+/// of finishing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// The wall-clock deadline passed.
     DeadlineExpired,
     /// The request's [`CancelToken`] was triggered.
     Cancelled,
-    /// The shared row budget was exhausted by previous tiles.
+    /// The shared row budget was exhausted by previous starts.
     RowBudgetExhausted,
 }
 
@@ -63,8 +64,8 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Trips the token: every budget sharing it aborts at its next tile
-    /// boundary.
+    /// Trips the token: every budget sharing it aborts before its next
+    /// start.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Release);
     }
@@ -75,7 +76,7 @@ impl CancelToken {
     }
 }
 
-/// The cooperative budget threaded through tiled evaluation: deadline +
+/// The cooperative budget threaded through batched evaluation: deadline +
 /// cancellation + row pool, each optional (see the module docs). `Clone`
 /// shares the cancellation flag and the row pool — clones charge the
 /// *same* budget, which is what a multi-shape request wants.
@@ -94,7 +95,8 @@ impl Budget {
     }
 
     /// Adds a wall-clock deadline `timeout` from now. A zero timeout is
-    /// already expired: the first tile-boundary check aborts. Chainable.
+    /// already expired: the check before the first start aborts.
+    /// Chainable.
     pub fn with_deadline(self, timeout: Duration) -> Budget {
         self.with_deadline_at(Instant::now() + timeout)
     }
@@ -112,15 +114,15 @@ impl Budget {
     }
 
     /// Adds a row budget: a shared pool of `rows` rows of work; every
-    /// completed tile drains its peak rows (its widest level's bindings)
-    /// from the pool and an empty pool aborts the next tile. Rejects `0`
-    /// loudly — a zero pool can never evaluate anything, which is a
-    /// configuration bug, not a request to degrade.
+    /// walked start drains the walk's growth in peak rows (its widest
+    /// level's bindings) from the pool and an empty pool aborts the next
+    /// start. Rejects `0` loudly — a zero pool can never evaluate
+    /// anything, which is a configuration bug, not a request to degrade.
     pub fn with_row_budget(mut self, rows: usize) -> Budget {
         assert!(
             rows > 0,
             "row budget must be positive: a zero-row pool aborts every \
-             evaluation before its first tile"
+             evaluation before its first start"
         );
         self.rows = Some(Arc::new(AtomicUsize::new(rows)));
         self
@@ -136,7 +138,8 @@ impl Budget {
         self.rows.as_ref().map(|r| r.load(Ordering::Acquire))
     }
 
-    /// The tile-boundary check: `Err` when the budget demands an abort.
+    /// The check before each start: `Err` when the budget demands an
+    /// abort.
     /// Order: cancellation (an explicit caller action) beats the
     /// deadline, which beats row exhaustion.
     pub fn check(&self) -> Result<(), AbortReason> {
@@ -159,8 +162,8 @@ impl Budget {
     }
 
     /// Drains `rows` from the pool (saturating at zero). Called *after* a
-    /// tile completes — a tile that overruns the pool still returns its
-    /// (complete, correct) result; the next [`Budget::check`] aborts.
+    /// start is walked — a start that overruns the pool still completes;
+    /// the next [`Budget::check`] aborts.
     pub fn charge_rows(&self, rows: usize) {
         if let Some(pool) = &self.rows {
             let mut cur = pool.load(Ordering::Acquire);

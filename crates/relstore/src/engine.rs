@@ -325,8 +325,8 @@ impl EdgeIndex {
     /// Rows of the `(label, dir)` partition incident to `keys` on the
     /// requested endpoint, counted from the posting lists without
     /// materializing anything — the exact selectivity statistic behind
-    /// tile sizing and cost ordering. `keys` must be sorted (adjacent
-    /// duplicates are skipped).
+    /// admission pricing ([`EdgeIndex::estimate_starts_rows`]). `keys`
+    /// must be sorted (adjacent duplicates are skipped).
     pub fn incident_len(&self, label: u64, dir: u64, src: bool, keys: &[u64]) -> usize {
         let Some(posting) = self.endpoint_posting(label, dir, src) else {
             return 0;
@@ -430,7 +430,7 @@ impl EdgeIndex {
     /// `rows / n` factor, and hub joins (few distinct values, huge
     /// fanout) underestimated by the same factor — inverting cost
     /// orderings on skewed labels. Used to order shapes by cost and to
-    /// derive tile sizes, never for correctness.
+    /// price admission, never for correctness.
     pub fn estimate_instance_rows(&self, spec: &PatternSpec) -> f64 {
         let m = spec.edges.len();
         let mut used = vec![false; m];
@@ -476,98 +476,33 @@ impl EdgeIndex {
         (scans + self.estimate_instance_rows(spec)).min(u64::MAX as f64) as u64
     }
 
-    /// The per-start weight of `spec`'s evaluations: the posting of the
-    /// start variable's anchor edge (its smallest start-incident
-    /// partition), whose list lengths are each start's **exact** incident
-    /// rows, and the estimated instances per anchor row — at least 1.0,
-    /// so the incident rows themselves count even for highly selective
-    /// shapes. A start set's estimated join-produced rows are its
-    /// incident rows times that factor. `None` when no edge touches the
-    /// start variable. The one per-start weight of admission and tiling.
-    fn start_weight(&self, spec: &PatternSpec) -> Option<StartWeight<'_>> {
+    /// Estimated join-produced rows of one batched evaluation of `spec`
+    /// restricted to `starts` — the **admission-control cost** of a
+    /// request: proportional to the rows actually incident to its starts,
+    /// not to the KB. Each start is weighted by its **exact** incident
+    /// rows on the start variable's anchor edge (its smallest
+    /// start-incident partition), read from that edge's endpoint posting,
+    /// times the estimated instances per anchor row — at least 1.0, so
+    /// the incident rows themselves count even for highly selective
+    /// shapes.
+    pub fn estimate_starts_rows(&self, spec: &PatternSpec, starts: &[u64]) -> usize {
         let anchor = spec
             .edges
             .iter()
             .filter(|e| e.u == spec.start || e.v == spec.start)
-            .min_by_key(|e| self.scan_len(e.label, e.dir()))?;
-        let (label, dir, src) = (anchor.label, anchor.dir(), anchor.u == spec.start);
-        let anchor_rows = self.scan_len(label, dir).max(1) as f64;
-        let per_row = (self.estimate_instance_rows(spec) / anchor_rows).max(1.0);
-        Some(StartWeight { posting: self.endpoint_posting(label, dir, src), per_row })
-    }
-
-    /// Estimated join-produced rows of one batched evaluation of `spec`
-    /// restricted to `starts` — the same exact per-start incident-row
-    /// statistic [`EdgeIndex::tile_starts_for_ceiling`] packs tiles with,
-    /// summed over the whole start set instead of split into tiles. This
-    /// is the **admission-control cost** of a request: proportional to
-    /// the rows actually incident to its starts (measured from the
-    /// endpoint postings), not to the KB.
-    pub fn estimate_starts_rows(&self, spec: &PatternSpec, starts: &[u64]) -> usize {
-        let Some(weight) = self.start_weight(spec) else {
+            .min_by_key(|e| self.scan_len(e.label, e.dir()));
+        let Some(anchor) = anchor else {
             // No start-incident edge: the start variable is unconstrained,
             // so the whole estimated instance relation is the cost.
             return self.estimate_instance_rows(spec).min(usize::MAX as f64) as usize;
         };
+        let (label, dir) = (anchor.label, anchor.dir());
         let mut sorted: Vec<u64> = starts.to_vec();
         sorted.sort_unstable();
-        sorted.dedup();
-        weight.estimate(sorted.iter().map(|&s| weight.rows(s)).sum())
-    }
-
-    /// Packs `starts` (sorted, deduped) into variable-size tiles whose
-    /// estimated join-produced rows stay under `max_rows`, weighting each
-    /// start by its **exact** incident-row count from the endpoint
-    /// postings of the start variable's anchor edge, so hub starts get
-    /// small tiles and leaf starts pack densely.
-    ///
-    /// Every tile holds at least one start; a start whose own weight
-    /// exceeds the ceiling gets a singleton tile (its own instances are a
-    /// floor no tiling can lower).
-    pub fn tile_starts_for_ceiling(
-        &self,
-        spec: &PatternSpec,
-        starts: &[u64],
-        max_rows: usize,
-    ) -> Vec<Vec<u64>> {
-        self.pack_tiles(spec, starts, max_rows).into_iter().map(|(tile, _)| tile).collect()
-    }
-
-    /// [`EdgeIndex::tile_starts_for_ceiling`], each tile with its
-    /// estimated rows ([`EdgeIndex::estimate_starts_rows`] of the tile).
-    /// The anchor posting is looked up once and each start's incident
-    /// rows are counted once; the packing and every tile's estimate are
-    /// derived from those counts.
-    fn pack_tiles(
-        &self,
-        spec: &PatternSpec,
-        starts: &[u64],
-        max_rows: usize,
-    ) -> Vec<(Vec<u64>, usize)> {
-        if starts.is_empty() {
-            return Vec::new();
-        }
-        let Some(weight) = self.start_weight(spec) else {
-            return vec![(starts.to_vec(), self.estimate_starts_rows(spec, starts))];
-        };
-        let mut tiles = Vec::new();
-        let mut tile: Vec<u64> = Vec::new();
-        let (mut tile_rows, mut tile_cost) = (0usize, 0.0f64);
-        for &s in starts {
-            let rows = weight.rows(s);
-            let cost = rows as f64 * weight.per_row;
-            if !tile.is_empty() && tile_cost + cost > max_rows as f64 {
-                tiles.push((std::mem::take(&mut tile), weight.estimate(tile_rows)));
-                (tile_rows, tile_cost) = (0, 0.0);
-            }
-            tile.push(s);
-            tile_rows += rows;
-            tile_cost += cost;
-        }
-        if !tile.is_empty() {
-            tiles.push((tile, weight.estimate(tile_rows)));
-        }
-        tiles
+        let rows = self.incident_len(label, dir, anchor.u == spec.start, &sorted);
+        let anchor_rows = self.scan_len(label, dir).max(1) as f64;
+        let per_row = (self.estimate_instance_rows(spec) / anchor_rows).max(1.0);
+        (rows as f64 * per_row).min(usize::MAX as f64) as usize
     }
 }
 
@@ -583,30 +518,8 @@ fn for_each_run(kb: &KnowledgeBase, mut visit: impl FnMut(u32, &[Neighbor])) {
     }
 }
 
-/// [`EdgeIndex::start_weight`]: the anchor posting and the estimated
-/// instances per anchor row.
-struct StartWeight<'a> {
-    /// `None` when the anchor partition is absent (every start has 0
-    /// incident rows).
-    posting: Option<&'a ColumnPosting>,
-    per_row: f64,
-}
-
-impl StartWeight<'_> {
-    /// The exact incident rows of `start` on the anchor edge.
-    fn rows(&self, start: u64) -> usize {
-        self.posting.map_or(0, |p| p.count(start))
-    }
-
-    /// Estimated join-produced rows of starts with `rows` incident rows
-    /// in all.
-    fn estimate(&self, rows: usize) -> usize {
-        (rows as f64 * self.per_row).min(usize::MAX as f64) as usize
-    }
-}
-
 /// Compatibility shim: start-hash shard specs are retired. Every
-/// [`count_distributions`] call runs its tiles inline over one
+/// [`count_distributions`] call walks its starts inline over one
 /// [`EdgeIndex`], so a spec carries nothing; it remains only so code
 /// written against the sharded API still compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -802,10 +715,9 @@ pub fn local_count_distribution_indexed(
 
 /// The result of a batched evaluation ([`count_distributions`]): the
 /// per-start descending count multisets, the starts evaluated, and the
-/// evaluation's trace — its tiling (tiles, peak and estimated peak rows,
-/// overflow tiles) and row traffic.
+/// evaluation's trace — its row traffic and peak bindings.
 #[derive(Debug, Clone, Default)]
-pub struct TiledDistributions {
+pub struct BatchDistributions {
     /// For every evaluated start with at least one instance, the
     /// descending multiset of per-end instance counts (starts without
     /// instances are absent: their distribution is empty).
@@ -837,23 +749,18 @@ pub enum EvalKind {
 /// (empty when the start has no instances) and returns `false` to stop.
 pub type AfterStart<'a> = &'a (dyn Fn(u64, &[u64]) -> bool + Sync);
 
-/// One batched distribution request: which starts to group, how to tile
-/// them, how to account the evaluation, and when to give up or stop.
+/// One batched distribution request: which starts to group, how to
+/// account the evaluation, and when to give up or stop.
 #[derive(Default)]
 pub struct EvalRequest<'a> {
     /// The start entities (any order; duplicates are ignored). Ids with
     /// no incident rows — or outside the KB — simply produce no entry.
     pub starts: &'a [u64],
-    /// Ceiling on each tile's **estimated** input rows: starts are packed
-    /// into tiles by their exact incident-row counts
-    /// ([`EdgeIndex::tile_starts_for_ceiling`]). `None` evaluates all the
-    /// starts as one tile; `Some(0)` gives every start with incident rows
-    /// its own tile.
-    pub row_ceiling: Option<usize>,
     /// Full or delta accounting.
     pub kind: EvalKind,
-    /// Checked before every tile; each completed tile's peak rows are
-    /// charged against its row pool. Unlimited by default.
+    /// Checked before every start; the walk's growth in peak rows is
+    /// charged against its row pool after each start. Unlimited by
+    /// default.
     pub budget: Budget,
     /// Called after each start, in ascending start order; once it
     /// returns `false` no further start is evaluated, and the result
@@ -867,7 +774,6 @@ impl std::fmt::Debug for EvalRequest<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalRequest")
             .field("starts", &self.starts)
-            .field("row_ceiling", &self.row_ceiling)
             .field("kind", &self.kind)
             .field("budget", &self.budget)
             .field("after_start", &self.after_start.is_some())
@@ -880,68 +786,48 @@ impl std::fmt::Debug for EvalRequest<'_> {
 /// `(start, end)`, producing for every start the descending multiset of
 /// per-end instance counts — exactly
 /// `local_count_distribution_indexed(s).values()` sorted descending. One
-/// call plans once per tile for all its starts, and the depth-first walk
-/// counts each start's instances per end in place instead of
-/// materializing them; each start's ends accumulate in one dense per-end
-/// array.
+/// call plans once for all its starts and walks them in one depth-first
+/// walk on the calling thread, which counts each start's instances per
+/// end in place instead of materializing them; each start's ends
+/// accumulate in one dense per-end array.
 ///
-/// The row ceiling packs the starts into tiles by `index`'s per-start
-/// weights, evaluated one after another on the calling thread; tiling
-/// bounds each tile's work and row-budget charge and never changes the
-/// answer.
-///
-/// Budget: checked at **every tile boundary**, so an expired deadline, a
+/// Budget: checked before **every start**, so an expired deadline, a
 /// tripped cancellation token or an exhausted row pool stops the
-/// evaluation with [`RelError::Aborted`] after at most one more tile. An
-/// aborted evaluation returns no partial result.
+/// evaluation with [`RelError::Aborted`] after at most one more start.
+/// An aborted evaluation returns no partial result.
 ///
 /// Stopping: the starts are evaluated in ascending order, and
 /// [`EvalRequest::after_start`] sees each one as it completes. Once it
-/// returns `false` the walk stops, no later tile runs, and the result
-/// holds exactly the starts evaluated so far
-/// ([`TiledDistributions::evaluated`]).
+/// returns `false` the walk stops and the result holds exactly the
+/// starts evaluated so far ([`BatchDistributions::evaluated`]).
 ///
 /// Trace: the returned [`EvalTrace`] counts one full or delta evaluation
-/// (per `req.kind`), one tile per tile that ran, the estimated rows of
-/// those tiles, and the rows every tile read. A completed or stopped call
-/// folds the trace into [`crate::metrics::snapshot`]'s totals; an aborted
-/// one folds nothing. An empty start set is a no-op, not an evaluation.
+/// (per `req.kind`), one tile (the walk), and the rows the walk read. A
+/// completed or stopped call folds the trace into
+/// [`crate::metrics::snapshot`]'s totals; an aborted one folds nothing.
+/// An empty start set is a no-op, not an evaluation.
 pub fn count_distributions(
     index: &EdgeIndex,
     spec: &PatternSpec,
     req: &EvalRequest<'_>,
-) -> Result<TiledDistributions> {
+) -> Result<BatchDistributions> {
     spec.validate()?;
     let mut values: Vec<u64> = req.starts.to_vec();
     values.sort_unstable();
     values.dedup();
     if values.is_empty() {
-        return Ok(TiledDistributions::default());
+        return Ok(BatchDistributions::default());
     }
-    let mut trace = EvalTrace::default();
+    let mut ends = EndCounts::new(index.node_count(), spec.end, req.after_start);
+    let binding = StartBinding::Among(values);
+    let mut trace = spec.walk_starts(index, &binding, &req.budget, true, &mut ends)?;
+    trace.tiles = 1;
     match req.kind {
         EvalKind::Full => trace.full = 1,
         EvalKind::Delta => trace.delta = 1,
     }
-    let tiles = match req.row_ceiling {
-        None => vec![(values, 0)],
-        Some(max_rows) => index.pack_tiles(spec, &values, max_rows),
-    };
-    let mut ends = EndCounts::new(index.node_count(), spec.end, req.after_start);
-    for (tile, est) in tiles {
-        trace.est_peak_rows = trace.est_peak_rows.max(est);
-        if req.row_ceiling.is_some_and(|max_rows| est > max_rows) {
-            trace.overflow_tiles += 1;
-        }
-        let binding = StartBinding::Among(tile);
-        trace.merge(&spec.evaluate_tile(index, &binding, &req.budget, true, &mut ends)?);
-        trace.tiles += 1;
-        if ends.stopped {
-            break;
-        }
-    }
     crate::metrics::fold(&trace);
-    Ok(TiledDistributions { per_start: ends.per_start, evaluated: ends.evaluated, trace })
+    Ok(BatchDistributions { per_start: ends.per_start, evaluated: ends.evaluated, trace })
 }
 
 /// The `(start, end)` group-by of a walk: the current start's instance
@@ -956,7 +842,6 @@ struct EndCounts<'a> {
     per_start: HashMap<u64, Vec<u64>>,
     evaluated: Vec<u64>,
     after_start: Option<AfterStart<'a>>,
-    stopped: bool,
 }
 
 impl<'a> EndCounts<'a> {
@@ -968,7 +853,6 @@ impl<'a> EndCounts<'a> {
             per_start: HashMap::new(),
             evaluated: Vec::new(),
             after_start,
-            stopped: false,
         }
     }
 }
@@ -992,11 +876,11 @@ impl Sink for EndCounts<'_> {
         let mut counts: Vec<u64> =
             self.touched.drain(..).map(|end| std::mem::take(&mut self.counts[end])).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
-        self.stopped = self.after_start.is_some_and(|go_on| !go_on(start, &counts));
+        let go_on = self.after_start.is_none_or(|go_on| go_on(start, &counts));
         if !counts.is_empty() {
             self.per_start.insert(start, counts);
         }
-        !self.stopped
+        go_on
     }
 }
 
@@ -1028,21 +912,20 @@ mod tests {
     use crate::plan::SpecEdge;
     use rex_kb::{toy, KbBuilder};
 
-    /// [`count_distributions`] of `starts` under `row_ceiling`.
+    /// [`count_distributions`] of `starts`.
     fn grouped(
         index: &EdgeIndex,
         spec: &PatternSpec,
         starts: &[u64],
-        row_ceiling: Option<usize>,
-    ) -> Result<TiledDistributions> {
-        count_distributions(index, spec, &EvalRequest { starts, row_ceiling, ..Default::default() })
+    ) -> Result<BatchDistributions> {
+        count_distributions(index, spec, &EvalRequest { starts, ..Default::default() })
     }
 
     /// Every entity's distribution: `spec` grouped over all of `index`'s
     /// entities as starts.
     fn all_distributions(index: &EdgeIndex, spec: &PatternSpec) -> HashMap<u64, Vec<u64>> {
         let all: Vec<u64> = (0..index.node_count() as u64).collect();
-        grouped(index, spec, &all, None).unwrap().per_start
+        grouped(index, spec, &all).unwrap().per_start
     }
 
     #[test]
@@ -1158,7 +1041,7 @@ mod tests {
         };
         let full = all_distributions(&index, &spec);
         let sample: Vec<u64> = (0..kb.node_count() as u64).step_by(2).collect();
-        let restricted = grouped(&index, &spec, &sample, None).unwrap().per_start;
+        let restricted = grouped(&index, &spec, &sample).unwrap().per_start;
         // No start outside the sample appears.
         assert!(restricted.keys().all(|s| sample.contains(s)));
         // Sampled starts agree with the unbound evaluation.
@@ -1167,48 +1050,10 @@ mod tests {
         }
     }
 
-    /// Tiled evaluation equals the untiled batch for every row ceiling
-    /// (tile sizes from one start per tile to a single tile).
-    #[test]
-    fn tiled_batch_matches_untiled_for_all_tile_sizes() {
-        let kb = toy::entertainment();
-        let index = EdgeIndex::build(&kb);
-        let starring = kb.label_by_name("starring").unwrap().0 as u64;
-        let spec = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring, directed: true },
-            ],
-        };
-        let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let untiled = grouped(&index, &spec, &starts, None).unwrap();
-        assert_eq!(untiled.trace.tiles, 1);
-        // Some(0) gives every start with incident rows its own tile.
-        let packing = index.tile_starts_for_ceiling(&spec, &starts, 0);
-        for tile in &packing {
-            if tile.iter().any(|&s| index.incident_len(starring, dir_code::FORWARD, true, &[s]) > 0)
-            {
-                assert_eq!(tile.len(), 1, "tile {tile:?}");
-            }
-        }
-        let singles = grouped(&index, &spec, &starts, Some(0)).unwrap();
-        assert_eq!(singles.trace.tiles, packing.len());
-        for ceiling in [0usize, 1, 2, 3, 7, 1_000_000] {
-            let tiled = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
-            assert_eq!(tiled.per_start, untiled.per_start, "ceiling {ceiling}");
-            assert!((1..=packing.len()).contains(&tiled.trace.tiles), "ceiling {ceiling}");
-            assert!(tiled.trace.peak_rows > 0);
-        }
-    }
-
     /// A check that stops after the `n`-th start leaves exactly the first
     /// `n` distinct starts evaluated, in ascending order, each with the
-    /// multiset a whole evaluation gives it, and runs no tile past the
-    /// stop — tiled or not. The check sees every start it lets pass, with
-    /// its multiset.
+    /// multiset a whole evaluation gives it. The check sees every start
+    /// it lets pass, with its multiset.
     #[test]
     fn after_start_stops_after_any_start() {
         let kb = toy::entertainment();
@@ -1228,46 +1073,93 @@ mod tests {
         let mut distinct = starts.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        for row_ceiling in [None, Some(0), Some(3)] {
-            let whole = grouped(&index, &spec, &starts, row_ceiling).unwrap();
-            assert_eq!(whole.evaluated, distinct);
-            for n in 1..=distinct.len() {
-                let seen = std::sync::Mutex::new(Vec::new());
-                let check = |start: u64, counts: &[u64]| {
-                    let expected = whole.per_start.get(&start).map_or(&[][..], Vec::as_slice);
-                    assert_eq!(counts, expected, "start {start}");
-                    let mut seen = seen.lock().unwrap();
-                    seen.push(start);
-                    seen.len() < n
-                };
-                let req = EvalRequest {
-                    starts: &starts,
-                    row_ceiling,
-                    after_start: Some(&check),
-                    ..Default::default()
-                };
-                let stopped = count_distributions(&index, &spec, &req).unwrap();
-                assert_eq!(stopped.evaluated, &distinct[..n], "{row_ceiling:?}, n = {n}");
-                assert_eq!(*seen.lock().unwrap(), stopped.evaluated);
-                let kept: HashMap<u64, Vec<u64>> = whole
-                    .per_start
-                    .iter()
-                    .filter(|(s, _)| distinct[..n].contains(s))
-                    .map(|(&s, c)| (s, c.clone()))
-                    .collect();
-                assert_eq!(stopped.per_start, kept, "{row_ceiling:?}, n = {n}");
-                assert_eq!(stopped.trace.full, 1);
-                assert!(stopped.trace.tiles <= whole.trace.tiles);
-                if let Some(max_rows) = row_ceiling {
-                    let tiles = index.tile_starts_for_ceiling(&spec, &distinct, max_rows);
-                    let ran = tiles
-                        .iter()
-                        .position(|tile| tile.contains(&distinct[n - 1]))
-                        .expect("every start is in a tile");
-                    assert_eq!(stopped.trace.tiles, ran + 1, "{row_ceiling:?}, n = {n}");
-                }
-            }
+        let whole = grouped(&index, &spec, &starts).unwrap();
+        assert_eq!(whole.evaluated, distinct);
+        for n in 1..=distinct.len() {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let check = |start: u64, counts: &[u64]| {
+                let expected = whole.per_start.get(&start).map_or(&[][..], Vec::as_slice);
+                assert_eq!(counts, expected, "start {start}");
+                let mut seen = seen.lock().unwrap();
+                seen.push(start);
+                seen.len() < n
+            };
+            let req =
+                EvalRequest { starts: &starts, after_start: Some(&check), ..Default::default() };
+            let stopped = count_distributions(&index, &spec, &req).unwrap();
+            assert_eq!(stopped.evaluated, &distinct[..n], "n = {n}");
+            assert_eq!(*seen.lock().unwrap(), stopped.evaluated);
+            let kept: HashMap<u64, Vec<u64>> = whole
+                .per_start
+                .iter()
+                .filter(|(s, _)| distinct[..n].contains(s))
+                .map(|(&s, c)| (s, c.clone()))
+                .collect();
+            assert_eq!(stopped.per_start, kept, "n = {n}");
+            assert_eq!((stopped.trace.full, stopped.trace.tiles), (1, 1));
         }
+    }
+
+    /// The budget is checked before every start: a token tripped after
+    /// the `n`-th start aborts the walk before the next one, and a
+    /// one-row pool, charged by the first start that binds a movie,
+    /// aborts it at the start after that.
+    #[test]
+    fn budget_is_checked_before_every_start() {
+        let kb = toy::entertainment();
+        let index = EdgeIndex::build(&kb);
+        let starring = kb.label_by_name("starring").unwrap().0 as u64;
+        let spec = PatternSpec {
+            var_count: 3,
+            start: 0,
+            end: 1,
+            edges: vec![
+                SpecEdge { u: 0, v: 2, label: starring, directed: true },
+                SpecEdge { u: 1, v: 2, label: starring, directed: true },
+            ],
+        };
+        let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
+        let aborted = |req: &EvalRequest<'_>| match count_distributions(&index, &spec, req) {
+            Err(RelError::Aborted(reason)) => reason,
+            other => panic!("expected an abort, got {other:?}"),
+        };
+        for n in 1..starts.len() {
+            let token = crate::budget::CancelToken::new();
+            let seen = std::sync::atomic::AtomicUsize::new(0);
+            let trip = |_: u64, _: &[u64]| {
+                if seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 == n {
+                    token.cancel();
+                }
+                true
+            };
+            let req = EvalRequest {
+                starts: &starts,
+                budget: Budget::unlimited().with_cancel(token.clone()),
+                after_start: Some(&trip),
+                ..Default::default()
+            };
+            assert_eq!(aborted(&req), crate::budget::AbortReason::Cancelled);
+            assert_eq!(seen.into_inner(), n, "no start runs past the cancel");
+        }
+        let first = starts
+            .iter()
+            .position(|&s| index.incident_len(starring, dir_code::FORWARD, true, &[s]) > 0)
+            .expect("someone stars in a movie");
+        let seen = std::sync::Mutex::new(Vec::new());
+        let record = |start: u64, _: &[u64]| {
+            seen.lock().unwrap().push(start);
+            true
+        };
+        let budget = Budget::unlimited().with_row_budget(1);
+        let req = EvalRequest {
+            starts: &starts,
+            budget,
+            after_start: Some(&record),
+            ..Default::default()
+        };
+        assert_eq!(aborted(&req), crate::budget::AbortReason::RowBudgetExhausted);
+        assert_eq!(req.budget.remaining_rows(), Some(0));
+        assert_eq!(seen.into_inner().unwrap(), starts[..=first]);
     }
 
     /// An empty start set is a no-op: no evaluation, no tiles, empty map.
@@ -1282,48 +1174,13 @@ mod tests {
             end: 1,
             edges: vec![SpecEdge { u: 0, v: 1, label: starring, directed: true }],
         };
-        let out = grouped(&index, &spec, &[], Some(8)).unwrap();
+        let out = grouped(&index, &spec, &[]).unwrap();
         assert!(out.per_start.is_empty());
         assert_eq!(out.trace.tiles, 0);
         assert_eq!(out.trace.peak_rows, 0);
         // Invalid specs still error, even with no starts.
         let bad = PatternSpec { var_count: 2, start: 0, end: 0, edges: vec![] };
-        assert!(grouped(&index, &bad, &[], Some(8)).is_err());
-    }
-
-    /// Smaller tiles can only lower (never raise) the peak intermediate
-    /// row count, and the ceiling-derived tile size is within bounds.
-    #[test]
-    fn tiling_bounds_peak_rows() {
-        let kb = toy::entertainment();
-        let index = EdgeIndex::build(&kb);
-        let starring = kb.label_by_name("starring").unwrap().0 as u64;
-        let spec = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring, directed: true },
-            ],
-        };
-        let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let one_tile = grouped(&index, &spec, &starts, None).unwrap();
-        let many_tiles = grouped(&index, &spec, &starts, Some(0)).unwrap();
-        assert!(many_tiles.trace.peak_rows <= one_tile.trace.peak_rows);
-        for ceiling in [1usize, 10, 1_000_000] {
-            let tiles = index.tile_starts_for_ceiling(&spec, &starts, ceiling);
-            assert!(
-                (1..=starts.len()).contains(&tiles.len()),
-                "ceiling {ceiling} gave {} tiles",
-                tiles.len()
-            );
-        }
-        assert!(index.estimate_eval_cost(&spec) > 0);
-        assert!(index.estimate_instance_rows(&spec) > 0.0);
-        let rows = oriented_edge_relation(&kb);
-        let starring_rows = rows.rows().filter(|r| r[2..] == [starring, dir_code::FORWARD]);
-        assert_eq!(index.scan_len(starring, dir_code::FORWARD), starring_rows.count());
+        assert!(grouped(&index, &bad, &[]).is_err());
     }
 
     /// A delta-refreshed index is indistinguishable from one rebuilt from
@@ -1552,6 +1409,8 @@ mod tests {
                     index.incident_len(label, dir, src, &[2])
                 );
             }
+            let partition_rows = rel.rows().filter(|r| r[2..] == [label, dir]).count();
+            assert_eq!(index.scan_len(label, dir), partition_rows);
         }
     }
 
@@ -1701,43 +1560,6 @@ mod tests {
         assert!(index.estimate_eval_cost(&hub_spec) > index.estimate_eval_cost(&flat_spec));
     }
 
-    /// Ceiling-driven tiling answers identically to the untiled batch,
-    /// never raises the peak, and packs hub starts into smaller tiles
-    /// than leaf starts (exact per-start weights, not a uniform split).
-    #[test]
-    fn ceiling_tiling_is_exact_and_answer_preserving() {
-        let kb = toy::entertainment();
-        let index = EdgeIndex::build(&kb);
-        let starring = kb.label_by_name("starring").unwrap().0 as u64;
-        let spec = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: starring, directed: true },
-                SpecEdge { u: 1, v: 2, label: starring, directed: true },
-            ],
-        };
-        let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        let single = grouped(&index, &spec, &starts, None).unwrap();
-        for ceiling in [1usize, 8, 64, 1_000_000] {
-            let tiled = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
-            assert_eq!(tiled.per_start, single.per_start, "ceiling {ceiling}");
-            assert!(tiled.trace.tiles >= 1);
-            assert!(tiled.trace.peak_rows <= single.trace.peak_rows, "ceiling {ceiling}");
-        }
-        // A tight ceiling splits; a huge one does not.
-        let tight = grouped(&index, &spec, &starts, Some(1)).unwrap();
-        let loose = grouped(&index, &spec, &starts, Some(1_000_000)).unwrap();
-        assert!(tight.trace.tiles > loose.trace.tiles);
-        assert_eq!(loose.trace.tiles, 1);
-        // The packing covers every start exactly once.
-        let tiles = index.tile_starts_for_ceiling(&spec, &starts, 8);
-        let flat: Vec<u64> = tiles.iter().flatten().copied().collect();
-        assert_eq!(flat, starts);
-        assert!(index.tile_starts_for_ceiling(&spec, &[], 8).is_empty());
-    }
-
     #[test]
     fn spouse_distribution_is_rare() {
         let kb = toy::entertainment();
@@ -1758,75 +1580,5 @@ mod tests {
         // count 1.
         let index = EdgeIndex::build(&kb);
         assert_eq!(local_position_indexed(&index, &spec, bp, 1, usize::MAX).unwrap().0, 0);
-    }
-
-    /// Regression for the BENCH row-ceiling reading: the ceiling bounds
-    /// each tile's **estimated input rows** — `est_peak_rows ≤ ceiling`
-    /// for every multi-start tile by construction — while the measured
-    /// `peak_rows` may legally exceed it (join fan-out the System-R
-    /// estimate under-predicts, or a single hub start heavier than the
-    /// ceiling, which no split can shrink). Overweight singletons are
-    /// counted in `overflow_tiles`; answers are always preserved.
-    #[test]
-    fn ceiling_bounds_estimated_tile_input_not_measured_peak() {
-        // Hub KB: 120 spokes into one hub make the hub's co-star join
-        // explode quadratically past any estimate, and make the hub
-        // start itself heavier than a tight ceiling.
-        let mut b = KbBuilder::new();
-        let hub = b.add_node("hub", "T");
-        for i in 0..120 {
-            let x = b.add_node(&format!("x{i}"), "T");
-            b.add_directed_edge(x, hub, "common");
-        }
-        let kb = b.build();
-        let index = EdgeIndex::build(&kb);
-        let common = kb.label_by_name("common").unwrap().0 as u64;
-        let spec = PatternSpec {
-            var_count: 3,
-            start: 0,
-            end: 1,
-            edges: vec![
-                SpecEdge { u: 0, v: 2, label: common, directed: true },
-                SpecEdge { u: 1, v: 2, label: common, directed: true },
-            ],
-        };
-        let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-        // Each spoke start alone joins to ~120 rows (every co-spoke pair
-        // through the hub), so a ceiling of 64 makes every spoke an
-        // overweight singleton tile that no split can shrink.
-        let ceiling = 64usize;
-        // The invariant itself, stated on the tiling primitive: every
-        // multi-start tile's estimate fits under the ceiling; only
-        // singleton tiles may exceed it.
-        let tiles = index.tile_starts_for_ceiling(&spec, &starts, ceiling);
-        for tile in &tiles {
-            let est = index.estimate_starts_rows(&spec, tile);
-            assert!(
-                tile.len() == 1 || est <= ceiling,
-                "multi-start tile of {} starts estimated at {est} > {ceiling}",
-                tile.len()
-            );
-        }
-        let result = grouped(&index, &spec, &starts, Some(ceiling)).unwrap();
-        // The estimate the ceiling governs stays bounded unless an
-        // overweight singleton overflowed — and those are counted.
-        assert!(
-            result.trace.est_peak_rows <= ceiling || result.trace.overflow_tiles > 0,
-            "est {} over ceiling {ceiling} with no overflow tile recorded",
-            result.trace.est_peak_rows
-        );
-        // The overweight singletons make the *measured* peak legally
-        // exceed the ceiling (~120 joined rows from one spoke's tile).
-        assert!(result.trace.overflow_tiles > 0, "expected overweight singleton tiles");
-        assert!(
-            result.trace.peak_rows > ceiling,
-            "expected a measured overshoot, got peak {}",
-            result.trace.peak_rows
-        );
-        // Answers unchanged by tiling.
-        let untiled = grouped(&index, &spec, &starts, None).unwrap();
-        assert_eq!(result.per_start, untiled.per_start);
-        // Without a ceiling nothing can overflow.
-        assert_eq!(untiled.trace.overflow_tiles, 0);
     }
 }

@@ -27,9 +27,10 @@
 //! minus the bound values inside it.
 //!
 //! Trace: `rows_probed` counts the rows of each distinct `(edge, key)`
-//! list a walk reads, once (one walk per tile), and `peak_rows` is the
-//! largest number of bindings any level past the start made, a counted
-//! tail's counted instances included.
+//! list a walk reads, once however many of its starts read it, and
+//! `peak_rows` is the largest number of bindings any level past the
+//! start made over all the walk's starts, a counted tail's counted
+//! instances included.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -90,7 +91,7 @@ struct Read<'a> {
     list: &'a [u32],
 }
 
-/// One tile's depth-first walk of a [`BindingPlan`].
+/// One evaluation's depth-first walk of a [`BindingPlan`].
 pub(crate) struct Walk<'a> {
     plan: &'a BindingPlan,
     /// Per level, its reads.
@@ -195,9 +196,14 @@ impl<'a> Walk<'a> {
     pub(crate) fn trace(&self) -> EvalTrace {
         EvalTrace {
             rows_probed: self.rows_probed,
-            peak_rows: self.bindings.iter().skip(1).copied().max().unwrap_or(0),
+            peak_rows: self.peak_rows(),
             ..EvalTrace::default()
         }
+    }
+
+    /// The most bindings any level past the start has made so far.
+    pub(crate) fn peak_rows(&self) -> usize {
+        self.bindings.iter().skip(1).copied().max().unwrap_or(0)
     }
 
     /// Binds level `i` and everything below it.

@@ -40,7 +40,7 @@
 //! executor binds the pattern's variables one at a time per start, each
 //! variable's candidates the intersection of the sorted neighbour lists
 //! of its edges to variables already bound, and counts each start's
-//! instances per end entity in place. A batched `Among` tile over
+//! instances per end entity in place. A batched `Among` evaluation over
 //! thousands of starts once materialized millions of join rows (2.4M in
 //! the cold serving benchmark) to count a fraction as many instances; the
 //! walk holds one value per variable instead. The materializing operators
@@ -80,8 +80,8 @@ pub enum RelError {
     /// A delta could not be applied: it does not start at the index's
     /// epoch, or retracts a row the index does not hold.
     DeltaSkew(String),
-    /// A budgeted evaluation stopped cooperatively at a tile boundary
-    /// (deadline, cancellation, or row-budget exhaustion) instead of
+    /// A budgeted evaluation stopped cooperatively before one of its
+    /// starts (deadline, cancellation, or row-budget exhaustion) instead of
     /// finishing. Partial results are never returned and never published
     /// — the evaluation simply did not happen as far as callers'
     /// observable state is concerned.

@@ -4,25 +4,24 @@
 //! evaluations a ranking run performs (§5.3.2's amortization), so every
 //! evaluation counts its own traffic in an [`EvalTrace`]: full pattern
 //! evaluations, streaming `LIMIT`-pruned position queries,
-//! delta-maintenance re-groups, the tiles of a work-bounded batch, and
-//! the rows it read — split by access path into full `(label, dir)`
+//! delta-maintenance re-groups, the walks of batched evaluations, and
+//! the rows they read — split by access path into full `(label, dir)`
 //! partition scans (only the materializing baselines scan) and
 //! endpoint-posting neighbour lists, the ratio that keeps the endpoint
-//! index's scan-floor claim measurable. A tiled batched evaluation counts as **one** full
-//! evaluation regardless of how many tiles it was split into; the tile
-//! count records the splitting separately.
+//! index's scan-floor claim measurable.
 //!
 //! The trace is a plain value. An evaluation accumulates it on its own
-//! thread and returns it with its result ([`crate::engine::TiledDistributions`],
+//! thread and returns it with its result ([`crate::engine::BatchDistributions`],
 //! [`crate::plan::PatternSpec::evaluate_indexed`],
-//! [`crate::engine::local_position_indexed`]); a tiled batch sums the
-//! traces of its tiles. Callers that need the traffic of their own calls
-//! read those returned values, which no other thread can disturb.
+//! [`crate::engine::local_position_indexed`]). Callers that need the
+//! traffic of their own calls read those returned values, which no other
+//! thread can disturb.
 //!
 //! Each public evaluation entry point also folds its completed trace
 //! into process-wide totals, read with [`snapshot`]. The fold happens
 //! after the evaluation's last fallible step, so an aborted evaluation
-//! (a budget stop at a tile boundary, or any other error) folds nothing.
+//! (a budget stop before one of its starts, or any other error) folds
+//! nothing.
 //! Differences between two snapshots describe the whole process, so
 //! they are only a per-region figure when nothing else evaluates
 //! meanwhile — true for a benchmark run, not for a parallel test binary.
@@ -50,8 +49,9 @@ pub struct EvalTrace {
     /// Partial (delta-maintenance) evaluations — grouped re-counts
     /// restricted to the starts a KB delta affected.
     pub delta: usize,
-    /// Evaluation tiles (an untiled batch is one tile; a tiled batch
-    /// contributes one per chunk).
+    /// Batched evaluations that walked their starts: one per
+    /// [`crate::engine::count_distributions`] call over a non-empty
+    /// start set, full or delta.
     pub tiles: usize,
     /// Rows read by **full partition scans** — every row of a `(label,
     /// dir)` partition walked because no restriction could be pushed
@@ -60,26 +60,13 @@ pub struct EvalTrace {
     /// Rows read from **endpoint-posting lists** — only the rows incident
     /// to the keys read, the quantity the endpoint index makes
     /// proportional to the delta instead of the KB. A depth-first walk
-    /// counts each distinct `(edge, key)` list it reads once per tile.
+    /// counts each distinct `(edge, key)` list it reads once.
     pub rows_probed: usize,
     /// Largest number of bindings one level of a depth-first walk made
-    /// in one tile (past the start; a counted tail's counted instances
-    /// included) — for the materializing baselines, the largest
-    /// intermediate relation any join built.
+    /// over all its starts (past the start; a counted tail's counted
+    /// instances included) — for the materializing baselines, the
+    /// largest intermediate relation any join built.
     pub peak_rows: usize,
-    /// Largest **estimated** input rows of any tile — the quantity a row
-    /// ceiling bounds. Ceiling tiling packs starts by their estimated
-    /// incident rows ([`crate::engine::EdgeIndex::tile_starts_for_ceiling`]),
-    /// so `est_peak_rows ≤ ceiling` holds for every multi-start tile; the
-    /// measured `peak_rows` may legally exceed the ceiling when the
-    /// System-R estimate under-predicts join fan-out, or when a single
-    /// hub start's own weight tops it (a singleton tile no split can
-    /// shrink — counted in `overflow_tiles`). 0 without a ceiling.
-    pub est_peak_rows: usize,
-    /// Tiles whose estimated rows exceeded the requested ceiling —
-    /// necessarily singleton hub tiles (multi-start tiles are packed
-    /// under it by construction); always 0 without a ceiling.
-    pub overflow_tiles: usize,
 }
 
 impl EvalTrace {
@@ -92,8 +79,6 @@ impl EvalTrace {
         self.rows_scanned += other.rows_scanned;
         self.rows_probed += other.rows_probed;
         self.peak_rows = self.peak_rows.max(other.peak_rows);
-        self.est_peak_rows = self.est_peak_rows.max(other.est_peak_rows);
-        self.overflow_tiles += other.overflow_tiles;
     }
 }
 
@@ -117,8 +102,8 @@ pub struct EvalCounts {
     /// Partial (delta-maintenance) evaluations since process start —
     /// grouped re-counts restricted to the starts a KB delta affected.
     pub delta: usize,
-    /// Evaluation tiles since process start (an untiled batch is one
-    /// tile; a tiled batch contributes one per chunk).
+    /// Batched evaluations that walked their starts since process start
+    /// (see [`EvalTrace::tiles`]).
     pub tiles: usize,
     /// Rows read by **full partition scans** since process start.
     pub rows_scanned: usize,
@@ -228,72 +213,61 @@ mod tests {
         assert!(delta.total() >= 3);
     }
 
-    /// Merging traces sums their counts and keeps the largest peaks.
+    /// Merging traces sums their counts and keeps the largest peak.
     #[test]
     fn peak_rows_is_a_max_gauge() {
         let mut trace =
             EvalTrace { tiles: 1, rows_probed: 7, peak_rows: 10, ..EvalTrace::default() };
-        trace.merge(&EvalTrace {
-            tiles: 2,
-            rows_probed: 4,
-            peak_rows: 3,
-            est_peak_rows: 8,
-            overflow_tiles: 1,
-            ..EvalTrace::default()
-        });
-        trace.merge(&EvalTrace { est_peak_rows: 5, overflow_tiles: 1, ..EvalTrace::default() });
+        trace.merge(&EvalTrace { tiles: 2, rows_probed: 4, peak_rows: 3, ..EvalTrace::default() });
         assert_eq!(
             trace,
-            EvalTrace {
-                tiles: 3,
-                rows_probed: 11,
-                peak_rows: 10,
-                est_peak_rows: 8,
-                overflow_tiles: 2,
-                ..EvalTrace::default()
-            }
+            EvalTrace { tiles: 3, rows_probed: 11, peak_rows: 10, ..EvalTrace::default() }
         );
     }
 
-    /// A completed batch's trace carries every tile's traffic wholesale:
-    /// tiled one start per tile, it is the merge of the traces each tile
-    /// returns when evaluated as a batch of its own, and it counts every
-    /// start-incident row it read.
+    /// A completed batch's trace is one walk's: one full evaluation and
+    /// one tile, every start-incident row read, each list counted once
+    /// however many starts read it (so at most what the starts read as
+    /// batches of their own), and a widest level that sums the starts'
+    /// bindings (so between the largest single start's peak and the sum
+    /// of them).
     #[test]
     fn staged_commit_publishes_wholesale() {
         let (index, spec, starts) = costar_batch();
-        let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+        let req = EvalRequest { starts: &starts, ..Default::default() };
         let whole = count_distributions(&index, &spec, &req).unwrap().trace;
-        let tiles = index.tile_starts_for_ceiling(&spec, &starts, 0);
-        assert!(tiles.len() > 1, "Some(0) tiles every start with rows on its own");
-        let mut merged = EvalTrace { full: 1, ..EvalTrace::default() };
-        for tile in &tiles {
-            let alone = EvalRequest { starts: tile, row_ceiling: Some(0), ..Default::default() };
-            let trace = count_distributions(&index, &spec, &alone).unwrap().trace;
-            assert_eq!(trace.tiles, 1, "tile {tile:?}");
-            merged.merge(&EvalTrace { full: 0, ..trace });
-        }
+        assert_eq!((whole.full, whole.tiles), (1, 1));
+        let alone: Vec<EvalTrace> = starts
+            .iter()
+            .map(|s| {
+                let one = EvalRequest { starts: std::slice::from_ref(s), ..Default::default() };
+                count_distributions(&index, &spec, &one).unwrap().trace
+            })
+            .collect();
+        let probed: usize = alone.iter().map(|t| t.rows_probed).sum();
+        let peaks = alone.iter().map(|t| t.peak_rows);
+        assert!(whole.rows_probed <= probed, "{whole:?}");
+        assert!((peaks.clone().max().unwrap()..=peaks.sum()).contains(&whole.peak_rows));
         let starring = spec.edges[0].label;
         let incident: usize = starts
             .iter()
             .map(|&s| index.incident_len(starring, dir_code::FORWARD, true, &[s]))
             .sum();
         assert!(whole.rows_probed >= incident && incident > 0, "{whole:?}");
-        assert_eq!(whole, merged);
     }
 
-    /// An aborted batch returns `Err` and takes the traffic of the tiles
-    /// it ran with it: nothing is left pending, so the next call traces
-    /// exactly what a fresh one does.
+    /// An aborted batch returns `Err` and takes the traffic of the starts
+    /// it walked with it: nothing is left pending, so the next call
+    /// traces exactly what a fresh one does.
     #[test]
     fn aborted_stage_drains_instead_of_publishing() {
         let (index, spec, starts) = costar_batch();
-        let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+        let req = EvalRequest { starts: &starts, ..Default::default() };
         let fresh = count_distributions(&index, &spec, &req).unwrap().trace;
         let starved = EvalRequest { budget: Budget::unlimited().with_row_budget(1), ..req };
         let err = count_distributions(&index, &spec, &starved).unwrap_err();
         assert!(matches!(err, RelError::Aborted(AbortReason::RowBudgetExhausted)), "{err}");
-        assert_eq!(starved.budget.remaining_rows(), Some(0), "a tile ran and was charged");
+        assert_eq!(starved.budget.remaining_rows(), Some(0), "a start ran and was charged");
         let req = EvalRequest { budget: Budget::unlimited(), ..starved };
         assert_eq!(count_distributions(&index, &spec, &req).unwrap().trace, fresh);
     }
@@ -304,9 +278,9 @@ mod tests {
     #[test]
     fn harvested_traffic_replays_into_outer_stage() {
         let (index, spec, starts) = costar_batch();
-        let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+        let req = EvalRequest { starts: &starts, ..Default::default() };
         let alone = count_distributions(&index, &spec, &req).unwrap().trace;
-        assert!(alone.tiles > 1, "{alone:?}");
+        assert_eq!(alone.tiles, 1, "{alone:?}");
         let barrier = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             let runs: Vec<_> = (0..4)

@@ -582,7 +582,7 @@ impl PatternSpec {
             true
         };
         let mut trace =
-            self.evaluate_tile(index, binding, &Budget::unlimited(), false, &mut collect)?;
+            self.walk_starts(index, binding, &Budget::unlimited(), false, &mut collect)?;
         trace.full = 1;
         crate::metrics::fold(&trace);
         let schema = Schema::new((0..self.var_count).map(|v| format!("v{v}")));
@@ -592,21 +592,20 @@ impl PatternSpec {
         ))
     }
 
-    /// One tile of a batched evaluation over `index`: the depth-first
-    /// executor walks [`PatternSpec::plan`] from each start value of
-    /// `binding`, in ascending order, calling `sink.start_done` after
-    /// each start's last instance; either call can stop the walk. The
-    /// **tile boundary** of the budgeted evaluation stack: the budget is
-    /// checked *before* the tile runs (an exhausted budget aborts with
-    /// [`crate::RelError::Aborted`] instead of evaluating) and the tile's
-    /// widest level is charged against the row pool *after* it ends, so a
-    /// tile either runs until it is done or its sink stops it, and is
-    /// paid for, or does not run at all. With `count_tail`, a
-    /// trailing existential is counted rather than enumerated (see
-    /// [`BindingPlan::counted_tail`]). Returns the tile's trace: its
-    /// neighbour-list rows read and peak bindings, but no evaluation or
-    /// tile count (the caller accounts those).
-    pub(crate) fn evaluate_tile(
+    /// The depth-first walk of an evaluation over `index`: the executor
+    /// walks [`PatternSpec::plan`] from each start value of `binding`, in
+    /// ascending order, calling `sink.start_done` after each start's last
+    /// instance; either call can stop the walk. Each start is the **unit
+    /// of preemption** of the budgeted evaluation stack: the budget is
+    /// checked *before* every start (an exhausted budget aborts with
+    /// [`crate::RelError::Aborted`] instead of walking it), and after it
+    /// the walk's growth in peak rows is charged against the row pool, so
+    /// the whole walk is charged its peak rows. An unlimited budget skips
+    /// both. With `count_tail`, a trailing existential is counted rather
+    /// than enumerated (see [`BindingPlan::counted_tail`]). Returns the
+    /// walk's trace: its neighbour-list rows read and peak bindings, but
+    /// no evaluation or tile count (the caller accounts those).
+    pub(crate) fn walk_starts(
         &self,
         index: &EdgeIndex,
         binding: &StartBinding,
@@ -614,7 +613,6 @@ impl PatternSpec {
         count_tail: bool,
         sink: &mut impl Sink,
     ) -> Result<EvalTrace> {
-        budget.check().map_err(RelError::Aborted)?;
         self.validate()?;
         let plan = self.plan(index, binding);
         let starts: Cow<'_, [u64]> = match binding {
@@ -629,14 +627,23 @@ impl PatternSpec {
             }
         };
         let mut walk = Walk::new(index, self, &plan, count_tail);
+        let budgeted = !budget.is_unlimited();
+        let mut charged = 0;
         for &s in starts.iter() {
-            if !walk.start(s, sink) || !sink.start_done(s) {
+            if budgeted {
+                budget.check().map_err(RelError::Aborted)?;
+            }
+            let go_on = walk.start(s, sink) && sink.start_done(s);
+            if budgeted {
+                let peak = walk.peak_rows();
+                budget.charge_rows(peak - charged);
+                charged = peak;
+            }
+            if !go_on {
                 break;
             }
         }
-        let trace = walk.trace();
-        budget.charge_rows(trace.peak_rows);
-        Ok(trace)
+        Ok(walk.trace())
     }
 
     /// Streaming position query: counts end entities whose **distinct**
@@ -673,7 +680,7 @@ impl PatternSpec {
             qualified < limit
         };
         let binding = StartBinding::Const(start);
-        let walked = self.evaluate_tile(index, &binding, &Budget::unlimited(), true, &mut count)?;
+        let walked = self.walk_starts(index, &binding, &Budget::unlimited(), true, &mut count)?;
         let trace = EvalTrace { streaming: 1, ..walked };
         crate::metrics::fold(&trace);
         Ok((qualified, trace))

@@ -274,11 +274,11 @@ pub mod differential {
         group_by_start(&instances, spec)
     }
 
-    /// The same grouping on the **indexed** probe path, untiled: one
-    /// planned evaluation over `index` (the start variable unbound when
-    /// `starts` is `None`), grouped by `(start, end)`. The baseline the
-    /// tiled `count_distributions` path must reproduce, and the only way
-    /// to group an unbound start variable.
+    /// The same grouping on the **indexed** probe path: one planned,
+    /// enumerating evaluation over `index` (the start variable unbound
+    /// when `starts` is `None`), grouped by `(start, end)`. The baseline
+    /// the counting `count_distributions` path must reproduce, and the
+    /// only way to group an unbound start variable.
     pub fn indexed_distributions(
         index: &EdgeIndex,
         spec: &PatternSpec,

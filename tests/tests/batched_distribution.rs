@@ -110,7 +110,7 @@ fn global_ranking_evaluates_once_per_shape() {
                 end: pair.end,
                 explanations: &out.explanations,
             }],
-            &RankPairsConfig { k: 5, threads: 4, row_ceiling: None, ..RankPairsConfig::default() },
+            &RankPairsConfig { k: 5, threads: 4, ..RankPairsConfig::default() },
             ctx.edge_index(),
             ctx.sample_frame(),
             cache,
@@ -164,12 +164,7 @@ fn datagen_rankings_agree_across_engines() {
                     end: pair.end,
                     explanations: &out.explanations,
                 }],
-                &RankPairsConfig {
-                    k: 5,
-                    threads: 3,
-                    row_ceiling: None,
-                    ..RankPairsConfig::default()
-                },
+                &RankPairsConfig { k: 5, threads: 3, ..RankPairsConfig::default() },
                 ctx.edge_index(),
                 ctx.sample_frame(),
                 ctx.distributions(),

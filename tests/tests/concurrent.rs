@@ -73,7 +73,6 @@ fn concurrent_readers_never_observe_torn_epochs() {
         global_samples: 12,
         seed: 5,
         threads: 1,
-        row_ceiling: None,
         ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).unwrap();
@@ -185,7 +184,6 @@ fn injected_maintain_panic_quarantines_and_recovers_without_torn_reads() {
         global_samples: 12,
         seed: 5,
         threads: 1,
-        row_ceiling: None,
         ..RankPairsConfig::default()
     };
     let plan = FaultPlan::seeded(11)
@@ -303,7 +301,6 @@ fn pinned_snapshot_probes_survive_concurrent_flip() {
         global_samples: 10,
         seed: 3,
         threads: 1,
-        row_ceiling: None,
         ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).unwrap();
@@ -371,7 +368,7 @@ proptest! {
         prop_assert!(!explanations.is_empty());
         let starts: Vec<NodeId> = kb.node_ids().collect();
         let cfg = RankPairsConfig {
-            k: 5, global_samples: 8, seed: 2, threads: 1, row_ceiling: None,
+            k: 5, global_samples: 8, seed: 2, threads: 1,
             ..RankPairsConfig::default()
         };
         let state = ServingState::build(&kb, &cfg).unwrap();
@@ -474,7 +471,6 @@ fn ranking_outcomes_count_only_their_own_evaluations() {
         global_samples: 12,
         seed: 5,
         threads: 1,
-        row_ceiling: None,
         ..RankPairsConfig::default()
     };
     let state = ServingState::build(&kb, &cfg).unwrap();

@@ -137,7 +137,7 @@ fn dense_kb() -> KnowledgeBase {
 /// Every scaffold shape over [`dense_kb`] and its 2-copy multigraph: the
 /// batched walk — which counts a trailing existential instead of
 /// enumerating it — and the enumerating walk both match the full-scan
-/// reference, untiled and one start per tile.
+/// reference.
 #[test]
 fn every_shape_matches_reference_on_a_dense_kb() {
     for copies in 1..=2 {
@@ -150,11 +150,9 @@ fn every_shape_matches_reference_on_a_dense_kb() {
             assert!(!expected.is_empty(), "shape {idx} has no instances");
             let unbound = indexed_distributions(&index, &spec, None);
             assert_eq!(unbound, expected, "shape {idx} unbound, {copies} copies");
-            for row_ceiling in [None, Some(0)] {
-                let req = EvalRequest { starts: &starts, row_ceiling, ..Default::default() };
-                let got = count_distributions(&index, &spec, &req).unwrap().per_start;
-                assert_eq!(got, expected, "shape {idx} among, {copies} copies, {row_ceiling:?}");
-            }
+            let req = EvalRequest { starts: &starts, ..Default::default() };
+            let got = count_distributions(&index, &spec, &req).unwrap().per_start;
+            assert_eq!(got, expected, "shape {idx} among, {copies} copies");
         }
     }
 }
@@ -164,10 +162,10 @@ proptest! {
 
     /// The differential invariant: for random KBs, shapes, and start
     /// sets, probe-path counts are byte-identical to full-scan reference
-    /// counts — unbound, `Among` (untiled, one tile per incident start,
-    /// and ceiling-tiled), with start sets that include zero-incident and
-    /// out-of-KB ids — and, on a multigraph holding every edge `copies`
-    /// times, to the counts of the KB holding it once.
+    /// counts — unbound and `Among`, with start sets that include
+    /// zero-incident and out-of-KB ids — and, on a multigraph holding
+    /// every edge `copies` times, to the counts of the KB holding it
+    /// once.
     #[test]
     fn probe_path_matches_full_scan_reference(
         seed in 0u64..6,
@@ -177,7 +175,6 @@ proptest! {
         ),
         shape_idx in 0usize..shape_count(),
         start_sel in proptest::collection::vec(0u64..64, 0..14),
-        ceiling in 1usize..300,
         copies in 1usize..=3,
     ) {
         let mut once = suite_kb(seed);
@@ -195,11 +192,9 @@ proptest! {
         let once_req = EvalRequest { starts: &start_sel, ..Default::default() };
         let once_got = count_distributions(&once_index, &spec, &once_req).unwrap();
         prop_assert_eq!(&once_got.per_start, &expected, "{} copies vs one", copies);
-        for row_ceiling in [None, Some(0), Some(ceiling)] {
-            let req = EvalRequest { starts: &start_sel, row_ceiling, ..Default::default() };
-            let got = count_distributions(&index, &spec, &req).unwrap();
-            prop_assert_eq!(&got.per_start, &expected, "among, ceiling {:?}", row_ceiling);
-        }
+        let req = EvalRequest { starts: &start_sel, ..Default::default() };
+        let got = count_distributions(&index, &spec, &req).unwrap();
+        prop_assert_eq!(&got.per_start, &expected, "among");
     }
 
     /// The delta path: after random mutations, an incrementally

@@ -67,17 +67,12 @@ proptest! {
             (0u8..3, 0usize..1000, 0usize..1000, 0usize..5, any::<bool>()),
             1..24,
         ),
-        tight_ceiling in any::<bool>(),
     ) {
         let mut kb = suite_kb(base_seed);
         let starts: Vec<NodeId> = kb.node_ids().collect();
         let index = EdgeIndex::build(&kb);
         let unlimited = Budget::unlimited();
-        let cache = if tight_ceiling {
-            DistributionCache::with_row_ceiling(8)
-        } else {
-            DistributionCache::new()
-        };
+        let cache = DistributionCache::new();
         let a = kb.require_node("n0").unwrap();
         let b = kb.require_node("n1").unwrap();
         let explanations: Vec<Explanation> =

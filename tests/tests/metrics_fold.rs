@@ -4,10 +4,11 @@
 //! evaluates patterns and differences between two
 //! [`metrics::snapshot`]s are exact: a completed evaluation moves the
 //! totals by precisely the trace it returned, and an aborted one — a
-//! budget stop before the first tile or after some tiles ran — moves
+//! budget stop before the first start or after some starts ran — moves
 //! them by nothing. The ingest queue's peak-depth gauge is exact here
 //! for the same reason.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rex_core::ranking::{
@@ -49,16 +50,15 @@ fn totals_move_by_exactly_the_completed_traces() {
     // keyed by the values bound after it.
     let spec = shape(8);
     let starts: Vec<u64> = (0..kb.node_count() as u64).collect();
-    let req = EvalRequest { starts: &starts, row_ceiling: Some(0), ..Default::default() };
+    let req = EvalRequest { starts: &starts, ..Default::default() };
 
     // A completed batch moves the totals by its returned trace.
     let (done, by) = moved(|| count_distributions(&index, &spec, &req).unwrap());
-    assert_eq!((done.trace.full, done.trace.delta), (1, 0));
-    assert!(done.trace.tiles > 1, "Some(0) tiles every start with rows on its own");
+    assert_eq!((done.trace.full, done.trace.delta, done.trace.tiles), (1, 0, 1));
     assert!(done.trace.rows_probed > 0);
     assert_eq!(by, folded(&done.trace));
 
-    // Cancelled before the first tile: nothing.
+    // Cancelled before the first start: nothing.
     let token = CancelToken::new();
     token.cancel();
     let cancelled = EvalRequest { budget: Budget::unlimited().with_cancel(token), ..req };
@@ -66,12 +66,53 @@ fn totals_move_by_exactly_the_completed_traces() {
     assert!(matches!(err, RelError::Aborted(AbortReason::Cancelled)), "{err}");
     assert_eq!(by, folded(&EvalTrace::default()));
 
-    // A one-row pool: tiles run and drain it, the next tile boundary
-    // aborts — and still nothing.
-    let starved = EvalRequest { budget: Budget::unlimited().with_row_budget(1), ..req };
+    // Cancelled by the check after the first start: the second start
+    // never runs — and nothing.
+    let token = CancelToken::new();
+    let walked = AtomicUsize::new(0);
+    let trip = |_: u64, _: &[u64]| {
+        walked.fetch_add(1, Ordering::Relaxed);
+        token.cancel();
+        true
+    };
+    let tripped = EvalRequest {
+        starts: &starts,
+        budget: Budget::unlimited().with_cancel(token.clone()),
+        after_start: Some(&trip),
+        ..Default::default()
+    };
+    let (err, by) = moved(|| count_distributions(&index, &spec, &tripped).unwrap_err());
+    assert!(matches!(err, RelError::Aborted(AbortReason::Cancelled)), "{err}");
+    assert_eq!(walked.load(Ordering::Relaxed), 1);
+    assert_eq!(by, folded(&EvalTrace::default()));
+
+    // A one-row pool over the starts whose walks bind something: the
+    // first start drains it, the check before the second start aborts —
+    // and still nothing.
+    let binding: Vec<u64> = starts
+        .iter()
+        .copied()
+        .filter(|s| {
+            let one = EvalRequest { starts: std::slice::from_ref(s), ..Default::default() };
+            count_distributions(&index, &spec, &one).unwrap().trace.peak_rows > 0
+        })
+        .collect();
+    assert!(binding.len() > 1, "a multi-start batch");
+    let walked = AtomicUsize::new(0);
+    let count = |_: u64, _: &[u64]| {
+        walked.fetch_add(1, Ordering::Relaxed);
+        true
+    };
+    let starved = EvalRequest {
+        starts: &binding,
+        budget: Budget::unlimited().with_row_budget(1),
+        after_start: Some(&count),
+        ..Default::default()
+    };
     let (err, by) = moved(|| count_distributions(&index, &spec, &starved).unwrap_err());
     assert!(matches!(err, RelError::Aborted(AbortReason::RowBudgetExhausted)), "{err}");
-    assert_eq!(starved.budget.remaining_rows(), Some(0), "a tile ran and was charged");
+    assert_eq!(walked.load(Ordering::Relaxed), 1, "the abort comes at the second start");
+    assert_eq!(starved.budget.remaining_rows(), Some(0), "the first start was charged");
     assert_eq!(by, folded(&EvalTrace::default()));
 
     // A single indexed evaluation moves the totals by its trace.

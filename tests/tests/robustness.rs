@@ -38,37 +38,25 @@ fn enumerate_core(kb: &KnowledgeBase) -> Vec<Explanation> {
 }
 
 fn cfg() -> RankPairsConfig {
-    RankPairsConfig {
-        k: 5,
-        global_samples: 10,
-        seed: 3,
-        threads: 1,
-        row_ceiling: None,
-        ..RankPairsConfig::default()
-    }
+    RankPairsConfig { k: 5, global_samples: 10, seed: 3, threads: 1, ..RankPairsConfig::default() }
 }
 
 /// Everything observable about a [`DistributionCache`] short of walking
 /// its entries: the publication fingerprint (entries are immutable once
 /// published, so an unchanged fingerprint proves nothing was published),
-/// entry count, hit/miss counters, evaluation counters, and tiling
-/// stats. A budgeted call that aborts must leave this tuple
-/// bit-identical.
-#[allow(clippy::type_complexity)]
-fn fingerprint(
-    cache: &DistributionCache,
-) -> (usize, usize, (usize, usize), usize, usize, (usize, usize)) {
+/// entry count, hit/miss counters and evaluation counters. A budgeted
+/// call that aborts must leave this tuple bit-identical.
+fn fingerprint(cache: &DistributionCache) -> (usize, usize, (usize, usize), usize, usize) {
     (
         cache.generation_fingerprint(),
         cache.len(),
         cache.stats(),
         cache.batched_evals(),
         cache.delta_evals(),
-        cache.tiling_stats(),
     )
 }
 
-/// A cancelled budget aborts with the typed reason before any tile runs,
+/// A cancelled budget aborts with the typed reason before any start runs,
 /// and the cache is left byte-identical — then the very same call under
 /// no budget succeeds and *does* move the cache.
 #[test]
@@ -95,9 +83,9 @@ fn cancelled_evaluation_leaves_no_trace() {
 }
 
 /// An already-expired deadline aborts with `DeadlineExpired`; a row
-/// budget too small for a multi-tile batch aborts with
-/// `RowBudgetExhausted` at the next tile boundary. Both leave the cache
-/// untouched.
+/// budget too small for a multi-start batch aborts with
+/// `RowBudgetExhausted` before the start after the one that drained it.
+/// Both leave the cache untouched.
 #[test]
 fn deadline_and_row_budget_abort_with_typed_reasons() {
     let kb = suite_kb(2);
@@ -112,19 +100,16 @@ fn deadline_and_row_budget_abort_with_typed_reasons() {
     assert!(matches!(err, RelError::Aborted(AbortReason::DeadlineExpired)), "{err}");
     assert_eq!(fingerprint(&cache), before);
 
-    // A row ceiling of 1 splits the batch into one tile per start, so a
-    // 1-row budget is exhausted after the first tile's charge and the
-    // second tile's boundary check aborts.
-    let tiny_tiles = DistributionCache::with_row_ceiling(1);
-    let before = fingerprint(&tiny_tiles);
+    // The walk charges a 1-row budget with the bindings of the first
+    // start that makes any, and the check before the next start aborts.
     let starved = Budget::unlimited().with_row_budget(1);
-    let err = tiny_tiles.all_starts(&index, &explanations[0], &starts, &starved).unwrap_err();
+    let err = cache.all_starts(&index, &explanations[0], &starts, &starved).unwrap_err();
     assert!(matches!(err, RelError::Aborted(AbortReason::RowBudgetExhausted)), "{err}");
-    assert_eq!(fingerprint(&tiny_tiles), before);
+    assert_eq!(fingerprint(&cache), before);
 }
 
 /// A whole batch or nothing: a successful read reports its own batch —
-/// one evaluation, every tile — on the returned `BatchRead`, and an
+/// one evaluation, one walk — on the returned `BatchRead`, and an
 /// aborted one returns only the typed error, leaving every counter of
 /// its cache where it was.
 #[test]
@@ -134,14 +119,12 @@ fn aborted_evaluation_publishes_exactly_zero_counter_traffic() {
     let index = EdgeIndex::build(&kb);
     let starts: Vec<NodeId> = kb.node_ids().collect();
 
-    // Success: exactly one batched evaluation, at least one tile.
+    // Success: exactly one batched evaluation, one walk.
     let cache = DistributionCache::new();
     let read = cache.all_starts(&index, &explanations[0], &starts, &Budget::unlimited()).unwrap();
-    let tiles = read.evaluated_tiles.expect("a cold cache evaluates");
-    assert!(tiles >= 1);
-    assert_eq!(tiles, read.batch.trace().tiles);
+    assert_eq!(read.evaluated_tiles, Some(1), "a cold cache evaluates");
+    assert_eq!(read.batch.trace().tiles, 1);
     assert_eq!(cache.batched_evals(), 1, "one batch is one full evaluation");
-    assert_eq!(cache.tiling_stats().0, tiles);
 
     // Abort: the typed error, and a bit-identical cache.
     let token = CancelToken::new();

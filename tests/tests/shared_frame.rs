@@ -1,5 +1,5 @@
 //! Parity and accounting tests for the shared sample frame and the
-//! cost-ordered, memory-bounded workload driver (`rank_pairs`):
+//! cost-ordered workload driver (`rank_pairs`):
 //!
 //! * shared-frame global positions must be **identical** to per-pair
 //!   private-cache positions, including the read-time exclusion semantics
@@ -8,16 +8,13 @@
 //! * the workload-wide batched-evaluation budget is the number of
 //!   distinct canonical shapes across all pairs — strictly fewer than the
 //!   per-pair-cache baseline's Σ per-pair shapes whenever shapes recur;
-//! * tiled `Among` evaluation matches untiled for random tile sizes
-//!   (property test) and bounds peak intermediate rows;
 //! * the bound-pruned pass ranks every pair exactly as the per-pair
-//!   sequential ranker does, for any k, worker count and row ceiling,
-//!   and leaves partial entries that later passes answer or extend.
+//!   sequential ranker does, for any k and worker count, and leaves
+//!   partial entries that later passes answer or extend.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use proptest::prelude::*;
 use rex_core::enumerate::GeneralEnumerator;
 use rex_core::measures::distribution::{global_position, global_position_per_start};
 use rex_core::measures::{DistributionCache, MeasureContext, SampleFrame};
@@ -26,9 +23,7 @@ use rex_core::ranking::{rank_pairs, rank_pairs_with, PairExplanations, RankPairs
 use rex_core::{EnumConfig, Explanation};
 use rex_datagen::{generate, sample_pairs, GeneratorConfig};
 use rex_kb::{KnowledgeBase, NodeId};
-use rex_relstore::engine::{
-    count_distributions, local_count_distribution_indexed, EdgeIndex, EvalRequest,
-};
+use rex_relstore::engine::{local_count_distribution_indexed, EdgeIndex};
 
 /// One pair's enumerated explanations in the shared workload.
 type PreparedPair = (NodeId, NodeId, Vec<Explanation>);
@@ -70,7 +65,6 @@ fn shared_frame_positions_match_private_cache() {
         global_samples: 18,
         seed: 5,
         threads: 2,
-        row_ceiling: Some(256),
         ..RankPairsConfig::default()
     };
     let outcome = rank_pairs(kb, &tasks, &cfg).unwrap();
@@ -157,7 +151,6 @@ fn workload_budget_beats_per_pair_caches() {
         global_samples: 12,
         seed: 9,
         threads: 2,
-        row_ceiling: None,
         ..RankPairsConfig::default()
     };
     let outcome = rank_pairs(kb, &tasks, &cfg).unwrap();
@@ -190,38 +183,6 @@ fn workload_budget_beats_per_pair_caches() {
         let v1: Vec<(usize, f64)> = r1.iter().map(|r| (r.index, r.score)).collect();
         let v2: Vec<(usize, f64)> = r2.iter().map(|r| (r.index, r.score)).collect();
         assert_eq!(v1, v2);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    /// Tiled `Among` evaluation equals untiled for random row ceilings
-    /// and random shapes/starts of the synthetic workload, with the tile
-    /// count the ceiling packing promises and a peak no larger than the
-    /// untiled peak.
-    #[test]
-    fn tiled_among_matches_untiled(
-        pair_idx in 0usize..4,
-        shape_idx in 0usize..16,
-        ceiling in 0usize..400,
-        stride in 1usize..13,
-    ) {
-        let (kb, prepared) = workload();
-        let (_, _, explanations) = &prepared[pair_idx % prepared.len()];
-        let e = &explanations[shape_idx % explanations.len()];
-        let spec = e.pattern.to_spec();
-        static INDEX: OnceLock<EdgeIndex> = OnceLock::new();
-        let index = INDEX.get_or_init(|| EdgeIndex::build(kb));
-        let starts: Vec<u64> = (0..kb.node_count() as u64).step_by(stride).collect();
-        let untiled = EvalRequest { starts: &starts, ..Default::default() };
-        let untiled = count_distributions(index, &spec, &untiled).unwrap();
-        let tiled = EvalRequest { starts: &starts, row_ceiling: Some(ceiling), ..Default::default() };
-        let tiled = count_distributions(index, &spec, &tiled).unwrap();
-        prop_assert_eq!(&tiled.per_start, &untiled.per_start);
-        let packing = index.tile_starts_for_ceiling(&spec, &starts, ceiling);
-        prop_assert_eq!(tiled.trace.tiles, packing.len());
-        prop_assert!(tiled.trace.peak_rows <= untiled.trace.peak_rows);
     }
 }
 
@@ -283,8 +244,7 @@ fn bits(ranking: &[rex_core::ranking::Ranked]) -> Vec<(usize, u64)> {
 }
 
 /// The pruned shared pass against the per-pair sequential ranker. For
-/// every k in {0, 1, 3, 10} and row ceiling in {none, 0, the default},
-/// over a workload whose first pair is listed twice, three passes share
+/// every k in {0, 1, 3, 10}, over a workload whose first pair is listed twice, three passes share
 /// one cache: a cold pass, a second pass at the same k, which must be all
 /// hits, and a third at `k = usize::MAX`, which ranks nothing out and
 /// must extend exactly the partial entries the first pass left. Every
@@ -311,50 +271,42 @@ fn pruned_pass_matches_per_pair_ranking(w: &PrunedWorkload, threads: usize) -> u
             .map(|(t, ctx)| bits(&rank_by_position(t.explanations, ctx, k, Scope::Global, false)))
             .collect()
     };
-    let default_ceiling = RankPairsConfig::default().row_ceiling;
     let mut ranked_out = 0;
     for k in [0, 1, 3, 10] {
-        for row_ceiling in [None, Some(0), default_ceiling] {
-            let cfg = RankPairsConfig {
-                k,
-                global_samples: size,
-                seed,
-                threads,
-                row_ceiling,
-                ..RankPairsConfig::default()
-            };
-            let cache = match row_ceiling {
-                Some(ceiling) => DistributionCache::with_row_ceiling(ceiling),
-                None => DistributionCache::new(),
-            };
-            let case = format!("k {k}, ceiling {row_ceiling:?}, threads {threads}");
-            let check = |outcome: &rex_core::ranking::RankPairsOutcome, k: usize, pass: &str| {
-                let got: Vec<Vec<(usize, u64)>> =
-                    outcome.rankings.iter().map(|r| bits(r)).collect();
-                assert_eq!(got, expected(k), "{case}: {pass} pass");
-                assert!(outcome.shed.is_empty(), "{case}: {pass} pass");
-            };
-            let first = rank_pairs_with(&tasks, &cfg, &w.index, &w.frame, &cache);
-            check(&first, k, "cold");
-            if k > 0 {
-                ranked_out += first.ranked_out;
-            }
-            // The same bounds again: every partial entry is already out.
-            let second = rank_pairs_with(&tasks, &cfg, &w.index, &w.frame, &cache);
-            check(&second, k, "second");
-            assert_eq!(second.batched_evals, 0, "{case}: the second pass must be all hits");
-            assert_eq!(second.ranked_out, first.ranked_out, "{case}: second pass");
-            // No bound: the partial entries, and only they, are extended.
-            let all = RankPairsConfig { k: usize::MAX, ..cfg.clone() };
-            let third = rank_pairs_with(&tasks, &all, &w.index, &w.frame, &cache);
-            check(&third, usize::MAX, "unbounded");
-            assert_eq!(third.ranked_out, 0, "{case}: unbounded pass");
-            assert_eq!(
-                third.batched_evals > 0,
-                first.ranked_out > 0,
-                "{case}: the unbounded pass extends exactly the partial entries"
-            );
+        let cfg = RankPairsConfig {
+            k,
+            global_samples: size,
+            seed,
+            threads,
+            ..RankPairsConfig::default()
+        };
+        let cache = DistributionCache::new();
+        let case = format!("k {k}, threads {threads}");
+        let check = |outcome: &rex_core::ranking::RankPairsOutcome, k: usize, pass: &str| {
+            let got: Vec<Vec<(usize, u64)>> = outcome.rankings.iter().map(|r| bits(r)).collect();
+            assert_eq!(got, expected(k), "{case}: {pass} pass");
+            assert!(outcome.shed.is_empty(), "{case}: {pass} pass");
+        };
+        let first = rank_pairs_with(&tasks, &cfg, &w.index, &w.frame, &cache);
+        check(&first, k, "cold");
+        if k > 0 {
+            ranked_out += first.ranked_out;
         }
+        // The same bounds again: every partial entry is already out.
+        let second = rank_pairs_with(&tasks, &cfg, &w.index, &w.frame, &cache);
+        check(&second, k, "second");
+        assert_eq!(second.batched_evals, 0, "{case}: the second pass must be all hits");
+        assert_eq!(second.ranked_out, first.ranked_out, "{case}: second pass");
+        // No bound: the partial entries, and only they, are extended.
+        let all = RankPairsConfig { k: usize::MAX, ..cfg.clone() };
+        let third = rank_pairs_with(&tasks, &all, &w.index, &w.frame, &cache);
+        check(&third, usize::MAX, "unbounded");
+        assert_eq!(third.ranked_out, 0, "{case}: unbounded pass");
+        assert_eq!(
+            third.batched_evals > 0,
+            first.ranked_out > 0,
+            "{case}: the unbounded pass extends exactly the partial entries"
+        );
     }
     ranked_out
 }
