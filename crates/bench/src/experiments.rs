@@ -375,7 +375,7 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
     let mut attempts = 0;
     while rewired < target {
         let victim = EdgeId(rng.gen_range(0..kb.edge_count()) as u32);
-        let record = *kb.edge(victim);
+        let record = kb.edge(victim);
         attempts += 1;
         // Shape labels are the workload's common labels, so this accepts
         // quickly; the attempt bound keeps pathological workloads total.
@@ -518,13 +518,13 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
     for i in 0..16 {
         let s = b.add_node(&format!("s{i}"), "T");
         let m = b.add_node(&format!("m{i}"), "T");
-        b.add_directed_edge(s, m, "rare");
-        b.add_directed_edge(m, hubs[i % hubs.len()], "hub");
+        b.add_directed_edge(s, m, "rare").expect("three labels");
+        b.add_directed_edge(m, hubs[i % hubs.len()], "hub").expect("three labels");
         starts.push(s.0 as u64);
     }
     for (i, h) in hubs.iter().enumerate() {
         let e = b.add_node(&format!("e{i}"), "T");
-        b.add_directed_edge(*h, e, "sel");
+        b.add_directed_edge(*h, e, "sel").expect("three labels");
     }
     // Hub noise with distinct endpoints on both sides: the naive order
     // scans every one of these rows, while the walk's hub lists, keyed
@@ -532,7 +532,7 @@ pub fn planner_bench(w: &Workload) -> PlannerBench {
     for i in 0..1500 {
         let x = b.add_node(&format!("x{i}"), "T");
         let y = b.add_node(&format!("y{i}"), "T");
-        b.add_directed_edge(x, y, "hub");
+        b.add_directed_edge(x, y, "hub").expect("three labels");
     }
     let kb = b.build();
     let l = |n: &str| kb.label_by_name(n).unwrap().0 as u64;
@@ -728,7 +728,7 @@ pub fn concurrent_bench(w: &Workload, pairs_per_group: usize) -> ConcurrentBench
                         // One small delta: remove + rewired re-insert.
                         let victim = EdgeId(rng.gen_range(0..kb.edge_count()) as u32);
                         kb.remove_edge(victim).expect("edge ids are dense");
-                        let template = *kb.edge(EdgeId(rng.gen_range(0..kb.edge_count()) as u32));
+                        let template = kb.edge(EdgeId(rng.gen_range(0..kb.edge_count()) as u32));
                         let other = NodeId(rng.gen_range(0..kb.node_count()) as u32);
                         kb.insert_edge(template.src, other, template.label, template.directed)
                             .expect("template endpoints exist");
@@ -998,7 +998,7 @@ pub fn robustness_bench(w: &Workload, pairs_per_group: usize, k: usize) -> Robus
             let mut churn = |kb: &mut rex_kb::KnowledgeBase| {
                 let victim = EdgeId(rng.gen_range(0..kb.edge_count()) as u32);
                 kb.remove_edge(victim).expect("edge ids are dense");
-                let template = *kb.edge(EdgeId(rng.gen_range(0..kb.edge_count()) as u32));
+                let template = kb.edge(EdgeId(rng.gen_range(0..kb.edge_count()) as u32));
                 let other = NodeId(rng.gen_range(0..kb.node_count()) as u32);
                 kb.insert_edge(template.src, other, template.label, template.directed)
                     .expect("template endpoints exist");
@@ -1742,7 +1742,7 @@ pub fn incremental_bench(w: &Workload, pairs_per_group: usize, k: usize) -> Incr
     for _ in 0..churn {
         let victim = EdgeId(rng.gen_range(0..kb.edge_count()) as u32);
         kb.remove_edge(victim).expect("edge ids are dense");
-        let template = *kb.edge(EdgeId(rng.gen_range(0..kb.edge_count()) as u32));
+        let template = kb.edge(EdgeId(rng.gen_range(0..kb.edge_count()) as u32));
         let other = NodeId(rng.gen_range(0..kb.node_count()) as u32);
         kb.insert_edge(template.src, other, template.label, template.directed)
             .expect("template endpoints exist");

@@ -616,6 +616,26 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
         posting.dst_keys,
         posting.heap_bytes as f64 / 1024.0
     );
+    let bytes = kb.heap_bytes();
+    let kib = |bytes: usize| bytes as f64 / 1024.0;
+    let per = |bytes: usize, count: usize| bytes as f64 / count.max(1) as f64;
+    let (edges, nodes) = (kb.edge_count(), kb.node_count());
+    outln!(
+        "kb adjacency: {:.1} KiB ({:.1} B per edge, node offsets included)",
+        kib(bytes.adjacency),
+        per(bytes.adjacency, edges)
+    );
+    outln!(
+        "kb edge table: {:.1} KiB ({:.1} B per edge)",
+        kib(bytes.edges),
+        per(bytes.edges, edges)
+    );
+    outln!(
+        "kb node table: {:.1} KiB ({:.1} B per node)",
+        kib(bytes.nodes),
+        per(bytes.nodes, nodes)
+    );
+    outln!("kb names: {:.1} KiB ({:.1} B per node)", kib(bytes.names), per(bytes.names, nodes));
     let cards = rex_kb::stats::label_cardinalities(&kb);
     let mut labels: Vec<(usize, String)> =
         kb.labels().map(|(id, name)| (cards[id.index()], name.to_string())).collect();

@@ -105,17 +105,17 @@ pub fn decorate(
             for nb in kb.neighbors(node) {
                 // Exclude edges into the pattern's own bindings: those are
                 // (or compete with) essential structure.
-                if inst.as_slice().contains(&nb.other) {
+                if inst.as_slice().contains(&nb.other()) {
                     continue;
                 }
-                let key = (nb.label, nb.orientation);
+                let key = (nb.label(), nb.orientation());
                 if seen_here.contains(&key) {
                     continue;
                 }
                 seen_here.push(key);
                 let cand = cands.entry(key).or_default();
                 cand.instances_with += 1;
-                cand.example.get_or_insert(nb.other);
+                cand.example.get_or_insert(nb.other());
             }
         }
         let mut scored: Vec<Decoration> = cands

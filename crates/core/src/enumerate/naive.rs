@@ -131,21 +131,21 @@ impl NaiveEnumerator {
                 let node = inst.get(var);
                 let mut prev: Option<(rex_kb::LabelId, Orientation, NodeId)> = None;
                 for nb in kb.neighbors(node) {
-                    let dedup_key = (nb.label, nb.orientation, nb.other);
+                    let dedup_key = (nb.label(), nb.orientation(), nb.other());
                     if prev == Some(dedup_key) {
                         continue;
                     }
                     prev = Some(dedup_key);
                     // Closing edges: neighbor is bound to some variable.
                     for u in 0..var_count as u8 {
-                        if inst.get(VarId(u)) == nb.other && u != v {
+                        if inst.get(VarId(u)) == nb.other() && u != v {
                             candidates.insert(Candidate::Closing(edge_from(var, VarId(u), nb)));
                         }
                     }
                     // Opening edges: fresh variable, if the size limit and
                     // target-exclusion allow.
-                    if var_count < n && nb.other != vstart && nb.other != vend {
-                        candidates.insert(Candidate::Opening(var, nb.label, nb.orientation));
+                    if var_count < n && nb.other() != vstart && nb.other() != vend {
+                        candidates.insert(Candidate::Opening(var, nb.label(), nb.orientation()));
                     }
                 }
             }
@@ -196,20 +196,20 @@ impl NaiveEnumerator {
                         let node = inst.get(var);
                         let mut prev: Option<(rex_kb::LabelId, Orientation, NodeId)> = None;
                         for nb in kb.neighbors_labeled_oriented(node, label, orientation) {
-                            let dedup_key = (nb.label, nb.orientation, nb.other);
+                            let dedup_key = (nb.label(), nb.orientation(), nb.other());
                             if prev == Some(dedup_key) {
                                 continue;
                             }
                             prev = Some(dedup_key);
                             stats.instance_pairs += 1;
-                            if nb.other == vstart || nb.other == vend {
+                            if nb.other() == vstart || nb.other() == vend {
                                 continue;
                             }
-                            if inst.as_slice().contains(&nb.other) {
+                            if inst.as_slice().contains(&nb.other()) {
                                 continue;
                             }
                             let mut assignment = inst.as_slice().to_vec();
-                            assignment.push(nb.other);
+                            assignment.push(nb.other());
                             instances.push(Instance::new(assignment));
                             if instances.len() >= cap {
                                 break 'insts;
@@ -229,10 +229,10 @@ impl NaiveEnumerator {
 /// Builds the pattern edge for a closing candidate, oriented as seen from
 /// `from` via the adjacency entry `nb`.
 fn edge_from(from: VarId, to: VarId, nb: &Neighbor) -> PatternEdge {
-    match nb.orientation {
-        Orientation::Out => PatternEdge::new(from, to, nb.label, true),
-        Orientation::In => PatternEdge::new(to, from, nb.label, true),
-        Orientation::Undirected => PatternEdge::new(from, to, nb.label, false),
+    match nb.orientation() {
+        Orientation::Out => PatternEdge::new(from, to, nb.label(), true),
+        Orientation::In => PatternEdge::new(to, from, nb.label(), true),
+        Orientation::Undirected => PatternEdge::new(from, to, nb.label(), false),
     }
 }
 

@@ -111,11 +111,11 @@ impl Arena {
             }
             stats.partial_paths += 1;
             for n in dedup_neighbors(kb, t) {
-                if self.contains(i, n.other) {
+                if self.contains(i, n.other()) {
                     continue;
                 }
-                self.node.push(n.other);
-                self.step.push((n.label, orientation_to_dir(n.orientation)));
+                self.node.push(n.other());
+                self.step.push((n.label(), orientation_to_dir(n.orientation())));
                 self.parent.push(i);
             }
         }
@@ -153,7 +153,7 @@ fn flip(d: EdgeDir) -> EdgeDir {
 fn dedup_neighbors(kb: &KnowledgeBase, node: NodeId) -> impl Iterator<Item = &Neighbor> {
     let mut prev: Option<(rex_kb::LabelId, Orientation, NodeId)> = None;
     kb.neighbors(node).iter().filter(move |n| {
-        let key = (n.label, n.orientation, n.other);
+        let key = (n.label(), n.orientation(), n.other());
         if prev == Some(key) {
             false
         } else {
@@ -248,11 +248,11 @@ fn enumerate_naive(
         // Collect to avoid borrowing kb across recursion.
         let nbrs: Vec<Neighbor> = dedup_neighbors(kb, cur).copied().collect();
         for n in nbrs {
-            if nodes.contains(&n.other) {
+            if nodes.contains(&n.other()) {
                 continue;
             }
-            nodes.push(n.other);
-            steps.push((n.label, orientation_to_dir(n.orientation)));
+            nodes.push(n.other());
+            steps.push((n.label(), orientation_to_dir(n.orientation())));
             dfs(kb, vend, l, nodes, steps, out, stats);
             steps.pop();
             nodes.pop();
@@ -470,8 +470,8 @@ mod tests {
         let mut b = rex_kb::KbBuilder::new();
         let s = b.add_node("s", "P");
         let e = b.add_node("e", "P");
-        b.add_directed_edge(s, e, "r");
-        b.add_directed_edge(s, e, "r");
+        b.add_directed_edge(s, e, "r").unwrap();
+        b.add_directed_edge(s, e, "r").unwrap();
         let kb = b.build();
         let mut stats = EnumStats::default();
         let expls =
@@ -506,7 +506,7 @@ mod tests {
         let s = b.add_node("s", "P");
         let e = b.add_node("e", "P");
         let x = b.add_node("x", "P");
-        b.add_directed_edge(s, x, "r");
+        b.add_directed_edge(s, x, "r").unwrap();
         let kb = b.build();
         for algo in [PathAlgo::Naive, PathAlgo::Basic, PathAlgo::Prioritized] {
             let mut stats = EnumStats::default();

@@ -144,16 +144,16 @@ impl Search<'_> {
                         self.saturated = true;
                         return;
                     }
-                    if prev == Some(n.other) {
+                    if prev == Some(n.other()) {
                         continue;
                     }
-                    prev = Some(n.other);
-                    if !self.admissible(e.v, n.other) {
+                    prev = Some(n.other());
+                    if !self.admissible(e.v, n.other()) {
                         continue;
                     }
-                    self.bind(e.v, n.other);
+                    self.bind(e.v, n.other());
                     self.go(depth + 1);
-                    self.unbind(e.v, n.other);
+                    self.unbind(e.v, n.other());
                 }
             }
             (None, Some(v)) => {
@@ -166,16 +166,16 @@ impl Search<'_> {
                         self.saturated = true;
                         return;
                     }
-                    if prev == Some(n.other) {
+                    if prev == Some(n.other()) {
                         continue;
                     }
-                    prev = Some(n.other);
-                    if !self.admissible(e.u, n.other) {
+                    prev = Some(n.other());
+                    if !self.admissible(e.u, n.other()) {
                         continue;
                     }
-                    self.bind(e.u, n.other);
+                    self.bind(e.u, n.other());
                     self.go(depth + 1);
-                    self.unbind(e.u, n.other);
+                    self.unbind(e.u, n.other());
                 }
             }
             (None, None) => {
@@ -387,8 +387,8 @@ mod tests {
         let m1 = b.add_node("m1", "M");
         let m2 = b.add_node("m2", "M");
         for m in [m1, m2] {
-            b.add_directed_edge(s, m, "r");
-            b.add_directed_edge(e, m, "r");
+            b.add_directed_edge(s, m, "r").unwrap();
+            b.add_directed_edge(e, m, "r").unwrap();
         }
         let kb = b.build();
         let r = kb.label_by_name("r").unwrap();

@@ -1493,7 +1493,7 @@ mod tests {
         let shapes = cache.batched_evals();
 
         let epoch0 = kb.epoch();
-        let award = kb.intern_label("awarded");
+        let award = kb.intern_label("awarded").unwrap();
         let oscar = kb.insert_node("a_new_award", "Award");
         kb.insert_edge(a, oscar, award, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();
@@ -1562,7 +1562,7 @@ mod tests {
 
         // Delta on a brand-new label: disjoint from every cached shape.
         let epoch0 = kb.epoch();
-        let award = kb.intern_label("awarded");
+        let award = kb.intern_label("awarded").unwrap();
         let trophy = kb.insert_node("a_trophy", "Award");
         kb.insert_edge(a, trophy, award, true).unwrap();
         let delta = kb.delta_since(epoch0).into_delta().unwrap();

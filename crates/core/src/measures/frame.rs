@@ -241,7 +241,7 @@ mod tests {
         let a = b.add_node("a", "T");
         let c = b.add_node("c", "T");
         b.add_node("isolated", "T"); // degree 0: never sampled
-        b.add_directed_edge(a, c, "r");
+        b.add_directed_edge(a, c, "r").unwrap();
         let kb = b.build();
         let frame = SampleFrame::sample(&kb, 100, 1).unwrap();
         assert_eq!(frame.len(), 100, "direct sampling must fill the frame");
@@ -270,7 +270,7 @@ mod tests {
         let mut b = rex_kb::KbBuilder::new();
         let nodes: Vec<_> = (0..8).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
         for w in nodes.windows(2) {
-            b.add_directed_edge(w[0], w[1], "r");
+            b.add_directed_edge(w[0], w[1], "r").unwrap();
         }
         let mut kb = b.build();
         let frame = SampleFrame::sample(&kb, 6, 4).unwrap();
@@ -295,7 +295,7 @@ mod tests {
         // per (kb, seed, size, epoch), and all-eligible.
         let victim = frame.starts()[0];
         while kb.degree(victim) > 0 {
-            let eid = kb.neighbors(victim)[0].edge;
+            let eid = kb.neighbors(victim)[0].edge();
             kb.remove_edge(eid).unwrap();
         }
         let (redrawn1, flag1) = frame.refresh(&kb).unwrap();
@@ -340,7 +340,7 @@ mod tests {
         let mut b = rex_kb::KbBuilder::new();
         let nodes: Vec<_> = (0..8).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
         for w in nodes.windows(2) {
-            b.add_directed_edge(w[0], w[1], "r");
+            b.add_directed_edge(w[0], w[1], "r").unwrap();
         }
         let mut kb = b.build();
         let frame = SampleFrame::sample(&kb, 30, 4).unwrap();
@@ -360,7 +360,7 @@ mod tests {
 
         let victim = frame.starts()[0];
         while kb.degree(victim) > 0 {
-            let eid = kb.neighbors(victim)[0].edge;
+            let eid = kb.neighbors(victim)[0].edge();
             kb.remove_edge(eid).unwrap();
         }
         let (fresh, redrawn) = frame.refresh(&kb).unwrap();

@@ -148,7 +148,7 @@ mod tests {
         let mut b = rex_kb::KbBuilder::new();
         let nodes: Vec<_> = (0..10).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
         for w in nodes.windows(2) {
-            b.add_directed_edge(w[0], w[1], "r");
+            b.add_directed_edge(w[0], w[1], "r").unwrap();
         }
         let mut kb = b.build();
         let cfg = RankPairsConfig {
@@ -162,7 +162,7 @@ mod tests {
         // Strip a sampled start bare.
         let victim = state.snapshot().frame().starts()[0];
         while kb.degree(victim) > 0 {
-            let eid = kb.neighbors(victim)[0].edge;
+            let eid = kb.neighbors(victim)[0].edge();
             kb.remove_edge(eid).unwrap();
         }
         let maintained = state.maintain(&kb).unwrap();

@@ -37,6 +37,10 @@ impl PaPool {
     }
 }
 
+/// Why the generator's label interning cannot fail: a KB takes 2^30
+/// labels, and interning that many would exhaust memory first.
+const LABELS_FIT: &str = "a generated label universe fits the KB's label limit";
+
 /// Generates a deterministic synthetic entertainment knowledge base from
 /// `config`. See the crate docs for the properties being modeled.
 pub fn generate(config: &GeneratorConfig) -> KnowledgeBase {
@@ -46,11 +50,11 @@ pub fn generate(config: &GeneratorConfig) -> KnowledgeBase {
     // ---- Label universe -------------------------------------------------
     // Core labels first (stable ids across scales), then the Zipf tail.
     for rel in RELS {
-        builder.intern_label(rel.label);
+        builder.intern_label(rel.label).expect(LABELS_FIT);
     }
     let tail_count = config.labels.saturating_sub(RELS.len()).max(1);
     for i in 0..tail_count {
-        builder.intern_label(&tail_label(i));
+        builder.intern_label(&tail_label(i)).expect(LABELS_FIT);
     }
 
     // ---- Nodes -----------------------------------------------------------
@@ -99,9 +103,9 @@ pub fn generate(config: &GeneratorConfig) -> KnowledgeBase {
                 continue;
             }
             if rel.directed {
-                builder.add_directed_edge(src, dst, rel.label);
+                builder.add_directed_edge(src, dst, rel.label).expect(LABELS_FIT);
             } else {
-                builder.add_undirected_edge(src, dst, rel.label);
+                builder.add_undirected_edge(src, dst, rel.label).expect(LABELS_FIT);
             }
         }
     }
@@ -117,7 +121,7 @@ pub fn generate(config: &GeneratorConfig) -> KnowledgeBase {
         if src == dst {
             continue;
         }
-        builder.add_directed_edge(src, dst, label);
+        builder.add_directed_edge(src, dst, label).expect(LABELS_FIT);
     }
 
     builder.build()

@@ -91,14 +91,14 @@ fn bounded_connectedness(
                 return;
             }
             ctx.steps_left -= 1;
-            if n.other == ctx.target {
+            if n.other() == ctx.target {
                 ctx.count += 1;
                 continue;
             }
-            if budget > 1 && !ctx.on_path[n.other.index()] {
-                ctx.on_path[n.other.index()] = true;
-                rec(ctx, n.other, budget - 1);
-                ctx.on_path[n.other.index()] = false;
+            if budget > 1 && !ctx.on_path[n.other().index()] {
+                ctx.on_path[n.other().index()] = true;
+                rec(ctx, n.other(), budget - 1);
+                ctx.on_path[n.other().index()] = false;
             }
         }
     }
@@ -164,7 +164,7 @@ pub fn sample_pairs(
             if nbrs.is_empty() {
                 break;
             }
-            cur = nbrs[rng.gen_range(0..nbrs.len())].other;
+            cur = nbrs[rng.gen_range(0..nbrs.len())].other();
         }
         let end = cur;
         if end == start || result.iter().any(|p| p.start == start && p.end == end) {

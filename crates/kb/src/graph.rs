@@ -8,9 +8,20 @@
 //! [`Orientation`](crate::Orientation) telling how the edge is seen from
 //! that endpoint.
 //!
-//! Per-node adjacency is sorted by `(label, orientation, other)`, so
-//! label-restricted scans — the hot operation of path enumeration and
+//! Per-node adjacency is sorted by `(label, orientation, other, edge)`,
+//! so label-restricted scans — the hot operation of path enumeration and
 //! pattern matching — are a binary search plus a contiguous slice walk.
+//!
+//! Every edge is stored three times: once in the edge table and once in
+//! each endpoint's adjacency. Each copy takes 12 bytes. A [`Neighbor`]
+//! keeps its label id and its orientation's 2-bit code in one `u32`
+//! word (`label << 2 | code`), beside the other endpoint and the edge id,
+//! so comparing the words compares `(label, orientation)` and the
+//! adjacency order is the order of `(word, other, edge)`. The edge table
+//! keeps the direction bit below the label the same way
+//! (`label << 1 | directed`). The packing caps label ids below
+//! [`LABEL_LIMIT`] (2^30). A node record is its entity type alone, 4
+//! bytes, since a node's id is its name's id.
 //!
 //! The store is bulk-built through [`crate::KbBuilder`] but no longer
 //! frozen: the **mutation API** ([`KnowledgeBase::insert_edge`],
@@ -25,15 +36,15 @@
 use rayon::prelude::*;
 
 use crate::delta::{DeltaOp, DeltaSince, KbDelta, LogEntry};
-use crate::ids::{EdgeId, LabelId, NodeId, Orientation, TypeId};
+use crate::ids::{EdgeId, LabelId, NodeId, Orientation, TypeId, LABEL_LIMIT};
 use crate::interner::Interner;
 use crate::{KbError, Result};
 
-/// A node (entity) of the knowledge base.
+/// A node (entity) of the knowledge base. Its name needs no field: a
+/// node's id is its name's interned id (resolve it with
+/// [`KnowledgeBase::node_name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeRecord {
-    /// Interned entity name (resolve via [`KnowledgeBase::node_name`]).
-    pub name: u32,
     /// The entity type (e.g. `Person`, `Movie`).
     pub ty: TypeId,
 }
@@ -72,7 +83,8 @@ impl KbSnapshot {
     }
 }
 
-/// An edge (primary relationship) of the knowledge base.
+/// An edge (primary relationship) of the knowledge base, as
+/// [`KnowledgeBase::edge`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRecord {
     /// Source endpoint (arbitrary endpoint for undirected edges).
@@ -85,17 +97,154 @@ pub struct EdgeRecord {
     pub directed: bool,
 }
 
+/// An edge as the edge table stores it: its endpoints, and its label id
+/// and direction bit in one word (`label << 1 | directed`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StoredEdge {
+    src: NodeId,
+    dst: NodeId,
+    word: u32,
+}
+
+impl StoredEdge {
+    /// Packs an edge.
+    ///
+    /// # Panics
+    /// When the label id is not below [`LABEL_LIMIT`].
+    #[inline]
+    pub(crate) fn new(src: NodeId, dst: NodeId, label: LabelId, directed: bool) -> StoredEdge {
+        assert!(label.0 < LABEL_LIMIT, "label id {} is past the label limit", label.0);
+        StoredEdge { src, dst, word: label.0 << 1 | u32::from(directed) }
+    }
+
+    /// The edge's fields.
+    #[inline]
+    pub(crate) fn record(self) -> EdgeRecord {
+        EdgeRecord {
+            src: self.src,
+            dst: self.dst,
+            label: LabelId(self.word >> 1),
+            directed: self.word & 1 == 1,
+        }
+    }
+}
+
 /// One adjacency entry: an incident edge seen from a particular endpoint.
+///
+/// Entries are 12 bytes: the label id and the orientation's code share
+/// one word (`label << 2 | code`), beside the other endpoint and the edge
+/// id. Entries order by `(label, orientation, other, edge)`, which is the
+/// order of `(word, other, edge)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Neighbor {
-    /// Relationship label (first so that derived ordering groups by label).
-    pub label: LabelId,
+    word: u32,
+    other: NodeId,
+    edge: EdgeId,
+}
+
+impl Neighbor {
+    /// The entry of `edge`, labeled `label`, seen with `orientation`, and
+    /// leading to `other`.
+    ///
+    /// # Panics
+    /// When the label id is not below [`LABEL_LIMIT`].
+    #[inline]
+    pub fn new(label: LabelId, orientation: Orientation, other: NodeId, edge: EdgeId) -> Neighbor {
+        assert!(label.0 < LABEL_LIMIT, "label id {} is past the label limit", label.0);
+        Neighbor { word: label.0 << 2 | u32::from(orientation.code()), other, edge }
+    }
+
+    /// Relationship label.
+    #[inline]
+    pub fn label(&self) -> LabelId {
+        LabelId(self.word >> 2)
+    }
+
     /// How the edge is oriented relative to the owning node.
-    pub orientation: Orientation,
+    #[inline]
+    pub fn orientation(&self) -> Orientation {
+        Orientation::from_low_bits(self.word)
+    }
+
     /// The opposite endpoint.
-    pub other: NodeId,
+    #[inline]
+    pub fn other(&self) -> NodeId {
+        self.other
+    }
+
     /// The underlying edge.
-    pub edge: EdgeId,
+    #[inline]
+    pub fn edge(&self) -> EdgeId {
+        self.edge
+    }
+
+    /// The `(label, orientation, other, edge)` order as one integer.
+    #[inline]
+    fn sort_key(&self) -> u128 {
+        u128::from(self.word) << 64 | u128::from(self.other.0) << 32 | u128::from(self.edge.0)
+    }
+}
+
+impl Ord for Neighbor {
+    fn cmp(&self, other: &Neighbor) -> std::cmp::Ordering {
+        self.sort_key().cmp(&other.sort_key())
+    }
+}
+
+impl PartialOrd for Neighbor {
+    fn partial_cmp(&self, other: &Neighbor) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The word that an entry labeled `label` and seen with `orientation`
+/// holds, widened so that a label id past [`LABEL_LIMIT`] stays apart
+/// from every entry's word.
+#[inline]
+fn probe_word(label: LabelId, orientation: Orientation) -> u64 {
+    u64::from(label.0) << 2 | u64::from(orientation.code())
+}
+
+// Every edge costs one edge record and two adjacency entries (one for a
+// self-loop), and every node one node record.
+const _: () = assert!(std::mem::size_of::<Neighbor>() == 12);
+const _: () = assert!(std::mem::size_of::<StoredEdge>() == 12);
+const _: () = assert!(std::mem::size_of::<NodeRecord>() == 4);
+
+/// Interns `name` in the label table `labels`, which holds at most
+/// `limit` labels: a label it holds keeps its id, and a new label is
+/// refused with [`KbError::LabelLimit`] once it is full. Every path that
+/// interns a label checks it here against [`LABEL_LIMIT`].
+pub(crate) fn intern_label_within(
+    labels: &mut Interner,
+    name: &str,
+    limit: u32,
+) -> Result<LabelId> {
+    let hash = labels.hash(name);
+    if let Some(id) = labels.get_hashed(name, hash) {
+        return Ok(LabelId(id));
+    }
+    if labels.len() >= limit as usize {
+        return Err(KbError::LabelLimit(name.to_string()));
+    }
+    Ok(LabelId(labels.intern_hashed(name, hash)))
+}
+
+/// Heap bytes of the tables that hold a knowledge base's nodes and edges,
+/// from [`KnowledgeBase::heap_bytes`]. Each counts what its allocations
+/// hold (capacity, not length).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KbHeapBytes {
+    /// The adjacency: an entry per edge endpoint (one per self-loop) and
+    /// an offset per node.
+    pub adjacency: usize,
+    /// The edge table: a record per edge.
+    pub edges: usize,
+    /// The node table: a record per node.
+    pub nodes: usize,
+    /// The entity names interner: the names' text, where each ends, and
+    /// its hash table.
+    pub names: usize,
 }
 
 /// The knowledge base. Bulk-construct with [`crate::KbBuilder`]; mutate
@@ -107,13 +256,13 @@ pub struct Neighbor {
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     pub(crate) nodes: Vec<NodeRecord>,
-    pub(crate) edges: Vec<EdgeRecord>,
+    pub(crate) edges: Vec<StoredEdge>,
     pub(crate) names: Interner,
     pub(crate) types: Interner,
     pub(crate) labels: Interner,
     /// CSR offsets into `adj`; length is `nodes.len() + 1`.
     pub(crate) adj_offsets: Vec<u32>,
-    /// Per-node adjacency, sorted by `(label, orientation, other)`.
+    /// Per-node adjacency, sorted by `(label, orientation, other, edge)`.
     pub(crate) adj: Vec<Neighbor>,
     /// Monotonically increasing update counter; 0 for a fresh build.
     pub(crate) epoch: u64,
@@ -136,7 +285,7 @@ impl KnowledgeBase {
     /// their lengths.
     pub(crate) fn assemble(
         mut nodes: Vec<NodeRecord>,
-        mut edges: Vec<EdgeRecord>,
+        mut edges: Vec<StoredEdge>,
         mut names: Interner,
         mut types: Interner,
         mut labels: Interner,
@@ -194,14 +343,14 @@ impl KnowledgeBase {
 
     /// The edge record for `id`.
     #[inline]
-    pub fn edge(&self, id: EdgeId) -> &EdgeRecord {
-        &self.edges[id.index()]
+    pub fn edge(&self, id: EdgeId) -> EdgeRecord {
+        self.edges[id.index()].record()
     }
 
-    /// The entity name of `id`.
+    /// The entity name of `id`: the name whose interned id is `id`.
     #[inline]
     pub fn node_name(&self, id: NodeId) -> &str {
-        self.names.resolve(self.nodes[id.index()].name)
+        self.names.resolve(id.0)
     }
 
     /// The type name of `id`'s entity type.
@@ -250,7 +399,7 @@ impl KnowledgeBase {
     }
 
     /// All adjacency entries of `node`, sorted by `(label, orientation,
-    /// other)`.
+    /// other, edge)`.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[Neighbor] {
         let lo = self.adj_offsets[node.index()] as usize;
@@ -262,8 +411,8 @@ impl KnowledgeBase {
     /// to the sort order; found by binary search).
     pub fn neighbors_labeled(&self, node: NodeId, label: LabelId) -> &[Neighbor] {
         let all = self.neighbors(node);
-        let lo = all.partition_point(|n| n.label < label);
-        let hi = all.partition_point(|n| n.label <= label);
+        let lo = all.partition_point(|n| n.label() < label);
+        let hi = all.partition_point(|n| n.label() <= label);
         &all[lo..hi]
     }
 
@@ -274,10 +423,11 @@ impl KnowledgeBase {
         label: LabelId,
         orientation: Orientation,
     ) -> &[Neighbor] {
-        let labeled = self.neighbors_labeled(node, label);
-        let lo = labeled.partition_point(|n| n.orientation < orientation);
-        let hi = labeled.partition_point(|n| n.orientation <= orientation);
-        &labeled[lo..hi]
+        let all = self.neighbors(node);
+        let word = probe_word(label, orientation);
+        let lo = all.partition_point(|n| u64::from(n.word) < word);
+        let hi = all.partition_point(|n| u64::from(n.word) <= word);
+        &all[lo..hi]
     }
 
     /// Whether there exists at least one edge `(u, v)` with the given label
@@ -298,6 +448,19 @@ impl KnowledgeBase {
             from_u.binary_search_by(|n| n.other.cmp(&v)).is_ok()
         } else {
             from_v.binary_search_by(|n| n.other.cmp(&u)).is_ok()
+        }
+    }
+
+    /// Heap bytes of the adjacency, the edge table, the node table and
+    /// the entity names — the tables whose size grows with the KB.
+    pub fn heap_bytes(&self) -> KbHeapBytes {
+        use std::mem::size_of;
+        KbHeapBytes {
+            adjacency: self.adj.capacity() * size_of::<Neighbor>()
+                + self.adj_offsets.capacity() * size_of::<u32>(),
+            edges: self.edges.capacity() * size_of::<StoredEdge>(),
+            nodes: self.nodes.capacity() * size_of::<NodeRecord>(),
+            names: self.names.heap_bytes(),
         }
     }
 
@@ -379,8 +542,10 @@ impl KnowledgeBase {
     }
 
     /// Interns a relationship label (existing labels return their id).
-    pub fn intern_label(&mut self, label: &str) -> LabelId {
-        LabelId(self.labels.intern(label))
+    /// A new label is refused with [`KbError::LabelLimit`] once the KB
+    /// holds [`LABEL_LIMIT`] labels.
+    pub fn intern_label(&mut self, label: &str) -> Result<LabelId> {
+        intern_label_within(&mut self.labels, label, LABEL_LIMIT)
     }
 
     /// Inserts (or finds) a node with the given unique name and type —
@@ -394,7 +559,7 @@ impl KnowledgeBase {
         }
         let ty = TypeId(self.types.intern(ty));
         let id = NodeId(name_id);
-        self.nodes.push(NodeRecord { name: name_id, ty });
+        self.nodes.push(NodeRecord { ty });
         // A fresh node has an empty adjacency slice.
         let end = *self.adj_offsets.last().expect("offsets are never empty");
         self.adj_offsets.push(end);
@@ -425,15 +590,11 @@ impl KnowledgeBase {
         }
         let eid = EdgeId(self.edges.len() as u32);
         let record = EdgeRecord { src, dst, label, directed };
-        self.edges.push(record);
-        let (fwd, bwd) = if directed {
-            (Orientation::Out, Orientation::In)
-        } else {
-            (Orientation::Undirected, Orientation::Undirected)
-        };
-        self.adj_insert(src, Neighbor { label, orientation: fwd, other: dst, edge: eid });
+        self.edges.push(StoredEdge::new(src, dst, label, directed));
+        let [fwd, bwd] = entries(&record, eid);
+        self.adj_insert(src, fwd);
         if src != dst {
-            self.adj_insert(dst, Neighbor { label, orientation: bwd, other: src, edge: eid });
+            self.adj_insert(dst, bwd);
         }
         self.epoch += 1;
         self.log.push(LogEntry { epoch: self.epoch, op: DeltaOp::InsertEdge(record) });
@@ -442,7 +603,8 @@ impl KnowledgeBase {
     }
 
     /// [`KnowledgeBase::insert_edge`] by label string, interning the
-    /// label when new.
+    /// label when new: refused with [`KbError::LabelLimit`] when the KB
+    /// holds [`LABEL_LIMIT`] labels already.
     pub fn insert_edge_named(
         &mut self,
         src: NodeId,
@@ -450,7 +612,7 @@ impl KnowledgeBase {
         label: &str,
         directed: bool,
     ) -> Result<EdgeId> {
-        let label = self.intern_label(label);
+        let label = self.intern_label(label)?;
         self.insert_edge(src, dst, label, directed)
     }
 
@@ -462,21 +624,11 @@ impl KnowledgeBase {
         if id.index() >= self.edges.len() {
             return Err(KbError::Parse(format!("edge id {} out of range", id.0)));
         }
-        let record = self.edges[id.index()];
-        let (fwd, bwd) = if record.directed {
-            (Orientation::Out, Orientation::In)
-        } else {
-            (Orientation::Undirected, Orientation::Undirected)
-        };
-        self.adj_remove(
-            record.src,
-            Neighbor { label: record.label, orientation: fwd, other: record.dst, edge: id },
-        );
+        let record = self.edges[id.index()].record();
+        let [fwd, bwd] = entries(&record, id);
+        self.adj_remove(record.src, fwd);
         if record.src != record.dst {
-            self.adj_remove(
-                record.dst,
-                Neighbor { label: record.label, orientation: bwd, other: record.src, edge: id },
-            );
+            self.adj_remove(record.dst, bwd);
         }
         let last = EdgeId((self.edges.len() - 1) as u32);
         self.edges.swap_remove(id.index());
@@ -485,34 +637,14 @@ impl KnowledgeBase {
             // re-thread its adjacency entries. Remove + reinsert keeps
             // parallel-edge runs (equal label/orientation/other) sorted
             // by the edge-id tiebreaker.
-            let moved = self.edges[id.index()];
-            let (mfwd, mbwd) = if moved.directed {
-                (Orientation::Out, Orientation::In)
-            } else {
-                (Orientation::Undirected, Orientation::Undirected)
-            };
-            self.adj_remove(
-                moved.src,
-                Neighbor { label: moved.label, orientation: mfwd, other: moved.dst, edge: last },
-            );
-            self.adj_insert(
-                moved.src,
-                Neighbor { label: moved.label, orientation: mfwd, other: moved.dst, edge: id },
-            );
+            let moved = self.edges[id.index()].record();
+            let ([old_fwd, old_bwd], [new_fwd, new_bwd]) =
+                (entries(&moved, last), entries(&moved, id));
+            self.adj_remove(moved.src, old_fwd);
+            self.adj_insert(moved.src, new_fwd);
             if moved.src != moved.dst {
-                self.adj_remove(
-                    moved.dst,
-                    Neighbor {
-                        label: moved.label,
-                        orientation: mbwd,
-                        other: moved.src,
-                        edge: last,
-                    },
-                );
-                self.adj_insert(
-                    moved.dst,
-                    Neighbor { label: moved.label, orientation: mbwd, other: moved.src, edge: id },
-                );
+                self.adj_remove(moved.dst, old_bwd);
+                self.adj_insert(moved.dst, new_bwd);
             }
         }
         self.epoch += 1;
@@ -647,9 +779,7 @@ impl KnowledgeBase {
     fn adj_insert(&mut self, node: NodeId, n: Neighbor) {
         let lo = self.adj_offsets[node.index()] as usize;
         let hi = self.adj_offsets[node.index() + 1] as usize;
-        let pos = self.adj[lo..hi].partition_point(|x| {
-            (x.label, x.orientation, x.other, x.edge) < (n.label, n.orientation, n.other, n.edge)
-        });
+        let pos = self.adj[lo..hi].partition_point(|x| *x < n);
         self.adj.insert(lo + pos, n);
         for off in &mut self.adj_offsets[node.index() + 1..] {
             *off += 1;
@@ -660,26 +790,20 @@ impl KnowledgeBase {
     fn adj_remove(&mut self, node: NodeId, n: Neighbor) {
         let lo = self.adj_offsets[node.index()] as usize;
         let hi = self.adj_offsets[node.index() + 1] as usize;
-        let key = (n.label, n.orientation, n.other, n.edge);
-        let pos = self.adj[lo..hi]
-            .binary_search_by(|x| (x.label, x.orientation, x.other, x.edge).cmp(&key))
-            .expect("adjacency entry for an existing edge");
+        let pos = self.adj[lo..hi].binary_search(&n).expect("adjacency entry for an existing edge");
         self.adj.remove(lo + pos);
         for off in &mut self.adj_offsets[node.index() + 1..] {
             *off -= 1;
         }
     }
 
-    /// Debug check: every node's name id is its own id, and per-node
-    /// adjacency is sorted and consistent with the edge table. Used by
-    /// tests; not on any hot path.
+    /// Debug check: every node has exactly one name (its id's), and
+    /// per-node adjacency is sorted and consistent with the edge table.
+    /// Used by tests; not on any hot path.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<()> {
         if self.names.len() != self.nodes.len() {
             return Err(KbError::Parse("names table length".into()));
-        }
-        if let Some((v, n)) = self.nodes.iter().enumerate().find(|&(v, n)| n.name as usize != v) {
-            return Err(KbError::Parse(format!("node {v} carries name id {}", n.name)));
         }
         if self.adj_offsets.len() != self.nodes.len() + 1 {
             return Err(KbError::Parse("offset table length".into()));
@@ -690,26 +814,35 @@ impl KnowledgeBase {
         }
         for v in 0..self.nodes.len() {
             let slice = self.neighbors(NodeId(v as u32));
-            let sorted = slice.windows(2).all(|w| {
-                (w[0].label, w[0].orientation, w[0].other, w[0].edge)
-                    <= (w[1].label, w[1].orientation, w[1].other, w[1].edge)
-            });
+            let sorted = slice.windows(2).all(|w| w[0] <= w[1]);
             if !sorted {
                 return Err(KbError::Parse(format!("adjacency of node {v} unsorted")));
             }
             for n in slice {
-                let e = self.edges.get(n.edge.index()).copied().ok_or_else(|| {
+                let e = self.edges.get(n.edge.index()).map(|e| e.record()).ok_or_else(|| {
                     KbError::Parse(format!("dangling edge id {} at node {v}", n.edge.0))
                 })?;
                 let me = NodeId(v as u32);
                 let ok = (e.src == me && e.dst == n.other) || (e.dst == me && e.src == n.other);
-                if !ok || e.label != n.label {
+                if !ok || e.label != n.label() {
                     return Err(KbError::Parse(format!("adjacency of node {v} disagrees")));
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The adjacency entries of edge `edge`, whose fields are `e`: the one
+/// `e.src` holds, then the one `e.dst` holds (a self-loop keeps only the
+/// first).
+fn entries(e: &EdgeRecord, edge: EdgeId) -> [Neighbor; 2] {
+    let (fwd, bwd) = if e.directed {
+        (Orientation::Out, Orientation::In)
+    } else {
+        (Orientation::Undirected, Orientation::Undirected)
+    };
+    [Neighbor::new(e.label, fwd, e.dst, edge), Neighbor::new(e.label, bwd, e.src, edge)]
 }
 
 /// Builds the CSR adjacency for a frozen node/edge set. Shared by the
@@ -725,7 +858,7 @@ impl KnowledgeBase {
 /// width builds the same arrays.
 pub(crate) fn build_adjacency(
     node_count: usize,
-    edges: &[EdgeRecord],
+    edges: &[StoredEdge],
 ) -> (Vec<u32>, Vec<Neighbor>) {
     let mut offsets = vec![0u32; node_count + 1];
     for e in edges {
@@ -738,15 +871,8 @@ pub(crate) fn build_adjacency(
         offsets[v + 1] += offsets[v];
     }
     let total = offsets[node_count] as usize;
-    let mut adj = vec![
-        Neighbor {
-            label: LabelId(0),
-            orientation: Orientation::Undirected,
-            other: NodeId(0),
-            edge: EdgeId(0),
-        };
-        total
-    ];
+    let unset = Neighbor { word: 0, other: NodeId(0), edge: EdgeId(0) };
+    let mut adj = vec![unset; total];
     let width = rayon::current_num_threads().clamp(1, node_count.max(1));
     let mut ranges = Vec::with_capacity(width);
     let (mut rest, mut first) = (adj.as_mut_slice(), 0);
@@ -775,7 +901,7 @@ fn fill_range(
     nodes: std::ops::Range<usize>,
     slice: &mut [Neighbor],
     offsets: &[u32],
-    edges: &[EdgeRecord],
+    edges: &[StoredEdge],
 ) {
     let base = offsets[nodes.start];
     let mut cursor: Vec<u32> = offsets[nodes.clone()].iter().map(|&o| o - base).collect();
@@ -786,27 +912,16 @@ fn fill_range(
         }
     };
     for (i, e) in edges.iter().enumerate() {
-        let edge = EdgeId(i as u32);
-        let (fwd, bwd) = if e.directed {
-            (Orientation::Out, Orientation::In)
-        } else {
-            (Orientation::Undirected, Orientation::Undirected)
-        };
-        put(e.src, Neighbor { label: e.label, orientation: fwd, other: e.dst, edge });
+        let e = e.record();
+        let [fwd, bwd] = entries(&e, EdgeId(i as u32));
+        put(e.src, fwd);
         if e.src != e.dst {
-            put(e.dst, Neighbor { label: e.label, orientation: bwd, other: e.src, edge });
+            put(e.dst, bwd);
         }
     }
-    // One 128-bit key compares faster than the four fields one by one.
-    let key = |n: &Neighbor| {
-        (n.label.0 as u128) << 96
-            | (n.orientation.code() as u128) << 64
-            | (n.other.0 as u128) << 32
-            | n.edge.0 as u128
-    };
     for v in nodes {
         let (lo, hi) = ((offsets[v] - base) as usize, (offsets[v + 1] - base) as usize);
-        slice[lo..hi].sort_unstable_by_key(key);
+        slice[lo..hi].sort_unstable_by_key(Neighbor::sort_key);
     }
 }
 
@@ -821,9 +936,9 @@ mod tests {
         let a = b.add_node("a", "Person");
         let m = b.add_node("m", "Movie");
         let c = b.add_node("c", "Person");
-        b.add_directed_edge(a, m, "starring");
-        b.add_directed_edge(c, m, "starring");
-        b.add_undirected_edge(a, c, "spouse");
+        b.add_directed_edge(a, m, "starring").unwrap();
+        b.add_directed_edge(c, m, "starring").unwrap();
+        b.add_undirected_edge(a, c, "spouse").unwrap();
         b.build()
     }
 
@@ -851,16 +966,16 @@ mod tests {
 
         let a_star = kb.neighbors_labeled(a, starring);
         assert_eq!(a_star.len(), 1);
-        assert_eq!(a_star[0].orientation, Orientation::Out);
-        assert_eq!(a_star[0].other, m);
+        assert_eq!(a_star[0].orientation(), Orientation::Out);
+        assert_eq!(a_star[0].other(), m);
 
         let m_star = kb.neighbors_labeled(m, starring);
         assert_eq!(m_star.len(), 2);
-        assert!(m_star.iter().all(|n| n.orientation == Orientation::In));
+        assert!(m_star.iter().all(|n| n.orientation() == Orientation::In));
 
         let a_spouse = kb.neighbors_labeled(a, spouse);
         assert_eq!(a_spouse.len(), 1);
-        assert_eq!(a_spouse[0].orientation, Orientation::Undirected);
+        assert_eq!(a_spouse[0].orientation(), Orientation::Undirected);
     }
 
     #[test]
@@ -887,11 +1002,11 @@ mod tests {
         // Hub has a long `r` slice; `lone` a single entry.
         for i in 0..50 {
             let x = b.add_node(&format!("x{i}"), "T");
-            b.add_directed_edge(hub, x, "r");
+            b.add_directed_edge(hub, x, "r").unwrap();
         }
-        b.add_directed_edge(hub, lone, "r");
-        b.add_undirected_edge(hub, lone, "s");
-        b.add_directed_edge(lone, lone, "r");
+        b.add_directed_edge(hub, lone, "r").unwrap();
+        b.add_undirected_edge(hub, lone, "s").unwrap();
+        b.add_directed_edge(lone, lone, "r").unwrap();
         let kb = b.build();
         let r = kb.label_by_name("r").unwrap();
         let s = kb.label_by_name("s").unwrap();
@@ -914,7 +1029,7 @@ mod tests {
                     let expect = kb
                         .neighbors(u)
                         .iter()
-                        .any(|n| n.label == r && n.orientation == o && n.other == v);
+                        .any(|n| n.label() == r && n.orientation() == o && n.other() == v);
                     assert_eq!(kb.has_edge(u, v, r, o), expect, "{u} {v} {o:?}");
                 }
             }
@@ -950,7 +1065,7 @@ mod tests {
     fn self_loop_counts_once() {
         let mut b = KbBuilder::new();
         let a = b.add_node("a", "T");
-        b.add_undirected_edge(a, a, "self");
+        b.add_undirected_edge(a, a, "self").unwrap();
         let kb = b.build();
         assert_eq!(kb.degree(a), 1);
     }
@@ -1128,7 +1243,7 @@ mod tests {
     fn mutation_self_loops() {
         let mut b = KbBuilder::new();
         let a = b.add_node("a", "T");
-        b.add_undirected_edge(a, a, "self");
+        b.add_undirected_edge(a, a, "self").unwrap();
         let mut kb = b.build();
         let l = kb.label_by_name("self").unwrap();
         let e = kb.insert_edge(a, a, l, true).unwrap();
@@ -1153,7 +1268,7 @@ mod tests {
             b.add_node(&format!("n{i}"), "T");
         }
         for l in ["r", "s", "t"] {
-            b.intern_label(l);
+            b.intern_label(l).unwrap();
         }
         let mut kb = b.build();
         // Deterministic pseudo-random walk of inserts and removes.
@@ -1179,24 +1294,27 @@ mod tests {
             b2.add_node(kb.node_name(id), kb.node_type_name(id));
         }
         for (_, l) in kb.labels() {
-            b2.intern_label(l);
+            b2.intern_label(l).unwrap();
         }
         for eid in kb.edge_ids() {
             let e = kb.edge(eid);
             let l = kb.label_name(e.label);
             if e.directed {
-                b2.add_directed_edge(e.src, e.dst, l);
+                b2.add_directed_edge(e.src, e.dst, l).unwrap();
             } else {
-                b2.add_undirected_edge(e.src, e.dst, l);
+                b2.add_undirected_edge(e.src, e.dst, l).unwrap();
             }
         }
         let fresh = b2.build();
         assert_eq!(fresh.edge_count(), kb.edge_count());
         for v in kb.node_ids() {
             let a: Vec<_> =
-                kb.neighbors(v).iter().map(|n| (n.label, n.orientation, n.other)).collect();
-            let f: Vec<_> =
-                fresh.neighbors(v).iter().map(|n| (n.label, n.orientation, n.other)).collect();
+                kb.neighbors(v).iter().map(|n| (n.label(), n.orientation(), n.other())).collect();
+            let f: Vec<_> = fresh
+                .neighbors(v)
+                .iter()
+                .map(|n| (n.label(), n.orientation(), n.other()))
+                .collect();
             assert_eq!(a, f, "adjacency of {v}");
         }
     }
@@ -1206,8 +1324,8 @@ mod tests {
         let mut b = KbBuilder::new();
         let a = b.add_node("a", "T");
         let c = b.add_node("c", "T");
-        b.add_directed_edge(a, c, "knows");
-        b.add_directed_edge(a, c, "knows");
+        b.add_directed_edge(a, c, "knows").unwrap();
+        b.add_directed_edge(a, c, "knows").unwrap();
         let kb = b.build();
         let knows = kb.label_by_name("knows").unwrap();
         assert_eq!(kb.neighbors_labeled(a, knows).len(), 2);
@@ -1228,9 +1346,9 @@ mod tests {
             let (src, dst) = (nodes[(x >> 33) as usize % 30], nodes[(x >> 17) as usize % 30]);
             let label = ["a", "b", "c"][(x >> 8) as usize % 3];
             if x & 1 == 0 {
-                b.add_directed_edge(src, dst, label);
+                b.add_directed_edge(src, dst, label).unwrap();
             } else {
-                b.add_undirected_edge(src, dst, label);
+                b.add_undirected_edge(src, dst, label).unwrap();
             }
         }
         let kb = b.build();
@@ -1243,5 +1361,103 @@ mod tests {
             assert_eq!(built, expected, "width {width}");
         }
         assert_eq!((kb.adj_offsets, kb.adj), expected);
+    }
+
+    /// The packing constructors keep every field at the largest label id
+    /// that fits, and the `(label, orientation, other, edge)` order.
+    #[test]
+    fn packing_round_trips_up_to_the_label_limit() {
+        let top = LabelId(LABEL_LIMIT - 1);
+        let (other, edge) = (NodeId(u32::MAX), EdgeId(u32::MAX - 1));
+        for o in [Orientation::Out, Orientation::In, Orientation::Undirected] {
+            let n = Neighbor::new(top, o, other, edge);
+            assert_eq!((n.label(), n.orientation(), n.other(), n.edge()), (top, o, other, edge));
+        }
+        for directed in [false, true] {
+            let e = StoredEdge::new(other, NodeId(0), top, directed);
+            let record = EdgeRecord { src: other, dst: NodeId(0), label: top, directed };
+            assert_eq!(e.record(), record);
+        }
+        let entries = [
+            Neighbor::new(LabelId(1), Orientation::Out, NodeId(9), EdgeId(9)),
+            Neighbor::new(LabelId(1), Orientation::In, NodeId(0), EdgeId(0)),
+            Neighbor::new(LabelId(1), Orientation::Undirected, NodeId(0), EdgeId(0)),
+            Neighbor::new(LabelId(2), Orientation::Out, NodeId(0), EdgeId(5)),
+            Neighbor::new(LabelId(2), Orientation::Out, NodeId(1), EdgeId(0)),
+            Neighbor::new(LabelId(2), Orientation::Out, NodeId(1), EdgeId(1)),
+            Neighbor::new(top, Orientation::Out, NodeId(0), EdgeId(0)),
+        ];
+        for w in entries.windows(2) {
+            let key = |n: &Neighbor| (n.label(), n.orientation(), n.other(), n.edge());
+            assert!(w[0] < w[1] && key(&w[0]) < key(&w[1]), "{w:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the label limit")]
+    fn adjacency_entries_refuse_a_label_past_the_limit() {
+        Neighbor::new(LabelId(LABEL_LIMIT), Orientation::Out, NodeId(0), EdgeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the label limit")]
+    fn edge_records_refuse_a_label_past_the_limit() {
+        StoredEdge::new(NodeId(0), NodeId(1), LabelId(LABEL_LIMIT), true);
+    }
+
+    /// A full label table refuses each new label, naming it, and still
+    /// resolves the labels it holds; below the limit labels intern as
+    /// usual.
+    #[test]
+    fn interning_refuses_the_first_label_past_the_limit() {
+        let mut labels = Interner::new();
+        assert_eq!(intern_label_within(&mut labels, "a", 2), Ok(LabelId(0)));
+        assert_eq!(intern_label_within(&mut labels, "b", 2), Ok(LabelId(1)));
+        assert_eq!(intern_label_within(&mut labels, "c", 2), Err(KbError::LabelLimit("c".into())));
+        assert_eq!(intern_label_within(&mut labels, "b", 2), Ok(LabelId(1)));
+        assert_eq!(intern_label_within(&mut labels, "a", 2), Ok(LabelId(0)));
+        assert_eq!(labels.len(), 2);
+        let mut empty = Interner::new();
+        assert_eq!(intern_label_within(&mut empty, "a", 0), Err(KbError::LabelLimit("a".into())));
+        assert!(empty.is_empty());
+        assert_eq!(intern_label_within(&mut labels, "c", LABEL_LIMIT), Ok(LabelId(2)));
+    }
+
+    /// A label id past the packing limit finds nothing, rather than the
+    /// entries of the label its low 30 bits name.
+    #[test]
+    fn lookups_past_the_label_limit_find_nothing() {
+        let kb = tiny();
+        let a = kb.require_node("a").unwrap();
+        let m = kb.require_node("m").unwrap();
+        let starring = kb.label_by_name("starring").unwrap();
+        let aliased = LabelId(LABEL_LIMIT + starring.0);
+        assert_eq!(kb.find_edge(a, m, starring, true), Some(EdgeId(0)));
+        assert_eq!(kb.find_edge(a, m, aliased, true), None);
+        assert!(!kb.has_edge(a, m, aliased, Orientation::Out));
+        assert!(kb.neighbors_labeled(a, aliased).is_empty());
+    }
+
+    /// `heap_bytes` counts 12 bytes per adjacency entry and edge record
+    /// and 4 per node record and adjacency offset, on a KB sized to its
+    /// tables; batches that remove edges before inserting as many, as
+    /// the ingest writer's do, leave every table at that size.
+    #[test]
+    fn heap_bytes_counts_each_table() {
+        let mut kb = tiny();
+        let bytes = kb.heap_bytes();
+        assert_eq!(bytes.adjacency, 6 * 12 + 4 * 4);
+        assert_eq!(bytes.edges, 3 * 12);
+        assert_eq!(bytes.nodes, 3 * 4);
+        assert_eq!(bytes.names, kb.names.heap_bytes());
+        assert!(bytes.names >= "amc".len());
+        let (a, c) = (kb.require_node("a").unwrap(), kb.require_node("c").unwrap());
+        for round in 0..6 {
+            let removed = kb.remove_edge(EdgeId(round % 3)).unwrap();
+            let (src, dst) = if round % 2 == 0 { (a, c) } else { (removed.dst, removed.src) };
+            kb.insert_edge(src, dst, removed.label, round % 4 != 0).unwrap();
+            assert_eq!(kb.heap_bytes(), bytes, "round {round}");
+        }
+        kb.check_invariants().unwrap();
     }
 }

@@ -14,8 +14,16 @@ pub struct NodeId(pub u32);
 pub struct EdgeId(pub u32);
 
 /// Identifier of an interned relationship label (e.g. `starring`).
+/// Label ids are below [`LABEL_LIMIT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelId(pub u32);
+
+/// How many relationship labels a knowledge base can hold: 2^30. An
+/// adjacency entry keeps its label id and its orientation's 2-bit code in
+/// one `u32`, so a label id must fit in 30 bits. Every path that interns
+/// a label refuses the next new label once a KB holds this many, with
+/// [`crate::KbError::LabelLimit`].
+pub const LABEL_LIMIT: u32 = 1 << 30;
 
 /// Identifier of an interned entity type (e.g. `Person`, `Movie`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,6 +114,18 @@ impl Orientation {
             Orientation::Out => 0,
             Orientation::In => 1,
             Orientation::Undirected => 2,
+        }
+    }
+
+    /// The orientation whose code is `bits & 3`; the unused code 3 reads
+    /// as [`Orientation::Undirected`]. For packed words that only ever
+    /// hold a real code.
+    #[inline]
+    pub(crate) fn from_low_bits(bits: u32) -> Orientation {
+        match bits & 3 {
+            0 => Orientation::Out,
+            1 => Orientation::In,
+            _ => Orientation::Undirected,
         }
     }
 

@@ -133,6 +133,13 @@ impl Interner {
         self.ends.shrink_to_fit();
     }
 
+    /// Heap bytes held: the strings' text, where each ends, and the table.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.text.capacity()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+
     /// The string storage's capacity and length, in bytes and strings.
     #[cfg(test)]
     pub(crate) fn storage(&self) -> [(usize, usize); 2] {

@@ -23,9 +23,14 @@
 //! The binary snapshot is a straightforward length-prefixed encoding used to
 //! cache generated benchmark KBs between runs; it is not a stability
 //! guarantee (a magic/version header guards against skew). Its names table
-//! lists exactly one name per node, in node order: [`decode_binary`]
-//! rejects a node record whose name id is not its own index and a names
-//! table longer than the node list.
+//! lists exactly one name per node, in node order, and each node record
+//! repeats its own index as its name id: [`decode_binary`] rejects a node
+//! record whose name id is not its own index and a names table longer
+//! than the node list.
+//!
+//! Both readers, like every other path that interns a label, refuse a KB
+//! of more than [`LABEL_LIMIT`] labels with [`KbError::LabelLimit`]
+//! naming the first label past the limit.
 
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
@@ -34,8 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rayon::prelude::*;
 
-use crate::graph::{EdgeRecord, KnowledgeBase, NodeRecord};
-use crate::ids::{LabelId, NodeId, TypeId};
+use crate::graph::{intern_label_within, KnowledgeBase, NodeRecord, StoredEdge};
+use crate::ids::{LabelId, NodeId, TypeId, LABEL_LIMIT};
 use crate::interner::Interner;
 use crate::{KbError, Result};
 
@@ -86,11 +91,14 @@ const BLOCK_BYTES: usize = 8 << 20;
 ///    defined by a later line of the block is not found, as it would not
 ///    be when reading line by line. A label the KB already holds keeps
 ///    its id; each chunk numbers the others in a first-use table of its
-///    own. Each chunk writes its edges into its own stretch of the KB's
-///    edge table.
+///    own, and a line whose number would reach [`LABEL_LIMIT`] is bad.
+///    Each chunk writes its edges into its own stretch of the KB's edge
+///    table.
 /// 4. *In order*, the chunks' label tables are merged, so label ids
 ///    follow the labels' first use in the file, and the edges of a chunk
-///    whose numbers differ from the merged ones are renumbered.
+///    whose numbers differ from the merged ones are renumbered. A merge
+///    that would pass [`LABEL_LIMIT`] refuses the first label past it,
+///    as a line-at-a-time read does.
 ///
 /// The error returned is the one on the first bad line, with the same
 /// [`KbError`] and message as a line-at-a-time read, and the reader
@@ -103,17 +111,19 @@ const BLOCK_BYTES: usize = 8 << 20;
 /// line that crosses its end) and each chunk's lists of node and edge
 /// lines: transient memory grows with the block size, not the file's.
 pub fn read_tsv<R: BufRead>(input: R) -> Result<KnowledgeBase> {
-    read_tsv_in_blocks(input, BLOCK_BYTES)
+    read_tsv_in_blocks(input, BLOCK_BYTES, LABEL_LIMIT)
 }
 
-/// [`read_tsv`] with blocks of `block_bytes` bytes: tests move the block
-/// edges with it.
+/// [`read_tsv`] with blocks of `block_bytes` bytes, taking at most
+/// `label_limit` labels: tests move the block edges and the label limit
+/// with it.
 pub(crate) fn read_tsv_in_blocks<R: Read>(
     mut input: R,
     block_bytes: usize,
+    label_limit: u32,
 ) -> Result<KnowledgeBase> {
     assert!(block_bytes > 0, "a block holds at least one byte");
-    let mut loader = Loader::new(rayon::current_num_threads());
+    let mut loader = Loader::new(rayon::current_num_threads(), label_limit);
     let mut buf = Vec::new();
     loop {
         let filled = fill_block(&mut input, &mut buf, block_bytes);
@@ -167,10 +177,12 @@ fn fill_block<R: Read>(input: &mut R, buf: &mut Vec<u8>, block_bytes: usize) -> 
 /// with a node's id its name's id as in [`crate::KbBuilder`].
 struct Loader {
     nodes: Vec<NodeRecord>,
-    edges: Vec<EdgeRecord>,
+    edges: Vec<StoredEdge>,
     names: Interner,
     types: Interner,
     labels: Interner,
+    /// The most labels the KB takes ([`LABEL_LIMIT`] outside tests).
+    label_limit: u32,
     /// One per worker; kept across blocks so their buffers are reused.
     chunks: Vec<Chunk>,
     /// The block offset of the line that defined each node new in this
@@ -219,6 +231,7 @@ enum Fault {
     MissingLabel,
     NameNotFound(String),
     BadDirection(String),
+    LabelLimit(String),
 }
 
 impl Fault {
@@ -228,6 +241,7 @@ impl Fault {
                 return KbError::Parse("I/O error: stream did not contain valid UTF-8".into())
             }
             Fault::NameNotFound(name) => return KbError::NameNotFound(name),
+            Fault::LabelLimit(label) => return KbError::LabelLimit(label),
             Fault::UnknownTag(tag) => format!("unknown record tag {tag:?}"),
             Fault::MissingNodeName => "missing node name".into(),
             Fault::MissingSrc => "missing src".into(),
@@ -278,13 +292,14 @@ impl NewNodes<'_> {
 }
 
 impl Loader {
-    fn new(width: usize) -> Loader {
+    fn new(width: usize, label_limit: u32) -> Loader {
         Loader {
             nodes: Vec::new(),
             edges: Vec::new(),
             names: Interner::new(),
             types: Interner::new(),
             labels: Interner::new(),
+            label_limit,
             chunks: (0..width.max(1)).map(|_| Chunk::default()).collect(),
             defined_at: Vec::new(),
             first_line: 1,
@@ -322,7 +337,7 @@ impl Loader {
                 let id = self.names.intern_hashed(line.name.get(text), line.hash);
                 if id as usize == self.nodes.len() {
                     let ty = line.ty.map_or("Entity", |ty| ty.get(text));
-                    self.nodes.push(NodeRecord { name: id, ty: TypeId(self.types.intern(ty)) });
+                    self.nodes.push(NodeRecord { ty: TypeId(self.types.intern(ty)) });
                     self.defined_at.push(chunk.start + line.at);
                 }
             }
@@ -333,8 +348,7 @@ impl Loader {
         let base = self.edges.len();
         let edge_lines = chunks.iter().map(|c| c.edge_lines.len()).sum();
         self.edges.reserve_exact(edge_lines);
-        let unset =
-            EdgeRecord { src: NodeId(0), dst: NodeId(0), label: LabelId(0), directed: false };
+        let unset = StoredEdge::new(NodeId(0), NodeId(0), LabelId(0), false);
         self.edges.resize(base + edge_lines, unset);
         let mut jobs = Vec::with_capacity(chunks.len());
         let mut rest = &mut self.edges[base..];
@@ -345,26 +359,33 @@ impl Loader {
         }
         let new = NewNodes { first, defined_at: &self.defined_at };
         let (names, known) = (&self.names, &self.labels);
+        let limit = self.label_limit;
         let new_labels: Vec<Interner> = jobs
             .par_iter_mut()
-            .map(|(chunk, text, out)| chunk.resolve(text, out, names, &new, known))
+            .map(|(chunk, text, out)| chunk.resolve(text, out, names, &new, known, limit))
             .collect();
-        for (chunk, _, _) in &mut jobs {
+
+        // Step 4, chunk by chunk: a chunk numbered its new labels from the
+        // KB's label count; the first chunk's numbers are the merged ones.
+        // A chunk's labels come from lines before its first bad line, so
+        // a label past the limit is reported before that line's fault.
+        let known = self.labels.len() as u32;
+        for ((chunk, _, edges), labels) in jobs.iter_mut().zip(new_labels) {
+            let ids = labels
+                .iter()
+                .map(|(_, l)| intern_label_within(&mut self.labels, l, limit))
+                .collect::<Result<Vec<LabelId>>>()?;
             if let Some((at, fault)) = chunk.fault.take() {
                 let before = block[chunk.start..chunk.start + at].iter().filter(|&&b| b == b'\n');
                 return Err(fault.at_line(self.first_line + before.count()));
             }
             self.first_line += chunk.lines;
-        }
-
-        // Step 4: a chunk numbered its new labels from the KB's label
-        // count; the first chunk's numbers are the merged ones.
-        let known = self.labels.len() as u32;
-        for ((_, _, edges), labels) in jobs.iter_mut().zip(new_labels) {
-            let ids: Vec<u32> = labels.iter().map(|(_, l)| self.labels.intern(l)).collect();
-            if ids.iter().zip(known..).any(|(&id, local)| id != local) {
-                for e in edges.iter_mut().filter(|e| e.label.0 >= known) {
-                    e.label = LabelId(ids[(e.label.0 - known) as usize]);
+            if ids.iter().zip(known..).any(|(id, local)| id.0 != local) {
+                for e in edges.iter_mut() {
+                    let r = e.record();
+                    if let Some(local) = r.label.0.checked_sub(known) {
+                        *e = StoredEdge::new(r.src, r.dst, ids[local as usize], r.directed);
+                    }
                 }
             }
         }
@@ -426,19 +447,22 @@ impl Chunk {
     /// Step 3: writes the edges of the chunk's edge lines to `out`, up to
     /// the first bad line. Returns the labels that `known` (the KB's) does
     /// not hold, in first-use order; the edges number them from
-    /// `known.len()`.
+    /// `known.len()`. A label numbered `label_limit` or more is a bad
+    /// line: the merged number is no lower.
     fn resolve(
         &mut self,
         text: &str,
-        out: &mut [EdgeRecord],
+        out: &mut [StoredEdge],
         names: &Interner,
         new: &NewNodes<'_>,
         known: &Interner,
+        label_limit: u32,
     ) -> Interner {
         let mut labels = known.with_same_hasher();
         for (&line, slot) in self.edge_lines.iter().zip(out) {
             let at = self.start + line.start;
-            match parse_edge(line.get(text), at, names, new, known, &mut labels) {
+            let edge = parse_edge(line.get(text), at, names, new, known, &mut labels, label_limit);
+            match edge {
                 Ok(edge) => *slot = edge,
                 Err(fault) => {
                     self.fault = Some((line.start, fault));
@@ -452,7 +476,7 @@ impl Chunk {
 
 /// Parses the edge line at block offset `at` and resolves its endpoints.
 /// A label that `known` lacks is interned in `labels` and numbered from
-/// `known.len()`.
+/// `known.len()`, unless that number reaches `label_limit`.
 fn parse_edge(
     line: &str,
     at: usize,
@@ -460,7 +484,8 @@ fn parse_edge(
     new: &NewNodes<'_>,
     known: &Interner,
     labels: &mut Interner,
-) -> std::result::Result<EdgeRecord, Fault> {
+    label_limit: u32,
+) -> std::result::Result<StoredEdge, Fault> {
     let [src, dst, label, dir] = edge_fields(line);
     let src = src.ok_or(Fault::MissingSrc)?;
     let dst = dst.ok_or(Fault::MissingDst)?;
@@ -475,11 +500,17 @@ fn parse_edge(
         other => return Err(Fault::BadDirection(other.to_string())),
     };
     let hash = known.hash(label);
-    let label = match known.get_hashed(label, hash) {
+    let id = match known.get_hashed(label, hash) {
         Some(id) => id,
-        None => known.len() as u32 + labels.intern_hashed(label, hash),
+        None => {
+            let room = (label_limit as usize).saturating_sub(known.len());
+            if labels.get_hashed(label, hash).is_none() && labels.len() >= room {
+                return Err(Fault::LabelLimit(label.to_string()));
+            }
+            known.len() as u32 + labels.intern_hashed(label, hash)
+        }
     };
-    Ok(EdgeRecord { src, dst, label: LabelId(label), directed })
+    Ok(StoredEdge::new(src, dst, LabelId(id), directed))
 }
 
 /// The first four fields of an edge line after its tag (source,
@@ -602,12 +633,12 @@ pub fn encode_binary(kb: &KnowledgeBase) -> Bytes {
     put_interner(&mut buf, &kb.types);
     put_interner(&mut buf, &kb.labels);
     buf.put_u32_le(kb.node_count() as u32);
-    for n in &kb.nodes {
-        buf.put_u32_le(n.name);
+    for (name, n) in kb.nodes.iter().enumerate() {
+        buf.put_u32_le(name as u32);
         buf.put_u32_le(n.ty.0);
     }
     buf.put_u32_le(kb.edge_count() as u32);
-    for e in &kb.edges {
+    for e in kb.edges.iter().map(|e| e.record()) {
         buf.put_u32_le(e.src.0);
         buf.put_u32_le(e.dst.0);
         buf.put_u32_le(e.label.0);
@@ -632,6 +663,9 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
     let names = get_interner(&mut buf)?;
     let types = get_interner(&mut buf)?;
     let labels = get_interner(&mut buf)?;
+    if labels.len() > LABEL_LIMIT as usize {
+        return Err(KbError::LabelLimit(labels.resolve(LABEL_LIMIT).to_string()));
+    }
     if buf.remaining() < 4 {
         return Err(KbError::Parse("truncated node count".into()));
     }
@@ -659,7 +693,7 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
         if name as usize != i {
             return Err(KbError::Parse(format!("node {i} carries name id {name}")));
         }
-        nodes.push(NodeRecord { name, ty });
+        nodes.push(NodeRecord { ty });
     }
     if buf.remaining() < 4 {
         return Err(KbError::Parse("truncated edge count".into()));
@@ -683,7 +717,7 @@ pub fn decode_binary(mut buf: Bytes) -> Result<KnowledgeBase> {
         if label.index() >= labels.len() {
             return Err(KbError::Parse("edge label out of range".into()));
         }
-        edges.push(EdgeRecord { src, dst, label, directed });
+        edges.push(StoredEdge::new(src, dst, label, directed));
     }
     Ok(KnowledgeBase::assemble(nodes, edges, names, types, labels))
 }
@@ -700,9 +734,9 @@ mod tests {
     /// are ignored. Node lines must precede the edges that
     /// reference them. A line that is not UTF-8 fails with the error
     /// `BufRead::lines` reports, and trailing whitespace (a CRLF's `\r`
-    /// included) is trimmed.
-    fn read_tsv_lines<R: BufRead>(mut input: R) -> Result<KnowledgeBase> {
-        let mut builder = KbBuilder::new();
+    /// included) is trimmed. Takes at most `label_limit` labels.
+    fn read_tsv_lines<R: BufRead>(mut input: R, label_limit: u32) -> Result<KnowledgeBase> {
+        let mut builder = KbBuilder::new().with_label_limit(label_limit);
         let mut buf = Vec::new();
         let mut lineno = 0usize;
         loop {
@@ -749,8 +783,8 @@ mod tests {
                         .node_by_name(dst)
                         .ok_or_else(|| KbError::NameNotFound(dst.to_string()))?;
                     match dir {
-                        "d" => builder.add_directed_edge(src, dst, label),
-                        "u" => builder.add_undirected_edge(src, dst, label),
+                        "d" => builder.add_directed_edge(src, dst, label)?,
+                        "u" => builder.add_undirected_edge(src, dst, label)?,
                         other => {
                             return Err(KbError::Parse(format!(
                                 "line {lineno}: bad direction flag {other:?} (want \"d\" or \"u\")"
@@ -958,12 +992,12 @@ mod tests {
         let decoded = decode_binary(encode_binary(&built)).unwrap();
         let mut b = KbBuilder::with_capacity(100, 100);
         let (x, y) = (b.add_node("x", "T"), b.add_node("y", "T"));
-        b.add_directed_edge(x, y, "r");
+        b.add_directed_edge(x, y, "r").unwrap();
         let kbs = [
             built,
             b.build(),
             read_tsv(std::io::Cursor::new(&tsv)).unwrap(),
-            read_tsv_in_blocks(std::io::Cursor::new(&tsv), 7).unwrap(),
+            read_tsv_in_blocks(std::io::Cursor::new(&tsv), 7, LABEL_LIMIT).unwrap(),
             decoded,
         ];
         for kb in &kbs {
@@ -1083,6 +1117,30 @@ mod tests {
         })
     }
 
+    /// Reads `text`, failing once `left` bytes are read, line by line and
+    /// in blocks at widths 1, 2, 3 and 7 and of `blocks` bytes and of
+    /// [`BLOCK_BYTES`], both readers taking at most `label_limit` labels,
+    /// and asserts that every read builds the same KB (byte for byte,
+    /// adjacency included) or returns the same error.
+    fn assert_readers_agree(text: &[u8], left: usize, blocks: &[usize], label_limit: u32) {
+        let source = || FailAfter { data: text, left };
+        let pool = |width| rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+        let lines = || read_tsv_lines(std::io::BufReader::new(source()), label_limit);
+        let expected = pool(1).install(|| outcome(lines()));
+        for width in [1, 2, 3, 7] {
+            for &block in blocks.iter().chain([&BLOCK_BYTES]) {
+                let got = pool(width)
+                    .install(|| outcome(read_tsv_in_blocks(source(), block, label_limit)));
+                assert_eq!(
+                    got,
+                    expected,
+                    "width {width}, block {block} bytes, text {:?}",
+                    String::from_utf8_lossy(text)
+                );
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 48, ..Default::default() })]
 
@@ -1100,20 +1158,27 @@ mod tests {
             (blocks, fail_after) in (proptest::collection::vec(1usize..=64, 2), 0usize..2048),
         ) {
             let text = tsv_text(&specs, (fault, fault_at), open_end);
-            let fails = fault == 9;
-            let left = if fails { fail_after % (text.len() + 1) } else { usize::MAX };
-            let source = || FailAfter { data: &text, left };
-            let pool = |width| rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-            let expected = pool(1).install(|| outcome(read_tsv_lines(std::io::BufReader::new(source()))));
-            for width in [1, 2, 3, 7] {
-                for &block in blocks.iter().chain([&BLOCK_BYTES]) {
-                    let got = pool(width).install(|| outcome(read_tsv_in_blocks(source(), block)));
-                    proptest::prop_assert_eq!(
-                        &got, &expected, "width {}, block {} bytes, text {:?}", width, block,
-                        String::from_utf8_lossy(&text)
-                    );
-                }
-            }
+            let left = if fault == 9 { fail_after % (text.len() + 1) } else { usize::MAX };
+            assert_readers_agree(&text, left, &blocks, LABEL_LIMIT);
+        }
+
+        /// The same, with both readers taking at most 0-5 labels (the
+        /// texts use five), so a read meets the label limit: the block
+        /// reader refuses the label the line reader refuses first,
+        /// whichever chunk holds it and whatever bad line follows.
+        #[test]
+        fn block_reader_matches_line_reader_at_label_limits(
+            specs in proptest::collection::vec(
+                (0u8..9, 0usize..64, 0usize..64, 0u8..8, proptest::prelude::any::<bool>()),
+                0..40,
+            ),
+            (fault, fault_at, open_end) in (0u8..10, 0usize..64, proptest::prelude::any::<bool>()),
+            (blocks, fail_after) in (proptest::collection::vec(1usize..=64, 2), 0usize..2048),
+            limit in 0u32..6,
+        ) {
+            let text = tsv_text(&specs, (fault, fault_at), open_end);
+            let left = if fault == 9 { fail_after % (text.len() + 1) } else { usize::MAX };
+            assert_readers_agree(&text, left, &blocks, limit);
         }
     }
 }

@@ -44,8 +44,8 @@ pub mod wal;
 
 pub use builder::KbBuilder;
 pub use delta::{DeltaOp, DeltaSince, KbDelta};
-pub use graph::{EdgeRecord, KbSnapshot, KnowledgeBase, Neighbor, NodeRecord};
-pub use ids::{EdgeId, LabelId, NodeId, Orientation, TypeId};
+pub use graph::{EdgeRecord, KbHeapBytes, KbSnapshot, KnowledgeBase, Neighbor, NodeRecord};
+pub use ids::{EdgeId, LabelId, NodeId, Orientation, TypeId, LABEL_LIMIT};
 pub use interner::Interner;
 pub use wal::{
     CheckpointCrash, CheckpointReceipt, CommitReceipt, DurableKb, RecoveryReport, SyncPolicy,
@@ -63,6 +63,9 @@ pub enum KbError {
     NameNotFound(String),
     /// The TSV/binary input was malformed.
     Parse(String),
+    /// A new relationship label was refused: the KB already holds
+    /// [`LABEL_LIMIT`] labels. Carries the refused label.
+    LabelLimit(String),
     /// A durability-layer file operation failed (WAL append, fsync,
     /// checkpoint write) — includes injected fault crashes.
     Io(String),
@@ -80,6 +83,9 @@ impl std::fmt::Display for KbError {
             KbError::UnknownNode(id) => write!(f, "unknown node id: {id}"),
             KbError::NameNotFound(name) => write!(f, "name not found: {name}"),
             KbError::Parse(msg) => write!(f, "parse error: {msg}"),
+            KbError::LabelLimit(label) => {
+                write!(f, "label {label:?} refused: a KB holds at most 2^30 relationship labels")
+            }
             KbError::Io(msg) => write!(f, "i/o error: {msg}"),
             KbError::Replay(msg) => write!(f, "replay error: {msg}"),
         }

@@ -118,6 +118,10 @@ const AWARDS: &[(&str, &str)] = &[
 /// `spouse` (undirected), `genre` (movie → genre, directed), `won`
 /// (person → award, directed).
 pub fn entertainment() -> KnowledgeBase {
+    build_entertainment().expect("the toy KB has six labels")
+}
+
+fn build_entertainment() -> crate::Result<KnowledgeBase> {
     let mut b = KbBuilder::new();
     for a in ACTORS {
         b.add_node(a, "Person");
@@ -128,33 +132,33 @@ pub fn entertainment() -> KnowledgeBase {
     for (movie, director, cast) in MOVIES {
         let m = b.add_node(movie, "Movie");
         let d = b.add_node(director, "Person");
-        b.add_directed_edge(m, d, "directed_by");
+        b.add_directed_edge(m, d, "directed_by")?;
         for actor in *cast {
             let a = b.add_node(actor, "Person");
-            b.add_directed_edge(a, m, "starring");
+            b.add_directed_edge(a, m, "starring")?;
         }
     }
     for (person, movie) in PRODUCED {
         let p = b.add_node(person, "Person");
         let m = b.add_node(movie, "Movie");
-        b.add_directed_edge(p, m, "produced");
+        b.add_directed_edge(p, m, "produced")?;
     }
     for (a, c) in SPOUSES {
         let a = b.add_node(a, "Person");
         let c = b.add_node(c, "Person");
-        b.add_undirected_edge(a, c, "spouse");
+        b.add_undirected_edge(a, c, "spouse")?;
     }
     for (movie, genre) in GENRES {
         let m = b.add_node(movie, "Movie");
         let g = b.add_node(genre, "Genre");
-        b.add_directed_edge(m, g, "genre");
+        b.add_directed_edge(m, g, "genre")?;
     }
     for (person, award) in AWARDS {
         let p = b.add_node(person, "Person");
         let a = b.add_node(award, "Award");
-        b.add_directed_edge(p, a, "won");
+        b.add_directed_edge(p, a, "won")?;
     }
-    b.build()
+    Ok(b.build())
 }
 
 /// The five designated evaluation pairs of §5.4.1, by entity name:
@@ -202,7 +206,7 @@ mod tests {
         let movies: Vec<_> = kb
             .neighbors_labeled(bp, starring)
             .iter()
-            .filter(|n| kb.neighbors_labeled(n.other, starring).iter().any(|m| m.other == aj))
+            .filter(|n| kb.neighbors_labeled(n.other(), starring).iter().any(|m| m.other() == aj))
             .collect();
         assert_eq!(movies.len(), 1);
     }

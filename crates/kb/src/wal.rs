@@ -324,7 +324,7 @@ pub fn net_edge_multisets(
 pub fn apply_batch(kb: &mut KnowledgeBase, batch: &WalBatch) -> Result<usize> {
     let mut ops = 0usize;
     for label in &batch.new_labels {
-        kb.intern_label(label);
+        kb.intern_label(label)?;
         ops += 1;
     }
     for (name, ty) in &batch.new_nodes {
@@ -1122,7 +1122,7 @@ mod tests {
         let mut d =
             DurableKb::create(toy::entertainment(), &ckpt, &wal, SyncPolicy::PerCommit).unwrap();
         let a = d.kb().require_node("brad_pitt").unwrap();
-        let l = d.kb_mut().intern_label("transient");
+        let l = d.kb_mut().intern_label("transient").unwrap();
         let e = d.kb_mut().insert_edge(a, a, l, true).unwrap();
         d.kb_mut().remove_edge(e).unwrap();
         // The label is new and survives; the edge pair nets out.

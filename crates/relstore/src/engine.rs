@@ -29,43 +29,49 @@ use crate::{RelError, Result};
 /// bound neighbours intersects theirs; a scan walks `by_src` key by key,
 /// so rows equal on `(from, to)` arrive next to each other.
 ///
+/// An undirected partition holds each edge in both orientations, so its
+/// rows are their own transpose and `by_dst` would equal `by_src`: it
+/// stores `by_src` alone and serves both endpoints from it.
+///
 /// A partition is immutable: delta maintenance rebuilds every partition
 /// it edits and leaves the rest shared behind their `Arc` across
 /// [`EdgeIndex::next_epoch`] (copy-on-write).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionPosting {
     by_src: ColumnPosting,
-    by_dst: ColumnPosting,
+    /// `None` for an undirected partition, whose `by_dst` is `by_src`.
+    by_dst: Option<ColumnPosting>,
 }
 
 impl PartitionPosting {
-    /// Builds both adjacency lists of a partition from its oriented
-    /// `(from, to)` rows, given in any order.
-    fn build(rows: &[(u64, u64)]) -> PartitionPosting {
-        PartitionPosting {
-            by_src: ColumnPosting::build(rows.iter().copied()),
-            by_dst: ColumnPosting::build(rows.iter().map(|&(from, to)| (to, from))),
-        }
+    /// Builds the adjacency lists of a partition from its oriented
+    /// `(from, to)` rows, given in any order; an undirected partition's
+    /// rows are symmetric, and it builds `by_src` alone.
+    fn build(rows: &[(u64, u64)], undirected: bool) -> PartitionPosting {
+        let by_dst =
+            (!undirected).then(|| ColumnPosting::build(rows.iter().map(|&(from, to)| (to, from))));
+        PartitionPosting { by_src: ColumnPosting::build(rows.iter().copied()), by_dst }
     }
 
     /// The posting over the requested endpoint.
     pub fn endpoint(&self, src: bool) -> &ColumnPosting {
-        if src {
-            &self.by_src
-        } else {
-            &self.by_dst
+        match &self.by_dst {
+            Some(by_dst) if !src => by_dst,
+            _ => &self.by_src,
         }
     }
 
     /// The partition's `(from, to)` rows in `by_src` order: by `from`,
     /// then by `to`.
     pub(crate) fn rows(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.by_src.lists().flat_map(|(from, tos)| tos.iter().map(move |&to| (from, u64::from(to))))
+        self.by_src
+            .lists()
+            .flat_map(|(from, tos)| tos.iter().map(move |&to| (u64::from(from), u64::from(to))))
     }
 
-    /// Heap bytes held by both postings — the partition's whole storage.
+    /// Heap bytes held by its postings — the partition's whole storage.
     pub fn heap_bytes(&self) -> usize {
-        self.by_src.heap_bytes() + self.by_dst.heap_bytes()
+        self.by_src.heap_bytes() + self.by_dst.as_ref().map_or(0, ColumnPosting::heap_bytes)
     }
 }
 
@@ -123,8 +129,8 @@ impl EdgeIndex {
     /// form one run, already sorted, and walking the nodes in id order
     /// hands every posting its keys ascending: a node's `Out` run is its
     /// list in the label's forward `by_src`, its `In` run its list in the
-    /// forward `by_dst`, and its `Undirected` run its list in both
-    /// (equal) postings of the undirected partition. One walk counts
+    /// forward `by_dst`, and its `Undirected` run its list in the
+    /// undirected partition's one posting. One walk counts
     /// every posting's keys and pairs and a second fills arrays
     /// allocated at exactly that size: no rows are bucketed and nothing
     /// is sorted. A directed self-loop is stored once, as an `Out` entry,
@@ -139,10 +145,10 @@ impl EdgeIndex {
         let mut sizes = vec![[(0usize, 0usize); 3]; kb.label_count()];
         let mut looped = vec![false; kb.label_count()];
         for_each_run(kb, |node, run| {
-            let (label, orientation) = (run[0].label.index(), run[0].orientation);
+            let (label, orientation) = (run[0].label().index(), run[0].orientation());
             let size = &mut sizes[label][usize::from(orientation.code())];
             *size = (size.0 + 1, size.1 + run.len());
-            if orientation == Orientation::Out && run.iter().any(|n| n.other.0 == node) {
+            if orientation == Orientation::Out && run.iter().any(|n| n.other().0 == node) {
                 looped[label] = true;
             }
         });
@@ -151,30 +157,28 @@ impl EdgeIndex {
             .map(|size| size.map(|(keys, pairs)| PostingWriter::with_capacity(keys, pairs)))
             .collect();
         for_each_run(kb, |node, run| {
-            let writer = &mut writers[run[0].label.index()][usize::from(run[0].orientation.code())];
-            writer.open(u64::from(node));
-            writer.extend(run.iter().map(|n| n.other.0));
+            let (label, orientation) = (run[0].label().index(), run[0].orientation());
+            let writer = &mut writers[label][usize::from(orientation.code())];
+            writer.open(node);
+            writer.extend(run.iter().map(|n| n.other().0));
         });
         let mut partitions = HashMap::new();
         for (label, [by_src, by_dst, undirected]) in writers.into_iter().enumerate() {
             if !by_src.is_empty() {
                 let by_src = by_src.finish();
                 let by_dst = if looped[label] {
-                    ColumnPosting::build(
-                        by_src
-                            .lists()
-                            .flat_map(|(from, tos)| tos.iter().map(move |&to| (to.into(), from))),
-                    )
+                    ColumnPosting::build(by_src.lists().flat_map(|(from, tos)| {
+                        tos.iter().map(move |&to| (to.into(), from.into()))
+                    }))
                 } else {
                     by_dst.finish()
                 };
-                let posting = Arc::new(PartitionPosting { by_src, by_dst });
+                let posting = Arc::new(PartitionPosting { by_src, by_dst: Some(by_dst) });
                 partitions.insert((label as u64, dir_code::FORWARD), posting);
             }
             if !undirected.is_empty() {
-                let by_src = undirected.finish();
-                let posting = Arc::new(PartitionPosting { by_dst: by_src.clone(), by_src });
-                partitions.insert((label as u64, dir_code::UNDIRECTED), posting);
+                let posting = PartitionPosting { by_src: undirected.finish(), by_dst: None };
+                partitions.insert((label as u64, dir_code::UNDIRECTED), Arc::new(posting));
             }
         }
         let total_rows = partitions.values().map(|p| p.by_src.len()).sum();
@@ -233,7 +237,7 @@ impl EdgeIndex {
                     key.0
                 )));
             }
-            rebuilt.push((key, PartitionPosting::build(&rows)));
+            rebuilt.push((key, PartitionPosting::build(&rows, key.1 == dir_code::UNDIRECTED)));
         }
         // Every untouched partition keeps sharing its `Arc` with older
         // index versions (the copy-on-write half of versioned
@@ -513,7 +517,7 @@ fn for_each_run(kb: &KnowledgeBase, mut visit: impl FnMut(u32, &[Neighbor])) {
     for node in kb.node_ids() {
         let runs = kb
             .neighbors(node)
-            .chunk_by(|a, b| (a.label, a.orientation) == (b.label, b.orientation));
+            .chunk_by(|a, b| (a.label(), a.orientation()) == (b.label(), b.orientation()));
         runs.for_each(|run| visit(node.0, run));
     }
 }
@@ -559,7 +563,7 @@ impl ShardedEdgeIndex {
 pub fn oriented_edge_relation(kb: &KnowledgeBase) -> Relation {
     let mut data = Vec::with_capacity(kb.edge_count() * 4);
     for eid in kb.edge_ids() {
-        for row in oriented_rows(kb.edge(eid)) {
+        for row in oriented_rows(&kb.edge(eid)) {
             data.extend_from_slice(&row);
         }
     }
@@ -670,10 +674,10 @@ pub fn delta_affected_starts(
         }
         for &label in &shape_labels {
             for n in kb.neighbors_labeled(node, LabelId(label as u32)) {
-                let slot = best.entry(n.other).or_insert(usize::MAX);
+                let slot = best.entry(n.other()).or_insert(usize::MAX);
                 if *slot == usize::MAX || remaining - 1 > *slot {
                     *slot = remaining - 1;
-                    queue.push((n.other, remaining - 1));
+                    queue.push((n.other(), remaining - 1));
                 }
             }
         }
@@ -933,8 +937,8 @@ mod tests {
         let mut b = KbBuilder::new();
         let a = b.add_node("a", "P");
         let c = b.add_node("c", "P");
-        b.add_directed_edge(a, c, "r");
-        b.add_undirected_edge(a, c, "s");
+        b.add_directed_edge(a, c, "r").unwrap();
+        b.add_undirected_edge(a, c, "s").unwrap();
         let kb = b.build();
         let rel = oriented_edge_relation(&kb);
         // 1 row for the directed edge + 2 for the undirected one.
@@ -945,7 +949,7 @@ mod tests {
     fn undirected_self_loop_single_row() {
         let mut b = KbBuilder::new();
         let a = b.add_node("a", "P");
-        b.add_undirected_edge(a, a, "s");
+        b.add_undirected_edge(a, a, "s").unwrap();
         let kb = b.build();
         assert_eq!(oriented_edge_relation(&kb).len(), 1);
     }
@@ -1224,6 +1228,15 @@ mod tests {
         let rebuilt = EdgeIndex::build(&kb);
         assert_eq!(index.posting(won.0 as u64, dir_code::FORWARD), None);
         assert_eq!(index, rebuilt);
+        // The undirected partition, maintained or built, holds one posting
+        // and serves both endpoints from it.
+        for idx in [&index, &rebuilt] {
+            let spouses = idx.posting(spouse.0 as u64, dir_code::UNDIRECTED).unwrap();
+            assert!(std::ptr::eq(spouses.endpoint(true), spouses.endpoint(false)));
+            assert_eq!(spouses.heap_bytes(), spouses.endpoint(true).heap_bytes());
+            let stars = idx.posting(starring.0 as u64, dir_code::FORWARD).unwrap();
+            assert!(!std::ptr::eq(stars.endpoint(true), stars.endpoint(false)));
+        }
         let spec = PatternSpec {
             var_count: 3,
             start: 0,
@@ -1491,12 +1504,12 @@ mod tests {
         // 120 `common` edges all pointing into one hub: V(dst) = 1.
         for i in 0..120 {
             let x = b.add_node(&format!("x{i}"), "T");
-            b.add_directed_edge(x, hub, "common");
+            b.add_directed_edge(x, hub, "common").unwrap();
         }
         // A flat chain of 240 `flat` edges: nearly-distinct endpoints.
         let chain: Vec<_> = (0..241).map(|i| b.add_node(&format!("c{i}"), "T")).collect();
         for w in chain.windows(2) {
-            b.add_directed_edge(w[0], w[1], "flat");
+            b.add_directed_edge(w[0], w[1], "flat").unwrap();
         }
         let kb = b.build();
         let index = EdgeIndex::build(&kb);

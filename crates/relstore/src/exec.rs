@@ -426,10 +426,10 @@ mod tests {
         for (i, &x) in nodes.iter().enumerate() {
             for (j, &y) in nodes.iter().enumerate() {
                 for _ in 0..next() % 3 {
-                    b.add_directed_edge(x, y, "r");
+                    b.add_directed_edge(x, y, "r").unwrap();
                 }
                 if i <= j && next() % 3 == 0 {
-                    b.add_undirected_edge(x, y, "s");
+                    b.add_undirected_edge(x, y, "s").unwrap();
                 }
             }
         }

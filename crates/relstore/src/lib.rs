@@ -29,7 +29,9 @@
 //!   `HAVING`/`LIMIT`, distinct, projection.
 //! * [`engine::EdgeIndex`] — the edge relation partitioned by `(label,
 //!   dir)`, each partition stored once, as its out- and in-adjacency
-//!   lists (two [`ColumnPosting`]s) with no row copy beside them.
+//!   lists (two [`ColumnPosting`]s of `u32` ids, one for an undirected
+//!   partition, whose lists are the same both ways) with no row copy
+//!   beside them.
 //! * [`plan`] — compiling a *pattern spec* (the relational shape of an
 //!   explanation pattern) into a depth-first binding plan over the
 //!   indexed edge relation.

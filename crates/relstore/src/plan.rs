@@ -623,7 +623,8 @@ impl PatternSpec {
             StartBinding::Among(_) => Cow::Owned(sorted_start_keys(binding).expect("bound start")),
             StartBinding::Unbound => {
                 let r = plan.start_posting.expect("an unbound start ranges over a posting");
-                Cow::Borrowed(self.read_posting(index, r).map_or(&[], ColumnPosting::keys))
+                let keys = self.read_posting(index, r).map_or(&[][..], ColumnPosting::keys);
+                Cow::Owned(keys.iter().map(|&k| u64::from(k)).collect())
             }
         };
         let mut walk = Walk::new(index, self, &plan, count_tail);
@@ -929,9 +930,9 @@ mod tests {
         let a = b.add_node("a", "P");
         let m = b.add_node("m", "M");
         let c = b.add_node("c", "P");
-        b.add_directed_edge(a, m, "starring");
-        b.add_directed_edge(c, m, "starring");
-        b.add_undirected_edge(a, c, "spouse");
+        b.add_directed_edge(a, m, "starring").unwrap();
+        b.add_directed_edge(c, m, "starring").unwrap();
+        b.add_undirected_edge(a, c, "spouse").unwrap();
         b.build()
     }
 
@@ -1041,8 +1042,8 @@ mod tests {
         let mut b = KbBuilder::new();
         let a = b.add_node("a", "P");
         let m = b.add_node("m", "M");
-        b.add_directed_edge(a, m, "r");
-        b.add_directed_edge(a, m, "r");
+        b.add_directed_edge(a, m, "r").unwrap();
+        b.add_directed_edge(a, m, "r").unwrap();
         let kb = b.build();
         let rel = oriented_edge_relation(&kb);
         let spec = PatternSpec {
@@ -1074,11 +1075,11 @@ mod cost_order_tests {
         let start = b.add_node("start", "T");
         for i in 0..300 {
             let x = b.add_node(&format!("x{i}"), "T");
-            b.add_directed_edge(x, hub, "common");
+            b.add_directed_edge(x, hub, "common").unwrap();
         }
         let mid = b.add_node("mid", "T");
-        b.add_directed_edge(start, mid, "rare");
-        b.add_directed_edge(mid, hub, "common");
+        b.add_directed_edge(start, mid, "rare").unwrap();
+        b.add_directed_edge(mid, hub, "common").unwrap();
         let kb = b.build();
         let rare = kb.label_by_name("rare").unwrap().0 as u64;
         let common = kb.label_by_name("common").unwrap().0 as u64;
@@ -1135,14 +1136,14 @@ mod cost_order_tests {
         // `mid` (8 rows), `tiny` (2 rows).
         for i in 0..10 {
             for j in 0..3 {
-                b.add_directed_edge(nodes[i], nodes[(i + j + 1) % 12], "big");
+                b.add_directed_edge(nodes[i], nodes[(i + j + 1) % 12], "big").unwrap();
             }
         }
         for i in 0..8 {
-            b.add_directed_edge(nodes[i], nodes[(i + 2) % 12], "mid");
+            b.add_directed_edge(nodes[i], nodes[(i + 2) % 12], "mid").unwrap();
         }
-        b.add_directed_edge(nodes[0], nodes[1], "tiny");
-        b.add_directed_edge(nodes[2], nodes[3], "tiny");
+        b.add_directed_edge(nodes[0], nodes[1], "tiny").unwrap();
+        b.add_directed_edge(nodes[2], nodes[3], "tiny").unwrap();
         let kb = b.build();
         let l = |n: &str| kb.label_by_name(n).unwrap().0 as u64;
         // All-free triangle: 0 -big-> 2, 2 -mid-> 1, 1 -tiny-> 0.
@@ -1183,11 +1184,11 @@ mod cost_order_tests {
         let hub = b.add_node("hub", "T");
         for i in 0..200 {
             let x = b.add_node(&format!("x{i}"), "T");
-            b.add_directed_edge(x, hub, "common");
+            b.add_directed_edge(x, hub, "common").unwrap();
         }
         let mid = b.add_node("mid", "T");
-        b.add_directed_edge(start, mid, "rare");
-        b.add_directed_edge(mid, hub, "common");
+        b.add_directed_edge(start, mid, "rare").unwrap();
+        b.add_directed_edge(mid, hub, "common").unwrap();
         let kb = b.build();
         let l = |n: &str| kb.label_by_name(n).unwrap().0 as u64;
         let spec = PatternSpec {
@@ -1231,10 +1232,10 @@ mod cost_order_tests {
         };
         let mut b = KbBuilder::new();
         let n: Vec<_> = (0..4).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
-        b.add_directed_edge(n[0], n[2], "r");
-        b.add_directed_edge(n[1], n[2], "r");
-        b.add_directed_edge(n[0], n[3], "s");
-        b.add_directed_edge(n[1], n[3], "s");
+        b.add_directed_edge(n[0], n[2], "r").unwrap();
+        b.add_directed_edge(n[1], n[2], "r").unwrap();
+        b.add_directed_edge(n[0], n[3], "s").unwrap();
+        b.add_directed_edge(n[1], n[3], "s").unwrap();
         let kb = b.build();
         let index = EdgeIndex::build(&kb);
         let plan = spec.plan(&index, &StartBinding::Unbound);

@@ -1,6 +1,8 @@
 //! Relations: schemas and flat row-major row storage, and the
 //! [`ColumnPosting`] adjacency lists the edge index stores instead of
-//! relations.
+//! relations. A posting holds entity ids, so its keys, lists, offsets
+//! and key directory are all `u32`: a key costs 4 bytes, and so does a
+//! pair.
 //!
 //! A [`Relation`] keeps all of its rows in **one** `Vec<u64>`, row after
 //! row, with the schema's arity as the stride: row `i` is
@@ -165,7 +167,8 @@ impl Relation {
 /// `others[offsets[i] .. offsets[i + 1]]` — one entry per pair, so a pair
 /// listed twice repeats its other id. Over an edge partition's `(from,
 /// to)` rows these are the partition's out-adjacency lists; over its
-/// `(to, from)` rows, its in-adjacency lists.
+/// `(to, from)` rows, its in-adjacency lists. Keys and other ids are
+/// `u32` entity ids; a lookup of a key outside that range finds nothing.
 ///
 /// A *key directory* finds a key's position. It splits the range from
 /// the first key to the last into buckets of one power-of-two width, the
@@ -184,7 +187,7 @@ impl Relation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnPosting {
     /// Sorted distinct keys.
-    keys: Vec<u64>,
+    keys: Vec<u32>,
     /// CSR offsets into `others`; `len == keys.len() + 1`.
     offsets: Vec<u32>,
     /// Each key's other ids, ascending, grouped by key.
@@ -194,7 +197,7 @@ pub struct ColumnPosting {
     /// directory[b + 1]`; the last entry is `keys.len()`.
     directory: Vec<u32>,
     /// The first key (0 when there are none).
-    base: u64,
+    base: u32,
     /// Log2 of the directory's bucket width.
     shift: u32,
 }
@@ -208,13 +211,15 @@ impl ColumnPosting {
     /// `O(pairs log pairs)`. Both ids must be `u32`-range values, as
     /// entity ids are.
     pub fn build(pairs: impl IntoIterator<Item = (u64, u64)>) -> ColumnPosting {
-        let mut packed: Vec<u64> =
-            pairs.into_iter().map(|(key, other)| (u32_id(key) << 32) | u32_id(other)).collect();
+        let mut packed: Vec<u64> = pairs
+            .into_iter()
+            .map(|(key, other)| u64::from(u32_id(key)) << 32 | u64::from(u32_id(other)))
+            .collect();
         packed.sort_unstable();
         let lists = || packed.chunk_by(|a, b| a >> 32 == b >> 32);
         let mut writer = PostingWriter::with_capacity(lists().count(), packed.len());
         for list in lists() {
-            writer.open(list[0] >> 32);
+            writer.open((list[0] >> 32) as u32);
             writer.extend(list.iter().map(|&p| p as u32));
         }
         writer.finish()
@@ -222,9 +227,9 @@ impl ColumnPosting {
 
     /// A posting over CSR arrays that satisfy its invariants, with the
     /// key directory derived from the keys in one pass.
-    fn assemble(keys: Vec<u64>, offsets: Vec<u32>, others: Vec<u32>) -> ColumnPosting {
+    fn assemble(keys: Vec<u32>, offsets: Vec<u32>, others: Vec<u32>) -> ColumnPosting {
         let base = keys.first().copied().unwrap_or(0);
-        let span = keys.last().map_or(0, |&last| last - base);
+        let span = keys.last().map_or(0, |&last| u64::from(last - base));
         // The widest power-of-two bucket that still leaves at least
         // `keys / KEYS_PER_BUCKET` buckets over the key range.
         let target = (keys.len() / KEYS_PER_BUCKET).max(1) as u64;
@@ -234,7 +239,7 @@ impl ColumnPosting {
         }
         let mut directory = Vec::with_capacity((span >> shift) as usize + 2);
         for (at, &key) in keys.iter().enumerate() {
-            directory.resize(((key - base) >> shift) as usize + 1, at as u32);
+            directory.resize((u64::from(key - base) >> shift) as usize + 1, at as u32);
         }
         directory.push(keys.len() as u32);
         ColumnPosting { keys, offsets, others, directory, base, shift }
@@ -249,8 +254,8 @@ impl ColumnPosting {
     /// The position of `key` among the sorted keys, if present: a binary
     /// search of the one directory bucket that can hold it.
     pub(crate) fn position(&self, key: u64) -> Option<usize> {
-        // A key below `base` wraps to a bucket past the directory's end.
-        let bucket = usize::try_from(key.wrapping_sub(self.base) >> self.shift).ok()?;
+        let key = u32::try_from(key).ok()?;
+        let bucket = (u64::from(key.checked_sub(self.base)?) >> self.shift) as usize;
         let &[lo, hi] = self.directory.get(bucket..bucket.checked_add(2)?)? else {
             return None;
         };
@@ -264,12 +269,12 @@ impl ColumnPosting {
     }
 
     /// The sorted distinct keys.
-    pub fn keys(&self) -> &[u64] {
+    pub fn keys(&self) -> &[u32] {
         &self.keys
     }
 
     /// Every `(key, list)` pair, in key order.
-    pub(crate) fn lists(&self) -> impl Iterator<Item = (u64, &[u32])> + '_ {
+    pub(crate) fn lists(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
         self.keys.iter().enumerate().map(|(k, &key)| (key, self.list(k)))
     }
 
@@ -296,11 +301,10 @@ impl ColumnPosting {
     }
 
     /// Heap bytes held by the posting: its keys, offsets and other ids,
-    /// and its key directory.
+    /// and its key directory, all `u32`.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<u64>()
-            + (self.offsets.len() + self.others.len() + self.directory.len())
-                * std::mem::size_of::<u32>()
+        (self.keys.len() + self.offsets.len() + self.others.len() + self.directory.len())
+            * std::mem::size_of::<u32>()
     }
 }
 
@@ -309,7 +313,7 @@ impl ColumnPosting {
 /// that arrive sorted, as a knowledge base's adjacency holds them.
 #[derive(Debug)]
 pub(crate) struct PostingWriter {
-    keys: Vec<u64>,
+    keys: Vec<u32>,
     offsets: Vec<u32>,
     others: Vec<u32>,
 }
@@ -325,9 +329,9 @@ impl PostingWriter {
     }
 
     /// Starts `key`'s list; `key` must exceed every key opened before.
-    pub(crate) fn open(&mut self, key: u64) {
+    pub(crate) fn open(&mut self, key: u32) {
         debug_assert!(self.keys.last().is_none_or(|&last| last < key), "keys ascend");
-        self.keys.push(u32_id(key));
+        self.keys.push(key);
         self.offsets.push(u32::try_from(self.others.len()).expect("posting pairs fit u32"));
     }
 
@@ -349,9 +353,9 @@ impl PostingWriter {
     }
 }
 
-/// `v` as a `u32`-range id, widened back; panics outside that range.
-fn u32_id(v: u64) -> u64 {
-    u64::from(u32::try_from(v).expect("posting pairs hold u32 ids"))
+/// `v` as a `u32` id; panics outside that range.
+fn u32_id(v: u64) -> u32 {
+    u32::try_from(v).expect("posting pairs hold u32 ids")
 }
 
 #[cfg(test)]
@@ -470,7 +474,8 @@ mod tests {
             let keys = key_set(kind, base, len, &clusters);
             let pairs = keys.iter().flat_map(|&k| (0..fanout).map(move |o| (k, (k + o) % 7)));
             let posting = ColumnPosting::build(pairs);
-            prop_assert_eq!(posting.keys(), &keys[..]);
+            let keys32: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+            prop_assert_eq!(posting.keys(), &keys32[..]);
 
             let top = u64::from(u32::MAX);
             let mut probes = vec![0, 1, top - 1, top, top + 1, top << 1, u64::MAX];
@@ -490,8 +495,8 @@ mod tests {
             let word = std::mem::size_of::<u32>();
             prop_assert_eq!(
                 posting.heap_bytes(),
-                keys.len() * std::mem::size_of::<u64>()
-                    + (posting.offsets.len() + posting.others.len() + posting.directory.len()) * word
+                (keys.len() + posting.offsets.len() + posting.others.len() + posting.directory.len())
+                    * word
             );
             let buckets = posting.directory.len() - 1;
             let target = (keys.len() / KEYS_PER_BUCKET).max(1);

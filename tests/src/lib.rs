@@ -21,12 +21,12 @@ pub mod scaffold {
         let mut b = KbBuilder::new();
         let nodes: Vec<NodeId> = (0..20).map(|i| b.add_node(&format!("n{i}"), "T")).collect();
         for l in LABELS {
-            b.intern_label(l);
+            b.intern_label(l).unwrap();
         }
-        b.add_directed_edge(nodes[0], nodes[1], "l0");
-        b.add_undirected_edge(nodes[0], nodes[2], "l1");
-        b.add_directed_edge(nodes[2], nodes[1], "l1");
-        b.add_directed_edge(nodes[1], nodes[3], "l2");
+        b.add_directed_edge(nodes[0], nodes[1], "l0").unwrap();
+        b.add_undirected_edge(nodes[0], nodes[2], "l1").unwrap();
+        b.add_directed_edge(nodes[2], nodes[1], "l1").unwrap();
+        b.add_directed_edge(nodes[1], nodes[3], "l2").unwrap();
         let mut state = seed.wrapping_add(salt);
         let mut next = |bound: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -37,9 +37,9 @@ pub mod scaffold {
             let v = nodes[next(20) as usize];
             let l = LABELS[next(5) as usize];
             if next(2) == 0 {
-                b.add_directed_edge(u, v, l);
+                b.add_directed_edge(u, v, l).unwrap();
             } else {
-                b.add_undirected_edge(u, v, l);
+                b.add_undirected_edge(u, v, l).unwrap();
             }
         }
         b.build()

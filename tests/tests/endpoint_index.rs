@@ -45,7 +45,7 @@ fn suite_kb(seed: u64) -> rex_kb::KnowledgeBase {
 /// and `(a, b)`, so two copies hold it once each way. Every partition
 /// then repeats its `(from, to)` rows.
 fn with_copies(mut kb: KnowledgeBase, copies: usize) -> KnowledgeBase {
-    let edges: Vec<EdgeRecord> = kb.edge_ids().map(|id| *kb.edge(id)).collect();
+    let edges: Vec<EdgeRecord> = kb.edge_ids().map(|id| kb.edge(id)).collect();
     for copy in 1..copies {
         for e in &edges {
             let flip = !e.directed && copy % 2 == 1;
@@ -123,10 +123,10 @@ fn dense_kb() -> KnowledgeBase {
         for (c, &nc) in nodes.iter().enumerate() {
             for (label, name) in rex_tests::scaffold::LABELS.iter().enumerate() {
                 if keep(a, c, label, 0) {
-                    b.add_directed_edge(na, nc, name);
+                    b.add_directed_edge(na, nc, name).unwrap();
                 }
                 if a <= c && keep(a, c, label, 1) {
-                    b.add_undirected_edge(na, nc, name);
+                    b.add_undirected_edge(na, nc, name).unwrap();
                 }
             }
         }
@@ -270,7 +270,7 @@ fn patch_pass_rows_probed_bounded_by_incident_rows() {
     let mut rewired = 0;
     while rewired < 8 {
         let victim = EdgeId(next(kb.edge_count() as u64) as u32);
-        let e = *kb.edge(victim);
+        let e = kb.edge(victim);
         if e.label.0 >= 5 {
             continue; // keep the churn on shape labels
         }

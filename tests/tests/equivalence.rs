@@ -27,9 +27,9 @@ fn arb_kb() -> impl Strategy<Value = (KnowledgeBase, NodeId, NodeId)> {
                 }
                 let label = format!("l{l}");
                 if directed {
-                    b.add_directed_edge(ids[u as usize], ids[v as usize], &label);
+                    b.add_directed_edge(ids[u as usize], ids[v as usize], &label).unwrap();
                 } else {
-                    b.add_undirected_edge(ids[u as usize], ids[v as usize], &label);
+                    b.add_undirected_edge(ids[u as usize], ids[v as usize], &label).unwrap();
                 }
             }
             let kb = b.build();

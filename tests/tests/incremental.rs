@@ -39,15 +39,15 @@ fn scratch_rebuild(kb: &KnowledgeBase) -> KnowledgeBase {
         b.add_node(kb.node_name(id), kb.node_type_name(id));
     }
     for (_, l) in kb.labels() {
-        b.intern_label(l);
+        b.intern_label(l).unwrap();
     }
     for eid in kb.edge_ids() {
         let e = kb.edge(eid);
         let l = kb.label_name(e.label);
         if e.directed {
-            b.add_directed_edge(e.src, e.dst, l);
+            b.add_directed_edge(e.src, e.dst, l).unwrap();
         } else {
-            b.add_undirected_edge(e.src, e.dst, l);
+            b.add_undirected_edge(e.src, e.dst, l).unwrap();
         }
     }
     b.build()

@@ -292,9 +292,9 @@ mod monotonicity {
                 if u == v { continue; }
                 let label = format!("l{l}");
                 if d {
-                    b.add_directed_edge(ids[u as usize], ids[v as usize], &label);
+                    b.add_directed_edge(ids[u as usize], ids[v as usize], &label).unwrap();
                 } else {
-                    b.add_undirected_edge(ids[u as usize], ids[v as usize], &label);
+                    b.add_undirected_edge(ids[u as usize], ids[v as usize], &label).unwrap();
                 }
             }
             let kb = b.build();

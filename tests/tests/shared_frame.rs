@@ -219,9 +219,9 @@ fn pruned_workload(config: GeneratorConfig, max_nodes: usize, keep: usize) -> Pr
     let drawn = frame.starts().iter().find_map(|&start| {
         kb.neighbors(start)
             .iter()
-            .flat_map(|hop| kb.neighbors(hop.other))
-            .filter(|hop| hop.other != start)
-            .find_map(|hop| prepare(start, hop.other))
+            .flat_map(|hop| kb.neighbors(hop.other()))
+            .filter(|hop| hop.other() != start)
+            .find_map(|hop| prepare(start, hop.other()))
     });
     pairs.push(drawn.expect("a drawn start has a pair with a choice to rank"));
     let index = EdgeIndex::build(&kb);

@@ -193,9 +193,9 @@ mod kb_invariants {
                     let (u, v) = (ids[(u % n) as usize], ids[(v % n) as usize]);
                     let label = format!("l{l}");
                     if directed {
-                        b.add_directed_edge(u, v, &label);
+                        b.add_directed_edge(u, v, &label).unwrap();
                     } else {
-                        b.add_undirected_edge(u, v, &label);
+                        b.add_undirected_edge(u, v, &label).unwrap();
                     }
                 }
                 b.build()
@@ -214,19 +214,19 @@ mod kb_invariants {
                 let src_entry = kb
                     .neighbors(e.src)
                     .iter()
-                    .find(|nb| nb.edge == eid)
+                    .find(|nb| nb.edge() == eid)
                     .expect("edge in src adjacency");
-                prop_assert_eq!(src_entry.other, e.dst);
+                prop_assert_eq!(src_entry.other(), e.dst);
                 let want = if e.directed { Orientation::Out } else { Orientation::Undirected };
-                prop_assert_eq!(src_entry.orientation, want);
+                prop_assert_eq!(src_entry.orientation(), want);
                 if e.src != e.dst {
                     let dst_entry = kb
                         .neighbors(e.dst)
                         .iter()
-                        .find(|nb| nb.edge == eid)
+                        .find(|nb| nb.edge() == eid)
                         .expect("edge in dst adjacency");
-                    prop_assert_eq!(dst_entry.other, e.src);
-                    prop_assert_eq!(dst_entry.orientation, want.reversed());
+                    prop_assert_eq!(dst_entry.other(), e.src);
+                    prop_assert_eq!(dst_entry.orientation(), want.reversed());
                 }
             }
             // Label slices equal filtered full adjacency.
@@ -234,7 +234,7 @@ mod kb_invariants {
                 for (label, _) in kb.labels() {
                     let slice = kb.neighbors_labeled(node, label);
                     let filtered: Vec<_> =
-                        kb.neighbors(node).iter().filter(|nb| nb.label == label).collect();
+                        kb.neighbors(node).iter().filter(|nb| nb.label() == label).collect();
                     prop_assert_eq!(slice.len(), filtered.len());
                 }
             }
@@ -249,7 +249,7 @@ mod kb_invariants {
                         for orient in [Orientation::Out, Orientation::In, Orientation::Undirected] {
                             let fast = kb.has_edge(u, v, label, orient);
                             let slow = kb.neighbors(u).iter().any(|nb| {
-                                nb.other == v && nb.label == label && nb.orientation == orient
+                                nb.other() == v && nb.label() == label && nb.orientation() == orient
                             });
                             prop_assert_eq!(fast, slow);
                         }
@@ -309,7 +309,7 @@ mod index_build {
         let every_edge = KbDelta {
             from_epoch: 0,
             to_epoch: kb.epoch(),
-            added: kb.edge_ids().map(|e| *kb.edge(e)).collect(),
+            added: kb.edge_ids().map(|e| kb.edge(e)).collect(),
             removed: Vec::new(),
             node_count: kb.node_count(),
         };
