@@ -110,25 +110,9 @@ fn validate(text: &str) -> Result<(), String> {
             "shapes_touched",
             "affected_starts",
             "rows_probed",
-            "rows_scanned",
             "scan_floor_rows",
             "patch_wall_ms",
             "index_build_ms",
-        ],
-    )?;
-    let planner = side(
-        "planner",
-        &[
-            "kb_edges",
-            "starts",
-            "naive_wall_ms",
-            "cost_wall_ms",
-            "naive_rows_scanned",
-            "naive_rows_probed",
-            "cost_rows_scanned",
-            "cost_rows_probed",
-            "traffic_ratio",
-            "parity",
         ],
     )?;
     let robustness = side(
@@ -233,8 +217,7 @@ fn validate(text: &str) -> Result<(), String> {
     // patch pass must have had work, and its probe traffic must beat the
     // old full-partition scan floor — strictly. This is the "kill the
     // Among scan floor" claim as a CI gate.
-    let (ep_shapes, ep_probed, ep_scanned, ep_floor) =
-        (endpoint[2], endpoint[4], endpoint[5], endpoint[6]);
+    let (ep_shapes, ep_probed, ep_floor) = (endpoint[2], endpoint[4], endpoint[5]);
     if ep_shapes < 1.0 {
         return Err("endpoint_index: the delta touched no shape (nothing measured)".into());
     }
@@ -246,41 +229,6 @@ fn validate(text: &str) -> Result<(), String> {
             "endpoint_index: rows_probed {ep_probed} not strictly below the \
              full-partition scan floor {ep_floor}"
         ));
-    }
-    if ep_probed + ep_scanned >= ep_floor {
-        return Err(format!(
-            "endpoint_index: total patch traffic {} (probed {ep_probed} + scanned \
-             {ep_scanned}) not strictly below the scan floor {ep_floor}",
-            ep_probed + ep_scanned
-        ));
-    }
-
-    // Structural invariants of the query planner: both join orders must
-    // agree on the answer, the skewed workload must have given the naive
-    // order real scan work, and the cost order must touch strictly fewer
-    // rows — wall ratios are machine-dependent and deliberately ungated.
-    let (pl_starts, pl_naive_scanned) = (planner[1], planner[4]);
-    let pl_naive_total = planner[4] + planner[5];
-    let pl_cost_total = planner[6] + planner[7];
-    let pl_parity = planner[9];
-    if pl_starts < 1.0 {
-        return Err("planner: the comparison evaluated no start".into());
-    }
-    if pl_naive_scanned < 1.0 {
-        return Err("planner: the naive order scanned nothing — the workload \
-             lost its skew and the comparison is vacuous"
-            .into());
-    }
-    if pl_cost_total >= pl_naive_total {
-        return Err(format!(
-            "planner: cost-ordered traffic {pl_cost_total} rows not strictly below \
-             the naive order's {pl_naive_total} — the planner stopped winning"
-        ));
-    }
-    if pl_parity != 1.0 {
-        return Err("planner: the cost order changed the answer (parity != 1) — \
-             join ordering leaked into a result"
-            .into());
     }
 
     // Structural invariants of the snapshot-serving (concurrent) engine:
@@ -440,8 +388,7 @@ mod tests {
   "shared_frame": {"wall_ms": 8.0, "full_evals": 30, "streaming_evals": 0, "distinct_shapes": 30, "tiles": 30, "peak_rows": 2020477},
   "incremental": {"delta_edges": 4, "kb_edges": 600, "full_rerank_wall_ms": 9.0, "full_rerank_full_evals": 30, "delta_rerank_wall_ms": 3.0, "delta_rerank_full_evals": 5, "delta_partial_evals": 7, "shapes_patched": 7, "shapes_untouched": 21, "frame_redrawn": 0},
   "concurrent": {"reader_threads": 2, "passes_per_reader": 12, "quiet_wall_ms": 40.0, "contended_wall_ms": 55.0, "deltas_applied": 3, "quiet_passes_per_s": 600.0, "contended_passes_per_s": 436.0},
-  "endpoint_index": {"kb_edges": 600, "delta_edges": 4, "shapes_touched": 7, "affected_starts": 19, "rows_probed": 40, "rows_scanned": 120, "scan_floor_rows": 900, "patch_wall_ms": 1.5, "index_build_ms": 2.0},
-  "planner": {"kb_edges": 1536, "starts": 16, "naive_wall_ms": 4.0, "cost_wall_ms": 1.0, "naive_rows_scanned": 12000, "naive_rows_probed": 128, "cost_rows_scanned": 0, "cost_rows_probed": 400, "traffic_ratio": 30.3, "parity": 1},
+  "endpoint_index": {"kb_edges": 600, "delta_edges": 4, "shapes_touched": 7, "affected_starts": 19, "rows_probed": 40, "scan_floor_rows": 900, "patch_wall_ms": 1.5, "index_build_ms": 2.0},
   "robustness": {"quiet_requests": 14, "requests": 24, "served": 9, "shed_requests": 15, "request_rows": 5000, "quiet_p50_ms": 20.0, "quiet_p99_ms": 30.0, "served_p50_ms": 21.0, "served_p99_ms": 35.0, "reader_passes": 400, "torn_reads": 0, "quarantined_epochs": 1, "recovery_rebuilds": 1},
   "ingest": {"batches": 48, "batch_size": 8, "edges_ingested": 384, "ingest_wall_ms": 120.0, "sustained_edges_per_s": 3200.0, "wal_commits": 48, "wal_bytes": 61440, "flips": 14, "deferred_flips": 34, "checkpoints": 4, "shed_submissions": 40, "queue_capacity": 8, "queue_peak": 8, "reader_passes": 13, "quiet_p50_ms": 18.0, "quiet_p99_ms": 25.0, "under_ingest_p50_ms": 19.0, "under_ingest_p99_ms": 27.0, "recovered_parity": 1, "recovery_replayed_batches": 8, "recovery_truncated_bytes": 7},
   "speedup": 10.0,
@@ -515,41 +462,12 @@ mod tests {
         let broken = GOOD.replace("\"rows_probed\": 40", "\"rows_probed\": 900");
         assert_ne!(broken, GOOD);
         assert!(validate(&broken).unwrap_err().contains("strictly below"));
-        // Probed + scanned at the floor is just as dead.
-        let broken = GOOD.replace("\"rows_scanned\": 120", "\"rows_scanned\": 860");
-        assert!(validate(&broken).unwrap_err().contains("total patch traffic"));
         // A patch pass that touched nothing measured nothing.
         let broken = GOOD.replace("\"shapes_touched\": 7", "\"shapes_touched\": 0");
         assert!(validate(&broken).unwrap_err().contains("touched no shape"));
         // A zero scan floor cannot anchor the comparison.
         let broken = GOOD.replace("\"scan_floor_rows\": 900", "\"scan_floor_rows\": 0");
         assert!(validate(&broken).unwrap_err().contains("scan_floor_rows"));
-    }
-
-    #[test]
-    fn planner_violations_rejected() {
-        // A missing section must fail.
-        let broken = GOOD.replace("\"planner\"", "\"plannet\"");
-        assert_ne!(broken, GOOD);
-        assert!(validate(&broken).is_err());
-        // Cost traffic at (or above) the naive order's: the join-order
-        // win regressed.
-        let broken = GOOD.replace("\"cost_rows_probed\": 400", "\"cost_rows_probed\": 12200");
-        assert_ne!(broken, GOOD);
-        assert!(validate(&broken).unwrap_err().contains("stopped winning"));
-        // A naive side that scanned nothing measured no skew.
-        let broken = GOOD.replace("\"naive_rows_scanned\": 12000", "\"naive_rows_scanned\": 0");
-        assert!(validate(&broken).unwrap_err().contains("vacuous"));
-        // Join ordering must never change the answer.
-        let broken = GOOD.replace(
-            "\"traffic_ratio\": 30.3, \"parity\": 1",
-            "\"traffic_ratio\": 30.3, \"parity\": 0",
-        );
-        assert_ne!(broken, GOOD);
-        assert!(validate(&broken).unwrap_err().contains("join ordering"));
-        // An empty start set compared nothing.
-        let broken = GOOD.replace("\"starts\": 16", "\"starts\": 0");
-        assert!(validate(&broken).unwrap_err().contains("no start"));
     }
 
     #[test]

@@ -234,9 +234,11 @@ pub fn fig11(w: &Workload, pairs_per_group: usize, k: usize) -> Table {
 pub struct RankingBenchSide {
     /// Wall time of the position computation across all pairs.
     pub wall: Duration,
-    /// Full (materialized) relational evaluations performed.
+    /// Full relational evaluations performed: the batched side's
+    /// all-starts evaluations. The per-start baseline traces every
+    /// position query as streaming, so its count is 0.
     pub full_evals: usize,
-    /// Streaming `LIMIT`-pruned evaluations performed.
+    /// Streaming position queries performed, `LIMIT`-pruned or not.
     pub streaming_evals: usize,
 }
 
@@ -304,8 +306,8 @@ impl IncrementalBench {
 
 /// The endpoint-index comparison: after a small KB delta, the row
 /// traffic of the delta patch pass (partial re-groups over just the
-/// affected starts) measured through the probed/scanned counters,
-/// versus the **scan floor** — the full `(label, dir)` partition rows
+/// affected starts) measured through the probed-rows counter, versus
+/// the **scan floor** — the full `(label, dir)` partition rows
 /// the pre-index engine walked for exactly the same partial
 /// evaluations. `rows_probed` strictly below `scan_floor_rows` is the
 /// "scan floor is gone" acceptance bar, enforced by
@@ -320,12 +322,8 @@ pub struct EndpointIndexBench {
     pub shapes_touched: usize,
     /// Total affected starts re-grouped across those shapes.
     pub affected_starts: usize,
-    /// Rows materialized through endpoint-posting probes during the
-    /// patch pass (start-incident pattern edges).
+    /// Neighbour-list rows the patch pass's walks read.
     pub rows_probed: usize,
-    /// Rows materialized through full partition scans during the patch
-    /// pass (pattern edges not touching the start variable).
-    pub rows_scanned: usize,
     /// Rows the old full-partition path would have walked for the same
     /// partial evaluations: every touched shape's per-edge `scan_len`.
     pub scan_floor_rows: usize,
@@ -343,8 +341,8 @@ pub struct EndpointIndexBench {
 /// the delta's own endpoint entities, mirroring the warm-serving state
 /// `DistributionCache::apply_delta` patches (the endpoints ride along so
 /// a frame that happened to sample none of the blast radius still
-/// leaves the pass measurable). The probed/scanned rows are the sum of
-/// the traces the patch pass's evaluations return.
+/// leaves the pass measurable). The probed rows are the sum of the
+/// traces the patch pass's evaluations return.
 pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointIndexBench {
     use rex_relstore::engine::{
         count_distributions, delta_affected_starts, EdgeIndex, EvalKind, EvalRequest,
@@ -434,168 +432,9 @@ pub fn endpoint_index_bench(w: &Workload, pairs_per_group: usize) -> EndpointInd
         shapes_touched,
         affected_starts,
         rows_probed: traffic.rows_probed,
-        rows_scanned: traffic.rows_scanned,
         scan_floor_rows,
         patch_wall,
         index_build_wall,
-    }
-}
-
-/// The planner comparison: the same skewed-label pattern evaluated as a
-/// hash-join tree in the naive left-to-right edge order versus the
-/// production depth-first walk of [`PatternSpec::plan`]'s variable order.
-///
-/// [`PatternSpec::plan`]: rex_relstore::plan::PatternSpec::plan
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerBench {
-    /// Edges in the synthetic skewed KB.
-    pub kb_edges: usize,
-    /// Starts in the `Among` binding both sides evaluate under.
-    pub starts: usize,
-    /// Wall time of the naive-order side (all repetitions).
-    pub naive_wall: Duration,
-    /// Wall time of the cost-ordered side (all repetitions).
-    pub cost_wall: Duration,
-    /// Full-partition rows the naive order walked.
-    pub naive_rows_scanned: usize,
-    /// Endpoint-posting rows the naive order probed (start edges only —
-    /// the naive executor has no bound-value probes).
-    pub naive_rows_probed: usize,
-    /// Full-partition rows the planned execution walked (none: the walk
-    /// never scans).
-    pub cost_rows_scanned: usize,
-    /// Endpoint-posting rows the planned execution read: the start's
-    /// lists plus the lists of the values bound after it, which replace
-    /// the hub scan.
-    pub cost_rows_probed: usize,
-    /// Both orders produced identical relations.
-    pub parity: bool,
-}
-
-impl PlannerBench {
-    /// Total row traffic of the naive side.
-    pub fn naive_traffic(&self) -> usize {
-        self.naive_rows_scanned + self.naive_rows_probed
-    }
-
-    /// Total row traffic of the planned side.
-    pub fn cost_traffic(&self) -> usize {
-        self.cost_rows_scanned + self.cost_rows_probed
-    }
-
-    /// Row-traffic win of the planner (>1 = planner touches fewer rows).
-    pub fn traffic_ratio(&self) -> f64 {
-        let cost = self.cost_traffic();
-        if cost > 0 {
-            self.naive_traffic() as f64 / cost as f64
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// How many times each side re-evaluates the pattern, so the wall
-/// numbers are above scheduler noise on small hosts.
-const PLANNER_BENCH_REPS: usize = 8;
-
-/// Measures the depth-first walk against the naive left-to-right
-/// hash-join order on a deliberately skewed KB: a 3-step path whose
-/// middle label is a huge hub partition. The naive order must scan that
-/// partition outright; the walk reads only the hub lists of the values
-/// the rare start edge bound, so its row traffic collapses to those
-/// neighbourhoods. Each side's traffic is the sum of the traces its
-/// evaluations return.
-pub fn planner_bench(w: &Workload) -> PlannerBench {
-    use rex_kb::KbBuilder;
-    use rex_relstore::engine::EdgeIndex;
-    use rex_relstore::plan::{PatternSpec, SpecEdge, StartBinding};
-
-    // start -rare-> m -hub-> h -sel-> end, with `hub` carrying ~50× the
-    // rows of the other labels. Deterministic: no RNG, sizes fixed.
-    let mut b = KbBuilder::new();
-    let mut starts = Vec::new();
-    let hubs: Vec<_> = (0..4).map(|i| b.add_node(&format!("h{i}"), "T")).collect();
-    for i in 0..16 {
-        let s = b.add_node(&format!("s{i}"), "T");
-        let m = b.add_node(&format!("m{i}"), "T");
-        b.add_directed_edge(s, m, "rare").expect("three labels");
-        b.add_directed_edge(m, hubs[i % hubs.len()], "hub").expect("three labels");
-        starts.push(s.0 as u64);
-    }
-    for (i, h) in hubs.iter().enumerate() {
-        let e = b.add_node(&format!("e{i}"), "T");
-        b.add_directed_edge(*h, e, "sel").expect("three labels");
-    }
-    // Hub noise with distinct endpoints on both sides: the naive order
-    // scans every one of these rows, while the walk's hub lists, keyed
-    // by the 16 bound mids, never touch them.
-    for i in 0..1500 {
-        let x = b.add_node(&format!("x{i}"), "T");
-        let y = b.add_node(&format!("y{i}"), "T");
-        b.add_directed_edge(x, y, "hub").expect("three labels");
-    }
-    let kb = b.build();
-    let l = |n: &str| kb.label_by_name(n).unwrap().0 as u64;
-    let spec = PatternSpec {
-        var_count: 4,
-        start: 0,
-        end: 1,
-        edges: vec![
-            SpecEdge { u: 0, v: 2, label: l("rare"), directed: true },
-            SpecEdge { u: 2, v: 3, label: l("hub"), directed: true },
-            SpecEdge { u: 3, v: 1, label: l("sel"), directed: true },
-        ],
-    };
-    let binding = StartBinding::among(starts.iter().copied());
-    let index = EdgeIndex::build(&kb);
-    let order = spec.naive_join_order().expect("path spec is connected left to right");
-    let _ = w.seed; // workload-independent: the skew is the experiment
-
-    let mut naive_rel = None;
-    let mut naive_traffic = EvalTrace::default();
-    let ((), naive_wall) = time(|| {
-        for _ in 0..PLANNER_BENCH_REPS {
-            let (rel, trace) = spec
-                .evaluate_indexed_in_order(&index, &binding, &order)
-                .expect("naive order evaluates");
-            naive_traffic.merge(&trace);
-            naive_rel = Some(rel);
-        }
-    });
-
-    let mut cost_rel = None;
-    let mut cost_traffic = EvalTrace::default();
-    let ((), cost_wall) = time(|| {
-        for _ in 0..PLANNER_BENCH_REPS {
-            let (rel, trace) =
-                spec.evaluate_indexed(&index, &binding).expect("planned path evaluates");
-            cost_traffic.merge(&trace);
-            cost_rel = Some(rel);
-        }
-    });
-
-    // The evaluation strategy is a physical choice: the answers must
-    // agree as sets.
-    let sorted_rows = |rel: &rex_relstore::Relation| {
-        let mut rows: Vec<Vec<u64>> = rel.rows().map(<[u64]>::to_vec).collect();
-        rows.sort();
-        rows
-    };
-    let parity = match (&naive_rel, &cost_rel) {
-        (Some(n), Some(c)) => sorted_rows(n) == sorted_rows(c),
-        _ => false,
-    };
-
-    PlannerBench {
-        kb_edges: kb.edge_count(),
-        starts: starts.len(),
-        naive_wall,
-        cost_wall,
-        naive_rows_scanned: naive_traffic.rows_scanned,
-        naive_rows_probed: naive_traffic.rows_probed,
-        cost_rows_scanned: cost_traffic.rows_scanned,
-        cost_rows_probed: cost_traffic.rows_probed,
-        parity,
     }
 }
 
@@ -1335,12 +1174,9 @@ pub struct RankingBench {
     /// Reader throughput with vs without an in-flight delta (the
     /// snapshot-serving engine).
     pub concurrent: ConcurrentBench,
-    /// Probed-vs-scanned row traffic of the delta patch pass (the
-    /// endpoint-index engine).
+    /// Neighbour-list row traffic of the delta patch pass against the
+    /// full-partition scan floor (the endpoint-index engine).
     pub endpoint_index: EndpointIndexBench,
-    /// Cost-ordered vs naive left-to-right join ordering on a
-    /// skewed-label pattern (the query planner).
-    pub planner: PlannerBench,
     /// Admission-controlled overload + panic-recovery scenarios (the
     /// serving robustness layers).
     pub robustness: RobustnessBench,
@@ -1415,7 +1251,7 @@ impl RankingBench {
         let endpoint = format!(
             concat!(
                 "{{\"kb_edges\": {}, \"delta_edges\": {}, \"shapes_touched\": {}, ",
-                "\"affected_starts\": {}, \"rows_probed\": {}, \"rows_scanned\": {}, ",
+                "\"affected_starts\": {}, \"rows_probed\": {}, ",
                 "\"scan_floor_rows\": {}, \"patch_wall_ms\": {:.3}, ",
                 "\"index_build_ms\": {:.3}}}"
             ),
@@ -1424,29 +1260,9 @@ impl RankingBench {
             self.endpoint_index.shapes_touched,
             self.endpoint_index.affected_starts,
             self.endpoint_index.rows_probed,
-            self.endpoint_index.rows_scanned,
             self.endpoint_index.scan_floor_rows,
             self.endpoint_index.patch_wall.as_secs_f64() * 1e3,
             self.endpoint_index.index_build_wall.as_secs_f64() * 1e3,
-        );
-        let planner = format!(
-            concat!(
-                "{{\"kb_edges\": {}, \"starts\": {}, ",
-                "\"naive_wall_ms\": {:.3}, \"cost_wall_ms\": {:.3}, ",
-                "\"naive_rows_scanned\": {}, \"naive_rows_probed\": {}, ",
-                "\"cost_rows_scanned\": {}, \"cost_rows_probed\": {}, ",
-                "\"traffic_ratio\": {:.3}, \"parity\": {}}}"
-            ),
-            self.planner.kb_edges,
-            self.planner.starts,
-            self.planner.naive_wall.as_secs_f64() * 1e3,
-            self.planner.cost_wall.as_secs_f64() * 1e3,
-            self.planner.naive_rows_scanned,
-            self.planner.naive_rows_probed,
-            self.planner.cost_rows_scanned,
-            self.planner.cost_rows_probed,
-            self.planner.traffic_ratio(),
-            usize::from(self.planner.parity),
         );
         let conc = format!(
             concat!(
@@ -1537,7 +1353,6 @@ impl RankingBench {
                 "  \"incremental\": {},\n",
                 "  \"concurrent\": {},\n",
                 "  \"endpoint_index\": {},\n",
-                "  \"planner\": {},\n",
                 "  \"robustness\": {},\n",
                 "  \"ingest\": {},\n",
                 "  \"speedup\": {:.3},\n",
@@ -1557,7 +1372,6 @@ impl RankingBench {
             inc,
             conc,
             endpoint,
-            planner,
             robust,
             ingest,
             self.speedup(),
@@ -1669,7 +1483,6 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
     let incremental = incremental_bench(w, pairs_per_group, k);
     let concurrent = concurrent_bench(w, pairs_per_group);
     let endpoint_index = endpoint_index_bench(w, pairs_per_group);
-    let planner = planner_bench(w);
     let robustness = robustness_bench(w, pairs_per_group, k);
     let ingest = ingest_bench(w, pairs_per_group, k);
 
@@ -1686,7 +1499,6 @@ pub fn ranking_bench(w: &Workload, pairs_per_group: usize, k: usize) -> RankingB
         incremental,
         concurrent,
         endpoint_index,
-        planner,
         robustness,
         ingest,
     }
@@ -1919,13 +1731,6 @@ mod tests {
             ep.rows_probed,
             ep.scan_floor_rows
         );
-        assert!(
-            ep.rows_probed + ep.rows_scanned < ep.scan_floor_rows,
-            "total patch traffic must beat the scan floor ({} + {} vs {})",
-            ep.rows_probed,
-            ep.rows_scanned,
-            ep.scan_floor_rows
-        );
         // Concurrent side: readers made progress in both phases and the
         // writer applied at least one delta while they read.
         let conc = &b.concurrent;
@@ -1971,7 +1776,6 @@ mod tests {
             "\"deltas_applied\"",
             "\"endpoint_index\"",
             "\"rows_probed\"",
-            "\"rows_scanned\"",
             "\"scan_floor_rows\"",
             "\"index_build_ms\"",
             "\"robustness\"",

@@ -26,8 +26,7 @@ use crate::{RelError, Result};
 /// once per row; `by_dst` is the transpose of `by_src`, and the partition
 /// keeps no other copy of its rows. Binding a pattern variable next to a
 /// bound one reads exactly one such list, and a variable with several
-/// bound neighbours intersects theirs; a scan walks `by_src` key by key,
-/// so rows equal on `(from, to)` arrive next to each other.
+/// bound neighbours intersects theirs.
 ///
 /// An undirected partition holds each edge in both orientations, so its
 /// rows are their own transpose and `by_dst` would equal `by_src`: it
@@ -265,54 +264,6 @@ impl EdgeIndex {
         let mut next = self.clone();
         next.apply_delta(delta)?;
         Ok(next)
-    }
-
-    /// Visits every `(from, to)` row of the `(label, dir)` partition in
-    /// `by_src` posting order — by `from`, then by `to` — so rows equal
-    /// on `(from, to)` arrive next to each other. A **full partition
-    /// scan**, the access path the depth-first walk never takes; only the
-    /// fixed-order baseline ([`PatternSpec::evaluate_indexed_in_order`])
-    /// still scans, counting the rows as `rows_scanned` in its
-    /// [`EvalTrace`].
-    pub(crate) fn for_each_scanned<F: FnMut(u64, u64)>(&self, label: u64, dir: u64, mut visit: F) {
-        if let Some(partition) = self.partitions.get(&(label, dir)) {
-            partition.rows().for_each(|(from, to)| visit(from, to));
-        }
-    }
-
-    /// Visits exactly the `(from, to)` rows of the `(label, dir)`
-    /// partition whose start endpoint — `from` when `src`, `to` otherwise
-    /// — is in `keys` (sorted; adjacent duplicates are skipped), via the
-    /// partition's endpoint posting: one key-directory lookup plus a
-    /// contiguous id list per key, so the cost is proportional to the
-    /// rows *incident to the key set* instead of the partition size. Rows
-    /// arrive key by key, each key's rows ordered by the other endpoint.
-    pub(crate) fn for_each_probed<F: FnMut(u64, u64)>(
-        &self,
-        label: u64,
-        dir: u64,
-        src: bool,
-        keys: &[u64],
-        mut visit: F,
-    ) {
-        let Some(posting) = self.endpoint_posting(label, dir, src) else {
-            return;
-        };
-        let mut last = None;
-        for &k in keys {
-            if last == Some(k) {
-                continue;
-            }
-            last = Some(k);
-            for &other in posting.neighbours(k) {
-                let other = u64::from(other);
-                if src {
-                    visit(k, other);
-                } else {
-                    visit(other, k);
-                }
-            }
-        }
     }
 
     /// The `from` (`src`) or `to` posting of the `(label, dir)`
@@ -888,13 +839,20 @@ impl Sink for EndCounts<'_> {
     }
 }
 
-/// Counts the end entities whose instance count strictly exceeds `c` —
-/// the pattern's *position* in `start`'s local distribution (`HAVING
-/// count > c`) — over a prebuilt [`EdgeIndex`], returned with the query's
-/// trace. `limit` bounds the answer, which saturates at `limit`: bounded
-/// queries (`limit < usize::MAX`) run through the streaming walk, which
-/// stops as soon as `limit` qualifying end entities are known — the heart
-/// of the paper's `LIMIT p` pruning.
+/// Counts the end entities whose **distinct** instance count strictly
+/// exceeds `c` — the pattern's *position* in `start`'s local distribution
+/// (`HAVING count > c`) — over a prebuilt [`EdgeIndex`], returned with the
+/// query's trace: one streaming evaluation and the neighbour-list rows it
+/// read. `limit` bounds the answer, which saturates at `limit`: the walk
+/// stops as soon as `limit` qualifying end entities are known — the
+/// pipelined `LIMIT` execution a SQL engine performs, and the heart of the
+/// paper's `LIMIT p` pruning (§5.3.2). `usize::MAX` bounds nothing.
+///
+/// The walk counts a trailing existential instead of enumerating it, and
+/// hands each end its instances as they are found. Counting per end
+/// entity is monotone (distinct assignments only accumulate), so an
+/// entity qualifies the moment its count crosses `c` — no grouping
+/// barrier is needed.
 pub fn local_position_indexed(
     index: &EdgeIndex,
     spec: &PatternSpec,
@@ -902,12 +860,25 @@ pub fn local_position_indexed(
     c: u64,
     limit: usize,
 ) -> Result<(usize, EvalTrace)> {
-    if limit < usize::MAX {
-        return spec.streaming_end_position(index, start, c, limit);
+    spec.validate()?;
+    if limit == 0 {
+        return Ok((0, EvalTrace::default()));
     }
-    let (instances, trace) = spec.evaluate_indexed(index, &StartBinding::Const(start))?;
-    let grouped = group_count_having_limit(&instances, &[spec.end], c, limit)?;
-    Ok((grouped.len(), trace))
+    let mut per_end: HashMap<u64, u64> = HashMap::new();
+    let mut qualified = 0usize;
+    let mut count = |assignment: &[u64], n: u64| {
+        let count = per_end.entry(assignment[spec.end]).or_insert(0);
+        if *count <= c && *count + n > c {
+            qualified += 1;
+        }
+        *count += n;
+        qualified < limit
+    };
+    let binding = StartBinding::Const(start);
+    let walked = spec.walk_starts(index, &binding, &Budget::unlimited(), true, &mut count)?;
+    let trace = EvalTrace { streaming: 1, ..walked };
+    crate::metrics::fold(&trace);
+    Ok((qualified, trace))
 }
 
 #[cfg(test)]
@@ -1381,9 +1352,10 @@ mod tests {
         }
     }
 
-    /// A posting probe visits exactly the rows a filter of the oriented
-    /// edge relation keeps, for both endpoints, including absent keys and
-    /// keys outside the KB's id space.
+    /// Each key's neighbour list holds exactly the other endpoints of the
+    /// rows a filter of the oriented edge relation keeps, ascending, for
+    /// both endpoints, including absent keys and keys outside the KB's id
+    /// space.
     #[test]
     fn probe_matches_filtered_scan() {
         let kb = toy::entertainment();
@@ -1391,36 +1363,37 @@ mod tests {
         let rel = oriented_edge_relation(&kb);
         let starring = kb.label_by_name("starring").unwrap().0 as u64;
         let spouse = kb.label_by_name("spouse").unwrap().0 as u64;
-        let probed = |label, dir, src, keys: &[u64]| {
-            let mut rows = Vec::new();
-            index.for_each_probed(label, dir, src, keys, |from, to| rows.push(vec![from, to]));
-            rows.sort_unstable();
-            rows
-        };
+        let keys = [0u64, 2, 5, 500];
         for (label, dir) in
             [(starring, dir_code::FORWARD), (spouse, dir_code::UNDIRECTED), (starring, 99)]
         {
+            let partition = index.posting(label, dir);
             for src in [true, false] {
                 let col = usize::from(!src); // from = 0, to = 1
-                let keys: Vec<u64> = vec![0, 2, 5, 500];
-                let mut expected: Vec<Vec<u64>> = rel
-                    .rows()
-                    .filter(|r| r[2..] == [label, dir] && keys.binary_search(&r[col]).is_ok())
-                    .map(|r| r[..2].to_vec())
-                    .collect();
-                expected.sort_unstable();
-                let got = probed(label, dir, src, &keys);
-                assert_eq!(got, expected, "label {label} dir {dir} src {src}");
+                let listed = |key: u64| -> Vec<u64> {
+                    let list =
+                        partition.as_ref().map_or(&[][..], |p| p.endpoint(src).neighbours(key));
+                    list.iter().map(|&id| u64::from(id)).collect()
+                };
+                let mut read = 0;
+                for &key in &keys {
+                    let mut expected: Vec<u64> = rel
+                        .rows()
+                        .filter(|r| r[2..] == [label, dir] && r[col] == key)
+                        .map(|r| r[1 - col])
+                        .collect();
+                    expected.sort_unstable();
+                    let got = listed(key);
+                    assert_eq!(got, expected, "label {label} dir {dir} src {src} key {key}");
+                    read += got.len();
+                }
                 assert_eq!(
                     index.incident_len(label, dir, src, &keys),
-                    got.len(),
-                    "incident_len must equal the probed row count"
+                    read,
+                    "incident_len must equal the listed row count"
                 );
                 // Duplicate keys must not duplicate rows.
-                assert_eq!(
-                    probed(label, dir, src, &[2, 2, 2]).len(),
-                    index.incident_len(label, dir, src, &[2])
-                );
+                assert_eq!(index.incident_len(label, dir, src, &[2, 2, 2]), listed(2).len());
             }
             let partition_rows = rel.rows().filter(|r| r[2..] == [label, dir]).count();
             assert_eq!(index.scan_len(label, dir), partition_rows);

@@ -1,7 +1,7 @@
 //! The depth-first executor behind every indexed evaluation:
 //! [`crate::plan::PatternSpec::evaluate_indexed`],
-//! [`crate::engine::count_distributions`] and the streaming position
-//! query.
+//! [`crate::engine::count_distributions`] and
+//! [`crate::engine::local_position_indexed`].
 //!
 //! A walk follows a [`BindingPlan`] one level at a time per start value.
 //! A level's candidates are the ids in the shortest of its neighbour

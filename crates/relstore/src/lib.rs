@@ -39,17 +39,20 @@
 //!   counts, and `HAVING`/`LIMIT`-pruned position counts.
 //!
 //! Evaluation over the index does not join relations: one depth-first
-//! executor binds the pattern's variables one at a time per start, each
-//! variable's candidates the intersection of the sorted neighbour lists
-//! of its edges to variables already bound, and counts each start's
-//! instances per end entity in place. A batched `Among` evaluation over
-//! thousands of starts once materialized millions of join rows (2.4M in
-//! the cold serving benchmark) to count a fraction as many instances; the
-//! walk holds one value per variable instead. The materializing operators
-//! of [`ops`] remain for the definitional evaluation over the unindexed
-//! relation, the oracle the indexed path is tested against; every
-//! relation is one flat `u64` buffer and every operator allocates per
-//! relation, never per row.
+//! executor, behind batched distributions, single evaluations and
+//! position queries alike, binds the pattern's variables one at a time
+//! per start, each variable's candidates the intersection of the sorted
+//! neighbour lists of its edges to variables already bound, and counts
+//! each start's instances per end entity in place. A batched `Among`
+//! evaluation over thousands of starts once materialized millions of
+//! join rows (2.4M in the cold serving benchmark) to count a fraction as
+//! many instances; the walk holds one value per variable instead, and
+//! reads only the lists around the values it has bound, never a whole
+//! partition. The materializing operators of [`ops`] remain for the
+//! definitional evaluation over the unindexed relation
+//! ([`plan::PatternSpec::evaluate`]), the oracle the indexed path is
+//! tested against; every relation is one flat `u64` buffer and every
+//! operator allocates per relation, never per row.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -5,10 +5,8 @@
 //! evaluation counts its own traffic in an [`EvalTrace`]: full pattern
 //! evaluations, streaming `LIMIT`-pruned position queries,
 //! delta-maintenance re-groups, the walks of batched evaluations, and
-//! the rows they read — split by access path into full `(label, dir)`
-//! partition scans (only the materializing baselines scan) and
-//! endpoint-posting neighbour lists, the ratio that keeps the endpoint
-//! index's scan-floor claim measurable.
+//! the endpoint-posting neighbour-list rows they read. No evaluation over
+//! the index scans a whole `(label, dir)` partition.
 //!
 //! The trace is a plain value. An evaluation accumulates it on its own
 //! thread and returns it with its result ([`crate::engine::BatchDistributions`],
@@ -32,7 +30,6 @@ static FULL_EVALS: AtomicUsize = AtomicUsize::new(0);
 static STREAMING_EVALS: AtomicUsize = AtomicUsize::new(0);
 static DELTA_EVALS: AtomicUsize = AtomicUsize::new(0);
 static TILES: AtomicUsize = AtomicUsize::new(0);
-static ROWS_SCANNED: AtomicUsize = AtomicUsize::new(0);
 static ROWS_PROBED: AtomicUsize = AtomicUsize::new(0);
 
 // The ingestion queue's peak depth (the WAL lives below this crate in the
@@ -53,10 +50,6 @@ pub struct EvalTrace {
     /// [`crate::engine::count_distributions`] call over a non-empty
     /// start set, full or delta.
     pub tiles: usize,
-    /// Rows read by **full partition scans** — every row of a `(label,
-    /// dir)` partition walked because no restriction could be pushed
-    /// into it.
-    pub rows_scanned: usize,
     /// Rows read from **endpoint-posting lists** — only the rows incident
     /// to the keys read, the quantity the endpoint index makes
     /// proportional to the delta instead of the KB. A depth-first walk
@@ -64,8 +57,7 @@ pub struct EvalTrace {
     pub rows_probed: usize,
     /// Largest number of bindings one level of a depth-first walk made
     /// over all its starts (past the start; a counted tail's counted
-    /// instances included) — for the materializing baselines, the
-    /// largest intermediate relation any join built.
+    /// instances included).
     pub peak_rows: usize,
 }
 
@@ -76,7 +68,6 @@ impl EvalTrace {
         self.streaming += other.streaming;
         self.delta += other.delta;
         self.tiles += other.tiles;
-        self.rows_scanned += other.rows_scanned;
         self.rows_probed += other.rows_probed;
         self.peak_rows = self.peak_rows.max(other.peak_rows);
     }
@@ -88,7 +79,6 @@ pub(crate) fn fold(trace: &EvalTrace) {
     STREAMING_EVALS.fetch_add(trace.streaming, Ordering::Relaxed);
     DELTA_EVALS.fetch_add(trace.delta, Ordering::Relaxed);
     TILES.fetch_add(trace.tiles, Ordering::Relaxed);
-    ROWS_SCANNED.fetch_add(trace.rows_scanned, Ordering::Relaxed);
     ROWS_PROBED.fetch_add(trace.rows_probed, Ordering::Relaxed);
 }
 
@@ -105,7 +95,9 @@ pub struct EvalCounts {
     /// Batched evaluations that walked their starts since process start
     /// (see [`EvalTrace::tiles`]).
     pub tiles: usize,
-    /// Rows read by **full partition scans** since process start.
+    /// Compatibility shim: always 0. No evaluation scans a whole
+    /// partition; the field remains only because the end-to-end
+    /// benchmark still reports it.
     pub rows_scanned: usize,
     /// Rows read from **endpoint-posting lists** since process start.
     pub rows_probed: usize,
@@ -119,7 +111,7 @@ impl EvalCounts {
             streaming: self.streaming - earlier.streaming,
             delta: self.delta - earlier.delta,
             tiles: self.tiles - earlier.tiles,
-            rows_scanned: self.rows_scanned - earlier.rows_scanned,
+            rows_scanned: 0,
             rows_probed: self.rows_probed - earlier.rows_probed,
         }
     }
@@ -137,7 +129,7 @@ pub fn snapshot() -> EvalCounts {
         streaming: STREAMING_EVALS.load(Ordering::Relaxed),
         delta: DELTA_EVALS.load(Ordering::Relaxed),
         tiles: TILES.load(Ordering::Relaxed),
-        rows_scanned: ROWS_SCANNED.load(Ordering::Relaxed),
+        rows_scanned: 0,
         rows_probed: ROWS_PROBED.load(Ordering::Relaxed),
     }
 }
@@ -197,7 +189,6 @@ mod tests {
             streaming: 1,
             delta: 1,
             tiles: 1,
-            rows_scanned: 12,
             rows_probed: 5,
             ..EvalTrace::default()
         });
@@ -208,7 +199,7 @@ mod tests {
         assert!(delta.streaming >= 1);
         assert!(delta.delta >= 1);
         assert!(delta.tiles >= 1);
-        assert!(delta.rows_scanned >= 12);
+        assert_eq!(delta.rows_scanned, 0);
         assert!(delta.rows_probed >= 5);
         assert!(delta.total() >= 3);
     }

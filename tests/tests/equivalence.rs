@@ -134,10 +134,11 @@ proptest! {
 
     /// The streaming (pipelined LIMIT) position query agrees with the
     /// materialized GROUP BY/HAVING/LIMIT computation for every discovered
-    /// pattern, every aggregate threshold, and every limit.
+    /// pattern, every aggregate threshold, and every limit, unbounded
+    /// included.
     #[test]
     fn streaming_position_matches_materialized((kb, a, b) in arb_kb()) {
-        use rex_relstore::engine::EdgeIndex;
+        use rex_relstore::engine::{local_position_indexed, EdgeIndex};
         use rex_relstore::ops::group_count_having_limit;
         use rex_relstore::plan::StartBinding;
         let config = EnumConfig::default().with_max_nodes(4);
@@ -151,9 +152,8 @@ proptest! {
                 let full = group_count_having_limit(&instances, &[spec.end], c, usize::MAX)
                     .expect("group")
                     .len();
-                for limit in [0usize, 1, 2, 1000] {
-                    let (streamed, _) = spec
-                        .streaming_end_position(&index, a.0 as u64, c, limit)
+                for limit in [0usize, 1, 2, 1000, usize::MAX] {
+                    let (streamed, _) = local_position_indexed(&index, &spec, a.0 as u64, c, limit)
                         .expect("stream");
                     prop_assert_eq!(streamed, full.min(limit), "c={} limit={}", c, limit);
                 }
