@@ -350,7 +350,8 @@ fn resolve_pairs(
 /// sample frame and distribution cache (global distributional position).
 /// Each distinct pattern shape of the workload is read once, and its
 /// evaluation stops once every explanation waiting on it is ranked out
-/// of its pair's top-k; the summary line counts those explanations.
+/// of its pair's top-k; the summary line counts those explanations, and
+/// the cache line below it what the cached shapes hold.
 pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &RANK)?;
     let threads: usize = args.get_or("threads", 0)?;
@@ -424,6 +425,12 @@ pub fn rank_pairs_cmd(argv: &[String]) -> Result<(), String> {
             outcome.ranked_out,
             outcome.tiles,
             outcome.peak_rows,
+        );
+        let (shapes, bytes) = (state.cache().len(), state.cache().heap_bytes());
+        outln!(
+            "cache: {shapes} shapes, {:.1} KiB ({:.1} B per shape)",
+            bytes as f64 / 1024.0,
+            bytes as f64 / shapes.max(1) as f64
         );
     }
     Ok(())

@@ -23,7 +23,9 @@
 //! prints a query's canonical form from the same relabeling
 //! ([`crate::query::canonical_text`]).
 
-use crate::pattern::{Pattern, PatternEdge, VarId};
+use rex_relstore::plan::{PatternSpec, SpecEdge};
+
+use crate::pattern::{Pattern, PatternEdge, VarId, END_VAR, START_VAR};
 
 /// Non-target variable count up to which [`canonical_form`] searches
 /// every relabeling; larger patterns keep the identity relabeling.
@@ -40,6 +42,26 @@ impl CanonicalKey {
     pub fn as_slice(&self) -> &[u64] {
         &self.0
     }
+
+    /// The relational spec of the shape this key encodes: its variable
+    /// count and every packed edge, with the targets at 0 and 1. Every
+    /// pattern with this key is isomorphic to it with the targets pinned,
+    /// so it evaluates to the same count distributions as their
+    /// [`Pattern::to_spec`].
+    pub fn to_spec(&self) -> PatternSpec {
+        let (&var_count, packed) = self.0.split_first().expect("a key starts with its var count");
+        PatternSpec {
+            var_count: var_count as usize,
+            start: START_VAR.index(),
+            end: END_VAR.index(),
+            edges: packed.iter().map(|&edge| unpack(edge)).collect(),
+        }
+    }
+
+    /// Heap bytes the packed serialization holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 /// Packs one normalized edge into a sortable `u64`.
@@ -48,6 +70,16 @@ fn pack(e: &PatternEdge) -> u64 {
         | ((e.v.0 as u64) << 40)
         | ((u64::from(e.directed)) << 32)
         | e.label.0 as u64
+}
+
+/// The spec edge of one [`pack`]ed edge.
+fn unpack(edge: u64) -> SpecEdge {
+    SpecEdge {
+        u: (edge >> 48 & 0xff) as usize,
+        v: (edge >> 40 & 0xff) as usize,
+        label: edge & u64::from(u32::MAX),
+        directed: edge >> 32 & 1 == 1,
+    }
 }
 
 /// Serializes a pattern under a given relabeling of its variables.
@@ -267,6 +299,84 @@ mod tests {
         for (a, b, c) in [(2, 3, 4), (2, 4, 3), (3, 2, 4), (3, 4, 2), (4, 2, 3), (4, 3, 2)] {
             assert_eq!(canonical_key(&base(a, b, c)), reference, "perm ({a},{b},{c})");
         }
+    }
+
+    /// A key's spec is the pattern under the key's relabeling: the
+    /// targets at 0 and 1, and the edges in key order.
+    #[test]
+    fn key_spec_is_the_canonical_relabeling() {
+        // start->v3, v3->v2, v2-end: swapping v2 and v3 serializes smaller
+        // (its first edge is start->v2).
+        let p = Pattern::new(
+            4,
+            vec![
+                PatternEdge::new(v(0), v(3), l(5), true),
+                PatternEdge::new(v(3), v(2), l(6), true),
+                PatternEdge::new(v(2), v(1), l(7), false),
+            ],
+        )
+        .unwrap();
+        let edge = |u, v, label, directed| SpecEdge { u, v, label, directed };
+        let spec = canonical_key(&p).to_spec();
+        assert_eq!((spec.var_count, spec.start, spec.end), (4, 0, 1));
+        assert_eq!(spec.edges, [edge(0, 2, 5, true), edge(1, 3, 7, false), edge(2, 3, 6, true)]);
+        assert_ne!(spec, p.to_spec());
+    }
+
+    /// On a generated KB, the spec read back from an enumerated pattern's
+    /// key counts every start's distribution as the pattern's own spec
+    /// does, and as a pattern it has the same key. Each pattern is also
+    /// taken with its non-target variables numbered in reverse, so the
+    /// key's relabeling is exercised.
+    #[test]
+    fn key_spec_counts_like_the_pattern_spec() {
+        use crate::enumerate::GeneralEnumerator;
+        use crate::EnumConfig;
+        use rex_datagen::{generate, sample_pairs, GeneratorConfig};
+        use rex_relstore::engine::{count_distributions, EdgeIndex, EvalRequest};
+        let kb = generate(&GeneratorConfig::tiny(2011));
+        let index = EdgeIndex::build(&kb);
+        let enumerator = GeneralEnumerator::new(EnumConfig::default().with_max_nodes(5));
+        let (mut patterns, mut relabeled, mut counted) = (0, 0, 0);
+        for pair in sample_pairs(&kb, 1, 4, 2011) {
+            let starts: Vec<u64> =
+                (0..kb.node_count() as u64).step_by(7).chain([pair.start.0 as u64]).collect();
+            let req = EvalRequest { starts: &starts, ..EvalRequest::default() };
+            let counts = |spec: &PatternSpec| {
+                let batch = count_distributions(&index, spec, &req).unwrap();
+                (batch.per_start, batch.evaluated)
+            };
+            for e in enumerator.enumerate(&kb, pair.start, pair.end).explanations {
+                let n = e.pattern.var_count() as u8;
+                let reverse = |x: VarId| if x.0 < 2 { x } else { VarId(n + 1 - x.0) };
+                let reversed: Vec<PatternEdge> = (e.pattern.edges().iter())
+                    .map(|pe| PatternEdge::new(reverse(pe.u), reverse(pe.v), pe.label, pe.directed))
+                    .collect();
+                let reversed = Pattern::new(n, reversed).unwrap();
+                let spec = e.key().to_spec();
+                let expected = counts(&spec);
+                counted += expected.0.len();
+                for own in [e.pattern.to_spec(), reversed.to_spec()] {
+                    relabeled += usize::from(own != spec);
+                    assert_eq!(counts(&own), expected, "{own:?} against {spec:?}");
+                }
+                let edges = (spec.edges.iter())
+                    .map(|se| {
+                        PatternEdge::new(
+                            v(se.u as u8),
+                            v(se.v as u8),
+                            l(se.label as u32),
+                            se.directed,
+                        )
+                    })
+                    .collect();
+                let back = Pattern::new(spec.var_count as u8, edges).unwrap();
+                assert_eq!(&canonical_key(&back), e.key());
+                patterns += 1;
+            }
+        }
+        assert!(patterns >= 20 && relabeled > patterns / 4, "{patterns} patterns, {relabeled}");
+        assert!(counted > patterns, "{counted} starts with instances over {patterns} patterns");
     }
 
     #[test]

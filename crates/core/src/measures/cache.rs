@@ -23,22 +23,25 @@
 //!
 //! **One map, extended by reads.** The cache is a single
 //! `RwLock<HashMap<CanonicalKey, Arc<AllStartsDistribution>>>`. An entry
-//! holds its covered starts in one ascending array and, parallel to it,
-//! each start's multiset as runs of equal counts. A read names its starts
-//! as a [`DrawTable`]: the distinct starts, ascending, each with its
-//! number of draws (a [`SampleFrame`](crate::measures::SampleFrame) keeps
-//! its own). Every read of an entry over those starts is then one merge
-//! walk of the two ascending arrays, with no hashing past the one map
-//! lookup: the covering check of a warm hit, the list of starts a miss
-//! lacks, and the position sum, which counts each distinct start's
-//! position once per draw. A read clones one entry's `Arc` under the
-//! read lock, then evaluates — with no lock held — only the requested
-//! starts the entry lacks, in one [`count_distributions`] call, converts
-//! the evaluation's per-start multisets to runs once, and publishes the
-//! sorted merge of the two start arrays in place. A one-start read
-//! ([`DistributionCache::counts`]) is simply a read of `[start]`, so
-//! local and global queries of a shape share one entry, and a grown
-//! sample pays only for its new starts.
+//! holds its covered starts in one ascending array of `u32` node ids and,
+//! in a second array, every start's multiset as runs of equal counts,
+//! grouped by start in the same order, each run carrying its start. A
+//! start without instances has no runs, so it costs only its 4 bytes. A
+//! read names its starts as a [`DrawTable`]: the distinct starts,
+//! ascending, each with its number of draws (a
+//! [`SampleFrame`](crate::measures::SampleFrame) keeps its own). Every
+//! read of an entry over those starts is then one merge walk of the draw
+//! table against the start array, with a run cursor moved beside it and
+//! no hashing past the one map lookup: the covering check of a warm hit,
+//! the list of starts a miss lacks, and the position sum, which counts
+//! each distinct start's position once per draw. A read clones one
+//! entry's `Arc` under the read lock, then evaluates — with no lock held
+//! — only the requested starts the entry lacks, in one
+//! [`count_distributions`] call, converts the evaluation's per-start
+//! multisets to runs once, and publishes the sorted merge of the two
+//! tables in place. A one-start read ([`DistributionCache::counts`]) is
+//! simply a read of `[start]`, so local and global queries of a shape
+//! share one entry, and a grown sample pays only for its new starts.
 //!
 //! **Partial entries.** An entry need not cover the whole frame. The
 //! ranking pass reads a shape *bounded*: for each explanation waiting on
@@ -68,8 +71,9 @@
 //! domain — republished at the new epoch sharing the same multisets) or
 //! **patched** (the affected starts inside its domain are re-evaluated
 //! with one partial evaluation and merged over the old multisets, the
-//! same merge a read uses to extend an entry). Either way, the next read
-//! is a warm hit.
+//! same merge a read uses to extend an entry). Entries hold no pattern:
+//! maintenance evaluates the spec read back from the shape's key
+//! ([`CanonicalKey::to_spec`]). Either way, the next read is a warm hit.
 //!
 //! **Publication.** Entries are immutable once published; a write lock is
 //! held only to insert entries, never across an evaluation:
@@ -108,23 +112,27 @@ use crate::explanation::Explanation;
 use crate::measures::distribution::position_in;
 use crate::measures::frame::DrawTable;
 
-/// One run of equal counts in a descending count multiset: the count, and
-/// how many ends have a count of at least that much — the multiset's
-/// length through the end of the run, so a position is one binary search
-/// over a start's runs.
+/// One run of equal counts in a start's descending count multiset: the
+/// count, how many ends have a count of at least that much — the
+/// multiset's length through the end of the run, so a position is one
+/// binary search over a start's runs — and the start, in the four bytes
+/// the count's alignment would otherwise pad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     count: u64,
     through: u32,
+    start: u32,
 }
 
-/// Appends the runs of the descending multiset `counts` to `runs`.
-fn push_runs(runs: &mut Vec<Run>, counts: &[u64]) {
+const _: () = assert!(std::mem::size_of::<Run>() == 16);
+
+/// Appends the runs of `start`'s descending multiset `counts` to `runs`.
+fn push_runs(runs: &mut Vec<Run>, start: u32, counts: &[u64]) {
     let mut through = 0;
     for equal in counts.chunk_by(|a, b| a == b) {
         through += equal.len();
         let through = u32::try_from(through).expect("a multiset holds one count per end entity");
-        runs.push(Run { count: equal[0], through });
+        runs.push(Run { count: equal[0], through, start });
     }
 }
 
@@ -146,68 +154,107 @@ fn expand(runs: &[Run]) -> Vec<u64> {
     counts
 }
 
-/// An entry's covered starts in one ascending array and, parallel to it,
-/// each start's runs, stored back to back.
-#[derive(Debug)]
+/// An entry's covered starts in one ascending array and every covered
+/// start's runs in another, grouped by start in the same order. A run
+/// carries its start, so a start without instances takes only its slot
+/// in `starts`, and a walk of the starts finds each one's runs with a
+/// [`RunCursor`] moved beside it.
+#[derive(Debug, Default)]
 struct StartRuns {
-    starts: Vec<u64>,
-    /// `runs[bounds[i]..bounds[i + 1]]` are `starts[i]`'s runs.
-    bounds: Vec<u32>,
-    runs: Vec<Run>,
+    /// The covered starts, ascending.
+    starts: Box<[u32]>,
+    /// The runs of the covered starts, by ascending start.
+    runs: Box<[Run]>,
+}
+
+/// A cursor over a table's runs, moved forward beside a walk of its
+/// ascending starts: each call names a start no smaller than the call
+/// before.
+struct RunCursor<'a>(&'a [Run]);
+
+impl<'a> RunCursor<'a> {
+    /// Passes the runs of every start below `start`.
+    fn pass(&mut self, start: u32) {
+        while let Some((run, rest)) = self.0.split_first() {
+            if run.start >= start {
+                break;
+            }
+            self.0 = rest;
+        }
+    }
+
+    /// The runs of `start`.
+    fn take(&mut self, start: u32) -> &'a [Run] {
+        self.pass(start);
+        let len = self.0.iter().take_while(|r| r.start == start).count();
+        let (runs, rest) = self.0.split_at(len);
+        self.0 = rest;
+        runs
+    }
+
+    /// [`runs_position`] of `a` in `start`'s runs, found by passing the
+    /// runs whose count exceeds `a`: the last one's `through` is the
+    /// number of ends above `a`. A scan, not a search, because most
+    /// covered starts have no runs and most of the rest a few.
+    fn position(&mut self, start: u32, a: u64) -> usize {
+        self.pass(start);
+        let mut through = 0;
+        while let Some((run, rest)) = self.0.split_first() {
+            if run.start != start || run.count <= a {
+                break;
+            }
+            through = run.through;
+            self.0 = rest;
+        }
+        through as usize
+    }
 }
 
 impl StartRuns {
-    fn with_capacity(starts: usize) -> Self {
-        let mut bounds = Vec::with_capacity(starts + 1);
-        bounds.push(0);
-        StartRuns { starts: Vec::with_capacity(starts), bounds, runs: Vec::new() }
-    }
-
     /// Converts one evaluation's output: `starts` (any order, repeats
     /// allowed), each with its multiset in `per_start` or none.
     fn from_batch(starts: &[u64], per_start: &HashMap<u64, Vec<u64>>) -> Self {
-        let mut sorted = starts.to_vec();
+        let mut sorted: Vec<u32> = starts
+            .iter()
+            .map(|&s| u32::try_from(s).expect("an evaluated start is a node id"))
+            .collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut table = StartRuns::with_capacity(sorted.len());
-        for s in sorted {
-            push_runs(&mut table.runs, per_start.get(&s).map_or(&[], Vec::as_slice));
-            table.seal(s);
+        let mut runs = Vec::new();
+        for &s in &sorted {
+            push_runs(&mut runs, s, per_start.get(&u64::from(s)).map_or(&[], Vec::as_slice));
         }
-        table
+        StartRuns { starts: sorted.into_boxed_slice(), runs: runs.into_boxed_slice() }
     }
 
-    /// Closes the runs pushed since the last seal as `start`'s, which
-    /// must exceed every start already sealed.
-    fn seal(&mut self, start: u64) {
-        debug_assert!(self.starts.last().is_none_or(|&s| s < start), "starts ascend");
-        self.starts.push(start);
-        self.bounds.push(u32::try_from(self.runs.len()).expect("an entry's runs fit u32"));
-    }
-
-    /// The runs of `starts[i]`.
-    fn runs(&self, i: usize) -> &[Run] {
-        &self.runs[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    /// `start` as a covered start, `None` when it is not covered.
+    fn covered(&self, start: u64) -> Option<u32> {
+        let start = u32::try_from(start).ok()?;
+        self.starts.binary_search(&start).is_ok().then_some(start)
     }
 
     /// The runs of `start`, `None` when it is not covered.
     fn runs_of(&self, start: u64) -> Option<&[Run]> {
-        self.starts.binary_search(&start).ok().map(|i| self.runs(i))
+        let start = self.covered(start)?;
+        let from = self.runs.partition_point(|r| r.start < start);
+        let to = self.runs.partition_point(|r| r.start <= start);
+        Some(&self.runs[from..to])
     }
 
     /// Walks `draws` against the ascending start array in one pass:
-    /// yields each distinct drawn start with its number of draws and its
-    /// index in the array, `None` when this table does not cover it.
+    /// yields each distinct drawn start with its number of draws and,
+    /// when this table covers it, the start as stored.
     fn align<'a>(
         &'a self,
         draws: &'a DrawTable,
-    ) -> impl Iterator<Item = (u64, usize, Option<usize>)> + 'a {
+    ) -> impl Iterator<Item = (u64, usize, Option<u32>)> + 'a {
         let mut at = 0;
         draws.iter().map(move |(start, times)| {
-            while self.starts.get(at).is_some_and(|&s| s < start) {
+            while self.starts.get(at).is_some_and(|&s| u64::from(s) < start) {
                 at += 1;
             }
-            (start, times, (self.starts.get(at) == Some(&start)).then_some(at))
+            let covered = self.starts.get(at).copied().filter(|&s| u64::from(s) == start);
+            (start, times, covered)
         })
     }
 
@@ -220,14 +267,15 @@ impl StartRuns {
     /// The sum of `a`'s positions over every covered draw whose start is
     /// not `exclude`, and whether every such draw is covered (the sum is
     /// then exact, otherwise a lower bound: positions are never negative).
+    /// A run cursor moves beside the walk of the starts.
     fn covered_sum(&self, draws: &DrawTable, exclude: Option<u64>, a: u64) -> (usize, bool) {
-        let (mut sum, mut exact) = (0, true);
-        for (start, times, at) in self.align(draws) {
+        let (mut sum, mut exact, mut runs) = (0, true, RunCursor(&self.runs));
+        for (start, times, covered) in self.align(draws) {
             if Some(start) == exclude {
                 continue;
             }
-            match at {
-                Some(i) => sum += times * runs_position(self.runs(i), a),
+            match covered {
+                Some(s) => sum += times * runs.position(s, a),
                 None => exact = false,
             }
         }
@@ -235,29 +283,31 @@ impl StartRuns {
     }
 
     /// This table with `newer` merged over it, in one pass over both
-    /// ascending start arrays: a start of `newer` takes `newer`'s runs.
+    /// ascending start arrays with a run cursor beside each: a start of
+    /// `newer` takes `newer`'s runs.
     fn merged(&self, newer: &StartRuns) -> StartRuns {
-        let mut out = StartRuns::with_capacity(self.starts.len() + newer.starts.len());
-        out.runs.reserve(self.runs.len() + newer.runs.len());
+        let mut starts = Vec::with_capacity(self.starts.len() + newer.starts.len());
+        let mut runs = Vec::with_capacity(self.runs.len() + newer.runs.len());
+        let (mut old_runs, mut new_runs) = (RunCursor(&self.runs), RunCursor(&newer.runs));
         let (mut i, mut j) = (0, 0);
         loop {
-            let from_newer = match (self.starts.get(i), newer.starts.get(j)) {
+            let (old, new) = (self.starts.get(i).copied(), newer.starts.get(j).copied());
+            let start = match (old, new) {
                 (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(old), Some(new)) => {
-                    if old == new {
-                        i += 1;
-                    }
-                    new <= old
-                }
+                (Some(s), None) | (None, Some(s)) => s,
+                (Some(old), Some(new)) => old.min(new),
             };
-            let (table, at) = if from_newer { (newer, &mut j) } else { (self, &mut i) };
-            out.runs.extend_from_slice(table.runs(*at));
-            out.seal(table.starts[*at]);
-            *at += 1;
+            i += usize::from(old == Some(start));
+            let from = if new == Some(start) {
+                j += 1;
+                &mut new_runs
+            } else {
+                &mut old_runs
+            };
+            runs.extend_from_slice(from.take(start));
+            starts.push(start);
         }
-        out
+        StartRuns { starts: starts.into_boxed_slice(), runs: runs.into_boxed_slice() }
     }
 }
 
@@ -273,17 +323,24 @@ impl StartRuns {
 /// on a position sum; [`AllStartsDistribution::position_sum`] needs
 /// every counted draw covered.
 ///
-/// **Layout.** The covered starts sit in one ascending array and, parallel
-/// to it, each start's multiset is stored as runs of equal counts (most
-/// ends of a start share a few small counts, so a multiset of hundreds
-/// of counts is a few runs). A start without instances has no runs.
-/// A read over a [`DrawTable`] — whether the entry covers it, and the
-/// position sum — is one merge walk of the table against the start
-/// array, and a position within a start's runs is one binary search over
-/// them, with no hashing. A single start is found by binary search, and
-/// merging two entries is one sorted merge of their start arrays.
+/// **Layout.** The covered starts sit in one ascending array of `u32`
+/// node ids, and each start's multiset is stored as runs of equal counts
+/// (most ends of a start share a few small counts, so a multiset of
+/// hundreds of counts is a few runs). The runs of every start sit in a
+/// second array, grouped by start in the same order, and each run
+/// carries its start in the bytes beside its count, so a run takes 16
+/// bytes and a start without instances — most covered starts — takes
+/// only its 4. Both arrays are sized exactly. A read over a [`DrawTable`]
+/// — whether the entry covers it, and the position sum — is one merge
+/// walk of the table against the start array with a run cursor moved
+/// beside it, and a position within a start's runs is one binary search
+/// over them, with no hashing. A single start is found by binary search
+/// in each array, and merging two entries is one sorted merge of their
+/// start arrays, each with its run cursor.
 /// [`AllStartsDistribution::counts_for`] expands a start's runs back
-/// into its multiset.
+/// into its multiset. The shape's relational spec is not held: delta
+/// maintenance reads it back from the entry's key
+/// ([`CanonicalKey::to_spec`]).
 ///
 /// **Immutable once published**: the epoch is fixed at construction and
 /// the multisets never change, so a reader holding the `Arc` can trust
@@ -297,9 +354,6 @@ pub struct AllStartsDistribution {
     trace: EvalTrace,
     /// The KB epoch the multisets reflect (fixed at publication).
     epoch: u64,
-    /// The shape's relational spec, retained so delta maintenance can
-    /// re-evaluate without the originating [`Explanation`].
-    spec: PatternSpec,
 }
 
 impl AllStartsDistribution {
@@ -317,7 +371,7 @@ impl AllStartsDistribution {
 
     /// Whether `start` was covered by the batched evaluation.
     pub fn covers(&self, start: u64) -> bool {
-        self.table.starts.binary_search(&start).is_ok()
+        self.table.covered(start).is_some()
     }
 
     /// The descending count multiset of `start` (empty when it has no
@@ -369,13 +423,21 @@ impl AllStartsDistribution {
     }
 
     /// An entry covering no start, at `epoch`.
-    fn empty(epoch: u64, spec: PatternSpec) -> AllStartsDistribution {
-        AllStartsDistribution {
-            table: Arc::new(StartRuns::with_capacity(0)),
-            trace: EvalTrace::default(),
-            epoch,
-            spec,
-        }
+    fn empty(epoch: u64) -> AllStartsDistribution {
+        AllStartsDistribution { table: Arc::default(), trace: EvalTrace::default(), epoch }
+    }
+
+    /// Heap bytes this entry holds: its own allocation and its table's,
+    /// each with an `Arc`'s strong and weak counts, plus the table's
+    /// arrays — 4 bytes per covered start and 16 per run.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let arc_counts = 2 * size_of::<usize>();
+        2 * arc_counts
+            + size_of::<AllStartsDistribution>()
+            + size_of::<StartRuns>()
+            + size_of_val(&*self.table.starts)
+            + size_of_val(&*self.table.runs)
     }
 
     /// This entry with `newer` merged over it: `newer`'s multisets
@@ -390,7 +452,6 @@ impl AllStartsDistribution {
             table: Arc::new(self.table.merged(&newer.table)),
             trace,
             epoch: newer.epoch,
-            spec: self.spec.clone(),
         }
     }
 }
@@ -584,21 +645,20 @@ impl DistributionCache {
     fn evaluate(
         &self,
         index: &EdgeIndex,
-        spec: PatternSpec,
+        spec: &PatternSpec,
         starts: &[u64],
         kind: EvalKind,
         budget: &Budget,
         after_start: Option<AfterStart<'_>>,
     ) -> rex_relstore::Result<AllStartsDistribution> {
         let req = EvalRequest { starts, kind, budget: budget.clone(), after_start };
-        let batch = count_distributions(index, &spec, &req)?;
+        let batch = count_distributions(index, spec, &req)?;
         let trace = batch.trace;
         self.delta_evals.fetch_add(trace.delta, Ordering::Relaxed);
         Ok(AllStartsDistribution {
             table: Arc::new(StartRuns::from_batch(&batch.evaluated, &batch.per_start)),
             trace,
             epoch: index.epoch(),
-            spec,
         })
     }
 
@@ -664,9 +724,7 @@ impl DistributionCache {
             return Err(entry);
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
-        let batch = entry.unwrap_or_else(|| {
-            Arc::new(AllStartsDistribution::empty(index.epoch(), e.pattern.to_spec()))
-        });
+        let batch = entry.unwrap_or_else(|| Arc::new(AllStartsDistribution::empty(index.epoch())));
         Ok(BatchRead { batch, evaluated_tiles: None })
     }
 
@@ -733,7 +791,7 @@ impl DistributionCache {
         // No lock is held while evaluating; an abort propagates here,
         // before any observable state changes.
         let spec = e.pattern.to_spec();
-        let fresh = self.evaluate(index, spec, &missing, EvalKind::Full, budget, after_start)?;
+        let fresh = self.evaluate(index, &spec, &missing, EvalKind::Full, budget, after_start)?;
         let evaluated_tiles = Some(fresh.trace.tiles);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let computed = match &base {
@@ -819,10 +877,11 @@ impl DistributionCache {
                 dropped.push((key, entry));
                 continue;
             }
-            let affected: Vec<u64> = delta_affected_starts(kb, &entry.spec, delta)
+            let spec = key.to_spec();
+            let affected: Vec<u64> = delta_affected_starts(kb, &spec, delta)
                 .unwrap_or_default()
                 .into_iter()
-                .filter(|s| entry.covers(*s))
+                .filter(|&s| entry.covers(s))
                 .collect();
             let next = if affected.is_empty() {
                 outcome.untouched += 1;
@@ -830,21 +889,14 @@ impl DistributionCache {
                     table: Arc::clone(&entry.table),
                     trace: entry.trace,
                     epoch: delta.to_epoch,
-                    spec: entry.spec.clone(),
                 }
             } else {
                 // The endpoint postings make the partial evaluation touch
                 // only rows incident to the affected starts.
+                let unlimited = Budget::unlimited();
                 let partial = self
-                    .evaluate(
-                        index,
-                        entry.spec.clone(),
-                        &affected,
-                        EvalKind::Delta,
-                        &Budget::unlimited(),
-                        None,
-                    )
-                    .expect("cached batch specs are valid");
+                    .evaluate(index, &spec, &affected, EvalKind::Delta, &unlimited, None)
+                    .expect("a key's spec is a valid pattern");
                 outcome.patched += 1;
                 outcome.affected_starts += affected.len();
                 entry.merged(&partial)
@@ -915,6 +967,20 @@ impl DistributionCache {
         self.len() == 0
     }
 
+    /// Heap bytes the cached shapes hold: every entry's key, the entry,
+    /// its start table and run table, and the map's slots (one key and
+    /// one `Arc` per slot, at the map's capacity). Each counts what its
+    /// allocations hold, as
+    /// [`KnowledgeBase::heap_bytes`](rex_kb::KnowledgeBase::heap_bytes)
+    /// does.
+    pub fn heap_bytes(&self) -> usize {
+        let entries = self.entries.read();
+        let slot = std::mem::size_of::<(CanonicalKey, Arc<AllStartsDistribution>)>();
+        let held: usize =
+            entries.iter().map(|(key, entry)| key.heap_bytes() + entry.heap_bytes()).sum();
+        entries.capacity() * slot + held
+    }
+
     /// `(hits, misses)` counters: every read counts one of them, a miss
     /// when it evaluated at least one start.
     pub fn stats(&self) -> (usize, usize) {
@@ -957,12 +1023,66 @@ mod tests {
         counts
     }
 
+    /// An entry at epoch 0 over `table`.
+    fn entry_at_0(table: StartRuns) -> AllStartsDistribution {
+        AllStartsDistribution { table: Arc::new(table), trace: EvalTrace::default(), epoch: 0 }
+    }
+
+    /// A model of a run table: each covered start's descending multiset,
+    /// empty for a start without instances.
+    type Model = std::collections::BTreeMap<u64, Vec<u64>>;
+
+    /// The table one evaluation of `entries` gives, and its model: a start
+    /// listed twice keeps its last multiset, as an evaluation's output
+    /// map would.
+    fn table_and_model(entries: &[(u64, Vec<u64>)]) -> (StartRuns, Model) {
+        let model: Model = entries.iter().map(|(s, c)| (*s, descending(c.clone()))).collect();
+        let starts: Vec<u64> = entries.iter().map(|(s, _)| *s).collect();
+        let per_start = model.iter().filter(|(_, c)| !c.is_empty());
+        let per_start = per_start.map(|(s, c)| (*s, c.clone())).collect();
+        (StartRuns::from_batch(&starts, &per_start), model)
+    }
+
+    /// `table` answers every single-start read, the missing list and the
+    /// covered position sum over `drawn` as `model` does.
+    fn assert_answers_like(table: StartRuns, model: &Model, drawn: &[u64], exclude: u64, a: u64) {
+        use crate::measures::distribution::position_in;
+        let runs: Vec<Run> = table.runs.to_vec();
+        let entry = entry_at_0(table);
+        let starts: Vec<u64> = entry.table.starts.iter().map(|&s| u64::from(s)).collect();
+        assert_eq!(starts, model.keys().copied().collect::<Vec<_>>());
+        assert!(runs.windows(2).all(|w| w[0].start <= w[1].start), "runs by start");
+        for s in 0..50 {
+            let counts = model.get(&s);
+            let runs_of = entry.table.runs_of(s);
+            assert_eq!(runs_of.map(expand).as_ref(), counts);
+            assert!(runs_of.unwrap_or_default().iter().all(|r| u64::from(r.start) == s));
+            assert_eq!(entry.counts_for(s).as_deref(), counts);
+            assert_eq!(entry.position(s, a), counts.map(|c| position_in(c, a)));
+        }
+        let draws =
+            DrawTable::from_starts(&drawn.iter().map(|&s| NodeId(s as u32)).collect::<Vec<_>>());
+        let mut lacking: Vec<u64> =
+            drawn.iter().copied().filter(|s| !model.contains_key(s)).collect();
+        lacking.sort_unstable();
+        lacking.dedup();
+        assert_eq!(entry.table.missing(&draws), lacking);
+        let counted = drawn.iter().filter(|&&s| s != exclude);
+        let sum = counted.clone().filter_map(|s| model.get(s)).map(|c| position_in(c, a)).sum();
+        let exact = counted.clone().all(|s| model.contains_key(s));
+        assert_eq!(
+            entry.covered_position_sum(&draws, Some(NodeId(exclude as u32)), a),
+            (sum, exact)
+        );
+    }
+
     /// The runs of `counts` answer every position from 0 to max + 1 as
     /// [`position_in`] does on `counts`, and expand back to `counts`.
     fn assert_runs_match(counts: &[u64]) {
         use crate::measures::distribution::position_in;
         let mut runs = Vec::new();
-        push_runs(&mut runs, counts);
+        push_runs(&mut runs, 7, counts);
+        assert!(runs.iter().all(|r| r.start == 7));
         assert_eq!(expand(&runs), counts);
         let max = counts.first().copied().unwrap_or(0);
         for a in 0..=max + 1 {
@@ -1012,11 +1132,40 @@ mod tests {
             let mut covered: Vec<u64> = old.iter().chain(&new).map(|(s, _)| *s).collect();
             covered.sort_unstable();
             covered.dedup();
-            prop_assert_eq!(&merged.starts, &covered);
+            prop_assert_eq!(merged.starts.iter().map(|&s| u64::from(s)).collect::<Vec<_>>(), covered.clone());
             for &s in &covered {
                 let runs = merged.runs_of(s).expect("merged table covers its starts");
                 prop_assert_eq!(expand(runs), expected.get(&s).cloned().unwrap_or_default());
             }
+        }
+
+        /// Tables whose starts have empty multisets, tables covering part
+        /// of the drawn starts, and newer-wins merges in which a start
+        /// gains or loses all its runs answer every read as a map from
+        /// start to multiset does. Newer tables re-list some of the older
+        /// table's starts with an empty or a fresh multiset, and both draw
+        /// multisets of 0 to 3 counts, so a quarter of them are empty.
+        #[test]
+        fn run_tables_answer_like_a_map_model(
+            old in proptest::collection::vec((0u64..40, proptest::collection::vec(1u64..5, 0..4)), 0..30),
+            relisted in proptest::collection::vec((0usize..30, proptest::collection::vec(1u64..5, 0..4)), 0..10),
+            fresh in proptest::collection::vec((0u64..40, proptest::collection::vec(1u64..5, 0..4)), 0..10),
+            drawn in proptest::collection::vec(0u64..48, 0..60),
+            (a, exclude) in (0u64..6, 0u64..48)
+        ) {
+            let new: Vec<(u64, Vec<u64>)> = relisted
+                .iter()
+                .filter_map(|(at, counts)| old.get(*at).map(|(s, _)| (*s, counts.clone())))
+                .chain(fresh)
+                .collect();
+            let (older, old_model) = table_and_model(&old);
+            let (newer, new_model) = table_and_model(&new);
+            let mut merged_model = old_model.clone();
+            merged_model.extend(new_model.clone());
+            let merged = older.merged(&newer);
+            assert_answers_like(older, &old_model, &drawn, exclude, a);
+            assert_answers_like(newer, &new_model, &drawn, exclude, a);
+            assert_answers_like(merged, &merged_model, &drawn, exclude, a);
         }
 
         /// An entry's merge walks over a multiset of draws answer what one
@@ -1040,12 +1189,7 @@ mod tests {
                 .filter(|(_, c)| !c.is_empty())
                 .map(|(s, c)| (*s, descending(c.clone())))
                 .collect();
-            let entry = AllStartsDistribution {
-                table: Arc::new(StartRuns::from_batch(&starts, &per_start)),
-                trace: EvalTrace::default(),
-                epoch: 0,
-                spec: PatternSpec { var_count: 2, start: 0, end: 1, edges: Vec::new() },
-            };
+            let entry = entry_at_0(StartRuns::from_batch(&starts, &per_start));
             let table = |ids: &[u64]| {
                 DrawTable::from_starts(&ids.iter().map(|&s| NodeId(s as u32)).collect::<Vec<_>>())
             };
@@ -1110,7 +1254,9 @@ mod tests {
             if !seeded.is_empty() {
                 read_batch(&bounded, index, e, &ids(&seeded));
             }
-            let covered = |c: &DistributionCache| c.entry(e.key()).map_or(Vec::new(), |b| b.table.starts.clone());
+            let covered = |c: &DistributionCache| {
+                c.entry(e.key()).map_or(Vec::new(), |b| b.table.starts.iter().map(|&s| u64::from(s)).collect())
+            };
             let before = covered(&bounded);
             let counted = |s: u64| Some(NodeId(s as u32)) != exclude;
             let position = |s: u64| {
@@ -1175,6 +1321,32 @@ mod tests {
                 .enumerate(&kb, a, b);
             (EdgeIndex::build(&kb), out.explanations)
         })
+    }
+
+    /// An entry holds 4 bytes per covered start and 16 per run beside a
+    /// fixed 128: its own allocation (an `Arc`'s two counts, the table
+    /// pointer, the trace and the epoch) and its table's (the counts and
+    /// two array pointers). The cache adds each entry's key and the
+    /// map's slots.
+    #[test]
+    fn heap_bytes_count_starts_runs_and_a_fixed_part() {
+        // Starts 3, 5 and 9: 3 has two runs, 5 no instances, 9 one run.
+        let per_start = HashMap::from([(3, vec![4, 4, 1]), (9, vec![2])]);
+        let entry = entry_at_0(StartRuns::from_batch(&[9, 3, 5, 3], &per_start));
+        assert_eq!((entry.domain_len(), entry.table.runs.len()), (3, 3));
+        assert_eq!(entry.heap_bytes(), 128 + 3 * 4 + 3 * 16);
+
+        let cache = DistributionCache::new();
+        assert_eq!(cache.heap_bytes(), 0);
+        let (index, explanations) = toy_shapes();
+        let e = &explanations[0];
+        let all: Vec<NodeId> = (0..index.node_count() as u32).map(NodeId).collect();
+        let batch = read_batch(&cache, index, e, &all);
+        let (starts, runs) = (batch.domain_len(), batch.table.runs.len());
+        assert!(starts > runs && runs > 0, "{starts} starts, {runs} runs");
+        let slots = cache.entries.read().capacity() * 32;
+        let key = e.key().as_slice().len() * 8;
+        assert_eq!(cache.heap_bytes(), slots + key + 128 + 4 * starts + 16 * runs);
     }
 
     /// A read of no start evaluates nothing and is a hit, on a cold cache
@@ -1423,7 +1595,7 @@ mod tests {
         };
         let spec = e.pattern.to_spec();
         let err = cache
-            .evaluate(index, spec, &starts, EvalKind::Delta, &budget, Some(&trip))
+            .evaluate(index, &spec, &starts, EvalKind::Delta, &budget, Some(&trip))
             .unwrap_err();
         let cancelled = rex_relstore::budget::AbortReason::Cancelled;
         assert!(matches!(err, rex_relstore::RelError::Aborted(r) if r == cancelled), "{err}");

@@ -23,8 +23,8 @@ pub struct Interner {
     /// Every string, end to end, in id order.
     text: String,
     /// Where each string ends in `text`; each starts where the one
-    /// before it ends.
-    ends: Vec<usize>,
+    /// before it ends. The text stays within `u32` offsets.
+    ends: Vec<u32>,
     /// A power-of-two number of slots, at most half of them used.
     slots: Vec<Slot>,
     hasher: RandomState,
@@ -65,8 +65,9 @@ impl Interner {
             Err(free) => {
                 let id = self.ends.len() as u32;
                 assert!(id != FREE, "interner is full");
+                let end = u32::try_from(self.text.len() + s.len()).expect("interner text is full");
                 self.text.push_str(s);
-                self.ends.push(self.text.len());
+                self.ends.push(end);
                 self.slots[free] = Slot { id, hash: hash as u32 };
                 id
             }
@@ -136,7 +137,7 @@ impl Interner {
     /// Heap bytes held: the strings' text, where each ends, and the table.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.text.capacity()
-            + self.ends.capacity() * std::mem::size_of::<usize>()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
             + self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
@@ -150,8 +151,8 @@ impl Interner {
     /// indicate a logic error (ids are only ever produced by this interner).
     pub fn resolve(&self, id: u32) -> &str {
         let id = id as usize;
-        let start = if id == 0 { 0 } else { self.ends[id - 1] };
-        &self.text[start..self.ends[id]]
+        let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
+        &self.text[start..self.ends[id] as usize]
     }
 
     /// Number of distinct interned strings.

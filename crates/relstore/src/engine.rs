@@ -827,7 +827,9 @@ impl Sink for EndCounts<'_> {
 
     fn start_done(&mut self, start: u64) -> bool {
         self.evaluated.push(start);
-        // Sized exactly: the cache holds these vectors as they are.
+        // Each touched end's count, descending. A caller that keeps a
+        // multiset converts it first (the distribution cache keeps runs
+        // of equal counts), so its capacity is not worth trimming.
         let mut counts: Vec<u64> =
             self.touched.drain(..).map(|end| std::mem::take(&mut self.counts[end])).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
